@@ -169,10 +169,6 @@ impl SecurityConfig {
     /// Configure the chunked crypto pipeline (see `empi_pipeline`).
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
-        // Keep the pool toggle authoritative regardless of builder
-        // order: with_buffer_pool(true) then with_pipeline(..) must not
-        // silently revert the pipeline to heap buffers.
-        self.pipeline.pooled = self.pipeline.pooled || self.pool;
         self
     }
 
@@ -205,12 +201,10 @@ impl SecurityConfig {
         self
     }
 
-    /// Toggle the pooled zero-copy hot path. Also flips the pipeline's
-    /// frame-buffer sourcing, so one call covers both the sequential
-    /// and the chunked paths.
+    /// Toggle the pooled zero-copy hot path: one switch for the plain
+    /// records and the chunked frames alike.
     pub fn with_buffer_pool(mut self, pooled: bool) -> Self {
         self.pool = pooled;
-        self.pipeline.pooled = pooled;
         self
     }
 
@@ -304,19 +298,19 @@ mod tests {
     }
 
     #[test]
-    fn pool_builder_covers_both_paths_in_any_order() {
+    fn pool_builder_is_independent_of_pipeline_order() {
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl);
-        assert!(!c.pool && !c.pipeline.pooled && !c.peer_cipher, "pool off by default");
+        assert!(!c.pool && !c.peer_cipher, "pool off by default");
         // Pool first, pipeline second: the toggle must survive.
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl)
             .with_buffer_pool(true)
             .with_pipeline(PipelineConfig::enabled());
-        assert!(c.pool && c.pipeline.pooled);
+        assert!(c.pool && c.pipeline.enabled);
         // Pipeline first, pool second.
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl)
             .with_pipeline(PipelineConfig::enabled())
             .with_buffer_pool(true);
-        assert!(c.pool && c.pipeline.pooled);
+        assert!(c.pool && c.pipeline.enabled);
         let c = c.with_peer_cipher(true);
         assert!(c.peer_cipher);
     }

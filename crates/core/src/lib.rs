@@ -37,7 +37,6 @@
 
 pub mod config;
 pub mod error;
-pub mod key;
 pub mod legacy;
 mod recovery;
 pub mod secure_comm;

@@ -1,0 +1,360 @@
+//! `SecureComm` — MPI with AES-GCM privacy and integrity.
+//!
+//! Every message is transformed exactly as in the paper's Algorithm 1:
+//! a fresh 12-byte nonce `N`, ciphertext `C = Enc(K, N, M)` (which is
+//! 16 bytes longer than `M` because of the GCM tag), and the wire
+//! carries `N ‖ C` — 28 bytes of overhead per message.
+//!
+//! Non-blocking semantics follow §IV: encryption happens inside
+//! `isend` before the underlying `MPI_Isend`; decryption of an `irecv`
+//! happens **inside `wait`**, preserving the non-blocking property.
+//!
+//! The stack, bottom-up (one module each):
+//!
+//! * [`keyring`] — which key: cluster, pair or group-epoch, one
+//!   lookup-or-derive, plus the key plane's epoch/revocation gates;
+//! * [`record`] — Algorithm 1 itself: one seal and one open, both in
+//!   place, and the chunked (pipelined) framing over them;
+//! * [`reliability`] — fault injection and NACK-driven repair;
+//! * [`p2p`] and [`collectives`] — the public routines, written over
+//!   the three layers above.
+
+mod collectives;
+mod keyring;
+mod p2p;
+mod record;
+mod reliability;
+#[cfg(test)]
+mod tests;
+
+use empi_keys::suite::cointoss;
+use empi_keys::{handshake, KeyError, KeyFrame, KeyPlane, KeyPlaneConfig};
+use empi_metrics::Metric;
+use empi_mpi::{Comm, Request, Src, TagSel, KEY_COMMIT_TAG, KEY_REVEAL_TAG};
+use empi_netsim::{BufferPool, VDur};
+use empi_pipeline::{ChunkCost, Pipeline};
+
+use crate::config::{SecurityConfig, TimingMode};
+use crate::error::{Error, Result};
+use keyring::KeyRing;
+use reliability::Reliability;
+
+pub use p2p::{SecureRequest, SetCompletion};
+pub use reliability::ChaosStats;
+
+/// Metric peer id of an optional rank (−1 = no single peer).
+fn peer_id(rank: Option<usize>) -> i32 {
+    rank.map_or(-1, |r| r as i32)
+}
+
+/// Record one service-time sample (seal/open/repair/key). The seal and
+/// open calls sit adjacent to the `count_seal`/`count_open` trace
+/// counters so histogram sample counts conserve exactly against the
+/// per-rank `RankMetrics` ledgers (`tracecheck --require-hist` proves
+/// it). Recording never advances virtual time; a no-op unless the
+/// world installed a recorder on the engine.
+fn note_service(
+    comm: &Comm<'_>,
+    metric: Metric,
+    op: &'static str,
+    peer: i32,
+    bytes: usize,
+    t0_ns: u64,
+) {
+    if let Some(m) = comm.sim().metrics() {
+        let now = comm.sim().now().as_nanos();
+        m.record(
+            comm.rank(),
+            metric,
+            op,
+            peer,
+            bytes,
+            now,
+            now.saturating_sub(t0_ns),
+        );
+    }
+}
+
+/// An encrypted communicator wrapping a plain [`Comm`].
+///
+/// All payloads gain [`empi_aead::WIRE_OVERHEAD`] (28) bytes on the
+/// wire; receivers authenticate before any plaintext is released, and
+/// tampering surfaces as [`Error::Crypto`].
+pub struct SecureComm<'a, 'h> {
+    comm: &'a Comm<'h>,
+    cfg: SecurityConfig,
+    /// Every cipher context a record can travel under.
+    keys: KeyRing,
+    /// The chunked wire format's endpoint (message ids, worker pool).
+    pipe: Pipeline,
+    /// Fault plan, retransmit retention, flow counters and stats.
+    rel: Reliability<'a, 'h>,
+}
+
+impl<'a, 'h> SecureComm<'a, 'h> {
+    /// Wrap `comm` with the given security configuration.
+    ///
+    /// Engine selection: in `Measured` mode the library's profile
+    /// engines run (their wall time *is* the measurement). In
+    /// `Calibrated` mode the charged time comes from the per-library
+    /// curves, and every engine computes byte-identical AES-GCM (see the
+    /// cross-engine tests), so the fastest available engines execute —
+    /// keeping gigabyte-scale harness runs from being throttled by the
+    /// deliberately slow software path whose *cost* is already charged.
+    pub fn new(comm: &'a Comm<'h>, cfg: SecurityConfig) -> Result<Self> {
+        let cluster = match cfg.timing {
+            TimingMode::Measured => cfg.library.instantiate_for_build(
+                empi_aead::profile::CompilerBuild::Gcc485,
+                cfg.key_size,
+                cfg.key_bytes(),
+            )?,
+            TimingMode::Calibrated(_) => {
+                if !cfg.library.supports(cfg.key_size) {
+                    return Err(Error::Crypto(empi_aead::Error::UnsupportedKeySize {
+                        backend: cfg.library.name(),
+                        bits: cfg.key_size.bits(),
+                    }));
+                }
+                if cfg.key_bytes().len() != cfg.key_size.bytes() {
+                    return Err(Error::Crypto(empi_aead::Error::InvalidKeyLength {
+                        got: cfg.key_bytes().len(),
+                    }));
+                }
+                empi_aead::gcm::AesGcm::new(cfg.key_bytes()).map_err(Error::Crypto)?
+            }
+        };
+        let rel = Reliability::new(comm, &cfg);
+        let keys = KeyRing::new(cluster, &cfg, rel.on());
+        let pipe = Pipeline::new(cfg.pipeline, comm.rank());
+        let mut sc = SecureComm {
+            comm,
+            cfg,
+            keys,
+            pipe,
+            rel,
+        };
+        if let Some(kp) = sc.cfg.key_plane {
+            // The handshake runs on the legacy wire format (plane not
+            // installed yet): the configured cluster key acts as the
+            // bootstrap KEK and never protects data traffic again.
+            let plane = sc.run_handshake(kp)?;
+            sc.keys.install_plane(plane);
+        }
+        Ok(sc)
+    }
+
+    /// The seeded commit/reveal group key agreement (see
+    /// `empi_keys::handshake`): round 1 exchanges commitments on the
+    /// ctrl-plane commit tag, round 2 exchanges reveals; every rank
+    /// verifies each reveal against its commitment and folds the
+    /// bootstrap key with all contributions into the session master.
+    fn run_handshake(&self, kp: KeyPlaneConfig) -> Result<KeyPlane> {
+        let me = self.rank();
+        let n = self.size();
+        let t0 = self.comm.sim().now().as_nanos();
+        let contrib = handshake::contribution(kp.handshake_seed, me);
+        let my_commit = handshake::commitment(&contrib);
+        let failed = |rank, reason| Error::Key(KeyError::HandshakeFailed { rank, reason });
+        // One all-to-all round of sealed key frames on `tag`. Sends are
+        // posted before the in-order receives, so it cannot deadlock.
+        type Accept<'f> = &'f mut dyn FnMut(usize, Option<KeyFrame>) -> Result<()>;
+        let round = |frame: KeyFrame, tag, accept: Accept<'_>| -> Result<()> {
+            let wire = self.seal_wire(&frame.encode(), None);
+            let reqs: Vec<Request> = (0..n)
+                .filter(|&r| r != me)
+                .map(|r| self.comm.isend(&wire, r, tag))
+                .collect();
+            for r in (0..n).filter(|&r| r != me) {
+                let (_, raw) = self.comm.recv(Src::Is(r), TagSel::Is(tag));
+                accept(r, KeyFrame::decode(&self.open_to_vec(None, false, &raw)?))?;
+            }
+            for req in reqs {
+                let _ = self.comm.wait_payload(req);
+            }
+            Ok(())
+        };
+
+        // Round 1: commitments.
+        let mut commits = vec![[0u8; 32]; n];
+        commits[me] = my_commit;
+        round(
+            KeyFrame::Commit {
+                rank: me as u32,
+                commitment: my_commit,
+            },
+            KEY_COMMIT_TAG,
+            &mut |r, frame| match frame {
+                Some(KeyFrame::Commit { rank, commitment }) if rank as usize == r => {
+                    commits[r] = commitment;
+                    Ok(())
+                }
+                _ => Err(failed(r, "malformed commit frame")),
+            },
+        )?;
+
+        // Round 2: reveals, only after every commitment is in.
+        let mut values = vec![[0u8; 32]; n];
+        values[me] = contrib.value;
+        round(
+            KeyFrame::Reveal {
+                rank: me as u32,
+                value: contrib.value,
+                blind: contrib.blind,
+            },
+            KEY_REVEAL_TAG,
+            &mut |r, frame| match frame {
+                Some(KeyFrame::Reveal { rank, value, blind }) if rank as usize == r => {
+                    if !cointoss::verify(&commits[r], &value, &blind) {
+                        return Err(failed(r, "reveal does not open the commitment"));
+                    }
+                    values[r] = value;
+                    Ok(())
+                }
+                _ => Err(failed(r, "malformed reveal frame")),
+            },
+        )?;
+
+        let mut bootstrap = [0u8; 32];
+        let kb = self.cfg.key_bytes();
+        bootstrap[..kb.len().min(32)].copy_from_slice(&kb[..kb.len().min(32)]);
+        let master = handshake::session_master(&bootstrap, &values);
+        let now = self.comm.sim().now().as_nanos();
+        if let Some(t) = self.comm.sim().tracer() {
+            t.key_span(
+                me,
+                "key/handshake",
+                t0,
+                now.saturating_sub(t0),
+                0,
+                format!("{n} ranks, commit/reveal, seed {}", kp.handshake_seed),
+            );
+        }
+        note_service(self.comm, Metric::Key, "key/handshake", -1, 0, t0);
+        Ok(KeyPlane::new(kp, master))
+    }
+
+    /// This rank.
+    pub fn rank(&self) -> usize {
+        self.comm.rank()
+    }
+
+    /// World size.
+    pub fn size(&self) -> usize {
+        self.comm.size()
+    }
+
+    /// The wrapped plaintext communicator.
+    pub fn inner(&self) -> &Comm<'h> {
+        self.comm
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &SecurityConfig {
+        &self.cfg
+    }
+
+    /// The engine's shared buffer pool when the zero-copy hot path is
+    /// configured — the single place buffer sourcing is decided.
+    fn pool(&self) -> Option<&BufferPool> {
+        self.cfg.pool.then(|| self.comm.sim().buffer_pool())
+    }
+
+    /// An empty buffer with room for `cap` bytes — recycled from the
+    /// pool or fresh from the heap — and whether it was a fresh
+    /// allocation. Wire bytes are identical either way.
+    fn take_buf(&self, cap: usize) -> (Vec<u8>, bool) {
+        match self.pool() {
+            Some(pool) => {
+                let buf = pool.take(cap);
+                let fresh = buf.fresh();
+                (buf.into_vec(), fresh)
+            }
+            None => (Vec::with_capacity(cap), true),
+        }
+    }
+
+    /// Tracer bookkeeping for one wire-buffer materialization: the
+    /// per-site counters plus an `alloc/*` marker on this rank's lane.
+    fn note_alloc(&self, fresh: bool, bytes: usize, what: &str) {
+        if let Some(t) = self.comm.sim().tracer() {
+            t.count_alloc(self.rank(), fresh, bytes);
+            t.alloc_span(
+                self.rank(),
+                if fresh { "alloc/fresh" } else { "alloc/pooled" },
+                self.comm.sim().now().as_nanos(),
+                bytes,
+                what.to_string(),
+            );
+        }
+    }
+
+    /// Execute a crypto closure under the configured cost model,
+    /// recording a per-call crypto span (`kind` = "seal"/"open", bytes,
+    /// backend) when a tracer is installed.
+    fn run_crypto<T>(&self, bytes: usize, kind: &'static str, f: impl FnOnce() -> T) -> T {
+        let t0 = self.comm.sim().now();
+        let out = match self.cfg.timing {
+            TimingMode::Measured => self.comm.sim().charge_measured(f),
+            TimingMode::Calibrated(build) => {
+                // Cost is known before the call, so the crypto work can
+                // run detached: under a sharded world other ranks
+                // proceed on real cores while this one seals/opens.
+                // Encryption and decryption cost the same in AES-GCM
+                // (§V-A). The closure touches only rank-local cipher
+                // state and pre-allocated buffers, as charge_overlapped
+                // requires.
+                let ns = self.cfg.library.enc_time_ns(build, bytes);
+                self.comm.sim().charge_overlapped(VDur(ns), f)
+            }
+        };
+        if let Some(t) = self.comm.sim().tracer() {
+            t.crypto_span(
+                self.rank(),
+                t0.as_nanos(),
+                self.comm.sim().now().as_nanos(),
+                kind,
+                bytes,
+                self.cfg.library.name(),
+            );
+        }
+        out
+    }
+
+    /// Bridge the configured [`TimingMode`] to the pipeline's per-chunk
+    /// cost model.
+    fn with_chunk_cost<T>(&self, f: impl FnOnce(&ChunkCost<'_>) -> T) -> T {
+        match self.cfg.timing {
+            TimingMode::Calibrated(build) => {
+                let lib = self.cfg.library;
+                let curve = move |n: usize| lib.enc_time_ns(build, n);
+                f(&ChunkCost::Calibrated(&curve))
+            }
+            TimingMode::Measured => f(&ChunkCost::Measured {
+                scale: self.comm.sim().time_scale(),
+            }),
+        }
+    }
+
+    /// [`note_service`] on this communicator.
+    fn note_service(&self, metric: Metric, op: &'static str, peer: i32, bytes: usize, t0_ns: u64) {
+        note_service(self.comm, metric, op, peer, bytes, t0_ns);
+    }
+
+    /// Record one caller-perspective end-to-end latency sample for a
+    /// public op that started at `t0_ns`.
+    fn note_e2e(&self, op: &'static str, peer: i32, bytes: usize, t0_ns: u64) {
+        if let Some(m) = self.comm.sim().metrics() {
+            let now = self.comm.sim().now().as_nanos();
+            m.record(self.rank(), Metric::E2e, op, peer, bytes, now, now - t0_ns);
+        }
+    }
+
+    /// Run a public op whose peer and size are known up front under an
+    /// end-to-end latency sample.
+    fn op_span<T>(&self, op: &'static str, peer: i32, bytes: usize, f: impl FnOnce() -> T) -> T {
+        let t0 = self.comm.sim().now().as_nanos();
+        let out = f();
+        self.note_e2e(op, peer, bytes, t0);
+        out
+    }
+}

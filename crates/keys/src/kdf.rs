@@ -1,8 +1,7 @@
 //! The one canonical key-derivation path.
 //!
-//! Moved here from `empi_core::key` (which now re-exports this module)
-//! so the pair KDF, the epoch-qualified pair KDF, the per-epoch group
-//! key, and the memoizing [`KeyCache`] live in a single place. The
+//! The pair KDF, the epoch-qualified pair KDF, the per-epoch group
+//! key, and the memoizing [`KeyCache`] live in this single place. The
 //! paper hardcodes one cluster-wide key and explicitly defers key
 //! distribution to future work; `derive_pair_key` is our documented
 //! *extension* (DESIGN.md §7): a toy KDF that gives each ordered rank

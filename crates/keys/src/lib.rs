@@ -16,9 +16,8 @@
 //!   the contributions with the bootstrap key into a fresh *session
 //!   master*. The hardcoded cluster key is demoted to a bootstrap KEK
 //!   that only ever protects handshake frames.
-//! * [`kdf`] — the one canonical key-derivation path (moved here from
-//!   `empi_core::key`, which now re-exports it): pair subkeys, epoch
-//!   qualification, the per-epoch *group* key, and the memoizing
+//! * [`kdf`] — the one canonical key-derivation path: pair subkeys,
+//!   epoch qualification, the per-epoch *group* key, and the memoizing
 //!   [`kdf::KeyCache`].
 //! * [`epoch`]/[`plane`] — epoch rotation on a virtual-time
 //!   [`empi_netsim::Schedule`] (no wire synchronization: each rank

@@ -45,6 +45,30 @@ fn round_label(k: usize) -> &'static str {
     ROUND_LABELS[k.min(ROUND_LABELS.len() - 1)]
 }
 
+/// Binomial-tree neighbours of `rank` in a broadcast rooted at `root`
+/// over `n` ranks: the parent to receive from (`None` at the root) and
+/// the children to forward to, in send order (largest subtree first).
+pub fn binomial_tree(
+    rank: usize,
+    root: usize,
+    n: usize,
+) -> (Option<usize>, impl Iterator<Item = usize>) {
+    let vrank = (rank + n - root) % n;
+    let real = move |v: usize| (v + root) % n;
+    // `mask` stops at vrank's lowest set bit (for the root it runs
+    // past `n`); every smaller power of two addresses one child.
+    let mut mask = 1usize;
+    while mask < n && vrank & mask == 0 {
+        mask <<= 1;
+    }
+    let parent = (mask < n).then(|| real(vrank - mask));
+    let children = std::iter::successors(Some(mask >> 1), |m| Some(m >> 1))
+        .take_while(|&m| m > 0)
+        .filter(move |&m| vrank + m < n)
+        .map(move |m| real(vrank + m));
+    (parent, children)
+}
+
 #[derive(Clone, Copy)]
 enum Op {
     Barrier = 1,
@@ -109,26 +133,12 @@ impl<'h> Comm<'h> {
     }
 
     fn bcast_binomial(&self, buf: &mut [u8], root: usize, tag: Tag) {
-        let n = self.size();
-        let me = self.rank();
-        let vrank = (me + n - root) % n;
-        let real = |v: usize| (v + root) % n;
-
-        let mut mask = 1usize;
-        while mask < n {
-            if vrank & mask != 0 {
-                let src = real(vrank - mask);
-                self.recv_into(buf, Src::Is(src), TagSel::Is(tag));
-                break;
-            }
-            mask <<= 1;
+        let (parent, children) = binomial_tree(self.rank(), root, self.size());
+        if let Some(src) = parent {
+            self.recv_into(buf, Src::Is(src), TagSel::Is(tag));
         }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank & mask == 0 && vrank + mask < n {
-                self.send(buf, real(vrank + mask), tag);
-            }
-            mask >>= 1;
+        for child in children {
+            self.send(buf, child, tag);
         }
     }
 
@@ -659,6 +669,26 @@ mod tests {
             World::flat(NetModel::instant(), 8),
             World::flat(NetModel::instant(), 13),
         ]
+    }
+
+    #[test]
+    fn binomial_tree_spans_every_rank_once() {
+        for n in [1usize, 2, 3, 5, 8, 13] {
+            for root in [0, n / 2, n - 1] {
+                let mut parent_of = vec![None; n];
+                for rank in 0..n {
+                    let (parent, children) = super::binomial_tree(rank, root, n);
+                    assert_eq!(parent.is_none(), rank == root, "n {n} root {root}");
+                    for child in children {
+                        assert_eq!(parent_of[child].replace(rank), None, "two parents");
+                    }
+                }
+                for (rank, listed) in parent_of.iter().enumerate() {
+                    let (parent, _) = super::binomial_tree(rank, root, n);
+                    assert_eq!(*listed, parent, "n {n} root {root} rank {rank}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use empi_mpi::chunk::{
     ChunkError, ChunkFrame, ChunkedMessage, FrameHeader, Reassembly, RecvPayload, FRAME_HEADER_LEN,
     FRAME_NONCE_LEN, FRAME_OVERHEAD,
 };
-use empi_mpi::{Comm, Request, Tag};
+use empi_mpi::Comm;
 use empi_netsim::{VDur, VTime};
 
 /// Default chunk size: 64 KB, CryptMPI's sweet spot (large enough to
@@ -58,10 +58,6 @@ pub struct PipelineConfig {
     pub chunk_size: usize,
     /// Crypto worker cores per rank.
     pub workers: usize,
-    /// Source frame buffers from the engine's shared `BufferPool`
-    /// instead of the heap. Changes only where buffers come from —
-    /// wire bytes are bit-identical either way. Off by default.
-    pub pooled: bool,
 }
 
 impl Default for PipelineConfig {
@@ -70,7 +66,6 @@ impl Default for PipelineConfig {
             enabled: false,
             chunk_size: DEFAULT_CHUNK_SIZE,
             workers: DEFAULT_WORKERS,
-            pooled: false,
         }
     }
 }
@@ -100,12 +95,6 @@ impl PipelineConfig {
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "worker pool must be non-empty");
         self.workers = workers;
-        self
-    }
-
-    /// Toggle pooled frame buffers (see [`PipelineConfig::pooled`]).
-    pub fn with_pooled(mut self, pooled: bool) -> Self {
-        self.pooled = pooled;
         self
     }
 
@@ -442,12 +431,15 @@ impl Pipeline {
     /// available to the workers at call time) and stamp each frame
     /// with its seal's completion time. The main thread's clock is
     /// *not* advanced by crypto: the cores do it, concurrently with
-    /// the host overhead and the wire. This is the building block of
-    /// [`Pipeline::send`]/[`Pipeline::isend`] and of the pipelined
-    /// collectives, which route the frames themselves.
+    /// the host overhead and the wire. The caller routes the frames
+    /// (`Comm::send_chunked`/`isend_chunked`, or a collective's relay).
     ///
     /// `base_nonce` must reserve one nonce per chunk (draw it with
-    /// `NonceSource::next_nonce_block(chunk_count)`).
+    /// `NonceSource::next_nonce_block(chunk_count)`). `take(cap)` hands
+    /// out each frame's buffer — the caller decides where buffers come
+    /// from (heap or pool; the sealed bytes are identical either way) —
+    /// and says whether it was a fresh allocation.
+    #[allow(clippy::too_many_arguments)]
     pub fn seal_timed(
         &self,
         comm: &Comm<'_>,
@@ -456,6 +448,7 @@ impl Pipeline {
         backend: &'static str,
         base_nonce: [u8; NONCE_LEN],
         buf: &[u8],
+        take: &dyn Fn(usize) -> (Vec<u8>, bool),
     ) -> Vec<ChunkFrame> {
         let msg_id = self.next_msg_id();
         let total = chunk_count(buf.len(), self.cfg.chunk_size);
@@ -474,29 +467,13 @@ impl Pipeline {
                     total_len,
                 };
                 let frame_len = FRAME_OVERHEAD + plain.len();
-                // Buffer sourcing is the only pooled/unpooled split;
-                // the sealed bytes are identical either way.
-                let (data, ns) = if self.cfg.pooled {
-                    let mut b = h.buffer_pool().take(frame_len);
-                    let fresh = b.fresh();
-                    let (_, ns) = cost.run(plain.len(), || {
-                        build_frame_into(&sealer, &base_nonce, header, plain, &mut b);
-                    });
-                    if let Some(t) = h.tracer() {
-                        t.count_alloc(comm.rank(), fresh, frame_len);
-                    }
-                    (b.freeze(), ns)
-                } else {
-                    let (f, ns) = cost.run(plain.len(), || {
-                        let mut f = Vec::with_capacity(frame_len);
-                        build_frame_into(&sealer, &base_nonce, header, plain, &mut f);
-                        f
-                    });
-                    if let Some(t) = h.tracer() {
-                        t.count_alloc(comm.rank(), true, frame_len);
-                    }
-                    (Bytes::from(f), ns)
-                };
+                let (mut frame, fresh) = take(frame_len);
+                let (_, ns) = cost.run(plain.len(), || {
+                    build_frame_into(&sealer, &base_nonce, header, plain, &mut frame);
+                });
+                if let Some(t) = h.tracer() {
+                    t.count_alloc(comm.rank(), fresh, frame_len);
+                }
                 let slot = pool.schedule_limited(submit, VDur(ns), self.cfg.workers);
                 if let Some(t) = h.tracer() {
                     t.pipeline_span(
@@ -510,51 +487,12 @@ impl Pipeline {
                     );
                 }
                 frames.push(ChunkFrame {
-                    data,
+                    data: Bytes::from(frame),
                     ready: slot.end,
                 });
             }
         });
         frames
-    }
-
-    /// Pipelined blocking send: seal on the worker pool, then hand the
-    /// timed frames to the chunked transport.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send(
-        &self,
-        comm: &Comm<'_>,
-        cipher: &AesGcm,
-        cost: &ChunkCost<'_>,
-        backend: &'static str,
-        base_nonce: [u8; NONCE_LEN],
-        buf: &[u8],
-        dst: usize,
-        tag: Tag,
-    ) {
-        let frames = self.seal_timed(comm, cipher, cost, backend, base_nonce, buf);
-        comm.send_chunked(frames, dst, tag);
-    }
-
-    /// Pipelined non-blocking send (`MPI_Isend` with encryption inside,
-    /// the paper's Algorithm placement): seal on the worker pool, hand
-    /// the timed frames to the non-blocking chunked transport, return
-    /// immediately. The receiver reassembles and decrypts inside its
-    /// `wait`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn isend(
-        &self,
-        comm: &Comm<'_>,
-        cipher: &AesGcm,
-        cost: &ChunkCost<'_>,
-        backend: &'static str,
-        base_nonce: [u8; NONCE_LEN],
-        buf: &[u8],
-        dst: usize,
-        tag: Tag,
-    ) -> Request {
-        let frames = self.seal_timed(comm, cipher, cost, backend, base_nonce, buf);
-        comm.isend_chunked(frames, dst, tag)
     }
 
     /// Pipelined open of a received chunked message: each chunk's
@@ -655,6 +593,11 @@ mod tests {
         AesGcm::new(&[0x42u8; 32]).unwrap()
     }
 
+    /// Frame buffers straight from the heap.
+    fn heap(cap: usize) -> (Vec<u8>, bool) {
+        (Vec::with_capacity(cap), true)
+    }
+
     #[test]
     fn config_defaults_and_dispatch() {
         let off = PipelineConfig::default();
@@ -739,7 +682,9 @@ mod tests {
                         let pipe =
                             Pipeline::new(PipelineConfig::enabled().with_workers(4), c.rank());
                         let cost = ChunkCost::Calibrated(&cost_ns);
-                        pipe.send(c, &cipher, &cost, "test", [3u8; 12], &msg, 1, 0);
+                        let frames =
+                            pipe.seal_timed(c, &cipher, &cost, "test", [3u8; 12], &msg, &heap);
+                        c.send_chunked(frames, 1, 0);
                     } else {
                         // Sequential reference: pay the whole seal on the
                         // main thread, then one plain send.
@@ -797,7 +742,8 @@ mod tests {
                     c.rank(),
                 );
                 let cost = ChunkCost::Calibrated(&cost_ns);
-                pipe.send(c, &cipher, &cost, "test", [1u8; 12], &msg, 1, 0);
+                let frames = pipe.seal_timed(c, &cipher, &cost, "test", [1u8; 12], &msg, &heap);
+                c.send_chunked(frames, 1, 0);
             } else {
                 let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))
                     .expect("pipelined sender must emit a frame train");

@@ -6,7 +6,7 @@ use empi::aead::WIRE_OVERHEAD;
 use empi::mpi::{Src, TagSel, World};
 use empi::nas::{cg, Class, CommLayer, PlainLayer, SecureLayer};
 use empi::netsim::{NetModel, Topology};
-use empi::secure::key::derive_pair_key;
+use empi_keys::kdf::derive_pair_key;
 use empi::secure::{SecureComm, SecurityConfig, TimingMode};
 
 #[test]

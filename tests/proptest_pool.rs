@@ -9,7 +9,9 @@
 use empi::aead::profile::CryptoLibrary;
 use empi::mpi::{RecvPayload, Src, TagSel, World};
 use empi::netsim::{NetModel, VDur};
-use empi::secure::{Error, FaultRates, PipelineConfig, SecureComm, SecurityConfig};
+use empi::secure::{
+    Error, FaultRates, KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig,
+};
 use proptest::prelude::*;
 
 fn cfg(pooled: bool, pipelined: bool, chunk_size: usize, nonce_seed: u64) -> SecurityConfig {
@@ -26,7 +28,8 @@ fn cfg(pooled: bool, pipelined: bool, chunk_size: usize, nonce_seed: u64) -> Sec
 
 /// The raw wire bytes rank 1 observes for one secure send of `msg`,
 /// peeked below the secure layer (plain and chunked formats flattened
-/// the same way in both worlds).
+/// the same way in both worlds). With the key plane on, rank 1 also
+/// constructs a `SecureComm` so the startup handshake completes.
 fn raw_wire(msg: Vec<u8>, c: SecurityConfig) -> Vec<u8> {
     let w = World::flat(NetModel::ethernet_10g(), 2);
     let out = w.run(move |comm| {
@@ -35,6 +38,9 @@ fn raw_wire(msg: Vec<u8>, c: SecurityConfig) -> Vec<u8> {
             sc.send(&msg, 1, 0);
             Vec::new()
         } else {
+            let _handshake = c
+                .key_plane
+                .map(|_| SecureComm::new(comm, c.clone()).unwrap());
             match comm.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)) {
                 RecvPayload::Plain(_, wire) => wire.to_vec(),
                 RecvPayload::Chunked(m) => m
@@ -46,6 +52,47 @@ fn raw_wire(msg: Vec<u8>, c: SecurityConfig) -> Vec<u8> {
         }
     });
     out.results.into_iter().nth(1).unwrap()
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden wire bytes: one fixed message and nonce seed per wire format
+/// and key source, hashed. The constants pin the ciphertext *across
+/// commits* (the proptests above only compare pool on/off within one
+/// build): a refactor of the record layer must reproduce them exactly.
+#[test]
+fn golden_wire_bytes_per_format_and_key_source() {
+    type KeySource = fn(SecurityConfig) -> SecurityConfig;
+    let cluster: KeySource = |c| c;
+    let pair: KeySource = |c| c.with_peer_cipher(true);
+    let plane: KeySource = |c| c.with_key_plane(KeyPlaneConfig::new(0x5eed));
+    // (label, pipelined, key source, FNV-64 of the wire bytes as
+    // captured at the commit before the record-layer refactor)
+    let table: [(&str, bool, KeySource, u64); 6] = [
+        ("plain/cluster", false, cluster, 0x2a8b_bb68_1f96_f585),
+        ("plain/pair", false, pair, 0x0c1d_a945_c2d1_c494),
+        ("plain/plane", false, plane, 0x774e_9528_4c1f_ebf6),
+        ("chunked/cluster", true, cluster, 0xde2b_7478_ec1e_4f1e),
+        ("chunked/pair", true, pair, 0xf940_077f_e5f7_93ed),
+        ("chunked/plane", true, plane, 0x21fd_9f14_a9e3_7239),
+    ];
+    let msg: Vec<u8> = (0..10_000usize).map(|i| (i * 31 + 7) as u8).collect();
+    for (label, pipelined, key_source, want) in table {
+        for pooled in [false, true] {
+            let wire = raw_wire(msg.clone(), key_source(cfg(pooled, pipelined, 4096, 0xC0FFEE)));
+            assert_eq!(
+                fnv64(&wire),
+                want,
+                "{label} (pool {pooled}): wire bytes changed ({} bytes, got {:#018x})",
+                wire.len(),
+                fnv64(&wire),
+            );
+        }
+    }
 }
 
 proptest! {
