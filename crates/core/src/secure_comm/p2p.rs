@@ -2,8 +2,8 @@
 //! set waits), written over the record layer and the reliability state.
 
 use bytes::Bytes;
-use empi_mpi::chunk::{ChunkFrame, RecvPayload};
-use empi_mpi::{Request, SetPoll, Src, Status, Tag, TagSel, NACK_TAG};
+use empi_mpi::chunk::{ChunkFrame, RecvPayload, SendPayload};
+use empi_mpi::{Charge, Request, SetPoll, Src, Status, Tag, TagSel, NACK_TAG};
 use empi_netsim::VDur;
 
 use super::reliability::{ChaosStats, POLL_QUANTUM};
@@ -32,12 +32,6 @@ pub type SetCompletion = (usize, Status, Option<Vec<u8>>);
 
 /// What a wait hands back: the status, and the plaintext of a receive.
 type Completion = (Status, Option<Vec<u8>>);
-
-/// One message sealed in the wire format its size selected.
-enum Sealed {
-    Plain(Bytes),
-    Chunked(Vec<ChunkFrame>),
-}
 
 /// Move a request set into the poller's slots, keeping the hints.
 fn into_slots(reqs: &mut Vec<SecureRequest>) -> (Vec<Option<Request>>, Vec<Option<u64>>) {
@@ -177,15 +171,15 @@ impl SecureComm<'_, '_> {
     /// Algorithm 1. With the chaos machinery active the sealed message
     /// is also sequenced, retained for repair and run through the fault
     /// plan.
-    fn seal_msg(&self, buf: &[u8], dst: usize, tag: Tag) -> Sealed {
+    fn seal_msg(&self, buf: &[u8], dst: usize, tag: Tag) -> SendPayload {
         if self.pipe.applies_to(buf.len()) {
             let mut frames = self.seal_chunked_frames(buf, Some(dst));
             self.rel.prepare_frames(&mut frames, dst, tag);
-            Sealed::Chunked(frames)
+            SendPayload::Chunked(frames)
         } else {
             let mut wire = self.seal_wire(buf, Some(dst));
             self.rel.prepare_wire(&mut wire, dst, tag);
-            Sealed::Plain(Bytes::from(wire))
+            SendPayload::Plain(Bytes::from(wire))
         }
     }
 
@@ -199,25 +193,19 @@ impl SecureComm<'_, '_> {
     /// rendezvous still answers its peers' repair requests.
     pub fn send(&self, buf: &[u8], dst: usize, tag: Tag) {
         self.op_span("p2p/send", dst as i32, buf.len(), || {
-            let sealed = self.seal_msg(buf, dst, tag);
-            if !self.rel.on() {
-                return match sealed {
-                    Sealed::Plain(wire) => self.comm.send_bytes(wire, dst, tag),
-                    Sealed::Chunked(frames) => self.comm.send_chunked(frames, dst, tag),
-                };
-            }
-            // Same *blocking-send* host accounting as the clean path —
-            // routing through `isend` here would charge the streaming
-            // host occupancy and make an armed-but-idle fault/retransmit
-            // layer look ~2x slower than the clean send. The posted
-            // request lets the ARQ wait keep answering NACKs while the
+            // Clean or armed, the send carries the same *blocking-send*
+            // host accounting — routing the armed path through `isend`
+            // would charge the streaming host occupancy and make an
+            // armed-but-idle fault/retransmit layer look ~2x slower than
+            // the clean send. Only the wait differs: the posted request
+            // lets the ARQ wait keep answering NACKs while the
             // rendezvous drains (two mutually-recovering ranks would
             // otherwise deadlock).
-            let req = match sealed {
-                Sealed::Plain(wire) => self.comm.send_posted_bytes(wire, dst, tag),
-                Sealed::Chunked(frames) => self.comm.send_chunked_posted(frames, dst, tag),
-            };
-            if self.rel.arq_on() {
+            let sealed = self.seal_msg(buf, dst, tag);
+            let req = self.comm.post(sealed, dst, tag, Charge::Blocking);
+            if !self.rel.on() {
+                self.comm.wait_sent(req);
+            } else if self.rel.arq_on() {
                 let _ = self.set_poll(&mut [Some(req)], true);
             } else {
                 let _ = self.comm.wait_payload(req);
@@ -307,12 +295,9 @@ impl SecureComm<'_, '_> {
     }
 
     pub(super) fn isend_impl(&self, buf: &[u8], dst: usize, tag: Tag) -> SecureRequest {
-        let inner = match self.seal_msg(buf, dst, tag) {
-            Sealed::Plain(wire) => self.comm.isend_bytes(wire, dst, tag),
-            Sealed::Chunked(frames) => self.comm.isend_chunked(frames, dst, tag),
-        };
+        let sealed = self.seal_msg(buf, dst, tag);
         SecureRequest {
-            inner,
+            inner: self.comm.post(sealed, dst, tag, Charge::Streaming),
             recv_seq_hint: None,
         }
     }
@@ -321,7 +306,8 @@ impl SecureComm<'_, '_> {
     /// pipelined collectives forward root-sealed ciphertext).
     pub(super) fn isend_frames(&self, mut frames: Vec<ChunkFrame>, dst: usize, tag: Tag) -> Request {
         self.rel.prepare_frames(&mut frames, dst, tag);
-        self.comm.isend_chunked(frames, dst, tag)
+        self.comm
+            .post(SendPayload::Chunked(frames), dst, tag, Charge::Streaming)
     }
 
     /// Encrypted non-blocking receive. The post is format-agnostic —

@@ -409,6 +409,38 @@ fn mixed_path_matrix_pipelined_sender() {
 }
 
 #[test]
+fn mixed_sizes_on_one_flow_keep_send_order() {
+    // A pipelined sender chunks the large messages and sends the small
+    // ones as plain records — two wire formats on one (src, tag) flow.
+    // The receiver's `recv`s must see send order and exact plaintexts.
+    let chunk = 64usize << 10;
+    let sizes = [2 << 20, 16, chunk + 1, chunk, 1, 3 * chunk + 5];
+    let msg = |i: usize| -> Vec<u8> {
+        (0..sizes[i])
+            .map(|j| (i + j.wrapping_mul(31)) as u8)
+            .collect()
+    };
+    let w = World::flat(NetModel::ethernet_10g(), 2);
+    let out = w.run(move |c| {
+        let pipe = crate::PipelineConfig::enabled()
+            .with_workers(4)
+            .with_chunk_size(chunk);
+        let sc = SecureComm::new(c, cfg().with_pipeline(pipe)).unwrap();
+        if c.rank() == 0 {
+            let reqs = (0..sizes.len()).map(|i| sc.isend(&msg(i), 1, 3)).collect();
+            sc.waitall(reqs).unwrap();
+        } else {
+            for (i, &size) in sizes.iter().enumerate() {
+                let (_, data) = sc.recv(Src::Is(0), TagSel::Is(3)).unwrap();
+                assert_eq!(data.len(), size, "message {i} overtaken");
+                assert!(data == msg(i), "message {i} corrupted");
+            }
+        }
+    });
+    assert_eq!(out.results.len(), 2);
+}
+
+#[test]
 fn pipelined_isend_decrypts_in_wait() {
     // Nonblocking chunked exchange in both directions at once: the
     // isends return before the trains land, and each side's chunked

@@ -199,6 +199,26 @@ pub struct ChunkFrame {
     pub ready: VTime,
 }
 
+/// What a send hands to the transport, by wire format: one contiguous
+/// buffer, or a train of independently sealed frames (see
+/// `empi-pipeline`). The transport owns the payload as-is — no
+/// defensive copy.
+#[derive(Debug)]
+pub enum SendPayload {
+    Plain(Bytes),
+    Chunked(Vec<ChunkFrame>),
+}
+
+impl SendPayload {
+    /// Total wire bytes (all frames of a chunked train).
+    pub fn wire_bytes(&self) -> usize {
+        match self {
+            SendPayload::Plain(data) => data.len(),
+            SendPayload::Chunked(frames) => frames.iter().map(|f| f.data.len()).sum(),
+        }
+    }
+}
+
 /// One received chunked message: per-frame arrival times and raw frame
 /// bytes, in transmission order.
 #[derive(Debug)]

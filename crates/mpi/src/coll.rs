@@ -1013,8 +1013,8 @@ mod tests {
     }
 
     #[test]
-    fn wait_or_ctrl_hands_the_request_back_on_ctrl() {
-        use crate::comm::WaitCtrl;
+    fn poll_set_hands_the_request_back_on_ctrl() {
+        use crate::comm::SetPoll;
         use crate::ctrl::NACK_TAG;
         use empi_netsim::VDur;
         let w = World::flat(NetModel::ethernet_10g(), 2);
@@ -1025,16 +1025,17 @@ mod tests {
                 c.send(b"payload", 0, 7);
                 0
             } else {
-                let mut req = c.irecv(crate::Src::Is(1), crate::TagSel::Is(7));
+                let mut slots = [Some(c.irecv(crate::Src::Is(1), crate::TagSel::Is(7)))];
+                let ctrl = Some((crate::Src::Any, crate::TagSel::Is(NACK_TAG)));
                 let mut ctrl_seen = 0;
                 loop {
-                    match c.wait_or_ctrl(req, (crate::Src::Any, crate::TagSel::Is(NACK_TAG))) {
-                        WaitCtrl::Ctrl(back) => {
+                    match c.poll_set(&mut slots, ctrl, true) {
+                        SetPoll::Ctrl => {
+                            assert!(slots[0].is_some(), "ctrl leaves the request untouched");
                             let _ = c.recv(crate::Src::Any, crate::TagSel::Is(NACK_TAG));
                             ctrl_seen += 1;
-                            req = back;
                         }
-                        WaitCtrl::Done(st, payload) => {
+                        SetPoll::Done(0, st, payload) => {
                             assert_eq!(st.source, 1);
                             match payload {
                                 Some(crate::chunk::RecvPayload::Plain(_, d)) => {
@@ -1044,6 +1045,7 @@ mod tests {
                             }
                             break;
                         }
+                        other => panic!("blocking poll on one live request: {other:?}"),
                     }
                 }
                 ctrl_seen
@@ -1057,7 +1059,8 @@ mod tests {
 
     #[test]
     fn wildcard_matching_skips_ctrl_tags_and_probe_sees_chunked() {
-        use crate::chunk::ChunkFrame;
+        use crate::chunk::{ChunkFrame, SendPayload};
+        use crate::comm::Charge;
         use crate::ctrl::NACK_TAG;
         let w = World::flat(NetModel::ethernet_10g(), 2);
         w.run(|c| {
@@ -1067,7 +1070,13 @@ mod tests {
                     data: bytes::Bytes::copy_from_slice(b"frame0"),
                     ready: c.now(),
                 }];
-                c.send_chunked(frames, 1, 6);
+                let chunked = |frames| c.post(SendPayload::Chunked(frames), 1, 6, Charge::Blocking);
+                c.wait_sent(chunked(frames));
+                let train = [&b"fr"[..], b"am", b"e1"].map(|f| ChunkFrame {
+                    data: bytes::Bytes::copy_from_slice(f),
+                    ready: c.now(),
+                });
+                c.wait_sent(chunked(train.to_vec()));
             } else {
                 // The wildcard probe must skip the ctrl frame and find
                 // the chunked send (now visible to peeks).
@@ -1077,6 +1086,11 @@ mod tests {
                     crate::chunk::RecvPayload::Chunked(msg) => assert_eq!(msg.wire_bytes(), 6),
                     _ => panic!("expected a chunked payload"),
                 }
+                // Plain `recv` matches a chunked train too and hands
+                // back the assembled bytes.
+                let (st, d) = c.recv(crate::Src::Is(0), crate::TagSel::Is(6));
+                assert_eq!((st.source, st.tag, st.len), (0, 6, 6));
+                assert_eq!(&d[..], b"frame1");
                 let (st, d) = c.recv(crate::Src::Any, crate::TagSel::Is(NACK_TAG));
                 assert_eq!(st.source, 0);
                 assert_eq!(&d[..], b"ctrl");

@@ -15,13 +15,11 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use empi_netsim::{Fabric, SimHandle, Tracer, VDur, VTime};
+use empi_netsim::{SimHandle, Tracer, VDur, VTime};
 use parking_lot::Mutex;
 
-use crate::chunk::{ChunkFrame, ChunkedMessage, RecvPayload};
-use crate::state::{
-    ChunkedSend, DonePayload, Envelope, PostedRecv, ReqEntry, RndvSend, SharedState,
-};
+use crate::chunk::{ChunkedMessage, RecvPayload, SendPayload};
+use crate::state::{DonePayload, SharedState};
 use crate::types::{as_bytes, vec_from_bytes, Pod, Src, Status, Tag, TagSel};
 
 /// Handle to an outstanding non-blocking operation.
@@ -32,35 +30,41 @@ use crate::types::{as_bytes, vec_from_bytes, Pod, Src, Status, Tag, TagSel};
 #[must_use = "requests must be waited on"]
 pub struct Request {
     pub(crate) id: usize,
-    pub(crate) kind: ReqKind,
+    kind: ReqKind,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReqKind {
-    Send,
+enum ReqKind {
+    Send(Wire),
     Recv,
 }
 
-/// Outcome of [`Comm::wait_or_ctrl`].
-#[derive(Debug)]
-pub enum WaitCtrl {
-    /// The request completed; same payload as [`Comm::wait_payload`].
-    Done(Status, Option<RecvPayload>),
-    /// A control frame became available first; the request is handed
-    /// back untouched so the caller can service the control plane and
-    /// re-enter the wait.
-    Ctrl(Request),
+/// The protocol a send's size and format selected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wire {
+    Eager,
+    Rndv,
+    Chunked,
 }
 
-/// Outcome of [`Comm::waitany_or_ctrl`].
-#[derive(Debug)]
-pub enum AnyCtrl {
-    /// Request `idx` completed (removed from the set), same payload as
-    /// [`Comm::waitany_payload`].
-    Done(usize, Status, Option<RecvPayload>),
-    /// A control frame became available first; the request set is
-    /// untouched.
-    Ctrl,
+impl Wire {
+    fn op_label(self) -> &'static str {
+        match self {
+            Wire::Eager => "p2p/eager",
+            Wire::Rndv => "p2p/rndv",
+            Wire::Chunked => "p2p/chunked",
+        }
+    }
+}
+
+/// Which host-side cost a point-to-point call charges per message (see
+/// the module docs): the ping-pong overhead of the blocking calls, or
+/// the streaming occupancy of the non-blocking ones. Same-node peers
+/// pay the intra-node overhead either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Charge {
+    Blocking,
+    Streaming,
 }
 
 /// One step of [`Comm::poll_set`] — the single completion funnel every
@@ -178,12 +182,12 @@ impl<'h> Comm<'h> {
 
     /// Host-side per-message overhead for this rank when talking to
     /// `peer` with an `len`-byte payload.
-    pub(crate) fn side_overhead(&self, peer: usize, len: usize, blocking: bool) -> VDur {
+    pub(crate) fn side_overhead(&self, peer: usize, len: usize, charge: Charge) -> VDur {
         let s = self.shared.lock();
         let model = s.fabric.model();
         if s.fabric.topology().same_node(self.rank(), peer) {
             VDur(model.intra_overhead_ns)
-        } else if blocking {
+        } else if charge == Charge::Blocking {
             VDur(model.pp_overhead_ns(len))
         } else {
             VDur(model.stream_overhead_ns(len))
@@ -194,359 +198,196 @@ impl<'h> Comm<'h> {
         self.shared.lock().fabric.model().eager_threshold
     }
 
-    /// Schedule a rendezvous wire transfer once both sides are known.
-    /// Returns `(sender_done, arrival)`.
-    pub(crate) fn schedule_rndv(
-        fabric: &mut Fabric,
-        src: usize,
-        dst: usize,
-        len: usize,
-        ready: VTime,
-        recv_time: VTime,
-    ) -> (VTime, VTime) {
-        let start = ready.max(recv_time);
-        let arrival = fabric.transmit(src, dst, len, start);
-        let sender_done = if fabric.topology().same_node(src, dst) {
-            arrival
-        } else {
-            // The sender's NIC finishes one latency before the receiver
-            // sees the last byte.
-            VTime(
-                arrival
-                    .as_nanos()
-                    .saturating_sub(fabric.model().latency.as_nanos()),
-            )
-        };
-        (sender_done, arrival)
-    }
-
-    /// Schedule the wire transfers of a matched chunked send. Each
-    /// frame starts no earlier than its seal completed (`f.ready`),
-    /// the sender posted, and `earliest` (when the receive side became
-    /// available). Returns per-frame arrivals in transmission order,
-    /// the last arrival, and the sender-done time.
-    pub(crate) fn schedule_chunked(
-        s: &mut SharedState,
-        src: usize,
-        dst: usize,
-        frames: Vec<ChunkFrame>,
-        posted: VTime,
-        earliest: VTime,
-    ) -> (Vec<(VTime, Bytes)>, VTime, VTime) {
-        let same_node = s.fabric.topology().same_node(src, dst);
-        let latency = s.fabric.model().latency.as_nanos();
-        let mut out = Vec::with_capacity(frames.len());
-        let mut last_arrive = VTime(0);
-        let mut last_sender_done = VTime(0);
-        for f in frames {
-            let start = f.ready.max(posted).max(earliest);
-            let arrive = s.fabric.transmit(src, dst, f.data.len(), start);
-            let done = if same_node {
-                arrive
-            } else {
-                VTime(arrive.as_nanos().saturating_sub(latency))
-            };
-            last_sender_done = last_sender_done.max(done);
-            last_arrive = last_arrive.max(arrive);
-            out.push((arrive, f.data));
-        }
-        (out, last_arrive, last_sender_done)
-    }
-
     // ---------------------------------------------------------------
-    // Blocking point-to-point
+    // Sends
     // ---------------------------------------------------------------
 
     /// Copy a caller slice into an owned transport buffer, counting
-    /// the allocation against this rank's hot-path ledger. The
-    /// `*_bytes` send variants skip exactly this copy.
-    fn copy_in(&self, buf: &[u8]) -> Bytes {
+    /// the allocation against this rank's hot-path ledger.
+    /// [`Comm::post`] skips exactly this copy.
+    fn copy_in(&self, buf: &[u8]) -> SendPayload {
         if let Some(t) = self.h.tracer() {
             t.count_alloc(self.rank(), true, buf.len());
         }
-        Bytes::copy_from_slice(buf)
+        SendPayload::Plain(Bytes::copy_from_slice(buf))
+    }
+
+    /// Hand an owned payload to the transport and return its request —
+    /// the one send every other send is built on.
+    ///
+    /// `charge` picks the host accounting: [`Charge::Blocking`] followed
+    /// by [`Comm::wait_sent`] is `MPI_Send`, [`Charge::Streaming`] is
+    /// `MPI_Isend`. A caller that must stay responsive while a blocking
+    /// send drains (the retransmit layer answering NACKs) posts with the
+    /// blocking charge — not `isend`'s streaming occupancy — and waits
+    /// on the request through [`Comm::poll_set`] instead.
+    ///
+    /// A plain payload at or below the fabric's eager threshold is
+    /// transmitted now and its request completes at once; a larger one
+    /// is a rendezvous. A chunked payload is a train of pre-sealed
+    /// frames, each with its own earliest-transmit time — the virtual
+    /// time its seal completed on a worker core — so encryption of
+    /// later chunks overlaps the wire transfer of earlier ones; host
+    /// overhead is charged once on the train's total wire bytes (the
+    /// pipelined path still posts one logical send), and the request
+    /// completes when the last frame clears this rank's NIC.
+    pub fn post(&self, payload: SendPayload, dst: usize, tag: Tag, charge: Charge) -> Request {
+        assert!(dst < self.size(), "send to invalid rank {dst}");
+        let me = self.rank();
+        let wire = match &payload {
+            SendPayload::Chunked(frames) => {
+                assert!(
+                    !frames.is_empty(),
+                    "chunked message needs at least one frame"
+                );
+                Wire::Chunked
+            }
+            // A self-send has no peer to rendezvous with.
+            SendPayload::Plain(data) if dst == me || data.len() <= self.eager_threshold() => {
+                Wire::Eager
+            }
+            SendPayload::Plain(_) => Wire::Rndv,
+        };
+        assert!(
+            dst != me || (wire == Wire::Eager && charge == Charge::Streaming),
+            "self-sends must be plain isends (isend + recv); chunked ones are opened locally"
+        );
+        let _op = self.op(wire.op_label());
+        self.charge_host(self.side_overhead(dst, payload.wire_bytes(), charge));
+        let id =
+            self.shared
+                .lock()
+                .match_send(me, dst, tag, payload, wire == Wire::Eager, self.h.now());
+        if dst != me {
+            self.h.notify_rank(dst);
+        }
+        Request {
+            id,
+            kind: ReqKind::Send(wire),
+        }
+    }
+
+    /// The blocking tail of `MPI_Send`: park until a posted send has
+    /// cleared this rank's NIC. An eager send completed at post time
+    /// and retires here without a tenure change.
+    pub fn wait_sent(&self, req: Request) {
+        let ReqKind::Send(wire) = req.kind else {
+            panic!("wait_sent on a receive request");
+        };
+        let take = || self.shared.lock().try_take_done(req.id).map(|d| (d.0, ()));
+        match wire {
+            Wire::Eager => {
+                take().expect("an eager send completes at post time");
+            }
+            Wire::Rndv => {
+                // The receiver schedules the transfer while this rank is
+                // parked; the open scope attributes it to this send.
+                let _op = self.op(wire.op_label());
+                self.h.block_on("send(rendezvous)", take)
+            }
+            Wire::Chunked => self.h.block_on("send(chunked)", take),
+        }
     }
 
     /// Blocking standard-mode send (`MPI_Send`).
     pub fn send(&self, buf: &[u8], dst: usize, tag: Tag) {
-        self.send_impl(self.copy_in(buf), dst, tag, true);
+        self.wait_sent(self.post(self.copy_in(buf), dst, tag, Charge::Blocking));
     }
 
-    /// Blocking send of an already-owned buffer: the transport takes
-    /// `data` as-is, with no defensive copy. Zero-copy counterpart of
-    /// [`Comm::send`] for callers (the secure layer) that sealed the
-    /// message into a buffer the wire can own directly.
-    pub fn send_bytes(&self, data: Bytes, dst: usize, tag: Tag) {
-        self.send_impl(data, dst, tag, true);
+    /// Non-blocking send (`MPI_Isend`).
+    pub fn isend(&self, buf: &[u8], dst: usize, tag: Tag) -> Request {
+        self.post(self.copy_in(buf), dst, tag, Charge::Streaming)
     }
 
-    fn send_impl(&self, data: Bytes, dst: usize, tag: Tag, blocking: bool) {
-        assert!(dst < self.size(), "send to invalid rank {dst}");
-        assert_ne!(dst, self.rank(), "self-sends must use isend+recv");
-        let me = self.rank();
-        let len = data.len();
-        let eager = len <= self.eager_threshold();
-        let _op = self.op(if eager { "p2p/eager" } else { "p2p/rndv" });
-        self.charge_host(self.side_overhead(dst, len, blocking));
-        if eager {
-            let now = self.h.now();
-            {
-                let mut s = self.shared.lock();
-                s.p2p_ops += 1;
-                let arrive = s.fabric.transmit(me, dst, len, now);
-                if let Some(pr) = s.take_posted(dst, me, tag) {
-                    s.complete_req(pr.req, arrive, me, tag, DonePayload::Plain(data));
-                } else {
-                    s.queues[dst].unexpected.push_back(Envelope {
-                        src: me,
-                        tag,
-                        data,
-                        arrive,
-                    });
-                }
-            }
-            self.h.notify_rank(dst);
-        } else {
-            // Rendezvous: block until the receiver schedules the
-            // transfer.
-            let req = {
-                let mut s = self.shared.lock();
-                s.p2p_ops += 1;
-                let req = s.alloc_req(ReqEntry::PendingSend { owner: me });
-                let now = self.h.now();
-                if let Some(pr) = s.take_posted(dst, me, tag) {
-                    let (sender_done, arrival) =
-                        Self::schedule_rndv(&mut s.fabric, me, dst, len, now, pr.posted_at);
-                    s.complete_req(pr.req, arrival, me, tag, DonePayload::Plain(data));
-                    s.requests[req] = Some(ReqEntry::Done {
-                        at: sender_done,
-                        src: me,
-                        tag,
-                        data: DonePayload::None,
-                    });
-                } else {
-                    s.queues[dst].rndv.push_back(RndvSend {
-                        src: me,
-                        tag,
-                        data,
-                        ready: now,
-                        req,
-                    });
-                }
-                req
-            };
-            self.h.notify_rank(dst);
-            let shared = Arc::clone(&self.shared);
-            let (at, ..) = self.h.block_on("send(rendezvous)", || {
-                shared.lock().try_take_done(req).map(|d| (d.0, d))
-            });
-            let _ = at;
+    // ---------------------------------------------------------------
+    // Receives
+    // ---------------------------------------------------------------
+
+    /// One receive-side match attempt at this rank's current time, in
+    /// `block_on`'s shape. Wakes the sender if the match completed its
+    /// request (it may be parked in its rendezvous wait).
+    pub(crate) fn try_match(
+        &self,
+        src: Src,
+        tag: TagSel,
+    ) -> Option<(VTime, (usize, Tag, DonePayload))> {
+        let m = self
+            .shared
+            .lock()
+            .match_recv(self.rank(), src, tag, self.h.now())?;
+        if let Some(owner) = m.notify {
+            self.h.notify_rank(owner);
         }
+        Some((m.at, (m.src, m.tag, m.data)))
     }
 
-    /// Post a blocking-mode send (`MPI_Send` host accounting) but hand
-    /// the request back instead of parking in the rendezvous wait. The
-    /// retransmit layer needs exactly this split: a sender must charge
-    /// the blocking per-message overhead — not `isend`'s streaming
-    /// occupancy — yet stay responsive to control frames (NACKs) while
-    /// its rendezvous drains, so it runs a control-aware wait loop on
-    /// the returned request. Eager sends complete immediately.
-    pub fn send_posted(&self, buf: &[u8], dst: usize, tag: Tag) -> Request {
-        self.send_posted_bytes(self.copy_in(buf), dst, tag)
-    }
-
-    /// [`Comm::send_posted`] for an already-owned buffer (no copy).
-    pub fn send_posted_bytes(&self, data: Bytes, dst: usize, tag: Tag) -> Request {
-        assert!(dst < self.size(), "send to invalid rank {dst}");
-        assert_ne!(dst, self.rank(), "self-sends must use isend+recv");
-        let me = self.rank();
-        let len = data.len();
-        let eager = len <= self.eager_threshold();
-        let _op = self.op(if eager { "p2p/eager" } else { "p2p/rndv" });
-        self.charge_host(self.side_overhead(dst, len, true));
-        let id = {
-            let mut s = self.shared.lock();
-            s.p2p_ops += 1;
-            let now = self.h.now();
-            if eager {
-                let arrive = s.fabric.transmit(me, dst, len, now);
-                if let Some(pr) = s.take_posted(dst, me, tag) {
-                    s.complete_req(pr.req, arrive, me, tag, DonePayload::Plain(data));
-                } else {
-                    s.queues[dst].unexpected.push_back(Envelope {
-                        src: me,
-                        tag,
-                        data,
-                        arrive,
-                    });
-                }
-                s.alloc_req(ReqEntry::Done {
-                    at: now,
-                    src: me,
-                    tag,
-                    data: DonePayload::None,
-                })
-            } else if let Some(pr) = s.take_posted(dst, me, tag) {
-                let (sender_done, arrival) =
-                    Self::schedule_rndv(&mut s.fabric, me, dst, len, now, pr.posted_at);
-                s.complete_req(pr.req, arrival, me, tag, DonePayload::Plain(data));
-                s.alloc_req(ReqEntry::Done {
-                    at: sender_done,
-                    src: me,
-                    tag,
-                    data: DonePayload::None,
-                })
-            } else {
-                let req = s.alloc_req(ReqEntry::PendingSend { owner: me });
-                s.queues[dst].rndv.push_back(RndvSend {
-                    src: me,
-                    tag,
-                    data,
-                    ready: now,
-                    req,
-                });
-                req
-            }
+    /// Hand a completed operation's payload to the application,
+    /// dispatching on the wire format the matched sender actually used:
+    /// charge the receive-side host overhead on the delivered bytes
+    /// (plain or chunked) and count the delivery. Every receive and
+    /// every wait bottoms out here, so no completion path can bypass
+    /// the format dispatch. Sends carry nothing and cost nothing.
+    pub(crate) fn deliver(
+        &self,
+        src: usize,
+        tag: Tag,
+        data: DonePayload,
+        charge: Charge,
+    ) -> (Status, Option<RecvPayload>) {
+        let status = |len| Status {
+            source: src,
+            tag,
+            len,
         };
-        self.h.notify_rank(dst);
-        Request {
-            id,
-            kind: ReqKind::Send,
+        match data {
+            DonePayload::None => (status(0), None),
+            DonePayload::Plain(data) => {
+                let status = status(data.len());
+                self.charge_host(self.side_overhead(src, status.len, charge));
+                self.note_delivery(src, status.len);
+                (status, Some(RecvPayload::Plain(status, data)))
+            }
+            DonePayload::Chunked(frames) => {
+                let msg = ChunkedMessage { src, tag, frames };
+                let status = status(msg.wire_bytes());
+                self.charge_host(self.side_overhead(src, status.len, charge));
+                for (_, f) in &msg.frames {
+                    self.note_delivery(src, f.len());
+                }
+                (status, Some(RecvPayload::Chunked(msg)))
+            }
         }
     }
 
-    /// Blocking receive (`MPI_Recv`), returning the payload.
-    pub fn recv(&self, src: Src, tag: TagSel) -> (Status, Bytes) {
-        let me = self.rank();
-        let shared = Arc::clone(&self.shared);
-        let h = self.h;
-        let (env, blocking_peer) = self.h.block_on("recv", || {
-            let mut s = shared.lock();
-            if let Some(env) = s.take_unexpected(me, src, tag) {
-                let peer = env.src;
-                return Some((env.arrive, (env, peer)));
-            }
-            if let Some(r) = s.take_rndv(me, src, tag) {
-                let (sender_done, arrival) =
-                    Self::schedule_rndv(&mut s.fabric, r.src, me, r.data.len(), r.ready, h.now());
-                let owner = s.complete_req(r.req, sender_done, r.src, r.tag, DonePayload::None);
-                let env = Envelope {
-                    src: r.src,
-                    tag: r.tag,
-                    data: r.data,
-                    arrive: arrival,
-                };
-                // The sender may be parked in its rendezvous wait.
-                h.notify_rank(owner);
-                let peer = env.src;
-                return Some((arrival, (env, peer)));
-            }
-            None
-        });
-        self.charge_host(self.side_overhead(blocking_peer, env.data.len(), true));
-        self.note_delivery(env.src, env.data.len());
+    /// [`Comm::deliver`] for what a blocking receive's
+    /// [`Comm::try_match`] produced — always a payload.
+    pub(crate) fn deliver_matched(
+        &self,
+        (src, tag, data): (usize, Tag, DonePayload),
+    ) -> (Status, RecvPayload) {
+        let (status, payload) = self.deliver(src, tag, data, Charge::Blocking);
         (
-            Status {
-                source: env.src,
-                tag: env.tag,
-                len: env.data.len(),
-            },
-            env.data,
+            status,
+            payload.expect("a matched arrival carries a payload"),
         )
     }
 
-    /// Blocking chunked send: hand a train of pre-sealed frames (see
-    /// `empi-pipeline`) to the transport. Each frame carries its own
-    /// earliest-transmit time — the virtual time its seal completed on a
-    /// worker core — so encryption of later chunks overlaps the wire
-    /// transfer of earlier ones. Host overhead is charged once for the
-    /// whole message (the pipelined path still posts one logical send),
-    /// matching the per-message accounting of [`Comm::send`].
-    pub fn send_chunked(&self, frames: Vec<ChunkFrame>, dst: usize, tag: Tag) {
-        let req = self.post_chunked(frames, dst, tag, true);
-        let shared = Arc::clone(&self.shared);
-        self.h.block_on("send(chunked)", || {
-            shared.lock().try_take_done(req.id).map(|d| (d.0, ()))
-        });
+    /// Blocking receive of either wire format, matched in this rank's
+    /// own tenure (it never enters the posted list).
+    fn recv_matched(&self, src: Src, tag: TagSel) -> (Status, RecvPayload) {
+        self.deliver_matched(self.h.block_on("recv", || self.try_match(src, tag)))
     }
 
-    /// Post a blocking-mode chunked send but hand the request back
-    /// instead of parking until the train clears the NIC — the chunked
-    /// counterpart of [`Comm::send_posted`], for callers that must keep
-    /// servicing control frames (NACKs) while a blocking send drains.
-    pub fn send_chunked_posted(&self, frames: Vec<ChunkFrame>, dst: usize, tag: Tag) -> Request {
-        self.post_chunked(frames, dst, tag, true)
+    /// Blocking receive (`MPI_Recv`), returning the payload.
+    ///
+    /// Format-agnostic like [`Comm::wait`]: a chunked train is
+    /// assembled into one contiguous buffer, framing intact.
+    pub fn recv(&self, src: Src, tag: TagSel) -> (Status, Bytes) {
+        let (status, payload) = self.recv_matched(src, tag);
+        (status, payload.into_bytes())
     }
 
-    /// Non-blocking chunked send: like [`Comm::send_chunked`] but
-    /// returns immediately with a request that completes when the last
-    /// frame clears the sender's NIC. Charges the streaming host
-    /// occupancy (the `isend` accounting), so sealing of later
-    /// messages can overlap this train's wire time.
-    pub fn isend_chunked(&self, frames: Vec<ChunkFrame>, dst: usize, tag: Tag) -> Request {
-        self.post_chunked(frames, dst, tag, false)
-    }
-
-    /// Shared body of the chunked sends: charge the host overhead of
-    /// the chosen mode, then either match an already-posted receive
-    /// (scheduling the frame train now — without this match a posted
-    /// receive and a chunked send deadlock, the receiver's wait never
-    /// pops the chunked queue) or enqueue the train for the receiver.
-    fn post_chunked(
-        &self,
-        frames: Vec<ChunkFrame>,
-        dst: usize,
-        tag: Tag,
-        blocking: bool,
-    ) -> Request {
-        assert!(dst < self.size(), "send_chunked to invalid rank {dst}");
-        assert_ne!(
-            dst,
-            self.rank(),
-            "chunked self-sends are opened locally by the caller"
-        );
-        assert!(
-            !frames.is_empty(),
-            "chunked message needs at least one frame"
-        );
-        let me = self.rank();
-        let wire: usize = frames.iter().map(|f| f.data.len()).sum();
-        let _op = self.op("p2p/chunked");
-        self.charge_host(self.side_overhead(dst, wire, blocking));
-        let id = {
-            let mut s = self.shared.lock();
-            s.p2p_ops += 1;
-            let now = self.h.now();
-            if let Some(pr) = s.take_posted(dst, me, tag) {
-                let (frames, last_arrive, sender_done) =
-                    Self::schedule_chunked(&mut s, me, dst, frames, now, pr.posted_at);
-                s.complete_req(pr.req, last_arrive, me, tag, DonePayload::Chunked(frames));
-                s.alloc_req(ReqEntry::Done {
-                    at: sender_done,
-                    src: me,
-                    tag,
-                    data: DonePayload::None,
-                })
-            } else {
-                let req = s.alloc_req(ReqEntry::PendingSend { owner: me });
-                s.queues[dst].chunked.push_back(ChunkedSend {
-                    src: me,
-                    tag,
-                    frames,
-                    posted: now,
-                    req,
-                });
-                req
-            }
-        };
-        self.h.notify_rank(dst);
-        Request {
-            id,
-            kind: ReqKind::Send,
-        }
-    }
-
-    /// Blocking receive that also matches chunked (pipelined) messages.
+    /// Blocking receive that keeps the sender's wire format.
     ///
     /// Plain messages behave exactly like [`Comm::recv`]. For a chunked
     /// message, each frame's wire transfer is scheduled no earlier than
@@ -555,70 +396,7 @@ impl<'h> Comm<'h> {
     /// the *last* frame's arrival, and per-frame arrival times are
     /// returned so the caller can overlap decryption with reception.
     pub fn recv_maybe_chunked(&self, src: Src, tag: TagSel) -> RecvPayload {
-        enum Got {
-            Plain(Envelope, usize),
-            Chunk(ChunkedMessage),
-        }
-        let me = self.rank();
-        let shared = Arc::clone(&self.shared);
-        let h = self.h;
-        let got = self.h.block_on("recv", || {
-            let mut s = shared.lock();
-            if let Some(env) = s.take_unexpected(me, src, tag) {
-                let peer = env.src;
-                return Some((env.arrive, Got::Plain(env, peer)));
-            }
-            if let Some(r) = s.take_rndv(me, src, tag) {
-                let (sender_done, arrival) =
-                    Self::schedule_rndv(&mut s.fabric, r.src, me, r.data.len(), r.ready, h.now());
-                let owner = s.complete_req(r.req, sender_done, r.src, r.tag, DonePayload::None);
-                let env = Envelope {
-                    src: r.src,
-                    tag: r.tag,
-                    data: r.data,
-                    arrive: arrival,
-                };
-                h.notify_rank(owner);
-                let peer = env.src;
-                return Some((arrival, Got::Plain(env, peer)));
-            }
-            if let Some(cs) = s.take_chunked(me, src, tag) {
-                let now = h.now();
-                let (frames, last_arrive, last_sender_done) =
-                    Self::schedule_chunked(&mut s, cs.src, me, cs.frames, cs.posted, now);
-                let owner =
-                    s.complete_req(cs.req, last_sender_done, cs.src, cs.tag, DonePayload::None);
-                h.notify_rank(owner);
-                let msg = ChunkedMessage {
-                    src: cs.src,
-                    tag: cs.tag,
-                    frames,
-                };
-                return Some((last_arrive, Got::Chunk(msg)));
-            }
-            None
-        });
-        match got {
-            Got::Plain(env, peer) => {
-                self.charge_host(self.side_overhead(peer, env.data.len(), true));
-                self.note_delivery(env.src, env.data.len());
-                RecvPayload::Plain(
-                    Status {
-                        source: env.src,
-                        tag: env.tag,
-                        len: env.data.len(),
-                    },
-                    env.data,
-                )
-            }
-            Got::Chunk(msg) => {
-                self.charge_host(self.side_overhead(msg.src, msg.wire_bytes(), true));
-                for (_, f) in &msg.frames {
-                    self.note_delivery(msg.src, f.len());
-                }
-                RecvPayload::Chunked(msg)
-            }
-        }
+        self.recv_matched(src, tag).1
     }
 
     /// Blocking receive into a caller buffer; the payload must fit
@@ -654,80 +432,6 @@ impl<'h> Comm<'h> {
         out
     }
 
-    // ---------------------------------------------------------------
-    // Non-blocking point-to-point
-    // ---------------------------------------------------------------
-
-    /// Non-blocking send (`MPI_Isend`).
-    pub fn isend(&self, buf: &[u8], dst: usize, tag: Tag) -> Request {
-        self.isend_bytes(self.copy_in(buf), dst, tag)
-    }
-
-    /// [`Comm::isend`] for an already-owned buffer (no copy).
-    pub fn isend_bytes(&self, data: Bytes, dst: usize, tag: Tag) -> Request {
-        assert!(dst < self.size(), "isend to invalid rank {dst}");
-        let me = self.rank();
-        let len = data.len();
-        let eager = len <= self.eager_threshold() || dst == me;
-        let _op = self.op(if eager { "p2p/eager" } else { "p2p/rndv" });
-        self.charge_host(self.side_overhead(dst, len, false));
-        let now = self.h.now();
-        let id = {
-            let mut s = self.shared.lock();
-            s.p2p_ops += 1;
-            if eager {
-                let arrive = s.fabric.transmit(me, dst, len, now);
-                if let Some(pr) = s.take_posted(dst, me, tag) {
-                    s.complete_req(pr.req, arrive, me, tag, DonePayload::Plain(data));
-                } else {
-                    s.queues[dst].unexpected.push_back(Envelope {
-                        src: me,
-                        tag,
-                        data,
-                        arrive,
-                    });
-                }
-                // Eager isend completes locally as soon as the buffer is
-                // handed to the transport.
-                s.alloc_req(ReqEntry::Done {
-                    at: now,
-                    src: me,
-                    tag,
-                    data: DonePayload::None,
-                })
-            } else {
-                let req = s.alloc_req(ReqEntry::PendingSend { owner: me });
-                if let Some(pr) = s.take_posted(dst, me, tag) {
-                    let (sender_done, arrival) =
-                        Self::schedule_rndv(&mut s.fabric, me, dst, len, now, pr.posted_at);
-                    s.complete_req(pr.req, arrival, me, tag, DonePayload::Plain(data));
-                    s.requests[req] = Some(ReqEntry::Done {
-                        at: sender_done,
-                        src: me,
-                        tag,
-                        data: DonePayload::None,
-                    });
-                } else {
-                    s.queues[dst].rndv.push_back(RndvSend {
-                        src: me,
-                        tag,
-                        data,
-                        ready: now,
-                        req,
-                    });
-                }
-                req
-            }
-        };
-        if dst != me {
-            self.h.notify_rank(dst);
-        }
-        Request {
-            id,
-            kind: ReqKind::Send,
-        }
-    }
-
     /// Non-blocking receive (`MPI_Irecv`). The payload is returned by
     /// [`Comm::wait`] (plain messages) or [`Comm::wait_payload`]
     /// (format-agnostic: plain or chunked). The posted receive itself
@@ -735,60 +439,13 @@ impl<'h> Comm<'h> {
     /// contiguous or the chunked wire format is only known at match
     /// time and is carried in the completed request.
     pub fn irecv(&self, src: Src, tag: TagSel) -> Request {
-        let me = self.rank();
-        let now = self.h.now();
-        let id = {
-            let mut s = self.shared.lock();
-            let req = s.alloc_req(ReqEntry::PendingRecv { owner: me });
-            if let Some(env) = s.take_unexpected(me, src, tag) {
-                s.requests[req] = Some(ReqEntry::Done {
-                    at: env.arrive,
-                    src: env.src,
-                    tag: env.tag,
-                    data: DonePayload::Plain(env.data),
-                });
-            } else if let Some(r) = s.take_rndv(me, src, tag) {
-                let (sender_done, arrival) =
-                    Self::schedule_rndv(&mut s.fabric, r.src, me, r.data.len(), r.ready, now);
-                let owner = s.complete_req(r.req, sender_done, r.src, r.tag, DonePayload::None);
-                s.requests[req] = Some(ReqEntry::Done {
-                    at: arrival,
-                    src: r.src,
-                    tag: r.tag,
-                    data: DonePayload::Plain(r.data),
-                });
-                drop(s);
-                self.h.notify_rank(owner);
-                return Request {
-                    id: req,
-                    kind: ReqKind::Recv,
-                };
-            } else if let Some(cs) = s.take_chunked(me, src, tag) {
-                let (frames, last_arrive, sender_done) =
-                    Self::schedule_chunked(&mut s, cs.src, me, cs.frames, cs.posted, now);
-                let owner = s.complete_req(cs.req, sender_done, cs.src, cs.tag, DonePayload::None);
-                s.requests[req] = Some(ReqEntry::Done {
-                    at: last_arrive,
-                    src: cs.src,
-                    tag: cs.tag,
-                    data: DonePayload::Chunked(frames),
-                });
-                drop(s);
-                self.h.notify_rank(owner);
-                return Request {
-                    id: req,
-                    kind: ReqKind::Recv,
-                };
-            } else {
-                s.queues[me].posted.push(PostedRecv {
-                    req,
-                    src,
-                    tag,
-                    posted_at: now,
-                });
-            }
-            req
-        };
+        let (id, notify) = self
+            .shared
+            .lock()
+            .post_recv(self.rank(), src, tag, self.h.now());
+        if let Some(owner) = notify {
+            self.h.notify_rank(owner);
+        }
         Request {
             id,
             kind: ReqKind::Recv,
@@ -810,11 +467,8 @@ impl<'h> Comm<'h> {
         self.take_completed(req)
     }
 
-    /// Consume an already-completed request through the format funnel:
-    /// take its slab entry, charge the receive-side host overhead on
-    /// the delivered bytes (plain or chunked), and hand the payload
-    /// back. Every wait/test/set call bottoms out here, so no
-    /// completion path can bypass the format dispatch.
+    /// Consume an already-completed request through [`Comm::deliver`],
+    /// freeing its slab entry.
     ///
     /// Panics if the request has not completed — pollers must observe
     /// `peek_done` first.
@@ -824,49 +478,7 @@ impl<'h> Comm<'h> {
             .lock()
             .try_take_done(req.id)
             .expect("take_completed on an incomplete request");
-        match data {
-            DonePayload::None => {
-                if req.kind == ReqKind::Recv {
-                    self.charge_host(self.side_overhead(src, 0, false));
-                    self.note_delivery(src, 0);
-                }
-                (
-                    Status {
-                        source: src,
-                        tag,
-                        len: 0,
-                    },
-                    None,
-                )
-            }
-            DonePayload::Plain(data) => {
-                let len = data.len();
-                if req.kind == ReqKind::Recv {
-                    self.charge_host(self.side_overhead(src, len, false));
-                    self.note_delivery(src, len);
-                }
-                let status = Status {
-                    source: src,
-                    tag,
-                    len,
-                };
-                (status, Some(RecvPayload::Plain(status, data)))
-            }
-            DonePayload::Chunked(frames) => {
-                let msg = ChunkedMessage { src, tag, frames };
-                let wire = msg.wire_bytes();
-                self.charge_host(self.side_overhead(src, wire, false));
-                for (_, f) in &msg.frames {
-                    self.note_delivery(src, f.len());
-                }
-                let status = Status {
-                    source: src,
-                    tag,
-                    len: wire,
-                };
-                (status, Some(RecvPayload::Chunked(msg)))
-            }
-        }
+        self.deliver(src, tag, data, Charge::Streaming)
     }
 
     /// Wait for one request (`MPI_Wait`). For receives, returns the
@@ -1061,10 +673,10 @@ impl<'h> Comm<'h> {
     // A retransmit protocol needs every *blocking* wait to double as a
     // server: a rank parked on its own payload must still wake up when
     // a peer NACKs one of its earlier sends, or two mutually-waiting
-    // ranks deadlock. These variants block on "my thing OR a control
-    // frame", preferring whichever becomes available earlier in
-    // virtual time, and hand control frames back to the caller without
-    // consuming them.
+    // ranks deadlock. This probe and [`Comm::poll_set`]'s `ctrl` filter
+    // block on "my thing OR a control frame", preferring whichever
+    // becomes available earlier in virtual time, and hand control
+    // frames back to the caller without consuming them.
 
     /// Block until a message matching `data` or one matching `ctrl` is
     /// available, returning `(is_ctrl, envelope)` without receiving
@@ -1097,41 +709,6 @@ impl<'h> Comm<'h> {
                 (None, None) => None,
             }
         })
-    }
-
-    /// Wait for `req` like [`Comm::wait_payload`], but return early if
-    /// a control frame matching `ctrl` becomes available first (ties
-    /// prefer the data completion — see [`Comm::poll_set`]).
-    pub fn wait_or_ctrl(&self, req: Request, ctrl: (Src, TagSel)) -> WaitCtrl {
-        let mut slots = [Some(req)];
-        match self.poll_set(&mut slots, Some(ctrl), true) {
-            SetPoll::Done(_, status, payload) => WaitCtrl::Done(status, payload),
-            SetPoll::Ctrl => {
-                let [req] = slots;
-                WaitCtrl::Ctrl(req.expect("ctrl outcome leaves the request untouched"))
-            }
-            SetPoll::Pending | SetPoll::Empty => {
-                unreachable!("blocking poll on one live request")
-            }
-        }
-    }
-
-    /// Wait for the first of `reqs` like [`Comm::waitany_payload`],
-    /// but return early if a control frame matching `ctrl` becomes
-    /// available first (ties prefer the data completion — see
-    /// [`Comm::poll_set`]).
-    pub fn waitany_or_ctrl(&self, reqs: &mut Vec<Request>, ctrl: (Src, TagSel)) -> AnyCtrl {
-        assert!(!reqs.is_empty(), "waitany on an empty request set");
-        let mut slots: Vec<Option<Request>> = reqs.drain(..).map(Some).collect();
-        let polled = self.poll_set(&mut slots, Some(ctrl), true);
-        reqs.extend(slots.into_iter().flatten());
-        match polled {
-            SetPoll::Done(idx, status, payload) => AnyCtrl::Done(idx, status, payload),
-            SetPoll::Ctrl => AnyCtrl::Ctrl,
-            SetPoll::Pending | SetPoll::Empty => {
-                unreachable!("blocking poll on a non-empty set")
-            }
-        }
     }
 
     // ---------------------------------------------------------------

@@ -48,10 +48,10 @@ use bytes::Bytes;
 use empi_metrics::{FtolCounters, Metric};
 use empi_netsim::{CrashKind, VDur};
 
-use crate::chunk::{ChunkedMessage, RecvPayload};
-use crate::comm::{Comm, Request};
+use crate::chunk::{RecvPayload, SendPayload};
+use crate::comm::{Charge, Comm, Request};
 use crate::ctrl::{FtNotice, CTRL_TAG_BASE, FT_AGREE_RESULT_TAG, FT_AGREE_TAG, FT_NOTICE_TAG};
-use crate::state::{DonePayload, Envelope};
+use crate::state::DonePayload;
 use crate::types::{Src, Status, Tag, TagSel};
 
 /// Lease periods an ft wait may spend probing *live-but-silent* peers
@@ -146,7 +146,7 @@ impl FtolState {
 /// caller decides whether that invalidates its round (agreement) or
 /// just re-arms the wait (point-to-point).
 enum FtGot {
-    Data(RecvPayload),
+    Data(Status, RecvPayload),
     Epoch,
 }
 
@@ -339,7 +339,8 @@ impl<'h> Comm<'h> {
             if r == self.rank() || dead.contains(&r) {
                 continue;
             }
-            reqs.push(self.isend_bytes(wire.clone(), r, FT_NOTICE_TAG));
+            let notice = SendPayload::Plain(wire.clone());
+            reqs.push(self.post(notice, r, FT_NOTICE_TAG, Charge::Streaming));
         }
         // Notices are tiny (well under any eager threshold), so the
         // isends completed locally on posting.
@@ -445,76 +446,24 @@ impl<'h> Comm<'h> {
         loop {
             let deadline = self.now() + st.cfg.lease;
             let me = self.rank();
-            let shared = Arc::clone(&self.shared);
-            let h = self.h;
             enum Got {
-                Env(Envelope, usize),
-                Chunk(ChunkedMessage),
+                Data((usize, Tag, DonePayload)),
                 Notice,
             }
-            let got = h.block_on_deadline("ftol/recv", deadline, || {
-                let mut s = shared.lock();
-                if let Some(env) = s.take_unexpected(me, src, tag) {
-                    let peer = env.src;
-                    return Some((env.arrive, Got::Env(env, peer)));
-                }
-                if let Some(r) = s.take_rndv(me, src, tag) {
-                    let (sender_done, arrival) = Comm::schedule_rndv(
-                        &mut s.fabric,
-                        r.src,
-                        me,
-                        r.data.len(),
-                        r.ready,
-                        h.now(),
-                    );
-                    let owner = s.complete_req(r.req, sender_done, r.src, r.tag, DonePayload::None);
-                    let env = Envelope {
-                        src: r.src,
-                        tag: r.tag,
-                        data: r.data,
-                        arrive: arrival,
-                    };
-                    h.notify_rank(owner);
-                    let peer = env.src;
-                    return Some((arrival, Got::Env(env, peer)));
-                }
-                if let Some(cs) = s.take_chunked(me, src, tag) {
-                    let now = h.now();
-                    let (frames, last_arrive, last_sender_done) =
-                        Comm::schedule_chunked(&mut s, cs.src, me, cs.frames, cs.posted, now);
-                    let owner =
-                        s.complete_req(cs.req, last_sender_done, cs.src, cs.tag, DonePayload::None);
-                    h.notify_rank(owner);
-                    let msg = ChunkedMessage {
-                        src: cs.src,
-                        tag: cs.tag,
-                        frames,
-                    };
-                    return Some((last_arrive, Got::Chunk(msg)));
+            let got = self.h.block_on_deadline("ftol/recv", deadline, || {
+                if let Some((at, matched)) = self.try_match(src, tag) {
+                    return Some((at, Got::Data(matched)));
                 }
                 // Data beats notices on ties: checked last.
-                if let Some((.., at)) = s.peek_incoming(me, Src::Any, TagSel::Is(FT_NOTICE_TAG)) {
-                    return Some((at, Got::Notice));
-                }
-                None
+                self.shared
+                    .lock()
+                    .peek_incoming(me, Src::Any, TagSel::Is(FT_NOTICE_TAG))
+                    .map(|(.., at)| (at, Got::Notice))
             });
             match got {
-                Some(Got::Env(env, peer)) => {
-                    self.charge_host(self.side_overhead(peer, env.data.len(), true));
-                    self.note_delivery(env.src, env.data.len());
-                    let status = Status {
-                        source: env.src,
-                        tag: env.tag,
-                        len: env.data.len(),
-                    };
-                    return Ok(FtGot::Data(RecvPayload::Plain(status, env.data)));
-                }
-                Some(Got::Chunk(msg)) => {
-                    self.charge_host(self.side_overhead(msg.src, msg.wire_bytes(), true));
-                    for (_, f) in &msg.frames {
-                        self.note_delivery(msg.src, f.len());
-                    }
-                    return Ok(FtGot::Data(RecvPayload::Chunked(msg)));
+                Some(Got::Data(matched)) => {
+                    let (status, payload) = self.deliver_matched(matched);
+                    return Ok(FtGot::Data(status, payload));
                 }
                 Some(Got::Notice) => {
                     if let Some(rf) = self.service_notices() {
@@ -556,16 +505,7 @@ impl<'h> Comm<'h> {
     pub fn ft_recv(&self, src: Src, tag: TagSel) -> Result<(Status, Bytes), RankFailed> {
         loop {
             match self.ft_recv_step(src, tag)? {
-                FtGot::Data(RecvPayload::Plain(status, data)) => return Ok((status, data)),
-                FtGot::Data(RecvPayload::Chunked(msg)) => {
-                    let status = Status {
-                        source: msg.src,
-                        tag: msg.tag,
-                        len: msg.wire_bytes(),
-                    };
-                    let payload = RecvPayload::Chunked(msg);
-                    return Ok((status, payload.into_bytes()));
-                }
+                FtGot::Data(status, payload) => return Ok((status, payload.into_bytes())),
                 // Some *other* rank died; this wait's source is still
                 // live, so re-arm and keep waiting.
                 FtGot::Epoch => {}
@@ -578,7 +518,7 @@ impl<'h> Comm<'h> {
     pub fn ft_recv_payload(&self, src: Src, tag: TagSel) -> Result<RecvPayload, RankFailed> {
         loop {
             match self.ft_recv_step(src, tag)? {
-                FtGot::Data(p) => return Ok(p),
+                FtGot::Data(_, p) => return Ok(p),
                 FtGot::Epoch => {}
             }
         }
@@ -600,7 +540,7 @@ impl<'h> Comm<'h> {
                 epoch: self.liveness_epoch(),
             });
         }
-        let req = self.send_posted_bytes(data, dst, tag);
+        let req = self.post(SendPayload::Plain(data), dst, tag, Charge::Blocking);
         self.ft_wait_send(req, dst)
     }
 
@@ -737,7 +677,7 @@ impl<'h> Comm<'h> {
                 for &p in live.iter().filter(|&&p| p != me) {
                     loop {
                         match self.ft_recv_step(Src::Is(p), TagSel::Is(FT_AGREE_TAG)) {
-                            Ok(FtGot::Data(payload)) => {
+                            Ok(FtGot::Data(_, payload)) => {
                                 let data = payload.into_bytes();
                                 let Some((r_epoch, v)) = decode_agree(&data) else {
                                     continue;
@@ -782,7 +722,7 @@ impl<'h> Comm<'h> {
             }
             loop {
                 match self.ft_recv_step(Src::Is(coord), TagSel::Is(FT_AGREE_RESULT_TAG)) {
-                    Ok(FtGot::Data(payload)) => {
+                    Ok(FtGot::Data(_, payload)) => {
                         let data = payload.into_bytes();
                         let Some((r_epoch, v)) = decode_agree(&data) else {
                             continue;

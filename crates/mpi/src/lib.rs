@@ -42,11 +42,11 @@ pub mod types;
 pub mod world;
 
 pub use chunk::{
-    ChunkError, ChunkFrame, ChunkedMessage, FrameHeader, Reassembly, RecvPayload, FRAME_HEADER_LEN,
-    FRAME_NONCE_LEN, FRAME_OVERHEAD, FRAME_TAG_LEN,
+    ChunkError, ChunkFrame, ChunkedMessage, FrameHeader, Reassembly, RecvPayload, SendPayload,
+    FRAME_HEADER_LEN, FRAME_NONCE_LEN, FRAME_OVERHEAD, FRAME_TAG_LEN,
 };
 pub use coll::ops;
-pub use comm::{AnyCtrl, Comm, Request, SetPoll, WaitCtrl};
+pub use comm::{Charge, Comm, Request, SetPoll};
 pub use ctrl::{
     FtNotice, Nack, RepairHeader, RepairKind, CTRL_TAG_BASE, FT_AGREE_RESULT_TAG, FT_AGREE_TAG,
     FT_NOTICE_TAG, FT_PROBE_TAG, KEY_COMMIT_TAG, KEY_REVEAL_TAG, KEY_REVOKE_TAG, NACK_TAG,

@@ -275,7 +275,8 @@ impl<'h> Comm<'h> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::ChunkFrame;
+    use crate::chunk::{ChunkFrame, SendPayload};
+    use crate::comm::Charge;
     use crate::ctrl::NACK_TAG;
     use crate::world::World;
     use bytes::Bytes;
@@ -301,7 +302,8 @@ mod tests {
         let out = w.run(|c| {
             if c.rank() == 0 {
                 for (i, base) in [10u8, 40, 70].into_iter().enumerate() {
-                    c.send_chunked(frames(base), 1, DATA_TAG + i as u32);
+                    let train = SendPayload::Chunked(frames(base));
+                    c.wait_sent(c.post(train, 1, DATA_TAG + i as u32, Charge::Blocking));
                 }
                 true
             } else {
@@ -560,41 +562,42 @@ mod tests {
                 assert!(!probe.0, "probe_either must prefer data on a tie");
                 assert_eq!(probe.1.source, 1);
 
-                // wait_or_ctrl: the irecv completes at t=0, tied with
-                // the ctrl frame — data wins.
-                let r = c.irecv(crate::types::Src::Is(1), TagSel::Is(DATA_TAG));
-                match c.wait_or_ctrl(r, (crate::types::Src::Is(2), TagSel::Is(NACK_TAG))) {
-                    crate::comm::WaitCtrl::Done(st, payload) => {
+                // poll_set: the irecv completes at t=0, tied with the
+                // ctrl frame — data wins.
+                let nack = (crate::types::Src::Is(2), TagSel::Is(NACK_TAG));
+                let mut slot = [Some(
+                    c.irecv(crate::types::Src::Is(1), TagSel::Is(DATA_TAG)),
+                )];
+                match c.poll_set(&mut slot, Some(nack), true) {
+                    SetPoll::Done(0, st, payload) => {
                         assert_eq!(st.source, 1);
                         assert_eq!(payload.unwrap().into_bytes().as_ref(), b"data");
                     }
-                    crate::comm::WaitCtrl::Ctrl(_) => {
-                        panic!("wait_or_ctrl must prefer data on a tie")
-                    }
+                    other => panic!("poll_set must prefer data on a tie: {other:?}"),
                 }
 
-                // waitany_or_ctrl over a fresh data message, same tie.
-                let mut reqs = vec![c.irecv(crate::types::Src::Is(1), TagSel::Is(DATA_TAG + 1))];
-                match c.waitany_or_ctrl(&mut reqs, (crate::types::Src::Is(2), TagSel::Is(NACK_TAG)))
-                {
-                    crate::comm::AnyCtrl::Done(0, st, _) => assert_eq!(st.source, 1),
+                // CompletionSet::waitany_or_ctrl over a fresh data
+                // message, same tie.
+                let mut set = c.completion_set();
+                set.add(c.irecv(crate::types::Src::Is(1), TagSel::Is(DATA_TAG + 1)));
+                match set.waitany_or_ctrl(nack) {
+                    SetPoll::Done(0, st, _) => assert_eq!(st.source, 1),
                     other => panic!("waitany_or_ctrl must prefer data on a tie: {other:?}"),
                 }
 
-                // With no data in flight the ctrl frame does win.
-                let r = c.irecv(crate::types::Src::Is(1), TagSel::Is(DATA_TAG + 2));
-                let r = match c.wait_or_ctrl(r, (crate::types::Src::Is(2), TagSel::Is(NACK_TAG))) {
-                    crate::comm::WaitCtrl::Ctrl(r) => r,
-                    crate::comm::WaitCtrl::Done(..) => {
-                        panic!("no data posted yet: ctrl must win")
-                    }
-                };
+                // With no data in flight the ctrl frame does win, and
+                // the request stays in the set.
+                set.add(c.irecv(crate::types::Src::Is(1), TagSel::Is(DATA_TAG + 2)));
+                match set.waitany_or_ctrl(nack) {
+                    SetPoll::Ctrl => assert_eq!(set.live(), 1),
+                    other => panic!("no data posted yet: ctrl must win: {other:?}"),
+                }
                 let (_, ctrl) = c.recv(crate::types::Src::Is(2), TagSel::Is(NACK_TAG));
                 assert_eq!(ctrl.as_ref(), b"nack");
                 // Release rank 1's last send.
                 c.send(b"go", 1, DATA_TAG + 3);
-                let (st, data) = c.wait(r);
-                (st.source, data.unwrap().len())
+                let (_, st, payload) = set.waitany().expect("one request still live");
+                (st.source, payload.unwrap().into_bytes().len())
             }
             1 => {
                 c.send(b"data", 0, DATA_TAG);

@@ -208,16 +208,7 @@ impl World {
                 // reason).
                 move |r| {
                     let mut line = match diag_shared.try_lock() {
-                        Some(s) => {
-                            let q = &s.queues[r];
-                            format!(
-                                "unexpected={} posted={} rndv={} chunked={}",
-                                q.unexpected.len(),
-                                q.posted.len(),
-                                q.rndv.len(),
-                                q.chunked.len()
-                            )
-                        }
+                        Some(s) => s.queue_report(r),
                         None => "state locked".to_string(),
                     };
                     if let Some(tail) = diag_metrics.as_ref().and_then(|m| m.flight_tail(r, 4)) {

@@ -19,7 +19,7 @@
 //!   composes with the conservative virtual-time engine for free;
 //! * this crate orchestrates: schedule seals, emit per-chunk pipeline
 //!   trace spans on per-worker lanes, hand timed frames to
-//!   [`Comm::send_chunked`], and on the receive side overlap
+//!   [`Comm::post`], and on the receive side overlap
 //!   authenticated decryption with frame arrivals.
 //!
 //! Real AES-GCM always executes; only the *charged* per-chunk time
@@ -432,7 +432,7 @@ impl Pipeline {
     /// with its seal's completion time. The main thread's clock is
     /// *not* advanced by crypto: the cores do it, concurrently with
     /// the host overhead and the wire. The caller routes the frames
-    /// (`Comm::send_chunked`/`isend_chunked`, or a collective's relay).
+    /// (`Comm::post` as a `SendPayload::Chunked`, or a collective's relay).
     ///
     /// `base_nonce` must reserve one nonce per chunk (draw it with
     /// `NonceSource::next_nonce_block(chunk_count)`). `take(cap)` hands
@@ -586,7 +586,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use empi_mpi::{Src, TagSel, World};
+    use empi_mpi::{Charge, SendPayload, Src, TagSel, World};
     use empi_netsim::NetModel;
 
     fn cipher() -> AesGcm {
@@ -684,7 +684,7 @@ mod tests {
                         let cost = ChunkCost::Calibrated(&cost_ns);
                         let frames =
                             pipe.seal_timed(c, &cipher, &cost, "test", [3u8; 12], &msg, &heap);
-                        c.send_chunked(frames, 1, 0);
+                        c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
                     } else {
                         // Sequential reference: pay the whole seal on the
                         // main thread, then one plain send.
@@ -743,7 +743,7 @@ mod tests {
                 );
                 let cost = ChunkCost::Calibrated(&cost_ns);
                 let frames = pipe.seal_timed(c, &cipher, &cost, "test", [1u8; 12], &msg, &heap);
-                c.send_chunked(frames, 1, 0);
+                c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
             } else {
                 let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))
                     .expect("pipelined sender must emit a frame train");

@@ -174,26 +174,32 @@ proptest! {
     fn message_ordering_preserved_under_load(
         ranks in 2usize..5,
         n_msgs in 1usize..30,
+        big in proptest::collection::vec(any::<bool>(), 30),
     ) {
+        // Each message is 1 B (eager) or one byte past the eager
+        // threshold (rendezvous): a flow that mixes wire formats.
+        let model = NetModel::ethernet_10g();
+        let len = move |i: usize| if big[i] { model.eager_threshold + 1 } else { 1 };
         let w = World::flat(NetModel::ethernet_10g(), ranks);
         let out = w.run(move |c| {
             if c.rank() == 0 {
-                let mut received: Vec<Vec<u8>> = vec![Vec::new(); ranks];
+                let mut received: Vec<Vec<(u8, usize)>> = vec![Vec::new(); ranks];
                 for _ in 0..(ranks - 1) * n_msgs {
                     let (st, data) = c.recv(Src::Any, TagSel::Any);
-                    received[st.source].push(data[0]);
+                    received[st.source].push((data[0], data.len()));
                 }
                 // Per-sender order must be preserved (MPI non-overtaking).
                 for seq in &received[1..] {
-                    for (i, &v) in seq.iter().enumerate() {
-                        assert_eq!(v as usize, i);
+                    for (i, &got) in seq.iter().enumerate() {
+                        assert_eq!(got, (i as u8, len(i)));
                     }
                 }
                 true
             } else {
-                for i in 0..n_msgs {
-                    c.send(&[i as u8], 0, c.rank() as u32);
-                }
+                let reqs = (0..n_msgs)
+                    .map(|i| c.isend(&vec![i as u8; len(i)], 0, c.rank() as u32))
+                    .collect();
+                c.waitall(reqs);
                 true
             }
         });
