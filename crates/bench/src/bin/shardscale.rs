@@ -83,6 +83,4 @@ fn main() {
         );
         emit(&[t], &opts.out_dir);
     }
-    // Restore the flag for anything run after us in the same shell.
-    std::env::set_var("EMPI_SHARDS", opts.shards.to_string());
 }

@@ -98,9 +98,10 @@ pub struct BenchOpts {
     pub trace: bool,
     /// Size-group filter for harnesses that split small vs large.
     pub sizes: SizeSel,
-    /// Scheduler shards for every world the harness builds
-    /// (`--shards N`, default `EMPI_SHARDS`, then 1). Changes
-    /// wall-clock only: virtual results are bit-identical.
+    /// Detached-compute lanes for every world the harness builds
+    /// (`--shards N`, default `EMPI_SHARDS`, then 1): up to `N`
+    /// detached closures run at once. Changes wall-clock only: virtual
+    /// results are bit-identical.
     pub shards: usize,
 }
 
@@ -181,6 +182,9 @@ impl BenchOpts {
                     let (lo, hi) = v.split_once(',').ok_or("--reps needs MIN,MAX")?;
                     opts.reps_min = lo.parse().map_err(|_| format!("--reps: bad MIN '{lo}'"))?;
                     opts.reps_max = hi.parse().map_err(|_| format!("--reps: bad MAX '{hi}'"))?;
+                    if opts.reps_min < 1 || opts.reps_max < opts.reps_min {
+                        return Err(format!("--reps: need 1 <= MIN <= MAX, got '{v}'"));
+                    }
                 }
                 "--trace" => opts.trace = true,
                 "--shards" => {
@@ -247,6 +251,12 @@ mod tests {
         assert!(parse(&["--net"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--reps", "3"]).unwrap_err().contains("MIN,MAX"));
         assert!(parse(&["--reps", "x,7"]).unwrap_err().contains("bad MIN"));
+        assert!(parse(&["--reps", "0,5"])
+            .unwrap_err()
+            .contains("MIN <= MAX"));
+        assert!(parse(&["--reps", "5,3"])
+            .unwrap_err()
+            .contains("MIN <= MAX"));
         assert!(parse(&["--shards"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--shards", "many"])
             .unwrap_err()

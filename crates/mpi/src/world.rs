@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use empi_netsim::{
     CrashKind, CrashPlan, Engine, Fabric, FabricStats, Metrics, MetricsSnapshot, NetModel,
-    SimError, SloConfig, Topology, TraceReport, Tracer, VTime,
+    SimError, SimHandle, SloConfig, Topology, TraceReport, Tracer, VTime,
 };
 use parking_lot::Mutex;
 
@@ -98,18 +98,17 @@ impl World {
         World::new(model, Topology::one_per_node(n))
     }
 
-    /// Partition the ranks into `s` scheduler shards, letting up to
-    /// `s` ranks' heavy host work (crypto, kernel math) run
-    /// concurrently on real cores. Results are bit-identical for every
-    /// shard count — sharding changes wall-clock time only (see
-    /// DESIGN.md §15). Defaults to the `EMPI_SHARDS` environment
-    /// variable, then 1 (fully serial).
+    /// Let up to `s` detached closures — ranks' heavy host work
+    /// (crypto, kernel math) — run concurrently on real cores. Results
+    /// are bit-identical for every `s`: the lane count changes
+    /// wall-clock time only (see DESIGN.md §15). Defaults to the
+    /// `EMPI_SHARDS` environment variable, then 1 (fully serial).
     pub fn with_shards(mut self, s: usize) -> Self {
         self.shards = Some(s.max(1));
         self
     }
 
-    /// The shard count this world will run with: explicit
+    /// The lane count this world will run with: explicit
     /// [`World::with_shards`] first, then `EMPI_SHARDS`, then 1.
     pub fn shards(&self) -> usize {
         self.shards.unwrap_or_else(shards_from_env)
@@ -227,16 +226,34 @@ impl World {
         (shared, engine)
     }
 
+    /// The one launcher behind the runners: build the world, hand the
+    /// engine and the per-rank closure (a [`Comm`] around each handle)
+    /// to `run`, and read the fabric statistics once it returns.
+    fn launch<T, O>(
+        &self,
+        f: impl Fn(&Comm) -> T + Sync,
+        run: impl FnOnce(&Engine, &(dyn Fn(&SimHandle) -> T + Sync)) -> Result<O, SimError>,
+    ) -> Result<(O, FabricStats), SimError> {
+        let (shared, engine) = self.prepare();
+        let out = run(&engine, &|h| {
+            f(&Comm {
+                h,
+                shared: Arc::clone(&shared),
+                coll_seq: Cell::new(0),
+                ftol: self.ftol.map(FtolState::new),
+            })
+        })?;
+        let fabric = shared.lock().fabric.stats();
+        Ok((out, fabric))
+    }
+
     /// Run `f` on every rank; returns when all ranks finish.
     pub fn run<T, F>(&self, f: F) -> WorldOutcome<T>
     where
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
-        match self.try_run(f) {
-            Ok(out) => out,
-            Err(e) => panic!("simulation aborted: {e}"),
-        }
+        self.try_run(f).unwrap_or_else(|e| e.abort())
     }
 
     /// Like [`World::run`], but surfaces deadlocks and rank panics as
@@ -248,18 +265,7 @@ impl World {
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
-        let (shared, engine) = self.prepare();
-        let shared_for_stats = Arc::clone(&shared);
-        let out = engine.try_run(|h| {
-            let comm = Comm {
-                h,
-                shared: Arc::clone(&shared),
-                coll_seq: Cell::new(0),
-                ftol: self.ftol.map(FtolState::new),
-            };
-            f(&comm)
-        })?;
-        let fabric = shared_for_stats.lock().fabric.stats();
+        let (out, fabric) = self.launch(f, |engine, g| engine.try_run(g))?;
         Ok(WorldOutcome {
             results: out.results,
             end_time: out.end_time,
@@ -281,18 +287,7 @@ impl World {
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
-        let (shared, engine) = self.prepare();
-        let shared_for_stats = Arc::clone(&shared);
-        let out = engine.try_run_ft(|h| {
-            let comm = Comm {
-                h,
-                shared: Arc::clone(&shared),
-                coll_seq: Cell::new(0),
-                ftol: self.ftol.map(FtolState::new),
-            };
-            f(&comm)
-        })?;
-        let fabric = shared_for_stats.lock().fabric.stats();
+        let (out, fabric) = self.launch(f, |engine, g| engine.try_run_ft(g))?;
         Ok(FtWorldOutcome {
             results: out.results,
             deaths: out.deaths,

@@ -303,13 +303,6 @@ impl Fabric {
         self.stats
     }
 
-    /// The fabric's conservative lookahead (see
-    /// [`NetModel::min_latency`]): no transmit completes in less than
-    /// this, whatever the link or load.
-    pub fn lookahead(&self) -> VDur {
-        self.model.min_latency()
-    }
-
     /// Inject a `wire_bytes`-byte message from `src_rank` to `dst_rank`
     /// at virtual time `start`; returns the arrival time of the last
     /// byte at the destination.
@@ -509,7 +502,6 @@ mod tests {
             // Both placements: cross-node and same-node (intra link).
             for topo in [Topology::one_per_node(4), Topology::block(4, 1)] {
                 let mut f = Fabric::new(model.clone(), topo);
-                assert_eq!(f.lookahead(), la);
                 for size in [0usize, 1, 64, 1 << 20] {
                     let start = VTime(12_345);
                     let arrive = f.transmit(0, 3, size, start);
