@@ -7,8 +7,8 @@
 //!   path of CryptoPP in the paper's "gcc 4.8.5" build.
 //! * [`AesNi`] — hardware AES-NI, one block at a time (Libsodium-style).
 //! * [`AesNiPipelined`] — hardware AES-NI with eight independent blocks
-//!   in flight per loop iteration, hiding the `aesenc` latency
-//!   (OpenSSL/BoringSSL-style bulk CTR).
+//!   in flight per loop iteration, hiding the `aesenc` latency, and the
+//!   counter kept in a register (OpenSSL/BoringSSL-style bulk CTR).
 //!
 //! All engines implement [`BlockEncrypt`]; the software engine also
 //! implements [`BlockDecrypt`] (needed only by the legacy ECB/CBC modes).
@@ -22,6 +22,8 @@ pub use schedule::{KeySchedule, Rounds};
 pub use soft::SoftAes;
 #[cfg(target_arch = "x86_64")]
 pub use aesni::{AesNi, AesNiPipelined};
+#[cfg(target_arch = "x86_64")]
+pub(crate) use aesni::{byte_reverse, counter_lanes, LANES};
 
 use crate::error::{Error, Result};
 

@@ -10,8 +10,9 @@
 //!   used as the reference oracle in tests;
 //! * [`GhashSoft`] — Shoup's 4-bit table method (what table-driven
 //!   software libraries such as CryptoPP use);
-//! * [`GhashClmul`] — PCLMULQDQ carry-less multiplication with 4-block
-//!   aggregation (what OpenSSL/BoringSSL use).
+//! * [`GhashClmul`] — PCLMULQDQ carry-less multiplication with 8-block
+//!   aggregation and one deferred reduction per 128 bytes (what
+//!   OpenSSL/BoringSSL use).
 
 mod soft;
 #[cfg(target_arch = "x86_64")]
@@ -20,6 +21,8 @@ mod pclmul;
 pub use soft::GhashSoft;
 #[cfg(target_arch = "x86_64")]
 pub use pclmul::GhashClmul;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use pclmul::{load_block, Product, GROUP_BLOCKS, GROUP_BYTES};
 
 /// The reduction polynomial term: x⁷+x²+x+1 reflected into the top byte.
 pub(crate) const R: u128 = 0xe1u128 << 120;

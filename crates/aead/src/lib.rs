@@ -8,13 +8,20 @@
 //! * **AES-128 / AES-256** block cipher with three engines:
 //!   a portable T-table software implementation ([`aes::SoftAes`]),
 //!   a hardware AES-NI single-block engine, and an 8-block interleaved
-//!   AES-NI pipeline used for bulk CTR keystream generation (the source
-//!   of OpenSSL/BoringSSL's speed advantage).
+//!   AES-NI pipeline with an in-register counter, used for bulk CTR
+//!   keystream generation (the source of OpenSSL/BoringSSL's speed
+//!   advantage).
 //! * **GHASH** over GF(2¹²⁸) with a Shoup 4-bit-table software engine
-//!   ([`ghash::GhashSoft`]) and a PCLMULQDQ engine with 4-block
-//!   aggregation ([`ghash::GhashClmul`]).
+//!   ([`ghash::GhashSoft`]) and a PCLMULQDQ engine with 8-block
+//!   aggregation — eight multiplies against H⁸…H¹, one deferred
+//!   reduction per 128 bytes ([`ghash::GhashClmul`]).
 //! * **AES-GCM** ([`gcm::AesGcm`]) per NIST SP 800-38D: 96-bit nonces,
 //!   128-bit tags, associated data, constant-time tag verification.
+//!   The pipelined-AES × PCLMUL pair (the OpenSSL/BoringSSL profiles and
+//!   `AesGcm::new`) runs as one **stitched kernel**: a single pass over
+//!   the data with the GHASH multiplies issued between the AES rounds.
+//!   Opening decrypts while it hashes and, if the tag then fails,
+//!   re-applies the keystream so the caller gets its ciphertext back.
 //! * Classical modes — [`ecb`], [`cbc`], [`ctr`] — and a big-key one-time
 //!   pad ([`otp`]) used to *demonstrate* the insecurity of the prior
 //!   encrypted-MPI systems surveyed in §II of the paper. These are

@@ -10,7 +10,7 @@
 //! * the **measured** curve — the real engines of this crate running on
 //!   the build host (single thread, like the paper's benchmark).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use empi_aead::profile::{CompilerBuild, CryptoLibrary, KeySize, REPORTED_LIBRARIES};
 use empi_trace::engine_counters;
@@ -32,29 +32,48 @@ pub const SIZES: [usize; 9] = [
     2 << 20,
 ];
 
+/// A timed batch lasts at least this long, so the two clock reads
+/// around it are a negligible share even when one enc-dec round of
+/// 64 B is ≈ 100 ns.
+const MIN_BATCH: Duration = Duration::from_millis(1);
+/// Batches behind every reported number (the median of them).
+const MIN_BATCHES: usize = 5;
+
 /// Measure real enc-dec throughput (MB/s) of one library profile at one
-/// size, single-threaded, on this host.
+/// size, single-threaded, on this host: the median over batches of
+/// rounds, at least [`MIN_BATCHES`] of them and as many as fit in
+/// `min_millis`.
 pub fn measured_encdec_mbs(lib: CryptoLibrary, size: usize, min_millis: u64) -> f64 {
     let key = [0x42u8; 32];
     let cipher = lib.instantiate(KeySize::Aes256, &key).unwrap();
     let nonce = [7u8; 12];
     let mut buf = vec![0xABu8; size];
-    // Warm up.
-    let tag = cipher.seal_detached(&nonce, b"", &mut buf);
-    cipher.open_detached(&nonce, b"", &mut buf, &tag).unwrap();
-
-    let mut rounds = 0u64;
-    let start = Instant::now();
-    loop {
-        let tag = cipher.seal_detached(&nonce, b"", &mut buf);
-        cipher.open_detached(&nonce, b"", &mut buf, &tag).unwrap();
-        rounds += 1;
-        if start.elapsed().as_millis() as u64 >= min_millis {
-            break;
+    let mut time_batch = |rounds: u64| {
+        let start = Instant::now();
+        for _ in 0..rounds {
+            let tag = cipher.seal_detached(&nonce, b"", &mut buf);
+            cipher.open_detached(&nonce, b"", &mut buf, &tag).unwrap();
         }
+        start.elapsed()
+    };
+    // Warm up.
+    time_batch(1);
+
+    let start = Instant::now();
+    // Size the batch: double it until one batch outlasts the clock.
+    let mut rounds = 1u64;
+    let mut first = time_batch(rounds);
+    while first < MIN_BATCH {
+        rounds *= 2;
+        first = time_batch(rounds);
     }
-    let secs = start.elapsed().as_secs_f64();
-    (rounds as f64 * size as f64) / secs / 1e6
+    let mut secs = vec![first.as_secs_f64()];
+    while secs.len() < MIN_BATCHES || start.elapsed() < Duration::from_millis(min_millis) {
+        secs.push(time_batch(rounds).as_secs_f64());
+    }
+    secs.sort_by(f64::total_cmp);
+    let median = secs[secs.len() / 2];
+    (rounds as f64 * size as f64) / median / 1e6
 }
 
 /// Calibrated enc-dec throughput (MB/s) from the digitized anchors.
