@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use empi_metrics::export::validate_prometheus;
+use empi_trace::export::validate_prometheus;
 use empi_trace::json::{self, Value};
 
 /// The optional invariants selected on the command line.

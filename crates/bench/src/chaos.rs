@@ -15,13 +15,13 @@
 
 use empi_aead::profile::CryptoLibrary;
 use empi_core::{ChaosStats, FaultRates, PipelineConfig, SecureComm};
-use empi_metrics::{export, ChaosCounters, Metric, MetricsSnapshot};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
+use empi_trace::{CounterBlock, Metric, MetricsSnapshot};
 
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::{size_label, Table};
-use crate::tracing::{trace_active, write_trace};
+use crate::tracing::{trace_active, write_artifacts, write_trace};
 
 /// Per-event fault probabilities swept by TAB-CHAOS. The 0 row is the
 /// "retransmit layer armed but idle" regression point.
@@ -62,28 +62,13 @@ pub struct ChaosPoint {
     /// Receiver-side chaos counters (NACKs, salvages, backoff).
     pub receiver: ChaosStats,
     /// ARQ repair-latency percentiles (NACK round-trip until the
-    /// message opened), from the metrics plane; zero when metrics are
-    /// compiled out or nothing needed repair.
+    /// message opened), from the metrics snapshot; zero when the
+    /// recorder is compiled out or nothing needed repair.
     pub repair_p50_ns: u64,
     pub repair_p99_ns: u64,
     pub repair_p999_ns: u64,
     /// Successful repairs the percentiles are over.
     pub repairs: u64,
-}
-
-/// Fold sender- and receiver-side [`ChaosStats`] into the snapshot's
-/// [`ChaosCounters`] so retry counters ride the JSON/Prometheus
-/// exports next to the histograms.
-pub fn to_counters(sender: &ChaosStats, receiver: &ChaosStats) -> ChaosCounters {
-    ChaosCounters {
-        faults_injected: sender.faults_injected + receiver.faults_injected,
-        nacks_sent: sender.nacks_sent + receiver.nacks_sent,
-        nacks_received: sender.nacks_received + receiver.nacks_received,
-        retransmits: sender.retransmits + receiver.retransmits,
-        aborts: sender.aborts + receiver.aborts,
-        recoveries: sender.recoveries + receiver.recoveries,
-        backoff_ns: sender.backoff_ns + receiver.backoff_ns,
-    }
 }
 
 impl ChaosPoint {
@@ -174,7 +159,7 @@ fn chaos_run(
     let (_, _, _, _, sender) = out.results[0];
     let (secs, delivered, failed, bytes_ok, receiver) = out.results[1];
     let mut snap = out.metrics.expect("metered world must snapshot");
-    snap.chaos = Some(to_counters(&sender, &receiver));
+    snap.chaos = Some(CounterBlock::sum([sender.counters(), receiver.counters()]));
     let repair = snap.merged(Metric::Repair, "arq/repair");
     (
         ChaosPoint {
@@ -339,19 +324,12 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         // run's metrics snapshot — retry counters folded in — goes out
         // as JSON + validated Prometheus for `--require-hist`.
         let (r, snap) = chaos_trace(net, CryptoLibrary::BoringSsl, 0.10, msgs, SEED);
-        let stem = format!("trace-chaos-{}", net.name().to_lowercase());
-        write_trace(&r, &opts.out_dir, &stem);
-        let stem = format!("metrics-chaos-{}", net.name().to_lowercase());
-        let json_path = opts.out_dir.join(format!("{stem}.json"));
-        if let Err(e) = std::fs::write(&json_path, export::snapshot_json(&snap)) {
-            eprintln!("warning: could not write {}: {e}", json_path.display());
-        }
-        let prom = export::prometheus(&snap);
-        export::validate_prometheus(&prom).expect("prometheus export must validate");
-        let prom_path = opts.out_dir.join(format!("{stem}.prom"));
-        if let Err(e) = std::fs::write(&prom_path, prom) {
-            eprintln!("warning: could not write {}: {e}", prom_path.display());
-        }
+        // This harness has always written its trace as the plain
+        // Chrome document, without counter tracks; only the snapshot
+        // goes through the shared writer.
+        let stem = format!("chaos-{}", net.name().to_lowercase());
+        write_trace(&r, &opts.out_dir, &format!("trace-{stem}"));
+        write_artifacts(&opts.out_dir, &stem, &snap, None);
     }
     tables
 }

@@ -33,14 +33,14 @@
 
 use empi_aead::profile::CryptoLibrary;
 use empi_core::{Error, FaultRates, KeyPlaneConfig, SecureComm, SecurityConfig};
-use empi_metrics::{export, FtolCounters, Metrics, MetricsSnapshot};
 use empi_mpi::{CrashPlan, DetectorConfig, Src, TagSel, TraceReport, World};
 use empi_netsim::{VDur, VTime};
+use empi_trace::{CounterBlock, MetricsSnapshot, Recorder};
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::Table;
-use crate::tracing::trace_active;
+use crate::tracing::{trace_active, write_artifacts};
 
 /// Fixed handshake seed: reruns must agree on the same session master
 /// and export byte-identical snapshots.
@@ -83,7 +83,7 @@ pub struct DetectRun {
     pub restore_ns: u64,
     /// Detector counters summed across survivors, `rekeys` filled from
     /// the key plane's revocation count.
-    pub counters: FtolCounters,
+    pub counters: CounterBlock,
     /// Snapshot merged across ranks (`ftol` block injected).
     pub snap: MetricsSnapshot,
     /// Timeline; `Some` only when traced.
@@ -175,21 +175,15 @@ pub fn detect_run(net: Net, n: usize, lease_us: u64, hang: bool, traced: bool) -
     assert!(out.results[victim].is_none(), "the victim must die");
     let survivors: Vec<_> = out.results.into_iter().flatten().collect();
     assert_eq!(survivors.len(), n - 1);
-    let mut counters = FtolCounters::default();
-    for (_, _, _, _, ft, ks) in &survivors {
-        counters.detected += ft.detected;
-        counters.notices += ft.notices;
-        counters.probes += ft.probes;
-        counters.shrinks += ft.shrinks;
-        counters.rekeys += ks.revocations;
-    }
+    let mut counters = CounterBlock::sum(survivors.iter().map(|s| &s.4));
+    counters.set("rekeys", survivors.iter().map(|s| s.5.revocations).sum());
     assert_eq!(
-        counters.detected + counters.notices,
+        counters.get("detected") + counters.get("notices"),
         survivors.len() as u64,
         "every survivor confirms the death exactly once"
     );
     let mut snap = out.metrics.unwrap_or_default();
-    snap.ftol = Some(counters);
+    snap.ftol = Some(counters.clone());
     DetectRun {
         detect_ns: survivors.iter().map(|r| r.0).max().unwrap(),
         rekey_ns: survivors.iter().map(|r| r.1).max().unwrap(),
@@ -271,24 +265,18 @@ pub fn collective_run(
         .expect("the collective loop must never deadlock");
     if crash {
         assert!(out.results[victim].is_none(), "the victim must die");
-        let confirmations: u64 = out
-            .results
-            .iter()
-            .flatten()
-            .map(|(_, ft)| ft.detected + ft.notices)
-            .sum();
+        let seen = CounterBlock::sum(out.results.iter().flatten().map(|(_, ft)| ft));
         assert_eq!(
-            confirmations,
+            seen.get("detected") + seen.get("notices"),
             (n - 1) as u64,
             "every survivor learns of the death"
         );
     } else {
         for (r, res) in out.results.iter().enumerate() {
             let (_, ft) = res.as_ref().expect("clean runs lose nobody");
-            assert_eq!(
-                (ft.detected, ft.notices, ft.probes),
-                (0, 0, 0),
-                "rank {r}: the armed detector fired on a healthy run"
+            assert!(
+                ft.iter().all(|(_, v)| v == 0),
+                "rank {r}: the armed detector fired on a healthy run: {ft:?}"
             );
         }
     }
@@ -442,8 +430,8 @@ fn push_ladder_row(tab: &mut Table, label: &str, run: &DetectRun) {
             fmt_us(run.rekey_ns),
             fmt_us(run.shrink_ns),
             fmt_us(run.restore_ns),
-            format!("{}", run.counters.probes),
-            format!("{}", run.counters.notices),
+            format!("{}", run.counters.get("probes")),
+            format!("{}", run.counters.get("notices")),
         ],
     );
 }
@@ -454,17 +442,18 @@ fn push_ladder_row(tab: &mut Table, label: &str, run: &DetectRun) {
 /// whose `ftol/*` spans feed `tracecheck --require-ftol`, plus the
 /// ftol conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts) {
-    if !Metrics::compiled_in() {
+    if !Recorder::compiled_in() {
         return;
     }
     let traced = trace_active(opts);
     let mut run = detect_run(net, 4, 500, false, traced);
     // The ARQ scenario fills the one counter the ladder cannot: flows
     // resolved as failed against a dead peer.
-    let mut counters = run.counters;
-    counters.delivery_failed = arq_dead_sender_run(net);
+    let mut counters = run.counters.clone();
+    counters.set("delivery_failed", arq_dead_sender_run(net));
     assert_eq!(
-        counters.delivery_failed, 1,
+        counters.get("delivery_failed"),
+        1,
         "the doomed flow must resolve typed"
     );
     run.snap.ftol = Some(counters);
@@ -477,47 +466,21 @@ fn export_artifacts(net: Net, opts: &BenchOpts) {
         assert_eq!(
             (detected, notices, shrinks),
             (
-                run.counters.detected,
-                run.counters.notices,
-                run.counters.shrinks
+                run.counters.get("detected"),
+                run.counters.get("notices"),
+                run.counters.get("shrinks")
             ),
             "trace ftol spans must conserve against the detector counters"
         );
     }
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("warning: could not create {}: {e}", opts.out_dir.display());
-        return;
-    }
-    let stem = format!("metrics-ftol-{}", net.name().to_lowercase());
-    let json_path = opts.out_dir.join(format!("{stem}.json"));
-    match std::fs::write(&json_path, export::snapshot_json(&run.snap)) {
-        Ok(()) => println!("metrics snapshot written to {}", json_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", json_path.display()),
-    }
-    let prom = export::prometheus(&run.snap);
-    export::validate_prometheus(&prom).expect("prometheus export must validate");
-    let prom_path = opts.out_dir.join(format!("{stem}.prom"));
-    match std::fs::write(&prom_path, prom) {
-        Ok(()) => println!("prometheus export written to {}", prom_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", prom_path.display()),
-    }
-    if let Some(r) = &run.trace {
-        let doc =
-            empi_trace::chrome::to_chrome_json_with_extra(r, &export::chrome_counters(&run.snap));
-        let path = opts
-            .out_dir
-            .join(format!("trace-ftol-{}.json", net.name().to_lowercase()));
-        match std::fs::write(&path, doc) {
-            Ok(()) => println!("trace with ftol spans written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    let stem = format!("ftol-{}", net.name().to_lowercase());
+    write_artifacts(&opts.out_dir, &stem, &run.snap, run.trace.as_ref());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use empi_mpi::Tracer;
+    use empi_trace::export;
 
     #[test]
     fn crash_ladder_detects_within_bound_and_rekeys_free() {
@@ -528,8 +491,8 @@ mod tests {
         // Survivor re-key is deterministic and wire-free.
         assert_eq!(run.rekey_ns, 0, "re-key must not cost wire time");
         assert!(run.restore_ns > 0, "the restore exchange moves real bytes");
-        assert_eq!(run.counters.shrinks, 3);
-        assert_eq!(run.counters.rekeys, 3);
+        assert_eq!(run.counters.get("shrinks"), 3);
+        assert_eq!(run.counters.get("rekeys"), 3);
     }
 
     #[test]
@@ -562,7 +525,7 @@ mod tests {
 
     #[test]
     fn snapshot_carries_ftol_counters_and_validates() {
-        if !Metrics::compiled_in() {
+        if !Recorder::compiled_in() {
             return;
         }
         let run = detect_run(Net::Ethernet, 4, 500, false, false);
@@ -576,7 +539,7 @@ mod tests {
 
     #[test]
     fn traced_ladder_conserves_ftol_spans() {
-        if !Tracer::compiled_in() {
+        if !Recorder::compiled_in() {
             return;
         }
         let run = detect_run(Net::Ethernet, 4, 500, false, true);
@@ -584,9 +547,9 @@ mod tests {
         let detected: u64 = r.per_rank.iter().map(|m| m.ft_detected).sum();
         let notices: u64 = r.per_rank.iter().map(|m| m.ft_notices).sum();
         let shrinks: u64 = r.per_rank.iter().map(|m| m.ft_shrinks).sum();
-        assert_eq!(detected, run.counters.detected);
-        assert_eq!(notices, run.counters.notices);
-        assert_eq!(shrinks, run.counters.shrinks);
+        assert_eq!(detected, run.counters.get("detected"));
+        assert_eq!(notices, run.counters.get("notices"));
+        assert_eq!(shrinks, run.counters.get("shrinks"));
     }
 
     #[test]

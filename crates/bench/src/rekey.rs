@@ -23,15 +23,15 @@
 //! key plane reports.
 
 use empi_aead::profile::{CryptoLibrary, KeySize};
-use empi_core::{KeyPlaneConfig, KeyStats, PipelineConfig, SecureComm, SecurityConfig};
-use empi_metrics::{export, KeyCounters, Metric, Metrics, MetricsSnapshot};
+use empi_core::{KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
+use empi_trace::{CounterBlock, Metric, MetricsSnapshot, Recorder};
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::Table;
-use crate::tracing::trace_active;
+use crate::tracing::{trace_active, write_artifacts};
 
 /// Fixed handshake seed: reruns must agree on the same session master
 /// and export byte-identical snapshots.
@@ -55,21 +55,6 @@ pub const ROTATE_SLOW_US: u64 = 200;
 /// The rekey-storm period (epochs roll faster than most messages).
 pub const ROTATE_STORM_US: u64 = 30;
 
-/// Sum per-rank key-plane counters into the snapshot's mirror struct
-/// (each rank counts its own handshake, so a 2-rank world reports 2).
-pub fn to_key_counters(per_rank: &[KeyStats]) -> KeyCounters {
-    let mut c = KeyCounters::default();
-    for s in per_rank {
-        c.handshakes += s.handshakes;
-        c.rekeys += s.rekeys;
-        c.revocations += s.revocations;
-        c.rejected_stale += s.rejected_stale;
-        c.rejected_future += s.rejected_future;
-        c.rejected_revoked += s.rejected_revoked;
-    }
-    c
-}
-
 /// One metered key-plane run: merged snapshot (with the `keys` block
 /// injected), delivery counts, and the summed key-plane counters.
 pub struct RekeyRun {
@@ -79,8 +64,9 @@ pub struct RekeyRun {
     pub delivered: usize,
     /// Typed failures.
     pub failed: usize,
-    /// Key-plane counters summed across ranks.
-    pub stats: KeyCounters,
+    /// Key-plane counters summed across ranks (each rank counts its
+    /// own handshake, so a 2-rank world reports 2).
+    pub stats: CounterBlock,
 }
 
 /// The security config of the rekey runs: key plane with the fixed
@@ -152,9 +138,9 @@ pub fn stream_run(
         }
     });
     let (delivered, failed) = (out.results[1].0, out.results[1].1);
-    let stats = to_key_counters(&out.results.iter().map(|r| r.2).collect::<Vec<_>>());
+    let stats = CounterBlock::sum(out.results.iter().map(|r| r.2.counters()));
     let mut snap = out.metrics.unwrap_or_default();
-    snap.keys = Some(stats);
+    snap.keys = Some(stats.clone());
     (
         RekeyRun {
             snap,
@@ -212,9 +198,9 @@ pub fn revoke_run(net: Net, lib: CryptoLibrary, msgs: usize) -> RekeyRun {
             sc.sealing_epoch(),
         )
     });
-    let stats = to_key_counters(&out.results.iter().map(|r| r.2).collect::<Vec<_>>());
+    let stats = CounterBlock::sum(out.results.iter().map(|r| r.2.counters()));
     let mut snap = out.metrics.unwrap_or_default();
-    snap.keys = Some(stats);
+    snap.keys = Some(stats.clone());
     RekeyRun {
         snap,
         delivered: out.results.iter().map(|r| r.0).sum(),
@@ -278,7 +264,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             );
             if rotate.is_none() {
                 assert_eq!(
-                    run.stats.rekeys, 0,
+                    run.stats.get("rekeys"),
+                    0,
                     "epochs must not roll with rotation off"
                 );
             }
@@ -343,9 +330,9 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         );
     }
     let drill = revoke_run(net, CryptoLibrary::BoringSsl, msgs / 2);
-    assert!(drill.stats.revocations > 0, "the drill must revoke");
+    assert!(drill.stats.get("revocations") > 0, "the drill must revoke");
     assert!(
-        drill.stats.rejected_revoked > 0,
+        drill.stats.get("rejected_revoked") > 0,
         "the revoked rank's traffic must be rejected"
     );
     decomp.push_row("revocation drill".to_string(), decomp_cells(&drill, None));
@@ -363,7 +350,7 @@ fn push_stream_row(tab: &mut Table, label: &str, run: &RekeyRun) {
             us(e2e.p50()),
             us(e2e.p99()),
             us(hs.p99()),
-            format!("{}", run.stats.rekeys),
+            format!("{}", run.stats.get("rekeys")),
             format!("{}", run.delivered),
             format!("{}", run.failed),
         ],
@@ -374,14 +361,16 @@ fn decomp_cells(run: &RekeyRun, msgs: Option<usize>) -> Vec<String> {
     let e2e = run.snap.merged(Metric::E2e, "p2p/recv");
     let hs = run.snap.merged(Metric::Key, "key/handshake");
     let key = run.snap.merged(Metric::Key, "");
-    let rejects = run.stats.rejected_stale + run.stats.rejected_future + run.stats.rejected_revoked;
-    let per_epoch = match (msgs, run.stats.rekeys) {
+    let rejects = run.stats.get("rejected_stale")
+        + run.stats.get("rejected_future")
+        + run.stats.get("rejected_revoked");
+    let per_epoch = match (msgs, run.stats.get("rekeys")) {
         (Some(m), r) if r > 0 => format!("{:.1}", m as f64 / r as f64),
         _ => "-".to_string(),
     };
     vec![
-        format!("{}", run.stats.rekeys),
-        format!("{}", run.stats.revocations),
+        format!("{}", run.stats.get("rekeys")),
+        format!("{}", run.stats.get("revocations")),
         per_epoch,
         us(e2e.p99()),
         us(hs.p99()),
@@ -397,7 +386,7 @@ fn decomp_cells(run: &RekeyRun, msgs: Option<usize>) -> Vec<String> {
 /// whose `key/*` spans feed `tracecheck --require-keys`, plus the key
 /// conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
-    if !Metrics::compiled_in() {
+    if !Recorder::compiled_in() {
         return;
     }
     let traced = trace_active(opts);
@@ -417,50 +406,25 @@ fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
         let handshakes: u64 = r.per_rank.iter().map(|m| m.handshakes).sum();
         let rekeys: u64 = r.per_rank.iter().map(|m| m.rekeys).sum();
         assert_eq!(
-            handshakes, run.stats.handshakes,
+            handshakes,
+            run.stats.get("handshakes"),
             "trace handshake spans must conserve against the key plane"
         );
         assert!(
-            rekeys > 0 && rekeys <= run.stats.rekeys,
+            rekeys > 0 && rekeys <= run.stats.get("rekeys"),
             "trace rotate spans ({rekeys}) must stay within the key plane's \
              epoch count ({})",
-            run.stats.rekeys
+            run.stats.get("rekeys")
         );
     }
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("warning: could not create {}: {e}", opts.out_dir.display());
-        return;
-    }
-    let stem = format!("metrics-rekey-{}", net.name().to_lowercase());
-    let json_path = opts.out_dir.join(format!("{stem}.json"));
-    match std::fs::write(&json_path, export::snapshot_json(&run.snap)) {
-        Ok(()) => println!("metrics snapshot written to {}", json_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", json_path.display()),
-    }
-    let prom = export::prometheus(&run.snap);
-    export::validate_prometheus(&prom).expect("prometheus export must validate");
-    let prom_path = opts.out_dir.join(format!("{stem}.prom"));
-    match std::fs::write(&prom_path, prom) {
-        Ok(()) => println!("prometheus export written to {}", prom_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", prom_path.display()),
-    }
-    if let Some(r) = &trace {
-        let doc =
-            empi_trace::chrome::to_chrome_json_with_extra(r, &export::chrome_counters(&run.snap));
-        let path = opts
-            .out_dir
-            .join(format!("trace-rekey-{}.json", net.name().to_lowercase()));
-        match std::fs::write(&path, doc) {
-            Ok(()) => println!("trace with key spans written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    let stem = format!("rekey-{}", net.name().to_lowercase());
+    write_artifacts(&opts.out_dir, &stem, &run.snap, trace.as_ref());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use empi_mpi::Tracer;
+    use empi_trace::export;
 
     #[test]
     fn storm_rolls_epochs_and_stays_bit_exact() {
@@ -474,8 +438,8 @@ mod tests {
         );
         // stream_run's receiver asserts bit-exactness; here we check
         // rotation actually happened and nothing was rejected.
-        assert!(run.stats.rekeys > 0, "the storm must roll epochs");
-        assert_eq!(run.stats.handshakes, 2, "one handshake per rank");
+        assert!(run.stats.get("rekeys") > 0, "the storm must roll epochs");
+        assert_eq!(run.stats.get("handshakes"), 2, "one handshake per rank");
         assert_eq!((run.delivered, run.failed), (10, 0));
     }
 
@@ -489,13 +453,13 @@ mod tests {
             6,
             false,
         );
-        assert_eq!(run.stats.rekeys, 0);
+        assert_eq!(run.stats.get("rekeys"), 0);
         assert_eq!((run.delivered, run.failed), (6, 0));
     }
 
     #[test]
     fn snapshot_carries_key_counters_and_validates() {
-        if !Metrics::compiled_in() {
+        if !Recorder::compiled_in() {
             return;
         }
         let (run, _) = stream_run(
@@ -518,7 +482,7 @@ mod tests {
 
     #[test]
     fn traced_storm_conserves_key_spans() {
-        if !Metrics::compiled_in() || !Tracer::compiled_in() {
+        if !Recorder::compiled_in() || !Recorder::compiled_in() {
             return;
         }
         let (run, trace) = stream_run(
@@ -532,9 +496,9 @@ mod tests {
         let r = trace.expect("traced world must report");
         let handshakes: u64 = r.per_rank.iter().map(|m| m.handshakes).sum();
         let rekeys: u64 = r.per_rank.iter().map(|m| m.rekeys).sum();
-        assert_eq!(handshakes, run.stats.handshakes);
+        assert_eq!(handshakes, run.stats.get("handshakes"));
         // One span per roll event; multi-epoch jumps coalesce.
-        assert!(rekeys > 0 && rekeys <= run.stats.rekeys);
+        assert!(rekeys > 0 && rekeys <= run.stats.get("rekeys"));
     }
 
     #[test]
@@ -542,8 +506,8 @@ mod tests {
         let run = revoke_run(Net::Ethernet, CryptoLibrary::BoringSsl, 4);
         // Both survivors count the revocation; only rank 0 sees (and
         // rejects) the revoked rank's post-quarantine record.
-        assert_eq!(run.stats.revocations, 2);
-        assert_eq!(run.stats.rejected_revoked, 1);
+        assert_eq!(run.stats.get("revocations"), 2);
+        assert_eq!(run.stats.get("rejected_revoked"), 1);
         assert_eq!(run.failed, 1, "the quarantined send must fail typed");
         assert_eq!(run.delivered, 4, "survivor traffic must flow re-keyed");
     }
@@ -564,7 +528,7 @@ mod tests {
         // 128-bit-capable lib (all but Libsodium).
         let aes128_rows = LIBS.iter().filter(|l| l.supports(KeySize::Aes128)).count();
         assert_eq!(tables[0].rows.len(), 3 * LIBS.len() + aes128_rows);
-        if Metrics::compiled_in() {
+        if Recorder::compiled_in() {
             for (label, cells) in &tables[0].rows {
                 assert_ne!(cells[1], "0.0", "p99 must be nonzero: {label}");
                 assert_eq!(cells[5], "0", "nothing may fail in a clean run: {label}");

@@ -1,5 +1,5 @@
 //! Tail-latency benchmarks — TAB-TAIL and DECOMP-TAIL (extension
-//! beyond the paper, powered by the `empi-metrics` plane).
+//! beyond the paper, powered by the recorder's distribution sink).
 //!
 //! The paper reports *mean* overheads only; TAB-TAIL answers the
 //! distribution question: p50/p99/p999 end-to-end latency for an
@@ -15,19 +15,19 @@
 //! before it is written). When tracing is active the same run also
 //! writes `trace-tail-<net>.json` with the histogram percentile
 //! checkpoints merged in as Chrome counter tracks, and asserts the
-//! seal/open conservation law: the metrics plane samples exactly once
+//! seal/open conservation law: the recorder samples exactly once
 //! per trace-ledger seal and open.
 
 use empi_aead::profile::CryptoLibrary;
 use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
-use empi_metrics::{export, Metric, Metrics, MetricsSnapshot, SloConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
+use empi_trace::{CounterBlock, Metric, MetricsSnapshot, Recorder, SloConfig};
 
-use crate::chaos::{to_counters, LIBS};
+use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::Table;
-use crate::tracing::trace_active;
+use crate::tracing::{trace_active, write_artifacts};
 
 /// Fixed seed: CI and reruns must see the identical fault schedule and
 /// byte-identical snapshot exports.
@@ -139,7 +139,7 @@ pub fn p2p_run(
     let (_, delivered, failed, rx) = out.results[1];
     let mut snap = out.metrics.unwrap_or_default();
     if chaos && metered {
-        snap.chaos = Some(to_counters(&tx, &rx));
+        snap.chaos = Some(CounterBlock::sum([tx.counters(), rx.counters()]));
     }
     (
         TailRun {
@@ -314,15 +314,15 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 /// `trace-tail-<net>.json` with percentile counter tracks, plus the
 /// seal/open conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
-    if !Metrics::compiled_in() {
+    if !Recorder::compiled_in() {
         return;
     }
     let traced = trace_active(opts);
     let (run, _, trace) = p2p_run(net, CryptoLibrary::BoringSsl, true, msgs, true, traced);
     if let Some(r) = &trace {
-        // Conservation law: the metrics plane records exactly one
-        // service sample per trace-ledger seal and open. Fail the
-        // bench loudly if instrumentation drifts.
+        // Conservation law: the recorder takes exactly one service
+        // sample per trace-ledger seal and open. Fail the bench loudly
+        // if instrumentation drifts.
         let seals: u64 = r.per_rank.iter().map(|m| m.seals).sum();
         let opens: u64 = r.per_rank.iter().map(|m| m.opens).sum();
         assert_eq!(
@@ -336,47 +336,21 @@ fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
             "open histogram samples must conserve against the trace ledger"
         );
     }
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("warning: could not create {}: {e}", opts.out_dir.display());
-        return;
-    }
-    let stem = format!("metrics-tail-{}", net.name().to_lowercase());
-    let json_path = opts.out_dir.join(format!("{stem}.json"));
-    match std::fs::write(&json_path, export::snapshot_json(&run.snap)) {
-        Ok(()) => println!("metrics snapshot written to {}", json_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", json_path.display()),
-    }
-    let prom = export::prometheus(&run.snap);
-    export::validate_prometheus(&prom).expect("prometheus export must validate");
-    let prom_path = opts.out_dir.join(format!("{stem}.prom"));
-    match std::fs::write(&prom_path, prom) {
-        Ok(()) => println!("prometheus export written to {}", prom_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", prom_path.display()),
-    }
-    if let Some(r) = &trace {
-        let doc =
-            empi_trace::chrome::to_chrome_json_with_extra(r, &export::chrome_counters(&run.snap));
-        let path = opts
-            .out_dir
-            .join(format!("trace-tail-{}.json", net.name().to_lowercase()));
-        match std::fs::write(&path, doc) {
-            Ok(()) => println!("trace with counter tracks written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    let stem = format!("tail-{}", net.name().to_lowercase());
+    write_artifacts(&opts.out_dir, &stem, &run.snap, trace.as_ref());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use empi_mpi::Tracer;
+    use empi_trace::export;
 
     #[test]
     fn tail_histograms_fill_and_conserve() {
-        if !Metrics::compiled_in() {
+        if !Recorder::compiled_in() {
             return;
         }
-        let traced = Tracer::compiled_in();
+        let traced = Recorder::compiled_in();
         let (run, _, trace) = p2p_run(
             Net::Ethernet,
             CryptoLibrary::BoringSsl,
@@ -427,7 +401,7 @@ mod tests {
 
     #[test]
     fn snapshot_exports_are_byte_identical_for_fixed_seed() {
-        if !Metrics::compiled_in() {
+        if !Recorder::compiled_in() {
             return;
         }
         let a = p2p_run(
@@ -458,7 +432,7 @@ mod tests {
 
     #[test]
     fn delivery_failure_carries_black_box_naming_the_flow() {
-        if !Metrics::compiled_in() {
+        if !Recorder::compiled_in() {
             return;
         }
         // A hostile fault rate with a starved repair budget forces at
@@ -508,7 +482,7 @@ mod tests {
 
     #[test]
     fn alltoall_tail_run_is_metered() {
-        if !Metrics::compiled_in() {
+        if !Recorder::compiled_in() {
             return;
         }
         let run = a2a_run(Net::Ethernet, CryptoLibrary::BoringSsl, false, 2);
@@ -531,7 +505,7 @@ mod tests {
         assert_eq!(tables.len(), 2);
         assert!(tables[0].title.starts_with("TAB-TAIL-Ethernet"));
         assert!(tables[1].title.starts_with("DECOMP-TAIL-Ethernet"));
-        if Metrics::compiled_in() {
+        if Recorder::compiled_in() {
             // Acceptance: nonzero tail percentiles for all four
             // backends, chaos on and off, p2p and alltoall.
             for (label, cells) in &tables[0].rows {

@@ -1,6 +1,8 @@
 //! Shared plumbing for the `--trace` decomposition path: every harness
 //! uses the same table layout (crypto/host/wire/wait columns plus the
-//! crypto-share / comm-share split) and the same Chrome-JSON writer.
+//! crypto-share / comm-share split) and the same Chrome-JSON writer;
+//! the harnesses that also export a metrics snapshot share one
+//! artifact writer.
 //!
 //! The "est overhead %" column is the serialized-model prediction of
 //! the encryption overhead: crypto time over comm (host + wire) time.
@@ -10,7 +12,7 @@
 
 use std::path::Path;
 
-use empi_trace::{Decomposition, TraceReport, Tracer};
+use empi_trace::{chrome, export, Decomposition, MetricsSnapshot, Recorder, TraceReport};
 
 use crate::common::BenchOpts;
 use crate::table::fmt_value;
@@ -18,7 +20,7 @@ use crate::table::fmt_value;
 /// True when tracing was requested *and* the `trace` feature is
 /// compiled in; warns once per call otherwise.
 pub fn trace_active(opts: &BenchOpts) -> bool {
-    if opts.trace && !Tracer::compiled_in() {
+    if opts.trace && !Recorder::compiled_in() {
         eprintln!(
             "warning: --trace requested but the `trace` feature is not compiled in \
              (build without --no-default-features to enable it)"
@@ -80,6 +82,42 @@ pub fn write_trace(report: &TraceReport, out_dir: &Path, stem: &str) {
     match report.write_chrome_json(&path) {
         Ok(()) => println!("trace written to {} ({})", path.display(), report),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
+
+/// Write `text` to `path`, reporting the outcome as `what`.
+fn write_file(path: &Path, text: String, what: &str) {
+    match std::fs::write(path, text) {
+        Ok(()) => println!("{what} written to {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
+
+/// The one artifact writer of the snapshot-exporting harnesses: write
+/// `metrics-<stem>.json` (the versioned snapshot `tracecheck
+/// --require-hist` consumes) and `metrics-<stem>.prom` (Prometheus
+/// text, validated before it is written) into `out_dir`, and — given
+/// the run's trace — `trace-<stem>.json` with the snapshot's
+/// percentile checkpoints merged in as Chrome counter tracks.
+pub fn write_artifacts(
+    out_dir: &Path,
+    stem: &str,
+    snap: &MetricsSnapshot,
+    trace: Option<&TraceReport>,
+) {
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
+        eprintln!("warning: could not create {}: {e}", out_dir.display());
+        return;
+    }
+    let path = |kind: &str, ext: &str| out_dir.join(format!("{kind}-{stem}.{ext}"));
+    let json = export::snapshot_json(snap);
+    write_file(&path("metrics", "json"), json, "metrics snapshot");
+    let prom = export::prometheus(snap);
+    export::validate_prometheus(&prom).expect("prometheus export must validate");
+    write_file(&path("metrics", "prom"), prom, "prometheus export");
+    if let Some(r) = trace {
+        let doc = chrome::to_chrome_json_with_extra(r, &export::chrome_counters(snap));
+        write_file(&path("trace", "json"), doc, "trace with counter tracks");
     }
 }
 

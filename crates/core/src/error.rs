@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use empi_metrics::BlackBox;
+use empi_trace::BlackBox;
 
 /// Result alias for secure operations.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -36,8 +36,9 @@ pub enum Error {
         /// Human-readable per-attempt failure log.
         ledger: Vec<String>,
         /// Flight-recorder report for the failing `(peer, tag, seq)`
-        /// flow — present when the metrics plane recorded it; boxed to
-        /// keep `Error` small on the happy path.
+        /// flow — present when the run was metered
+        /// (`World::with_metrics`); boxed to keep `Error` small on the
+        /// happy path.
         black_box: Option<Box<BlackBox>>,
     },
     /// The key-management plane rejected the operation: stale-epoch
@@ -83,7 +84,7 @@ impl Error {
     }
 
     /// The flight-recorder black box attached to a delivery or timeout
-    /// failure, when the metrics plane recorded the failing flow.
+    /// failure, when the run was metered and recorded the failing flow.
     pub fn black_box(&self) -> Option<&BlackBox> {
         match self {
             Error::DeliveryFailed { black_box, .. } | Error::Timeout { black_box, .. } => {
@@ -234,13 +235,13 @@ mod tests {
             seq: 42,
             total_events: 2,
             events: vec![
-                empi_metrics::FlowEvent {
+                empi_trace::FlowEvent {
                     t_ns: 100,
                     kind: "post/plain".into(),
                     bytes: 512,
                     detail: String::new(),
                 },
-                empi_metrics::FlowEvent {
+                empi_trace::FlowEvent {
                     t_ns: 900,
                     kind: "nack/tx".into(),
                     bytes: 0,

@@ -8,8 +8,9 @@ use empi_mpi::coll::{binomial_tree, BCAST_LONG_THRESHOLD};
 use empi_mpi::{Src, Tag, TagSel};
 use empi_netsim::{VDur, VTime};
 use empi_pipeline::expect_chunked;
+use empi_trace::Cat;
 
-use super::SecureComm;
+use super::{note_span, SecureComm};
 use crate::config::TimingMode;
 use crate::error::{Error, Result};
 
@@ -368,22 +369,14 @@ impl SecureComm<'_, '_> {
     /// decrypts all `n` blocks; charge it. The span is recorded, the
     /// byte counters are not — no ciphertext actually flows.
     fn charge_self_open(&self, bytes: usize) {
-        let t0 = self.comm.sim().now();
+        let t0 = self.comm.sim().now().as_nanos();
         if let TimingMode::Calibrated(build) = self.cfg.timing {
             // Encryption and decryption cost the same in AES-GCM (§V-A).
             let ns = self.cfg.library.enc_time_ns(build, bytes);
             self.comm.sim().advance(VDur(ns));
         }
-        if let Some(t) = self.comm.sim().tracer() {
-            t.crypto_span(
-                self.rank(),
-                t0.as_nanos(),
-                self.comm.sim().now().as_nanos(),
-                "open",
-                bytes,
-                self.cfg.library.name(),
-            );
-        }
+        let backend = || self.cfg.library.name().to_string();
+        note_span(self.comm, Cat::Crypto, "open", t0, bytes, backend, None);
     }
 
     /// Encrypted_Alltoall — the paper's Algorithm 1 verbatim: one fresh

@@ -13,10 +13,10 @@ use empi_keys::kdf::KeyCache;
 use empi_keys::{
     derive_group_key, msg_id_epoch, widen_epoch16, KeyError, KeyPlane, KeyStats, EPOCH_PREFIX_LEN,
 };
-use empi_metrics::Metric;
 use empi_netsim::VTime;
+use empi_trace::{Cat, Metric};
 
-use super::SecureComm;
+use super::{note_span, SecureComm};
 use crate::config::SecurityConfig;
 use crate::error::{Error, Result};
 
@@ -230,17 +230,9 @@ impl SecureComm<'_, '_> {
             kdf.rekey(new_master);
         }
         let now = self.comm.sim().now().as_nanos();
-        if let Some(t) = self.comm.sim().tracer() {
-            t.key_span(
-                self.rank(),
-                "key/revoke",
-                now,
-                1,
-                0,
-                format!("rank {target} revoked; survivors re-keyed"),
-            );
-        }
-        self.note_service(Metric::Key, "key/revoke", target as i32, 0, now);
+        let detail = || format!("rank {target} revoked; survivors re-keyed");
+        let key = Some((Metric::Key, "key/revoke", target as i32));
+        note_span(self.comm, Cat::Key, "key/revoke", now, 0, detail, key);
         Ok(())
     }
 
@@ -261,18 +253,9 @@ impl SecureComm<'_, '_> {
                 // First confirmer on this rank: the survivors just
                 // re-keyed. Mark the roll on the ftol lane (the key
                 // plane's own revoke span prices the crypto).
-                let now = self.comm.sim().now().as_nanos();
-                self.note_service(Metric::Ftol, "ftol/rekey", rank as i32, 0, t0);
-                if let Some(t) = self.comm.sim().tracer() {
-                    t.ftol_span(
-                        self.rank(),
-                        "ftol/rekey",
-                        t0,
-                        now - t0,
-                        0,
-                        format!("survivors re-keyed past dead rank {rank}"),
-                    );
-                }
+                let detail = || format!("survivors re-keyed past dead rank {rank}");
+                let key = Some((Metric::Ftol, "ftol/rekey", rank as i32));
+                note_span(self.comm, Cat::Ftol, "ftol/rekey", t0, 0, detail, key);
                 Ok(())
             }
             Err(Error::Key(KeyError::RevokedPeer { .. })) => Ok(()),
@@ -287,17 +270,9 @@ impl SecureComm<'_, '_> {
         let rolls = plane.note_epoch(epoch);
         if rolls > 0 {
             let now = self.comm.sim().now().as_nanos();
-            if let Some(t) = self.comm.sim().tracer() {
-                t.key_span(
-                    self.rank(),
-                    "key/rotate",
-                    now,
-                    1,
-                    0,
-                    format!("rolled into epoch {epoch} (+{rolls})"),
-                );
-            }
-            self.note_service(Metric::Key, "key/rotate", -1, 0, now);
+            let detail = || format!("rolled into epoch {epoch} (+{rolls})");
+            let key = Some((Metric::Key, "key/rotate", -1));
+            note_span(self.comm, Cat::Key, "key/rotate", now, 0, detail, key);
         }
     }
 
@@ -341,16 +316,9 @@ impl SecureComm<'_, '_> {
             if let Some(s) = src {
                 if plane.is_revoked(s) {
                     plane.note_revoked_rejection();
-                    if let Some(t) = self.comm.sim().tracer() {
-                        t.key_span(
-                            self.rank(),
-                            "key/reject",
-                            self.comm.sim().now().as_nanos(),
-                            1,
-                            0,
-                            format!("quarantined traffic from revoked rank {s}"),
-                        );
-                    }
+                    self.note_marker(Cat::Key, "key/reject", 0, || {
+                        format!("quarantined traffic from revoked rank {s}")
+                    });
                     return Err(Error::Key(KeyError::RevokedPeer { rank: s }));
                 }
             }

@@ -29,10 +29,10 @@ mod tests;
 
 use empi_keys::suite::cointoss;
 use empi_keys::{handshake, KeyError, KeyFrame, KeyPlane, KeyPlaneConfig};
-use empi_metrics::Metric;
 use empi_mpi::{Comm, Request, Src, TagSel, KEY_COMMIT_TAG, KEY_REVEAL_TAG};
 use empi_netsim::{BufferPool, VDur};
 use empi_pipeline::{ChunkCost, Pipeline};
+use empi_trace::{Cat, Metric, SampleKey};
 
 use crate::config::{SecurityConfig, TimingMode};
 use crate::error::{Error, Result};
@@ -47,31 +47,35 @@ fn peer_id(rank: Option<usize>) -> i32 {
     rank.map_or(-1, |r| r as i32)
 }
 
-/// Record one service-time sample (seal/open/repair/key). The seal and
-/// open calls sit adjacent to the `count_seal`/`count_open` trace
-/// counters so histogram sample counts conserve exactly against the
-/// per-rank `RankMetrics` ledgers (`tracecheck --require-hist` proves
-/// it). Recording never advances virtual time; a no-op unless the
-/// world installed a recorder on the engine.
-fn note_service(
+/// Record one event that began at `t0_ns` and completes now: a span
+/// on this rank's lane and — when `sample` names its histogram key —
+/// its latency sample, in one call, so sample counts equal span counts
+/// by construction (the seal/open samples sit next to the
+/// `count_seal`/`count_open` ledgers, and `tracecheck --require-hist`
+/// checks the three agree). Recording never advances virtual time; a
+/// no-op unless the world installed a recorder on the engine.
+fn note_span(
     comm: &Comm<'_>,
-    metric: Metric,
-    op: &'static str,
-    peer: i32,
-    bytes: usize,
+    cat: Cat,
+    name: &str,
     t0_ns: u64,
+    bytes: usize,
+    detail: impl FnOnce() -> String,
+    sample: Option<SampleKey>,
 ) {
-    if let Some(m) = comm.sim().metrics() {
+    if let Some(r) = comm.sim().recorder() {
+        let dur = comm.sim().now().as_nanos().saturating_sub(t0_ns);
+        r.span(comm.rank(), cat, name, t0_ns, dur, bytes, detail, sample);
+    }
+}
+
+/// Record one latency sample that has no span of its own (end-to-end
+/// op latency, a chunked message's whole seal/open, ARQ repair
+/// resolution) for an op that began at `t0_ns` and completes now.
+fn note_sample(comm: &Comm<'_>, key: SampleKey, bytes: usize, t0_ns: u64) {
+    if let Some(r) = comm.sim().recorder() {
         let now = comm.sim().now().as_nanos();
-        m.record(
-            comm.rank(),
-            metric,
-            op,
-            peer,
-            bytes,
-            now,
-            now.saturating_sub(t0_ns),
-        );
+        r.sample(comm.rank(), key, bytes, now, now.saturating_sub(t0_ns));
     }
 }
 
@@ -218,18 +222,9 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         let kb = self.cfg.key_bytes();
         bootstrap[..kb.len().min(32)].copy_from_slice(&kb[..kb.len().min(32)]);
         let master = handshake::session_master(&bootstrap, &values);
-        let now = self.comm.sim().now().as_nanos();
-        if let Some(t) = self.comm.sim().tracer() {
-            t.key_span(
-                me,
-                "key/handshake",
-                t0,
-                now.saturating_sub(t0),
-                0,
-                format!("{n} ranks, commit/reveal, seed {}", kp.handshake_seed),
-            );
-        }
-        note_service(self.comm, Metric::Key, "key/handshake", -1, 0, t0);
+        let detail = || format!("{n} ranks, commit/reveal, seed {}", kp.handshake_seed);
+        let key = Some((Metric::Key, "key/handshake", -1));
+        note_span(self.comm, Cat::Key, "key/handshake", t0, 0, detail, key);
         Ok(KeyPlane::new(kp, master))
     }
 
@@ -273,26 +268,37 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         }
     }
 
-    /// Tracer bookkeeping for one wire-buffer materialization: the
-    /// per-site counters plus an `alloc/*` marker on this rank's lane.
+    /// Bookkeeping for one wire-buffer materialization: the per-site
+    /// counters plus an `alloc/*` marker on this rank's lane.
     fn note_alloc(&self, fresh: bool, bytes: usize, what: &str) {
-        if let Some(t) = self.comm.sim().tracer() {
+        if let Some(t) = self.comm.sim().recorder() {
             t.count_alloc(self.rank(), fresh, bytes);
-            t.alloc_span(
-                self.rank(),
-                if fresh { "alloc/fresh" } else { "alloc/pooled" },
-                self.comm.sim().now().as_nanos(),
-                bytes,
-                what.to_string(),
-            );
+            let name = if fresh { "alloc/fresh" } else { "alloc/pooled" };
+            self.note_marker(Cat::Alloc, name, bytes, || what.to_string());
+        }
+    }
+
+    /// Drop one marker span (1 ns in the ring) on this rank's lane at
+    /// the current virtual time.
+    fn note_marker(&self, cat: Cat, name: &str, bytes: usize, detail: impl FnOnce() -> String) {
+        if let Some(r) = self.comm.sim().recorder() {
+            let now = self.comm.sim().now().as_nanos();
+            r.span(self.rank(), cat, name, now, 0, bytes, detail, None);
         }
     }
 
     /// Execute a crypto closure under the configured cost model,
     /// recording a per-call crypto span (`kind` = "seal"/"open", bytes,
-    /// backend) when a tracer is installed.
-    fn run_crypto<T>(&self, bytes: usize, kind: &'static str, f: impl FnOnce() -> T) -> T {
-        let t0 = self.comm.sim().now();
+    /// backend) and — for a counted seal/open — the service-time
+    /// sample under `key` when a recorder is installed.
+    fn run_crypto<T>(
+        &self,
+        bytes: usize,
+        kind: &'static str,
+        key: Option<SampleKey>,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let t0 = self.comm.sim().now().as_nanos();
         let out = match self.cfg.timing {
             TimingMode::Measured => self.comm.sim().charge_measured(f),
             TimingMode::Calibrated(build) => {
@@ -307,16 +313,8 @@ impl<'a, 'h> SecureComm<'a, 'h> {
                 self.comm.sim().charge_overlapped(VDur(ns), f)
             }
         };
-        if let Some(t) = self.comm.sim().tracer() {
-            t.crypto_span(
-                self.rank(),
-                t0.as_nanos(),
-                self.comm.sim().now().as_nanos(),
-                kind,
-                bytes,
-                self.cfg.library.name(),
-            );
-        }
+        let backend = || self.cfg.library.name().to_string();
+        note_span(self.comm, Cat::Crypto, kind, t0, bytes, backend, key);
         out
     }
 
@@ -335,26 +333,12 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         }
     }
 
-    /// [`note_service`] on this communicator.
-    fn note_service(&self, metric: Metric, op: &'static str, peer: i32, bytes: usize, t0_ns: u64) {
-        note_service(self.comm, metric, op, peer, bytes, t0_ns);
-    }
-
-    /// Record one caller-perspective end-to-end latency sample for a
-    /// public op that started at `t0_ns`.
-    fn note_e2e(&self, op: &'static str, peer: i32, bytes: usize, t0_ns: u64) {
-        if let Some(m) = self.comm.sim().metrics() {
-            let now = self.comm.sim().now().as_nanos();
-            m.record(self.rank(), Metric::E2e, op, peer, bytes, now, now - t0_ns);
-        }
-    }
-
     /// Run a public op whose peer and size are known up front under an
     /// end-to-end latency sample.
     fn op_span<T>(&self, op: &'static str, peer: i32, bytes: usize, f: impl FnOnce() -> T) -> T {
         let t0 = self.comm.sim().now().as_nanos();
         let out = f();
-        self.note_e2e(op, peer, bytes, t0);
+        note_sample(self.comm, (Metric::E2e, op, peer), bytes, t0);
         out
     }
 }

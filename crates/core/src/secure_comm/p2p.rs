@@ -5,9 +5,10 @@ use bytes::Bytes;
 use empi_mpi::chunk::{ChunkFrame, RecvPayload, SendPayload};
 use empi_mpi::{Charge, Request, SetPoll, Src, Status, Tag, TagSel, NACK_TAG};
 use empi_netsim::VDur;
+use empi_trace::Metric;
 
 use super::reliability::{ChaosStats, POLL_QUANTUM};
-use super::SecureComm;
+use super::{note_sample, SecureComm};
 use crate::error::Result;
 
 /// Handle to an outstanding encrypted non-blocking operation.
@@ -152,7 +153,7 @@ impl SecureComm<'_, '_> {
     /// from its outcome (peer −1 and zero bytes on error).
     fn note_outcome(&self, op: &'static str, t0: u64, done: Option<(&Status, usize)>) {
         let (peer, bytes) = done.map_or((-1, 0), |(st, n)| (st.source as i32, n));
-        self.note_e2e(op, peer, bytes, t0);
+        note_sample(self.comm, (Metric::E2e, op, peer), bytes, t0);
     }
 
     /// [`Self::note_outcome`] for one wait-shaped completion.

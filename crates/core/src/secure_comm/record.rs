@@ -14,12 +14,12 @@ use bytes::Bytes;
 use empi_aead::chunked::chunk_count;
 use empi_aead::{NONCE_LEN, TAG_LEN, WIRE_OVERHEAD};
 use empi_keys::{epoch_aad, split_epoch};
-use empi_metrics::Metric;
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage, RecvPayload, FRAME_OVERHEAD};
 use empi_mpi::{FrameHeader, Status, Tag};
+use empi_trace::{Cat, Metric};
 
 use super::keyring::RecordKey;
-use super::{peer_id, SecureComm};
+use super::{note_sample, peer_id, SecureComm};
 use crate::error::{Error, Result};
 
 /// A received plain record located inside its wire buffer: key
@@ -59,7 +59,7 @@ impl SecureComm<'_, '_> {
         out: &mut Vec<u8>,
     ) {
         let nonce = key.ctx.nonces.borrow_mut().next_nonce();
-        if let Some(t) = self.comm.sim().tracer() {
+        if let Some(t) = self.comm.sim().recorder() {
             t.count_nonce_draw(self.rank());
             t.count_seal(
                 self.rank(),
@@ -69,8 +69,8 @@ impl SecureComm<'_, '_> {
         }
         let prefix = key.epoch.map(epoch_aad);
         let aad: &[u8] = prefix.as_ref().map_or(&[], |p| &p[..]);
-        let t0 = self.comm.sim().now().as_nanos();
-        self.run_crypto(plaintext.len(), "seal", || {
+        let sample = Some((Metric::Seal, op, peer_id(peer)));
+        self.run_crypto(plaintext.len(), "seal", sample, || {
             out.extend_from_slice(aad);
             let body = out.len() + NONCE_LEN;
             out.extend_from_slice(&nonce);
@@ -78,7 +78,6 @@ impl SecureComm<'_, '_> {
             let tag = key.ctx.cipher.seal_detached(&nonce, aad, &mut out[body..]);
             out.extend_from_slice(&tag);
         });
-        self.note_service(Metric::Seal, op, peer_id(peer), plaintext.len(), t0);
     }
 
     /// Seal one message into its own wire buffer. `dst` selects the
@@ -118,7 +117,7 @@ impl SecureComm<'_, '_> {
         nonce.copy_from_slice(&wire[skip..body.start]);
         let mut tag = [0u8; TAG_LEN];
         tag.copy_from_slice(&wire[body.end..]);
-        if let Some(t) = self.comm.sim().tracer() {
+        if let Some(t) = self.comm.sim().recorder() {
             t.count_open(self.rank(), wire.len(), body.len());
         }
         Ok(RecordView {
@@ -141,17 +140,16 @@ impl SecureComm<'_, '_> {
     ) -> Result<()> {
         let prefix = rec.key.epoch.map(epoch_aad);
         let aad: &[u8] = prefix.as_ref().map_or(&[], |p| &p[..]);
-        let t0 = self.comm.sim().now().as_nanos();
-        let r = self.run_crypto(body.len(), "open", || {
+        // The sample is recorded on failure too: `count_open` already
+        // counted the attempt, and conservation tracks attempts, not
+        // successes.
+        let sample = Some((Metric::Open, op, rec.peer));
+        self.run_crypto(body.len(), "open", sample, || {
             let cipher = &rec.key.ctx.cipher;
             cipher
                 .open_detached(&rec.nonce, aad, body, &rec.tag)
                 .map_err(Error::Crypto)
-        });
-        // Recorded on failure too: `count_open` already counted the
-        // attempt, and conservation tracks attempts, not successes.
-        self.note_service(Metric::Open, op, rec.peer, body.len(), t0);
-        r
+        })
     }
 
     /// Open a borrowed record into a fresh plaintext buffer.
@@ -219,7 +217,7 @@ impl SecureComm<'_, '_> {
             self.pipe.set_epoch(epoch);
         }
         let base = key.ctx.nonces.borrow_mut().next_nonce_block(total);
-        if let Some(t) = self.comm.sim().tracer() {
+        if let Some(t) = self.comm.sim().recorder() {
             t.count_nonce_draw(self.rank());
             t.count_seal(
                 self.rank(),
@@ -240,19 +238,19 @@ impl SecureComm<'_, '_> {
             self.pipe
                 .seal_timed(self.comm, &key.ctx.cipher, cost, backend, base, buf, &take)
         });
-        self.note_service(Metric::Seal, "seal/chunked", peer_id(dst), buf.len(), t0);
+        let key = (Metric::Seal, "seal/chunked", peer_id(dst));
+        note_sample(self.comm, key, buf.len(), t0);
         // One aggregate alloc/* marker per sourcing outcome per chunked
         // message (the per-chunk counters carry the exact totals).
-        if let Some(t) = self.comm.sim().tracer() {
+        if self.comm.sim().recorder().is_some() {
             let wire: usize = frames.iter().map(|f| f.data.len()).sum();
-            let now = self.comm.sim().now().as_nanos();
             for (n, label, how) in [
                 (fresh.get(), "alloc/fresh", "fresh"),
                 (hits.get(), "alloc/pooled", "pooled"),
             ] {
                 if n > 0 {
-                    let detail = format!("{n}/{total} frames {how}");
-                    t.alloc_span(self.rank(), label, now, wire, detail);
+                    let detail = || format!("{n}/{total} frames {how}");
+                    self.note_marker(Cat::Alloc, label, wire, detail);
                 }
             }
         }
@@ -282,7 +280,7 @@ impl SecureComm<'_, '_> {
         };
         let wire = msg.wire_bytes();
         let plain_len = wire.saturating_sub(msg.frames.len() * FRAME_OVERHEAD);
-        if let Some(t) = self.comm.sim().tracer() {
+        if let Some(t) = self.comm.sim().recorder() {
             t.count_open(self.rank(), wire, plain_len);
         }
         let t0 = self.comm.sim().now().as_nanos();
@@ -292,7 +290,8 @@ impl SecureComm<'_, '_> {
                 .open(self.comm, &key.ctx.cipher, cost, backend, &msg)
         });
         let peer = if pair { msg.src as i32 } else { -1 };
-        self.note_service(Metric::Open, "open/chunked", peer, plain_len, t0);
+        let key = (Metric::Open, "open/chunked", peer);
+        note_sample(self.comm, key, plain_len, t0);
         match r {
             Ok(plain) => {
                 self.reclaim_frames(msg);
@@ -313,7 +312,7 @@ impl SecureComm<'_, '_> {
         for (_, frame) in msg.frames {
             let n = frame.len();
             let ok = pool.reclaim(frame);
-            if let Some(t) = sim.tracer() {
+            if let Some(t) = sim.recorder() {
                 t.count_reclaim(self.rank(), ok);
             }
             if ok {
@@ -322,15 +321,9 @@ impl SecureComm<'_, '_> {
             }
         }
         if recovered > 0 {
-            if let Some(t) = sim.tracer() {
-                t.alloc_span(
-                    self.rank(),
-                    "alloc/reclaim",
-                    sim.now().as_nanos(),
-                    bytes,
-                    format!("{recovered} frames recycled"),
-                );
-            }
+            self.note_marker(Cat::Alloc, "alloc/reclaim", bytes, || {
+                format!("{recovered} frames recycled")
+            });
         }
     }
 

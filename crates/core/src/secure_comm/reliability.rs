@@ -12,13 +12,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
-use empi_metrics::{BlackBox, Metric};
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage};
 use empi_mpi::ctrl::{pack_frames, unpack_frames};
 use empi_mpi::{Comm, Nack, RepairHeader, RepairKind, Src, Status, Tag, TagSel, NACK_TAG, REPAIR_TAG};
 use empi_netsim::{FaultPlan, VDur, VTime, Verdict};
+use empi_trace::{BlackBox, Cat, Metric};
 
-use super::{note_service, SecureComm};
+use super::{note_sample, note_span, SecureComm};
 use crate::config::{RetransmitConfig, SecurityConfig};
 use crate::error::{Error, Result};
 use crate::recovery::{Salvage, SalvageResult};
@@ -53,6 +53,22 @@ pub struct ChaosStats {
     pub recoveries: u64,
     /// Virtual nanoseconds this rank spent waiting for repairs.
     pub backoff_ns: u64,
+}
+
+impl ChaosStats {
+    /// The counters as a named block in export order, for harness
+    /// injection into `empi_trace::MetricsSnapshot::chaos`.
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("faults_injected", self.faults_injected),
+            ("nacks_sent", self.nacks_sent),
+            ("nacks_received", self.nacks_received),
+            ("retransmits", self.retransmits),
+            ("aborts", self.aborts),
+            ("recoveries", self.recoveries),
+            ("backoff_ns", self.backoff_ns),
+        ]
+    }
 }
 
 /// Sender-retained copy of one sealed message, kept pre-corruption so
@@ -129,16 +145,8 @@ impl<'a, 'h> Reliability<'a, 'h> {
                 let now = comm.sim().now().as_nanos();
                 for &(w, factor) in &degraded {
                     rel.bump(|s| s.faults_injected += 1);
-                    if let Some(t) = comm.sim().tracer() {
-                        t.fault_span(
-                            comm.rank(),
-                            "fault/degrade",
-                            now,
-                            1,
-                            0,
-                            format!("worker {w} slowed {factor}x"),
-                        );
-                    }
+                    let detail = || format!("worker {w} slowed {factor}x");
+                    note_span(comm, Cat::Fault, "fault/degrade", now, 0, detail, None);
                 }
             }
         }
@@ -201,21 +209,22 @@ impl<'a, 'h> Reliability<'a, 'h> {
     /// Record one injection: counter plus a `fault/*` trace span.
     fn note_fault(&self, v: &Verdict, bytes: usize, dur_ns: u64, detail: String) {
         self.bump(|s| s.faults_injected += 1);
-        if let Some(t) = self.comm.sim().tracer() {
-            t.fault_span(self.comm.rank(), v.label(), self.now_ns(), dur_ns, bytes, detail);
+        if let Some(t) = self.comm.sim().recorder() {
+            let (me, now) = (self.comm.rank(), self.now_ns());
+            t.span(me, Cat::Fault, v.label(), now, dur_ns, bytes, || detail, None);
         }
     }
 
     /// Record recovery-protocol activity (`retry/*` trace span).
     fn note_retry(&self, label: &'static str, dur_ns: u64, bytes: usize, detail: String) {
-        if let Some(t) = self.comm.sim().tracer() {
-            let start = self.now_ns().saturating_sub(dur_ns);
-            t.retry_span(self.comm.rank(), label, start, dur_ns, bytes, detail);
+        if let Some(t) = self.comm.sim().recorder() {
+            let (me, start) = (self.comm.rank(), self.now_ns().saturating_sub(dur_ns));
+            t.span(me, Cat::Retry, label, start, dur_ns, bytes, || detail, None);
         }
     }
 
     /// Flight-recorder event on flow `(peer, tag, seq)`. The detail
-    /// string is only built when a recorder is installed.
+    /// string is only built when the distribution sink records it.
     fn note_flow(
         &self,
         (peer, tag, seq): Flow,
@@ -223,15 +232,15 @@ impl<'a, 'h> Reliability<'a, 'h> {
         bytes: usize,
         detail: impl FnOnce() -> String,
     ) {
-        if let Some(m) = self.comm.sim().metrics() {
+        if let Some(m) = self.comm.sim().recorder() {
             let me = self.comm.rank();
-            m.flow_event(me, peer, tag, seq, self.now_ns(), kind, bytes, detail());
+            m.flow_event(me, peer, tag, seq, self.now_ns(), kind, bytes, detail);
         }
     }
 
     /// Black-box report for a failing flow, boxed for error embedding.
     fn black_box_for(&self, (peer, tag, seq): Flow) -> Option<Box<BlackBox>> {
-        let m = self.comm.sim().metrics()?;
+        let m = self.comm.sim().recorder()?;
         m.black_box(self.comm.rank(), peer, tag, seq).map(Box::new)
     }
 
@@ -461,7 +470,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         let ctx = sc.keys.ctx(sc.keys.id(None, epoch));
         match salvage.pending_bytes() {
             0 => salvage.try_open(&ctx.cipher),
-            bytes => sc.run_crypto(bytes, "open", || salvage.try_open(&ctx.cipher)),
+            bytes => sc.run_crypto(bytes, "open", None, || salvage.try_open(&ctx.cipher)),
         }
     }
 
@@ -486,7 +495,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         let len = plain.len();
         self.bump(|s| s.recoveries += 1);
         self.note_flow(flow, "recover/ok", len, how);
-        note_service(self.comm, Metric::Repair, "arq/repair", source as i32, len, t_enter);
+        note_sample(self.comm, (Metric::Repair, "arq/repair", source as i32), len, t_enter);
         (Status { source, tag, len }, plain)
     }
 
@@ -501,7 +510,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         why: String,
     ) -> Error {
         self.note_flow(flow, kind, 0, || why);
-        note_service(self.comm, Metric::Repair, "arq/fail", flow.0 as i32, 0, t_enter);
+        note_sample(self.comm, (Metric::Repair, "arq/fail", flow.0 as i32), 0, t_enter);
         Error::DeliveryFailed {
             attempts,
             ledger,
@@ -698,7 +707,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         self.note_flow(flow, "recover/timeout", 0, || {
             format!("no repair within {waited_ns} ns")
         });
-        note_service(self.comm, Metric::Repair, "arq/fail", src as i32, 0, t_enter);
+        note_sample(self.comm, (Metric::Repair, "arq/fail", src as i32), 0, t_enter);
         Err(Error::Timeout {
             waited_ns,
             op: "recv",

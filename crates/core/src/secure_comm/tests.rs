@@ -314,6 +314,49 @@ fn pipelining_overlaps_crypto_with_wire() {
 
 #[cfg(feature = "trace")]
 #[test]
+fn violated_slo_budget_reaches_the_trace_it_judges() {
+    // Regression: health/* events were emitted into rings the run had
+    // already drained. A 1 ns p99 budget on `p2p/` is one no run can
+    // meet, so the violation and the verdict must both be in the trace
+    // that comes back with the `violated` snapshot.
+    let slo = empi_mpi::SloConfig::new().p99("p2p/", 1);
+    let w = World::flat(NetModel::ethernet_10g(), 2)
+        .traced(true)
+        .with_slo(slo);
+    let out = w.run(|c| {
+        let sc = SecureComm::new(c, cfg()).unwrap();
+        for i in 0..3u32 {
+            if c.rank() == 0 {
+                sc.send(&[i as u8; 512], 1, i);
+            } else {
+                sc.recv(Src::Is(0), TagSel::Is(i)).unwrap();
+            }
+        }
+    });
+    let snap = out.metrics.expect("with_slo implies a snapshot");
+    assert_eq!(snap.slo.verdict(), "violated");
+    let end = out.end_time.as_nanos();
+    let tr = out.trace.unwrap();
+    let health: Vec<_> = tr
+        .events
+        .iter()
+        .filter(|e| e.name.starts_with("health/"))
+        .collect();
+    assert!(health.iter().all(|e| e.ts_ns == end && e.tid == 0));
+    let named = |name: &str| health.iter().filter(|e| e.name == name).count();
+    assert_eq!(named("health/p99-budget"), snap.slo.violations.len());
+    assert!(
+        named("health/p99-budget") >= 2,
+        "p2p/send and p2p/recv both miss 1 ns"
+    );
+    assert_eq!(named("health/verdict"), 1);
+    let verdict = health.iter().find(|e| e.name == "health/verdict").unwrap();
+    let detail = &verdict.detail;
+    assert!(detail.starts_with("violated ("), "{detail}");
+}
+
+#[cfg(feature = "trace")]
+#[test]
 fn traced_pipelined_send_fills_worker_lanes() {
     let len = 1usize << 20; // 16 chunks of 64 KB
     let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);

@@ -62,7 +62,7 @@ fn crash_revokes_dead_rank_and_survivors_rekey() {
                 text,
                 format!("survivor {prev} epoch {}", sc.sealing_epoch())
             );
-            c.ftol_counters().detected + c.ftol_counters().notices
+            c.ftol_counters().get("detected") + c.ftol_counters().get("notices")
         })
         .expect("survivors must finish");
     // Exactly one local detection; everyone learned of the death.

@@ -128,6 +128,21 @@ pub struct KeyStats {
     pub rejected_revoked: u64,
 }
 
+impl KeyStats {
+    /// The counters as a named block in export order, for harness
+    /// injection into the metrics snapshot's `keys` family.
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("handshakes", self.handshakes),
+            ("rekeys", self.rekeys),
+            ("revocations", self.revocations),
+            ("rejected_stale", self.rejected_stale),
+            ("rejected_future", self.rejected_future),
+            ("rejected_revoked", self.rejected_revoked),
+        ]
+    }
+}
+
 /// Live per-rank key-plane state.
 pub struct KeyPlane {
     cfg: KeyPlaneConfig,

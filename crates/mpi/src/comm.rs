@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use empi_netsim::{SimHandle, Tracer, VDur, VTime};
+use empi_netsim::{Recorder, SimHandle, VDur, VTime};
 use parking_lot::Mutex;
 
 use crate::chunk::{ChunkedMessage, RecvPayload, SendPayload};
@@ -99,17 +99,17 @@ pub struct Comm<'h> {
     pub(crate) ftol: Option<crate::ftol::FtolState>,
 }
 
-/// Scope marker for the tracer's per-rank operation stack: pushes a
+/// Scope marker for the recorder's per-rank operation stack: pushes a
 /// label on construction, pops it when dropped. Fabric transfers issued
 /// while the guard is alive are attributed to this operation.
-pub(crate) struct OpGuard {
-    t: Option<Tracer>,
+pub(crate) struct OpGuard<'h> {
+    t: Option<&'h Recorder>,
     rank: usize,
 }
 
-impl Drop for OpGuard {
+impl Drop for OpGuard<'_> {
     fn drop(&mut self) {
-        if let Some(t) = &self.t {
+        if let Some(t) = self.t {
             t.pop_op(self.rank);
         }
     }
@@ -117,9 +117,9 @@ impl Drop for OpGuard {
 
 impl<'h> Comm<'h> {
     /// Enter a traced operation scope (no-op when untraced).
-    pub(crate) fn op(&self, label: &'static str) -> OpGuard {
-        let t = self.h.tracer().cloned();
-        if let Some(t) = &t {
+    pub(crate) fn op(&self, label: &'static str) -> OpGuard<'h> {
+        let t = self.h.recorder();
+        if let Some(t) = t {
             t.push_op(self.rank(), label);
         }
         OpGuard {
@@ -129,9 +129,9 @@ impl<'h> Comm<'h> {
     }
 
     /// Advance the virtual clock by host-side messaging overhead,
-    /// crediting it to the tracer's host-time bucket.
+    /// crediting it to the recorder's host-time bucket.
     pub(crate) fn charge_host(&self, d: VDur) {
-        if let Some(t) = self.h.tracer() {
+        if let Some(t) = self.h.recorder() {
             t.add_host_ns(self.rank(), d.as_nanos());
         }
         self.h.advance(d);
@@ -141,7 +141,7 @@ impl<'h> Comm<'h> {
     /// application on this rank (the receive side of the conservation
     /// ledger; sends are counted at the fabric).
     pub(crate) fn note_delivery(&self, src: usize, bytes: usize) {
-        if let Some(t) = self.h.tracer() {
+        if let Some(t) = self.h.recorder() {
             t.delivery(src, self.rank(), bytes);
         }
     }
@@ -206,7 +206,7 @@ impl<'h> Comm<'h> {
     /// the allocation against this rank's hot-path ledger.
     /// [`Comm::post`] skips exactly this copy.
     fn copy_in(&self, buf: &[u8]) -> SendPayload {
-        if let Some(t) = self.h.tracer() {
+        if let Some(t) = self.h.recorder() {
             t.count_alloc(self.rank(), true, buf.len());
         }
         SendPayload::Plain(Bytes::copy_from_slice(buf))

@@ -45,8 +45,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use empi_metrics::{FtolCounters, Metric};
 use empi_netsim::{CrashKind, VDur};
+use empi_trace::{Cat, CounterBlock, Metric};
 
 use crate::chunk::{RecvPayload, SendPayload};
 use crate::comm::{Charge, Comm, Request};
@@ -200,20 +200,22 @@ impl<'h> Comm<'h> {
         self.det().failed.borrow().len() as u32
     }
 
-    /// Detector counters for harness injection into
-    /// [`empi_metrics::MetricsSnapshot::ftol`] (`rekeys` and
-    /// `delivery_failed` belong to the secure layer and stay zero
-    /// here).
-    pub fn ftol_counters(&self) -> FtolCounters {
+    /// The detector's counter block, in export order, for harness
+    /// injection into [`empi_trace::MetricsSnapshot::ftol`]: failures
+    /// confirmed locally (lease expiry + probe/confirm), failures
+    /// learned from a peer's notice, probe rounds issued, shrinks
+    /// completed — and the two slots the secure layer fills (`rekeys`,
+    /// `delivery_failed`), zero here.
+    pub fn ftol_counters(&self) -> CounterBlock {
         let st = self.det();
-        FtolCounters {
-            detected: st.detected.get(),
-            notices: st.notices.get(),
-            probes: st.probes.get(),
-            shrinks: st.shrinks.get(),
-            rekeys: 0,
-            delivery_failed: 0,
-        }
+        CounterBlock::from([
+            ("detected", st.detected.get()),
+            ("notices", st.notices.get()),
+            ("probes", st.probes.get()),
+            ("shrinks", st.shrinks.get()),
+            ("rekeys", 0),
+            ("delivery_failed", 0),
+        ])
     }
 
     /// Poll-style liveness check on `peer`, for callers that run their
@@ -250,6 +252,23 @@ impl<'h> Comm<'h> {
         Some(self.register_failure_local(dead, died_at))
     }
 
+    /// One fault-tolerance event that began at `t0_ns` and completes
+    /// now: an `ftol/*` span on this rank's lane and, under the same
+    /// name, its latency sample.
+    fn note_ftol(
+        &self,
+        name: &'static str,
+        t0_ns: u64,
+        peer: i32,
+        detail: impl FnOnce() -> String,
+    ) {
+        if let Some(r) = self.h.recorder() {
+            let dur = self.now().as_nanos().saturating_sub(t0_ns);
+            let key = Some((Metric::Ftol, name, peer));
+            r.span(self.rank(), Cat::Ftol, name, t0_ns, dur, 0, detail, key);
+        }
+    }
+
     /// Register a locally confirmed death: record the detection
     /// latency, then broadcast a notice so every live peer learns of
     /// it in one hop instead of each waiting out its own lease.
@@ -258,29 +277,9 @@ impl<'h> Comm<'h> {
         let newly = st.failed.borrow_mut().insert(rank);
         if newly {
             st.detected.set(st.detected.get() + 1);
-            let now = self.now().as_nanos();
-            let latency = now.saturating_sub(died_at_ns);
-            if let Some(m) = self.h.metrics() {
-                m.record(
-                    self.rank(),
-                    Metric::Ftol,
-                    "ftol/detect",
-                    rank as i32,
-                    0,
-                    now,
-                    latency,
-                );
-            }
-            if let Some(t) = self.h.tracer() {
-                t.ftol_span(
-                    self.rank(),
-                    "ftol/detect",
-                    died_at_ns,
-                    latency,
-                    0,
-                    format!("rank {rank} confirmed dead"),
-                );
-            }
+            self.note_ftol("ftol/detect", died_at_ns, rank as i32, || {
+                format!("rank {rank} confirmed dead")
+            });
             self.broadcast_notice(rank);
         }
         RankFailed {
@@ -295,29 +294,9 @@ impl<'h> Comm<'h> {
         let newly = st.failed.borrow_mut().insert(rank);
         if newly {
             st.notices.set(st.notices.get() + 1);
-            let now = self.now().as_nanos();
-            let latency = now.saturating_sub(confirmed_at_ns);
-            if let Some(m) = self.h.metrics() {
-                m.record(
-                    self.rank(),
-                    Metric::Ftol,
-                    "ftol/notice",
-                    rank as i32,
-                    0,
-                    now,
-                    latency,
-                );
-            }
-            if let Some(t) = self.h.tracer() {
-                t.ftol_span(
-                    self.rank(),
-                    "ftol/notice",
-                    confirmed_at_ns,
-                    latency,
-                    0,
-                    format!("rank {rank} reported dead by a peer"),
-                );
-            }
+            self.note_ftol("ftol/notice", confirmed_at_ns, rank as i32, || {
+                format!("rank {rank} reported dead by a peer")
+            });
         }
         RankFailed {
             rank,
@@ -376,15 +355,10 @@ impl<'h> Comm<'h> {
         st.probes.set(st.probes.get() + 1);
         let t0 = self.now().as_nanos();
         self.h.advance(st.cfg.probe_rtt);
-        if let Some(t) = self.h.tracer() {
-            t.ftol_span(
-                self.rank(),
-                "ftol/probe",
-                t0,
-                st.cfg.probe_rtt.as_nanos(),
-                0,
-                format!("suspects {suspects:?}"),
-            );
+        if let Some(r) = self.h.recorder() {
+            let (me, rtt) = (self.rank(), st.cfg.probe_rtt.as_nanos());
+            let detail = || format!("suspects {suspects:?}");
+            r.span(me, Cat::Ftol, "ftol/probe", t0, rtt, 0, detail, None);
         }
         for &p in suspects {
             match self.h.peer_dead(p) {
@@ -767,28 +741,9 @@ impl<'h> Comm<'h> {
             .position(|&r| r == self.rank())
             .expect("shrink caller must be a survivor");
         st.shrinks.set(st.shrinks.get() + 1);
-        let now = self.now().as_nanos();
-        if let Some(m) = self.h.metrics() {
-            m.record(
-                self.rank(),
-                Metric::Ftol,
-                "ftol/shrink",
-                -1,
-                0,
-                now,
-                now - t0,
-            );
-        }
-        if let Some(t) = self.h.tracer() {
-            t.ftol_span(
-                self.rank(),
-                "ftol/shrink",
-                t0,
-                now - t0,
-                0,
-                format!("{} survivors of {}", members.len(), n),
-            );
-        }
+        self.note_ftol("ftol/shrink", t0, -1, || {
+            format!("{} survivors of {}", members.len(), n)
+        });
         ShrunkComm {
             parent: self,
             members,
@@ -998,7 +953,7 @@ mod tests {
                     .ft_recv(Src::Is(1), TagSel::Is(0))
                     .expect_err("rank 1 dies");
                 assert_eq!(err.rank, 1);
-                (c.now(), c.ftol_counters().probes)
+                (c.now(), c.ftol_counters().get("probes"))
             })
             .unwrap()
         };

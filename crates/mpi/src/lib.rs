@@ -53,8 +53,8 @@ pub use ctrl::{
     REPAIR_TAG,
 };
 pub use empi_netsim::{
-    CrashEvent, CrashKind, CrashPlan, Metrics, MetricsSnapshot, RankDiag, SimError, SloConfig,
-    TraceReport, Tracer,
+    CrashEvent, CrashKind, CrashPlan, MetricsSnapshot, RankDiag, Recorder, SimError, SloConfig,
+    TraceReport,
 };
 pub use ftol::{DetectorConfig, RankFailed, ShrunkComm};
 pub use request::{CompletionSet, Scope, ScopedRequest};

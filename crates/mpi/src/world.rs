@@ -4,8 +4,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use empi_netsim::{
-    CrashKind, CrashPlan, Engine, Fabric, FabricStats, Metrics, MetricsSnapshot, NetModel,
-    SimError, SimHandle, SloConfig, Topology, TraceReport, Tracer, VTime,
+    CrashKind, CrashPlan, Engine, Fabric, FabricStats, MetricsSnapshot, NetModel, Recorder,
+    SimError, SimHandle, SloConfig, Topology, TraceReport, VTime,
 };
 use parking_lot::Mutex;
 
@@ -122,8 +122,9 @@ impl World {
 
     /// Collect a [`TraceReport`] for the run: per-rank wait/host/crypto
     /// metrics, fabric transfer events, NIC busy lanes, and per-pair
-    /// byte ledgers. Off by default; with the `trace` feature compiled
-    /// out this is accepted but yields an empty report.
+    /// byte ledgers — the recorder's span sink. Off by default; with
+    /// the `trace` feature compiled out this is accepted but yields an
+    /// empty report.
     pub fn traced(mut self, on: bool) -> Self {
         self.traced = on;
         self
@@ -131,19 +132,21 @@ impl World {
 
     /// Collect a [`MetricsSnapshot`] for the run: per-message latency
     /// histograms, seal/open service times, ARQ repair tails, and the
-    /// per-flow flight recorder. Off by default; with the `trace`
-    /// feature compiled out this is accepted but yields an empty
-    /// snapshot. Recording never moves a virtual clock, so timing and
-    /// wire bytes are bit-identical to an unmetered run.
+    /// per-flow flight recorder — the recorder's distribution sink.
+    /// Off by default; with the `trace` feature compiled out this is
+    /// accepted but yields an empty snapshot. Recording never moves a
+    /// virtual clock, so timing and wire bytes are bit-identical to an
+    /// unmetered run.
     pub fn with_metrics(mut self, on: bool) -> Self {
         self.metered = on;
         self
     }
 
     /// Install an SLO watchdog (implies [`World::with_metrics`]):
-    /// evaluated in virtual time at end of run, with violations
-    /// emitted as `health/*` trace events when tracing is also on and
-    /// a verdict embedded in the snapshot.
+    /// evaluated in virtual time at end of run, with the verdict
+    /// embedded in the snapshot and — when tracing is also on — in the
+    /// trace itself: a `health/verdict` span at end time on rank 0's
+    /// lane, after one `health/*` span per violation.
     pub fn with_slo(mut self, cfg: SloConfig) -> Self {
         self.metered = true;
         self.slo = Some(cfg);
@@ -179,23 +182,17 @@ impl World {
     fn prepare(&self) -> (Arc<Mutex<SharedState>>, Engine) {
         let n = self.topology.n_ranks();
         let mut fabric = Fabric::new(self.model.clone(), self.topology.clone());
-        let tracer = self.traced.then(|| Tracer::new(n));
-        if let Some(t) = &tracer {
-            fabric.set_tracer(t.clone());
+        // One recorder, built from the sinks this world asked for; a
+        // world that asked for neither installs none.
+        let recorder = (self.traced || self.metered)
+            .then(|| Recorder::new(n, self.traced, self.metered, self.slo.clone()));
+        // The fabric only feeds the span sink (transfers, NIC lanes).
+        if let Some(r) = recorder.as_ref().filter(|_| self.traced) {
+            fabric.set_tracer(r.clone());
         }
         let shared = Arc::new(Mutex::new(SharedState::new(fabric)));
-        let metrics = self.metered.then(|| {
-            let m = Metrics::new(n);
-            if let Some(cfg) = &self.slo {
-                m.install_slo(cfg.clone());
-            }
-            if let Some(t) = &tracer {
-                m.install_tracer(t.clone());
-            }
-            m
-        });
         let diag_shared = Arc::clone(&shared);
-        let diag_metrics = metrics.clone();
+        let diag_recorder = recorder.clone();
         let mut engine = Engine::new(n)
             .shards(self.shards())
             .time_scale(self.time_scale)
@@ -210,18 +207,15 @@ impl World {
                         Some(s) => s.queue_report(r),
                         None => "state locked".to_string(),
                     };
-                    if let Some(tail) = diag_metrics.as_ref().and_then(|m| m.flight_tail(r, 4)) {
+                    if let Some(tail) = diag_recorder.as_ref().and_then(|m| m.flight_tail(r, 4)) {
                         line.push_str("; ");
                         line.push_str(&tail);
                     }
                     line
                 },
             );
-        if let Some(t) = &tracer {
-            engine = engine.tracer(t.clone());
-        }
-        if let Some(m) = &metrics {
-            engine = engine.metrics(m.clone());
+        if let Some(r) = recorder {
+            engine = engine.recorder(r);
         }
         (shared, engine)
     }
@@ -522,6 +516,39 @@ mod tests {
             tr.events.iter().any(|e| e.name.starts_with("p2p/")),
             "no p2p-labelled events in {:?}",
             tr.events.iter().map(|e| &e.name).collect::<Vec<_>>()
+        );
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn slo_verdict_reaches_the_trace_it_judges() {
+        // Regression: the run used to drain the event rings before the
+        // SLO watchdog emitted its health/* events into them, so no
+        // trace ever carried one.
+        let w = World::flat(NetModel::ethernet_10g(), 2)
+            .traced(true)
+            .with_slo(crate::SloConfig::default());
+        let out = w.run(|c| {
+            if c.rank() == 0 {
+                c.send(b"ping", 1, 0);
+            } else {
+                let _ = c.recv(Src::Is(0), TagSel::Is(0));
+            }
+        });
+        let snap = out.metrics.expect("with_slo implies a snapshot");
+        assert_eq!(snap.slo.verdict(), "pass");
+        let tr = out.trace.expect("traced world must return a report");
+        let health: Vec<_> = tr
+            .events
+            .iter()
+            .filter(|e| e.name.starts_with("health/"))
+            .map(|e| (e.name.as_str(), e.ts_ns, e.tid, e.detail.as_str()))
+            .collect();
+        let end = out.end_time.as_nanos();
+        assert_eq!(
+            health,
+            vec![("health/verdict", end, 0, "pass (0 violations)")],
+            "one verdict, at end time, on rank 0's lane"
         );
     }
 

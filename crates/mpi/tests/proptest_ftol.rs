@@ -85,9 +85,9 @@ proptest! {
                 // Soundness: a fault-free run never suspects anybody.
                 let ft = c.ftol_counters();
                 assert!(c.failed_ranks().is_empty(), "phantom corpse");
-                assert_eq!(ft.detected, 0, "false-positive detection");
-                assert_eq!(ft.notices, 0, "phantom notice");
-                assert_eq!(ft.probes, 0, "the lease timer fired under live traffic");
+                assert_eq!(ft.get("detected"), 0, "false-positive detection");
+                assert_eq!(ft.get("notices"), 0, "phantom notice");
+                assert_eq!(ft.get("probes"), 0, "the lease timer fired under live traffic");
                 assert_eq!(c.liveness_epoch(), 0);
                 total
             })

@@ -53,9 +53,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Instant;
 
-use empi_metrics::{Metric, Metrics, MetricsSnapshot};
 use empi_pool::BufferPool;
-use empi_trace::{TraceReport, Tracer};
+use empi_trace::{Cat, Metric, MetricsSnapshot, Recorder, TraceReport};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cores::CorePool;
@@ -241,11 +240,8 @@ struct Shared {
     yields: AtomicU64,
     /// Total notify operations.
     notifies: AtomicU64,
-    /// Installed trace collector, if any.
-    tracer: Option<Tracer>,
-    /// Installed metrics recorder, if any (histograms + flight
-    /// recorder; see [`Engine::metrics`]).
-    metrics: Option<Metrics>,
+    /// Installed recorder, if any (see [`Engine::recorder`]).
+    recorder: Option<Recorder>,
     /// Extra per-rank context for the deadlock report.
     diag: Option<DiagFn>,
     /// Per-rank shared crypto worker pool (see
@@ -546,8 +542,7 @@ pub struct Engine {
     n_ranks: usize,
     shards: usize,
     time_scale: f64,
-    tracer: Option<Tracer>,
-    metrics: Option<Metrics>,
+    recorder: Option<Recorder>,
     diag: Option<DiagFn>,
     crash: CrashPlan,
 }
@@ -560,8 +555,7 @@ impl Engine {
             n_ranks,
             shards: 1,
             time_scale: 1.0,
-            tracer: None,
-            metrics: None,
+            recorder: None,
             diag: None,
             crash: CrashPlan::new(),
         }
@@ -595,25 +589,18 @@ impl Engine {
         self
     }
 
-    /// Install a trace collector. `block_on` park intervals become
-    /// per-rank wait spans, and [`RunOutcome::trace`] carries the
-    /// final [`TraceReport`]. Without a collector the hooks cost one
-    /// `Option` check each (and nothing at all when the `trace`
-    /// feature is disabled).
-    pub fn tracer(mut self, t: Tracer) -> Self {
-        self.tracer = Some(t);
-        self
-    }
-
-    /// Install a metrics recorder. `block_on` park intervals become
-    /// wait-latency histogram samples, higher layers reach the
-    /// recorder through [`SimHandle::metrics`], and
-    /// [`RunOutcome::metrics`] carries the merged
-    /// [`MetricsSnapshot`] taken at end time. Recording never moves a
-    /// virtual clock, so results are bit-identical with or without a
-    /// recorder installed.
-    pub fn metrics(mut self, m: Metrics) -> Self {
-        self.metrics = Some(m);
+    /// Install the run's recorder. `block_on` park intervals become
+    /// per-rank wait spans and wait-latency samples, higher layers
+    /// reach the recorder through [`SimHandle::recorder`], and the
+    /// outcome carries what [`Recorder::finish`] returns at end time:
+    /// [`RunOutcome::trace`] when the recorder's span sink is on,
+    /// [`RunOutcome::metrics`] when its distribution sink is. Without
+    /// a recorder the hooks cost one `Option` check each (and nothing
+    /// at all when the `trace` feature is disabled). Recording never
+    /// moves a virtual clock, so results are bit-identical with or
+    /// without one.
+    pub fn recorder(mut self, r: Recorder) -> Self {
+        self.recorder = Some(r);
         self
     }
 
@@ -689,8 +676,7 @@ impl Engine {
             time_scale: self.time_scale,
             yields: AtomicU64::new(0),
             notifies: AtomicU64::new(0),
-            tracer: self.tracer.clone(),
-            metrics: self.metrics.clone(),
+            recorder: self.recorder.clone(),
             diag: self.diag.clone(),
             pools: (0..self.n_ranks).map(|_| Mutex::new(None)).collect(),
             buf_pool: BufferPool::new(),
@@ -782,14 +768,18 @@ impl Engine {
                 }
             })
             .collect();
+        let (trace, metrics) = match &shared.recorder {
+            Some(r) => r.finish(end_time.0),
+            None => (None, None),
+        };
         Ok(FtOutcome {
             results,
             deaths,
             end_time,
             yields: shared.yields.load(Ordering::Relaxed),
             notifies: shared.notifies.load(Ordering::Relaxed),
-            trace: shared.tracer.as_ref().map(|t| t.take_report()),
-            metrics: shared.metrics.as_ref().map(|m| m.snapshot(end_time.0)),
+            trace,
+            metrics,
         })
     }
 }
@@ -805,10 +795,10 @@ pub struct RunOutcome<T> {
     pub yields: u64,
     /// Notify operations performed.
     pub notifies: u64,
-    /// Trace data, when a collector was installed via [`Engine::tracer`].
+    /// Trace data, when the [`Engine::recorder`]'s span sink is on.
     pub trace: Option<TraceReport>,
-    /// Metrics snapshot (merged at `end_time`), when a recorder was
-    /// installed via [`Engine::metrics`].
+    /// Metrics snapshot (merged at `end_time`), when the
+    /// [`Engine::recorder`]'s distribution sink is on.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -829,10 +819,10 @@ pub struct FtOutcome<T> {
     pub yields: u64,
     /// Notify operations performed.
     pub notifies: u64,
-    /// Trace data, when a collector was installed via [`Engine::tracer`].
+    /// Trace data, when the [`Engine::recorder`]'s span sink is on.
     pub trace: Option<TraceReport>,
-    /// Metrics snapshot (merged at `end_time`), when a recorder was
-    /// installed via [`Engine::metrics`].
+    /// Metrics snapshot (merged at `end_time`), when the
+    /// [`Engine::recorder`]'s distribution sink is on.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -1048,12 +1038,19 @@ impl SimHandle {
         // Virtual wait = entry to completion, whether the rank actually
         // parked or the condition was already satisfied at a future
         // timestamp.
-        let now = self.now().0;
-        if let Some(tracer) = &self.shared.tracer {
-            tracer.wait_span(self.rank, entered.0, now, reason);
-        }
-        if let Some(m) = &self.shared.metrics {
-            m.record(self.rank, Metric::Wait, reason, -1, 0, now, now - entered.0);
+        if let Some(r) = &self.shared.recorder {
+            let (t0, waited) = (entered.0, self.now().0 - entered.0);
+            let key = Some((Metric::Wait, reason, -1));
+            r.span(
+                self.rank,
+                Cat::Wait,
+                reason,
+                t0,
+                waited,
+                0,
+                String::new,
+                key,
+            );
         }
         got
     }
@@ -1098,14 +1095,9 @@ impl SimHandle {
         self.shared.crash.fate(target)
     }
 
-    /// The trace collector installed on this engine, if any.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.shared.tracer.as_ref()
-    }
-
-    /// The metrics recorder installed on this engine, if any.
-    pub fn metrics(&self) -> Option<&Metrics> {
-        self.shared.metrics.as_ref()
+    /// The recorder installed on this engine, if any.
+    pub fn recorder(&self) -> Option<&Recorder> {
+        self.shared.recorder.as_ref()
     }
 
     /// The engine's measured-time multiplier (see [`Engine::time_scale`]).
@@ -1250,9 +1242,9 @@ mod tests {
     #[test]
     #[cfg(feature = "trace")]
     fn tracer_records_wait_spans() {
-        use empi_trace::Cat;
         let slot: PlMutex<Option<(VTime, u32)>> = PlMutex::new(None);
-        let out = Engine::new(2).tracer(Tracer::new(2)).run(|h| {
+        let rec = Recorder::new(2, true, true, None);
+        let out = Engine::new(2).recorder(rec).run(|h| {
             if h.rank() == 0 {
                 h.advance(VDur::from_micros(50));
                 *slot.lock() = Some((h.now(), 7));
@@ -1274,6 +1266,10 @@ mod tests {
         assert_eq!(span.name, "value");
         assert_eq!(span.tid, 1);
         assert_eq!(span.dur_ns, 50_000);
+        // The same call fed the wait histogram: one sample per park.
+        let snap = out.metrics.expect("distribution sink on");
+        assert_eq!(snap.per_rank[1].wait_samples, 1);
+        assert_eq!(snap.merged(Metric::Wait, "value").max(), 50_000);
     }
 
     #[test]

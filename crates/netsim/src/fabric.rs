@@ -18,7 +18,7 @@
 //! the only serialized resource, so multi-flow sharing and saturation
 //! emerge naturally.
 
-use empi_trace::Tracer;
+use empi_trace::Recorder;
 
 use crate::curve::Curve;
 use crate::time::{VDur, VTime};
@@ -264,7 +264,7 @@ pub struct Fabric {
     tx: Vec<NicPort>,
     rx: Vec<NicPort>,
     stats: FabricStats,
-    tracer: Option<Tracer>,
+    tracer: Option<Recorder>,
 }
 
 impl Fabric {
@@ -281,10 +281,11 @@ impl Fabric {
         }
     }
 
-    /// Install a trace collector: every transfer is recorded with its
-    /// virtual start/arrival (tagged with the sender's current op/phase
-    /// labels), and NIC port busy intervals become trace lanes.
-    pub fn set_tracer(&mut self, t: Tracer) {
+    /// Install the run's recorder: with its span sink on, every
+    /// transfer is recorded with its virtual start/arrival (tagged with
+    /// the sender's current op/phase labels), and NIC port busy
+    /// intervals become trace lanes.
+    pub fn set_tracer(&mut self, t: Recorder) {
         self.tracer = Some(t);
     }
 
@@ -458,12 +459,12 @@ mod tests {
     #[test]
     #[cfg(feature = "trace")]
     fn tracer_sees_transfers_ledger_and_nic_lanes() {
-        use empi_trace::{Cat, Tracer};
-        let tracer = Tracer::new(2);
+        use empi_trace::{Cat, Recorder};
+        let tracer = Recorder::new(2, true, false, None);
         let mut f = eth_fabric(2);
         f.set_tracer(tracer.clone());
         let arrive = f.transmit(0, 1, 1024, VTime::ZERO);
-        let r = tracer.take_report();
+        let r = tracer.finish(arrive.as_nanos()).0.expect("span sink on");
         assert_eq!(r.transfers, 1);
         assert_eq!(r.local_transfers, 0);
         let p = r.pair(0, 1);

@@ -36,9 +36,8 @@ pub mod topology;
 
 pub use cores::{CorePool, CoreSlot};
 pub use curve::Curve;
-pub use empi_metrics::{Metrics, MetricsSnapshot, SloConfig};
 pub use empi_pool::{BufferPool, PooledBuf};
-pub use empi_trace::{TraceReport, Tracer};
+pub use empi_trace::{MetricsSnapshot, Recorder, SloConfig, TraceReport};
 pub use engine::{Engine, FtOutcome, RankDiag, RunOutcome, SimError, SimHandle};
 pub use fabric::{Fabric, FabricStats, NetModel};
 pub use fault::{CrashEvent, CrashKind, CrashPlan, FaultPlan, FaultRates, Verdict};

@@ -39,7 +39,8 @@ use empi_mpi::chunk::{
     FRAME_NONCE_LEN, FRAME_OVERHEAD,
 };
 use empi_mpi::Comm;
-use empi_netsim::{VDur, VTime};
+use empi_netsim::{CoreSlot, VDur, VTime};
+use empi_trace::{Cat, Lane, Recorder};
 
 /// Default chunk size: 64 KB, CryptMPI's sweet spot (large enough to
 /// amortize per-record AEAD setup, small enough to fill the pipeline).
@@ -130,6 +131,28 @@ impl ChunkCost<'_> {
             }
         }
     }
+}
+
+/// One chunk's seal/open on the worker core that `slot` names. The
+/// span lands on the `(rank, worker)` lane (so overlapping chunks
+/// render as parallel bars in chrome://tracing) and its duration
+/// accrues to the rank's `crypto_ns` — the decomposition then shows how
+/// much crypto work ran, while wall time shows how much of it was
+/// hidden behind the wire.
+fn chunk_span(
+    t: &Recorder,
+    rank: usize,
+    slot: &CoreSlot,
+    name: &str,
+    bytes: usize,
+    detail: impl FnOnce() -> String,
+) {
+    let lane = Lane::Worker {
+        rank,
+        worker: slot.worker,
+    };
+    let (t0, dur) = (slot.start.as_nanos(), (slot.end - slot.start).as_nanos());
+    t.span(lane, Cat::Pipeline, name, t0, dur, bytes, detail, None);
 }
 
 /// Failures of the pipelined path.
@@ -471,20 +494,11 @@ impl Pipeline {
                 let (_, ns) = cost.run(plain.len(), || {
                     build_frame_into(&sealer, &base_nonce, header, plain, &mut frame);
                 });
-                if let Some(t) = h.tracer() {
-                    t.count_alloc(comm.rank(), fresh, frame_len);
-                }
                 let slot = pool.schedule_limited(submit, VDur(ns), self.cfg.workers);
-                if let Some(t) = h.tracer() {
-                    t.pipeline_span(
-                        comm.rank(),
-                        slot.worker,
-                        slot.start.as_nanos(),
-                        slot.end.as_nanos(),
-                        "pipe/seal",
-                        plain.len(),
-                        format!("{backend} chunk {}/{total}", i + 1),
-                    );
+                if let Some(t) = h.recorder() {
+                    t.count_alloc(comm.rank(), fresh, frame_len);
+                    let detail = || format!("{backend} chunk {}/{total}", i + 1);
+                    chunk_span(t, comm.rank(), &slot, "pipe/seal", plain.len(), detail);
                 }
                 frames.push(ChunkFrame {
                     data: Bytes::from(frame),
@@ -523,18 +537,16 @@ impl Pipeline {
         // place (the buffer handed to the caller), instead of per-chunk
         // plaintext Vecs re-copied into the result.
         let mut out = Vec::with_capacity(parsed.total_len as usize);
-        if let Some(t) = h.tracer() {
-            t.count_alloc(comm.rank(), true, parsed.total_len as usize);
-            t.alloc_span(
-                comm.rank(),
-                "alloc/fresh",
-                h.now().as_nanos(),
-                parsed.total_len as usize,
+        if let Some(t) = h.recorder() {
+            let (me, now, len) = (comm.rank(), h.now().as_nanos(), parsed.total_len as usize);
+            let detail = || {
                 format!(
                     "chunked reassembly buffer ({} frames)",
                     parsed.records.len()
-                ),
-            );
+                )
+            };
+            t.count_alloc(me, true, len);
+            t.span(me, Cat::Alloc, "alloc/fresh", now, 0, len, detail, None);
         }
         let mut done = h.now();
         let mut failure = None;
@@ -555,16 +567,9 @@ impl Pipeline {
                     return;
                 }
                 let slot = pool.schedule_limited(*arrive, VDur(ns), self.cfg.workers);
-                if let Some(t) = h.tracer() {
-                    t.pipeline_span(
-                        comm.rank(),
-                        slot.worker,
-                        slot.start.as_nanos(),
-                        slot.end.as_nanos(),
-                        "pipe/open",
-                        plain_len,
-                        format!("{backend} chunk {}/{}", i + 1, parsed.total),
-                    );
+                if let Some(t) = h.recorder() {
+                    let detail = || format!("{backend} chunk {}/{}", i + 1, parsed.total);
+                    chunk_span(t, comm.rank(), &slot, "pipe/open", plain_len, detail);
                 }
                 done = done.max(slot.end);
             }

@@ -35,7 +35,7 @@ pub fn to_chrome_json(report: &TraceReport) -> String {
 
 /// Like [`to_chrome_json`], appending pre-rendered raw trace events
 /// (each a complete JSON object, e.g. the `ph:"C"` counter events from
-/// `empi-metrics`) after the report's own events.
+/// [`crate::export::chrome_counters`]) after the report's own events.
 pub fn to_chrome_json_with_extra(report: &TraceReport, extra: &[String]) -> String {
     let mut out = String::with_capacity(128 + (report.events.len() + extra.len()) * 160);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");

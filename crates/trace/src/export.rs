@@ -7,9 +7,8 @@
 
 use std::fmt::Write as _;
 
-use empi_trace::chrome::escape;
-
-use crate::{Key, MetricsSnapshot};
+use crate::chrome::escape;
+use crate::{CounterBlock, Key, MetricsSnapshot};
 
 fn key_labels(k: &Key) -> String {
     format!(
@@ -31,6 +30,26 @@ fn key_json(k: &Key) -> String {
         k.peer,
         k.size_class
     )
+}
+
+/// The snapshot's counter blocks in export order: family name,
+/// Prometheus help text, block.
+type Family<'a> = (&'static str, &'static str, &'a Option<CounterBlock>);
+
+fn counter_blocks(snap: &MetricsSnapshot) -> [Family<'_>; 3] {
+    [
+        ("chaos", "Fault-injection and ARQ counters.", &snap.chaos),
+        (
+            "keys",
+            "Key-lifecycle counters (handshake/rotate/revoke).",
+            &snap.keys,
+        ),
+        (
+            "ftol",
+            "Fault-tolerance counters (detect/notice/shrink/rekey).",
+            &snap.ftol,
+        ),
+    ]
 }
 
 /// Serialize a snapshot as the versioned JSON document consumed by
@@ -66,51 +85,17 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
     }
     out.push_str("]}");
 
-    match &snap.chaos {
-        Some(c) => {
-            let _ = write!(
-                out,
-                ",\"chaos\":{{\"faults_injected\":{},\"nacks_sent\":{},\"nacks_received\":{},\
-                 \"retransmits\":{},\"aborts\":{},\"recoveries\":{},\"backoff_ns\":{}}}",
-                c.faults_injected,
-                c.nacks_sent,
-                c.nacks_received,
-                c.retransmits,
-                c.aborts,
-                c.recoveries,
-                c.backoff_ns
-            );
+    for (name, _, block) in counter_blocks(snap) {
+        let Some(b) = block else {
+            let _ = write!(out, ",\"{name}\":null");
+            continue;
+        };
+        let _ = write!(out, ",\"{name}\":{{");
+        for (i, (counter, v)) in b.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}\"{counter}\":{v}");
         }
-        None => out.push_str(",\"chaos\":null"),
-    }
-
-    match &snap.keys {
-        Some(k) => {
-            let _ = write!(
-                out,
-                ",\"keys\":{{\"handshakes\":{},\"rekeys\":{},\"revocations\":{},\
-                 \"rejected_stale\":{},\"rejected_future\":{},\"rejected_revoked\":{}}}",
-                k.handshakes,
-                k.rekeys,
-                k.revocations,
-                k.rejected_stale,
-                k.rejected_future,
-                k.rejected_revoked
-            );
-        }
-        None => out.push_str(",\"keys\":null"),
-    }
-
-    match &snap.ftol {
-        Some(f) => {
-            let _ = write!(
-                out,
-                ",\"ftol\":{{\"detected\":{},\"notices\":{},\"probes\":{},\"shrinks\":{},\
-                 \"rekeys\":{},\"delivery_failed\":{}}}",
-                f.detected, f.notices, f.probes, f.shrinks, f.rekeys, f.delivery_failed
-            );
-        }
-        None => out.push_str(",\"ftol\":null"),
+        out.push('}');
     }
 
     out.push_str(",\"per_rank\":[");
@@ -247,51 +232,12 @@ pub fn prometheus(snap: &MetricsSnapshot) -> String {
         );
     }
 
-    if let Some(c) = &snap.chaos {
-        out.push_str("# HELP empi_chaos_total Fault-injection and ARQ counters.\n");
-        out.push_str("# TYPE empi_chaos_total counter\n");
-        for (name, v) in [
-            ("faults_injected", c.faults_injected),
-            ("nacks_sent", c.nacks_sent),
-            ("nacks_received", c.nacks_received),
-            ("retransmits", c.retransmits),
-            ("aborts", c.aborts),
-            ("recoveries", c.recoveries),
-            ("backoff_ns", c.backoff_ns),
-        ] {
-            let _ = writeln!(out, "empi_chaos_total{{counter=\"{name}\"}} {v}");
-        }
-    }
-
-    if let Some(k) = &snap.keys {
-        out.push_str("# HELP empi_keys_total Key-lifecycle counters (handshake/rotate/revoke).\n");
-        out.push_str("# TYPE empi_keys_total counter\n");
-        for (name, v) in [
-            ("handshakes", k.handshakes),
-            ("rekeys", k.rekeys),
-            ("revocations", k.revocations),
-            ("rejected_stale", k.rejected_stale),
-            ("rejected_future", k.rejected_future),
-            ("rejected_revoked", k.rejected_revoked),
-        ] {
-            let _ = writeln!(out, "empi_keys_total{{counter=\"{name}\"}} {v}");
-        }
-    }
-
-    if let Some(f) = &snap.ftol {
-        out.push_str(
-            "# HELP empi_ftol_total Fault-tolerance counters (detect/notice/shrink/rekey).\n",
-        );
-        out.push_str("# TYPE empi_ftol_total counter\n");
-        for (name, v) in [
-            ("detected", f.detected),
-            ("notices", f.notices),
-            ("probes", f.probes),
-            ("shrinks", f.shrinks),
-            ("rekeys", f.rekeys),
-            ("delivery_failed", f.delivery_failed),
-        ] {
-            let _ = writeln!(out, "empi_ftol_total{{counter=\"{name}\"}} {v}");
+    for (name, help, block) in counter_blocks(snap) {
+        let Some(b) = block else { continue };
+        let _ = writeln!(out, "# HELP empi_{name}_total {help}");
+        let _ = writeln!(out, "# TYPE empi_{name}_total counter");
+        for (counter, v) in b.iter() {
+            let _ = writeln!(out, "empi_{name}_total{{counter=\"{counter}\"}} {v}");
         }
     }
 
@@ -423,7 +369,7 @@ fn split_labels(s: &str) -> Vec<&str> {
 
 /// Render percentile checkpoint series as Chrome trace counter events
 /// (`ph:"C"`), one raw JSON event string per checkpoint. Merged into
-/// the trace document via `empi_trace::chrome::to_chrome_json_with_extra`,
+/// the trace document via [`crate::chrome::to_chrome_json_with_extra`],
 /// they draw p50/p99/p999 as counter tracks in `about:tracing`.
 pub fn chrome_counters(snap: &MetricsSnapshot) -> Vec<String> {
     let mut out = Vec::new();
@@ -452,9 +398,7 @@ pub fn chrome_counters(snap: &MetricsSnapshot) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        ChaosCounters, CounterPoint, FtolCounters, Histogram, KeyCounters, Metric, RankLedger,
-    };
+    use crate::{CounterPoint, Histogram, Metric, RankLedger};
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut h = Histogram::new();
@@ -493,22 +437,12 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            chaos: Some(ChaosCounters {
-                faults_injected: 3,
-                ..Default::default()
-            }),
-            keys: Some(KeyCounters {
-                handshakes: 2,
-                rekeys: 7,
-                ..Default::default()
-            }),
-            ftol: Some(FtolCounters {
-                detected: 1,
-                notices: 2,
-                shrinks: 1,
-                rekeys: 1,
-                ..Default::default()
-            }),
+            chaos: Some(CounterBlock::sum([[
+                ("faults_injected", 3),
+                ("nacks_sent", 0),
+            ]])),
+            keys: Some(CounterBlock::sum([[("handshakes", 1), ("rekeys", 3)]; 2])),
+            ftol: Some(CounterBlock::sum([[("detected", 1), ("notices", 2)]])),
             ..Default::default()
         }
     }
@@ -517,7 +451,7 @@ mod tests {
     fn json_parses_and_carries_fields() {
         let snap = sample_snapshot();
         let doc = snapshot_json(&snap);
-        let v = empi_trace::json::parse(&doc).expect("valid JSON");
+        let v = crate::json::parse(&doc).expect("valid JSON");
         assert_eq!(v.get("version").unwrap().as_f64(), Some(1.0));
         let hists = v.get("hists").unwrap().as_array().unwrap();
         assert_eq!(hists.len(), 1);
@@ -533,7 +467,7 @@ mod tests {
         );
         assert_eq!(
             v.get("keys").unwrap().get("rekeys").unwrap().as_f64(),
-            Some(7.0)
+            Some(6.0)
         );
         assert_eq!(
             v.get("ftol").unwrap().get("detected").unwrap().as_f64(),
@@ -551,7 +485,7 @@ mod tests {
         assert!(text.contains("empi_latency_ns_bucket"));
         assert!(text.contains("le=\"+Inf\"} 5"));
         assert!(text.contains("empi_latency_ns_count"));
-        assert!(text.contains("empi_keys_total{counter=\"rekeys\"} 7"));
+        assert!(text.contains("empi_keys_total{counter=\"rekeys\"} 6"));
         assert!(text.contains("empi_ftol_total{counter=\"detected\"} 1"));
         validate_prometheus(&text).expect("valid prometheus");
     }
@@ -573,7 +507,7 @@ mod tests {
     fn chrome_counter_events_are_valid_json() {
         let evs = chrome_counters(&sample_snapshot());
         assert_eq!(evs.len(), 1);
-        let v = empi_trace::json::parse(&evs[0]).unwrap();
+        let v = crate::json::parse(&evs[0]).unwrap();
         assert_eq!(v.get("ph").unwrap().as_str(), Some("C"));
         assert_eq!(v.get("ts").unwrap().as_f64(), Some(0.5));
     }

@@ -10,8 +10,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use empi_trace::chrome::escape;
-use empi_trace::json::{self, Value};
+use crate::chrome::escape;
+use crate::json::{self, Value};
 
 /// Events retained per flow.
 pub const FLOW_RING: usize = 16;

@@ -2,7 +2,10 @@
 //!
 //! Exists so the trace-smoke tooling (`empi-bench --bin tracecheck`)
 //! and tests can validate emitted JSON without external crates. It
-//! accepts standard JSON; numbers are parsed as `f64`.
+//! accepts standard JSON; numbers are parsed as `f64`. The parser is
+//! total: it reads files named on a command line, so malformed or
+//! hostile input — including nesting deep enough to exhaust the stack
+//! of a recursive descent — is an `Err`, never a panic or an abort.
 
 use std::collections::BTreeMap;
 
@@ -46,11 +49,18 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts — twenty times what
+/// this workspace's own writers produce (traces and snapshots nest six
+/// levels deep), far below what the recursion could overflow a stack
+/// with.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -64,6 +74,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -95,10 +107,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Run `f` one container deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Value, String> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Value::String(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
@@ -257,6 +280,27 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse(r#"{"a"1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        // Unbounded recursion would abort the process here.
+        for hostile in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            let err = parse(&hostile).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 128 at byte "), "{err}");
+        }
+        // Depth 100 — far beyond our own writers — still parses, and
+        // the bound is exact: MAX_DEPTH passes, one more does not.
+        let nest = |d: usize| format!("{}1{}", "[".repeat(d), "]".repeat(d));
+        let mut v = &parse(&nest(100)).unwrap();
+        for _ in 0..100 {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v.as_f64(), Some(1.0));
+        let objects = format!("{}1{}", "{\"a\":".repeat(100), "}".repeat(100));
+        assert!(parse(&objects).is_ok());
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -12,32 +12,65 @@
 //! - the **secure layer** records seal/open spans and byte ledgers,
 //! - the **AEAD engines** bump global block counters.
 //!
-//! Everything funnels into a [`Tracer`] handle and comes back out as
-//! a [`TraceReport`]: per-rank metrics, per-(src,dst) byte ledgers,
-//! and a bounded event log writable as Chrome `chrome://tracing`
-//! JSON (hand-rolled; this crate has zero dependencies).
+//! Everything funnels into one [`Recorder`] handle with two sinks and
+//! comes back out of [`Recorder::finish`] as
+//!
+//! - a [`TraceReport`] (span sink): per-rank [`RankMetrics`],
+//!   per-(src,dst) byte ledgers, and a bounded event log writable as
+//!   Chrome `chrome://tracing` JSON ([`chrome`]);
+//! - a [`MetricsSnapshot`] (distribution sink): log-linear latency
+//!   [`Histogram`]s keyed by [`Key`] `(metric, op, communicator, peer,
+//!   size class)`, percentile checkpoint series, the per-flow
+//!   [`flight`] recorder whose rings become the [`BlackBox`] attached
+//!   to delivery errors, the [`slo`] watchdog's verdict, and the
+//!   harness-injected counter blocks — rendered by [`export`] as a
+//!   versioned JSON document, Prometheus text and Chrome counter
+//!   tracks.
+//!
+//! Everything is hand-rolled; this crate has zero dependencies.
 //!
 //! # Cost model
 //!
-//! Two gates keep the untraced fast path honest:
+//! Two gates keep the unobserved fast path honest, the same two for
+//! both sinks:
 //!
-//! 1. **Compile time** — without the `enabled` feature, [`Tracer`] is
-//!    a zero-sized type whose methods are empty `#[inline]` bodies;
-//!    the optimizer deletes every call site. Consumer crates forward
-//!    their `trace` feature here, so `--no-default-features` builds
-//!    are bit-identical to the pre-instrumentation code paths.
-//! 2. **Run time** — even when compiled in, nothing records unless a
-//!    collector was installed (`World::traced` / `Engine::tracer`);
-//!    hooks behind an uninstalled tracer are a single `Option` check.
+//! 1. **Compile time** — without the `enabled` feature, [`Recorder`]
+//!    is a three-word stub whose verbs are empty `#[inline]`
+//!    bodies; the optimizer deletes every call site. Consumer crates
+//!    forward their `trace` feature here, so `--no-default-features`
+//!    builds are bit-identical to the pre-instrumentation code paths.
+//!    The report *types* are always compiled, so errors can embed
+//!    black boxes unconditionally.
+//! 2. **Run time** — even when compiled in, nothing records unless the
+//!    world asked for a sink (`World::traced`, `World::with_metrics`,
+//!    `World::with_slo`); a world that asked for neither installs no
+//!    recorder and every hook is a single `Option` check. Recording
+//!    never advances virtual time, so clocks and wire bytes are
+//!    bit-identical with either sink on or off.
 //!
-//! The `simnet` Criterion bench measures both gates continuously.
+//! Both gates are measured from outside the crates by `benchmark/`:
+//! `trace.overhead_pct` (a traced repetition against untraced ones)
+//! and `metrics.overhead_pct.pp256` (a metered 256 B ping-pong).
 
-#[cfg(feature = "enabled")]
-use std::collections::HashMap;
 use std::fmt;
 
 pub mod chrome;
+pub mod export;
+pub mod flight;
+pub mod hist;
 pub mod json;
+mod recorder;
+pub mod slo;
+mod snapshot;
+
+pub use flight::{BlackBox, FlowEvent, FlowKey};
+pub use hist::Histogram;
+pub use recorder::{Lane, Recorder, SampleKey};
+pub use slo::{SloConfig, SloReport, SloViolation};
+pub use snapshot::{
+    size_class, CounterBlock, CounterPoint, FlowSnap, Key, Metric, MetricsSnapshot, RankLedger,
+    CHECKPOINT_EVERY, MAX_POINTS, SNAPSHOT_VERSION,
+};
 
 /// AES-GCM wire framing overhead per message: 12-byte nonce + 16-byte
 /// tag. Mirrored from the secure layer so conservation checks can be
@@ -71,7 +104,7 @@ pub enum Cat {
     /// seal/open op, with the per-site counts in [`RankMetrics`].
     Alloc,
     /// SLO watchdog verdicts (`health/p99-budget`, `health/flow-stall`,
-    /// `health/verdict`) emitted by the metrics plane at snapshot.
+    /// `health/verdict`) emitted by [`Recorder::finish`] at end time.
     Health,
     /// Key-lifecycle activity (`key/handshake`, `key/rotate`,
     /// `key/revoke`, `key/reject`) on the acting rank's lane.
@@ -285,7 +318,7 @@ impl Decomposition {
     }
 }
 
-/// Everything a traced run produced, snapshot at `take_report` time.
+/// Everything a traced run produced, drained by [`Recorder::finish`].
 #[derive(Clone, Debug, Default)]
 pub struct TraceReport {
     pub n_ranks: usize,
@@ -363,693 +396,6 @@ impl fmt::Display for TraceReport {
 /// Default per-lane event capacity (ring buffer; oldest dropped).
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::*;
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    struct Ring {
-        buf: VecDeque<Event>,
-        cap: usize,
-        dropped: u64,
-    }
-
-    impl Ring {
-        fn new(cap: usize) -> Self {
-            Self {
-                buf: VecDeque::new(),
-                cap,
-                dropped: 0,
-            }
-        }
-
-        fn push(&mut self, e: Event) {
-            if self.buf.len() == self.cap {
-                self.buf.pop_front();
-                self.dropped += 1;
-            }
-            self.buf.push_back(e);
-        }
-    }
-
-    struct RankCell {
-        m: RankMetrics,
-        /// Operation label stack: outermost = collective, innermost =
-        /// protocol phase. `&'static str` keeps pushes allocation-free.
-        ops: Vec<&'static str>,
-        events: Ring,
-    }
-
-    #[derive(Default)]
-    struct GlobalCounters {
-        transfers: u64,
-        local_transfers: u64,
-        wire_ns: u64,
-        pairs: HashMap<(usize, usize), PairFlow>,
-    }
-
-    struct Inner {
-        n_ranks: usize,
-        ranks: Vec<Mutex<RankCell>>,
-        global: Mutex<GlobalCounters>,
-        nic_events: Mutex<Ring>,
-        baseline: EngineCounters,
-    }
-
-    /// Cheaply cloneable collector handle. See the crate docs for the
-    /// cost model; this is the `enabled` implementation.
-    #[derive(Clone)]
-    pub struct Tracer {
-        inner: Arc<Inner>,
-    }
-
-    impl Tracer {
-        pub fn new(n_ranks: usize) -> Self {
-            Self::with_capacity(n_ranks, DEFAULT_EVENT_CAPACITY)
-        }
-
-        /// `cap` bounds each rank's event ring (and the NIC ring).
-        pub fn with_capacity(n_ranks: usize, cap: usize) -> Self {
-            Tracer {
-                inner: Arc::new(Inner {
-                    n_ranks,
-                    ranks: (0..n_ranks)
-                        .map(|_| {
-                            Mutex::new(RankCell {
-                                m: RankMetrics::default(),
-                                ops: Vec::new(),
-                                events: Ring::new(cap),
-                            })
-                        })
-                        .collect(),
-                    global: Mutex::new(GlobalCounters::default()),
-                    nic_events: Mutex::new(Ring::new(cap)),
-                    baseline: crate::engine_counters::snapshot(),
-                }),
-            }
-        }
-
-        /// True when the `enabled` feature is compiled in.
-        pub const fn compiled_in() -> bool {
-            true
-        }
-
-        fn rank(&self, r: usize) -> std::sync::MutexGuard<'_, RankCell> {
-            self.inner.ranks[r]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Record a `block_on` park interval.
-        pub fn wait_span(&self, rank: usize, t0_ns: u64, t1_ns: u64, reason: &'static str) {
-            let mut c = self.rank(rank);
-            let dur = t1_ns.saturating_sub(t0_ns);
-            c.m.wait_ns += dur;
-            if dur > 0 {
-                c.events.push(Event {
-                    name: reason.to_string(),
-                    cat: Cat::Wait,
-                    ts_ns: t0_ns,
-                    dur_ns: dur,
-                    tid: rank as u32,
-                    bytes: 0,
-                    detail: String::new(),
-                });
-            }
-        }
-
-        /// Charge MPI host overhead (send/recv o, stream o) to `rank`.
-        pub fn add_host_ns(&self, rank: usize, ns: u64) {
-            self.rank(rank).m.host_ns += ns;
-        }
-
-        /// Record one seal/open span with its calibrated charge.
-        pub fn crypto_span(
-            &self,
-            rank: usize,
-            t0_ns: u64,
-            t1_ns: u64,
-            kind: &'static str,
-            bytes: usize,
-            backend: &'static str,
-        ) {
-            let mut c = self.rank(rank);
-            let dur = t1_ns.saturating_sub(t0_ns);
-            c.m.crypto_ns += dur;
-            c.events.push(Event {
-                name: kind.to_string(),
-                cat: Cat::Crypto,
-                ts_ns: t0_ns,
-                dur_ns: dur,
-                tid: rank as u32,
-                bytes: bytes as u64,
-                detail: backend.to_string(),
-            });
-        }
-
-        pub fn count_seal(&self, rank: usize, plain_bytes: usize, wire_bytes: usize) {
-            let mut c = self.rank(rank);
-            c.m.seals += 1;
-            c.m.sealed_plain_bytes += plain_bytes as u64;
-            c.m.sealed_wire_bytes += wire_bytes as u64;
-        }
-
-        pub fn count_open(&self, rank: usize, wire_bytes: usize, plain_bytes: usize) {
-            let mut c = self.rank(rank);
-            c.m.opens += 1;
-            c.m.opened_wire_bytes += wire_bytes as u64;
-            c.m.opened_plain_bytes += plain_bytes as u64;
-        }
-
-        pub fn count_nonce_draw(&self, rank: usize) {
-            self.rank(rank).m.nonce_draws += 1;
-        }
-
-        /// Record one chunk's seal/open span on a pipeline worker core.
-        ///
-        /// The span lands on the `(rank, worker)` lane (so overlapping
-        /// chunks render as parallel bars in chrome://tracing) and its
-        /// duration accrues to the rank's `crypto_ns` — the decomposition
-        /// then shows how much crypto work ran, while wall time shows how
-        /// much of it was hidden behind the wire.
-        #[allow(clippy::too_many_arguments)]
-        pub fn pipeline_span(
-            &self,
-            rank: usize,
-            worker: usize,
-            t0_ns: u64,
-            t1_ns: u64,
-            kind: &'static str,
-            bytes: usize,
-            detail: String,
-        ) {
-            let mut c = self.rank(rank);
-            let dur = t1_ns.saturating_sub(t0_ns);
-            c.m.crypto_ns += dur;
-            match kind {
-                "pipe/seal" => c.m.chunks_sealed += 1,
-                "pipe/open" => c.m.chunks_opened += 1,
-                _ => {}
-            }
-            c.events.push(Event {
-                name: kind.to_string(),
-                cat: Cat::Pipeline,
-                ts_ns: t0_ns,
-                dur_ns: dur,
-                tid: crate::pipeline_tid(rank, worker),
-                bytes: bytes as u64,
-                detail,
-            });
-        }
-
-        /// Record one deterministic fault injection on `rank`'s lane.
-        /// `label` is the verdict label (`fault/bitflip`, `fault/drop`,
-        /// …); the span covers the injected delay for jitter faults
-        /// and is a 1 ns marker otherwise, so tracecheck's
-        /// nonzero-duration audit still sees every injection.
-        pub fn fault_span(
-            &self,
-            rank: usize,
-            label: &'static str,
-            t0_ns: u64,
-            dur_ns: u64,
-            bytes: usize,
-            detail: String,
-        ) {
-            let mut c = self.rank(rank);
-            c.m.faults_injected += 1;
-            c.events.push(Event {
-                name: label.to_string(),
-                cat: Cat::Fault,
-                ts_ns: t0_ns,
-                dur_ns: dur_ns.max(1),
-                tid: rank as u32,
-                bytes: bytes as u64,
-                detail,
-            });
-        }
-
-        /// Record key-lifecycle activity on `rank`'s lane and bump the
-        /// matching counter: `key/handshake` → handshakes completed,
-        /// `key/rotate` → epochs rolled into, `key/revoke` → peers
-        /// revoked (`key/reject` spans count nothing — rejects are
-        /// per-message, tracked by the metrics plane).
-        pub fn key_span(
-            &self,
-            rank: usize,
-            label: &'static str,
-            t0_ns: u64,
-            dur_ns: u64,
-            bytes: usize,
-            detail: String,
-        ) {
-            let mut c = self.rank(rank);
-            match label {
-                "key/handshake" => c.m.handshakes += 1,
-                "key/rotate" => c.m.rekeys += 1,
-                "key/revoke" => c.m.revocations += 1,
-                _ => {}
-            }
-            c.events.push(Event {
-                name: label.to_string(),
-                cat: Cat::Key,
-                ts_ns: t0_ns,
-                dur_ns: dur_ns.max(1),
-                tid: rank as u32,
-                bytes: bytes as u64,
-                detail,
-            });
-        }
-
-        /// Record fault-tolerance activity on `rank`'s lane and bump
-        /// the matching counter: `ftol/detect` → failures confirmed
-        /// locally, `ftol/notice` → failures learned from a peer,
-        /// `ftol/shrink` → communicator shrinks (`ftol/probe` and
-        /// `ftol/rekey` spans count nothing here — probes are tracked
-        /// by the metrics plane, re-keys by the key plane).
-        pub fn ftol_span(
-            &self,
-            rank: usize,
-            label: &'static str,
-            t0_ns: u64,
-            dur_ns: u64,
-            bytes: usize,
-            detail: String,
-        ) {
-            let mut c = self.rank(rank);
-            match label {
-                "ftol/detect" => c.m.ft_detected += 1,
-                "ftol/notice" => c.m.ft_notices += 1,
-                "ftol/shrink" => c.m.ft_shrinks += 1,
-                _ => {}
-            }
-            c.events.push(Event {
-                name: label.to_string(),
-                cat: Cat::Ftol,
-                ts_ns: t0_ns,
-                dur_ns: dur_ns.max(1),
-                tid: rank as u32,
-                bytes: bytes as u64,
-                detail,
-            });
-        }
-
-        /// Record recovery-protocol activity on `rank`'s lane and bump
-        /// the matching counter: `retry/nack` → NACKs sent,
-        /// `retry/resend` → frames retransmitted, `retry/backoff` →
-        /// backoff virtual time.
-        pub fn retry_span(
-            &self,
-            rank: usize,
-            label: &'static str,
-            t0_ns: u64,
-            dur_ns: u64,
-            bytes: usize,
-            detail: String,
-        ) {
-            let mut c = self.rank(rank);
-            match label {
-                "retry/nack" => c.m.nacks_sent += 1,
-                "retry/resend" => c.m.retransmits += 1,
-                "retry/backoff" => c.m.backoff_ns += dur_ns,
-                _ => {}
-            }
-            c.events.push(Event {
-                name: label.to_string(),
-                cat: Cat::Retry,
-                ts_ns: t0_ns,
-                dur_ns: dur_ns.max(1),
-                tid: rank as u32,
-                bytes: bytes as u64,
-                detail,
-            });
-        }
-
-        /// Count one hot-path buffer sourcing at its site: `fresh`
-        /// means a heap allocation, otherwise a pool hit. Counter-only
-        /// (no event), so per-chunk call rates cannot flood the ring.
-        pub fn count_alloc(&self, rank: usize, fresh: bool, bytes: usize) {
-            let mut c = self.rank(rank);
-            if fresh {
-                c.m.allocs_fresh += 1;
-                c.m.alloc_fresh_bytes += bytes as u64;
-            } else {
-                c.m.allocs_pooled += 1;
-                c.m.alloc_pooled_bytes += bytes as u64;
-            }
-        }
-
-        /// Count a wire buffer recovered into the pool after delivery
-        /// (`recovered` false when ARQ retention still shares it).
-        pub fn count_reclaim(&self, rank: usize, recovered: bool) {
-            if recovered {
-                self.rank(rank).m.pool_reclaims += 1;
-            }
-        }
-
-        /// Drop one `alloc/*` marker on `rank`'s lane summarizing how
-        /// one seal/open op sourced its buffers (`alloc/fresh`,
-        /// `alloc/pooled`, `alloc/reclaim`). Emitted per op, not per
-        /// chunk — the exact counts live in [`RankMetrics`].
-        pub fn alloc_span(
-            &self,
-            rank: usize,
-            label: &'static str,
-            ts_ns: u64,
-            bytes: usize,
-            detail: String,
-        ) {
-            let mut c = self.rank(rank);
-            c.events.push(Event {
-                name: label.to_string(),
-                cat: Cat::Alloc,
-                ts_ns,
-                dur_ns: 1,
-                tid: rank as u32,
-                bytes: bytes as u64,
-                detail,
-            });
-        }
-
-        /// Drop one `health/*` marker on `rank`'s lane — SLO watchdog
-        /// verdicts and violations from the metrics plane.
-        pub fn health_event(&self, rank: usize, ts_ns: u64, name: &str, detail: &str) {
-            let mut c = self.rank(rank);
-            c.events.push(Event {
-                name: name.to_string(),
-                cat: Cat::Health,
-                ts_ns,
-                dur_ns: 1,
-                tid: rank as u32,
-                bytes: 0,
-                detail: detail.to_string(),
-            });
-        }
-
-        /// Enter an operation scope (`bcast/binomial`, `p2p/eager`...).
-        pub fn push_op(&self, rank: usize, label: &'static str) {
-            self.rank(rank).ops.push(label);
-        }
-
-        pub fn pop_op(&self, rank: usize) {
-            self.rank(rank).ops.pop();
-        }
-
-        /// `(outermost, innermost)` of the rank's current label stack.
-        fn labels_of(&self, rank: usize) -> (&'static str, &'static str) {
-            let c = self.rank(rank);
-            let outer = c.ops.first().copied().unwrap_or("");
-            let inner = c.ops.last().copied().unwrap_or("");
-            (outer, inner)
-        }
-
-        /// Record a fabric transfer; labels are read from `src`'s op
-        /// stack (race-free: the engine runs one rank at a time and
-        /// the sender is the one inside `transmit`).
-        #[allow(clippy::too_many_arguments)]
-        pub fn transfer(
-            &self,
-            src: usize,
-            dst: usize,
-            wire_bytes: usize,
-            start_ns: u64,
-            arrive_ns: u64,
-            local: bool,
-        ) {
-            let (op, phase) = self.labels_of(src);
-            {
-                let mut g = self.inner.global.lock().unwrap_or_else(|e| e.into_inner());
-                if local {
-                    g.local_transfers += 1;
-                } else {
-                    g.transfers += 1;
-                }
-                g.wire_ns += arrive_ns.saturating_sub(start_ns);
-                let p = g.pairs.entry((src, dst)).or_default();
-                p.tx_bytes += wire_bytes as u64;
-                p.tx_msgs += 1;
-            }
-            let name = if op.is_empty() { "transfer" } else { op };
-            let mut c = self.rank(src);
-            c.events.push(Event {
-                name: name.to_string(),
-                cat: Cat::Wire,
-                ts_ns: start_ns,
-                dur_ns: arrive_ns.saturating_sub(start_ns),
-                tid: src as u32,
-                bytes: wire_bytes as u64,
-                detail: if phase.is_empty() || phase == op {
-                    format!("{src}->{dst}")
-                } else {
-                    format!("{src}->{dst} {phase}")
-                },
-            });
-        }
-
-        /// Record delivery of a message to its receiver.
-        pub fn delivery(&self, src: usize, dst: usize, bytes: usize) {
-            let mut g = self.inner.global.lock().unwrap_or_else(|e| e.into_inner());
-            let p = g.pairs.entry((src, dst)).or_default();
-            p.rx_bytes += bytes as u64;
-            p.rx_msgs += 1;
-        }
-
-        /// Record a NIC port busy interval. `dir`: 0 = tx, 1 = rx.
-        pub fn nic_busy(&self, node: usize, dir: u8, t0_ns: u64, t1_ns: u64) {
-            let mut ring = self
-                .inner
-                .nic_events
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            ring.push(Event {
-                name: if dir == 0 { "nic-tx" } else { "nic-rx" }.to_string(),
-                cat: Cat::Nic,
-                ts_ns: t0_ns,
-                dur_ns: t1_ns.saturating_sub(t0_ns),
-                tid: (self.inner.n_ranks + 2 * node + dir as usize) as u32,
-                bytes: 0,
-                detail: String::new(),
-            });
-        }
-
-        /// Snapshot everything recorded so far into a [`TraceReport`]
-        /// and clear the buffers (counters keep accumulating from
-        /// zero, so back-to-back reports cover disjoint windows).
-        pub fn take_report(&self) -> TraceReport {
-            let mut per_rank = Vec::with_capacity(self.inner.n_ranks);
-            let mut events = Vec::new();
-            let mut dropped = 0;
-            for r in 0..self.inner.n_ranks {
-                let mut c = self.rank(r);
-                per_rank.push(std::mem::take(&mut c.m));
-                dropped += c.events.dropped;
-                c.events.dropped = 0;
-                events.extend(std::mem::take(&mut c.events.buf));
-            }
-            {
-                let mut ring = self
-                    .inner
-                    .nic_events
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                dropped += ring.dropped;
-                ring.dropped = 0;
-                events.extend(std::mem::take(&mut ring.buf));
-            }
-            events.sort_by_key(|e| (e.ts_ns, e.tid));
-            let g = {
-                let mut g = self.inner.global.lock().unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *g)
-            };
-            let mut pairs: Vec<_> = g.pairs.into_iter().collect();
-            pairs.sort_by_key(|(k, _)| *k);
-            TraceReport {
-                n_ranks: self.inner.n_ranks,
-                per_rank,
-                transfers: g.transfers,
-                local_transfers: g.local_transfers,
-                wire_ns: g.wire_ns,
-                pairs,
-                events,
-                dropped_events: dropped,
-                engines: crate::engine_counters::snapshot().since(&self.inner.baseline),
-            }
-        }
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::TraceReport;
-
-    /// No-op stub with the same API as the `enabled` Tracer; every
-    /// method body is empty and inlines to nothing.
-    #[derive(Clone, Copy, Default)]
-    pub struct Tracer {
-        n_ranks: usize,
-    }
-
-    impl Tracer {
-        #[inline]
-        pub fn new(n_ranks: usize) -> Self {
-            Tracer { n_ranks }
-        }
-
-        #[inline]
-        pub fn with_capacity(n_ranks: usize, _cap: usize) -> Self {
-            Tracer { n_ranks }
-        }
-
-        /// False: the `enabled` feature is not compiled in.
-        pub const fn compiled_in() -> bool {
-            false
-        }
-
-        #[inline]
-        pub fn wait_span(&self, _rank: usize, _t0: u64, _t1: u64, _reason: &'static str) {}
-
-        #[inline]
-        pub fn add_host_ns(&self, _rank: usize, _ns: u64) {}
-
-        #[inline]
-        pub fn crypto_span(
-            &self,
-            _rank: usize,
-            _t0: u64,
-            _t1: u64,
-            _kind: &'static str,
-            _bytes: usize,
-            _backend: &'static str,
-        ) {
-        }
-
-        #[inline]
-        pub fn count_seal(&self, _rank: usize, _plain: usize, _wire: usize) {}
-
-        #[inline]
-        pub fn count_open(&self, _rank: usize, _wire: usize, _plain: usize) {}
-
-        #[inline]
-        pub fn count_nonce_draw(&self, _rank: usize) {}
-
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        pub fn pipeline_span(
-            &self,
-            _rank: usize,
-            _worker: usize,
-            _t0: u64,
-            _t1: u64,
-            _kind: &'static str,
-            _bytes: usize,
-            _detail: String,
-        ) {
-        }
-
-        #[inline]
-        pub fn fault_span(
-            &self,
-            _rank: usize,
-            _label: &'static str,
-            _t0: u64,
-            _dur: u64,
-            _bytes: usize,
-            _detail: String,
-        ) {
-        }
-
-        #[inline]
-        pub fn key_span(
-            &self,
-            _rank: usize,
-            _label: &'static str,
-            _t0: u64,
-            _dur: u64,
-            _bytes: usize,
-            _detail: String,
-        ) {
-        }
-
-        pub fn retry_span(
-            &self,
-            _rank: usize,
-            _label: &'static str,
-            _t0: u64,
-            _dur: u64,
-            _bytes: usize,
-            _detail: String,
-        ) {
-        }
-
-        #[inline]
-        pub fn ftol_span(
-            &self,
-            _rank: usize,
-            _label: &'static str,
-            _t0: u64,
-            _dur: u64,
-            _bytes: usize,
-            _detail: String,
-        ) {
-        }
-
-        #[inline]
-        pub fn count_alloc(&self, _rank: usize, _fresh: bool, _bytes: usize) {}
-
-        #[inline]
-        pub fn count_reclaim(&self, _rank: usize, _recovered: bool) {}
-
-        #[inline]
-        pub fn alloc_span(
-            &self,
-            _rank: usize,
-            _label: &'static str,
-            _ts: u64,
-            _bytes: usize,
-            _detail: String,
-        ) {
-        }
-
-        #[inline]
-        pub fn health_event(&self, _rank: usize, _ts_ns: u64, _name: &str, _detail: &str) {}
-
-        #[inline]
-        pub fn push_op(&self, _rank: usize, _label: &'static str) {}
-
-        #[inline]
-        pub fn pop_op(&self, _rank: usize) {}
-
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        pub fn transfer(
-            &self,
-            _src: usize,
-            _dst: usize,
-            _bytes: usize,
-            _start: u64,
-            _arrive: u64,
-            _local: bool,
-        ) {
-        }
-
-        #[inline]
-        pub fn delivery(&self, _src: usize, _dst: usize, _bytes: usize) {}
-
-        #[inline]
-        pub fn nic_busy(&self, _node: usize, _dir: u8, _t0: u64, _t1: u64) {}
-
-        pub fn take_report(&self) -> TraceReport {
-            TraceReport {
-                n_ranks: self.n_ranks,
-                ..TraceReport::default()
-            }
-        }
-    }
-}
-
-pub use imp::Tracer;
-
 pub mod engine_counters {
     //! Global AEAD engine counters, batched per call (one relaxed
     //! `fetch_add` per seal/ghash invocation, never per block). With
@@ -1105,164 +451,12 @@ pub mod engine_counters {
         #[cfg(not(feature = "enabled"))]
         EngineCounters::default()
     }
-
-    /// Reset all counters to zero (tests/benches only).
-    pub fn reset() {
-        #[cfg(feature = "enabled")]
-        {
-            use std::sync::atomic::Ordering::Relaxed;
-            atomics::AES_SOFT.store(0, Relaxed);
-            atomics::AES_NI.store(0, Relaxed);
-            atomics::AES_PIPELINED.store(0, Relaxed);
-            atomics::GHASH_SOFT.store(0, Relaxed);
-            atomics::GHASH_CLMUL.store(0, Relaxed);
-            atomics::HW_FALLBACKS.store(0, Relaxed);
-        }
-    }
 }
+
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_report_roundtrip() {
-        let t = Tracer::new(2);
-        t.push_op(0, "bcast/binomial");
-        t.push_op(0, "p2p/eager");
-        t.wait_span(1, 100, 400, "recv");
-        t.crypto_span(0, 0, 50, "seal", 1024, "boringssl");
-        t.count_seal(0, 1024, 1024 + WIRE_OVERHEAD);
-        t.count_nonce_draw(0);
-        t.transfer(0, 1, 1024 + WIRE_OVERHEAD, 50, 950, false);
-        t.delivery(0, 1, 1024 + WIRE_OVERHEAD);
-        t.nic_busy(0, 0, 50, 900);
-        t.pop_op(0);
-        t.pop_op(0);
-
-        let r = t.take_report();
-        assert_eq!(r.n_ranks, 2);
-        assert_eq!(r.per_rank[1].wait_ns, 300);
-        assert_eq!(r.per_rank[0].crypto_ns, 50);
-        assert_eq!(r.per_rank[0].seals, 1);
-        assert_eq!(r.per_rank[0].nonce_draws, 1);
-        assert_eq!(r.transfers, 1);
-        assert_eq!(r.wire_ns, 900);
-        let p = r.pair(0, 1);
-        assert_eq!(p.tx_bytes, p.rx_bytes);
-        assert_eq!(p.tx_msgs, 1);
-        // Transfer event carries the outermost op label and the phase.
-        let wire = r.events.iter().find(|e| e.cat == Cat::Wire).unwrap();
-        assert_eq!(wire.name, "bcast/binomial");
-        assert!(wire.detail.contains("p2p/eager"));
-        let d = r.decomposition();
-        assert_eq!(d.crypto_ns, 50);
-        assert_eq!(d.wire_ns, 900);
-        assert!(d.crypto_share() > 0.0 && d.crypto_share() < 100.0);
-
-        // Second report covers a fresh window.
-        let r2 = t.take_report();
-        assert_eq!(r2.transfers, 0);
-        assert!(r2.events.is_empty());
-    }
-
-    #[test]
-    fn pipeline_spans_land_on_worker_lanes() {
-        let t = Tracer::new(2);
-        // Two chunks sealed in parallel on distinct workers of rank 0,
-        // one chunk opened on rank 1.
-        t.pipeline_span(0, 0, 100, 200, "pipe/seal", 64, "BoringSSL 0/2".into());
-        t.pipeline_span(0, 1, 100, 190, "pipe/seal", 64, "BoringSSL 1/2".into());
-        t.pipeline_span(1, 0, 300, 340, "pipe/open", 64, "BoringSSL 0/1".into());
-        let r = t.take_report();
-        assert_eq!(r.per_rank[0].chunks_sealed, 2);
-        assert_eq!(r.per_rank[0].chunks_opened, 0);
-        assert_eq!(r.per_rank[1].chunks_opened, 1);
-        // Per-chunk durations accrue to crypto time.
-        assert_eq!(r.per_rank[0].crypto_ns, 190);
-        let lanes: Vec<u32> = r
-            .events
-            .iter()
-            .filter(|e| e.cat == Cat::Pipeline)
-            .map(|e| e.tid)
-            .collect();
-        assert_eq!(
-            lanes,
-            vec![pipeline_tid(0, 0), pipeline_tid(0, 1), pipeline_tid(1, 0)]
-        );
-        // Lanes are named in the Chrome output.
-        let json = r.to_chrome_json();
-        assert!(json.contains("rank 0 crypto-core 1"), "{json}");
-        assert!(json.contains("pipe/seal"));
-    }
-
-    #[test]
-    fn fault_and_retry_spans_count_and_label() {
-        let t = Tracer::new(2);
-        t.fault_span(0, "fault/bitflip", 100, 0, 512, "0->1 chunk 3".into());
-        t.fault_span(0, "fault/jitter", 200, 5_000, 512, "0->1".into());
-        t.retry_span(1, "retry/nack", 300, 0, 16, "msg 7 chunks [3]".into());
-        t.retry_span(0, "retry/backoff", 310, 2_000, 0, "attempt 1".into());
-        t.retry_span(0, "retry/resend", 2_310, 0, 512, "msg 7 chunk 3".into());
-        let r = t.take_report();
-        assert_eq!(r.per_rank[0].faults_injected, 2);
-        assert_eq!(r.per_rank[1].nacks_sent, 1);
-        assert_eq!(r.per_rank[0].retransmits, 1);
-        assert_eq!(r.per_rank[0].backoff_ns, 2_000);
-        // Every injection is auditable: nonzero-duration spans on the
-        // rank lanes with fault/retry names.
-        let faults: Vec<_> = r.events.iter().filter(|e| e.cat == Cat::Fault).collect();
-        assert_eq!(faults.len(), 2);
-        assert!(faults.iter().all(|e| e.dur_ns >= 1 && e.tid == 0));
-        assert!(faults.iter().all(|e| e.name.starts_with("fault/")));
-        let retries: Vec<_> = r.events.iter().filter(|e| e.cat == Cat::Retry).collect();
-        assert_eq!(retries.len(), 3);
-        assert!(retries.iter().all(|e| e.name.starts_with("retry/")));
-        let json = r.to_chrome_json();
-        assert!(json.contains("fault/bitflip"), "{json}");
-        assert!(json.contains("retry/resend"), "{json}");
-    }
-
-    #[test]
-    fn alloc_counters_and_markers() {
-        let t = Tracer::new(2);
-        // Three per-site counts on rank 0: two fresh, one pooled.
-        t.count_alloc(0, true, 4096);
-        t.count_alloc(0, true, 64);
-        t.count_alloc(0, false, 4096);
-        t.count_reclaim(1, true);
-        t.count_reclaim(1, false); // retained by ARQ — not recovered
-                                   // One per-op marker summarizing the seal.
-        t.alloc_span(0, "alloc/pooled", 500, 4096, "seal 0->1".into());
-        let r = t.take_report();
-        assert_eq!(r.per_rank[0].allocs_fresh, 2);
-        assert_eq!(r.per_rank[0].alloc_fresh_bytes, 4160);
-        assert_eq!(r.per_rank[0].allocs_pooled, 1);
-        assert_eq!(r.per_rank[0].alloc_pooled_bytes, 4096);
-        assert_eq!(r.per_rank[1].pool_reclaims, 1);
-        let marks: Vec<_> = r.events.iter().filter(|e| e.cat == Cat::Alloc).collect();
-        assert_eq!(marks.len(), 1);
-        // Markers live on the rank lane (tracecheck: worker lanes are
-        // pipe-only) and carry the alloc/ prefix.
-        assert_eq!(marks[0].tid, 0);
-        assert!(marks[0].name.starts_with("alloc/"));
-        assert!(r.to_chrome_json().contains("alloc/pooled"));
-    }
-
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        let t = Tracer::with_capacity(1, 4);
-        for i in 0..10u64 {
-            t.wait_span(0, i * 10, i * 10 + 5, "recv");
-        }
-        let r = t.take_report();
-        assert_eq!(r.events.len(), 4);
-        assert_eq!(r.dropped_events, 6);
-        // Oldest dropped: remaining events are the latest four.
-        assert_eq!(r.events[0].ts_ns, 60);
-        // Counters are unaffected by ring overflow.
-        assert_eq!(r.per_rank[0].wait_ns, 50);
-    }
 
     #[test]
     fn engine_counters_window() {

@@ -1,9 +1,9 @@
-//! Property tests for the metrics plane: histogram merge algebra,
+//! Property tests for the distribution sink: histogram merge algebra,
 //! percentile error bounds, black-box serialization round-trips, and
 //! snapshot determinism.
 
-use empi_metrics::flight::{BlackBox, FlowEvent};
-use empi_metrics::hist::{bucket_high, bucket_index, bucket_low, Histogram, BUCKETS};
+use empi_trace::flight::{BlackBox, FlowEvent};
+use empi_trace::hist::{bucket_high, bucket_index, bucket_low, Histogram, BUCKETS};
 use proptest::prelude::*;
 
 fn hist_of(samples: &[u64]) -> Histogram {
@@ -123,7 +123,7 @@ proptest! {
 
 #[cfg(feature = "enabled")]
 mod recorder {
-    use empi_metrics::{export, Metric, Metrics};
+    use empi_trace::{export, Metric, Recorder};
     use proptest::prelude::*;
 
     proptest! {
@@ -139,13 +139,13 @@ mod recorder {
             let ops = ["p2p/send", "p2p/recv", "seal/plain", "open/plain"];
             let metrics = [Metric::E2e, Metric::E2e, Metric::Seal, Metric::Open];
             let snap = || {
-                let m = Metrics::new(2);
+                let m = Recorder::new(2, false, true, None);
                 let mut now = 0u64;
                 for &(rank, op, peer, bytes, dur) in &records {
                     now += 10;
-                    m.record(rank, metrics[op], ops[op], peer, bytes, now, dur);
+                    m.sample(rank, (metrics[op], ops[op], peer), bytes, now, dur);
                 }
-                m.snapshot(now)
+                m.finish(now).1.expect("the distribution sink is on")
             };
             let (a, b) = (snap(), snap());
             prop_assert_eq!(export::snapshot_json(&a), export::snapshot_json(&b));

@@ -10,7 +10,10 @@
 //! * [`secure`] — encrypted MPI, the paper's contribution.
 //! * [`nas`] — NAS parallel benchmark kernels.
 //! * [`bench`] — statistics and table harness utilities.
-//! * [`trace`] — virtual-time tracing and overhead decomposition.
+//! * [`trace`] — the one observability plane: the recorder, its
+//!   `TraceReport` (overhead decomposition, Chrome traces) and
+//!   `MetricsSnapshot` (latency histograms, black boxes, SLO verdict),
+//!   and their exporters.
 
 pub use empi_aead as aead;
 pub use empi_trace as trace;
