@@ -3,8 +3,8 @@
 //! §III-A of the paper: "Among the standardized encryption schemes, only
 //! GCM and CCM satisfy both privacy and integrity, but GCM is the faster
 //! one." CCM is implemented here so that claim is *measurable* (see the
-//! `gcm_vs_ccm` Criterion bench) — the MPI data path itself always uses
-//! GCM, as in the paper.
+//! `ABL-CRYPTO` table of `empi-bench encdec`) — the MPI data path itself
+//! always uses GCM, as in the paper.
 //!
 //! Full SP 800-38C parameterization: nonce length 7–13 bytes
 //! (`q = 15 − n` length-field bytes), tag length 4–16 even bytes.

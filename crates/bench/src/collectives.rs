@@ -9,11 +9,12 @@
 //! cluster shares one address space, unlike the paper's 8 real nodes).
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::SecureComm;
-use empi_mpi::{Comm, Src, TagSel, TraceReport, World};
+use empi_core::SecurityConfig;
+use empi_mpi::{TraceReport, World};
 use empi_netsim::Topology;
 
-use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::frame::{collective_loop, run_layered, Coll, Run};
 use crate::stats::{measure_until_stable, overhead_percent};
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
@@ -44,112 +45,42 @@ impl CollOp {
             CollOp::Alltoall => "Encrypted_Alltoall",
         }
     }
+
+    /// The traffic shape `self` runs at `size`: alltoall blocks above
+    /// [`STREAM_THRESHOLD`] go through the streaming pairwise exchange.
+    pub fn shape(self, size: usize) -> Coll {
+        match self {
+            CollOp::Bcast => Coll::Bcast,
+            CollOp::Alltoall if size > STREAM_THRESHOLD => Coll::AlltoallStreaming,
+            CollOp::Alltoall => Coll::Alltoall,
+        }
+    }
 }
 
 /// Blocks larger than this use the streaming pairwise alltoall.
 const STREAM_THRESHOLD: usize = 64 << 10;
 
-fn plain_alltoall_streaming(c: &Comm, size: usize) {
-    let n = c.size();
-    let me = c.rank();
-    let buf = vec![0xA5u8; size];
-    for i in 1..n {
-        let dst = (me + i) % n;
-        let src = (me + n - i) % n;
-        let _ = c.sendrecv(&buf, dst, 2, Src::Is(src), TagSel::Is(2));
-    }
-}
-
-fn secure_alltoall_streaming(sc: &SecureComm, size: usize) {
-    let n = sc.size();
-    let me = sc.rank();
-    let buf = vec![0xA5u8; size];
-    for i in 1..n {
-        let dst = (me + i) % n;
-        let src = (me + n - i) % n;
-        let _ = sc
-            .sendrecv(&buf, dst, 2, Src::Is(src), TagSel::Is(2))
-            .unwrap();
-    }
-}
-
 /// One collective run: mean µs per operation plus, when `traced`, the
-/// trace report.
+/// trace report. `cfg == None` is the unencrypted baseline.
 #[allow(clippy::too_many_arguments)]
-fn collective_run(
+pub fn collective_run(
     net: Net,
-    lib: Option<CryptoLibrary>,
-    op: CollOp,
+    cfg: Option<SecurityConfig>,
+    op: Coll,
     size: usize,
     ranks: usize,
     nodes: usize,
     iters: usize,
     traced: bool,
-) -> (f64, Option<TraceReport>) {
+) -> Run {
     let world = World::new(net.model(), Topology::block(ranks, nodes)).traced(traced);
-    let out = world.run(|c| {
-        let sc = lib.map(|l| SecureComm::new(c, security_config(l, net)).unwrap());
-        c.barrier();
-        let t0 = c.now();
-        for _ in 0..iters {
-            match (op, &sc) {
-                (CollOp::Bcast, None) => {
-                    let mut buf = vec![1u8; size];
-                    c.bcast(&mut buf, 0);
-                }
-                (CollOp::Bcast, Some(sc)) => {
-                    let mut buf = vec![1u8; size];
-                    sc.bcast(&mut buf, 0).unwrap();
-                }
-                (CollOp::Alltoall, None) => {
-                    if size > STREAM_THRESHOLD {
-                        plain_alltoall_streaming(c, size);
-                    } else {
-                        let send = vec![0xA5u8; size * c.size()];
-                        let _ = c.alltoall(&send, size);
-                    }
-                }
-                (CollOp::Alltoall, Some(sc)) => {
-                    if size > STREAM_THRESHOLD {
-                        secure_alltoall_streaming(sc, size);
-                    } else {
-                        let send = vec![0xA5u8; size * c.size()];
-                        let _ = sc.alltoall(&send, size).unwrap();
-                    }
-                }
-            }
-        }
-        c.barrier();
-        (c.now() - t0).as_micros_f64()
+    let out = run_layered(&world, &cfg, |c, layer| {
+        collective_loop(c, layer, op, size, iters).as_micros_f64()
     });
-    (out.results[0] / iters as f64, out.trace)
-}
-
-/// One collective measurement: mean time per operation in µs.
-pub fn collective_us(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    op: CollOp,
-    size: usize,
-    ranks: usize,
-    nodes: usize,
-    iters: usize,
-) -> f64 {
-    collective_run(net, lib, op, size, ranks, nodes, iters, false).0
-}
-
-/// A traced encrypted collective run, returning the trace report.
-pub fn collective_trace(
-    net: Net,
-    lib: CryptoLibrary,
-    op: CollOp,
-    size: usize,
-    ranks: usize,
-    nodes: usize,
-) -> TraceReport {
-    collective_run(net, Some(lib), op, size, ranks, nodes, 1, true)
-        .1
-        .expect("traced run must yield a report")
+    Run {
+        value: out.results[0] / iters as f64,
+        trace: out.trace,
+    }
 }
 
 fn iters_for(op: CollOp, size: usize, quick: bool) -> usize {
@@ -208,7 +139,17 @@ pub fn run_net(net: Net, op: CollOp, opts: &BenchOpts) -> Vec<Table> {
                 // deterministic, so one run suffices there.
                 let reps_min = if s >= 1 << 20 { 1 } else { opts.reps_min };
                 measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                    collective_us(net, lib, op, s, ranks, nodes, iters)
+                    collective_run(
+                        net,
+                        row_config(lib, net),
+                        op.shape(s),
+                        s,
+                        ranks,
+                        nodes,
+                        iters,
+                        false,
+                    )
+                    .value
                 })
                 .mean
             })
@@ -290,7 +231,8 @@ pub fn decomposition_net(net: Net, op: CollOp, opts: &BenchOpts) -> Table {
     );
     let mut json_report: Option<TraceReport> = None;
     for &s in &sizes {
-        let r = collective_trace(net, CryptoLibrary::BoringSsl, op, s, ranks, nodes);
+        let cfg = security_config(CryptoLibrary::BoringSsl, net);
+        let r = collective_run(net, Some(cfg), op.shape(s), s, ranks, nodes, 1, true).report();
         t.push_row(size_label(s), decomp_cells(&r, 1.0));
         if s <= 64 << 10 {
             json_report = Some(r);
@@ -319,48 +261,32 @@ mod tests {
         // 16-rank / 4-node keeps the test fast; the ranking claim is
         // scale-free: BoringSSL < Libsodium < CryptoPP overhead at 16KB+.
         let size = 16 << 10;
-        let base = collective_us(Net::Ethernet, None, CollOp::Bcast, size, 16, 4, 3);
-        let b = collective_us(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            CollOp::Bcast,
-            size,
-            16,
-            4,
-            3,
-        );
-        let l = collective_us(
-            Net::Ethernet,
-            Some(CryptoLibrary::Libsodium),
-            CollOp::Bcast,
-            size,
-            16,
-            4,
-            3,
-        );
-        let p = collective_us(
-            Net::Ethernet,
-            Some(CryptoLibrary::CryptoPp),
-            CollOp::Bcast,
-            size,
-            16,
-            4,
-            3,
-        );
+        let us = |lib: Option<CryptoLibrary>| {
+            let cfg = row_config(lib, Net::Ethernet);
+            collective_run(Net::Ethernet, cfg, Coll::Bcast, size, 16, 4, 3, false).value
+        };
+        let base = us(None);
+        let b = us(Some(CryptoLibrary::BoringSsl));
+        let l = us(Some(CryptoLibrary::Libsodium));
+        let p = us(Some(CryptoLibrary::CryptoPp));
         assert!(base < b && b < l && l < p, "{base} {b} {l} {p}");
     }
 
     #[cfg(feature = "trace")]
     #[test]
     fn traced_bcast_labels_rounds_and_balances_ledgers() {
-        let r = collective_trace(
+        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
+        let r = collective_run(
             Net::Ethernet,
-            CryptoLibrary::BoringSsl,
-            CollOp::Bcast,
+            Some(cfg),
+            Coll::Bcast,
             16 << 10,
             8,
             4,
-        );
+            1,
+            true,
+        )
+        .report();
         let d = r.decomposition();
         assert!(d.crypto_ns > 0 && d.wire_ns > 0, "{d:?}");
         for ((s, dst), f) in &r.pairs {
@@ -377,16 +303,14 @@ mod tests {
     fn streaming_alltoall_equivalent_time_shape() {
         // The streaming path must cost at least as much as the
         // regular path's wire time and preserve the encrypted ranking.
-        let base = collective_us(Net::Infiniband, None, CollOp::Alltoall, 128 << 10, 8, 4, 1);
-        let enc = collective_us(
-            Net::Infiniband,
-            Some(CryptoLibrary::BoringSsl),
-            CollOp::Alltoall,
-            128 << 10,
-            8,
-            4,
-            1,
-        );
+        let op = CollOp::Alltoall.shape(128 << 10);
+        assert_eq!(op, Coll::AlltoallStreaming);
+        let us = |lib: Option<CryptoLibrary>| {
+            let cfg = row_config(lib, Net::Infiniband);
+            collective_run(Net::Infiniband, cfg, op, 128 << 10, 8, 4, 1, false).value
+        };
+        let base = us(None);
+        let enc = us(Some(CryptoLibrary::BoringSsl));
         assert!(enc > base, "enc {enc} vs base {base}");
     }
 }

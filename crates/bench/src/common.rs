@@ -80,7 +80,13 @@ pub fn security_config(lib: CryptoLibrary, net: Net) -> SecurityConfig {
     SecurityConfig::new(lib).with_timing(TimingMode::calibrated_for(&net.model()))
 }
 
-/// Harness options shared by all binaries.
+/// The configuration behind one table row on `net`: `None` for the
+/// unencrypted baseline, the paper's configuration for a library.
+pub fn row_config(lib: Option<CryptoLibrary>, net: Net) -> Option<SecurityConfig> {
+    lib.map(|l| security_config(l, net))
+}
+
+/// Harness options shared by every harness of the `empi-bench` binary.
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// Fewer sizes / iterations for a fast smoke run.
@@ -127,13 +133,13 @@ impl Default for BenchOpts {
 }
 
 /// One line of flag documentation, shared by `--help` and error paths.
-const USAGE: &str = "flags: --quick  --net ethernet|infiniband|both  --out DIR  \
+pub const USAGE: &str = "flags: --quick  --net ethernet|infiniband|both  --out DIR  \
                      --reps MIN,MAX  --trace  --sizes small|large|all  --shards N\n\
                      env: EMPI_TRACE=1 implies --trace; EMPI_SHARDS=N is the --shards default";
 
 /// Print a parse error plus the usage line to stderr and exit nonzero.
 /// A bad flag is operator error, not a program bug — no backtrace.
-fn usage_err(msg: &str) -> ! {
+pub fn usage_err(msg: &str) -> ! {
     eprintln!("error: {msg}\n{USAGE}");
     std::process::exit(2);
 }
@@ -143,7 +149,8 @@ impl BenchOpts {
     /// `--out DIR`, `--reps MIN,MAX`, `--trace`, `--sizes small|large|all`.
     ///
     /// Unknown flags or values print the usage to stderr and exit with
-    /// status 2 instead of panicking.
+    /// status 2 instead of panicking (`--help` is the binary's: it
+    /// prints the registry before any flag is parsed).
     pub fn parse(args: impl Iterator<Item = String>) -> Self {
         match Self::try_parse(args) {
             Ok(opts) => {
@@ -202,10 +209,6 @@ impl BenchOpts {
                         "all" => SizeSel::All,
                         other => return Err(format!("unknown size group '{other}'")),
                     };
-                }
-                "--help" | "-h" => {
-                    println!("{USAGE}");
-                    std::process::exit(0);
                 }
                 other => return Err(format!("unknown flag '{other}' (try --help)")),
             }

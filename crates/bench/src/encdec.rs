@@ -10,8 +10,12 @@
 //! * the **measured** curve — the real engines of this crate running on
 //!   the build host (single thread, like the paper's benchmark).
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use empi_aead::ccm::AesCcm;
+use empi_aead::gcm::AesGcm;
+use empi_aead::nonce::{NoncePolicy, NonceSource};
 use empi_aead::profile::{CompilerBuild, CryptoLibrary, KeySize, REPORTED_LIBRARIES};
 use empi_trace::engine_counters;
 
@@ -39,20 +43,15 @@ const MIN_BATCH: Duration = Duration::from_millis(1);
 /// Batches behind every reported number (the median of them).
 const MIN_BATCHES: usize = 5;
 
-/// Measure real enc-dec throughput (MB/s) of one library profile at one
-/// size, single-threaded, on this host: the median over batches of
-/// rounds, at least [`MIN_BATCHES`] of them and as many as fit in
-/// `min_millis`.
-pub fn measured_encdec_mbs(lib: CryptoLibrary, size: usize, min_millis: u64) -> f64 {
-    let key = [0x42u8; 32];
-    let cipher = lib.instantiate(KeySize::Aes256, &key).unwrap();
-    let nonce = [7u8; 12];
-    let mut buf = vec![0xABu8; size];
+/// The one host-time timer of this crate: median seconds per call of
+/// `f` over batches of calls — at least [`MIN_BATCHES`] of them and as
+/// many as fit in `min_millis`, each batch sized to outlast
+/// [`MIN_BATCH`].
+pub fn median_secs_per_call(min_millis: u64, mut f: impl FnMut()) -> f64 {
     let mut time_batch = |rounds: u64| {
         let start = Instant::now();
         for _ in 0..rounds {
-            let tag = cipher.seal_detached(&nonce, b"", &mut buf);
-            cipher.open_detached(&nonce, b"", &mut buf, &tag).unwrap();
+            f();
         }
         start.elapsed()
     };
@@ -72,8 +71,81 @@ pub fn measured_encdec_mbs(lib: CryptoLibrary, size: usize, min_millis: u64) -> 
         secs.push(time_batch(rounds).as_secs_f64());
     }
     secs.sort_by(f64::total_cmp);
-    let median = secs[secs.len() / 2];
-    (rounds as f64 * size as f64) / median / 1e6
+    secs[secs.len() / 2] / rounds as f64
+}
+
+/// Measure real enc-dec throughput (MB/s) of one library profile at one
+/// size, single-threaded, on this host.
+pub fn measured_encdec_mbs(lib: CryptoLibrary, size: usize, min_millis: u64) -> f64 {
+    let key = [0x42u8; 32];
+    let cipher = lib.instantiate(KeySize::Aes256, &key).unwrap();
+    let nonce = [7u8; 12];
+    let mut buf = vec![0xABu8; size];
+    let secs = median_secs_per_call(min_millis, || {
+        let tag = cipher.seal_detached(&nonce, b"", &mut buf);
+        cipher.open_detached(&nonce, b"", &mut buf, &tag).unwrap();
+    });
+    size as f64 / secs / 1e6
+}
+
+/// ABL-CRYPTO: the three crypto-design ablations EXPERIMENTS.md quotes
+/// a host-time number for, measured with the timer above — key size
+/// (BoringSSL seal at 64 KB, AES-128 vs AES-256), mode (AES-GCM vs
+/// AES-CCM seal at 1 MiB; §III-A's "GCM is the faster one") and nonce
+/// policy (`NonceSource::next_nonce`, random vs counter).
+pub fn ablation_table(min_millis: u64) -> Table {
+    let nonce = [7u8; 12];
+    let mbs = |size: usize, secs: f64| fmt_value(size as f64 / secs / 1e6);
+    let mut t = Table::new(
+        "ABL-CRYPTO: crypto-design ablations measured on this host",
+        "ablation",
+        vec!["first".into(), "second".into()],
+    );
+
+    let size = 64 << 10;
+    let cells = [(KeySize::Aes128, 16), (KeySize::Aes256, 32)]
+        .iter()
+        .map(|&(key_size, key_len)| {
+            let cipher = CryptoLibrary::BoringSsl
+                .instantiate(key_size, &vec![0x11u8; key_len])
+                .unwrap();
+            let mut buf = vec![0u8; size];
+            let secs = median_secs_per_call(min_millis, || {
+                black_box(cipher.seal_detached(&nonce, b"", &mut buf));
+            });
+            mbs(size, secs)
+        })
+        .collect();
+    t.push_row("BoringSSL seal 64KB, AES-128 vs AES-256 (MB/s)", cells);
+
+    let size = 1 << 20;
+    let key = [0x42u8; 32];
+    let msg = vec![0xABu8; size];
+    let gcm = AesGcm::new(&key).unwrap();
+    let ccm = AesCcm::new_default(&key).unwrap();
+    let gcm_secs = median_secs_per_call(min_millis, || {
+        black_box(gcm.seal(&nonce, b"", &msg));
+    });
+    let ccm_secs = median_secs_per_call(min_millis, || {
+        black_box(ccm.seal(&nonce, b"", &msg));
+    });
+    t.push_row(
+        "seal 1MB, AES-GCM vs AES-CCM (MB/s)",
+        vec![mbs(size, gcm_secs), mbs(size, ccm_secs)],
+    );
+
+    let cells = [NoncePolicy::Random, NoncePolicy::Counter { sender_id: 1 }]
+        .iter()
+        .map(|&policy| {
+            let mut src = NonceSource::new(policy);
+            let secs = median_secs_per_call(min_millis, || {
+                black_box(src.next_nonce());
+            });
+            fmt_value(secs * 1e9)
+        })
+        .collect();
+    t.push_row("next_nonce, random vs counter (ns)", cells);
+    t
 }
 
 /// Calibrated enc-dec throughput (MB/s) from the digitized anchors.
@@ -132,6 +204,7 @@ pub fn run(opts: &BenchOpts) -> Vec<Table> {
         );
     }
     tables.push(t);
+    tables.push(ablation_table(min_ms));
     if trace_active(opts) {
         tables.push(engine_counter_table());
     }
@@ -223,6 +296,19 @@ mod tests {
             // Every profile pushes ≥ 4096 AES blocks for 64 KB; the
             // floor holds even if parallel tests inflate the window.
             assert!(total >= 4096, "{lib}: {cells:?}");
+        }
+    }
+
+    #[test]
+    fn ablation_table_measures_every_pair() {
+        let t = ablation_table(1);
+        assert_eq!(t.rows.len(), 3);
+        for (label, cells) in &t.rows {
+            assert_eq!(cells.len(), 2, "{label}");
+            for c in cells {
+                let v: f64 = c.replace(',', "").parse().unwrap();
+                assert!(v > 0.0, "{label}: {cells:?}");
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //!   (In `Calibrated` timing mode the charged curves are the paper's
 //!   256-bit ones, so the table demonstrates trend parity; the raw
 //!   128-vs-256 speed difference of the real engines — 10 vs 14 rounds —
-//!   is measured by the `crypto` Criterion bench's `key_size` group.)
+//!   is measured by the `ABL-CRYPTO` table of the `encdec` harness.)
 //! * **EXT-SCALE** — the paper's four scalability settings (4r/4n,
 //!   16r/4n, 16r/8n, 64r/8n) for the NAS suite, baseline vs BoringSSL.
 //! * **EXT-SCALE-RANKS** — rank counts far beyond the paper's 64-rank
@@ -15,44 +15,26 @@
 //!   shard-count-invariant; sharding only buys wall-clock.
 
 use empi_aead::profile::{CryptoLibrary, KeySize};
-use empi_core::{SecureComm, TimingMode};
-use empi_mpi::{Src, TagSel, World};
+use empi_core::{SecurityConfig, TimingMode};
+use empi_mpi::World;
 use empi_netsim::Topology;
 
-use crate::collectives::{collective_us, CollOp};
-use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
+use crate::collectives::collective_run;
+use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::frame::{echo, run_layered, Coll};
 use crate::nasbench;
+use crate::pingpong::pingpong_run;
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 
-/// Ping-pong throughput under an explicit key size.
-fn pingpong_keysize_mbs(net: Net, key_size: KeySize, size: usize, iters: usize) -> f64 {
-    let world = World::flat(net.model(), 2);
-    let out = world.run(|c| {
-        let mut key = [0u8; 32];
-        key[..key_size.bytes()].copy_from_slice(&vec![0x42u8; key_size.bytes()]);
-        let cfg = security_config(CryptoLibrary::BoringSsl, net)
-            .with_key_size(key_size)
-            .with_key(key)
-            .with_timing(TimingMode::calibrated_for(&net.model()));
-        let sc = SecureComm::new(c, cfg).unwrap();
-        let buf = vec![0u8; size];
-        if c.rank() == 0 {
-            let t0 = c.now();
-            for _ in 0..iters {
-                sc.send(&buf, 1, 0);
-                let _ = sc.recv(Src::Is(1), TagSel::Is(1)).unwrap();
-            }
-            (c.now() - t0).as_secs_f64()
-        } else {
-            for _ in 0..iters {
-                let (_, m) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-                sc.send(&m, 0, 1);
-            }
-            0.0
-        }
-    });
-    (iters as f64 * size as f64) / (out.results[0] / 2.0) / 1e6
+/// The BoringSSL configuration of EXT-KEYSIZE under an explicit key size.
+fn keysize_config(net: Net, key_size: KeySize) -> SecurityConfig {
+    let mut key = [0u8; 32];
+    key[..key_size.bytes()].copy_from_slice(&vec![0x42u8; key_size.bytes()]);
+    security_config(CryptoLibrary::BoringSsl, net)
+        .with_key_size(key_size)
+        .with_key(key)
+        .with_timing(TimingMode::calibrated_for(&net.model()))
 }
 
 /// EXT-KEYSIZE table.
@@ -75,7 +57,7 @@ pub fn keysize_table(net: Net, opts: &BenchOpts) -> Table {
             .iter()
             .map(|&s| {
                 let st = measure_until_stable(opts.reps_min, opts.reps_max, || {
-                    pingpong_keysize_mbs(net, ks, s, iters)
+                    pingpong_run(net, Some(keysize_config(net, ks)), s, iters, false).value
                 });
                 fmt_value(st.mean)
             })
@@ -101,37 +83,8 @@ pub fn scale_table(net: Net, _opts: &BenchOpts) -> Table {
 fn pingpong_at_scale_us(net: Net, lib: Option<CryptoLibrary>, ranks: usize, iters: usize) -> f64 {
     let nodes = (ranks / 32).max(2);
     let world = World::new(net.model(), Topology::block(ranks, nodes));
-    let size = 4 << 10;
-    let out = world.run(move |c| {
-        let me = c.rank();
-        let peer = c.size() - 1;
-        let sc = lib.map(|l| SecureComm::new(c, security_config(l, net)).unwrap());
-        if me != 0 && me != peer {
-            return 0.0;
-        }
-        let buf = vec![0x5au8; size];
-        let t0 = c.now();
-        for _ in 0..iters {
-            match (&sc, me) {
-                (None, 0) => {
-                    c.send(&buf, peer, 0);
-                    let _ = c.recv(Src::Is(peer), TagSel::Is(1));
-                }
-                (None, _) => {
-                    let (_, m) = c.recv(Src::Is(0), TagSel::Is(0));
-                    c.send(m.as_ref(), 0, 1);
-                }
-                (Some(sc), 0) => {
-                    sc.send(&buf, peer, 0);
-                    let _ = sc.recv(Src::Is(peer), TagSel::Is(1)).unwrap();
-                }
-                (Some(sc), _) => {
-                    let (_, m) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-                    sc.send(&m, 0, 1);
-                }
-            }
-        }
-        (c.now() - t0).as_micros_f64()
+    let out = run_layered(&world, &row_config(lib, net), |c, layer| {
+        echo(c, layer, c.size() - 1, 4 << 10, iters).as_micros_f64()
     });
     out.results[0] / iters as f64
 }
@@ -164,15 +117,9 @@ pub fn rankscale_table(net: Net, opts: &BenchOpts) -> Table {
             .map(|&r| fmt_value(pingpong_at_scale_us(net, lib, r, if full { 4 } else { 2 })))
             .collect();
         cells.extend(a2a_ranks.iter().map(|&r| {
-            fmt_value(collective_us(
-                net,
-                lib,
-                CollOp::Alltoall,
-                64,
-                r,
-                (r / 32).max(2),
-                1,
-            ))
+            let nodes = (r / 32).max(2);
+            let cfg = row_config(lib, net);
+            fmt_value(collective_run(net, cfg, Coll::Alltoall, 64, r, nodes, 1, false).value)
         }));
         if full {
             cells.push("-".into());
@@ -190,8 +137,12 @@ mod tests {
     fn key_sizes_show_same_trend() {
         // AES-128 is at least as fast as AES-256 (fewer rounds), and
         // both see the same large-message overhead regime.
-        let k128 = pingpong_keysize_mbs(Net::Ethernet, KeySize::Aes128, 2 << 20, 5);
-        let k256 = pingpong_keysize_mbs(Net::Ethernet, KeySize::Aes256, 2 << 20, 5);
+        let mbs = |ks| {
+            let cfg = keysize_config(Net::Ethernet, ks);
+            pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 5, false).value
+        };
+        let k128 = mbs(KeySize::Aes128);
+        let k256 = mbs(KeySize::Aes256);
         assert!(k128 >= k256 * 0.98, "AES-128 {k128} vs AES-256 {k256}");
         // Same trend = same order of magnitude of overhead.
         let ratio = k128 / k256;

@@ -2,17 +2,20 @@
 //! measured by this reproduction, with a shape verdict.
 //!
 //! ```bash
-//! cargo run --release -p empi-bench --bin headline            # fast set
-//! cargo run --release -p empi-bench --bin headline -- --nas   # + NAS aggregates (slow)
+//! cargo run --release -p empi-bench -- headline         # fast set
+//! cargo run --release -p empi-bench -- headline --nas   # + NAS aggregates (slow)
 //! ```
 
+use std::process::ExitCode;
+
 use empi_aead::profile::CryptoLibrary;
-use empi_bench::common::Net;
-use empi_bench::multipair::multipair_mbs;
-use empi_bench::nasbench::nas_seconds;
-use empi_bench::pingpong::pingpong_mbs;
-use empi_bench::stats::overhead_percent_of_totals;
 use empi_nas::{Class, Kernel};
+
+use crate::common::{row_config, BenchOpts, Net};
+use crate::multipair::multipair_run;
+use crate::nasbench::nas_run;
+use crate::pingpong::pingpong_run;
+use crate::stats::{overhead_percent_of_mbs as overhead, overhead_percent_of_totals};
 
 struct Claim {
     what: &'static str,
@@ -32,12 +35,18 @@ impl Claim {
     }
 }
 
-fn overhead(base: f64, enc: f64) -> f64 {
-    (base / enc - 1.0) * 100.0
-}
-
-fn main() {
-    let with_nas = std::env::args().any(|a| a == "--nas");
+/// The `headline` subcommand: `--nas` adds the NAS aggregates; the
+/// shared harness flags are accepted (and an unknown one rejected) like
+/// everywhere else.
+pub fn run(mut args: Vec<String>) -> ExitCode {
+    let with_nas = args.iter().any(|a| a == "--nas");
+    args.retain(|a| a != "--nas");
+    BenchOpts::parse(args.into_iter());
+    let pingpong_mbs =
+        |net, lib, size, iters| pingpong_run(net, row_config(lib, net), size, iters, false).value;
+    let multipair_mbs = |net, lib, size, pairs, iters| {
+        multipair_run(net, row_config(lib, net), size, pairs, iters, false).value
+    };
     let mut claims = Vec::new();
     let boring = Some(CryptoLibrary::BoringSsl);
     let cpp = Some(CryptoLibrary::CryptoPp);
@@ -112,14 +121,26 @@ fn main() {
     if with_nas {
         println!("measuring NAS aggregates (this takes several minutes)...");
         for (net, paper_oh, label) in [
-            (Net::Ethernet, 12.75, "Ethernet NAS BoringSSL aggregate overhead % (paper 12.75)"),
-            (Net::Infiniband, 17.93, "IB NAS BoringSSL aggregate overhead % (paper 17.93)"),
+            (
+                Net::Ethernet,
+                12.75,
+                "Ethernet NAS BoringSSL aggregate overhead % (paper 12.75)",
+            ),
+            (
+                Net::Infiniband,
+                17.93,
+                "IB NAS BoringSSL aggregate overhead % (paper 17.93)",
+            ),
         ] {
             let mut base = Vec::new();
             let mut enc = Vec::new();
             for k in Kernel::ALL {
-                base.push(nas_seconds(net, None, k, Class::MiniC, 64, 8).0);
-                enc.push(nas_seconds(net, boring, k, Class::MiniC, 64, 8).0);
+                let secs = |lib| {
+                    let cfg = row_config(lib, net);
+                    nas_run(net, cfg, k, Class::MiniC, 64, 8, false).value.0
+                };
+                base.push(secs(None));
+                enc.push(secs(boring));
             }
             claims.push(Claim {
                 what: label,
@@ -152,4 +173,5 @@ fn main() {
     } else {
         println!("{diverges} claim(s) outside tolerance — see DESIGN.md §8 for known deviations");
     }
+    ExitCode::SUCCESS
 }

@@ -11,10 +11,11 @@
 
 use empi_aead::profile::CryptoLibrary;
 use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
-use empi_mpi::{Comm, Src, TagSel, TraceReport, World};
+use empi_mpi::{Comm, Src, TagSel, World};
 use empi_netsim::VDur;
 
 use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
+use crate::frame::Run;
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, Table};
 use crate::tracing::{trace_active, write_trace};
@@ -149,27 +150,25 @@ fn pump_secure(sc: &SecureComm, is_sender: bool, peer: usize, window: usize, msg
 
 /// One windowed stream: rank 0 isends `msgs` messages of [`MSG_SIZE`]
 /// bytes to rank 1 with at most `window` outstanding; returns aggregate
-/// goodput in MB/s (plus the trace when `traced`). `lib == None` is the
+/// goodput in MB/s (plus the trace when `traced`). `cfg == None` is the
 /// unencrypted baseline.
-fn inflight_run(
+pub fn inflight_run(
     net: Net,
-    lib: Option<CryptoLibrary>,
-    piped: bool,
-    chaos: bool,
+    cfg: Option<SecurityConfig>,
     window: usize,
     msgs: usize,
     traced: bool,
-) -> (f64, Option<TraceReport>) {
+) -> Run {
     let world = World::flat(net.model(), 2).traced(traced);
-    let out = world.run(move |c| {
+    let out = world.run(|c| {
         let is_sender = c.rank() == 0;
         let peer = 1 - c.rank();
         c.barrier();
         let t0 = c.now();
-        match lib {
+        match &cfg {
             None => pump_raw(c, is_sender, peer, window, msgs),
-            Some(l) => {
-                let sc = SecureComm::new(c, config(l, net, piped, chaos, window)).unwrap();
+            Some(cfg) => {
+                let sc = SecureComm::new(c, cfg.clone()).unwrap();
                 pump_secure(&sc, is_sender, peer, window, msgs);
             }
         }
@@ -177,19 +176,10 @@ fn inflight_run(
         (c.now() - t0).as_secs_f64()
     });
     let elapsed = out.results[0];
-    ((msgs * MSG_SIZE) as f64 / elapsed / 1e6, out.trace)
-}
-
-/// One goodput cell (MB/s).
-pub fn inflight_mbs(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    piped: bool,
-    chaos: bool,
-    window: usize,
-    msgs: usize,
-) -> f64 {
-    inflight_run(net, lib, piped, chaos, window, msgs, false).0
+    Run {
+        value: (msgs * MSG_SIZE) as f64 / elapsed / 1e6,
+        trace: out.trace,
+    }
 }
 
 /// Build the FIG-INFLIGHT tables for one network: goodput vs window for
@@ -226,7 +216,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                     // The calibrated simulator is deterministic, so one
                     // run per cell suffices (stats.rs allows min_runs=1).
                     let s = measure_until_stable(1, 1, || {
-                        inflight_mbs(net, lib, piped, false, w, msgs)
+                        let cfg = lib.map(|l| config(l, net, piped, false, w));
+                        inflight_run(net, cfg, w, msgs, false).value
                     });
                     fmt_value(s.mean)
                 })
@@ -251,7 +242,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             .iter()
             .map(|&w| {
                 let s = measure_until_stable(1, 1, || {
-                    inflight_mbs(net, Some(CryptoLibrary::BoringSsl), piped, true, w, msgs)
+                    let cfg = config(CryptoLibrary::BoringSsl, net, piped, true, w);
+                    inflight_run(net, Some(cfg), w, msgs, false).value
                 });
                 fmt_value(s.mean)
             })
@@ -264,21 +256,10 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 
     if trace_active(opts) {
         let w = *windows.last().unwrap();
-        let (_, trace) = inflight_run(
-            net,
-            Some(CryptoLibrary::BoringSsl),
-            true,
-            false,
-            w,
-            msgs.min(64),
-            true,
-        );
+        let cfg = config(CryptoLibrary::BoringSsl, net, true, false, w);
+        let r = inflight_run(net, Some(cfg), w, msgs.min(64), true).report();
         let stem = format!("trace-inflight-{}", net.name().to_lowercase());
-        write_trace(
-            &trace.expect("traced run must yield a report"),
-            &opts.out_dir,
-            &stem,
-        );
+        write_trace(&r, &opts.out_dir, &stem);
     }
 
     vec![clean, chaotic]
@@ -292,8 +273,8 @@ mod tests {
     fn goodput_scales_with_window_on_raw_fabric() {
         // Rendezvous messages: window 16 hides the handshake RTT that
         // window 1 pays serially on every message.
-        let g1 = inflight_mbs(Net::Ethernet, None, false, false, 1, 24);
-        let g16 = inflight_mbs(Net::Ethernet, None, false, false, 16, 24);
+        let g1 = inflight_run(Net::Ethernet, None, 1, 24, false).value;
+        let g16 = inflight_run(Net::Ethernet, None, 16, 24, false).value;
         assert!(
             g16 > 1.2 * g1,
             "window must lift raw goodput: {g1:.1} -> {g16:.1} MB/s"
@@ -302,22 +283,12 @@ mod tests {
 
     #[test]
     fn goodput_scales_with_window_when_encrypted() {
-        let g1 = inflight_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            false,
-            false,
-            1,
-            24,
-        );
-        let g16 = inflight_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            false,
-            false,
-            16,
-            24,
-        );
+        let goodput = |w: usize| {
+            let cfg = config(CryptoLibrary::BoringSsl, Net::Ethernet, false, false, w);
+            inflight_run(Net::Ethernet, Some(cfg), w, 24, false).value
+        };
+        let g1 = goodput(1);
+        let g16 = goodput(16);
         assert!(
             g16 > 1.2 * g1,
             "window must lift encrypted goodput: {g1:.1} -> {g16:.1} MB/s"
@@ -331,14 +302,8 @@ mod tests {
         // Fixed-seed faults + ARQ at the deepest quick window: the
         // receiver-side asserts in pump_secure verify every plaintext
         // arrives intact, window notwithstanding.
-        let g = inflight_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            true,
-            true,
-            16,
-            16,
-        );
+        let cfg = config(CryptoLibrary::BoringSsl, Net::Ethernet, true, true, 16);
+        let g = inflight_run(Net::Ethernet, Some(cfg), 16, 16, false).value;
         assert!(g > 0.0);
     }
 }

@@ -7,11 +7,12 @@
 //! uni-directional throughput (MB/s), plaintext bytes only.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::SecureComm;
+use empi_core::{SecureComm, SecurityConfig};
 use empi_mpi::{Comm, Src, TagSel, TraceReport, World};
 use empi_netsim::Topology;
 
-use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::frame::Run;
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
@@ -24,7 +25,7 @@ pub const PAIRS: [usize; 4] = [1, 2, 4, 8];
 /// Window size (messages in flight per iteration). OSU uses 64; for
 /// 2 MB messages we shrink it to bound simulator memory — aggregate
 /// bandwidth is insensitive to window depth beyond the pipeline depth.
-pub(crate) fn window_for(size: usize) -> usize {
+fn window_for(size: usize) -> usize {
     if size >= 1 << 20 {
         16
     } else {
@@ -33,14 +34,15 @@ pub(crate) fn window_for(size: usize) -> usize {
 }
 
 /// One multi-pair run: aggregate MB/s plus, when `traced`, the report.
-fn multipair_run(
+/// `cfg == None` is the unencrypted baseline.
+pub fn multipair_run(
     net: Net,
-    lib: Option<CryptoLibrary>,
+    cfg: Option<SecurityConfig>,
     size: usize,
     pairs: usize,
     iters: usize,
     traced: bool,
-) -> (f64, Option<TraceReport>) {
+) -> Run {
     let window = window_for(size);
     // Ranks 0..pairs on node 0 (senders), pairs..2*pairs on node 1.
     let world = World::new(net.model(), Topology::block(2 * pairs, 2)).traced(traced);
@@ -50,10 +52,10 @@ fn multipair_run(
         let peer = if is_sender { me + pairs } else { me - pairs };
         c.barrier();
         let t0 = c.now();
-        match lib {
+        match &cfg {
             None => run_pairs(c, is_sender, peer, size, window, iters),
-            Some(l) => {
-                let sc = SecureComm::new(c, security_config(l, net)).unwrap();
+            Some(cfg) => {
+                let sc = SecureComm::new(c, cfg.clone()).unwrap();
                 run_pairs_secure(&sc, is_sender, peer, size, window, iters);
             }
         }
@@ -61,42 +63,17 @@ fn multipair_run(
         (c.now() - t0).as_secs_f64()
     });
     let elapsed = out.results[0];
-    let mbs = (pairs * iters * window * size) as f64 / elapsed / 1e6;
-    (mbs, out.trace)
+    Run {
+        value: (pairs * iters * window * size) as f64 / elapsed / 1e6,
+        trace: out.trace,
+    }
 }
 
-/// One multi-pair measurement: aggregate MB/s.
-pub fn multipair_mbs(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    size: usize,
-    pairs: usize,
-    iters: usize,
-) -> f64 {
-    multipair_run(net, lib, size, pairs, iters, false).0
-}
-
-/// A traced encrypted multi-pair run, returning the trace report.
-pub fn multipair_trace(
-    net: Net,
-    lib: CryptoLibrary,
-    size: usize,
-    pairs: usize,
-    iters: usize,
-) -> TraceReport {
-    multipair_run(net, Some(lib), size, pairs, iters, true)
-        .1
-        .expect("traced run must yield a report")
-}
-
-pub(crate) fn run_pairs(
-    c: &Comm,
-    is_sender: bool,
-    peer: usize,
-    size: usize,
-    window: usize,
-    iters: usize,
-) {
+// The windowed stream needs `isend`/`irecv`/`waitall`, which the
+// `CommLayer` the blocking shapes share does not have, and `Comm` and
+// `SecureComm` use different request types: bridging them costs more
+// lines than the second body, so the two stay side by side.
+fn run_pairs(c: &Comm, is_sender: bool, peer: usize, size: usize, window: usize, iters: usize) {
     let buf = vec![0x77u8; size];
     for _ in 0..iters {
         if is_sender {
@@ -113,7 +90,7 @@ pub(crate) fn run_pairs(
     }
 }
 
-pub(crate) fn run_pairs_secure(
+fn run_pairs_secure(
     sc: &SecureComm,
     is_sender: bool,
     peer: usize,
@@ -168,7 +145,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                     // one rep suffices there.
                     let reps_min = if size >= 1 << 20 { 1 } else { opts.reps_min };
                     let s = measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                        multipair_mbs(net, lib, size, pairs, iters)
+                        multipair_run(net, row_config(lib, net), size, pairs, iters, false).value
                     });
                     fmt_value(s.mean)
                 })
@@ -202,7 +179,8 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut json_report: Option<TraceReport> = None;
     for &pairs in &PAIRS {
-        let r = multipair_trace(net, CryptoLibrary::BoringSsl, size, pairs, iters);
+        let cfg = security_config(CryptoLibrary::BoringSsl, net);
+        let r = multipair_run(net, Some(cfg), size, pairs, iters, true).report();
         t.push_row(pairs.to_string(), decomp_cells(&r, iters as f64));
         if pairs == 4 {
             json_report = Some(r);
@@ -223,11 +201,12 @@ mod tests {
     fn large_messages_saturate_with_pairs() {
         // Fig. 6 shape: baseline saturates by ~2 pairs; the encrypted
         // libraries converge toward it as pairs increase.
-        let b1 = multipair_mbs(Net::Ethernet, None, 2 << 20, 1, 4);
-        let b4 = multipair_mbs(Net::Ethernet, None, 2 << 20, 4, 4);
+        let b1 = multipair_run(Net::Ethernet, None, 2 << 20, 1, 4, false).value;
+        let b4 = multipair_run(Net::Ethernet, None, 2 << 20, 4, 4, false).value;
         assert!(b4 > 0.95 * b1, "baseline should not degrade: {b1} -> {b4}");
-        let e1 = multipair_mbs(Net::Ethernet, Some(CryptoLibrary::BoringSsl), 2 << 20, 1, 4);
-        let e4 = multipair_mbs(Net::Ethernet, Some(CryptoLibrary::BoringSsl), 2 << 20, 4, 4);
+        let cfg = row_config(Some(CryptoLibrary::BoringSsl), Net::Ethernet);
+        let e1 = multipair_run(Net::Ethernet, cfg.clone(), 2 << 20, 1, 4, false).value;
+        let e4 = multipair_run(Net::Ethernet, cfg, 2 << 20, 4, 4, false).value;
         let gap1 = b1 / e1;
         let gap4 = b4 / e4;
         assert!(gap1 > 1.3, "single pair must show a clear gap: {gap1:.2}");
@@ -241,16 +220,16 @@ mod tests {
     fn small_messages_baseline_keeps_scaling_on_ethernet() {
         // Fig. 4 shape: small-message baseline throughput keeps growing
         // with pair count (the wire is nowhere near saturated).
-        let b1 = multipair_mbs(Net::Ethernet, None, 1, 1, 10);
-        let b8 = multipair_mbs(Net::Ethernet, None, 1, 8, 10);
+        let b1 = multipair_run(Net::Ethernet, None, 1, 1, 10, false).value;
+        let b8 = multipair_run(Net::Ethernet, None, 1, 8, 10, false).value;
         assert!(b8 > 4.0 * b1, "expected near-linear scaling: {b1} -> {b8}");
     }
 
     #[test]
     fn ib_small_messages_throttle_at_8_pairs() {
         // Fig. 11 shape: IB baseline throughput drops from 4 to 8 pairs.
-        let b4 = multipair_mbs(Net::Infiniband, None, 1, 4, 10);
-        let b8 = multipair_mbs(Net::Infiniband, None, 1, 8, 10);
+        let b4 = multipair_run(Net::Infiniband, None, 1, 4, 10, false).value;
+        let b8 = multipair_run(Net::Infiniband, None, 1, 8, 10, false).value;
         assert!(
             b8 < b4,
             "IB 1B baseline should throttle at 8 pairs: {b4} -> {b8}"
@@ -261,14 +240,9 @@ mod tests {
     fn cryptopp_reaches_baseline_at_16kb_8pairs_ethernet() {
         // §V-A: "when there are 8 pairs, even CryptoPP can reach the
         // baseline performance, for 16KB messages".
-        let b = multipair_mbs(Net::Ethernet, None, 16 << 10, 8, 10);
-        let cpp = multipair_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::CryptoPp),
-            16 << 10,
-            8,
-            10,
-        );
+        let b = multipair_run(Net::Ethernet, None, 16 << 10, 8, 10, false).value;
+        let cfg = row_config(Some(CryptoLibrary::CryptoPp), Net::Ethernet);
+        let cpp = multipair_run(Net::Ethernet, cfg, 16 << 10, 8, 10, false).value;
         assert!(cpp > 0.85 * b, "CryptoPP {cpp} vs baseline {b}");
     }
 }

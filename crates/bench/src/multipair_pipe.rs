@@ -12,10 +12,9 @@
 use empi_aead::profile::CryptoLibrary;
 use empi_core::{PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
-use empi_netsim::Topology;
 
 use crate::common::{security_config, BenchOpts, Net};
-use crate::multipair::{run_pairs, run_pairs_secure, window_for, PAIRS, SIZES};
+use crate::multipair::{multipair_run, PAIRS, SIZES};
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{trace_active, write_trace};
@@ -53,52 +52,6 @@ impl Variant {
                 .with_buffer_pool(true),
         }
     }
-}
-
-/// One multi-pair run under `variant`: aggregate MB/s plus, when
-/// `traced`, the report. `lib == None` is the unencrypted baseline.
-fn mp_run(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    variant: Variant,
-    size: usize,
-    pairs: usize,
-    iters: usize,
-    traced: bool,
-) -> (f64, Option<TraceReport>) {
-    let window = window_for(size);
-    let world = World::new(net.model(), Topology::block(2 * pairs, 2)).traced(traced);
-    let out = world.run(|c| {
-        let me = c.rank();
-        let is_sender = me < pairs;
-        let peer = if is_sender { me + pairs } else { me - pairs };
-        c.barrier();
-        let t0 = c.now();
-        match lib {
-            None => run_pairs(c, is_sender, peer, size, window, iters),
-            Some(l) => {
-                let sc = SecureComm::new(c, variant.config(l, net)).unwrap();
-                run_pairs_secure(&sc, is_sender, peer, size, window, iters);
-            }
-        }
-        c.barrier();
-        (c.now() - t0).as_secs_f64()
-    });
-    let elapsed = out.results[0];
-    let mbs = (pairs * iters * window * size) as f64 / elapsed / 1e6;
-    (mbs, out.trace)
-}
-
-/// One pipelined multi-pair measurement: aggregate MB/s.
-pub fn multipair_pipe_mbs(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    variant: Variant,
-    size: usize,
-    pairs: usize,
-    iters: usize,
-) -> f64 {
-    mp_run(net, lib, variant, size, pairs, iters, false).0
 }
 
 /// A traced blocking 2-rank stream: rank 0 sends `msgs` pipelined
@@ -165,31 +118,20 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             "pairs",
             PAIRS.iter().map(|p| p.to_string()).collect(),
         );
-        let rows: [(String, Option<CryptoLibrary>, Variant); 4] = [
-            ("Unencrypted".into(), None, Variant::Serial),
-            (
-                format!("BoringSSL {}", Variant::Serial.label()),
-                Some(CryptoLibrary::BoringSsl),
-                Variant::Serial,
-            ),
-            (
-                format!("BoringSSL {}", Variant::Piped.label()),
-                Some(CryptoLibrary::BoringSsl),
-                Variant::Piped,
-            ),
-            (
-                format!("BoringSSL {}", Variant::PipedPooled.label()),
-                Some(CryptoLibrary::BoringSsl),
-                Variant::PipedPooled,
-            ),
-        ];
-        for (label, lib, variant) in rows {
+        let mut rows: Vec<(String, Option<SecurityConfig>)> = vec![("Unencrypted".into(), None)];
+        for v in [Variant::Serial, Variant::Piped, Variant::PipedPooled] {
+            rows.push((
+                format!("BoringSSL {}", v.label()),
+                Some(v.config(CryptoLibrary::BoringSsl, net)),
+            ));
+        }
+        for (label, cfg) in rows {
             let cells: Vec<String> = PAIRS
                 .iter()
                 .map(|&pairs| {
                     let reps_min = if size >= 1 << 20 { 1 } else { opts.reps_min };
                     let s = measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                        multipair_pipe_mbs(net, lib, variant, size, pairs, iters)
+                        multipair_run(net, cfg.clone(), size, pairs, iters, false).value
                     });
                     fmt_value(s.mean)
                 })
@@ -271,30 +213,13 @@ mod tests {
         // FIG-MULTIPAIR-PIPE shape at 2 MB, 1 pair: the pipeline
         // overlaps seal with the wire, so it must beat the serial
         // placement; the pool must not cost throughput.
-        let serial = multipair_pipe_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            Variant::Serial,
-            2 << 20,
-            1,
-            3,
-        );
-        let piped = multipair_pipe_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            Variant::Piped,
-            2 << 20,
-            1,
-            3,
-        );
-        let pooled = multipair_pipe_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            Variant::PipedPooled,
-            2 << 20,
-            1,
-            3,
-        );
+        let mbs = |v: Variant| {
+            let cfg = v.config(CryptoLibrary::BoringSsl, Net::Ethernet);
+            multipair_run(Net::Ethernet, Some(cfg), 2 << 20, 1, 3, false).value
+        };
+        let serial = mbs(Variant::Serial);
+        let piped = mbs(Variant::Piped);
+        let pooled = mbs(Variant::PipedPooled);
         assert!(
             piped > serial,
             "pipeline must beat serial: {serial} -> {piped}"

@@ -5,43 +5,36 @@
 //! run times), following the Fleming–Wallace recommendation the paper
 //! adopts in its footnote 2.
 
+use std::process::ExitCode;
+use std::time::Instant;
+
 use empi_aead::profile::CryptoLibrary;
+use empi_core::SecurityConfig;
 use empi_mpi::{TraceReport, World};
 use empi_nas::adi::{self, AdiKind};
-use empi_nas::{cg, ft, is, lu, mg, Class, CommLayer, Kernel, PlainLayer, SecureLayer};
+use empi_nas::{cg, ft, is, lu, mg, Class, Kernel};
 use empi_netsim::Topology;
 
-use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::frame::{run_layered, Run};
 use crate::stats::overhead_percent_of_totals;
 use crate::table::{fmt_value, Table};
 use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
 
 /// One NAS kernel run: (virtual seconds, verified) plus, when
-/// `traced`, the trace report.
+/// `traced`, the trace report. `cfg == None` is the plain-MPI baseline.
 #[allow(clippy::too_many_arguments)]
-fn nas_run(
+pub fn nas_run(
     net: Net,
-    lib: Option<CryptoLibrary>,
+    cfg: Option<SecurityConfig>,
     kernel: Kernel,
     class: Class,
     ranks: usize,
     nodes: usize,
     traced: bool,
-) -> ((f64, bool), Option<TraceReport>) {
+) -> Run<(f64, bool)> {
     let world = World::new(net.model(), Topology::block(ranks, nodes)).traced(traced);
-    let out = world.run(|c| {
-        let plain;
-        let secure;
-        let layer: &dyn CommLayer = match lib {
-            None => {
-                plain = PlainLayer::new(c);
-                &plain
-            }
-            Some(l) => {
-                secure = SecureLayer::new(c, security_config(l, net));
-                &secure
-            }
-        };
+    let out = run_layered(&world, &cfg, |c, layer| {
         c.barrier();
         let t0 = c.now();
         let report = match kernel {
@@ -58,33 +51,10 @@ fn nas_run(
     });
     let time = out.results.iter().map(|(t, _)| *t).fold(0.0f64, f64::max);
     let verified = out.results.iter().all(|(_, v)| *v);
-    ((time, verified), out.trace)
-}
-
-/// One NAS kernel measurement: (virtual seconds, verified).
-pub fn nas_seconds(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    kernel: Kernel,
-    class: Class,
-    ranks: usize,
-    nodes: usize,
-) -> (f64, bool) {
-    nas_run(net, lib, kernel, class, ranks, nodes, false).0
-}
-
-/// A traced encrypted NAS kernel run, returning the trace report.
-pub fn nas_trace(
-    net: Net,
-    lib: CryptoLibrary,
-    kernel: Kernel,
-    class: Class,
-    ranks: usize,
-    nodes: usize,
-) -> TraceReport {
-    nas_run(net, Some(lib), kernel, class, ranks, nodes, true)
-        .1
-        .expect("traced run must yield a report")
+    Run {
+        value: (time, verified),
+        trace: out.trace,
+    }
 }
 
 /// Build TAB-4 or TAB-8 for one network.
@@ -116,7 +86,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     for lib in reported_rows() {
         let mut times = Vec::new();
         for k in Kernel::ALL {
-            let (secs, ok) = nas_seconds(net, lib, k, class, ranks, nodes);
+            let (secs, ok) =
+                nas_run(net, row_config(lib, net), k, class, ranks, nodes, false).value;
             assert!(
                 ok,
                 "{} failed verification under {:?} on {}",
@@ -164,7 +135,8 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut json_report: Option<TraceReport> = None;
     for k in Kernel::ALL {
-        let r = nas_trace(net, CryptoLibrary::BoringSsl, k, class, ranks, nodes);
+        let cfg = security_config(CryptoLibrary::BoringSsl, net);
+        let r = nas_run(net, Some(cfg), k, class, ranks, nodes, true).report();
         if k == Kernel::CG {
             json_report = Some(r.clone());
         }
@@ -198,7 +170,11 @@ pub fn scalability(net: Net, class: Class) -> Table {
             .map(|&(r, n)| {
                 let total: f64 = Kernel::ALL
                     .iter()
-                    .map(|&k| nas_seconds(net, lib, k, class, r, n).0)
+                    .map(|&k| {
+                        nas_run(net, row_config(lib, net), k, class, r, n, false)
+                            .value
+                            .0
+                    })
                     .sum();
                 fmt_value(total)
             })
@@ -206,6 +182,129 @@ pub fn scalability(net: Net, class: Class) -> Table {
         t.push_row(row_label(lib), cells);
     }
     t
+}
+
+/// The `calibrate` subcommand — calibration helper for the NAS compute
+/// models (DESIGN.md §5), optionally for the one kernel named.
+///
+/// For each kernel it separates the baseline into communication and
+/// compute (by re-running with doubled compute constants), measures the
+/// encrypted delta under BoringSSL, and prints the `ns_per_unit` scale
+/// that would land the overhead on the paper's Table IV value.
+pub fn calibrate(args: Vec<String>) -> ExitCode {
+    let only: Option<&str> = args.first().map(|s| s.as_str());
+    // BoringSSL per-kernel overheads from Table IV (Ethernet).
+    let paper_oh = [0.2197, 0.0640, 0.1804, 0.0560, 0.2002, 0.1123, 0.1133];
+    println!("kernel  base_s  comm_s  comp_s  enc_s  oh_now%  oh_paper%  suggested_scale  wall_s");
+    let run = |lib: Option<CryptoLibrary>, k: Kernel| {
+        let cfg = row_config(lib, Net::Ethernet);
+        nas_run(Net::Ethernet, cfg, k, Class::MiniC, 64, 8, false).value
+    };
+    for (i, k) in Kernel::ALL.iter().enumerate() {
+        if let Some(o) = only {
+            if !k.name().eq_ignore_ascii_case(o) {
+                continue;
+            }
+        }
+        let t0 = Instant::now();
+        std::env::remove_var("EMPI_NAS_NS_SCALE");
+        let (base1, ok1) = run(None, *k);
+        std::env::set_var("EMPI_NAS_NS_SCALE", "2.0");
+        let (base2, _) = run(None, *k);
+        std::env::remove_var("EMPI_NAS_NS_SCALE");
+        let (enc, ok2) = run(Some(CryptoLibrary::BoringSsl), *k);
+        let compute = base2 - base1;
+        let comm = base1 - compute;
+        let delta = enc - base1;
+        let oh_now = delta / base1 * 100.0;
+        let base_req = delta / paper_oh[i];
+        let scale = ((base_req - comm) / compute).max(0.05);
+        println!(
+            "{:<6}  {:6.3}  {:6.3}  {:6.3}  {:6.3}  {:6.1}  {:8.1}  {:14.2}  {:5.1} v={}{}",
+            k.name(),
+            base1,
+            comm,
+            compute,
+            enc,
+            oh_now,
+            paper_oh[i] * 100.0,
+            scale,
+            t0.elapsed().as_secs_f64(),
+            ok1,
+            ok2
+        );
+    }
+    ExitCode::SUCCESS
+}
+
+/// Wall-clock seconds for the full 7-kernel BoringSSL sweep at
+/// `shards` shards, plus the per-kernel virtual seconds (used to
+/// assert the runs computed the same schedule).
+fn sweep(net: Net, class: Class, ranks: usize, nodes: usize, shards: usize) -> (f64, Vec<f64>) {
+    std::env::set_var("EMPI_SHARDS", shards.to_string());
+    let t0 = Instant::now();
+    let virt: Vec<f64> = Kernel::ALL
+        .iter()
+        .map(|&k| {
+            let cfg = security_config(CryptoLibrary::BoringSsl, net);
+            nas_run(net, Some(cfg), k, class, ranks, nodes, false)
+                .value
+                .0
+        })
+        .collect();
+    (t0.elapsed().as_secs_f64(), virt)
+}
+
+/// The `shardscale` subcommand — TAB-SCALE: wall-clock speedup of the
+/// sharded engine on the 64-rank NAS sweep. Virtual-time results are
+/// bit-identical at every shard count (that is the engine's determinism
+/// contract); this table measures the only thing sharding changes — how
+/// long the host takes to compute them. The serial (`--shards 1`)
+/// column is the baseline; the sharded column uses `--shards N`
+/// (default 8). The host core count is printed because the achievable
+/// speedup is bounded by it.
+pub fn shardscale(args: Vec<String>) -> ExitCode {
+    let opts = BenchOpts::parse(args.into_iter());
+    let shards = if opts.shards > 1 { opts.shards } else { 8 };
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let class = if opts.quick { Class::S } else { Class::MiniC };
+    // Class S's FT grid needs ranks | 16, so the quick sweep runs the
+    // smoke-test geometry; the full sweep is the paper's 64r/8n.
+    let (ranks, nodes) = if opts.quick { (8, 4) } else { (64, 8) };
+    for net in opts.nets.clone() {
+        let (serial_s, serial_virt) = sweep(net, class, ranks, nodes, 1);
+        let (sharded_s, sharded_virt) = sweep(net, class, ranks, nodes, shards);
+        assert_eq!(
+            serial_virt, sharded_virt,
+            "determinism violation: shard count changed virtual times"
+        );
+        let mut t = Table::new(
+            format!(
+                "TAB-SCALE-{}: {ranks}r/{nodes}n NAS sweep (BoringSSL, class {:?}) wall-clock, \
+                 serial vs {} shards on a {}-core host",
+                net.name(),
+                class,
+                shards,
+                cores
+            ),
+            "",
+            vec![
+                "serial s".into(),
+                format!("{shards}-shard s"),
+                "speedup".into(),
+            ],
+        );
+        t.push_row(
+            "wall-clock",
+            vec![
+                fmt_value(serial_s),
+                fmt_value(sharded_s),
+                format!("{:.2}x", serial_s / sharded_s),
+            ],
+        );
+        crate::emit(&[t], &opts.out_dir);
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -216,7 +315,8 @@ mod tests {
     fn all_kernels_verify_small_both_layers() {
         for lib in [None, Some(CryptoLibrary::BoringSsl)] {
             for k in Kernel::ALL {
-                let (secs, ok) = nas_seconds(Net::Ethernet, lib, k, Class::S, 4, 2);
+                let cfg = row_config(lib, Net::Ethernet);
+                let (secs, ok) = nas_run(Net::Ethernet, cfg, k, Class::S, 4, 2, false).value;
                 assert!(ok, "{} under {:?}", k.name(), lib);
                 assert!(secs > 0.0);
             }
@@ -226,15 +326,14 @@ mod tests {
     #[test]
     fn encryption_adds_overhead_to_every_kernel() {
         for k in Kernel::ALL {
-            let (base, _) = nas_seconds(Net::Infiniband, None, k, Class::S, 4, 2);
-            let (enc, _) = nas_seconds(
-                Net::Infiniband,
-                Some(CryptoLibrary::CryptoPp),
-                k,
-                Class::S,
-                4,
-                2,
-            );
+            let secs = |lib: Option<CryptoLibrary>| {
+                let cfg = row_config(lib, Net::Infiniband);
+                nas_run(Net::Infiniband, cfg, k, Class::S, 4, 2, false)
+                    .value
+                    .0
+            };
+            let base = secs(None);
+            let enc = secs(Some(CryptoLibrary::CryptoPp));
             assert!(enc > base, "{}: {enc} <= {base}", k.name());
         }
     }

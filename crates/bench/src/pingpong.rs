@@ -7,10 +7,13 @@
 //! overhead, exactly as the paper computes it.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::SecureComm;
-use empi_mpi::{Src, TagSel, TraceReport, World};
+use empi_core::SecurityConfig;
+use empi_mpi::{TraceReport, World};
 
-use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net, SizeSel};
+use crate::common::{
+    reported_rows, row_config, row_label, security_config, BenchOpts, Net, SizeSel,
+};
+use crate::frame::{echo, run_layered, Run};
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
@@ -20,68 +23,25 @@ pub const SMALL_SIZES: [usize; 4] = [1, 16, 256, 1 << 10];
 /// Message sizes of Fig. 3 / Fig. 10.
 pub const LARGE_SIZES: [usize; 6] = [4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 2 << 20];
 
-/// One ping-pong run: rank 0's elapsed virtual seconds plus, when
-/// `traced`, the full trace report.
-fn pingpong_run(
+/// One ping-pong run between two ranks on different nodes: mean
+/// uni-directional throughput in MB/s plus, when `traced`, the trace
+/// report. `cfg == None` is the unencrypted baseline.
+pub fn pingpong_run(
     net: Net,
-    lib: Option<CryptoLibrary>,
+    cfg: Option<SecurityConfig>,
     size: usize,
     iters: usize,
     traced: bool,
-) -> (f64, Option<TraceReport>) {
+) -> Run {
     let world = World::flat(net.model(), 2).traced(traced);
-    let out = world.run(|c| {
-        let buf = vec![0x5au8; size];
-        match lib {
-            None => {
-                if c.rank() == 0 {
-                    let t0 = c.now();
-                    for _ in 0..iters {
-                        c.send(&buf, 1, 0);
-                        let _ = c.recv(Src::Is(1), TagSel::Is(1));
-                    }
-                    (c.now() - t0).as_secs_f64()
-                } else {
-                    for _ in 0..iters {
-                        let (_, m) = c.recv(Src::Is(0), TagSel::Is(0));
-                        c.send(&m, 0, 1);
-                    }
-                    0.0
-                }
-            }
-            Some(l) => {
-                let sc = SecureComm::new(c, security_config(l, net)).unwrap();
-                if c.rank() == 0 {
-                    let t0 = c.now();
-                    for _ in 0..iters {
-                        sc.send(&buf, 1, 0);
-                        let _ = sc.recv(Src::Is(1), TagSel::Is(1)).unwrap();
-                    }
-                    (c.now() - t0).as_secs_f64()
-                } else {
-                    for _ in 0..iters {
-                        let (_, m) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-                        sc.send(&m, 0, 1);
-                    }
-                    0.0
-                }
-            }
-        }
+    let out = run_layered(&world, &cfg, |c, layer| {
+        echo(c, layer, 1, size, iters).as_secs_f64()
     });
-    (out.results[0], out.trace)
-}
-
-/// One ping-pong measurement: mean uni-directional throughput in MB/s.
-pub fn pingpong_mbs(net: Net, lib: Option<CryptoLibrary>, size: usize, iters: usize) -> f64 {
-    let (total, _) = pingpong_run(net, lib, size, iters, false);
     // One-way time per message = RTT/2; plaintext bytes only.
-    (iters as f64 * size as f64) / (total / 2.0) / 1e6
-}
-
-/// A traced encrypted ping-pong run, returning the trace report.
-pub fn pingpong_trace(net: Net, lib: CryptoLibrary, size: usize, iters: usize) -> TraceReport {
-    let (_, trace) = pingpong_run(net, Some(lib), size, iters, true);
-    trace.expect("traced run must yield a report")
+    Run {
+        value: (iters as f64 * size as f64) / (out.results[0] / 2.0) / 1e6,
+        trace: out.trace,
+    }
 }
 
 /// Build the small-message table (TAB-1 / TAB-5) and the medium/large
@@ -134,7 +94,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                 .iter()
                 .map(|&s| {
                     let stats = measure_until_stable(opts.reps_min, opts.reps_max, || {
-                        pingpong_mbs(net, lib, s, iters_for(s))
+                        pingpong_run(net, row_config(lib, net), s, iters_for(s), false).value
                     });
                     fmt_value(stats.mean)
                 })
@@ -179,7 +139,8 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut last: Option<TraceReport> = None;
     for &s in &sizes {
-        let r = pingpong_trace(net, CryptoLibrary::BoringSsl, s, iters);
+        let cfg = security_config(CryptoLibrary::BoringSsl, net);
+        let r = pingpong_run(net, Some(cfg), s, iters, true).report();
         t.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
     }
@@ -206,7 +167,7 @@ mod tests {
             (Net::Infiniband, 2 << 20, 3023.0),
         ];
         for (net, size, expect) in cases {
-            let got = pingpong_mbs(net, None, size, 20);
+            let got = pingpong_run(net, None, size, 20, false).value;
             let err = (got - expect).abs() / expect;
             assert!(err < 0.02, "{net:?} {size}B: got {got}, expect {expect}");
         }
@@ -217,8 +178,9 @@ mod tests {
         // Headline numbers: BoringSSL ≈78% @2MB Ethernet, ≈215% @2MB IB,
         // small overhead @256B Ethernet, large @256B IB.
         let check = |net, size, lo: f64, hi: f64| {
-            let base = pingpong_mbs(net, None, size, 20);
-            let enc = pingpong_mbs(net, Some(CryptoLibrary::BoringSsl), size, 20);
+            let base = pingpong_run(net, None, size, 20, false).value;
+            let cfg = security_config(CryptoLibrary::BoringSsl, net);
+            let enc = pingpong_run(net, Some(cfg), size, 20, false).value;
             let overhead = (base / enc - 1.0) * 100.0;
             assert!(
                 overhead > lo && overhead < hi,
@@ -238,7 +200,8 @@ mod tests {
         // The decomposition's serialized-model overhead estimate must
         // land in the same band as the measured overhead (paper: 78.3 %
         // for BoringSSL at 2 MB on Ethernet).
-        let r = pingpong_trace(Net::Ethernet, CryptoLibrary::BoringSsl, 2 << 20, 4);
+        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
+        let r = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 4, true).report();
         let d = r.decomposition();
         let est = est_overhead_percent(&d);
         assert!(est > 55.0 && est < 100.0, "est overhead {est:.1}%");
@@ -254,8 +217,9 @@ mod tests {
 
     #[test]
     fn cryptopp_is_far_worse_at_large_sizes() {
-        let base = pingpong_mbs(Net::Ethernet, None, 2 << 20, 10);
-        let cpp = pingpong_mbs(Net::Ethernet, Some(CryptoLibrary::CryptoPp), 2 << 20, 10);
+        let base = pingpong_run(Net::Ethernet, None, 2 << 20, 10, false).value;
+        let cfg = security_config(CryptoLibrary::CryptoPp, Net::Ethernet);
+        let cpp = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 10, false).value;
         let overhead = (base / cpp - 1.0) * 100.0;
         // Paper: ~400 %.
         assert!(overhead > 280.0 && overhead < 520.0, "got {overhead:.0}%");

@@ -10,11 +10,12 @@
 //! (e.g. BoringSSL 78.3 % at 2 MB on Ethernet).
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{PipelineConfig, SecureComm};
-use empi_mpi::{Src, TagSel, TraceReport, World};
+use empi_core::{PipelineConfig, SecurityConfig};
+use empi_mpi::TraceReport;
 
 use crate::common::{security_config, BenchOpts, Net};
-use crate::stats::measure_until_stable;
+use crate::pingpong::pingpong_run;
+use crate::stats::{measure_until_stable, overhead_percent_of_mbs};
 use crate::table::{size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
 
@@ -24,90 +25,6 @@ pub const SIZES: [usize; 4] = [64 << 10, 256 << 10, 1 << 20, 2 << 20];
 pub const CHUNK_SIZES: [usize; 4] = [16 << 10, 32 << 10, 64 << 10, 256 << 10];
 /// Worker counts swept at the default 64 KB chunk size.
 pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// One ping-pong run under `pipeline`: rank 0's elapsed virtual seconds
-/// plus, when `traced`, the full trace report. `lib = None` is the
-/// unencrypted baseline (the pipeline config is irrelevant there).
-fn pipeline_run(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    pipeline: PipelineConfig,
-    size: usize,
-    iters: usize,
-    traced: bool,
-) -> (f64, Option<TraceReport>) {
-    let world = World::flat(net.model(), 2).traced(traced);
-    let out = world.run(move |c| {
-        let buf = vec![0x5au8; size];
-        match lib {
-            None => {
-                if c.rank() == 0 {
-                    let t0 = c.now();
-                    for _ in 0..iters {
-                        c.send(&buf, 1, 0);
-                        let _ = c.recv(Src::Is(1), TagSel::Is(1));
-                    }
-                    (c.now() - t0).as_secs_f64()
-                } else {
-                    for _ in 0..iters {
-                        let (_, m) = c.recv(Src::Is(0), TagSel::Is(0));
-                        c.send(&m, 0, 1);
-                    }
-                    0.0
-                }
-            }
-            Some(l) => {
-                let sc =
-                    SecureComm::new(c, security_config(l, net).with_pipeline(pipeline)).unwrap();
-                if c.rank() == 0 {
-                    let t0 = c.now();
-                    for _ in 0..iters {
-                        sc.send(&buf, 1, 0);
-                        let _ = sc.recv(Src::Is(1), TagSel::Is(1)).unwrap();
-                    }
-                    (c.now() - t0).as_secs_f64()
-                } else {
-                    for _ in 0..iters {
-                        let (_, m) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-                        sc.send(&m, 0, 1);
-                    }
-                    0.0
-                }
-            }
-        }
-    });
-    (out.results[0], out.trace)
-}
-
-/// Mean uni-directional throughput in MB/s (the paper's formula:
-/// plaintext bytes over half the round-trip time).
-pub fn pipeline_mbs(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    pipeline: PipelineConfig,
-    size: usize,
-    iters: usize,
-) -> f64 {
-    let (total, _) = pipeline_run(net, lib, pipeline, size, iters, false);
-    (iters as f64 * size as f64) / (total / 2.0) / 1e6
-}
-
-/// A traced encrypted pipelined run, returning the trace report.
-pub fn pipeline_trace(
-    net: Net,
-    lib: CryptoLibrary,
-    pipeline: PipelineConfig,
-    size: usize,
-    iters: usize,
-) -> TraceReport {
-    let (_, trace) = pipeline_run(net, Some(lib), pipeline, size, iters, true);
-    trace.expect("traced run must yield a report")
-}
-
-/// Encryption overhead of `enc_mbs` relative to `base_mbs`, in percent.
-pub fn overhead_percent(base_mbs: f64, enc_mbs: f64) -> f64 {
-    (base_mbs / enc_mbs - 1.0) * 100.0
-}
 
 /// Build the chunk-size sweep (FIG-PIPELINE-CHUNK) and worker-count
 /// sweep (FIG-PIPELINE-WORKERS) for one network.
@@ -120,16 +37,13 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             base
         }
     };
-    let mean = |lib: Option<CryptoLibrary>, pipeline: PipelineConfig, size: usize| -> f64 {
+    let mean = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
         measure_until_stable(opts.reps_min, opts.reps_max, || {
-            pipeline_mbs(net, lib, pipeline, size, iters_for(size))
+            pingpong_run(net, cfg.clone(), size, iters_for(size), false).value
         })
         .mean
     };
-    let baseline: Vec<f64> = SIZES
-        .iter()
-        .map(|&s| mean(None, PipelineConfig::disabled(), s))
-        .collect();
+    let baseline: Vec<f64> = SIZES.iter().map(|&s| mean(None, s)).collect();
     let base_for = |size: usize| -> f64 {
         baseline[SIZES
             .iter()
@@ -137,9 +51,10 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             .expect("size not in SIZES")]
     };
     let cell = |lib: CryptoLibrary, pipeline: PipelineConfig, size: usize| -> String {
+        let cfg = security_config(lib, net).with_pipeline(pipeline);
         format!(
             "{:.1}",
-            overhead_percent(base_for(size), mean(Some(lib), pipeline, size))
+            overhead_percent_of_mbs(base_for(size), mean(Some(cfg), size))
         )
     };
 
@@ -246,7 +161,8 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut last: Option<TraceReport> = None;
     for &s in &SIZES {
-        let r = pipeline_trace(net, CryptoLibrary::BoringSsl, pipeline, s, iters);
+        let cfg = security_config(CryptoLibrary::BoringSsl, net).with_pipeline(pipeline);
+        let r = pingpong_run(net, Some(cfg), s, iters, true).report();
         t.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
     }
@@ -266,19 +182,10 @@ mod tests {
         // Acceptance check: pipelining off must reproduce the sequential
         // path exactly — same virtual end time, hence bit-identical
         // throughput (the simulation is deterministic).
-        let seq = crate::pingpong::pingpong_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            256 << 10,
-            4,
-        );
-        let off = pipeline_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            PipelineConfig::disabled(),
-            256 << 10,
-            4,
-        );
+        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
+        let off = cfg.clone().with_pipeline(PipelineConfig::disabled());
+        let seq = pingpong_run(Net::Ethernet, Some(cfg), 256 << 10, 4, false).value;
+        let off = pingpong_run(Net::Ethernet, Some(off), 256 << 10, 4, false).value;
         assert_eq!(seq.to_bits(), off.to_bits(), "seq {seq} vs disabled {off}");
     }
 
@@ -286,21 +193,14 @@ mod tests {
     fn oversized_chunk_is_bit_identical_to_sequential() {
         // chunk ≥ message: the sender never chunks and the receiver's
         // wire-format dispatch must charge exactly like the plain path.
-        let seq = crate::pingpong::pingpong_mbs(
-            Net::Infiniband,
-            Some(CryptoLibrary::Libsodium),
-            256 << 10,
-            4,
-        );
-        let one = pipeline_mbs(
-            Net::Infiniband,
-            Some(CryptoLibrary::Libsodium),
+        let cfg = security_config(CryptoLibrary::Libsodium, Net::Infiniband);
+        let one = cfg.clone().with_pipeline(
             PipelineConfig::enabled()
                 .with_chunk_size(1 << 22)
                 .with_workers(4),
-            256 << 10,
-            4,
         );
+        let seq = pingpong_run(Net::Infiniband, Some(cfg), 256 << 10, 4, false).value;
+        let one = pingpong_run(Net::Infiniband, Some(one), 256 << 10, 4, false).value;
         assert_eq!(seq.to_bits(), one.to_bits(), "seq {seq} vs one-chunk {one}");
     }
 
@@ -311,14 +211,10 @@ mod tests {
         // unencrypted baseline (vs ~56 % sequential, paper's 78.3 %
         // overhead).
         let size = 2 << 20;
-        let base = pipeline_mbs(Net::Ethernet, None, PipelineConfig::disabled(), size, 10);
-        let enc = pipeline_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            PipelineConfig::enabled().with_workers(4),
-            size,
-            10,
-        );
+        let base = pingpong_run(Net::Ethernet, None, size, 10, false).value;
+        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet)
+            .with_pipeline(PipelineConfig::enabled().with_workers(4));
+        let enc = pingpong_run(Net::Ethernet, Some(cfg), size, 10, false).value;
         assert!(
             enc >= 0.90 * base,
             "pipelined {enc:.0} MB/s below 90% of baseline {base:.0} MB/s"
@@ -331,11 +227,12 @@ mod tests {
         // help, and even one worker beats the sequential path (its
         // seals already overlap the wire).
         let size = 2 << 20;
-        let base = pipeline_mbs(Net::Ethernet, None, PipelineConfig::disabled(), size, 6);
+        let base = pingpong_run(Net::Ethernet, None, size, 6, false).value;
         let ov = |p: PipelineConfig| {
-            overhead_percent(
+            let cfg = security_config(CryptoLibrary::CryptoPp, Net::Ethernet).with_pipeline(p);
+            overhead_percent_of_mbs(
                 base,
-                pipeline_mbs(Net::Ethernet, Some(CryptoLibrary::CryptoPp), p, size, 6),
+                pingpong_run(Net::Ethernet, Some(cfg), size, 6, false).value,
             )
         };
         let seq = ov(PipelineConfig::disabled());
@@ -354,14 +251,9 @@ mod tests {
         // crypto is overlapped with the wire, not added to it.
         let size = 2 << 20;
         let iters = 4;
-        let pipeline = PipelineConfig::enabled().with_workers(4);
-        let r = pipeline_trace(
-            Net::Ethernet,
-            CryptoLibrary::BoringSsl,
-            pipeline,
-            size,
-            iters,
-        );
+        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet)
+            .with_pipeline(PipelineConfig::enabled().with_workers(4));
+        let r = pingpong_run(Net::Ethernet, Some(cfg.clone()), size, iters, true).report();
         let d = r.decomposition();
         assert!(d.crypto_ns > 0, "crypto work must be traced");
         let est = est_overhead_percent(&d);
@@ -369,15 +261,9 @@ mod tests {
             est > 40.0,
             "est (serialized) overhead {est:.1}% should stay high"
         );
-        let base = pipeline_mbs(Net::Ethernet, None, PipelineConfig::disabled(), size, iters);
-        let enc = pipeline_mbs(
-            Net::Ethernet,
-            Some(CryptoLibrary::BoringSsl),
-            pipeline,
-            size,
-            iters,
-        );
-        let measured = overhead_percent(base, enc);
+        let base = pingpong_run(Net::Ethernet, None, size, iters, false).value;
+        let enc = pingpong_run(Net::Ethernet, Some(cfg), size, iters, false).value;
+        let measured = overhead_percent_of_mbs(base, enc);
         assert!(
             measured < 15.0,
             "measured overhead {measured:.1}% should collapse"

@@ -13,10 +13,12 @@
 //! alltoall overheads must drop materially.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{PipelineConfig, SecureComm};
+use empi_core::{PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 
+use crate::collectives::collective_run;
 use crate::common::{security_config, BenchOpts, Net};
+use crate::frame::{Coll, Run};
 use crate::stats::{measure_until_stable, overhead_percent};
 use crate::table::{size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
@@ -31,56 +33,27 @@ pub const COLL_RANKS: usize = 4;
 /// Crypto worker cores per rank in the pipelined configurations.
 pub const WORKERS: usize = 4;
 
-/// Pipelined collectives measured by TAB-PIPELINE-COLL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NbColl {
-    /// `Encrypted_Bcast` from rank 0.
-    Bcast,
-    /// `Encrypted_Alltoall`, `size` bytes per block.
-    Alltoall,
-    /// `Encrypted_Alltoallv` with ragged counts derived from `size`
-    /// (segments mix chunked and plain wire formats).
-    Alltoallv,
-}
-
-impl NbColl {
-    /// Name for table rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            NbColl::Bcast => "bcast",
-            NbColl::Alltoall => "alltoall",
-            NbColl::Alltoallv => "alltoallv",
-        }
-    }
-
-    /// All three, in table order.
-    pub const ALL: [NbColl; 3] = [NbColl::Bcast, NbColl::Alltoall, NbColl::Alltoallv];
-}
-
-/// The ragged alltoallv count from rank `s` to rank `d` at base `size`:
-/// every pair moves between `size/n` and `size` bytes, so with the
-/// default 64 KB chunks some segments go chunked and some plain.
-fn ragged_count(s: usize, d: usize, n: usize, size: usize) -> usize {
-    size * (((s + d) % n) + 1) / n
-}
+/// Pipelined collectives measured by TAB-PIPELINE-COLL, in table order.
+pub const COLLS: [Coll; 3] = [Coll::Bcast, Coll::Alltoall, Coll::Alltoallv];
 
 /// One bidirectional nonblocking exchange run: both ranks isend to each
 /// other, then wait the irecv (decrypting chunked trains inside `wait`)
-/// and the isend. Returns rank 0's elapsed virtual seconds plus, when
-/// `traced`, the trace report. `lib = None` is the unencrypted baseline.
-fn nb_run(
+/// and the isend. Returns rank 0's mean virtual seconds per iteration
+/// plus, when `traced`, the trace report. `cfg == None` is the
+/// unencrypted baseline; the two arms stay apart for the reason given
+/// at `multipair::run_pairs`.
+pub fn nb_run(
     net: Net,
-    lib: Option<CryptoLibrary>,
-    pipeline: PipelineConfig,
+    cfg: Option<SecurityConfig>,
     size: usize,
     iters: usize,
     traced: bool,
-) -> (f64, Option<TraceReport>) {
+) -> Run {
     let world = World::flat(net.model(), 2).traced(traced);
-    let out = world.run(move |c| {
+    let out = world.run(|c| {
         let buf = vec![0x6bu8; size];
         let peer = 1 - c.rank();
-        match lib {
+        match &cfg {
             None => {
                 let t0 = c.now();
                 for _ in 0..iters {
@@ -91,9 +64,8 @@ fn nb_run(
                 }
                 (c.now() - t0).as_secs_f64()
             }
-            Some(l) => {
-                let sc =
-                    SecureComm::new(c, security_config(l, net).with_pipeline(pipeline)).unwrap();
+            Some(cfg) => {
+                let sc = SecureComm::new(c, cfg.clone()).unwrap();
                 let t0 = c.now();
                 for _ in 0..iters {
                     let s = sc.isend(&buf, peer, 0);
@@ -105,120 +77,10 @@ fn nb_run(
             }
         }
     });
-    (out.results[0], out.trace)
-}
-
-/// Mean seconds per nonblocking exchange iteration.
-pub fn nb_secs(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    pipeline: PipelineConfig,
-    size: usize,
-    iters: usize,
-) -> f64 {
-    nb_run(net, lib, pipeline, size, iters, false).0 / iters as f64
-}
-
-/// A traced encrypted nonblocking exchange, returning the trace report.
-pub fn nb_trace(
-    net: Net,
-    lib: CryptoLibrary,
-    pipeline: PipelineConfig,
-    size: usize,
-    iters: usize,
-) -> TraceReport {
-    nb_run(net, Some(lib), pipeline, size, iters, true)
-        .1
-        .expect("traced run must yield a report")
-}
-
-/// One collective run at `ranks` ranks (one per node): mean µs per
-/// operation plus, when `traced`, the trace report.
-#[allow(clippy::too_many_arguments)]
-fn coll_run(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    pipeline: PipelineConfig,
-    op: NbColl,
-    size: usize,
-    ranks: usize,
-    iters: usize,
-    traced: bool,
-) -> (f64, Option<TraceReport>) {
-    let world = World::flat(net.model(), ranks).traced(traced);
-    let out = world.run(move |c| {
-        let n = c.size();
-        let me = c.rank();
-        let sc = lib
-            .map(|l| SecureComm::new(c, security_config(l, net).with_pipeline(pipeline)).unwrap());
-        c.barrier();
-        let t0 = c.now();
-        for _ in 0..iters {
-            match (op, &sc) {
-                (NbColl::Bcast, None) => {
-                    let mut buf = vec![1u8; size];
-                    c.bcast(&mut buf, 0);
-                }
-                (NbColl::Bcast, Some(sc)) => {
-                    let mut buf = vec![1u8; size];
-                    sc.bcast(&mut buf, 0).unwrap();
-                }
-                (NbColl::Alltoall, None) => {
-                    let send = vec![0xA5u8; size * n];
-                    let _ = c.alltoall(&send, size);
-                }
-                (NbColl::Alltoall, Some(sc)) => {
-                    let send = vec![0xA5u8; size * n];
-                    let _ = sc.alltoall(&send, size).unwrap();
-                }
-                (NbColl::Alltoallv, sc) => {
-                    let send_counts: Vec<usize> =
-                        (0..n).map(|d| ragged_count(me, d, n, size)).collect();
-                    let recv_counts: Vec<usize> =
-                        (0..n).map(|s| ragged_count(s, me, n, size)).collect();
-                    let send = vec![0x3cu8; send_counts.iter().sum()];
-                    match sc {
-                        None => {
-                            let _ = c.alltoallv(&send, &send_counts, &recv_counts);
-                        }
-                        Some(sc) => {
-                            let _ = sc.alltoallv(&send, &send_counts, &recv_counts).unwrap();
-                        }
-                    }
-                }
-            }
-        }
-        c.barrier();
-        (c.now() - t0).as_micros_f64()
-    });
-    (out.results[0] / iters as f64, out.trace)
-}
-
-/// One collective measurement: mean µs per operation.
-pub fn coll_us(
-    net: Net,
-    lib: Option<CryptoLibrary>,
-    pipeline: PipelineConfig,
-    op: NbColl,
-    size: usize,
-    ranks: usize,
-    iters: usize,
-) -> f64 {
-    coll_run(net, lib, pipeline, op, size, ranks, iters, false).0
-}
-
-/// A traced encrypted collective run, returning the trace report.
-pub fn coll_trace(
-    net: Net,
-    lib: CryptoLibrary,
-    pipeline: PipelineConfig,
-    op: NbColl,
-    size: usize,
-    ranks: usize,
-) -> TraceReport {
-    coll_run(net, Some(lib), pipeline, op, size, ranks, 1, true)
-        .1
-        .expect("traced run must yield a report")
+    Run {
+        value: out.results[0] / iters as f64,
+        trace: out.trace,
+    }
 }
 
 /// Build FIG-PIPELINE-NB (nonblocking exchange, sequential vs pipelined
@@ -234,9 +96,12 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             base
         }
     };
-    let nb_mean = |lib: Option<CryptoLibrary>, pipeline: PipelineConfig, size: usize| -> f64 {
+    let config = |lib: CryptoLibrary, pipeline: PipelineConfig| {
+        Some(security_config(lib, net).with_pipeline(pipeline))
+    };
+    let nb_mean = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
         measure_until_stable(opts.reps_min, opts.reps_max, || {
-            nb_secs(net, lib, pipeline, size, nb_iters(size))
+            nb_run(net, cfg.clone(), size, nb_iters(size), false).value
         })
         .mean
     };
@@ -264,9 +129,9 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         .collect(),
     );
     for &s in &SIZES {
-        let base = nb_mean(None, PipelineConfig::disabled(), s);
+        let base = nb_mean(None, s);
         let cell = |lib: CryptoLibrary, p: PipelineConfig| -> String {
-            format!("{:.1}", overhead_percent(base, nb_mean(Some(lib), p, s)))
+            format!("{:.1}", overhead_percent(base, nb_mean(config(lib, p), s)))
         };
         fig.push_row(
             size_label(s),
@@ -297,20 +162,21 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             .map(|s| s.to_string())
             .collect(),
     );
-    for op in NbColl::ALL {
+    for op in COLLS {
         for &s in &COLL_SIZES {
             // The calibrated simulation is deterministic and the ≥1 MB
             // points move real gigabytes of AES; one rep suffices there.
             let reps_min = if s >= 1 << 20 { 1 } else { opts.reps_min };
-            let mean = |lib: Option<CryptoLibrary>, p: PipelineConfig| -> f64 {
+            let mean = |cfg: Option<SecurityConfig>| -> f64 {
                 measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                    coll_us(net, lib, p, op, s, COLL_RANKS, coll_iters)
+                    let cfg = cfg.clone();
+                    collective_run(net, cfg, op, s, COLL_RANKS, COLL_RANKS, coll_iters, false).value
                 })
                 .mean
             };
-            let base = mean(None, PipelineConfig::disabled());
-            let seq = mean(Some(CryptoLibrary::BoringSsl), PipelineConfig::disabled());
-            let pip = mean(Some(CryptoLibrary::BoringSsl), pipelined);
+            let base = mean(None);
+            let seq = mean(config(CryptoLibrary::BoringSsl, PipelineConfig::disabled()));
+            let pip = mean(config(CryptoLibrary::BoringSsl, pipelined));
             tab.push_row(
                 format!("{} {}", op.name(), size_label(s)),
                 vec![
@@ -336,7 +202,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 /// `pipe/seal` / `pipe/open` spans sit on the "rank r crypto-core w"
 /// lanes.
 pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
-    let pipelined = PipelineConfig::enabled().with_workers(WORKERS);
+    let pipelined = security_config(CryptoLibrary::BoringSsl, net)
+        .with_pipeline(PipelineConfig::enabled().with_workers(WORKERS));
     let iters = if opts.quick { 2 } else { 4 };
 
     let mut nb = Table::new(
@@ -352,7 +219,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     );
     let mut last: Option<TraceReport> = None;
     for &s in &SIZES {
-        let r = nb_trace(net, CryptoLibrary::BoringSsl, pipelined, s, iters);
+        let r = nb_run(net, Some(pipelined.clone()), s, iters, true).report();
         nb.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
     }
@@ -375,17 +242,11 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         decomp_columns(),
     );
     let mut bcast_report: Option<TraceReport> = None;
-    for op in NbColl::ALL {
-        let r = coll_trace(
-            net,
-            CryptoLibrary::BoringSsl,
-            pipelined,
-            op,
-            size,
-            COLL_RANKS,
-        );
+    for op in COLLS {
+        let cfg = Some(pipelined.clone());
+        let r = collective_run(net, cfg, op, size, COLL_RANKS, COLL_RANKS, 1, true).report();
         coll.push_row(op.name().to_string(), decomp_cells(&r, 1.0));
-        if op == NbColl::Bcast {
+        if op == Coll::Bcast {
             bcast_report = Some(r);
         }
     }
@@ -399,6 +260,11 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::ragged_count;
+
+    fn boring(p: PipelineConfig) -> Option<SecurityConfig> {
+        Some(security_config(CryptoLibrary::BoringSsl, Net::Ethernet).with_pipeline(p))
+    }
 
     #[test]
     fn nb_pipelined_halves_sequential_overhead_at_2mb_ethernet() {
@@ -406,12 +272,9 @@ mod tests {
         // the blocking FIG-PIPELINE runs show — decryption inside wait,
         // encryption overlapped with the wire.
         let size = 2 << 20;
-        let base = nb_secs(Net::Ethernet, None, PipelineConfig::disabled(), size, 5);
+        let base = nb_run(Net::Ethernet, None, size, 5, false).value;
         let ov = |p: PipelineConfig| {
-            overhead_percent(
-                base,
-                nb_secs(Net::Ethernet, Some(CryptoLibrary::BoringSsl), p, size, 5),
-            )
+            overhead_percent(base, nb_run(Net::Ethernet, boring(p), size, 5, false).value)
         };
         let seq = ov(PipelineConfig::disabled());
         let pip = ov(PipelineConfig::enabled().with_workers(WORKERS));
@@ -428,40 +291,23 @@ mod tests {
         // encrypted overhead.
         let size = 2 << 20;
         let pipelined = PipelineConfig::enabled().with_workers(WORKERS);
-        for op in [NbColl::Bcast, NbColl::Alltoall] {
-            let base = coll_us(
-                Net::Ethernet,
-                None,
-                PipelineConfig::disabled(),
-                op,
-                size,
-                COLL_RANKS,
-                1,
-            );
-            let seq = overhead_percent(
-                base,
-                coll_us(
+        for op in [Coll::Bcast, Coll::Alltoall] {
+            let us = |cfg: Option<SecurityConfig>| {
+                collective_run(
                     Net::Ethernet,
-                    Some(CryptoLibrary::BoringSsl),
-                    PipelineConfig::disabled(),
+                    cfg,
                     op,
                     size,
                     COLL_RANKS,
-                    1,
-                ),
-            );
-            let pip = overhead_percent(
-                base,
-                coll_us(
-                    Net::Ethernet,
-                    Some(CryptoLibrary::BoringSsl),
-                    pipelined,
-                    op,
-                    size,
                     COLL_RANKS,
                     1,
-                ),
-            );
+                    false,
+                )
+                .value
+            };
+            let base = us(None);
+            let seq = overhead_percent(base, us(boring(PipelineConfig::disabled())));
+            let pip = overhead_percent(base, us(boring(pipelined)));
             assert!(
                 pip < 0.5 * seq,
                 "{}: pipelined overhead {pip:.1}% must drop materially below sequential {seq:.1}%",
@@ -494,13 +340,8 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn traced_nb_exchange_carries_pipeline_lanes() {
-        let r = nb_trace(
-            Net::Ethernet,
-            CryptoLibrary::BoringSsl,
-            PipelineConfig::enabled().with_workers(WORKERS),
-            256 << 10,
-            2,
-        );
+        let cfg = boring(PipelineConfig::enabled().with_workers(WORKERS));
+        let r = nb_run(Net::Ethernet, cfg, 256 << 10, 2, true).report();
         let d = r.decomposition();
         assert!(d.crypto_ns > 0, "crypto work must be traced");
         assert!(r.events.iter().any(|e| e.name == "pipe/seal"));

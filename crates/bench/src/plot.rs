@@ -1,6 +1,13 @@
 //! Terminal rendering of the paper's figures: log-x line charts of the
 //! CSV series produced by the harnesses. Good enough to eyeball the
 //! crossovers and saturation shapes the paper's figures show.
+//!
+//! ```bash
+//! cargo run --release -p empi-bench -- plot results/fig-3.csv
+//! cargo run --release -p empi-bench -- plot            # all figures
+//! ```
+
+use std::process::ExitCode;
 
 /// One rendered series.
 #[derive(Debug, Clone)]
@@ -168,6 +175,40 @@ pub fn parse_size_label(s: &str) -> f64 {
     } else {
         s.parse::<f64>().unwrap_or(f64::NAN)
     }
+}
+
+/// The `plot` subcommand: render the given figure CSVs — or, with no
+/// argument, every `results/fig-*.csv` — as terminal charts.
+pub fn run(args: Vec<String>) -> ExitCode {
+    let files: Vec<String> = if args.is_empty() {
+        let mut v: Vec<String> = std::fs::read_dir("results")
+            .map(|rd| {
+                rd.filter_map(|e| e.ok())
+                    .map(|e| e.path().display().to_string())
+                    .filter(|p| p.ends_with(".csv") && p.contains("fig-"))
+                    .collect()
+            })
+            .unwrap_or_default();
+        v.sort();
+        v
+    } else {
+        args
+    };
+    if files.is_empty() {
+        eprintln!("no figure CSVs found; run the harnesses first");
+        return ExitCode::FAILURE;
+    }
+    for f in files {
+        match std::fs::read_to_string(&f) {
+            Ok(csv) => {
+                let (title, series) = series_from_csv(&csv);
+                let log_y = title.contains("overhead") || title.contains("throughput");
+                println!("{}", render(&title, &series, 64, 16, log_y));
+            }
+            Err(e) => eprintln!("{f}: {e}"),
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -85,9 +85,16 @@ pub fn overhead_percent_of_totals(baseline: &[f64], encrypted: &[f64]) -> f64 {
     (e / b - 1.0) * 100.0
 }
 
-/// Percentage overhead of a single pair of values.
+/// Percentage overhead of a single pair of times.
 pub fn overhead_percent(baseline: f64, encrypted: f64) -> f64 {
     (encrypted / baseline - 1.0) * 100.0
+}
+
+/// The same overhead from a pair of throughputs (`base/enc − 1`): equal
+/// to [`overhead_percent`] on paper, not in floating point, so each
+/// table stays on the form it was recorded with.
+pub fn overhead_percent_of_mbs(base_mbs: f64, enc_mbs: f64) -> f64 {
+    (base_mbs / enc_mbs - 1.0) * 100.0
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@
 //! `ftol` counter block is absent or shows no detection (the
 //! fault-tolerance artifacts must actually ride the recovery ladder).
 //!
-//! Usage: `tracecheck [--require-alloc] [--require-hist]
+//! Usage: `empi-bench tracecheck [--require-alloc] [--require-hist]
 //! [--require-keys] [--forbid-rotate] [--require-wait] [--require-ftol]
 //! [FILE...]` — with no file arguments, checks every `trace-*.json`
 //! (and with `--require-hist`, `--require-keys`, or `--require-ftol`
@@ -63,18 +63,25 @@ use empi_trace::json::{self, Value};
 
 /// The optional invariants selected on the command line.
 #[derive(Clone, Copy, Default)]
-struct Flags {
-    require_alloc: bool,
-    require_wait: bool,
-    require_hist: bool,
-    require_keys: bool,
-    require_ftol: bool,
-    forbid_rotate: bool,
+pub struct Flags {
+    /// `--require-alloc`
+    pub require_alloc: bool,
+    /// `--require-wait`
+    pub require_wait: bool,
+    /// `--require-hist`
+    pub require_hist: bool,
+    /// `--require-keys`
+    pub require_keys: bool,
+    /// `--require-ftol`
+    pub require_ftol: bool,
+    /// `--forbid-rotate`
+    pub forbid_rotate: bool,
 }
 
-fn check(path: &Path, flags: Flags) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+/// Audit one Chrome trace document (see module docs); the summary on
+/// success, the first violated invariant otherwise.
+pub fn check(text: &str, flags: Flags) -> Result<String, String> {
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_array)
@@ -122,33 +129,15 @@ fn check(path: &Path, flags: Flags) -> Result<String, String> {
             ));
         }
         if name.starts_with("alloc/") {
-            // Buffer sourcing happens on the rank, never on a worker.
-            if tid >= empi_trace::PIPELINE_TID_BASE as i64 {
-                return Err(format!(
-                    "event {i}: alloc span '{name}' on crypto-worker lane {tid}"
-                ));
-            }
             if !matches!(name, "alloc/fresh" | "alloc/pooled" | "alloc/reclaim") {
                 return Err(format!("event {i}: unknown alloc span '{name}'"));
             }
             alloc_spans += 1;
         }
         if name == "waitset" {
-            // A wait happens where the rank blocks, never on a worker.
-            if tid >= empi_trace::PIPELINE_TID_BASE as i64 {
-                return Err(format!(
-                    "event {i}: waitset span on crypto-worker lane {tid}"
-                ));
-            }
             waitset_spans += 1;
         }
         if name.starts_with("key/") {
-            // The key plane lives on the rank, never on a worker.
-            if tid >= empi_trace::PIPELINE_TID_BASE as i64 {
-                return Err(format!(
-                    "event {i}: key span '{name}' on crypto-worker lane {tid}"
-                ));
-            }
             match name {
                 "key/handshake" => handshake_spans += 1,
                 "key/rotate" => rotate_spans += 1,
@@ -157,13 +146,6 @@ fn check(path: &Path, flags: Flags) -> Result<String, String> {
             }
         }
         if name.starts_with("ftol/") {
-            // Failure detection happens where the rank blocks, never
-            // on a crypto worker.
-            if tid >= empi_trace::PIPELINE_TID_BASE as i64 {
-                return Err(format!(
-                    "event {i}: ftol span '{name}' on crypto-worker lane {tid}"
-                ));
-            }
             match name {
                 "ftol/detect" => detect_spans += 1,
                 "ftol/shrink" => shrink_spans += 1,
@@ -233,11 +215,11 @@ fn sum_field(arr: &[Value], field: &str, filter: Option<(&str, &str)>) -> Result
     Ok(total)
 }
 
-/// Audit one `metrics-*.json` snapshot (see module docs). Returns a
-/// summary plus whether the snapshot shows load (nonzero e2e samples).
-fn check_metrics(path: &Path, flags: Flags) -> Result<(String, bool), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+/// Audit one metrics snapshot and its Prometheus sibling `prom` (see
+/// module docs). Returns a summary plus whether the snapshot shows load
+/// (nonzero e2e samples).
+pub fn check_metrics(text: &str, prom: &str, flags: Flags) -> Result<(String, bool), String> {
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let version = doc
         .get("version")
         .and_then(Value::as_f64)
@@ -338,10 +320,7 @@ fn check_metrics(path: &Path, flags: Flags) -> Result<(String, bool), String> {
             ));
         }
     }
-    let prom_path = path.with_extension("prom");
-    let prom = std::fs::read_to_string(&prom_path)
-        .map_err(|e| format!("missing Prometheus sibling {}: {e}", prom_path.display()))?;
-    validate_prometheus(&prom).map_err(|e| format!("invalid Prometheus export: {e}"))?;
+    validate_prometheus(prom).map_err(|e| format!("invalid Prometheus export: {e}"))?;
     Ok((
         format!(
             "{} histograms, {e2e} e2e samples, prometheus valid",
@@ -351,10 +330,30 @@ fn check_metrics(path: &Path, flags: Flags) -> Result<(String, bool), String> {
     ))
 }
 
-fn main() -> ExitCode {
+/// Is `path` a metrics snapshot (`metrics-*`) rather than a trace?
+fn is_metrics(path: &Path) -> bool {
+    path.file_name()
+        .is_some_and(|n| n.to_string_lossy().starts_with("metrics-"))
+}
+
+/// Audit the file at `path`: a snapshot with its `.prom` sibling, or a
+/// Chrome trace (which never shows load).
+pub fn check_file(path: &Path, flags: Flags) -> Result<(String, bool), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
+    if !is_metrics(path) {
+        return check(&text, flags).map(|msg| (msg, false));
+    }
+    let prom_path = path.with_extension("prom");
+    let prom = std::fs::read_to_string(&prom_path)
+        .map_err(|e| format!("missing Prometheus sibling {}: {e}", prom_path.display()))?;
+    check_metrics(&text, &prom, flags)
+}
+
+/// The `tracecheck` subcommand (usage in the module docs).
+pub fn run(args: Vec<String>) -> ExitCode {
     let mut flags = Flags::default();
-    let mut files: Vec<PathBuf> = std::env::args()
-        .skip(1)
+    let mut files: Vec<PathBuf> = args
+        .into_iter()
         .filter(|a| match a.as_str() {
             "--require-alloc" => {
                 flags.require_alloc = true;
@@ -407,28 +406,15 @@ fn main() -> ExitCode {
     let mut metrics_files = 0usize;
     let mut loaded_snapshots = 0usize;
     for f in &files {
-        let is_metrics = f
-            .file_name()
-            .is_some_and(|n| n.to_string_lossy().starts_with("metrics-"));
-        if is_metrics {
-            metrics_files += 1;
-            match check_metrics(f, flags) {
-                Ok((msg, loaded)) => {
-                    loaded_snapshots += loaded as usize;
-                    println!("OK   {}: {msg}", f.display());
-                }
-                Err(e) => {
-                    eprintln!("FAIL {}: {e}", f.display());
-                    ok = false;
-                }
+        metrics_files += is_metrics(f) as usize;
+        match check_file(f, flags) {
+            Ok((msg, loaded)) => {
+                loaded_snapshots += loaded as usize;
+                println!("OK   {}: {msg}", f.display());
             }
-        } else {
-            match check(f, flags) {
-                Ok(msg) => println!("OK   {}: {msg}", f.display()),
-                Err(e) => {
-                    eprintln!("FAIL {}: {e}", f.display());
-                    ok = false;
-                }
+            Err(e) => {
+                eprintln!("FAIL {}: {e}", f.display());
+                ok = false;
             }
         }
     }
@@ -452,5 +438,133 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A trace document whose complete spans are `(name, tid, ts)`.
+    fn trace(spans: &[(&str, u32, f64)]) -> String {
+        let events: Vec<String> = spans
+            .iter()
+            .map(|(name, tid, ts)| {
+                format!(r#"{{"ph":"X","name":"{name}","pid":0,"tid":{tid},"ts":{ts},"dur":0.5}}"#)
+            })
+            .collect();
+        format!(
+            r#"{{"traceEvents":[{{"ph":"M","name":"thread_name","pid":0,"tid":0}},{}]}}"#,
+            events.join(",")
+        )
+    }
+
+    /// A snapshot with one seal, open and e2e histogram of `count`
+    /// samples each (bucket counts `buckets`) over one rank ledger.
+    fn snapshot(count: u64, buckets: [u64; 2], ledger: u64) -> String {
+        let hist = |metric: &str| {
+            format!(
+                r#"{{"metric":"{metric}","count":{count},"buckets":[[100,{}],[200,{}]]}}"#,
+                buckets[0], buckets[1]
+            )
+        };
+        format!(
+            r#"{{"version":1,"hists":[{},{},{}],"per_rank":[{{"seal_samples":{ledger},"open_samples":{ledger}}}]}}"#,
+            hist("seal"),
+            hist("open"),
+            hist("e2e")
+        )
+    }
+
+    const PROM: &str = "# TYPE empi_msgs counter\nempi_msgs{rank=\"0\"} 3\n";
+    const WORKER: u32 = empi_trace::PIPELINE_TID_BASE;
+
+    fn rejected(spans: &[(&str, u32, f64)], flags: Flags) -> String {
+        check(&trace(spans), flags).expect_err("trace must be rejected")
+    }
+
+    #[test]
+    fn minimal_valid_artifacts_are_accepted() {
+        let doc = trace(&[
+            ("send", 0, 0.0),
+            ("alloc/fresh", 0, 1.0),
+            ("key/handshake", 1, 0.0),
+            ("pipe/seal", WORKER, 0.5),
+        ]);
+        let all = Flags {
+            require_alloc: true,
+            require_keys: true,
+            ..Flags::default()
+        };
+        let msg = check(&doc, all).unwrap();
+        assert_eq!(
+            msg,
+            "4 spans (1 alloc, 1 key, 0 waitset, 0 ftol) across 3 lanes"
+        );
+        let (msg, loaded) = check_metrics(&snapshot(2, [1, 1], 2), PROM, Flags::default()).unwrap();
+        assert_eq!(msg, "3 histograms, 2 e2e samples, prometheus valid");
+        assert!(loaded);
+    }
+
+    #[test]
+    fn time_running_backwards_on_a_lane_is_rejected() {
+        let err = rejected(
+            &[("send", 0, 5.0), ("recv", 1, 0.0), ("recv", 0, 4.0)],
+            Flags::default(),
+        );
+        assert_eq!(err, "event 3: lane 0 time runs backwards (4 < 5)");
+    }
+
+    #[test]
+    fn only_pipeline_spans_may_sit_on_a_worker_lane() {
+        let err = rejected(&[("fault/drop", WORKER, 0.0)], Flags::default());
+        assert_eq!(
+            err,
+            format!("event 1: unexpected span 'fault/drop' on crypto-worker lane {WORKER}")
+        );
+        // The general check also covers every labelled family.
+        for name in ["alloc/fresh", "waitset", "key/rotate", "ftol/detect"] {
+            assert!(rejected(&[(name, WORKER + 3, 0.0)], Flags::default())
+                .contains("on crypto-worker lane"));
+        }
+    }
+
+    #[test]
+    fn unknown_labelled_spans_are_rejected() {
+        for (name, want) in [
+            ("key/bogus", "event 1: unknown key span 'key/bogus'"),
+            ("alloc/bogus", "event 1: unknown alloc span 'alloc/bogus'"),
+            ("ftol/bogus", "event 1: unknown ftol span 'ftol/bogus'"),
+        ] {
+            assert_eq!(rejected(&[(name, 0, 0.0)], Flags::default()), want);
+        }
+    }
+
+    #[test]
+    fn require_alloc_rejects_a_trace_without_alloc_spans() {
+        let spans = [("send", 0, 0.0)];
+        assert!(check(&trace(&spans), Flags::default()).is_ok());
+        let flags = Flags {
+            require_alloc: true,
+            ..Flags::default()
+        };
+        assert_eq!(
+            rejected(&spans, flags),
+            "no alloc/* spans (allocation decomposition missing)"
+        );
+    }
+
+    #[test]
+    fn inconsistent_snapshots_are_rejected() {
+        let err = check_metrics(&snapshot(3, [1, 1], 3), PROM, Flags::default()).unwrap_err();
+        assert_eq!(err, "hist 0: bucket counts sum to 2, advertised count is 3");
+        let err = check_metrics(&snapshot(2, [1, 1], 5), PROM, Flags::default()).unwrap_err();
+        assert_eq!(
+            err,
+            "seal histogram samples (2) do not conserve against the rank ledgers (5)"
+        );
+        let err =
+            check_metrics(&snapshot(2, [1, 1], 2), "empi msgs 3\n", Flags::default()).unwrap_err();
+        assert!(err.starts_with("invalid Prometheus export:"), "{err}");
     }
 }

@@ -1,6 +1,6 @@
 //! Minimal recursive-descent JSON parser.
 //!
-//! Exists so the trace-smoke tooling (`empi-bench --bin tracecheck`)
+//! Exists so the trace-smoke tooling (`empi-bench tracecheck`)
 //! and tests can validate emitted JSON without external crates. It
 //! accepts standard JSON; numbers are parsed as `f64`. The parser is
 //! total: it reads files named on a command line, so malformed or
