@@ -1,15 +1,25 @@
 //! Point-to-point (Encrypted_Send / Recv / ISend / IRecv / Wait and the
 //! set waits), written over the record layer and the reliability state.
+//!
+//! Every verb reaches the transport the same way: `seal_msg` on the way
+//! out (seal → sequence → retain → inject), `open_or_recover` on the
+//! way in (open → ARQ recovery). What differs between a verb and its
+//! fault-tolerant twin, or between a clean and an ARQ-armed
+//! configuration, is only what the blocking wait *watches*
+//! ([`empi_mpi::Comm`]'s one park): nothing, the NACK tag
+//! ([`SecureComm::nack_filter`] — every blocking wait of an ARQ rank is
+//! a repair server), the failure detector's lease (`ft_send` /
+//! `ft_recv`), or both.
 
 use bytes::Bytes;
 use empi_mpi::chunk::{ChunkFrame, RecvPayload, SendPayload};
-use empi_mpi::{Charge, Request, SetPoll, Src, Status, Tag, TagSel, NACK_TAG};
+use empi_mpi::{Charge, RankFailed, Request, SetPoll, Src, Status, Tag, TagSel, NACK_TAG};
 use empi_netsim::VDur;
 use empi_trace::Metric;
 
 use super::reliability::{ChaosStats, POLL_QUANTUM};
 use super::{note_sample, SecureComm};
-use crate::error::Result;
+use crate::error::{Error, Result};
 
 /// Handle to an outstanding encrypted non-blocking operation.
 ///
@@ -92,6 +102,21 @@ impl SecureComm<'_, '_> {
         self.rel.service_nacks();
     }
 
+    /// The control filter every blocking wait of this rank watches:
+    /// peers' NACKs under ARQ, nothing otherwise.
+    fn nack_filter(&self) -> Option<(Src, TagSel)> {
+        self.rel
+            .arq_on()
+            .then_some((Src::Any, TagSel::Is(NACK_TAG)))
+    }
+
+    /// A confirmed death surfaced by a lease-armed wait: burn the dead
+    /// rank's key material (revocation + survivor re-key), then type it.
+    fn rank_died(&self, rf: RankFailed) -> Error {
+        let _ = self.handle_rank_failure(rf.rank);
+        rf.into()
+    }
+
     /// The control-aware set-completion poller every encrypted wait
     /// runs on: drive the transport's completion funnel
     /// ([`empi_mpi::Comm::poll_set`]) over `slots`, servicing NACKs
@@ -102,11 +127,26 @@ impl SecureComm<'_, '_> {
     /// one place, so the single-request and set waits cannot diverge on
     /// control-plane behavior.
     fn set_poll(&self, slots: &mut [Option<Request>], block: bool) -> SetPoll {
-        let ctrl = self.rel.arq_on().then_some((Src::Any, TagSel::Is(NACK_TAG)));
+        let ctrl = self.nack_filter();
         loop {
             match self.comm.poll_set(slots, ctrl, block) {
                 SetPoll::Ctrl => self.rel.service_nacks(),
                 other => return other,
+            }
+        }
+    }
+
+    /// One blocking step of [`Self::set_poll`]: the next completion, or
+    /// `None` once every slot is retired.
+    fn next_done(
+        &self,
+        slots: &mut [Option<Request>],
+    ) -> Option<(usize, Status, Option<RecvPayload>)> {
+        match self.set_poll(slots, true) {
+            SetPoll::Done(idx, status, payload) => Some((idx, status, payload)),
+            SetPoll::Empty => None,
+            SetPoll::Ctrl | SetPoll::Pending => {
+                unreachable!("blocking set_poll yields Done or Empty")
             }
         }
     }
@@ -189,27 +229,20 @@ impl SecureComm<'_, '_> {
     /// otherwise the sequential seal-then-send of Algorithm 1 (the two
     /// are behavior-identical for single-chunk messages).
     ///
-    /// With the chaos machinery active the blocking send runs as a
-    /// posted send + a NACK-serving wait, so a sender parked in
-    /// rendezvous still answers its peers' repair requests.
+    /// Clean or armed, the send is one post with the *blocking-send*
+    /// host accounting — routing the armed path through `isend` would
+    /// charge the streaming host occupancy and make an armed-but-idle
+    /// retransmit layer look ~2x slower than the clean send. Only what
+    /// the wait watches differs: under ARQ it keeps answering NACKs
+    /// while the rendezvous drains (two mutually-recovering ranks would
+    /// otherwise deadlock).
     pub fn send(&self, buf: &[u8], dst: usize, tag: Tag) {
         self.op_span("p2p/send", dst as i32, buf.len(), || {
-            // Clean or armed, the send carries the same *blocking-send*
-            // host accounting — routing the armed path through `isend`
-            // would charge the streaming host occupancy and make an
-            // armed-but-idle fault/retransmit layer look ~2x slower than
-            // the clean send. Only the wait differs: the posted request
-            // lets the ARQ wait keep answering NACKs while the
-            // rendezvous drains (two mutually-recovering ranks would
-            // otherwise deadlock).
             let sealed = self.seal_msg(buf, dst, tag);
             let req = self.comm.post(sealed, dst, tag, Charge::Blocking);
-            if !self.rel.on() {
-                self.comm.wait_sent(req);
-            } else if self.rel.arq_on() {
-                let _ = self.set_poll(&mut [Some(req)], true);
-            } else {
-                let _ = self.comm.wait_payload(req);
+            match self.nack_filter() {
+                None => self.comm.wait_sent(req),
+                Some(_) => drop(self.set_poll(&mut [Some(req)], true)),
             }
         });
     }
@@ -221,61 +254,76 @@ impl SecureComm<'_, '_> {
     /// disabled. Mixed sender/receiver configurations therefore always
     /// interoperate.
     pub fn recv(&self, src: Src, tag: TagSel) -> Result<(Status, Vec<u8>)> {
+        self.recv_noted(src, tag, false)
+    }
+
+    /// A blocking receive under its end-to-end sample (`p2p/ft_recv`
+    /// for the lease-armed twin).
+    fn recv_noted(&self, src: Src, tag: TagSel, lease: bool) -> Result<(Status, Vec<u8>)> {
         let t0 = self.comm.sim().now().as_nanos();
-        let out = self.recv_impl(src, tag);
+        let out = self.recv_under(src, tag, lease);
+        let op = if lease { "p2p/ft_recv" } else { "p2p/recv" };
         let done = out.as_ref().ok();
-        self.note_outcome("p2p/recv", t0, done.map(|(st, data)| (st, data.len())));
+        self.note_outcome(op, t0, done.map(|(st, data)| (st, data.len())));
         out
     }
 
-    pub(super) fn recv_impl(&self, src: Src, tag: TagSel) -> Result<(Status, Vec<u8>)> {
-        if !self.rel.arq_on() {
-            return self.open_or_recover(self.comm.recv_maybe_chunked(src, tag), None);
-        }
-        // Service NACKs while parked on data.
-        let ctrl = (Src::Any, TagSel::Is(NACK_TAG));
-        loop {
-            let (is_ctrl, st) = self.comm.probe_either((src, tag), ctrl);
-            if is_ctrl {
+    /// The one blocking-receive body: take the next message on
+    /// `(src, tag)` under the watch the configuration (NACK filter)
+    /// and the verb (`lease`, the ft twin) ask for, then open it.
+    fn recv_under(&self, src: Src, tag: TagSel, lease: bool) -> Result<(Status, Vec<u8>)> {
+        let died = |rf| self.rank_died(rf);
+        let payload = match self.nack_filter() {
+            None if lease => self.comm.ft_recv_payload(src, tag).map_err(died)?,
+            None => self.comm.recv_maybe_chunked(src, tag),
+            // Service NACKs while parked on data.
+            Some(ctrl) => loop {
+                let (is_ctrl, st) = match lease {
+                    true => self.comm.ft_probe_either((src, tag), ctrl).map_err(died)?,
+                    false => self.comm.probe_either((src, tag), ctrl),
+                };
+                if !is_ctrl {
+                    let found = (Src::Is(st.source), TagSel::Is(st.tag));
+                    break self.comm.recv_maybe_chunked(found.0, found.1);
+                }
                 self.rel.service_nacks();
-                continue;
-            }
-            let payload = self
-                .comm
-                .recv_maybe_chunked(Src::Is(st.source), TagSel::Is(st.tag));
-            return self.open_or_recover(payload, None);
-        }
+            },
+        };
+        self.open_or_recover(payload, None)
     }
 
-    /// Fault-tolerant encrypted blocking send: seals like
-    /// [`SecureComm::send`], but a confirmed death of the receiver
+    /// Fault-tolerant encrypted blocking send: [`SecureComm::send`]
+    /// with the wait lease-armed, so a confirmed death of the receiver
     /// surfaces as [`crate::Error::RankFailed`] (after burning its keys
-    /// via the revocation path) instead of hanging the rendezvous. The
-    /// world must be built with `with_ftol`.
+    /// via the revocation path) instead of hanging the rendezvous. A
+    /// receiver already confirmed dead fails before anything is sealed.
+    /// The world must be built with `with_ftol`.
     pub fn ft_send(&self, buf: &[u8], dst: usize, tag: Tag) -> Result<()> {
-        let wire = self.seal_wire(buf, Some(dst));
-        self.comm
-            .ft_send_bytes(Bytes::from(wire), dst, tag)
-            .map_err(|rf| {
-                let _ = self.handle_rank_failure(rf.rank);
-                rf.into()
-            })
+        self.op_span("p2p/ft_send", dst as i32, buf.len(), || {
+            if self.comm.failed_ranks().contains(&dst) {
+                let epoch = self.comm.liveness_epoch();
+                return Err(self.rank_died(RankFailed { rank: dst, epoch }));
+            }
+            let sealed = self.seal_msg(buf, dst, tag);
+            let mut slot = [Some(self.comm.post(sealed, dst, tag, Charge::Blocking))];
+            loop {
+                match self.comm.ft_wait_sent(&mut slot, dst, self.nack_filter()) {
+                    Ok(SetPoll::Ctrl) => self.rel.service_nacks(),
+                    Ok(_) => return Ok(()),
+                    Err(rf) => return Err(self.rank_died(rf)),
+                }
+            }
+        })
     }
 
-    /// Fault-tolerant encrypted blocking receive: opens like
-    /// [`SecureComm::recv`], but a confirmed death of the awaited
+    /// Fault-tolerant encrypted blocking receive: [`SecureComm::recv`]
+    /// with the wait lease-armed, so a confirmed death of the awaited
     /// source (or of any rank, for any-source receives) surfaces as
     /// [`crate::Error::RankFailed`] after the dead rank's key material
     /// is revoked and the survivors re-keyed. The world must be built
     /// with `with_ftol`.
     pub fn ft_recv(&self, src: Src, tag: TagSel) -> Result<(Status, Vec<u8>)> {
-        match self.comm.ft_recv_payload(src, tag) {
-            Ok(payload) => self.open_payload(payload).map_err(|(e, _)| e),
-            Err(rf) => {
-                let _ = self.handle_rank_failure(rf.rank);
-                Err(rf.into())
-            }
-        }
+        self.recv_noted(src, tag, true)
     }
 
     // ---------------------------------------------------------------
@@ -340,18 +388,11 @@ impl SecureComm<'_, '_> {
     /// even if this rank never enabled pipelining.
     pub fn wait(&self, req: SecureRequest) -> Result<(Status, Option<Vec<u8>>)> {
         let t0 = self.comm.sim().now().as_nanos();
-        let out = self.wait_impl(req);
+        let done = self.next_done(&mut [Some(req.inner)]);
+        let (_, status, payload) = done.expect("one live request has a next completion");
+        let out = self.open_completion(status, payload, req.recv_seq_hint);
         self.note_completion("p2p/wait", t0, &out);
         out
-    }
-
-    pub(super) fn wait_impl(&self, req: SecureRequest) -> Result<Completion> {
-        match self.set_poll(&mut [Some(req.inner)], true) {
-            SetPoll::Done(_, status, payload) => {
-                self.open_completion(status, payload, req.recv_seq_hint)
-            }
-            _ => unreachable!("blocking poll on one live request"),
-        }
     }
 
     /// Wait on all requests as a true completion set
@@ -367,18 +408,10 @@ impl SecureComm<'_, '_> {
         let t0 = self.comm.sim().now().as_nanos();
         let (mut slots, hints) = into_slots(&mut reqs);
         let mut out: Vec<Option<Completion>> = (0..slots.len()).map(|_| None).collect();
-        loop {
-            match self.set_poll(&mut slots, true) {
-                SetPoll::Done(idx, status, payload) => {
-                    let opened = self.open_completion(status, payload, hints[idx]);
-                    self.note_completion("p2p/waitall", t0, &opened);
-                    out[idx] = Some(opened?);
-                }
-                SetPoll::Empty => break,
-                SetPoll::Ctrl | SetPoll::Pending => {
-                    unreachable!("blocking set_poll yields Done or Empty")
-                }
-            }
+        while let Some((idx, status, payload)) = self.next_done(&mut slots) {
+            let opened = self.open_completion(status, payload, hints[idx]);
+            self.note_completion("p2p/waitall", t0, &opened);
+            out[idx] = Some(opened?);
         }
         Ok(out
             .into_iter()
@@ -395,14 +428,10 @@ impl SecureComm<'_, '_> {
     pub fn waitsome(&self, reqs: &mut Vec<SecureRequest>) -> Result<Vec<SetCompletion>> {
         let t0 = self.comm.sim().now().as_nanos();
         let (mut slots, hints) = into_slots(reqs);
-        let mut done: Vec<(usize, Status, Option<RecvPayload>)> = Vec::new();
-        match self.set_poll(&mut slots, true) {
-            SetPoll::Done(idx, status, payload) => done.push((idx, status, payload)),
-            SetPoll::Empty => return Ok(Vec::new()),
-            SetPoll::Ctrl | SetPoll::Pending => {
-                unreachable!("blocking set_poll yields Done or Empty")
-            }
-        }
+        let Some(first) = self.next_done(&mut slots) else {
+            return Ok(Vec::new());
+        };
+        let mut done = vec![first];
         while let SetPoll::Done(idx, status, payload) = self.set_poll(&mut slots, false) {
             done.push((idx, status, payload));
         }
@@ -449,11 +478,9 @@ impl SecureComm<'_, '_> {
         let t0 = self.comm.sim().now().as_nanos();
         assert!(!reqs.is_empty(), "waitany on an empty request set");
         let (mut slots, hints) = into_slots(reqs);
-        let polled = self.set_poll(&mut slots, true);
+        let done = self.next_done(&mut slots);
         restore(reqs, slots, &hints);
-        let SetPoll::Done(idx, status, payload) = polled else {
-            unreachable!("blocking poll on a non-empty set")
-        };
+        let (idx, status, payload) = done.expect("a non-empty set has a next completion");
         let opened = self.open_completion(status, payload, hints[idx]);
         self.note_completion("p2p/waitany", t0, &opened);
         opened.map(|(status, plain)| (idx, status, plain))

@@ -1931,3 +1931,54 @@ fn rotation_survives_chaos_with_arq() {
         "chaos+rotation delivered nothing at all"
     );
 }
+
+#[test]
+fn ft_verbs_ride_the_pipelined_path_like_send_and_recv() {
+    // On a healthy armed world the ft verbs are `send`/`recv` with a
+    // lease on the wait: the same 256 KB buffer leaves as the same
+    // chunked train, so the fabric sees the same messages and bytes
+    // and the run ends at the same virtual instant — and, like them,
+    // each records its end-to-end latency sample.
+    let len = 256 << 10;
+    let run = |ft: bool| {
+        let w = World::flat(NetModel::ethernet_10g(), 2)
+            .with_metrics(true)
+            .with_ftol(empi_mpi::DetectorConfig::default());
+        w.try_run_ft(move |c| {
+            let pcfg = cfg().with_pipeline(crate::PipelineConfig::enabled());
+            let sc = SecureComm::new(c, pcfg).unwrap();
+            let msg: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            match (c.rank(), ft) {
+                (0, true) => sc.ft_send(&msg, 1, 3).unwrap(),
+                (0, false) => sc.send(&msg, 1, 3),
+                (_, true) => assert_eq!(sc.ft_recv(Src::Is(0), TagSel::Is(3)).unwrap().1, msg),
+                (_, false) => assert_eq!(sc.recv(Src::Is(0), TagSel::Is(3)).unwrap().1, msg),
+            }
+            c.ftol_counters().get("probes")
+        })
+        .unwrap()
+    };
+    let (armed, plain) = (run(true), run(false));
+    assert_eq!(
+        armed.results,
+        vec![Some(0), Some(0)],
+        "the lease fired on a healthy run"
+    );
+    assert!(
+        armed.fabric.messages > 1,
+        "256 KB must leave as a chunked train"
+    );
+    assert_eq!(armed.fabric.messages, plain.fabric.messages);
+    assert_eq!(armed.fabric.bytes, plain.fabric.bytes);
+    assert_eq!(armed.end_time, plain.end_time);
+    #[cfg(feature = "trace")]
+    for (run, ops) in [
+        (armed, ["p2p/ft_send", "p2p/ft_recv"]),
+        (plain, ["p2p/send", "p2p/recv"]),
+    ] {
+        let snap = run.metrics.expect("metrics were on");
+        for op in ops {
+            assert_eq!(snap.merged(Metric::E2e, op).count(), 1, "{op}");
+        }
+    }
+}

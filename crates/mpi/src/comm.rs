@@ -19,6 +19,7 @@ use empi_netsim::{Recorder, SimHandle, VDur, VTime};
 use parking_lot::Mutex;
 
 use crate::chunk::{ChunkedMessage, RecvPayload, SendPayload};
+use crate::ftol::RankFailed;
 use crate::state::{DonePayload, SharedState};
 use crate::types::{as_bytes, vec_from_bytes, Pod, Src, Status, Tag, TagSel};
 
@@ -83,6 +84,26 @@ pub enum SetPoll {
     Pending,
     /// Every slot is `None` — there is nothing to wait for.
     Empty,
+}
+
+/// How a [`Comm::park`] ended.
+pub(crate) enum Parked<T> {
+    /// The awaited event; the clock stands at its completion time.
+    Got(T),
+    /// A watched control frame (its envelope) came first.
+    Ctrl(Status),
+    /// The failure set grew while parked; the newest failure.
+    Failed(RankFailed),
+}
+
+impl<T> Parked<T> {
+    /// The outcome of a park that watched nothing.
+    fn got(self) -> T {
+        match self {
+            Parked::Got(v) => v,
+            _ => unreachable!("nothing was watched"),
+        }
+    }
 }
 
 /// A rank's endpoint in the simulated world.
@@ -199,6 +220,67 @@ impl<'h> Comm<'h> {
     }
 
     // ---------------------------------------------------------------
+    // The one way to wait
+    // ---------------------------------------------------------------
+
+    /// Park this rank until `check` produces the awaited event —
+    /// `Some((ready_at, value))`, as for the engine's `block_on` — or
+    /// something the caller also watches happens first. Every blocking
+    /// verb of this communicator is a driver of this one park; with
+    /// nothing watched it *is* `block_on(reason, check)`.
+    ///
+    /// * `ctrl` — a control-plane filter (ARQ's NACK server): a
+    ///   matching frame ends the park with [`Parked::Ctrl`] under the
+    ///   rule of [`Comm::race`], nothing consumed — so `check` must not
+    ///   consume anything either.
+    /// * `lease` — arm the failure detector over these suspects (one
+    ///   rank, or every live peer): a failure notice or the lease
+    ///   deadline can end the park with [`Parked::Failed`], see
+    ///   [`Comm::park_leased`].
+    ///
+    /// Inlined so that a driver's constant `None`s select its arm at
+    /// compile time: an unwatched wait compiles to the bare `block_on`.
+    #[inline(always)]
+    pub(crate) fn park<T>(
+        &self,
+        reason: &'static str,
+        ctrl: Option<(Src, TagSel)>,
+        lease: Option<Src>,
+        mut check: impl FnMut() -> Option<(VTime, T)>,
+    ) -> Parked<T> {
+        match (ctrl, lease) {
+            (None, None) => Parked::Got(self.h.block_on(reason, check)),
+            (_, None) => self.h.block_on(reason, || self.race(check(), ctrl)),
+            (_, Some(suspects)) => self.park_leased(reason, suspects, || self.race(check(), ctrl)),
+        }
+    }
+
+    /// The data-vs-control rule, written once: of an awaited event and
+    /// the first frame matching `ctrl`, the control frame wins only if
+    /// it is available strictly earlier — ties go to the data, so a
+    /// request completing at the same instant as a NACK retires first.
+    fn race<T>(
+        &self,
+        got: Option<(VTime, T)>,
+        ctrl: Option<(Src, TagSel)>,
+    ) -> Option<(VTime, Parked<T>)> {
+        match (got, ctrl.and_then(|(src, tag)| self.peek_status(src, tag))) {
+            (Some((d, _)), Some((c, st))) if c < d => Some((c, Parked::Ctrl(st))),
+            (Some((d, v)), _) => Some((d, Parked::Got(v))),
+            (None, Some((c, st))) => Some((c, Parked::Ctrl(st))),
+            (None, None) => None,
+        }
+    }
+
+    /// Envelope of the first arrival matching `(src, tag)` and when it
+    /// becomes available, without receiving it.
+    pub(crate) fn peek_status(&self, src: Src, tag: TagSel) -> Option<(VTime, Status)> {
+        let s = self.shared.lock();
+        let (source, tag, len, at) = s.peek_incoming(self.rank(), src, tag)?;
+        Some((at, Status { source, tag, len }))
+    }
+
+    // ---------------------------------------------------------------
     // Sends
     // ---------------------------------------------------------------
 
@@ -283,9 +365,9 @@ impl<'h> Comm<'h> {
                 // The receiver schedules the transfer while this rank is
                 // parked; the open scope attributes it to this send.
                 let _op = self.op(wire.op_label());
-                self.h.block_on("send(rendezvous)", take)
+                self.park("send(rendezvous)", None, None, take).got()
             }
-            Wire::Chunked => self.h.block_on("send(chunked)", take),
+            Wire::Chunked => self.park("send(chunked)", None, None, take).got(),
         }
     }
 
@@ -304,7 +386,7 @@ impl<'h> Comm<'h> {
     // ---------------------------------------------------------------
 
     /// One receive-side match attempt at this rank's current time, in
-    /// `block_on`'s shape. Wakes the sender if the match completed its
+    /// [`Comm::park`]'s shape. Wakes the sender if the match completed its
     /// request (it may be parked in its rendezvous wait).
     pub(crate) fn try_match(
         &self,
@@ -375,7 +457,8 @@ impl<'h> Comm<'h> {
     /// Blocking receive of either wire format, matched in this rank's
     /// own tenure (it never enters the posted list).
     fn recv_matched(&self, src: Src, tag: TagSel) -> (Status, RecvPayload) {
-        self.deliver_matched(self.h.block_on("recv", || self.try_match(src, tag)))
+        let matched = self.park("recv", None, None, || self.try_match(src, tag));
+        self.deliver_matched(matched.got())
     }
 
     /// Blocking receive (`MPI_Recv`), returning the payload.
@@ -460,11 +543,14 @@ impl<'h> Comm<'h> {
     /// receive-side host overhead is charged on the delivered bytes
     /// either way. Sends return `None`.
     pub fn wait_payload(&self, req: Request) -> (Status, Option<RecvPayload>) {
-        let shared = Arc::clone(&self.shared);
-        let id = req.id;
-        self.h
-            .block_on("wait", || shared.lock().peek_done(id).map(|at| (at, ())));
+        self.park("wait", None, None, || self.done_at(&req)).got();
         self.take_completed(req)
+    }
+
+    /// When `req` completed, if it has — a wait on a request in
+    /// [`Comm::park`]'s shape.
+    pub(crate) fn done_at(&self, req: &Request) -> Option<(VTime, ())> {
+        Some((self.shared.lock().peek_done(req.id)?, ()))
     }
 
     /// Consume an already-completed request through [`Comm::deliver`],
@@ -512,14 +598,8 @@ impl<'h> Comm<'h> {
         let mut slots: Vec<Option<Request>> = reqs.into_iter().map(Some).collect();
         let mut out: Vec<Option<(Status, Option<RecvPayload>)>> =
             (0..slots.len()).map(|_| None).collect();
-        loop {
-            match self.poll_set(&mut slots, None, true) {
-                SetPoll::Done(i, status, payload) => out[i] = Some((status, payload)),
-                SetPoll::Empty => break,
-                SetPoll::Ctrl | SetPoll::Pending => {
-                    unreachable!("blocking poll without a ctrl filter")
-                }
-            }
+        while let Some((i, status, payload)) = self.next_done(&mut slots) {
+            out[i] = Some((status, payload));
         }
         out.into_iter()
             .map(|r| r.expect("poll_set retires every slot before Empty"))
@@ -533,12 +613,9 @@ impl<'h> Comm<'h> {
     pub fn waitany_payload(&self, reqs: &mut Vec<Request>) -> (usize, Status, Option<RecvPayload>) {
         assert!(!reqs.is_empty(), "waitany on an empty request set");
         let mut slots: Vec<Option<Request>> = reqs.drain(..).map(Some).collect();
-        let polled = self.poll_set(&mut slots, None, true);
+        let done = self.next_done(&mut slots);
         reqs.extend(slots.into_iter().flatten());
-        match polled {
-            SetPoll::Done(idx, status, payload) => (idx, status, payload),
-            _ => unreachable!("blocking poll on a non-empty set without a ctrl filter"),
-        }
+        done.expect("a non-empty set has a next completion")
     }
 
     /// Wait for whichever request completes first (`MPI_Waitany`).
@@ -556,10 +633,7 @@ impl<'h> Comm<'h> {
     /// clock past already-scheduled arrivals.
     pub fn test_ready(&self, req: &Request) -> bool {
         let now = self.h.now();
-        self.shared
-            .lock()
-            .peek_done(req.id)
-            .is_some_and(|at| at <= now)
+        self.done_at(req).is_some_and(|(at, ())| at <= now)
     }
 
     /// The completion funnel: poll a set of request slots, optionally
@@ -585,85 +659,83 @@ impl<'h> Comm<'h> {
         ctrl: Option<(Src, TagSel)>,
         block: bool,
     ) -> SetPoll {
+        self.poll_slots("waitset", slots, ctrl, None, block)
+            .expect("no lease was armed")
+    }
+
+    /// One blocking step of the funnel with nothing else watched: the
+    /// next completion, or `None` once every slot is retired.
+    pub(crate) fn next_done(
+        &self,
+        slots: &mut [Option<Request>],
+    ) -> Option<(usize, Status, Option<RecvPayload>)> {
+        match self.poll_set(slots, None, true) {
+            SetPoll::Done(i, status, payload) => Some((i, status, payload)),
+            SetPoll::Empty => None,
+            SetPoll::Ctrl | SetPoll::Pending => {
+                unreachable!("blocking poll without a ctrl filter")
+            }
+        }
+    }
+
+    /// [`Comm::poll_set`] under everything [`Comm::park`] can watch; a
+    /// lease-armed poll can also end on a new failure.
+    pub(crate) fn poll_slots(
+        &self,
+        reason: &'static str,
+        slots: &mut [Option<Request>],
+        ctrl: Option<(Src, TagSel)>,
+        lease: Option<Src>,
+        block: bool,
+    ) -> Result<SetPoll, RankFailed> {
         let ids: Vec<(usize, usize)> = slots
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().map(|r| (i, r.id)))
             .collect();
         if ids.is_empty() {
-            return SetPoll::Empty;
+            return Ok(SetPoll::Empty);
         }
-        let me = self.rank();
-        let shared = Arc::clone(&self.shared);
-        // `Some(i)` = slot `i` completes earliest; `None` = ctrl frame
-        // strictly earlier than every completion.
-        let decide = |s: &SharedState| -> Option<(VTime, Option<usize>)> {
-            let done = ids
-                .iter()
+        // The live slot that completes earliest.
+        let first_done = || {
+            let s = self.shared.lock();
+            ids.iter()
                 .filter_map(|&(i, id)| s.peek_done(id).map(|at| (at, i)))
-                .min();
-            let c = ctrl
-                .and_then(|(src, tag)| s.peek_incoming(me, src, tag))
-                .map(|(.., at)| at);
-            match (done, c) {
-                (Some((d, _)), Some(c)) if c < d => Some((c, None)),
-                (Some((d, i)), _) => Some((d, Some(i))),
-                (None, Some(c)) => Some((c, None)),
-                (None, None) => None,
-            }
+                .min()
         };
-        let which = if block {
-            self.h.block_on("waitset", || decide(&shared.lock()))
+        let polled = if block {
+            self.park(reason, ctrl, lease, first_done)
         } else {
             let now = self.h.now();
-            match decide(&shared.lock()) {
-                Some((at, which)) if at <= now => which,
-                _ => return SetPoll::Pending,
+            match self.race(first_done(), ctrl) {
+                Some((at, polled)) if at <= now => polled,
+                _ => return Ok(SetPoll::Pending),
             }
         };
-        match which {
-            None => SetPoll::Ctrl,
-            Some(i) => {
+        match polled {
+            Parked::Got(i) => {
                 let req = slots[i].take().expect("poll_set picked a live slot");
                 let (status, payload) = self.take_completed(req);
-                SetPoll::Done(i, status, payload)
+                Ok(SetPoll::Done(i, status, payload))
             }
+            Parked::Ctrl(_) => Ok(SetPoll::Ctrl),
+            Parked::Failed(rf) => Err(rf),
         }
     }
 
     /// Blocking probe (`MPI_Probe`): wait until a matching message is
     /// available and return its envelope without receiving it.
     pub fn probe(&self, src: Src, tag: TagSel) -> Status {
-        let me = self.rank();
-        let shared = Arc::clone(&self.shared);
-        self.h.block_on("probe", || {
-            let s = shared.lock();
-            s.peek_incoming(me, src, tag).map(|(src, tag, len, at)| {
-                (
-                    at,
-                    Status {
-                        source: src,
-                        tag,
-                        len,
-                    },
-                )
-            })
-        })
+        let peek = || self.peek_status(src, tag);
+        self.park("probe", None, None, peek).got()
     }
 
     /// Non-blocking probe (`MPI_Iprobe`): check whether a matching
     /// message has *already* arrived (in virtual time).
     pub fn iprobe(&self, src: Src, tag: TagSel) -> Option<Status> {
-        let me = self.rank();
         let now = self.h.now();
-        let s = self.shared.lock();
-        s.peek_incoming(me, src, tag)
-            .filter(|&(_, _, _, at)| at <= now)
-            .map(|(src, tag, len, _)| Status {
-                source: src,
-                tag,
-                len,
-            })
+        let (at, status) = self.peek_status(src, tag)?;
+        (at <= now).then_some(status)
     }
 
     // ---------------------------------------------------------------
@@ -674,41 +746,32 @@ impl<'h> Comm<'h> {
     // server: a rank parked on its own payload must still wake up when
     // a peer NACKs one of its earlier sends, or two mutually-waiting
     // ranks deadlock. This probe and [`Comm::poll_set`]'s `ctrl` filter
-    // block on "my thing OR a control frame", preferring whichever
-    // becomes available earlier in virtual time, and hand control
-    // frames back to the caller without consuming them.
+    // park on "my thing OR a control frame" under the one rule of
+    // [`Comm::race`], and hand control frames back to the caller
+    // without consuming them.
 
     /// Block until a message matching `data` or one matching `ctrl` is
     /// available, returning `(is_ctrl, envelope)` without receiving
     /// either. Whichever becomes available earlier wins; ties prefer
     /// the data message.
     pub fn probe_either(&self, data: (Src, TagSel), ctrl: (Src, TagSel)) -> (bool, Status) {
-        let me = self.rank();
-        let shared = Arc::clone(&self.shared);
-        self.h.block_on("probe", || {
-            let s = shared.lock();
-            let d = s.peek_incoming(me, data.0, data.1);
-            let c = s.peek_incoming(me, ctrl.0, ctrl.1);
-            let pick = |(src, tag, len, at): (usize, Tag, usize, VTime), is_ctrl: bool| {
-                (
-                    at,
-                    (
-                        is_ctrl,
-                        Status {
-                            source: src,
-                            tag,
-                            len,
-                        },
-                    ),
-                )
-            };
-            match (d, c) {
-                (Some(d), Some(c)) if c.3 < d.3 => Some(pick(c, true)),
-                (Some(d), _) => Some(pick(d, false)),
-                (None, Some(c)) => Some(pick(c, true)),
-                (None, None) => None,
-            }
-        })
+        self.probe_watching("probe", data, ctrl, None)
+            .expect("no lease was armed")
+    }
+
+    /// [`Comm::probe_either`], optionally lease-armed.
+    pub(crate) fn probe_watching(
+        &self,
+        reason: &'static str,
+        (src, tag): (Src, TagSel),
+        ctrl: (Src, TagSel),
+        lease: Option<Src>,
+    ) -> Result<(bool, Status), RankFailed> {
+        match self.park(reason, Some(ctrl), lease, || self.peek_status(src, tag)) {
+            Parked::Got(status) => Ok((false, status)),
+            Parked::Ctrl(status) => Ok((true, status)),
+            Parked::Failed(rf) => Err(rf),
+        }
     }
 
     // ---------------------------------------------------------------

@@ -6,9 +6,14 @@
 //! adds the three ULFM ingredients on top of the engine's typed death
 //! machinery ([`empi_netsim::CrashPlan`]):
 //!
-//! 1. **A lease-based failure detector.** Every fault-tolerant wait
-//!    (`ft_send`/`ft_recv`/`ft_wait`) arms a lease deadline
-//!    ([`DetectorConfig::lease`]) on the engine's quiescence timer.
+//! 1. **A lease-based failure detector.** A fault-tolerant wait
+//!    (`ft_send`/`ft_recv`/`ft_wait`, and the control-aware
+//!    `ft_wait_sent`/`ft_probe_either` the secure layer builds its own
+//!    ft verbs on) is an ordinary wait with the lease armed:
+//!    `Comm::park` run through `Comm::park_leased` below, which is
+//!    the one place the wait protocol — lease deadline
+//!    ([`DetectorConfig::lease`]) on the engine's quiescence timer,
+//!    notice, probe round, idle-round guard — is written.
 //!    On a healthy run some rank is always runnable, the timer never
 //!    fires, and the armed detector costs **zero** virtual time and
 //!    **zero** wire bytes — detection work happens only at the moment
@@ -42,16 +47,14 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use bytes::Bytes;
-use empi_netsim::{CrashKind, VDur};
+use empi_netsim::{CrashKind, VDur, VTime};
 use empi_trace::{Cat, CounterBlock, Metric};
 
 use crate::chunk::{RecvPayload, SendPayload};
-use crate::comm::{Charge, Comm, Request};
+use crate::comm::{Charge, Comm, Parked, Request, SetPoll};
 use crate::ctrl::{FtNotice, CTRL_TAG_BASE, FT_AGREE_RESULT_TAG, FT_AGREE_TAG, FT_NOTICE_TAG};
-use crate::state::DonePayload;
 use crate::types::{Src, Status, Tag, TagSel};
 
 /// Lease periods an ft wait may spend probing *live-but-silent* peers
@@ -141,15 +144,6 @@ impl FtolState {
     }
 }
 
-/// Outcome of one ft wait step (internal): either the awaited payload,
-/// or "the failure set grew but the awaited peer is still live" — the
-/// caller decides whether that invalidates its round (agreement) or
-/// just re-arms the wait (point-to-point).
-enum FtGot {
-    Data(Status, RecvPayload),
-    Epoch,
-}
-
 /// Tag region for [`ShrunkComm`] internal collectives: inside the
 /// ctrl-plane region (bit 25, unmintable by the collective tag
 /// minter), far above the named ctrl tags.
@@ -200,6 +194,26 @@ impl<'h> Comm<'h> {
         self.det().failed.borrow().len() as u32
     }
 
+    /// Every rank not confirmed dead, this one included, ascending.
+    fn live_ranks(&self) -> Vec<usize> {
+        let dead = self.det().failed.borrow();
+        (0..self.size()).filter(|r| !dead.contains(r)).collect()
+    }
+
+    /// The typed failure of `rank` at this rank's liveness epoch.
+    fn rank_failed(&self, rank: usize) -> RankFailed {
+        RankFailed {
+            rank,
+            epoch: self.liveness_epoch(),
+        }
+    }
+
+    /// The typed failure of `rank`, if it is already confirmed dead.
+    fn known_dead(&self, rank: usize) -> Option<RankFailed> {
+        let dead = self.det().failed.borrow().contains(&rank);
+        dead.then(|| self.rank_failed(rank))
+    }
+
     /// The detector's counter block, in export order, for harness
     /// injection into [`empi_trace::MetricsSnapshot::ftol`]: failures
     /// confirmed locally (lease expiry + probe/confirm), failures
@@ -227,16 +241,12 @@ impl<'h> Comm<'h> {
     /// while the peer is live or still inside its lease.
     pub fn ft_probe(&self, peer: usize) -> Option<RankFailed> {
         let st = self.det();
-        let epoch_err = |c: &Comm| RankFailed {
-            rank: peer,
-            epoch: c.liveness_epoch(),
-        };
-        if st.failed.borrow().contains(&peer) {
-            return Some(epoch_err(self));
+        if let Some(rf) = self.known_dead(peer) {
+            return Some(rf);
         }
         self.service_notices();
-        if st.failed.borrow().contains(&peer) {
-            return Some(epoch_err(self));
+        if let Some(rf) = self.known_dead(peer) {
+            return Some(rf);
         }
         let (died, _) = self.h.peer_dead(peer)?;
         let now = self.now();
@@ -282,10 +292,7 @@ impl<'h> Comm<'h> {
             });
             self.broadcast_notice(rank);
         }
-        RankFailed {
-            rank,
-            epoch: self.liveness_epoch(),
-        }
+        self.rank_failed(rank)
     }
 
     /// Register a death learned from a peer's notice broadcast.
@@ -298,26 +305,18 @@ impl<'h> Comm<'h> {
                 format!("rank {rank} reported dead by a peer")
             });
         }
-        RankFailed {
-            rank,
-            epoch: self.liveness_epoch(),
-        }
+        self.rank_failed(rank)
     }
 
     fn broadcast_notice(&self, failed: usize) {
-        let st = self.det();
         let notice = FtNotice {
             failed: failed as u32,
             epoch: self.liveness_epoch(),
             confirmed_at: self.now().as_nanos(),
         };
         let wire = Bytes::from(notice.encode());
-        let dead: BTreeSet<usize> = st.failed.borrow().clone();
         let mut reqs = Vec::new();
-        for r in 0..self.size() {
-            if r == self.rank() || dead.contains(&r) {
-                continue;
-            }
+        for r in self.live_ranks().into_iter().filter(|&r| r != self.rank()) {
             let notice = SendPayload::Plain(wire.clone());
             reqs.push(self.post(notice, r, FT_NOTICE_TAG, Charge::Streaming));
         }
@@ -379,96 +378,101 @@ impl<'h> Comm<'h> {
         None
     }
 
-    /// Map a newly registered failure onto an in-progress wait for
-    /// `src`: the wait fails if its source (or, for any-source waits,
-    /// *possibly* its source — ULFM's rule) is the dead rank.
-    fn after_new_failure(&self, src: Src, rf: RankFailed) -> Result<FtGot, RankFailed> {
-        match src {
-            Src::Is(p) if self.det().failed.borrow().contains(&p) => Err(RankFailed {
-                rank: p,
-                epoch: rf.epoch,
-            }),
-            // An any-source wait cannot know whether the dead rank was
-            // its sender; ULFM completes it in error.
-            Src::Any => Err(rf),
-            _ => Ok(FtGot::Epoch),
-        }
-    }
-
-    /// One ft receive step: park with the lease armed, watching for
-    /// the data, a failure notice, or lease expiry (probe round).
-    fn ft_recv_step(&self, src: Src, tag: TagSel) -> Result<FtGot, RankFailed> {
+    /// The lease-armed half of [`Comm::park`], and the only place the
+    /// detector's wait protocol is written: park on `event` with the
+    /// lease deadline on the engine's quiescence timer, also waking on
+    /// a failure notice. Pending data always drains first — a notice is
+    /// only looked at when `event` has nothing. A notice that registers
+    /// a new failure ends the park with it; so does a lease expiry
+    /// whose probe round over `suspects` confirms a death. Probing
+    /// live-but-silent peers for [`MAX_IDLE_ROUNDS`] leases panics.
+    pub(crate) fn park_leased<T>(
+        &self,
+        reason: &'static str,
+        suspects: Src,
+        mut event: impl FnMut() -> Option<(VTime, Parked<T>)>,
+    ) -> Parked<T> {
         let st = self.det();
-        if let Src::Is(p) = src {
-            // A message the peer sent *before* dying is still
-            // deliverable (ULFM drains pre-failure traffic); only
-            // fail fast when nothing from it is pending.
-            if st.failed.borrow().contains(&p)
-                && self
-                    .shared
-                    .lock()
-                    .peek_incoming(self.rank(), src, tag)
-                    .is_none()
-            {
-                return Err(RankFailed {
-                    rank: p,
-                    epoch: self.liveness_epoch(),
-                });
-            }
-        }
+        let me = self.rank();
+        let notice = (Src::Any, TagSel::Is(FT_NOTICE_TAG));
         let mut idle_rounds = 0u32;
         loop {
             let deadline = self.now() + st.cfg.lease;
-            let me = self.rank();
-            enum Got {
-                Data((usize, Tag, DonePayload)),
-                Notice,
-            }
-            let got = self.h.block_on_deadline("ftol/recv", deadline, || {
-                if let Some((at, matched)) = self.try_match(src, tag) {
-                    return Some((at, Got::Data(matched)));
-                }
-                // Data beats notices on ties: checked last.
-                self.shared
-                    .lock()
-                    .peek_incoming(me, Src::Any, TagSel::Is(FT_NOTICE_TAG))
-                    .map(|(.., at)| (at, Got::Notice))
+            let woke = self.h.block_on_deadline(reason, deadline, || {
+                let event = event().map(|(at, e)| (at, Some(e)));
+                event.or_else(|| Some((self.peek_status(notice.0, notice.1)?.0, None)))
             });
-            match got {
-                Some(Got::Data(matched)) => {
-                    let (status, payload) = self.deliver_matched(matched);
-                    return Ok(FtGot::Data(status, payload));
-                }
-                Some(Got::Notice) => {
+            match woke {
+                Some(Some(ended)) => return ended,
+                // A duplicate or corrupt notice registers nothing: re-park.
+                Some(None) => {
                     if let Some(rf) = self.service_notices() {
-                        return self.after_new_failure(src, rf);
+                        return Parked::Failed(rf);
                     }
-                    // Duplicate or corrupt notice: nothing new, rewait.
                 }
+                // Lease expired on a quiescent world: probe.
                 None => {
-                    // Lease expired on a quiescent world: probe.
-                    let suspects: Vec<usize> = match src {
+                    let suspects = match suspects {
                         Src::Is(p) => vec![p],
-                        Src::Any => {
-                            let dead = st.failed.borrow();
-                            (0..self.size())
-                                .filter(|r| *r != me && !dead.contains(r))
-                                .collect()
-                        }
+                        Src::Any => self.live_ranks().into_iter().filter(|&r| r != me).collect(),
                     };
                     if let Some((dead, died_at)) = self.probe_round(&suspects) {
-                        let rf = self.register_failure_local(dead, died_at);
-                        return self.after_new_failure(src, rf);
+                        return Parked::Failed(self.register_failure_local(dead, died_at));
                     }
                     idle_rounds += 1;
                     assert!(
                         idle_rounds <= MAX_IDLE_ROUNDS,
-                        "ft wait starved: rank {me} probed live peers {suspects:?} for \
-                         {idle_rounds} lease periods (src {src:?}) — peers are alive but never \
-                         send; this is an application-level hang, not a rank failure"
+                        "ft wait starved ({reason}): rank {me} probed live peers {suspects:?} \
+                         for {idle_rounds} lease periods — they are alive but never complete \
+                         this wait; this is an application-level hang, not a rank failure"
                     );
                 }
             }
+        }
+    }
+
+    /// Drive a lease-armed wait on `peer` to its ULFM outcome: a new
+    /// failure completes it in error if `peer` is the dead rank — or,
+    /// for an any-source wait, *possibly* is: it cannot know whether
+    /// the dead rank was its sender. Any other rank's death re-arms it.
+    fn ft_drive<T>(
+        &self,
+        peer: Src,
+        mut wait: impl FnMut() -> Result<T, RankFailed>,
+    ) -> Result<T, RankFailed> {
+        loop {
+            match (wait(), peer) {
+                (Err(_), Src::Is(p)) => {
+                    if let Some(rf) = self.known_dead(p) {
+                        return Err(rf);
+                    }
+                }
+                (done, _) => return done,
+            }
+        }
+    }
+
+    /// Fail fast on a source already confirmed dead — but a message it
+    /// sent *before* dying is still deliverable (ULFM drains
+    /// pre-failure traffic), so only when nothing from it is pending.
+    fn fail_fast(&self, (src, tag): (Src, TagSel)) -> Result<(), RankFailed> {
+        match src {
+            Src::Is(p) if self.peek_status(src, tag).is_none() => {
+                self.known_dead(p).map_or(Ok(()), Err)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// One lease-armed receive: the delivered message, or the new
+    /// failure that interrupted it (the caller decides whether that
+    /// invalidates its round or just re-arms the wait).
+    fn ft_recv_once(&self, src: Src, tag: TagSel) -> Result<(Status, RecvPayload), RankFailed> {
+        self.fail_fast((src, tag))?;
+        match self.park("ftol/recv", None, Some(src), || self.try_match(src, tag)) {
+            Parked::Got(matched) => Ok(self.deliver_matched(matched)),
+            Parked::Failed(rf) => Err(rf),
+            Parked::Ctrl(_) => unreachable!("no control filter was set"),
         }
     }
 
@@ -477,25 +481,28 @@ impl<'h> Comm<'h> {
     /// receives, of *any* rank) surfaces as [`RankFailed`] instead of
     /// hanging the world. Panics if fault tolerance is off.
     pub fn ft_recv(&self, src: Src, tag: TagSel) -> Result<(Status, Bytes), RankFailed> {
-        loop {
-            match self.ft_recv_step(src, tag)? {
-                FtGot::Data(status, payload) => return Ok((status, payload.into_bytes())),
-                // Some *other* rank died; this wait's source is still
-                // live, so re-arm and keep waiting.
-                FtGot::Epoch => {}
-            }
-        }
+        let (status, payload) = self.ft_drive(src, || self.ft_recv_once(src, tag))?;
+        Ok((status, payload.into_bytes()))
     }
 
     /// [`Comm::ft_recv`] preserving the wire format (plain vs chunked
     /// frame train), for the secure layer's chunked opens.
     pub fn ft_recv_payload(&self, src: Src, tag: TagSel) -> Result<RecvPayload, RankFailed> {
-        loop {
-            match self.ft_recv_step(src, tag)? {
-                FtGot::Data(_, p) => return Ok(p),
-                FtGot::Epoch => {}
-            }
-        }
+        Ok(self.ft_drive(src, || self.ft_recv_once(src, tag))?.1)
+    }
+
+    /// The lease-armed [`Comm::probe_either`], for a control-plane
+    /// server that must also survive its peer: `data.0` names the
+    /// suspects, as for [`Comm::ft_recv`].
+    pub fn ft_probe_either(
+        &self,
+        data: (Src, TagSel),
+        ctrl: (Src, TagSel),
+    ) -> Result<(bool, Status), RankFailed> {
+        self.ft_drive(data.0, || {
+            self.fail_fast(data)?;
+            self.probe_watching("ftol/recv", data, ctrl, Some(data.0))
+        })
     }
 
     /// Fault-tolerant blocking send: [`Comm::send`]'s accounting, but
@@ -508,70 +515,27 @@ impl<'h> Comm<'h> {
 
     /// [`Comm::ft_send`] for an already-owned buffer (no copy).
     pub fn ft_send_bytes(&self, data: Bytes, dst: usize, tag: Tag) -> Result<(), RankFailed> {
-        if self.det().failed.borrow().contains(&dst) {
-            return Err(RankFailed {
-                rank: dst,
-                epoch: self.liveness_epoch(),
-            });
-        }
+        self.known_dead(dst).map_or(Ok(()), Err)?;
         let req = self.post(SendPayload::Plain(data), dst, tag, Charge::Blocking);
-        self.ft_wait_send(req, dst)
+        self.ft_wait_sent(&mut [Some(req)], dst, None).map(|_| ())
     }
 
-    /// Lease-armed wait for a posted send's completion. On failure the
-    /// request slot is abandoned (the simulated NIC would never
-    /// complete it anyway).
-    fn ft_wait_send(&self, req: Request, peer: usize) -> Result<(), RankFailed> {
-        let st = self.det();
-        let id = req.id;
-        let mut idle_rounds = 0u32;
-        loop {
-            let deadline = self.now() + st.cfg.lease;
-            let me = self.rank();
-            let shared = Arc::clone(&self.shared);
-            enum Got {
-                Done,
-                Notice,
-            }
-            let got = self.h.block_on_deadline("ftol/send", deadline, || {
-                let s = shared.lock();
-                if let Some(at) = s.peek_done(id) {
-                    return Some((at, Got::Done));
-                }
-                if let Some((.., at)) = s.peek_incoming(me, Src::Any, TagSel::Is(FT_NOTICE_TAG)) {
-                    return Some((at, Got::Notice));
-                }
-                None
-            });
-            match got {
-                Some(Got::Done) => {
-                    let _ = self.take_completed(req);
-                    return Ok(());
-                }
-                Some(Got::Notice) => {
-                    if let Some(rf) = self.service_notices() {
-                        if self.det().failed.borrow().contains(&peer) {
-                            return Err(RankFailed {
-                                rank: peer,
-                                epoch: rf.epoch,
-                            });
-                        }
-                    }
-                }
-                None => {
-                    if let Some((dead, died_at)) = self.probe_round(&[peer]) {
-                        return Err(self.register_failure_local(dead, died_at));
-                    }
-                    idle_rounds += 1;
-                    assert!(
-                        idle_rounds <= MAX_IDLE_ROUNDS,
-                        "ft send starved: rank {me} waited {idle_rounds} lease periods for a \
-                         rendezvous with live rank {peer} — the peer never posts a matching \
-                         receive; this is an application-level hang, not a rank failure"
-                    );
-                }
-            }
-        }
+    /// The lease-armed [`Comm::wait_sent`], as a [`Comm::poll_set`]
+    /// over sends posted to `dst`: the next completion, or — with a
+    /// `ctrl` filter — [`SetPoll::Ctrl`] when a control frame comes
+    /// strictly first, or [`RankFailed`] once `dst` is confirmed dead.
+    /// On failure the request slots are abandoned (the simulated NIC
+    /// would never complete them anyway).
+    pub fn ft_wait_sent(
+        &self,
+        slots: &mut [Option<Request>],
+        dst: usize,
+        ctrl: Option<(Src, TagSel)>,
+    ) -> Result<SetPoll, RankFailed> {
+        let lease = Some(Src::Is(dst));
+        self.ft_drive(Src::Is(dst), || {
+            self.poll_slots("ftol/send", slots, ctrl, lease, true)
+        })
     }
 
     /// Fault-tolerant wait on a posted receive request: like
@@ -580,51 +544,22 @@ impl<'h> Comm<'h> {
     /// to [`RankFailed`] (the request may have matched the dead
     /// sender; ULFM's any-source rule applies).
     pub fn ft_wait(&self, req: Request) -> Result<(Status, Option<RecvPayload>), RankFailed> {
-        let st = self.det();
-        let id = req.id;
-        let mut idle_rounds = 0u32;
+        match self.park("ftol/wait", None, Some(Src::Any), || self.done_at(&req)) {
+            Parked::Failed(rf) => Err(rf),
+            _ => Ok(self.take_completed(req)),
+        }
+    }
+
+    /// The next agreement frame from `from` on `tag` that is not from
+    /// a superseded round (malformed and stale frames are dropped and
+    /// the receive repeated). `None`: a failure — of `from` or of any
+    /// other rank — interrupted the wait, so the round must restart.
+    fn recv_agree(&self, from: usize, tag: Tag, epoch: u32) -> Option<(u32, u64)> {
         loop {
-            let deadline = self.now() + st.cfg.lease;
-            let me = self.rank();
-            let shared = Arc::clone(&self.shared);
-            enum Got {
-                Done,
-                Notice,
-            }
-            let got = self.h.block_on_deadline("ftol/wait", deadline, || {
-                let s = shared.lock();
-                if let Some(at) = s.peek_done(id) {
-                    return Some((at, Got::Done));
-                }
-                if let Some((.., at)) = s.peek_incoming(me, Src::Any, TagSel::Is(FT_NOTICE_TAG)) {
-                    return Some((at, Got::Notice));
-                }
-                None
-            });
-            match got {
-                Some(Got::Done) => return Ok(self.take_completed(req)),
-                Some(Got::Notice) => {
-                    if let Some(rf) = self.service_notices() {
-                        return Err(rf);
-                    }
-                }
-                None => {
-                    let suspects: Vec<usize> = {
-                        let dead = st.failed.borrow();
-                        (0..self.size())
-                            .filter(|r| *r != me && !dead.contains(r))
-                            .collect()
-                    };
-                    if let Some((dead, died_at)) = self.probe_round(&suspects) {
-                        return Err(self.register_failure_local(dead, died_at));
-                    }
-                    idle_rounds += 1;
-                    assert!(
-                        idle_rounds <= MAX_IDLE_ROUNDS,
-                        "ft wait starved: rank {me} probed live peers for {idle_rounds} lease \
-                         periods with the request still pending — an application-level hang"
-                    );
-                }
+            let got = self.ft_recv_once(Src::Is(from), TagSel::Is(tag));
+            match decode_agree(&got.ok()?.1.into_bytes()) {
+                Some((r_epoch, v)) if r_epoch >= epoch => return Some((r_epoch, v)),
+                _ => continue,
             }
         }
     }
@@ -641,76 +576,39 @@ impl<'h> Comm<'h> {
         'round: loop {
             self.service_notices();
             let epoch = self.liveness_epoch();
-            let live: Vec<usize> = {
-                let dead = self.det().failed.borrow();
-                (0..self.size()).filter(|r| !dead.contains(r)).collect()
-            };
+            let live = self.live_ranks();
             let coord = live[0];
             if me == coord {
                 let mut acc = contribution;
                 for &p in live.iter().filter(|&&p| p != me) {
-                    loop {
-                        match self.ft_recv_step(Src::Is(p), TagSel::Is(FT_AGREE_TAG)) {
-                            Ok(FtGot::Data(_, payload)) => {
-                                let data = payload.into_bytes();
-                                let Some((r_epoch, v)) = decode_agree(&data) else {
-                                    continue;
-                                };
-                                if r_epoch < epoch {
-                                    continue; // stale round: drop, re-receive
-                                }
-                                if r_epoch > epoch {
-                                    // The participant knows failures we
-                                    // have not registered yet; its notice
-                                    // is on the way — resynchronize.
-                                    continue 'round;
-                                }
-                                acc &= v;
-                                break;
-                            }
-                            Ok(FtGot::Epoch) | Err(_) => continue 'round,
-                        }
+                    match self.recv_agree(p, FT_AGREE_TAG, epoch) {
+                        Some((r_epoch, v)) if r_epoch == epoch => acc &= v,
+                        // A failure — or a participant that knows of
+                        // one we have not registered yet (its notice is
+                        // on the way): resynchronize.
+                        _ => continue 'round,
                     }
                 }
                 // Decided. Deliver to the round's survivors; a failure
                 // during delivery doesn't invalidate the decision.
                 let wire = encode_agree(epoch, acc);
                 for &p in live.iter().filter(|&&p| p != me) {
-                    if self.det().failed.borrow().contains(&p) {
+                    if self.known_dead(p).is_some() {
                         continue;
                     }
                     let _ = self.ft_send_bytes(Bytes::from(wire.clone()), p, FT_AGREE_RESULT_TAG);
                 }
                 return acc;
             }
-            // Participant: contribute, then wait for the decision.
-            if self
-                .ft_send_bytes(
-                    Bytes::from(encode_agree(epoch, contribution)),
-                    coord,
-                    FT_AGREE_TAG,
-                )
-                .is_err()
-            {
-                continue 'round;
-            }
-            loop {
-                match self.ft_recv_step(Src::Is(coord), TagSel::Is(FT_AGREE_RESULT_TAG)) {
-                    Ok(FtGot::Data(_, payload)) => {
-                        let data = payload.into_bytes();
-                        let Some((r_epoch, v)) = decode_agree(&data) else {
-                            continue;
-                        };
-                        if r_epoch < epoch {
-                            continue; // stale decision from a superseded round
-                        }
-                        return v;
-                    }
-                    // Epoch moved (someone else died): the coordinator
-                    // will stale-drop our contribution — resend it
-                    // under the new epoch. Coordinator death: next
-                    // round elects the new lowest live rank.
-                    Ok(FtGot::Epoch) | Err(_) => continue 'round,
+            // Participant: contribute, then wait for the decision. If
+            // the epoch moves meanwhile (someone else died) the
+            // coordinator will stale-drop our contribution — resend it
+            // under the new epoch; if the coordinator died, the next
+            // round elects the new lowest live rank.
+            let mine = Bytes::from(encode_agree(epoch, contribution));
+            if self.ft_send_bytes(mine, coord, FT_AGREE_TAG).is_ok() {
+                if let Some((_, v)) = self.recv_agree(coord, FT_AGREE_RESULT_TAG, epoch) {
+                    return v;
                 }
             }
         }
@@ -1118,6 +1016,35 @@ mod tests {
             }
         });
         assert_eq!(fresh.results[0], expect, "fresh-world reduction diverges");
+    }
+
+    /// `ft_wait` is lease-armed: an `irecv` whose message was sent
+    /// before its sender died completes with its payload, one posted on
+    /// the doomed rank resolves to a typed `RankFailed` after a single
+    /// probe round — never a hang.
+    #[test]
+    fn ft_wait_drains_predeath_traffic_and_fails_on_the_doomed_rank() {
+        let w = World::flat(NetModel::ethernet_10g(), 2)
+            .with_ftol(DetectorConfig::default())
+            .crash_plan(CrashPlan::new().crash_at(1, us(200)));
+        let out = w
+            .try_run_ft(|c| {
+                if c.rank() == 1 {
+                    c.send(b"parting", 0, 9);
+                    c.compute(VDur::from_micros(10_000));
+                    unreachable!("rank 1 dies mid-compute");
+                }
+                let sent = c.irecv(Src::Is(1), TagSel::Is(9));
+                let never = c.irecv(Src::Is(1), TagSel::Is(1));
+                let (st, payload) = c.ft_wait(sent).expect("pre-death message");
+                assert_eq!((st.source, st.tag, st.len), (1, 9, 7));
+                assert_eq!(payload.unwrap().into_bytes().as_ref(), b"parting");
+                let err = c.ft_wait(never).expect_err("rank 1 dies");
+                (err.rank, err.epoch, c.ftol_counters().get("probes"))
+            })
+            .unwrap();
+        assert_eq!(out.results[0], Some((1, 1, 1)));
+        assert_eq!(out.deaths[1], Some((us(200), CrashKind::Crash)));
     }
 
     /// Sends to an already-confirmed-dead rank fail fast without

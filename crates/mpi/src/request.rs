@@ -72,13 +72,7 @@ impl<'a, 'h> CompletionSet<'a, 'h> {
     /// Wait for the next completion (`MPI_Waitany`); `None` when the
     /// set is empty.
     pub fn waitany(&mut self) -> Option<(usize, Status, Option<RecvPayload>)> {
-        match self.poll(None, true) {
-            SetPoll::Done(i, status, payload) => Some((i, status, payload)),
-            SetPoll::Empty => None,
-            SetPoll::Ctrl | SetPoll::Pending => {
-                unreachable!("blocking poll without a ctrl filter")
-            }
-        }
+        self.comm.next_done(&mut self.slots)
     }
 
     /// [`CompletionSet::waitany`] that returns early with
@@ -92,13 +86,9 @@ impl<'a, 'h> CompletionSet<'a, 'h> {
     /// already complete at the resulting virtual time
     /// (`MPI_Waitsome`). Empty set yields an empty vector.
     pub fn waitsome(&mut self) -> Vec<(usize, Status, Option<RecvPayload>)> {
-        let mut out = Vec::new();
-        match self.poll(None, true) {
-            SetPoll::Done(i, status, payload) => out.push((i, status, payload)),
-            SetPoll::Empty => return out,
-            SetPoll::Ctrl | SetPoll::Pending => {
-                unreachable!("blocking poll without a ctrl filter")
-            }
+        let mut out = Vec::from_iter(self.waitany());
+        if out.is_empty() {
+            return out;
         }
         while let SetPoll::Done(i, status, payload) = self.poll(None, false) {
             out.push((i, status, payload));
@@ -110,14 +100,8 @@ impl<'a, 'h> CompletionSet<'a, 'h> {
     /// completion order; results are returned sorted by slot index.
     pub fn waitall(&mut self) -> Vec<(usize, Status, Option<RecvPayload>)> {
         let mut out = Vec::new();
-        loop {
-            match self.poll(None, true) {
-                SetPoll::Done(i, status, payload) => out.push((i, status, payload)),
-                SetPoll::Empty => break,
-                SetPoll::Ctrl | SetPoll::Pending => {
-                    unreachable!("blocking poll without a ctrl filter")
-                }
-            }
+        while let Some(done) = self.waitany() {
+            out.push(done);
         }
         out.sort_by_key(|&(i, ..)| i);
         out
@@ -156,7 +140,7 @@ impl Drop for CompletionSet<'_, '_> {
         if std::thread::panicking() {
             return;
         }
-        while let SetPoll::Done(..) = self.comm.poll_set(&mut self.slots, None, true) {}
+        while self.waitany().is_some() {}
     }
 }
 
