@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use empi_aead::chunked::chunk_count;
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage};
-use empi_mpi::coll::{binomial_tree, BCAST_LONG_THRESHOLD};
+use empi_mpi::coll::{bcast_alg, binomial_tree, edges, exchange, pairwise, ring, BcastAlg, Round};
 use empi_mpi::{Src, Tag, TagSel};
 use empi_netsim::{VDur, VTime};
 use empi_pipeline::expect_chunked;
@@ -28,18 +28,6 @@ fn check_len(local: usize, remote: usize) -> Result<()> {
     } else {
         Err(Error::LengthMismatch { local, remote })
     }
-}
-
-/// Byte offset of each segment in a buffer of consecutive `counts`.
-fn offsets(counts: &[usize]) -> Vec<usize> {
-    counts
-        .iter()
-        .scan(0, |acc, &c| {
-            let o = *acc;
-            *acc += c;
-            Some(o)
-        })
-        .collect()
 }
 
 /// A zero-length runt frame: relayed where a fault (or a misbehaving
@@ -88,6 +76,15 @@ impl SecureComm<'_, '_> {
         }
         self.comm.bcast(&mut hdr, root);
         let root_len = u64::from_be_bytes(hdr[..8].try_into().unwrap()) as usize;
+        // The header is plaintext and nothing has been authenticated
+        // yet, while `root_len` sizes every buffer below: hold it to
+        // MPI's `int` count before anything is allocated from it.
+        if root_len > i32::MAX as usize {
+            return Err(Error::LengthMismatch {
+                local: buf.len(),
+                remote: root_len,
+            });
+        }
         let root_chunk = u64::from_be_bytes(hdr[9..17].try_into().unwrap()) as usize;
         if hdr[8] != 0 {
             let tag = self.comm.reserved_tag(SEC_BCAST_OP);
@@ -100,13 +97,13 @@ impl SecureComm<'_, '_> {
             if self.rel.arq_on() {
                 return self.bcast_tree_arq(buf, root, root_len, tag);
             }
-            // Same algorithm switch as the plaintext transport: a
-            // binomial tree is latency-optimal for short messages, a
-            // scatter–allgather ring bandwidth-optimal for long ones.
-            return if root_len <= BCAST_LONG_THRESHOLD {
-                self.bcast_pipelined_tree(buf, root, root_len, tag)
-            } else {
-                self.bcast_pipelined_sag(buf, root, root_len, root_chunk, tag)
+            // The plaintext transport's algorithm switch, asked of the
+            // transport itself so the two layers cannot disagree.
+            return match bcast_alg(root_len) {
+                BcastAlg::Binomial => self.bcast_pipelined_tree(buf, root, root_len, tag),
+                BcastAlg::ScatterAllgather => {
+                    self.bcast_pipelined_sag(buf, root, root_len, root_chunk, tag)
+                }
             };
         }
         let mut wire = if me == root {
@@ -135,7 +132,7 @@ impl SecureComm<'_, '_> {
         root_len: usize,
         tag: Tag,
     ) -> Result<()> {
-        let (parent, children) = binomial_tree(self.rank(), root, self.size());
+        let (parent, _, children) = binomial_tree(self.rank(), root, self.size());
         // The root announced the chunked format; a parent that sends a
         // plain record anyway is a typed wire-format error, not a panic.
         let incoming = parent.map(|p| {
@@ -163,7 +160,7 @@ impl SecureComm<'_, '_> {
         // Forward to children before opening, so the local decryption
         // overlaps the downstream hops.
         let pending: Vec<_> = children
-            .map(|child| self.isend_frames(frames.clone(), child, tag))
+            .map(|(child, _)| self.isend_frames(frames.clone(), child, tag))
             .collect();
 
         let result = match incoming {
@@ -201,7 +198,6 @@ impl SecureComm<'_, '_> {
         let n = self.size();
         let me = self.rank();
         let vrank = (me + n - root) % n;
-        let real = |v: usize| (v % n + root) % n;
         let total = chunk_count(root_len, root_chunk.max(1)) as usize;
         let (base, rem) = (total / n, total % n);
         let gsize = |g: usize| base + usize::from(g < rem);
@@ -238,7 +234,7 @@ impl SecureComm<'_, '_> {
             for g in 1..n {
                 if gsize(g) > 0 {
                     let part = frames[gstart(g)..gstart(g) + gsize(g)].to_vec();
-                    scatter_reqs.push(self.isend_frames(part, real(g), tag));
+                    scatter_reqs.push(self.isend_frames(part, (g + root) % n, tag));
                 }
             }
             for (i, f) in frames.into_iter().enumerate() {
@@ -248,14 +244,11 @@ impl SecureComm<'_, '_> {
             recv_group(&mut slots, vrank, root);
         }
 
-        // Allgather ring: at step `s` rank `vrank` forwards group
-        // `vrank − s` (received the step before) and receives group
-        // `vrank − 1 − s` from its ring predecessor.
-        let next = real(vrank + 1);
-        let prev = real(vrank + n - 1);
-        for s in 0..n - 1 {
-            let sg = (vrank + n - s) % n;
-            let rg = (vrank + n - 1 - s) % n;
+        // Allgather ring over the frame groups, in vrank space: each
+        // round forwards the group received the round before and
+        // receives the next one from the ring predecessor.
+        for r in ring(vrank, n).map(|r| r.rooted(root, n)) {
+            let (sg, rg) = (r.send.start, r.recv.start);
             let sreq = (gsize(sg) > 0).then(|| {
                 // A slot a fault dropped upstream is forwarded as a
                 // runt (clean runs always have every slot filled).
@@ -263,10 +256,10 @@ impl SecureComm<'_, '_> {
                     .iter()
                     .map(|f| f.clone().unwrap_or_else(|| runt(self.comm.sim().now())))
                     .collect();
-                self.isend_frames(part, next, tag)
+                self.isend_frames(part, r.to, tag)
             });
             if gsize(rg) > 0 {
-                recv_group(&mut slots, rg, prev);
+                recv_group(&mut slots, rg, r.from);
             }
             if let Some(r) = sreq {
                 let _ = self.comm.wait_payload(r);
@@ -315,7 +308,7 @@ impl SecureComm<'_, '_> {
         root_len: usize,
         tag: Tag,
     ) -> Result<()> {
-        let (parent, children) = binomial_tree(self.rank(), root, self.size());
+        let (parent, _, children) = binomial_tree(self.rank(), root, self.size());
         // On an upstream error the sentinel payload stays empty.
         let upstream = match parent {
             Some(p) => self.recv(Src::Is(p), TagSel::Is(tag)).map(|(_, plain)| plain),
@@ -327,7 +320,7 @@ impl SecureComm<'_, '_> {
             (Err(_), _) => &[],
         };
         let pending: Vec<_> = children
-            .map(|child| self.isend(fwd, child, tag))
+            .map(|(child, _)| self.isend(fwd, child, tag))
             .collect();
         for req in pending {
             self.wait(req)?;
@@ -466,10 +459,10 @@ impl SecureComm<'_, '_> {
         Ok(out)
     }
 
-    /// Pipelined alltoall(v) body: pairwise exchange rounds (`dst =
-    /// me+i`, `src = me−i`, the same schedule as the transport's
-    /// pairwise algorithm) with a per-segment format choice (chunked
-    /// above one chunk, plain sealed otherwise). Algorithm 1 still
+    /// Pipelined alltoall(v) body: the transport's `pairwise` schedule
+    /// walked with a seal → isend / recv → open → wait hop and a
+    /// per-segment format choice (chunked above one chunk, plain sealed
+    /// otherwise). Algorithm 1 still
     /// encrypts and decrypts all `n` segments — the self segment is
     /// sealed and opened without touching the wire.
     fn alltoallv_pipelined(
@@ -479,13 +472,11 @@ impl SecureComm<'_, '_> {
         recv_counts: &[usize],
         tag: Tag,
     ) -> Result<Vec<u8>> {
-        let n = self.size();
         let me = self.rank();
-        let send_off = offsets(send_counts);
-        let recv_off = offsets(recv_counts);
-        let mut out = vec![0u8; recv_counts.iter().sum()];
+        let (send_edge, recv_edge) = (edges(send_counts), edges(recv_counts));
+        let mut out = vec![0u8; recv_edge[self.size()]];
 
-        let seg = &send[send_off[me]..send_off[me] + send_counts[me]];
+        let seg = &send[send_edge[me]..send_edge[me + 1]];
         let self_plain = if self.pipe.applies_to(seg.len()) {
             let frames = self.seal_chunked_frames(seg, Some(me));
             let msg = ChunkedMessage {
@@ -498,18 +489,17 @@ impl SecureComm<'_, '_> {
             let wire = self.seal_wire(seg, Some(me));
             self.open_to_vec(Some(me), true, &wire)?
         };
-        out[recv_off[me]..recv_off[me] + recv_counts[me]].copy_from_slice(&self_plain);
+        out[recv_edge[me]..recv_edge[me + 1]].copy_from_slice(&self_plain);
 
-        for i in 1..n {
-            let dst = (me + i) % n;
-            let src = (me + n - i) % n;
-            let seg = &send[send_off[dst]..send_off[dst] + send_counts[dst]];
-            let sreq = self.isend_impl(seg, dst, tag);
-            let (_, plain) = self.recv(Src::Is(src), TagSel::Is(tag))?;
-            check_len(recv_counts[src], plain.len())?;
-            out[recv_off[src]..recv_off[src] + recv_counts[src]].copy_from_slice(&plain);
+        let hop = |_, r: &Round, seg: &[u8]| {
+            let sreq = self.isend_impl(seg, r.to, tag);
+            let (_, plain) = self.recv(Src::Is(r.from), TagSel::Is(tag))?;
+            check_len(recv_counts[r.from], plain.len())?;
             self.wait(sreq)?;
-        }
+            Ok::<_, Error>(plain)
+        };
+        let send = Some((send, &send_edge[..]));
+        exchange(pairwise(me, self.size()), send, (&mut out, &recv_edge), hop)?;
         Ok(out)
     }
 

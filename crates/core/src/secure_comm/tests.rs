@@ -4,6 +4,7 @@ use empi_aead::profile::CryptoLibrary;
 use empi_aead::{NONCE_LEN, WIRE_OVERHEAD};
 use empi_keys::EPOCH_PREFIX_LEN;
 use empi_mpi::chunk::RecvPayload;
+use empi_mpi::coll::{bcast_alg, BcastAlg};
 use empi_mpi::World;
 use empi_netsim::NetModel;
 
@@ -591,7 +592,7 @@ fn bcast_plain_record_after_chunked_header_is_typed_error() {
                 c.bcast(&mut hdr, 0);
                 let tag = c.reserved_tag(32);
                 c.send(b"not a frame train", 1, tag);
-                if len > empi_mpi::coll::BCAST_LONG_THRESHOLD {
+                if bcast_alg(len) == BcastAlg::ScatterAllgather {
                     // The ring step: one more plain record out, and
                     // the victim's (runt) relay in.
                     c.send(b"still not a frame train", 1, tag);
@@ -608,6 +609,41 @@ fn bcast_plain_record_after_chunked_header_is_typed_error() {
             Some(Error::Pipeline(empi_pipeline::PipelineError::NotChunked)),
             "len {len}"
         );
+    }
+}
+
+#[test]
+fn bcast_header_announcing_an_absurd_length_is_typed_error() {
+    // The 17-byte header is read before anything is authenticated and
+    // its length field sizes the receive buffers: a root that announces
+    // more than MPI's `int` count (here on the raw communicator, in
+    // both wire formats) must get a typed error out of its peers, not
+    // an add overflow, a capacity overflow or a 2^40-byte allocation.
+    for announced in [u64::MAX, 1 << 40, i32::MAX as u64 + 1] {
+        for chunked in [0u8, 1] {
+            let w = World::flat(NetModel::instant(), 2);
+            let out = w.run(move |c| {
+                if c.rank() == 0 {
+                    let mut hdr = [0u8; 17];
+                    hdr[..8].copy_from_slice(&announced.to_be_bytes());
+                    hdr[8] = chunked;
+                    hdr[9..].copy_from_slice(&(1u64 << 14).to_be_bytes());
+                    c.bcast(&mut hdr, 0);
+                    None
+                } else {
+                    let sc = SecureComm::new(c, cfg()).unwrap();
+                    sc.bcast(&mut vec![0u8; 64], 0).err()
+                }
+            });
+            assert_eq!(
+                out.results[1],
+                Some(Error::LengthMismatch {
+                    local: 64,
+                    remote: announced as usize
+                }),
+                "announced {announced} chunked {chunked}"
+            );
+        }
     }
 }
 

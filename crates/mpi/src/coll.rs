@@ -13,10 +13,22 @@
 //!   the paper's 64-rank 1-byte alltoall costs ~10 one-way latencies,
 //!   not 63), pairwise exchange for long ones.
 //! * `alltoallv` — pairwise exchange.
+//! * `gather(v)` / `scatter(v)` — linear.
+//!
+//! The schedules are data: [`dissemination`], [`recursive_doubling`],
+//! [`ring`] and [`pairwise`] yield one [`Round`] per step (who to send
+//! which blocks to, who to receive which blocks from), [`binomial_tree`]
+//! yields a rank's tree edges with the block span each carries, and
+//! [`exchange`] is the one loop that moves a round's bytes. The verbs
+//! here and the encrypted layer's pipelined collectives walk the same
+//! generators with their own hop.
 //!
 //! Every rank must call each collective in the same order (as in MPI);
 //! an internal per-communicator sequence number keeps successive
 //! collectives from cross-matching.
+
+use std::convert::Infallible;
+use std::ops::Range;
 
 use crate::comm::Comm;
 use crate::types::{
@@ -24,15 +36,15 @@ use crate::types::{
 };
 
 /// Message-size switch: binomial vs scatter-allgather broadcast.
-pub const BCAST_LONG_THRESHOLD: usize = 12 << 10;
+const BCAST_LONG_THRESHOLD: usize = 12 << 10;
 /// Within the scatter-allgather broadcast: recursive-doubling allgather
 /// below this size, ring at or above (MPICH's 512 KB switch).
-pub const BCAST_RING_THRESHOLD: usize = 512 << 10;
+const BCAST_RING_THRESHOLD: usize = 512 << 10;
 /// Message-size switch: Bruck vs pairwise alltoall (per-block bytes).
-pub const ALLTOALL_BRUCK_THRESHOLD: usize = 256;
+const ALLTOALL_BRUCK_THRESHOLD: usize = 256;
 /// Message-size switch: recursive-doubling vs ring allgather (MPICH
 /// uses recursive doubling up to 512 KB total for power-of-two comms).
-pub const ALLGATHER_LONG_THRESHOLD: usize = 512 << 10;
+const ALLGATHER_LONG_THRESHOLD: usize = 512 << 10;
 
 /// Static per-round labels for the tracer's phase stack (labels must be
 /// `&'static str`; rounds beyond the table share the last label).
@@ -45,16 +57,115 @@ fn round_label(k: usize) -> &'static str {
     ROUND_LABELS[k.min(ROUND_LABELS.len() - 1)]
 }
 
-/// Binomial-tree neighbours of `rank` in a broadcast rooted at `root`
-/// over `n` ranks: the parent to receive from (`None` at the root) and
-/// the children to forward to, in send order (largest subtree first).
+/// One step of a block-exchange schedule as one rank sees it: blocks
+/// `send` go to `to` while blocks `recv` arrive from `from`. Round `k`
+/// of rank `r` sends to `s` exactly when round `k` of `s` receives from
+/// `r`, so a schedule walked in order by every rank cannot deadlock.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Round {
+    pub to: usize,
+    pub from: usize,
+    pub send: Range<usize>,
+    pub recv: Range<usize>,
+}
+
+impl Round {
+    /// The round that reaches `d` ranks ahead on the ring of `n`: `send`
+    /// goes there while `recv` arrives from the rank `d` behind.
+    fn shift(rank: usize, n: usize, d: usize, send: Range<usize>, recv: Range<usize>) -> Round {
+        Round {
+            to: (rank + d) % n,
+            from: (rank + n - d) % n,
+            send,
+            recv,
+        }
+    }
+
+    /// The round of a schedule generated for root-relative ranks, with
+    /// its peers translated back to real ones (`v → (v + root) % n`);
+    /// block indices stay root-relative.
+    pub fn rooted(self, root: usize, n: usize) -> Round {
+        Round {
+            to: (self.to + root) % n,
+            from: (self.from + root) % n,
+            ..self
+        }
+    }
+}
+
+/// 1, 2, 4, … below `n`: one per round of the logarithmic schedules.
+fn powers_below(n: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |m| Some(m << 1)).take_while(move |&m| m < n)
+}
+
+/// Dissemination: ⌈log₂ n⌉ rounds, round `k` reaching `2^k` ahead. The
+/// rounds carry no block span — the barrier moves nothing and Bruck
+/// picks its blocks by index bit `k`.
+pub fn dissemination(rank: usize, n: usize) -> impl Iterator<Item = Round> {
+    powers_below(n).map(move |d| Round::shift(rank, n, d, 0..0, 0..0))
+}
+
+/// Recursive doubling over a power-of-two `n`: before the round with
+/// `mask`, a rank holds the aligned group of `mask` blocks containing
+/// its own and swaps it for its partner's.
+pub fn recursive_doubling(rank: usize, n: usize) -> impl Iterator<Item = Round> {
+    assert!(n.is_power_of_two(), "recursive doubling needs 2^k ranks");
+    powers_below(n).map(move |mask| {
+        let partner = rank ^ mask;
+        let (mine, theirs) = (rank & !(mask - 1), partner & !(mask - 1));
+        Round {
+            to: partner,
+            from: partner,
+            send: mine..mine + mask,
+            recv: theirs..theirs + mask,
+        }
+    })
+}
+
+/// Ring allgather: `n − 1` rounds to the right-hand neighbour, round
+/// `s` passing on the block that started `s` ranks behind (received the
+/// round before; first the rank's own).
+pub fn ring(rank: usize, n: usize) -> impl Iterator<Item = Round> {
+    (0..n - 1).map(move |s| {
+        let (held, next) = ((rank + n - s) % n, (rank + n - s - 1) % n);
+        Round::shift(rank, n, 1, held..held + 1, next..next + 1)
+    })
+}
+
+/// Pairwise exchange: in round `i − 1` a rank sends the block addressed
+/// to the rank `i` ahead and receives the one the rank `i` behind
+/// addressed to it, so every peer is met exactly once.
+pub fn pairwise(rank: usize, n: usize) -> impl Iterator<Item = Round> {
+    (1..n).map(move |i| {
+        let r = Round::shift(rank, n, i, 0..0, 0..0);
+        Round {
+            send: r.to..r.to + 1,
+            recv: r.from..r.from + 1,
+            ..r
+        }
+    })
+}
+
+/// Binomial tree of a broadcast rooted at `root` over `n` ranks, as
+/// `rank` sees it: the parent to receive from (`None` at the root), the
+/// root-relative blocks of the subtree `rank` heads (what a scatter
+/// delivers to it), and the children to forward to with the subtree
+/// each heads, in send order (largest first). The children's subtrees
+/// partition the rank's own minus its own block.
 pub fn binomial_tree(
     rank: usize,
     root: usize,
     n: usize,
-) -> (Option<usize>, impl Iterator<Item = usize>) {
+) -> (
+    Option<usize>,
+    Range<usize>,
+    impl Iterator<Item = (usize, Range<usize>)>,
+) {
     let vrank = (rank + n - root) % n;
     let real = move |v: usize| (v + root) % n;
+    // The subtree headed by virtual rank `v`, reached over an edge of
+    // weight `m`, is `v..v + m` clipped to the communicator.
+    let subtree = move |v: usize, m: usize| v..(v + m).min(n);
     // `mask` stops at vrank's lowest set bit (for the root it runs
     // past `n`); every smaller power of two addresses one child.
     let mut mask = 1usize;
@@ -65,8 +176,63 @@ pub fn binomial_tree(
     let children = std::iter::successors(Some(mask >> 1), |m| Some(m >> 1))
         .take_while(|&m| m > 0)
         .filter(move |&m| vrank + m < n)
-        .map(move |m| real(vrank + m));
-    (parent, children)
+        .map(move |m| (real(vrank + m), subtree(vrank + m, m)));
+    (parent, subtree(vrank, mask), children)
+}
+
+/// Block edges of a buffer of consecutive `counts`: block `b` spans
+/// bytes `edges[b]..edges[b + 1]`.
+pub fn edges(counts: &[usize]) -> Vec<usize> {
+    let mut out = vec![0; counts.len() + 1];
+    for (i, &c) in counts.iter().enumerate() {
+        out[i + 1] = out[i] + c;
+    }
+    out
+}
+
+/// The byte range of a run of blocks.
+fn span(edge: &[usize], blocks: &Range<usize>) -> Range<usize> {
+    edge[blocks.start]..edge[blocks.end]
+}
+
+/// Walk a schedule — the only place a round's bytes are sliced, handed
+/// to the hop and copied back. Each round's outgoing blocks are read
+/// from `send` (buffer, block edges), or with `None` from `out` itself:
+/// allgather shapes forward what earlier rounds delivered. `hop(k,
+/// round, bytes)` puts them on the wire and returns what arrived, which
+/// must fill the round's incoming blocks of `out` exactly.
+pub fn exchange<D: AsRef<[u8]>, E>(
+    rounds: impl Iterator<Item = Round>,
+    send: Option<(&[u8], &[usize])>,
+    (out, out_edge): (&mut [u8], &[usize]),
+    mut hop: impl FnMut(usize, &Round, &[u8]) -> Result<D, E>,
+) -> Result<(), E> {
+    for (k, r) in rounds.enumerate() {
+        let (buf, edge) = send.unwrap_or((out, out_edge));
+        let got = hop(k, &r, &buf[span(edge, &r.send)])?;
+        let dst = &mut out[span(out_edge, &r.recv)];
+        assert_eq!(got.as_ref().len(), dst.len(), "exchange count mismatch");
+        dst.copy_from_slice(got.as_ref());
+    }
+    Ok(())
+}
+
+/// Broadcast algorithm by message length, for both layers: a binomial
+/// tree is latency-optimal for short messages, scatter + allgather
+/// bandwidth-optimal for long ones.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BcastAlg {
+    Binomial,
+    ScatterAllgather,
+}
+
+/// The broadcast algorithm switch, written once.
+pub fn bcast_alg(len: usize) -> BcastAlg {
+    if len <= BCAST_LONG_THRESHOLD {
+        BcastAlg::Binomial
+    } else {
+        BcastAlg::ScatterAllgather
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -99,139 +265,78 @@ impl<'h> Comm<'h> {
         RESERVED_TAG_BASE | ((op as Tag) << 16) | (seq & 0xffff)
     }
 
+    /// [`exchange`] with the transport's hop: one `sendrecv` with the
+    /// round's peers, under the `round<k>` label where `labelled`.
+    fn exchange(
+        &self,
+        rounds: impl Iterator<Item = Round>,
+        send: Option<(&[u8], &[usize])>,
+        out: (&mut [u8], &[usize]),
+        tag: Tag,
+        labelled: bool,
+    ) {
+        let Ok(()) = exchange(rounds, send, out, |k, r, bytes| {
+            let _r = labelled.then(|| self.op(round_label(k)));
+            let (_, data) = self.sendrecv(bytes, r.to, tag, Src::Is(r.from), TagSel::Is(tag));
+            Ok::<_, Infallible>(data)
+        });
+    }
+
     /// Dissemination barrier (`MPI_Barrier`).
     pub fn barrier(&self) {
         let tag = self.coll_tag(Op::Barrier);
         let _op = self.op("barrier/dissemination");
-        let n = self.size();
-        let me = self.rank();
-        let mut k = 1;
-        let mut round = 0;
-        while k < n {
-            let _r = self.op(round_label(round));
-            let dst = (me + k) % n;
-            let src = (me + n - k) % n;
-            self.sendrecv(&[], dst, tag, Src::Is(src), TagSel::Is(tag));
-            k <<= 1;
-            round += 1;
-        }
+        // The dissemination schedule with nothing in its blocks.
+        let rounds = dissemination(self.rank(), self.size());
+        self.exchange(rounds, None, (&mut [], &[0]), tag, true);
     }
 
     /// Broadcast `buf` from `root` to all ranks (`MPI_Bcast`).
     pub fn bcast(&self, buf: &mut [u8], root: usize) {
         let tag = self.coll_tag(Op::Bcast);
-        if self.size() == 1 {
-            return;
-        }
-        if buf.len() <= BCAST_LONG_THRESHOLD {
-            let _op = self.op("bcast/binomial");
-            self.bcast_binomial(buf, root, tag);
-        } else {
-            let _op = self.op("bcast/sag");
-            self.bcast_scatter_allgather(buf, root, tag);
+        match bcast_alg(buf.len()) {
+            BcastAlg::Binomial => {
+                let _op = self.op("bcast/binomial");
+                self.tree_down(buf, root, tag, None);
+            }
+            BcastAlg::ScatterAllgather => self.bcast_scatter_allgather(buf, root, tag),
         }
     }
 
-    fn bcast_binomial(&self, buf: &mut [u8], root: usize, tag: Tag) {
-        let (parent, children) = binomial_tree(self.rank(), root, self.size());
+    /// Walk the binomial tree downward: receive this rank's part of
+    /// `buf` from the parent, forward each child its part. With block
+    /// edges a part is the chunks of the subtree below the tree edge (a
+    /// scatter); with `None` it is all of `buf` (the plain broadcast).
+    fn tree_down(&self, buf: &mut [u8], root: usize, tag: Tag, edge: Option<&[usize]>) {
+        let len = buf.len();
+        let part = |subtree: Range<usize>| edge.map_or(0..len, |e| span(e, &subtree));
+        let (parent, subtree, children) = binomial_tree(self.rank(), root, self.size());
         if let Some(src) = parent {
-            self.recv_into(buf, Src::Is(src), TagSel::Is(tag));
+            self.recv_into(&mut buf[part(subtree)], Src::Is(src), TagSel::Is(tag));
         }
-        for child in children {
-            self.send(buf, child, tag);
+        for (child, subtree) in children {
+            self.send(&buf[part(subtree)], child, tag);
         }
     }
 
     fn bcast_scatter_allgather(&self, buf: &mut [u8], root: usize, tag: Tag) {
+        let _op = self.op("bcast/sag");
         let n = self.size();
-        let me = self.rank();
-        let vrank = (me + n - root) % n;
-        let real = |v: usize| (v + root) % n;
         let len = buf.len();
-        let chunk = |i: usize| (i * len / n)..((i + 1) * len / n);
-
-        // Phase 1: binomial scatter of chunk ranges (chunk i belongs to
-        // virtual rank i).
+        // Chunk `i` belongs to virtual rank `i`.
+        let edge: Vec<usize> = (0..=n).map(|i| i * len / n).collect();
         {
             let _p = self.op("scatter");
-            let mut mask = 1usize;
-            let mut my_span = n; // number of chunks this subtree root owns
-            while mask < n {
-                if vrank & mask != 0 {
-                    let src = real(vrank - mask);
-                    let hi = (vrank + mask).min(n);
-                    let span = chunk(vrank).start..chunk(hi - 1).end;
-                    self.recv_into(&mut buf[span], Src::Is(src), TagSel::Is(tag));
-                    my_span = mask;
-                    break;
-                }
-                mask <<= 1;
-            }
-            if vrank == 0 {
-                my_span = n;
-            }
-            // Send upper halves of my span downward.
-            let mut m = {
-                // largest power of two < my_span bounded by position
-                let mut m = 1usize;
-                while m < my_span {
-                    m <<= 1;
-                }
-                m >> 1
-            };
-            while m > 0 {
-                if vrank + m < n && m < my_span {
-                    let hi = (vrank + 2 * m).min(n);
-                    let span = chunk(vrank + m).start..chunk(hi - 1).end;
-                    self.send(&buf[span], real(vrank + m), tag);
-                }
-                m >>= 1;
-            }
+            self.tree_down(buf, root, tag, Some(&edge));
         }
-
-        // Phase 2: allgather of the n chunks (in vrank space). MPICH
-        // uses recursive doubling up to 512 KB on power-of-two comms
-        // (log n latencies) and a ring beyond (bandwidth-optimal).
-        if n.is_power_of_two() && len < BCAST_RING_THRESHOLD {
-            let _p = self.op("allgather-rd");
-            // Recursive doubling over contiguous chunk spans: before the
-            // step with `mask`, vrank v holds chunks [v & !(mask-1) ..
-            // +mask).
-            let mut mask = 1usize;
-            while mask < n {
-                let vpartner = vrank ^ mask;
-                let my_base = vrank & !(mask - 1);
-                let their_base = vpartner & !(mask - 1);
-                let my_span = chunk(my_base).start..chunk(my_base + mask - 1).end;
-                let their_span = chunk(their_base).start..chunk(their_base + mask - 1).end;
-                let (_, data) = self.sendrecv(
-                    &buf[my_span],
-                    real(vpartner),
-                    tag,
-                    Src::Is(real(vpartner)),
-                    TagSel::Is(tag),
-                );
-                buf[their_span].copy_from_slice(&data);
-                mask <<= 1;
-            }
-        } else {
-            let _p = self.op("allgather-ring");
-            let right = real((vrank + 1) % n);
-            let left = real((vrank + n - 1) % n);
-            for r in 0..n - 1 {
-                let send_idx = (vrank + n - r) % n;
-                let recv_idx = (vrank + n - r - 1) % n;
-                let (_, data) = self.sendrecv(
-                    &buf[chunk(send_idx)],
-                    right,
-                    tag,
-                    Src::Is(left),
-                    TagSel::Is(tag),
-                );
-                let dst = chunk(recv_idx);
-                buf[dst].copy_from_slice(&data);
-            }
-        }
+        // Allgather of the n chunks (in vrank space). MPICH uses
+        // recursive doubling up to 512 KB on power-of-two comms (log n
+        // latencies) and a ring beyond (bandwidth-optimal).
+        let rd = n.is_power_of_two() && len < BCAST_RING_THRESHOLD;
+        let _p = self.op(if rd { "allgather-rd" } else { "allgather-ring" });
+        let vrank = (self.rank() + n - root) % n;
+        let rounds = allgather_rounds(vrank, n, rd).map(|r| r.rooted(root, n));
+        self.exchange(rounds, None, (buf, &edge), tag, false);
     }
 
     /// Typed broadcast convenience.
@@ -290,26 +395,16 @@ impl<'h> Comm<'h> {
         if n.is_power_of_two() {
             let tag = self.coll_tag(Op::Allreduce);
             let _op = self.op("allreduce/rd");
-            let me = self.rank();
             let mut acc = data.to_vec();
-            let mut mask = 1usize;
-            let mut round = 0;
-            while mask < n {
-                let _r = self.op(round_label(round));
-                let partner = me ^ mask;
-                let (_, bytes) = self.sendrecv(
-                    as_bytes(&acc),
-                    partner,
-                    tag,
-                    Src::Is(partner),
-                    TagSel::Is(tag),
-                );
+            for (k, r) in recursive_doubling(self.rank(), n).enumerate() {
+                let _r = self.op(round_label(k));
+                let (_, bytes) =
+                    self.sendrecv(as_bytes(&acc), r.to, tag, Src::Is(r.from), TagSel::Is(tag));
                 let other: Vec<T> = vec_from_bytes(&bytes);
+                assert_eq!(other.len(), acc.len(), "allreduce length mismatch");
                 for (a, b) in acc.iter_mut().zip(other.iter()) {
                     op(a, b);
                 }
-                mask <<= 1;
-                round += 1;
             }
             acc
         } else {
@@ -321,51 +416,86 @@ impl<'h> Comm<'h> {
         }
     }
 
+    /// Linear gather body of `gather` and `gatherv`: per-rank payloads
+    /// at root (received in arrival order), `None` elsewhere.
+    fn gather_linear(&self, send: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
+        let tag = self.coll_tag(Op::Gather);
+        if self.rank() != root {
+            self.send(send, root, tag);
+            return None;
+        }
+        let mut out: Vec<Vec<u8>> = vec![Vec::new(); self.size()];
+        // Required copy: the result owns its payloads and the root's
+        // own contribution is a borrowed slice.
+        out[root] = send.to_vec();
+        for _ in 1..self.size() {
+            let (st, data) = self.recv(Src::Any, TagSel::Is(tag));
+            out[st.source] = data.try_into_vec().unwrap_or_else(|b| b.to_vec());
+        }
+        Some(out)
+    }
+
     /// Gather equal-size contributions to `root` (`MPI_Gather`, linear).
     /// Returns the concatenation (rank order) at root, `None` elsewhere.
     pub fn gather(&self, send: &[u8], root: usize) -> Option<Vec<u8>> {
-        let tag = self.coll_tag(Op::Gather);
         let _op = self.op("gather/linear");
-        let n = self.size();
-        let me = self.rank();
-        if me == root {
-            let mut out = vec![0u8; send.len() * n];
-            let chunk = send.len();
-            out[root * chunk..(root + 1) * chunk].copy_from_slice(send);
-            for _ in 0..n - 1 {
-                let (st, data) = self.recv(Src::Any, TagSel::Is(tag));
-                out[st.source * chunk..st.source * chunk + data.len()].copy_from_slice(&data);
-            }
-            Some(out)
-        } else {
-            self.send(send, root, tag);
-            None
+        let parts = self.gather_linear(send, root)?;
+        for part in &parts {
+            assert_eq!(part.len(), send.len(), "gather buffer size mismatch");
         }
+        Some(parts.concat())
+    }
+
+    /// Gather variable-size contributions to `root` (`MPI_Gatherv`).
+    /// Returns per-rank payloads at root, `None` elsewhere.
+    pub fn gatherv(&self, send: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
+        let _op = self.op("gatherv/linear");
+        self.gather_linear(send, root)
+    }
+
+    /// Linear scatter body of `scatter` and `scatterv`: the root sends
+    /// every other rank its piece and keeps its own.
+    fn scatter_linear(&self, pieces: Option<Vec<&[u8]>>, root: usize) -> Vec<u8> {
+        let tag = self.coll_tag(Op::Scatter);
+        if self.rank() != root {
+            let (_, data) = self.recv(Src::Is(root), TagSel::Is(tag));
+            // Steal the arrived buffer when we are its unique owner;
+            // copy only if the transport still shares it.
+            return data.try_into_vec().unwrap_or_else(|b| b.to_vec());
+        }
+        let pieces = pieces.expect("root must supply the scatter data");
+        assert_eq!(pieces.len(), self.size(), "one chunk per rank");
+        for (dst, piece) in pieces.iter().enumerate() {
+            if dst != root {
+                self.send(piece, dst, tag);
+            }
+        }
+        // Required copy: the root's own piece is borrowed from the
+        // caller while the result must be owned.
+        pieces[root].to_vec()
     }
 
     /// Scatter equal-size chunks of `send` (significant at root) to all
     /// ranks (`MPI_Scatter`, linear). `chunk` is the per-rank byte count.
     pub fn scatter(&self, send: Option<&[u8]>, chunk: usize, root: usize) -> Vec<u8> {
-        let tag = self.coll_tag(Op::Scatter);
         let _op = self.op("scatter/linear");
         let n = self.size();
-        let me = self.rank();
-        if me == root {
-            let send = send.expect("root must supply the scatter buffer");
+        let pieces = send.filter(|_| self.rank() == root).map(|send| {
             assert_eq!(send.len(), chunk * n, "scatter buffer size mismatch");
-            for dst in 0..n {
-                if dst != root {
-                    self.send(&send[dst * chunk..(dst + 1) * chunk], dst, tag);
-                }
-            }
-            send[root * chunk..(root + 1) * chunk].to_vec()
-        } else {
-            let (_, data) = self.recv(Src::Is(root), TagSel::Is(tag));
-            assert_eq!(data.len(), chunk);
-            // Steal the arrived buffer when we are its unique owner;
-            // copy only if the transport still shares it.
-            data.try_into_vec().unwrap_or_else(|b| b.to_vec())
-        }
+            (0..n)
+                .map(|dst| &send[dst * chunk..(dst + 1) * chunk])
+                .collect()
+        });
+        let data = self.scatter_linear(pieces, root);
+        assert_eq!(data.len(), chunk);
+        data
+    }
+
+    /// Scatter variable-size chunks from `root` (`MPI_Scatterv`).
+    /// `chunks` is significant only at root.
+    pub fn scatterv(&self, chunks: Option<&[Vec<u8>]>, root: usize) -> Vec<u8> {
+        let _op = self.op("scatterv/linear");
+        self.scatter_linear(chunks.map(|c| c.iter().map(Vec::as_slice).collect()), root)
     }
 
     /// Allgather equal-size blocks (`MPI_Allgather`): every rank ends
@@ -374,53 +504,18 @@ impl<'h> Comm<'h> {
         let tag = self.coll_tag(Op::Allgather);
         let n = self.size();
         let me = self.rank();
-        let blk = send.len();
-        let mut out = vec![0u8; blk * n];
-        out[me * blk..(me + 1) * blk].copy_from_slice(send);
-        if n == 1 {
-            return out;
-        }
-
-        if n.is_power_of_two() && blk * n <= ALLGATHER_LONG_THRESHOLD {
-            let _op = self.op("allgather/rd");
-            // Recursive doubling: before the step with `mask`, this rank
-            // holds the aligned group of `mask` blocks containing it.
-            let mut mask = 1usize;
-            let mut round = 0;
-            while mask < n {
-                let _r = self.op(round_label(round));
-                let partner = me ^ mask;
-                let my_base = me & !(mask - 1);
-                let their_base = partner & !(mask - 1);
-                let (_, data) = self.sendrecv(
-                    &out[my_base * blk..(my_base + mask) * blk],
-                    partner,
-                    tag,
-                    Src::Is(partner),
-                    TagSel::Is(tag),
-                );
-                out[their_base * blk..(their_base + mask) * blk].copy_from_slice(&data);
-                mask <<= 1;
-                round += 1;
-            }
-        } else {
-            let _op = self.op("allgather/ring");
-            let right = (me + 1) % n;
-            let left = (me + n - 1) % n;
-            for r in 0..n - 1 {
-                let _r = self.op(round_label(r));
-                let send_idx = (me + n - r) % n;
-                let recv_idx = (me + n - r - 1) % n;
-                let (_, data) = self.sendrecv(
-                    &out[send_idx * blk..(send_idx + 1) * blk],
-                    right,
-                    tag,
-                    Src::Is(left),
-                    TagSel::Is(tag),
-                );
-                out[recv_idx * blk..(recv_idx + 1) * blk].copy_from_slice(&data);
-            }
-        }
+        let edge = edges(&vec![send.len(); n]);
+        let mut out = vec![0u8; edge[n]];
+        out[edge[me]..edge[me + 1]].copy_from_slice(send);
+        let rd = n.is_power_of_two() && edge[n] <= ALLGATHER_LONG_THRESHOLD;
+        let _op = self.op(if rd { "allgather/rd" } else { "allgather/ring" });
+        self.exchange(
+            allgather_rounds(me, n, rd),
+            None,
+            (&mut out, &edge),
+            tag,
+            true,
+        );
         out
     }
 
@@ -434,29 +529,29 @@ impl<'h> Comm<'h> {
         if block <= ALLTOALL_BRUCK_THRESHOLD && n > 2 {
             self.alltoall_bruck(send, block, tag)
         } else {
-            self.alltoall_pairwise(send, block, tag)
+            let _op = self.op("alltoall/pairwise");
+            let edge = edges(&vec![block; n]);
+            self.alltoall_pairwise(send, &edge, &edge, tag, true)
         }
     }
 
-    fn alltoall_pairwise(&self, send: &[u8], block: usize, tag: Tag) -> Vec<u8> {
-        let _op = self.op("alltoall/pairwise");
+    /// Pairwise-exchange body of `alltoall` and `alltoallv`: the own
+    /// block is copied, every other one moves in its peer's round.
+    fn alltoall_pairwise(
+        &self,
+        send: &[u8],
+        send_edge: &[usize],
+        recv_edge: &[usize],
+        tag: Tag,
+        labelled: bool,
+    ) -> Vec<u8> {
         let n = self.size();
         let me = self.rank();
-        let mut out = vec![0u8; block * n];
-        out[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
-        for i in 1..n {
-            let _r = self.op(round_label(i - 1));
-            let dst = (me + i) % n;
-            let src = (me + n - i) % n;
-            let (_, data) = self.sendrecv(
-                &send[dst * block..(dst + 1) * block],
-                dst,
-                tag,
-                Src::Is(src),
-                TagSel::Is(tag),
-            );
-            out[src * block..(src + 1) * block].copy_from_slice(&data);
-        }
+        let mut out = vec![0u8; recv_edge[n]];
+        out[recv_edge[me]..recv_edge[me + 1]]
+            .copy_from_slice(&send[send_edge[me]..send_edge[me + 1]]);
+        let send = Some((send, send_edge));
+        self.exchange(pairwise(me, n), send, (&mut out, recv_edge), tag, labelled);
         out
     }
 
@@ -468,33 +563,23 @@ impl<'h> Comm<'h> {
         let n = self.size();
         let me = self.rank();
         // Phase 0: local rotation so tmp block i is destined to (me+i)%n.
-        let mut tmp = vec![0u8; block * n];
-        for i in 0..n {
-            let src_blk = (me + i) % n;
-            tmp[i * block..(i + 1) * block]
-                .copy_from_slice(&send[src_blk * block..(src_blk + 1) * block]);
-        }
+        let mut tmp = send.to_vec();
+        tmp.rotate_left(me * block);
         // Phase 1: log rounds; in round k send every block whose index
         // has bit k set, to rank me+2^k.
-        let mut pof2 = 1usize;
-        let mut step = 0;
-        while pof2 < n {
-            let _r = self.op(round_label(step));
-            let dst = (me + pof2) % n;
-            let src = (me + n - pof2) % n;
-            let idxs: Vec<usize> = (0..n).filter(|i| i & pof2 != 0).collect();
+        for (k, r) in dissemination(me, n).enumerate() {
+            let idxs: Vec<usize> = (0..n).filter(|i| i & (1 << k) != 0).collect();
             let mut payload = Vec::with_capacity(idxs.len() * block);
             for &i in &idxs {
                 payload.extend_from_slice(&tmp[i * block..(i + 1) * block]);
             }
-            let (_, data) = self.sendrecv(&payload, dst, tag, Src::Is(src), TagSel::Is(tag));
+            let _r = self.op(round_label(k));
+            let (_, data) = self.sendrecv(&payload, r.to, tag, Src::Is(r.from), TagSel::Is(tag));
             assert_eq!(data.len(), payload.len());
             for (slot, &i) in idxs.iter().enumerate() {
                 tmp[i * block..(i + 1) * block]
                     .copy_from_slice(&data[slot * block..(slot + 1) * block]);
             }
-            pof2 <<= 1;
-            step += 1;
         }
         // Phase 2: inverse rotation — after the forwarding rounds, tmp
         // block i holds the data *from* rank (me - i + n) % n.
@@ -515,85 +600,16 @@ impl<'h> Comm<'h> {
         let tag = self.coll_tag(Op::Alltoallv);
         let _op = self.op("alltoallv/pairwise");
         let n = self.size();
-        let me = self.rank();
         assert_eq!(send_counts.len(), n);
         assert_eq!(recv_counts.len(), n);
         assert_eq!(send.len(), send_counts.iter().sum::<usize>());
-
-        let sdispl: Vec<usize> = prefix(send_counts);
-        let rdispl: Vec<usize> = prefix(recv_counts);
-        let mut out = vec![0u8; recv_counts.iter().sum()];
-        out[rdispl[me]..rdispl[me] + recv_counts[me]]
-            .copy_from_slice(&send[sdispl[me]..sdispl[me] + send_counts[me]]);
-        for i in 1..n {
-            let dst = (me + i) % n;
-            let src = (me + n - i) % n;
-            let (_, data) = self.sendrecv(
-                &send[sdispl[dst]..sdispl[dst] + send_counts[dst]],
-                dst,
-                tag,
-                Src::Is(src),
-                TagSel::Is(tag),
-            );
-            assert_eq!(data.len(), recv_counts[src], "alltoallv count mismatch");
-            out[rdispl[src]..rdispl[src] + recv_counts[src]].copy_from_slice(&data);
-        }
-        out
+        self.alltoall_pairwise(send, &edges(send_counts), &edges(recv_counts), tag, false)
     }
 
     /// Typed allgather of one element per rank.
     pub fn allgather_one<T: Pod + Default>(&self, v: T) -> Vec<T> {
         let bytes = self.allgather(as_bytes(std::slice::from_ref(&v)));
         vec_from_bytes(&bytes)
-    }
-
-    /// Gather variable-size contributions to `root` (`MPI_Gatherv`).
-    /// Returns per-rank payloads at root, `None` elsewhere.
-    pub fn gatherv(&self, send: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        let tag = self.coll_tag(Op::Gather);
-        let _op = self.op("gatherv/linear");
-        let n = self.size();
-        let me = self.rank();
-        if me == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-            // Required copy: the result owns its payloads and the
-            // root's own contribution is a borrowed slice.
-            out[root] = send.to_vec();
-            for _ in 0..n - 1 {
-                let (st, data) = self.recv(Src::Any, TagSel::Is(tag));
-                out[st.source] = data.try_into_vec().unwrap_or_else(|b| b.to_vec());
-            }
-            Some(out)
-        } else {
-            self.send(send, root, tag);
-            None
-        }
-    }
-
-    /// Scatter variable-size chunks from `root` (`MPI_Scatterv`).
-    /// `chunks` is significant only at root.
-    pub fn scatterv(&self, chunks: Option<&[Vec<u8>]>, root: usize) -> Vec<u8> {
-        let tag = self.coll_tag(Op::Scatter);
-        let _op = self.op("scatterv/linear");
-        let n = self.size();
-        let me = self.rank();
-        if me == root {
-            let chunks = chunks.expect("root must supply the scatterv chunks");
-            assert_eq!(chunks.len(), n, "one chunk per rank");
-            for (dst, chunk) in chunks.iter().enumerate() {
-                if dst != root {
-                    self.send(chunk, dst, tag);
-                }
-            }
-            // Required copy: the root's own chunk is borrowed from the
-            // caller while the result must be owned.
-            chunks[root].clone()
-        } else {
-            self.recv(Src::Is(root), TagSel::Is(tag))
-                .1
-                .try_into_vec()
-                .unwrap_or_else(|b| b.to_vec())
-        }
     }
 
     /// Reduce + scatter of the result in equal blocks
@@ -604,34 +620,26 @@ impl<'h> Comm<'h> {
         data: &[T],
         op: impl Fn(&mut T, &T) + Copy,
     ) -> Vec<T> {
-        let _op = self.op("reduce_scatter/reduce+scatterv");
+        let _op = self.op("reduce_scatter/reduce+scatter");
         let n = self.size();
-        let me = self.rank();
         assert_eq!(data.len() % n, 0, "data must split evenly over ranks");
-        let block = data.len() / n;
+        let block = std::mem::size_of_val(data) / n;
         // Reduce to rank 0, then scatter blocks — the simple composition
         // (MPICH uses recursive halving; timing shape is comparable at
         // our scales and the result is identical).
         let reduced = self.reduce(data, 0, op);
-        let chunks: Option<Vec<Vec<u8>>> = reduced.map(|r| {
-            (0..n)
-                .map(|i| as_bytes(&r[i * block..(i + 1) * block]).to_vec())
-                .collect()
-        });
-        let mine = self.scatterv(chunks.as_deref(), 0);
-        let _ = me;
-        vec_from_bytes(&mine)
+        vec_from_bytes(&self.scatter(reduced.as_deref().map(as_bytes), block, 0))
     }
 }
 
-fn prefix(counts: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(counts.len());
-    let mut acc = 0;
-    for &c in counts {
-        out.push(acc);
-        acc += c;
+/// The allgather schedule once its switch is decided: recursive
+/// doubling (log n rounds) or the ring (bandwidth-optimal).
+fn allgather_rounds(rank: usize, n: usize, rd: bool) -> Box<dyn Iterator<Item = Round>> {
+    if rd {
+        Box::new(recursive_doubling(rank, n))
+    } else {
+        Box::new(ring(rank, n))
     }
-    out
 }
 
 /// Elementwise reduction operators for the typed collectives.
@@ -656,7 +664,7 @@ pub mod ops {
 
 #[cfg(test)]
 mod tests {
-    use super::ops;
+    use super::{ops, Round};
     use crate::world::World;
     use empi_netsim::NetModel;
 
@@ -677,18 +685,214 @@ mod tests {
             for root in [0, n / 2, n - 1] {
                 let mut parent_of = vec![None; n];
                 for rank in 0..n {
-                    let (parent, children) = super::binomial_tree(rank, root, n);
+                    let (parent, subtree, children) = super::binomial_tree(rank, root, n);
                     assert_eq!(parent.is_none(), rank == root, "n {n} root {root}");
-                    for child in children {
+                    // The children's subtrees partition this rank's own
+                    // minus its own block, largest first.
+                    let mut end = subtree.end;
+                    for (child, below) in children {
                         assert_eq!(parent_of[child].replace(rank), None, "two parents");
+                        assert_eq!((child + n - root) % n, below.start, "child heads its span");
+                        assert_eq!(below.end, end, "n {n} root {root} rank {rank}");
+                        end = below.start;
+                    }
+                    assert_eq!(subtree.start + 1, end, "n {n} root {root} rank {rank}");
+                    assert_eq!(subtree.start, (rank + n - root) % n);
+                    if rank == root {
+                        assert_eq!(subtree, 0..n);
                     }
                 }
                 for (rank, listed) in parent_of.iter().enumerate() {
-                    let (parent, _) = super::binomial_tree(rank, root, n);
+                    let (parent, ..) = super::binomial_tree(rank, root, n);
                     assert_eq!(*listed, parent, "n {n} root {root} rank {rank}");
                 }
             }
         }
+    }
+
+    /// Every rank's rounds of one schedule, by rank.
+    fn all_ranks<I: Iterator<Item = Round>>(
+        n: usize,
+        gen: fn(usize, usize) -> I,
+    ) -> Vec<Vec<Round>> {
+        (0..n).map(|rank| gen(rank, n).collect()).collect()
+    }
+
+    /// Round `k` of rank `r` sends to `s` iff round `k` of `s` receives
+    /// from `r`: walked in order by every rank, the schedule cannot
+    /// deadlock.
+    fn assert_rounds_pair_up(sched: &[Vec<Round>], what: &str) {
+        for (r, rounds) in sched.iter().enumerate() {
+            assert_eq!(rounds.len(), sched[0].len(), "{what}: rank {r} round count");
+            for (k, round) in rounds.iter().enumerate() {
+                assert_eq!(sched[round.to][k].from, r, "{what}: rank {r} round {k}");
+            }
+        }
+    }
+
+    /// Walk an allgather schedule on block-index sets: a rank may only
+    /// send what it holds, its peer expects exactly those blocks, no
+    /// block arrives twice, and everyone ends with all `n`.
+    fn assert_allgather_completes(sched: &[Vec<Round>], what: &str) {
+        let n = sched.len();
+        let mut held: Vec<Vec<bool>> = (0..n).map(|r| (0..n).map(|b| b == r).collect()).collect();
+        for k in 0..sched[0].len() {
+            let before = held.clone();
+            for (r, rounds) in sched.iter().enumerate() {
+                let round = &rounds[k];
+                assert_eq!(
+                    sched[round.to][k].recv, round.send,
+                    "{what}: rank {r} round {k}"
+                );
+                for b in round.send.clone() {
+                    assert!(
+                        before[r][b],
+                        "{what}: rank {r} round {k} sends unheld block {b}"
+                    );
+                }
+                for b in round.recv.clone() {
+                    assert!(
+                        !before[r][b],
+                        "{what}: rank {r} round {k} gets block {b} twice"
+                    );
+                    held[r][b] = true;
+                }
+            }
+        }
+        assert!(held.iter().flatten().all(|&h| h), "{what}: incomplete");
+    }
+
+    #[test]
+    fn schedules_pair_up_and_complete() {
+        for n in 1usize..=17 {
+            let d = all_ranks(n, super::dissemination);
+            assert_rounds_pair_up(&d, "dissemination");
+            assert_eq!(d[0].len(), n.next_power_of_two().trailing_zeros() as usize);
+
+            let ring = all_ranks(n, super::ring);
+            assert_rounds_pair_up(&ring, "ring");
+            assert_allgather_completes(&ring, "ring");
+
+            if n.is_power_of_two() {
+                let rd = all_ranks(n, super::recursive_doubling);
+                assert_rounds_pair_up(&rd, "recursive doubling");
+                assert_allgather_completes(&rd, "recursive doubling");
+            }
+
+            // Pairwise: every peer met exactly once, each round moving
+            // the block addressed to the peer and the one it owes us.
+            let pw = all_ranks(n, super::pairwise);
+            assert_rounds_pair_up(&pw, "pairwise");
+            for (r, rounds) in pw.iter().enumerate() {
+                let mut met: Vec<usize> = rounds.iter().map(|round| round.to).collect();
+                met.sort_unstable();
+                assert_eq!(met, (0..n).filter(|&p| p != r).collect::<Vec<_>>(), "n {n}");
+                for round in rounds {
+                    assert_eq!(round.send, round.to..round.to + 1);
+                    assert_eq!(round.recv, round.from..round.from + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rooted_rounds_pair_up_in_real_ranks() {
+        let (n, root) = (7, 3);
+        let sched: Vec<Vec<Round>> = (0..n)
+            .map(|rank| {
+                let vrank = (rank + n - root) % n;
+                super::ring(vrank, n).map(|r| r.rooted(root, n)).collect()
+            })
+            .collect();
+        assert_rounds_pair_up(&sched, "rooted ring");
+    }
+
+    /// Executed equals described: on a traced world the recorder's
+    /// per-pair ledger must show exactly the bytes the schedule's send
+    /// spans add up to — what a closed-form rounds × bytes model of
+    /// these collectives may lean on.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn pair_ledger_equals_the_schedules_send_spans() {
+        use super::{allgather_rounds, binomial_tree, edges, pairwise, span};
+        for n in [4usize, 5, 8, 13] {
+            let w = || World::flat(NetModel::instant(), n).traced(true);
+            let check = |what: &str, want: Vec<Vec<u64>>, trace: Option<crate::TraceReport>| {
+                let trace = trace.expect("traced world");
+                for (src, row) in want.iter().enumerate() {
+                    for (dst, &bytes) in row.iter().enumerate() {
+                        let got = trace.pair(src, dst).tx_bytes;
+                        assert_eq!(got, bytes, "{what} n {n}: {src} -> {dst}");
+                    }
+                }
+            };
+            // What `rounds` of `rank` put on each pair, by `edge`.
+            let tally = |want: &mut Vec<Vec<u64>>,
+                         rank: usize,
+                         rounds: &mut dyn Iterator<Item = Round>,
+                         edge: &[usize]| {
+                for r in rounds {
+                    want[rank][r.to] += span(edge, &r.send).len() as u64;
+                }
+            };
+
+            let blk = 3000;
+            let edge = edges(&vec![blk; n]);
+            let mut want = vec![vec![0u64; n]; n];
+            for rank in 0..n {
+                tally(
+                    &mut want,
+                    rank,
+                    &mut allgather_rounds(rank, n, n.is_power_of_two()),
+                    &edge,
+                );
+            }
+            let out = w().run(|c| c.allgather(&vec![c.rank() as u8; blk]).len());
+            check("allgather", want, out.trace);
+
+            let mut want = vec![vec![0u64; n]; n];
+            for rank in 0..n {
+                tally(&mut want, rank, &mut pairwise(rank, n), &edge);
+            }
+            let out = w().run(|c| c.alltoall(&vec![c.rank() as u8; blk * n], blk).len());
+            check("alltoall/pairwise", want, out.trace);
+
+            let (len, root) = (100_003, n - 2);
+            assert_eq!(super::bcast_alg(len), super::BcastAlg::ScatterAllgather);
+            let edge: Vec<usize> = (0..=n).map(|i| i * len / n).collect();
+            let mut want = vec![vec![0u64; n]; n];
+            for rank in 0..n {
+                let (_, _, children) = binomial_tree(rank, root, n);
+                for (child, subtree) in children {
+                    want[rank][child] += span(&edge, &subtree).len() as u64;
+                }
+                let vrank = (rank + n - root) % n;
+                let mut rounds =
+                    allgather_rounds(vrank, n, n.is_power_of_two()).map(|r| r.rooted(root, n));
+                tally(&mut want, rank, &mut rounds, &edge);
+            }
+            let out = w().run(|c| {
+                let mut buf = vec![c.rank() as u8; len];
+                c.bcast(&mut buf, root);
+            });
+            check("bcast/sag", want, out.trace);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gather buffer size mismatch")]
+    fn gather_rejects_a_mismatched_count() {
+        World::flat(NetModel::instant(), 3).run(|c| {
+            c.gather(&vec![0u8; if c.rank() == 2 { 2 } else { 4 }], 0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "allreduce length mismatch")]
+    fn allreduce_rejects_a_mismatched_count() {
+        World::flat(NetModel::instant(), 2).run(|c| {
+            c.allreduce(&vec![1u64; 2 + c.rank()], ops::sum);
+        });
     }
 
     #[test]
@@ -726,7 +930,8 @@ mod tests {
     fn bcast_long_scatter_allgather() {
         for w in worlds() {
             let n = w.n_ranks();
-            let len = super::BCAST_LONG_THRESHOLD * 3 + 17;
+            let len = (36 << 10) + 17;
+            assert_eq!(super::bcast_alg(len), super::BcastAlg::ScatterAllgather);
             let root = n.saturating_sub(2).min(n - 1);
             let out = w.run(|c| {
                 let mut buf = vec![0u8; len];

@@ -53,6 +53,7 @@ use empi_netsim::{CrashKind, VDur, VTime};
 use empi_trace::{Cat, CounterBlock, Metric};
 
 use crate::chunk::{RecvPayload, SendPayload};
+use crate::coll::dissemination;
 use crate::comm::{Charge, Comm, Parked, Request, SetPoll};
 use crate::ctrl::{FtNotice, CTRL_TAG_BASE, FT_AGREE_RESULT_TAG, FT_AGREE_TAG, FT_NOTICE_TAG};
 use crate::types::{Src, Status, Tag, TagSel};
@@ -732,18 +733,13 @@ impl<'a, 'h> ShrunkComm<'a, 'h> {
         if n <= 1 {
             return;
         }
-        let me = self.my_rank;
         let tag = self.next_tag();
-        let mut k = 1usize;
-        while k < n {
-            let dst = (me + k) % n;
-            let src = (me + n - k) % n;
-            let req = self.parent.isend(&[], self.members[dst], tag);
+        for r in dissemination(self.my_rank, n) {
+            let req = self.parent.isend(&[], self.members[r.to], tag);
             let _ = self
                 .parent
-                .recv(Src::Is(self.members[src]), TagSel::Is(tag));
+                .recv(Src::Is(self.members[r.from]), TagSel::Is(tag));
             let _ = self.parent.wait(req);
-            k <<= 1;
         }
     }
 

@@ -123,3 +123,56 @@ fn only_state_rs_indexes_the_matching_queues() {
         "state.rs no longer indexes queues[?"
     );
 }
+
+/// One collective schedule under both layers: the rounds are generated
+/// in `coll.rs` and walked by `exchange`, so the transport keeps a
+/// handful of `sendrecv(` sites (the exchange hop, Bruck, allreduce),
+/// every algorithm threshold is compared at one site in the whole
+/// stack, and the encrypted collectives do no rank arithmetic beyond
+/// the scatter–allgather frame-group partition (`vrank`, the scatter
+/// target, `total % n`).
+#[test]
+fn collective_rounds_are_written_once() {
+    let non_test = |rel: &str| {
+        let text = std::fs::read_to_string(repo(rel)).unwrap();
+        let body = text.split("#[cfg(test)]").next().unwrap().to_string();
+        let code = |l: &&str| !l.trim_start().starts_with("//");
+        body.lines()
+            .filter(code)
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let coll = non_test("crates/mpi/src/coll.rs");
+    let hops = coll.iter().filter(|l| l.contains("sendrecv(")).count();
+    assert!(
+        (1..=4).contains(&hops),
+        "sendrecv( sites in coll.rs: {hops}"
+    );
+    for generator in ["dissemination", "recursive_doubling", "ring", "pairwise"] {
+        let defs = coll
+            .iter()
+            .filter(|l| l.starts_with(&format!("pub fn {generator}(")))
+            .count();
+        assert_eq!(defs, 1, "`{generator}` generator definitions in coll.rs");
+    }
+
+    let lines = code_lines(&stack_sources());
+    for threshold in [
+        "BCAST_LONG_THRESHOLD",
+        "BCAST_RING_THRESHOLD",
+        "ALLTOALL_BRUCK_THRESHOLD",
+        "ALLGATHER_LONG_THRESHOLD",
+    ] {
+        let uses = sites(&lines, threshold);
+        assert_eq!(uses.len(), 1, "{threshold} use sites: {uses:?}");
+        assert!(uses[0].starts_with("crates/mpi/src/coll.rs"), "{uses:?}");
+    }
+
+    let secure = non_test("crates/core/src/secure_comm/collectives.rs");
+    let rank_math = secure.iter().filter(|l| l.contains("% n")).count();
+    assert!(rank_math <= 3, "`% n` sites in collectives.rs: {rank_math}");
+    assert!(
+        !secure.iter().any(|l| l.contains("offsets(")),
+        "collectives.rs grew its own prefix sums again (use coll::edges)"
+    );
+}
