@@ -37,6 +37,8 @@ pub struct WorldOutcome<T> {
     pub fabric: FabricStats,
     /// Scheduler yields (simulation overhead metric).
     pub yields: u64,
+    /// The yields that changed threads (the rest kept the token).
+    pub handoffs: u64,
     /// Per-rank metrics, event timeline, and byte ledgers; `Some` only
     /// when the world was built with [`World::traced`].
     pub trace: Option<TraceReport>,
@@ -63,6 +65,8 @@ pub struct FtWorldOutcome<T> {
     pub fabric: FabricStats,
     /// Scheduler yields (simulation overhead metric).
     pub yields: u64,
+    /// The yields that changed threads (the rest kept the token).
+    pub handoffs: u64,
     /// Per-rank metrics and timeline; `Some` only with [`World::traced`].
     pub trace: Option<TraceReport>,
     /// Histograms and counters; `Some` only with [`World::with_metrics`].
@@ -265,6 +269,7 @@ impl World {
             end_time: out.end_time,
             fabric,
             yields: out.yields,
+            handoffs: out.handoffs,
             trace: out.trace,
             metrics: out.metrics,
         })
@@ -288,6 +293,7 @@ impl World {
             end_time: out.end_time,
             fabric,
             yields: out.yields,
+            handoffs: out.handoffs,
             trace: out.trace,
             metrics: out.metrics,
         })

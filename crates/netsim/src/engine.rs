@@ -40,6 +40,14 @@
 //! tenure could be granted before it finishes. It times the closure
 //! while holding the token and advances by the result.
 //!
+//! # Hand-off and placement
+//!
+//! A tenure change names the next holder under the scheduler lock and
+//! wakes it after the lock is dropped; a rank granted its own token
+//! again wakes nobody. With one lane only one rank thread runs at a
+//! time, so the rank threads are pinned to the CPU the run was called
+//! on (Linux; elsewhere, or if the kernel refuses, they run unpinned).
+//!
 //! Rank code interacts with the engine through [`SimHandle`]:
 //! [`SimHandle::advance`] charges virtual compute time and
 //! [`SimHandle::block_on`] parks the rank until a peer calls
@@ -143,6 +151,12 @@ struct Sched {
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Which rank currently holds (or was just granted) the token.
     running: Option<usize>,
+    /// The rank the previous grant named: a grant to any other rank is
+    /// a real thread switch, a grant to the same one a kept token.
+    granted: Option<usize>,
+    /// Grants that changed rank (see [`FtOutcome::handoffs`]). Counted
+    /// under the lock, in grant order, so it repeats exactly.
+    handoffs: u64,
     /// Ranks not yet `Done`.
     active: usize,
     /// The first fatal condition (deadlock or rank panic), if any.
@@ -214,11 +228,27 @@ impl SimError {
     }
 }
 
+/// What a tenure change decided under the `sched` lock and leaves to
+/// do once the guard is dropped (see [`Shared::wake`]).
+#[must_use]
+enum Wake {
+    /// Nothing to do: the world is finished or was poisoned earlier.
+    Nobody,
+    /// This rank was named the next holder.
+    Rank(usize),
+    /// The world was just poisoned: every sleeper has to see it.
+    All,
+}
+
 struct Shared {
     sched: Mutex<Sched>,
     /// One condvar per rank (all used with the single `sched` mutex):
     /// granting the token wakes exactly one thread instead of herding
-    /// all N ranks awake on every yield.
+    /// all N ranks awake on every yield. A grant is published under
+    /// `sched` (`running = Some(r)`) and `cvs[r]` is notified after the
+    /// guard is dropped, so the grantee never wakes into a mutex its
+    /// waker still owns. No wake-up is lost: a waiter tests `running`
+    /// (and `poisoned`) under the same lock it sleeps on.
     cvs: Vec<Condvar>,
     /// Per-rank virtual clocks (ns). Written only by the owning rank
     /// while it holds the token (a detached closure's charge lands
@@ -290,21 +320,45 @@ impl Shared {
         None
     }
 
-    /// Record a fatal condition and wake every sleeper (rank condvars
-    /// and lane waiters) so all threads can observe it and unwind.
-    fn poison(&self, s: &mut Sched, e: SimError) {
-        if s.poisoned.is_none() {
-            s.poisoned = Some(e);
+    /// Record a fatal condition. The first one wins, and its caller
+    /// wakes every sleeper with [`Wake::All`] once it has dropped the
+    /// lock; a later one (a rank unwinding out of the poisoned world)
+    /// finds that done.
+    fn poison(&self, s: &mut Sched, e: SimError) -> Wake {
+        if s.poisoned.is_some() {
+            return Wake::Nobody;
         }
+        s.poisoned = Some(e);
         self.aborted.store(true, Ordering::Relaxed);
-        for cv in &self.cvs {
-            cv.notify_all();
-        }
-        self.lanes_cv.notify_all();
+        Wake::All
     }
 
-    /// Grant the token to the minimum-key `Ready` rank. Must be called
-    /// with the sched lock held and `running == None`.
+    /// Carry out a tenure change's wake-up. Call it with the `sched`
+    /// guard dropped; `me` is the calling rank, which is awake and
+    /// re-tests `running` itself, so a kept token costs no `futex_wake`
+    /// (`Condvar::notify_one` is a syscall whether or not anyone sleeps).
+    fn wake(&self, w: Wake, me: usize) {
+        match w {
+            Wake::Rank(r) if r != me => {
+                self.cvs[r].notify_one();
+            }
+            Wake::Rank(_) | Wake::Nobody => {}
+            Wake::All => {
+                for cv in &self.cvs {
+                    cv.notify_all();
+                }
+                // A lane waiter tests `aborted` under `lanes`: passing
+                // through that lock puts this notify after its sleep.
+                drop(self.lanes.lock());
+                self.lanes_cv.notify_all();
+            }
+        }
+    }
+
+    /// Grant the token to the minimum-key `Ready` rank: name it in
+    /// `running` and hand it back for the caller to [`Shared::wake`]
+    /// after the lock is dropped. Must be called with the sched lock
+    /// held and `running == None`.
     ///
     /// When no rank is `Ready` the world is quiescent: before declaring
     /// a deadlock, fire the earliest armed event on a blocked rank — an
@@ -314,16 +368,18 @@ impl Shared {
     /// never reach this branch (some rank is always runnable), which is
     /// what keeps an armed-but-idle detector free: its deadlines are
     /// bookkeeping until the moment the world would otherwise hang.
-    fn grant(&self, s: &mut Sched) {
+    fn grant(&self, s: &mut Sched) -> Wake {
         debug_assert!(s.running.is_none());
         loop {
             if let Some(r) = self.pop_ready(s) {
                 s.running = Some(r);
-                self.cvs[r].notify_one();
-                return;
+                if s.granted.replace(r).is_some_and(|prev| prev != r) {
+                    s.handoffs += 1;
+                }
+                return Wake::Rank(r);
             }
             if s.active == 0 || s.poisoned.is_some() {
-                return;
+                return Wake::Nobody;
             }
             // Quiescent. Earliest pending timer or crash on a blocked
             // rank, if any (ties: lowest rank).
@@ -350,8 +406,7 @@ impl Shared {
             }
             // Every live rank is Blocked with nothing armed: deadlock.
             let (report, ranks) = self.deadlock_report(s);
-            self.poison(s, SimError::Deadlock { report, ranks });
-            return;
+            return self.poison(s, SimError::Deadlock { report, ranks });
         }
     }
 
@@ -463,8 +518,9 @@ impl Shared {
                         s.ranks[rank].deadline = None;
                         s.active -= 1;
                         s.running = None;
-                        self.grant(&mut s);
+                        let next = self.grant(&mut s);
                         drop(s);
+                        self.wake(next, rank);
                         SILENT_UNWIND.with(|f| f.set(true));
                         std::panic::panic_any(CrashUnwind);
                     }
@@ -499,7 +555,9 @@ impl Shared {
             }
         }
         s.running = None;
-        self.grant(&mut s);
+        let next = self.grant(&mut s);
+        drop(s);
+        self.wake(next, rank);
     }
 }
 
@@ -664,6 +722,8 @@ impl Engine {
                     .collect(),
                 heap: (0..self.n_ranks).map(|r| Reverse((0, r))).collect(),
                 running: None,
+                granted: None,
+                handoffs: 0,
                 active: self.n_ranks,
                 poisoned: None,
             }),
@@ -687,64 +747,100 @@ impl Engine {
             finished: (0..self.n_ranks).map(|_| AtomicBool::new(false)).collect(),
         });
 
-        shared.grant(&mut shared.sched.lock());
+        // No rank thread exists yet, so the first grant has nobody to
+        // wake: rank 0 finds itself named when it first takes the lock.
+        let _ = shared.grant(&mut shared.sched.lock());
 
-        let mut results: Vec<Option<T>> = (0..self.n_ranks).map(|_| None).collect();
+        // One shard means one rank runs at a time: keep the rank threads
+        // on the CPU this call was made on, so a hand-off is a context
+        // switch and not a cross-core wake-up. The caller is not pinned.
+        let cpu = (shards == 1).then(place::current_cpu).flatten();
+
+        let n_ranks = self.n_ranks;
+        let mut results: Vec<Option<T>> = (0..n_ranks).map(|_| None).collect();
         let f = &f;
+        // The rank threads are spawned and joined by a launcher thread,
+        // which pins itself first: they are born with its one-CPU set,
+        // on that CPU, instead of each migrating itself there. (It is
+        // handed the slot iterator, not `&mut results`: a moved-in `&mut`
+        // is only reborrowed by `iter_mut`, for less than `'scope`.)
         std::thread::scope(|scope| {
-            let threads = results.iter_mut().enumerate().map(|(rank, slot)| {
-                let handle = SimHandle {
-                    shared: Arc::clone(&shared),
-                    rank,
-                    n_ranks: self.n_ranks,
-                };
-                scope.spawn(move || {
-                    let shared = &handle.shared;
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        shared.wait_for_token(rank);
-                        f(&handle)
-                    }));
-                    match out {
-                        Ok(v) => {
-                            *slot = Some(v);
-                            shared.release(rank, Status::Done, "finished", None);
-                        }
-                        Err(payload) if payload.is::<CrashUnwind>() => {
-                            // Deliberate death: bookkeeping already
-                            // done under the lock in wait_for_token.
-                            SILENT_UNWIND.with(|fl| fl.set(false));
-                        }
-                        Err(payload) => {
-                            let message = panic_message(payload.as_ref());
-                            let mut s = shared.sched.lock();
-                            // A detached closure may be the panic
-                            // source: only clear the token if this rank
-                            // actually holds it.
-                            if !matches!(s.ranks[rank].status, Status::Done | Status::Dead) {
-                                s.ranks[rank].status = Status::Done;
-                                s.active -= 1;
+            let (slots, shared) = (results.iter_mut(), &shared);
+            let launch = move || {
+                if let Some(cpu) = cpu {
+                    place::pin_self(cpu);
+                }
+                let threads = slots.enumerate().map(move |(rank, slot)| {
+                    let handle = SimHandle {
+                        shared: Arc::clone(shared),
+                        rank,
+                        n_ranks,
+                    };
+                    let body = move || {
+                        let shared = &handle.shared;
+                        let out = catch_unwind(AssertUnwindSafe(|| {
+                            shared.wait_for_token(rank);
+                            f(&handle)
+                        }));
+                        match out {
+                            Ok(v) => {
+                                *slot = Some(v);
+                                shared.release(rank, Status::Done, "finished", None);
                             }
-                            if s.running == Some(rank) {
-                                s.running = None;
+                            Err(payload) if payload.is::<CrashUnwind>() => {
+                                // Deliberate death: bookkeeping already
+                                // done under the lock in wait_for_token.
+                                SILENT_UNWIND.with(|fl| fl.set(false));
                             }
-                            shared.poison(&mut s, SimError::RankPanic { rank, message });
+                            Err(payload) => {
+                                let message = panic_message(payload.as_ref());
+                                let mut s = shared.sched.lock();
+                                // A detached closure may be the panic
+                                // source: only clear the token if this rank
+                                // actually holds it.
+                                if !matches!(s.ranks[rank].status, Status::Done | Status::Dead) {
+                                    s.ranks[rank].status = Status::Done;
+                                    s.active -= 1;
+                                }
+                                if s.running == Some(rank) {
+                                    s.running = None;
+                                }
+                                let all =
+                                    shared.poison(&mut s, SimError::RankPanic { rank, message });
+                                drop(s);
+                                shared.wake(all, rank);
+                            }
                         }
-                    }
-                })
-            });
-            // Join each thread rather than let the scope wait: a rank's
-            // closure returning is not its OS thread gone, and a run
-            // started back to back would find the malloc arenas still
-            // taken (measured: +4 MB peak RSS on 2 MB ping-pongs).
-            for t in threads.collect::<Vec<_>>() {
-                t.join()
-                    .expect("rank panics are caught on the rank's thread");
-            }
+                    };
+                    std::thread::Builder::new()
+                        .name(format!("empi-rank-{rank}"))
+                        .spawn_scoped(scope, body)
+                        .expect("spawn rank thread")
+                });
+                // Join each thread rather than let the scope wait: a rank's
+                // closure returning is not its OS thread gone, and a run
+                // started back to back would find the malloc arenas still
+                // taken (measured: +4 MB peak RSS on 2 MB ping-pongs).
+                for t in threads.collect::<Vec<_>>() {
+                    t.join()
+                        .expect("rank panics are caught on the rank's thread");
+                }
+            };
+            std::thread::Builder::new()
+                .name("empi-launch".into())
+                .spawn_scoped(scope, launch)
+                .expect("spawn launcher thread")
+                .join()
+                .expect("the launcher only spawns and joins");
         });
 
-        if let Some(e) = shared.sched.lock().poisoned.clone() {
-            return Err(e);
-        }
+        let handoffs = {
+            let s = shared.sched.lock();
+            if let Some(e) = s.poisoned.clone() {
+                return Err(e);
+            }
+            s.handoffs
+        };
         let end_time = VTime(
             shared
                 .clocks
@@ -777,6 +873,7 @@ impl Engine {
             deaths,
             end_time,
             yields: shared.yields.load(Ordering::Relaxed),
+            handoffs,
             notifies: shared.notifies.load(Ordering::Relaxed),
             trace,
             metrics,
@@ -793,6 +890,10 @@ pub struct RunOutcome<T> {
     pub end_time: VTime,
     /// Scheduler yield operations performed.
     pub yields: u64,
+    /// Yields that changed threads: grants naming a different rank than
+    /// the grant before. The rest of `yields` are kept tokens. Like
+    /// `yields` it is the same at every shard count.
+    pub handoffs: u64,
     /// Notify operations performed.
     pub notifies: u64,
     /// Trace data, when the [`Engine::recorder`]'s span sink is on.
@@ -817,6 +918,10 @@ pub struct FtOutcome<T> {
     pub end_time: VTime,
     /// Scheduler yield operations performed.
     pub yields: u64,
+    /// Yields that changed threads: grants naming a different rank than
+    /// the grant before. The rest of `yields` are kept tokens. Like
+    /// `yields` it is the same at every shard count.
+    pub handoffs: u64,
     /// Notify operations performed.
     pub notifies: u64,
     /// Trace data, when the [`Engine::recorder`]'s span sink is on.
@@ -840,6 +945,7 @@ impl<T> FtOutcome<T> {
                 .collect(),
             end_time: self.end_time,
             yields: self.yields,
+            handoffs: self.handoffs,
             notifies: self.notifies,
             trace: self.trace,
             metrics: self.metrics,
@@ -1143,6 +1249,49 @@ impl SimHandle {
         }
     }
 }
+
+/// Thread placement for one-shard worlds. Linux only; the two libc
+/// calls are declared here so the crate needs no dependency for them.
+/// A refused call leaves the world unpinned: placement changes host
+/// time only, never a result.
+#[cfg(target_os = "linux")]
+mod place {
+    /// Room for 1024 CPUs, the kernel's default `CONFIG_NR_CPUS` ceiling.
+    type CpuMask = [u64; 16];
+
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+
+    /// The CPU the calling thread is running on, if the kernel says.
+    pub fn current_cpu() -> Option<usize> {
+        // SAFETY: no arguments, no memory touched.
+        usize::try_from(unsafe { sched_getcpu() }).ok()
+    }
+
+    /// Restrict the calling thread to `cpu`.
+    pub fn pin_self(cpu: usize) {
+        let mut mask: CpuMask = [0; 16];
+        let Some(word) = mask.get_mut(cpu / 64) else {
+            return;
+        };
+        *word |= 1 << (cpu % 64);
+        // SAFETY: `mask` is a live buffer of exactly the byte length
+        // passed; pid 0 names the calling thread.
+        unsafe { sched_setaffinity(0, std::mem::size_of::<CpuMask>(), mask.as_ptr()) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod place {
+    pub fn current_cpu() -> Option<usize> {
+        None
+    }
+
+    pub fn pin_self(_cpu: usize) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1352,10 +1501,12 @@ mod tests {
 
     #[test]
     fn time_scale_multiplies_measured_time() {
+        // `black_box` keeps the loop in an optimised build, where it
+        // would otherwise fold to a constant and leave timer noise.
         let busy = || {
             let mut acc = 0u64;
             for i in 0..200_000u64 {
-                acc = acc.wrapping_add(i * i);
+                acc = std::hint::black_box(acc.wrapping_add(i * i));
             }
             acc
         };
@@ -1882,5 +2033,178 @@ mod shard_tests {
             }
             e => panic!("expected rank panic, got {e}"),
         }
+    }
+}
+
+/// Liveness of the wake sites: a grant is published under `sched` and
+/// the grantee woken after the guard is dropped, so a wake-up missing
+/// on any path shows here as a world that never returns.
+#[cfg(test)]
+mod handoff_tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn kept_tokens_are_not_handoffs() {
+        let solo = Engine::new(1).run(|h| {
+            for _ in 0..100 {
+                h.advance(VDur(1));
+            }
+        });
+        assert_eq!((solo.yields, solo.handoffs), (101, 0));
+        // Two ranks in lock step alternate on every advance; the two
+        // `Done` releases grant the other rank once and then nobody.
+        let pair = Engine::new(2).run(|h| {
+            for _ in 0..100 {
+                h.advance(VDur(1));
+            }
+        });
+        assert_eq!((pair.yields, pair.handoffs), (202, 201));
+    }
+
+    /// Advances, overlapped charges and a notify ring on 64 ranks.
+    fn mixed_64(shards: usize) -> (VTime, u64, u64) {
+        const N: usize = 64;
+        let inbox: Vec<Mutex<VecDeque<u64>>> = (0..N).map(|_| Mutex::default()).collect();
+        let out = Engine::new(N).shards(shards).run(|h| {
+            let r = h.rank();
+            for step in 0..3u64 {
+                h.advance(VDur((r as u64 * 13 + step * 5) % 17 + 1));
+                let d = VDur::from_micros((r as u64 * 7 + step * 3) % 11 + 1);
+                h.charge_overlapped(d, || std::hint::black_box(r));
+                let next = (r + 1) % N;
+                inbox[next].lock().push_back(h.now().as_nanos());
+                h.notify_rank(next);
+                h.block_on("ring", || {
+                    inbox[r].lock().pop_front().map(|t| (VTime(t), ()))
+                });
+            }
+        });
+        (out.end_time, out.yields, out.handoffs)
+    }
+
+    #[test]
+    fn sixty_four_ranks_finish_fifty_times_at_every_shard_count() {
+        let base = mixed_64(1);
+        assert!(base.2 > 0 && base.2 < base.1, "{base:?}");
+        for round in 0..50 {
+            for shards in [1, 2, 4] {
+                assert_eq!(
+                    mixed_64(shards),
+                    base,
+                    "round {round}, shards={shards}: (end_time, yields, handoffs)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panic_with_parked_ranks_and_full_lanes_unwinds_every_rank() {
+        const N: usize = 64;
+        struct Live<'a>(&'a AtomicUsize);
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let (live, in_lane) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let err = Engine::new(N)
+            .shards(2)
+            .try_run(|h| {
+                live.fetch_add(1, Ordering::SeqCst);
+                let _live = Live(&live);
+                match h.rank() {
+                    0 => {
+                        // Let every other rank run its first tenure,
+                        // then wait for both lanes to be taken.
+                        h.advance(VDur(10));
+                        while in_lane.load(Ordering::SeqCst) < 2 {
+                            std::thread::yield_now();
+                        }
+                        panic!("boom with full lanes");
+                    }
+                    // Four ranks want the two lanes; the two that get
+                    // one keep it until the world is poisoned.
+                    1..=4 => h.charge_overlapped(VDur::from_micros(1), || {
+                        in_lane.fetch_add(1, Ordering::SeqCst);
+                        while !h.shared.aborted.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
+                    }),
+                    _ => h.block_on::<()>("parked", || None),
+                }
+            })
+            .unwrap_err();
+        match err {
+            SimError::RankPanic { rank: 0, message } => {
+                assert!(message.contains("boom with full lanes"), "got: {message}")
+            }
+            e => panic!("expected rank 0's panic, got {e}"),
+        }
+        assert_eq!(in_lane.load(Ordering::SeqCst), 2, "lanes were not full");
+        assert_eq!(live.load(Ordering::SeqCst), 0, "a rank body never unwound");
+    }
+
+    #[test]
+    fn death_in_wait_for_token_hands_the_token_on() {
+        // Rank 1 sleeps on its condvar with the larger key when rank 0
+        // is named, finds its clock at its death time and dies: the
+        // death branch's grant is the only thing that can wake rank 1.
+        for _ in 0..200 {
+            let out = Engine::new(2)
+                .crash_plan(CrashPlan::new().crash_at(0, VTime(50)))
+                .try_run_ft(|h| {
+                    h.advance(VDur(if h.rank() == 0 { 50 } else { 100 }));
+                    h.now()
+                })
+                .expect("the survivor finishes");
+            assert_eq!(out.results, vec![None, Some(VTime(100))]);
+            assert_eq!(out.deaths[0], Some((VTime(50), CrashKind::Crash)));
+            // Grants: 0 (start-up), 1, 0 (dies), 1.
+            assert_eq!(out.handoffs, 3);
+        }
+    }
+
+    #[test]
+    fn rank_threads_are_named_after_their_rank() {
+        let out = Engine::new(3).run(|_| std::thread::current().name().map(str::to_string));
+        let want = |r: usize| Some(format!("empi-rank-{r}"));
+        assert_eq!(out.results, vec![want(0), want(1), want(2)]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn one_shard_worlds_run_on_one_cpu_and_leave_the_caller_alone() {
+        extern "C" {
+            fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        }
+        fn allowed_cpus() -> Vec<usize> {
+            let mut mask = [0u64; 16];
+            // SAFETY: `mask` is a live, writable buffer of exactly the
+            // byte length passed; pid 0 names the calling thread.
+            let rc =
+                unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
+            assert_eq!(rc, 0, "sched_getaffinity failed");
+            (0..mask.len() * 64)
+                .filter(|&c| mask[c / 64] >> (c % 64) & 1 == 1)
+                .collect()
+        }
+        let rank_sets = |shards: usize| {
+            let out = Engine::new(8).shards(shards).run(|h| {
+                h.advance(VDur(1));
+                allowed_cpus()
+            });
+            out.results
+        };
+        let caller = allowed_cpus();
+        let pinned = rank_sets(1);
+        assert_eq!(pinned[0].len(), 1, "rank 0 may run on {:?}", pinned[0]);
+        assert!(caller.contains(&pinned[0][0]));
+        assert!(pinned.iter().all(|s| *s == pinned[0]), "{pinned:?}");
+        assert_eq!(allowed_cpus(), caller, "the caller's set moved");
+        // More than one shard runs ranks side by side: no placement.
+        assert!(rank_sets(2).iter().all(|s| *s == caller));
+        assert_eq!(allowed_cpus(), caller);
     }
 }

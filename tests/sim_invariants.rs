@@ -129,3 +129,50 @@ fn rank_threads_do_real_parallel_work_in_virtual_time() {
     });
     assert_eq!(out.end_time, VTime(100_000));
 }
+
+/// What an encrypted 256 B round trip costs the engine (TAB-5's cell,
+/// the `pp_small` benchmark workload): 12 yields, of which 2 change
+/// threads and 10 keep the token — at every shard count. A change that
+/// makes yields lazy has to move exactly this number.
+#[test]
+fn a_small_encrypted_round_trip_is_twelve_yields_and_two_handoffs() {
+    use empi::aead::profile::CryptoLibrary;
+    use empi::secure::{SecureComm, SecurityConfig, TimingMode};
+
+    let run = |shards: usize, round_trips: usize| {
+        let model = NetModel::infiniband_40g();
+        let timing = TimingMode::calibrated_for(&model);
+        let out = World::flat(model, 2).with_shards(shards).run(|c| {
+            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
+                .with_timing(timing)
+                .with_deterministic_nonces(11);
+            let sc = SecureComm::new(c, cfg).expect("secure comm");
+            let payload = [0xA5u8; 256];
+            for _ in 0..round_trips {
+                if c.rank() == 0 {
+                    sc.send(&payload, 1, 0);
+                    let (_, back) = sc.recv(Src::Is(1), TagSel::Is(1)).expect("pong");
+                    assert_eq!(back[..], payload[..]);
+                } else {
+                    let (_, m) = sc.recv(Src::Is(0), TagSel::Is(0)).expect("ping");
+                    sc.send(&m, 0, 1);
+                }
+            }
+        });
+        (out.yields, out.handoffs)
+    };
+    for shards in [1, 2] {
+        let (y10, h10) = run(shards, 10);
+        let (y110, h110) = run(shards, 110);
+        assert_eq!(
+            y110 - y10,
+            100 * 12,
+            "yields per round trip, shards={shards}"
+        );
+        assert_eq!(
+            h110 - h10,
+            100 * 2,
+            "hand-offs per round trip, shards={shards}"
+        );
+    }
+}

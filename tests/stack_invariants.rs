@@ -176,3 +176,61 @@ fn collective_rounds_are_written_once() {
         "collectives.rs grew its own prefix sums again (use coll::edges)"
     );
 }
+
+/// The non-comment lines of the item whose header line contains
+/// `header`, up to the closing brace at the header's indentation, as
+/// `(line number, line)`.
+fn item_body(text: &str, header: &str) -> Vec<(usize, String)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let start = lines
+        .iter()
+        .position(|l| l.contains(header) && !l.trim_start().starts_with("//"))
+        .unwrap_or_else(|| panic!("no `{header}` in the file"));
+    let indent = lines[start].len() - lines[start].trim_start().len();
+    let close = format!("{}}}", " ".repeat(indent));
+    let end = (start..lines.len())
+        .find(|&i| lines[i] == close)
+        .unwrap_or_else(|| panic!("`{header}` never closes"));
+    (start..=end)
+        .filter(|&i| !lines[i].trim_start().starts_with("//"))
+        .map(|i| (i + 1, lines[i].to_string()))
+        .collect()
+}
+
+/// A tenure change without the lock convoy: `grant` and `poison` run
+/// under the `sched` lock and only *name* who is to be woken — the
+/// wake-up itself happens in `Shared::wake`, after the guard is gone.
+/// Placement is one `sched_setaffinity` call in the Linux-only module.
+#[test]
+fn the_engine_wakes_nobody_under_the_sched_lock() {
+    let text = std::fs::read_to_string(repo("crates/netsim/src/engine.rs")).unwrap();
+    for header in ["fn grant(", "fn poison("] {
+        let wakes: Vec<_> = item_body(&text, header)
+            .into_iter()
+            .filter(|(_, l)| l.contains("notify_") || l.contains("unpark"))
+            .collect();
+        assert!(wakes.is_empty(), "`{header}` wakes a thread: {wakes:?}");
+    }
+    let calls: Vec<usize> = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim_start().starts_with("//"))
+        .filter(|(_, l)| l.contains("sched_setaffinity(") && !l.contains("fn sched_setaffinity("))
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(calls.len(), 1, "sched_setaffinity call sites: {calls:?}");
+    // The first `mod place` is the Linux one; the other is its no-op twin.
+    let linux = "#[cfg(target_os = \"linux\")]\nmod place {";
+    assert_eq!(
+        text.find(linux).map(|at| at + linux.len()),
+        text.find("mod place {").map(|at| at + "mod place {".len()),
+        "the first `mod place` is not behind cfg(target_os = \"linux\")"
+    );
+    assert!(
+        item_body(&text, "mod place {")
+            .iter()
+            .any(|(n, _)| *n == calls[0]),
+        "engine.rs:{} is outside the Linux-only `mod place`",
+        calls[0]
+    );
+}
