@@ -518,7 +518,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn engine_counters_track_soft_blocks() {
         use empi_trace::engine_counters as counters;

@@ -21,7 +21,7 @@ use empi_trace::{CounterBlock, Metric, MetricsSnapshot};
 
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::{size_label, Table};
-use crate::tracing::{trace_active, write_artifacts, write_trace};
+use crate::tracing::{write_artifacts, write_trace};
 
 /// Per-event fault probabilities swept by TAB-CHAOS. The 0 row is the
 /// "retransmit layer armed but idle" regression point.
@@ -62,8 +62,8 @@ pub struct ChaosPoint {
     /// Receiver-side chaos counters (NACKs, salvages, backoff).
     pub receiver: ChaosStats,
     /// ARQ repair-latency percentiles (NACK round-trip until the
-    /// message opened), from the metrics snapshot; zero when the
-    /// recorder is compiled out or nothing needed repair.
+    /// message opened), from the metrics snapshot; zero when nothing
+    /// needed repair.
     pub repair_p50_ns: u64,
     pub repair_p99_ns: u64,
     pub repair_p999_ns: u64,
@@ -317,7 +317,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     }
 
     let tables = vec![tab, decomp];
-    if trace_active(opts) {
+    if opts.trace {
         // One traced run at the top fault rate: the Chrome trace shows
         // the fault/* and retry/* spans interleaved with the pipeline
         // lanes, and `tracecheck` audits the written file. The same

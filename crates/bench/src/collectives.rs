@@ -17,7 +17,7 @@ use crate::common::{reported_rows, row_config, row_label, security_config, Bench
 use crate::frame::{collective_loop, run_layered, Coll, Run};
 use crate::stats::{measure_until_stable, overhead_percent};
 use crate::table::{fmt_value, size_label, Table};
-use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
+use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
 /// The paper's collective geometry.
 pub const RANKS: usize = 64;
@@ -199,7 +199,7 @@ pub fn run_net(net: Net, op: CollOp, opts: &BenchOpts) -> Vec<Table> {
         );
     }
     let mut out = vec![tab, fig];
-    if trace_active(opts) {
+    if opts.trace {
         out.push(decomposition_net(net, op, opts));
     }
     out
@@ -272,7 +272,6 @@ mod tests {
         assert!(base < b && b < l && l < p, "{base} {b} {l} {p}");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_bcast_labels_rounds_and_balances_ledgers() {
         let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);

@@ -156,7 +156,10 @@ impl BenchOpts {
             Ok(opts) => {
                 // Export the resolved shard count so every world the
                 // binary builds (directly or deep inside a harness)
-                // inherits it via the `EMPI_SHARDS` fallback.
+                // inherits it via the `EMPI_SHARDS` fallback. Only the
+                // binary's `main` calls this, before any thread exists:
+                // `set_var` races with every `getenv` on another thread
+                // (`World::shards`), so tests use `try_parse`.
                 std::env::set_var("EMPI_SHARDS", opts.shards.to_string());
                 opts
             }
@@ -223,14 +226,15 @@ mod tests {
 
     #[test]
     fn parse_flags() {
-        let o = BenchOpts::parse(
+        let o = BenchOpts::try_parse(
             [
                 "--quick", "--net", "ethernet", "--out", "/tmp/r", "--reps", "3,7", "--trace",
                 "--sizes", "large",
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert!(o.quick);
         assert_eq!(o.nets, vec![Net::Ethernet]);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/r"));

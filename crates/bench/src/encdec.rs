@@ -21,7 +21,6 @@ use empi_trace::engine_counters;
 
 use crate::common::BenchOpts;
 use crate::table::{fmt_value, size_label, Table};
-use crate::tracing::trace_active;
 
 /// Sizes along the Fig. 2/9 x axis.
 pub const SIZES: [usize; 9] = [
@@ -205,7 +204,7 @@ pub fn run(opts: &BenchOpts) -> Vec<Table> {
     }
     tables.push(t);
     tables.push(ablation_table(min_ms));
-    if trace_active(opts) {
+    if opts.trace {
         tables.push(engine_counter_table());
     }
     tables
@@ -286,7 +285,6 @@ mod tests {
         assert!(mid > 565.0 && mid < 580.0, "got {mid}");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn engine_counter_table_counts_blocks() {
         let t = engine_counter_table();

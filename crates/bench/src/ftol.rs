@@ -35,12 +35,12 @@ use empi_aead::profile::CryptoLibrary;
 use empi_core::{Error, FaultRates, KeyPlaneConfig, SecureComm, SecurityConfig};
 use empi_mpi::{CrashPlan, DetectorConfig, Src, TagSel, TraceReport, World};
 use empi_netsim::{VDur, VTime};
-use empi_trace::{CounterBlock, MetricsSnapshot, Recorder};
+use empi_trace::{CounterBlock, MetricsSnapshot};
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::Table;
-use crate::tracing::{trace_active, write_artifacts};
+use crate::tracing::write_artifacts;
 
 /// Fixed handshake seed: reruns must agree on the same session master
 /// and export byte-identical snapshots.
@@ -442,11 +442,7 @@ fn push_ladder_row(tab: &mut Table, label: &str, run: &DetectRun) {
 /// whose `ftol/*` spans feed `tracecheck --require-ftol`, plus the
 /// ftol conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts) {
-    if !Recorder::compiled_in() {
-        return;
-    }
-    let traced = trace_active(opts);
-    let mut run = detect_run(net, 4, 500, false, traced);
+    let mut run = detect_run(net, 4, 500, false, opts.trace);
     // The ARQ scenario fills the one counter the ladder cannot: flows
     // resolved as failed against a dead peer.
     let mut counters = run.counters.clone();
@@ -525,9 +521,6 @@ mod tests {
 
     #[test]
     fn snapshot_carries_ftol_counters_and_validates() {
-        if !Recorder::compiled_in() {
-            return;
-        }
         let run = detect_run(Net::Ethernet, 4, 500, false, false);
         let json = export::snapshot_json(&run.snap);
         assert!(json.contains("\"ftol\":{\"detected\":1"), "json: {json}");
@@ -539,9 +532,6 @@ mod tests {
 
     #[test]
     fn traced_ladder_conserves_ftol_spans() {
-        if !Recorder::compiled_in() {
-            return;
-        }
         let run = detect_run(Net::Ethernet, 4, 500, false, true);
         let r = run.trace.expect("traced world must report");
         let detected: u64 = r.per_rank.iter().map(|m| m.ft_detected).sum();

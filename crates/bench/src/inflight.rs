@@ -18,7 +18,7 @@ use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
 use crate::frame::Run;
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, Table};
-use crate::tracing::{trace_active, write_trace};
+use crate::tracing::write_trace;
 
 /// Message size: past the rendezvous threshold on both fabrics (64 KiB
 /// on 10 GbE, 12 KiB on IB), so completion genuinely waits on the wire
@@ -254,7 +254,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         );
     }
 
-    if trace_active(opts) {
+    if opts.trace {
         let w = *windows.last().unwrap();
         let cfg = config(CryptoLibrary::BoringSsl, net, true, false, w);
         let r = inflight_run(net, Some(cfg), w, msgs.min(64), true).report();

@@ -15,7 +15,7 @@ use crate::common::{reported_rows, row_config, row_label, security_config, Bench
 use crate::frame::Run;
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
-use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
+use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
 /// The three message sizes of the figures.
 pub const SIZES: [usize; 3] = [1, 16 << 10, 2 << 20];
@@ -154,7 +154,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         }
         tables.push(t);
     }
-    if trace_active(opts) {
+    if opts.trace {
         tables.push(decomposition_net(net, opts));
     }
     tables

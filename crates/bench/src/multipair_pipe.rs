@@ -17,7 +17,7 @@ use crate::common::{security_config, BenchOpts, Net};
 use crate::multipair::{multipair_run, PAIRS, SIZES};
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
-use crate::tracing::{trace_active, write_trace};
+use crate::tracing::write_trace;
 
 /// The three pipelined-encryption variants of the figure rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +140,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         }
         tables.push(t);
     }
-    if trace_active(opts) {
+    if opts.trace {
         tables.push(decomposition_net(net, opts));
     }
     tables
@@ -230,7 +230,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn pool_cuts_2mb_allocations_at_least_10x() {
         // The DECOMP-ALLOC acceptance criterion, measured exactly as

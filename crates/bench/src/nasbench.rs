@@ -19,7 +19,7 @@ use crate::common::{reported_rows, row_config, row_label, security_config, Bench
 use crate::frame::{run_layered, Run};
 use crate::stats::overhead_percent_of_totals;
 use crate::table::{fmt_value, Table};
-use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
+use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
 /// One NAS kernel run: (virtual seconds, verified) plus, when
 /// `traced`, the trace report. `cfg == None` is the plain-MPI baseline.
@@ -110,7 +110,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         t.push_row(row_label(lib), cells);
     }
     let mut out = vec![t];
-    if trace_active(opts) {
+    if opts.trace {
         out.push(decomposition_net(net, opts));
     }
     out

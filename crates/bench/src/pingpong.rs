@@ -16,7 +16,7 @@ use crate::common::{
 use crate::frame::{echo, run_layered, Run};
 use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
-use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
+use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
 /// Message sizes of Table I / Table V.
 pub const SMALL_SIZES: [usize; 4] = [1, 16, 256, 1 << 10];
@@ -103,7 +103,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         }
         tables.push(t);
     }
-    if trace_active(opts) {
+    if opts.trace {
         tables.push(decomposition_net(net, opts));
     }
     tables
@@ -193,7 +193,6 @@ mod tests {
         check(Net::Infiniband, 256, 55.0, 110.0); // paper: 80.9 %
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_decomposition_consistent_with_measured_overhead() {
         use crate::tracing::est_overhead_percent;

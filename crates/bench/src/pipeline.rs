@@ -17,7 +17,7 @@ use crate::common::{security_config, BenchOpts, Net};
 use crate::pingpong::pingpong_run;
 use crate::stats::{measure_until_stable, overhead_percent_of_mbs};
 use crate::table::{size_label, Table};
-use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
+use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
 /// Message sizes swept: the paper's large-message band, 64 KB – 2 MB.
 pub const SIZES: [usize; 4] = [64 << 10, 256 << 10, 1 << 20, 2 << 20];
@@ -132,7 +132,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     }
     tables.push(t);
 
-    if trace_active(opts) {
+    if opts.trace {
         tables.push(decomposition_net(net, opts));
     }
     tables
@@ -242,7 +242,6 @@ mod tests {
         assert!(w4 < w1, "4 workers {w4:.0}% must beat 1 worker {w1:.0}%");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_pipeline_shows_overlap_not_addition() {
         use crate::tracing::est_overhead_percent;

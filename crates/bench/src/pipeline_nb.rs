@@ -21,7 +21,7 @@ use crate::common::{security_config, BenchOpts, Net};
 use crate::frame::{Coll, Run};
 use crate::stats::{measure_until_stable, overhead_percent};
 use crate::table::{size_label, Table};
-use crate::tracing::{decomp_cells, decomp_columns, trace_active, write_trace};
+use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
 /// Message sizes swept by the nonblocking exchange: the paper's
 /// large-message band, 64 KB – 2 MB.
@@ -188,7 +188,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     }
 
     let mut tables = vec![fig, tab];
-    if trace_active(opts) {
+    if opts.trace {
         tables.extend(decomposition_net(net, opts));
     }
     tables
@@ -337,7 +337,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_nb_exchange_carries_pipeline_lanes() {
         let cfg = boring(PipelineConfig::enabled().with_workers(WORKERS));

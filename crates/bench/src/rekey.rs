@@ -26,12 +26,12 @@ use empi_aead::profile::{CryptoLibrary, KeySize};
 use empi_core::{KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
-use empi_trace::{CounterBlock, Metric, MetricsSnapshot, Recorder};
+use empi_trace::{CounterBlock, Metric, MetricsSnapshot};
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::Table;
-use crate::tracing::{trace_active, write_artifacts};
+use crate::tracing::write_artifacts;
 
 /// Fixed handshake seed: reruns must agree on the same session master
 /// and export byte-identical snapshots.
@@ -386,17 +386,13 @@ fn decomp_cells(run: &RekeyRun, msgs: Option<usize>) -> Vec<String> {
 /// whose `key/*` spans feed `tracecheck --require-keys`, plus the key
 /// conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
-    if !Recorder::compiled_in() {
-        return;
-    }
-    let traced = trace_active(opts);
     let (run, trace) = stream_run(
         net,
         CryptoLibrary::BoringSsl,
         KeySize::Aes256,
         Some(ROTATE_STORM_US),
         msgs,
-        traced,
+        opts.trace,
     );
     if let Some(r) = &trace {
         // Conservation law: the trace ledger counts exactly the
@@ -459,9 +455,6 @@ mod tests {
 
     #[test]
     fn snapshot_carries_key_counters_and_validates() {
-        if !Recorder::compiled_in() {
-            return;
-        }
         let (run, _) = stream_run(
             Net::Ethernet,
             CryptoLibrary::BoringSsl,
@@ -482,9 +475,6 @@ mod tests {
 
     #[test]
     fn traced_storm_conserves_key_spans() {
-        if !Recorder::compiled_in() || !Recorder::compiled_in() {
-            return;
-        }
         let (run, trace) = stream_run(
             Net::Ethernet,
             CryptoLibrary::BoringSsl,
@@ -528,11 +518,9 @@ mod tests {
         // 128-bit-capable lib (all but Libsodium).
         let aes128_rows = LIBS.iter().filter(|l| l.supports(KeySize::Aes128)).count();
         assert_eq!(tables[0].rows.len(), 3 * LIBS.len() + aes128_rows);
-        if Recorder::compiled_in() {
-            for (label, cells) in &tables[0].rows {
-                assert_ne!(cells[1], "0.0", "p99 must be nonzero: {label}");
-                assert_eq!(cells[5], "0", "nothing may fail in a clean run: {label}");
-            }
+        for (label, cells) in &tables[0].rows {
+            assert_ne!(cells[1], "0.0", "p99 must be nonzero: {label}");
+            assert_eq!(cells[5], "0", "nothing may fail in a clean run: {label}");
         }
     }
 }

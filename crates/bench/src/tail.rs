@@ -22,12 +22,12 @@ use empi_aead::profile::CryptoLibrary;
 use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
-use empi_trace::{CounterBlock, Metric, MetricsSnapshot, Recorder, SloConfig};
+use empi_trace::{CounterBlock, Metric, MetricsSnapshot, SloConfig};
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
 use crate::table::Table;
-use crate::tracing::{trace_active, write_artifacts};
+use crate::tracing::write_artifacts;
 
 /// Fixed seed: CI and reruns must see the identical fault schedule and
 /// byte-identical snapshot exports.
@@ -314,11 +314,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 /// `trace-tail-<net>.json` with percentile counter tracks, plus the
 /// seal/open conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
-    if !Recorder::compiled_in() {
-        return;
-    }
-    let traced = trace_active(opts);
-    let (run, _, trace) = p2p_run(net, CryptoLibrary::BoringSsl, true, msgs, true, traced);
+    let (run, _, trace) = p2p_run(net, CryptoLibrary::BoringSsl, true, msgs, true, opts.trace);
     if let Some(r) = &trace {
         // Conservation law: the recorder takes exactly one service
         // sample per trace-ledger seal and open. Fail the bench loudly
@@ -347,18 +343,7 @@ mod tests {
 
     #[test]
     fn tail_histograms_fill_and_conserve() {
-        if !Recorder::compiled_in() {
-            return;
-        }
-        let traced = Recorder::compiled_in();
-        let (run, _, trace) = p2p_run(
-            Net::Ethernet,
-            CryptoLibrary::BoringSsl,
-            true,
-            9,
-            true,
-            traced,
-        );
+        let (run, _, trace) = p2p_run(Net::Ethernet, CryptoLibrary::BoringSsl, true, 9, true, true);
         let e2e = run.snap.merged(Metric::E2e, "p2p/recv");
         assert!(e2e.count() > 0, "the stream must record recv latencies");
         assert!(e2e.p50() > 0, "virtual-time latencies are never zero");
@@ -401,9 +386,6 @@ mod tests {
 
     #[test]
     fn snapshot_exports_are_byte_identical_for_fixed_seed() {
-        if !Recorder::compiled_in() {
-            return;
-        }
         let a = p2p_run(
             Net::Ethernet,
             CryptoLibrary::Libsodium,
@@ -432,9 +414,6 @@ mod tests {
 
     #[test]
     fn delivery_failure_carries_black_box_naming_the_flow() {
-        if !Recorder::compiled_in() {
-            return;
-        }
         // A hostile fault rate with a starved repair budget forces at
         // least one typed delivery failure; its black box must name
         // the failing flow and carry recorded events.
@@ -482,9 +461,6 @@ mod tests {
 
     #[test]
     fn alltoall_tail_run_is_metered() {
-        if !Recorder::compiled_in() {
-            return;
-        }
         let run = a2a_run(Net::Ethernet, CryptoLibrary::BoringSsl, false, 2);
         assert_eq!(run.failed, 0, "chaos-off alltoall must deliver everything");
         assert_eq!(run.delivered, 2 * A2A_RANKS);
@@ -505,13 +481,11 @@ mod tests {
         assert_eq!(tables.len(), 2);
         assert!(tables[0].title.starts_with("TAB-TAIL-Ethernet"));
         assert!(tables[1].title.starts_with("DECOMP-TAIL-Ethernet"));
-        if Recorder::compiled_in() {
-            // Acceptance: nonzero tail percentiles for all four
-            // backends, chaos on and off, p2p and alltoall.
-            for (label, cells) in &tables[0].rows {
-                assert_ne!(cells[1], "0.0", "p99 must be nonzero: {label}");
-                assert_ne!(cells[2], "0.0", "p999 must be nonzero: {label}");
-            }
+        // Acceptance: nonzero tail percentiles for all four
+        // backends, chaos on and off, p2p and alltoall.
+        for (label, cells) in &tables[0].rows {
+            assert_ne!(cells[1], "0.0", "p99 must be nonzero: {label}");
+            assert_ne!(cells[2], "0.0", "p999 must be nonzero: {label}");
         }
     }
 }

@@ -12,23 +12,9 @@
 
 use std::path::Path;
 
-use empi_trace::{chrome, export, Decomposition, MetricsSnapshot, Recorder, TraceReport};
+use empi_trace::{chrome, export, Decomposition, MetricsSnapshot, TraceReport};
 
-use crate::common::BenchOpts;
 use crate::table::fmt_value;
-
-/// True when tracing was requested *and* the `trace` feature is
-/// compiled in; warns once per call otherwise.
-pub fn trace_active(opts: &BenchOpts) -> bool {
-    if opts.trace && !Recorder::compiled_in() {
-        eprintln!(
-            "warning: --trace requested but the `trace` feature is not compiled in \
-             (build without --no-default-features to enable it)"
-        );
-        return false;
-    }
-    opts.trace
-}
 
 /// Column headers shared by every harness's TRACE table.
 pub fn decomp_columns() -> Vec<String> {

@@ -160,12 +160,6 @@ impl SecurityConfig {
         self
     }
 
-    /// Select the nonce policy.
-    pub fn with_nonce_policy(mut self, nonce_policy: NoncePolicy) -> Self {
-        self.nonce_policy = nonce_policy;
-        self
-    }
-
     /// Configure the chunked crypto pipeline (see `empi_pipeline`).
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
@@ -229,8 +223,9 @@ impl SecurityConfig {
     /// Deterministic-nonce test mode: nonces come from a PRNG seeded
     /// with `seed`, so traced wire bytes reproduce run-to-run. Never
     /// for production — a known seed makes every nonce predictable.
-    pub fn with_deterministic_nonces(self, seed: u64) -> Self {
-        self.with_nonce_policy(NoncePolicy::Seeded { seed })
+    pub fn with_deterministic_nonces(mut self, seed: u64) -> Self {
+        self.nonce_policy = NoncePolicy::Seeded { seed };
+        self
     }
 
     /// The active key bytes.

@@ -11,7 +11,6 @@ use empi_pipeline::expect_chunked;
 use empi_trace::Cat;
 
 use super::{note_span, SecureComm};
-use crate::config::TimingMode;
 use crate::error::{Error, Result};
 
 /// Reserved-tag operation codes for SecureComm-level collective
@@ -363,9 +362,7 @@ impl SecureComm<'_, '_> {
     /// byte counters are not — no ciphertext actually flows.
     fn charge_self_open(&self, bytes: usize) {
         let t0 = self.comm.sim().now().as_nanos();
-        if let TimingMode::Calibrated(build) = self.cfg.timing {
-            // Encryption and decryption cost the same in AES-GCM (§V-A).
-            let ns = self.cfg.library.enc_time_ns(build, bytes);
+        if let Some(ns) = self.calibrated_ns(bytes) {
             self.comm.sim().advance(VDur(ns));
         }
         let backend = || self.cfg.library.name().to_string();

@@ -299,38 +299,41 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         f: impl FnOnce() -> T,
     ) -> T {
         let t0 = self.comm.sim().now().as_nanos();
-        let out = match self.cfg.timing {
-            TimingMode::Measured => self.comm.sim().charge_measured(f),
-            TimingMode::Calibrated(build) => {
-                // Cost is known before the call, so the crypto work can
-                // run detached: under a sharded world other ranks
-                // proceed on real cores while this one seals/opens.
-                // Encryption and decryption cost the same in AES-GCM
-                // (§V-A). The closure touches only rank-local cipher
-                // state and pre-allocated buffers, as charge_overlapped
-                // requires.
-                let ns = self.cfg.library.enc_time_ns(build, bytes);
-                self.comm.sim().charge_overlapped(VDur(ns), f)
-            }
+        let out = match self.calibrated_ns(bytes) {
+            None => self.comm.sim().charge_measured(f),
+            // Cost is known before the call, so the crypto work can
+            // run detached: under a sharded world other ranks proceed
+            // on real cores while this one seals/opens. The closure
+            // touches only rank-local cipher state and pre-allocated
+            // buffers, as charge_overlapped requires.
+            Some(ns) => self.comm.sim().charge_overlapped(VDur(ns), f),
         };
         let backend = || self.cfg.library.name().to_string();
         note_span(self.comm, Cat::Crypto, kind, t0, bytes, backend, key);
         out
     }
 
+    /// The virtual cost of `bytes` of AES-GCM under the configured
+    /// [`TimingMode`]: the library's calibrated curve, or `None` when
+    /// the cost is the measured host time of the call. Encryption and
+    /// decryption cost the same in AES-GCM (§V-A).
+    fn calibrated_ns(&self, bytes: usize) -> Option<u64> {
+        match self.cfg.timing {
+            TimingMode::Calibrated(build) => Some(self.cfg.library.enc_time_ns(build, bytes)),
+            TimingMode::Measured => None,
+        }
+    }
+
     /// Bridge the configured [`TimingMode`] to the pipeline's per-chunk
     /// cost model.
     fn with_chunk_cost<T>(&self, f: impl FnOnce(&ChunkCost<'_>) -> T) -> T {
-        match self.cfg.timing {
-            TimingMode::Calibrated(build) => {
-                let lib = self.cfg.library;
-                let curve = move |n: usize| lib.enc_time_ns(build, n);
-                f(&ChunkCost::Calibrated(&curve))
-            }
-            TimingMode::Measured => f(&ChunkCost::Measured {
+        if self.cfg.timing == TimingMode::Measured {
+            return f(&ChunkCost::Measured {
                 scale: self.comm.sim().time_scale(),
-            }),
+            });
         }
+        let curve = |n: usize| self.calibrated_ns(n).expect("timing is calibrated");
+        f(&ChunkCost::Calibrated(&curve))
     }
 
     /// Run a public op whose peer and size are known up front under an

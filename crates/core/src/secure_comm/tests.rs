@@ -201,7 +201,6 @@ fn encryption_costs_virtual_time() {
     assert!(cpp > boring, "CryptoPP must be slower: {cpp} vs {boring}");
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn traced_secure_pingpong_decomposes_crypto() {
     let len = 1usize << 16;
@@ -313,7 +312,6 @@ fn pipelining_overlaps_crypto_with_wire() {
     );
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn violated_slo_budget_reaches_the_trace_it_judges() {
     // Regression: health/* events were emitted into rings the run had
@@ -356,7 +354,6 @@ fn violated_slo_budget_reaches_the_trace_it_judges() {
     assert!(detail.starts_with("violated ("), "{detail}");
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn traced_pipelined_send_fills_worker_lanes() {
     let len = 1usize << 20; // 16 chunks of 64 KB
@@ -776,7 +773,6 @@ fn pipelined_alltoallv_mixes_segment_formats() {
     assert_eq!(out.results, vec![true; n]);
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn shared_pool_serializes_two_secure_comms() {
     // Two SecureComms on one rank draw from the *same* per-rank
@@ -1299,7 +1295,6 @@ fn arq_alltoall_round_trips_under_chunk_drops() {
     assert!(successes >= 1, "no seed completed a recovered ARQ alltoall");
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn fault_and_retry_spans_reach_the_trace() {
     let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
@@ -1514,7 +1509,6 @@ fn peer_cipher_interops_with_pipelining_and_pool() {
     assert!(out.results[1]);
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn traced_pooled_2mb_send_meets_alloc_budget() {
     // The CI allocation-regression guard (DECOMP-ALLOC): the
@@ -2007,7 +2001,6 @@ fn ft_verbs_ride_the_pipelined_path_like_send_and_recv() {
     assert_eq!(armed.fabric.messages, plain.fabric.messages);
     assert_eq!(armed.fabric.bytes, plain.fabric.bytes);
     assert_eq!(armed.end_time, plain.end_time);
-    #[cfg(feature = "trace")]
     for (run, ops) in [
         (armed, ["p2p/ft_send", "p2p/ft_recv"]),
         (plain, ["p2p/send", "p2p/recv"]),

@@ -811,7 +811,6 @@ mod tests {
     /// per-pair ledger must show exactly the bytes the schedule's send
     /// spans add up to — what a closed-form rounds × bytes model of
     /// these collectives may lean on.
-    #[cfg(feature = "trace")]
     #[test]
     fn pair_ledger_equals_the_schedules_send_spans() {
         use super::{allgather_rounds, binomial_tree, edges, pairwise, span};

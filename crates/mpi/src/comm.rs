@@ -788,9 +788,4 @@ impl<'h> Comm<'h> {
         let (status, data) = self.recv(src, tag);
         (status, vec_from_bytes(&data))
     }
-
-    /// Typed non-blocking send.
-    pub fn isend_t<T: Pod>(&self, buf: &[T], dst: usize, tag: Tag) -> Request {
-        self.isend(as_bytes(buf), dst, tag)
-    }
 }

@@ -44,7 +44,7 @@ pub struct WorldOutcome<T> {
     pub trace: Option<TraceReport>,
     /// Latency histograms, flight-recorder flows, and the SLO verdict;
     /// `Some` only when the world was built with
-    /// [`World::with_metrics`] (empty with the feature compiled out).
+    /// [`World::with_metrics`].
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -126,9 +126,7 @@ impl World {
 
     /// Collect a [`TraceReport`] for the run: per-rank wait/host/crypto
     /// metrics, fabric transfer events, NIC busy lanes, and per-pair
-    /// byte ledgers — the recorder's span sink. Off by default; with
-    /// the `trace` feature compiled out this is accepted but yields an
-    /// empty report.
+    /// byte ledgers — the recorder's span sink. Off by default.
     pub fn traced(mut self, on: bool) -> Self {
         self.traced = on;
         self
@@ -137,10 +135,8 @@ impl World {
     /// Collect a [`MetricsSnapshot`] for the run: per-message latency
     /// histograms, seal/open service times, ARQ repair tails, and the
     /// per-flow flight recorder — the recorder's distribution sink.
-    /// Off by default; with the `trace` feature compiled out this is
-    /// accepted but yields an empty snapshot. Recording never moves a
-    /// virtual clock, so timing and wire bytes are bit-identical to an
-    /// unmetered run.
+    /// Off by default. Recording never moves a virtual clock, so
+    /// timing and wire bytes are bit-identical to an unmetered run.
     pub fn with_metrics(mut self, on: bool) -> Self {
         self.metered = on;
         self
@@ -482,7 +478,6 @@ mod tests {
         assert_eq!(out.results[1], 1.0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_world_records_decomposition_and_balanced_ledgers() {
         let model = NetModel::ethernet_10g();
@@ -525,7 +520,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn slo_verdict_reaches_the_trace_it_judges() {
         // Regression: the run used to drain the event rings before the
@@ -558,7 +552,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn untraced_world_returns_no_report() {
         let w = World::flat(NetModel::instant(), 2);

@@ -653,10 +653,9 @@ impl Engine {
     /// outcome carries what [`Recorder::finish`] returns at end time:
     /// [`RunOutcome::trace`] when the recorder's span sink is on,
     /// [`RunOutcome::metrics`] when its distribution sink is. Without
-    /// a recorder the hooks cost one `Option` check each (and nothing
-    /// at all when the `trace` feature is disabled). Recording never
-    /// moves a virtual clock, so results are bit-identical with or
-    /// without one.
+    /// a recorder the hooks cost one `Option` check each. Recording
+    /// never moves a virtual clock, so results are bit-identical with
+    /// or without one.
     pub fn recorder(mut self, r: Recorder) -> Self {
         self.recorder = Some(r);
         self
@@ -1389,7 +1388,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn tracer_records_wait_spans() {
         let slot: PlMutex<Option<(VTime, u32)>> = PlMutex::new(None);
         let rec = Recorder::new(2, true, true, None);

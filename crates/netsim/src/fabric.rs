@@ -457,7 +457,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn tracer_sees_transfers_ledger_and_nic_lanes() {
         use empi_trace::{Cat, Recorder};
         let tracer = Recorder::new(2, true, false, None);

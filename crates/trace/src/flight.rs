@@ -182,9 +182,7 @@ impl FlightRecorder {
 }
 
 /// A serialized flight-recorder ring for one failing flow, attached to
-/// `Error::DeliveryFailed` / `Error::Timeout` in `empi-core`. The type
-/// is always compiled (errors embed it unconditionally); only the
-/// recorder that fills it is feature-gated.
+/// `Error::DeliveryFailed` / `Error::Timeout` in `empi-core`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlackBox {
     /// Rank that observed the failure.

@@ -31,26 +31,24 @@
 //!
 //! # Cost model
 //!
-//! Two gates keep the unobserved fast path honest, the same two for
-//! both sinks:
+//! One gate keeps the unobserved fast path honest, the same one for
+//! both sinks, and it is taken at **run time**: nothing records unless
+//! the world asked for a sink (`World::traced`, `World::with_metrics`,
+//! `World::with_slo`); a world that asked for neither installs no
+//! recorder, `SimHandle::recorder()` is `None` and every hook is a
+//! single `Option` check. Recording never advances virtual time, so
+//! clocks and wire bytes are bit-identical with either sink on or off.
+//! The only thing that runs without a recorder is [`engine_counters`]:
+//! one relaxed `fetch_add` per seal/GHASH call.
 //!
-//! 1. **Compile time** — without the `enabled` feature, [`Recorder`]
-//!    is a three-word stub whose verbs are empty `#[inline]`
-//!    bodies; the optimizer deletes every call site. Consumer crates
-//!    forward their `trace` feature here, so `--no-default-features`
-//!    builds are bit-identical to the pre-instrumentation code paths.
-//!    The report *types* are always compiled, so errors can embed
-//!    black boxes unconditionally.
-//! 2. **Run time** — even when compiled in, nothing records unless the
-//!    world asked for a sink (`World::traced`, `World::with_metrics`,
-//!    `World::with_slo`); a world that asked for neither installs no
-//!    recorder and every hook is a single `Option` check. Recording
-//!    never advances virtual time, so clocks and wire bytes are
-//!    bit-identical with either sink on or off.
+//! There is one build: no Cargo feature selects a second `Recorder`.
+//! The report *types* are plain data, so errors can embed black boxes
+//! unconditionally.
 //!
-//! Both gates are measured from outside the crates by `benchmark/`:
-//! `trace.overhead_pct` (a traced repetition against untraced ones)
-//! and `metrics.overhead_pct.pp256` (a metered 256 B ping-pong).
+//! The sinks' cost is measured from outside the crates by
+//! `benchmark/`: `trace.overhead_pct` (a traced repetition against
+//! untraced ones) and `metrics.overhead_pct.pp256` (a metered 256 B
+//! ping-pong against an unmetered one).
 
 use std::fmt;
 
@@ -398,32 +396,25 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 
 pub mod engine_counters {
     //! Global AEAD engine counters, batched per call (one relaxed
-    //! `fetch_add` per seal/ghash invocation, never per block). With
-    //! the `enabled` feature off these compile to nothing.
+    //! `fetch_add` per seal/ghash invocation, never per block).
+
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     use super::EngineCounters;
 
-    #[cfg(feature = "enabled")]
-    mod atomics {
-        use std::sync::atomic::AtomicU64;
-        pub static AES_SOFT: AtomicU64 = AtomicU64::new(0);
-        pub static AES_NI: AtomicU64 = AtomicU64::new(0);
-        pub static AES_PIPELINED: AtomicU64 = AtomicU64::new(0);
-        pub static GHASH_SOFT: AtomicU64 = AtomicU64::new(0);
-        pub static GHASH_CLMUL: AtomicU64 = AtomicU64::new(0);
-        pub static HW_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-    }
+    static AES_SOFT: AtomicU64 = AtomicU64::new(0);
+    static AES_NI: AtomicU64 = AtomicU64::new(0);
+    static AES_PIPELINED: AtomicU64 = AtomicU64::new(0);
+    static GHASH_SOFT: AtomicU64 = AtomicU64::new(0);
+    static GHASH_CLMUL: AtomicU64 = AtomicU64::new(0);
+    static HW_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
     macro_rules! counter_fn {
         ($name:ident, $atomic:ident) => {
-            #[cfg(feature = "enabled")]
             #[inline]
             pub fn $name(blocks: u64) {
-                atomics::$atomic.fetch_add(blocks, std::sync::atomic::Ordering::Relaxed);
+                $atomic.fetch_add(blocks, Relaxed);
             }
-            #[cfg(not(feature = "enabled"))]
-            #[inline]
-            pub fn $name(_blocks: u64) {}
         };
     }
 
@@ -434,27 +425,20 @@ pub mod engine_counters {
     counter_fn!(add_ghash_blocks_clmul, GHASH_CLMUL);
     counter_fn!(add_hw_fallback, HW_FALLBACKS);
 
-    /// Current counter values (all zero when the feature is off).
+    /// Current counter values.
     pub fn snapshot() -> EngineCounters {
-        #[cfg(feature = "enabled")]
-        {
-            use std::sync::atomic::Ordering::Relaxed;
-            EngineCounters {
-                aes_blocks_soft: atomics::AES_SOFT.load(Relaxed),
-                aes_blocks_ni: atomics::AES_NI.load(Relaxed),
-                aes_blocks_pipelined: atomics::AES_PIPELINED.load(Relaxed),
-                ghash_blocks_soft: atomics::GHASH_SOFT.load(Relaxed),
-                ghash_blocks_clmul: atomics::GHASH_CLMUL.load(Relaxed),
-                hw_fallbacks: atomics::HW_FALLBACKS.load(Relaxed),
-            }
+        EngineCounters {
+            aes_blocks_soft: AES_SOFT.load(Relaxed),
+            aes_blocks_ni: AES_NI.load(Relaxed),
+            aes_blocks_pipelined: AES_PIPELINED.load(Relaxed),
+            ghash_blocks_soft: GHASH_SOFT.load(Relaxed),
+            ghash_blocks_clmul: GHASH_CLMUL.load(Relaxed),
+            hw_fallbacks: HW_FALLBACKS.load(Relaxed),
         }
-        #[cfg(not(feature = "enabled"))]
-        EngineCounters::default()
     }
 }
 
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -21,7 +21,15 @@
 //! rings valid at every step and the diagnostics that run after a
 //! panic must not panic again.
 
-use crate::{BlackBox, Cat, Metric, MetricsSnapshot, SloConfig, TraceReport};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use crate::flight::{FlightRecorder, FlowEvent, FlowKey};
+use crate::{
+    pipeline_tid, size_class, slo, BlackBox, Cat, CounterPoint, EngineCounters, Event, FlowSnap,
+    Histogram, Key, Metric, MetricsSnapshot, PairFlow, RankLedger, RankMetrics, SloConfig,
+    TraceReport, CHECKPOINT_EVERY, DEFAULT_EVENT_CAPACITY, MAX_POINTS,
+};
 
 /// Histogram key of an event that is also a latency sample: the
 /// metric, its op name (`seal/plain`, `key/rotate`, …) and the peer
@@ -45,727 +53,566 @@ impl From<usize> for Lane {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use std::collections::{BTreeMap, HashMap, VecDeque};
-    use std::sync::{Arc, Mutex, MutexGuard};
+struct Ring {
+    buf: VecDeque<Event>,
+    cap: usize,
+    dropped: u64,
+}
 
-    use super::*;
-    use crate::flight::{FlightRecorder, FlowEvent, FlowKey};
-    use crate::{
-        pipeline_tid, size_class, slo, CounterPoint, EngineCounters, Event, FlowSnap, Histogram,
-        Key, PairFlow, RankLedger, RankMetrics, CHECKPOINT_EVERY, DEFAULT_EVENT_CAPACITY,
-        MAX_POINTS,
-    };
-
-    struct Ring {
-        buf: VecDeque<Event>,
-        cap: usize,
-        dropped: u64,
-    }
-
-    impl Ring {
-        fn new(cap: usize) -> Self {
-            Self {
-                buf: VecDeque::new(),
-                cap,
-                dropped: 0,
-            }
-        }
-
-        fn push(&mut self, e: Event) {
-            if self.buf.len() == self.cap {
-                self.buf.pop_front();
-                self.dropped += 1;
-            }
-            self.buf.push_back(e);
-        }
-
-        /// Move the retained events onto `out`; returns the drop count
-        /// and resets it.
-        fn drain_into(&mut self, out: &mut Vec<Event>) -> u64 {
-            out.extend(std::mem::take(&mut self.buf));
-            std::mem::take(&mut self.dropped)
+impl Ring {
+    fn new(cap: usize) -> Self {
+        Self {
+            buf: VecDeque::new(),
+            cap,
+            dropped: 0,
         }
     }
 
-    #[derive(Default)]
-    struct Series {
-        pts: Vec<CounterPoint>,
-        dropped: u64,
+    fn push(&mut self, e: Event) {
+        if self.buf.len() == self.cap {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(e);
     }
 
-    struct RankCell {
-        m: RankMetrics,
-        /// Operation label stack: outermost = collective, innermost =
-        /// protocol phase. `&'static str` keeps pushes allocation-free.
-        ops: Vec<&'static str>,
-        events: Ring,
-        hists: BTreeMap<Key, Histogram>,
-        series: BTreeMap<Key, Series>,
-        flights: FlightRecorder,
-        ledger: RankLedger,
+    /// Move the retained events onto `out`; returns the drop count
+    /// and resets it.
+    fn drain_into(&mut self, out: &mut Vec<Event>) -> u64 {
+        out.extend(std::mem::take(&mut self.buf));
+        std::mem::take(&mut self.dropped)
     }
+}
 
-    impl RankCell {
-        /// Record one latency sample taken at virtual time `now_ns`.
-        fn sample(
-            &mut self,
-            (metric, op, peer): SampleKey,
-            bytes: usize,
-            now_ns: u64,
-            dur_ns: u64,
-        ) {
-            let key = Key {
-                metric,
-                op,
-                comm: 0,
-                peer,
-                size_class: size_class(bytes),
+#[derive(Default)]
+struct Series {
+    pts: Vec<CounterPoint>,
+    dropped: u64,
+}
+
+struct RankCell {
+    m: RankMetrics,
+    /// Operation label stack: outermost = collective, innermost =
+    /// protocol phase. `&'static str` keeps pushes allocation-free.
+    ops: Vec<&'static str>,
+    events: Ring,
+    hists: BTreeMap<Key, Histogram>,
+    series: BTreeMap<Key, Series>,
+    flights: FlightRecorder,
+    ledger: RankLedger,
+}
+
+impl RankCell {
+    /// Record one latency sample taken at virtual time `now_ns`.
+    fn sample(&mut self, (metric, op, peer): SampleKey, bytes: usize, now_ns: u64, dur_ns: u64) {
+        let key = Key {
+            metric,
+            op,
+            comm: 0,
+            peer,
+            size_class: size_class(bytes),
+        };
+        match metric {
+            Metric::E2e => self.ledger.e2e_samples += 1,
+            Metric::Seal => self.ledger.seal_samples += 1,
+            Metric::Open => self.ledger.open_samples += 1,
+            Metric::Wait => self.ledger.wait_samples += 1,
+            Metric::Repair => self.ledger.repair_samples += 1,
+            Metric::Key => self.ledger.key_samples += 1,
+            Metric::Ftol => self.ledger.ftol_samples += 1,
+        }
+        let h = self.hists.entry(key).or_default();
+        h.record(dur_ns);
+        if h.count() == 1 || h.count().is_multiple_of(CHECKPOINT_EVERY) {
+            let pt = CounterPoint {
+                t_ns: now_ns,
+                count: h.count(),
+                p50_ns: h.p50(),
+                p99_ns: h.p99(),
+                p999_ns: h.p999(),
             };
-            match metric {
-                Metric::E2e => self.ledger.e2e_samples += 1,
-                Metric::Seal => self.ledger.seal_samples += 1,
-                Metric::Open => self.ledger.open_samples += 1,
-                Metric::Wait => self.ledger.wait_samples += 1,
-                Metric::Repair => self.ledger.repair_samples += 1,
-                Metric::Key => self.ledger.key_samples += 1,
-                Metric::Ftol => self.ledger.ftol_samples += 1,
-            }
-            let h = self.hists.entry(key).or_default();
-            h.record(dur_ns);
-            if h.count() == 1 || h.count().is_multiple_of(CHECKPOINT_EVERY) {
-                let pt = CounterPoint {
-                    t_ns: now_ns,
-                    count: h.count(),
-                    p50_ns: h.p50(),
-                    p99_ns: h.p99(),
-                    p999_ns: h.p999(),
-                };
-                let s = self.series.entry(key).or_default();
-                if s.pts.len() < MAX_POINTS {
-                    s.pts.push(pt);
-                } else {
-                    s.dropped += 1;
-                }
-            }
-        }
-    }
-
-    #[derive(Default)]
-    struct GlobalCounters {
-        transfers: u64,
-        local_transfers: u64,
-        wire_ns: u64,
-        pairs: HashMap<(usize, usize), PairFlow>,
-    }
-
-    struct Inner {
-        n_ranks: usize,
-        /// Span sink on (`World::traced`).
-        spans: bool,
-        /// Distribution sink on (`World::with_metrics` / `with_slo`).
-        dists: bool,
-        slo: Option<SloConfig>,
-        ranks: Vec<Mutex<RankCell>>,
-        global: Mutex<GlobalCounters>,
-        nic_events: Mutex<Ring>,
-        baseline: EngineCounters,
-    }
-
-    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The recorder (real implementation). See the module docs.
-    #[derive(Clone)]
-    pub struct Recorder {
-        inner: Arc<Inner>,
-    }
-
-    impl Recorder {
-        /// A recorder for `n_ranks` ranks with the chosen sinks; `slo`
-        /// is evaluated against the distribution sink at
-        /// [`Recorder::finish`].
-        pub fn new(n_ranks: usize, traced: bool, metered: bool, slo: Option<SloConfig>) -> Self {
-            Self::with_capacity(n_ranks, traced, metered, slo, DEFAULT_EVENT_CAPACITY)
-        }
-
-        /// `cap` bounds each rank's event ring (and the NIC ring).
-        pub(super) fn with_capacity(
-            n_ranks: usize,
-            traced: bool,
-            metered: bool,
-            slo: Option<SloConfig>,
-            cap: usize,
-        ) -> Self {
-            let cell = || RankCell {
-                m: RankMetrics::default(),
-                ops: Vec::new(),
-                events: Ring::new(cap),
-                hists: BTreeMap::new(),
-                series: BTreeMap::new(),
-                flights: FlightRecorder::default(),
-                ledger: RankLedger::default(),
-            };
-            Recorder {
-                inner: Arc::new(Inner {
-                    n_ranks,
-                    spans: traced,
-                    dists: metered,
-                    slo,
-                    ranks: (0..n_ranks).map(|_| Mutex::new(cell())).collect(),
-                    global: Mutex::new(GlobalCounters::default()),
-                    nic_events: Mutex::new(Ring::new(cap)),
-                    baseline: crate::engine_counters::snapshot(),
-                }),
-            }
-        }
-
-        /// True when the `enabled` feature is compiled in.
-        pub const fn compiled_in() -> bool {
-            true
-        }
-
-        fn rank(&self, r: usize) -> MutexGuard<'_, RankCell> {
-            lock(&self.inner.ranks[r])
-        }
-
-        /// The rank's cell when the span sink is on.
-        #[inline]
-        fn traced_rank(&self, r: usize) -> Option<MutexGuard<'_, RankCell>> {
-            self.inner.spans.then(|| self.rank(r))
-        }
-
-        /// Record one event of `dur_ns` starting at `t0_ns` on `lane`.
-        ///
-        /// Span sink: bump the [`RankMetrics`] counter the label stands
-        /// for (the one table below) and push the span. Wait, crypto
-        /// and pipeline spans keep their true duration in the ring (a
-        /// 0 ns wait is not pushed at all); every other category is a
-        /// marker of at least 1 ns so tracecheck's nonzero-duration
-        /// audit sees it. `detail` is only built when this sink is on.
-        ///
-        /// Distribution sink: when the event is also a latency sample,
-        /// `sample` is its histogram key and the true `dur_ns` is
-        /// recorded at `t0_ns + dur_ns`.
-        #[allow(clippy::too_many_arguments)]
-        pub fn span(
-            &self,
-            lane: impl Into<Lane>,
-            cat: Cat,
-            name: &str,
-            t0_ns: u64,
-            dur_ns: u64,
-            bytes: usize,
-            detail: impl FnOnce() -> String,
-            sample: Option<SampleKey>,
-        ) {
-            let sample = sample.filter(|_| self.inner.dists);
-            if !self.inner.spans && sample.is_none() {
-                return;
-            }
-            let (rank, tid) = match lane.into() {
-                Lane::Rank(rank) => (rank, rank as u32),
-                Lane::Worker { rank, worker } => (rank, pipeline_tid(rank, worker)),
-            };
-            let mut c = self.rank(rank);
-            if self.inner.spans {
-                let m = &mut c.m;
-                match (cat, name) {
-                    (Cat::Wait, _) => m.wait_ns += dur_ns,
-                    (Cat::Crypto, _) => m.crypto_ns += dur_ns,
-                    (Cat::Pipeline, "pipe/seal") => {
-                        m.crypto_ns += dur_ns;
-                        m.chunks_sealed += 1;
-                    }
-                    (Cat::Pipeline, "pipe/open") => {
-                        m.crypto_ns += dur_ns;
-                        m.chunks_opened += 1;
-                    }
-                    (Cat::Pipeline, _) => m.crypto_ns += dur_ns,
-                    (Cat::Fault, _) => m.faults_injected += 1,
-                    (Cat::Retry, "retry/nack") => m.nacks_sent += 1,
-                    (Cat::Retry, "retry/resend") => m.retransmits += 1,
-                    (Cat::Retry, "retry/backoff") => m.backoff_ns += dur_ns,
-                    (Cat::Key, "key/handshake") => m.handshakes += 1,
-                    (Cat::Key, "key/rotate") => m.rekeys += 1,
-                    (Cat::Key, "key/revoke") => m.revocations += 1,
-                    (Cat::Ftol, "ftol/detect") => m.ft_detected += 1,
-                    (Cat::Ftol, "ftol/notice") => m.ft_notices += 1,
-                    (Cat::Ftol, "ftol/shrink") => m.ft_shrinks += 1,
-                    _ => {}
-                }
-                let timed = matches!(cat, Cat::Wait | Cat::Crypto | Cat::Pipeline);
-                if dur_ns > 0 || cat != Cat::Wait {
-                    c.events.push(Event {
-                        name: name.to_string(),
-                        cat,
-                        ts_ns: t0_ns,
-                        dur_ns: if timed { dur_ns } else { dur_ns.max(1) },
-                        tid,
-                        bytes: bytes as u64,
-                        detail: detail(),
-                    });
-                }
-            }
-            if let Some(key) = sample {
-                c.sample(key, bytes, t0_ns + dur_ns, dur_ns);
-            }
-        }
-
-        /// Record one latency sample that has no span (end-to-end op
-        /// latency, ARQ repair resolution), taken at `now_ns`.
-        #[inline]
-        pub fn sample(&self, rank: usize, key: SampleKey, bytes: usize, now_ns: u64, dur_ns: u64) {
-            if self.inner.dists {
-                self.rank(rank).sample(key, bytes, now_ns, dur_ns);
-            }
-        }
-
-        /// Charge MPI host overhead (send/recv o, stream o) to `rank`.
-        #[inline]
-        pub fn add_host_ns(&self, rank: usize, ns: u64) {
-            if let Some(mut c) = self.traced_rank(rank) {
-                c.m.host_ns += ns;
-            }
-        }
-
-        #[inline]
-        pub fn count_seal(&self, rank: usize, plain_bytes: usize, wire_bytes: usize) {
-            if let Some(mut c) = self.traced_rank(rank) {
-                c.m.seals += 1;
-                c.m.sealed_plain_bytes += plain_bytes as u64;
-                c.m.sealed_wire_bytes += wire_bytes as u64;
-            }
-        }
-
-        #[inline]
-        pub fn count_open(&self, rank: usize, wire_bytes: usize, plain_bytes: usize) {
-            if let Some(mut c) = self.traced_rank(rank) {
-                c.m.opens += 1;
-                c.m.opened_wire_bytes += wire_bytes as u64;
-                c.m.opened_plain_bytes += plain_bytes as u64;
-            }
-        }
-
-        #[inline]
-        pub fn count_nonce_draw(&self, rank: usize) {
-            if let Some(mut c) = self.traced_rank(rank) {
-                c.m.nonce_draws += 1;
-            }
-        }
-
-        /// Count one hot-path buffer sourcing at its site: `fresh`
-        /// means a heap allocation, otherwise a pool hit. Counter-only
-        /// (no event), so per-chunk call rates cannot flood the ring.
-        #[inline]
-        pub fn count_alloc(&self, rank: usize, fresh: bool, bytes: usize) {
-            if let Some(mut c) = self.traced_rank(rank) {
-                if fresh {
-                    c.m.allocs_fresh += 1;
-                    c.m.alloc_fresh_bytes += bytes as u64;
-                } else {
-                    c.m.allocs_pooled += 1;
-                    c.m.alloc_pooled_bytes += bytes as u64;
-                }
-            }
-        }
-
-        /// Count a wire buffer recovered into the pool after delivery
-        /// (`recovered` false when ARQ retention still shares it).
-        #[inline]
-        pub fn count_reclaim(&self, rank: usize, recovered: bool) {
-            if recovered {
-                if let Some(mut c) = self.traced_rank(rank) {
-                    c.m.pool_reclaims += 1;
-                }
-            }
-        }
-
-        /// Enter an operation scope (`bcast/binomial`, `p2p/eager`...).
-        #[inline]
-        pub fn push_op(&self, rank: usize, label: &'static str) {
-            if let Some(mut c) = self.traced_rank(rank) {
-                c.ops.push(label);
-            }
-        }
-
-        #[inline]
-        pub fn pop_op(&self, rank: usize) {
-            if let Some(mut c) = self.traced_rank(rank) {
-                c.ops.pop();
-            }
-        }
-
-        /// Record a fabric transfer; labels are read from `src`'s op
-        /// stack (race-free: the engine runs one rank at a time and
-        /// the sender is the one inside `transmit`).
-        pub fn transfer(
-            &self,
-            src: usize,
-            dst: usize,
-            wire_bytes: usize,
-            start_ns: u64,
-            arrive_ns: u64,
-            local: bool,
-        ) {
-            let Some(mut c) = self.traced_rank(src) else {
-                return;
-            };
-            let op = c.ops.first().copied().unwrap_or("");
-            let phase = c.ops.last().copied().unwrap_or("");
-            {
-                let mut g = lock(&self.inner.global);
-                if local {
-                    g.local_transfers += 1;
-                } else {
-                    g.transfers += 1;
-                }
-                g.wire_ns += arrive_ns.saturating_sub(start_ns);
-                let p = g.pairs.entry((src, dst)).or_default();
-                p.tx_bytes += wire_bytes as u64;
-                p.tx_msgs += 1;
-            }
-            c.events.push(Event {
-                name: if op.is_empty() { "transfer" } else { op }.to_string(),
-                cat: Cat::Wire,
-                ts_ns: start_ns,
-                dur_ns: arrive_ns.saturating_sub(start_ns),
-                tid: src as u32,
-                bytes: wire_bytes as u64,
-                detail: if phase.is_empty() || phase == op {
-                    format!("{src}->{dst}")
-                } else {
-                    format!("{src}->{dst} {phase}")
-                },
-            });
-        }
-
-        /// Record delivery of a message to its receiver.
-        #[inline]
-        pub fn delivery(&self, src: usize, dst: usize, bytes: usize) {
-            if self.inner.spans {
-                let mut g = lock(&self.inner.global);
-                let p = g.pairs.entry((src, dst)).or_default();
-                p.rx_bytes += bytes as u64;
-                p.rx_msgs += 1;
-            }
-        }
-
-        /// Record a NIC port busy interval. `dir`: 0 = tx, 1 = rx.
-        #[inline]
-        pub fn nic_busy(&self, node: usize, dir: u8, t0_ns: u64, t1_ns: u64) {
-            if self.inner.spans {
-                lock(&self.inner.nic_events).push(Event {
-                    name: if dir == 0 { "nic-tx" } else { "nic-rx" }.to_string(),
-                    cat: Cat::Nic,
-                    ts_ns: t0_ns,
-                    dur_ns: t1_ns.saturating_sub(t0_ns),
-                    tid: (self.inner.n_ranks + 2 * node + dir as usize) as u32,
-                    bytes: 0,
-                    detail: String::new(),
-                });
-            }
-        }
-
-        /// Record a flight-recorder event on `rank`'s view of the flow
-        /// `(peer, tag, seq)`; `detail` is only built when the
-        /// distribution sink is on.
-        #[allow(clippy::too_many_arguments)]
-        pub fn flow_event(
-            &self,
-            rank: usize,
-            peer: usize,
-            tag: u32,
-            seq: u64,
-            now_ns: u64,
-            kind: &'static str,
-            bytes: usize,
-            detail: impl FnOnce() -> String,
-        ) {
-            if !self.inner.dists {
-                return;
-            }
-            let mut c = self.rank(rank);
-            c.ledger.flow_events += 1;
-            c.flights.record(
-                FlowKey { peer, tag, seq },
-                FlowEvent {
-                    t_ns: now_ns,
-                    kind: kind.to_string(),
-                    bytes: bytes as u64,
-                    detail: detail(),
-                },
-            );
-        }
-
-        /// Black-box report for `rank`'s view of a flow, if recorded.
-        pub fn black_box(&self, rank: usize, peer: usize, tag: u32, seq: u64) -> Option<BlackBox> {
-            self.rank(rank)
-                .flights
-                .black_box(rank, FlowKey { peer, tag, seq })
-        }
-
-        /// Tail of `rank`'s most recently touched open flow, rendered
-        /// for deadlock diagnostics. Uses `try_lock` so it is safe to
-        /// call from a panic/diagnostic path that may already hold
-        /// other locks.
-        pub fn flight_tail(&self, rank: usize, n: usize) -> Option<String> {
-            let c = self.inner.ranks.get(rank)?.try_lock().ok()?;
-            c.flights.tail_line(n)
-        }
-
-        /// The one end of run, called once at `end_time_ns`: merge the
-        /// rank histograms into a deterministic snapshot, evaluate the
-        /// SLOs, emit their `health/*` events into the span sink, and
-        /// only then drain the rings into the report — so the verdict
-        /// is part of the trace it judges. Each half is `Some` when
-        /// its sink is on.
-        pub fn finish(&self, end_time_ns: u64) -> (Option<TraceReport>, Option<MetricsSnapshot>) {
-            let snap = self.inner.dists.then(|| self.snapshot(end_time_ns));
-            if let Some(slo) = snap.as_ref().map(|s| &s.slo).filter(|s| s.evaluated) {
-                let health = |rank: usize, name: &str, detail: &dyn Fn() -> String| {
-                    self.span(rank, Cat::Health, name, end_time_ns, 0, 0, detail, None);
-                };
-                for v in &slo.violations {
-                    health(v.rank, &format!("health/{}", v.kind), &|| {
-                        let (seen, budget) = (v.observed_ns, v.budget_ns);
-                        format!("{} observed={seen}ns budget={budget}ns", v.subject)
-                    });
-                }
-                let (verdict, n) = (slo.verdict(), slo.violations.len());
-                health(0, "health/verdict", &|| {
-                    format!("{verdict} ({n} violations)")
-                });
-            }
-            (self.inner.spans.then(|| self.report()), snap)
-        }
-
-        fn snapshot(&self, end_time_ns: u64) -> MetricsSnapshot {
-            let mut hists: BTreeMap<Key, Histogram> = BTreeMap::new();
-            let mut series: BTreeMap<Key, Vec<CounterPoint>> = BTreeMap::new();
-            let mut per_rank = Vec::with_capacity(self.inner.n_ranks);
-            let mut flows = Vec::new();
-            for r in 0..self.inner.n_ranks {
-                let c = self.rank(r);
-                for (k, h) in &c.hists {
-                    hists.entry(*k).or_default().merge(h);
-                }
-                let mut dropped_points = 0;
-                for (k, s) in &c.series {
-                    series.entry(*k).or_default().extend(s.pts.iter().copied());
-                    dropped_points += s.dropped;
-                }
-                per_rank.push(RankLedger {
-                    rank: r,
-                    dropped_flow_events: c.flights.dropped(),
-                    dropped_points,
-                    ..c.ledger
-                });
-                for (k, last, total) in c.flights.open_flows() {
-                    flows.push(FlowSnap {
-                        rank: r,
-                        peer: k.peer,
-                        tag: k.tag,
-                        seq: k.seq,
-                        last_kind: last.kind.clone(),
-                        last_ns: last.t_ns,
-                        total_events: total,
-                    });
-                }
-            }
-            for pts in series.values_mut() {
-                pts.sort_by_key(|p| p.t_ns);
-            }
-            let hists: Vec<(Key, Histogram)> = hists.into_iter().collect();
-            let slo = match &self.inner.slo {
-                Some(cfg) => slo::evaluate(cfg, &hists, &flows, end_time_ns),
-                None => Default::default(),
-            };
-            MetricsSnapshot {
-                n_ranks: self.inner.n_ranks,
-                end_time_ns,
-                hists,
-                series: series.into_iter().collect(),
-                per_rank,
-                flows,
-                slo,
-                ..Default::default()
-            }
-        }
-
-        /// Drain the span sink (counters restart from zero, so a
-        /// second call covers a fresh window).
-        fn report(&self) -> TraceReport {
-            let mut per_rank = Vec::with_capacity(self.inner.n_ranks);
-            let mut events = Vec::new();
-            let mut dropped = 0;
-            for r in 0..self.inner.n_ranks {
-                let mut c = self.rank(r);
-                per_rank.push(std::mem::take(&mut c.m));
-                dropped += c.events.drain_into(&mut events);
-            }
-            dropped += lock(&self.inner.nic_events).drain_into(&mut events);
-            events.sort_by_key(|e| (e.ts_ns, e.tid));
-            let g = std::mem::take(&mut *lock(&self.inner.global));
-            let mut pairs: Vec<_> = g.pairs.into_iter().collect();
-            pairs.sort_by_key(|(k, _)| *k);
-            TraceReport {
-                n_ranks: self.inner.n_ranks,
-                per_rank,
-                transfers: g.transfers,
-                local_transfers: g.local_transfers,
-                wire_ns: g.wire_ns,
-                pairs,
-                events,
-                dropped_events: dropped,
-                engines: crate::engine_counters::snapshot().since(&self.inner.baseline),
+            let s = self.series.entry(key).or_default();
+            if s.pts.len() < MAX_POINTS {
+                s.pts.push(pt);
+            } else {
+                s.dropped += 1;
             }
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::*;
+#[derive(Default)]
+struct GlobalCounters {
+    transfers: u64,
+    local_transfers: u64,
+    wire_ns: u64,
+    pairs: HashMap<(usize, usize), PairFlow>,
+}
 
-    /// No-op twin of the `enabled` recorder: three words that remember
-    /// which reports were asked for, every verb an empty `#[inline]`
-    /// body the optimizer deletes at the call site.
-    #[derive(Clone)]
-    pub struct Recorder {
+struct Inner {
+    n_ranks: usize,
+    /// Span sink on (`World::traced`).
+    spans: bool,
+    /// Distribution sink on (`World::with_metrics` / `with_slo`).
+    dists: bool,
+    slo: Option<SloConfig>,
+    ranks: Vec<Mutex<RankCell>>,
+    global: Mutex<GlobalCounters>,
+    nic_events: Mutex<Ring>,
+    baseline: EngineCounters,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The recorder. See the module docs.
+#[derive(Clone)]
+pub struct Recorder {
+    inner: Arc<Inner>,
+}
+
+impl Recorder {
+    /// A recorder for `n_ranks` ranks with the chosen sinks; `slo`
+    /// is evaluated against the distribution sink at
+    /// [`Recorder::finish`].
+    pub fn new(n_ranks: usize, traced: bool, metered: bool, slo: Option<SloConfig>) -> Self {
+        Self::with_capacity(n_ranks, traced, metered, slo, DEFAULT_EVENT_CAPACITY)
+    }
+
+    /// `cap` bounds each rank's event ring (and the NIC ring).
+    fn with_capacity(
         n_ranks: usize,
         traced: bool,
         metered: bool,
+        slo: Option<SloConfig>,
+        cap: usize,
+    ) -> Self {
+        let cell = || RankCell {
+            m: RankMetrics::default(),
+            ops: Vec::new(),
+            events: Ring::new(cap),
+            hists: BTreeMap::new(),
+            series: BTreeMap::new(),
+            flights: FlightRecorder::default(),
+            ledger: RankLedger::default(),
+        };
+        Recorder {
+            inner: Arc::new(Inner {
+                n_ranks,
+                spans: traced,
+                dists: metered,
+                slo,
+                ranks: (0..n_ranks).map(|_| Mutex::new(cell())).collect(),
+                global: Mutex::new(GlobalCounters::default()),
+                nic_events: Mutex::new(Ring::new(cap)),
+                baseline: crate::engine_counters::snapshot(),
+            }),
+        }
     }
 
+    fn rank(&self, r: usize) -> MutexGuard<'_, RankCell> {
+        lock(&self.inner.ranks[r])
+    }
+
+    /// The rank's cell when the span sink is on.
+    #[inline]
+    fn traced_rank(&self, r: usize) -> Option<MutexGuard<'_, RankCell>> {
+        self.inner.spans.then(|| self.rank(r))
+    }
+
+    /// Record one event of `dur_ns` starting at `t0_ns` on `lane`.
+    ///
+    /// Span sink: bump the [`RankMetrics`] counter the label stands
+    /// for (the one table below) and push the span. Wait, crypto
+    /// and pipeline spans keep their true duration in the ring (a
+    /// 0 ns wait is not pushed at all); every other category is a
+    /// marker of at least 1 ns so tracecheck's nonzero-duration
+    /// audit sees it. `detail` is only built when this sink is on.
+    ///
+    /// Distribution sink: when the event is also a latency sample,
+    /// `sample` is its histogram key and the true `dur_ns` is
+    /// recorded at `t0_ns + dur_ns`.
     #[allow(clippy::too_many_arguments)]
-    impl Recorder {
-        #[inline]
-        pub fn new(n_ranks: usize, traced: bool, metered: bool, _slo: Option<SloConfig>) -> Self {
-            Recorder {
-                n_ranks,
-                traced,
-                metered,
+    pub fn span(
+        &self,
+        lane: impl Into<Lane>,
+        cat: Cat,
+        name: &str,
+        t0_ns: u64,
+        dur_ns: u64,
+        bytes: usize,
+        detail: impl FnOnce() -> String,
+        sample: Option<SampleKey>,
+    ) {
+        let sample = sample.filter(|_| self.inner.dists);
+        if !self.inner.spans && sample.is_none() {
+            return;
+        }
+        let (rank, tid) = match lane.into() {
+            Lane::Rank(rank) => (rank, rank as u32),
+            Lane::Worker { rank, worker } => (rank, pipeline_tid(rank, worker)),
+        };
+        let mut c = self.rank(rank);
+        if self.inner.spans {
+            let m = &mut c.m;
+            match (cat, name) {
+                (Cat::Wait, _) => m.wait_ns += dur_ns,
+                (Cat::Crypto, _) => m.crypto_ns += dur_ns,
+                (Cat::Pipeline, "pipe/seal") => {
+                    m.crypto_ns += dur_ns;
+                    m.chunks_sealed += 1;
+                }
+                (Cat::Pipeline, "pipe/open") => {
+                    m.crypto_ns += dur_ns;
+                    m.chunks_opened += 1;
+                }
+                (Cat::Pipeline, _) => m.crypto_ns += dur_ns,
+                (Cat::Fault, _) => m.faults_injected += 1,
+                (Cat::Retry, "retry/nack") => m.nacks_sent += 1,
+                (Cat::Retry, "retry/resend") => m.retransmits += 1,
+                (Cat::Retry, "retry/backoff") => m.backoff_ns += dur_ns,
+                (Cat::Key, "key/handshake") => m.handshakes += 1,
+                (Cat::Key, "key/rotate") => m.rekeys += 1,
+                (Cat::Key, "key/revoke") => m.revocations += 1,
+                (Cat::Ftol, "ftol/detect") => m.ft_detected += 1,
+                (Cat::Ftol, "ftol/notice") => m.ft_notices += 1,
+                (Cat::Ftol, "ftol/shrink") => m.ft_shrinks += 1,
+                _ => {}
+            }
+            let timed = matches!(cat, Cat::Wait | Cat::Crypto | Cat::Pipeline);
+            if dur_ns > 0 || cat != Cat::Wait {
+                c.events.push(Event {
+                    name: name.to_string(),
+                    cat,
+                    ts_ns: t0_ns,
+                    dur_ns: if timed { dur_ns } else { dur_ns.max(1) },
+                    tid,
+                    bytes: bytes as u64,
+                    detail: detail(),
+                });
             }
         }
-
-        /// False: the `enabled` feature is not compiled in.
-        pub const fn compiled_in() -> bool {
-            false
+        if let Some(key) = sample {
+            c.sample(key, bytes, t0_ns + dur_ns, dur_ns);
         }
+    }
 
-        #[inline]
-        pub fn span(
-            &self,
-            _lane: impl Into<Lane>,
-            _cat: Cat,
-            _name: &str,
-            _t0_ns: u64,
-            _dur_ns: u64,
-            _bytes: usize,
-            _detail: impl FnOnce() -> String,
-            _sample: Option<SampleKey>,
-        ) {
+    /// Record one latency sample that has no span (end-to-end op
+    /// latency, ARQ repair resolution), taken at `now_ns`.
+    #[inline]
+    pub fn sample(&self, rank: usize, key: SampleKey, bytes: usize, now_ns: u64, dur_ns: u64) {
+        if self.inner.dists {
+            self.rank(rank).sample(key, bytes, now_ns, dur_ns);
         }
+    }
 
-        #[inline]
-        pub fn sample(&self, _rank: usize, _key: SampleKey, _bytes: usize, _now: u64, _dur: u64) {}
-
-        #[inline]
-        pub fn add_host_ns(&self, _rank: usize, _ns: u64) {}
-
-        #[inline]
-        pub fn count_seal(&self, _rank: usize, _plain: usize, _wire: usize) {}
-
-        #[inline]
-        pub fn count_open(&self, _rank: usize, _wire: usize, _plain: usize) {}
-
-        #[inline]
-        pub fn count_nonce_draw(&self, _rank: usize) {}
-
-        #[inline]
-        pub fn count_alloc(&self, _rank: usize, _fresh: bool, _bytes: usize) {}
-
-        #[inline]
-        pub fn count_reclaim(&self, _rank: usize, _recovered: bool) {}
-
-        #[inline]
-        pub fn push_op(&self, _rank: usize, _label: &'static str) {}
-
-        #[inline]
-        pub fn pop_op(&self, _rank: usize) {}
-
-        #[inline]
-        pub fn transfer(
-            &self,
-            _src: usize,
-            _dst: usize,
-            _bytes: usize,
-            _start: u64,
-            _arrive: u64,
-            _local: bool,
-        ) {
+    /// Charge MPI host overhead (send/recv o, stream o) to `rank`.
+    #[inline]
+    pub fn add_host_ns(&self, rank: usize, ns: u64) {
+        if let Some(mut c) = self.traced_rank(rank) {
+            c.m.host_ns += ns;
         }
+    }
 
-        #[inline]
-        pub fn delivery(&self, _src: usize, _dst: usize, _bytes: usize) {}
-
-        #[inline]
-        pub fn nic_busy(&self, _node: usize, _dir: u8, _t0: u64, _t1: u64) {}
-
-        #[inline]
-        pub fn flow_event(
-            &self,
-            _rank: usize,
-            _peer: usize,
-            _tag: u32,
-            _seq: u64,
-            _now_ns: u64,
-            _kind: &'static str,
-            _bytes: usize,
-            _detail: impl FnOnce() -> String,
-        ) {
+    #[inline]
+    pub fn count_seal(&self, rank: usize, plain_bytes: usize, wire_bytes: usize) {
+        if let Some(mut c) = self.traced_rank(rank) {
+            c.m.seals += 1;
+            c.m.sealed_plain_bytes += plain_bytes as u64;
+            c.m.sealed_wire_bytes += wire_bytes as u64;
         }
+    }
 
-        #[inline]
-        pub fn black_box(
-            &self,
-            _rank: usize,
-            _peer: usize,
-            _tag: u32,
-            _seq: u64,
-        ) -> Option<BlackBox> {
-            None
+    #[inline]
+    pub fn count_open(&self, rank: usize, wire_bytes: usize, plain_bytes: usize) {
+        if let Some(mut c) = self.traced_rank(rank) {
+            c.m.opens += 1;
+            c.m.opened_wire_bytes += wire_bytes as u64;
+            c.m.opened_plain_bytes += plain_bytes as u64;
         }
+    }
 
-        #[inline]
-        pub fn flight_tail(&self, _rank: usize, _n: usize) -> Option<String> {
-            None
+    #[inline]
+    pub fn count_nonce_draw(&self, rank: usize) {
+        if let Some(mut c) = self.traced_rank(rank) {
+            c.m.nonce_draws += 1;
         }
+    }
 
-        /// Empty reports for the sinks that were asked for.
-        pub fn finish(&self, end_time_ns: u64) -> (Option<TraceReport>, Option<MetricsSnapshot>) {
-            let report = self.traced.then(|| TraceReport {
-                n_ranks: self.n_ranks,
-                ..TraceReport::default()
+    /// Count one hot-path buffer sourcing at its site: `fresh`
+    /// means a heap allocation, otherwise a pool hit. Counter-only
+    /// (no event), so per-chunk call rates cannot flood the ring.
+    #[inline]
+    pub fn count_alloc(&self, rank: usize, fresh: bool, bytes: usize) {
+        if let Some(mut c) = self.traced_rank(rank) {
+            if fresh {
+                c.m.allocs_fresh += 1;
+                c.m.alloc_fresh_bytes += bytes as u64;
+            } else {
+                c.m.allocs_pooled += 1;
+                c.m.alloc_pooled_bytes += bytes as u64;
+            }
+        }
+    }
+
+    /// Count a wire buffer recovered into the pool after delivery
+    /// (`recovered` false when ARQ retention still shares it).
+    #[inline]
+    pub fn count_reclaim(&self, rank: usize, recovered: bool) {
+        if recovered {
+            if let Some(mut c) = self.traced_rank(rank) {
+                c.m.pool_reclaims += 1;
+            }
+        }
+    }
+
+    /// Enter an operation scope (`bcast/binomial`, `p2p/eager`...).
+    #[inline]
+    pub fn push_op(&self, rank: usize, label: &'static str) {
+        if let Some(mut c) = self.traced_rank(rank) {
+            c.ops.push(label);
+        }
+    }
+
+    #[inline]
+    pub fn pop_op(&self, rank: usize) {
+        if let Some(mut c) = self.traced_rank(rank) {
+            c.ops.pop();
+        }
+    }
+
+    /// Record a fabric transfer; labels are read from `src`'s op
+    /// stack (race-free: the engine runs one rank at a time and
+    /// the sender is the one inside `transmit`).
+    pub fn transfer(
+        &self,
+        src: usize,
+        dst: usize,
+        wire_bytes: usize,
+        start_ns: u64,
+        arrive_ns: u64,
+        local: bool,
+    ) {
+        let Some(mut c) = self.traced_rank(src) else {
+            return;
+        };
+        let op = c.ops.first().copied().unwrap_or("");
+        let phase = c.ops.last().copied().unwrap_or("");
+        {
+            let mut g = lock(&self.inner.global);
+            if local {
+                g.local_transfers += 1;
+            } else {
+                g.transfers += 1;
+            }
+            g.wire_ns += arrive_ns.saturating_sub(start_ns);
+            let p = g.pairs.entry((src, dst)).or_default();
+            p.tx_bytes += wire_bytes as u64;
+            p.tx_msgs += 1;
+        }
+        c.events.push(Event {
+            name: if op.is_empty() { "transfer" } else { op }.to_string(),
+            cat: Cat::Wire,
+            ts_ns: start_ns,
+            dur_ns: arrive_ns.saturating_sub(start_ns),
+            tid: src as u32,
+            bytes: wire_bytes as u64,
+            detail: if phase.is_empty() || phase == op {
+                format!("{src}->{dst}")
+            } else {
+                format!("{src}->{dst} {phase}")
+            },
+        });
+    }
+
+    /// Record delivery of a message to its receiver.
+    #[inline]
+    pub fn delivery(&self, src: usize, dst: usize, bytes: usize) {
+        if self.inner.spans {
+            let mut g = lock(&self.inner.global);
+            let p = g.pairs.entry((src, dst)).or_default();
+            p.rx_bytes += bytes as u64;
+            p.rx_msgs += 1;
+        }
+    }
+
+    /// Record a NIC port busy interval. `dir`: 0 = tx, 1 = rx.
+    #[inline]
+    pub fn nic_busy(&self, node: usize, dir: u8, t0_ns: u64, t1_ns: u64) {
+        if self.inner.spans {
+            lock(&self.inner.nic_events).push(Event {
+                name: if dir == 0 { "nic-tx" } else { "nic-rx" }.to_string(),
+                cat: Cat::Nic,
+                ts_ns: t0_ns,
+                dur_ns: t1_ns.saturating_sub(t0_ns),
+                tid: (self.inner.n_ranks + 2 * node + dir as usize) as u32,
+                bytes: 0,
+                detail: String::new(),
             });
-            let snap = self.metered.then(|| MetricsSnapshot {
-                end_time_ns,
-                ..MetricsSnapshot::default()
+        }
+    }
+
+    /// Record a flight-recorder event on `rank`'s view of the flow
+    /// `(peer, tag, seq)`; `detail` is only built when the
+    /// distribution sink is on.
+    #[allow(clippy::too_many_arguments)]
+    pub fn flow_event(
+        &self,
+        rank: usize,
+        peer: usize,
+        tag: u32,
+        seq: u64,
+        now_ns: u64,
+        kind: &'static str,
+        bytes: usize,
+        detail: impl FnOnce() -> String,
+    ) {
+        if !self.inner.dists {
+            return;
+        }
+        let mut c = self.rank(rank);
+        c.ledger.flow_events += 1;
+        c.flights.record(
+            FlowKey { peer, tag, seq },
+            FlowEvent {
+                t_ns: now_ns,
+                kind: kind.to_string(),
+                bytes: bytes as u64,
+                detail: detail(),
+            },
+        );
+    }
+
+    /// Black-box report for `rank`'s view of a flow, if recorded.
+    pub fn black_box(&self, rank: usize, peer: usize, tag: u32, seq: u64) -> Option<BlackBox> {
+        self.rank(rank)
+            .flights
+            .black_box(rank, FlowKey { peer, tag, seq })
+    }
+
+    /// Tail of `rank`'s most recently touched open flow, rendered
+    /// for deadlock diagnostics. Uses `try_lock` so it is safe to
+    /// call from a panic/diagnostic path that may already hold
+    /// other locks.
+    pub fn flight_tail(&self, rank: usize, n: usize) -> Option<String> {
+        let c = self.inner.ranks.get(rank)?.try_lock().ok()?;
+        c.flights.tail_line(n)
+    }
+
+    /// The one end of run, called once at `end_time_ns`: merge the
+    /// rank histograms into a deterministic snapshot, evaluate the
+    /// SLOs, emit their `health/*` events into the span sink, and
+    /// only then drain the rings into the report — so the verdict
+    /// is part of the trace it judges. Each half is `Some` when
+    /// its sink is on.
+    pub fn finish(&self, end_time_ns: u64) -> (Option<TraceReport>, Option<MetricsSnapshot>) {
+        let snap = self.inner.dists.then(|| self.snapshot(end_time_ns));
+        if let Some(slo) = snap.as_ref().map(|s| &s.slo).filter(|s| s.evaluated) {
+            let health = |rank: usize, name: &str, detail: &dyn Fn() -> String| {
+                self.span(rank, Cat::Health, name, end_time_ns, 0, 0, detail, None);
+            };
+            for v in &slo.violations {
+                health(v.rank, &format!("health/{}", v.kind), &|| {
+                    let (seen, budget) = (v.observed_ns, v.budget_ns);
+                    format!("{} observed={seen}ns budget={budget}ns", v.subject)
+                });
+            }
+            let (verdict, n) = (slo.verdict(), slo.violations.len());
+            health(0, "health/verdict", &|| {
+                format!("{verdict} ({n} violations)")
             });
-            (report, snap)
+        }
+        (self.inner.spans.then(|| self.report()), snap)
+    }
+
+    fn snapshot(&self, end_time_ns: u64) -> MetricsSnapshot {
+        let mut hists: BTreeMap<Key, Histogram> = BTreeMap::new();
+        let mut series: BTreeMap<Key, Vec<CounterPoint>> = BTreeMap::new();
+        let mut per_rank = Vec::with_capacity(self.inner.n_ranks);
+        let mut flows = Vec::new();
+        for r in 0..self.inner.n_ranks {
+            let c = self.rank(r);
+            for (k, h) in &c.hists {
+                hists.entry(*k).or_default().merge(h);
+            }
+            let mut dropped_points = 0;
+            for (k, s) in &c.series {
+                series.entry(*k).or_default().extend(s.pts.iter().copied());
+                dropped_points += s.dropped;
+            }
+            per_rank.push(RankLedger {
+                rank: r,
+                dropped_flow_events: c.flights.dropped(),
+                dropped_points,
+                ..c.ledger
+            });
+            for (k, last, total) in c.flights.open_flows() {
+                flows.push(FlowSnap {
+                    rank: r,
+                    peer: k.peer,
+                    tag: k.tag,
+                    seq: k.seq,
+                    last_kind: last.kind.clone(),
+                    last_ns: last.t_ns,
+                    total_events: total,
+                });
+            }
+        }
+        for pts in series.values_mut() {
+            pts.sort_by_key(|p| p.t_ns);
+        }
+        let hists: Vec<(Key, Histogram)> = hists.into_iter().collect();
+        let slo = match &self.inner.slo {
+            Some(cfg) => slo::evaluate(cfg, &hists, &flows, end_time_ns),
+            None => Default::default(),
+        };
+        MetricsSnapshot {
+            n_ranks: self.inner.n_ranks,
+            end_time_ns,
+            hists,
+            series: series.into_iter().collect(),
+            per_rank,
+            flows,
+            slo,
+            ..Default::default()
+        }
+    }
+
+    /// Drain the span sink (counters restart from zero, so a
+    /// second call covers a fresh window).
+    fn report(&self) -> TraceReport {
+        let mut per_rank = Vec::with_capacity(self.inner.n_ranks);
+        let mut events = Vec::new();
+        let mut dropped = 0;
+        for r in 0..self.inner.n_ranks {
+            let mut c = self.rank(r);
+            per_rank.push(std::mem::take(&mut c.m));
+            dropped += c.events.drain_into(&mut events);
+        }
+        dropped += lock(&self.inner.nic_events).drain_into(&mut events);
+        events.sort_by_key(|e| (e.ts_ns, e.tid));
+        let g = std::mem::take(&mut *lock(&self.inner.global));
+        let mut pairs: Vec<_> = g.pairs.into_iter().collect();
+        pairs.sort_by_key(|(k, _)| *k);
+        TraceReport {
+            n_ranks: self.inner.n_ranks,
+            per_rank,
+            transfers: g.transfers,
+            local_transfers: g.local_transfers,
+            wire_ns: g.wire_ns,
+            pairs,
+            events,
+            dropped_events: dropped,
+            engines: crate::engine_counters::snapshot().since(&self.inner.baseline),
         }
     }
 }
 
-pub use imp::Recorder;
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pipeline_tid, SNAPSHOT_VERSION, WIRE_OVERHEAD};
+    use crate::{SNAPSHOT_VERSION, WIRE_OVERHEAD};
 
     /// A span-sink-only recorder.
     fn traced(n: usize) -> Recorder {
@@ -935,7 +782,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest() {
-        let t = imp::Recorder::with_capacity(1, true, false, None, 4);
+        let t = Recorder::with_capacity(1, true, false, None, 4);
         for i in 0..10u64 {
             bare(&t, 0, Cat::Wait, "recv", i * 10, 5, 0);
         }
@@ -951,7 +798,6 @@ mod tests {
     #[test]
     fn recorder_round_trip() {
         let m = Recorder::new(2, false, true, None);
-        assert!(Recorder::compiled_in());
         for i in 0..200u64 {
             m.sample(0, (Metric::E2e, "p2p/send", 1), 4096, i * 10, 100 + i);
             m.sample(1, (Metric::Seal, "seal/plain", 0), 4096, i * 10, 50);

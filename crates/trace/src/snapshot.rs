@@ -1,9 +1,6 @@
 //! The distribution side of a run's report: histogram keys, per-rank
 //! sample ledgers, open flows, counter blocks and the merged
-//! [`MetricsSnapshot`] that [`crate::Recorder::finish`] returns. The
-//! types are always compiled (errors embed black boxes and harnesses
-//! hold snapshots unconditionally); only the recorder that fills them
-//! sits behind the `enabled` feature.
+//! [`MetricsSnapshot`] that [`crate::Recorder::finish`] returns.
 
 use crate::{Histogram, SloReport};
 
@@ -196,8 +193,6 @@ impl CounterBlock {
 }
 
 /// Everything the recorder knows, merged across ranks at end of run.
-/// Always compiled; the feature-gated recorder produces an empty one
-/// when metrics are compiled out.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub version: u64,

@@ -121,7 +121,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "enabled")]
 mod recorder {
     use empi_trace::{export, Metric, Recorder};
     use proptest::prelude::*;

@@ -4,8 +4,6 @@
 //! ledgers must balance and the crypto byte counters must obey
 //! `wire = plaintext + 28·messages` exactly.
 
-#![cfg(feature = "trace")]
-
 use empi::aead::CryptoLibrary;
 use empi::mpi::{Src, TagSel, World};
 use empi::netsim::NetModel;

@@ -130,35 +130,43 @@ fn rank_threads_do_real_parallel_work_in_virtual_time() {
     assert_eq!(out.end_time, VTime(100_000));
 }
 
-/// What an encrypted 256 B round trip costs the engine (TAB-5's cell,
-/// the `pp_small` benchmark workload): 12 yields, of which 2 change
-/// threads and 10 keep the token — at every shard count. A change that
-/// makes yields lazy has to move exactly this number.
-#[test]
-fn a_small_encrypted_round_trip_is_twelve_yields_and_two_handoffs() {
+/// The encrypted 256 B ping-pong of TAB-5's cell (the `pp_small`
+/// benchmark workload) on `world`; every rank reports whether it ran
+/// without a recorder.
+fn small_encrypted_pingpong(world: World, round_trips: usize) -> empi::mpi::WorldOutcome<bool> {
     use empi::aead::profile::CryptoLibrary;
     use empi::secure::{SecureComm, SecurityConfig, TimingMode};
 
-    let run = |shards: usize, round_trips: usize| {
-        let model = NetModel::infiniband_40g();
-        let timing = TimingMode::calibrated_for(&model);
-        let out = World::flat(model, 2).with_shards(shards).run(|c| {
-            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
-                .with_timing(timing)
-                .with_deterministic_nonces(11);
-            let sc = SecureComm::new(c, cfg).expect("secure comm");
-            let payload = [0xA5u8; 256];
-            for _ in 0..round_trips {
-                if c.rank() == 0 {
-                    sc.send(&payload, 1, 0);
-                    let (_, back) = sc.recv(Src::Is(1), TagSel::Is(1)).expect("pong");
-                    assert_eq!(back[..], payload[..]);
-                } else {
-                    let (_, m) = sc.recv(Src::Is(0), TagSel::Is(0)).expect("ping");
-                    sc.send(&m, 0, 1);
-                }
+    let timing = TimingMode::calibrated_for(&NetModel::infiniband_40g());
+    world.run(move |c| {
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
+            .with_timing(timing)
+            .with_deterministic_nonces(11);
+        let sc = SecureComm::new(c, cfg).expect("secure comm");
+        let payload = [0xA5u8; 256];
+        for _ in 0..round_trips {
+            if c.rank() == 0 {
+                sc.send(&payload, 1, 0);
+                let (_, back) = sc.recv(Src::Is(1), TagSel::Is(1)).expect("pong");
+                assert_eq!(back[..], payload[..]);
+            } else {
+                let (_, m) = sc.recv(Src::Is(0), TagSel::Is(0)).expect("ping");
+                sc.send(&m, 0, 1);
             }
-        });
+        }
+        c.sim().recorder().is_none()
+    })
+}
+
+/// What an encrypted 256 B round trip costs the engine: 12 yields, of
+/// which 2 change threads and 10 keep the token — at every shard
+/// count. A change that makes yields lazy has to move exactly this
+/// number.
+#[test]
+fn a_small_encrypted_round_trip_is_twelve_yields_and_two_handoffs() {
+    let run = |shards: usize, round_trips: usize| {
+        let world = World::flat(NetModel::infiniband_40g(), 2).with_shards(shards);
+        let out = small_encrypted_pingpong(world, round_trips);
         (out.yields, out.handoffs)
     };
     for shards in [1, 2] {
@@ -173,6 +181,39 @@ fn a_small_encrypted_round_trip_is_twelve_yields_and_two_handoffs() {
             h110 - h10,
             100 * 2,
             "hand-offs per round trip, shards={shards}"
+        );
+    }
+}
+
+/// The one gate of the observability plane is taken at run time: a
+/// world that asked for no sink installs no recorder, each report is
+/// `Some` exactly when its sink was asked for, and neither sink moves
+/// virtual time, the schedule or the wire.
+#[test]
+fn a_sink_is_installed_when_asked_for_and_never_moves_the_run() {
+    let run = |traced: bool, metered: bool| {
+        let world = World::flat(NetModel::infiniband_40g(), 2)
+            .traced(traced)
+            .with_metrics(metered);
+        let out = small_encrypted_pingpong(world, 10);
+        assert_eq!(out.trace.is_some(), traced, "traced={traced}");
+        assert_eq!(out.metrics.is_some(), metered, "metered={metered}");
+        let absent = !(traced || metered);
+        assert_eq!(out.results, [absent; 2], "recorder absent on every rank");
+        let fabric = out.fabric;
+        (
+            out.end_time,
+            out.yields,
+            out.handoffs,
+            (fabric.messages, fabric.bytes, fabric.local_messages),
+        )
+    };
+    let bare = run(false, false);
+    for (traced, metered) in [(true, false), (false, true), (true, true)] {
+        assert_eq!(
+            run(traced, metered),
+            bare,
+            "traced={traced} metered={metered}"
         );
     }
 }

@@ -234,3 +234,49 @@ fn the_engine_wakes_nobody_under_the_sched_lock() {
         calls[0]
     );
 }
+
+/// One gate for observability: a recorder is installed at run time or
+/// it is absent. No manifest has a feature table, no source line is
+/// compiled on a Cargo feature (CPU `target_feature`s are a different
+/// thing), nothing asks whether the recorder was compiled, and
+/// `empi-trace` defines one `Recorder`, not a recorder and its stub.
+#[test]
+fn observability_has_one_build() {
+    let mut manifests = vec![repo("Cargo.toml")];
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        manifests.push(entry.unwrap().path().join("Cargo.toml"));
+    }
+    assert!(manifests.len() > 10, "crates/* not found: {manifests:?}");
+    for path in manifests {
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            !text.lines().any(|l| l.trim() == "[features]"),
+            "{} has a [features] table",
+            path.display()
+        );
+    }
+
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        files.extend(rust_files(dir));
+    }
+    let lines = code_lines(&files);
+    // Any conditional-compilation line naming a Cargo feature, also
+    // inside `all(..)` / `not(..)` and as `cfg!`/`cfg_attr`.
+    let names_a_feature = |l: &str| l.contains("feature =") || l.contains("feature=");
+    let gated: Vec<String> = lines
+        .iter()
+        .filter(|(_, _, l)| l.contains("cfg"))
+        .filter(|(_, _, l)| names_a_feature(&l.replace("target_feature", "")))
+        .map(|(f, n, _)| format!("{f}:{n}"))
+        .collect();
+    assert!(gated.is_empty(), "feature-gated lines: {gated:?}");
+    let asks = sites(&lines, concat!("compiled", "_in"));
+    assert!(asks.is_empty(), "the build is asked about itself: {asks:?}");
+
+    let recorders = sites(
+        &code_lines(&rust_files("crates/trace/src")),
+        "pub struct Recorder",
+    );
+    assert_eq!(recorders.len(), 1, "`pub struct Recorder`: {recorders:?}");
+}
