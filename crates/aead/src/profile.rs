@@ -92,10 +92,17 @@ impl CryptoLibrary {
         }
     }
 
-    /// Whether this backend supports the key size (Libsodium's
+    /// Whether this backend supports the key size, as the typed
+    /// [`Error::UnsupportedKeySize`] when it does not (Libsodium's
     /// `crypto_aead_aes256gcm` API is 256-bit only).
-    pub fn supports(self, key_size: KeySize) -> bool {
-        !matches!((self, key_size), (CryptoLibrary::Libsodium, KeySize::Aes128))
+    pub fn supports(self, key_size: KeySize) -> Result<()> {
+        match (self, key_size) {
+            (CryptoLibrary::Libsodium, KeySize::Aes128) => Err(Error::UnsupportedKeySize {
+                backend: self.name(),
+                bits: key_size.bits(),
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// The engine combination modelling this library.
@@ -114,32 +121,11 @@ impl CryptoLibrary {
     /// Falls back to the software engines when the CPU lacks AES-NI, so
     /// the ciphertexts stay identical everywhere.
     pub fn instantiate(self, key_size: KeySize, key: &[u8]) -> Result<AesGcm> {
-        self.instantiate_for_build(CompilerBuild::Gcc485, key_size, key)
-    }
-
-    /// Instantiate for a specific compiler build. The only difference:
-    /// the MVAPICH toolchain vectorizes CryptoPP's bulk path (the whole
-    /// point of Fig. 9), so that profile runs on the hardware engines;
-    /// all engines compute byte-identical AES-GCM either way.
-    pub fn instantiate_for_build(
-        self,
-        build: CompilerBuild,
-        key_size: KeySize,
-        key: &[u8],
-    ) -> Result<AesGcm> {
-        if !self.supports(key_size) {
-            return Err(Error::UnsupportedKeySize {
-                backend: self.name(),
-                bits: key_size.bits(),
-            });
-        }
+        self.supports(key_size)?;
         if key.len() != key_size.bytes() {
             return Err(Error::InvalidKeyLength { got: key.len() });
         }
         let (mut aes, mut ghash) = self.engines();
-        if self == CryptoLibrary::CryptoPp && build == CompilerBuild::Mvapich23 {
-            (aes, ghash) = (AesEngineKind::Ni, GhashEngineKind::Clmul);
-        }
         if !hardware_acceleration_available() {
             if aes != AesEngineKind::Soft || ghash != GhashEngineKind::Soft {
                 empi_trace::engine_counters::add_hw_fallback(1);
@@ -297,7 +283,7 @@ mod tests {
 
     #[test]
     fn libsodium_rejects_128() {
-        assert!(!CryptoLibrary::Libsodium.supports(KeySize::Aes128));
+        assert!(CryptoLibrary::Libsodium.supports(KeySize::Aes128).is_err());
         let err = CryptoLibrary::Libsodium
             .instantiate(KeySize::Aes128, &[0u8; 16])
             .unwrap_err();

@@ -9,18 +9,15 @@ use empi_pipeline::PipelineConfig;
 
 /// How cryptographic work is charged to the simulation clock.
 ///
-/// Real crypto always executes either way; this only selects the cost
-/// model (DESIGN.md §2, "wall-clock timing" substitution).
+/// Real crypto always executes; its virtual cost comes from the model
+/// (DESIGN.md §2, "wall-clock timing" substitution), never from the
+/// host clock, so every run of a configuration reports the same times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingMode {
     /// Charge the calibrated per-library cost digitized from the paper's
-    /// Figs. 2/9 — pins the crypto-to-network speed ratio to the paper's
-    /// testbed regardless of the host CPU. The default for reproducing
-    /// the paper's tables.
+    /// Figs. 2/9 for this compiler build — pins the crypto-to-network
+    /// speed ratio to the paper's testbed regardless of the host CPU.
     Calibrated(CompilerBuild),
-    /// Charge the measured wall time of the real crypto call on this
-    /// host (shows the same ranking with host-specific magnitudes).
-    Measured,
 }
 
 impl TimingMode {
@@ -107,12 +104,6 @@ pub struct SecurityConfig {
     /// only where buffers come from — wire bytes stay bit-identical to
     /// the unpooled path. Off by default.
     pub pool: bool,
-    /// Cache per-peer cipher state (expanded AES key schedule + GHASH
-    /// tables + nonce counter) under a pair-derived key, built once per
-    /// (peer, epoch) instead of re-deriving per message. Changes keys
-    /// and nonces on the wire, so both endpoints must agree. Off by
-    /// default (single shared cipher, the paper's setup).
-    pub peer_cipher: bool,
     /// In-band key lifecycle (`empi_keys`): a seeded group handshake
     /// at startup replaces the hardcoded cluster key with a fresh
     /// session master (the configured key is demoted to a bootstrap
@@ -137,7 +128,6 @@ impl SecurityConfig {
             faults: None,
             retransmit: None,
             pool: false,
-            peer_cipher: false,
             key_plane: None,
         }
     }
@@ -199,15 +189,6 @@ impl SecurityConfig {
     /// records and the chunked frames alike.
     pub fn with_buffer_pool(mut self, pooled: bool) -> Self {
         self.pool = pooled;
-        self
-    }
-
-    /// Enable cached per-peer cipher state (see
-    /// [`SecurityConfig::peer_cipher`]). Both endpoints of every
-    /// conversation must enable it: the pair-derived keys change the
-    /// wire bytes.
-    pub fn with_peer_cipher(mut self, enabled: bool) -> Self {
-        self.peer_cipher = enabled;
         self
     }
 
@@ -295,7 +276,7 @@ mod tests {
     #[test]
     fn pool_builder_is_independent_of_pipeline_order() {
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl);
-        assert!(!c.pool && !c.peer_cipher, "pool off by default");
+        assert!(!c.pool, "pool off by default");
         // Pool first, pipeline second: the toggle must survive.
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl)
             .with_buffer_pool(true)
@@ -306,8 +287,6 @@ mod tests {
             .with_pipeline(PipelineConfig::enabled())
             .with_buffer_pool(true);
         assert!(c.pool && c.pipeline.enabled);
-        let c = c.with_peer_cipher(true);
-        assert!(c.peer_cipher);
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl SecureComm<'_, '_> {
         self.comm.bcast(&mut wire, root);
         if me != root {
             check_len(buf.len(), root_len)?;
-            *buf = self.open_to_vec(Some(root), false, &wire)?;
+            *buf = self.open_to_vec(Some(root), &wire)?;
         }
         Ok(())
     }
@@ -166,7 +166,7 @@ impl SecureComm<'_, '_> {
             None => Ok(()), // root: plaintext already in `buf`
             Some(Err(e)) => Err(e),
             Some(Ok(msg)) => check_len(buf.len(), root_len).and_then(|()| {
-                *buf = self.open_chunked(msg, false).map_err(|(e, _)| e)?;
+                *buf = self.open_chunked(msg, None).map_err(|(e, _)| e)?;
                 Ok(())
             }),
         };
@@ -284,7 +284,7 @@ impl SecureComm<'_, '_> {
                 .map(|f| (f.ready, f.data))
                 .collect(),
         };
-        *buf = self.open_chunked(msg, false).map_err(|(e, _)| e)?;
+        *buf = self.open_chunked(msg, None).map_err(|(e, _)| e)?;
         Ok(())
     }
 
@@ -362,9 +362,7 @@ impl SecureComm<'_, '_> {
     /// byte counters are not — no ciphertext actually flows.
     fn charge_self_open(&self, bytes: usize) {
         let t0 = self.comm.sim().now().as_nanos();
-        if let Some(ns) = self.calibrated_ns(bytes) {
-            self.comm.sim().advance(VDur(ns));
-        }
+        self.comm.sim().advance(VDur(self.calibrated_ns(bytes)));
         let backend = || self.cfg.library.name().to_string();
         note_span(self.comm, Cat::Crypto, "open", t0, bytes, backend, None);
     }
@@ -430,13 +428,13 @@ impl SecureComm<'_, '_> {
         })
     }
 
-    /// Seal consecutive `counts`-sized blocks of `send` (shared key)
-    /// into one collective send buffer, no per-block wire `Vec`.
+    /// Seal consecutive `counts`-sized blocks of `send` into one
+    /// collective send buffer, no per-block wire `Vec`.
     fn seal_blocks(&self, send: &[u8], counts: &[usize]) -> Vec<u8> {
         let mut enc = Vec::with_capacity(send.len() + counts.len() * self.keys.overhead());
         let mut off = 0;
         for &c in counts {
-            let key = self.seal_key(None);
+            let key = self.seal_key();
             self.seal_record(&key, "seal/coll", None, &send[off..off + c], &mut enc);
             off += c;
         }
@@ -481,10 +479,10 @@ impl SecureComm<'_, '_> {
                 tag,
                 frames: frames.into_iter().map(|f| (f.ready, f.data)).collect(),
             };
-            self.open_chunked(msg, true).map_err(|(e, _)| e)?
+            self.open_chunked(msg, Some(me)).map_err(|(e, _)| e)?
         } else {
             let wire = self.seal_wire(seg, Some(me));
-            self.open_to_vec(Some(me), true, &wire)?
+            self.open_to_vec(Some(me), &wire)?
         };
         out[recv_edge[me]..recv_edge[me + 1]].copy_from_slice(&self_plain);
 

@@ -1,6 +1,6 @@
-//! The key ring: every cipher context a record can travel under —
-//! cluster, pair or group-epoch — behind one lookup-or-derive, plus
-//! the key plane's epoch-qualified format, rotation and revocation.
+//! The key ring: the two keys a record can travel under — the cluster
+//! key, or the key plane's group key of one epoch — behind one lookup,
+//! plus the key plane's epoch-qualified format, rotation and revocation.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -9,7 +9,6 @@ use std::rc::Rc;
 use empi_aead::gcm::AesGcm;
 use empi_aead::nonce::{NoncePolicy, NonceSource};
 use empi_aead::WIRE_OVERHEAD;
-use empi_keys::kdf::KeyCache;
 use empi_keys::{
     derive_group_key, msg_id_epoch, widen_epoch16, KeyError, KeyPlane, KeyStats, EPOCH_PREFIX_LEN,
 };
@@ -20,25 +19,10 @@ use super::{note_span, SecureComm};
 use crate::config::SecurityConfig;
 use crate::error::{Error, Result};
 
-/// Which key a record travels under.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub(super) enum KeyId {
-    /// The configured cluster-wide key: the paper's setup. With the
-    /// key plane on it is demoted to a bootstrap KEK that only ever
-    /// protects handshake frames.
-    Cluster,
-    /// Pair-derived key of ordered `(src, dst)` in one epoch
-    /// ([`SecurityConfig::with_peer_cipher`]).
-    Pair(usize, usize, u64),
-    /// Per-epoch group key derived from the session master — the
-    /// key-plane replacement for the cluster key.
-    Group(u64),
-}
-
 /// Cached cipher state under one key: the expensive parts of a secure
 /// channel — AES key schedule, GHASH tables, and the nonce source —
 /// built once on first use and reused for every later record. Distinct
-/// ids get distinct keys, so each context's nonce source starting
+/// epochs get distinct keys, so each context's nonce source starting
 /// afresh is harmless.
 pub(super) struct KeyCtx {
     pub(super) cipher: AesGcm,
@@ -55,17 +39,18 @@ pub(super) struct RecordKey {
 pub(super) struct KeyRing {
     key_len: usize,
     nonce_policy: NoncePolicy,
+    /// The configured cluster-wide key: the paper's setup. With the key
+    /// plane on it is demoted to a bootstrap KEK that only ever
+    /// protects handshake frames.
     cluster: Rc<KeyCtx>,
-    /// Pair and group contexts, built lazily (one KDF + one key
-    /// schedule each). `Rc` so a context can be used while the map is
-    /// released; contexts of older epochs stay to open drain-window
-    /// stragglers.
-    derived: RefCell<HashMap<KeyId, Rc<KeyCtx>>>,
-    /// Memoized pair KDF: one SHA-256 per (pair, epoch), however many
-    /// messages flow. `None` when pair keys do not apply.
-    pair_kdf: Option<KeyCache>,
-    /// Manually advanced epoch component ([`SecureComm::advance_epoch`]
-    /// and revocations).
+    /// Per-epoch group keys derived from the session master — the key
+    /// plane's replacement for the cluster key — built lazily, with one
+    /// KDF and one key schedule each. `Rc` so a context can be used
+    /// while the map is released; contexts of older epochs stay to open
+    /// drain-window stragglers.
+    groups: RefCell<HashMap<u64, Rc<KeyCtx>>>,
+    /// Epochs added on top of the plane's clock-derived schedule, one
+    /// per revocation ([`SecureComm::advance_epoch`]).
     epoch: Cell<u64>,
     /// The key plane, installed after the startup handshake when
     /// [`SecurityConfig::with_key_plane`] is set. `None` keeps the
@@ -74,20 +59,7 @@ pub(super) struct KeyRing {
 }
 
 impl KeyRing {
-    /// Pair keys are a p2p-only extension that the chaos machinery
-    /// switches off: the ARQ salvage buffer and its repairs must open
-    /// under one key, so with `chaos` every record uses the shared key.
-    pub(super) fn new(cluster: AesGcm, cfg: &SecurityConfig, chaos: bool) -> Self {
-        let pair_kdf = (cfg.peer_cipher && !chaos).then(|| {
-            // The configured key (16 or 32 bytes) seeds the pair KDF as
-            // a zero-padded 32-byte master; derived pair keys are
-            // truncated back to the configured AES key size.
-            let mut master = [0u8; 32];
-            let kb = cfg.key_bytes();
-            let n = kb.len().min(32);
-            master[..n].copy_from_slice(&kb[..n]);
-            KeyCache::new(master)
-        });
+    pub(super) fn new(cluster: AesGcm, cfg: &SecurityConfig) -> Self {
         KeyRing {
             key_len: cfg.key_size.bytes(),
             nonce_policy: cfg.nonce_policy,
@@ -95,19 +67,15 @@ impl KeyRing {
                 cipher: cluster,
                 nonces: RefCell::new(NonceSource::new(cfg.nonce_policy)),
             }),
-            derived: RefCell::new(HashMap::new()),
-            pair_kdf,
+            groups: RefCell::new(HashMap::new()),
             epoch: Cell::new(0),
             plane: None,
         }
     }
 
     /// Install the session the startup handshake agreed on: from now on
-    /// records are epoch-qualified and pair keys derive from its master.
+    /// records are epoch-qualified and keyed from its master.
     pub(super) fn install_plane(&mut self, plane: KeyPlane) {
-        if let Some(kdf) = &self.pair_kdf {
-            kdf.rekey(plane.master());
-        }
         self.plane = Some(plane);
     }
 
@@ -133,63 +101,35 @@ impl KeyRing {
             .map(|plane| self.epoch.get() + plane.schedule_epoch(now))
     }
 
-    /// The key of a record between `peers = (src, dst)` (`None` for
-    /// collectives, which relay foreign ciphertext, and for repairs)
-    /// qualified with `epoch`.
-    pub(super) fn id(&self, peers: Option<(usize, usize)>, epoch: Option<u64>) -> KeyId {
-        match (peers, epoch) {
-            (Some((src, dst)), _) if self.pair_kdf.is_some() => {
-                KeyId::Pair(src, dst, epoch.unwrap_or(self.epoch.get()))
-            }
-            (_, Some(epoch)) => KeyId::Group(epoch),
-            (_, None) => KeyId::Cluster,
-        }
-    }
-
-    /// The cipher context of `id`.
-    pub(super) fn ctx(&self, id: KeyId) -> Rc<KeyCtx> {
-        match id {
-            KeyId::Cluster => self.cluster.clone(),
-            KeyId::Pair(src, dst, epoch) => self.lookup_or_derive(id, || {
-                let kdf = self.pair_kdf.as_ref();
-                kdf.expect("pair ids are only minted with the pair KDF on")
-                    .pair_key(src, dst, epoch)
-            }),
-            KeyId::Group(epoch) => self.lookup_or_derive(id, || {
-                let plane = self.plane.as_ref();
-                derive_group_key(&plane.expect("group ids need the key plane").master(), epoch)
-            }),
-        }
-    }
-
-    /// One lookup; on first use one KDF + one key schedule.
-    fn lookup_or_derive(&self, id: KeyId, full_key: impl FnOnce() -> [u8; 32]) -> Rc<KeyCtx> {
-        if let Some(ctx) = self.derived.borrow().get(&id) {
+    /// The cipher context of a record qualified with `epoch`: the
+    /// cluster key for the legacy prefix-free format (`None`), the
+    /// group key of that epoch otherwise. One lookup; on first use of
+    /// an epoch one KDF + one key schedule.
+    pub(super) fn ctx(&self, epoch: Option<u64>) -> Rc<KeyCtx> {
+        let Some(epoch) = epoch else {
+            return self.cluster.clone();
+        };
+        if let Some(ctx) = self.groups.borrow().get(&epoch) {
             return ctx.clone();
         }
+        let plane = self.plane.as_ref().expect("epoch-qualified records need the key plane");
+        let key = derive_group_key(&plane.master(), epoch);
         let ctx = Rc::new(KeyCtx {
-            cipher: AesGcm::new(&full_key()[..self.key_len])
+            cipher: AesGcm::new(&key[..self.key_len])
                 .expect("truncated derived key has a supported length"),
             nonces: RefCell::new(NonceSource::new(self.nonce_policy)),
         });
-        self.derived.borrow_mut().insert(id, ctx.clone());
+        self.groups.borrow_mut().insert(epoch, ctx.clone());
         ctx
     }
 }
 
 impl SecureComm<'_, '_> {
-    /// Roll the pair-key epoch: later messages derive fresh pair keys
-    /// (one KDF per pair per epoch, memoized). No effect without
-    /// [`SecurityConfig::with_peer_cipher`].
-    pub fn advance_epoch(&self) {
+    /// Move this rank's sealing epoch one past the plane's schedule.
+    /// Only a revocation may: every survivor moves together, while a
+    /// lone caller would seal in an epoch its peers see as the future.
+    fn advance_epoch(&self) {
         self.keys.epoch.set(self.keys.epoch.get() + 1);
-    }
-
-    /// How many pair-KDF derivations have actually run (0 without
-    /// `peer_cipher`); stays at one per (pair, epoch) however many
-    /// messages flow.
-    pub fn kdf_derivations(&self) -> u64 {
-        self.keys.pair_kdf.as_ref().map_or(0, |k| k.derivations())
     }
 
     /// Key-plane counters (None without [`SecurityConfig::with_key_plane`]).
@@ -210,25 +150,21 @@ impl SecureComm<'_, '_> {
 
     /// Revoke `target`: quarantine its flows (its records are rejected
     /// with [`KeyError::RevokedPeer`] from now on) and re-key the
-    /// survivors — the session master folds in the revoked set, the
-    /// epoch bumps so fresh traffic seals under a key the revoked rank
-    /// cannot derive, and the memoized pair keys are rebuilt from the
-    /// new master. Every *surviving* rank must call this with the same
-    /// target (the re-key is deterministic, so survivors converge
-    /// without a wire round). Typed errors: [`KeyError::NoKeyPlane`]
-    /// without the plane, [`KeyError::RevokedPeer`] on double-revoke.
+    /// survivors — the session master folds in the revoked set and the
+    /// epoch bumps by one, so fresh traffic seals under a key the
+    /// revoked rank cannot derive. Every *surviving* rank must call
+    /// this with the same target (the re-key is deterministic, so
+    /// survivors converge without a wire round). Typed errors:
+    /// [`KeyError::NoKeyPlane`] without the plane, [`KeyError::RevokedPeer`] on double-revoke.
     pub fn revoke(&self, target: usize) -> Result<()> {
         let plane = self.keys.plane().ok_or(Error::Key(KeyError::NoKeyPlane))?;
-        let new_master = plane.revoke(target).map_err(Error::Key)?;
+        plane.revoke(target).map_err(Error::Key)?;
         // Bump the manual epoch component: survivors roll forward onto
         // keys derived from the post-revocation master. Contexts cached
         // for *older* epochs are kept — they were derived from the old
         // master and still open drain-window stragglers sealed before
         // the revocation.
         self.advance_epoch();
-        if let Some(kdf) = &self.keys.pair_kdf {
-            kdf.rekey(new_master);
-        }
         let now = self.comm.sim().now().as_nanos();
         let detail = || format!("rank {target} revoked; survivors re-keyed");
         let key = Some((Metric::Key, "key/revoke", target as i32));
@@ -241,8 +177,8 @@ impl SecureComm<'_, '_> {
     /// survivors) exactly as if it had been administratively expelled.
     /// Idempotent — a rank already revoked (by an earlier caller or by
     /// a peer-driven path) is not an error — and a no-op without the
-    /// key plane, so plaintext and pair-key configurations can still
-    /// use the ft verbs.
+    /// key plane, so cluster-key configurations can still use the ft
+    /// verbs.
     pub fn handle_rank_failure(&self, rank: usize) -> Result<()> {
         if self.keys.plane().is_none() {
             return Ok(());
@@ -287,16 +223,15 @@ impl SecureComm<'_, '_> {
         })
     }
 
-    /// Seal-side key resolution for a record to `dst` (`None` =
-    /// collective/shared context, which never uses a pair key).
-    pub(super) fn seal_key(&self, dst: Option<usize>) -> RecordKey {
+    /// Seal-side key resolution: the key of the epoch this rank seals
+    /// in now.
+    pub(super) fn seal_key(&self) -> RecordKey {
         let epoch = self.keys.sealing_epoch(self.comm.now());
         if let (Some(plane), Some(epoch)) = (self.keys.plane(), epoch) {
             self.note_rotation(plane, epoch);
         }
-        let id = self.keys.id(dst.map(|d| (self.rank(), d)), epoch);
         RecordKey {
-            ctx: self.keys.ctx(id),
+            ctx: self.keys.ctx(epoch),
             epoch,
         }
     }
@@ -304,14 +239,8 @@ impl SecureComm<'_, '_> {
     /// Open-side key resolution for a record from `src` qualified with
     /// wire `epoch`. With the key plane on, the receive-side gates run
     /// first: revoked peers are quarantined with a typed error and the
-    /// epoch must sit inside the drain window. `pair` selects the pair
-    /// key for p2p traffic; collectives and repairs pass `false`.
-    pub(super) fn open_key(
-        &self,
-        src: Option<usize>,
-        pair: bool,
-        epoch: Option<u64>,
-    ) -> Result<RecordKey> {
+    /// epoch must sit inside the drain window.
+    pub(super) fn open_key(&self, src: Option<usize>, epoch: Option<u64>) -> Result<RecordKey> {
         if let (Some(plane), Some(epoch)) = (self.keys.plane(), epoch) {
             if let Some(s) = src {
                 if plane.is_revoked(s) {
@@ -327,9 +256,8 @@ impl SecureComm<'_, '_> {
                 .map_err(Error::Key)?;
             self.note_rotation(plane, epoch);
         }
-        let peers = src.filter(|_| pair).map(|s| (s, self.rank()));
         Ok(RecordKey {
-            ctx: self.keys.ctx(self.keys.id(peers, epoch)),
+            ctx: self.keys.ctx(epoch),
             epoch,
         })
     }

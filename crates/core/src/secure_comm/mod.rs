@@ -11,8 +11,8 @@
 //!
 //! The stack, bottom-up (one module each):
 //!
-//! * [`keyring`] — which key: cluster, pair or group-epoch, one
-//!   lookup-or-derive, plus the key plane's epoch/revocation gates;
+//! * [`keyring`] — which key: the cluster key, or the key plane's
+//!   group key of one epoch, plus the plane's epoch/revocation gates;
 //! * [`record`] — Algorithm 1 itself: one seal and one open, both in
 //!   place, and the chunked (pipelined) framing over them;
 //! * [`reliability`] — fault injection and NACK-driven repair;
@@ -31,7 +31,7 @@ use empi_keys::suite::cointoss;
 use empi_keys::{handshake, KeyError, KeyFrame, KeyPlane, KeyPlaneConfig};
 use empi_mpi::{Comm, Request, Src, TagSel, KEY_COMMIT_TAG, KEY_REVEAL_TAG};
 use empi_netsim::{BufferPool, VDur};
-use empi_pipeline::{ChunkCost, Pipeline};
+use empi_pipeline::Pipeline;
 use empi_trace::{Cat, Metric, SampleKey};
 
 use crate::config::{SecurityConfig, TimingMode};
@@ -98,37 +98,17 @@ pub struct SecureComm<'a, 'h> {
 impl<'a, 'h> SecureComm<'a, 'h> {
     /// Wrap `comm` with the given security configuration.
     ///
-    /// Engine selection: in `Measured` mode the library's profile
-    /// engines run (their wall time *is* the measurement). In
-    /// `Calibrated` mode the charged time comes from the per-library
-    /// curves, and every engine computes byte-identical AES-GCM (see the
-    /// cross-engine tests), so the fastest available engines execute —
-    /// keeping gigabyte-scale harness runs from being throttled by the
-    /// deliberately slow software path whose *cost* is already charged.
+    /// Engine selection: the charged time comes from the library's
+    /// calibrated curve, and every engine computes byte-identical
+    /// AES-GCM (see the cross-engine tests), so the fastest available
+    /// engines execute — keeping gigabyte-scale harness runs from being
+    /// throttled by the deliberately slow software path whose *cost* is
+    /// already charged.
     pub fn new(comm: &'a Comm<'h>, cfg: SecurityConfig) -> Result<Self> {
-        let cluster = match cfg.timing {
-            TimingMode::Measured => cfg.library.instantiate_for_build(
-                empi_aead::profile::CompilerBuild::Gcc485,
-                cfg.key_size,
-                cfg.key_bytes(),
-            )?,
-            TimingMode::Calibrated(_) => {
-                if !cfg.library.supports(cfg.key_size) {
-                    return Err(Error::Crypto(empi_aead::Error::UnsupportedKeySize {
-                        backend: cfg.library.name(),
-                        bits: cfg.key_size.bits(),
-                    }));
-                }
-                if cfg.key_bytes().len() != cfg.key_size.bytes() {
-                    return Err(Error::Crypto(empi_aead::Error::InvalidKeyLength {
-                        got: cfg.key_bytes().len(),
-                    }));
-                }
-                empi_aead::gcm::AesGcm::new(cfg.key_bytes()).map_err(Error::Crypto)?
-            }
-        };
+        cfg.library.supports(cfg.key_size)?;
+        let cluster = empi_aead::gcm::AesGcm::new(cfg.key_bytes())?;
         let rel = Reliability::new(comm, &cfg);
-        let keys = KeyRing::new(cluster, &cfg, rel.on());
+        let keys = KeyRing::new(cluster, &cfg);
         let pipe = Pipeline::new(cfg.pipeline, comm.rank());
         let mut sc = SecureComm {
             comm,
@@ -170,7 +150,7 @@ impl<'a, 'h> SecureComm<'a, 'h> {
                 .collect();
             for r in (0..n).filter(|&r| r != me) {
                 let (_, raw) = self.comm.recv(Src::Is(r), TagSel::Is(tag));
-                accept(r, KeyFrame::decode(&self.open_to_vec(None, false, &raw)?))?;
+                accept(r, KeyFrame::decode(&self.open_to_vec(None, &raw)?))?;
             }
             for req in reqs {
                 let _ = self.comm.wait_payload(req);
@@ -299,41 +279,27 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         f: impl FnOnce() -> T,
     ) -> T {
         let t0 = self.comm.sim().now().as_nanos();
-        let out = match self.calibrated_ns(bytes) {
-            None => self.comm.sim().charge_measured(f),
-            // Cost is known before the call, so the crypto work can
-            // run detached: under a sharded world other ranks proceed
-            // on real cores while this one seals/opens. The closure
-            // touches only rank-local cipher state and pre-allocated
-            // buffers, as charge_overlapped requires.
-            Some(ns) => self.comm.sim().charge_overlapped(VDur(ns), f),
-        };
+        // Cost is known before the call, so the crypto work can run
+        // detached: under a sharded world other ranks proceed on real
+        // cores while this one seals/opens. The closure touches only
+        // rank-local cipher state and pre-allocated buffers, as
+        // charge_overlapped requires.
+        let out = self
+            .comm
+            .sim()
+            .charge_overlapped(VDur(self.calibrated_ns(bytes)), f);
         let backend = || self.cfg.library.name().to_string();
         note_span(self.comm, Cat::Crypto, kind, t0, bytes, backend, key);
         out
     }
 
-    /// The virtual cost of `bytes` of AES-GCM under the configured
-    /// [`TimingMode`]: the library's calibrated curve, or `None` when
-    /// the cost is the measured host time of the call. Encryption and
-    /// decryption cost the same in AES-GCM (§V-A).
-    fn calibrated_ns(&self, bytes: usize) -> Option<u64> {
-        match self.cfg.timing {
-            TimingMode::Calibrated(build) => Some(self.cfg.library.enc_time_ns(build, bytes)),
-            TimingMode::Measured => None,
-        }
-    }
-
-    /// Bridge the configured [`TimingMode`] to the pipeline's per-chunk
-    /// cost model.
-    fn with_chunk_cost<T>(&self, f: impl FnOnce(&ChunkCost<'_>) -> T) -> T {
-        if self.cfg.timing == TimingMode::Measured {
-            return f(&ChunkCost::Measured {
-                scale: self.comm.sim().time_scale(),
-            });
-        }
-        let curve = |n: usize| self.calibrated_ns(n).expect("timing is calibrated");
-        f(&ChunkCost::Calibrated(&curve))
+    /// The virtual cost of `bytes` of AES-GCM: the library's calibrated
+    /// curve for the configured [`TimingMode`]'s build — also the
+    /// pipeline's per-chunk [`empi_pipeline::ChunkCost`]. Encryption
+    /// and decryption cost the same in AES-GCM (§V-A).
+    fn calibrated_ns(&self, bytes: usize) -> u64 {
+        let TimingMode::Calibrated(build) = self.cfg.timing;
+        self.cfg.library.enc_time_ns(build, bytes)
     }
 
     /// Run a public op whose peer and size are known up front under an

@@ -80,10 +80,10 @@ impl SecureComm<'_, '_> {
         });
     }
 
-    /// Seal one message into its own wire buffer. `dst` selects the
-    /// pair key when that extension is active (`None` = shared key).
+    /// Seal one message into its own wire buffer. `dst` is the peer its
+    /// seal sample is keyed by (`None` = a collective's record).
     pub(super) fn seal_wire(&self, plaintext: &[u8], dst: Option<usize>) -> Vec<u8> {
-        let key = self.seal_key(dst);
+        let key = self.seal_key();
         let len = plaintext.len() + self.keys.overhead();
         let (mut wire, fresh) = self.take_buf(len);
         self.note_alloc(fresh, len, "seal wire");
@@ -95,17 +95,12 @@ impl SecureComm<'_, '_> {
     /// [`empi_keys::KeyError::Downgrade`] when the key plane is on and
     /// it is absent), resolve the key through the receive-side gates,
     /// bound the length.
-    pub(super) fn parse_record(
-        &self,
-        src: Option<usize>,
-        pair: bool,
-        wire: &[u8],
-    ) -> Result<RecordView> {
+    pub(super) fn parse_record(&self, src: Option<usize>, wire: &[u8]) -> Result<RecordView> {
         let epoch = match self.keys.plane() {
             Some(_) => Some(split_epoch(wire).map_err(Error::Key)?.0),
             None => None,
         };
-        let key = self.open_key(src, pair, epoch)?;
+        let key = self.open_key(src, epoch)?;
         let skip = self.keys.overhead() - WIRE_OVERHEAD;
         if wire.len() < skip + WIRE_OVERHEAD {
             return Err(Error::Crypto(empi_aead::Error::CiphertextTooShort {
@@ -153,25 +148,19 @@ impl SecureComm<'_, '_> {
     }
 
     /// Open a borrowed record into a fresh plaintext buffer.
-    pub(super) fn open_to_vec(
-        &self,
-        src: Option<usize>,
-        pair: bool,
-        wire: &[u8],
-    ) -> Result<Vec<u8>> {
-        let rec = self.parse_record(src, pair, wire)?;
+    pub(super) fn open_to_vec(&self, src: Option<usize>, wire: &[u8]) -> Result<Vec<u8>> {
+        let rec = self.parse_record(src, wire)?;
         self.note_alloc(true, rec.body.len(), "open plaintext");
         let mut plain = wire[rec.body.clone()].to_vec();
         self.open_record(&rec, "open/plain", &mut plain)?;
         Ok(plain)
     }
 
-    /// Open one collective block from `src` (shared key), appending the
-    /// plaintext directly onto `out` — the gather loops decrypt into
-    /// their result buffer. `out` is restored to its prior length on
-    /// failure.
+    /// Open one collective block from `src`, appending the plaintext
+    /// directly onto `out` — the gather loops decrypt into their result
+    /// buffer. `out` is restored to its prior length on failure.
     pub(super) fn open_append(&self, src: usize, wire: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        let rec = self.parse_record(Some(src), false, wire)?;
+        let rec = self.parse_record(Some(src), wire)?;
         let start = out.len();
         out.extend_from_slice(&wire[rec.body.clone()]);
         let r = self.open_record(&rec, "open/coll", &mut out[start..]);
@@ -188,9 +177,9 @@ impl SecureComm<'_, '_> {
     fn open_owned(&self, src: usize, wire: Bytes) -> Result<Vec<u8>> {
         let mut v = match wire.try_into_vec() {
             Ok(v) => v,
-            Err(shared) => return self.open_to_vec(Some(src), true, &shared),
+            Err(shared) => return self.open_to_vec(Some(src), &shared),
         };
-        let rec = self.parse_record(Some(src), true, &v)?;
+        let rec = self.parse_record(Some(src), &v)?;
         self.open_record(&rec, "open/plain", &mut v[rec.body.clone()])?;
         // Strip the framing in place (one memmove, no allocation).
         v.truncate(rec.body.end);
@@ -203,14 +192,14 @@ impl SecureComm<'_, '_> {
     // ---------------------------------------------------------------
 
     /// Seal `buf` into chunked wire frames on the shared worker-core
-    /// pool: one nonce block covers all chunks. `dst` selects the pair
-    /// key when that extension is active (`None` = collective / shared
-    /// context). Counter semantics: one logical seal and one nonce
-    /// draw per message (per-chunk activity shows up in
-    /// `chunks_sealed` and the pipeline trace lanes).
+    /// pool: one nonce block covers all chunks. `dst` is the peer the
+    /// seal sample is keyed by (`None` = a collective's train). Counter
+    /// semantics: one logical seal and one nonce draw per message
+    /// (per-chunk activity shows up in `chunks_sealed` and the pipeline
+    /// trace lanes).
     pub(super) fn seal_chunked_frames(&self, buf: &[u8], dst: Option<usize>) -> Vec<ChunkFrame> {
         let total = chunk_count(buf.len(), self.cfg.pipeline.chunk_size);
-        let key = self.seal_key(dst);
+        let key = self.seal_key();
         if let Some(epoch) = key.epoch {
             // Chunked records carry the epoch in the (AAD-bound) top
             // bits of the message id instead of a prefix.
@@ -233,11 +222,10 @@ impl SecureComm<'_, '_> {
             (frame, is_fresh)
         };
         let t0 = self.comm.sim().now().as_nanos();
-        let frames = self.with_chunk_cost(|cost| {
-            let backend = self.cfg.library.name();
-            self.pipe
-                .seal_timed(self.comm, &key.ctx.cipher, cost, backend, base, buf, &take)
-        });
+        let (cost, backend) = (|n| self.calibrated_ns(n), self.cfg.library.name());
+        let frames = self
+            .pipe
+            .seal_timed(self.comm, &key.ctx.cipher, &cost, backend, base, buf, &take);
         let key = (Metric::Seal, "seal/chunked", peer_id(dst));
         note_sample(self.comm, key, buf.len(), t0);
         // One aggregate alloc/* marker per sourcing outcome per chunked
@@ -259,22 +247,22 @@ impl SecureComm<'_, '_> {
 
     /// Open a received chunked message on the worker-core pool.
     /// Format-driven: this runs whenever the *sender* used the chunked
-    /// wire format, regardless of the local pipeline config. `pair`
-    /// selects the pair key for p2p traffic (collectives relaying
-    /// root-sealed frames pass `false`). After a successful open the
-    /// frame buffers are dead and go back to the pool; on failure the
-    /// message is handed back.
+    /// wire format, regardless of the local pipeline config. `peer` is
+    /// the peer the open sample is keyed by (`None` = collectives
+    /// relaying root-sealed frames). After a successful open the frame
+    /// buffers are dead and go back to the pool; on failure the message
+    /// is handed back.
     pub(super) fn open_chunked(
         &self,
         msg: ChunkedMessage,
-        pair: bool,
+        peer: Option<usize>,
     ) -> std::result::Result<Vec<u8>, (Error, ChunkedMessage)> {
         let msg_id = msg.frames.iter().find_map(|(_, f)| {
             let header = FrameHeader::decode(f).ok();
             header.map(|(h, _)| h.msg_id)
         });
         let epoch = self.chunked_epoch(msg_id);
-        let key = match self.open_key(Some(msg.src), pair, epoch) {
+        let key = match self.open_key(Some(msg.src), epoch) {
             Ok(key) => key,
             Err(e) => return Err((e, msg)),
         };
@@ -284,13 +272,11 @@ impl SecureComm<'_, '_> {
             t.count_open(self.rank(), wire, plain_len);
         }
         let t0 = self.comm.sim().now().as_nanos();
-        let r = self.with_chunk_cost(|cost| {
-            let backend = self.cfg.library.name();
-            self.pipe
-                .open(self.comm, &key.ctx.cipher, cost, backend, &msg)
-        });
-        let peer = if pair { msg.src as i32 } else { -1 };
-        let key = (Metric::Open, "open/chunked", peer);
+        let (cost, backend) = (|n| self.calibrated_ns(n), self.cfg.library.name());
+        let r = self
+            .pipe
+            .open(self.comm, &key.ctx.cipher, &cost, backend, &msg);
+        let key = (Metric::Open, "open/chunked", peer_id(peer));
         note_sample(self.comm, key, plain_len, t0);
         match r {
             Ok(plain) => {
@@ -348,7 +334,7 @@ impl SecureComm<'_, '_> {
                 .map_err(|e| (e, None)),
             RecvPayload::Chunked(msg) => {
                 let (src, tag) = (msg.src, msg.tag);
-                self.open_chunked(msg, true)
+                self.open_chunked(msg, Some(src))
                     .map(|plain| opened(src, tag, plain))
                     .map_err(|(e, msg)| (e, Some(msg)))
             }

@@ -463,11 +463,10 @@ impl<'a, 'h> Reliability<'a, 'h> {
     /// trial opens push the pending sealed records through AES-GCM).
     fn salvage_pass(&self, sc: &SecureComm<'_, '_>, salvage: &mut Salvage) -> SalvageResult {
         // Under the key plane the frames carry their epoch in the
-        // message id; resolve it to the matching group key (chaos
-        // disables pair keys, so group is what the sender used). A
-        // wrong guess just fails auth and NACKs — no typed gate here.
+        // message id; resolve it to the matching group key. A wrong
+        // guess just fails auth and NACKs — no typed gate here.
         let epoch = sc.chunked_epoch(salvage.candidate_msg_id());
-        let ctx = sc.keys.ctx(sc.keys.id(None, epoch));
+        let ctx = sc.keys.ctx(epoch);
         match salvage.pending_bytes() {
             0 => salvage.try_open(&ctx.cipher),
             bytes => sc.run_crypto(bytes, "open", None, || salvage.try_open(&ctx.cipher)),
@@ -650,7 +649,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
                             "sender aborted".into(),
                         ));
                     }
-                    RepairKind::Plain => match sc.open_to_vec(Some(src), true, body) {
+                    RepairKind::Plain => match sc.open_to_vec(Some(src), body) {
                         Ok(plain) => {
                             self.end_backoff(t0, flow);
                             return Ok(self.recovered(flow, t_enter, plain, || {

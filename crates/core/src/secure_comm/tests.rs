@@ -1429,87 +1429,6 @@ fn pooled_pipelined_traffic_recycles_buffers() {
 }
 
 #[test]
-fn peer_cipher_round_trips_and_derives_once() {
-    let w = World::flat(NetModel::ethernet_10g(), 2);
-    let out = w.run(|c| {
-        let sc = SecureComm::new(c, cfg().with_peer_cipher(true)).unwrap();
-        let msg = vec![0xAB; 2000];
-        for i in 0..16u32 {
-            if c.rank() == 0 {
-                sc.send(&msg, 1, i);
-                let (_, echo) = sc.recv(Src::Is(1), TagSel::Is(i)).unwrap();
-                assert_eq!(echo, msg);
-            } else {
-                let (_, data) = sc.recv(Src::Is(0), TagSel::Is(i)).unwrap();
-                sc.send(&data, 0, i);
-            }
-        }
-        let before = sc.kdf_derivations();
-        // A new epoch re-derives (once per pair), the old epoch's
-        // keys stay cached.
-        sc.advance_epoch();
-        if c.rank() == 0 {
-            sc.send(&msg, 1, 99);
-            let (_, echo) = sc.recv(Src::Is(1), TagSel::Is(99)).unwrap();
-            assert_eq!(echo, msg);
-        } else {
-            let (_, data) = sc.recv(Src::Is(0), TagSel::Is(99)).unwrap();
-            sc.send(&data, 0, 99);
-        }
-        (before, sc.kdf_derivations())
-    });
-    for (rank, &(before, after)) in out.results.iter().enumerate() {
-        // 32 messages touched two ordered pairs; the KDF ran once
-        // per (pair, epoch), not once per message.
-        assert_eq!(before, 2, "rank {rank}: epoch-0 derivations");
-        assert_eq!(after, 4, "rank {rank}: epoch-1 adds one per pair");
-    }
-}
-
-#[test]
-fn peer_cipher_changes_wire_bytes_but_not_plaintext() {
-    let msg: Vec<u8> = (0..256).map(|i| i as u8).collect();
-    let shared = raw_wire_for(msg.clone(), || cfg().with_deterministic_nonces(5));
-    let paired = raw_wire_for(msg.clone(), || {
-        cfg().with_deterministic_nonces(5).with_peer_cipher(true)
-    });
-    assert_eq!(shared.len(), paired.len(), "format must not change");
-    assert_ne!(
-        shared, paired,
-        "pair-derived keys must produce different ciphertext"
-    );
-}
-
-#[test]
-fn peer_cipher_interops_with_pipelining_and_pool() {
-    let len = (1usize << 17) + 3;
-    let w = World::flat(NetModel::ethernet_10g(), 2);
-    let out = w.run(move |c| {
-        let sc = SecureComm::new(
-            c,
-            cfg()
-                .with_pipeline(crate::PipelineConfig::enabled().with_workers(4))
-                .with_buffer_pool(true)
-                .with_peer_cipher(true),
-        )
-        .unwrap();
-        let msg: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
-        if c.rank() == 0 {
-            sc.send(&msg, 1, 0);
-            let r = sc.isend(&msg, 1, 1);
-            sc.wait(r).unwrap();
-            true
-        } else {
-            let (_, a) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-            let r = sc.irecv(Src::Is(0), TagSel::Is(1));
-            let (_, b) = sc.wait(r).unwrap();
-            a == msg && b.unwrap() == msg
-        }
-    });
-    assert!(out.results[1]);
-}
-
-#[test]
 fn traced_pooled_2mb_send_meets_alloc_budget() {
     // The CI allocation-regression guard (DECOMP-ALLOC): the
     // marginal traced heap-allocation cost of one steady-state
@@ -1724,9 +1643,11 @@ fn revoked_rank_is_quarantined_and_survivors_rekey() {
         c.barrier();
         // Survivors 0 and 1 revoke rank 2; rank 2 doesn't know.
         if me != 2 {
+            let before = sc.sealing_epoch();
             sc.revoke(2).unwrap();
             assert_eq!(sc.revoked_ranks(), vec![2]);
             assert_eq!(sc.sealing_epoch(), 1, "revocation bumps the epoch");
+            assert_eq!(sc.sealing_epoch(), before + 1, "by exactly one on every survivor");
             assert!(matches!(
                 sc.revoke(2),
                 Err(Error::Key(KeyError::RevokedPeer { rank: 2 }))

@@ -16,9 +16,8 @@
 //!   the contributions with the bootstrap key into a fresh *session
 //!   master*. The hardcoded cluster key is demoted to a bootstrap KEK
 //!   that only ever protects handshake frames.
-//! * [`kdf`] — the one canonical key-derivation path: pair subkeys,
-//!   epoch qualification, the per-epoch *group* key, and the memoizing
-//!   [`kdf::KeyCache`].
+//! * [`kdf`] — the one canonical key-derivation path: the per-epoch
+//!   *group* key, and the toy pair-subkey KDF (DESIGN.md §7).
 //! * [`epoch`]/[`plane`] — epoch rotation on a virtual-time
 //!   [`empi_netsim::Schedule`] (no wire synchronization: each rank
 //!   derives the epoch from its own clock, and a drain window absorbs
@@ -39,9 +38,7 @@ pub mod suite;
 
 pub use epoch::EpochWindow;
 pub use frames::KeyFrame;
-pub use kdf::{
-    derive_group_key, derive_key_table, derive_pair_key, derive_pair_key_epoch, KeyCache,
-};
+pub use kdf::{derive_group_key, derive_pair_key};
 pub use plane::{KeyError, KeyPlane, KeyPlaneConfig, KeyStats};
 pub use record::{
     embed_epoch_msg_id, epoch_aad, msg_id_epoch, open_record, seal_record, split_epoch,

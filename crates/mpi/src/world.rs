@@ -18,7 +18,6 @@ pub struct World {
     model: NetModel,
     topology: Topology,
     shards: Option<usize>,
-    time_scale: f64,
     traced: bool,
     metered: bool,
     slo: Option<SloConfig>,
@@ -88,7 +87,6 @@ impl World {
             model,
             topology,
             shards: None,
-            time_scale: 1.0,
             traced: false,
             metered: false,
             slo: None,
@@ -116,12 +114,6 @@ impl World {
     /// [`World::with_shards`] first, then `EMPI_SHARDS`, then 1.
     pub fn shards(&self) -> usize {
         self.shards.unwrap_or_else(shards_from_env)
-    }
-
-    /// Multiplier for measured-time charging (models a slower CPU).
-    pub fn time_scale(mut self, scale: f64) -> Self {
-        self.time_scale = scale;
-        self
     }
 
     /// Collect a [`TraceReport`] for the run: per-rank wait/host/crypto
@@ -195,7 +187,6 @@ impl World {
         let diag_recorder = recorder.clone();
         let mut engine = Engine::new(n)
             .shards(self.shards())
-            .time_scale(self.time_scale)
             .crash_plan(self.crash.clone())
             .diagnostics(
                 // Runs inside the scheduler's deadlock panic, where a rank

@@ -34,11 +34,9 @@
 //! sequence — and therefore every virtual time, wire byte, and trace
 //! event — is the same for every `S`.
 //!
-//! [`SimHandle::charge_measured`] does not detach: its charge is
-//! unknown until the closure returns, so the rank's next key is too,
-//! and the rank that calls it was granted as the minimum key — no other
-//! tenure could be granted before it finishes. It times the closure
-//! while holding the token and advances by the result.
+//! Virtual time has no other source: the engine never reads the host
+//! clock. Host work a rank does between two engine calls holds the
+//! token and costs no virtual time.
 //!
 //! # Hand-off and placement
 //!
@@ -59,7 +57,6 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
-use std::time::Instant;
 
 use empi_pool::BufferPool;
 use empi_trace::{Cat, Metric, MetricsSnapshot, Recorder, TraceReport};
@@ -264,8 +261,6 @@ struct Shared {
     /// Set with `poisoned`: lets lane waiters bail out instead of
     /// sleeping through an abort.
     aborted: AtomicBool,
-    /// Multiplier applied to measured wall time in `charge_measured`.
-    time_scale: f64,
     /// Total yield operations (scheduler-overhead metric).
     yields: AtomicU64,
     /// Total notify operations.
@@ -599,7 +594,6 @@ impl Drop for LaneGuard<'_> {
 pub struct Engine {
     n_ranks: usize,
     shards: usize,
-    time_scale: f64,
     recorder: Option<Recorder>,
     diag: Option<DiagFn>,
     crash: CrashPlan,
@@ -612,7 +606,6 @@ impl Engine {
         Engine {
             n_ranks,
             shards: 1,
-            time_scale: 1.0,
             recorder: None,
             diag: None,
             crash: CrashPlan::new(),
@@ -636,14 +629,6 @@ impl Engine {
     /// result as a bug).
     pub fn crash_plan(mut self, plan: CrashPlan) -> Self {
         self.crash = plan;
-        self
-    }
-
-    /// Set the multiplier applied to measured wall time by
-    /// [`SimHandle::charge_measured`] (e.g. to model a slower CPU).
-    pub fn time_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0);
-        self.time_scale = scale;
         self
     }
 
@@ -732,7 +717,6 @@ impl Engine {
             lanes: Mutex::new(shards),
             lanes_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
-            time_scale: self.time_scale,
             yields: AtomicU64::new(0),
             notifies: AtomicU64::new(0),
             recorder: self.recorder.clone(),
@@ -1064,23 +1048,6 @@ impl SimHandle {
         out
     }
 
-    /// Run `f`, measure its wall time, charge it (scaled by the
-    /// engine's `time_scale`) as virtual compute, and return its result.
-    ///
-    /// `f` runs on this rank's thread while it holds the token, at every
-    /// lane count: the charge is unknown until `f` returns, so the
-    /// rank's next key is too, and since this rank was granted as the
-    /// minimum key nothing else could be granted before then. Measured
-    /// charges are wall-clock-dependent, so unlike modeled charges they
-    /// vary run to run.
-    pub fn charge_measured<T>(&self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_nanos() as f64 * self.shared.time_scale;
-        self.advance(VDur(elapsed as u64));
-        out
-    }
-
     /// Park this rank until `check` produces a completion.
     ///
     /// `check` is evaluated immediately and after every
@@ -1203,14 +1170,6 @@ impl SimHandle {
     /// The recorder installed on this engine, if any.
     pub fn recorder(&self) -> Option<&Recorder> {
         self.shared.recorder.as_ref()
-    }
-
-    /// The engine's measured-time multiplier (see [`Engine::time_scale`]).
-    /// Lets callers that schedule measured work on *other* virtual
-    /// resources (e.g. a [`crate::cores::CorePool`]) apply the same
-    /// scaling as [`Self::charge_measured`] without moving this clock.
-    pub fn time_scale(&self) -> f64 {
-        self.shared.time_scale
     }
 
     /// Run `f` against this rank's shared crypto worker pool, growing
@@ -1487,45 +1446,6 @@ mod tests {
     }
 
     #[test]
-    fn charge_measured_moves_clock() {
-        let out = Engine::new(1).run(|h| {
-            let before = h.now();
-            let x = h.charge_measured(|| (0..10_000u64).sum::<u64>());
-            assert_eq!(x, 49_995_000);
-            h.now().since(before)
-        });
-        assert!(out.results[0] > VDur::ZERO);
-    }
-
-    #[test]
-    fn time_scale_multiplies_measured_time() {
-        // `black_box` keeps the loop in an optimised build, where it
-        // would otherwise fold to a constant and leave timer noise.
-        let busy = || {
-            let mut acc = 0u64;
-            for i in 0..200_000u64 {
-                acc = std::hint::black_box(acc.wrapping_add(i * i));
-            }
-            acc
-        };
-        let t1 = Engine::new(1)
-            .run(|h| {
-                h.charge_measured(busy);
-                h.now()
-            })
-            .results[0];
-        let t10 = Engine::new(1)
-            .time_scale(10.0)
-            .run(|h| {
-                h.charge_measured(busy);
-                h.now()
-            })
-            .results[0];
-        // Allow generous jitter; the scaled run must be clearly longer.
-        assert!(t10.as_nanos() > t1.as_nanos() * 3, "t1={t1} t10={t10}");
-    }
-
-    #[test]
     fn many_ranks_many_yields() {
         let out = Engine::new(32).run(|h| {
             for _ in 0..50 {
@@ -1734,6 +1654,7 @@ mod shard_tests {
     use super::*;
     use parking_lot::Mutex as PlMutex;
     use std::collections::VecDeque;
+    use std::time::Instant;
 
     /// A mixed workload: staggered advances, ping/pong notifies, and
     /// overlapped charges. Returns (per-rank final clocks, event log,
@@ -1824,53 +1745,15 @@ mod shard_tests {
     }
 
     #[test]
-    fn charge_measured_under_shards_moves_clock() {
-        let out = Engine::new(4).shards(4).run(|h| {
-            let v = h.charge_measured(|| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                h.rank() * 10
-            });
-            assert_eq!(v, h.rank() * 10);
-            assert!(h.now().as_nanos() >= 1_000_000, "≥1ms charged");
-            h.now()
-        });
-        assert!(out.end_time.as_nanos() >= 1_000_000);
-    }
-
-    #[test]
-    fn measured_charge_holds_the_token() {
-        // Rank 0 runs a measured charge from t=0. Rank 1's first tenure
-        // has the higher key (0, 1), and no lane count lets it start
-        // before the charge is over: the closure runs on the token.
-        let done = AtomicBool::new(false);
-        Engine::new(2).shards(2).run(|h| {
-            if h.rank() == 0 {
-                h.charge_measured(|| {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    done.store(true, Ordering::SeqCst);
-                });
-            } else {
-                assert!(
-                    done.load(Ordering::SeqCst),
-                    "a tenure ran beside a measured charge"
-                );
-                h.advance_to(VTime(1_000));
-            }
-            h.now()
-        });
-    }
-
-    #[test]
     fn measured_charges_are_shard_invariant() {
-        // A time scale so small that every measured charge rounds to
-        // 0 ns takes the host's wall clock out of the result: what is
-        // left is the schedule, which must not depend on the lane count.
+        // Advances, detached charges and ring hand-offs interleaved:
+        // the tenure schedule must not depend on the lane count.
         const N: usize = 6;
         let run = |s: usize| {
             let log = PlMutex::new(Vec::new());
             let inbox: Vec<PlMutex<VecDeque<u64>>> =
                 (0..N).map(|_| PlMutex::new(VecDeque::new())).collect();
-            let out = Engine::new(N).shards(s).time_scale(1e-12).run(|h| {
+            let out = Engine::new(N).shards(s).run(|h| {
                 let r = h.rank();
                 // Pushed while holding the token, so the log is the
                 // tenure order itself.
@@ -1878,9 +1761,6 @@ mod shard_tests {
                 for step in 0..3u64 {
                     h.advance(VDur::from_nanos((r as u64 * 13 + step * 5) % 17 + 1));
                     note("advance");
-                    let x = h.charge_measured(|| std::hint::black_box(r as u64 + step));
-                    assert_eq!(x, r as u64 + step);
-                    note("measured");
                     let d = VDur::from_micros((r as u64 * 7 + step * 3) % 11 + 1);
                     h.charge_overlapped(d, std::thread::yield_now);
                     note("overlapped");
@@ -1898,7 +1778,7 @@ mod shard_tests {
             (log.into_inner(), out.end_time, out.yields)
         };
         let base = run(1);
-        assert_eq!(base.0.len(), N * 3 * 4);
+        assert_eq!(base.0.len(), N * 3 * 3);
         for s in [2, 4, 7] {
             assert_eq!(base, run(s), "schedule differs at shards={s}");
         }
@@ -1906,11 +1786,11 @@ mod shard_tests {
 
     #[test]
     fn data_posted_after_a_measured_charge_beats_the_deadline() {
-        // Rank 0 arms a deadline at t=1ms and parks. Rank 1 runs a
-        // measured charge and completes the handshake afterwards. The
-        // world is not quiescent while rank 1 holds the token, so the
-        // timer cannot fire under it: the notify wins at every lane
-        // count.
+        // Rank 0 arms a deadline at t=1ms and parks. Rank 1 does host
+        // work between two yields and completes the handshake
+        // afterwards. The world is not quiescent while rank 1 holds the
+        // token, so the timer cannot fire under it: the notify wins at
+        // every lane count.
         let flag = PlMutex::new(None::<u64>);
         Engine::new(2).shards(2).run(|h| {
             if h.rank() == 0 {
@@ -1922,7 +1802,8 @@ mod shard_tests {
                     "deadline fired although the data was posted before the world went quiet"
                 );
             } else {
-                h.charge_measured(|| std::thread::sleep(std::time::Duration::from_millis(3)));
+                h.advance(VDur::from_micros(1));
+                std::thread::sleep(std::time::Duration::from_millis(3));
                 *flag.lock() = Some(h.now().as_nanos());
                 h.notify_rank(0);
                 h.advance(VDur::from_nanos(1));

@@ -7,8 +7,9 @@
 //! * [`engine`] — a conservative discrete-event engine where each
 //!   simulated rank is a real OS thread running real code, scheduled one
 //!   at a time in minimum-virtual-clock order. Real computations (the
-//!   actual AES-GCM work, the actual NAS kernels) execute and can be
-//!   charged either by measured wall time or by calibrated models.
+//!   actual AES-GCM work, the actual NAS kernels) execute; what they
+//!   cost in virtual time comes from calibrated models, never from the
+//!   host clock.
 //! * [`fabric`] — the interconnect model: calibrated curves for wire
 //!   bandwidth, blocking ping-pong time, and streaming occupancy; per-NIC
 //!   busy timelines for flow sharing; message-rate floors and a

@@ -107,31 +107,10 @@ impl PipelineConfig {
     }
 }
 
-/// How the virtual-time cost of one chunk's seal/open is determined
-/// (mirrors `empi_core::TimingMode`, which this crate cannot depend on).
-pub enum ChunkCost<'a> {
-    /// Charge `f(chunk_bytes)` nanoseconds from the calibrated
-    /// per-library curve.
-    Calibrated(&'a dyn Fn(usize) -> u64),
-    /// Charge the measured wall time of the real crypto call, scaled by
-    /// the engine's time multiplier (`SimHandle::time_scale`).
-    Measured { scale: f64 },
-}
-
-impl ChunkCost<'_> {
-    /// Run one chunk's crypto and return `(result, charged_ns)`.
-    fn run<T>(&self, bytes: usize, f: impl FnOnce() -> T) -> (T, u64) {
-        match self {
-            ChunkCost::Calibrated(curve) => (f(), curve(bytes)),
-            ChunkCost::Measured { scale } => {
-                let t0 = std::time::Instant::now();
-                let out = f();
-                let ns = (t0.elapsed().as_nanos() as f64 * scale) as u64;
-                (out, ns.max(1))
-            }
-        }
-    }
-}
+/// The virtual-time cost of one chunk's seal/open: nanoseconds for a
+/// chunk of the given plaintext length, from the library's calibrated
+/// curve (`empi_core::TimingMode`, which this crate cannot depend on).
+pub type ChunkCost<'a> = dyn Fn(usize) -> u64 + 'a;
 
 /// One chunk's seal/open on the worker core that `slot` names. The
 /// span lands on the `(rank, worker)` lane (so overlapping chunks
@@ -491,10 +470,8 @@ impl Pipeline {
                 };
                 let frame_len = FRAME_OVERHEAD + plain.len();
                 let (mut frame, fresh) = take(frame_len);
-                let (_, ns) = cost.run(plain.len(), || {
-                    build_frame_into(&sealer, &base_nonce, header, plain, &mut frame);
-                });
-                let slot = pool.schedule_limited(submit, VDur(ns), self.cfg.workers);
+                build_frame_into(&sealer, &base_nonce, header, plain, &mut frame);
+                let slot = pool.schedule_limited(submit, VDur(cost(plain.len())), self.cfg.workers);
                 if let Some(t) = h.recorder() {
                     t.count_alloc(comm.rank(), fresh, frame_len);
                     let detail = || format!("{backend} chunk {}/{total}", i + 1);
@@ -557,16 +534,13 @@ impl Pipeline {
                 out.extend_from_slice(&record[..plain_len]);
                 let mut tag = [0u8; TAG_LEN];
                 tag.copy_from_slice(&record[plain_len..]);
-                let (opened, ns) = cost.run(plain_len, || {
-                    opener.open_chunk_detached(i as u32, &mut out[start..], &tag)
-                });
-                if let Err(e) = opened {
+                if let Err(e) = opener.open_chunk_detached(i as u32, &mut out[start..], &tag) {
                     // The failed chunk's bytes are still ciphertext.
                     out.truncate(start);
                     failure = Some((i as u32, e));
                     return;
                 }
-                let slot = pool.schedule_limited(*arrive, VDur(ns), self.cfg.workers);
+                let slot = pool.schedule_limited(*arrive, VDur(cost(plain_len)), self.cfg.workers);
                 if let Some(t) = h.recorder() {
                     let detail = || format!("{backend} chunk {}/{}", i + 1, parsed.total);
                     chunk_span(t, comm.rank(), &slot, "pipe/open", plain_len, detail);
@@ -686,9 +660,8 @@ mod tests {
                     if pipelined {
                         let pipe =
                             Pipeline::new(PipelineConfig::enabled().with_workers(4), c.rank());
-                        let cost = ChunkCost::Calibrated(&cost_ns);
                         let frames =
-                            pipe.seal_timed(c, &cipher, &cost, "test", [3u8; 12], &msg, &heap);
+                            pipe.seal_timed(c, &cipher, &cost_ns, "test", [3u8; 12], &msg, &heap);
                         c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
                     } else {
                         // Sequential reference: pay the whole seal on the
@@ -699,10 +672,9 @@ mod tests {
                     }
                 } else if pipelined {
                     let pipe = Pipeline::new(PipelineConfig::enabled().with_workers(4), c.rank());
-                    let cost = ChunkCost::Calibrated(&cost_ns);
                     let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))
                         .expect("pipelined sender must emit a frame train");
-                    let out = pipe.open(c, &cipher, &cost, "test", &m).unwrap();
+                    let out = pipe.open(c, &cipher, &cost_ns, "test", &m).unwrap();
                     assert_eq!(out, msg);
                 } else {
                     let (_, wire) = c.recv(Src::Is(0), TagSel::Is(0));
@@ -746,8 +718,7 @@ mod tests {
                         .with_chunk_size(64 << 10),
                     c.rank(),
                 );
-                let cost = ChunkCost::Calibrated(&cost_ns);
-                let frames = pipe.seal_timed(c, &cipher, &cost, "test", [1u8; 12], &msg, &heap);
+                let frames = pipe.seal_timed(c, &cipher, &cost_ns, "test", [1u8; 12], &msg, &heap);
                 c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
             } else {
                 let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))

@@ -12,11 +12,14 @@
 
 use empi::aead::CryptoLibrary;
 use empi::mpi::World;
-use empi::netsim::{NetModel, Topology};
+use empi::netsim::{NetModel, Topology, VDur};
 use empi::secure::{SecureComm, SecurityConfig};
 use rand::{Rng, SeedableRng};
 
 const SAMPLES_PER_RANK: u64 = 2_000_000;
+/// Modeled cost of one sample (two uniform draws, a multiply-add and a
+/// compare) on one of the paper's cores.
+const NS_PER_SAMPLE: u64 = 10;
 
 fn main() {
     let ranks = 16;
@@ -24,10 +27,12 @@ fn main() {
     let out = world.run(|c| {
         let sc = SecureComm::new(c, SecurityConfig::new(CryptoLibrary::BoringSsl)).unwrap();
 
-        // Each rank samples independently (deterministic seed per rank);
-        // the real compute time is charged to the rank's virtual core.
+        // Each rank samples independently (deterministic seed per rank).
+        // The sampling really runs; like NAS's `ComputeModel`, the rank's
+        // virtual core is charged a fixed modeled cost per sample, so the
+        // printed virtual time is the same on every run and host.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE + c.rank() as u64);
-        let hits = c.sim().charge_measured(|| {
+        let hits = c.compute_with(VDur(SAMPLES_PER_RANK * NS_PER_SAMPLE), || {
             let mut hits = 0u64;
             for _ in 0..SAMPLES_PER_RANK {
                 let x: f64 = rng.gen_range(-1.0..1.0);

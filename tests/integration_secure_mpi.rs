@@ -118,25 +118,6 @@ fn algorithm1_wire_format_28_bytes_per_segment() {
 }
 
 #[test]
-fn measured_timing_mode_runs_end_to_end() {
-    // Measured mode charges real wall time of the real crypto.
-    let w = World::flat(NetModel::ethernet_10g(), 2);
-    let out = w.run(|c| {
-        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl).with_timing(TimingMode::Measured);
-        let sc = SecureComm::new(c, cfg).unwrap();
-        if c.rank() == 0 {
-            sc.send(&vec![7u8; 1 << 20], 1, 0);
-            0
-        } else {
-            let (st, _) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-            st.len
-        }
-    });
-    assert_eq!(out.results[1], 1 << 20);
-    assert!(out.end_time.as_nanos() > 0);
-}
-
-#[test]
 fn aes128_vs_aes256_both_work_where_supported() {
     for ks in [KeySize::Aes128, KeySize::Aes256] {
         for lib in [CryptoLibrary::OpenSsl, CryptoLibrary::BoringSsl, CryptoLibrary::CryptoPp] {

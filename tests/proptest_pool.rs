@@ -68,16 +68,13 @@ fn fnv64(bytes: &[u8]) -> u64 {
 fn golden_wire_bytes_per_format_and_key_source() {
     type KeySource = fn(SecurityConfig) -> SecurityConfig;
     let cluster: KeySource = |c| c;
-    let pair: KeySource = |c| c.with_peer_cipher(true);
     let plane: KeySource = |c| c.with_key_plane(KeyPlaneConfig::new(0x5eed));
     // (label, pipelined, key source, FNV-64 of the wire bytes as
     // captured at the commit before the record-layer refactor)
-    let table: [(&str, bool, KeySource, u64); 6] = [
+    let table: [(&str, bool, KeySource, u64); 4] = [
         ("plain/cluster", false, cluster, 0x2a8b_bb68_1f96_f585),
-        ("plain/pair", false, pair, 0x0c1d_a945_c2d1_c494),
         ("plain/plane", false, plane, 0x774e_9528_4c1f_ebf6),
         ("chunked/cluster", true, cluster, 0xde2b_7478_ec1e_4f1e),
-        ("chunked/pair", true, pair, 0xf940_077f_e5f7_93ed),
         ("chunked/plane", true, plane, 0x21fd_9f14_a9e3_7239),
     ];
     let msg: Vec<u8> = (0..10_000usize).map(|i| (i * 31 + 7) as u8).collect();
