@@ -104,9 +104,9 @@ pub struct BenchOpts {
     pub trace: bool,
     /// Size-group filter for harnesses that split small vs large.
     pub sizes: SizeSel,
-    /// Detached-compute lanes for every world the harness builds
-    /// (`--shards N`, default `EMPI_SHARDS`, then 1): up to `N`
-    /// detached closures run at once. Changes wall-clock only: virtual
+    /// Carrier threads for every world the harness builds
+    /// (`--shards N`, default `EMPI_SHARDS`, then 1): up to `N` host
+    /// threads run rank code at once. Changes wall-clock only: virtual
     /// results are bit-identical.
     pub shards: usize,
 }

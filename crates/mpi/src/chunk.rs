@@ -86,6 +86,9 @@ pub enum ChunkError {
     MissingChunks { have: u32, total: u32 },
     /// Declared `total` of zero (every message has at least one chunk).
     EmptyMessage,
+    /// Declared `total` above `max(1, total_len)`: every chunk but an
+    /// empty message's only one carries at least one byte.
+    TotalExceedsLength { total: u32, total_len: u64 },
 }
 
 impl std::fmt::Display for ChunkError {
@@ -106,6 +109,9 @@ impl std::fmt::Display for ChunkError {
                 write!(f, "incomplete message: {have} of {total} chunks")
             }
             ChunkError::EmptyMessage => write!(f, "chunked message with zero chunks"),
+            ChunkError::TotalExceedsLength { total, total_len } => {
+                write!(f, "{total} chunks declared for {total_len} bytes")
+            }
         }
     }
 }
@@ -123,16 +129,33 @@ pub struct Reassembly {
 }
 
 impl Reassembly {
-    /// Start reassembly from the first frame header seen.
-    pub fn new(first: &FrameHeader) -> Result<Self, ChunkError> {
-        if first.total == 0 {
+    /// Start reassembly from the first frame header seen, for a message
+    /// delivered as `frames` frames. The header is not authenticated
+    /// yet, so its `total` sizes nothing until it is bounded by what
+    /// arrived: more chunks than frames is a message missing chunks, and
+    /// more chunks than bytes is no message a sender could have framed.
+    pub fn new(first: &FrameHeader, frames: usize) -> Result<Self, ChunkError> {
+        let total = first.total;
+        if total == 0 {
             return Err(ChunkError::EmptyMessage);
+        }
+        if u64::from(total) > first.total_len.max(1) {
+            return Err(ChunkError::TotalExceedsLength {
+                total,
+                total_len: first.total_len,
+            });
+        }
+        if total as usize > frames {
+            return Err(ChunkError::MissingChunks {
+                have: u32::try_from(frames).unwrap_or(u32::MAX),
+                total,
+            });
         }
         Ok(Reassembly {
             msg_id: first.msg_id,
-            total: first.total,
+            total,
             total_len: first.total_len,
-            slots: vec![None; first.total as usize],
+            slots: vec![None; total as usize],
             have: 0,
         })
     }
@@ -306,7 +329,7 @@ mod tests {
 
     #[test]
     fn reassembly_accepts_any_order_once() {
-        let mut r = Reassembly::new(&hdr(1)).unwrap();
+        let mut r = Reassembly::new(&hdr(1), 3).unwrap();
         for i in [1u32, 0, 2] {
             r.accept(&hdr(i), Bytes::from(vec![i as u8])).unwrap();
         }
@@ -319,7 +342,7 @@ mod tests {
 
     #[test]
     fn reassembly_rejects_protocol_violations() {
-        let mut r = Reassembly::new(&hdr(0)).unwrap();
+        let mut r = Reassembly::new(&hdr(0), 3).unwrap();
         r.accept(&hdr(0), Bytes::new()).unwrap();
         // Duplicate.
         assert_eq!(
@@ -352,5 +375,36 @@ mod tests {
             r.finish().err(),
             Some(ChunkError::MissingChunks { have: 1, total: 3 })
         );
+    }
+
+    #[test]
+    fn an_unauthenticated_total_sizes_nothing() {
+        // `u32::MAX` slots would be 128 GiB: returning at all shows
+        // nothing was sized by the header.
+        let mut h = hdr(0);
+        h.total = u32::MAX;
+        h.total_len = u64::MAX;
+        assert_eq!(
+            Reassembly::new(&h, 1).err(),
+            Some(ChunkError::MissingChunks {
+                have: 1,
+                total: u32::MAX
+            })
+        );
+        h.total_len = 2;
+        assert_eq!(
+            Reassembly::new(&h, usize::MAX).err(),
+            Some(ChunkError::TotalExceedsLength {
+                total: u32::MAX,
+                total_len: 2
+            })
+        );
+        // An empty message is one chunk of no bytes.
+        let empty = FrameHeader {
+            total: 1,
+            total_len: 0,
+            ..hdr(0)
+        };
+        assert!(Reassembly::new(&empty, 1).is_ok());
     }
 }

@@ -100,17 +100,17 @@ impl World {
         World::new(model, Topology::one_per_node(n))
     }
 
-    /// Let up to `s` detached closures — ranks' heavy host work
-    /// (crypto, kernel math) — run concurrently on real cores. Results
-    /// are bit-identical for every `s`: the lane count changes
-    /// wall-clock time only (see DESIGN.md §15). Defaults to the
-    /// `EMPI_SHARDS` environment variable, then 1 (fully serial).
+    /// Run rank code on `s` host threads, so that ranks' detached heavy
+    /// host work (crypto, kernel math) overlaps the token holder on real
+    /// cores. Results are bit-identical for every `s`: the carrier count
+    /// changes wall-clock time only (see DESIGN.md §15). Defaults to the
+    /// `EMPI_SHARDS` environment variable, then 1 (the calling thread).
     pub fn with_shards(mut self, s: usize) -> Self {
         self.shards = Some(s.max(1));
         self
     }
 
-    /// The lane count this world will run with: explicit
+    /// The carrier count this world will run with: explicit
     /// [`World::with_shards`] first, then `EMPI_SHARDS`, then 1.
     pub fn shards(&self) -> usize {
         self.shards.unwrap_or_else(shards_from_env)

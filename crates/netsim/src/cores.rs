@@ -29,7 +29,7 @@ pub struct CoreSlot {
 /// A pool of simulated crypto worker cores owned by one rank.
 ///
 /// Purely a virtual-time resource: no threads are spawned. The caller
-/// performs the real computation on its own OS thread (execution is
+/// performs the real computation on its own coroutine (execution is
 /// exclusive anyway) and uses the pool only to decide *when* each
 /// result becomes available.
 #[derive(Debug, Clone)]

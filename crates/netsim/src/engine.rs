@@ -1,12 +1,12 @@
-//! Conservative virtual-time execution engine: one min-key run queue
-//! and detached compute lanes.
+//! Conservative virtual-time execution engine: one min-key run queue,
+//! ranks as coroutines, and carrier threads that run them.
 //!
-//! Each simulated rank runs real Rust code on its own OS thread. State
-//! interactions are serialized into **tenures**: a scheduler token
-//! guarantees exactly one rank executes a tenure at a time, and the
-//! token always goes to the grantable rank with the smallest key
-//! `(virtual clock, rank)`. That gives three properties the benchmarks
-//! rely on:
+//! Each simulated rank runs real Rust code as a stackful coroutine with
+//! its own 2 MiB stack. State interactions are serialized into
+//! **tenures**: a scheduler token guarantees exactly one rank executes a
+//! tenure at a time, and the token always goes to the grantable rank
+//! with the smallest key `(virtual clock, rank)`. That gives three
+//! properties the benchmarks rely on:
 //!
 //! 1. *Causality*: when a rank executes at virtual time `t`, every other
 //!    rank has logically reached `t`, so no message can later arrive
@@ -15,55 +15,56 @@
 //!    (the paper's regime — 64 ranks on 64 physical cores), even though
 //!    the host machine may have a single core.
 //! 3. *Determinism of structure*: message-matching order depends only on
-//!    virtual timestamps, not host thread scheduling.
+//!    virtual timestamps, not on which host thread ran what.
 //!
 //! # The run queue and detached compute
 //!
 //! Every `Ready` rank has one entry in a single binary heap over
 //! `(clock, rank)`; granting the token pops its minimum, so a grant
-//! costs `O(log n)` whatever the lane count.
+//! costs `O(log n)` whatever the carrier count.
 //!
 //! Real host work (crypto, kernel arithmetic) leaves the token in one
 //! way: [`SimHandle::charge_overlapped`] charges a *known* model cost
 //! `d`, then runs the closure **detached** — the rank's clock moves to
 //! `now + d` and the token is released first, so tenures with smaller
-//! keys proceed on other host cores while the closure runs. At most `S`
-//! closures ([`Engine::shards`]) are detached at once. Because the
+//! keys proceed on another carrier while the closure runs. Because the
 //! closure performs no simulation-state operations and the rank's next
 //! tenure keeps exactly the key it would have had serially, the tenure
 //! sequence — and therefore every virtual time, wire byte, and trace
-//! event — is the same for every `S`.
+//! event — is the same for every carrier count.
 //!
 //! Virtual time has no other source: the engine never reads the host
 //! clock. Host work a rank does between two engine calls holds the
 //! token and costs no virtual time.
 //!
-//! # Hand-off and placement
+//! # Hand-off and carriers
 //!
-//! A tenure change names the next holder under the scheduler lock and
-//! wakes it after the lock is dropped; a rank granted its own token
-//! again wakes nobody. With one lane only one rank thread runs at a
-//! time, so the rank threads are pinned to the CPU the run was called
-//! on (Linux; elsewhere, or if the kernel refuses, they run unpinned).
+//! [`Engine::shards`] is the number of host threads that run rank code:
+//! carrier 0 is the thread that called the run, the others are spawned
+//! for it and sleep when idle. A tenure change names the next holder
+//! under the scheduler lock; after the lock is dropped the releasing
+//! coroutine switches to the named one on the same carrier — a
+//! user-space stack switch, no system call. A rank granted its own token
+//! again switches nothing. A one-carrier world is one thread.
 //!
 //! Rank code interacts with the engine through [`SimHandle`]:
 //! [`SimHandle::advance`] charges virtual compute time and
 //! [`SimHandle::block_on`] parks the rank until a peer calls
 //! [`SimHandle::notify_rank`].
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use empi_pool::BufferPool;
 use empi_trace::{Cat, Metric, MetricsSnapshot, Recorder, TraceReport};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::cores::CorePool;
 use crate::fault::{CrashKind, CrashPlan};
+use crate::fiber::{self, Context};
 use crate::time::{VDur, VTime};
 
 /// Why a rank is parked (for deadlock diagnostics).
@@ -93,7 +94,7 @@ enum Status {
     Blocked,
     /// Rank closure returned.
     Done,
-    /// Killed by the crash plan: the coroutine was parked at its death
+    /// Killed by the crash plan: the coroutine unwound at its death
     /// time and will never run again. Unlike `Done`, there is no
     /// result, and the rank still appears in deadlock reports so
     /// survivors' stuck waits name the corpse they were waiting on.
@@ -107,36 +108,17 @@ struct RankState {
     /// rank is runnable the scheduler fires the earliest such deadline
     /// instead of declaring a deadlock — the failure detector's timer.
     deadline: Option<u64>,
+    /// The rank's coroutine is executing on a carrier: it holds the
+    /// token, or runs a detached closure. Otherwise it is suspended (or
+    /// has ended), and a carrier has to switch to it to run it.
+    aboard: bool,
 }
 
-/// Sentinel panic payload used to unwind a crashed rank's coroutine
-/// out of arbitrarily deep user code. Never observed by callers: the
-/// engine catches and swallows it (death bookkeeping happens before
-/// the unwind starts).
+/// Sentinel panic payload used to unwind a rank's coroutine out of
+/// arbitrarily deep user code when the rank dies or its world is
+/// poisoned. Raised with `resume_unwind`, so no panic hook sees it, and
+/// never observed by callers: the rank body catches and swallows it.
 struct CrashUnwind;
-
-thread_local! {
-    /// Set just before a [`CrashUnwind`] so the panic hook stays quiet
-    /// for this deliberate unwind (and only this one).
-    static SILENT_UNWIND: Cell<bool> = const { Cell::new(false) };
-}
-
-static SILENT_HOOK: Once = Once::new();
-
-/// Install (once, process-wide) a panic-hook wrapper that suppresses
-/// output for deliberate crash unwinds and delegates everything else
-/// to the previous hook. Thread-local gating keeps real panics in
-/// concurrently running tests fully reported.
-fn install_silent_hook() {
-    SILENT_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SILENT_UNWIND.with(|f| f.get()) {
-                prev(info);
-            }
-        }));
-    });
-}
 
 struct Sched {
     ranks: Vec<RankState>,
@@ -149,7 +131,7 @@ struct Sched {
     /// Which rank currently holds (or was just granted) the token.
     running: Option<usize>,
     /// The rank the previous grant named: a grant to any other rank is
-    /// a real thread switch, a grant to the same one a kept token.
+    /// a real switch, a grant to the same one a kept token.
     granted: Option<usize>,
     /// Grants that changed rank (see [`FtOutcome::handoffs`]). Counted
     /// under the lock, in grant order, so it repeats exactly.
@@ -158,6 +140,16 @@ struct Sched {
     active: usize,
     /// The first fatal condition (deadlock or rank panic), if any.
     poisoned: Option<SimError>,
+    /// A granted rank whose coroutine is suspended and that nobody
+    /// switched to: the next carrier to look for work runs it.
+    handed: Option<usize>,
+    /// In a poisoned world, the suspended coroutines still to be
+    /// resumed once so that they unwind through their destructors.
+    unwind: Vec<usize>,
+    /// Coroutines that have not ended. The carriers stop at zero.
+    live: usize,
+    /// Carriers asleep on `Shared::idle`.
+    idle: usize,
 }
 
 /// Diagnostic snapshot of one rank at the moment a deadlock was
@@ -219,48 +211,63 @@ impl std::error::Error for SimError {}
 
 impl SimError {
     /// Panic with this error: what the non-`try` runners do with a
-    /// failed world, and how a parked rank leaves a poisoned one.
+    /// failed world.
     pub fn abort(&self) -> ! {
         panic!("simulation aborted: {self}")
     }
 }
 
-/// What a tenure change decided under the `sched` lock and leaves to
-/// do once the guard is dropped (see [`Shared::wake`]).
-#[must_use]
-enum Wake {
-    /// Nothing to do: the world is finished or was poisoned earlier.
-    Nobody,
-    /// This rank was named the next holder.
-    Rank(usize),
-    /// The world was just poisoned: every sleeper has to see it.
-    All,
+/// A switch a coroutine is about to make: the context it leaves (its
+/// own), the one it resumes, and the carrier index to hand over. Raw
+/// pointers, so that an ending coroutine can make it after its handle
+/// (and the `Arc` in it) is gone: the run keeps `Shared` alive until
+/// every carrier has stopped.
+struct Switch {
+    from: *const Context,
+    to: *const Context,
+    carrier: usize,
+}
+
+impl Switch {
+    /// Make the switch; returns the carrier index handed over when the
+    /// leaving coroutine is resumed.
+    ///
+    /// # Safety
+    ///
+    /// Made by the coroutine that [`Shared::leave`] built it for, after
+    /// the `sched` guard is dropped, while the run's `Shared` is alive.
+    unsafe fn make(self) -> usize {
+        // SAFETY: `from` is the calling coroutine's context, marked
+        // suspended under the lock; `to` was marked aboard there, so no
+        // other switch resumes it; a resumer of `from` waits in
+        // `fiber::switch` until this save lands.
+        unsafe { fiber::switch(&*self.from, &*self.to, self.carrier) }
+    }
 }
 
 struct Shared {
     sched: Mutex<Sched>,
-    /// One condvar per rank (all used with the single `sched` mutex):
-    /// granting the token wakes exactly one thread instead of herding
-    /// all N ranks awake on every yield. A grant is published under
-    /// `sched` (`running = Some(r)`) and `cvs[r]` is notified after the
-    /// guard is dropped, so the grantee never wakes into a mutex its
-    /// waker still owns. No wake-up is lost: a waiter tests `running`
-    /// (and `poisoned`) under the same lock it sleeps on.
-    cvs: Vec<Condvar>,
+    /// Idle carriers sleep here (with `sched`) until a rank is handed
+    /// to them or the world ends.
+    idle: Condvar,
+    /// Each rank's coroutine context, saved while it is suspended.
+    ctxs: Vec<Context>,
+    /// Each carrier's own context, saved while it runs a coroutine.
+    homes: Vec<Context>,
+    /// The carrier each rank's coroutine runs on. Only the coroutine
+    /// itself reads or writes its entry: it stores the index each
+    /// switch into it hands over, and leaves to that carrier's home.
+    /// `Relaxed` suffices: when a coroutine moves between carriers, the
+    /// switch that moves it (a release store of its stack pointer, an
+    /// acquire swap by the resumer) orders its accesses.
+    on: Vec<AtomicUsize>,
     /// Per-rank virtual clocks (ns). Written only by the owning rank
     /// while it holds the token (a detached closure's charge lands
     /// before the release), or by the scheduler when it fires a timer
     /// on a parked rank; read freely.
     clocks: Vec<AtomicU64>,
-    /// Number of detached-compute lanes ([`Engine::shards`], clamped).
-    shards: usize,
-    /// Free detached-compute lanes: at most `shards` detached closures
-    /// run concurrently, so `--shards N` bounds host-core use.
-    lanes: Mutex<usize>,
-    lanes_cv: Condvar,
-    /// Set with `poisoned`: lets lane waiters bail out instead of
-    /// sleeping through an abort.
-    aborted: AtomicBool,
+    /// Host threads that run rank code ([`Engine::shards`], clamped).
+    carriers: usize,
     /// Total yield operations (scheduler-overhead metric).
     yields: AtomicU64,
     /// Total notify operations.
@@ -315,45 +322,33 @@ impl Shared {
         None
     }
 
-    /// Record a fatal condition. The first one wins, and its caller
-    /// wakes every sleeper with [`Wake::All`] once it has dropped the
-    /// lock; a later one (a rank unwinding out of the poisoned world)
-    /// finds that done.
-    fn poison(&self, s: &mut Sched, e: SimError) -> Wake {
+    /// Record a fatal condition. The first one wins and lists every
+    /// suspended coroutine for [`Shared::pick`] to resume, so each
+    /// unwinds; coroutines aboard a carrier see the poison at their
+    /// next engine call. A later condition (a rank unwinding out of the
+    /// poisoned world) finds that done.
+    fn poison(&self, s: &mut Sched, e: SimError) {
         if s.poisoned.is_some() {
-            return Wake::Nobody;
+            return;
         }
         s.poisoned = Some(e);
-        self.aborted.store(true, Ordering::Relaxed);
-        Wake::All
-    }
-
-    /// Carry out a tenure change's wake-up. Call it with the `sched`
-    /// guard dropped; `me` is the calling rank, which is awake and
-    /// re-tests `running` itself, so a kept token costs no `futex_wake`
-    /// (`Condvar::notify_one` is a syscall whether or not anyone sleeps).
-    fn wake(&self, w: Wake, me: usize) {
-        match w {
-            Wake::Rank(r) if r != me => {
-                self.cvs[r].notify_one();
-            }
-            Wake::Rank(_) | Wake::Nobody => {}
-            Wake::All => {
-                for cv in &self.cvs {
-                    cv.notify_all();
-                }
-                // A lane waiter tests `aborted` under `lanes`: passing
-                // through that lock puts this notify after its sleep.
-                drop(self.lanes.lock());
-                self.lanes_cv.notify_all();
-            }
-        }
+        s.handed = None;
+        s.unwind = (0..s.ranks.len())
+            .rev()
+            .filter(|&r| {
+                let st = &s.ranks[r];
+                !st.aboard && !matches!(st.status, Status::Done | Status::Dead)
+            })
+            .collect();
     }
 
     /// Grant the token to the minimum-key `Ready` rank: name it in
-    /// `running` and hand it back for the caller to [`Shared::wake`]
-    /// after the lock is dropped. Must be called with the sched lock
-    /// held and `running == None`.
+    /// `running` and return it. Must be called with the sched lock held
+    /// and `running == None`; the caller switches to the grantee after
+    /// the lock is dropped.
+    ///
+    /// A poisoned world grants nothing: its suspended coroutines are
+    /// resumed from `unwind` alone, so none is resumed twice.
     ///
     /// When no rank is `Ready` the world is quiescent: before declaring
     /// a deadlock, fire the earliest armed event on a blocked rank — an
@@ -363,18 +358,21 @@ impl Shared {
     /// never reach this branch (some rank is always runnable), which is
     /// what keeps an armed-but-idle detector free: its deadlines are
     /// bookkeeping until the moment the world would otherwise hang.
-    fn grant(&self, s: &mut Sched) -> Wake {
+    fn grant(&self, s: &mut Sched) -> Option<usize> {
         debug_assert!(s.running.is_none());
         loop {
+            if s.poisoned.is_some() {
+                return None;
+            }
             if let Some(r) = self.pop_ready(s) {
                 s.running = Some(r);
                 if s.granted.replace(r).is_some_and(|prev| prev != r) {
                     s.handoffs += 1;
                 }
-                return Wake::Rank(r);
+                return Some(r);
             }
-            if s.active == 0 || s.poisoned.is_some() {
-                return Wake::Nobody;
+            if s.active == 0 {
+                return None;
             }
             // Quiescent. Earliest pending timer or crash on a blocked
             // rank, if any (ties: lowest rank).
@@ -401,7 +399,8 @@ impl Shared {
             }
             // Every live rank is Blocked with nothing armed: deadlock.
             let (report, ranks) = self.deadlock_report(s);
-            return self.poison(s, SimError::Deadlock { report, ranks });
+            self.poison(s, SimError::Deadlock { report, ranks });
+            return None;
         }
     }
 
@@ -488,104 +487,214 @@ impl Shared {
         (msg, ranks)
     }
 
-    /// Park until this rank holds the token. If the rank's clock has
-    /// reached its scheduled death, the rank dies here instead of
-    /// running: bookkeeping under the lock, then a sentinel unwind out
-    /// of the rank closure ([`CrashUnwind`], swallowed by the run body).
-    /// Every release grants the next token before it returns, so a
-    /// parked rank only ever waits to be named.
-    fn wait_for_token(&self, rank: usize) {
-        let mut s = self.sched.lock();
-        loop {
-            if let Some(p) = &s.poisoned {
-                let p = p.clone();
-                drop(s);
-                p.abort();
+    /// The coroutine a carrier runs when no grant named one for it: a
+    /// granted rank nobody switched to, or in a poisoned world one
+    /// still to unwind. It is aboard from here on.
+    fn pick(&self, s: &mut Sched) -> Option<usize> {
+        let r = s.handed.take().or_else(|| s.unwind.pop())?;
+        s.ranks[r].aboard = true;
+        Some(r)
+    }
+
+    /// Decide, under the lock, where the carrier of `me` goes when `me`
+    /// stops running: to `granted` if that rank's coroutine is
+    /// suspended, else to whatever [`Shared::pick`] finds, else to the
+    /// carrier's home loop. A granted rank that is aboard runs a
+    /// detached closure on another carrier and takes the token itself.
+    fn leave(&self, me: usize, s: &mut Sched, granted: Option<usize>) -> Switch {
+        s.ranks[me].aboard = false;
+        let to = match granted {
+            Some(r) if !s.ranks[r].aboard => {
+                s.ranks[r].aboard = true;
+                Some(r)
             }
-            if s.running == Some(rank) {
-                if let Some((t, kind)) = self.crash.fate(rank) {
-                    if self.clocks[rank].load(Ordering::Relaxed) >= t.0
-                        && self.deaths[rank].load(Ordering::Relaxed) == u64::MAX
-                    {
-                        self.deaths[rank].store(t.0, Ordering::Relaxed);
-                        s.ranks[rank].status = Status::Dead;
-                        s.ranks[rank].reason = kind.label();
-                        s.ranks[rank].deadline = None;
-                        s.active -= 1;
-                        s.running = None;
-                        let next = self.grant(&mut s);
-                        drop(s);
-                        self.wake(next, rank);
-                        SILENT_UNWIND.with(|f| f.set(true));
-                        std::panic::panic_any(CrashUnwind);
-                    }
-                }
-                s.ranks[rank].status = Status::Running;
-                s.ranks[rank].deadline = None;
-                return;
-            }
-            self.cvs[rank].wait(&mut s);
+            _ => self.pick(s),
+        };
+        let carrier = self.on[me].load(Ordering::Relaxed);
+        Switch {
+            from: &self.ctxs[me],
+            to: to.map_or(&self.homes[carrier], |r| &self.ctxs[r]),
+            carrier,
         }
     }
 
-    /// Release the token with this rank in `status` and grant the next
-    /// one; the caller re-acquires with `wait_for_token` unless `status`
-    /// is `Done`. `deadline` arms a wake-up for a `Blocked` rank: if the
-    /// world quiesces, the scheduler advances the rank to it and wakes
-    /// it.
-    fn release(&self, rank: usize, status: Status, reason: BlockReason, deadline: Option<u64>) {
+    /// Suspend `me` where [`Shared::leave`] sends its carrier, and
+    /// return with the lock held again once a switch resumes `me`.
+    fn suspend<'a>(
+        &'a self,
+        me: usize,
+        mut s: MutexGuard<'a, Sched>,
+        granted: Option<usize>,
+    ) -> MutexGuard<'a, Sched> {
+        let switch = self.leave(me, &mut s, granted);
+        drop(s);
+        // SAFETY: built for `me` by `leave`, made after the guard is
+        // dropped, inside the run.
+        //
+        // `me` may come back on a different carrier thread. Nothing in
+        // rank code observes thread identity (`ranks_have_no_thread_
+        // identity` in tests/stack_invariants.rs), a panic unwinds to
+        // the rank body's `catch_unwind` before the coroutine ever
+        // switches, so the carrier's panic count is the coroutine's own,
+        // and every hand-off between carriers passes through `sched`.
+        let carrier = unsafe { switch.make() };
+        self.on[me].store(carrier, Ordering::Relaxed);
+        self.sched.lock()
+    }
+
+    /// Return once `me` holds the token, suspending its coroutine until
+    /// a grant names it. If the rank's clock has reached its scheduled
+    /// death, the rank dies here instead of running: bookkeeping under
+    /// the lock, the next grant left for the carrier, then a sentinel
+    /// unwind out of the rank closure ([`CrashUnwind`], swallowed by the
+    /// rank body). A poisoned world unwinds the rank the same way.
+    fn acquire<'a>(&'a self, me: usize, mut s: MutexGuard<'a, Sched>) {
+        loop {
+            if s.poisoned.is_some() {
+                drop(s);
+                resume_unwind(Box::new(CrashUnwind));
+            }
+            if s.running == Some(me) {
+                if let Some((t, kind)) = self.crash.fate(me) {
+                    if self.clocks[me].load(Ordering::Relaxed) >= t.0
+                        && self.deaths[me].load(Ordering::Relaxed) == u64::MAX
+                    {
+                        self.deaths[me].store(t.0, Ordering::Relaxed);
+                        let st = &mut s.ranks[me];
+                        (st.status, st.reason, st.deadline) = (Status::Dead, kind.label(), None);
+                        s.active -= 1;
+                        s.running = None;
+                        s.handed = self.grant(&mut s).filter(|&r| !s.ranks[r].aboard);
+                        drop(s);
+                        resume_unwind(Box::new(CrashUnwind));
+                    }
+                }
+                s.ranks[me].status = Status::Running;
+                s.ranks[me].deadline = None;
+                return;
+            }
+            s = self.suspend(me, s, None);
+        }
+    }
+
+    /// Release the token with `me` in `status` (`Ready` or `Blocked`),
+    /// grant the next holder, switch to it, and return once `me` holds
+    /// the token again. `deadline` arms a wake-up for a `Blocked` rank:
+    /// if the world quiesces, the scheduler advances the rank to it and
+    /// readies it.
+    fn yield_now(&self, me: usize, status: Status, reason: BlockReason, deadline: Option<u64>) {
         self.yields.fetch_add(1, Ordering::Relaxed);
         let mut s = self.sched.lock();
         if status == Status::Ready {
-            self.mark_ready(&mut s, rank, reason);
+            self.mark_ready(&mut s, me, reason);
         } else {
-            s.ranks[rank] = RankState {
-                status,
-                reason,
-                deadline,
-            };
-            if status == Status::Done {
-                s.active -= 1;
-                self.finished[rank].store(true, Ordering::Relaxed);
-            }
+            let st = &mut s.ranks[me];
+            (st.status, st.reason, st.deadline) = (status, reason, deadline);
         }
         s.running = None;
         let next = self.grant(&mut s);
-        drop(s);
-        self.wake(next, rank);
-    }
-}
-
-/// Holds one of the engine's `shards` detached-compute lanes; dropping
-/// it returns the lane (also on unwind, so a panicking closure cannot
-/// leak a lane).
-struct LaneGuard<'a>(&'a Shared);
-
-impl<'a> LaneGuard<'a> {
-    /// Take a lane, parking until one frees up. Returns `None` if the
-    /// world aborted while waiting — the caller must then re-enter the
-    /// scheduler (which surfaces the abort) instead of computing.
-    fn acquire(shared: &'a Shared) -> Option<LaneGuard<'a>> {
-        let mut free = shared.lanes.lock();
-        loop {
-            if shared.aborted.load(Ordering::Relaxed) {
-                return None;
-            }
-            if *free > 0 {
-                *free -= 1;
-                return Some(LaneGuard(shared));
-            }
-            shared.lanes_cv.wait(&mut free);
+        if next != Some(me) && s.poisoned.is_none() {
+            s = self.suspend(me, s, next);
         }
+        self.acquire(me, s);
+    }
+
+    /// A carrier's home loop: run what [`Shared::pick`] finds, sleep
+    /// when there is nothing, stop when every coroutine has ended.
+    fn carry(&self, me: usize) {
+        let mut s = self.sched.lock();
+        loop {
+            if let Some(r) = self.pick(&mut s) {
+                drop(s);
+                // SAFETY: this thread is carrier `me` running its home
+                // context; `r` was marked aboard under the lock, so no
+                // other switch resumes it.
+                unsafe { fiber::switch(&self.homes[me], &self.ctxs[r], me) };
+                s = self.sched.lock();
+            } else if s.live == 0 {
+                break;
+            } else {
+                s.idle += 1;
+                self.idle.wait(&mut s);
+                s.idle -= 1;
+            }
+        }
+        drop(s);
+        self.idle.notify_all();
     }
 }
 
-impl Drop for LaneGuard<'_> {
-    fn drop(&mut self) {
-        let mut free = self.0.lanes.lock();
-        *free += 1;
-        self.0.lanes_cv.notify_one();
-    }
+/// One rank's whole life on its coroutine: wait for the first grant,
+/// run `f`, record how it ended, and name where its carrier goes next.
+/// The handle is dropped before the coroutine's last switch.
+fn rank_body<T, F>(h: SimHandle, carrier: usize, f: &F, slot: &mut Option<T>) -> Switch
+where
+    F: Fn(&SimHandle) -> T,
+{
+    let (sh, me) = (&*h.shared, h.rank);
+    sh.on[me].store(carrier, Ordering::Relaxed);
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        sh.acquire(me, sh.sched.lock());
+        f(&h)
+    }));
+    let mut s = sh.sched.lock();
+    let granted = match out {
+        Ok(v) => {
+            *slot = Some(v);
+            sh.yields.fetch_add(1, Ordering::Relaxed);
+            let st = &mut s.ranks[me];
+            (st.status, st.reason, st.deadline) = (Status::Done, "finished", None);
+            s.active -= 1;
+            sh.finished[me].store(true, Ordering::Relaxed);
+            s.running = None;
+            sh.grant(&mut s)
+        }
+        Err(payload) => {
+            // A death or a poisoned world did its bookkeeping before
+            // the unwind; a detached closure may be a panic's source, so
+            // only clear the token if this rank holds it.
+            if !matches!(s.ranks[me].status, Status::Done | Status::Dead) {
+                s.ranks[me].status = Status::Done;
+                s.active -= 1;
+            }
+            if s.running == Some(me) {
+                s.running = None;
+            }
+            if !payload.is::<CrashUnwind>() {
+                let message = panic_message(payload.as_ref());
+                sh.poison(&mut s, SimError::RankPanic { rank: me, message });
+            }
+            None
+        }
+    };
+    s.live -= 1;
+    sh.leave(me, &mut s, granted)
+}
+
+/// The entry of a rank's coroutine: `data` is its slot in the run's
+/// list of rank bodies, `carrier` the index the first switch hands over.
+///
+/// # Safety
+///
+/// Only the first switch into a coroutine made by `try_run_ft` may call
+/// this, with `data` pointing at that rank's `Option<B>`.
+unsafe extern "C" fn enter<B: FnOnce(usize) -> Switch>(carrier: usize, data: *mut u8) -> ! {
+    // SAFETY: `data` points at this rank's `Option<B>` in `try_run_ft`'s
+    // `bodies`, which outlives every coroutine of the run and is not
+    // touched by anything else while they run.
+    let body = unsafe { (*data.cast::<Option<B>>()).take() };
+    let last = body.expect("a coroutine starts once")(carrier);
+    // SAFETY: built by `leave` for this coroutine, whose guard
+    // `rank_body` dropped on return. It has ended: nothing switches back.
+    unsafe { last.make() };
+    unreachable!("an ended coroutine was resumed")
+}
+
+/// `enter` instantiated for the element type of `bodies`.
+fn entry_of<B: FnOnce(usize) -> Switch + Send>(
+    _bodies: &[Option<B>],
+) -> unsafe extern "C" fn(usize, *mut u8) -> ! {
+    enter::<B>
 }
 
 /// The engine owning a set of simulated ranks.
@@ -612,11 +721,11 @@ impl Engine {
         }
     }
 
-    /// Allow up to `s` detached closures
-    /// ([`SimHandle::charge_overlapped`]) to run concurrently on host
-    /// cores. Clamped to `[1, n_ranks]`. Virtual results are
-    /// bit-identical for every `s`: the lane count changes wall-clock
-    /// only.
+    /// Run rank code on `s` host threads (carriers), so that up to
+    /// `s - 1` detached closures ([`SimHandle::charge_overlapped`])
+    /// overlap the token holder. Clamped to `[1, n_ranks]`; one carrier
+    /// is the calling thread alone. Virtual results are bit-identical
+    /// for every `s`: the carrier count changes wall-clock only.
     pub fn shards(mut self, s: usize) -> Self {
         self.shards = s.max(1);
         self
@@ -691,131 +800,88 @@ impl Engine {
         T: Send,
         F: Fn(&SimHandle) -> T + Sync,
     {
-        if !self.crash.is_empty() {
-            install_silent_hook();
-        }
-        let shards = self.shards.clamp(1, self.n_ranks);
+        fiber::settle_heap();
+        let n = self.n_ranks;
+        let carriers = self.shards.clamp(1, n);
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
-                ranks: (0..self.n_ranks)
+                ranks: (0..n)
                     .map(|_| RankState {
                         status: Status::Ready,
                         reason: "startup",
                         deadline: None,
+                        aboard: false,
                     })
                     .collect(),
-                heap: (0..self.n_ranks).map(|r| Reverse((0, r))).collect(),
+                heap: (0..n).map(|r| Reverse((0, r))).collect(),
                 running: None,
                 granted: None,
                 handoffs: 0,
-                active: self.n_ranks,
+                active: n,
                 poisoned: None,
+                handed: None,
+                unwind: Vec::new(),
+                live: n,
+                idle: 0,
             }),
-            cvs: (0..self.n_ranks).map(|_| Condvar::new()).collect(),
-            clocks: (0..self.n_ranks).map(|_| AtomicU64::new(0)).collect(),
-            shards,
-            lanes: Mutex::new(shards),
-            lanes_cv: Condvar::new(),
-            aborted: AtomicBool::new(false),
+            idle: Condvar::new(),
+            ctxs: (0..n).map(|_| Context::new()).collect(),
+            homes: (0..carriers).map(|_| Context::new()).collect(),
+            on: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            carriers,
             yields: AtomicU64::new(0),
             notifies: AtomicU64::new(0),
             recorder: self.recorder.clone(),
             diag: self.diag.clone(),
-            pools: (0..self.n_ranks).map(|_| Mutex::new(None)).collect(),
+            pools: (0..n).map(|_| Mutex::new(None)).collect(),
             buf_pool: BufferPool::new(),
             crash: self.crash.clone(),
-            deaths: (0..self.n_ranks)
-                .map(|_| AtomicU64::new(u64::MAX))
-                .collect(),
-            finished: (0..self.n_ranks).map(|_| AtomicBool::new(false)).collect(),
+            deaths: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            finished: (0..n).map(|_| AtomicBool::new(false)).collect(),
         });
 
-        // No rank thread exists yet, so the first grant has nobody to
-        // wake: rank 0 finds itself named when it first takes the lock.
-        let _ = shared.grant(&mut shared.sched.lock());
+        // No coroutine runs yet, so the first grant waits for the first
+        // carrier to look.
+        {
+            let mut s = shared.sched.lock();
+            s.handed = shared.grant(&mut s);
+        }
 
-        // One shard means one rank runs at a time: keep the rank threads
-        // on the CPU this call was made on, so a hand-off is a context
-        // switch and not a cross-core wake-up. The caller is not pinned.
-        let cpu = (shards == 1).then(place::current_cpu).flatten();
-
-        let n_ranks = self.n_ranks;
-        let mut results: Vec<Option<T>> = (0..n_ranks).map(|_| None).collect();
+        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let f = &f;
-        // The rank threads are spawned and joined by a launcher thread,
-        // which pins itself first: they are born with its one-CPU set,
-        // on that CPU, instead of each migrating itself there. (It is
-        // handed the slot iterator, not `&mut results`: a moved-in `&mut`
-        // is only reborrowed by `iter_mut`, for less than `'scope`.)
+        let mut bodies: Vec<Option<_>> = results
+            .iter_mut()
+            .enumerate()
+            .map(|(rank, slot)| {
+                let h = SimHandle {
+                    shared: Arc::clone(&shared),
+                    rank,
+                    n_ranks: n,
+                };
+                Some(move |carrier| rank_body(h, carrier, f, slot))
+            })
+            .collect();
+        let entry = entry_of(&bodies);
+        let first = bodies.as_mut_ptr();
+        let stacks: Vec<fiber::Stack> = (0..n)
+            .map(|r| fiber::coroutine(entry, first.wrapping_add(r).cast(), &shared.ctxs[r]))
+            .collect();
         std::thread::scope(|scope| {
-            let (slots, shared) = (results.iter_mut(), &shared);
-            let launch = move || {
-                if let Some(cpu) = cpu {
-                    place::pin_self(cpu);
-                }
-                let threads = slots.enumerate().map(move |(rank, slot)| {
-                    let handle = SimHandle {
-                        shared: Arc::clone(shared),
-                        rank,
-                        n_ranks,
-                    };
-                    let body = move || {
-                        let shared = &handle.shared;
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            shared.wait_for_token(rank);
-                            f(&handle)
-                        }));
-                        match out {
-                            Ok(v) => {
-                                *slot = Some(v);
-                                shared.release(rank, Status::Done, "finished", None);
-                            }
-                            Err(payload) if payload.is::<CrashUnwind>() => {
-                                // Deliberate death: bookkeeping already
-                                // done under the lock in wait_for_token.
-                                SILENT_UNWIND.with(|fl| fl.set(false));
-                            }
-                            Err(payload) => {
-                                let message = panic_message(payload.as_ref());
-                                let mut s = shared.sched.lock();
-                                // A detached closure may be the panic
-                                // source: only clear the token if this rank
-                                // actually holds it.
-                                if !matches!(s.ranks[rank].status, Status::Done | Status::Dead) {
-                                    s.ranks[rank].status = Status::Done;
-                                    s.active -= 1;
-                                }
-                                if s.running == Some(rank) {
-                                    s.running = None;
-                                }
-                                let all =
-                                    shared.poison(&mut s, SimError::RankPanic { rank, message });
-                                drop(s);
-                                shared.wake(all, rank);
-                            }
-                        }
-                    };
-                    std::thread::Builder::new()
-                        .name(format!("empi-rank-{rank}"))
-                        .spawn_scoped(scope, body)
-                        .expect("spawn rank thread")
-                });
-                // Join each thread rather than let the scope wait: a rank's
-                // closure returning is not its OS thread gone, and a run
-                // started back to back would find the malloc arenas still
-                // taken (measured: +4 MB peak RSS on 2 MB ping-pongs).
-                for t in threads.collect::<Vec<_>>() {
-                    t.join()
-                        .expect("rank panics are caught on the rank's thread");
-                }
-            };
-            std::thread::Builder::new()
-                .name("empi-launch".into())
-                .spawn_scoped(scope, launch)
-                .expect("spawn launcher thread")
-                .join()
-                .expect("the launcher only spawns and joins");
+            for k in 1..carriers {
+                let shared = &*shared;
+                std::thread::Builder::new()
+                    .name(format!("empi-carrier-{k}"))
+                    .spawn_scoped(scope, move || shared.carry(k))
+                    .expect("spawn carrier thread");
+            }
+            shared.carry(0);
         });
+        // Every coroutine has ended and every carrier has stopped: the
+        // bodies (all taken unless the world never started them) and
+        // the stacks can go.
+        drop(bodies);
+        drop(stacks);
 
         let handoffs = {
             let s = shared.sched.lock();
@@ -832,7 +898,7 @@ impl Engine {
                 .max()
                 .unwrap_or(0),
         );
-        let deaths = (0..self.n_ranks)
+        let deaths = (0..n)
             .map(|r| {
                 let t = shared.deaths[r].load(Ordering::Relaxed);
                 if t == u64::MAX {
@@ -873,7 +939,7 @@ pub struct RunOutcome<T> {
     pub end_time: VTime,
     /// Scheduler yield operations performed.
     pub yields: u64,
-    /// Yields that changed threads: grants naming a different rank than
+    /// Yields that changed coroutines: grants naming a different rank than
     /// the grant before. The rest of `yields` are kept tokens. Like
     /// `yields` it is the same at every shard count.
     pub handoffs: u64,
@@ -901,7 +967,7 @@ pub struct FtOutcome<T> {
     pub end_time: VTime,
     /// Scheduler yield operations performed.
     pub yields: u64,
-    /// Yields that changed threads: grants naming a different rank than
+    /// Yields that changed coroutines: grants naming a different rank than
     /// the grant before. The rest of `yields` are kept tokens. Like
     /// `yields` it is the same at every shard count.
     pub handoffs: u64,
@@ -964,10 +1030,10 @@ impl SimHandle {
         self.n_ranks
     }
 
-    /// The engine's detached-compute lane count ([`Engine::shards`],
-    /// clamped to the rank count).
+    /// The engine's carrier count ([`Engine::shards`], clamped to the
+    /// rank count).
     pub fn shards(&self) -> usize {
-        self.shared.shards
+        self.shared.carriers
     }
 
     /// This rank's current virtual time.
@@ -988,7 +1054,7 @@ impl SimHandle {
     /// The target clock for an advance to `t`: never backwards, and a
     /// doomed rank never executes past its scheduled death — the
     /// advance clamps to the death instant, and re-acquiring the token
-    /// at that clock kills the rank (see `wait_for_token`).
+    /// at that clock kills the rank (see `Shared::acquire`).
     fn clamped_target(&self, t: VTime) -> VTime {
         let mut new_t = self.now().max(t);
         if let Some((ct, _)) = self.shared.crash.fate(self.rank) {
@@ -1009,42 +1075,46 @@ impl SimHandle {
     pub fn advance_to(&self, t: VTime) {
         self.set_clock(self.clamped_target(t));
         self.shared
-            .release(self.rank, Status::Ready, "advance", None);
-        self.shared.wait_for_token(self.rank);
+            .yield_now(self.rank, Status::Ready, "advance", None);
     }
 
     /// Charge `d` of *modeled* compute time and run `f` — real host
     /// work whose virtual cost is already known (a calibrated crypto
     /// curve, a kernel cost model) — overlapped with other ranks.
     ///
-    /// The clock moves to `now + d` and the token is released before
-    /// `f` runs, so tenures with keys below `(now + d, rank)` — exactly
-    /// the ones the serial schedule would run before this rank's next
-    /// tenure — proceed on other host cores meanwhile. `f` runs on this
-    /// rank's own thread and MUST NOT touch simulation state (no
-    /// sends, notifies, trace emission, or pool allocation; allocate
-    /// before detaching): under that contract the tenure sequence, and
-    /// with it every virtual result, is bit-identical to `shards = 1`.
-    /// At `shards = 1` this is exactly `f()` followed by `advance(d)`.
+    /// If a carrier is idle, the clock moves to `now + d` and the token
+    /// is released before `f` runs: the tenure goes to the idle carrier,
+    /// so tenures with keys below `(now + d, rank)` — exactly the ones
+    /// the serial schedule would run before this rank's next tenure —
+    /// proceed there while `f` runs on this one. If no carrier is idle
+    /// (always the case with one), this is `f()` followed by
+    /// `advance(d)`. `f` MUST NOT touch simulation state (no sends,
+    /// notifies, trace emission, or pool allocation; allocate before
+    /// detaching): under that contract the tenure sequence, and with it
+    /// every virtual result, is the same either way.
     pub fn charge_overlapped<T>(&self, d: VDur, f: impl FnOnce() -> T) -> T {
-        if self.shared.shards == 1 {
+        let sh = &*self.shared;
+        let mut s = sh.sched.lock();
+        if s.idle == 0 {
+            drop(s);
             let out = f();
             self.advance(d);
             return out;
         }
         self.set_clock(self.clamped_target(self.now() + d));
-        self.shared
-            .release(self.rank, Status::Ready, "compute", None);
-        let out = match LaneGuard::acquire(&self.shared) {
-            Some(_lane) => f(),
-            None => {
-                // Aborted while waiting for a lane: re-enter the
-                // scheduler, which surfaces the poisoned error.
-                self.shared.wait_for_token(self.rank);
-                unreachable!("wait_for_token returns on a poisoned world");
-            }
-        };
-        self.shared.wait_for_token(self.rank);
+        sh.yields.fetch_add(1, Ordering::Relaxed);
+        sh.mark_ready(&mut s, self.rank, "compute");
+        s.running = None;
+        // The grantee's coroutine, if suspended, goes to an idle
+        // carrier; one that is aboard runs a detached closure of its own.
+        s.handed = sh.grant(&mut s).filter(|&r| !s.ranks[r].aboard);
+        let hand = s.handed.is_some();
+        drop(s);
+        if hand {
+            sh.idle.notify_one();
+        }
+        let out = f();
+        sh.acquire(self.rank, sh.sched.lock());
         out
     }
 
@@ -1104,8 +1174,7 @@ impl SimHandle {
                 break None;
             }
             self.shared
-                .release(self.rank, Status::Blocked, reason, deadline.map(|d| d.0));
-            self.shared.wait_for_token(self.rank);
+                .yield_now(self.rank, Status::Blocked, reason, deadline.map(|d| d.0));
         };
         // Virtual wait = entry to completion, whether the rank actually
         // parked or the condition was already satisfied at a future
@@ -1206,48 +1275,6 @@ impl SimHandle {
             // considered at the waker's next yield.
         }
     }
-}
-
-/// Thread placement for one-shard worlds. Linux only; the two libc
-/// calls are declared here so the crate needs no dependency for them.
-/// A refused call leaves the world unpinned: placement changes host
-/// time only, never a result.
-#[cfg(target_os = "linux")]
-mod place {
-    /// Room for 1024 CPUs, the kernel's default `CONFIG_NR_CPUS` ceiling.
-    type CpuMask = [u64; 16];
-
-    extern "C" {
-        fn sched_getcpu() -> i32;
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-
-    /// The CPU the calling thread is running on, if the kernel says.
-    pub fn current_cpu() -> Option<usize> {
-        // SAFETY: no arguments, no memory touched.
-        usize::try_from(unsafe { sched_getcpu() }).ok()
-    }
-
-    /// Restrict the calling thread to `cpu`.
-    pub fn pin_self(cpu: usize) {
-        let mut mask: CpuMask = [0; 16];
-        let Some(word) = mask.get_mut(cpu / 64) else {
-            return;
-        };
-        *word |= 1 << (cpu % 64);
-        // SAFETY: `mask` is a live buffer of exactly the byte length
-        // passed; pid 0 names the calling thread.
-        unsafe { sched_setaffinity(0, std::mem::size_of::<CpuMask>(), mask.as_ptr()) };
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod place {
-    pub fn current_cpu() -> Option<usize> {
-        None
-    }
-
-    pub fn pin_self(_cpu: usize) {}
 }
 
 #[cfg(test)]
@@ -1747,7 +1774,7 @@ mod shard_tests {
     #[test]
     fn measured_charges_are_shard_invariant() {
         // Advances, detached charges and ring hand-offs interleaved:
-        // the tenure schedule must not depend on the lane count.
+        // the tenure schedule must not depend on the carrier count.
         const N: usize = 6;
         let run = |s: usize| {
             let log = PlMutex::new(Vec::new());
@@ -1790,7 +1817,7 @@ mod shard_tests {
         // work between two yields and completes the handshake
         // afterwards. The world is not quiescent while rank 1 holds the
         // token, so the timer cannot fire under it: the notify wins at
-        // every lane count.
+        // every carrier count.
         let flag = PlMutex::new(None::<u64>);
         Engine::new(2).shards(2).run(|h| {
             if h.rank() == 0 {
@@ -1915,9 +1942,9 @@ mod shard_tests {
     }
 }
 
-/// Liveness of the wake sites: a grant is published under `sched` and
-/// the grantee woken after the guard is dropped, so a wake-up missing
-/// on any path shows here as a world that never returns.
+/// Liveness of the switch sites: a grant is published under `sched` and
+/// the grantee switched to after the guard is dropped, so a coroutine
+/// left suspended on any path shows here as a world that never returns.
 #[cfg(test)]
 mod handoff_tests {
     use super::*;
@@ -1980,6 +2007,9 @@ mod handoff_tests {
 
     #[test]
     fn panic_with_parked_ranks_and_full_lanes_unwinds_every_rank() {
+        // Both carriers ("lanes") are busy inside a charge_overlapped
+        // closure when one of those closures panics: rank 1's runs
+        // detached, rank 2's on the token because no carrier is idle.
         const N: usize = 64;
         struct Live<'a>(&'a AtomicUsize);
         impl Drop for Live<'_> {
@@ -1987,49 +2017,146 @@ mod handoff_tests {
                 self.0.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        let (live, in_lane) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (live, busy) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let err = Engine::new(N)
             .shards(2)
             .try_run(|h| {
                 live.fetch_add(1, Ordering::SeqCst);
                 let _live = Live(&live);
+                let poisoned = || h.shared.sched.lock().poisoned.is_some();
                 match h.rank() {
-                    0 => {
-                        // Let every other rank run its first tenure,
-                        // then wait for both lanes to be taken.
-                        h.advance(VDur(10));
-                        while in_lane.load(Ordering::SeqCst) < 2 {
+                    1 => {
+                        // Detach only once the other carrier sleeps, so
+                        // the tenure has somewhere to go.
+                        while h.shared.sched.lock().idle == 0 {
                             std::thread::yield_now();
                         }
-                        panic!("boom with full lanes");
+                        h.charge_overlapped(VDur::from_micros(1), || {
+                            busy.fetch_add(1, Ordering::SeqCst);
+                            while !poisoned() {
+                                std::thread::yield_now();
+                            }
+                        })
                     }
-                    // Four ranks want the two lanes; the two that get
-                    // one keep it until the world is poisoned.
-                    1..=4 => h.charge_overlapped(VDur::from_micros(1), || {
-                        in_lane.fetch_add(1, Ordering::SeqCst);
-                        while !h.shared.aborted.load(Ordering::Relaxed) {
+                    2 => h.charge_overlapped(VDur::from_micros(1), || {
+                        busy.fetch_add(1, Ordering::SeqCst);
+                        while busy.load(Ordering::SeqCst) < 2 {
                             std::thread::yield_now();
                         }
+                        panic!("boom with busy carriers");
                     }),
                     _ => h.block_on::<()>("parked", || None),
                 }
             })
             .unwrap_err();
         match err {
-            SimError::RankPanic { rank: 0, message } => {
-                assert!(message.contains("boom with full lanes"), "got: {message}")
+            SimError::RankPanic { rank: 2, message } => {
+                assert!(
+                    message.contains("boom with busy carriers"),
+                    "got: {message}"
+                )
             }
-            e => panic!("expected rank 0's panic, got {e}"),
+            e => panic!("expected rank 2's panic, got {e}"),
         }
-        assert_eq!(in_lane.load(Ordering::SeqCst), 2, "lanes were not full");
+        assert_eq!(busy.load(Ordering::SeqCst), 2, "a carrier was not busy");
         assert_eq!(live.load(Ordering::SeqCst), 0, "a rank body never unwound");
+    }
+
+    /// Runs its closure when dropped: here, while a rank body unwinds.
+    struct OnDrop<F: FnMut()>(F);
+    impl<F: FnMut()> Drop for OnDrop<F> {
+        fn drop(&mut self) {
+            (self.0)()
+        }
+    }
+
+    /// Rank 0's detached closure panics while rank 1 holds the token on
+    /// another carrier and ranks 2.. wait `Ready`, their clocks in the
+    /// reverse of rank order. Rank 1 then moves on in the poisoned world
+    /// — it returns from its body, or charges a closure of its own — and
+    /// rank 2, the first to unwind, holds its carrier in a destructor
+    /// until rank 1 has ended. A grant naming a rank the unwind list
+    /// holds too would resume that rank twice: a hang or an abort.
+    fn holder_moves_on_in_a_poisoned_world(shards: usize, holder_detaches: bool) {
+        const N: usize = 6;
+        let (live, started) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let err = Engine::new(N)
+            .shards(shards)
+            .try_run(|h| {
+                live.fetch_add(1, Ordering::SeqCst);
+                let _live = OnDrop(|| {
+                    live.fetch_sub(1, Ordering::SeqCst);
+                });
+                let sched = || h.shared.sched.lock();
+                match h.rank() {
+                    0 => {
+                        h.advance(VDur(10));
+                        // Detach only once another carrier sleeps, so
+                        // the tenure goes to rank 1 there.
+                        while sched().idle == 0 {
+                            std::thread::yield_now();
+                        }
+                        h.charge_overlapped(VDur::from_micros(1), || {
+                            while !started.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                            panic!("boom while another rank holds the token");
+                        })
+                    }
+                    1 => {
+                        h.advance(VDur(10));
+                        started.store(true, Ordering::SeqCst);
+                        while sched().poisoned.is_none() {
+                            std::thread::yield_now();
+                        }
+                        if holder_detaches {
+                            // Past the waiting ranks' clocks, with a
+                            // carrier idle at three carriers: the grant
+                            // would name rank 5 and hand it there.
+                            h.charge_overlapped(VDur::from_micros(1), || ());
+                        }
+                    }
+                    r => {
+                        let _hold = OnDrop(|| {
+                            while r == 2 && sched().ranks[1].status != Status::Done {
+                                std::thread::yield_now();
+                            }
+                        });
+                        h.advance(VDur(100 - r as u64));
+                        unreachable!("rank 1 holds the token until the world is poisoned");
+                    }
+                }
+            })
+            .unwrap_err();
+        match err {
+            SimError::RankPanic { rank: 0, message } => assert!(
+                message.contains("boom while another rank holds the token"),
+                "got: {message}"
+            ),
+            e => panic!("shards={shards}: expected rank 0's panic, got {e}"),
+        }
+        assert_eq!(live.load(Ordering::SeqCst), 0, "shards={shards}: a rank body never unwound");
+    }
+
+    #[test]
+    fn a_holder_returning_in_a_poisoned_world_resumes_nobody_twice() {
+        for shards in [2, 3] {
+            holder_moves_on_in_a_poisoned_world(shards, false);
+        }
+    }
+
+    #[test]
+    fn a_holder_detaching_in_a_poisoned_world_resumes_nobody_twice() {
+        for shards in [2, 3] {
+            holder_moves_on_in_a_poisoned_world(shards, true);
+        }
     }
 
     #[test]
     fn death_in_wait_for_token_hands_the_token_on() {
-        // Rank 1 sleeps on its condvar with the larger key when rank 0
-        // is named, finds its clock at its death time and dies: the
-        // death branch's grant is the only thing that can wake rank 1.
+        // Rank 1 is suspended with the larger key when rank 0 is
+        // named, finds its clock at its death time and dies: the death
+        // branch's grant is the only thing that can resume rank 1.
         for _ in 0..200 {
             let out = Engine::new(2)
                 .crash_plan(CrashPlan::new().crash_at(0, VTime(50)))
@@ -2043,47 +2170,5 @@ mod handoff_tests {
             // Grants: 0 (start-up), 1, 0 (dies), 1.
             assert_eq!(out.handoffs, 3);
         }
-    }
-
-    #[test]
-    fn rank_threads_are_named_after_their_rank() {
-        let out = Engine::new(3).run(|_| std::thread::current().name().map(str::to_string));
-        let want = |r: usize| Some(format!("empi-rank-{r}"));
-        assert_eq!(out.results, vec![want(0), want(1), want(2)]);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn one_shard_worlds_run_on_one_cpu_and_leave_the_caller_alone() {
-        extern "C" {
-            fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
-        }
-        fn allowed_cpus() -> Vec<usize> {
-            let mut mask = [0u64; 16];
-            // SAFETY: `mask` is a live, writable buffer of exactly the
-            // byte length passed; pid 0 names the calling thread.
-            let rc =
-                unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
-            assert_eq!(rc, 0, "sched_getaffinity failed");
-            (0..mask.len() * 64)
-                .filter(|&c| mask[c / 64] >> (c % 64) & 1 == 1)
-                .collect()
-        }
-        let rank_sets = |shards: usize| {
-            let out = Engine::new(8).shards(shards).run(|h| {
-                h.advance(VDur(1));
-                allowed_cpus()
-            });
-            out.results
-        };
-        let caller = allowed_cpus();
-        let pinned = rank_sets(1);
-        assert_eq!(pinned[0].len(), 1, "rank 0 may run on {:?}", pinned[0]);
-        assert!(caller.contains(&pinned[0][0]));
-        assert!(pinned.iter().all(|s| *s == pinned[0]), "{pinned:?}");
-        assert_eq!(allowed_cpus(), caller, "the caller's set moved");
-        // More than one shard runs ranks side by side: no placement.
-        assert!(rank_sets(2).iter().all(|s| *s == caller));
-        assert_eq!(allowed_cpus(), caller);
     }
 }

@@ -5,8 +5,10 @@
 //! (DESIGN.md §2) with:
 //!
 //! * [`engine`] — a conservative discrete-event engine where each
-//!   simulated rank is a real OS thread running real code, scheduled one
-//!   at a time in minimum-virtual-clock order. Real computations (the
+//!   simulated rank is a stackful coroutine running real code, scheduled
+//!   one at a time in minimum-virtual-clock order; handing the token to
+//!   another rank is a user-space stack switch, and `shards` carrier
+//!   threads run the coroutines. Real computations (the
 //!   actual AES-GCM work, the actual NAS kernels) execute; what they
 //!   cost in virtual time comes from calibrated models, never from the
 //!   host clock.
@@ -32,6 +34,7 @@ pub mod curve;
 pub mod engine;
 pub mod fabric;
 pub mod fault;
+mod fiber;
 pub mod time;
 pub mod topology;
 

@@ -260,16 +260,18 @@ pub struct ParsedMessage {
 
 /// Parse and protocol-validate a set of frames (any order). Fails on
 /// malformed frames, inconsistent headers, duplicated, out-of-range or
-/// missing chunks — before any key is touched.
+/// missing chunks — before any key is touched, and before the first
+/// header's chunk count sizes anything beyond the frames delivered.
 pub fn parse_frames(
-    frames: impl IntoIterator<Item = (VTime, Bytes)>,
+    frames: impl IntoIterator<Item = (VTime, Bytes), IntoIter: ExactSizeIterator>,
 ) -> Result<ParsedMessage, PipelineError> {
     let mut iter = frames.into_iter();
+    let delivered = iter.len();
     let (at0, f0) = iter
         .next()
         .ok_or(PipelineError::Protocol(ChunkError::EmptyMessage))?;
     let (h0, _) = FrameHeader::decode(&f0)?;
-    let mut re = Reassembly::new(&h0)?;
+    let mut re = Reassembly::new(&h0, delivered)?;
     let (msg_id, total, total_len) = (re.msg_id(), re.total(), re.total_len());
     let mut arrivals = vec![VTime(0); total as usize];
     for (at, f) in std::iter::once((at0, f0)).chain(iter) {
@@ -588,6 +590,29 @@ mod tests {
         assert!(on.applies_to(DEFAULT_CHUNK_SIZE + 1));
         // A message that fits in one chunk takes the sequential path.
         assert!(!on.applies_to(DEFAULT_CHUNK_SIZE));
+    }
+
+    #[test]
+    fn a_forged_chunk_count_is_refused_before_anything_is_sized() {
+        let header = FrameHeader {
+            msg_id: 1,
+            index: 0,
+            total: u32::MAX,
+            total_len: u64::MAX,
+        };
+        let mut frame = header.encode().to_vec();
+        frame.extend_from_slice(&[0u8; FRAME_NONCE_LEN + 16]);
+        let err = parse_frames([(VTime(0), Bytes::from(frame))]).err();
+        assert!(
+            matches!(
+                err,
+                Some(PipelineError::Protocol(ChunkError::MissingChunks {
+                    have: 1,
+                    total: u32::MAX
+                }))
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

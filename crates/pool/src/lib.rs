@@ -16,7 +16,7 @@
 //! Thread safety: classes are `Mutex`-guarded. Under the conservative
 //! virtual-time engine exactly one rank executes at a time, so the
 //! locks are effectively uncontended; they exist so one engine-wide
-//! pool can be shared across rank threads (the receiver reclaims into
+//! pool can be shared across carrier threads (the receiver reclaims into
 //! the same pool the sender drew from, closing the recycle loop).
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,7 +1,8 @@
 //! Property-based tests for the MPI runtime and the encrypted layer.
 //!
-//! Each case spins up a real simulated world; case counts are kept
-//! moderate because every case spawns rank threads.
+//! Each case spins up a real simulated world (one coroutine stack per
+//! rank); case counts are kept moderate because every case runs its
+//! ranks' real code.
 
 use empi::aead::CryptoLibrary;
 use empi::mpi::{Src, TagSel, World};

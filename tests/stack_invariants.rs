@@ -198,41 +198,53 @@ fn item_body(text: &str, header: &str) -> Vec<(usize, String)> {
 }
 
 /// A tenure change without the lock convoy: `grant` and `poison` run
-/// under the `sched` lock and only *name* who is to be woken — the
-/// wake-up itself happens in `Shared::wake`, after the guard is gone.
-/// Placement is one `sched_setaffinity` call in the Linux-only module.
+/// under the `sched` lock and only *name* who runs next — nothing wakes
+/// or switches under them. The stack switch is made at three sites (a
+/// suspending rank, a carrier's home loop, an ended coroutine), and the
+/// first two drop the guard before they switch. Nothing pins a thread:
+/// a one-carrier world is the calling thread alone.
 #[test]
 fn the_engine_wakes_nobody_under_the_sched_lock() {
     let text = std::fs::read_to_string(repo("crates/netsim/src/engine.rs")).unwrap();
     for header in ["fn grant(", "fn poison("] {
         let wakes: Vec<_> = item_body(&text, header)
             .into_iter()
-            .filter(|(_, l)| l.contains("notify_") || l.contains("unpark"))
+            .filter(|(_, l)| l.contains("notify_") || l.contains("unpark") || l.contains("switch("))
             .collect();
-        assert!(wakes.is_empty(), "`{header}` wakes a thread: {wakes:?}");
+        assert!(wakes.is_empty(), "`{header}` wakes or switches: {wakes:?}");
     }
-    let calls: Vec<usize> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim_start().starts_with("//"))
-        .filter(|(_, l)| l.contains("sched_setaffinity(") && !l.contains("fn sched_setaffinity("))
-        .map(|(i, _)| i + 1)
-        .collect();
-    assert_eq!(calls.len(), 1, "sched_setaffinity call sites: {calls:?}");
-    // The first `mod place` is the Linux one; the other is its no-op twin.
-    let linux = "#[cfg(target_os = \"linux\")]\nmod place {";
+    let switches = |needle: &str| {
+        text.lines()
+            .filter(|l| !l.trim_start().starts_with("//") && l.contains(needle))
+            .count()
+    };
+    // `Switch::make` and `carry` call the switch; `suspend` and `enter`
+    // make a `Switch`.
     assert_eq!(
-        text.find(linux).map(|at| at + linux.len()),
-        text.find("mod place {").map(|at| at + "mod place {".len()),
-        "the first `mod place` is not behind cfg(target_os = \"linux\")"
+        switches("fiber::switch("),
+        2,
+        "fiber::switch( call sites in engine.rs"
     );
-    assert!(
-        item_body(&text, "mod place {")
-            .iter()
-            .any(|(n, _)| *n == calls[0]),
-        "engine.rs:{} is outside the Linux-only `mod place`",
-        calls[0]
+    assert_eq!(
+        switches(".make()"),
+        2,
+        "Switch::make call sites in engine.rs"
     );
+    for header in ["fn suspend<", "fn carry("] {
+        let body = item_body(&text, header);
+        let at = |needle: &str| body.iter().position(|(_, l)| l.contains(needle));
+        let (drop, switch) = (at("drop(s)"), at("fiber::switch(").or(at(".make()")));
+        assert!(
+            drop.is_some() && drop < switch,
+            "`{header}` switches before it drops the sched guard"
+        );
+    }
+    let pins = code_lines(&rust_files("crates/netsim/src"))
+        .into_iter()
+        .filter(|(_, _, l)| l.contains("sched_setaffinity"))
+        .map(|(f, n, _)| format!("{f}:{n}"))
+        .collect::<Vec<_>>();
+    assert!(pins.is_empty(), "the engine pins threads again: {pins:?}");
 }
 
 /// One gate for observability: a recorder is installed at run time or
@@ -366,4 +378,37 @@ fn virtual_time_has_one_source() {
         .filter(|(_, l)| l.contains("pub fn with_"))
         .count();
     assert!(builders <= 10, "SecurityConfig has {builders} `with_*` builders");
+}
+
+/// Ranks are coroutines that may resume on any carrier thread, so no
+/// library code may key anything on the host thread: no
+/// `thread_local!`, no `thread::current`, no `ThreadId` in `crates/*/src`
+/// outside `#[cfg(test)]`. (Tests may ask which thread ran a rank.)
+#[test]
+fn ranks_have_no_thread_identity() {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if repo(&format!("crates/{name}/src")).is_dir() {
+            files.extend(rust_files(&format!("crates/{name}/src")));
+        }
+    }
+    let lines = non_test_lines(&files);
+    assert!(
+        lines.iter().any(|(_, _, l)| l.contains("fn carry(")),
+        "the guard sees no engine code: is `#[cfg(test)]` stripping too much?"
+    );
+    let found: Vec<String> = lines
+        .iter()
+        .filter(|(_, _, l)| {
+            ["thread_local!", "thread::current", "ThreadId"]
+                .iter()
+                .any(|k| l.contains(k))
+        })
+        .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
+        .collect();
+    assert!(
+        found.is_empty(),
+        "library code observes thread identity: {found:#?}"
+    );
 }
