@@ -1,6 +1,7 @@
 //! FIG-INFLIGHT: aggregate goodput vs in-flight window depth, driven by
-//! the completion-set API (`CompletionSet` on the raw fabric,
-//! `SecureComm::{isend,waitsome}` on the encrypted paths).
+//! one request-set shape on both layers (`Comm::{isend,waitsome}` on
+//! the raw fabric, `SecureComm::{isend,waitsome}` on the encrypted
+//! paths).
 //!
 //! Beyond the paper: the study only measures blocking and
 //! waitall-at-the-end nonblocking streams. This harness sweeps the
@@ -63,27 +64,26 @@ fn config(lib: CryptoLibrary, net: Net, piped: bool, chaos: bool, window: usize)
 }
 
 /// Sliding-window driver on the raw fabric: keep up to `window`
-/// requests outstanding through a [`empi_mpi::CompletionSet`], topping
-/// up as `waitsome` retires them.
+/// requests outstanding, topping up as [`Comm::waitsome`] retires them.
 fn pump_raw(c: &Comm, is_sender: bool, peer: usize, window: usize, msgs: usize) {
     let msg = vec![0x6bu8; MSG_SIZE];
-    let mut set = c.completion_set();
+    let mut pending = Vec::with_capacity(window);
     let mut next = 0usize;
     loop {
-        while next < msgs && set.live() < window {
-            set.add(if is_sender {
+        while next < msgs && pending.len() < window {
+            pending.push(if is_sender {
                 c.isend(&msg, peer, next as u32)
             } else {
                 c.irecv(Src::Is(peer), TagSel::Is(next as u32))
             });
             next += 1;
         }
-        if set.live() == 0 {
+        if pending.is_empty() {
             break;
         }
-        for (_, status, payload) in set.waitsome() {
+        for (_, status, data) in c.waitsome(&mut pending) {
             if !is_sender {
-                let data = payload.expect("receive must carry a payload").into_bytes();
+                let data = data.expect("receive must carry a payload");
                 assert_eq!(data.len(), MSG_SIZE);
                 assert_eq!(status.len, MSG_SIZE);
             }

@@ -4,16 +4,14 @@
 //! * `barrier` — dissemination.
 //! * `bcast` — binomial tree for short messages, van-de-Geijn
 //!   scatter + ring-allgather for long ones.
-//! * `reduce` — binomial tree (commutative operators).
-//! * `allreduce` — recursive doubling (power-of-two), otherwise
-//!   reduce-to-root + bcast.
+//! * `allreduce` — recursive doubling (power-of-two), otherwise a
+//!   binomial-tree reduce to rank 0 + bcast (commutative operators).
 //! * `allgather` — recursive doubling (power-of-two), otherwise ring;
 //!   ring for long messages.
 //! * `alltoall` — Bruck for short messages (log n rounds — this is why
 //!   the paper's 64-rank 1-byte alltoall costs ~10 one-way latencies,
 //!   not 63), pairwise exchange for long ones.
 //! * `alltoallv` — pairwise exchange.
-//! * `gather(v)` / `scatter(v)` — linear.
 //!
 //! The schedules are data: [`dissemination`], [`recursive_doubling`],
 //! [`ring`] and [`pairwise`] yield one [`Round`] per step (who to send
@@ -235,14 +233,15 @@ pub fn bcast_alg(len: usize) -> BcastAlg {
     }
 }
 
+/// Operation codes of the built-in collectives' reserved tags. The
+/// discriminants are explicit so that retiring a code moves no other
+/// operation's tags; 5 and 6 are free.
 #[derive(Clone, Copy)]
 enum Op {
     Barrier = 1,
     Bcast = 2,
     Reduce = 3,
     Allreduce = 4,
-    Gather = 5,
-    Scatter = 6,
     Allgather = 7,
     Alltoall = 8,
     Alltoallv = 9,
@@ -254,7 +253,7 @@ impl<'h> Comm<'h> {
     }
 
     /// Mint a tag in the reserved collective space for operation code
-    /// `op` (codes 1–9 are taken by the built-in collectives; higher
+    /// `op` (codes 1–9 are reserved for the built-in collectives; higher
     /// layers running their own collective protocols — e.g. the
     /// pipelined encrypted bcast — use codes ≥ 32). Every rank must
     /// call this the same number of times in the same order, exactly
@@ -340,7 +339,7 @@ impl<'h> Comm<'h> {
     }
 
     /// Typed broadcast convenience.
-    pub fn bcast_t<T: Pod>(&self, buf: &mut [T], root: usize) {
+    fn bcast_t<T: Pod>(&self, buf: &mut [T], root: usize) {
         let me = self.rank();
         // Required copy: typed↔byte marshalling through the byte-level
         // bcast needs an owned, resizable staging buffer.
@@ -352,8 +351,11 @@ impl<'h> Comm<'h> {
     }
 
     /// Reduce `data` elementwise with commutative `op` onto `root`
-    /// (`MPI_Reduce`). Returns `Some(result)` at root, `None` elsewhere.
-    pub fn reduce<T: Pod + Default>(
+    /// (`MPI_Reduce`) up the binomial tree: the children's partial
+    /// results arrive in reverse send order (smallest subtree first),
+    /// then the accumulation goes to the parent. Returns `Some(result)`
+    /// at root, `None` elsewhere.
+    fn reduce<T: Pod + Default>(
         &self,
         data: &[T],
         root: usize,
@@ -361,28 +363,23 @@ impl<'h> Comm<'h> {
     ) -> Option<Vec<T>> {
         let tag = self.coll_tag(Op::Reduce);
         let _op = self.op("reduce/binomial");
-        let n = self.size();
-        let me = self.rank();
-        let vrank = (me + n - root) % n;
-        let real = |v: usize| (v + root) % n;
+        let (parent, _, children) = binomial_tree(self.rank(), root, self.size());
+        let children: Vec<usize> = children.map(|(child, _)| child).collect();
         let mut acc = data.to_vec();
-
-        let mut mask = 1usize;
-        while mask < n {
-            if vrank & mask != 0 {
-                self.send_t(&acc, real(vrank - mask), tag);
-                return None;
+        for &child in children.iter().rev() {
+            let (_, other) = self.recv_vec::<T>(Src::Is(child), TagSel::Is(tag));
+            assert_eq!(other.len(), acc.len(), "reduce length mismatch");
+            for (a, b) in acc.iter_mut().zip(other.iter()) {
+                op(a, b);
             }
-            if vrank + mask < n {
-                let (_, other) = self.recv_vec::<T>(Src::Is(real(vrank + mask)), TagSel::Is(tag));
-                assert_eq!(other.len(), acc.len(), "reduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(other.iter()) {
-                    op(a, b);
-                }
-            }
-            mask <<= 1;
         }
-        Some(acc)
+        match parent {
+            Some(parent) => {
+                self.send_t(&acc, parent, tag);
+                None
+            }
+            None => Some(acc),
+        }
     }
 
     /// All-reduce with commutative `op` (`MPI_Allreduce`).
@@ -414,88 +411,6 @@ impl<'h> Comm<'h> {
             self.bcast_t(&mut out, 0);
             out
         }
-    }
-
-    /// Linear gather body of `gather` and `gatherv`: per-rank payloads
-    /// at root (received in arrival order), `None` elsewhere.
-    fn gather_linear(&self, send: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        let tag = self.coll_tag(Op::Gather);
-        if self.rank() != root {
-            self.send(send, root, tag);
-            return None;
-        }
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); self.size()];
-        // Required copy: the result owns its payloads and the root's
-        // own contribution is a borrowed slice.
-        out[root] = send.to_vec();
-        for _ in 1..self.size() {
-            let (st, data) = self.recv(Src::Any, TagSel::Is(tag));
-            out[st.source] = data.try_into_vec().unwrap_or_else(|b| b.to_vec());
-        }
-        Some(out)
-    }
-
-    /// Gather equal-size contributions to `root` (`MPI_Gather`, linear).
-    /// Returns the concatenation (rank order) at root, `None` elsewhere.
-    pub fn gather(&self, send: &[u8], root: usize) -> Option<Vec<u8>> {
-        let _op = self.op("gather/linear");
-        let parts = self.gather_linear(send, root)?;
-        for part in &parts {
-            assert_eq!(part.len(), send.len(), "gather buffer size mismatch");
-        }
-        Some(parts.concat())
-    }
-
-    /// Gather variable-size contributions to `root` (`MPI_Gatherv`).
-    /// Returns per-rank payloads at root, `None` elsewhere.
-    pub fn gatherv(&self, send: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        let _op = self.op("gatherv/linear");
-        self.gather_linear(send, root)
-    }
-
-    /// Linear scatter body of `scatter` and `scatterv`: the root sends
-    /// every other rank its piece and keeps its own.
-    fn scatter_linear(&self, pieces: Option<Vec<&[u8]>>, root: usize) -> Vec<u8> {
-        let tag = self.coll_tag(Op::Scatter);
-        if self.rank() != root {
-            let (_, data) = self.recv(Src::Is(root), TagSel::Is(tag));
-            // Steal the arrived buffer when we are its unique owner;
-            // copy only if the transport still shares it.
-            return data.try_into_vec().unwrap_or_else(|b| b.to_vec());
-        }
-        let pieces = pieces.expect("root must supply the scatter data");
-        assert_eq!(pieces.len(), self.size(), "one chunk per rank");
-        for (dst, piece) in pieces.iter().enumerate() {
-            if dst != root {
-                self.send(piece, dst, tag);
-            }
-        }
-        // Required copy: the root's own piece is borrowed from the
-        // caller while the result must be owned.
-        pieces[root].to_vec()
-    }
-
-    /// Scatter equal-size chunks of `send` (significant at root) to all
-    /// ranks (`MPI_Scatter`, linear). `chunk` is the per-rank byte count.
-    pub fn scatter(&self, send: Option<&[u8]>, chunk: usize, root: usize) -> Vec<u8> {
-        let _op = self.op("scatter/linear");
-        let n = self.size();
-        let pieces = send.filter(|_| self.rank() == root).map(|send| {
-            assert_eq!(send.len(), chunk * n, "scatter buffer size mismatch");
-            (0..n)
-                .map(|dst| &send[dst * chunk..(dst + 1) * chunk])
-                .collect()
-        });
-        let data = self.scatter_linear(pieces, root);
-        assert_eq!(data.len(), chunk);
-        data
-    }
-
-    /// Scatter variable-size chunks from `root` (`MPI_Scatterv`).
-    /// `chunks` is significant only at root.
-    pub fn scatterv(&self, chunks: Option<&[Vec<u8>]>, root: usize) -> Vec<u8> {
-        let _op = self.op("scatterv/linear");
-        self.scatter_linear(chunks.map(|c| c.iter().map(Vec::as_slice).collect()), root)
     }
 
     /// Allgather equal-size blocks (`MPI_Allgather`): every rank ends
@@ -604,31 +519,6 @@ impl<'h> Comm<'h> {
         assert_eq!(recv_counts.len(), n);
         assert_eq!(send.len(), send_counts.iter().sum::<usize>());
         self.alltoall_pairwise(send, &edges(send_counts), &edges(recv_counts), tag, false)
-    }
-
-    /// Typed allgather of one element per rank.
-    pub fn allgather_one<T: Pod + Default>(&self, v: T) -> Vec<T> {
-        let bytes = self.allgather(as_bytes(std::slice::from_ref(&v)));
-        vec_from_bytes(&bytes)
-    }
-
-    /// Reduce + scatter of the result in equal blocks
-    /// (`MPI_Reduce_scatter_block`): every rank contributes a vector of
-    /// `n × block_elems` elements and receives its reduced block.
-    pub fn reduce_scatter_block<T: Pod + Default>(
-        &self,
-        data: &[T],
-        op: impl Fn(&mut T, &T) + Copy,
-    ) -> Vec<T> {
-        let _op = self.op("reduce_scatter/reduce+scatter");
-        let n = self.size();
-        assert_eq!(data.len() % n, 0, "data must split evenly over ranks");
-        let block = std::mem::size_of_val(data) / n;
-        // Reduce to rank 0, then scatter blocks — the simple composition
-        // (MPICH uses recursive halving; timing shape is comparable at
-        // our scales and the result is identical).
-        let reduced = self.reduce(data, 0, op);
-        vec_from_bytes(&self.scatter(reduced.as_deref().map(as_bytes), block, 0))
     }
 }
 
@@ -879,14 +769,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gather buffer size mismatch")]
-    fn gather_rejects_a_mismatched_count() {
-        World::flat(NetModel::instant(), 3).run(|c| {
-            c.gather(&vec![0u8; if c.rank() == 2 { 2 } else { 4 }], 0);
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "allreduce length mismatch")]
     fn allreduce_rejects_a_mismatched_count() {
         World::flat(NetModel::instant(), 2).run(|c| {
@@ -983,34 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter() {
-        for w in worlds() {
-            let n = w.n_ranks();
-            let out = w.run(|c| {
-                let g = c.gather(&[c.rank() as u8; 3], 0);
-                if c.rank() == 0 {
-                    let g = g.unwrap();
-                    let expect: Vec<u8> = (0..n).flat_map(|r| [r as u8; 3]).collect();
-                    assert_eq!(g, expect);
-                }
-                let root_buf: Vec<u8> = (0..n).flat_map(|r| [r as u8; 2]).collect();
-                c.scatter(
-                    if c.rank() == 0 {
-                        Some(&root_buf[..])
-                    } else {
-                        None
-                    },
-                    2,
-                    0,
-                )
-            });
-            for (r, v) in out.results.iter().enumerate() {
-                assert_eq!(v, &vec![r as u8; 2]);
-            }
-        }
-    }
-
-    #[test]
     fn allgather_all_sizes() {
         for w in worlds() {
             let n = w.n_ranks();
@@ -1092,80 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn gatherv_scatterv_ragged() {
-        for w in worlds() {
-            let n = w.n_ranks();
-            let out = w.run(|c| {
-                let me = c.rank();
-                let mine = vec![me as u8; me + 1];
-                let g = c.gatherv(&mine, 0);
-                if me == 0 {
-                    let g = g.unwrap();
-                    for (r, v) in g.iter().enumerate() {
-                        assert_eq!(v, &vec![r as u8; r + 1]);
-                    }
-                }
-                let chunks: Option<Vec<Vec<u8>>> =
-                    (me == 0).then(|| (0..n).map(|r| vec![(r * 2) as u8; r + 2]).collect());
-                c.scatterv(chunks.as_deref(), 0)
-            });
-            for (r, v) in out.results.iter().enumerate() {
-                assert_eq!(v, &vec![(r * 2) as u8; r + 2]);
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_block_sums() {
-        for w in worlds() {
-            let n = w.n_ranks();
-            let out = w.run(|c| {
-                // data[i] = rank + i; reduced block b = Σ_ranks (r + b·2+k)
-                let data: Vec<i64> = (0..n * 2).map(|i| (c.rank() + i) as i64).collect();
-                c.reduce_scatter_block(&data, crate::coll::ops::sum)
-            });
-            let rank_sum: i64 = (0..n as i64).sum();
-            for (b, v) in out.results.iter().enumerate() {
-                assert_eq!(v.len(), 2);
-                for (k, &x) in v.iter().enumerate() {
-                    let expect = rank_sum + (n * (b * 2 + k)) as i64;
-                    assert_eq!(x, expect, "block {b} elem {k} (n={n})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn waitany_returns_first_completion() {
-        use empi_netsim::VDur;
-        let w = World::flat(NetModel::ethernet_10g(), 3);
-        let out = w.run(|c| {
-            if c.rank() == 0 {
-                // Rank 2 sends late, rank 1 sends early.
-                let mut reqs = vec![
-                    c.irecv(crate::Src::Is(2), crate::TagSel::Is(0)),
-                    c.irecv(crate::Src::Is(1), crate::TagSel::Is(0)),
-                ];
-                let (idx, st, data) = c.waitany(&mut reqs);
-                assert_eq!(idx, 1, "the early sender completes first");
-                assert_eq!(st.source, 1);
-                assert_eq!(data.unwrap()[0], 11);
-                let (idx2, st2, _) = c.waitany(&mut reqs);
-                assert_eq!((idx2, st2.source), (0, 2));
-                true
-            } else if c.rank() == 1 {
-                c.send(&[11], 0, 0);
-                true
-            } else {
-                c.compute(VDur::from_micros(5_000));
-                c.send(&[22], 0, 0);
-                true
-            }
-        });
-        assert!(out.results.iter().all(|&x| x));
-    }
-
-    #[test]
     fn probe_and_iprobe() {
         use empi_netsim::VDur;
         let w = World::flat(NetModel::ethernet_10g(), 2);
@@ -1176,8 +956,11 @@ mod tests {
             } else {
                 // Nothing arrived yet at t=0.
                 assert!(c.iprobe(crate::Src::Any, crate::TagSel::Any).is_none());
-                // Blocking probe sees the message without consuming it.
-                let st = c.probe(crate::Src::Any, crate::TagSel::Is(9));
+                // The blocking probe sees the message without consuming
+                // it (its control filter names a tag nobody sends).
+                let unsent = (crate::Src::Is(0), crate::TagSel::Is(crate::ctrl::NACK_TAG));
+                let (is_ctrl, st) = c.probe_either((crate::Src::Any, crate::TagSel::Is(9)), unsent);
+                assert!(!is_ctrl);
                 assert_eq!((st.source, st.tag, st.len), (0, 9, 3));
                 // Now iprobe also sees it, and recv still gets the data.
                 assert!(c.iprobe(crate::Src::Is(0), crate::TagSel::Is(9)).is_some());
@@ -1283,8 +1066,15 @@ mod tests {
                 c.wait_sent(chunked(train.to_vec()));
             } else {
                 // The wildcard probe must skip the ctrl frame and find
-                // the chunked send (now visible to peeks).
-                let st = c.probe(crate::Src::Any, crate::TagSel::Any);
+                // the chunked send (now visible to peeks); its control
+                // filter names a tag nobody sends.
+                let any = (crate::Src::Any, crate::TagSel::Any);
+                let unsent = (
+                    crate::Src::Is(0),
+                    crate::TagSel::Is(crate::ctrl::REPAIR_TAG),
+                );
+                let (is_ctrl, st) = c.probe_either(any, unsent);
+                assert!(!is_ctrl);
                 assert_eq!((st.source, st.tag, st.len), (0, 6, 6));
                 match c.recv_maybe_chunked(crate::Src::Is(0), crate::TagSel::Is(6)) {
                     crate::chunk::RecvPayload::Chunked(msg) => assert_eq!(msg.wire_bytes(), 6),
@@ -1300,15 +1090,6 @@ mod tests {
                 assert_eq!(&d[..], b"ctrl");
             }
         });
-    }
-
-    #[test]
-    fn allgather_one_typed() {
-        let w = World::flat(NetModel::instant(), 6);
-        let out = w.run(|c| c.allgather_one(c.rank() as u64 * 7));
-        for v in out.results {
-            assert_eq!(v, (0..6).map(|r| r * 7).collect::<Vec<u64>>());
-        }
     }
 
     #[test]

@@ -484,7 +484,7 @@ impl<'h> Comm<'h> {
 
     /// Blocking receive into a caller buffer; the payload must fit
     /// exactly.
-    pub fn recv_into(&self, buf: &mut [u8], src: Src, tag: TagSel) -> Status {
+    pub(crate) fn recv_into(&self, buf: &mut [u8], src: Src, tag: TagSel) -> Status {
         let (status, data) = self.recv(src, tag);
         assert_eq!(
             data.len(),
@@ -581,59 +581,41 @@ impl<'h> Comm<'h> {
     }
 
     /// Wait for all requests (`MPI_Waitall`) as a true completion set:
-    /// requests are retired in completion order (earliest virtual time
-    /// first), not slot order. Results are returned in slot order;
-    /// payload bytes are format-agnostic like [`Comm::wait`].
+    /// one blocking set poll per completion, retiring whichever request
+    /// finishes next in virtual time, not slot order. Results are
+    /// returned in slot order; payload bytes are format-agnostic like
+    /// [`Comm::wait`].
     pub fn waitall(&self, reqs: Vec<Request>) -> Vec<(Status, Option<Bytes>)> {
-        self.waitall_payload(reqs)
-            .into_iter()
-            .map(|(status, payload)| (status, payload.map(RecvPayload::into_bytes)))
-            .collect()
-    }
-
-    /// [`Comm::waitall`] with full payload dispatch: one blocking set
-    /// poll per completion, retiring whichever request finishes next in
-    /// virtual time. Results land at their request's original index.
-    pub fn waitall_payload(&self, reqs: Vec<Request>) -> Vec<(Status, Option<RecvPayload>)> {
         let mut slots: Vec<Option<Request>> = reqs.into_iter().map(Some).collect();
-        let mut out: Vec<Option<(Status, Option<RecvPayload>)>> =
+        let mut out: Vec<Option<(Status, Option<Bytes>)>> =
             (0..slots.len()).map(|_| None).collect();
         while let Some((i, status, payload)) = self.next_done(&mut slots) {
-            out[i] = Some((status, payload));
+            out[i] = Some((status, payload.map(RecvPayload::into_bytes)));
         }
         out.into_iter()
             .map(|r| r.expect("poll_set retires every slot before Empty"))
             .collect()
     }
 
-    /// Wait for whichever request completes first (`MPI_Waitany`),
-    /// dispatching on the wire format like [`Comm::wait_payload`].
-    /// Removes the completed request from `reqs` and returns its index
-    /// along with the result.
-    pub fn waitany_payload(&self, reqs: &mut Vec<Request>) -> (usize, Status, Option<RecvPayload>) {
-        assert!(!reqs.is_empty(), "waitany on an empty request set");
+    /// Wait until at least one request completes, then retire every
+    /// other one already complete at that virtual time (`MPI_Waitsome`)
+    /// — the shape of `SecureComm::waitsome`. Completed requests leave
+    /// `reqs` and the survivors keep their order; each reported index is
+    /// the request's position in `reqs` at call time. Payload bytes are
+    /// format-agnostic like [`Comm::wait`]. An empty `reqs` returns an
+    /// empty vector without moving the clock.
+    pub fn waitsome(&self, reqs: &mut Vec<Request>) -> Vec<(usize, Status, Option<Bytes>)> {
         let mut slots: Vec<Option<Request>> = reqs.drain(..).map(Some).collect();
-        let done = self.next_done(&mut slots);
+        let mut done = Vec::new();
+        // One blocking step, then non-blocking ones until nothing more
+        // has completed at the resulting time.
+        let mut block = true;
+        while let SetPoll::Done(i, status, payload) = self.poll_set(&mut slots, None, block) {
+            done.push((i, status, payload.map(RecvPayload::into_bytes)));
+            block = false;
+        }
         reqs.extend(slots.into_iter().flatten());
-        done.expect("a non-empty set has a next completion")
-    }
-
-    /// Wait for whichever request completes first (`MPI_Waitany`).
-    /// Removes the completed request from `reqs` and returns its index
-    /// along with the result; payload bytes are format-agnostic like
-    /// [`Comm::wait`].
-    pub fn waitany(&self, reqs: &mut Vec<Request>) -> (usize, Status, Option<Bytes>) {
-        let (idx, status, payload) = self.waitany_payload(reqs);
-        (idx, status, payload.map(RecvPayload::into_bytes))
-    }
-
-    /// Has `req` completed at (or before) the current virtual time?
-    /// Non-blocking and non-consuming (`MPI_Test`'s flag check); a
-    /// `true` answer means a wait on it returns without advancing the
-    /// clock past already-scheduled arrivals.
-    pub fn test_ready(&self, req: &Request) -> bool {
-        let now = self.h.now();
-        self.done_at(req).is_some_and(|(at, ())| at <= now)
+        done
     }
 
     /// The completion funnel: poll a set of request slots, optionally
@@ -650,9 +632,9 @@ impl<'h> Comm<'h> {
     /// before the current virtual time and never advance the clock
     /// ([`SetPoll::Pending`] otherwise).
     ///
-    /// Every set call — `waitall`/`waitany`/`waitsome`/`testany`/
-    /// `testall`, with or without control awareness — is a thin driver
-    /// of this one poller.
+    /// Every set call — [`Comm::waitall`], [`Comm::waitsome`] and the
+    /// secure layer's set waits, with or without control awareness — is
+    /// a thin driver of this one poller.
     pub fn poll_set(
         &self,
         slots: &mut [Option<Request>],
@@ -723,13 +705,6 @@ impl<'h> Comm<'h> {
         }
     }
 
-    /// Blocking probe (`MPI_Probe`): wait until a matching message is
-    /// available and return its envelope without receiving it.
-    pub fn probe(&self, src: Src, tag: TagSel) -> Status {
-        let peek = || self.peek_status(src, tag);
-        self.park("probe", None, None, peek).got()
-    }
-
     /// Non-blocking probe (`MPI_Iprobe`): check whether a matching
     /// message has *already* arrived (in virtual time).
     pub fn iprobe(&self, src: Src, tag: TagSel) -> Option<Status> {
@@ -779,13 +754,306 @@ impl<'h> Comm<'h> {
     // ---------------------------------------------------------------
 
     /// Typed blocking send.
-    pub fn send_t<T: Pod>(&self, buf: &[T], dst: usize, tag: Tag) {
+    pub(crate) fn send_t<T: Pod>(&self, buf: &[T], dst: usize, tag: Tag) {
         self.send(as_bytes(buf), dst, tag);
     }
 
     /// Typed blocking receive into a fresh vector.
-    pub fn recv_vec<T: Pod + Default>(&self, src: Src, tag: TagSel) -> (Status, Vec<T>) {
+    pub(crate) fn recv_vec<T: Pod + Default>(&self, src: Src, tag: TagSel) -> (Status, Vec<T>) {
         let (status, data) = self.recv(src, tag);
         (status, vec_from_bytes(&data))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chunk::ChunkFrame;
+    use crate::ctrl::NACK_TAG;
+    use crate::world::World;
+    use empi_netsim::NetModel;
+
+    const DATA_TAG: u32 = 7;
+
+    /// Virtual-time tie-breaking: with an instant network a data
+    /// message and a ctrl frame are both available at t=0. Every
+    /// control-aware primitive must prefer the data side on the tie;
+    /// the ctrl frame wins only when it is strictly earlier.
+    #[test]
+    fn ties_prefer_data_over_ctrl() {
+        let w = World::flat(NetModel::instant(), 3);
+        let out = w.run(|c| match c.rank() {
+            0 => {
+                // Both arrive at t=0 (instant fabric, both senders post
+                // at their local t=0).
+                let nack = (Src::Is(2), TagSel::Is(NACK_TAG));
+                let (is_ctrl, st) = c.probe_either((Src::Is(1), TagSel::Is(DATA_TAG)), nack);
+                assert!(!is_ctrl, "probe_either must prefer data on a tie");
+                assert_eq!(st.source, 1);
+
+                // poll_set: the irecv completes at t=0, tied with the
+                // ctrl frame — data wins.
+                let mut slots = vec![Some(c.irecv(Src::Is(1), TagSel::Is(DATA_TAG)))];
+                match c.poll_set(&mut slots, Some(nack), true) {
+                    SetPoll::Done(0, st, payload) => {
+                        assert_eq!(st.source, 1);
+                        assert_eq!(payload.unwrap().into_bytes().as_ref(), b"data");
+                    }
+                    other => panic!("poll_set must prefer data on a tie: {other:?}"),
+                }
+
+                // With no data in flight the ctrl frame does win, and
+                // the request stays in its slot.
+                slots.push(Some(c.irecv(Src::Is(1), TagSel::Is(DATA_TAG + 1))));
+                match c.poll_set(&mut slots, Some(nack), true) {
+                    SetPoll::Ctrl => assert!(slots[1].is_some()),
+                    other => panic!("no data posted yet: ctrl must win: {other:?}"),
+                }
+                let (_, ctrl) = c.recv(Src::Is(2), TagSel::Is(NACK_TAG));
+                assert_eq!(ctrl.as_ref(), b"nack");
+                // Release rank 1's last send.
+                c.send(b"go", 1, DATA_TAG + 2);
+                let mut rest: Vec<Request> = slots.into_iter().flatten().collect();
+                let done = c.waitsome(&mut rest);
+                assert!(rest.is_empty());
+                let [(_, st, data)] = &done[..] else {
+                    panic!("one request was live: {done:?}")
+                };
+                (st.source, data.as_ref().map_or(0, Bytes::len))
+            }
+            1 => {
+                c.send(b"data", 0, DATA_TAG);
+                // Only send the last data message once rank 0 asks,
+                // guaranteeing the ctrl-wins leg really has no data.
+                let _ = c.recv(Src::Is(0), TagSel::Is(DATA_TAG + 2));
+                c.send(b"late", 0, DATA_TAG + 1);
+                (0, 0)
+            }
+            _ => {
+                c.send(b"nack", 0, NACK_TAG);
+                (0, 0)
+            }
+        });
+        assert_eq!(out.results[0], (1, 4));
+    }
+
+    /// `wait`, `waitsome` and `waitall` must complete a chunked
+    /// (pipelined) train without panicking, assembling the frames in
+    /// transmission order with framing intact.
+    #[test]
+    fn byte_waits_assemble_chunked_trains() {
+        let frames = |base: u8| -> Vec<ChunkFrame> {
+            (0..3u8)
+                .map(|i| ChunkFrame {
+                    data: Bytes::from(vec![base + i; 4]),
+                    ready: VTime(0),
+                })
+                .collect()
+        };
+        let expect = |base: u8| -> Vec<u8> { (0..3u8).flat_map(|i| vec![base + i; 4]).collect() };
+        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let out = w.run(|c| {
+            if c.rank() == 0 {
+                for (i, base) in [10u8, 40, 70].into_iter().enumerate() {
+                    let train = SendPayload::Chunked(frames(base));
+                    c.wait_sent(c.post(train, 1, DATA_TAG + i as u32, Charge::Blocking));
+                }
+            } else {
+                // wait: single chunked train, contiguous bytes.
+                let (st, data) = c.wait(c.irecv(Src::Is(0), TagSel::Is(DATA_TAG)));
+                assert_eq!(st.source, 0);
+                assert_eq!(data.as_deref(), Some(&expect(10)[..]));
+                // waitsome: chunked train through the set path.
+                let mut reqs = vec![c.irecv(Src::Is(0), TagSel::Is(DATA_TAG + 1))];
+                let done = c.waitsome(&mut reqs);
+                assert_eq!((done.len(), reqs.len()), (1, 0));
+                assert_eq!(done[0].2.as_deref(), Some(&expect(40)[..]));
+                // waitall: chunked train retired by the set poller.
+                let res = c.waitall(vec![c.irecv(Src::Is(0), TagSel::Is(DATA_TAG + 2))]);
+                assert_eq!(res[0].1.as_deref(), Some(&expect(70)[..]));
+            }
+        });
+        assert_eq!(out.results.len(), 2);
+    }
+
+    /// `waitall` retires requests in completion order but reports them
+    /// in slot order.
+    #[test]
+    fn waitall_reports_in_slot_order() {
+        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let out = w.run(|c| {
+            if c.rank() == 0 {
+                // Stagger sends so completion order != post order.
+                for i in (0..4u32).rev() {
+                    c.compute(VDur::from_micros(50));
+                    c.send(&[i as u8; 32], 1, DATA_TAG + i);
+                }
+                vec![]
+            } else {
+                let reqs = (0..4u32)
+                    .map(|i| c.irecv(Src::Is(0), TagSel::Is(DATA_TAG + i)))
+                    .collect();
+                c.waitall(reqs)
+                    .into_iter()
+                    .map(|(st, data)| (st.tag, data.unwrap()[0]))
+                    .collect::<Vec<_>>()
+            }
+        });
+        let expect: Vec<_> = (0..4u32).map(|i| (DATA_TAG + i, i as u8)).collect();
+        assert_eq!(out.results[1], expect);
+    }
+
+    /// `waitsome` hands back the earliest completion under its position
+    /// at call time and leaves the later request in `reqs`.
+    #[test]
+    fn waitsome_returns_the_earliest_completion_first() {
+        let w = World::flat(NetModel::ethernet_10g(), 3);
+        let out = w.run(|c| {
+            match c.rank() {
+                0 => {
+                    // Rank 2 sends late, rank 1 sends early.
+                    let mut reqs = vec![
+                        c.irecv(Src::Is(2), TagSel::Is(0)),
+                        c.irecv(Src::Is(1), TagSel::Is(0)),
+                    ];
+                    let done = c.waitsome(&mut reqs);
+                    assert_eq!(done.len(), 1, "the late sender is still in flight");
+                    let (idx, st, data) = &done[0];
+                    assert_eq!(
+                        (*idx, st.source),
+                        (1, 1),
+                        "the early sender completes first"
+                    );
+                    assert_eq!(data.as_deref(), Some(&[11u8][..]));
+                    assert_eq!(reqs.len(), 1);
+                    let done = c.waitsome(&mut reqs);
+                    assert_eq!((done[0].0, done[0].1.source), (0, 2));
+                    return reqs.is_empty();
+                }
+                1 => c.send(&[11], 0, 0),
+                _ => {
+                    c.compute(VDur::from_micros(5_000));
+                    c.send(&[22], 0, 0);
+                }
+            }
+            true
+        });
+        assert!(out.results.iter().all(|&x| x));
+    }
+
+    /// A non-blocking poll never moves the clock: nothing has arrived
+    /// at t=0, so it reports `Pending`; after a blocking step, local
+    /// compute alone carries the rank past the straggler's arrival and
+    /// a non-blocking poll retires it.
+    #[test]
+    fn nonblocking_polls_never_move_the_clock() {
+        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let out = w.run(|c| {
+            if c.rank() == 0 {
+                c.send(&[1u8; 64], 1, DATA_TAG);
+                c.send(&[2u8; 64], 1, DATA_TAG + 1);
+                return true;
+            }
+            let mut slots = vec![
+                Some(c.irecv(Src::Is(0), TagSel::Is(DATA_TAG))),
+                Some(c.irecv(Src::Is(0), TagSel::Is(DATA_TAG + 1))),
+            ];
+            let t0 = c.now();
+            assert!(matches!(
+                c.poll_set(&mut slots, None, false),
+                SetPoll::Pending
+            ));
+            assert_eq!(c.now(), t0);
+            assert!(slots.iter().all(Option::is_some));
+            assert!(matches!(
+                c.poll_set(&mut slots, None, true),
+                SetPoll::Done(0, ..)
+            ));
+            loop {
+                let t = c.now();
+                match c.poll_set(&mut slots, None, false) {
+                    SetPoll::Done(1, ..) => break,
+                    SetPoll::Pending => assert_eq!(c.now(), t),
+                    other => panic!("one request is live: {other:?}"),
+                }
+                c.compute(VDur::from_micros(10));
+            }
+            slots.iter().all(Option::is_none)
+        });
+        assert!(out.results.iter().all(|&x| x));
+    }
+
+    /// Empty sets — an empty request vector, all-`None` slots — are
+    /// trivially complete everywhere: no hang, no panic, and no call
+    /// moves the clock.
+    #[test]
+    fn empty_set_semantics() {
+        let w = World::flat(NetModel::instant(), 2);
+        let out = w.run(|c| {
+            if c.rank() == 0 {
+                assert!(c.waitsome(&mut Vec::new()).is_empty());
+                assert!(c.waitall(Vec::new()).is_empty());
+                let mut slots: Vec<Option<Request>> = vec![None, None, None];
+                assert!(matches!(c.poll_set(&mut slots, None, true), SetPoll::Empty));
+                assert!(matches!(
+                    c.poll_set(&mut slots, None, false),
+                    SetPoll::Empty
+                ));
+                c.send(b"go", 1, DATA_TAG);
+            } else {
+                let _ = c.recv(Src::Is(0), TagSel::Is(DATA_TAG));
+            }
+            c.now().as_nanos()
+        });
+        // None of the empty-set calls may advance rank 0's clock.
+        assert_eq!(out.results[0], 0);
+    }
+
+    /// A sliding-window driver on `waitsome` — the shape of the
+    /// in-flight benchmark's raw pump — receives every message exactly
+    /// once, with the survivors keeping their order across calls.
+    #[test]
+    fn waitsome_windowed_driver_completes_everything() {
+        const MSGS: usize = 24;
+        const WINDOW: usize = 6;
+        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let out = w.run(|c| {
+            if c.rank() == 0 {
+                let reqs: Vec<_> = (0..MSGS)
+                    .map(|i| c.isend(&[i as u8; 128], 1, DATA_TAG + i as u32))
+                    .collect();
+                c.waitall(reqs);
+                return MSGS;
+            }
+            // `ids[k]` is the message index of `pending[k]`.
+            let (mut pending, mut ids) = (Vec::new(), Vec::new());
+            let mut got = [false; MSGS];
+            let mut posted = 0usize;
+            while got.iter().any(|&g| !g) {
+                while posted < MSGS && pending.len() < WINDOW {
+                    pending.push(c.irecv(Src::Is(0), TagSel::Is(DATA_TAG + posted as u32)));
+                    ids.push(posted);
+                    posted += 1;
+                }
+                let done = c.waitsome(&mut pending);
+                assert!(!done.is_empty(), "a blocking waitsome retires something");
+                let mut retired: Vec<usize> = Vec::new();
+                for (k, st, data) in done {
+                    let m = ids[k];
+                    assert_eq!(st.tag, DATA_TAG + m as u32);
+                    assert_eq!(data.unwrap()[0] as usize, m);
+                    assert!(!got[m], "message {m} completed twice");
+                    got[m] = true;
+                    retired.push(k);
+                }
+                retired.sort_unstable();
+                for k in retired.into_iter().rev() {
+                    ids.remove(k);
+                }
+                assert_eq!(ids.len(), pending.len());
+            }
+            got.len()
+        });
+        assert_eq!(out.results, vec![MSGS, MSGS]);
     }
 }

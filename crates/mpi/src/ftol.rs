@@ -7,7 +7,7 @@
 //! machinery ([`empi_netsim::CrashPlan`]):
 //!
 //! 1. **A lease-based failure detector.** A fault-tolerant wait
-//!    (`ft_send`/`ft_recv`/`ft_wait`, and the control-aware
+//!    (`ft_send`/`ft_recv`, and the control-aware
 //!    `ft_wait_sent`/`ft_probe_either` the secure layer builds its own
 //!    ft verbs on) is an ordinary wait with the lease armed:
 //!    `Comm::park` run through `Comm::park_leased` below, which is
@@ -53,9 +53,8 @@ use empi_netsim::{CrashKind, VDur, VTime};
 use empi_trace::{Cat, CounterBlock, Metric};
 
 use crate::chunk::{RecvPayload, SendPayload};
-use crate::coll::dissemination;
 use crate::comm::{Charge, Comm, Parked, Request, SetPoll};
-use crate::ctrl::{FtNotice, CTRL_TAG_BASE, FT_AGREE_RESULT_TAG, FT_AGREE_TAG, FT_NOTICE_TAG};
+use crate::ctrl::{FtNotice, FT_AGREE_RESULT_TAG, FT_AGREE_TAG, FT_NOTICE_TAG};
 use crate::types::{Src, Status, Tag, TagSel};
 
 /// Lease periods an ft wait may spend probing *live-but-silent* peers
@@ -144,11 +143,6 @@ impl FtolState {
         }
     }
 }
-
-/// Tag region for [`ShrunkComm`] internal collectives: inside the
-/// ctrl-plane region (bit 25, unmintable by the collective tag
-/// minter), far above the named ctrl tags.
-const SHRINK_COLL_BASE: Tag = CTRL_TAG_BASE | (1 << 12);
 
 fn encode_agree(epoch: u32, value: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(12);
@@ -515,7 +509,7 @@ impl<'h> Comm<'h> {
     }
 
     /// [`Comm::ft_send`] for an already-owned buffer (no copy).
-    pub fn ft_send_bytes(&self, data: Bytes, dst: usize, tag: Tag) -> Result<(), RankFailed> {
+    fn ft_send_bytes(&self, data: Bytes, dst: usize, tag: Tag) -> Result<(), RankFailed> {
         self.known_dead(dst).map_or(Ok(()), Err)?;
         let req = self.post(SendPayload::Plain(data), dst, tag, Charge::Blocking);
         self.ft_wait_sent(&mut [Some(req)], dst, None).map(|_| ())
@@ -537,18 +531,6 @@ impl<'h> Comm<'h> {
         self.ft_drive(Src::Is(dst), || {
             self.poll_slots("ftol/send", slots, ctrl, lease, true)
         })
-    }
-
-    /// Fault-tolerant wait on a posted receive request: like
-    /// [`Comm::wait_payload`], but lease-armed — if any rank is
-    /// confirmed dead while the request is pending the wait resolves
-    /// to [`RankFailed`] (the request may have matched the dead
-    /// sender; ULFM's any-source rule applies).
-    pub fn ft_wait(&self, req: Request) -> Result<(Status, Option<RecvPayload>), RankFailed> {
-        match self.park("ftol/wait", None, Some(Src::Any), || self.done_at(&req)) {
-            Parked::Failed(rf) => Err(rf),
-            _ => Ok(self.take_completed(req)),
-        }
     }
 
     /// The next agreement frame from `from` on `tag` that is not from
@@ -620,7 +602,7 @@ impl<'h> Comm<'h> {
     /// ascending order become shrunk ranks `0..n_survivors`). Requires
     /// a world of at most 64 ranks (the agreement value is one `u64`
     /// liveness bitmap).
-    pub fn shrink(&self) -> ShrunkComm<'_, 'h> {
+    pub fn shrink(&self) -> ShrunkComm {
         let st = self.det();
         let t0 = self.now().as_nanos();
         let n = self.size();
@@ -643,31 +625,21 @@ impl<'h> Comm<'h> {
         self.note_ftol("ftol/shrink", t0, -1, || {
             format!("{} survivors of {}", members.len(), n)
         });
-        ShrunkComm {
-            parent: self,
-            members,
-            my_rank,
-            seq: Cell::new(0),
-        }
+        ShrunkComm { members, my_rank }
     }
 }
 
-/// A dense communicator over the survivors of a [`Comm::shrink`]:
-/// ranks `0..size()` map onto the surviving world ranks in ascending
-/// order. Point-to-point ops delegate to the parent communicator with
-/// rank translation; the built-in collectives use deterministic
-/// member-order algorithms so survivor traffic is bit-exact against a
-/// world that never contained the dead ranks.
-pub struct ShrunkComm<'a, 'h> {
-    parent: &'a Comm<'h>,
+/// The survivor map of a [`Comm::shrink`]: dense ranks `0..size()` over
+/// the surviving world ranks in ascending order. Survivors address each
+/// other by translating with [`ShrunkComm::world_rank`] and talk over
+/// the parent communicator (or a secure layer on it), so traffic among
+/// them is the traffic of a world that never contained the dead ranks.
+pub struct ShrunkComm {
     members: Vec<usize>,
     my_rank: usize,
-    /// Internal collective tag sequence (ctrl-region tags, so shrunk
-    /// collectives can never cross-match application traffic).
-    seq: Cell<u32>,
 }
 
-impl<'a, 'h> ShrunkComm<'a, 'h> {
+impl ShrunkComm {
     /// This rank within the shrunk communicator.
     pub fn rank(&self) -> usize {
         self.my_rank
@@ -686,108 +658,6 @@ impl<'a, 'h> ShrunkComm<'a, 'h> {
     /// Translate a shrunk rank to its world rank.
     pub fn world_rank(&self, rank: usize) -> usize {
         self.members[rank]
-    }
-
-    /// The parent (world) communicator.
-    pub fn parent(&self) -> &'a Comm<'h> {
-        self.parent
-    }
-
-    fn next_tag(&self) -> Tag {
-        let s = self.seq.get();
-        self.seq.set(s.wrapping_add(1));
-        SHRINK_COLL_BASE | (s & 0xfff)
-    }
-
-    /// Blocking send to a shrunk rank.
-    pub fn send(&self, buf: &[u8], dst: usize, tag: Tag) {
-        self.parent.send(buf, self.members[dst], tag);
-    }
-
-    /// Blocking receive from a shrunk rank (or any member), with the
-    /// status source translated back to shrunk numbering.
-    pub fn recv(&self, src: Src, tag: TagSel) -> (Status, Bytes) {
-        let world_src = match src {
-            Src::Is(r) => Src::Is(self.members[r]),
-            Src::Any => Src::Any,
-        };
-        let (st, data) = self.parent.recv(world_src, tag);
-        let source = self
-            .members
-            .iter()
-            .position(|&m| m == st.source)
-            .expect("message from outside the shrunk group");
-        (
-            Status {
-                source,
-                tag: st.tag,
-                len: st.len,
-            },
-            data,
-        )
-    }
-
-    /// Dissemination barrier over the survivors.
-    pub fn barrier(&self) {
-        let n = self.size();
-        if n <= 1 {
-            return;
-        }
-        let tag = self.next_tag();
-        for r in dissemination(self.my_rank, n) {
-            let req = self.parent.isend(&[], self.members[r.to], tag);
-            let _ = self
-                .parent
-                .recv(Src::Is(self.members[r.from]), TagSel::Is(tag));
-            let _ = self.parent.wait(req);
-        }
-    }
-
-    /// Broadcast `data` from shrunk rank `root` (linear, member
-    /// order — deterministic, so shrunk worlds and fresh worlds of the
-    /// same size produce identical bytes).
-    pub fn bcast(&self, root: usize, data: &mut Vec<u8>) {
-        let tag = self.next_tag();
-        if self.my_rank == root {
-            for r in 0..self.size() {
-                if r != root {
-                    self.parent.send(data, self.members[r], tag);
-                }
-            }
-        } else {
-            let (_, got) = self
-                .parent
-                .recv(Src::Is(self.members[root]), TagSel::Is(tag));
-            data.clear();
-            data.extend_from_slice(&got);
-        }
-    }
-
-    /// Sum-allreduce of one `f64` per rank: gather to shrunk rank 0 in
-    /// member order, reduce, broadcast. Member-order reduction makes
-    /// the result bit-exact against any communicator with the same
-    /// member count and per-rank inputs.
-    pub fn allreduce_sum_f64(&self, x: f64) -> f64 {
-        let tag = self.next_tag();
-        if self.my_rank == 0 {
-            let mut acc = x;
-            for r in 1..self.size() {
-                let (_, data) = self.parent.recv(Src::Is(self.members[r]), TagSel::Is(tag));
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&data);
-                acc += f64::from_be_bytes(b);
-            }
-            let mut out = acc.to_be_bytes().to_vec();
-            self.bcast(0, &mut out);
-            acc
-        } else {
-            self.parent.send(&x.to_be_bytes(), self.members[0], tag);
-            let mut out = Vec::new();
-            self.bcast(0, &mut out);
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&out);
-            f64::from_be_bytes(b)
-        }
     }
 }
 
@@ -953,12 +823,17 @@ mod tests {
         );
     }
 
-    /// shrink after a crash produces a dense survivor communicator
-    /// whose collectives give bit-identical results to a fresh world
-    /// of the same size that never contained the dead rank.
+    /// shrink after a crash produces a dense survivor map: a ring
+    /// exchange addressed through it gives exactly what the same ring
+    /// gives in a fresh world of the survivor count that never
+    /// contained the dead rank.
     #[test]
     fn shrink_matches_world_born_without_the_dead_rank() {
-        let contributions = [1.5f64, -2.25, 4.125, 8.0625];
+        let ring = |c: &Comm, rank: usize, size: usize, world: &dyn Fn(usize) -> usize| {
+            let (next, prev) = (world((rank + 1) % size), world((rank + size - 1) % size));
+            let (st, got) = c.sendrecv(&[rank as u8 * 10], next, 5, Src::Is(prev), TagSel::Is(5));
+            (rank, st.len, got[0])
+        };
         let w = World::flat(NetModel::ethernet_10g(), 4)
             .with_ftol(DetectorConfig::default())
             .crash_plan(CrashPlan::new().crash_at(1, us(20)));
@@ -976,71 +851,13 @@ mod tests {
                 let sc = c.shrink();
                 assert_eq!(sc.members(), &[0, 2, 3]);
                 assert_eq!(sc.world_rank(sc.rank()), c.rank());
-                sc.barrier();
-                let sum = sc.allreduce_sum_f64(contributions[c.rank()]);
-                let mut payload = if sc.rank() == 0 {
-                    b"epoch".to_vec()
-                } else {
-                    Vec::new()
-                };
-                sc.bcast(0, &mut payload);
-                assert_eq!(payload, b"epoch");
-                sum.to_bits()
+                ring(c, sc.rank(), sc.size(), &|r| sc.world_rank(r))
             })
             .unwrap();
-        // Reference: member-order reduction over the survivors.
-        let expect = (contributions[0] + contributions[2] + contributions[3]).to_bits();
-        for r in [0usize, 2, 3] {
-            assert_eq!(out.results[r], Some(expect), "rank {r} sum mismatch");
-        }
-        // Fresh 3-rank world, same member-order algorithm: bit-exact.
-        let survivors = [contributions[0], contributions[2], contributions[3]];
-        let fresh = World::flat(NetModel::ethernet_10g(), 3).run(move |c| {
-            let tag = SHRINK_COLL_BASE;
-            if c.rank() == 0 {
-                let mut acc = survivors[0];
-                for r in 1..3 {
-                    let (_, data) = c.recv(Src::Is(r), TagSel::Is(tag));
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&data);
-                    acc += f64::from_be_bytes(b);
-                }
-                acc.to_bits()
-            } else {
-                c.send(&survivors[c.rank()].to_be_bytes(), 0, tag);
-                expect
-            }
-        });
-        assert_eq!(fresh.results[0], expect, "fresh-world reduction diverges");
-    }
-
-    /// `ft_wait` is lease-armed: an `irecv` whose message was sent
-    /// before its sender died completes with its payload, one posted on
-    /// the doomed rank resolves to a typed `RankFailed` after a single
-    /// probe round — never a hang.
-    #[test]
-    fn ft_wait_drains_predeath_traffic_and_fails_on_the_doomed_rank() {
-        let w = World::flat(NetModel::ethernet_10g(), 2)
-            .with_ftol(DetectorConfig::default())
-            .crash_plan(CrashPlan::new().crash_at(1, us(200)));
-        let out = w
-            .try_run_ft(|c| {
-                if c.rank() == 1 {
-                    c.send(b"parting", 0, 9);
-                    c.compute(VDur::from_micros(10_000));
-                    unreachable!("rank 1 dies mid-compute");
-                }
-                let sent = c.irecv(Src::Is(1), TagSel::Is(9));
-                let never = c.irecv(Src::Is(1), TagSel::Is(1));
-                let (st, payload) = c.ft_wait(sent).expect("pre-death message");
-                assert_eq!((st.source, st.tag, st.len), (1, 9, 7));
-                assert_eq!(payload.unwrap().into_bytes().as_ref(), b"parting");
-                let err = c.ft_wait(never).expect_err("rank 1 dies");
-                (err.rank, err.epoch, c.ftol_counters().get("probes"))
-            })
-            .unwrap();
-        assert_eq!(out.results[0], Some((1, 1, 1)));
-        assert_eq!(out.deaths[1], Some((us(200), CrashKind::Crash)));
+        let fresh = World::flat(NetModel::ethernet_10g(), 3).run(|c| ring(c, c.rank(), 3, &|r| r));
+        let survivors: Vec<_> = [0usize, 2, 3].iter().map(|&r| out.results[r]).collect();
+        let expect: Vec<_> = fresh.results.into_iter().map(Some).collect();
+        assert_eq!(survivors, expect, "shrunk ring diverges from a fresh world");
     }
 
     /// Sends to an already-confirmed-dead rank fail fast without

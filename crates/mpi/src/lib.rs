@@ -5,8 +5,9 @@
 //!
 //! * Point-to-point: blocking [`Comm::send`]/[`Comm::recv`]
 //!   (`MPI_Send`/`MPI_Recv`), non-blocking [`Comm::isend`]/[`Comm::irecv`]
-//!   with [`Comm::wait`]/[`Comm::waitall`], `MPI_ANY_SOURCE`/`ANY_TAG`
-//!   matching, eager and rendezvous protocols.
+//!   with [`Comm::wait`]/[`Comm::waitall`]/[`Comm::waitsome`],
+//!   `MPI_ANY_SOURCE`/`ANY_TAG` matching, eager and rendezvous
+//!   protocols.
 //! * Collectives with MPICH's algorithm switches: binomial/van-de-Geijn
 //!   broadcast, recursive-doubling allreduce/allgather, ring allgather,
 //!   Bruck/pairwise alltoall, pairwise alltoallv, dissemination barrier.
@@ -36,7 +37,6 @@ pub mod coll;
 pub mod comm;
 pub mod ctrl;
 pub mod ftol;
-pub mod request;
 mod state;
 pub mod types;
 pub mod world;
@@ -57,7 +57,6 @@ pub use empi_netsim::{
     TraceReport,
 };
 pub use ftol::{DetectorConfig, RankFailed, ShrunkComm};
-pub use request::{CompletionSet, Scope, ScopedRequest};
 pub use types::{
     as_bytes, copy_from_bytes, vec_from_bytes, Pod, Src, Status, Tag, TagSel, RESERVED_TAG_BASE,
 };

@@ -4,6 +4,7 @@
 //! count (a test that called the engine's deadline park directly would
 //! be a second wait protocol too).
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn repo(rel: &str) -> PathBuf {
@@ -26,6 +27,18 @@ fn rust_files(dir: &str) -> Vec<PathBuf> {
     }
     out.sort();
     out
+}
+
+/// Every `.rs` file under `crates/*/src`.
+fn crate_sources() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if repo(&format!("crates/{name}/src")).is_dir() {
+            files.extend(rust_files(&format!("crates/{name}/src")));
+        }
+    }
+    files
 }
 
 /// `(file, line number, line)` of every non-comment source line.
@@ -386,14 +399,7 @@ fn virtual_time_has_one_source() {
 /// outside `#[cfg(test)]`. (Tests may ask which thread ran a rank.)
 #[test]
 fn ranks_have_no_thread_identity() {
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(repo("crates")).unwrap() {
-        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-        if repo(&format!("crates/{name}/src")).is_dir() {
-            files.extend(rust_files(&format!("crates/{name}/src")));
-        }
-    }
-    let lines = non_test_lines(&files);
+    let lines = non_test_lines(&crate_sources());
     assert!(
         lines.iter().any(|(_, _, l)| l.contains("fn carry(")),
         "the guard sees no engine code: is `#[cfg(test)]` stripping too much?"
@@ -410,5 +416,230 @@ fn ranks_have_no_thread_identity() {
     assert!(
         found.is_empty(),
         "library code observes thread identity: {found:#?}"
+    );
+}
+
+/// `empi-mpi` exports what the stack calls: one request-set shape on
+/// both layers (a `Vec` of requests, `Comm::waitsome` beside
+/// `SecureComm::waitsome`), and no verb that only its own unit tests
+/// called comes back — not the scope and completion-set API, not the
+/// linear gather/scatter family, not `ShrunkComm`'s own collectives.
+#[test]
+fn empi_mpi_exports_what_the_stack_calls() {
+    assert!(
+        !repo("crates/mpi/src/request.rs").exists(),
+        "crates/mpi/src/request.rs is back"
+    );
+
+    let mut files = crate_sources();
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
+        files.extend(rust_files(dir));
+    }
+    // Comments count too: a doc line naming a retired item is stale.
+    // The names are split so that this file does not name them itself.
+    let mut lines = Vec::new();
+    for path in &files {
+        let name = path
+            .strip_prefix(repo(""))
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
+        let text = std::fs::read_to_string(path).unwrap();
+        for (i, line) in text.lines().enumerate() {
+            lines.push((name.clone(), i + 1, line.to_string()));
+        }
+    }
+    let retired = [
+        concat!("Completion", "Set"),
+        concat!("completion", "_set"),
+        concat!("Scoped", "Request"),
+        concat!("mod ", "request"),
+        concat!("gather", "v("),
+        concat!("scatter", "v("),
+        concat!(".gather", "("),
+        concat!(".scatter", "("),
+        concat!("reduce_scatter", "_block"),
+        concat!("allgather", "_one"),
+        concat!(".probe", "("),
+        concat!("test", "_ready"),
+        concat!("ft_wait", "("),
+        concat!("waitall", "_payload"),
+        concat!("waitany", "_payload"),
+        concat!("allreduce_sum", "_f64"),
+        concat!("SHRINK_COLL", "_BASE"),
+        concat!("Op::", "Gather"),
+        concat!("Op::", "Scatter"),
+    ];
+    for name in retired {
+        let back: Vec<String> = lines
+            .iter()
+            .filter(|(_, _, l)| l.contains(name))
+            .map(|(f, n, _)| format!("{f}:{n}"))
+            .collect();
+        assert!(back.is_empty(), "`{name}` is back: {back:?}");
+    }
+
+    // `SecureComm` keeps its any-of wait; `Comm` does not.
+    let mpi = code_lines(&rust_files("crates/mpi/src"));
+    for verb in ["fn waitany", "fn probe(", "fn scope"] {
+        let back = sites(&mpi, verb);
+        assert!(back.is_empty(), "empi-mpi defines `{verb}` again: {back:?}");
+    }
+    let waitsome = sites(&mpi, "pub fn waitsome");
+    assert_eq!(
+        waitsome.len(),
+        1,
+        "`pub fn waitsome` in empi-mpi: {waitsome:?}"
+    );
+}
+
+/// The identifier tokens of a line, in order.
+fn idents(line: &str) -> Vec<&str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|t| !t.is_empty())
+        .collect()
+}
+
+/// What `crates/*/src` and `src` define: `(types, names)`. Types are
+/// the structs, enums, traits, unions and type aliases; names are those
+/// plus every `fn`, `const`, `static` and `mod`, every enum variant and
+/// every named field (a variant or a field is a definition a doc path
+/// can name as well as a function).
+fn workspace_items() -> (BTreeSet<String>, BTreeSet<String>) {
+    let mut files = crate_sources();
+    files.extend(rust_files("src"));
+    let (mut types, mut names) = (BTreeSet::new(), BTreeSet::new());
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            let toks = idents(line);
+            for w in toks.windows(2) {
+                let (kw, name) = (w[0], w[1].to_string());
+                match kw {
+                    "struct" | "enum" | "trait" | "union" | "type" => {
+                        types.insert(name.clone());
+                        names.insert(name);
+                    }
+                    "fn" | "const" | "static" | "mod" => {
+                        names.insert(name);
+                    }
+                    _ => {}
+                }
+            }
+            // The members of a braced struct or enum: the first
+            // identifier (past any visibility) of each line one level in.
+            let is_body = toks.iter().any(|&t| t == "struct" || t == "enum");
+            if !(is_body && line.trim_end().ends_with('{')) {
+                continue;
+            }
+            let indent = line.len() - line.trim_start().len();
+            let close = format!("{}}}", " ".repeat(indent));
+            for member in lines[i + 1..].iter().take_while(|l| **l != close) {
+                let inner = member.trim_start();
+                if member.len() - inner.len() != indent + 4
+                    || inner.starts_with("//")
+                    || inner.starts_with('#')
+                {
+                    continue;
+                }
+                let first = idents(inner)
+                    .into_iter()
+                    .find(|t| !["pub", "crate", "super", "in"].contains(t));
+                names.extend(first.map(str::to_string));
+            }
+        }
+    }
+    (types, names)
+}
+
+/// Every backticked `Type::item` in `text` outside fenced code blocks,
+/// as `(Type, item)`; `Type::{a, b}` names two items and a `with_*`
+/// glob names none.
+fn doc_paths(text: &str) -> Vec<(String, String)> {
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    let ident = |s: &str| -> String {
+        s.chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect()
+    };
+    let mut out = Vec::new();
+    for span in prose.split('`').skip(1).step_by(2) {
+        let mut rest = span;
+        while let Some(at) = rest.find("::") {
+            let head = &rest[..at];
+            let ty: String = head
+                .chars()
+                .rev()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect::<Vec<_>>()
+                .into_iter()
+                .rev()
+                .collect();
+            let tail = &rest[at + 2..];
+            rest = tail;
+            if !ty.starts_with(|c: char| c.is_ascii_uppercase()) {
+                continue;
+            }
+            let items: Vec<&str> = match tail.strip_prefix('{') {
+                Some(group) => group.split('}').next().unwrap().split(',').collect(),
+                None => vec![tail],
+            };
+            for item in items {
+                let item = item.trim();
+                let name = ident(item);
+                if !name.is_empty() && !item[name.len()..].starts_with('*') {
+                    out.push((ty.clone(), name));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Docs name real items: every backticked `Type::item` in README.md,
+/// DESIGN.md and EXPERIMENTS.md whose `Type` is defined in this
+/// workspace names something `crates/*/src` or `src` still defines.
+/// (`benchmark/README.md` belongs to the benchmark and is not read.)
+#[test]
+fn docs_name_real_items() {
+    let (types, names) = workspace_items();
+    assert!(
+        types.contains("SecureComm") && names.contains("waitsome"),
+        "the guard sees no stack definitions"
+    );
+    let mut stale = Vec::new();
+    let mut checked = 0;
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(repo(doc)).unwrap();
+        for (ty, item) in doc_paths(&text) {
+            if !types.contains(&ty) {
+                continue;
+            }
+            checked += 1;
+            if !names.contains(&item) {
+                stale.push(format!("{doc}: `{ty}::{item}`"));
+            }
+        }
+    }
+    assert!(
+        checked > 50,
+        "only {checked} doc paths checked: is the parser blind?"
+    );
+    assert!(
+        stale.is_empty(),
+        "docs name items nothing defines: {stale:#?}"
     );
 }
