@@ -85,34 +85,20 @@ impl ChaosPoint {
 /// fault plan at per-event probability `rate`, with the retransmit
 /// layer armed. Every delivered message is checked bit-exact inside the
 /// simulation; failures must be typed errors (panics would abort the
-/// whole bench).
-pub fn chaos_point(net: Net, lib: CryptoLibrary, rate: f64, msgs: usize, seed: u64) -> ChaosPoint {
-    chaos_run(net, lib, rate, msgs, seed, false).0
-}
-
-/// A traced chaos stream: same run, returning the trace report (so the
-/// `fault/*` / `retry/*` spans can be audited and `tracecheck`d) plus
-/// the metrics snapshot with the folded retry counters attached.
-pub fn chaos_trace(
-    net: Net,
-    lib: CryptoLibrary,
-    rate: f64,
-    msgs: usize,
-    seed: u64,
-) -> (TraceReport, MetricsSnapshot) {
-    let (_, trace, snap) = chaos_run(net, lib, rate, msgs, seed, true);
-    (trace.expect("traced run must yield a report"), snap)
-}
-
-fn chaos_run(
+/// whole bench). Returns the point, the trace report when `traced` (so
+/// the `fault/*` / `retry/*` spans can be audited and `tracecheck`d),
+/// and the metrics snapshot with the folded retry counters attached.
+pub fn chaos_run(
     net: Net,
     lib: CryptoLibrary,
     rate: f64,
     msgs: usize,
     seed: u64,
     traced: bool,
+    shards: usize,
 ) -> (ChaosPoint, Option<TraceReport>, MetricsSnapshot) {
     let world = World::flat(net.model(), 2)
+        .with_shards(shards)
         .traced(traced)
         .with_metrics(true);
     let out = world.run(move |c| {
@@ -181,8 +167,8 @@ fn chaos_run(
 
 /// The same stream with neither fault plan nor retransmit layer — the
 /// reference the rate-0 row is compared against.
-pub fn plain_secs(net: Net, lib: CryptoLibrary, msgs: usize) -> f64 {
-    let world = World::flat(net.model(), 2);
+pub fn plain_secs(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> f64 {
+    let world = World::flat(net.model(), 2).with_shards(shards);
     let out = world.run(move |c| {
         let cfg = security_config(lib, net).with_pipeline(
             PipelineConfig::enabled()
@@ -272,7 +258,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 
     for lib in LIBS {
         for &rate in &FAULT_RATES {
-            let p = chaos_point(net, lib, rate, msgs, SEED);
+            let p = chaos_run(net, lib, rate, msgs, SEED, false, opts.shards).0;
             if rate == 0.0 {
                 // The acceptance criterion, enforced on every bench
                 // run: an armed but idle retransmit layer is silent.
@@ -322,8 +308,10 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         // the fault/* and retry/* spans interleaved with the pipeline
         // lanes, and `tracecheck` audits the written file. The same
         // run's metrics snapshot — retry counters folded in — goes out
-        // as JSON + validated Prometheus for `--require-hist`.
-        let (r, snap) = chaos_trace(net, CryptoLibrary::BoringSsl, 0.10, msgs, SEED);
+        // as JSON + validated Prometheus for `tracecheck`.
+        let lib = CryptoLibrary::BoringSsl;
+        let (_, r, snap) = chaos_run(net, lib, 0.10, msgs, SEED, true, opts.shards);
+        let r = r.expect("traced run must yield a report");
         // This harness has always written its trace as the plain
         // Chrome document, without counter tracks; only the snapshot
         // goes through the shared writer.
@@ -344,7 +332,16 @@ mod tests {
         // repair frames on the wire and costs (virtually) nothing next
         // to the identical stream without the layer.
         let msgs = 6;
-        let p = chaos_point(Net::Ethernet, CryptoLibrary::BoringSsl, 0.0, msgs, SEED);
+        let p = chaos_run(
+            Net::Ethernet,
+            CryptoLibrary::BoringSsl,
+            0.0,
+            msgs,
+            SEED,
+            false,
+            1,
+        )
+        .0;
         assert_eq!(p.delivered, msgs);
         assert_eq!(p.failed, 0);
         assert_eq!(
@@ -357,7 +354,7 @@ mod tests {
             ChaosStats::default(),
             "receiver counters must stay zero"
         );
-        let base = plain_secs(Net::Ethernet, CryptoLibrary::BoringSsl, msgs);
+        let base = plain_secs(Net::Ethernet, CryptoLibrary::BoringSsl, msgs, 1);
         let delta = (p.secs - base).abs() / base;
         assert!(
             delta < 0.05,
@@ -374,7 +371,16 @@ mod tests {
         // exercise the repair machinery, and every message must end
         // bit-exact (asserted inside the closure) or typed-failed.
         let msgs = 12;
-        let p = chaos_point(Net::Ethernet, CryptoLibrary::BoringSsl, 0.10, msgs, SEED);
+        let p = chaos_run(
+            Net::Ethernet,
+            CryptoLibrary::BoringSsl,
+            0.10,
+            msgs,
+            SEED,
+            false,
+            1,
+        )
+        .0;
         assert_eq!(p.delivered + p.failed, msgs, "no message may vanish");
         assert!(
             p.delivered > 0,

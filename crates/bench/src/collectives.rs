@@ -72,8 +72,11 @@ pub fn collective_run(
     nodes: usize,
     iters: usize,
     traced: bool,
+    shards: usize,
 ) -> Run {
-    let world = World::new(net.model(), Topology::block(ranks, nodes)).traced(traced);
+    let world = World::new(net.model(), Topology::block(ranks, nodes))
+        .with_shards(shards)
+        .traced(traced);
     let out = run_layered(&world, &cfg, |c, layer| {
         collective_loop(c, layer, op, size, iters).as_micros_f64()
     });
@@ -148,6 +151,7 @@ pub fn run_net(net: Net, op: CollOp, opts: &BenchOpts) -> Vec<Table> {
                         nodes,
                         iters,
                         false,
+                        opts.shards,
                     )
                     .value
                 })
@@ -231,8 +235,9 @@ pub fn decomposition_net(net: Net, op: CollOp, opts: &BenchOpts) -> Table {
     );
     let mut json_report: Option<TraceReport> = None;
     for &s in &sizes {
-        let cfg = security_config(CryptoLibrary::BoringSsl, net);
-        let r = collective_run(net, Some(cfg), op.shape(s), s, ranks, nodes, 1, true).report();
+        let cfg = Some(security_config(CryptoLibrary::BoringSsl, net));
+        let run = collective_run(net, cfg, op.shape(s), s, ranks, nodes, 1, true, opts.shards);
+        let r = run.report();
         t.push_row(size_label(s), decomp_cells(&r, 1.0));
         if s <= 64 << 10 {
             json_report = Some(r);
@@ -263,7 +268,7 @@ mod tests {
         let size = 16 << 10;
         let us = |lib: Option<CryptoLibrary>| {
             let cfg = row_config(lib, Net::Ethernet);
-            collective_run(Net::Ethernet, cfg, Coll::Bcast, size, 16, 4, 3, false).value
+            collective_run(Net::Ethernet, cfg, Coll::Bcast, size, 16, 4, 3, false, 1).value
         };
         let base = us(None);
         let b = us(Some(CryptoLibrary::BoringSsl));
@@ -284,6 +289,7 @@ mod tests {
             4,
             1,
             true,
+            1,
         )
         .report();
         let d = r.decomposition();
@@ -306,7 +312,7 @@ mod tests {
         assert_eq!(op, Coll::AlltoallStreaming);
         let us = |lib: Option<CryptoLibrary>| {
             let cfg = row_config(lib, Net::Infiniband);
-            collective_run(Net::Infiniband, cfg, op, 128 << 10, 8, 4, 1, false).value
+            collective_run(Net::Infiniband, cfg, op, 128 << 10, 8, 4, 1, false, 1).value
         };
         let base = us(None);
         let enc = us(Some(CryptoLibrary::BoringSsl));

@@ -100,14 +100,14 @@ pub struct BenchOpts {
     /// Maximum repetitions before the CI criterion takes over.
     pub reps_max: usize,
     /// Record virtual-time traces and emit decomposition tables plus
-    /// Chrome trace JSON (`--trace`, or `EMPI_TRACE=1`).
+    /// Chrome trace JSON (`--trace`).
     pub trace: bool,
     /// Size-group filter for harnesses that split small vs large.
     pub sizes: SizeSel,
-    /// Carrier threads for every world the harness builds
-    /// (`--shards N`, default `EMPI_SHARDS`, then 1): up to `N` host
-    /// threads run rank code at once. Changes wall-clock only: virtual
-    /// results are bit-identical.
+    /// Carrier threads for every world the harness builds (`--shards
+    /// N`, default 1): up to `N` host threads run rank code at once.
+    /// Every runner that builds a world takes it as its last argument.
+    /// Changes wall-clock only: virtual results are bit-identical.
     pub shards: usize,
 }
 
@@ -119,23 +119,16 @@ impl Default for BenchOpts {
             out_dir: PathBuf::from("results"),
             reps_min: 2,
             reps_max: 5,
-            trace: matches!(
-                std::env::var("EMPI_TRACE").as_deref(),
-                Ok("1") | Ok("true") | Ok("on")
-            ),
+            trace: false,
             sizes: SizeSel::All,
-            shards: std::env::var("EMPI_SHARDS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .map_or(1, |s| s.max(1)),
+            shards: 1,
         }
     }
 }
 
 /// One line of flag documentation, shared by `--help` and error paths.
 pub const USAGE: &str = "flags: --quick  --net ethernet|infiniband|both  --out DIR  \
-                     --reps MIN,MAX  --trace  --sizes small|large|all  --shards N\n\
-                     env: EMPI_TRACE=1 implies --trace; EMPI_SHARDS=N is the --shards default";
+                     --reps MIN,MAX  --trace  --sizes small|large|all  --shards N";
 
 /// Print a parse error plus the usage line to stderr and exit nonzero.
 /// A bad flag is operator error, not a program bug — no backtrace.
@@ -146,25 +139,14 @@ pub fn usage_err(msg: &str) -> ! {
 
 impl BenchOpts {
     /// Parse the common flags: `--quick`, `--net ethernet|infiniband|both`,
-    /// `--out DIR`, `--reps MIN,MAX`, `--trace`, `--sizes small|large|all`.
+    /// `--out DIR`, `--reps MIN,MAX`, `--trace`, `--sizes small|large|all`,
+    /// `--shards N`.
     ///
     /// Unknown flags or values print the usage to stderr and exit with
     /// status 2 instead of panicking (`--help` is the binary's: it
     /// prints the registry before any flag is parsed).
     pub fn parse(args: impl Iterator<Item = String>) -> Self {
-        match Self::try_parse(args) {
-            Ok(opts) => {
-                // Export the resolved shard count so every world the
-                // binary builds (directly or deep inside a harness)
-                // inherits it via the `EMPI_SHARDS` fallback. Only the
-                // binary's `main` calls this, before any thread exists:
-                // `set_var` races with every `getenv` on another thread
-                // (`World::shards`), so tests use `try_parse`.
-                std::env::set_var("EMPI_SHARDS", opts.shards.to_string());
-                opts
-            }
-            Err(msg) => usage_err(&msg),
-        }
+        Self::try_parse(args).unwrap_or_else(|msg| usage_err(&msg))
     }
 
     /// Fallible core of [`BenchOpts::parse`]; separated so tests can

@@ -53,11 +53,12 @@ pub fn keysize_table(net: Net, opts: &BenchOpts) -> Table {
         ("AES-128-GCM", KeySize::Aes128),
         ("AES-256-GCM", KeySize::Aes256),
     ] {
+        let cfg = Some(keysize_config(net, ks));
         let cells = sizes
             .iter()
             .map(|&s| {
                 let st = measure_until_stable(opts.reps_min, opts.reps_max, || {
-                    pingpong_run(net, Some(keysize_config(net, ks)), s, iters, false).value
+                    pingpong_run(net, cfg.clone(), s, iters, false, opts.shards).value
                 });
                 fmt_value(st.mean)
             })
@@ -71,8 +72,8 @@ pub fn keysize_table(net: Net, opts: &BenchOpts) -> Table {
 /// class S: the extension demonstrates *scaling behaviour* across the
 /// paper's four rank/node settings, and mini-class at 4 ranks would
 /// spend minutes of wall time on per-rank data generation alone.
-pub fn scale_table(net: Net, _opts: &BenchOpts) -> Table {
-    nasbench::scalability(net, empi_nas::Class::S)
+pub fn scale_table(net: Net, opts: &BenchOpts) -> Table {
+    nasbench::scalability(net, empi_nas::Class::S, opts.shards)
 }
 
 /// Ping-pong round-trip latency between the two most distant ranks of
@@ -80,9 +81,15 @@ pub fn scale_table(net: Net, _opts: &BenchOpts) -> Table {
 /// world construction and teardown but stay idle — the measurement is
 /// the paper's pingpong stretched to a world size its 64-rank testbed
 /// could not host.
-fn pingpong_at_scale_us(net: Net, lib: Option<CryptoLibrary>, ranks: usize, iters: usize) -> f64 {
+fn pingpong_at_scale_us(
+    net: Net,
+    lib: Option<CryptoLibrary>,
+    ranks: usize,
+    iters: usize,
+    shards: usize,
+) -> f64 {
     let nodes = (ranks / 32).max(2);
-    let world = World::new(net.model(), Topology::block(ranks, nodes));
+    let world = World::new(net.model(), Topology::block(ranks, nodes)).with_shards(shards);
     let out = run_layered(&world, &row_config(lib, net), |c, layer| {
         echo(c, layer, c.size() - 1, 4 << 10, iters).as_micros_f64()
     });
@@ -97,6 +104,7 @@ pub fn rankscale_table(net: Net, opts: &BenchOpts) -> Table {
     let full = !opts.quick;
     let pp_ranks: &[usize] = if full { &[256, 1024, 4096] } else { &[256] };
     let a2a_ranks: &[usize] = if full { &[256, 1024] } else { &[256] };
+    let pp_iters = if full { 4 } else { 2 };
     let mut columns: Vec<String> = pp_ranks.iter().map(|r| format!("pp {r}r")).collect();
     columns.extend(a2a_ranks.iter().map(|r| format!("a2a {r}r")));
     if full {
@@ -114,12 +122,23 @@ pub fn rankscale_table(net: Net, opts: &BenchOpts) -> Table {
     for lib in reported_rows() {
         let mut cells: Vec<String> = pp_ranks
             .iter()
-            .map(|&r| fmt_value(pingpong_at_scale_us(net, lib, r, if full { 4 } else { 2 })))
+            .map(|&r| fmt_value(pingpong_at_scale_us(net, lib, r, pp_iters, opts.shards)))
             .collect();
         cells.extend(a2a_ranks.iter().map(|&r| {
             let nodes = (r / 32).max(2);
             let cfg = row_config(lib, net);
-            fmt_value(collective_run(net, cfg, Coll::Alltoall, 64, r, nodes, 1, false).value)
+            let run = collective_run(
+                net,
+                cfg,
+                Coll::Alltoall,
+                64,
+                r,
+                nodes,
+                1,
+                false,
+                opts.shards,
+            );
+            fmt_value(run.value)
         }));
         if full {
             cells.push("-".into());
@@ -139,7 +158,7 @@ mod tests {
         // both see the same large-message overhead regime.
         let mbs = |ks| {
             let cfg = keysize_config(Net::Ethernet, ks);
-            pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 5, false).value
+            pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 5, false, 1).value
         };
         let k128 = mbs(KeySize::Aes128);
         let k256 = mbs(KeySize::Aes256);

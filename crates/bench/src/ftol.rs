@@ -92,7 +92,14 @@ pub struct DetectRun {
 
 /// Kill the highest rank at [`CRASH_AT_US`] and drive every survivor
 /// through detect → re-key → shrink → restored encrypted service.
-pub fn detect_run(net: Net, n: usize, lease_us: u64, hang: bool, traced: bool) -> DetectRun {
+pub fn detect_run(
+    net: Net,
+    n: usize,
+    lease_us: u64,
+    hang: bool,
+    traced: bool,
+    shards: usize,
+) -> DetectRun {
     let cfg = DetectorConfig {
         lease: VDur::from_micros(lease_us),
         ..DetectorConfig::default()
@@ -104,6 +111,7 @@ pub fn detect_run(net: Net, n: usize, lease_us: u64, hang: bool, traced: bool) -
         CrashPlan::new().crash_at(victim, us(CRASH_AT_US))
     };
     let world = World::flat(net.model(), n)
+        .with_shards(shards)
         .with_ftol(cfg)
         .with_metrics(true)
         .traced(traced)
@@ -206,10 +214,13 @@ pub fn collective_run(
     lib: Option<CryptoLibrary>,
     rounds: u32,
     crash: bool,
+    shards: usize,
 ) -> (u64, u64) {
     let n = 4usize;
     let victim = n - 1;
-    let mut world = World::flat(net.model(), n).with_ftol(DetectorConfig::default());
+    let mut world = World::flat(net.model(), n)
+        .with_shards(shards)
+        .with_ftol(DetectorConfig::default());
     if crash {
         world = world.crash_plan(CrashPlan::new().crash_at(victim, us(COLL_CRASH_AT_US)));
     }
@@ -288,8 +299,9 @@ pub fn collective_run(
 /// sender whose every frame is corrupted dies mid-recovery; the flow
 /// must resolve to `DeliveryFailed` with the flight-recorder black box
 /// attached. Returns how many flows so resolved (expected: 1).
-pub fn arq_dead_sender_run(net: Net) -> u64 {
+pub fn arq_dead_sender_run(net: Net, shards: usize) -> u64 {
     let world = World::flat(net.model(), 2)
+        .with_shards(shards)
         .with_ftol(DetectorConfig::default())
         .with_metrics(true)
         .crash_plan(CrashPlan::new().crash_at(0, us(1_000)));
@@ -358,7 +370,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     );
     for &lease in leases {
         for &n in sizes {
-            let run = detect_run(net, n, lease, false, false);
+            let run = detect_run(net, n, lease, false, false, opts.shards);
             push_ladder_row(&mut tab, &format!("crash / {lease} us / n={n}"), &run);
             // Crash detection needs one probe round past the lease.
             let bound = 2 * (lease + 20) * 1_000;
@@ -372,7 +384,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     }
     for &n in sizes {
         // Hangs need `confirm` consecutive missed rounds, not one.
-        let run = detect_run(net, n, 500, true, false);
+        let run = detect_run(net, n, 500, true, false, opts.shards);
         push_ladder_row(&mut tab, &format!("hang / 500 us / n={n}"), &run);
     }
 
@@ -399,8 +411,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         .collect(),
     );
     for lib in std::iter::once(None).chain(LIBS.iter().map(|&l| Some(l))) {
-        let (clean_ns, _) = collective_run(net, lib, rounds, false);
-        let (crash_ns, delivered) = collective_run(net, lib, rounds, true);
+        let (clean_ns, _) = collective_run(net, lib, rounds, false, opts.shards);
+        let (crash_ns, delivered) = collective_run(net, lib, rounds, true, opts.shards);
         let label = match lib {
             None => "Unencrypted".to_string(),
             Some(l) => l.name().to_string(),
@@ -442,11 +454,11 @@ fn push_ladder_row(tab: &mut Table, label: &str, run: &DetectRun) {
 /// whose `ftol/*` spans feed `tracecheck --require-ftol`, plus the
 /// ftol conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts) {
-    let mut run = detect_run(net, 4, 500, false, opts.trace);
+    let mut run = detect_run(net, 4, 500, false, opts.trace, opts.shards);
     // The ARQ scenario fills the one counter the ladder cannot: flows
     // resolved as failed against a dead peer.
     let mut counters = run.counters.clone();
-    counters.set("delivery_failed", arq_dead_sender_run(net));
+    counters.set("delivery_failed", arq_dead_sender_run(net, opts.shards));
     assert_eq!(
         counters.get("delivery_failed"),
         1,
@@ -480,7 +492,7 @@ mod tests {
 
     #[test]
     fn crash_ladder_detects_within_bound_and_rekeys_free() {
-        let run = detect_run(Net::Ethernet, 4, 500, false, false);
+        let run = detect_run(Net::Ethernet, 4, 500, false, false, 1);
         // One probe round past the lease, at most.
         assert!(run.detect_ns <= (500 + 20) * 2 * 1_000, "{}", run.detect_ns);
         assert!(run.detect_ns > 0);
@@ -493,8 +505,8 @@ mod tests {
 
     #[test]
     fn hang_needs_confirm_rounds() {
-        let crash = detect_run(Net::Ethernet, 2, 500, false, false);
-        let hang = detect_run(Net::Ethernet, 2, 500, true, false);
+        let crash = detect_run(Net::Ethernet, 2, 500, false, false, 1);
+        let hang = detect_run(Net::Ethernet, 2, 500, true, false, 1);
         assert!(
             hang.detect_ns > crash.detect_ns,
             "hang {} ns must out-wait crash {} ns",
@@ -507,8 +519,8 @@ mod tests {
 
     #[test]
     fn collective_crash_costs_more_than_clean() {
-        let (clean, d_clean) = collective_run(Net::Ethernet, None, 8, false);
-        let (crash, d_crash) = collective_run(Net::Ethernet, None, 8, true);
+        let (clean, d_clean) = collective_run(Net::Ethernet, None, 8, false, 1);
+        let (crash, d_crash) = collective_run(Net::Ethernet, None, 8, true, 1);
         assert!(crash > clean, "losing a rank mid-collective must cost time");
         assert!(d_crash < d_clean, "a dead rank delivers less");
         assert!(d_crash > 0, "survivors keep collecting after the shrink");
@@ -516,12 +528,12 @@ mod tests {
 
     #[test]
     fn arq_scenario_fills_delivery_failed() {
-        assert_eq!(arq_dead_sender_run(Net::Ethernet), 1);
+        assert_eq!(arq_dead_sender_run(Net::Ethernet, 1), 1);
     }
 
     #[test]
     fn snapshot_carries_ftol_counters_and_validates() {
-        let run = detect_run(Net::Ethernet, 4, 500, false, false);
+        let run = detect_run(Net::Ethernet, 4, 500, false, false, 1);
         let json = export::snapshot_json(&run.snap);
         assert!(json.contains("\"ftol\":{\"detected\":1"), "json: {json}");
         let prom = export::prometheus(&run.snap);
@@ -532,7 +544,7 @@ mod tests {
 
     #[test]
     fn traced_ladder_conserves_ftol_spans() {
-        let run = detect_run(Net::Ethernet, 4, 500, false, true);
+        let run = detect_run(Net::Ethernet, 4, 500, false, true, 1);
         let r = run.trace.expect("traced world must report");
         let detected: u64 = r.per_rank.iter().map(|m| m.ft_detected).sum();
         let notices: u64 = r.per_rank.iter().map(|m| m.ft_notices).sum();

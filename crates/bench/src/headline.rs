@@ -41,11 +41,12 @@ impl Claim {
 pub fn run(mut args: Vec<String>) -> ExitCode {
     let with_nas = args.iter().any(|a| a == "--nas");
     args.retain(|a| a != "--nas");
-    BenchOpts::parse(args.into_iter());
-    let pingpong_mbs =
-        |net, lib, size, iters| pingpong_run(net, row_config(lib, net), size, iters, false).value;
+    let shards = BenchOpts::parse(args.into_iter()).shards;
+    let pingpong_mbs = |net, lib, size, iters| {
+        pingpong_run(net, row_config(lib, net), size, iters, false, shards).value
+    };
     let multipair_mbs = |net, lib, size, pairs, iters| {
-        multipair_run(net, row_config(lib, net), size, pairs, iters, false).value
+        multipair_run(net, row_config(lib, net), size, pairs, iters, false, shards).value
     };
     let mut claims = Vec::new();
     let boring = Some(CryptoLibrary::BoringSsl);
@@ -137,7 +138,9 @@ pub fn run(mut args: Vec<String>) -> ExitCode {
             for k in Kernel::ALL {
                 let secs = |lib| {
                     let cfg = row_config(lib, net);
-                    nas_run(net, cfg, k, Class::MiniC, 64, 8, false).value.0
+                    nas_run(net, cfg, k, Class::MiniC, 64, 8, false, shards)
+                        .value
+                        .0
                 };
                 base.push(secs(None));
                 enc.push(secs(boring));

@@ -158,8 +158,11 @@ pub fn inflight_run(
     window: usize,
     msgs: usize,
     traced: bool,
+    shards: usize,
 ) -> Run {
-    let world = World::flat(net.model(), 2).traced(traced);
+    let world = World::flat(net.model(), 2)
+        .with_shards(shards)
+        .traced(traced);
     let out = world.run(|c| {
         let is_sender = c.rank() == 0;
         let peer = 1 - c.rank();
@@ -217,7 +220,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                     // run per cell suffices (stats.rs allows min_runs=1).
                     let s = measure_until_stable(1, 1, || {
                         let cfg = lib.map(|l| config(l, net, piped, false, w));
-                        inflight_run(net, cfg, w, msgs, false).value
+                        inflight_run(net, cfg, w, msgs, false, opts.shards).value
                     });
                     fmt_value(s.mean)
                 })
@@ -243,7 +246,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             .map(|&w| {
                 let s = measure_until_stable(1, 1, || {
                     let cfg = config(CryptoLibrary::BoringSsl, net, piped, true, w);
-                    inflight_run(net, Some(cfg), w, msgs, false).value
+                    inflight_run(net, Some(cfg), w, msgs, false, opts.shards).value
                 });
                 fmt_value(s.mean)
             })
@@ -257,7 +260,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     if opts.trace {
         let w = *windows.last().unwrap();
         let cfg = config(CryptoLibrary::BoringSsl, net, true, false, w);
-        let r = inflight_run(net, Some(cfg), w, msgs.min(64), true).report();
+        let r = inflight_run(net, Some(cfg), w, msgs.min(64), true, opts.shards).report();
         let stem = format!("trace-inflight-{}", net.name().to_lowercase());
         write_trace(&r, &opts.out_dir, &stem);
     }
@@ -273,8 +276,8 @@ mod tests {
     fn goodput_scales_with_window_on_raw_fabric() {
         // Rendezvous messages: window 16 hides the handshake RTT that
         // window 1 pays serially on every message.
-        let g1 = inflight_run(Net::Ethernet, None, 1, 24, false).value;
-        let g16 = inflight_run(Net::Ethernet, None, 16, 24, false).value;
+        let g1 = inflight_run(Net::Ethernet, None, 1, 24, false, 1).value;
+        let g16 = inflight_run(Net::Ethernet, None, 16, 24, false, 1).value;
         assert!(
             g16 > 1.2 * g1,
             "window must lift raw goodput: {g1:.1} -> {g16:.1} MB/s"
@@ -285,7 +288,7 @@ mod tests {
     fn goodput_scales_with_window_when_encrypted() {
         let goodput = |w: usize| {
             let cfg = config(CryptoLibrary::BoringSsl, Net::Ethernet, false, false, w);
-            inflight_run(Net::Ethernet, Some(cfg), w, 24, false).value
+            inflight_run(Net::Ethernet, Some(cfg), w, 24, false, 1).value
         };
         let g1 = goodput(1);
         let g16 = goodput(16);
@@ -303,7 +306,7 @@ mod tests {
         // receiver-side asserts in pump_secure verify every plaintext
         // arrives intact, window notwithstanding.
         let cfg = config(CryptoLibrary::BoringSsl, Net::Ethernet, true, true, 16);
-        let g = inflight_run(Net::Ethernet, Some(cfg), 16, 16, false).value;
+        let g = inflight_run(Net::Ethernet, Some(cfg), 16, 16, false, 1).value;
         assert!(g > 0.0);
     }
 }

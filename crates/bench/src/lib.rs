@@ -4,8 +4,10 @@
 //! One module per experiment family and one binary, `empi-bench`, over
 //! the [`registry`] that lists them (`all` = every row of it); the
 //! tools that are not experiments ([`tracecheck`], [`plot`],
-//! [`headline`], `calibrate` and `shardscale` in [`nasbench`]) are its
-//! subcommands. The per-experiment index (which module regenerates
+//! [`headline`] and `shardscale` in [`nasbench`]) are its
+//! subcommands. Every run parameter is an argument: the binary reads
+//! its flags once into a [`BenchOpts`], and each runner that builds a
+//! world takes the carrier count (`--shards`) explicitly. The per-experiment index (which module regenerates
 //! which paper artifact) lives in DESIGN.md §4; measured-vs-paper
 //! comparisons live in EXPERIMENTS.md.
 //!

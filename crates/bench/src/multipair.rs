@@ -42,10 +42,13 @@ pub fn multipair_run(
     pairs: usize,
     iters: usize,
     traced: bool,
+    shards: usize,
 ) -> Run {
     let window = window_for(size);
     // Ranks 0..pairs on node 0 (senders), pairs..2*pairs on node 1.
-    let world = World::new(net.model(), Topology::block(2 * pairs, 2)).traced(traced);
+    let world = World::new(net.model(), Topology::block(2 * pairs, 2))
+        .with_shards(shards)
+        .traced(traced);
     let out = world.run(|c| {
         let me = c.rank();
         let is_sender = me < pairs;
@@ -138,6 +141,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             PAIRS.iter().map(|p| p.to_string()).collect(),
         );
         for lib in reported_rows() {
+            let cfg = row_config(lib, net);
             let cells: Vec<String> = PAIRS
                 .iter()
                 .map(|&pairs| {
@@ -145,7 +149,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                     // one rep suffices there.
                     let reps_min = if size >= 1 << 20 { 1 } else { opts.reps_min };
                     let s = measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                        multipair_run(net, row_config(lib, net), size, pairs, iters, false).value
+                        multipair_run(net, cfg.clone(), size, pairs, iters, false, opts.shards)
+                            .value
                     });
                     fmt_value(s.mean)
                 })
@@ -180,7 +185,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     let mut json_report: Option<TraceReport> = None;
     for &pairs in &PAIRS {
         let cfg = security_config(CryptoLibrary::BoringSsl, net);
-        let r = multipair_run(net, Some(cfg), size, pairs, iters, true).report();
+        let r = multipair_run(net, Some(cfg), size, pairs, iters, true, opts.shards).report();
         t.push_row(pairs.to_string(), decomp_cells(&r, iters as f64));
         if pairs == 4 {
             json_report = Some(r);
@@ -201,12 +206,12 @@ mod tests {
     fn large_messages_saturate_with_pairs() {
         // Fig. 6 shape: baseline saturates by ~2 pairs; the encrypted
         // libraries converge toward it as pairs increase.
-        let b1 = multipair_run(Net::Ethernet, None, 2 << 20, 1, 4, false).value;
-        let b4 = multipair_run(Net::Ethernet, None, 2 << 20, 4, 4, false).value;
+        let b1 = multipair_run(Net::Ethernet, None, 2 << 20, 1, 4, false, 1).value;
+        let b4 = multipair_run(Net::Ethernet, None, 2 << 20, 4, 4, false, 1).value;
         assert!(b4 > 0.95 * b1, "baseline should not degrade: {b1} -> {b4}");
         let cfg = row_config(Some(CryptoLibrary::BoringSsl), Net::Ethernet);
-        let e1 = multipair_run(Net::Ethernet, cfg.clone(), 2 << 20, 1, 4, false).value;
-        let e4 = multipair_run(Net::Ethernet, cfg, 2 << 20, 4, 4, false).value;
+        let e1 = multipair_run(Net::Ethernet, cfg.clone(), 2 << 20, 1, 4, false, 1).value;
+        let e4 = multipair_run(Net::Ethernet, cfg, 2 << 20, 4, 4, false, 1).value;
         let gap1 = b1 / e1;
         let gap4 = b4 / e4;
         assert!(gap1 > 1.3, "single pair must show a clear gap: {gap1:.2}");
@@ -220,16 +225,16 @@ mod tests {
     fn small_messages_baseline_keeps_scaling_on_ethernet() {
         // Fig. 4 shape: small-message baseline throughput keeps growing
         // with pair count (the wire is nowhere near saturated).
-        let b1 = multipair_run(Net::Ethernet, None, 1, 1, 10, false).value;
-        let b8 = multipair_run(Net::Ethernet, None, 1, 8, 10, false).value;
+        let b1 = multipair_run(Net::Ethernet, None, 1, 1, 10, false, 1).value;
+        let b8 = multipair_run(Net::Ethernet, None, 1, 8, 10, false, 1).value;
         assert!(b8 > 4.0 * b1, "expected near-linear scaling: {b1} -> {b8}");
     }
 
     #[test]
     fn ib_small_messages_throttle_at_8_pairs() {
         // Fig. 11 shape: IB baseline throughput drops from 4 to 8 pairs.
-        let b4 = multipair_run(Net::Infiniband, None, 1, 4, 10, false).value;
-        let b8 = multipair_run(Net::Infiniband, None, 1, 8, 10, false).value;
+        let b4 = multipair_run(Net::Infiniband, None, 1, 4, 10, false, 1).value;
+        let b8 = multipair_run(Net::Infiniband, None, 1, 8, 10, false, 1).value;
         assert!(
             b8 < b4,
             "IB 1B baseline should throttle at 8 pairs: {b4} -> {b8}"
@@ -240,9 +245,9 @@ mod tests {
     fn cryptopp_reaches_baseline_at_16kb_8pairs_ethernet() {
         // §V-A: "when there are 8 pairs, even CryptoPP can reach the
         // baseline performance, for 16KB messages".
-        let b = multipair_run(Net::Ethernet, None, 16 << 10, 8, 10, false).value;
+        let b = multipair_run(Net::Ethernet, None, 16 << 10, 8, 10, false, 1).value;
         let cfg = row_config(Some(CryptoLibrary::CryptoPp), Net::Ethernet);
-        let cpp = multipair_run(Net::Ethernet, cfg, 16 << 10, 8, 10, false).value;
+        let cpp = multipair_run(Net::Ethernet, cfg, 16 << 10, 8, 10, false, 1).value;
         assert!(cpp > 0.85 * b, "CryptoPP {cpp} vs baseline {b}");
     }
 }

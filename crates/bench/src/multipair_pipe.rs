@@ -59,8 +59,14 @@ impl Variant {
 /// message's frames are reclaimed before (at most one message after)
 /// the next seal — the steady state whose marginal allocation cost
 /// DECOMP-ALLOC reports and CI pins.
-pub fn alloc_stream(net: Net, variant: Variant, size: usize, msgs: u32) -> TraceReport {
-    let world = World::flat(net.model(), 2).traced(true);
+pub fn alloc_stream(
+    net: Net,
+    variant: Variant,
+    size: usize,
+    msgs: u32,
+    shards: usize,
+) -> TraceReport {
+    let world = World::flat(net.model(), 2).with_shards(shards).traced(true);
     let out = world.run(move |c| {
         let sc = SecureComm::new(c, variant.config(CryptoLibrary::BoringSsl, net)).unwrap();
         let msg = vec![0x5au8; size];
@@ -81,10 +87,16 @@ pub fn alloc_stream(net: Net, variant: Variant, size: usize, msgs: u32) -> Trace
 /// marginal cost of `span` extra messages exactly, with the warm-up
 /// (the sender runs one message ahead of the receiver's reclaims)
 /// subtracted out.
-pub fn marginal_allocs(net: Net, variant: Variant, size: usize, span: u32) -> (f64, f64, f64, f64) {
+pub fn marginal_allocs(
+    net: Net,
+    variant: Variant,
+    size: usize,
+    span: u32,
+    shards: usize,
+) -> (f64, f64, f64, f64) {
     let warm = 2;
-    let a = alloc_stream(net, variant, size, warm);
-    let b = alloc_stream(net, variant, size, warm + span);
+    let a = alloc_stream(net, variant, size, warm, shards);
+    let b = alloc_stream(net, variant, size, warm + span, shards);
     let per = |f: fn(&empi_trace::RankMetrics) -> u64| {
         (f(&b.per_rank[0]) - f(&a.per_rank[0])) as f64 / span as f64
     };
@@ -131,7 +143,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                 .map(|&pairs| {
                     let reps_min = if size >= 1 << 20 { 1 } else { opts.reps_min };
                     let s = measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                        multipair_run(net, cfg.clone(), size, pairs, iters, false).value
+                        multipair_run(net, cfg.clone(), size, pairs, iters, false, opts.shards)
+                            .value
                     });
                     fmt_value(s.mean)
                 })
@@ -173,8 +186,8 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
         .collect(),
     );
     for &size in SIZES.iter() {
-        let (uf, ufb, up, ur) = marginal_allocs(net, Variant::Piped, size, span);
-        let (pf, pfb, pp, pr) = marginal_allocs(net, Variant::PipedPooled, size, span);
+        let (uf, ufb, up, ur) = marginal_allocs(net, Variant::Piped, size, span, opts.shards);
+        let (pf, pfb, pp, pr) = marginal_allocs(net, Variant::PipedPooled, size, span, opts.shards);
         let cut = if pf == 0.0 {
             format!(">{:.0}x", uf * span as f64)
         } else {
@@ -198,7 +211,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
             row(pf, pfb, pp, pr, cut),
         );
     }
-    let r = alloc_stream(net, Variant::PipedPooled, 2 << 20, 4);
+    let r = alloc_stream(net, Variant::PipedPooled, 2 << 20, 4, opts.shards);
     let stem = format!("trace-multipair-pipe-{}", net.name().to_lowercase());
     write_trace(&r, &opts.out_dir, &stem);
     t
@@ -215,7 +228,7 @@ mod tests {
         // placement; the pool must not cost throughput.
         let mbs = |v: Variant| {
             let cfg = v.config(CryptoLibrary::BoringSsl, Net::Ethernet);
-            multipair_run(Net::Ethernet, Some(cfg), 2 << 20, 1, 3, false).value
+            multipair_run(Net::Ethernet, Some(cfg), 2 << 20, 1, 3, false, 1).value
         };
         let serial = mbs(Variant::Serial);
         let piped = mbs(Variant::Piped);
@@ -234,8 +247,8 @@ mod tests {
     fn pool_cuts_2mb_allocations_at_least_10x() {
         // The DECOMP-ALLOC acceptance criterion, measured exactly as
         // the harness reports it.
-        let (uf, ..) = marginal_allocs(Net::Ethernet, Variant::Piped, 2 << 20, 2);
-        let (pf, _, pp, pr) = marginal_allocs(Net::Ethernet, Variant::PipedPooled, 2 << 20, 2);
+        let (uf, ..) = marginal_allocs(Net::Ethernet, Variant::Piped, 2 << 20, 2, 1);
+        let (pf, _, pp, pr) = marginal_allocs(Net::Ethernet, Variant::PipedPooled, 2 << 20, 2, 1);
         assert!(
             uf >= 10.0 * pf.max(0.1),
             "pool must cut fresh allocs >= 10x: unpooled {uf}, pooled {pf}"

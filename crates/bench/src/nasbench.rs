@@ -32,8 +32,11 @@ pub fn nas_run(
     ranks: usize,
     nodes: usize,
     traced: bool,
+    shards: usize,
 ) -> Run<(f64, bool)> {
-    let world = World::new(net.model(), Topology::block(ranks, nodes)).traced(traced);
+    let world = World::new(net.model(), Topology::block(ranks, nodes))
+        .with_shards(shards)
+        .traced(traced);
     let out = run_layered(&world, &cfg, |c, layer| {
         c.barrier();
         let t0 = c.now();
@@ -84,10 +87,11 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 
     let mut baseline_times: Vec<f64> = Vec::new();
     for lib in reported_rows() {
+        let cfg = row_config(lib, net);
         let mut times = Vec::new();
         for k in Kernel::ALL {
             let (secs, ok) =
-                nas_run(net, row_config(lib, net), k, class, ranks, nodes, false).value;
+                nas_run(net, cfg.clone(), k, class, ranks, nodes, false, opts.shards).value;
             assert!(
                 ok,
                 "{} failed verification under {:?} on {}",
@@ -136,7 +140,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     let mut json_report: Option<TraceReport> = None;
     for k in Kernel::ALL {
         let cfg = security_config(CryptoLibrary::BoringSsl, net);
-        let r = nas_run(net, Some(cfg), k, class, ranks, nodes, true).report();
+        let r = nas_run(net, Some(cfg), k, class, ranks, nodes, true, opts.shards).report();
         if k == Kernel::CG {
             json_report = Some(r.clone());
         }
@@ -153,7 +157,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
 /// the paper's smaller rank/node settings. (The fourth setting, 64/8,
 /// is the main Tables IV/VIII geometry and needs mini-class grids; the
 /// class-S grids used here divide evenly only up to 16 ranks.)
-pub fn scalability(net: Net, class: Class) -> Table {
+pub fn scalability(net: Net, class: Class, shards: usize) -> Table {
     let settings = [(4usize, 4usize), (16, 4), (16, 8)];
     let mut t = Table::new(
         format!(
@@ -171,7 +175,7 @@ pub fn scalability(net: Net, class: Class) -> Table {
                 let total: f64 = Kernel::ALL
                     .iter()
                     .map(|&k| {
-                        nas_run(net, row_config(lib, net), k, class, r, n, false)
+                        nas_run(net, row_config(lib, net), k, class, r, n, false, shards)
                             .value
                             .0
                     })
@@ -184,70 +188,16 @@ pub fn scalability(net: Net, class: Class) -> Table {
     t
 }
 
-/// The `calibrate` subcommand — calibration helper for the NAS compute
-/// models (DESIGN.md §5), optionally for the one kernel named.
-///
-/// For each kernel it separates the baseline into communication and
-/// compute (by re-running with doubled compute constants), measures the
-/// encrypted delta under BoringSSL, and prints the `ns_per_unit` scale
-/// that would land the overhead on the paper's Table IV value.
-pub fn calibrate(args: Vec<String>) -> ExitCode {
-    let only: Option<&str> = args.first().map(|s| s.as_str());
-    // BoringSSL per-kernel overheads from Table IV (Ethernet).
-    let paper_oh = [0.2197, 0.0640, 0.1804, 0.0560, 0.2002, 0.1123, 0.1133];
-    println!("kernel  base_s  comm_s  comp_s  enc_s  oh_now%  oh_paper%  suggested_scale  wall_s");
-    let run = |lib: Option<CryptoLibrary>, k: Kernel| {
-        let cfg = row_config(lib, Net::Ethernet);
-        nas_run(Net::Ethernet, cfg, k, Class::MiniC, 64, 8, false).value
-    };
-    for (i, k) in Kernel::ALL.iter().enumerate() {
-        if let Some(o) = only {
-            if !k.name().eq_ignore_ascii_case(o) {
-                continue;
-            }
-        }
-        let t0 = Instant::now();
-        std::env::remove_var("EMPI_NAS_NS_SCALE");
-        let (base1, ok1) = run(None, *k);
-        std::env::set_var("EMPI_NAS_NS_SCALE", "2.0");
-        let (base2, _) = run(None, *k);
-        std::env::remove_var("EMPI_NAS_NS_SCALE");
-        let (enc, ok2) = run(Some(CryptoLibrary::BoringSsl), *k);
-        let compute = base2 - base1;
-        let comm = base1 - compute;
-        let delta = enc - base1;
-        let oh_now = delta / base1 * 100.0;
-        let base_req = delta / paper_oh[i];
-        let scale = ((base_req - comm) / compute).max(0.05);
-        println!(
-            "{:<6}  {:6.3}  {:6.3}  {:6.3}  {:6.3}  {:6.1}  {:8.1}  {:14.2}  {:5.1} v={}{}",
-            k.name(),
-            base1,
-            comm,
-            compute,
-            enc,
-            oh_now,
-            paper_oh[i] * 100.0,
-            scale,
-            t0.elapsed().as_secs_f64(),
-            ok1,
-            ok2
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 /// Wall-clock seconds for the full 7-kernel BoringSSL sweep at
 /// `shards` shards, plus the per-kernel virtual seconds (used to
 /// assert the runs computed the same schedule).
 fn sweep(net: Net, class: Class, ranks: usize, nodes: usize, shards: usize) -> (f64, Vec<f64>) {
-    std::env::set_var("EMPI_SHARDS", shards.to_string());
     let t0 = Instant::now();
     let virt: Vec<f64> = Kernel::ALL
         .iter()
         .map(|&k| {
             let cfg = security_config(CryptoLibrary::BoringSsl, net);
-            nas_run(net, Some(cfg), k, class, ranks, nodes, false)
+            nas_run(net, Some(cfg), k, class, ranks, nodes, false, shards)
                 .value
                 .0
         })
@@ -316,7 +266,7 @@ mod tests {
         for lib in [None, Some(CryptoLibrary::BoringSsl)] {
             for k in Kernel::ALL {
                 let cfg = row_config(lib, Net::Ethernet);
-                let (secs, ok) = nas_run(Net::Ethernet, cfg, k, Class::S, 4, 2, false).value;
+                let (secs, ok) = nas_run(Net::Ethernet, cfg, k, Class::S, 4, 2, false, 1).value;
                 assert!(ok, "{} under {:?}", k.name(), lib);
                 assert!(secs > 0.0);
             }
@@ -328,7 +278,7 @@ mod tests {
         for k in Kernel::ALL {
             let secs = |lib: Option<CryptoLibrary>| {
                 let cfg = row_config(lib, Net::Infiniband);
-                nas_run(Net::Infiniband, cfg, k, Class::S, 4, 2, false)
+                nas_run(Net::Infiniband, cfg, k, Class::S, 4, 2, false, 1)
                     .value
                     .0
             };

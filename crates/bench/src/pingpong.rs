@@ -32,8 +32,11 @@ pub fn pingpong_run(
     size: usize,
     iters: usize,
     traced: bool,
+    shards: usize,
 ) -> Run {
-    let world = World::flat(net.model(), 2).traced(traced);
+    let world = World::flat(net.model(), 2)
+        .with_shards(shards)
+        .traced(traced);
     let out = run_layered(&world, &cfg, |c, layer| {
         echo(c, layer, 1, size, iters).as_secs_f64()
     });
@@ -90,11 +93,12 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             sizes.iter().map(|&s| size_label(s)).collect(),
         );
         for lib in reported_rows() {
+            let cfg = row_config(lib, net);
             let cells: Vec<String> = sizes
                 .iter()
                 .map(|&s| {
                     let stats = measure_until_stable(opts.reps_min, opts.reps_max, || {
-                        pingpong_run(net, row_config(lib, net), s, iters_for(s), false).value
+                        pingpong_run(net, cfg.clone(), s, iters_for(s), false, opts.shards).value
                     });
                     fmt_value(stats.mean)
                 })
@@ -140,7 +144,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     let mut last: Option<TraceReport> = None;
     for &s in &sizes {
         let cfg = security_config(CryptoLibrary::BoringSsl, net);
-        let r = pingpong_run(net, Some(cfg), s, iters, true).report();
+        let r = pingpong_run(net, Some(cfg), s, iters, true, opts.shards).report();
         t.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
     }
@@ -167,7 +171,7 @@ mod tests {
             (Net::Infiniband, 2 << 20, 3023.0),
         ];
         for (net, size, expect) in cases {
-            let got = pingpong_run(net, None, size, 20, false).value;
+            let got = pingpong_run(net, None, size, 20, false, 1).value;
             let err = (got - expect).abs() / expect;
             assert!(err < 0.02, "{net:?} {size}B: got {got}, expect {expect}");
         }
@@ -178,9 +182,9 @@ mod tests {
         // Headline numbers: BoringSSL ≈78% @2MB Ethernet, ≈215% @2MB IB,
         // small overhead @256B Ethernet, large @256B IB.
         let check = |net, size, lo: f64, hi: f64| {
-            let base = pingpong_run(net, None, size, 20, false).value;
+            let base = pingpong_run(net, None, size, 20, false, 1).value;
             let cfg = security_config(CryptoLibrary::BoringSsl, net);
-            let enc = pingpong_run(net, Some(cfg), size, 20, false).value;
+            let enc = pingpong_run(net, Some(cfg), size, 20, false, 1).value;
             let overhead = (base / enc - 1.0) * 100.0;
             assert!(
                 overhead > lo && overhead < hi,
@@ -200,7 +204,7 @@ mod tests {
         // land in the same band as the measured overhead (paper: 78.3 %
         // for BoringSSL at 2 MB on Ethernet).
         let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
-        let r = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 4, true).report();
+        let r = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 4, true, 1).report();
         let d = r.decomposition();
         let est = est_overhead_percent(&d);
         assert!(est > 55.0 && est < 100.0, "est overhead {est:.1}%");
@@ -216,9 +220,9 @@ mod tests {
 
     #[test]
     fn cryptopp_is_far_worse_at_large_sizes() {
-        let base = pingpong_run(Net::Ethernet, None, 2 << 20, 10, false).value;
+        let base = pingpong_run(Net::Ethernet, None, 2 << 20, 10, false, 1).value;
         let cfg = security_config(CryptoLibrary::CryptoPp, Net::Ethernet);
-        let cpp = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 10, false).value;
+        let cpp = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 10, false, 1).value;
         let overhead = (base / cpp - 1.0) * 100.0;
         // Paper: ~400 %.
         assert!(overhead > 280.0 && overhead < 520.0, "got {overhead:.0}%");

@@ -39,7 +39,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     };
     let mean = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
         measure_until_stable(opts.reps_min, opts.reps_max, || {
-            pingpong_run(net, cfg.clone(), size, iters_for(size), false).value
+            pingpong_run(net, cfg.clone(), size, iters_for(size), false, opts.shards).value
         })
         .mean
     };
@@ -162,7 +162,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     let mut last: Option<TraceReport> = None;
     for &s in &SIZES {
         let cfg = security_config(CryptoLibrary::BoringSsl, net).with_pipeline(pipeline);
-        let r = pingpong_run(net, Some(cfg), s, iters, true).report();
+        let r = pingpong_run(net, Some(cfg), s, iters, true, opts.shards).report();
         t.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
     }
@@ -184,8 +184,8 @@ mod tests {
         // throughput (the simulation is deterministic).
         let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
         let off = cfg.clone().with_pipeline(PipelineConfig::disabled());
-        let seq = pingpong_run(Net::Ethernet, Some(cfg), 256 << 10, 4, false).value;
-        let off = pingpong_run(Net::Ethernet, Some(off), 256 << 10, 4, false).value;
+        let seq = pingpong_run(Net::Ethernet, Some(cfg), 256 << 10, 4, false, 1).value;
+        let off = pingpong_run(Net::Ethernet, Some(off), 256 << 10, 4, false, 1).value;
         assert_eq!(seq.to_bits(), off.to_bits(), "seq {seq} vs disabled {off}");
     }
 
@@ -199,8 +199,8 @@ mod tests {
                 .with_chunk_size(1 << 22)
                 .with_workers(4),
         );
-        let seq = pingpong_run(Net::Infiniband, Some(cfg), 256 << 10, 4, false).value;
-        let one = pingpong_run(Net::Infiniband, Some(one), 256 << 10, 4, false).value;
+        let seq = pingpong_run(Net::Infiniband, Some(cfg), 256 << 10, 4, false, 1).value;
+        let one = pingpong_run(Net::Infiniband, Some(one), 256 << 10, 4, false, 1).value;
         assert_eq!(seq.to_bits(), one.to_bits(), "seq {seq} vs one-chunk {one}");
     }
 
@@ -211,10 +211,10 @@ mod tests {
         // unencrypted baseline (vs ~56 % sequential, paper's 78.3 %
         // overhead).
         let size = 2 << 20;
-        let base = pingpong_run(Net::Ethernet, None, size, 10, false).value;
+        let base = pingpong_run(Net::Ethernet, None, size, 10, false, 1).value;
         let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet)
             .with_pipeline(PipelineConfig::enabled().with_workers(4));
-        let enc = pingpong_run(Net::Ethernet, Some(cfg), size, 10, false).value;
+        let enc = pingpong_run(Net::Ethernet, Some(cfg), size, 10, false, 1).value;
         assert!(
             enc >= 0.90 * base,
             "pipelined {enc:.0} MB/s below 90% of baseline {base:.0} MB/s"
@@ -227,12 +227,12 @@ mod tests {
         // help, and even one worker beats the sequential path (its
         // seals already overlap the wire).
         let size = 2 << 20;
-        let base = pingpong_run(Net::Ethernet, None, size, 6, false).value;
+        let base = pingpong_run(Net::Ethernet, None, size, 6, false, 1).value;
         let ov = |p: PipelineConfig| {
             let cfg = security_config(CryptoLibrary::CryptoPp, Net::Ethernet).with_pipeline(p);
             overhead_percent_of_mbs(
                 base,
-                pingpong_run(Net::Ethernet, Some(cfg), size, 6, false).value,
+                pingpong_run(Net::Ethernet, Some(cfg), size, 6, false, 1).value,
             )
         };
         let seq = ov(PipelineConfig::disabled());
@@ -252,7 +252,7 @@ mod tests {
         let iters = 4;
         let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet)
             .with_pipeline(PipelineConfig::enabled().with_workers(4));
-        let r = pingpong_run(Net::Ethernet, Some(cfg.clone()), size, iters, true).report();
+        let r = pingpong_run(Net::Ethernet, Some(cfg.clone()), size, iters, true, 1).report();
         let d = r.decomposition();
         assert!(d.crypto_ns > 0, "crypto work must be traced");
         let est = est_overhead_percent(&d);
@@ -260,8 +260,8 @@ mod tests {
             est > 40.0,
             "est (serialized) overhead {est:.1}% should stay high"
         );
-        let base = pingpong_run(Net::Ethernet, None, size, iters, false).value;
-        let enc = pingpong_run(Net::Ethernet, Some(cfg), size, iters, false).value;
+        let base = pingpong_run(Net::Ethernet, None, size, iters, false, 1).value;
+        let enc = pingpong_run(Net::Ethernet, Some(cfg), size, iters, false, 1).value;
         let measured = overhead_percent_of_mbs(base, enc);
         assert!(
             measured < 15.0,

@@ -48,8 +48,11 @@ pub fn nb_run(
     size: usize,
     iters: usize,
     traced: bool,
+    shards: usize,
 ) -> Run {
-    let world = World::flat(net.model(), 2).traced(traced);
+    let world = World::flat(net.model(), 2)
+        .with_shards(shards)
+        .traced(traced);
     let out = world.run(|c| {
         let buf = vec![0x6bu8; size];
         let peer = 1 - c.rank();
@@ -101,7 +104,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     };
     let nb_mean = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
         measure_until_stable(opts.reps_min, opts.reps_max, || {
-            nb_run(net, cfg.clone(), size, nb_iters(size), false).value
+            nb_run(net, cfg.clone(), size, nb_iters(size), false, opts.shards).value
         })
         .mean
     };
@@ -170,7 +173,18 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             let mean = |cfg: Option<SecurityConfig>| -> f64 {
                 measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
                     let cfg = cfg.clone();
-                    collective_run(net, cfg, op, s, COLL_RANKS, COLL_RANKS, coll_iters, false).value
+                    collective_run(
+                        net,
+                        cfg,
+                        op,
+                        s,
+                        COLL_RANKS,
+                        COLL_RANKS,
+                        coll_iters,
+                        false,
+                        opts.shards,
+                    )
+                    .value
                 })
                 .mean
             };
@@ -219,7 +233,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     );
     let mut last: Option<TraceReport> = None;
     for &s in &SIZES {
-        let r = nb_run(net, Some(pipelined.clone()), s, iters, true).report();
+        let r = nb_run(net, Some(pipelined.clone()), s, iters, true, opts.shards).report();
         nb.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
     }
@@ -244,7 +258,18 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     let mut bcast_report: Option<TraceReport> = None;
     for op in COLLS {
         let cfg = Some(pipelined.clone());
-        let r = collective_run(net, cfg, op, size, COLL_RANKS, COLL_RANKS, 1, true).report();
+        let run = collective_run(
+            net,
+            cfg,
+            op,
+            size,
+            COLL_RANKS,
+            COLL_RANKS,
+            1,
+            true,
+            opts.shards,
+        );
+        let r = run.report();
         coll.push_row(op.name().to_string(), decomp_cells(&r, 1.0));
         if op == Coll::Bcast {
             bcast_report = Some(r);
@@ -272,9 +297,12 @@ mod tests {
         // the blocking FIG-PIPELINE runs show — decryption inside wait,
         // encryption overlapped with the wire.
         let size = 2 << 20;
-        let base = nb_run(Net::Ethernet, None, size, 5, false).value;
+        let base = nb_run(Net::Ethernet, None, size, 5, false, 1).value;
         let ov = |p: PipelineConfig| {
-            overhead_percent(base, nb_run(Net::Ethernet, boring(p), size, 5, false).value)
+            overhead_percent(
+                base,
+                nb_run(Net::Ethernet, boring(p), size, 5, false, 1).value,
+            )
         };
         let seq = ov(PipelineConfig::disabled());
         let pip = ov(PipelineConfig::enabled().with_workers(WORKERS));
@@ -302,6 +330,7 @@ mod tests {
                     COLL_RANKS,
                     1,
                     false,
+                    1,
                 )
                 .value
             };
@@ -340,7 +369,7 @@ mod tests {
     #[test]
     fn traced_nb_exchange_carries_pipeline_lanes() {
         let cfg = boring(PipelineConfig::enabled().with_workers(WORKERS));
-        let r = nb_run(Net::Ethernet, cfg, 256 << 10, 2, true).report();
+        let r = nb_run(Net::Ethernet, cfg, 256 << 10, 2, true, 1).report();
         let d = r.decomposition();
         assert!(d.crypto_ns > 0, "crypto work must be traced");
         assert!(r.events.iter().any(|e| e.name == "pipe/seal"));

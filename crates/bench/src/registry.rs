@@ -3,8 +3,8 @@
 //! Adding an experiment is one row of [`HARNESSES`]; `all` is "every
 //! row", so the full reproduction run cannot drift from the set of
 //! harnesses. The tools that are not experiments (`tracecheck`, `plot`,
-//! `calibrate`, `headline`, `shardscale`) keep their own arguments and
-//! sit in [`TOOLS`].
+//! `headline`, `shardscale`) keep their own arguments and sit in
+//! [`TOOLS`].
 
 use std::process::ExitCode;
 
@@ -148,21 +148,16 @@ pub fn resolve(name: &str) -> Option<&'static [Harness]> {
 pub type Tool = (&'static str, &'static str, fn(Vec<String>) -> ExitCode);
 
 /// The tools, dispatched on the first argument.
-pub static TOOLS: [Tool; 5] = [
+pub static TOOLS: [Tool; 4] = [
     (
         "tracecheck",
-        "[--require-alloc|wait|hist|keys|ftol] [--forbid-rotate] [FILE...]: validate traces and snapshots",
+        "[FILE...]: validate traces and snapshots, each against the contract of its name",
         tracecheck::run,
     ),
     (
         "plot",
         "[CSV...]: render figure CSVs as terminal charts",
         plot::run,
-    ),
-    (
-        "calibrate",
-        "[KERNEL]: NAS compute-model calibration helper",
-        nasbench::calibrate,
     ),
     (
         "headline",

@@ -102,8 +102,10 @@ pub fn stream_run(
     rotate_us: Option<u64>,
     msgs: usize,
     traced: bool,
+    shards: usize,
 ) -> (RekeyRun, Option<TraceReport>) {
     let world = World::flat(net.model(), 2)
+        .with_shards(shards)
         .with_metrics(true)
         .traced(traced);
     let out = world.run(move |c| {
@@ -157,8 +159,10 @@ pub fn stream_run(
 /// rank 2's subsequent send is rejected with a typed error on the
 /// survivor side. Returns the run plus how many revoked-peer records
 /// the survivors rejected.
-pub fn revoke_run(net: Net, lib: CryptoLibrary, msgs: usize) -> RekeyRun {
-    let world = World::flat(net.model(), 3).with_metrics(true);
+pub fn revoke_run(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> RekeyRun {
+    let world = World::flat(net.model(), 3)
+        .with_shards(shards)
+        .with_metrics(true);
     let out = world.run(move |c| {
         let sc = SecureComm::new(c, rekey_config(net, lib, KeySize::Aes256, None)).unwrap();
         let me = c.rank();
@@ -256,7 +260,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     let sweep = [None, Some(ROTATE_SLOW_US), Some(ROTATE_STORM_US)];
     for lib in LIBS {
         for rotate in sweep {
-            let (run, _) = stream_run(net, lib, KeySize::Aes256, rotate, msgs, false);
+            let (run, _) = stream_run(net, lib, KeySize::Aes256, rotate, msgs, false, opts.shards);
             push_stream_row(
                 &mut tab,
                 &format!("{} / {}", lib.name(), rotate_label(rotate)),
@@ -281,6 +285,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                 Some(ROTATE_STORM_US),
                 msgs,
                 false,
+                opts.shards,
             );
             push_stream_row(
                 &mut tab,
@@ -323,13 +328,14 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             Some(ROTATE_STORM_US),
             rate,
             false,
+            opts.shards,
         );
         decomp.push_row(
             format!("storm / {rate} msgs"),
             decomp_cells(&run, Some(rate)),
         );
     }
-    let drill = revoke_run(net, CryptoLibrary::BoringSsl, msgs / 2);
+    let drill = revoke_run(net, CryptoLibrary::BoringSsl, msgs / 2, opts.shards);
     assert!(drill.stats.get("revocations") > 0, "the drill must revoke");
     assert!(
         drill.stats.get("rejected_revoked") > 0,
@@ -393,6 +399,7 @@ fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
         Some(ROTATE_STORM_US),
         msgs,
         opts.trace,
+        opts.shards,
     );
     if let Some(r) = &trace {
         // Conservation law: the trace ledger counts exactly the
@@ -431,6 +438,7 @@ mod tests {
             Some(ROTATE_STORM_US),
             10,
             false,
+            1,
         );
         // stream_run's receiver asserts bit-exactness; here we check
         // rotation actually happened and nothing was rejected.
@@ -448,6 +456,7 @@ mod tests {
             None,
             6,
             false,
+            1,
         );
         assert_eq!(run.stats.get("rekeys"), 0);
         assert_eq!((run.delivered, run.failed), (6, 0));
@@ -462,6 +471,7 @@ mod tests {
             Some(ROTATE_STORM_US),
             8,
             false,
+            1,
         );
         let json = export::snapshot_json(&run.snap);
         assert!(json.contains("\"keys\":{\"handshakes\":2"), "json: {json}");
@@ -482,6 +492,7 @@ mod tests {
             Some(ROTATE_STORM_US),
             8,
             true,
+            1,
         );
         let r = trace.expect("traced world must report");
         let handshakes: u64 = r.per_rank.iter().map(|m| m.handshakes).sum();
@@ -493,7 +504,7 @@ mod tests {
 
     #[test]
     fn revocation_drill_quarantines_and_rekeys() {
-        let run = revoke_run(Net::Ethernet, CryptoLibrary::BoringSsl, 4);
+        let run = revoke_run(Net::Ethernet, CryptoLibrary::BoringSsl, 4, 1);
         // Both survivors count the revocation; only rank 0 sees (and
         // rejects) the revoked rank's post-quarantine record.
         assert_eq!(run.stats.get("revocations"), 2);

@@ -98,8 +98,11 @@ pub fn p2p_run(
     msgs: usize,
     metered: bool,
     traced: bool,
+    shards: usize,
 ) -> (TailRun, Vec<f64>, Option<TraceReport>) {
-    let mut world = World::flat(net.model(), 2).traced(traced);
+    let mut world = World::flat(net.model(), 2)
+        .with_shards(shards)
+        .traced(traced);
     if metered {
         world = world.with_slo(slo_config());
     }
@@ -155,8 +158,10 @@ pub fn p2p_run(
 /// Drive `iters` pipelined alltoall exchanges over [`A2A_RANKS`] ranks
 /// with per-destination blocks of [`A2A_BLOCK`] bytes; each exchange
 /// is verified for shape and failures stay typed per rank.
-pub fn a2a_run(net: Net, lib: CryptoLibrary, chaos: bool, iters: usize) -> TailRun {
-    let world = World::flat(net.model(), A2A_RANKS).with_slo(slo_config());
+pub fn a2a_run(net: Net, lib: CryptoLibrary, chaos: bool, iters: usize, shards: usize) -> TailRun {
+    let world = World::flat(net.model(), A2A_RANKS)
+        .with_shards(shards)
+        .with_slo(slo_config());
     let out = world.run(move |c| {
         let sc = SecureComm::new(c, tail_config(net, lib, chaos)).unwrap();
         let (mut delivered, mut failed) = (0usize, 0usize);
@@ -256,7 +261,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 
     for lib in LIBS {
         for chaos in [false, true] {
-            let (p2p, _, _) = p2p_run(net, lib, chaos, msgs, true, false);
+            let (p2p, _, _) = p2p_run(net, lib, chaos, msgs, true, false, opts.shards);
             let e2e = p2p.snap.merged(Metric::E2e, "p2p/recv");
             tab.push_row(
                 format!("{} / p2p @ {}", lib.name(), on_off(chaos)),
@@ -289,7 +294,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                 ],
             );
 
-            let a2a = a2a_run(net, lib, chaos, iters);
+            let a2a = a2a_run(net, lib, chaos, iters, opts.shards);
             let coll = a2a.snap.merged(Metric::E2e, "coll/alltoall");
             tab.push_row(
                 format!("{} / alltoall @ {}", lib.name(), on_off(chaos)),
@@ -314,7 +319,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 /// `trace-tail-<net>.json` with percentile counter tracks, plus the
 /// seal/open conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
-    let (run, _, trace) = p2p_run(net, CryptoLibrary::BoringSsl, true, msgs, true, opts.trace);
+    let lib = CryptoLibrary::BoringSsl;
+    let (run, _, trace) = p2p_run(net, lib, true, msgs, true, opts.trace, opts.shards);
     if let Some(r) = &trace {
         // Conservation law: the recorder takes exactly one service
         // sample per trace-ledger seal and open. Fail the bench loudly
@@ -343,7 +349,15 @@ mod tests {
 
     #[test]
     fn tail_histograms_fill_and_conserve() {
-        let (run, _, trace) = p2p_run(Net::Ethernet, CryptoLibrary::BoringSsl, true, 9, true, true);
+        let (run, _, trace) = p2p_run(
+            Net::Ethernet,
+            CryptoLibrary::BoringSsl,
+            true,
+            9,
+            true,
+            true,
+            1,
+        );
         let e2e = run.snap.merged(Metric::E2e, "p2p/recv");
         assert!(e2e.count() > 0, "the stream must record recv latencies");
         assert!(e2e.p50() > 0, "virtual-time latencies are never zero");
@@ -370,6 +384,7 @@ mod tests {
             6,
             true,
             false,
+            1,
         )
         .1;
         let off = p2p_run(
@@ -379,6 +394,7 @@ mod tests {
             6,
             false,
             false,
+            1,
         )
         .1;
         assert_eq!(on, off, "metrics must be invisible in virtual time");
@@ -393,6 +409,7 @@ mod tests {
             6,
             true,
             false,
+            1,
         )
         .0;
         let b = p2p_run(
@@ -402,6 +419,7 @@ mod tests {
             6,
             true,
             false,
+            1,
         )
         .0;
         assert_eq!(
@@ -461,7 +479,7 @@ mod tests {
 
     #[test]
     fn alltoall_tail_run_is_metered() {
-        let run = a2a_run(Net::Ethernet, CryptoLibrary::BoringSsl, false, 2);
+        let run = a2a_run(Net::Ethernet, CryptoLibrary::BoringSsl, false, 2, 1);
         assert_eq!(run.failed, 0, "chaos-off alltoall must deliver everything");
         assert_eq!(run.delivered, 2 * A2A_RANKS);
         let coll = run.snap.merged(Metric::E2e, "coll/alltoall");

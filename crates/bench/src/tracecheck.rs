@@ -6,53 +6,32 @@
 //! `pipe/seal` or `pipe/open` — nothing else may land there, and in
 //! particular the chaos layer's `fault/*` / `retry/*` spans must stay
 //! on the rank lanes where the injection/recovery happens. Used by
-//! the CI trace-smoke and chaos-smoke jobs; exits non-zero on the
-//! first invalid file.
+//! CI's smoke jobs and by tier-1 (`tests/bench_registry.rs`); exits
+//! non-zero when any file is invalid.
 //!
-//! Allocation markers (`alloc/fresh`, `alloc/pooled`, `alloc/reclaim`)
-//! must likewise sit on the rank lanes — buffer sourcing happens where
-//! the rank runs, never on a crypto worker — and `--require-alloc`
-//! additionally fails any file that carries no `alloc/*` spans at all
-//! (the allocation-decomposition traces must actually decompose).
+//! Allocation markers (`alloc/fresh`, `alloc/pooled`, `alloc/reclaim`),
+//! `key/*` spans (handshake, rotate, revoke, reject), `waitset` spans
+//! (the set poller's block reason) and `ftol/*` spans (detect, notice,
+//! probe, shrink, rekey, plus the `ftol/recv` / `ftol/send` lease-wait
+//! block reasons) must likewise sit on the rank lanes — buffers, keys,
+//! waits and failure detection all live where the rank runs, never on a
+//! crypto worker — and an unknown name in a labelled family fails.
 //!
-//! `--require-hist` audits the metrics plane: every `metrics-*.json`
-//! snapshot must parse, carry non-empty histograms whose per-bucket
-//! counts sum to the advertised totals, conserve seal/open histogram
-//! sample counts against the per-rank ledgers, and its sibling `.prom`
-//! Prometheus export must pass the text-format validator. At least one
-//! snapshot file must exist, and at least one must show load (nonzero
-//! end-to-end samples).
+//! A `metrics-*.json` snapshot must parse, carry non-empty histograms
+//! whose per-bucket counts sum to the advertised totals, conserve
+//! seal/open histogram sample counts against the per-rank ledgers, and
+//! its sibling `.prom` Prometheus export must pass the text-format
+//! validator. A run that checks any snapshot needs at least one that
+//! shows load (nonzero end-to-end samples).
 //!
-//! `key/*` spans (handshake, rotate, revoke, reject) must sit on the
-//! rank lanes — the key plane lives where the rank runs, never on a
-//! crypto worker — and `--require-keys` additionally fails any trace
-//! file without a `key/handshake` span and any metrics snapshot whose
-//! `keys` counter block is absent or shows no completed handshake (the
-//! key-lifecycle artifacts must actually exercise the key plane).
-//! `--forbid-rotate` checks the converse invariant — with rotation
-//! disabled zero epochs may roll: any `key/rotate` span, or a snapshot
-//! reporting nonzero `rekeys`, fails.
+//! Beyond those, each artifact family must show what its harness
+//! exists to demonstrate: [`CONTRACTS`] names, by file-name prefix, the
+//! spans a trace must hold and the counters a snapshot must report
+//! positive. The file's name is the whole selector — there are no
+//! flags, so CI, tier-1 and a reader at the shell check the same thing.
 //!
-//! `waitset` spans — the completion-set poller's block reason — must
-//! sit on the rank lanes (a wait happens where the rank blocks, never
-//! on a crypto worker), and `--require-wait` additionally fails any
-//! trace file that carries none at all (the nonblocking harnesses must
-//! actually drive their waits through the set poller).
-//!
-//! `ftol/*` spans (detect, notice, probe, shrink, rekey, plus the
-//! `ftol/recv` / `ftol/send` lease-wait block reasons) must sit on the
-//! rank lanes — failure detection happens where the rank blocks, never
-//! on a crypto worker — and `--require-ftol` additionally fails any
-//! trace file without a confirmed detection (`ftol/detect`) and a
-//! completed shrink (`ftol/shrink`), and any metrics snapshot whose
-//! `ftol` counter block is absent or shows no detection (the
-//! fault-tolerance artifacts must actually ride the recovery ladder).
-//!
-//! Usage: `empi-bench tracecheck [--require-alloc] [--require-hist]
-//! [--require-keys] [--forbid-rotate] [--require-wait] [--require-ftol]
-//! [FILE...]` — with no file arguments, checks every `trace-*.json`
-//! (and with `--require-hist`, `--require-keys`, or `--require-ftol`
-//! every `metrics-*.json`) under `results/`.
+//! Usage: `empi-bench tracecheck [FILE...]` — with no file arguments,
+//! checks every `trace-*.json` and `metrics-*.json` under `results/`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -61,26 +40,40 @@ use std::process::ExitCode;
 use empi_trace::export::validate_prometheus;
 use empi_trace::json::{self, Value};
 
-/// The optional invariants selected on the command line.
-#[derive(Clone, Copy, Default)]
-pub struct Flags {
-    /// `--require-alloc`
-    pub require_alloc: bool,
-    /// `--require-wait`
-    pub require_wait: bool,
-    /// `--require-hist`
-    pub require_hist: bool,
-    /// `--require-keys`
-    pub require_keys: bool,
-    /// `--require-ftol`
-    pub require_ftol: bool,
-    /// `--forbid-rotate`
-    pub forbid_rotate: bool,
+/// What each artifact family must contain, keyed by file-name prefix.
+/// A trace must hold at least one span matching each entry (a trailing
+/// `/` matches the whole family); a snapshot must carry each
+/// `block.counter` with a positive value.
+pub const CONTRACTS: [(&str, &[&str]); 6] = [
+    ("trace-multipair-pipe-", &["alloc/"]),
+    ("trace-inflight-", &["waitset"]),
+    ("trace-rekey-", &["key/handshake"]),
+    ("metrics-rekey-", &["keys.handshakes"]),
+    ("trace-ftol-", &["ftol/detect", "ftol/shrink"]),
+    ("metrics-ftol-", &["ftol.detected", "ftol.shrinks"]),
+];
+
+/// The contract of the artifact called `name` (empty if none applies).
+fn contract(name: &str) -> &'static [&'static str] {
+    CONTRACTS
+        .iter()
+        .find(|(prefix, _)| name.starts_with(prefix))
+        .map_or(&[], |(_, need)| need)
 }
 
-/// Audit one Chrome trace document (see module docs); the summary on
+/// Does span `name` match contract entry `want` (`fam/` = any `fam/*`)?
+fn matches(name: &str, want: &str) -> bool {
+    if want.ends_with('/') {
+        name.starts_with(want)
+    } else {
+        name == want
+    }
+}
+
+/// Audit one Chrome trace document (see module docs) against the
+/// universal invariants and the spans `need` names; the summary on
 /// success, the first violated invariant otherwise.
-pub fn check(text: &str, flags: Flags) -> Result<String, String> {
+pub fn check(text: &str, need: &[&str]) -> Result<String, String> {
     let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let events = doc
         .get("traceEvents")
@@ -88,13 +81,8 @@ pub fn check(text: &str, flags: Flags) -> Result<String, String> {
         .ok_or("missing traceEvents array")?;
 
     let mut lanes: BTreeMap<i64, f64> = BTreeMap::new();
+    let mut names: BTreeMap<&str, usize> = BTreeMap::new();
     let mut spans = 0usize;
-    let mut alloc_spans = 0usize;
-    let mut waitset_spans = 0usize;
-    let mut handshake_spans = 0usize;
-    let mut rotate_spans = 0usize;
-    let mut detect_spans = 0usize;
-    let mut shrink_spans = 0usize;
     for (i, e) in events.iter().enumerate() {
         let ph = e
             .get("ph")
@@ -128,32 +116,29 @@ pub fn check(text: &str, flags: Flags) -> Result<String, String> {
                 "event {i}: unexpected span '{name}' on crypto-worker lane {tid}"
             ));
         }
-        if name.starts_with("alloc/") {
-            if !matches!(name, "alloc/fresh" | "alloc/pooled" | "alloc/reclaim") {
-                return Err(format!("event {i}: unknown alloc span '{name}'"));
-            }
-            alloc_spans += 1;
-        }
-        if name == "waitset" {
-            waitset_spans += 1;
-        }
-        if name.starts_with("key/") {
-            match name {
-                "key/handshake" => handshake_spans += 1,
-                "key/rotate" => rotate_spans += 1,
-                "key/revoke" | "key/reject" => {}
-                _ => return Err(format!("event {i}: unknown key span '{name}'")),
-            }
-        }
-        if name.starts_with("ftol/") {
-            match name {
-                "ftol/detect" => detect_spans += 1,
-                "ftol/shrink" => shrink_spans += 1,
-                // notice/probe/rekey activity plus the lease-wait
-                // block reasons of the ft verbs.
-                "ftol/notice" | "ftol/probe" | "ftol/rekey" | "ftol/recv" | "ftol/send" => {}
-                _ => return Err(format!("event {i}: unknown ftol span '{name}'")),
-            }
+        let family = name.split_once('/').map_or("", |(family, _)| family);
+        let known = match family {
+            "alloc" => matches!(name, "alloc/fresh" | "alloc/pooled" | "alloc/reclaim"),
+            "key" => matches!(
+                name,
+                "key/handshake" | "key/rotate" | "key/revoke" | "key/reject"
+            ),
+            // detect/notice/probe/shrink/rekey activity plus the
+            // lease-wait block reasons of the ft verbs.
+            "ftol" => matches!(
+                name,
+                "ftol/detect"
+                    | "ftol/notice"
+                    | "ftol/probe"
+                    | "ftol/shrink"
+                    | "ftol/rekey"
+                    | "ftol/recv"
+                    | "ftol/send"
+            ),
+            _ => true,
+        };
+        if !known {
+            return Err(format!("event {i}: unknown {family} span '{name}'"));
         }
         if let Some(&prev) = lanes.get(&tid) {
             if ts < prev {
@@ -163,36 +148,29 @@ pub fn check(text: &str, flags: Flags) -> Result<String, String> {
             }
         }
         lanes.insert(tid, ts);
+        *names.entry(name).or_default() += 1;
         spans += 1;
     }
     if spans == 0 {
         return Err("no complete-span events".into());
     }
-    if flags.require_alloc && alloc_spans == 0 {
-        return Err("no alloc/* spans (allocation decomposition missing)".into());
-    }
-    if flags.require_wait && waitset_spans == 0 {
-        return Err("no waitset spans (completion-set waits missing)".into());
-    }
-    if flags.require_keys && handshake_spans == 0 {
-        return Err("no key/handshake spans (key lifecycle missing)".into());
-    }
-    if flags.require_ftol && detect_spans == 0 {
-        return Err("no ftol/detect spans (failure detection missing)".into());
-    }
-    if flags.require_ftol && shrink_spans == 0 {
-        return Err("no ftol/shrink spans (communicator shrink missing)".into());
-    }
-    if flags.forbid_rotate && rotate_spans > 0 {
-        return Err(format!(
-            "{rotate_spans} key/rotate spans, but rotation is disabled"
-        ));
+    let count = |want: &str| -> usize {
+        names
+            .iter()
+            .filter(|(name, _)| matches(name, want))
+            .map(|(_, n)| n)
+            .sum()
+    };
+    if let Some(want) = need.iter().find(|want| count(want) == 0) {
+        let star = if want.ends_with('/') { "*" } else { "" };
+        return Err(format!("no {want}{star} spans"));
     }
     Ok(format!(
-        "{spans} spans ({alloc_spans} alloc, {} key, {waitset_spans} waitset, {} ftol) \
-         across {} lanes",
-        handshake_spans + rotate_spans,
-        detect_spans + shrink_spans,
+        "{spans} spans ({} alloc, {} key, {} waitset, {} ftol) across {} lanes",
+        count("alloc/"),
+        count("key/"),
+        count("waitset"),
+        count("ftol/"),
         lanes.len()
     ))
 }
@@ -216,9 +194,10 @@ fn sum_field(arr: &[Value], field: &str, filter: Option<(&str, &str)>) -> Result
 }
 
 /// Audit one metrics snapshot and its Prometheus sibling `prom` (see
-/// module docs). Returns a summary plus whether the snapshot shows load
-/// (nonzero e2e samples).
-pub fn check_metrics(text: &str, prom: &str, flags: Flags) -> Result<(String, bool), String> {
+/// module docs) against the universal invariants and the
+/// `block.counter`s `need` names. Returns a summary plus whether the
+/// snapshot shows load (nonzero e2e samples).
+pub fn check_metrics(text: &str, prom: &str, need: &[&str]) -> Result<(String, bool), String> {
     let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let version = doc
         .get("version")
@@ -279,45 +258,20 @@ pub fn check_metrics(text: &str, prom: &str, flags: Flags) -> Result<(String, bo
         }
     }
     let e2e = sum_field(hists, "count", Some(("metric", "e2e")))?;
-    let keys = doc.get("keys").filter(|v| **v != Value::Null);
-    let key_counter = |field: &str| -> Result<u64, String> {
-        keys.and_then(|k| k.get(field))
+    for want in need {
+        let (block, counter) = want
+            .split_once('.')
+            .expect("a snapshot contract entry is `block.counter`");
+        let counters = doc
+            .get(block)
+            .filter(|v| **v != Value::Null)
+            .ok_or_else(|| format!("no {block} counter block"))?;
+        let value = counters
+            .get(counter)
             .and_then(Value::as_f64)
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("keys block missing {field}"))
-    };
-    if flags.require_keys {
-        if keys.is_none() {
-            return Err("no keys counter block (key plane not exercised)".into());
-        }
-        if key_counter("handshakes")? == 0 {
-            return Err("keys block shows zero completed handshakes".into());
-        }
-    }
-    let ftol = doc.get("ftol").filter(|v| **v != Value::Null);
-    if flags.require_ftol {
-        let ftol_counter = |field: &str| -> Result<u64, String> {
-            ftol.and_then(|f| f.get(field))
-                .and_then(Value::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("ftol block missing {field}"))
-        };
-        if ftol.is_none() {
-            return Err("no ftol counter block (recovery ladder not exercised)".into());
-        }
-        if ftol_counter("detected")? == 0 {
-            return Err("ftol block shows zero confirmed detections".into());
-        }
-        if ftol_counter("shrinks")? == 0 {
-            return Err("ftol block shows zero completed shrinks".into());
-        }
-    }
-    if flags.forbid_rotate && keys.is_some() {
-        let rekeys = key_counter("rekeys")?;
-        if rekeys > 0 {
-            return Err(format!(
-                "{rekeys} epoch rolls reported, but rotation is disabled"
-            ));
+            .ok_or_else(|| format!("{block} block missing {counter}"))?;
+        if value <= 0.0 {
+            return Err(format!("{block} block shows zero {counter}"));
         }
     }
     validate_prometheus(prom).map_err(|e| format!("invalid Prometheus export: {e}"))?;
@@ -336,62 +290,31 @@ fn is_metrics(path: &Path) -> bool {
         .is_some_and(|n| n.to_string_lossy().starts_with("metrics-"))
 }
 
-/// Audit the file at `path`: a snapshot with its `.prom` sibling, or a
-/// Chrome trace (which never shows load).
-pub fn check_file(path: &Path, flags: Flags) -> Result<(String, bool), String> {
+/// Audit the file at `path` against the contract of its name: a
+/// snapshot with its `.prom` sibling, or a Chrome trace (which never
+/// shows load).
+pub fn check_file(path: &Path) -> Result<(String, bool), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
+    let need = contract(&path.file_name().unwrap_or_default().to_string_lossy());
     if !is_metrics(path) {
-        return check(&text, flags).map(|msg| (msg, false));
+        return check(&text, need).map(|msg| (msg, false));
     }
     let prom_path = path.with_extension("prom");
     let prom = std::fs::read_to_string(&prom_path)
         .map_err(|e| format!("missing Prometheus sibling {}: {e}", prom_path.display()))?;
-    check_metrics(&text, &prom, flags)
+    check_metrics(&text, &prom, need)
 }
 
 /// The `tracecheck` subcommand (usage in the module docs).
 pub fn run(args: Vec<String>) -> ExitCode {
-    let mut flags = Flags::default();
-    let mut files: Vec<PathBuf> = args
-        .into_iter()
-        .filter(|a| match a.as_str() {
-            "--require-alloc" => {
-                flags.require_alloc = true;
-                false
-            }
-            "--require-wait" => {
-                flags.require_wait = true;
-                false
-            }
-            "--require-hist" => {
-                flags.require_hist = true;
-                false
-            }
-            "--require-keys" => {
-                flags.require_keys = true;
-                false
-            }
-            "--require-ftol" => {
-                flags.require_ftol = true;
-                false
-            }
-            "--forbid-rotate" => {
-                flags.forbid_rotate = true;
-                false
-            }
-            _ => true,
-        })
-        .map(PathBuf::from)
-        .collect();
+    let mut files: Vec<PathBuf> = args.into_iter().map(PathBuf::from).collect();
     if files.is_empty() {
-        let want_metrics = flags.require_hist || flags.require_keys || flags.require_ftol;
         if let Ok(dir) = std::fs::read_dir("results") {
             for entry in dir.flatten() {
                 let name = entry.file_name().to_string_lossy().into_owned();
-                let is_trace = name.starts_with("trace-") && name.ends_with(".json");
-                let is_metrics =
-                    want_metrics && name.starts_with("metrics-") && name.ends_with(".json");
-                if is_trace || is_metrics {
+                if (name.starts_with("trace-") || name.starts_with("metrics-"))
+                    && name.ends_with(".json")
+                {
                     files.push(entry.path());
                 }
             }
@@ -403,12 +326,12 @@ pub fn run(args: Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let mut ok = true;
-    let mut metrics_files = 0usize;
+    let mut snapshots = 0usize;
     let mut loaded_snapshots = 0usize;
     for f in &files {
-        metrics_files += is_metrics(f) as usize;
-        match check_file(f, flags) {
+        match check_file(f) {
             Ok((msg, loaded)) => {
+                snapshots += is_metrics(f) as usize;
                 loaded_snapshots += loaded as usize;
                 println!("OK   {}: {msg}", f.display());
             }
@@ -418,20 +341,8 @@ pub fn run(args: Vec<String>) -> ExitCode {
             }
         }
     }
-    if flags.require_hist && metrics_files == 0 {
-        eprintln!("tracecheck: --require-hist but no metrics-*.json snapshots checked");
-        ok = false;
-    }
-    if flags.require_hist && metrics_files > 0 && loaded_snapshots == 0 {
-        eprintln!("tracecheck: --require-hist but every snapshot is empty of e2e samples");
-        ok = false;
-    }
-    if flags.require_keys && metrics_files == 0 {
-        eprintln!("tracecheck: --require-keys but no metrics-*.json snapshots checked");
-        ok = false;
-    }
-    if flags.require_ftol && metrics_files == 0 {
-        eprintln!("tracecheck: --require-ftol but no metrics-*.json snapshots checked");
+    if snapshots > 0 && loaded_snapshots == 0 {
+        eprintln!("tracecheck: every snapshot that passed is empty of e2e samples");
         ok = false;
     }
     if ok {
@@ -460,8 +371,9 @@ mod tests {
     }
 
     /// A snapshot with one seal, open and e2e histogram of `count`
-    /// samples each (bucket counts `buckets`) over one rank ledger.
-    fn snapshot(count: u64, buckets: [u64; 2], ledger: u64) -> String {
+    /// samples each (bucket counts `buckets`) over one rank ledger,
+    /// plus the top-level `extra` fields (`,"name":value...`).
+    fn snapshot(count: u64, buckets: [u64; 2], ledger: u64, extra: &str) -> String {
         let hist = |metric: &str| {
             format!(
                 r#"{{"metric":"{metric}","count":{count},"buckets":[[100,{}],[200,{}]]}}"#,
@@ -469,7 +381,7 @@ mod tests {
             )
         };
         format!(
-            r#"{{"version":1,"hists":[{},{},{}],"per_rank":[{{"seal_samples":{ledger},"open_samples":{ledger}}}]}}"#,
+            r#"{{"version":1,"hists":[{},{},{}],"per_rank":[{{"seal_samples":{ledger},"open_samples":{ledger}}}]{extra}}}"#,
             hist("seal"),
             hist("open"),
             hist("e2e")
@@ -479,8 +391,8 @@ mod tests {
     const PROM: &str = "# TYPE empi_msgs counter\nempi_msgs{rank=\"0\"} 3\n";
     const WORKER: u32 = empi_trace::PIPELINE_TID_BASE;
 
-    fn rejected(spans: &[(&str, u32, f64)], flags: Flags) -> String {
-        check(&trace(spans), flags).expect_err("trace must be rejected")
+    fn rejected(spans: &[(&str, u32, f64)], need: &[&str]) -> String {
+        check(&trace(spans), need).expect_err("trace must be rejected")
     }
 
     #[test]
@@ -491,41 +403,32 @@ mod tests {
             ("key/handshake", 1, 0.0),
             ("pipe/seal", WORKER, 0.5),
         ]);
-        let all = Flags {
-            require_alloc: true,
-            require_keys: true,
-            ..Flags::default()
-        };
-        let msg = check(&doc, all).unwrap();
+        let msg = check(&doc, &["alloc/", "key/handshake"]).unwrap();
         assert_eq!(
             msg,
             "4 spans (1 alloc, 1 key, 0 waitset, 0 ftol) across 3 lanes"
         );
-        let (msg, loaded) = check_metrics(&snapshot(2, [1, 1], 2), PROM, Flags::default()).unwrap();
+        let (msg, loaded) = check_metrics(&snapshot(2, [1, 1], 2, ""), PROM, &[]).unwrap();
         assert_eq!(msg, "3 histograms, 2 e2e samples, prometheus valid");
         assert!(loaded);
     }
 
     #[test]
     fn time_running_backwards_on_a_lane_is_rejected() {
-        let err = rejected(
-            &[("send", 0, 5.0), ("recv", 1, 0.0), ("recv", 0, 4.0)],
-            Flags::default(),
-        );
+        let err = rejected(&[("send", 0, 5.0), ("recv", 1, 0.0), ("recv", 0, 4.0)], &[]);
         assert_eq!(err, "event 3: lane 0 time runs backwards (4 < 5)");
     }
 
     #[test]
     fn only_pipeline_spans_may_sit_on_a_worker_lane() {
-        let err = rejected(&[("fault/drop", WORKER, 0.0)], Flags::default());
+        let err = rejected(&[("fault/drop", WORKER, 0.0)], &[]);
         assert_eq!(
             err,
             format!("event 1: unexpected span 'fault/drop' on crypto-worker lane {WORKER}")
         );
         // The general check also covers every labelled family.
         for name in ["alloc/fresh", "waitset", "key/rotate", "ftol/detect"] {
-            assert!(rejected(&[(name, WORKER + 3, 0.0)], Flags::default())
-                .contains("on crypto-worker lane"));
+            assert!(rejected(&[(name, WORKER + 3, 0.0)], &[]).contains("on crypto-worker lane"));
         }
     }
 
@@ -536,35 +439,79 @@ mod tests {
             ("alloc/bogus", "event 1: unknown alloc span 'alloc/bogus'"),
             ("ftol/bogus", "event 1: unknown ftol span 'ftol/bogus'"),
         ] {
-            assert_eq!(rejected(&[(name, 0, 0.0)], Flags::default()), want);
+            assert_eq!(rejected(&[(name, 0, 0.0)], &[]), want);
         }
     }
 
     #[test]
-    fn require_alloc_rejects_a_trace_without_alloc_spans() {
-        let spans = [("send", 0, 0.0)];
-        assert!(check(&trace(&spans), Flags::default()).is_ok());
-        let flags = Flags {
-            require_alloc: true,
-            ..Flags::default()
-        };
+    fn contracts_are_selected_by_file_name() {
+        assert_eq!(contract("trace-multipair-pipe-ethernet.json"), ["alloc/"]);
+        assert_eq!(contract("trace-inflight-infiniband.json"), ["waitset"]);
         assert_eq!(
-            rejected(&spans, flags),
-            "no alloc/* spans (allocation decomposition missing)"
+            contract("metrics-ftol-ethernet.json"),
+            ["ftol.detected", "ftol.shrinks"]
         );
+        // A prefix of a contracted family is not that family.
+        assert!(contract("trace-multipair-ethernet.json").is_empty());
+        assert!(contract("metrics-tail-ethernet.json").is_empty());
+    }
+
+    #[test]
+    fn a_trace_without_its_contracted_spans_is_rejected() {
+        let bare = [("send", 0, 0.0)];
+        for (prefix, need) in CONTRACTS.iter().filter(|(p, _)| p.starts_with("trace-")) {
+            let err = rejected(&bare, contract(&format!("{prefix}ethernet.json")));
+            assert!(err.starts_with("no ") && err.contains(need[0]), "{err}");
+        }
+        assert_eq!(rejected(&bare, &["alloc/"]), "no alloc/* spans");
+        // Both ftol spans are needed: a detection without a shrink fails.
+        let detect_only = [("ftol/detect", 0, 0.0)];
+        assert_eq!(
+            rejected(&detect_only, contract("trace-ftol-ethernet.json")),
+            "no ftol/shrink spans"
+        );
+        let full = trace(&[("ftol/detect", 0, 0.0), ("ftol/shrink", 0, 1.0)]);
+        assert!(check(&full, contract("trace-ftol-ethernet.json")).is_ok());
+    }
+
+    #[test]
+    fn a_snapshot_without_its_contracted_counters_is_rejected() {
+        let need = contract("metrics-ftol-ethernet.json");
+        let check_with = |extra: &str| check_metrics(&snapshot(2, [1, 1], 2, extra), PROM, need);
+        assert_eq!(check_with("").unwrap_err(), "no ftol counter block");
+        assert_eq!(
+            check_with(r#","ftol":null"#).unwrap_err(),
+            "no ftol counter block"
+        );
+        assert_eq!(
+            check_with(r#","ftol":{"detected":1}"#).unwrap_err(),
+            "ftol block missing shrinks"
+        );
+        assert_eq!(
+            check_with(r#","ftol":{"detected":1,"shrinks":0}"#).unwrap_err(),
+            "ftol block shows zero shrinks"
+        );
+        assert!(check_with(r#","ftol":{"detected":1,"shrinks":2}"#).is_ok());
+        let keys = contract("metrics-rekey-infiniband.json");
+        let err = check_metrics(
+            &snapshot(2, [1, 1], 2, r#","keys":{"handshakes":0}"#),
+            PROM,
+            keys,
+        )
+        .unwrap_err();
+        assert_eq!(err, "keys block shows zero handshakes");
     }
 
     #[test]
     fn inconsistent_snapshots_are_rejected() {
-        let err = check_metrics(&snapshot(3, [1, 1], 3), PROM, Flags::default()).unwrap_err();
+        let err = check_metrics(&snapshot(3, [1, 1], 3, ""), PROM, &[]).unwrap_err();
         assert_eq!(err, "hist 0: bucket counts sum to 2, advertised count is 3");
-        let err = check_metrics(&snapshot(2, [1, 1], 5), PROM, Flags::default()).unwrap_err();
+        let err = check_metrics(&snapshot(2, [1, 1], 5, ""), PROM, &[]).unwrap_err();
         assert_eq!(
             err,
             "seal histogram samples (2) do not conserve against the rank ledgers (5)"
         );
-        let err =
-            check_metrics(&snapshot(2, [1, 1], 2), "empi msgs 3\n", Flags::default()).unwrap_err();
+        let err = check_metrics(&snapshot(2, [1, 1], 2, ""), "empi msgs 3\n", &[]).unwrap_err();
         assert!(err.starts_with("invalid Prometheus export:"), "{err}");
     }
 }

@@ -486,16 +486,28 @@ impl SecureComm<'_, '_> {
         };
         out[recv_edge[me]..recv_edge[me + 1]].copy_from_slice(&self_plain);
 
+        // A failed round must not end this rank's part of the schedule:
+        // the peers of its later rounds still wait for its segments. The
+        // failed segment stays zero-filled, the walk goes on, and the
+        // first error is reported once every round has run.
+        let mut first_err = None;
         let hop = |_, r: &Round, seg: &[u8]| {
             let sreq = self.isend_impl(seg, r.to, tag);
-            let (_, plain) = self.recv(Src::Is(r.from), TagSel::Is(tag))?;
-            check_len(recv_counts[r.from], plain.len())?;
-            self.wait(sreq)?;
-            Ok::<_, Error>(plain)
+            let got = self
+                .recv(Src::Is(r.from), TagSel::Is(tag))
+                .and_then(|(_, plain)| check_len(recv_counts[r.from], plain.len()).map(|()| plain));
+            let sent = self.wait(sreq);
+            Ok::<_, Error>(match got.and_then(|plain| sent.map(|_| plain)) {
+                Ok(plain) => plain,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                    vec![0; recv_counts[r.from]]
+                }
+            })
         };
         let send = Some((send, &send_edge[..]));
         exchange(pairwise(me, self.size()), send, (&mut out, &recv_edge), hop)?;
-        Ok(out)
+        first_err.map_or(Ok(out), Err)
     }
 
     // ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 //! typed error — it must never panic, deadlock, or hand back silently
 //! corrupted data. `World::try_run` turns would-be deadlocks into a
 //! typed `SimError`, which also counts as a failure here (the recovery
-//! protocol is designed to always time out instead).
+//! protocol is designed to always time out instead). Every world runs
+//! on a generated carrier count, so the armed ARQ is held to the same
+//! contract on one carrier and on several.
 
 use empi_aead::profile::CryptoLibrary;
 use empi_core::{Error, FaultRates, PipelineConfig, SecureComm, SecurityConfig};
@@ -34,6 +36,11 @@ fn fault_rates() -> impl Strategy<Value = FaultRates> {
                 worker_slowdown: 6,
             },
         )
+}
+
+/// A carrier count for a world: 1, 2 or 4.
+fn shard_counts() -> impl Strategy<Value = usize> {
+    (0u32..3).prop_map(|k| 1 << k)
 }
 
 /// Assert an outcome is "correct plaintext or typed error".
@@ -76,13 +83,14 @@ proptest! {
 
     #[test]
     fn p2p_delivers_exactly_or_types_out(
+        shards in shard_counts(),
         seed in any::<u64>(),
         rates in fault_rates(),
         arq in any::<bool>(),
         pipelined in any::<bool>(),
         len in 1usize..40_000,
     ) {
-        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let w = World::flat(NetModel::ethernet_10g(), 2).with_shards(shards);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(arq, pipelined, seed, rates)).unwrap();
             let want: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(31) ^ (i >> 8)) as u8).collect();
@@ -103,6 +111,7 @@ proptest! {
 
     #[test]
     fn nonblocking_pingpong_never_panics(
+        shards in shard_counts(),
         seed in any::<u64>(),
         rates in fault_rates(),
         arq in any::<bool>(),
@@ -110,7 +119,7 @@ proptest! {
     ) {
         // isend/irecv/wait in both directions at once: exercises the
         // NACK-servicing wait loops (mutual recovery must not deadlock).
-        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let w = World::flat(NetModel::ethernet_10g(), 2).with_shards(shards);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(arq, true, seed, rates)).unwrap();
             let me = c.rank();
@@ -134,12 +143,13 @@ proptest! {
 
     #[test]
     fn bcast_subtrees_degrade_gracefully(
+        shards in shard_counts(),
         seed in any::<u64>(),
         rates in fault_rates(),
         arq in any::<bool>(),
         len in 1usize..60_000,
     ) {
-        let w = World::flat(NetModel::ethernet_10g(), 4);
+        let w = World::flat(NetModel::ethernet_10g(), 4).with_shards(shards);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(arq, true, seed, rates)).unwrap();
             let want: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
@@ -157,6 +167,7 @@ proptest! {
 
     #[test]
     fn alltoall_rounds_stay_live(
+        shards in shard_counts(),
         seed in any::<u64>(),
         rates in fault_rates(),
         arq in any::<bool>(),
@@ -164,7 +175,7 @@ proptest! {
     ) {
         let n = 3usize;
         let block = block_kib << 10;
-        let w = World::flat(NetModel::ethernet_10g(), n);
+        let w = World::flat(NetModel::ethernet_10g(), n).with_shards(shards);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(arq, true, seed, rates)).unwrap();
             let me = c.rank();
@@ -182,6 +193,7 @@ proptest! {
 
     #[test]
     fn zero_rates_with_any_seed_are_invisible(
+        shards in shard_counts(),
         seed in any::<u64>(),
         arq in any::<bool>(),
         pipelined in any::<bool>(),
@@ -189,7 +201,7 @@ proptest! {
     ) {
         // A fault plan with all-zero rates plus any seed must behave
         // exactly like no plan: correct data, zero chaos counters.
-        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let w = World::flat(NetModel::ethernet_10g(), 2).with_shards(shards);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(arq, pipelined, seed, FaultRates::ZERO)).unwrap();
             let want = vec![0xC3u8; len];
@@ -210,6 +222,7 @@ proptest! {
 
     #[test]
     fn armed_arq_stays_aligned_on_mixed_format_flows(
+        shards in shard_counts(),
         seed in any::<u64>(),
         chunked in proptest::collection::vec(any::<bool>(), 2..8),
         delta in 0usize..4_000,
@@ -222,7 +235,7 @@ proptest! {
         // arrive in send order, bit-exact, without a single NACK.
         let n = chunked.len();
         let len = move |i: usize| if chunked[i] { (1 << 14) + 1 + delta } else { (1 << 14) - delta };
-        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let w = World::flat(NetModel::ethernet_10g(), 2).with_shards(shards);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(true, true, seed, FaultRates::ZERO)).unwrap();
             let msg = |i: usize| vec![i as u8 ^ 0xA5; len(i)];
@@ -242,4 +255,43 @@ proptest! {
             prop_assert_eq!(st, empi_core::ChaosStats::default());
         }
     }
+}
+
+/// A pipelined alltoall rank whose round fails (repairs exhausted, or a
+/// short segment) still sends its segments in the later rounds: its
+/// peers there are waiting for them. These seeds fail a round on some
+/// ranks only; ending the schedule at the failure left a peer blocked
+/// on a segment that was never sent.
+#[test]
+fn alltoall_keeps_its_schedule_after_a_failed_round() {
+    let (n, block) = (3usize, 25usize << 10);
+    let mut failed = 0;
+    for seed in [11u64, 15, 16, 19] {
+        for shards in [1, 2] {
+            let w = World::flat(NetModel::ethernet_10g(), n).with_shards(shards);
+            let out = w.try_run(move |c| {
+                let sc =
+                    SecureComm::new(c, cfg(true, true, seed, FaultRates::uniform(0.2))).unwrap();
+                let me = c.rank();
+                let send: Vec<u8> = (0..n)
+                    .flat_map(|d| vec![(me * n + d) as u8; block])
+                    .collect();
+                let res = sc.alltoall(&send, block);
+                sc.pump(sc.recovery_window());
+                res
+            });
+            let out = out.unwrap_or_else(|e| panic!("seed {seed}, {shards} shards: {e:?}"));
+            for (me, res) in out.results.iter().enumerate() {
+                let want: Vec<u8> = (0..n)
+                    .flat_map(|s| vec![(s * n + me) as u8; block])
+                    .collect();
+                check_outcome(&format!("seed {seed} rank {me}"), res, &want);
+                failed += res.is_err() as usize;
+            }
+        }
+    }
+    assert!(
+        failed > 0,
+        "no round failed: the seeds no longer exercise the path"
+    );
 }

@@ -17,7 +17,7 @@ use crate::state::SharedState;
 pub struct World {
     model: NetModel,
     topology: Topology,
-    shards: Option<usize>,
+    shards: usize,
     traced: bool,
     metered: bool,
     slo: Option<SloConfig>,
@@ -72,21 +72,13 @@ pub struct FtWorldOutcome<T> {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// The `EMPI_SHARDS` fallback: unset, empty, or unparsable means 1.
-fn shards_from_env() -> usize {
-    std::env::var("EMPI_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |s| s.max(1))
-}
-
 impl World {
     /// A world with the given placement and network model.
     pub fn new(model: NetModel, topology: Topology) -> Self {
         World {
             model,
             topology,
-            shards: None,
+            shards: 1,
             traced: false,
             metered: false,
             slo: None,
@@ -103,17 +95,11 @@ impl World {
     /// Run rank code on `s` host threads, so that ranks' detached heavy
     /// host work (crypto, kernel math) overlaps the token holder on real
     /// cores. Results are bit-identical for every `s`: the carrier count
-    /// changes wall-clock time only (see DESIGN.md §15). Defaults to the
-    /// `EMPI_SHARDS` environment variable, then 1 (the calling thread).
+    /// changes wall-clock time only (see DESIGN.md §15). Without it a
+    /// world runs on 1 carrier, the calling thread.
     pub fn with_shards(mut self, s: usize) -> Self {
-        self.shards = Some(s.max(1));
+        self.shards = s.max(1);
         self
-    }
-
-    /// The carrier count this world will run with: explicit
-    /// [`World::with_shards`] first, then `EMPI_SHARDS`, then 1.
-    pub fn shards(&self) -> usize {
-        self.shards.unwrap_or_else(shards_from_env)
     }
 
     /// Collect a [`TraceReport`] for the run: per-rank wait/host/crypto
@@ -186,7 +172,7 @@ impl World {
         let diag_shared = Arc::clone(&shared);
         let diag_recorder = recorder.clone();
         let mut engine = Engine::new(n)
-            .shards(self.shards())
+            .shards(self.shards)
             .crash_plan(self.crash.clone())
             .diagnostics(
                 // Runs inside the scheduler's deadlock panic, where a rank

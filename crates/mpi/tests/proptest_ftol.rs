@@ -16,6 +16,10 @@
 //!    a crash, `confirm` rounds for a hang, counted from whichever is
 //!    later — the death or the survivor parking on the corpse.
 //!
+//! Every world runs on a generated carrier count (1, 2 or 4), and the
+//! armed and plain worlds of one case share it, so "free when idle"
+//! and the latency bound hold on one carrier and on several.
+//!
 //! Assertions inside rank closures are plain `assert!`s: a failure
 //! panics the rank, which surfaces as a typed `SimError` and fails the
 //! case through the outcome `expect`s.
@@ -34,6 +38,11 @@ fn round_len(seed: u64, round: u32, max_len: usize) -> usize {
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(u64::from(round).wrapping_mul(0xBF58_476D_1CE4_E5B9));
     1 + (x % max_len as u64) as usize
+}
+
+/// A carrier count for a world: 1, 2 or 4.
+fn shard_counts() -> impl Strategy<Value = usize> {
+    (0u32..3).prop_map(|k| 1 << k)
 }
 
 /// One ring round: everyone sends `len` bytes to the next rank and
@@ -65,6 +74,7 @@ proptest! {
 
     #[test]
     fn fault_free_mix_never_suspects_and_costs_nothing(
+        shards in shard_counts(),
         seed in any::<u64>(),
         lease_us in 50u64..2_000,
         n in 2usize..5,
@@ -76,6 +86,7 @@ proptest! {
             ..DetectorConfig::default()
         };
         let armed = World::flat(NetModel::ethernet_10g(), n)
+            .with_shards(shards)
             .with_ftol(cfg)
             .try_run_ft(move |c| {
                 let mut total = 0usize;
@@ -93,6 +104,7 @@ proptest! {
             })
             .expect("fault-free traffic must never deadlock");
         let plain = World::flat(NetModel::ethernet_10g(), n)
+            .with_shards(shards)
             .try_run(move |c| {
                 let mut total = 0usize;
                 for r in 0..rounds {
@@ -115,6 +127,7 @@ proptest! {
 
     #[test]
     fn detection_latency_is_bounded_for_any_crash_time(
+        shards in shard_counts(),
         lease_us in 100u64..1_000,
         crash_us in 50u64..3_000,
         n in 2usize..5,
@@ -131,6 +144,7 @@ proptest! {
             CrashPlan::new().crash_at(victim, us(crash_us))
         };
         let out = World::flat(NetModel::ethernet_10g(), n)
+            .with_shards(shards)
             .with_ftol(cfg)
             .crash_plan(fate)
             .try_run_ft(move |c| {

@@ -120,10 +120,8 @@ pub struct ComputeModel {
 
 impl ComputeModel {
     /// The calibrated model for a kernel (see `empi-bench` TAB-4/TAB-8).
-    ///
-    /// The `EMPI_NAS_NS_SCALE` environment variable multiplies every
-    /// constant — used only by the calibration helper to solve for these
-    /// values; production runs leave it unset.
+    /// The constants are fixed: DESIGN.md ("NAS compute calibration")
+    /// records how they were fitted to the paper's Table IV overheads.
     pub fn calibrated(kernel: Kernel) -> Self {
         let ns_per_unit = match kernel {
             Kernel::CG => 2.4,
@@ -134,13 +132,7 @@ impl ComputeModel {
             Kernel::SP => 62.0,
             Kernel::IS => 3.4,
         };
-        let scale = std::env::var("EMPI_NAS_NS_SCALE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(1.0);
-        ComputeModel {
-            ns_per_unit: ns_per_unit * scale,
-        }
+        ComputeModel { ns_per_unit }
     }
 
     /// Charge `units` of work on `layer`'s virtual clock.

@@ -1041,11 +1041,6 @@ impl SimHandle {
         VTime(self.shared.clocks[self.rank].load(Ordering::Relaxed))
     }
 
-    /// Read another rank's clock (diagnostics only).
-    pub fn clock_of(&self, rank: usize) -> VTime {
-        VTime(self.shared.clocks[rank].load(Ordering::Relaxed))
-    }
-
     #[inline]
     fn set_clock(&self, t: VTime) {
         self.shared.clocks[self.rank].store(t.0, Ordering::Relaxed);
@@ -1196,15 +1191,6 @@ impl SimHandle {
         got
     }
 
-    /// Has `target` actually died? Returns the executed death time.
-    /// Unlike [`SimHandle::peer_dead`] this reports only deaths the
-    /// engine has already carried out, regardless of this rank's
-    /// clock — diagnostics, not protocol input.
-    pub fn dead_since(&self, target: usize) -> Option<VTime> {
-        let t = self.shared.deaths[target].load(Ordering::Relaxed);
-        (t != u64::MAX).then_some(VTime(t))
-    }
-
     /// The liveness oracle a probe consults: is `target` dead *as of
     /// this rank's current virtual time*?
     ///
@@ -1228,12 +1214,6 @@ impl SimHandle {
             return None;
         }
         Some((t, kind))
-    }
-
-    /// The scheduled fate of `target` under the installed crash plan
-    /// (regardless of whether it has executed yet).
-    pub fn planned_fate(&self, target: usize) -> Option<(VTime, CrashKind)> {
-        self.shared.crash.fate(target)
     }
 
     /// The recorder installed on this engine, if any.

@@ -1,13 +1,13 @@
 //! The bench runner's contracts that tier-1 can check in under two
 //! seconds without running a harness: committed tables are named by the
 //! rule `emit` writes them with, committed traces and snapshots pass
-//! `tracecheck`, and every invocation DESIGN.md §4 documents names a
+//! `tracecheck` (each against the contract of its name), and every invocation DESIGN.md §4 documents names a
 //! registry entry with flags the one parser accepts.
 
 use std::path::{Path, PathBuf};
 
 use empi::bench::registry;
-use empi::bench::tracecheck::{check_file, Flags};
+use empi::bench::tracecheck::check_file;
 use empi::bench::{artifact_stem, BenchOpts};
 use empi_trace::json::{self, Value};
 
@@ -51,11 +51,17 @@ fn committed_traces_and_snapshots_pass_tracecheck() {
     assert!(files
         .iter()
         .any(|p| p.to_string_lossy().contains("metrics-")));
+    let mut loaded = 0;
     for path in files {
-        if let Err(e) = check_file(&path, Flags::default()) {
-            panic!("{}: {e}", path.display());
+        match check_file(&path) {
+            Ok((_, shows_load)) => loaded += shows_load as usize,
+            Err(e) => panic!("{}: {e}", path.display()),
         }
     }
+    assert!(
+        loaded > 0,
+        "every committed snapshot is empty of e2e samples"
+    );
 }
 
 #[test]

@@ -643,3 +643,81 @@ fn docs_name_real_items() {
         "docs name items nothing defines: {stale:#?}"
     );
 }
+
+/// Run parameters are arguments: no library, test or example reads or
+/// writes the process environment, so a caller's shell cannot move a
+/// number and no test races another on a global. Every world the
+/// bench runners build takes its carrier count from the call (`--shards`
+/// reaches it only as an argument), and the docs name no environment
+/// setting. (`env!`, `env::args` and `env::temp_dir` read nothing a
+/// caller set for the run.)
+#[test]
+fn run_parameters_are_arguments() {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        for sub in ["src", "tests"] {
+            if repo(&format!("crates/{name}/{sub}")).is_dir() {
+                files.extend(rust_files(&format!("crates/{name}/{sub}")));
+            }
+        }
+    }
+    for dir in ["src", "tests", "examples"] {
+        files.extend(rust_files(dir));
+    }
+    let lines = code_lines(&files);
+    assert!(
+        lines.iter().any(|(_, _, l)| l.contains("env::args(")),
+        "the guard sees no argument parsing"
+    );
+    // Split so that this file does not name them itself.
+    for verb in [
+        concat!("env::", "var("),
+        concat!("env::", "var_os("),
+        concat!("env::", "vars("),
+        concat!("env::", "vars_os("),
+        concat!("env::", "set_var("),
+        concat!("env::", "remove_var("),
+    ] {
+        let found = sites(&lines, verb);
+        assert!(found.is_empty(), "`{verb}` reads or writes the environment: {found:?}");
+    }
+
+    let bench = non_test_lines(&rust_files("crates/bench/src"));
+    let mut worlds = 0;
+    let mut unsharded = Vec::new();
+    for (at, (file, n, line)) in bench.iter().enumerate() {
+        if !line.contains("World::new(") && !line.contains("World::flat(") {
+            continue;
+        }
+        worlds += 1;
+        let statement: String = bench[at..]
+            .iter()
+            .take_while(|(f, _, _)| f == file)
+            .scan(false, |ended, (_, _, l)| {
+                let first = !*ended;
+                *ended |= l.contains(';');
+                first.then_some(l.as_str())
+            })
+            .collect();
+        if !statement.contains(".with_shards(") {
+            unsharded.push(format!("{file}:{n}"));
+        }
+    }
+    assert!(worlds >= 17, "only {worlds} bench worlds found");
+    assert!(
+        unsharded.is_empty(),
+        "a bench world ignores the carrier count it was given: {unsharded:?}"
+    );
+
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(repo(doc)).unwrap();
+        let found: Vec<String> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.contains(concat!("EMPI", "_")))
+            .map(|(i, _)| format!("{doc}:{}", i + 1))
+            .collect();
+        assert!(found.is_empty(), "docs name an environment setting: {found:?}");
+    }
+}
