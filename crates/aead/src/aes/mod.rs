@@ -25,8 +25,6 @@ pub use aesni::{AesNi, AesNiPipelined};
 #[cfg(target_arch = "x86_64")]
 pub(crate) use aesni::{byte_reverse, counter_lanes, LANES};
 
-use crate::error::{Error, Result};
-
 /// Forward (encryption) direction of a 128-bit block cipher.
 ///
 /// `ctr_apply` is the bulk entry point used by CTR mode and GCM; engines
@@ -86,15 +84,6 @@ pub fn hardware_acceleration_available() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
-    }
-}
-
-/// Validate an AES key length (16 or 32 bytes; AES-192 is not used by the
-/// paper and is intentionally unsupported).
-pub fn check_key_len(key: &[u8]) -> Result<()> {
-    match key.len() {
-        16 | 32 => Ok(()),
-        n => Err(Error::InvalidKeyLength { got: n }),
     }
 }
 

@@ -83,7 +83,7 @@ pub fn undo_chunk_nonce(nonce: &[u8; NONCE_LEN], index: u32) -> [u8; NONCE_LEN] 
 
 /// Associated data of chunk `index`: `msg_id ‖ index ‖ total ‖
 /// total_len`, all big-endian.
-pub fn chunk_aad(msg_id: u64, index: u32, total: u32, total_len: u64) -> [u8; CHUNK_AAD_LEN] {
+fn chunk_aad(msg_id: u64, index: u32, total: u32, total_len: u64) -> [u8; CHUNK_AAD_LEN] {
     let mut aad = [0u8; CHUNK_AAD_LEN];
     aad[..8].copy_from_slice(&msg_id.to_be_bytes());
     aad[8..12].copy_from_slice(&index.to_be_bytes());
@@ -121,29 +121,16 @@ impl<'a> ChunkedSealer<'a> {
         }
     }
 
-    /// Seal chunk `index`: returns `ciphertext ‖ tag`.
-    pub fn seal_chunk(&self, index: u32, plaintext: &[u8]) -> Vec<u8> {
-        assert!(index < self.total, "chunk index out of range");
-        let nonce = derive_chunk_nonce(&self.base_nonce, index);
-        let aad = chunk_aad(self.msg_id, index, self.total, self.total_len);
-        self.cipher.seal(&nonce, &aad, plaintext)
-    }
-
     /// Seal chunk `index` in place: `buf` holds the plaintext on entry
     /// and the ciphertext on return; the tag is returned separately so
     /// the caller can assemble the frame without an intermediate `Vec`.
-    /// Bit-identical to [`Self::seal_chunk`] (which is this plus
-    /// copies).
+    /// Bit-identical to the one-shot `seal_chunk` the tests keep (which
+    /// is this plus copies).
     pub fn seal_chunk_detached(&self, index: u32, buf: &mut [u8]) -> [u8; TAG_LEN] {
         assert!(index < self.total, "chunk index out of range");
         let nonce = derive_chunk_nonce(&self.base_nonce, index);
         let aad = chunk_aad(self.msg_id, index, self.total, self.total_len);
         self.cipher.seal_detached(&nonce, &aad, buf)
-    }
-
-    /// Nonce chunk `index` will be sealed under (for frame assembly).
-    pub fn chunk_nonce(&self, index: u32) -> [u8; NONCE_LEN] {
-        derive_chunk_nonce(&self.base_nonce, index)
     }
 }
 
@@ -202,6 +189,16 @@ impl<'a> ChunkedOpener<'a> {
 mod tests {
     use super::*;
     use crate::TAG_LEN;
+
+    impl ChunkedSealer<'_> {
+        /// Seal chunk `index`: returns `ciphertext ‖ tag`.
+        fn seal_chunk(&self, index: u32, plaintext: &[u8]) -> Vec<u8> {
+            assert!(index < self.total, "chunk index out of range");
+            let nonce = derive_chunk_nonce(&self.base_nonce, index);
+            let aad = chunk_aad(self.msg_id, index, self.total, self.total_len);
+            self.cipher.seal(&nonce, &aad, plaintext)
+        }
+    }
 
     fn cipher() -> AesGcm {
         AesGcm::new(&[0x42u8; 32]).unwrap()

@@ -23,19 +23,10 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 
 /// Constant-time "is this byte zero".
 #[inline]
-pub fn ct_is_zero(x: u8) -> bool {
+fn ct_is_zero(x: u8) -> bool {
     // (x | -x) has its top bit set iff x != 0.
     let nonzero = ((x as i8 | (x as i8).wrapping_neg()) as u8) >> 7;
     nonzero == 0
-}
-
-/// Constant-time conditional select: returns `a` if `choice` is 1,
-/// `b` if 0. `choice` must be 0 or 1.
-#[inline]
-pub fn ct_select(choice: u8, a: u8, b: u8) -> u8 {
-    debug_assert!(choice <= 1);
-    let mask = choice.wrapping_neg(); // 0x00 or 0xFF
-    (a & mask) | (b & !mask)
 }
 
 #[cfg(test)]
@@ -57,11 +48,5 @@ mod tests {
         for x in 1..=255u8 {
             assert!(!ct_is_zero(x), "x={x}");
         }
-    }
-
-    #[test]
-    fn select_both_ways() {
-        assert_eq!(ct_select(1, 0xAA, 0x55), 0xAA);
-        assert_eq!(ct_select(0, 0xAA, 0x55), 0x55);
     }
 }

@@ -209,11 +209,6 @@ impl AesGcm {
         })
     }
 
-    /// Key size in bits (128 or 256).
-    pub fn key_bits(&self) -> usize {
-        self.key_bits
-    }
-
     #[inline]
     fn counter_blocks(nonce: &[u8; NONCE_LEN]) -> ([u8; 16], [u8; 16]) {
         let mut j0 = [0u8; 16];
@@ -446,8 +441,8 @@ mod tests {
         tag: &'static str,
     }
 
-    /// McGrew–Viega GCM spec test cases 1–4 (AES-128) and 14/16-style
-    /// AES-256 cases.
+    /// McGrew–Viega GCM spec test cases 1–4 (AES-128) and 15, 13 and
+    /// 14 (AES-256), in that order.
     const KATS: &[Kat] = &[
         Kat {
             key: "00000000000000000000000000000000",
@@ -494,6 +489,22 @@ mod tests {
             ct: "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa\
                  8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad",
             tag: "b094dac5d93471bdec1a502270e3cc6c",
+        },
+        Kat {
+            key: "0000000000000000000000000000000000000000000000000000000000000000",
+            iv: "000000000000000000000000",
+            pt: "",
+            aad: "",
+            ct: "",
+            tag: "530f8afbc74536b9a963b4f1c4cb738b",
+        },
+        Kat {
+            key: "0000000000000000000000000000000000000000000000000000000000000000",
+            iv: "000000000000000000000000",
+            pt: "00000000000000000000000000000000",
+            aad: "",
+            ct: "cea7403d4d606b6e074ec5d3baf39d18",
+            tag: "d0d1c8a799996bf0265b98b5d48ab919",
         },
     ];
 
@@ -595,7 +606,7 @@ mod tests {
         offset: usize,
     ) {
         let what = || {
-            format!("key={} aad={} len={} offset={offset}", fast.key_bits(), aad.len(), pt.len())
+            format!("key={} aad={} len={} offset={offset}", fast.key_bits, aad.len(), pt.len())
         };
         let mut arena = vec![0xA5u8; GUARD + offset + pt.len() + GUARD];
         let (lo, hi) = (GUARD + offset, GUARD + offset + pt.len());

@@ -39,11 +39,6 @@ impl InsecureBigKeyPad {
         }
     }
 
-    /// Offset the next encryption will use (for demonstrating overlap).
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
     /// Encrypt (XOR with the next pad substring). Returns
     /// `(start_offset, ciphertext)`.
     pub fn encrypt(&mut self, plaintext: &[u8]) -> Result<(usize, Vec<u8>)> {
@@ -73,17 +68,6 @@ impl InsecureBigKeyPad {
             .map(|(i, &b)| b ^ self.key[(start + i) % self.key.len()])
             .collect()
     }
-}
-
-/// Given two ciphertexts whose pads overlap on a known region, recover
-/// the XOR of the two plaintexts on that region — step one of the
-/// two-time-pad attack (Mason et al., CCS 2006 finish the job with a
-/// language model; for structured data the XOR alone is devastating).
-pub fn xor_of_overlap(ct_a: &[u8], ct_b: &[u8], overlap: usize) -> Vec<u8> {
-    assert!(overlap <= ct_a.len() && overlap <= ct_b.len());
-    let a_tail = &ct_a[ct_a.len() - overlap..];
-    let b_head = &ct_b[..overlap];
-    a_tail.iter().zip(b_head.iter()).map(|(x, y)| x ^ y).collect()
 }
 
 #[cfg(test)]

@@ -142,7 +142,7 @@ impl CryptoLibrary {
     /// "Enc-dec throughput" is the paper's metric: bytes divided by the
     /// time to encrypt *and then decrypt* them once — half the one-way
     /// encryption throughput.
-    pub fn encdec_anchors(self, build: CompilerBuild) -> &'static [(usize, f64)] {
+    fn encdec_anchors(self, build: CompilerBuild) -> &'static [(usize, f64)] {
         use CompilerBuild::*;
         use CryptoLibrary::*;
         match (self, build) {
@@ -225,7 +225,7 @@ impl CryptoLibrary {
     /// call inside the MPI data path: nonce sampling, context setup,
     /// buffer management. Calibrated from the small-message rows of
     /// Tables I and V (see DESIGN.md §5).
-    pub fn per_call_overhead_ns(self) -> u64 {
+    fn per_call_overhead_ns(self) -> u64 {
         match self {
             CryptoLibrary::OpenSsl => 1_000,
             CryptoLibrary::BoringSsl => 950,
@@ -251,7 +251,7 @@ impl CryptoLibrary {
 
 /// Piecewise log-log interpolation over `(size, value)` anchors sorted by
 /// size; clamps outside the anchor range.
-pub fn interp_loglog(anchors: &[(usize, f64)], size: usize) -> f64 {
+fn interp_loglog(anchors: &[(usize, f64)], size: usize) -> f64 {
     debug_assert!(!anchors.is_empty());
     let s = size.max(1) as f64;
     if s <= anchors[0].0 as f64 {
@@ -330,6 +330,13 @@ mod tests {
             assert!(v >= prev, "throughput curve should be non-decreasing here");
             prev = v;
         }
+    }
+
+    #[test]
+    fn interp_is_continuous_between_anchors() {
+        let anchors = CryptoLibrary::Libsodium.encdec_anchors(CompilerBuild::Gcc485);
+        let mid = interp_loglog(anchors, 100_000);
+        assert!(mid > 565.0 && mid < 580.0, "got {mid}");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct ChaosPoint {
 
 impl ChaosPoint {
     /// Goodput of correctly delivered plaintext, MB/s of virtual time.
-    pub fn goodput_mb_s(&self) -> f64 {
+    fn goodput_mb_s(&self) -> f64 {
         if self.secs <= 0.0 {
             return 0.0;
         }
@@ -88,7 +88,7 @@ impl ChaosPoint {
 /// whole bench). Returns the point, the trace report when `traced` (so
 /// the `fault/*` / `retry/*` spans can be audited and `tracecheck`d),
 /// and the metrics snapshot with the folded retry counters attached.
-pub fn chaos_run(
+fn chaos_run(
     net: Net,
     lib: CryptoLibrary,
     rate: f64,
@@ -163,34 +163,6 @@ pub fn chaos_run(
         out.trace,
         snap,
     )
-}
-
-/// The same stream with neither fault plan nor retransmit layer — the
-/// reference the rate-0 row is compared against.
-pub fn plain_secs(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> f64 {
-    let world = World::flat(net.model(), 2).with_shards(shards);
-    let out = world.run(move |c| {
-        let cfg = security_config(lib, net).with_pipeline(
-            PipelineConfig::enabled()
-                .with_chunk_size(CHUNK)
-                .with_workers(WORKERS),
-        );
-        let sc = SecureComm::new(c, cfg).unwrap();
-        let buf = vec![0x7eu8; MSG_SIZE];
-        let t0 = c.now();
-        if c.rank() == 0 {
-            for _ in 0..msgs {
-                sc.send(&buf, 1, 9);
-            }
-        } else {
-            for _ in 0..msgs {
-                let (_, data) = sc.recv(Src::Is(0), TagSel::Is(9)).unwrap();
-                assert_eq!(data.len(), MSG_SIZE);
-            }
-        }
-        (c.now() - t0).as_secs_f64()
-    });
-    out.results[1]
 }
 
 /// Build TAB-CHAOS (goodput + retransmit counters vs fault rate, all
@@ -308,7 +280,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         // the fault/* and retry/* spans interleaved with the pipeline
         // lanes, and `tracecheck` audits the written file. The same
         // run's metrics snapshot — retry counters folded in — goes out
-        // as JSON + validated Prometheus for `tracecheck`.
+        // as JSON for `tracecheck`.
         let lib = CryptoLibrary::BoringSsl;
         let (_, r, snap) = chaos_run(net, lib, 0.10, msgs, SEED, true, opts.shards);
         let r = r.expect("traced run must yield a report");
@@ -325,6 +297,34 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The same stream with neither fault plan nor retransmit layer — the
+    /// reference the rate-0 row is compared against.
+    fn plain_secs(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> f64 {
+        let world = World::flat(net.model(), 2).with_shards(shards);
+        let out = world.run(move |c| {
+            let cfg = security_config(lib, net).with_pipeline(
+                PipelineConfig::enabled()
+                    .with_chunk_size(CHUNK)
+                    .with_workers(WORKERS),
+            );
+            let sc = SecureComm::new(c, cfg).unwrap();
+            let buf = vec![0x7eu8; MSG_SIZE];
+            let t0 = c.now();
+            if c.rank() == 0 {
+                for _ in 0..msgs {
+                    sc.send(&buf, 1, 9);
+                }
+            } else {
+                for _ in 0..msgs {
+                    let (_, data) = sc.recv(Src::Is(0), TagSel::Is(9)).unwrap();
+                    assert_eq!(data.len(), MSG_SIZE);
+                }
+            }
+            (c.now() - t0).as_secs_f64()
+        });
+        out.results[1]
+    }
 
     #[test]
     fn retransmit_layer_is_free_at_zero_fault_rate() {

@@ -46,7 +46,7 @@ const MIN_BATCHES: usize = 5;
 /// `f` over batches of calls — at least [`MIN_BATCHES`] of them and as
 /// many as fit in `min_millis`, each batch sized to outlast
 /// [`MIN_BATCH`].
-pub fn median_secs_per_call(min_millis: u64, mut f: impl FnMut()) -> f64 {
+fn median_secs_per_call(min_millis: u64, mut f: impl FnMut()) -> f64 {
     let mut time_batch = |rounds: u64| {
         let start = Instant::now();
         for _ in 0..rounds {
@@ -75,7 +75,7 @@ pub fn median_secs_per_call(min_millis: u64, mut f: impl FnMut()) -> f64 {
 
 /// Measure real enc-dec throughput (MB/s) of one library profile at one
 /// size, single-threaded, on this host.
-pub fn measured_encdec_mbs(lib: CryptoLibrary, size: usize, min_millis: u64) -> f64 {
+fn measured_encdec_mbs(lib: CryptoLibrary, size: usize, min_millis: u64) -> f64 {
     let key = [0x42u8; 32];
     let cipher = lib.instantiate(KeySize::Aes256, &key).unwrap();
     let nonce = [7u8; 12];
@@ -92,7 +92,7 @@ pub fn measured_encdec_mbs(lib: CryptoLibrary, size: usize, min_millis: u64) -> 
 /// (BoringSSL seal at 64 KB, AES-128 vs AES-256), mode (AES-GCM vs
 /// AES-CCM seal at 1 MiB; §III-A's "GCM is the faster one") and nonce
 /// policy (`NonceSource::next_nonce`, random vs counter).
-pub fn ablation_table(min_millis: u64) -> Table {
+fn ablation_table(min_millis: u64) -> Table {
     let nonce = [7u8; 12];
     let mbs = |size: usize, secs: f64| fmt_value(size as f64 / secs / 1e6);
     let mut t = Table::new(
@@ -148,7 +148,7 @@ pub fn ablation_table(min_millis: u64) -> Table {
 }
 
 /// Calibrated enc-dec throughput (MB/s) from the digitized anchors.
-pub fn calibrated_encdec_mbs(lib: CryptoLibrary, build: CompilerBuild, size: usize) -> f64 {
+fn calibrated_encdec_mbs(lib: CryptoLibrary, build: CompilerBuild, size: usize) -> f64 {
     // Include the per-call overhead so tiny sizes show the real curve.
     let t_encdec_ns = lib.enc_time_ns(build, size) + lib.dec_time_ns(build, size);
     size as f64 / (t_encdec_ns as f64 / 1e9) / 1e6
@@ -215,7 +215,7 @@ pub fn run(opts: &BenchOpts) -> Vec<Table> {
 /// path did the work and whether a hardware request fell back to
 /// software. Block counts are exact (64 KB = 4096 AES blocks; GHASH
 /// folds data + the length block).
-pub fn engine_counter_table() -> Table {
+fn engine_counter_table() -> Table {
     let size = 64 << 10;
     let mut t = Table::new(
         format!(
@@ -275,14 +275,6 @@ mod tests {
         assert!((c - 273.0).abs() / 273.0 < 0.02, "got {c}");
         let c9 = calibrated_encdec_mbs(CryptoLibrary::CryptoPp, CompilerBuild::Mvapich23, 2 << 20);
         assert!(c9 > 500.0, "MVAPICH build must lift CryptoPP: {c9}");
-    }
-
-    #[test]
-    fn calibrated_interp_is_continuous_between_anchors() {
-        use empi_aead::profile::interp_loglog;
-        let anchors = CryptoLibrary::Libsodium.encdec_anchors(CompilerBuild::Gcc485);
-        let mid = interp_loglog(anchors, 100_000);
-        assert!(mid > 565.0 && mid < 580.0, "got {mid}");
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! guarantee (the detector never fires on a healthy run).
 //!
 //! Alongside the tables the harness exports `metrics-ftol-<net>.json`
-//! (snapshot with the `ftol` counter block populated — consumed by
-//! `tracecheck --require-ftol`) and `metrics-ftol-<net>.prom`. When
-//! tracing is active the representative run also writes
-//! `trace-ftol-<net>.json`, whose `ftol/*` spans the same tracecheck
-//! flag audits, and asserts the ftol conservation law: the trace
+//! (snapshot with the `ftol` counter block populated — audited by the
+//! `metrics-ftol-` entry of `tracecheck`'s `CONTRACTS`). When tracing
+//! is active the representative run also writes
+//! `trace-ftol-<net>.json`, whose `ftol/*` spans the `trace-ftol-`
+//! entry audits, and asserts the ftol conservation law: the trace
 //! ledger counts exactly the detections, notices, and shrinks the
 //! detector reports.
 
@@ -92,7 +92,7 @@ pub struct DetectRun {
 
 /// Kill the highest rank at [`CRASH_AT_US`] and drive every survivor
 /// through detect → re-key → shrink → restored encrypted service.
-pub fn detect_run(
+fn detect_run(
     net: Net,
     n: usize,
     lease_us: u64,
@@ -299,7 +299,7 @@ pub fn collective_run(
 /// sender whose every frame is corrupted dies mid-recovery; the flow
 /// must resolve to `DeliveryFailed` with the flight-recorder black box
 /// attached. Returns how many flows so resolved (expected: 1).
-pub fn arq_dead_sender_run(net: Net, shards: usize) -> u64 {
+fn arq_dead_sender_run(net: Net, shards: usize) -> u64 {
     let world = World::flat(net.model(), 2)
         .with_shards(shards)
         .with_ftol(DetectorConfig::default())
@@ -449,9 +449,9 @@ fn push_ladder_row(tab: &mut Table, label: &str, run: &DetectRun) {
 }
 
 /// Export the representative (default lease, 4 ranks, crash) snapshot:
-/// `metrics-ftol-<net>.json` + `.prom` with the `ftol` counter block
-/// populated, and — when tracing is active — `trace-ftol-<net>.json`
-/// whose `ftol/*` spans feed `tracecheck --require-ftol`, plus the
+/// `metrics-ftol-<net>.json` with the `ftol` counter block populated,
+/// and — when tracing is active — `trace-ftol-<net>.json` whose
+/// `ftol/*` spans the `trace-ftol-` contract audits, plus the
 /// ftol conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts) {
     let mut run = detect_run(net, 4, 500, false, opts.trace, opts.shards);
@@ -536,10 +536,7 @@ mod tests {
         let run = detect_run(Net::Ethernet, 4, 500, false, false, 1);
         let json = export::snapshot_json(&run.snap);
         assert!(json.contains("\"ftol\":{\"detected\":1"), "json: {json}");
-        let prom = export::prometheus(&run.snap);
-        export::validate_prometheus(&prom).unwrap();
-        assert!(prom.contains("empi_ftol_total{counter=\"detected\"}"));
-        assert!(prom.contains("empi_ftol_total{counter=\"shrinks\"} 3"));
+        assert!(json.contains("\"shrinks\":3"), "json: {json}");
     }
 
     #[test]

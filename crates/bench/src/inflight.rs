@@ -152,7 +152,7 @@ fn pump_secure(sc: &SecureComm, is_sender: bool, peer: usize, window: usize, msg
 /// bytes to rank 1 with at most `window` outstanding; returns aggregate
 /// goodput in MB/s (plus the trace when `traced`). `cfg == None` is the
 /// unencrypted baseline.
-pub fn inflight_run(
+fn inflight_run(
     net: Net,
     cfg: Option<SecurityConfig>,
     window: usize,

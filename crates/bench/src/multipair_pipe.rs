@@ -59,13 +59,7 @@ impl Variant {
 /// message's frames are reclaimed before (at most one message after)
 /// the next seal — the steady state whose marginal allocation cost
 /// DECOMP-ALLOC reports and CI pins.
-pub fn alloc_stream(
-    net: Net,
-    variant: Variant,
-    size: usize,
-    msgs: u32,
-    shards: usize,
-) -> TraceReport {
+fn alloc_stream(net: Net, variant: Variant, size: usize, msgs: u32, shards: usize) -> TraceReport {
     let world = World::flat(net.model(), 2).with_shards(shards).traced(true);
     let out = world.run(move |c| {
         let sc = SecureComm::new(c, variant.config(CryptoLibrary::BoringSsl, net)).unwrap();
@@ -87,7 +81,7 @@ pub fn alloc_stream(
 /// marginal cost of `span` extra messages exactly, with the warm-up
 /// (the sender runs one message ahead of the receiver's reclaims)
 /// subtracted out.
-pub fn marginal_allocs(
+fn marginal_allocs(
     net: Net,
     variant: Variant,
     size: usize,

@@ -42,7 +42,7 @@ pub const COLLS: [Coll; 3] = [Coll::Bcast, Coll::Alltoall, Coll::Alltoallv];
 /// plus, when `traced`, the trace report. `cfg == None` is the
 /// unencrypted baseline; the two arms stay apart for the reason given
 /// at `multipair::run_pairs`.
-pub fn nb_run(
+fn nb_run(
     net: Net,
     cfg: Option<SecurityConfig>,
     size: usize,

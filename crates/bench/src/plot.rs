@@ -118,7 +118,7 @@ fn min_max(vals: impl Iterator<Item = f64>) -> (f64, f64) {
 
 /// Parse a harness CSV (`# title` comment, header of x labels, rows of
 /// `label,value…`) back into plot series.
-pub fn series_from_csv(csv: &str) -> (String, Vec<Series>) {
+fn series_from_csv(csv: &str) -> (String, Vec<Series>) {
     let mut title = String::new();
     let mut xs: Vec<f64> = Vec::new();
     let mut series = Vec::new();
@@ -164,7 +164,7 @@ fn split_csv(line: &str) -> Vec<String> {
 }
 
 /// "16KB" → 16384, "2MB" → 2097152, "8" → 8, "1B" → 1.
-pub fn parse_size_label(s: &str) -> f64 {
+fn parse_size_label(s: &str) -> f64 {
     let s = s.trim();
     if let Some(n) = s.strip_suffix("MB") {
         n.parse::<f64>().unwrap_or(f64::NAN) * (1 << 20) as f64

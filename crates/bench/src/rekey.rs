@@ -14,13 +14,12 @@
 //! the revoked rank's traffic rejected with typed errors.
 //!
 //! Alongside the tables the harness exports `metrics-rekey-<net>.json`
-//! (snapshot with the `keys` counter block populated — consumed by
-//! `tracecheck --require-keys`) and `metrics-rekey-<net>.prom`
-//! (validated before it is written). When tracing is active the storm
-//! run also writes `trace-rekey-<net>.json`, whose `key/*` spans the
-//! same tracecheck flag audits, and asserts the key conservation law:
-//! the trace ledger counts exactly the handshakes and epoch rolls the
-//! key plane reports.
+//! (snapshot with the `keys` counter block populated — audited by the
+//! `metrics-rekey-` entry of `tracecheck`'s `CONTRACTS`). When tracing
+//! is active the storm run also writes `trace-rekey-<net>.json`, whose
+//! `key/*` spans the `trace-rekey-` entry audits, and asserts the key
+//! conservation law: the trace ledger counts exactly the handshakes and
+//! epoch rolls the key plane reports.
 
 use empi_aead::profile::{CryptoLibrary, KeySize};
 use empi_core::{KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig};
@@ -95,7 +94,7 @@ fn rekey_config(
 /// [`MSG_SIZE`] bytes to rank 1 while epochs roll underneath. The
 /// receiver verifies every payload — rotation must be invisible in the
 /// plaintext stream.
-pub fn stream_run(
+fn stream_run(
     net: Net,
     lib: CryptoLibrary,
     key: KeySize,
@@ -159,7 +158,7 @@ pub fn stream_run(
 /// rank 2's subsequent send is rejected with a typed error on the
 /// survivor side. Returns the run plus how many revoked-peer records
 /// the survivors rejected.
-pub fn revoke_run(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> RekeyRun {
+fn revoke_run(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> RekeyRun {
     let world = World::flat(net.model(), 3)
         .with_shards(shards)
         .with_metrics(true);
@@ -387,9 +386,9 @@ fn decomp_cells(run: &RekeyRun, msgs: Option<usize>) -> Vec<String> {
 }
 
 /// Export the representative (BoringSSL, storm) snapshot:
-/// `metrics-rekey-<net>.json` + `.prom` with the `keys` counter block
-/// populated, and — when tracing is active — `trace-rekey-<net>.json`
-/// whose `key/*` spans feed `tracecheck --require-keys`, plus the key
+/// `metrics-rekey-<net>.json` with the `keys` counter block populated,
+/// and — when tracing is active — `trace-rekey-<net>.json` whose
+/// `key/*` spans the `trace-rekey-` contract audits, plus the key
 /// conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
     let (run, trace) = stream_run(
@@ -475,9 +474,7 @@ mod tests {
         );
         let json = export::snapshot_json(&run.snap);
         assert!(json.contains("\"keys\":{\"handshakes\":2"), "json: {json}");
-        let prom = export::prometheus(&run.snap);
-        export::validate_prometheus(&prom).unwrap();
-        assert!(prom.contains("empi_keys_total{counter=\"rekeys\"}"));
+        assert!(json.contains("\"rekeys\":"), "json: {json}");
         let hs = run.snap.merged(Metric::Key, "key/handshake");
         assert_eq!(hs.count(), 2, "handshake latency histogram must fill");
         assert!(hs.p99() > 0);

@@ -18,13 +18,6 @@ pub struct RunStats {
     pub ci99_half: f64,
 }
 
-impl RunStats {
-    /// Did the measurement meet the paper's 5 %-of-mean criterion?
-    pub fn stable(&self) -> bool {
-        self.std <= 0.05 * self.mean.abs() || self.ci99_half <= 0.05 * self.mean.abs()
-    }
-}
-
 fn summarize(samples: &[f64]) -> RunStats {
     let n = samples.len();
     let mean = samples.iter().sum::<f64>() / n as f64;
@@ -100,6 +93,13 @@ pub fn overhead_percent_of_mbs(base_mbs: f64, enc_mbs: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RunStats {
+        /// Did the measurement meet the paper's 5 %-of-mean criterion?
+        fn stable(&self) -> bool {
+            self.std <= 0.05 * self.mean.abs() || self.ci99_half <= 0.05 * self.mean.abs()
+        }
+    }
 
     #[test]
     fn deterministic_measurement_stops_at_min_runs() {

@@ -10,10 +10,9 @@
 //!
 //! Alongside the tables the harness exports the raw snapshot for one
 //! representative configuration per fabric: `metrics-tail-<net>.json`
-//! (the versioned snapshot consumed by `tracecheck --require-hist`)
-//! and `metrics-tail-<net>.prom` (Prometheus text format, validated
-//! before it is written). When tracing is active the same run also
-//! writes `trace-tail-<net>.json` with the histogram percentile
+//! (the versioned snapshot `tracecheck` audits like every `metrics-*`
+//! file). When tracing is active the same run also writes
+//! `trace-tail-<net>.json` with the histogram percentile
 //! checkpoints merged in as Chrome counter tracks, and asserts the
 //! seal/open conservation law: the recorder samples exactly once
 //! per trace-ledger seal and open.
@@ -53,7 +52,7 @@ pub const A2A_RANKS: usize = 4;
 /// The SLO watchdog armed on every tail run: p99 budgets a healthy run
 /// meets comfortably, and a stall horizon past the ARQ recovery window
 /// so parked repairs trip the flow-stall detector, not normal backoff.
-pub fn slo_config() -> SloConfig {
+fn slo_config() -> SloConfig {
     SloConfig::new()
         .p99("p2p/recv", 80_000_000)
         .p99("coll/", 400_000_000)
@@ -91,7 +90,7 @@ fn tail_config(net: Net, lib: CryptoLibrary, chaos: bool) -> SecurityConfig {
 /// each rank's elapsed virtual seconds (the zero-overhead guard
 /// compares these across metered/unmetered runs), and the trace report
 /// when `traced`.
-pub fn p2p_run(
+fn p2p_run(
     net: Net,
     lib: CryptoLibrary,
     chaos: bool,
@@ -158,7 +157,7 @@ pub fn p2p_run(
 /// Drive `iters` pipelined alltoall exchanges over [`A2A_RANKS`] ranks
 /// with per-destination blocks of [`A2A_BLOCK`] bytes; each exchange
 /// is verified for shape and failures stay typed per rank.
-pub fn a2a_run(net: Net, lib: CryptoLibrary, chaos: bool, iters: usize, shards: usize) -> TailRun {
+fn a2a_run(net: Net, lib: CryptoLibrary, chaos: bool, iters: usize, shards: usize) -> TailRun {
     let world = World::flat(net.model(), A2A_RANKS)
         .with_shards(shards)
         .with_slo(slo_config());
@@ -315,7 +314,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 }
 
 /// Export the representative (BoringSSL, chaos on) p2p snapshot:
-/// `metrics-tail-<net>.json` + `.prom`, and — when tracing is active —
+/// `metrics-tail-<net>.json`, and — when tracing is active —
 /// `trace-tail-<net>.json` with percentile counter tracks, plus the
 /// seal/open conservation assertion against the trace ledger.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
@@ -427,7 +426,6 @@ mod tests {
             export::snapshot_json(&b.snap),
             "fixed seed must export byte-identical JSON"
         );
-        assert_eq!(export::prometheus(&a.snap), export::prometheus(&b.snap));
     }
 
     #[test]

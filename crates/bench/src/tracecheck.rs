@@ -19,9 +19,8 @@
 //!
 //! A `metrics-*.json` snapshot must parse, carry non-empty histograms
 //! whose per-bucket counts sum to the advertised totals, conserve
-//! seal/open histogram sample counts against the per-rank ledgers, and
-//! its sibling `.prom` Prometheus export must pass the text-format
-//! validator. A run that checks any snapshot needs at least one that
+//! seal/open histogram sample counts against the per-rank ledgers. A
+//! run that checks any snapshot needs at least one that
 //! shows load (nonzero end-to-end samples).
 //!
 //! Beyond those, each artifact family must show what its harness
@@ -37,7 +36,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use empi_trace::export::validate_prometheus;
 use empi_trace::json::{self, Value};
 
 /// What each artifact family must contain, keyed by file-name prefix.
@@ -193,11 +191,10 @@ fn sum_field(arr: &[Value], field: &str, filter: Option<(&str, &str)>) -> Result
     Ok(total)
 }
 
-/// Audit one metrics snapshot and its Prometheus sibling `prom` (see
-/// module docs) against the universal invariants and the
-/// `block.counter`s `need` names. Returns a summary plus whether the
-/// snapshot shows load (nonzero e2e samples).
-pub fn check_metrics(text: &str, prom: &str, need: &[&str]) -> Result<(String, bool), String> {
+/// Audit one metrics snapshot (see module docs) against the universal
+/// invariants and the `block.counter`s `need` names. Returns a summary
+/// plus whether the snapshot shows load (nonzero e2e samples).
+fn check_metrics(text: &str, need: &[&str]) -> Result<(String, bool), String> {
     let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let version = doc
         .get("version")
@@ -274,12 +271,8 @@ pub fn check_metrics(text: &str, prom: &str, need: &[&str]) -> Result<(String, b
             return Err(format!("{block} block shows zero {counter}"));
         }
     }
-    validate_prometheus(prom).map_err(|e| format!("invalid Prometheus export: {e}"))?;
     Ok((
-        format!(
-            "{} histograms, {e2e} e2e samples, prometheus valid",
-            hists.len()
-        ),
+        format!("{} histograms, {e2e} e2e samples", hists.len()),
         e2e > 0,
     ))
 }
@@ -291,18 +284,14 @@ fn is_metrics(path: &Path) -> bool {
 }
 
 /// Audit the file at `path` against the contract of its name: a
-/// snapshot with its `.prom` sibling, or a Chrome trace (which never
-/// shows load).
+/// snapshot, or a Chrome trace (which never shows load).
 pub fn check_file(path: &Path) -> Result<(String, bool), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     let need = contract(&path.file_name().unwrap_or_default().to_string_lossy());
     if !is_metrics(path) {
         return check(&text, need).map(|msg| (msg, false));
     }
-    let prom_path = path.with_extension("prom");
-    let prom = std::fs::read_to_string(&prom_path)
-        .map_err(|e| format!("missing Prometheus sibling {}: {e}", prom_path.display()))?;
-    check_metrics(&text, &prom, need)
+    check_metrics(&text, need)
 }
 
 /// The `tracecheck` subcommand (usage in the module docs).
@@ -388,7 +377,6 @@ mod tests {
         )
     }
 
-    const PROM: &str = "# TYPE empi_msgs counter\nempi_msgs{rank=\"0\"} 3\n";
     const WORKER: u32 = empi_trace::PIPELINE_TID_BASE;
 
     fn rejected(spans: &[(&str, u32, f64)], need: &[&str]) -> String {
@@ -408,8 +396,8 @@ mod tests {
             msg,
             "4 spans (1 alloc, 1 key, 0 waitset, 0 ftol) across 3 lanes"
         );
-        let (msg, loaded) = check_metrics(&snapshot(2, [1, 1], 2, ""), PROM, &[]).unwrap();
-        assert_eq!(msg, "3 histograms, 2 e2e samples, prometheus valid");
+        let (msg, loaded) = check_metrics(&snapshot(2, [1, 1], 2, ""), &[]).unwrap();
+        assert_eq!(msg, "3 histograms, 2 e2e samples");
         assert!(loaded);
     }
 
@@ -477,7 +465,7 @@ mod tests {
     #[test]
     fn a_snapshot_without_its_contracted_counters_is_rejected() {
         let need = contract("metrics-ftol-ethernet.json");
-        let check_with = |extra: &str| check_metrics(&snapshot(2, [1, 1], 2, extra), PROM, need);
+        let check_with = |extra: &str| check_metrics(&snapshot(2, [1, 1], 2, extra), need);
         assert_eq!(check_with("").unwrap_err(), "no ftol counter block");
         assert_eq!(
             check_with(r#","ftol":null"#).unwrap_err(),
@@ -493,25 +481,19 @@ mod tests {
         );
         assert!(check_with(r#","ftol":{"detected":1,"shrinks":2}"#).is_ok());
         let keys = contract("metrics-rekey-infiniband.json");
-        let err = check_metrics(
-            &snapshot(2, [1, 1], 2, r#","keys":{"handshakes":0}"#),
-            PROM,
-            keys,
-        )
-        .unwrap_err();
+        let err = check_metrics(&snapshot(2, [1, 1], 2, r#","keys":{"handshakes":0}"#), keys)
+            .unwrap_err();
         assert_eq!(err, "keys block shows zero handshakes");
     }
 
     #[test]
     fn inconsistent_snapshots_are_rejected() {
-        let err = check_metrics(&snapshot(3, [1, 1], 3, ""), PROM, &[]).unwrap_err();
+        let err = check_metrics(&snapshot(3, [1, 1], 3, ""), &[]).unwrap_err();
         assert_eq!(err, "hist 0: bucket counts sum to 2, advertised count is 3");
-        let err = check_metrics(&snapshot(2, [1, 1], 5, ""), PROM, &[]).unwrap_err();
+        let err = check_metrics(&snapshot(2, [1, 1], 5, ""), &[]).unwrap_err();
         assert_eq!(
             err,
             "seal histogram samples (2) do not conserve against the rank ledgers (5)"
         );
-        let err = check_metrics(&snapshot(2, [1, 1], 2, ""), "empi msgs 3\n", &[]).unwrap_err();
-        assert!(err.starts_with("invalid Prometheus export:"), "{err}");
     }
 }

@@ -34,7 +34,7 @@ pub fn decomp_columns() -> Vec<String> {
 
 /// Estimated encryption overhead implied by a decomposition — crypto
 /// over comm, in percent (0 when nothing was traced).
-pub fn est_overhead_percent(d: &Decomposition) -> f64 {
+pub(crate) fn est_overhead_percent(d: &Decomposition) -> f64 {
     if d.comm_ns() == 0 {
         0.0
     } else {
@@ -80,9 +80,8 @@ fn write_file(path: &Path, text: String, what: &str) {
 }
 
 /// The one artifact writer of the snapshot-exporting harnesses: write
-/// `metrics-<stem>.json` (the versioned snapshot `tracecheck
-/// --require-hist` consumes) and `metrics-<stem>.prom` (Prometheus
-/// text, validated before it is written) into `out_dir`, and — given
+/// `metrics-<stem>.json` (the versioned snapshot `tracecheck` audits)
+/// into `out_dir`, and — given
 /// the run's trace — `trace-<stem>.json` with the snapshot's
 /// percentile checkpoints merged in as Chrome counter tracks.
 pub fn write_artifacts(
@@ -95,15 +94,12 @@ pub fn write_artifacts(
         eprintln!("warning: could not create {}: {e}", out_dir.display());
         return;
     }
-    let path = |kind: &str, ext: &str| out_dir.join(format!("{kind}-{stem}.{ext}"));
+    let path = |kind: &str| out_dir.join(format!("{kind}-{stem}.json"));
     let json = export::snapshot_json(snap);
-    write_file(&path("metrics", "json"), json, "metrics snapshot");
-    let prom = export::prometheus(snap);
-    export::validate_prometheus(&prom).expect("prometheus export must validate");
-    write_file(&path("metrics", "prom"), prom, "prometheus export");
+    write_file(&path("metrics"), json, "metrics snapshot");
     if let Some(r) = trace {
         let doc = chrome::to_chrome_json_with_extra(r, &export::chrome_counters(snap));
-        write_file(&path("trace", "json"), doc, "trace with counter tracks");
+        write_file(&path("trace"), doc, "trace with counter tracks");
     }
 }
 

@@ -256,7 +256,10 @@ mod tests {
                 };
                 let mut f = hdr.encode().to_vec();
                 f.extend_from_slice(&derive_chunk_nonce(&base, i));
-                f.extend_from_slice(&sealer.seal_chunk(i, &msg[r]));
+                let mut body = msg[r].to_vec();
+                let tag = sealer.seal_chunk_detached(i, &mut body);
+                f.extend_from_slice(&body);
+                f.extend_from_slice(&tag);
                 f
             })
             .collect()

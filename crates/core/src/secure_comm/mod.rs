@@ -51,9 +51,10 @@ fn peer_id(rank: Option<usize>) -> i32 {
 /// on this rank's lane and — when `sample` names its histogram key —
 /// its latency sample, in one call, so sample counts equal span counts
 /// by construction (the seal/open samples sit next to the
-/// `count_seal`/`count_open` ledgers, and `tracecheck --require-hist`
-/// checks the three agree). Recording never advances virtual time; a
-/// no-op unless the world installed a recorder on the engine.
+/// `count_seal`/`count_open` ledgers, and `tracecheck`'s audit of every
+/// `metrics-*` snapshot checks the three agree). Recording never
+/// advances virtual time; a no-op unless the world installed a recorder
+/// on the engine.
 fn note_span(
     comm: &Comm<'_>,
     cat: Cat,

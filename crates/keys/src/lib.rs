@@ -7,8 +7,8 @@
 //! management plane the paper skipped, built deterministic and in
 //! virtual time so every run replays bit-exact:
 //!
-//! * [`suite`] — the scuttlebutt-style primitive kit: a fixed-key AES
-//!   correlation-robust hash, an AES-CTR deterministic RNG, and a
+//! * [`suite`] — the scuttlebutt-style primitive kit: an AES-CTR
+//!   deterministic RNG from one fixed-key AES permutation, and a
 //!   commit/reveal coin-toss.
 //! * [`handshake`] — a seeded group key agreement run at `World`
 //!   startup over the ctrl-plane tag channel: every rank commits to a

@@ -255,11 +255,6 @@ impl KeyPlane {
         rolls
     }
 
-    /// The highest epoch seen so far.
-    pub fn highest_epoch(&self) -> u64 {
-        self.highest_epoch.get()
-    }
-
     /// Snapshot the counters.
     pub fn stats(&self) -> KeyStats {
         *self.stats.borrow()
@@ -300,7 +295,7 @@ mod tests {
         assert_eq!(p.note_epoch(2), 0, "repeat is not a roll");
         assert_eq!(p.note_epoch(1), 0, "drain-window stragglers don't roll");
         assert_eq!(p.stats().rekeys, 2);
-        assert_eq!(p.highest_epoch(), 2);
+        assert_eq!(p.highest_epoch.get(), 2);
     }
 
     #[test]

@@ -1,105 +1,23 @@
-//! The scuttlebutt-style primitive kit: fixed-key AES hash, AES-CTR
-//! deterministic RNG, and a commit/reveal coin-toss.
+//! The scuttlebutt-style primitive kit: AES-CTR deterministic RNG and a
+//! commit/reveal coin-toss.
 //!
-//! These are the building blocks secure-computation stacks assemble
-//! their setup protocols from — a correlation-robust hash built from
-//! one fixed-key AES permutation (Matyas–Meyer–Oseas shape, so the key
-//! schedule runs once for the whole protocol), a fast deterministic RNG
-//! from the same permutation in CTR mode, and the classic
-//! commit-then-reveal coin toss that keeps any single party from
-//! steering the group's randomness. All of it rides the crate-local
-//! AES/SHA-256 substrate — no new cryptographic primitives.
+//! These are building blocks secure-computation stacks assemble their
+//! setup protocols from — a fast deterministic RNG from one fixed-key
+//! AES permutation in CTR mode (so the key schedule runs once per
+//! stream), and the classic commit-then-reveal coin toss that keeps
+//! any single party from steering the group's randomness. All of it
+//! rides the crate-local AES/SHA-256 substrate — no new cryptographic
+//! primitives.
 
 use empi_aead::aes::{BlockEncrypt, SoftAes};
 use empi_aead::sha256::Sha256;
 
-/// The fixed, public AES-128 key of the hash permutation. Secrecy is
+/// The fixed, public AES-128 key of the RNG permutation. Secrecy is
 /// not required (the construction is a public random permutation);
 /// fixing it means one key schedule for the process lifetime.
 const FIXED_KEY: [u8; 16] = [
     0x4b, 0x65, 0x79, 0x73, 0x46, 0x69, 0x78, 0x65, 0x64, 0x41, 0x45, 0x53, 0x30, 0x30, 0x30, 0x31,
 ];
-
-/// Correlation-robust hash from one fixed-key AES permutation:
-/// `H(i, x) = π(x ⊕ i) ⊕ x ⊕ i` (Matyas–Meyer–Oseas with a public
-/// tweak), plus a 32-byte Merkle–Damgård mode for variable-length
-/// input.
-pub struct AesHash {
-    aes: SoftAes,
-}
-
-impl Default for AesHash {
-    fn default() -> Self {
-        AesHash::new()
-    }
-}
-
-impl AesHash {
-    /// The process-wide fixed-key instance.
-    pub fn new() -> Self {
-        AesHash {
-            aes: SoftAes::new(&FIXED_KEY).expect("fixed 16-byte key is valid"),
-        }
-    }
-
-    /// One-block correlation-robust hash with tweak `i`.
-    pub fn cr_hash(&self, i: u64, x: &[u8; 16]) -> [u8; 16] {
-        let mut b = *x;
-        for (k, t) in b[..8].iter_mut().zip(i.to_be_bytes()) {
-            *k ^= t;
-        }
-        let fed = b;
-        self.aes.encrypt_block(&mut b);
-        for (o, f) in b.iter_mut().zip(fed) {
-            *o ^= f;
-        }
-        b
-    }
-
-    /// 32-byte digest of arbitrary input: two parallel MMO lanes with
-    /// distinct tweak streams, length-strengthened. Not a drop-in for
-    /// SHA-256 — it is the protocol-internal hash the primitive kit
-    /// uses where correlation robustness (not collision resistance
-    /// against unbounded adversaries) is the contract.
-    pub fn hash32(&self, data: &[u8]) -> [u8; 32] {
-        let mut lane0 = [0x36u8; 16];
-        let mut lane1 = [0x5cu8; 16];
-        let mut tweak = 0u64;
-        let mut absorb = |block: &[u8; 16], lane0: &mut [u8; 16], lane1: &mut [u8; 16]| {
-            let mut x0 = *lane0;
-            let mut x1 = *lane1;
-            for (a, b) in x0.iter_mut().zip(block) {
-                *a ^= b;
-            }
-            for (a, b) in x1.iter_mut().zip(block) {
-                *a ^= b.rotate_left(1);
-            }
-            *lane0 = self.cr_hash(2 * tweak, &x0);
-            *lane1 = self.cr_hash(2 * tweak + 1, &x1);
-            tweak += 1;
-        };
-        let mut chunks = data.chunks_exact(16);
-        for c in &mut chunks {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(c);
-            absorb(&block, &mut lane0, &mut lane1);
-        }
-        // Final block: remainder ‖ 0x80 padding, then the message
-        // length as its own strengthening block.
-        let rem = chunks.remainder();
-        let mut last = [0u8; 16];
-        last[..rem.len()].copy_from_slice(rem);
-        last[rem.len()] = 0x80;
-        absorb(&last, &mut lane0, &mut lane1);
-        let mut len_block = [0u8; 16];
-        len_block[8..].copy_from_slice(&(data.len() as u64).to_be_bytes());
-        absorb(&len_block, &mut lane0, &mut lane1);
-        let mut out = [0u8; 32];
-        out[..16].copy_from_slice(&lane0);
-        out[16..].copy_from_slice(&lane1);
-        out
-    }
-}
 
 /// Deterministic RNG from the fixed-key AES permutation in CTR mode:
 /// seeded once, then a pure function of (seed, draw index). Used for
@@ -180,30 +98,6 @@ pub mod cointoss {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cr_hash_depends_on_tweak_and_input() {
-        let h = AesHash::new();
-        let x = [7u8; 16];
-        assert_eq!(h.cr_hash(1, &x), h.cr_hash(1, &x), "deterministic");
-        assert_ne!(h.cr_hash(1, &x), h.cr_hash(2, &x), "tweak separates");
-        let mut y = x;
-        y[3] ^= 1;
-        assert_ne!(h.cr_hash(1, &x), h.cr_hash(1, &y), "input sensitivity");
-    }
-
-    #[test]
-    fn hash32_is_deterministic_and_length_strengthened() {
-        let h = AesHash::new();
-        assert_eq!(h.hash32(b"abc"), h.hash32(b"abc"));
-        assert_ne!(h.hash32(b"abc"), h.hash32(b"abd"));
-        assert_ne!(h.hash32(b""), h.hash32(b"\0"), "length in the pad");
-        // Block-boundary inputs don't collide with their padded forms.
-        let a = [0u8; 16];
-        let mut b = [0u8; 17];
-        b[16] = 0x80;
-        assert_ne!(h.hash32(&a), h.hash32(&b));
-    }
 
     #[test]
     fn rng_streams_replay_and_separate() {

@@ -264,7 +264,7 @@ impl ChunkedMessage {
     /// byte-level waits hand a chunked train to callers that asked for
     /// plain bytes: always well-defined, so no wait path needs to fail
     /// on a valid peer wire format.
-    pub fn into_contiguous(mut self) -> Bytes {
+    fn into_contiguous(mut self) -> Bytes {
         if self.frames.len() == 1 {
             return self.frames.pop().unwrap().1;
         }

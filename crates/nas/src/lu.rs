@@ -51,7 +51,7 @@ impl LuParams {
 const TAG: u32 = 800;
 
 /// Factor `size` into a (rows, cols) rank grid dividing (nx, ny).
-pub fn rank_grid(size: usize, nx: usize, ny: usize) -> (usize, usize) {
+fn rank_grid(size: usize, nx: usize, ny: usize) -> (usize, usize) {
     let mut best = (1, size);
     let mut best_score = usize::MAX;
     for pr in 1..=size {

@@ -80,11 +80,6 @@ impl CorePool {
         self.slowdown[worker] = self.slowdown[worker].max(factor);
     }
 
-    /// This worker's slowdown factor (1 = healthy).
-    pub fn slowdown_of(&self, worker: usize) -> u32 {
-        self.slowdown.get(worker).copied().unwrap_or(1)
-    }
-
     /// Pick a worker among the first `limit` and book the job. With no
     /// degraded workers this is the historical earliest-free choice;
     /// with slowdowns in play it minimizes completion time instead
@@ -119,11 +114,6 @@ impl CorePool {
         }
     }
 
-    /// Earliest time a newly submitted job could start.
-    pub fn earliest_free(&self) -> VTime {
-        VTime(self.free_at.iter().copied().min().unwrap_or(0))
-    }
-
     /// Grow the pool to at least `workers` timelines (new workers idle
     /// from t=0). Never shrinks: a rank's physical cores don't vanish
     /// when a communicator configured for fewer workers uses the pool.
@@ -150,6 +140,18 @@ impl CorePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CorePool {
+        /// This worker's slowdown factor (1 = healthy).
+        fn slowdown_of(&self, worker: usize) -> u32 {
+            self.slowdown.get(worker).copied().unwrap_or(1)
+        }
+
+        /// Earliest time a newly submitted job could start.
+        fn earliest_free(&self) -> VTime {
+            VTime(self.free_at.iter().copied().min().unwrap_or(0))
+        }
+    }
 
     #[test]
     fn single_worker_serializes() {

@@ -29,7 +29,7 @@
 
 /// One step of the splitmix64 generator (public so higher layers can
 /// derive their own deterministic sub-streams from a seed).
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -104,7 +104,7 @@ impl FaultRates {
     }
 
     /// True when no fault class can ever fire.
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         self.bit_flip == 0.0
             && self.truncate == 0.0
             && self.drop == 0.0

@@ -59,11 +59,6 @@ impl VDur {
         VDur((us * 1_000.0).max(0.0) as u64)
     }
 
-    /// From fractional seconds.
-    pub fn from_secs_f64(s: f64) -> VDur {
-        VDur((s * 1e9).max(0.0) as u64)
-    }
-
     /// Nanosecond count.
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -109,16 +104,6 @@ impl Schedule {
     /// `[i*period, (i+1)*period)`).
     pub fn index_at(&self, t: VTime) -> u64 {
         t.0 / self.period.0
-    }
-
-    /// The instant interval `index` begins.
-    pub fn boundary(&self, index: u64) -> VTime {
-        VTime(index.saturating_mul(self.period.0))
-    }
-
-    /// The first boundary strictly after `t`.
-    pub fn next_boundary(&self, t: VTime) -> VTime {
-        self.boundary(self.index_at(t) + 1)
     }
 }
 
@@ -177,7 +162,6 @@ mod tests {
         assert_eq!(t, VTime(3_000));
         assert_eq!(t - VTime(1_000), VDur(2_000));
         assert_eq!(VTime(5).since(VTime(10)), VDur::ZERO, "saturating");
-        assert_eq!(VDur::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
         assert_eq!(VDur::from_micros_f64(-3.0), VDur::ZERO, "clamped");
     }
 
@@ -191,9 +175,6 @@ mod tests {
             1,
             "boundary belongs to the next interval"
         );
-        assert_eq!(s.boundary(3), VTime(30_000));
-        assert_eq!(s.next_boundary(VTime(10_000)), VTime(20_000));
-        assert_eq!(s.next_boundary(VTime(10_001)), VTime(20_000));
         // Degenerate period is clamped, never a divide-by-zero.
         assert_eq!(Schedule::every(VDur::ZERO).period(), VDur(1));
     }

@@ -28,15 +28,6 @@ impl Topology {
         }
     }
 
-    /// Round-robin placement: rank `r` on node `r % n_nodes`.
-    pub fn round_robin(n_ranks: usize, n_nodes: usize) -> Self {
-        assert!(n_ranks > 0 && n_nodes > 0);
-        Topology {
-            node_of: (0..n_ranks).map(|r| r % n_nodes).collect(),
-            n_nodes,
-        }
-    }
-
     /// One rank per node (the micro-benchmark layouts: ping-pong uses
     /// two processes on different nodes).
     pub fn one_per_node(n_ranks: usize) -> Self {
@@ -77,15 +68,6 @@ mod tests {
         assert_eq!(t.node_of(63), 7);
         assert!(t.same_node(0, 7));
         assert!(!t.same_node(7, 8));
-    }
-
-    #[test]
-    fn round_robin_placement() {
-        let t = Topology::round_robin(16, 4);
-        assert_eq!(t.node_of(0), 0);
-        assert_eq!(t.node_of(1), 1);
-        assert_eq!(t.node_of(5), 1);
-        assert!(t.same_node(1, 5));
     }
 
     #[test]

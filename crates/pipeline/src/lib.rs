@@ -262,7 +262,7 @@ pub struct ParsedMessage {
 /// malformed frames, inconsistent headers, duplicated, out-of-range or
 /// missing chunks — before any key is touched, and before the first
 /// header's chunk count sizes anything beyond the frames delivered.
-pub fn parse_frames(
+fn parse_frames(
     frames: impl IntoIterator<Item = (VTime, Bytes), IntoIter: ExactSizeIterator>,
 ) -> Result<ParsedMessage, PipelineError> {
     let mut iter = frames.into_iter();

@@ -1,7 +1,7 @@
-//! Snapshot exporters: Prometheus text format, a versioned JSON
-//! document, and Chrome trace-event counter (`ph:"C"`) events.
+//! Snapshot exporters: a versioned JSON document and Chrome
+//! trace-event counter (`ph:"C"`) events.
 //!
-//! All three are hand-rolled (no serde) and deterministic: keys are
+//! Both are hand-rolled (no serde) and deterministic: keys are
 //! pre-sorted by the snapshot, so a fixed-seed run exports
 //! byte-identical documents.
 
@@ -9,17 +9,6 @@ use std::fmt::Write as _;
 
 use crate::chrome::escape;
 use crate::{CounterBlock, Key, MetricsSnapshot};
-
-fn key_labels(k: &Key) -> String {
-    format!(
-        "metric=\"{}\",op=\"{}\",comm=\"{}\",peer=\"{}\",size_class=\"{}\"",
-        k.metric.as_str(),
-        escape(k.op),
-        k.comm,
-        k.peer,
-        k.size_class
-    )
-}
 
 fn key_json(k: &Key) -> String {
     format!(
@@ -32,28 +21,18 @@ fn key_json(k: &Key) -> String {
     )
 }
 
-/// The snapshot's counter blocks in export order: family name,
-/// Prometheus help text, block.
-type Family<'a> = (&'static str, &'static str, &'a Option<CounterBlock>);
-
-fn counter_blocks(snap: &MetricsSnapshot) -> [Family<'_>; 3] {
+/// The snapshot's counter blocks in export order: family name, block.
+fn counter_blocks(snap: &MetricsSnapshot) -> [(&'static str, &Option<CounterBlock>); 3] {
     [
-        ("chaos", "Fault-injection and ARQ counters.", &snap.chaos),
-        (
-            "keys",
-            "Key-lifecycle counters (handshake/rotate/revoke).",
-            &snap.keys,
-        ),
-        (
-            "ftol",
-            "Fault-tolerance counters (detect/notice/shrink/rekey).",
-            &snap.ftol,
-        ),
+        ("chaos", &snap.chaos),
+        ("keys", &snap.keys),
+        ("ftol", &snap.ftol),
     ]
 }
 
-/// Serialize a snapshot as the versioned JSON document consumed by
-/// `tracecheck --require-hist` (schema version in `"version"`).
+/// Serialize a snapshot as the versioned JSON document `tracecheck`
+/// audits, and whose counters the `CONTRACTS` entries `metrics-rekey-`
+/// and `metrics-ftol-` require (schema version in `"version"`).
 pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
     let _ = write!(
@@ -85,7 +64,7 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
     }
     out.push_str("]}");
 
-    for (name, _, block) in counter_blocks(snap) {
+    for (name, block) in counter_blocks(snap) {
         let Some(b) = block else {
             let _ = write!(out, ",\"{name}\":null");
             continue;
@@ -190,180 +169,6 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
         );
     }
     out.push_str("]}");
-    out
-}
-
-/// Serialize a snapshot in the Prometheus text exposition format:
-/// one `empi_latency_ns` histogram family (cumulative `_bucket` lines
-/// over the non-empty buckets plus `+Inf`, `_sum`, `_count`) plus
-/// counter families for flow events, chaos counters, and the SLO
-/// verdict.
-pub fn prometheus(snap: &MetricsSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("# HELP empi_latency_ns Virtual-time latency distributions (nanoseconds).\n");
-    out.push_str("# TYPE empi_latency_ns histogram\n");
-    for (k, h) in &snap.hists {
-        let labels = key_labels(k);
-        let mut cum = 0u64;
-        for (idx, c) in h.nonzero() {
-            cum += c;
-            let _ = writeln!(
-                out,
-                "empi_latency_ns_bucket{{{labels},le=\"{}\"}} {cum}",
-                crate::hist::bucket_high(idx)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "empi_latency_ns_bucket{{{labels},le=\"+Inf\"}} {}",
-            h.count()
-        );
-        let _ = writeln!(out, "empi_latency_ns_sum{{{labels}}} {}", h.sum());
-        let _ = writeln!(out, "empi_latency_ns_count{{{labels}}} {}", h.count());
-    }
-
-    out.push_str("# HELP empi_flow_events_total Flight-recorder events per rank.\n");
-    out.push_str("# TYPE empi_flow_events_total counter\n");
-    for l in &snap.per_rank {
-        let _ = writeln!(
-            out,
-            "empi_flow_events_total{{rank=\"{}\"}} {}",
-            l.rank, l.flow_events
-        );
-    }
-
-    for (name, help, block) in counter_blocks(snap) {
-        let Some(b) = block else { continue };
-        let _ = writeln!(out, "# HELP empi_{name}_total {help}");
-        let _ = writeln!(out, "# TYPE empi_{name}_total counter");
-        for (counter, v) in b.iter() {
-            let _ = writeln!(out, "empi_{name}_total{{counter=\"{counter}\"}} {v}");
-        }
-    }
-
-    out.push_str("# HELP empi_slo_violations SLO watchdog violations at snapshot.\n");
-    out.push_str("# TYPE empi_slo_violations gauge\n");
-    let _ = writeln!(
-        out,
-        "empi_slo_violations{{verdict=\"{}\"}} {}",
-        snap.slo.verdict(),
-        snap.slo.violations.len()
-    );
-    out
-}
-
-/// Validate a Prometheus text document produced by [`prometheus`]
-/// (used by `tracecheck --require-hist`): line grammar, label syntax,
-/// numeric values, and per-series cumulative-bucket monotonicity with
-/// a final `+Inf` bucket matching `_count`.
-pub fn validate_prometheus(text: &str) -> Result<(), String> {
-    use std::collections::BTreeMap;
-    // series labels (minus `le`) -> (last cumulative, inf seen, count)
-    let mut series: BTreeMap<String, (u64, Option<u64>)> = BTreeMap::new();
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    for (ln, line) in text.lines().enumerate() {
-        let ln = ln + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            if !(rest.starts_with("HELP ") || rest.starts_with("TYPE ")) {
-                return Err(format!("line {ln}: unknown comment form"));
-            }
-            continue;
-        }
-        let (name, rest) = line
-            .find(['{', ' '])
-            .map(|i| line.split_at(i))
-            .ok_or_else(|| format!("line {ln}: no value"))?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-            || name.starts_with(|c: char| c.is_ascii_digit())
-        {
-            return Err(format!("line {ln}: bad metric name '{name}'"));
-        }
-        let (labels, value) = if let Some(inner) = rest.strip_prefix('{') {
-            let end = inner
-                .find('}')
-                .ok_or_else(|| format!("line {ln}: unterminated labels"))?;
-            (&inner[..end], inner[end + 1..].trim())
-        } else {
-            ("", rest.trim())
-        };
-        let value: f64 = value
-            .parse()
-            .map_err(|_| format!("line {ln}: bad value '{value}'"))?;
-        let mut le = None;
-        let mut other = Vec::new();
-        for pair in split_labels(labels) {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("line {ln}: bad label '{pair}'"))?;
-            let v = v
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .ok_or_else(|| format!("line {ln}: unquoted label value in '{pair}'"))?;
-            if k == "le" {
-                le = Some(v.to_string());
-            } else {
-                other.push(format!("{k}={v}"));
-            }
-        }
-        if let Some(stripped) = name.strip_suffix("_bucket") {
-            let series_key = format!("{}{{{}}}", stripped, other.join(","));
-            let le = le.ok_or_else(|| format!("line {ln}: bucket without le"))?;
-            let e = series.entry(series_key).or_insert((0, None));
-            if le == "+Inf" {
-                e.1 = Some(value as u64);
-            } else {
-                le.parse::<u64>()
-                    .map_err(|_| format!("line {ln}: bad le '{le}'"))?;
-                if (value as u64) < e.0 {
-                    return Err(format!("line {ln}: cumulative bucket count decreased"));
-                }
-                e.0 = value as u64;
-            }
-        } else if let Some(stripped) = name.strip_suffix("_count") {
-            counts.insert(format!("{}{{{}}}", stripped, other.join(",")), value as u64);
-        }
-    }
-    for (key, (last, inf)) in &series {
-        let inf = inf.ok_or_else(|| format!("series {key}: missing +Inf bucket"))?;
-        if *last > inf {
-            return Err(format!("series {key}: +Inf below last finite bucket"));
-        }
-        if let Some(c) = counts.get(key) {
-            if *c != inf {
-                return Err(format!("series {key}: _count {c} != +Inf bucket {inf}"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Split a Prometheus label body on commas that are outside quotes.
-fn split_labels(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let (mut start, mut quoted, mut escaped) = (0usize, false, false);
-    for (i, c) in s.char_indices() {
-        match c {
-            '\\' if quoted && !escaped => escaped = true,
-            '"' if !escaped => quoted = !quoted,
-            ',' if !quoted => {
-                if i > start {
-                    out.push(&s[start..i]);
-                }
-                start = i + 1;
-                escaped = false;
-            }
-            _ => escaped = false,
-        }
-    }
-    if start < s.len() {
-        out.push(&s[start..]);
-    }
     out
 }
 
@@ -477,30 +282,6 @@ mod tests {
             v.get("slo").unwrap().get("verdict").unwrap().as_str(),
             Some("unevaluated")
         );
-    }
-
-    #[test]
-    fn prometheus_emits_and_validates() {
-        let text = prometheus(&sample_snapshot());
-        assert!(text.contains("empi_latency_ns_bucket"));
-        assert!(text.contains("le=\"+Inf\"} 5"));
-        assert!(text.contains("empi_latency_ns_count"));
-        assert!(text.contains("empi_keys_total{counter=\"rekeys\"} 6"));
-        assert!(text.contains("empi_ftol_total{counter=\"detected\"} 1"));
-        validate_prometheus(&text).expect("valid prometheus");
-    }
-
-    #[test]
-    fn validator_rejects_malformed() {
-        assert!(validate_prometheus("1bad_name 3\n").is_err());
-        assert!(validate_prometheus("m{x=\"1\"").is_err());
-        assert!(validate_prometheus("m{le=\"10\"} nope\n").is_err());
-        let shrinking = "m_bucket{le=\"10\"} 5\nm_bucket{le=\"20\"} 3\nm_bucket{le=\"+Inf\"} 5\n";
-        assert!(validate_prometheus(shrinking).is_err());
-        let no_inf = "m_bucket{le=\"10\"} 5\n";
-        assert!(validate_prometheus(no_inf).is_err());
-        let mismatch = "m_bucket{le=\"+Inf\"} 5\nm_count 4\n";
-        assert!(validate_prometheus(mismatch).is_err());
     }
 
     #[test]

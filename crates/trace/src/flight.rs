@@ -55,7 +55,7 @@ impl fmt::Display for FlowEvent {
 }
 
 /// Event kinds that close a flow (nothing more is expected on it).
-pub fn is_terminal(kind: &str) -> bool {
+fn is_terminal(kind: &str) -> bool {
     matches!(
         kind,
         "deliver" | "retire" | "recover/ok" | "recover/abort" | "recover/timeout" | "open/fail"

@@ -24,8 +24,7 @@
 //!   [`flight`] recorder whose rings become the [`BlackBox`] attached
 //!   to delivery errors, the [`slo`] watchdog's verdict, and the
 //!   harness-injected counter blocks — rendered by [`export`] as a
-//!   versioned JSON document, Prometheus text and Chrome counter
-//!   tracks.
+//!   versioned JSON document and Chrome counter tracks.
 //!
 //! Everything is hand-rolled; this crate has zero dependencies.
 //!
@@ -262,14 +261,6 @@ impl EngineCounters {
             hw_fallbacks: self.hw_fallbacks.saturating_sub(baseline.hw_fallbacks),
         }
     }
-
-    pub fn aes_blocks_total(&self) -> u64 {
-        self.aes_blocks_soft + self.aes_blocks_ni + self.aes_blocks_pipelined
-    }
-
-    pub fn ghash_blocks_total(&self) -> u64 {
-        self.ghash_blocks_soft + self.ghash_blocks_clmul
-    }
 }
 
 /// Aggregate crypto/host/wire/wait split of a traced run.
@@ -450,6 +441,5 @@ mod tests {
         let after = engine_counters::snapshot().since(&before);
         assert_eq!(after.aes_blocks_ni, 128);
         assert_eq!(after.ghash_blocks_clmul, 130);
-        assert_eq!(after.aes_blocks_total(), 128);
     }
 }

@@ -1,18 +1,17 @@
 //! SLO watchdogs evaluated in virtual time at snapshot.
 //!
-//! Two checks: a p99 latency budget per op prefix (optionally pinned
-//! to one size class), and flow-stall detection — an open ARQ repair
-//! exchange whose last heartbeat is older than the configured budget.
+//! Two checks: a p99 latency budget per op prefix, and flow-stall
+//! detection — an open ARQ repair exchange whose last heartbeat is
+//! older than the configured budget.
 
 use crate::flight::is_stall_eligible;
 use crate::{FlowSnap, Histogram, Key, Metric};
 
 /// One p99 budget. Matches every histogram whose op starts with
-/// `op_prefix` (and, when set, whose size class equals `size_class`).
+/// `op_prefix`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SloBudget {
     pub op_prefix: String,
-    pub size_class: Option<u8>,
     pub p99_ns: u64,
 }
 
@@ -32,16 +31,6 @@ impl SloConfig {
     pub fn p99(mut self, op_prefix: &str, p99_ns: u64) -> Self {
         self.budgets.push(SloBudget {
             op_prefix: op_prefix.to_string(),
-            size_class: None,
-            p99_ns,
-        });
-        self
-    }
-
-    pub fn p99_for_class(mut self, op_prefix: &str, size_class: u8, p99_ns: u64) -> Self {
-        self.budgets.push(SloBudget {
-            op_prefix: op_prefix.to_string(),
-            size_class: Some(size_class),
             p99_ns,
         });
         self
@@ -98,11 +87,7 @@ pub fn evaluate(
     let mut violations = Vec::new();
     for b in &cfg.budgets {
         for (k, h) in hists {
-            if k.metric != Metric::E2e
-                || h.is_empty()
-                || !k.op.starts_with(b.op_prefix.as_str())
-                || b.size_class.is_some_and(|sc| sc != k.size_class)
-            {
+            if k.metric != Metric::E2e || h.is_empty() || !k.op.starts_with(b.op_prefix.as_str()) {
                 continue;
             }
             let p99 = h.p99();

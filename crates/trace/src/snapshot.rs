@@ -94,9 +94,10 @@ pub struct CounterPoint {
     pub p999_ns: u64,
 }
 
-/// Per-rank sample totals, used by `tracecheck --require-hist` to
-/// prove histogram counts conserve against the `RankMetrics` ledgers
-/// (seals == seal-histogram samples, opens == open-histogram samples).
+/// Per-rank sample totals, used by `tracecheck`'s audit of every
+/// `metrics-*` snapshot to prove histogram counts conserve against the
+/// `RankMetrics` ledgers (seals == seal-histogram samples, opens ==
+/// open-histogram samples).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RankLedger {
     pub rank: usize,

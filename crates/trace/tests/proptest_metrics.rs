@@ -127,7 +127,7 @@ mod recorder {
 
     proptest! {
         /// The same recorded sequence must export byte-identical JSON
-        /// and Prometheus documents — snapshots are deterministic.
+        /// documents — snapshots are deterministic.
         #[test]
         fn snapshots_are_byte_identical(
             records in proptest::collection::vec(
@@ -148,7 +148,6 @@ mod recorder {
             };
             let (a, b) = (snap(), snap());
             prop_assert_eq!(export::snapshot_json(&a), export::snapshot_json(&b));
-            prop_assert_eq!(export::prometheus(&a), export::prometheus(&b));
         }
     }
 }

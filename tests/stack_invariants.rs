@@ -4,7 +4,7 @@
 //! count (a test that called the engine's deadline park directly would
 //! be a second wait protocol too).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn repo(rel: &str) -> PathBuf {
@@ -611,8 +611,10 @@ fn doc_paths(text: &str) -> Vec<(String, String)> {
 
 /// Docs name real items: every backticked `Type::item` in README.md,
 /// DESIGN.md and EXPERIMENTS.md whose `Type` is defined in this
-/// workspace names something `crates/*/src` or `src` still defines.
-/// (`benchmark/README.md` belongs to the benchmark and is not read.)
+/// workspace names something `crates/*/src` or `src` still defines, and
+/// every `--flag` in a `///`/`//!` comment under `crates/*/src` and
+/// `src` is one the bench still parses. (`benchmark/README.md` belongs
+/// to the benchmark and is not read.)
 #[test]
 fn docs_name_real_items() {
     let (types, names) = workspace_items();
@@ -642,6 +644,66 @@ fn docs_name_real_items() {
         stale.is_empty(),
         "docs name items nothing defines: {stale:#?}"
     );
+
+    // Every `--flag` a `///`/`//!` comment names is one the bench parses
+    // (a `"--…"` literal in its non-test code) or cargo's `--release`.
+    let mut flags: BTreeSet<String> = BTreeSet::from(["--release".to_string()]);
+    for (_, _, line) in non_test_lines(&rust_files("crates/bench/src")) {
+        for lit in line.split('"').skip(1).step_by(2) {
+            if cli_flags(lit) == [lit] {
+                flags.insert(lit.to_string());
+            }
+        }
+    }
+    assert!(
+        flags.contains("--shards"),
+        "the guard sees no bench flags: {flags:?}"
+    );
+    let mut files = crate_sources();
+    files.extend(rust_files("src"));
+    let mut unknown = Vec::new();
+    for path in files {
+        let name = path
+            .strip_prefix(repo(""))
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (i, line) in text.lines().enumerate() {
+            let doc = line.trim_start();
+            if !(doc.starts_with("///") || doc.starts_with("//!")) {
+                continue;
+            }
+            for flag in cli_flags(doc).into_iter().filter(|f| !flags.contains(*f)) {
+                unknown.push(format!("{name}:{}: `{flag}`", i + 1));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "doc comments name flags nothing parses: {unknown:#?}"
+    );
+}
+
+/// The `--flag` tokens of `text`: `--`, a lowercase letter, then
+/// lowercase letters, digits and dashes, not glued to a word before it.
+fn cli_flags(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("--") {
+        let glued = text[..at]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_alphanumeric() || c == '-' || c == '_');
+        let rest = &text[at + 2..];
+        if glued || !rest.starts_with(|c: char| c.is_ascii_lowercase()) {
+            continue;
+        }
+        let len = rest
+            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+            .unwrap_or(rest.len());
+        out.push(&text[at..at + 2 + len]);
+    }
+    out
 }
 
 /// Run parameters are arguments: no library, test or example reads or
@@ -704,7 +766,7 @@ fn run_parameters_are_arguments() {
             unsharded.push(format!("{file}:{n}"));
         }
     }
-    assert!(worlds >= 17, "only {worlds} bench worlds found");
+    assert!(worlds >= 16, "only {worlds} bench worlds found");
     assert!(
         unsharded.is_empty(),
         "a bench world ignores the carrier count it was given: {unsharded:?}"
@@ -720,4 +782,70 @@ fn run_parameters_are_arguments() {
             .collect();
         assert!(found.is_empty(), "docs name an environment setting: {found:?}");
     }
+}
+
+/// The public surface is what the stack calls: every `pub fn` in
+/// `crates/*/src` and `src` outside `#[cfg(test)]` is named, as an
+/// identifier token, by another file — non-test code in `crates/*/src`,
+/// `src`, `examples` or `benchmark/src`, or an integration test under
+/// `tests/` or `crates/*/tests`. A unit test does not make a caller: a
+/// function only its own tests call is a private helper of those tests.
+#[test]
+fn pub_items_have_callers() {
+    // Entry points that nothing in the repository names (each with the
+    // reason it is public anyway). Empty: every `pub fn` has a caller.
+    const ENTRY_POINTS: &[&str] = &[];
+
+    let mut defining = crate_sources();
+    defining.extend(rust_files("src"));
+    let mut calling = defining.clone();
+    for dir in ["examples", "benchmark/src"] {
+        calling.extend(rust_files(dir));
+    }
+    let mut tests = rust_files("tests");
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if repo(&format!("crates/{name}/tests")).is_dir() {
+            tests.extend(rust_files(&format!("crates/{name}/tests")));
+        }
+    }
+    let mut named: Vec<(String, usize, String)> = non_test_lines(&calling);
+    named.extend(code_lines(&tests));
+    // Which files name each identifier.
+    let mut namers: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (file, _, line) in &named {
+        for tok in idents(line) {
+            namers.entry(tok).or_default().insert(file);
+        }
+    }
+
+    let mut defined = 0;
+    let mut orphans = Vec::new();
+    for (file, n, line) in non_test_lines(&defining) {
+        let toks = idents(&line);
+        let Some(at) = toks.iter().position(|&t| t == "fn") else {
+            continue;
+        };
+        let (head, qualifiers) = (&toks[..at], ["const", "unsafe", "extern"]);
+        if head.first() != Some(&"pub") || !head[1..].iter().all(|t| qualifiers.contains(t)) {
+            continue;
+        }
+        let name = toks[at + 1];
+        defined += 1;
+        let elsewhere = namers
+            .get(name)
+            .is_some_and(|fs| fs.iter().any(|f| *f != file));
+        if !elsewhere && !ENTRY_POINTS.contains(&name) {
+            orphans.push(format!("{file}:{n}: {name}"));
+        }
+    }
+    assert!(
+        defined > 300,
+        "only {defined} `pub fn`s found: is the scan blind?"
+    );
+    assert!(
+        orphans.is_empty(),
+        "`pub fn`s no other file calls (delete them, make them private, or \
+         move them into the tests that use them): {orphans:#?}"
+    );
 }
