@@ -14,7 +14,7 @@
 //! virtual time burned in backoff windows.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{ChaosStats, FaultRates, PipelineConfig, SecureComm};
+use empi_core::{FaultRates, PipelineConfig, SecureComm};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
 use empi_trace::{CounterBlock, Metric, MetricsSnapshot};
@@ -47,7 +47,7 @@ pub const LIBS: [CryptoLibrary; 4] = [
 ];
 
 /// Outcome of one chaos stream run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ChaosPoint {
     /// Receiver-side elapsed virtual seconds for the whole stream.
     pub secs: f64,
@@ -57,10 +57,9 @@ pub struct ChaosPoint {
     pub failed: usize,
     /// Plaintext bytes delivered bit-exact.
     pub bytes_ok: usize,
-    /// Sender-side chaos counters (injections, resends, aborts).
-    pub sender: ChaosStats,
-    /// Receiver-side chaos counters (NACKs, salvages, backoff).
-    pub receiver: ChaosStats,
+    /// The run's chaos counter block, summed over both ranks; `None`
+    /// when nothing was injected, NACKed or repaired.
+    pub chaos: Option<CounterBlock>,
     /// ARQ repair-latency percentiles (NACK round-trip until the
     /// message opened), from the metrics snapshot; zero when nothing
     /// needed repair.
@@ -72,6 +71,11 @@ pub struct ChaosPoint {
 }
 
 impl ChaosPoint {
+    /// Chaos counter `name` of the run (0 when it had no block).
+    fn count(&self, name: &str) -> u64 {
+        self.chaos.as_ref().map_or(0, |b| b.get(name))
+    }
+
     /// Goodput of correctly delivered plaintext, MB/s of virtual time.
     fn goodput_mb_s(&self) -> f64 {
         if self.secs <= 0.0 {
@@ -87,7 +91,7 @@ impl ChaosPoint {
 /// simulation; failures must be typed errors (panics would abort the
 /// whole bench). Returns the point, the trace report when `traced` (so
 /// the `fault/*` / `retry/*` spans can be audited and `tracecheck`d),
-/// and the metrics snapshot with the folded retry counters attached.
+/// and the metrics snapshot, whose `chaos` block the point reads.
 fn chaos_run(
     net: Net,
     lib: CryptoLibrary,
@@ -123,7 +127,7 @@ fn chaos_run(
             // full repair horizon after the last send.
             sc.pump(sc.recovery_window());
             let secs = (c.now() - t0).as_secs_f64();
-            (secs, msgs, 0usize, 0usize, sc.chaos_stats())
+            (secs, msgs, 0usize, 0usize)
         } else {
             let mut delivered = 0usize;
             let mut failed = 0usize;
@@ -139,13 +143,11 @@ fn chaos_run(
                 }
             }
             let secs = (c.now() - t0).as_secs_f64();
-            (secs, delivered, failed, bytes_ok, sc.chaos_stats())
+            (secs, delivered, failed, bytes_ok)
         }
     });
-    let (_, _, _, _, sender) = out.results[0];
-    let (secs, delivered, failed, bytes_ok, receiver) = out.results[1];
-    let mut snap = out.metrics.expect("metered world must snapshot");
-    snap.chaos = Some(CounterBlock::sum([sender.counters(), receiver.counters()]));
+    let (secs, delivered, failed, bytes_ok) = out.results[1];
+    let snap = out.metrics.expect("metered world must snapshot");
     let repair = snap.merged(Metric::Repair, "arq/repair");
     (
         ChaosPoint {
@@ -153,8 +155,7 @@ fn chaos_run(
             delivered,
             failed,
             bytes_ok,
-            sender,
-            receiver,
+            chaos: snap.chaos.clone(),
             repair_p50_ns: repair.p50(),
             repair_p99_ns: repair.p99(),
             repair_p999_ns: repair.p999(),
@@ -235,8 +236,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                 // The acceptance criterion, enforced on every bench
                 // run: an armed but idle retransmit layer is silent.
                 assert_eq!(
-                    (p.sender, p.receiver),
-                    (ChaosStats::default(), ChaosStats::default()),
+                    p.chaos,
+                    None,
                     "{}: retransmit layer must be free at fault rate 0",
                     lib.name()
                 );
@@ -247,22 +248,22 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
                     format!("{:.1}", p.goodput_mb_s()),
                     format!("{}/{}", p.delivered, msgs),
                     format!("{}", p.failed),
-                    format!("{}", p.sender.retransmits),
-                    format!("{}", p.receiver.nacks_sent),
-                    format!("{}", p.receiver.recoveries),
-                    format!("{}", p.sender.aborts),
+                    format!("{}", p.count("retransmits")),
+                    format!("{}", p.count("nacks_sent")),
+                    format!("{}", p.count("recoveries")),
+                    format!("{}", p.count("aborts")),
                 ],
             );
             if lib == CryptoLibrary::BoringSsl {
                 decomp.push_row(
                     format!("{rate:.2}"),
                     vec![
-                        format!("{}", p.sender.faults_injected + p.receiver.faults_injected),
-                        format!("{}", p.receiver.nacks_sent),
-                        format!("{}", p.sender.retransmits),
-                        format!("{}", p.receiver.recoveries),
-                        format!("{}", p.sender.aborts),
-                        format!("{:.1}", p.receiver.backoff_ns as f64 / 1e3),
+                        format!("{}", p.count("faults_injected")),
+                        format!("{}", p.count("nacks_sent")),
+                        format!("{}", p.count("retransmits")),
+                        format!("{}", p.count("recoveries")),
+                        format!("{}", p.count("aborts")),
+                        format!("{:.1}", p.count("backoff_ns") as f64 / 1e3),
                         format!("{:.1}", p.repair_p50_ns as f64 / 1e3),
                         format!("{:.1}", p.repair_p99_ns as f64 / 1e3),
                         format!("{:.1}", p.repair_p999_ns as f64 / 1e3),
@@ -279,8 +280,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         // One traced run at the top fault rate: the Chrome trace shows
         // the fault/* and retry/* spans interleaved with the pipeline
         // lanes, and `tracecheck` audits the written file. The same
-        // run's metrics snapshot — retry counters folded in — goes out
-        // as JSON for `tracecheck`.
+        // run's metrics snapshot, its chaos block included, goes out as
+        // JSON for `tracecheck`.
         let lib = CryptoLibrary::BoringSsl;
         let (_, r, snap) = chaos_run(net, lib, 0.10, msgs, SEED, true, opts.shards);
         let r = r.expect("traced run must yield a report");
@@ -344,16 +345,7 @@ mod tests {
         .0;
         assert_eq!(p.delivered, msgs);
         assert_eq!(p.failed, 0);
-        assert_eq!(
-            p.sender,
-            ChaosStats::default(),
-            "sender counters must stay zero"
-        );
-        assert_eq!(
-            p.receiver,
-            ChaosStats::default(),
-            "receiver counters must stay zero"
-        );
+        assert_eq!(p.chaos, None, "chaos counters must stay zero");
         let base = plain_secs(Net::Ethernet, CryptoLibrary::BoringSsl, msgs, 1);
         let delta = (p.secs - base).abs() / base;
         assert!(
@@ -387,11 +379,11 @@ mod tests {
             "recovery must save at least part of the stream"
         );
         assert!(
-            p.sender.faults_injected + p.receiver.faults_injected > 0,
+            p.count("faults_injected") > 0,
             "the seeded plan must inject at this rate"
         );
         assert!(
-            p.receiver.nacks_sent + p.receiver.recoveries > 0,
+            p.count("nacks_sent") + p.count("recoveries") > 0,
             "injected faults must trigger NACK repair or local salvage"
         );
     }

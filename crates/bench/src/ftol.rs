@@ -23,19 +23,17 @@
 //! guarantee (the detector never fires on a healthy run).
 //!
 //! Alongside the tables the harness exports `metrics-ftol-<net>.json`
-//! (snapshot with the `ftol` counter block populated — audited by the
-//! `metrics-ftol-` entry of `tracecheck`'s `CONTRACTS`). When tracing
-//! is active the representative run also writes
+//! (snapshot with the recorder's `ftol` and `keys` counter blocks —
+//! audited by the `metrics-ftol-` entry of `tracecheck`'s `CONTRACTS`).
+//! When tracing is active the representative run also writes
 //! `trace-ftol-<net>.json`, whose `ftol/*` spans the `trace-ftol-`
-//! entry audits, and asserts the ftol conservation law: the trace
-//! ledger counts exactly the detections, notices, and shrinks the
-//! detector reports.
+//! entry audits.
 
 use empi_aead::profile::CryptoLibrary;
 use empi_core::{Error, FaultRates, KeyPlaneConfig, SecureComm, SecurityConfig};
 use empi_mpi::{CrashPlan, DetectorConfig, Src, TagSel, TraceReport, World};
 use empi_netsim::{VDur, VTime};
-use empi_trace::{CounterBlock, MetricsSnapshot};
+use empi_trace::MetricsSnapshot;
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
@@ -70,8 +68,9 @@ fn fmt_us(ns: u64) -> String {
 }
 
 /// One recovery-ladder run: per-step times (max across survivors — a
-/// step is done when the *last* survivor finishes it) plus the summed
-/// detector and key-plane counters.
+/// step is done when the *last* survivor finishes it) plus the run's
+/// snapshot, whose counter blocks sum the detector and key-plane
+/// events over ranks.
 pub struct DetectRun {
     /// Death → typed `RankFailed` at every survivor.
     pub detect_ns: u64,
@@ -81,13 +80,18 @@ pub struct DetectRun {
     pub shrink_ns: u64,
     /// Verified encrypted ring exchange on the shrunken world.
     pub restore_ns: u64,
-    /// Detector counters summed across survivors, `rekeys` filled from
-    /// the key plane's revocation count.
-    pub counters: CounterBlock,
-    /// Snapshot merged across ranks (`ftol` block injected).
+    /// Snapshot merged across ranks.
     pub snap: MetricsSnapshot,
     /// Timeline; `Some` only when traced.
     pub trace: Option<TraceReport>,
+}
+
+impl DetectRun {
+    /// Detector counter `name` of the run's snapshot.
+    fn ftol(&self, name: &str) -> u64 {
+        let ftol = self.snap.ftol.as_ref();
+        ftol.expect("every survivor learns of the death").get(name)
+    }
 }
 
 /// Kill the highest rank at [`CRASH_AT_US`] and drive every survivor
@@ -175,32 +179,26 @@ fn detect_run(
                 t_rekey.as_nanos() - t_detect.as_nanos(),
                 t_shrink.as_nanos() - t_rekey.as_nanos(),
                 t_restore.as_nanos() - t_shrink.as_nanos(),
-                c.ftol_counters(),
-                sc.key_stats().expect("key plane is on"),
             )
         })
         .expect("survivors must finish");
     assert!(out.results[victim].is_none(), "the victim must die");
     let survivors: Vec<_> = out.results.into_iter().flatten().collect();
     assert_eq!(survivors.len(), n - 1);
-    let mut counters = CounterBlock::sum(survivors.iter().map(|s| &s.4));
-    counters.set("rekeys", survivors.iter().map(|s| s.5.revocations).sum());
-    assert_eq!(
-        counters.get("detected") + counters.get("notices"),
-        survivors.len() as u64,
-        "every survivor confirms the death exactly once"
-    );
-    let mut snap = out.metrics.unwrap_or_default();
-    snap.ftol = Some(counters.clone());
-    DetectRun {
+    let run = DetectRun {
         detect_ns: survivors.iter().map(|r| r.0).max().unwrap(),
         rekey_ns: survivors.iter().map(|r| r.1).max().unwrap(),
         shrink_ns: survivors.iter().map(|r| r.2).max().unwrap(),
         restore_ns: survivors.iter().map(|r| r.3).max().unwrap(),
-        counters,
-        snap,
+        snap: out.metrics.expect("metered world must snapshot"),
         trace: out.trace,
-    }
+    };
+    assert_eq!(
+        run.ftol("detected") + run.ftol("notices"),
+        survivors.len() as u64,
+        "every survivor confirms the death exactly once"
+    );
+    run
 }
 
 /// The fault-aware collective loop of TAB-FTOL-COLL: `rounds` rounds
@@ -220,7 +218,8 @@ pub fn collective_run(
     let victim = n - 1;
     let mut world = World::flat(net.model(), n)
         .with_shards(shards)
-        .with_ftol(DetectorConfig::default());
+        .with_ftol(DetectorConfig::default())
+        .with_metrics(true);
     if crash {
         world = world.crash_plan(CrashPlan::new().crash_at(victim, us(COLL_CRASH_AT_US)));
     }
@@ -271,34 +270,33 @@ pub fn collective_run(
                 let agreed = c.agree(mine);
                 members = (0..n).filter(|r| agreed & (1 << r) != 0).collect();
             }
-            (delivered, c.ftol_counters())
+            delivered
         })
         .expect("the collective loop must never deadlock");
+    let ftol = out.metrics.expect("metered world must snapshot").ftol;
     if crash {
         assert!(out.results[victim].is_none(), "the victim must die");
-        let seen = CounterBlock::sum(out.results.iter().flatten().map(|(_, ft)| ft));
+        let seen = ftol.expect("the death was detected");
         assert_eq!(
             seen.get("detected") + seen.get("notices"),
             (n - 1) as u64,
             "every survivor learns of the death"
         );
     } else {
-        for (r, res) in out.results.iter().enumerate() {
-            let (_, ft) = res.as_ref().expect("clean runs lose nobody");
-            assert!(
-                ft.iter().all(|(_, v)| v == 0),
-                "rank {r}: the armed detector fired on a healthy run: {ft:?}"
-            );
-        }
+        assert!(
+            out.results.iter().all(Option::is_some),
+            "clean runs lose nobody"
+        );
+        assert_eq!(ftol, None, "the armed detector fired on a healthy run");
     }
-    let delivered = out.results.iter().flatten().map(|(d, _)| d).sum();
+    let delivered = out.results.iter().flatten().sum();
     (out.end_time.as_nanos(), delivered)
 }
 
-/// The in-flight ARQ scenario feeding the `delivery_failed` counter: a
-/// sender whose every frame is corrupted dies mid-recovery; the flow
-/// must resolve to `DeliveryFailed` with the flight-recorder black box
-/// attached. Returns how many flows so resolved (expected: 1).
+/// The in-flight ARQ scenario: a sender whose every frame is corrupted
+/// dies mid-recovery; the flow must resolve to `DeliveryFailed` with
+/// the flight-recorder black box attached. Returns how many flows so
+/// resolved (expected: 1).
 fn arq_dead_sender_run(net: Net, shards: usize) -> u64 {
     let world = World::flat(net.model(), 2)
         .with_shards(shards)
@@ -442,45 +440,24 @@ fn push_ladder_row(tab: &mut Table, label: &str, run: &DetectRun) {
             fmt_us(run.rekey_ns),
             fmt_us(run.shrink_ns),
             fmt_us(run.restore_ns),
-            format!("{}", run.counters.get("probes")),
-            format!("{}", run.counters.get("notices")),
+            format!("{}", run.ftol("probes")),
+            format!("{}", run.ftol("notices")),
         ],
     );
 }
 
 /// Export the representative (default lease, 4 ranks, crash) snapshot:
-/// `metrics-ftol-<net>.json` with the `ftol` counter block populated,
+/// `metrics-ftol-<net>.json` with its `ftol` and `keys` counter blocks,
 /// and — when tracing is active — `trace-ftol-<net>.json` whose
-/// `ftol/*` spans the `trace-ftol-` contract audits, plus the
-/// ftol conservation assertion against the trace ledger.
+/// `ftol/*` spans the `trace-ftol-` contract audits. The ARQ
+/// dead-sender scenario runs alongside.
 fn export_artifacts(net: Net, opts: &BenchOpts) {
-    let mut run = detect_run(net, 4, 500, false, opts.trace, opts.shards);
-    // The ARQ scenario fills the one counter the ladder cannot: flows
-    // resolved as failed against a dead peer.
-    let mut counters = run.counters.clone();
-    counters.set("delivery_failed", arq_dead_sender_run(net, opts.shards));
+    let run = detect_run(net, 4, 500, false, opts.trace, opts.shards);
     assert_eq!(
-        counters.get("delivery_failed"),
+        arq_dead_sender_run(net, opts.shards),
         1,
         "the doomed flow must resolve typed"
     );
-    run.snap.ftol = Some(counters);
-    if let Some(r) = &run.trace {
-        // Conservation law: the trace ledger counts exactly the
-        // detections, notices, and shrinks the detector reports.
-        let detected: u64 = r.per_rank.iter().map(|m| m.ft_detected).sum();
-        let notices: u64 = r.per_rank.iter().map(|m| m.ft_notices).sum();
-        let shrinks: u64 = r.per_rank.iter().map(|m| m.ft_shrinks).sum();
-        assert_eq!(
-            (detected, notices, shrinks),
-            (
-                run.counters.get("detected"),
-                run.counters.get("notices"),
-                run.counters.get("shrinks")
-            ),
-            "trace ftol spans must conserve against the detector counters"
-        );
-    }
     let stem = format!("ftol-{}", net.name().to_lowercase());
     write_artifacts(&opts.out_dir, &stem, &run.snap, run.trace.as_ref());
 }
@@ -499,8 +476,8 @@ mod tests {
         // Survivor re-key is deterministic and wire-free.
         assert_eq!(run.rekey_ns, 0, "re-key must not cost wire time");
         assert!(run.restore_ns > 0, "the restore exchange moves real bytes");
-        assert_eq!(run.counters.get("shrinks"), 3);
-        assert_eq!(run.counters.get("rekeys"), 3);
+        assert_eq!(run.ftol("shrinks"), 3);
+        assert_eq!(run.ftol("rekeys"), 3);
     }
 
     #[test]
@@ -527,28 +504,16 @@ mod tests {
     }
 
     #[test]
-    fn arq_scenario_fills_delivery_failed() {
+    fn arq_dead_sender_resolves_typed() {
         assert_eq!(arq_dead_sender_run(Net::Ethernet, 1), 1);
     }
 
     #[test]
-    fn snapshot_carries_ftol_counters_and_validates() {
+    fn snapshot_carries_the_ftol_block_and_validates() {
         let run = detect_run(Net::Ethernet, 4, 500, false, false, 1);
         let json = export::snapshot_json(&run.snap);
         assert!(json.contains("\"ftol\":{\"detected\":1"), "json: {json}");
         assert!(json.contains("\"shrinks\":3"), "json: {json}");
-    }
-
-    #[test]
-    fn traced_ladder_conserves_ftol_spans() {
-        let run = detect_run(Net::Ethernet, 4, 500, false, true, 1);
-        let r = run.trace.expect("traced world must report");
-        let detected: u64 = r.per_rank.iter().map(|m| m.ft_detected).sum();
-        let notices: u64 = r.per_rank.iter().map(|m| m.ft_notices).sum();
-        let shrinks: u64 = r.per_rank.iter().map(|m| m.ft_shrinks).sum();
-        assert_eq!(detected, run.counters.get("detected"));
-        assert_eq!(notices, run.counters.get("notices"));
-        assert_eq!(shrinks, run.counters.get("shrinks"));
     }
 
     #[test]

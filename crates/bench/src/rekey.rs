@@ -14,18 +14,16 @@
 //! the revoked rank's traffic rejected with typed errors.
 //!
 //! Alongside the tables the harness exports `metrics-rekey-<net>.json`
-//! (snapshot with the `keys` counter block populated — audited by the
+//! (snapshot with the recorder's `keys` counter block — audited by the
 //! `metrics-rekey-` entry of `tracecheck`'s `CONTRACTS`). When tracing
 //! is active the storm run also writes `trace-rekey-<net>.json`, whose
-//! `key/*` spans the `trace-rekey-` entry audits, and asserts the key
-//! conservation law: the trace ledger counts exactly the handshakes and
-//! epoch rolls the key plane reports.
+//! `key/*` spans the `trace-rekey-` entry audits.
 
 use empi_aead::profile::{CryptoLibrary, KeySize};
 use empi_core::{KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
-use empi_trace::{CounterBlock, Metric, MetricsSnapshot};
+use empi_trace::{Metric, MetricsSnapshot};
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
@@ -54,18 +52,24 @@ pub const ROTATE_SLOW_US: u64 = 200;
 /// The rekey-storm period (epochs roll faster than most messages).
 pub const ROTATE_STORM_US: u64 = 30;
 
-/// One metered key-plane run: merged snapshot (with the `keys` block
-/// injected), delivery counts, and the summed key-plane counters.
+/// One metered key-plane run: merged snapshot and delivery counts.
 pub struct RekeyRun {
-    /// Snapshot merged across ranks, `keys` populated.
+    /// Snapshot merged across ranks, its `keys` block summed over
+    /// ranks (each rank counts its own handshake, so a 2-rank world
+    /// reports 2).
     pub snap: MetricsSnapshot,
     /// Messages delivered bit-exact.
     pub delivered: usize,
     /// Typed failures.
     pub failed: usize,
-    /// Key-plane counters summed across ranks (each rank counts its
-    /// own handshake, so a 2-rank world reports 2).
-    pub stats: CounterBlock,
+}
+
+impl RekeyRun {
+    /// Key-plane counter `name` of the run's snapshot.
+    fn keys(&self, name: &str) -> u64 {
+        let keys = self.snap.keys.as_ref();
+        keys.expect("every rank handshakes").get(name)
+    }
 }
 
 /// The security config of the rekey runs: key plane with the fixed
@@ -114,7 +118,7 @@ fn stream_run(
                 let buf = vec![(i as u8).wrapping_mul(29) ^ 0xA5; MSG_SIZE];
                 sc.send(&buf, 1, REKEY_TAG);
             }
-            (msgs, 0usize, sc.key_stats().unwrap(), sc.sealing_epoch())
+            (msgs, 0usize)
         } else {
             let (mut delivered, mut failed) = (0usize, 0usize);
             for i in 0..msgs {
@@ -130,24 +134,15 @@ fn stream_run(
                     Err(_) => failed += 1,
                 }
             }
-            (
-                delivered,
-                failed,
-                sc.key_stats().unwrap(),
-                sc.sealing_epoch(),
-            )
+            (delivered, failed)
         }
     });
-    let (delivered, failed) = (out.results[1].0, out.results[1].1);
-    let stats = CounterBlock::sum(out.results.iter().map(|r| r.2.counters()));
-    let mut snap = out.metrics.unwrap_or_default();
-    snap.keys = Some(stats.clone());
+    let (delivered, failed) = out.results[1];
     (
         RekeyRun {
-            snap,
+            snap: out.metrics.unwrap_or_default(),
             delivered,
             failed,
-            stats,
         },
         out.trace,
     )
@@ -194,21 +189,12 @@ fn revoke_run(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> Rekey
                 }
             }
         }
-        (
-            delivered,
-            failed,
-            sc.key_stats().unwrap(),
-            sc.sealing_epoch(),
-        )
+        (delivered, failed)
     });
-    let stats = CounterBlock::sum(out.results.iter().map(|r| r.2.counters()));
-    let mut snap = out.metrics.unwrap_or_default();
-    snap.keys = Some(stats.clone());
     RekeyRun {
-        snap,
+        snap: out.metrics.unwrap_or_default(),
         delivered: out.results.iter().map(|r| r.0).sum(),
         failed: out.results.iter().map(|r| r.1).sum(),
-        stats,
     }
 }
 
@@ -267,7 +253,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             );
             if rotate.is_none() {
                 assert_eq!(
-                    run.stats.get("rekeys"),
+                    run.keys("rekeys"),
                     0,
                     "epochs must not roll with rotation off"
                 );
@@ -335,9 +321,9 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         );
     }
     let drill = revoke_run(net, CryptoLibrary::BoringSsl, msgs / 2, opts.shards);
-    assert!(drill.stats.get("revocations") > 0, "the drill must revoke");
+    assert!(drill.keys("revocations") > 0, "the drill must revoke");
     assert!(
-        drill.stats.get("rejected_revoked") > 0,
+        drill.keys("rejected_revoked") > 0,
         "the revoked rank's traffic must be rejected"
     );
     decomp.push_row("revocation drill".to_string(), decomp_cells(&drill, None));
@@ -355,7 +341,7 @@ fn push_stream_row(tab: &mut Table, label: &str, run: &RekeyRun) {
             us(e2e.p50()),
             us(e2e.p99()),
             us(hs.p99()),
-            format!("{}", run.stats.get("rekeys")),
+            format!("{}", run.keys("rekeys")),
             format!("{}", run.delivered),
             format!("{}", run.failed),
         ],
@@ -366,16 +352,15 @@ fn decomp_cells(run: &RekeyRun, msgs: Option<usize>) -> Vec<String> {
     let e2e = run.snap.merged(Metric::E2e, "p2p/recv");
     let hs = run.snap.merged(Metric::Key, "key/handshake");
     let key = run.snap.merged(Metric::Key, "");
-    let rejects = run.stats.get("rejected_stale")
-        + run.stats.get("rejected_future")
-        + run.stats.get("rejected_revoked");
-    let per_epoch = match (msgs, run.stats.get("rekeys")) {
+    let rejects =
+        run.keys("rejected_stale") + run.keys("rejected_future") + run.keys("rejected_revoked");
+    let per_epoch = match (msgs, run.keys("rekeys")) {
         (Some(m), r) if r > 0 => format!("{:.1}", m as f64 / r as f64),
         _ => "-".to_string(),
     };
     vec![
-        format!("{}", run.stats.get("rekeys")),
-        format!("{}", run.stats.get("revocations")),
+        format!("{}", run.keys("rekeys")),
+        format!("{}", run.keys("revocations")),
         per_epoch,
         us(e2e.p99()),
         us(hs.p99()),
@@ -386,10 +371,9 @@ fn decomp_cells(run: &RekeyRun, msgs: Option<usize>) -> Vec<String> {
 }
 
 /// Export the representative (BoringSSL, storm) snapshot:
-/// `metrics-rekey-<net>.json` with the `keys` counter block populated,
-/// and — when tracing is active — `trace-rekey-<net>.json` whose
-/// `key/*` spans the `trace-rekey-` contract audits, plus the key
-/// conservation assertion against the trace ledger.
+/// `metrics-rekey-<net>.json` with its `keys` counter block, and — when
+/// tracing is active — `trace-rekey-<net>.json` whose `key/*` spans
+/// the `trace-rekey-` contract audits.
 fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
     let (run, trace) = stream_run(
         net,
@@ -400,25 +384,6 @@ fn export_artifacts(net: Net, opts: &BenchOpts, msgs: usize) {
         opts.trace,
         opts.shards,
     );
-    if let Some(r) = &trace {
-        // Conservation law: the trace ledger counts exactly the
-        // handshakes the key plane reports; rotate spans are one per
-        // roll *event*, so idle gaps that jump several epochs coalesce
-        // — the span count is bounded by the epoch count, never zero.
-        let handshakes: u64 = r.per_rank.iter().map(|m| m.handshakes).sum();
-        let rekeys: u64 = r.per_rank.iter().map(|m| m.rekeys).sum();
-        assert_eq!(
-            handshakes,
-            run.stats.get("handshakes"),
-            "trace handshake spans must conserve against the key plane"
-        );
-        assert!(
-            rekeys > 0 && rekeys <= run.stats.get("rekeys"),
-            "trace rotate spans ({rekeys}) must stay within the key plane's \
-             epoch count ({})",
-            run.stats.get("rekeys")
-        );
-    }
     let stem = format!("rekey-{}", net.name().to_lowercase());
     write_artifacts(&opts.out_dir, &stem, &run.snap, trace.as_ref());
 }
@@ -441,8 +406,8 @@ mod tests {
         );
         // stream_run's receiver asserts bit-exactness; here we check
         // rotation actually happened and nothing was rejected.
-        assert!(run.stats.get("rekeys") > 0, "the storm must roll epochs");
-        assert_eq!(run.stats.get("handshakes"), 2, "one handshake per rank");
+        assert!(run.keys("rekeys") > 0, "the storm must roll epochs");
+        assert_eq!(run.keys("handshakes"), 2, "one handshake per rank");
         assert_eq!((run.delivered, run.failed), (10, 0));
     }
 
@@ -457,7 +422,7 @@ mod tests {
             false,
             1,
         );
-        assert_eq!(run.stats.get("rekeys"), 0);
+        assert_eq!(run.keys("rekeys"), 0);
         assert_eq!((run.delivered, run.failed), (6, 0));
     }
 
@@ -481,31 +446,12 @@ mod tests {
     }
 
     #[test]
-    fn traced_storm_conserves_key_spans() {
-        let (run, trace) = stream_run(
-            Net::Ethernet,
-            CryptoLibrary::BoringSsl,
-            KeySize::Aes256,
-            Some(ROTATE_STORM_US),
-            8,
-            true,
-            1,
-        );
-        let r = trace.expect("traced world must report");
-        let handshakes: u64 = r.per_rank.iter().map(|m| m.handshakes).sum();
-        let rekeys: u64 = r.per_rank.iter().map(|m| m.rekeys).sum();
-        assert_eq!(handshakes, run.stats.get("handshakes"));
-        // One span per roll event; multi-epoch jumps coalesce.
-        assert!(rekeys > 0 && rekeys <= run.stats.get("rekeys"));
-    }
-
-    #[test]
     fn revocation_drill_quarantines_and_rekeys() {
         let run = revoke_run(Net::Ethernet, CryptoLibrary::BoringSsl, 4, 1);
         // Both survivors count the revocation; only rank 0 sees (and
         // rejects) the revoked rank's post-quarantine record.
-        assert_eq!(run.stats.get("revocations"), 2);
-        assert_eq!(run.stats.get("rejected_revoked"), 1);
+        assert_eq!(run.keys("revocations"), 2);
+        assert_eq!(run.keys("rejected_revoked"), 1);
         assert_eq!(run.failed, 1, "the quarantined send must fail typed");
         assert_eq!(run.delivered, 4, "survivor traffic must flow re-keyed");
     }

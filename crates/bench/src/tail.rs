@@ -21,7 +21,7 @@ use empi_aead::profile::CryptoLibrary;
 use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
-use empi_trace::{CounterBlock, Metric, MetricsSnapshot, SloConfig};
+use empi_trace::{Metric, MetricsSnapshot, SloConfig};
 
 use crate::chaos::LIBS;
 use crate::common::{security_config, BenchOpts, Net};
@@ -119,7 +119,7 @@ fn p2p_run(
                 // full recovery horizon after the last send.
                 sc.pump(sc.recovery_window());
             }
-            ((c.now() - t0).as_secs_f64(), msgs, 0usize, sc.chaos_stats())
+            ((c.now() - t0).as_secs_f64(), msgs, 0usize)
         } else {
             let (mut delivered, mut failed) = (0usize, 0usize);
             for _ in 0..msgs {
@@ -128,24 +128,14 @@ fn p2p_run(
                     Err(_) => failed += 1,
                 }
             }
-            (
-                (c.now() - t0).as_secs_f64(),
-                delivered,
-                failed,
-                sc.chaos_stats(),
-            )
+            ((c.now() - t0).as_secs_f64(), delivered, failed)
         }
     });
     let secs = out.results.iter().map(|r| r.0).collect();
-    let (_, _, _, tx) = out.results[0];
-    let (_, delivered, failed, rx) = out.results[1];
-    let mut snap = out.metrics.unwrap_or_default();
-    if chaos && metered {
-        snap.chaos = Some(CounterBlock::sum([tx.counters(), rx.counters()]));
-    }
+    let (_, delivered, failed) = out.results[1];
     (
         TailRun {
-            snap,
+            snap: out.metrics.unwrap_or_default(),
             delivered,
             failed,
         },

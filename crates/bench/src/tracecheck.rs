@@ -48,7 +48,10 @@ pub const CONTRACTS: [(&str, &[&str]); 6] = [
     ("trace-rekey-", &["key/handshake"]),
     ("metrics-rekey-", &["keys.handshakes"]),
     ("trace-ftol-", &["ftol/detect", "ftol/shrink"]),
-    ("metrics-ftol-", &["ftol.detected", "ftol.shrinks"]),
+    (
+        "metrics-ftol-",
+        &["ftol.detected", "ftol.shrinks", "keys.revocations"],
+    ),
 ];
 
 /// The contract of the artifact called `name` (empty if none applies).
@@ -437,7 +440,7 @@ mod tests {
         assert_eq!(contract("trace-inflight-infiniband.json"), ["waitset"]);
         assert_eq!(
             contract("metrics-ftol-ethernet.json"),
-            ["ftol.detected", "ftol.shrinks"]
+            ["ftol.detected", "ftol.shrinks", "keys.revocations"]
         );
         // A prefix of a contracted family is not that family.
         assert!(contract("trace-multipair-ethernet.json").is_empty());
@@ -479,7 +482,17 @@ mod tests {
             check_with(r#","ftol":{"detected":1,"shrinks":0}"#).unwrap_err(),
             "ftol block shows zero shrinks"
         );
-        assert!(check_with(r#","ftol":{"detected":1,"shrinks":2}"#).is_ok());
+        let ftol = r#","ftol":{"detected":1,"shrinks":2}"#;
+        assert_eq!(check_with(ftol).unwrap_err(), "no keys counter block");
+        assert_eq!(
+            check_with(&format!(
+                r#"{ftol},"keys":{{"handshakes":4,"revocations":0}}"#
+            ))
+            .unwrap_err(),
+            "keys block shows zero revocations"
+        );
+        let rekeyed = format!(r#"{ftol},"keys":{{"handshakes":4,"revocations":3}}"#);
+        assert!(check_with(&rekeyed).is_ok());
         let keys = contract("metrics-rekey-infiniband.json");
         let err = check_metrics(&snapshot(2, [1, 1], 2, r#","keys":{"handshakes":0}"#), keys)
             .unwrap_err();

@@ -42,8 +42,8 @@ mod recovery;
 pub mod secure_comm;
 
 pub use config::{FaultConfig, RetransmitConfig, SecurityConfig, TimingMode, HARDCODED_KEY};
-pub use empi_keys::{KeyError, KeyPlaneConfig, KeyStats};
+pub use empi_keys::{KeyError, KeyPlaneConfig};
 pub use empi_netsim::{FaultPlan, FaultRates};
 pub use empi_pipeline::PipelineConfig;
 pub use error::{Error, Result};
-pub use secure_comm::{ChaosStats, SecureComm, SecureRequest, SetCompletion};
+pub use secure_comm::{SecureComm, SecureRequest, SetCompletion};

@@ -10,7 +10,7 @@ use empi_aead::gcm::AesGcm;
 use empi_aead::nonce::{NoncePolicy, NonceSource};
 use empi_aead::WIRE_OVERHEAD;
 use empi_keys::{
-    derive_group_key, msg_id_epoch, widen_epoch16, KeyError, KeyPlane, KeyStats, EPOCH_PREFIX_LEN,
+    derive_group_key, msg_id_epoch, widen_epoch16, KeyError, KeyPlane, EPOCH_PREFIX_LEN,
 };
 use empi_netsim::VTime;
 use empi_trace::{Cat, Metric};
@@ -132,11 +132,6 @@ impl SecureComm<'_, '_> {
         self.keys.epoch.set(self.keys.epoch.get() + 1);
     }
 
-    /// Key-plane counters (None without [`SecurityConfig::with_key_plane`]).
-    pub fn key_stats(&self) -> Option<KeyStats> {
-        self.keys.plane().map(|p| p.stats())
-    }
-
     /// The epoch this rank currently seals under (0 without the key
     /// plane or before the first rotation).
     pub fn sealing_epoch(&self) -> u64 {
@@ -201,10 +196,13 @@ impl SecureComm<'_, '_> {
 
     /// Observe an epoch being sealed or opened under; a new local
     /// high-water mark is an epoch rotation — traced on the `key/*`
-    /// lane and counted in [`KeyStats::rekeys`].
+    /// lane and counted once per epoch rolled.
     fn note_rotation(&self, plane: &KeyPlane, epoch: u64) {
         let rolls = plane.note_epoch(epoch);
         if rolls > 0 {
+            if let Some(r) = self.comm.sim().recorder() {
+                r.count_rekeys(self.rank(), rolls);
+            }
             let now = self.comm.sim().now().as_nanos();
             let detail = || format!("rolled into epoch {epoch} (+{rolls})");
             let key = Some((Metric::Key, "key/rotate", -1));
@@ -244,16 +242,21 @@ impl SecureComm<'_, '_> {
         if let (Some(plane), Some(epoch)) = (self.keys.plane(), epoch) {
             if let Some(s) = src {
                 if plane.is_revoked(s) {
-                    plane.note_revoked_rejection();
                     self.note_marker(Cat::Key, "key/reject", 0, || {
                         format!("quarantined traffic from revoked rank {s}")
                     });
                     return Err(Error::Key(KeyError::RevokedPeer { rank: s }));
                 }
             }
-            plane
-                .accept(epoch, self.sealing_epoch())
-                .map_err(Error::Key)?;
+            if let Err(e) = plane.window().accept(epoch, self.sealing_epoch()) {
+                if let Some(r) = self.comm.sim().recorder() {
+                    match e {
+                        KeyError::StaleEpoch { .. } => r.count_stale_epoch(self.rank()),
+                        _ => r.count_future_epoch(self.rank()),
+                    }
+                }
+                return Err(Error::Key(e));
+            }
             self.note_rotation(plane, epoch);
         }
         Ok(RecordKey {

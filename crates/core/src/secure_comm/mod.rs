@@ -40,7 +40,6 @@ use keyring::KeyRing;
 use reliability::Reliability;
 
 pub use p2p::{SecureRequest, SetCompletion};
-pub use reliability::ChaosStats;
 
 /// Metric peer id of an optional rank (−1 = no single peer).
 fn peer_id(rank: Option<usize>) -> i32 {

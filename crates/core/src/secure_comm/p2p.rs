@@ -17,7 +17,7 @@ use empi_mpi::{Charge, RankFailed, Request, SetPoll, Src, Status, Tag, TagSel, N
 use empi_netsim::VDur;
 use empi_trace::Metric;
 
-use super::reliability::{ChaosStats, POLL_QUANTUM};
+use super::reliability::POLL_QUANTUM;
 use super::{note_sample, SecureComm};
 use crate::error::{Error, Result};
 
@@ -67,12 +67,6 @@ impl SecureComm<'_, '_> {
     // ---------------------------------------------------------------
     // Reliability surface
     // ---------------------------------------------------------------
-
-    /// Counters of the fault/retransmit machinery (all zeros while it
-    /// is disabled; available without the trace feature).
-    pub fn chaos_stats(&self) -> ChaosStats {
-        self.rel.stats()
-    }
 
     /// Worst-case total repair-wait budget of one message under the
     /// current config — the sum of the capped backoff schedule. A good

@@ -8,7 +8,7 @@
 //! (modeled as tiny FEC-protected datagrams). Repair messages DO cross
 //! the faulty link and draw fresh verdicts per attempt.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
@@ -31,45 +31,6 @@ pub(super) const POLL_QUANTUM: VDur = VDur(500);
 
 /// Backoff cap: repair round `a` waits `timeout * 2^min(a, CAP)`.
 const BACKOFF_CAP_SHIFT: u32 = 3;
-
-/// Counters of the fault-injection/retransmit machinery. Always
-/// maintained (trace feature or not) so the chaos bench can read
-/// goodput and retransmit counts without parsing traces; all zeros
-/// while faults and retransmit are disabled.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Fault verdicts applied to outgoing frames (including jitter and
-    /// degraded-worker setup).
-    pub faults_injected: u64,
-    /// NACKs this rank sent (as a receiver asking for repair).
-    pub nacks_sent: u64,
-    /// NACKs this rank received (as a sender asked to repair).
-    pub nacks_received: u64,
-    /// Repair messages this rank retransmitted.
-    pub retransmits: u64,
-    /// Abort repairs sent (NACK for an evicted/unknown message).
-    pub aborts: u64,
-    /// Messages fully recovered after at least one failed delivery.
-    pub recoveries: u64,
-    /// Virtual nanoseconds this rank spent waiting for repairs.
-    pub backoff_ns: u64,
-}
-
-impl ChaosStats {
-    /// The counters as a named block in export order, for harness
-    /// injection into `empi_trace::MetricsSnapshot::chaos`.
-    pub fn counters(&self) -> [(&'static str, u64); 7] {
-        [
-            ("faults_injected", self.faults_injected),
-            ("nacks_sent", self.nacks_sent),
-            ("nacks_received", self.nacks_received),
-            ("retransmits", self.retransmits),
-            ("aborts", self.aborts),
-            ("recoveries", self.recoveries),
-            ("backoff_ns", self.backoff_ns),
-        ]
-    }
-}
 
 /// Sender-retained copy of one sealed message, kept pre-corruption so
 /// a repair always carries honest bytes.
@@ -100,8 +61,8 @@ type FlowSeqs = RefCell<HashMap<(usize, Tag), u64>>;
 pub(super) type Flow = (usize, Tag, u64);
 
 /// Everything the chaos machinery knows: the fault plan, the
-/// retransmit retention, the per-flow sequence counters that are the
-/// recovery identity, and the counters.
+/// retransmit retention, and the per-flow sequence counters that are
+/// the recovery identity. Its events are counted by the recorder.
 pub(super) struct Reliability<'a, 'h> {
     comm: &'a Comm<'h>,
     /// Seeded fault plan (None = clean links, the default).
@@ -114,7 +75,6 @@ pub(super) struct Reliability<'a, 'h> {
     /// Incoming message counters (MPI non-overtaking keeps them
     /// aligned with the sender's).
     recv_seq: FlowSeqs,
-    stats: Cell<ChaosStats>,
 }
 
 impl<'a, 'h> Reliability<'a, 'h> {
@@ -128,7 +88,6 @@ impl<'a, 'h> Reliability<'a, 'h> {
             }),
             send_seq: RefCell::default(),
             recv_seq: RefCell::default(),
-            stats: Cell::default(),
         };
         if let Some(p) = &rel.plan {
             // Degrade the seeded subset of this rank's crypto workers
@@ -144,7 +103,6 @@ impl<'a, 'h> Reliability<'a, 'h> {
                 });
                 let now = comm.sim().now().as_nanos();
                 for &(w, factor) in &degraded {
-                    rel.bump(|s| s.faults_injected += 1);
                     let detail = || format!("worker {w} slowed {factor}x");
                     note_span(comm, Cat::Fault, "fault/degrade", now, 0, detail, None);
                 }
@@ -161,16 +119,6 @@ impl<'a, 'h> Reliability<'a, 'h> {
     /// Is the retransmit layer active?
     pub(super) fn arq_on(&self) -> bool {
         self.arq.is_some()
-    }
-
-    pub(super) fn stats(&self) -> ChaosStats {
-        self.stats.get()
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut ChaosStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
     }
 
     /// Worst-case total repair-wait budget of one message: the sum of
@@ -206,9 +154,9 @@ impl<'a, 'h> Reliability<'a, 'h> {
         self.comm.sim().now().as_nanos()
     }
 
-    /// Record one injection: counter plus a `fault/*` trace span.
+    /// Record one injection: a `fault/*` span, which the recorder
+    /// counts.
     fn note_fault(&self, v: &Verdict, bytes: usize, dur_ns: u64, detail: String) {
-        self.bump(|s| s.faults_injected += 1);
         if let Some(t) = self.comm.sim().recorder() {
             let (me, now) = (self.comm.rank(), self.now_ns());
             t.span(me, Cat::Fault, v.label(), now, dur_ns, bytes, || detail, None);
@@ -393,7 +341,9 @@ impl<'a, 'h> Reliability<'a, 'h> {
         let Some(arq) = &self.arq else { return };
         while let Some(st) = self.comm.iprobe(Src::Any, TagSel::Is(NACK_TAG)) {
             let (_, raw) = self.comm.recv(Src::Is(st.source), TagSel::Is(NACK_TAG));
-            self.bump(|s| s.nacks_received += 1);
+            if let Some(r) = self.comm.sim().recorder() {
+                r.count_nack_received(self.comm.rank());
+            }
             let Some(nack) = Nack::decode(&raw) else {
                 continue; // structurally invalid: drop, peer re-NACKs
             };
@@ -432,14 +382,12 @@ impl<'a, 'h> Reliability<'a, 'h> {
             };
             let mut repair = hdr.encode_with(&body);
             if kind == RepairKind::Abort {
-                self.bump(|s| s.aborts += 1);
                 self.note_flow(flow, "abort/tx", repair.len(), || {
                     format!("flow not retained; abort -> rank {peer}")
                 });
                 let detail = format!("tag {tag} seq {seq} -> rank {peer}");
                 self.note_retry("retry/abort", 1, repair.len(), detail);
             } else {
-                self.bump(|s| s.retransmits += 1);
                 // The repair rides the same faulty link and draws one
                 // whole-blob verdict per attempt (chunk coordinate
                 // u32::MAX marks repair traffic). Header corruption or
@@ -474,11 +422,10 @@ impl<'a, 'h> Reliability<'a, 'h> {
     }
 
     /// Close one repair-wait round that began at `t0`: trace the
-    /// backoff, add it to the stats, return the nanoseconds waited.
+    /// backoff, return the nanoseconds waited.
     fn end_backoff(&self, t0: VTime, (_, tag, seq): Flow) -> u64 {
         let waited = (self.comm.sim().now() - t0).0;
         self.note_retry("retry/backoff", waited, 0, format!("tag {tag} seq {seq}"));
-        self.bump(|s| s.backoff_ns += waited);
         waited
     }
 
@@ -492,7 +439,9 @@ impl<'a, 'h> Reliability<'a, 'h> {
     ) -> (Status, Vec<u8>) {
         let (source, tag, _) = flow;
         let len = plain.len();
-        self.bump(|s| s.recoveries += 1);
+        if let Some(r) = self.comm.sim().recorder() {
+            r.count_recovery(self.comm.rank());
+        }
         self.note_flow(flow, "recover/ok", len, how);
         note_sample(self.comm, (Metric::Repair, "arq/repair", source as i32), len, t_enter);
         (Status { source, tag, len }, plain)
@@ -575,7 +524,6 @@ impl<'a, 'h> Reliability<'a, 'h> {
             // Control frames are exempt from injection (tiny
             // FEC-protected datagrams in the fault model).
             let _ = self.comm.isend(&wire, src, NACK_TAG);
-            self.bump(|s| s.nacks_sent += 1);
             self.note_flow(flow, "nack/tx", wire.len(), || {
                 format!("attempt {attempt} -> rank {src}")
             });

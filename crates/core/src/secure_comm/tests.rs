@@ -854,7 +854,7 @@ use empi_netsim::VDur;
 fn faults_without_arq_surface_typed_errors() {
     // Every sealed record is corrupted; with no retransmit layer
     // the receiver must see a typed auth failure, never a panic.
-    let w = World::flat(NetModel::instant(), 2);
+    let w = World::flat(NetModel::instant(), 2).traced(true);
     let out = w.run(|c| {
         let local = if c.rank() == 0 {
             cfg().with_faults(
@@ -870,7 +870,6 @@ fn faults_without_arq_surface_typed_errors() {
         let sc = SecureComm::new(c, local).unwrap();
         if c.rank() == 0 {
             sc.send(b"will be flipped", 1, 3);
-            assert!(sc.chaos_stats().faults_injected >= 1);
             true
         } else {
             matches!(
@@ -880,13 +879,14 @@ fn faults_without_arq_surface_typed_errors() {
         }
     });
     assert_eq!(out.results, vec![true, true]);
+    assert!(out.trace.unwrap().per_rank[0].faults_injected >= 1);
 }
 
 #[test]
 fn zero_fault_rate_arq_is_silent() {
     // Retransmit enabled, fault rate zero: traffic must round-trip
-    // with zero NACK/repair wire frames and all-zero chaos counters.
-    let w = World::flat(NetModel::ethernet_10g(), 2);
+    // with zero NACK/repair wire frames and no chaos counter block.
+    let w = World::flat(NetModel::ethernet_10g(), 2).with_metrics(true);
     let out = w.run(|c| {
         let sc = SecureComm::new(c, cfg().with_retransmit(3, VDur::from_micros(100))).unwrap();
         let me = c.rank();
@@ -908,15 +908,9 @@ fn zero_fault_rate_arq_is_silent() {
         };
         sc.bcast(&mut b, 0).unwrap();
         assert_eq!(b, b"bcast");
-        sc.chaos_stats()
     });
-    for st in out.results {
-        assert_eq!(
-            st,
-            ChaosStats::default(),
-            "ARQ at fault rate 0 must be free"
-        );
-    }
+    let chaos = out.metrics.unwrap().chaos;
+    assert_eq!(chaos, None, "ARQ at fault rate 0 must be free");
 }
 
 #[test]
@@ -925,7 +919,7 @@ fn duplicated_chunks_salvage_without_wire_traffic() {
     // salvager deduplicates and reassembles — recovery without a
     // single NACK.
     let len = 1usize << 17;
-    let w = World::flat(NetModel::ethernet_10g(), 2);
+    let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
     let out = w.run(move |c| {
         let local = cfg()
             .with_pipeline(crate::PipelineConfig::enabled().with_workers(2))
@@ -948,17 +942,18 @@ fn duplicated_chunks_salvage_without_wire_traffic() {
             true
         } else {
             let (_, data) = sc.recv(Src::Is(0), TagSel::Is(6)).unwrap();
-            let st = sc.chaos_stats();
-            data == vec![0xA7u8; len] && st.recoveries == 1 && st.nacks_sent == 0
+            data == vec![0xA7u8; len]
         }
     });
     assert_eq!(out.results, vec![true, true]);
+    let receiver = out.trace.unwrap().per_rank[1];
+    assert_eq!((receiver.recoveries, receiver.nacks_sent), (1, 0));
 }
 
 #[test]
 fn jitter_only_delays_but_delivers() {
     let len = 1usize << 16;
-    let w = World::flat(NetModel::ethernet_10g(), 2);
+    let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
     let out = w.run(move |c| {
         let local = cfg()
             .with_pipeline(crate::PipelineConfig::enabled().with_workers(2))
@@ -973,13 +968,14 @@ fn jitter_only_delays_but_delivers() {
         let sc = SecureComm::new(c, local).unwrap();
         if c.rank() == 0 {
             sc.send(&vec![0x3Cu8; len], 1, 1);
-            sc.chaos_stats().faults_injected >= 1
+            true
         } else {
             let (_, data) = sc.recv(Src::Is(0), TagSel::Is(1)).unwrap();
             data == vec![0x3Cu8; len]
         }
     });
     assert_eq!(out.results, vec![true, true]);
+    assert!(out.trace.unwrap().per_rank[0].faults_injected >= 1);
 }
 
 #[test]
@@ -991,7 +987,7 @@ fn arq_recovers_dropped_chunks_via_nack_repair() {
     let mut wire_recoveries = 0u64;
     let mut outcomes = 0usize;
     for seed in 0..12u64 {
-        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
         let out = w.run(move |c| {
             let local = cfg()
                 .with_pipeline(
@@ -1015,27 +1011,24 @@ fn arq_recovers_dropped_chunks_via_nack_repair() {
             if c.rank() == 0 {
                 sc.send(&vec![0x5Au8; len], 1, 2);
                 sc.pump(sc.recovery_window());
-                (true, 0u64, 0u64)
             } else {
-                let st = match sc.recv(Src::Is(0), TagSel::Is(2)) {
+                match sc.recv(Src::Is(0), TagSel::Is(2)) {
                     Ok((_, data)) => {
                         assert_eq!(data, vec![0x5Au8; len], "seed {seed}: wrong plaintext");
-                        sc.chaos_stats()
                     }
                     Err(
                         Error::DeliveryFailed { .. }
                         | Error::Timeout { .. }
                         | Error::Crypto(_)
                         | Error::Pipeline(_),
-                    ) => sc.chaos_stats(),
+                    ) => {}
                     Err(e) => panic!("seed {seed}: unexpected error class: {e}"),
-                };
-                (true, st.recoveries, st.nacks_sent)
+                }
             }
         });
         outcomes += 1;
-        let (_, recoveries, nacks) = out.results[1];
-        if recoveries > 0 && nacks > 0 {
+        let receiver = out.trace.unwrap().per_rank[1];
+        if receiver.recoveries > 0 && receiver.nacks_sent > 0 {
             wire_recoveries += 1;
         }
     }
@@ -1054,7 +1047,7 @@ fn arq_recovers_flipped_plain_message() {
     // require at least one whole-message wire recovery.
     let mut wire_recoveries = 0u64;
     for seed in 0..12u64 {
-        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
         let out = w.run(move |c| {
             let local = cfg().with_retransmit(4, VDur::from_micros(200));
             let local = if c.rank() == 0 {
@@ -1072,19 +1065,15 @@ fn arq_recovers_flipped_plain_message() {
             if c.rank() == 0 {
                 sc.send(&vec![0x77u8; 4096], 1, 8);
                 sc.pump(sc.recovery_window());
-                0
             } else {
                 match sc.recv(Src::Is(0), TagSel::Is(8)) {
-                    Ok((_, data)) => {
-                        assert_eq!(data, vec![0x77u8; 4096]);
-                        sc.chaos_stats().recoveries
-                    }
-                    Err(Error::DeliveryFailed { .. } | Error::Timeout { .. }) => 0,
+                    Ok((_, data)) => assert_eq!(data, vec![0x77u8; 4096]),
+                    Err(Error::DeliveryFailed { .. } | Error::Timeout { .. }) => {}
                     Err(e) => panic!("seed {seed}: unexpected error: {e}"),
                 }
             }
         });
-        wire_recoveries += out.results[1];
+        wire_recoveries += out.trace.unwrap().per_rank[1].recoveries;
     }
     assert!(wire_recoveries >= 1, "no seed recovered a plain record");
 }
@@ -1094,12 +1083,12 @@ fn nack_for_evicted_message_gets_an_abort() {
     // A NACK naming a flow the sender no longer retains (or never
     // sent) is answered with a typed abort repair.
     use empi_mpi::{RepairKind, NACK_TAG, REPAIR_TAG};
-    let w = World::flat(NetModel::instant(), 2);
+    let w = World::flat(NetModel::instant(), 2).traced(true);
     let out = w.run(|c| {
         let sc = SecureComm::new(c, cfg().with_retransmit(2, VDur::from_micros(50))).unwrap();
         if c.rank() == 0 {
             sc.pump(VDur::from_micros(20));
-            sc.chaos_stats().aborts == 1
+            true
         } else {
             let nack = empi_mpi::Nack::Whole {
                 tag: 5,
@@ -1113,6 +1102,7 @@ fn nack_for_evicted_message_gets_an_abort() {
         }
     });
     assert_eq!(out.results, vec![true, true]);
+    assert_eq!(out.trace.unwrap().per_rank[0].aborts, 1);
 }
 
 fn decode_repair(raw: &[u8]) -> (empi_mpi::RepairHeader, Vec<u8>) {
@@ -1159,8 +1149,8 @@ fn degraded_workers_slow_the_pipeline_but_stay_correct() {
     // virtual-time schedule.
     let len = 1usize << 18;
     let run = |degrade: bool| {
-        let w = World::flat(NetModel::ethernet_10g(), 2);
-        w.run(move |c| {
+        let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
+        let out = w.run(move |c| {
             let mut local =
                 cfg().with_pipeline(crate::PipelineConfig::enabled().with_workers(4));
             if degrade {
@@ -1176,14 +1166,13 @@ fn degraded_workers_slow_the_pipeline_but_stay_correct() {
             let sc = SecureComm::new(c, local).unwrap();
             if c.rank() == 0 {
                 sc.send(&vec![0x11u8; len], 1, 0);
-                assert!(!degrade || sc.chaos_stats().faults_injected >= 1);
             } else {
                 let (_, data) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
                 assert_eq!(data, vec![0x11u8; len]);
             }
-        })
-        .end_time
-        .as_nanos()
+        });
+        assert!(!degrade || out.trace.unwrap().per_rank[0].faults_injected >= 1);
+        out.end_time.as_nanos()
     };
     let clean = run(false);
     let degraded = run(true);
@@ -1508,11 +1497,9 @@ fn keys_cfg(seed: u64) -> SecurityConfig {
 
 #[test]
 fn key_plane_handshake_agrees_and_round_trips() {
-    let w = World::flat(NetModel::ethernet_10g(), 4);
+    let w = World::flat(NetModel::ethernet_10g(), 4).traced(true);
     let out = w.run(|c| {
         let sc = SecureComm::new(c, keys_cfg(42)).unwrap();
-        let stats = sc.key_stats().unwrap();
-        assert_eq!(stats.handshakes, 1);
         assert_eq!(sc.sealing_epoch(), 0, "no rotation configured");
         // P2p both ways plus a collective, all under the session
         // master the handshake agreed on.
@@ -1532,6 +1519,9 @@ fn key_plane_handshake_agrees_and_round_trips() {
         1
     });
     assert_eq!(out.results, vec![1; 4]);
+    for m in out.trace.unwrap().per_rank {
+        assert_eq!(m.handshakes, 1);
+    }
 }
 
 #[test]
@@ -1571,7 +1561,7 @@ fn rotation_under_pipelined_traffic_is_bit_exact() {
     // Fixed seed, rotation on vs off: every delivered plaintext is
     // byte-identical, rotation merely rolls the sealing epoch.
     let run = |rotate: bool| {
-        let w = World::flat(NetModel::ethernet_10g(), 2);
+        let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
         w.run(move |c| {
             let mut kp = empi_keys::KeyPlaneConfig::new(7).with_drain(2);
             if rotate {
@@ -1604,8 +1594,7 @@ fn rotation_under_pipelined_traffic_is_bit_exact() {
                     delivered.push(got);
                 }
             }
-            let rekeys = sc.key_stats().unwrap().rekeys;
-            (delivered, rekeys, sc.sealing_epoch())
+            (delivered, sc.sealing_epoch())
         })
     };
     let with_rot = run(true);
@@ -1616,20 +1605,53 @@ fn rotation_under_pipelined_traffic_is_bit_exact() {
             "rank {r}: rotation changed delivered plaintexts"
         );
         assert_eq!(
-            without.results[r].2, 0,
+            without.results[r].1, 0,
             "no-rotation world stays at epoch 0"
         );
     }
     assert!(
-        with_rot.results[0].1 > 0,
+        with_rot.trace.unwrap().per_rank[0].rekeys > 0,
         "clock-driven rotation never rolled an epoch"
     );
-    assert!(with_rot.results[0].2 > 0, "sealing epoch never advanced");
+    assert!(with_rot.results[0].1 > 0, "sealing epoch never advanced");
+}
+
+#[test]
+fn skipping_epochs_counts_each_epoch() {
+    // An idle gap that skips several epochs is several rekeys, not one:
+    // the trace counts every epoch rolled, so each rank's count equals
+    // the epoch it seals in, and the snapshot's block is their sum.
+    let w = World::flat(NetModel::ethernet_10g(), 2)
+        .traced(true)
+        .with_metrics(true);
+    let out = w.run(|c| {
+        let kp = empi_keys::KeyPlaneConfig::new(17).with_rotation(VDur::from_micros(100));
+        let sc = SecureComm::new(c, cfg().with_key_plane(kp)).unwrap();
+        for i in 0..2 {
+            if c.rank() == 0 {
+                sc.send(b"across the gap", 1, i);
+                if i == 0 {
+                    c.compute(VDur::from_micros(350));
+                }
+            } else {
+                let (_, got) = sc.recv(Src::Is(0), TagSel::Is(i)).unwrap();
+                assert_eq!(got, b"across the gap");
+            }
+        }
+        sc.sealing_epoch()
+    });
+    let trace = out.trace.unwrap();
+    for (r, &epoch) in out.results.iter().enumerate() {
+        assert!(epoch > 1, "rank {r}: the gap must skip epochs");
+        assert_eq!(trace.per_rank[r].rekeys, epoch, "rank {r}");
+    }
+    let keys = out.metrics.unwrap().keys.unwrap();
+    assert_eq!(keys.get("rekeys"), out.results.iter().sum::<u64>());
 }
 
 #[test]
 fn revoked_rank_is_quarantined_and_survivors_rekey() {
-    let w = World::flat(NetModel::ethernet_10g(), 3);
+    let w = World::flat(NetModel::ethernet_10g(), 3).traced(true);
     let out = w.run(|c| {
         let sc = SecureComm::new(c, keys_cfg(13)).unwrap();
         let me = c.rank();
@@ -1666,7 +1688,6 @@ fn revoked_rank_is_quarantined_and_survivors_rekey() {
                     matches!(got, Err(Error::Key(KeyError::RevokedPeer { rank: 2 }))),
                     "revoked traffic must be quarantined, got {got:?}"
                 );
-                assert_eq!(sc.key_stats().unwrap().rejected_revoked, 1);
                 // Survivor traffic under the re-keyed master flows.
                 let (_, ok) = sc.recv(Src::Is(0), TagSel::Is(3)).unwrap();
                 assert_eq!(ok, b"survivors");
@@ -1674,19 +1695,21 @@ fn revoked_rank_is_quarantined_and_survivors_rekey() {
             }
             _ => {
                 sc.send(b"survivors", 1, 3);
-                let s = sc.key_stats().unwrap();
-                assert_eq!((s.revocations, s.rekeys), (1, 1));
                 0
             }
         }
     });
     assert_eq!(out.results[1], 1);
+    let trace = out.trace.unwrap();
+    assert_eq!(trace.per_rank[1].rejected_revoked, 1);
+    let survivor = trace.per_rank[0];
+    assert_eq!((survivor.revocations, survivor.rekeys), (1, 1));
 }
 
 #[test]
 fn stale_epoch_replay_is_rejected() {
-    let w = World::flat(NetModel::ethernet_10g(), 4);
-    w.run(|c| {
+    let w = World::flat(NetModel::ethernet_10g(), 4).traced(true);
+    let out = w.run(|c| {
         let sc = SecureComm::new(c, keys_cfg(3)).unwrap();
         let me = c.rank();
         // Rank 0 seals a record at epoch 0; rank 1 captures the raw
@@ -1723,16 +1746,16 @@ fn stale_epoch_replay_is_rejected() {
                 ),
                 "stale replay must be typed, got {got:?}"
             );
-            assert_eq!(sc.key_stats().unwrap().rejected_stale, 1);
         }
         c.barrier();
     });
+    assert_eq!(out.trace.unwrap().per_rank[0].rejected_stale, 1);
 }
 
 #[test]
 fn downgrade_and_forged_epochs_are_rejected() {
-    let w = World::flat(NetModel::ethernet_10g(), 2);
-    w.run(|c| {
+    let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
+    let out = w.run(|c| {
         let sc = SecureComm::new(c, keys_cfg(5)).unwrap();
         if c.rank() == 0 {
             // A legacy prefix-free record sealed under the (known!)
@@ -1765,10 +1788,9 @@ fn downgrade_and_forged_epochs_are_rejected() {
                 matches!(forged, Err(Error::Key(KeyError::FutureEpoch { .. }))),
                 "forged epoch must be typed, got {forged:?}"
             );
-            let s = sc.key_stats().unwrap();
-            assert_eq!(s.rejected_future, 1);
         }
     });
+    assert_eq!(out.trace.unwrap().per_rank[1].rejected_future, 1);
 }
 
 #[test]
@@ -1905,14 +1927,13 @@ fn ft_verbs_ride_the_pipelined_path_like_send_and_recv() {
                 (_, true) => assert_eq!(sc.ft_recv(Src::Is(0), TagSel::Is(3)).unwrap().1, msg),
                 (_, false) => assert_eq!(sc.recv(Src::Is(0), TagSel::Is(3)).unwrap().1, msg),
             }
-            c.ftol_counters().get("probes")
         })
         .unwrap()
     };
     let (armed, plain) = (run(true), run(false));
     assert_eq!(
-        armed.results,
-        vec![Some(0), Some(0)],
+        armed.metrics.as_ref().unwrap().ftol,
+        None,
         "the lease fired on a healthy run"
     );
     assert!(

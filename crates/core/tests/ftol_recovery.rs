@@ -18,6 +18,7 @@ fn us(n: u64) -> VTime {
 fn crash_revokes_dead_rank_and_survivors_rekey() {
     let w = World::flat(NetModel::ethernet_10g(), 4)
         .with_ftol(DetectorConfig::default())
+        .traced(true)
         .crash_plan(CrashPlan::new().crash_at(2, us(5_000)));
     let out = w
         .try_run_ft(|c| {
@@ -62,12 +63,17 @@ fn crash_revokes_dead_rank_and_survivors_rekey() {
                 text,
                 format!("survivor {prev} epoch {}", sc.sealing_epoch())
             );
-            c.ftol_counters().get("detected") + c.ftol_counters().get("notices")
         })
         .expect("survivors must finish");
     // Exactly one local detection; everyone learned of the death.
+    let trace = out.trace.expect("traced");
     for r in [0usize, 1, 3] {
-        assert_eq!(out.results[r], Some(1), "rank {r} failure accounting");
+        let m = trace.per_rank[r];
+        assert_eq!(
+            m.ft_detected + m.ft_notices,
+            1,
+            "rank {r} failure accounting"
+        );
     }
     assert!(out.results[2].is_none());
 }
@@ -167,7 +173,9 @@ fn assert_seed_corrupts_then_repairs(seq: u64) {
 fn ft_recv_recovers_and_keeps_the_flow_sequence_aligned() {
     assert_seed_corrupts_then_repairs(0);
     assert_seed_corrupts_then_repairs(1);
-    let w = World::flat(NetModel::ethernet_10g(), 2).with_ftol(DetectorConfig::default());
+    let w = World::flat(NetModel::ethernet_10g(), 2)
+        .with_ftol(DetectorConfig::default())
+        .traced(true);
     let out = w
         .try_run_ft(move |c| {
             let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
@@ -179,7 +187,7 @@ fn ft_recv_recovers_and_keeps_the_flow_sequence_aligned() {
                 sc.send(&first, 1, TAG);
                 sc.send(&second, 1, TAG);
                 sc.pump(sc.recovery_window());
-                return 0;
+                return;
             }
             let (_, got) = sc
                 .ft_recv(Src::Is(0), TagSel::Is(TAG))
@@ -193,12 +201,11 @@ fn ft_recv_recovers_and_keeps_the_flow_sequence_aligned() {
                 "the repair carried the previous message's bytes"
             );
             assert_eq!(got, second, "second message");
-            sc.chaos_stats().recoveries
         })
         .expect("nobody dies");
     assert_eq!(
-        out.results[1],
-        Some(2),
+        out.trace.unwrap().per_rank[1].recoveries,
+        2,
         "both messages were repaired over the wire"
     );
 }
@@ -209,7 +216,9 @@ fn ft_recv_recovers_and_keeps_the_flow_sequence_aligned() {
 #[test]
 fn rank_parked_in_ft_recv_answers_a_live_peers_nack() {
     assert_seed_corrupts_then_repairs(0);
-    let w = World::flat(NetModel::ethernet_10g(), 2).with_ftol(DetectorConfig::default());
+    let w = World::flat(NetModel::ethernet_10g(), 2)
+        .with_ftol(DetectorConfig::default())
+        .traced(true);
     let out = w
         .try_run_ft(move |c| {
             let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
@@ -229,19 +238,19 @@ fn rank_parked_in_ft_recv_answers_a_live_peers_nack() {
                     .ft_recv(Src::Is(1), TagSel::Is(TAG + 1))
                     .expect("the peer is alive");
                 assert_eq!(reply, b"reply");
-                return sc.chaos_stats().retransmits;
+                return;
             }
             let (_, got) = sc
                 .recv(Src::Is(0), TagSel::Is(TAG))
                 .expect("repaired by a sender that is parked in ft_recv");
             assert_eq!(got, b"request");
             sc.ft_send(b"reply", 0, TAG + 1).expect("the peer is alive");
-            sc.chaos_stats().recoveries
         })
         .expect("nobody dies");
+    let trace = out.trace.unwrap();
     assert_eq!(
-        out.results,
-        vec![Some(1), Some(1)],
+        (trace.per_rank[0].retransmits, trace.per_rank[1].recoveries),
+        (1, 1),
         "one repair sent, one recovery"
     );
 }

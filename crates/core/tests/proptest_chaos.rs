@@ -200,24 +200,22 @@ proptest! {
         len in 1usize..20_000,
     ) {
         // A fault plan with all-zero rates plus any seed must behave
-        // exactly like no plan: correct data, zero chaos counters.
-        let w = World::flat(NetModel::ethernet_10g(), 2).with_shards(shards);
+        // exactly like no plan: correct data, no chaos counter block.
+        let w = World::flat(NetModel::ethernet_10g(), 2)
+            .with_shards(shards)
+            .with_metrics(true);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(arq, pipelined, seed, FaultRates::ZERO)).unwrap();
             let want = vec![0xC3u8; len];
             if c.rank() == 0 {
                 sc.send(&want, 1, 2);
-                sc.chaos_stats()
             } else {
                 let (_, data) = sc.recv(Src::Is(0), TagSel::Is(2)).expect("zero rates never fail");
                 assert_eq!(data, want);
-                sc.chaos_stats()
             }
         });
         let out = out.expect("zero-rate plan must never deadlock");
-        for st in out.results {
-            prop_assert_eq!(st, empi_core::ChaosStats::default());
-        }
+        prop_assert_eq!(out.metrics.expect("metered").chaos, None);
     }
 
     #[test]
@@ -235,7 +233,9 @@ proptest! {
         // arrive in send order, bit-exact, without a single NACK.
         let n = chunked.len();
         let len = move |i: usize| if chunked[i] { (1 << 14) + 1 + delta } else { (1 << 14) - delta };
-        let w = World::flat(NetModel::ethernet_10g(), 2).with_shards(shards);
+        let w = World::flat(NetModel::ethernet_10g(), 2)
+            .with_shards(shards)
+            .with_metrics(true);
         let out = w.try_run(move |c| {
             let sc = SecureComm::new(c, cfg(true, true, seed, FaultRates::ZERO)).unwrap();
             let msg = |i: usize| vec![i as u8 ^ 0xA5; len(i)];
@@ -248,12 +248,9 @@ proptest! {
                     assert!(data == msg(i), "message {i} of {n} overtaken or corrupted");
                 }
             }
-            sc.chaos_stats()
         });
         let out = out.expect("zero-rate plan must never deadlock");
-        for st in out.results {
-            prop_assert_eq!(st, empi_core::ChaosStats::default());
-        }
+        prop_assert_eq!(out.metrics.expect("metered").chaos, None);
     }
 }
 

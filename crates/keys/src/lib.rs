@@ -39,7 +39,7 @@ pub mod suite;
 pub use epoch::EpochWindow;
 pub use frames::KeyFrame;
 pub use kdf::{derive_group_key, derive_pair_key};
-pub use plane::{KeyError, KeyPlane, KeyPlaneConfig, KeyStats};
+pub use plane::{KeyError, KeyPlane, KeyPlaneConfig};
 pub use record::{
     embed_epoch_msg_id, epoch_aad, msg_id_epoch, open_record, seal_record, split_epoch,
     widen_epoch16, EPOCH_MSG_ID_SHIFT, EPOCH_PREFIX_LEN,

@@ -1,5 +1,6 @@
-//! The per-rank key plane: configuration, live state, typed errors,
-//! and counters.
+//! The per-rank key plane: configuration, live state and typed errors.
+//! Its events are counted by the recorder, at the secure layer's call
+//! sites.
 //!
 //! One [`KeyPlane`] lives inside each rank's secure-comm context. It
 //! owns the session master produced by the handshake, derives the
@@ -111,63 +112,27 @@ impl KeyPlaneConfig {
     }
 }
 
-/// Counters the metrics harness snapshots into the `key/*` plane.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KeyStats {
-    /// Completed group handshakes (1 per world unless re-run).
-    pub handshakes: u64,
-    /// Epoch rolls observed locally (schedule or revocation bumps).
-    pub rekeys: u64,
-    /// Ranks revoked.
-    pub revocations: u64,
-    /// Records rejected as stale-epoch replays.
-    pub rejected_stale: u64,
-    /// Records rejected as future-epoch forgeries.
-    pub rejected_future: u64,
-    /// Records rejected because a peer was revoked.
-    pub rejected_revoked: u64,
-}
-
-impl KeyStats {
-    /// The counters as a named block in export order, for harness
-    /// injection into the metrics snapshot's `keys` family.
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("handshakes", self.handshakes),
-            ("rekeys", self.rekeys),
-            ("revocations", self.revocations),
-            ("rejected_stale", self.rejected_stale),
-            ("rejected_future", self.rejected_future),
-            ("rejected_revoked", self.rejected_revoked),
-        ]
-    }
-}
-
 /// Live per-rank key-plane state.
 pub struct KeyPlane {
     cfg: KeyPlaneConfig,
     master: Cell<[u8; 32]>,
     schedule: Option<Schedule>,
     revoked: RefCell<BTreeSet<usize>>,
-    /// Highest epoch this rank has sealed or accepted under — the
-    /// rekey counter ticks when this advances.
+    /// Highest epoch this rank has sealed or accepted under — a
+    /// rotation is this advancing.
     highest_epoch: Cell<u64>,
-    stats: RefCell<KeyStats>,
 }
 
 impl KeyPlane {
     /// A plane holding the post-handshake session master.
     pub fn new(cfg: KeyPlaneConfig, session_master: [u8; 32]) -> KeyPlane {
-        let plane = KeyPlane {
+        KeyPlane {
             cfg,
             master: Cell::new(session_master),
             schedule: cfg.rotate_every.map(Schedule::every),
             revoked: RefCell::new(BTreeSet::new()),
             highest_epoch: Cell::new(0),
-            stats: RefCell::new(KeyStats::default()),
-        };
-        plane.stats.borrow_mut().handshakes = 1;
-        plane
+        }
     }
 
     /// The plane's configuration.
@@ -193,31 +158,9 @@ impl KeyPlane {
         self.cfg.window()
     }
 
-    /// Gate an incoming wire epoch against the local epoch, counting
-    /// rejections.
-    pub fn accept(&self, wire: u64, local: u64) -> Result<(), KeyError> {
-        match self.window().accept(wire, local) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let mut s = self.stats.borrow_mut();
-                match e {
-                    KeyError::StaleEpoch { .. } => s.rejected_stale += 1,
-                    KeyError::FutureEpoch { .. } => s.rejected_future += 1,
-                    _ => {}
-                }
-                Err(e)
-            }
-        }
-    }
-
     /// Is `rank` revoked?
     pub fn is_revoked(&self, rank: usize) -> bool {
         self.revoked.borrow().contains(&rank)
-    }
-
-    /// Count a rejection of revoked-peer traffic.
-    pub fn note_revoked_rejection(&self) {
-        self.stats.borrow_mut().rejected_revoked += 1;
     }
 
     /// Revoke `rank`: quarantine it and fold the revoked set into a
@@ -232,7 +175,6 @@ impl KeyPlane {
             let new_master = revoked_master(&self.master.get(), &revoked);
             self.master.set(new_master);
         }
-        self.stats.borrow_mut().revocations += 1;
         Ok(self.master.get())
     }
 
@@ -243,21 +185,11 @@ impl KeyPlane {
 
     /// Observe the epoch a record is being sealed or opened under;
     /// returns how many epochs the local high-water mark advanced
-    /// (0 when not a new high), ticking the rekey counter per roll.
+    /// (0 when not a new high): the rekeys the caller counts.
     pub fn note_epoch(&self, epoch: u64) -> u64 {
         let prev = self.highest_epoch.get();
-        if epoch <= prev {
-            return 0;
-        }
-        self.highest_epoch.set(epoch);
-        let rolls = epoch - prev;
-        self.stats.borrow_mut().rekeys += rolls;
-        rolls
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> KeyStats {
-        *self.stats.borrow()
+        self.highest_epoch.set(prev.max(epoch));
+        epoch.saturating_sub(prev)
     }
 }
 
@@ -294,18 +226,7 @@ mod tests {
         assert_eq!(p.note_epoch(2), 2, "jump counts both rolls");
         assert_eq!(p.note_epoch(2), 0, "repeat is not a roll");
         assert_eq!(p.note_epoch(1), 0, "drain-window stragglers don't roll");
-        assert_eq!(p.stats().rekeys, 2);
         assert_eq!(p.highest_epoch.get(), 2);
-    }
-
-    #[test]
-    fn accept_counts_rejections() {
-        let p = KeyPlane::new(KeyPlaneConfig::new(1).with_drain(1), [0u8; 32]);
-        assert!(p.accept(5, 5).is_ok());
-        assert!(p.accept(2, 5).is_err());
-        assert!(p.accept(9, 5).is_err());
-        let s = p.stats();
-        assert_eq!((s.rejected_stale, s.rejected_future), (1, 1));
     }
 
     #[test]
@@ -323,8 +244,6 @@ mod tests {
             "double revoke is typed"
         );
         assert_eq!(p.revoked_ranks(), vec![2]);
-        let s = p.stats();
-        assert_eq!((s.handshakes, s.revocations), (1, 1));
         // Same sequence of revocations on another plane lands on the
         // same master — survivors converge without a wire round.
         let q = KeyPlane::new(KeyPlaneConfig::new(1), [9u8; 32]);

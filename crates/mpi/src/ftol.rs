@@ -45,12 +45,12 @@
 //! is uniform; the two-phase variant needed for that guarantee is out
 //! of scope here and flagged in DESIGN.md §14.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use empi_netsim::{CrashKind, VDur, VTime};
-use empi_trace::{Cat, CounterBlock, Metric};
+use empi_trace::{Cat, Metric};
 
 use crate::chunk::{RecvPayload, SendPayload};
 use crate::comm::{Charge, Comm, Parked, Request, SetPoll};
@@ -123,10 +123,6 @@ pub(crate) struct FtolState {
     /// Last poll-style probe per peer (ns), rate-limiting
     /// [`Comm::ft_probe`] to one round per lease period.
     last_probe: RefCell<BTreeMap<usize, u64>>,
-    detected: Cell<u64>,
-    notices: Cell<u64>,
-    probes: Cell<u64>,
-    shrinks: Cell<u64>,
 }
 
 impl FtolState {
@@ -136,10 +132,6 @@ impl FtolState {
             failed: RefCell::new(BTreeSet::new()),
             misses: RefCell::new(BTreeMap::new()),
             last_probe: RefCell::new(BTreeMap::new()),
-            detected: Cell::new(0),
-            notices: Cell::new(0),
-            probes: Cell::new(0),
-            shrinks: Cell::new(0),
         }
     }
 }
@@ -209,24 +201,6 @@ impl<'h> Comm<'h> {
         dead.then(|| self.rank_failed(rank))
     }
 
-    /// The detector's counter block, in export order, for harness
-    /// injection into [`empi_trace::MetricsSnapshot::ftol`]: failures
-    /// confirmed locally (lease expiry + probe/confirm), failures
-    /// learned from a peer's notice, probe rounds issued, shrinks
-    /// completed — and the two slots the secure layer fills (`rekeys`,
-    /// `delivery_failed`), zero here.
-    pub fn ftol_counters(&self) -> CounterBlock {
-        let st = self.det();
-        CounterBlock::from([
-            ("detected", st.detected.get()),
-            ("notices", st.notices.get()),
-            ("probes", st.probes.get()),
-            ("shrinks", st.shrinks.get()),
-            ("rekeys", 0),
-            ("delivery_failed", 0),
-        ])
-    }
-
     /// Poll-style liveness check on `peer`, for callers that run their
     /// own wait loops (the secure layer's ARQ recovery): returns the
     /// typed failure if `peer` is already confirmed dead, or — once
@@ -281,7 +255,6 @@ impl<'h> Comm<'h> {
         let st = self.det();
         let newly = st.failed.borrow_mut().insert(rank);
         if newly {
-            st.detected.set(st.detected.get() + 1);
             self.note_ftol("ftol/detect", died_at_ns, rank as i32, || {
                 format!("rank {rank} confirmed dead")
             });
@@ -295,7 +268,6 @@ impl<'h> Comm<'h> {
         let st = self.det();
         let newly = st.failed.borrow_mut().insert(rank);
         if newly {
-            st.notices.set(st.notices.get() + 1);
             self.note_ftol("ftol/notice", confirmed_at_ns, rank as i32, || {
                 format!("rank {rank} reported dead by a peer")
             });
@@ -346,7 +318,6 @@ impl<'h> Comm<'h> {
     /// rounds; a live one always answers and resets its miss count.
     fn probe_round(&self, suspects: &[usize]) -> Option<(usize, u64)> {
         let st = self.det();
-        st.probes.set(st.probes.get() + 1);
         let t0 = self.now().as_nanos();
         self.h.advance(st.cfg.probe_rtt);
         if let Some(r) = self.h.recorder() {
@@ -621,7 +592,6 @@ impl<'h> Comm<'h> {
             .iter()
             .position(|&r| r == self.rank())
             .expect("shrink caller must be a survivor");
-        st.shrinks.set(st.shrinks.get() + 1);
         self.note_ftol("ftol/shrink", t0, -1, || {
             format!("{} survivors of {}", members.len(), n)
         });
@@ -707,24 +677,26 @@ mod tests {
         let run = |plan: CrashPlan| {
             let w = World::flat(NetModel::ethernet_10g(), 2)
                 .with_ftol(cfg)
+                .traced(true)
                 .crash_plan(plan);
-            w.try_run_ft(|c| {
-                if c.rank() == 1 {
-                    c.compute(VDur::from_micros(10_000));
-                    unreachable!("rank 1 dies mid-compute");
-                }
-                let err = c
-                    .ft_recv(Src::Is(1), TagSel::Is(0))
-                    .expect_err("rank 1 dies");
-                assert_eq!(err.rank, 1);
-                (c.now(), c.ftol_counters().get("probes"))
-            })
-            .unwrap()
+            let out = w
+                .try_run_ft(|c| {
+                    if c.rank() == 1 {
+                        c.compute(VDur::from_micros(10_000));
+                        unreachable!("rank 1 dies mid-compute");
+                    }
+                    let err = c
+                        .ft_recv(Src::Is(1), TagSel::Is(0))
+                        .expect_err("rank 1 dies");
+                    assert_eq!(err.rank, 1);
+                    c.now()
+                })
+                .unwrap();
+            let probes = out.trace.expect("traced").per_rank[0].ft_probes;
+            (out.results[0].expect("rank 0 survives"), probes)
         };
-        let crash = run(CrashPlan::new().crash_at(1, us(50)));
-        let hang = run(CrashPlan::new().hang_at(1, us(50)));
-        let (crash_t, crash_probes) = crash.results[0].expect("rank 0 survives");
-        let (hang_t, hang_probes) = hang.results[0].expect("rank 0 survives");
+        let (crash_t, crash_probes) = run(CrashPlan::new().crash_at(1, us(50)));
+        let (hang_t, hang_probes) = run(CrashPlan::new().hang_at(1, us(50)));
         assert_eq!(crash_probes, 1, "crash confirms on the first probe");
         assert_eq!(
             hang_probes,

@@ -60,4 +60,4 @@ pub use ftol::{DetectorConfig, RankFailed, ShrunkComm};
 pub use types::{
     as_bytes, copy_from_bytes, vec_from_bytes, Pod, Src, Status, Tag, TagSel, RESERVED_TAG_BASE,
 };
-pub use world::{FtWorldOutcome, World, WorldOutcome};
+pub use world::{World, WorldOutcome};

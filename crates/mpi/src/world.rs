@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use empi_netsim::{
     CrashKind, CrashPlan, Engine, Fabric, FabricStats, MetricsSnapshot, NetModel, Recorder,
-    SimError, SimHandle, SloConfig, Topology, TraceReport, VTime,
+    RunOutcome, SimError, SimHandle, SloConfig, Topology, TraceReport, VTime,
 };
 use parking_lot::Mutex;
 
@@ -25,36 +25,13 @@ pub struct World {
     crash: CrashPlan,
 }
 
-/// What a finished run returns.
+/// What a finished run returns. A fault-tolerant run
+/// ([`World::try_run_ft`]) returns `WorldOutcome<Option<T>>`: `None`
+/// for each rank the crash plan killed before its closure returned.
 #[derive(Debug)]
 pub struct WorldOutcome<T> {
     /// Per-rank results, in rank order.
     pub results: Vec<T>,
-    /// The virtual time at which the last rank finished.
-    pub end_time: VTime,
-    /// Transport statistics.
-    pub fabric: FabricStats,
-    /// Scheduler yields (simulation overhead metric).
-    pub yields: u64,
-    /// The yields that changed threads (the rest kept the token).
-    pub handoffs: u64,
-    /// Per-rank metrics, event timeline, and byte ledgers; `Some` only
-    /// when the world was built with [`World::traced`].
-    pub trace: Option<TraceReport>,
-    /// Latency histograms, flight-recorder flows, and the SLO verdict;
-    /// `Some` only when the world was built with
-    /// [`World::with_metrics`].
-    pub metrics: Option<MetricsSnapshot>,
-}
-
-/// What a fault-tolerant run ([`World::try_run_ft`]) returns: like
-/// [`WorldOutcome`], but per-rank results are `None` for ranks the
-/// crash plan killed, and the executed deaths are reported.
-#[derive(Debug)]
-pub struct FtWorldOutcome<T> {
-    /// Per-rank results in rank order; `None` for ranks that died
-    /// before their closure returned.
-    pub results: Vec<Option<T>>,
     /// Executed deaths in rank order: `Some((time, kind))` for ranks
     /// the crash plan actually killed.
     pub deaths: Vec<Option<(VTime, CrashKind)>>,
@@ -66,9 +43,12 @@ pub struct FtWorldOutcome<T> {
     pub yields: u64,
     /// The yields that changed threads (the rest kept the token).
     pub handoffs: u64,
-    /// Per-rank metrics and timeline; `Some` only with [`World::traced`].
+    /// Per-rank metrics, event timeline, and byte ledgers; `Some` only
+    /// when the world was built with [`World::traced`].
     pub trace: Option<TraceReport>,
-    /// Histograms and counters; `Some` only with [`World::with_metrics`].
+    /// Latency histograms, flight-recorder flows, counter blocks and
+    /// the SLO verdict; `Some` only when the world was built with
+    /// [`World::with_metrics`].
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -199,12 +179,12 @@ impl World {
 
     /// The one launcher behind the runners: build the world, hand the
     /// engine and the per-rank closure (a [`Comm`] around each handle)
-    /// to `run`, and read the fabric statistics once it returns.
-    fn launch<T, O>(
+    /// to `run`, and add the fabric statistics once it returns.
+    fn launch<T, R>(
         &self,
         f: impl Fn(&Comm) -> T + Sync,
-        run: impl FnOnce(&Engine, &(dyn Fn(&SimHandle) -> T + Sync)) -> Result<O, SimError>,
-    ) -> Result<(O, FabricStats), SimError> {
+        run: impl FnOnce(&Engine, &(dyn Fn(&SimHandle) -> T + Sync)) -> Result<RunOutcome<R>, SimError>,
+    ) -> Result<WorldOutcome<R>, SimError> {
         let (shared, engine) = self.prepare();
         let out = run(&engine, &|h| {
             f(&Comm {
@@ -215,7 +195,16 @@ impl World {
             })
         })?;
         let fabric = shared.lock().fabric.stats();
-        Ok((out, fabric))
+        Ok(WorldOutcome {
+            results: out.results,
+            deaths: out.deaths,
+            end_time: out.end_time,
+            fabric,
+            yields: out.yields,
+            handoffs: out.handoffs,
+            trace: out.trace,
+            metrics: out.metrics,
+        })
     }
 
     /// Run `f` on every rank; returns when all ranks finish.
@@ -227,25 +216,16 @@ impl World {
         self.try_run(f).unwrap_or_else(|e| e.abort())
     }
 
-    /// Like [`World::run`], but surfaces deadlocks and rank panics as
-    /// a typed [`SimError`] instead of panicking — the deadlock variant
-    /// carries the per-rank queue diagnostics (`unexpected=…, posted=…`)
-    /// so chaos tests can assert on them.
+    /// Like [`World::run`], but surfaces deadlocks, rank panics and
+    /// deaths as a typed [`SimError`] instead of panicking — the
+    /// deadlock variant carries the per-rank queue diagnostics
+    /// (`unexpected=…, posted=…`) so chaos tests can assert on them.
     pub fn try_run<T, F>(&self, f: F) -> Result<WorldOutcome<T>, SimError>
     where
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
-        let (out, fabric) = self.launch(f, |engine, g| engine.try_run(g))?;
-        Ok(WorldOutcome {
-            results: out.results,
-            end_time: out.end_time,
-            fabric,
-            yields: out.yields,
-            handoffs: out.handoffs,
-            trace: out.trace,
-            metrics: out.metrics,
-        })
+        self.launch(f, |engine, g| engine.try_run(g))
     }
 
     /// Run `f` on every rank under the installed crash plan: ranks the
@@ -254,22 +234,12 @@ impl World {
     /// [`crate::RankFailed`] errors. This is the only runner that
     /// tolerates executed deaths — [`World::run`] and
     /// [`World::try_run`] treat a killed rank as fatal.
-    pub fn try_run_ft<T, F>(&self, f: F) -> Result<FtWorldOutcome<T>, SimError>
+    pub fn try_run_ft<T, F>(&self, f: F) -> Result<WorldOutcome<Option<T>>, SimError>
     where
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
-        let (out, fabric) = self.launch(f, |engine, g| engine.try_run_ft(g))?;
-        Ok(FtWorldOutcome {
-            results: out.results,
-            deaths: out.deaths,
-            end_time: out.end_time,
-            fabric,
-            yields: out.yields,
-            handoffs: out.handoffs,
-            trace: out.trace,
-            metrics: out.metrics,
-        })
+        self.launch(f, |engine, g| engine.try_run_ft(g))
     }
 }
 

@@ -133,7 +133,7 @@ struct Sched {
     /// The rank the previous grant named: a grant to any other rank is
     /// a real switch, a grant to the same one a kept token.
     granted: Option<usize>,
-    /// Grants that changed rank (see [`FtOutcome::handoffs`]). Counted
+    /// Grants that changed rank (see [`RunOutcome::handoffs`]). Counted
     /// under the lock, in grant order, so it repeats exactly.
     handoffs: u64,
     /// Ranks not yet `Done`.
@@ -194,6 +194,12 @@ pub enum SimError {
         /// Its panic message.
         message: String,
     },
+    /// The crash plan killed a rank in a run that expects every rank
+    /// to finish ([`Engine::try_run`]).
+    RankDied {
+        /// The lowest rank that died.
+        rank: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -202,6 +208,9 @@ impl std::fmt::Display for SimError {
             SimError::Deadlock { report, .. } => write!(f, "{report}"),
             SimError::RankPanic { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
+            }
+            SimError::RankDied { rank } => {
+                write!(f, "rank {rank} died under a crash plan; use try_run_ft")
             }
         }
     }
@@ -734,8 +743,8 @@ impl Engine {
     /// Install a process-level fault schedule. Ranks named by the plan
     /// stop executing at their scheduled virtual times; use
     /// [`Engine::try_run_ft`] to run a world where deaths are expected
-    /// ([`Engine::run`]/[`Engine::try_run`] treat a missing rank
-    /// result as a bug).
+    /// ([`Engine::try_run`] returns [`SimError::RankDied`] for a killed
+    /// rank, and [`Engine::run`] aborts on it).
     pub fn crash_plan(mut self, plan: CrashPlan) -> Self {
         self.crash = plan;
         self
@@ -778,24 +787,38 @@ impl Engine {
         self.try_run(f).unwrap_or_else(|e| e.abort())
     }
 
-    /// Like [`Engine::run`], but surfaces deadlocks and rank panics as
-    /// a typed [`SimError`] instead of panicking: a deadlock returns
-    /// [`SimError::Deadlock`] carrying the per-rank queue diagnostics,
-    /// and a rank panic returns [`SimError::RankPanic`] with the first
-    /// panic's message.
+    /// Like [`Engine::run`], but surfaces deadlocks, rank panics and
+    /// deaths as a typed [`SimError`] instead of panicking: a deadlock
+    /// returns [`SimError::Deadlock`] carrying the per-rank queue
+    /// diagnostics, a rank panic [`SimError::RankPanic`] with the first
+    /// panic's message, and a rank the crash plan killed
+    /// [`SimError::RankDied`].
     pub fn try_run<T, F>(&self, f: F) -> Result<RunOutcome<T>, SimError>
     where
         T: Send,
         F: Fn(&SimHandle) -> T + Sync,
     {
-        self.try_run_ft(f).map(FtOutcome::expect_all)
+        let out = self.try_run_ft(f)?;
+        if let Some(rank) = out.results.iter().position(Option::is_none) {
+            return Err(SimError::RankDied { rank });
+        }
+        Ok(RunOutcome {
+            results: out.results.into_iter().flatten().collect(),
+            deaths: out.deaths,
+            end_time: out.end_time,
+            yields: out.yields,
+            handoffs: out.handoffs,
+            notifies: out.notifies,
+            trace: out.trace,
+            metrics: out.metrics,
+        })
     }
 
     /// Fault-tolerant run: like [`Engine::try_run`], but ranks killed
     /// by the installed [`Engine::crash_plan`] are expected — their
     /// results come back as `None` alongside their death records,
-    /// instead of aborting the outcome.
-    pub fn try_run_ft<T, F>(&self, f: F) -> Result<FtOutcome<T>, SimError>
+    /// instead of failing the run.
+    pub fn try_run_ft<T, F>(&self, f: F) -> Result<RunOutcome<Option<T>>, SimError>
     where
         T: Send,
         F: Fn(&SimHandle) -> T + Sync,
@@ -917,7 +940,7 @@ impl Engine {
             Some(r) => r.finish(end_time.0),
             None => (None, None),
         };
-        Ok(FtOutcome {
+        Ok(RunOutcome {
             results,
             deaths,
             end_time,
@@ -930,36 +953,13 @@ impl Engine {
     }
 }
 
-/// Results and statistics of one simulation run.
+/// Results and statistics of one simulation run. A fault-tolerant run
+/// ([`Engine::try_run_ft`]) returns `RunOutcome<Option<T>>`: `None`
+/// for each rank the crash plan killed before its closure returned.
 #[derive(Debug)]
 pub struct RunOutcome<T> {
     /// Per-rank return values, in rank order.
     pub results: Vec<T>,
-    /// The largest virtual clock reached by any rank.
-    pub end_time: VTime,
-    /// Scheduler yield operations performed.
-    pub yields: u64,
-    /// Yields that changed coroutines: grants naming a different rank than
-    /// the grant before. The rest of `yields` are kept tokens. Like
-    /// `yields` it is the same at every shard count.
-    pub handoffs: u64,
-    /// Notify operations performed.
-    pub notifies: u64,
-    /// Trace data, when the [`Engine::recorder`]'s span sink is on.
-    pub trace: Option<TraceReport>,
-    /// Metrics snapshot (merged at `end_time`), when the
-    /// [`Engine::recorder`]'s distribution sink is on.
-    pub metrics: Option<MetricsSnapshot>,
-}
-
-/// Results of a fault-tolerant run ([`Engine::try_run_ft`]): ranks
-/// killed by the crash plan come back with no result and a death
-/// record instead of aborting the world.
-#[derive(Debug)]
-pub struct FtOutcome<T> {
-    /// Per-rank return values in rank order; `None` for ranks that
-    /// died before their closure returned.
-    pub results: Vec<Option<T>>,
     /// Executed deaths in rank order: `Some((time, kind))` for ranks
     /// the crash plan actually killed.
     pub deaths: Vec<Option<(VTime, CrashKind)>>,
@@ -978,28 +978,6 @@ pub struct FtOutcome<T> {
     /// Metrics snapshot (merged at `end_time`), when the
     /// [`Engine::recorder`]'s distribution sink is on.
     pub metrics: Option<MetricsSnapshot>,
-}
-
-impl<T> FtOutcome<T> {
-    /// Convert into a [`RunOutcome`], requiring every rank to have
-    /// survived. Panics if any rank died — [`Engine::run`] /
-    /// [`Engine::try_run`] use this, so a crash plan on those entry
-    /// points is a usage bug with a clear message.
-    fn expect_all(self) -> RunOutcome<T> {
-        RunOutcome {
-            results: self
-                .results
-                .into_iter()
-                .map(|r| r.expect("rank died under a crash plan; use try_run_ft"))
-                .collect(),
-            end_time: self.end_time,
-            yields: self.yields,
-            handoffs: self.handoffs,
-            notifies: self.notifies,
-            trace: self.trace,
-            metrics: self.metrics,
-        }
-    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1609,6 +1587,19 @@ mod tests {
         let err = result.unwrap_err();
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("try_run_ft"), "got: {msg}");
+    }
+
+    #[test]
+    fn try_run_types_a_death_under_a_crash_plan() {
+        let err = Engine::new(2)
+            .crash_plan(CrashPlan::new().crash_at(0, VTime(10)))
+            .try_run(|h| h.advance(VDur(100)))
+            .expect_err("a killed rank fails the run");
+        assert!(
+            matches!(err, SimError::RankDied { rank: 0 }),
+            "got: {err:?}"
+        );
+        assert!(err.to_string().contains("try_run_ft"), "got: {err}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use cores::{CorePool, CoreSlot};
 pub use curve::Curve;
 pub use empi_pool::{BufferPool, PooledBuf};
 pub use empi_trace::{MetricsSnapshot, Recorder, SloConfig, TraceReport};
-pub use engine::{Engine, FtOutcome, RankDiag, RunOutcome, SimError, SimHandle};
+pub use engine::{Engine, RankDiag, RunOutcome, SimError, SimHandle};
 pub use fabric::{Fabric, FabricStats, NetModel};
 pub use fault::{CrashEvent, CrashKind, CrashPlan, FaultPlan, FaultRates, Verdict};
 pub use time::{Schedule, VDur, VTime};

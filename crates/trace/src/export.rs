@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::chrome::escape;
-use crate::{CounterBlock, Key, MetricsSnapshot};
+use crate::{Key, MetricsSnapshot};
 
 fn key_json(k: &Key) -> String {
     format!(
@@ -19,15 +19,6 @@ fn key_json(k: &Key) -> String {
         k.peer,
         k.size_class
     )
-}
-
-/// The snapshot's counter blocks in export order: family name, block.
-fn counter_blocks(snap: &MetricsSnapshot) -> [(&'static str, &Option<CounterBlock>); 3] {
-    [
-        ("chaos", &snap.chaos),
-        ("keys", &snap.keys),
-        ("ftol", &snap.ftol),
-    ]
 }
 
 /// Serialize a snapshot as the versioned JSON document `tracecheck`
@@ -64,7 +55,7 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
     }
     out.push_str("]}");
 
-    for (name, block) in counter_blocks(snap) {
+    for (name, block) in snap.counter_blocks() {
         let Some(b) = block else {
             let _ = write!(out, ",\"{name}\":null");
             continue;
@@ -203,7 +194,7 @@ pub fn chrome_counters(snap: &MetricsSnapshot) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CounterPoint, Histogram, Metric, RankLedger};
+    use crate::{CounterPoint, Histogram, Metric, RankLedger, RankMetrics};
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut h = Histogram::new();
@@ -217,6 +208,15 @@ mod tests {
             peer: 1,
             size_class: 12,
         };
+        let rank = |faults_injected, ft_detected, ft_notices| RankMetrics {
+            faults_injected,
+            handshakes: 1,
+            rekeys: 3,
+            ft_detected,
+            ft_notices,
+            ..Default::default()
+        };
+        let [chaos, keys, ftol] = crate::snapshot::sum_blocks(&[rank(3, 1, 0), rank(0, 0, 2)]);
         MetricsSnapshot {
             n_ranks: 2,
             end_time_ns: 1_000_000,
@@ -242,12 +242,9 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            chaos: Some(CounterBlock::sum([[
-                ("faults_injected", 3),
-                ("nacks_sent", 0),
-            ]])),
-            keys: Some(CounterBlock::sum([[("handshakes", 1), ("rekeys", 3)]; 2])),
-            ftol: Some(CounterBlock::sum([[("detected", 1), ("notices", 2)]])),
+            chaos,
+            keys,
+            ftol,
             ..Default::default()
         }
     }

@@ -160,7 +160,11 @@ pub struct Event {
     pub detail: String,
 }
 
-/// Per-rank counters accumulated while tracing.
+/// Per-rank counters: the one place an event is counted. The time
+/// ledgers and the hot-path seal/open/nonce/alloc counters run under
+/// the span sink only; the ARQ, key-plane and detector counters run
+/// whenever a recorder is installed, and [`Recorder::finish`] renders
+/// them into the snapshot's `chaos`, `keys` and `ftol` blocks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RankMetrics {
     /// Virtual ns spent inside seal/open (incl. calibrated charge).
@@ -187,8 +191,15 @@ pub struct RankMetrics {
     pub faults_injected: u64,
     /// Typed NACKs this rank sent after a failed open.
     pub nacks_sent: u64,
+    /// NACKs this rank received as a sender asked to repair.
+    pub nacks_received: u64,
     /// Frames this rank retransmitted in response to NACKs.
     pub retransmits: u64,
+    /// Abort repairs this rank sent (NACK for an evicted or unknown
+    /// message).
+    pub aborts: u64,
+    /// Messages this rank recovered after at least one failed delivery.
+    pub recoveries: u64,
     /// Virtual ns spent in capped exponential backoff before resends.
     pub backoff_ns: u64,
     /// Happy-path heap allocations (and their bytes) for wire/frame
@@ -203,16 +214,26 @@ pub struct RankMetrics {
     pub pool_reclaims: u64,
     /// Group handshakes this rank completed (key plane).
     pub handshakes: u64,
-    /// Key epochs this rank rolled into (0 when rotation is off).
+    /// Key epochs this rank rolled into, one per epoch even when an
+    /// idle gap skips several (0 when rotation is off).
     pub rekeys: u64,
     /// Peers this rank revoked and re-keyed away from.
     pub revocations: u64,
+    /// Records rejected as stale-epoch replays, future-epoch forgeries,
+    /// or traffic from a revoked peer.
+    pub rejected_stale: u64,
+    pub rejected_future: u64,
+    pub rejected_revoked: u64,
     /// Rank failures this rank confirmed locally (lease + probe).
     pub ft_detected: u64,
     /// Rank failures this rank learned of via a peer's notice.
     pub ft_notices: u64,
+    /// Probe rounds this rank's detector issued.
+    pub ft_probes: u64,
     /// Communicator shrinks this rank completed.
     pub ft_shrinks: u64,
+    /// Survivor re-keys this rank made past a confirmed death.
+    pub ft_rekeys: u64,
 }
 
 /// Byte/message ledger for one ordered (src, dst) rank pair.

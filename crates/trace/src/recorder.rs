@@ -1,16 +1,23 @@
 //! The one recorder under the stack.
 //!
 //! A [`Recorder`] is a cheaply cloneable handle with two sinks: the
-//! **span sink** (`traced`: per-rank [`RankMetrics`] counters, the
-//! bounded event rings, the pair ledger and NIC lanes — everything a
-//! [`TraceReport`] carries) and the **distribution sink** (`metered`:
-//! latency histograms, percentile checkpoints, the per-flow flight
-//! recorder and the sample ledger — everything a [`MetricsSnapshot`]
-//! carries). Each rank's state for both sinks lives in one cell under
-//! one lock, so an instrumented event is one call: [`Recorder::span`]
-//! pushes the span, bumps the counter its label stands for and, when
-//! the event is also a latency sample, records it under its histogram
-//! key. [`Recorder::finish`] is the one end of run.
+//! **span sink** (`traced`: the bounded event rings, the pair ledger,
+//! NIC lanes and the time ledgers of the per-rank [`RankMetrics`] —
+//! everything a [`TraceReport`] carries) and the **distribution sink**
+//! (`metered`: latency histograms, percentile checkpoints, the per-flow
+//! flight recorder and the sample ledger — everything a
+//! [`MetricsSnapshot`] carries). Each rank's state for both sinks lives
+//! in one cell under one lock, so an instrumented event is one call:
+//! [`Recorder::span`] pushes the span, bumps the counter its label
+//! stands for and, when the event is also a latency sample, records it
+//! under its histogram key. [`Recorder::finish`] is the one end of run.
+//!
+//! The recorder is the only counter of an event. The ARQ, key-plane
+//! and detector counters count whenever a recorder is installed, under
+//! either sink, and `finish` renders them as the snapshot's `chaos`,
+//! `keys` and `ftol` blocks; the time ledgers and the hot-path
+//! seal/open/nonce/alloc counters count under the span sink only, so a
+//! metered-only run does no work for them.
 //!
 //! Counters are incremented at emit time, never folded from the rings:
 //! the rings drop their oldest entries, so a fold would under-count.
@@ -223,12 +230,16 @@ impl Recorder {
 
     /// Record one event of `dur_ns` starting at `t0_ns` on `lane`.
     ///
-    /// Span sink: bump the [`RankMetrics`] counter the label stands
-    /// for (the one table below) and push the span. Wait, crypto
-    /// and pipeline spans keep their true duration in the ring (a
-    /// 0 ns wait is not pushed at all); every other category is a
-    /// marker of at least 1 ns so tracecheck's nonzero-duration
-    /// audit sees it. `detail` is only built when this sink is on.
+    /// Counters: bump the [`RankMetrics`] counter the label stands for
+    /// (the one table below). The fault, retry, key and ftol families
+    /// count under either sink; the time ledgers only under the span
+    /// sink.
+    ///
+    /// Span sink: push the span. Wait, crypto and pipeline spans keep
+    /// their true duration in the ring (a 0 ns wait is not pushed at
+    /// all); every other category is a marker of at least 1 ns so
+    /// tracecheck's nonzero-duration audit sees it. `detail` is only
+    /// built when this sink is on.
     ///
     /// Distribution sink: when the event is also a latency sample,
     /// `sample` is its histogram key and the true `dur_ns` is
@@ -245,8 +256,10 @@ impl Recorder {
         detail: impl FnOnce() -> String,
         sample: Option<SampleKey>,
     ) {
+        let spans = self.inner.spans;
         let sample = sample.filter(|_| self.inner.dists);
-        if !self.inner.spans && sample.is_none() {
+        let counted = matches!(cat, Cat::Fault | Cat::Retry | Cat::Key | Cat::Ftol);
+        if !spans && sample.is_none() && !counted {
             return;
         }
         let (rank, tid) = match lane.into() {
@@ -254,48 +267,78 @@ impl Recorder {
             Lane::Worker { rank, worker } => (rank, pipeline_tid(rank, worker)),
         };
         let mut c = self.rank(rank);
-        if self.inner.spans {
-            let m = &mut c.m;
-            match (cat, name) {
-                (Cat::Wait, _) => m.wait_ns += dur_ns,
-                (Cat::Crypto, _) => m.crypto_ns += dur_ns,
-                (Cat::Pipeline, "pipe/seal") => {
-                    m.crypto_ns += dur_ns;
-                    m.chunks_sealed += 1;
-                }
-                (Cat::Pipeline, "pipe/open") => {
-                    m.crypto_ns += dur_ns;
-                    m.chunks_opened += 1;
-                }
-                (Cat::Pipeline, _) => m.crypto_ns += dur_ns,
-                (Cat::Fault, _) => m.faults_injected += 1,
-                (Cat::Retry, "retry/nack") => m.nacks_sent += 1,
-                (Cat::Retry, "retry/resend") => m.retransmits += 1,
-                (Cat::Retry, "retry/backoff") => m.backoff_ns += dur_ns,
-                (Cat::Key, "key/handshake") => m.handshakes += 1,
-                (Cat::Key, "key/rotate") => m.rekeys += 1,
-                (Cat::Key, "key/revoke") => m.revocations += 1,
-                (Cat::Ftol, "ftol/detect") => m.ft_detected += 1,
-                (Cat::Ftol, "ftol/notice") => m.ft_notices += 1,
-                (Cat::Ftol, "ftol/shrink") => m.ft_shrinks += 1,
-                _ => {}
+        let m = &mut c.m;
+        match (cat, name) {
+            (Cat::Fault, _) => m.faults_injected += 1,
+            (Cat::Retry, "retry/nack") => m.nacks_sent += 1,
+            (Cat::Retry, "retry/resend") => m.retransmits += 1,
+            (Cat::Retry, "retry/abort") => m.aborts += 1,
+            (Cat::Retry, "retry/backoff") => m.backoff_ns += dur_ns,
+            (Cat::Key, "key/handshake") => m.handshakes += 1,
+            (Cat::Key, "key/revoke") => m.revocations += 1,
+            (Cat::Key, "key/reject") => m.rejected_revoked += 1,
+            (Cat::Ftol, "ftol/detect") => m.ft_detected += 1,
+            (Cat::Ftol, "ftol/notice") => m.ft_notices += 1,
+            (Cat::Ftol, "ftol/probe") => m.ft_probes += 1,
+            (Cat::Ftol, "ftol/shrink") => m.ft_shrinks += 1,
+            (Cat::Ftol, "ftol/rekey") => m.ft_rekeys += 1,
+            _ if !spans => {}
+            (Cat::Wait, _) => m.wait_ns += dur_ns,
+            (Cat::Crypto, _) => m.crypto_ns += dur_ns,
+            (Cat::Pipeline, "pipe/seal") => {
+                m.crypto_ns += dur_ns;
+                m.chunks_sealed += 1;
             }
+            (Cat::Pipeline, "pipe/open") => {
+                m.crypto_ns += dur_ns;
+                m.chunks_opened += 1;
+            }
+            (Cat::Pipeline, _) => m.crypto_ns += dur_ns,
+            _ => {}
+        }
+        if spans && (dur_ns > 0 || cat != Cat::Wait) {
             let timed = matches!(cat, Cat::Wait | Cat::Crypto | Cat::Pipeline);
-            if dur_ns > 0 || cat != Cat::Wait {
-                c.events.push(Event {
-                    name: name.to_string(),
-                    cat,
-                    ts_ns: t0_ns,
-                    dur_ns: if timed { dur_ns } else { dur_ns.max(1) },
-                    tid,
-                    bytes: bytes as u64,
-                    detail: detail(),
-                });
-            }
+            c.events.push(Event {
+                name: name.to_string(),
+                cat,
+                ts_ns: t0_ns,
+                dur_ns: if timed { dur_ns } else { dur_ns.max(1) },
+                tid,
+                bytes: bytes as u64,
+                detail: detail(),
+            });
         }
         if let Some(key) = sample {
             c.sample(key, bytes, t0_ns + dur_ns, dur_ns);
         }
+    }
+
+    /// Count a NACK received by `rank` as a sender asked to repair.
+    /// This and the four calls below count, under either sink, an
+    /// event of the ARQ or key family that has no span of its own;
+    /// they push no event.
+    pub fn count_nack_received(&self, rank: usize) {
+        self.rank(rank).m.nacks_received += 1;
+    }
+
+    /// Count a message `rank` recovered after a failed delivery.
+    pub fn count_recovery(&self, rank: usize) {
+        self.rank(rank).m.recoveries += 1;
+    }
+
+    /// Count the `rolls` epochs one key rotation of `rank` rolled.
+    pub fn count_rekeys(&self, rank: usize, rolls: u64) {
+        self.rank(rank).m.rekeys += rolls;
+    }
+
+    /// Count a record `rank` rejected as a stale-epoch replay.
+    pub fn count_stale_epoch(&self, rank: usize) {
+        self.rank(rank).m.rejected_stale += 1;
+    }
+
+    /// Count a record `rank` rejected as a future-epoch forgery.
+    pub fn count_future_epoch(&self, rank: usize) {
+        self.rank(rank).m.rejected_future += 1;
     }
 
     /// Record one latency sample that has no span (end-to-end op
@@ -530,9 +573,11 @@ impl Recorder {
         let mut hists: BTreeMap<Key, Histogram> = BTreeMap::new();
         let mut series: BTreeMap<Key, Vec<CounterPoint>> = BTreeMap::new();
         let mut per_rank = Vec::with_capacity(self.inner.n_ranks);
+        let mut counters = Vec::with_capacity(self.inner.n_ranks);
         let mut flows = Vec::new();
         for r in 0..self.inner.n_ranks {
             let c = self.rank(r);
+            counters.push(c.m);
             for (k, h) in &c.hists {
                 hists.entry(*k).or_default().merge(h);
             }
@@ -567,6 +612,7 @@ impl Recorder {
             Some(cfg) => slo::evaluate(cfg, &hists, &flows, end_time_ns),
             None => Default::default(),
         };
+        let [chaos, keys, ftol] = crate::snapshot::sum_blocks(&counters);
         MetricsSnapshot {
             n_ranks: self.inner.n_ranks,
             end_time_ns,
@@ -575,6 +621,9 @@ impl Recorder {
             per_rank,
             flows,
             slo,
+            chaos,
+            keys,
+            ftol,
             ..Default::default()
         }
     }
@@ -862,12 +911,64 @@ mod tests {
                 assert_eq!((report.events[0].ts_ns, report.events[0].dur_ns), (700, 1));
             }
             if let Some(snap) = snap {
+                assert_eq!(snap.keys.as_ref().unwrap().get("revocations"), 1);
                 assert_eq!(snap.ledger_total(Metric::Key), 1);
                 assert_eq!(snap.ledger_total(Metric::Wait), 1);
                 assert_eq!(snap.merged(Metric::Key, "key/revoke").max(), 0);
                 assert_eq!(snap.per_rank[0].flow_events, 1);
             }
         }
+    }
+
+    #[test]
+    fn event_families_count_under_either_sink_into_their_blocks() {
+        // A metered-only recorder: no span is kept, yet every family
+        // event counts, the counter-only calls push nothing, and a
+        // family with nothing counted renders no block.
+        let r = Recorder::new(2, false, true, None);
+        bare(&r, 0, Cat::Fault, "fault/drop", 100, 0, 512);
+        bare(&r, 1, Cat::Retry, "retry/nack", 200, 0, 16);
+        bare(&r, 0, Cat::Retry, "retry/abort", 300, 0, 16);
+        bare(&r, 1, Cat::Retry, "retry/backoff", 310, 2_000, 0);
+        r.count_nack_received(0);
+        r.count_recovery(1);
+        for rank in 0..2 {
+            bare(&r, rank, Cat::Key, "key/handshake", 0, 0, 0);
+        }
+        r.count_rekeys(0, 3);
+        r.count_rekeys(1, 1);
+        r.count_stale_epoch(1);
+        r.count_future_epoch(1);
+        bare(&r, 0, Cat::Key, "key/reject", 400, 0, 0);
+        let (report, snap) = r.finish(1_000);
+        assert!(report.is_none(), "the span sink is off");
+        let snap = snap.unwrap();
+        let chaos = snap.chaos.expect("ARQ events were counted");
+        assert_eq!(
+            chaos.iter().collect::<Vec<_>>(),
+            vec![
+                ("faults_injected", 1),
+                ("nacks_sent", 1),
+                ("nacks_received", 1),
+                ("retransmits", 0),
+                ("aborts", 1),
+                ("recoveries", 1),
+                ("backoff_ns", 2_000),
+            ]
+        );
+        let keys = snap.keys.expect("key events were counted");
+        assert_eq!(
+            keys.iter().collect::<Vec<_>>(),
+            vec![
+                ("handshakes", 2),
+                ("rekeys", 4),
+                ("revocations", 0),
+                ("rejected_stale", 1),
+                ("rejected_future", 1),
+                ("rejected_revoked", 1),
+            ]
+        );
+        assert!(snap.ftol.is_none(), "no detector event, no ftol block");
     }
 
     #[test]

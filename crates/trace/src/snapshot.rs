@@ -2,7 +2,7 @@
 //! sample ledgers, open flows, counter blocks and the merged
 //! [`MetricsSnapshot`] that [`crate::Recorder::finish`] returns.
 
-use crate::{Histogram, SloReport};
+use crate::{Histogram, RankMetrics, SloReport};
 
 /// JSON snapshot schema version (`"version"` field).
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -125,50 +125,13 @@ pub struct FlowSnap {
     pub total_events: u64,
 }
 
-/// One counter family: `(name, value)` pairs in export order. Each
-/// owner reports its own — `ChaosStats::counters` (`empi-core`) and
-/// `KeyStats::counters` (`empi-keys`) as plain arrays,
-/// `Comm::ftol_counters` (`empi-mpi`) as a block — harnesses sum them
-/// across ranks with [`CounterBlock::sum`] and attach the result to the
-/// snapshot, whose exporters render any block in one loop.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// One counter family: `(name, value)` pairs in export order, summed
+/// over ranks by [`crate::Recorder::finish`] from the [`RankMetrics`]
+/// fields the `FAMILIES` table names.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterBlock(Vec<(&'static str, u64)>);
 
-impl<const N: usize> From<[(&'static str, u64); N]> for CounterBlock {
-    fn from(pairs: [(&'static str, u64); N]) -> Self {
-        CounterBlock(pairs.to_vec())
-    }
-}
-
-impl AsRef<[(&'static str, u64)]> for CounterBlock {
-    fn as_ref(&self) -> &[(&'static str, u64)] {
-        &self.0
-    }
-}
-
 impl CounterBlock {
-    /// Element-wise sum of blocks of one family (they all list the
-    /// same names in the same order).
-    pub fn sum<B: AsRef<[(&'static str, u64)]>>(blocks: impl IntoIterator<Item = B>) -> Self {
-        let mut sum: Vec<(&'static str, u64)> = Vec::new();
-        for block in blocks {
-            let block = block.as_ref();
-            if sum.is_empty() {
-                sum.extend(block.iter().map(|&(name, _)| (name, 0)));
-            }
-            assert_eq!(
-                sum.len(),
-                block.len(),
-                "blocks of one family share a layout"
-            );
-            for (slot, &(name, v)) in sum.iter_mut().zip(block) {
-                assert_eq!(slot.0, name, "blocks of one family share a layout");
-                slot.1 += v;
-            }
-        }
-        CounterBlock(sum)
-    }
-
     /// The value of counter `name`; naming one the family does not
     /// have is a bug in the caller.
     pub fn get(&self, name: &str) -> u64 {
@@ -178,19 +141,67 @@ impl CounterBlock {
         }
     }
 
-    /// Overwrite counter `name` (a slot its owner leaves to a layer
-    /// above it).
-    pub fn set(&mut self, name: &str, value: u64) {
-        match self.0.iter_mut().find(|c| c.0 == name) {
-            Some(c) => c.1 = value,
-            None => panic!("no counter named {name}"),
-        }
-    }
-
     /// The `(name, value)` pairs in export order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.0.iter().copied()
     }
+}
+
+/// One counter of a family: its export name and the [`RankMetrics`]
+/// field that counts it.
+type Counter = (&'static str, fn(&RankMetrics) -> u64);
+
+/// The snapshot's counter families in export order — the one table
+/// that maps a family to its counters. `ftol.rekeys` counts survivor
+/// re-keys (`ftol/rekey`), `keys.rekeys` the epochs rolled.
+const FAMILIES: [(&str, &[Counter]); 3] = [
+    (
+        "chaos",
+        &[
+            ("faults_injected", |m| m.faults_injected),
+            ("nacks_sent", |m| m.nacks_sent),
+            ("nacks_received", |m| m.nacks_received),
+            ("retransmits", |m| m.retransmits),
+            ("aborts", |m| m.aborts),
+            ("recoveries", |m| m.recoveries),
+            ("backoff_ns", |m| m.backoff_ns),
+        ],
+    ),
+    (
+        "keys",
+        &[
+            ("handshakes", |m| m.handshakes),
+            ("rekeys", |m| m.rekeys),
+            ("revocations", |m| m.revocations),
+            ("rejected_stale", |m| m.rejected_stale),
+            ("rejected_future", |m| m.rejected_future),
+            ("rejected_revoked", |m| m.rejected_revoked),
+        ],
+    ),
+    (
+        "ftol",
+        &[
+            ("detected", |m| m.ft_detected),
+            ("notices", |m| m.ft_notices),
+            ("probes", |m| m.ft_probes),
+            ("shrinks", |m| m.ft_shrinks),
+            ("rekeys", |m| m.ft_rekeys),
+        ],
+    ),
+];
+
+/// The three counter blocks of `ranks`, summed, in `FAMILIES` order;
+/// a block is `None` when all of its counters are zero.
+pub(crate) fn sum_blocks(ranks: &[RankMetrics]) -> [Option<CounterBlock>; 3] {
+    FAMILIES.map(|(_, counters)| {
+        let sums: Vec<_> = counters
+            .iter()
+            .map(|&(name, count)| (name, ranks.iter().map(count).sum()))
+            .collect();
+        sums.iter()
+            .any(|&(_, v)| v > 0)
+            .then_some(CounterBlock(sums))
+    })
 }
 
 /// Everything the recorder knows, merged across ranks at end of run.
@@ -208,8 +219,8 @@ pub struct MetricsSnapshot {
     /// Flows still open at snapshot time.
     pub flows: Vec<FlowSnap>,
     pub slo: SloReport,
-    /// Counter blocks injected by the harness (the owners live above
-    /// this crate): fault-injection/ARQ, key plane, fault tolerance.
+    /// Counter blocks rendered by the recorder (see `FAMILIES`):
+    /// fault-injection/ARQ, key plane, fault tolerance.
     pub chaos: Option<CounterBlock>,
     pub keys: Option<CounterBlock>,
     pub ftol: Option<CounterBlock>,
@@ -234,6 +245,14 @@ impl Default for MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The counter blocks in export order, with their family names.
+    pub(crate) fn counter_blocks(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, &Option<CounterBlock>)> {
+        let blocks = [&self.chaos, &self.keys, &self.ftol];
+        FAMILIES.iter().map(|&(family, _)| family).zip(blocks)
+    }
+
     /// Merged histogram for `(metric, op)` across all keys (any comm,
     /// peer, size class). Empty histogram when nothing matched.
     pub fn merged(&self, metric: Metric, op_prefix: &str) -> Histogram {

@@ -437,18 +437,7 @@ fn empi_mpi_exports_what_the_stack_calls() {
     }
     // Comments count too: a doc line naming a retired item is stale.
     // The names are split so that this file does not name them itself.
-    let mut lines = Vec::new();
-    for path in &files {
-        let name = path
-            .strip_prefix(repo(""))
-            .unwrap()
-            .to_string_lossy()
-            .into_owned();
-        let text = std::fs::read_to_string(path).unwrap();
-        for (i, line) in text.lines().enumerate() {
-            lines.push((name.clone(), i + 1, line.to_string()));
-        }
-    }
+    let lines = all_lines(&files);
     let retired = [
         concat!("Completion", "Set"),
         concat!("completion", "_set"),
@@ -848,4 +837,160 @@ fn pub_items_have_callers() {
         "`pub fn`s no other file calls (delete them, make them private, or \
          move them into the tests that use them): {orphans:#?}"
     );
+}
+
+/// Every line of `files`, comments included, as `(file, line number,
+/// line)`: for names that must not appear even in a doc comment.
+fn all_lines(files: &[PathBuf]) -> Vec<(String, usize, String)> {
+    let mut out = Vec::new();
+    for path in files {
+        let name = path
+            .strip_prefix(repo(""))
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
+        let text = std::fs::read_to_string(path).unwrap();
+        for (i, line) in text.lines().enumerate() {
+            out.push((name.clone(), i + 1, line.to_string()));
+        }
+    }
+    out
+}
+
+/// One observability plane: no layer reaches for a tracer or a metrics
+/// recorder (`SimHandle::recorder()` is the one accessor), nothing names
+/// the folded-in metrics crate, and `Recorder::span` is the one span
+/// verb — no per-category span function comes back.
+#[test]
+fn observability_is_one_plane() {
+    let mut layers = Vec::new();
+    for layer in ["netsim", "mpi", "core", "pipeline", "keys", "nas"] {
+        layers.extend(rust_files(&format!("crates/{layer}/src")));
+    }
+    let lines = code_lines(&layers);
+    for accessor in [".tracer()", ".metrics()"] {
+        let found = sites(&lines, accessor);
+        assert!(found.is_empty(), "a layer calls `{accessor}`: {found:?}");
+    }
+
+    let mut files = vec![repo("Cargo.toml")];
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        files.push(entry.unwrap().path().join("Cargo.toml"));
+    }
+    for dir in ["crates", "src", "tests", "examples"] {
+        files.extend(rust_files(dir));
+    }
+    let lines = code_lines(&files);
+    for name in [concat!("empi", "-metrics"), concat!("empi", "_metrics")] {
+        let found = sites(&lines, name);
+        assert!(
+            found.is_empty(),
+            "`{name}` is folded into empi-trace: {found:?}"
+        );
+    }
+    let verbs: Vec<String> = ["fault", "key", "ftol", "retry", "alloc"]
+        .iter()
+        .map(|cat| format!("{cat}_span("))
+        .chain([concat!("health", "_event").to_string()])
+        .collect();
+    for verb in &verbs {
+        let found = sites(&lines, verb);
+        assert!(found.is_empty(), "span verb `{verb}` is back: {found:?}");
+    }
+}
+
+/// No crash-plan path may abort the world: the one `simulation aborted`
+/// panic is `SimError::abort`, behind the plain `run()` entry points,
+/// and a world built with a crash plan runs through `try_run` or
+/// `try_run_ft`, which return deaths as data.
+#[test]
+fn no_crash_plan_path_aborts_the_world() {
+    let lines = code_lines(&rust_files("crates"));
+    let arms = sites(&lines, concat!("panic!(\"simulation", " aborted"));
+    assert_eq!(arms.len(), 1, "`simulation aborted` panics: {arms:?}");
+    assert!(
+        arms[0].starts_with("crates/netsim/src/engine.rs"),
+        "{arms:?}"
+    );
+
+    let mut plain_runs = Vec::new();
+    for (at, (file, n, line)) in lines.iter().enumerate() {
+        if !line.contains(".crash_plan(") || file == "crates/netsim/src/engine.rs" {
+            continue;
+        }
+        let window = lines[at..].iter().take(9).take_while(|(f, _, _)| f == file);
+        if window
+            .into_iter()
+            .any(|(_, _, l)| l.contains(".run(") && !l.contains("try_run"))
+        {
+            plain_runs.push(format!("{file}:{n}"));
+        }
+    }
+    assert!(
+        plain_runs.is_empty(),
+        "crash-planned worlds on the panicking run(): {plain_runs:?}"
+    );
+}
+
+/// One run queue: the engine declares one `BinaryHeap`.
+#[test]
+fn the_engine_has_one_run_queue() {
+    let engine = code_lines(&[repo("crates/netsim/src/engine.rs")]);
+    let heaps = sites(&engine, "BinaryHeap<");
+    assert_eq!(heaps.len(), 1, "`BinaryHeap<` in the engine: {heaps:?}");
+}
+
+/// One GHASH reduction routine and one hardware tier: `pclmul.rs` has
+/// one `fn reduce` with one reduction body, and nothing detects a CPU
+/// feature beyond `aes`, `pclmulqdq` and `ssse3`.
+#[test]
+fn the_aead_kernel_has_one_reduction_and_one_tier() {
+    let pclmul = code_lines(&[repo("crates/aead/src/ghash/pclmul.rs")]);
+    for needle in ["fn reduce", "_mm_slli_epi32(tmp3, 31)"] {
+        let found = sites(&pclmul, needle);
+        assert_eq!(found.len(), 1, "`{needle}` in pclmul.rs: {found:?}");
+    }
+    let detected: Vec<String> = code_lines(&rust_files("crates"))
+        .into_iter()
+        .filter(|(_, _, l)| l.contains("is_x86_feature_detected!"))
+        .filter(|(_, _, l)| {
+            !["\"aes\"", "\"pclmulqdq\"", "\"ssse3\""]
+                .iter()
+                .any(|f| l.contains(f))
+        })
+        .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
+        .collect();
+    assert!(detected.is_empty(), "a second hardware tier: {detected:#?}");
+}
+
+/// One count per event: the recorder counts every ARQ, key-plane and
+/// detector event, and `Recorder::finish` renders the snapshot's
+/// counter blocks. The side copies and the outcome types that carried
+/// them stay gone, comments included, and no harness patches a block.
+#[test]
+fn every_event_is_counted_once() {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        files.extend(rust_files(dir));
+    }
+    let lines = all_lines(&files);
+    for name in [
+        concat!("Chaos", "Stats"),
+        concat!("Key", "Stats"),
+        concat!("chaos", "_stats"),
+        concat!("key", "_stats"),
+        concat!("ftol", "_counters"),
+        concat!("Ft", "Outcome"),
+        concat!("FtWorld", "Outcome"),
+        concat!("snap.chaos", " ="),
+        concat!("snap.keys", " ="),
+        concat!("snap.ftol", " ="),
+    ] {
+        let back: Vec<String> = lines
+            .iter()
+            .filter(|(_, _, l)| l.contains(name))
+            .map(|(f, n, _)| format!("{f}:{n}"))
+            .collect();
+        assert!(back.is_empty(), "`{name}` is back: {back:?}");
+    }
 }
