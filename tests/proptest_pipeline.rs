@@ -18,6 +18,34 @@ fn cipher(key_byte: u8) -> AesGcm {
     AesGcm::new(&[key_byte; 32]).unwrap()
 }
 
+/// Known-answer test of the chunked wire format: the frames of one
+/// fixed message hash to pinned bytes, and each frame opens with the
+/// raw cipher under its own first 24 bytes as the AAD — the header *is*
+/// the associated data, as a wire contract.
+#[test]
+fn chunked_wire_bytes_are_pinned() {
+    let c = cipher(0x42);
+    let msg: Vec<u8> = (0..200usize).map(|i| (i * 31 % 251) as u8).collect();
+    let frames = seal_frames(&c, 0x0123_4567_89AB_CDEF, [7u8; 12], &msg, 64);
+    assert_eq!(frames.len(), 4);
+    let wire = frames.concat();
+    assert_eq!(wire.len(), 408);
+    let digest: String = empi::aead::sha256::sha256(&wire)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(
+        digest,
+        "161317efc2f827a6c1ee8c827e6ac1724ace11328e4d182bf612e15b56aff20d"
+    );
+    let mut opened = Vec::new();
+    for f in &frames {
+        let nonce: [u8; 12] = f[24..36].try_into().unwrap();
+        opened.extend(c.open(&nonce, &f[..24], &f[36..]).unwrap());
+    }
+    assert_eq!(opened, msg);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
