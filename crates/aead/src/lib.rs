@@ -50,7 +50,6 @@
 pub mod aes;
 pub mod cbc;
 pub mod ccm;
-pub mod chunked;
 pub mod ct;
 pub mod ctr;
 pub mod ecb;

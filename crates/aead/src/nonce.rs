@@ -63,7 +63,7 @@ impl NonceSource {
 
     /// Produce a *base* nonce that reserves `span` consecutive values:
     /// the caller may derive per-chunk nonces `base + i` for `i < span`
-    /// (see `chunked::derive_chunk_nonce`) without colliding with any
+    /// (see `empi_pipeline::frame`) without colliding with any
     /// nonce this source hands out later. For the random policies a
     /// single draw suffices: the derivation treats the full 96-bit
     /// nonce as one big-endian counter (tail overflow carries into the

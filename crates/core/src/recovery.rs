@@ -18,14 +18,18 @@
 //! frame). Until a vote can be trusted the salvager answers
 //! [`SalvageResult::Opaque`] and the receiver falls back to a
 //! whole-message NACK.
+//!
+//! The frame itself — [`FrameHeader`], its decode, the in-place chunk
+//! open and [`undo_chunk_nonce`] — is `empi_pipeline::frame`'s; this
+//! module only adds the lenient policy on top: majority vote, a nonce
+//! re-derived from the voted base, and `MAX_SALVAGE_CHUNKS`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 
-use empi_aead::chunked::{undo_chunk_nonce, ChunkedOpener};
 use empi_aead::{AesGcm, NONCE_LEN, TAG_LEN};
-use empi_mpi::FrameHeader;
+use empi_pipeline::{undo_chunk_nonce, FrameHeader};
 
 /// Hard cap on the chunk count the salvager will track — keeps a
 /// corrupted `total` field from demanding absurd bookkeeping.
@@ -52,14 +56,9 @@ struct Cand {
     record: Vec<u8>,
 }
 
-/// Voted-and-proven message geometry.
-#[derive(Clone, PartialEq, Eq)]
-struct Geometry {
-    msg_id: u64,
-    total: u32,
-    total_len: u64,
-    base: [u8; NONCE_LEN],
-}
+/// A voted message geometry: the message's header with `index` 0, and
+/// the base nonce its chunks were sealed under.
+type Geometry = (FrameHeader, [u8; NONCE_LEN]);
 
 /// Accumulates frames of one failed chunked message across delivery
 /// attempts and opens them incrementally (already-authenticated chunks
@@ -105,10 +104,9 @@ impl Salvage {
             if body.len() < NONCE_LEN + TAG_LEN {
                 continue;
             }
-            if let Some(g) = &self.geom {
+            if let Some((msg, _)) = &self.geom {
                 // Geometry is proven: foreign frames can never open.
-                if hdr.msg_id != g.msg_id || hdr.total != g.total || hdr.total_len != g.total_len
-                {
+                if hdr != msg.chunk(hdr.index) {
                     continue;
                 }
             }
@@ -136,63 +134,48 @@ impl Salvage {
     /// current majority vote. The key plane reads the epoch out of its
     /// top bits to pick the trial cipher.
     pub(crate) fn candidate_msg_id(&self) -> Option<u64> {
-        self.geom
-            .as_ref()
-            .map(|g| g.msg_id)
-            .or_else(|| self.vote().map(|g| g.msg_id))
+        self.geom.or_else(|| self.vote()).map(|(msg, _)| msg.msg_id)
     }
 
     /// Majority-vote a geometry from the current candidates.
     fn vote(&self) -> Option<Geometry> {
-        let mut counts: HashMap<(u64, u32, u64), usize> = HashMap::new();
+        let mut counts: HashMap<FrameHeader, usize> = HashMap::new();
         for c in &self.cands {
-            *counts
-                .entry((c.hdr.msg_id, c.hdr.total, c.hdr.total_len))
-                .or_insert(0) += 1;
+            *counts.entry(c.hdr.chunk(0)).or_insert(0) += 1;
         }
-        let (&(msg_id, total, total_len), _) =
-            counts.iter().max_by_key(|(_, &n)| n)?;
+        let (&msg, _) = counts.iter().max_by_key(|(_, &n)| n)?;
         let mut bases: HashMap<[u8; NONCE_LEN], usize> = HashMap::new();
         for c in &self.cands {
-            if c.hdr.msg_id == msg_id && c.hdr.total == total && c.hdr.total_len == total_len {
+            if c.hdr == msg.chunk(c.hdr.index) {
                 *bases
                     .entry(undo_chunk_nonce(&c.nonce, c.hdr.index))
                     .or_insert(0) += 1;
             }
         }
         let (&base, _) = bases.iter().max_by_key(|(_, &n)| n)?;
-        Some(Geometry {
-            msg_id,
-            total,
-            total_len,
-            base,
-        })
+        Some((msg, base))
     }
 
     /// Try to authenticate every pending candidate. Chunks that open
     /// are cached; records that fail are discarded (a repair must
     /// re-supply them — retrying a bad record can never succeed).
     pub(crate) fn try_open(&mut self, cipher: &AesGcm) -> SalvageResult {
-        let geom = match &self.geom {
-            Some(g) => g.clone(),
-            None => match self.vote() {
-                Some(g) => g,
-                None => return SalvageResult::Opaque,
-            },
+        let Some((msg, base)) = self.geom.or_else(|| self.vote()) else {
+            return SalvageResult::Opaque;
         };
-        let opener =
-            ChunkedOpener::new(cipher, geom.msg_id, geom.base, geom.total, geom.total_len);
         let mut locked = self.geom.is_some();
         let mut unvoted = Vec::new();
         for c in self.cands.drain(..) {
-            let matches = c.hdr.msg_id == geom.msg_id
-                && c.hdr.total == geom.total
-                && c.hdr.total_len == geom.total_len;
+            let matches = c.hdr == msg.chunk(c.hdr.index);
             if matches && !self.opened.contains_key(&c.hdr.index) {
                 // The chunk nonce is re-derived from the voted base, so
                 // a corrupted carried-nonce field cannot block an
                 // otherwise-intact record.
-                if let Ok(plain) = opener.open_chunk(c.hdr.index, &c.record) {
+                let mut plain = Vec::new();
+                if c.hdr
+                    .open_into(cipher, &base, &c.record, &mut plain)
+                    .is_ok()
+                {
                     self.opened.insert(c.hdr.index, plain);
                     locked = true;
                 }
@@ -201,17 +184,17 @@ impl Salvage {
             }
         }
         if locked {
-            self.geom = Some(geom.clone());
+            self.geom = Some((msg, base));
         } else {
             self.cands = unvoted;
             return SalvageResult::Opaque;
         }
-        if self.opened.len() as u32 == geom.total {
-            let mut out = Vec::with_capacity(geom.total_len as usize);
-            for i in 0..geom.total {
+        if self.opened.len() as u32 == msg.total {
+            let mut out = Vec::with_capacity(msg.total_len as usize);
+            for i in 0..msg.total {
                 out.extend_from_slice(&self.opened[&i]);
             }
-            if out.len() as u64 != geom.total_len {
+            if out.len() as u64 != msg.total_len {
                 // Cannot happen for honest AAD-bound chunks; refuse
                 // rather than hand back a mis-assembled buffer.
                 return SalvageResult::Opaque;
@@ -219,7 +202,7 @@ impl Salvage {
             return SalvageResult::Done(out);
         }
         SalvageResult::Missing(
-            (0..geom.total)
+            (0..msg.total)
                 .filter(|i| !self.opened.contains_key(i))
                 .collect(),
         )
@@ -229,40 +212,11 @@ impl Salvage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use empi_aead::chunked::{chunk_count, chunk_range, derive_chunk_nonce, ChunkedSealer};
-    use empi_mpi::FRAME_HEADER_LEN;
+    use empi_pipeline::{open_frames, seal_frames, FRAME_HEADER_LEN};
+    use proptest::prelude::*;
 
     fn cipher() -> AesGcm {
         AesGcm::new(&[0x42u8; 32]).unwrap()
-    }
-
-    fn build_frames(
-        cipher: &AesGcm,
-        msg: &[u8],
-        chunk_size: usize,
-        msg_id: u64,
-        base: [u8; NONCE_LEN],
-    ) -> Vec<Vec<u8>> {
-        let total = chunk_count(msg.len(), chunk_size);
-        let sealer = ChunkedSealer::new(cipher, msg_id, base, total, msg.len() as u64);
-        (0..total)
-            .map(|i| {
-                let r = chunk_range(msg.len(), chunk_size, i);
-                let hdr = FrameHeader {
-                    msg_id,
-                    index: i,
-                    total,
-                    total_len: msg.len() as u64,
-                };
-                let mut f = hdr.encode().to_vec();
-                f.extend_from_slice(&derive_chunk_nonce(&base, i));
-                let mut body = msg[r].to_vec();
-                let tag = sealer.seal_chunk_detached(i, &mut body);
-                f.extend_from_slice(&body);
-                f.extend_from_slice(&tag);
-                f
-            })
-            .collect()
     }
 
     fn msg(len: usize) -> Vec<u8> {
@@ -273,7 +227,7 @@ mod tests {
     fn recovers_from_duplicates_and_reorder() {
         let c = cipher();
         let m = msg(1000);
-        let mut frames = build_frames(&c, &m, 256, 9, [7u8; NONCE_LEN]);
+        let mut frames = seal_frames(&c, 9, [7u8; NONCE_LEN], &m, 256);
         frames.push(frames[1].clone()); // duplicate
         frames.swap(0, 3); // reorder
         let mut s = Salvage::new();
@@ -285,7 +239,7 @@ mod tests {
     fn names_missing_and_corrupt_chunks_then_heals() {
         let c = cipher();
         let m = msg(1000);
-        let frames = build_frames(&c, &m, 256, 10, [1u8; NONCE_LEN]);
+        let frames = seal_frames(&c, 10, [1u8; NONCE_LEN], &m, 256);
         let mut delivered: Vec<Vec<u8>> = frames.clone();
         delivered.remove(2); // chunk 2 lost
         let last = delivered[1].len() - 1;
@@ -306,7 +260,7 @@ mod tests {
         assert_eq!(s.try_open(&c), SalvageResult::Opaque, "empty");
         // A runt and a frame whose ciphertext is wrecked: no chunk can
         // authenticate, so the geometry vote stays unproven.
-        let mut bad = build_frames(&c, &msg(600), 256, 11, [2u8; NONCE_LEN]).remove(0);
+        let mut bad = seal_frames(&c, 11, [2u8; NONCE_LEN], &msg(600), 256).remove(0);
         for b in bad.iter_mut().skip(FRAME_HEADER_LEN + NONCE_LEN) {
             *b ^= 0xff;
         }
@@ -318,7 +272,7 @@ mod tests {
     fn majority_outvotes_a_corrupted_header() {
         let c = cipher();
         let m = msg(1200);
-        let frames = build_frames(&c, &m, 256, 12, [3u8; NONCE_LEN]);
+        let frames = seal_frames(&c, 12, [3u8; NONCE_LEN], &m, 256);
         let mut delivered = frames.clone();
         delivered[3][0] ^= 0x80; // msg_id corrupted on chunk 3
         let mut s = Salvage::new();
@@ -333,12 +287,153 @@ mod tests {
     fn corrupted_carried_nonce_heals_without_repair() {
         let c = cipher();
         let m = msg(900);
-        let mut frames = build_frames(&c, &m, 256, 13, [4u8; NONCE_LEN]);
+        let mut frames = seal_frames(&c, 13, [4u8; NONCE_LEN], &m, 256);
         frames[2][FRAME_HEADER_LEN + 5] ^= 0x04; // nonce byte flipped
         let mut s = Salvage::new();
         s.merge(frames.iter().map(|f| &f[..]));
         // The chunk nonce is re-derived from the voted base, so the
         // flip costs nothing — no NACK round needed.
         assert_eq!(s.try_open(&c), SalvageResult::Done(m));
+    }
+
+    /// One edit of an honest frame train. Frame positions are taken
+    /// modulo the train's length.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        /// Overwrite the big-endian header field at byte `at` (`msg_id`
+        /// at 0, `index` at 8, `total` at 12, `total_len` at 16) of one
+        /// frame, or of every frame (`frame` = `None`).
+        Field {
+            frame: Option<usize>,
+            at: usize,
+            value: u64,
+        },
+        Flip {
+            frame: usize,
+            byte: usize,
+            bit: u8,
+        },
+        Truncate {
+            frame: usize,
+            len: usize,
+        },
+        Duplicate {
+            frame: usize,
+        },
+        Drop {
+            frame: usize,
+        },
+        Swap {
+            a: usize,
+            b: usize,
+        },
+    }
+
+    fn field_value() -> impl Strategy<Value = u64> {
+        prop_oneof![any::<u64>(), 0u64..8, Just(u64::MAX), Just(1 << 40)]
+    }
+
+    fn edit() -> impl Strategy<Value = Edit> {
+        let field = |at: usize| {
+            (any::<bool>(), any::<usize>(), field_value()).prop_map(move |(all, f, value)| {
+                let frame = (!all).then_some(f);
+                Edit::Field { frame, at, value }
+            })
+        };
+        prop_oneof![
+            field(0),
+            field(8),
+            field(12),
+            field(16),
+            (any::<usize>(), any::<usize>(), 0u8..8).prop_map(|(frame, byte, bit)| Edit::Flip {
+                frame,
+                byte,
+                bit
+            }),
+            (any::<usize>(), any::<usize>()).prop_map(|(frame, len)| Edit::Truncate { frame, len }),
+            any::<usize>().prop_map(|frame| Edit::Duplicate { frame }),
+            any::<usize>().prop_map(|frame| Edit::Drop { frame }),
+            (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Edit::Swap { a, b }),
+        ]
+    }
+
+    fn apply(frames: &mut Vec<Vec<u8>>, edit: &Edit) {
+        if frames.is_empty() {
+            return;
+        }
+        let n = frames.len();
+        match *edit {
+            Edit::Field { frame, at, value } => {
+                let width = if at == 8 || at == 12 { 4 } else { 8 };
+                let bytes = value.to_be_bytes();
+                let targets = frame.map_or(0..n, |f| f % n..f % n + 1);
+                for f in &mut frames[targets] {
+                    if f.len() >= at + width {
+                        f[at..at + width].copy_from_slice(&bytes[8 - width..]);
+                    }
+                }
+            }
+            Edit::Flip { frame, byte, bit } => {
+                let f = &mut frames[frame % n];
+                if !f.is_empty() {
+                    let at = byte % f.len();
+                    f[at] ^= 1 << bit;
+                }
+            }
+            Edit::Truncate { frame, len } => {
+                let f = &mut frames[frame % n];
+                f.truncate(len % (f.len() + 1));
+            }
+            Edit::Duplicate { frame } => frames.push(frames[frame % n].clone()),
+            Edit::Drop { frame } => {
+                frames.remove(frame % n);
+            }
+            Edit::Swap { a, b } => frames.swap(a % n, b % n),
+        }
+    }
+
+    /// A train to decode: arbitrary bytes, or an honest train of a
+    /// message (1-frame trains included) under a sequence of edits.
+    fn train() -> impl Strategy<Value = (Vec<u8>, Vec<Vec<u8>>)> {
+        let honest = (
+            proptest::collection::vec(any::<u8>(), 0..300),
+            1usize..400,
+            proptest::collection::vec(edit(), 0..4),
+        )
+            .prop_map(|(m, chunk, edits)| {
+                let mut frames = seal_frames(&cipher(), 21, [5u8; NONCE_LEN], &m, chunk);
+                for e in &edits {
+                    apply(&mut frames, e);
+                }
+                (m, frames)
+            });
+        let garbage =
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..120), 0..5)
+                .prop_map(|frames| (Vec::new(), frames));
+        prop_oneof![honest, garbage]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The frame decoders are total: whatever arrives, the strict
+        /// parser and the salvager return a typed outcome (no panic, no
+        /// allocation sized by an unauthenticated header), and whatever
+        /// they release is the message that was sealed.
+        #[test]
+        fn frame_decoders_are_total(input in train()) {
+            let (m, frames) = input;
+            let c = cipher();
+            if let Ok(out) = open_frames(&c, &frames) {
+                prop_assert_eq!(&out, &m);
+            }
+            let mut s = Salvage::new();
+            s.merge(frames.iter().map(|f| &f[..]));
+            match s.try_open(&c) {
+                SalvageResult::Done(out) => prop_assert_eq!(&out, &m),
+                SalvageResult::Missing(ix) => prop_assert!(!ix.is_empty()),
+                SalvageResult::Opaque => {}
+            }
+        }
     }
 }

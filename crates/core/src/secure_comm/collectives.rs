@@ -2,12 +2,11 @@
 //! decrypt), written over the record layer and the p2p routines.
 
 use bytes::Bytes;
-use empi_aead::chunked::chunk_count;
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage};
 use empi_mpi::coll::{bcast_alg, binomial_tree, edges, exchange, pairwise, ring, BcastAlg, Round};
 use empi_mpi::{Src, Tag, TagSel};
 use empi_netsim::{VDur, VTime};
-use empi_pipeline::expect_chunked;
+use empi_pipeline::{chunk_count, expect_chunked};
 use empi_trace::Cat;
 
 use super::{note_span, SecureComm};
@@ -70,7 +69,7 @@ impl SecureComm<'_, '_> {
         let mut hdr = [0u8; 17];
         if me == root {
             hdr[..8].copy_from_slice(&(buf.len() as u64).to_be_bytes());
-            hdr[8] = u8::from(self.pipe.applies_to(buf.len()));
+            hdr[8] = u8::from(self.cfg.pipeline.applies_to(buf.len()));
             hdr[9..].copy_from_slice(&(self.cfg.pipeline.chunk_size as u64).to_be_bytes());
         }
         self.comm.bcast(&mut hdr, root);
@@ -382,7 +381,7 @@ impl SecureComm<'_, '_> {
             let n = self.size();
             assert_eq!(send.len(), block * n, "alltoall buffer size mismatch");
             let counts = vec![block; n];
-            if self.pipe.applies_to(block) && n > 1 {
+            if self.cfg.pipeline.applies_to(block) && n > 1 {
                 let tag = self.comm.reserved_tag(SEC_ALLTOALL_OP);
                 return self.alltoallv_pipelined(send, &counts, &counts, tag);
             }
@@ -472,7 +471,7 @@ impl SecureComm<'_, '_> {
         let mut out = vec![0u8; recv_edge[self.size()]];
 
         let seg = &send[send_edge[me]..send_edge[me + 1]];
-        let self_plain = if self.pipe.applies_to(seg.len()) {
+        let self_plain = if self.cfg.pipeline.applies_to(seg.len()) {
             let frames = self.seal_chunked_frames(seg, Some(me));
             let msg = ChunkedMessage {
                 src: me,

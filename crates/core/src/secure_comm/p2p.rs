@@ -207,7 +207,7 @@ impl SecureComm<'_, '_> {
     /// is also sequenced, retained for repair and run through the fault
     /// plan.
     fn seal_msg(&self, buf: &[u8], dst: usize, tag: Tag) -> SendPayload {
-        if self.pipe.applies_to(buf.len()) {
+        if self.cfg.pipeline.applies_to(buf.len()) {
             let mut frames = self.seal_chunked_frames(buf, Some(dst));
             self.rel.prepare_frames(&mut frames, dst, tag);
             SendPayload::Chunked(frames)

@@ -11,11 +11,11 @@ use std::cell::Cell;
 use std::ops::Range;
 
 use bytes::Bytes;
-use empi_aead::chunked::chunk_count;
 use empi_aead::{NONCE_LEN, TAG_LEN, WIRE_OVERHEAD};
 use empi_keys::{epoch_aad, split_epoch};
-use empi_mpi::chunk::{ChunkFrame, ChunkedMessage, RecvPayload, FRAME_OVERHEAD};
-use empi_mpi::{FrameHeader, Status, Tag};
+use empi_mpi::chunk::{ChunkFrame, ChunkedMessage, RecvPayload};
+use empi_mpi::{Status, Tag};
+use empi_pipeline::{chunk_count, FrameHeader, FRAME_OVERHEAD};
 use empi_trace::{Cat, Metric};
 
 use super::keyring::RecordKey;
@@ -200,11 +200,6 @@ impl SecureComm<'_, '_> {
     pub(super) fn seal_chunked_frames(&self, buf: &[u8], dst: Option<usize>) -> Vec<ChunkFrame> {
         let total = chunk_count(buf.len(), self.cfg.pipeline.chunk_size);
         let key = self.seal_key();
-        if let Some(epoch) = key.epoch {
-            // Chunked records carry the epoch in the (AAD-bound) top
-            // bits of the message id instead of a prefix.
-            self.pipe.set_epoch(epoch);
-        }
         let base = key.ctx.nonces.borrow_mut().next_nonce_block(total);
         if let Some(t) = self.comm.sim().recorder() {
             t.count_nonce_draw(self.rank());
@@ -223,9 +218,13 @@ impl SecureComm<'_, '_> {
         };
         let t0 = self.comm.sim().now().as_nanos();
         let (cost, backend) = (|n| self.calibrated_ns(n), self.cfg.library.name());
+        // Chunked records carry the epoch in the (AAD-bound) top bits
+        // of the message id instead of a prefix.
+        let epoch = key.epoch.unwrap_or(0);
+        let cipher = &key.ctx.cipher;
         let frames = self
             .pipe
-            .seal_timed(self.comm, &key.ctx.cipher, &cost, backend, base, buf, &take);
+            .seal_timed(self.comm, cipher, &cost, backend, epoch, base, buf, &take);
         let key = (Metric::Seal, "seal/chunked", peer_id(dst));
         note_sample(self.comm, key, buf.len(), t0);
         // One aggregate alloc/* marker per sourcing outcome per chunked

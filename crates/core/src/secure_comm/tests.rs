@@ -1953,3 +1953,35 @@ fn ft_verbs_ride_the_pipelined_path_like_send_and_recv() {
         }
     }
 }
+
+/// One forged frame on the wire — a one-frame train whose header
+/// claims `total_len` 2^40 — fails the receive as a typed chunk error:
+/// nothing is sized by the header before its chunk authenticates.
+#[test]
+fn a_forged_total_len_on_the_wire_fails_typed() {
+    use empi_mpi::chunk::{ChunkFrame, SendPayload};
+    use empi_mpi::Charge;
+    use empi_pipeline::PipelineError;
+
+    let w = World::flat(NetModel::instant(), 2);
+    w.run(|c| {
+        if c.rank() == 0 {
+            let cipher = AesGcm::new(cfg().key_bytes()).unwrap();
+            let mut frames = empi_pipeline::seal_frames(&cipher, 1, [3; NONCE_LEN], b"hello", 64);
+            frames[0][16..24].copy_from_slice(&(1u64 << 40).to_be_bytes());
+            let data = bytes::Bytes::from(frames.remove(0));
+            let train = vec![ChunkFrame {
+                data,
+                ready: c.now(),
+            }];
+            c.wait_sent(c.post(SendPayload::Chunked(train), 1, 0, Charge::Blocking));
+        } else {
+            let sc = SecureComm::new(c, cfg()).unwrap();
+            let err = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap_err();
+            assert!(
+                matches!(err, Error::Pipeline(PipelineError::Chunk { index: 0, .. })),
+                "{err:?}"
+            );
+        }
+    });
+}

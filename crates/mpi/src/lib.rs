@@ -41,10 +41,7 @@ mod state;
 pub mod types;
 pub mod world;
 
-pub use chunk::{
-    ChunkError, ChunkFrame, ChunkedMessage, FrameHeader, Reassembly, RecvPayload, SendPayload,
-    FRAME_HEADER_LEN, FRAME_NONCE_LEN, FRAME_OVERHEAD, FRAME_TAG_LEN,
-};
+pub use chunk::{ChunkFrame, ChunkedMessage, RecvPayload, SendPayload};
 pub use coll::ops;
 pub use comm::{Charge, Comm, Request, SetPoll};
 pub use ctrl::{

@@ -10,10 +10,12 @@
 //!
 //! Layer map:
 //!
-//! * chunk geometry, per-chunk nonces (`base + i`) and position-binding
-//!   AAD live in `empi_aead::chunked`;
-//! * the wire frame (`header ‖ nonce ‖ ct ‖ tag`) and reassembly
-//!   validation live in `empi_mpi::chunk`;
+//! * the chunk frame — geometry, per-chunk nonces (`base + i`), the
+//!   header that is also each record's AAD, the one chunk seal and
+//!   open, and the strict parser — is [`frame`], the only code that
+//!   knows the layout;
+//! * the transport carries frame trains as opaque bytes
+//!   (`empi_mpi::chunk`: `SendPayload::Chunked`, `ChunkedMessage`);
 //! * the per-rank worker pool is `empi_netsim::CorePool` — the same
 //!   busy-until-timeline model as a NIC port, so worker occupancy
 //!   composes with the conservative virtual-time engine for free;
@@ -29,18 +31,20 @@
 use std::cell::Cell;
 
 use bytes::Bytes;
-use empi_aead::chunked::{
-    chunk_count, chunk_range, derive_chunk_nonce, ChunkedOpener, ChunkedSealer,
-};
 use empi_aead::gcm::AesGcm;
 use empi_aead::{NONCE_LEN, TAG_LEN};
-use empi_mpi::chunk::{
-    ChunkError, ChunkFrame, ChunkedMessage, FrameHeader, Reassembly, RecvPayload, FRAME_HEADER_LEN,
-    FRAME_NONCE_LEN, FRAME_OVERHEAD,
-};
+use empi_mpi::chunk::{ChunkFrame, ChunkedMessage, RecvPayload};
 use empi_mpi::Comm;
-use empi_netsim::{CoreSlot, VDur, VTime};
+use empi_netsim::{CoreSlot, VDur};
 use empi_trace::{Cat, Lane, Recorder};
+
+pub mod frame;
+
+pub use frame::{
+    chunk_count, open_frames, seal_frames, undo_chunk_nonce, ChunkError, FrameHeader,
+    FRAME_HEADER_LEN, FRAME_OVERHEAD,
+};
+use frame::{chunk_range, parse_frames};
 
 /// Default chunk size: 64 KB, CryptMPI's sweet spot (large enough to
 /// amortize per-record AEAD setup, small enough to fill the pipeline).
@@ -222,151 +226,6 @@ impl From<empi_aead::Error> for PipelineError {
     }
 }
 
-/// Assemble the wire frame of one chunk (`header ‖ nonce ‖ ct ‖ tag`)
-/// directly into `buf`: the plaintext is copied once into its final
-/// wire position and sealed there in place — no intermediate record
-/// `Vec`. `buf` may be a pooled or a fresh buffer; the bytes produced
-/// are identical either way (and identical to the historical
-/// seal-then-assemble path, which was this plus copies).
-fn build_frame_into(
-    sealer: &ChunkedSealer<'_>,
-    base_nonce: &[u8; NONCE_LEN],
-    header: FrameHeader,
-    plain: &[u8],
-    buf: &mut Vec<u8>,
-) {
-    buf.clear();
-    buf.reserve(FRAME_OVERHEAD + plain.len());
-    buf.extend_from_slice(&header.encode());
-    buf.extend_from_slice(&derive_chunk_nonce(base_nonce, header.index));
-    buf.extend_from_slice(plain);
-    let ct_start = FRAME_HEADER_LEN + FRAME_NONCE_LEN;
-    let tag = sealer.seal_chunk_detached(header.index, &mut buf[ct_start..]);
-    buf.extend_from_slice(&tag);
-}
-
-/// A chunked message parsed and validated down to its AEAD records.
-pub struct ParsedMessage {
-    pub msg_id: u64,
-    pub total: u32,
-    pub total_len: u64,
-    /// Base nonce recovered from chunk 0's frame (chunk `i`'s nonce is
-    /// derived as `base + i`; the carried nonces of later frames are
-    /// redundant, and any inconsistency surfaces as an auth failure).
-    pub base_nonce: [u8; NONCE_LEN],
-    /// Per chunk index: arrival time and record (`ct ‖ tag`).
-    pub records: Vec<(VTime, Bytes)>,
-}
-
-/// Parse and protocol-validate a set of frames (any order). Fails on
-/// malformed frames, inconsistent headers, duplicated, out-of-range or
-/// missing chunks — before any key is touched, and before the first
-/// header's chunk count sizes anything beyond the frames delivered.
-fn parse_frames(
-    frames: impl IntoIterator<Item = (VTime, Bytes), IntoIter: ExactSizeIterator>,
-) -> Result<ParsedMessage, PipelineError> {
-    let mut iter = frames.into_iter();
-    let delivered = iter.len();
-    let (at0, f0) = iter
-        .next()
-        .ok_or(PipelineError::Protocol(ChunkError::EmptyMessage))?;
-    let (h0, _) = FrameHeader::decode(&f0)?;
-    let mut re = Reassembly::new(&h0, delivered)?;
-    let (msg_id, total, total_len) = (re.msg_id(), re.total(), re.total_len());
-    let mut arrivals = vec![VTime(0); total as usize];
-    for (at, f) in std::iter::once((at0, f0)).chain(iter) {
-        let (h, _) = FrameHeader::decode(&f)?;
-        // Zero-copy: the body is a subview of the frame allocation.
-        re.accept(&h, f.slice(FRAME_HEADER_LEN..))?;
-        arrivals[h.index as usize] = at;
-    }
-    let bodies = re.finish()?;
-    let mut base_nonce = [0u8; NONCE_LEN];
-    base_nonce.copy_from_slice(&bodies[0][..FRAME_NONCE_LEN]);
-    // Every frame's carried nonce must match the one derived from the
-    // base — otherwise a wire byte would exist that no check covers.
-    for (i, b) in bodies.iter().enumerate() {
-        if b[..FRAME_NONCE_LEN] != derive_chunk_nonce(&base_nonce, i as u32) {
-            return Err(PipelineError::Crypto(empi_aead::Error::AuthFailure));
-        }
-    }
-    let records = bodies
-        .into_iter()
-        .zip(arrivals)
-        .map(|(b, at)| (at, b.slice(FRAME_NONCE_LEN..)))
-        .collect();
-    Ok(ParsedMessage {
-        msg_id,
-        total,
-        total_len,
-        base_nonce,
-        records,
-    })
-}
-
-/// Seal `buf` into wire frames (pure crypto, no timing, no transport) —
-/// the building block the timed send path and the property tests share.
-pub fn seal_frames(
-    cipher: &AesGcm,
-    msg_id: u64,
-    base_nonce: [u8; NONCE_LEN],
-    buf: &[u8],
-    chunk_size: usize,
-) -> Vec<Vec<u8>> {
-    let total = chunk_count(buf.len(), chunk_size);
-    let total_len = buf.len() as u64;
-    let sealer = ChunkedSealer::new(cipher, msg_id, base_nonce, total, total_len);
-    (0..total)
-        .map(|i| {
-            let header = FrameHeader {
-                msg_id,
-                index: i,
-                total,
-                total_len,
-            };
-            let mut f = Vec::new();
-            build_frame_into(
-                &sealer,
-                &base_nonce,
-                header,
-                &buf[chunk_range(buf.len(), chunk_size, i)],
-                &mut f,
-            );
-            f
-        })
-        .collect()
-}
-
-/// Open wire frames back into the message (pure crypto, no timing).
-/// Rejects tampered, reordered, dropped, duplicated or spliced chunks.
-pub fn open_frames(cipher: &AesGcm, frames: &[Vec<u8>]) -> Result<Vec<u8>, PipelineError> {
-    let parsed = parse_frames(frames.iter().map(|f| (VTime(0), Bytes::copy_from_slice(f))))?;
-    let opener = ChunkedOpener::new(
-        cipher,
-        parsed.msg_id,
-        parsed.base_nonce,
-        parsed.total,
-        parsed.total_len,
-    );
-    let mut out = Vec::with_capacity(parsed.total_len as usize);
-    for (i, (_, record)) in parsed.records.iter().enumerate() {
-        let plain = opener
-            .open_chunk(i as u32, record)
-            .map_err(|source| PipelineError::Chunk {
-                index: i as u32,
-                source,
-            })?;
-        out.extend_from_slice(&plain);
-    }
-    if out.len() as u64 != parsed.total_len {
-        return Err(PipelineError::Length {
-            expect: parsed.total_len,
-            got: out.len(),
-        });
-    }
-    Ok(out)
-}
-
 /// Per-rank pipelined-crypto endpoint: a sender-unique message-id
 /// counter plus the configuration. One per `SecureComm`.
 ///
@@ -379,11 +238,6 @@ pub struct Pipeline {
     cfg: PipelineConfig,
     next_seq: Cell<u64>,
     rank: u64,
-    /// Key-plane epoch folded into the top 16 bits of every minted
-    /// message id (0 = legacy ids, bit-identical to pre-key-plane
-    /// builds). The chunk layer binds the id into each frame's AAD,
-    /// which is what makes the epoch tamper-evident on chunked wire.
-    epoch: Cell<u64>,
 }
 
 impl Pipeline {
@@ -394,35 +248,19 @@ impl Pipeline {
             cfg,
             next_seq: Cell::new(0),
             rank: rank as u64,
-            epoch: Cell::new(0),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
-    /// Whether a `len`-byte message takes this pipelined path.
-    pub fn applies_to(&self, len: usize) -> bool {
-        self.cfg.applies_to(len)
-    }
-
-    /// Set the key-plane epoch stamped into subsequent message ids.
-    /// Only the key plane calls this; legacy worlds keep epoch 0 and
-    /// mint the exact ids they always did.
-    pub fn set_epoch(&self, epoch: u64) {
-        self.epoch.set(epoch);
-    }
-
     /// Next sender-unique message id (rank in the high 32 bits, so ids
-    /// never collide across senders sharing one key; key-plane epoch
-    /// in the top 16).
-    fn next_msg_id(&self) -> u64 {
+    /// never collide across senders sharing one key; the key-plane
+    /// `epoch` in the top 16). The frame header binds the id into each
+    /// chunk's AAD, which is what makes the epoch tamper-evident on
+    /// chunked wire.
+    fn next_msg_id(&self, epoch: u64) -> u64 {
         let seq = self.next_seq.get();
         self.next_seq.set(seq + 1);
         let id = (self.rank << 32) | seq;
-        match self.epoch.get() {
+        match epoch {
             // Epoch 0 mints the raw id — bit-identical to builds that
             // predate the key plane, whatever the rank width.
             0 => id,
@@ -438,11 +276,13 @@ impl Pipeline {
     /// the host overhead and the wire. The caller routes the frames
     /// (`Comm::post` as a `SendPayload::Chunked`, or a collective's relay).
     ///
-    /// `base_nonce` must reserve one nonce per chunk (draw it with
-    /// `NonceSource::next_nonce_block(chunk_count)`). `take(cap)` hands
-    /// out each frame's buffer — the caller decides where buffers come
-    /// from (heap or pool; the sealed bytes are identical either way) —
-    /// and says whether it was a fresh allocation.
+    /// `epoch` is the key-plane epoch the message is sealed under (0
+    /// without the key plane). `base_nonce` must reserve one nonce per
+    /// chunk (draw it with `NonceSource::next_nonce_block(chunk_count)`).
+    /// `take(cap)` hands out each frame's buffer — the caller decides
+    /// where buffers come from (heap or pool; the sealed bytes are
+    /// identical either way) — and says whether it was a fresh
+    /// allocation.
     #[allow(clippy::too_many_arguments)]
     pub fn seal_timed(
         &self,
@@ -450,29 +290,24 @@ impl Pipeline {
         cipher: &AesGcm,
         cost: &ChunkCost<'_>,
         backend: &'static str,
+        epoch: u64,
         base_nonce: [u8; NONCE_LEN],
         buf: &[u8],
         take: &dyn Fn(usize) -> (Vec<u8>, bool),
     ) -> Vec<ChunkFrame> {
-        let msg_id = self.next_msg_id();
-        let total = chunk_count(buf.len(), self.cfg.chunk_size);
-        let total_len = buf.len() as u64;
-        let sealer = ChunkedSealer::new(cipher, msg_id, base_nonce, total, total_len);
+        let chunk_size = self.cfg.chunk_size;
+        let msg = FrameHeader::message(self.next_msg_id(epoch), buf.len(), chunk_size);
+        let total = msg.total;
         let h = comm.sim();
         let submit = h.now();
         let mut frames = Vec::with_capacity(total as usize);
         h.with_core_pool(self.cfg.workers, |pool| {
             for i in 0..total {
-                let plain = &buf[chunk_range(buf.len(), self.cfg.chunk_size, i)];
-                let header = FrameHeader {
-                    msg_id,
-                    index: i,
-                    total,
-                    total_len,
-                };
+                let plain = &buf[chunk_range(buf.len(), chunk_size, i)];
                 let frame_len = FRAME_OVERHEAD + plain.len();
                 let (mut frame, fresh) = take(frame_len);
-                build_frame_into(&sealer, &base_nonce, header, plain, &mut frame);
+                msg.chunk(i)
+                    .seal_into(cipher, &base_nonce, plain, &mut frame);
                 let slot = pool.schedule_limited(submit, VDur(cost(plain.len())), self.cfg.workers);
                 if let Some(t) = h.recorder() {
                     t.count_alloc(comm.rank(), fresh, frame_len);
@@ -503,21 +338,15 @@ impl Pipeline {
         msg: &ChunkedMessage,
     ) -> Result<Vec<u8>, PipelineError> {
         let parsed = parse_frames(msg.frames.iter().map(|(at, f)| (*at, f.clone())))?;
-        let opener = ChunkedOpener::new(
-            cipher,
-            parsed.msg_id,
-            parsed.base_nonce,
-            parsed.total,
-            parsed.total_len,
-        );
         let h = comm.sim();
         // One output allocation per message: each chunk's ciphertext is
         // copied once into its final position and decrypted there in
         // place (the buffer handed to the caller), instead of per-chunk
         // plaintext Vecs re-copied into the result.
-        let mut out = Vec::with_capacity(parsed.total_len as usize);
+        let mut out = Vec::with_capacity(parsed.arrived_len());
         if let Some(t) = h.recorder() {
-            let (me, now, len) = (comm.rank(), h.now().as_nanos(), parsed.total_len as usize);
+            let (me, now) = (comm.rank(), h.now().as_nanos());
+            let len = parsed.msg.total_len as usize;
             let detail = || {
                 format!(
                     "chunked reassembly buffer ({} frames)",
@@ -531,20 +360,16 @@ impl Pipeline {
         let mut failure = None;
         h.with_core_pool(self.cfg.workers, |pool| {
             for (i, (arrive, record)) in parsed.records.iter().enumerate() {
-                let plain_len = record.len().saturating_sub(TAG_LEN);
-                let start = out.len();
-                out.extend_from_slice(&record[..plain_len]);
-                let mut tag = [0u8; TAG_LEN];
-                tag.copy_from_slice(&record[plain_len..]);
-                if let Err(e) = opener.open_chunk_detached(i as u32, &mut out[start..], &tag) {
-                    // The failed chunk's bytes are still ciphertext.
-                    out.truncate(start);
-                    failure = Some((i as u32, e));
+                let index = i as u32;
+                let chunk = parsed.msg.chunk(index);
+                if let Err(e) = chunk.open_into(cipher, &parsed.base_nonce, record, &mut out) {
+                    failure = Some((index, e));
                     return;
                 }
+                let plain_len = record.len() - TAG_LEN;
                 let slot = pool.schedule_limited(*arrive, VDur(cost(plain_len)), self.cfg.workers);
                 if let Some(t) = h.recorder() {
-                    let detail = || format!("{backend} chunk {}/{}", i + 1, parsed.total);
+                    let detail = || format!("{backend} chunk {}/{}", i + 1, parsed.msg.total);
                     chunk_span(t, comm.rank(), &slot, "pipe/open", plain_len, detail);
                 }
                 done = done.max(slot.end);
@@ -553,12 +378,7 @@ impl Pipeline {
         if let Some((index, source)) = failure {
             return Err(PipelineError::Chunk { index, source });
         }
-        if out.len() as u64 != parsed.total_len {
-            return Err(PipelineError::Length {
-                expect: parsed.total_len,
-                got: out.len(),
-            });
-        }
+        parsed.check_len(&out)?;
         h.advance_to(done);
         Ok(out)
     }
@@ -568,7 +388,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use empi_mpi::{Charge, SendPayload, Src, TagSel, World};
-    use empi_netsim::NetModel;
+    use empi_netsim::{NetModel, VTime};
 
     fn cipher() -> AesGcm {
         AesGcm::new(&[0x42u8; 32]).unwrap()
@@ -601,7 +421,7 @@ mod tests {
             total_len: u64::MAX,
         };
         let mut frame = header.encode().to_vec();
-        frame.extend_from_slice(&[0u8; FRAME_NONCE_LEN + 16]);
+        frame.extend_from_slice(&[0u8; NONCE_LEN + TAG_LEN]);
         let err = parse_frames([(VTime(0), Bytes::from(frame))]).err();
         assert!(
             matches!(
@@ -635,7 +455,7 @@ mod tests {
         assert_eq!(frames.len(), 3);
         // Tamper: flip one ciphertext byte — the error names the chunk.
         let mut t = frames.clone();
-        t[1][FRAME_HEADER_LEN + FRAME_NONCE_LEN] ^= 1;
+        t[1][FRAME_HEADER_LEN + NONCE_LEN] ^= 1;
         let err = open_frames(&c, &t).unwrap_err();
         assert!(matches!(err, PipelineError::Chunk { index: 1, .. }));
         assert_eq!(err.chunk_index(), Some(1));
@@ -685,8 +505,8 @@ mod tests {
                     if pipelined {
                         let pipe =
                             Pipeline::new(PipelineConfig::enabled().with_workers(4), c.rank());
-                        let frames =
-                            pipe.seal_timed(c, &cipher, &cost_ns, "test", [3u8; 12], &msg, &heap);
+                        let frames = pipe
+                            .seal_timed(c, &cipher, &cost_ns, "test", 0, [3u8; 12], &msg, &heap);
                         c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
                     } else {
                         // Sequential reference: pay the whole seal on the
@@ -743,7 +563,8 @@ mod tests {
                         .with_chunk_size(64 << 10),
                     c.rank(),
                 );
-                let frames = pipe.seal_timed(c, &cipher, &cost_ns, "test", [1u8; 12], &msg, &heap);
+                let frames =
+                    pipe.seal_timed(c, &cipher, &cost_ns, "test", 0, [1u8; 12], &msg, &heap);
                 c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
             } else {
                 let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))

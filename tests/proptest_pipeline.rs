@@ -8,9 +8,9 @@
 
 use empi::aead::gcm::AesGcm;
 use empi::aead::profile::CryptoLibrary;
-use empi::mpi::{Src, TagSel, World, FRAME_OVERHEAD};
+use empi::mpi::{Src, TagSel, World};
 use empi::netsim::NetModel;
-use empi::pipeline::{open_frames, seal_frames};
+use empi::pipeline::{open_frames, seal_frames, FRAME_OVERHEAD};
 use empi::secure::{PipelineConfig, SecureComm, SecurityConfig};
 use proptest::prelude::*;
 

@@ -994,3 +994,97 @@ fn every_event_is_counted_once() {
         assert!(back.is_empty(), "`{name}` is back: {back:?}");
     }
 }
+
+/// One chunked wire format, written once: the frame layout lives in
+/// `crates/pipeline/src/frame.rs` alone. `empi-aead` keeps no chunked
+/// module, `empi-mpi` carries frames as opaque bytes, one `fn encode`
+/// writes the 24-byte header (which is also the AAD), and the second
+/// copies stay gone, comments included.
+#[test]
+fn the_chunk_frame_is_written_once() {
+    assert!(
+        !repo("crates/aead/src/chunked.rs").exists(),
+        "crates/aead/src/chunked.rs is back"
+    );
+
+    let code = code_lines(&crate_sources());
+    let frame_items = ["FrameHeader", "ChunkError", "FRAME_OVERHEAD"];
+    for (item, def) in frame_items.iter().zip([
+        "struct FrameHeader",
+        "enum ChunkError",
+        "const FRAME_OVERHEAD",
+    ]) {
+        let found: Vec<&String> = code
+            .iter()
+            .filter(|(_, _, l)| l.contains(def))
+            .map(|(f, _, _)| f)
+            .collect();
+        assert!(
+            !found.is_empty(),
+            "`{item}` is defined nowhere: is the scan blind?"
+        );
+        let stray: Vec<_> = found
+            .iter()
+            .filter(|f| !f.starts_with("crates/pipeline/src/"))
+            .collect();
+        assert!(
+            stray.is_empty(),
+            "`{item}` defined outside empi-pipeline: {stray:?}"
+        );
+    }
+
+    let mpi = all_lines(&rust_files("crates/mpi/src"));
+    for item in frame_items.iter().chain(&["FRAME_HEADER_LEN"]) {
+        let named = sites(&mpi, item);
+        assert!(named.is_empty(), "empi-mpi names `{item}`: {named:?}");
+    }
+
+    // The header's last field is written by exactly one line, inside
+    // `FrameHeader::encode`.
+    let writers = sites(&code, ".total_len.to_be_bytes()");
+    assert_eq!(writers.len(), 1, "header writers: {writers:?}");
+    let (file, n, _) = code
+        .iter()
+        .find(|(f, n, _)| writers[0] == format!("{f}:{n}"))
+        .unwrap();
+    let owner = code
+        .iter()
+        .rfind(|(f, m, l)| f == file && m < n && l.contains("fn "))
+        .map(|(_, _, l)| l.trim().to_string());
+    assert!(
+        file == "crates/pipeline/src/frame.rs"
+            && owner.as_deref().is_some_and(|l| l.contains("fn encode(")),
+        "the header is written by {owner:?} in {file}"
+    );
+    let encoders = sites(&code_lines(&rust_files("crates/pipeline/src")), "fn encode");
+    assert_eq!(
+        encoders.len(),
+        1,
+        "`fn encode` in empi-pipeline: {encoders:?}"
+    );
+
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        files.extend(rust_files(dir));
+    }
+    let lines = all_lines(&files);
+    for name in [
+        concat!("Chunked", "Sealer"),
+        concat!("Chunked", "Opener"),
+        concat!("chunk", "_aad"),
+        concat!("CHUNK_AAD", "_LEN"),
+        concat!("FRAME_NONCE", "_LEN"),
+        concat!("FRAME_TAG", "_LEN"),
+        concat!("Reas", "sembly"),
+        concat!("set", "_epoch"),
+        concat!("aead::", "chunked"),
+        concat!("mod ", "chunked"),
+    ] {
+        let back: Vec<String> = lines
+            .iter()
+            .filter(|(_, _, l)| l.contains(name))
+            .map(|(f, n, _)| format!("{f}:{n}"))
+            .collect();
+        assert!(back.is_empty(), "`{name}` is back: {back:?}");
+    }
+}
