@@ -1,12 +1,13 @@
 //! Shard-count determinism: for ANY seed, traffic mix, chaos setting,
-//! and crash plan, a sharded world (`S > 1`) must be **bit-identical**
+//! crash plan and record path, a sharded world (`S > 1`) must be
+//! **bit-identical**
 //! to the serial one (`S = 1`) — same virtual times, same wire bytes,
 //! same delivered plaintexts, same deaths, same metrics snapshot, even
 //! the same scheduler yield count. Sharding may only change wall-clock
 //! time (DESIGN.md §15).
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{FaultRates, SecureComm, SecurityConfig};
+use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, World};
 use empi_netsim::{CrashKind, CrashPlan, NetModel, VDur, VTime};
 use proptest::prelude::*;
@@ -41,8 +42,11 @@ fn fnv(bytes: &[u8]) -> u64 {
 
 /// The traffic mix: ranks 0..6 run a ring of secure sends (sizes and
 /// payloads derived from the seed), rank 6 broadcasts, rank 7 computes
-/// locally — and is the one a crash plan kills mid-loop.
-fn run_once(shards: usize, seed: u64, chaos: bool, crash: bool) -> Digest {
+/// locally — and is the one a crash plan kills mid-loop. `piped` sends
+/// the ring through the chunked pipeline with 1 KiB chunks and the
+/// buffer pool, so its messages of up to 9 000 B are trains of up to
+/// nine chunks whose seals and opens fork-join across the carriers.
+fn run_once(shards: usize, seed: u64, chaos: bool, crash: bool, piped: bool) -> Digest {
     const N: usize = 8;
     const RING: usize = 6;
     let mut world = World::flat(NetModel::ethernet_10g(), N)
@@ -54,6 +58,12 @@ fn run_once(shards: usize, seed: u64, chaos: bool, crash: bool) -> Digest {
     let out = world
         .try_run_ft(move |c| {
             let mut cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
+            if piped {
+                let pipe = PipelineConfig::enabled()
+                    .with_chunk_size(1024)
+                    .with_workers(2);
+                cfg = cfg.with_pipeline(pipe).with_buffer_pool(true);
+            }
             if chaos {
                 cfg = cfg
                     .with_faults(
@@ -125,20 +135,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The determinism guard: S ∈ {1, 2, 4, 7} produce identical
-    /// digests for arbitrary seed × chaos × crash-plan combinations.
+    /// digests for arbitrary seed × chaos × crash-plan × record-path
+    /// combinations.
     #[test]
     fn shard_count_is_unobservable(
         seed in any::<u64>(),
         chaos in any::<bool>(),
         crash in any::<bool>(),
+        piped in any::<bool>(),
     ) {
-        let base = run_once(1, seed, chaos, crash);
+        let base = run_once(1, seed, chaos, crash, piped);
         for s in [2usize, 4, 7] {
-            let got = run_once(s, seed, chaos, crash);
+            let got = run_once(s, seed, chaos, crash, piped);
             prop_assert_eq!(
                 &base, &got,
-                "shards={} diverged from serial (seed={}, chaos={}, crash={})",
-                s, seed, chaos, crash
+                "shards={} diverged from serial (seed={}, chaos={}, crash={}, piped={})",
+                s, seed, chaos, crash, piped
             );
         }
     }
@@ -149,9 +161,27 @@ proptest! {
 /// chaos and a crash plan, across all shard counts.
 #[test]
 fn known_seed_digests_match() {
-    let base = run_once(1, 0xC0FFEE, true, true);
+    let base = run_once(1, 0xC0FFEE, true, true, false);
     assert!(base.deaths[7].is_some(), "crash plan must execute");
+    assert!(
+        !base.metrics.contains("seal/chunked"),
+        "sequential records only"
+    );
     for s in [2usize, 4, 7] {
-        assert_eq!(base, run_once(s, 0xC0FFEE, true, true), "shards={s}");
+        assert_eq!(base, run_once(s, 0xC0FFEE, true, true, false), "shards={s}");
+    }
+}
+
+/// The same spot check on the chunked path.
+#[test]
+fn known_seed_piped_digests_match() {
+    let base = run_once(1, 0xC0FFEE, true, true, true);
+    assert!(base.deaths[7].is_some(), "crash plan must execute");
+    assert!(
+        base.metrics.contains("seal/chunked"),
+        "the ring sent no chunked train"
+    );
+    for s in [2usize, 4, 7] {
+        assert_eq!(base, run_once(s, 0xC0FFEE, true, true, true), "shards={s}");
     }
 }

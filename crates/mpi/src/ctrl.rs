@@ -114,9 +114,11 @@ impl Nack {
 
     /// Parse a control frame; `None` on any structural violation (a
     /// corrupted NACK is simply dropped — the receiver's timeout will
-    /// re-NACK).
+    /// re-NACK). What it accepts is exactly what [`Nack::encode`]
+    /// writes: zero padding, and a count that spans the rest of the
+    /// frame (zero for a whole-message NACK).
     pub fn decode(buf: &[u8]) -> Option<Nack> {
-        if buf.len() < 28 || u32::from_be_bytes(buf[0..4].try_into().ok()?) != NACK_MAGIC {
+        if buf.len() < 28 || buf[0..4] != NACK_MAGIC.to_be_bytes() || buf[5..8] != [0; 3] {
             return None;
         }
         let kind = buf[4];
@@ -124,22 +126,20 @@ impl Nack {
         let seq = u64::from_be_bytes(buf[12..20].try_into().ok()?);
         let attempt = u32::from_be_bytes(buf[20..24].try_into().ok()?);
         let count = u32::from_be_bytes(buf[24..28].try_into().ok()?) as usize;
+        if count.checked_mul(4) != Some(buf.len() - 28) {
+            return None;
+        }
+        let missing = buf[28..].chunks_exact(4);
         match kind {
-            1 => Some(Nack::Whole { tag, seq, attempt }),
-            2 => {
-                if buf.len() != 28 + count * 4 {
-                    return None;
-                }
-                let missing = (0..count)
-                    .map(|i| u32::from_be_bytes(buf[28 + i * 4..32 + i * 4].try_into().unwrap()))
-                    .collect();
-                Some(Nack::Chunks {
-                    tag,
-                    seq,
-                    attempt,
-                    missing,
-                })
-            }
+            1 if count == 0 => Some(Nack::Whole { tag, seq, attempt }),
+            2 => Some(Nack::Chunks {
+                tag,
+                seq,
+                attempt,
+                missing: missing
+                    .map(|i| u32::from_be_bytes(i.try_into().unwrap()))
+                    .collect(),
+            }),
             _ => None,
         }
     }
@@ -210,10 +210,12 @@ impl RepairHeader {
         out
     }
 
-    /// Parse the header and return it with the body slice.
+    /// Parse the header and return it with the body slice; `None` on
+    /// a wrong magic, an unknown kind or non-zero padding.
     pub fn decode(buf: &[u8]) -> Option<(RepairHeader, &[u8])> {
         if buf.len() < REPAIR_HEADER_LEN
-            || u32::from_be_bytes(buf[0..4].try_into().ok()?) != REPAIR_MAGIC
+            || buf[0..4] != REPAIR_MAGIC.to_be_bytes()
+            || buf[5..8] != [0; 3]
         {
             return None;
         }
@@ -447,5 +449,42 @@ mod tests {
         assert_eq!(unpack_frames(&body), Some(frames));
         assert_eq!(unpack_frames(&[0, 0]), None); // short length prefix
         assert_eq!(unpack_frames(&[0, 0, 0, 9, 1]), None); // short body
+    }
+
+    /// The two second spellings `ctrl_and_key_decoders_are_total`
+    /// (tests/proptest_decoders.rs) found, at seeds 0x9dc08813a34c83f4
+    /// and 0x9dc08a71a34c83f4: a whole-message NACK with trailing
+    /// bytes, and a repair header with non-zero padding. Both decoded
+    /// to a value whose encoding is other bytes.
+    #[test]
+    fn a_frame_has_one_spelling() {
+        let whole = Nack::Whole {
+            tag: 7,
+            seq: 9,
+            attempt: 1,
+        };
+        assert_eq!(Nack::decode(&whole.encode()), Some(whole.clone()));
+        let mut trailing = whole.encode();
+        trailing.extend_from_slice(&[0xdc, 0x7c, 0xd5]);
+        assert_eq!(Nack::decode(&trailing), None);
+        let mut counted = whole.encode();
+        counted[27] = 1;
+        counted.extend_from_slice(&[0; 4]);
+        assert_eq!(
+            Nack::decode(&counted),
+            None,
+            "a whole-message NACK lists no chunks"
+        );
+
+        let hdr = RepairHeader {
+            kind: RepairKind::Chunks,
+            tag: 3,
+            seq: 4,
+            attempt: 5,
+        };
+        let mut padded = hdr.encode_with(b"body");
+        assert_eq!(RepairHeader::decode(&padded), Some((hdr, &b"body"[..])));
+        padded[7] = 0x80;
+        assert_eq!(RepairHeader::decode(&padded), None);
     }
 }

@@ -37,14 +37,23 @@
 //! clock. Host work a rank does between two engine calls holds the
 //! token and costs no virtual time.
 //!
+//! # Fork-join inside a tenure
+//!
+//! [`SimHandle::par_each`] is the other way real host work uses more
+//! than one carrier: the token holder keeps its token and spreads
+//! independent items (a message's chunk seals) over the carriers that
+//! sleep, joining them before it goes on. No clock moves and no tenure
+//! changes, so it too is invisible to every virtual result.
+//!
 //! # Hand-off and carriers
 //!
 //! [`Engine::shards`] is the number of host threads that run rank code:
 //! carrier 0 is the thread that called the run, the others are spawned
-//! for it and sleep when idle. A tenure change names the next holder
-//! under the scheduler lock; after the lock is dropped the releasing
-//! coroutine switches to the named one on the same carrier — a
-//! user-space stack switch, no system call. A rank granted its own token
+//! for it and sleep when idle. They are the world's whole host-thread
+//! budget: the engine starts no other thread. A tenure change names
+//! the next holder under the scheduler lock; after the lock is dropped
+//! the releasing coroutine switches to the named one on the same
+//! carrier — a user-space stack switch, no system call. A rank granted its own token
 //! again switches nothing. A one-carrier world is one thread.
 //!
 //! Rank code interacts with the engine through [`SimHandle`]:
@@ -52,6 +61,7 @@
 //! [`SimHandle::block_on`] parks the rank until a peer calls
 //! [`SimHandle::notify_rank`].
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -150,7 +160,91 @@ struct Sched {
     live: usize,
     /// Carriers asleep on `Shared::idle`.
     idle: usize,
+    /// The token holder's fork-join job ([`SimHandle::par_each`]) while
+    /// it takes helpers.
+    job: Option<JobRef>,
+    /// Carriers working on `job`: its holder returns once this is zero.
+    helpers: usize,
 }
+
+impl Sched {
+    /// The published fork-join job, if it has indices left to claim.
+    /// The caller counts itself in `helpers` before it drops the guard.
+    fn open_job<'j>(&self) -> Option<&'j Job> {
+        // SAFETY: a published job lives until its holder, under the
+        // lock, has unpublished it and seen `helpers` at zero.
+        self.job.map(|j| unsafe { &*j.0 }).filter(|j| j.has_work())
+    }
+}
+
+/// A fork-join job a token holder published ([`SimHandle::par_each`]):
+/// every index below `len` runs once, on whichever participant claims
+/// it from `next`.
+struct Job {
+    /// The holder's per-index closure, type-erased: `run(f, i)`.
+    f: *const (),
+    run: unsafe fn(*const (), usize),
+    len: usize,
+    next: AtomicUsize,
+    /// The first panic out of an index, re-raised on the holder.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// Call the closure a [`Job`] erased.
+///
+/// # Safety
+///
+/// `f` points at a live `F`.
+unsafe fn run_index<F: Fn(usize) + Sync>(f: *const (), i: usize) {
+    // SAFETY: the caller's contract.
+    unsafe { (*f.cast::<F>())(i) }
+}
+
+impl Job {
+    fn new<F: Fn(usize) + Sync>(f: &F, len: usize) -> Job {
+        Job {
+            f: (f as *const F).cast(),
+            run: run_index::<F>,
+            len,
+            next: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+        }
+    }
+
+    fn has_work(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.len
+    }
+
+    /// Claim and run indices until none is left. A panic ends the
+    /// claims of every participant; its payload waits for the holder.
+    fn work(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                return;
+            }
+            // SAFETY: `f` and `run` were made together from one closure,
+            // which outlives the job.
+            let ran = catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.f, i) }));
+            if let Err(p) = ran {
+                self.next.store(self.len, Ordering::Relaxed);
+                self.panic.lock().get_or_insert(p);
+                return;
+            }
+        }
+    }
+}
+
+/// `Sched`'s handle on the published [`Job`], which lives on its
+/// holder's coroutine stack.
+#[derive(Clone, Copy)]
+struct JobRef(*const Job);
+
+// SAFETY: a helper dereferences the pointer only while it is counted in
+// `Sched::helpers`, and the holder does not leave `par_each` (the job's
+// frame) before that count is zero. What a helper reaches through it is
+// `Sync`: the closure (`F: Sync`), an atomic and a mutex.
+unsafe impl Send for JobRef {}
 
 /// Diagnostic snapshot of one rank at the moment a deadlock was
 /// declared — what the all-blocked report prints, but structured so
@@ -257,8 +351,11 @@ impl Switch {
 struct Shared {
     sched: Mutex<Sched>,
     /// Idle carriers sleep here (with `sched`) until a rank is handed
-    /// to them or the world ends.
+    /// to them, a job is published, or the world ends.
     idle: Condvar,
+    /// A fork-join holder sleeps here (with `sched`) until its last
+    /// helper has left the job.
+    joined: Condvar,
     /// Each rank's coroutine context, saved while it is suspended.
     ctxs: Vec<Context>,
     /// Each carrier's own context, saved while it runs a coroutine.
@@ -608,8 +705,9 @@ impl Shared {
         self.acquire(me, s);
     }
 
-    /// A carrier's home loop: run what [`Shared::pick`] finds, sleep
-    /// when there is nothing, stop when every coroutine has ended.
+    /// A carrier's home loop: run what [`Shared::pick`] finds, else help
+    /// with the holder's fork-join job, sleep when there is nothing,
+    /// stop when every coroutine has ended.
     fn carry(&self, me: usize) {
         let mut s = self.sched.lock();
         loop {
@@ -620,6 +718,17 @@ impl Shared {
                 // other switch resumes it.
                 unsafe { fiber::switch(&self.homes[me], &self.ctxs[r], me) };
                 s = self.sched.lock();
+            } else if let Some(job) = s.open_job() {
+                s.helpers += 1;
+                drop(s);
+                job.work();
+                s = self.sched.lock();
+                s.helpers -= 1;
+                if s.helpers == 0 {
+                    drop(s);
+                    self.joined.notify_one();
+                    s = self.sched.lock();
+                }
             } else if s.live == 0 {
                 break;
             } else {
@@ -731,10 +840,11 @@ impl Engine {
     }
 
     /// Run rank code on `s` host threads (carriers), so that up to
-    /// `s - 1` detached closures ([`SimHandle::charge_overlapped`])
-    /// overlap the token holder. Clamped to `[1, n_ranks]`; one carrier
-    /// is the calling thread alone. Virtual results are bit-identical
-    /// for every `s`: the carrier count changes wall-clock only.
+    /// `s - 1` detached closures ([`SimHandle::charge_overlapped`]) or
+    /// fork-join helpers ([`SimHandle::par_each`]) overlap the token
+    /// holder. Clamped to `[1, n_ranks]`; one carrier is the calling
+    /// thread alone. Virtual results are bit-identical for every `s`:
+    /// the carrier count changes wall-clock only.
     pub fn shards(mut self, s: usize) -> Self {
         self.shards = s.max(1);
         self
@@ -846,8 +956,11 @@ impl Engine {
                 unwind: Vec::new(),
                 live: n,
                 idle: 0,
+                job: None,
+                helpers: 0,
             }),
             idle: Condvar::new(),
+            joined: Condvar::new(),
             ctxs: (0..n).map(|_| Context::new()).collect(),
             homes: (0..carriers).map(|_| Context::new()).collect(),
             on: (0..n).map(|_| AtomicUsize::new(0)).collect(),
@@ -980,7 +1093,23 @@ pub struct RunOutcome<T> {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The base of the slice a [`SimHandle::par_each`] job splits.
+struct ItemsPtr<T>(*mut T);
+
+impl<T> ItemsPtr<T> {
+    /// Item `i`'s address. A method, so that a closure captures the
+    /// whole `Sync` wrapper rather than its raw field.
+    fn at(&self, i: usize) -> *mut T {
+        self.0.wrapping_add(i)
+    }
+}
+
+// SAFETY: participants reach disjoint items through it (see
+// `SimHandle::par_each`), and `T: Send` lets each item move to the
+// carrier that runs it.
+unsafe impl<T: Send> Sync for ItemsPtr<T> {}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1089,6 +1218,59 @@ impl SimHandle {
         let out = f();
         sh.acquire(self.rank, sh.sched.lock());
         out
+    }
+
+    /// Run `f(i, &mut items[i])` for every item, spread over this
+    /// world's idle carriers, and return once all have run: host-only
+    /// fork-join inside the caller's tenure.
+    ///
+    /// The caller keeps the token throughout, and no clock moves: the
+    /// tenure sequence, and with it every virtual result, is the same
+    /// as a plain loop's. With no idle carrier (always the case with
+    /// one) it is that loop, on the caller. Otherwise the job is
+    /// published to the sleeping carriers, each participant claims
+    /// indices from one counter, and the caller returns after every
+    /// index has run and every helper has left. A panic in `f`, on any
+    /// carrier, is re-raised here after the join. The contract is
+    /// [`Self::charge_overlapped`]'s: `f` touches no simulation state,
+    /// and the caller holds the token.
+    pub fn par_each<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+        let sh = &*self.shared;
+        let plain = |items: &mut [T]| {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+        };
+        if sh.carriers == 1 || items.len() < 2 {
+            return plain(items);
+        }
+        let base = ItemsPtr(items.as_mut_ptr());
+        // SAFETY: `i < items.len()` and the job hands each index to one
+        // participant, so no two `&mut` alias; `items` outlives the job.
+        let each = |i: usize| f(i, unsafe { &mut *base.at(i) });
+        let job = Job::new(&each, items.len());
+        let mut s = sh.sched.lock();
+        debug_assert!(s.job.is_none() && s.helpers == 0);
+        if s.idle == 0 {
+            drop(s);
+            return plain(items);
+        }
+        s.job = Some(JobRef(&job));
+        let wake = s.idle.min(items.len() - 1);
+        drop(s);
+        for _ in 0..wake {
+            sh.idle.notify_one();
+        }
+        job.work();
+        let mut s = sh.sched.lock();
+        s.job = None;
+        while s.helpers > 0 {
+            sh.joined.wait(&mut s);
+        }
+        drop(s);
+        if let Some(p) = job.panic.into_inner() {
+            resume_unwind(p);
+        }
     }
 
     /// Park this rank until `check` produces a completion.
@@ -1889,6 +2071,78 @@ mod shard_tests {
         }
     }
 
+    /// Block until another carrier sleeps, so that a fork-join job has
+    /// somewhere to go.
+    fn await_idle_carrier(h: &SimHandle) {
+        while h.shared.sched.lock().idle == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn par_each_runs_items_on_idle_carriers() {
+        // Each item waits (boundedly) until the other has started, so
+        // the pair can only finish early if a helper took one of them.
+        let started = AtomicUsize::new(0);
+        let out = Engine::new(2).shards(2).run(|h| {
+            if h.rank() == 1 {
+                return Vec::new();
+            }
+            await_idle_carrier(h);
+            let before = h.now();
+            let mut items = [None, None];
+            h.par_each(&mut items, |i, item| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let t0 = Instant::now();
+                while started.load(Ordering::SeqCst) < 2 && t0.elapsed().as_secs() < 10 {
+                    std::thread::yield_now();
+                }
+                *item = Some((i, std::thread::current().id()));
+            });
+            assert_eq!(h.now(), before, "a fork-join moved the clock");
+            items.to_vec()
+        });
+        let items: Vec<_> = out.results[0].iter().map(|x| x.unwrap()).collect();
+        assert_eq!((items[0].0, items[1].0), (0, 1));
+        assert_ne!(items[0].1, items[1].1, "both items ran on one carrier");
+        assert_eq!(out.yields, 2, "a fork-join yields nothing");
+    }
+
+    #[test]
+    fn a_panicking_index_is_the_holders_panic() {
+        for round in 0..20 {
+            let err = Engine::new(4)
+                .shards(2)
+                .try_run(|h| {
+                    if h.rank() == 2 {
+                        await_idle_carrier(h);
+                        let mut items = [0u64; 16];
+                        h.par_each(&mut items, |i, x| {
+                            if i == 11 {
+                                panic!("boom at index {i}");
+                            }
+                            *x = std::hint::black_box(i as u64 * 3);
+                        });
+                    } else {
+                        for _ in 0..10 {
+                            h.advance(VDur::from_nanos(10));
+                        }
+                    }
+                })
+                .unwrap_err();
+            match err {
+                SimError::RankPanic { rank, message } => {
+                    assert_eq!(rank, 2, "round {round}");
+                    assert!(
+                        message.contains("boom at index 11"),
+                        "round {round}: {message}"
+                    );
+                }
+                e => panic!("round {round}: expected rank 2's panic, got {e}"),
+            }
+        }
+    }
+
     #[test]
     fn panic_in_detached_closure_poisons_cleanly() {
         let err = Engine::new(4)
@@ -1971,6 +2225,62 @@ mod handoff_tests {
                     mixed_64(shards),
                     base,
                     "round {round}, shards={shards}: (end_time, yields, handoffs)"
+                );
+            }
+        }
+    }
+
+    /// `mixed_64` with a fork-join per step: each rank hashes eight
+    /// items and hands the sum around the ring. Returns the schedule's
+    /// `(end_time, yields, handoffs)` and every rank's item outputs.
+    fn par_ring_64(shards: usize) -> ((VTime, u64, u64), Vec<Vec<u64>>) {
+        const N: usize = 64;
+        let inbox: Vec<Mutex<VecDeque<(u64, u64)>>> = (0..N).map(|_| Mutex::default()).collect();
+        let out = Engine::new(N).shards(shards).run(|h| {
+            let r = h.rank();
+            let mut seen = Vec::new();
+            let mut carry = r as u64;
+            for step in 0..3u64 {
+                h.advance(VDur((r as u64 * 13 + step * 5) % 17 + 1));
+                let mut items = [0u64; 8];
+                h.par_each(&mut items, |i, x| {
+                    let mut v = carry ^ (i as u64) << 8 ^ step << 16;
+                    for _ in 0..200 {
+                        v = std::hint::black_box(
+                            v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7),
+                        );
+                    }
+                    *x = v;
+                });
+                seen.extend_from_slice(&items);
+                let sum = items.iter().fold(0u64, |a, &x| a.wrapping_add(x));
+                let d = VDur::from_micros((r as u64 * 7 + step * 3) % 11 + 1);
+                h.charge_overlapped(d, || std::hint::black_box(r));
+                let next = (r + 1) % N;
+                inbox[next].lock().push_back((h.now().as_nanos(), sum));
+                h.notify_rank(next);
+                carry = h.block_on("ring", || {
+                    inbox[r].lock().pop_front().map(|(t, v)| (VTime(t), v))
+                });
+            }
+            seen
+        });
+        ((out.end_time, out.yields, out.handoffs), out.results)
+    }
+
+    #[test]
+    fn a_fork_join_ring_is_the_same_fifty_times_at_every_shard_count() {
+        let base = par_ring_64(1);
+        for round in 0..50 {
+            for shards in [1, 2, 4] {
+                let got = par_ring_64(shards);
+                assert_eq!(
+                    got.0, base.0,
+                    "round {round}, shards={shards}: (end_time, yields, handoffs)"
+                );
+                assert!(
+                    got.1 == base.1,
+                    "round {round}, shards={shards}: item outputs differ"
                 );
             }
         }

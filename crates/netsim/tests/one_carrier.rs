@@ -10,18 +10,28 @@ fn threads() -> usize {
         .count()
 }
 
+/// Every rank, and every item of every rank's fork-join, runs on the
+/// calling thread, and no thread is spawned for any of them.
 #[test]
 fn one_carrier_runs_every_rank_on_the_calling_thread() {
     let (caller, before) = (std::thread::current().id(), threads());
     let out = Engine::new(8).run(|h| {
         h.advance(VDur(1 + h.rank() as u64));
-        let seen = (std::thread::current().id(), threads());
+        let mut items = vec![None; 5];
+        h.par_each(&mut items, |_, item| {
+            *item = Some((std::thread::current().id(), threads()));
+        });
+        let mut seen = vec![(std::thread::current().id(), threads())];
+        seen.extend(items.into_iter().flatten());
         h.advance(VDur(1));
         seen
     });
-    for (rank, (id, during)) in out.results.into_iter().enumerate() {
-        assert_eq!(id, caller, "rank {rank} ran off the calling thread");
-        assert_eq!(during, before, "rank {rank} saw a thread spawned for it");
+    for (rank, seen) in out.results.into_iter().enumerate() {
+        assert_eq!(seen.len(), 6, "rank {rank} lost a fork-join item");
+        for (id, during) in seen {
+            assert_eq!(id, caller, "rank {rank} ran off the calling thread");
+            assert_eq!(during, before, "rank {rank} saw a thread spawned for it");
+        }
     }
     assert_eq!(threads(), before);
 }

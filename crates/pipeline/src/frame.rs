@@ -26,6 +26,8 @@
 //! its own lenient policy on top of [`FrameHeader::decode`] and
 //! [`FrameHeader::open_into`].
 
+use std::mem::MaybeUninit;
+
 use bytes::Bytes;
 use empi_aead::gcm::AesGcm;
 use empi_aead::{NONCE_LEN, TAG_LEN};
@@ -188,20 +190,46 @@ impl FrameHeader {
         record: &[u8],
         out: &mut Vec<u8>,
     ) -> empi_aead::Result<()> {
-        let Some(split) = record.len().checked_sub(TAG_LEN) else {
-            return Err(empi_aead::Error::CiphertextTooShort { got: record.len() });
-        };
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&record[split..]);
+        let (ct, tag) = split_tag(record)?;
         let start = out.len();
-        out.extend_from_slice(&record[..split]);
-        let nonce = derive_chunk_nonce(base, self.index);
-        let r = cipher.open_detached(&nonce, &self.encode(), &mut out[start..], &tag);
+        out.extend_from_slice(ct);
+        let r = self.decrypt(cipher, base, &mut out[start..], tag);
         if r.is_err() {
             out.truncate(start);
         }
         r
     }
+
+    /// The same open into a place of its own: `record`'s ciphertext is
+    /// copied into `dst`, which holds exactly that many bytes, and
+    /// decrypted there. Every byte of `dst` is written, opened or not.
+    pub(crate) fn open_at(
+        &self,
+        cipher: &AesGcm,
+        base: &[u8; NONCE_LEN],
+        record: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+    ) -> empi_aead::Result<()> {
+        let (ct, tag) = split_tag(record)?;
+        self.decrypt(cipher, base, dst.write_copy_of_slice(ct), tag)
+    }
+
+    fn decrypt(
+        &self,
+        cipher: &AesGcm,
+        base: &[u8; NONCE_LEN],
+        ct: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> empi_aead::Result<()> {
+        let nonce = derive_chunk_nonce(base, self.index);
+        cipher.open_detached(&nonce, &self.encode(), ct, tag)
+    }
+}
+
+/// A record's `ct ‖ tag` halves.
+fn split_tag(record: &[u8]) -> empi_aead::Result<(&[u8], &[u8; TAG_LEN])> {
+    let too_short = empi_aead::Error::CiphertextTooShort { got: record.len() };
+    record.split_last_chunk().ok_or(too_short)
 }
 
 /// Protocol-level reassembly failures (before any key is involved;

@@ -26,7 +26,14 @@
 //!
 //! Real AES-GCM always executes; only the *charged* per-chunk time
 //! follows the configured cost model ([`ChunkCost`]), exactly like the
-//! sequential path in `empi-core`.
+//! sequential path in `empi-core`. It executes on the host inside the
+//! rank's tenure: a message's chunk seals (and opens) are independent
+//! records, so [`Pipeline::seal_timed`] and [`Pipeline::open`] spread
+//! them over the world's idle carriers with
+//! `empi_netsim::SimHandle::par_each` and join before anything touches
+//! simulation state. Buffer draws come before the fork; worker-pool
+//! scheduling, allocation counts and spans follow the join in chunk
+//! order, so the carrier count moves the wall-clock and nothing else.
 
 use std::cell::Cell;
 
@@ -298,29 +305,34 @@ impl Pipeline {
         let chunk_size = self.cfg.chunk_size;
         let msg = FrameHeader::message(self.next_msg_id(epoch), buf.len(), chunk_size);
         let total = msg.total;
+        let plain = |i: usize| &buf[chunk_range(buf.len(), chunk_size, i as u32)];
         let h = comm.sim();
         let submit = h.now();
-        let mut frames = Vec::with_capacity(total as usize);
+        // Every buffer is drawn before the fork; the seals, each writing
+        // its own frame, then spread over the world's idle carriers.
+        let mut frames: Vec<_> = (0..total as usize)
+            .map(|i| take(FRAME_OVERHEAD + plain(i).len()))
+            .collect();
+        h.par_each(&mut frames, |i, (frame, _)| {
+            msg.chunk(i as u32)
+                .seal_into(cipher, &base_nonce, plain(i), frame);
+        });
         h.with_core_pool(self.cfg.workers, |pool| {
-            for i in 0..total {
-                let plain = &buf[chunk_range(buf.len(), chunk_size, i)];
-                let frame_len = FRAME_OVERHEAD + plain.len();
-                let (mut frame, fresh) = take(frame_len);
-                msg.chunk(i)
-                    .seal_into(cipher, &base_nonce, plain, &mut frame);
-                let slot = pool.schedule_limited(submit, VDur(cost(plain.len())), self.cfg.workers);
+            let timed = frames.into_iter().enumerate().map(|(i, (frame, fresh))| {
+                let len = plain(i).len();
+                let slot = pool.schedule_limited(submit, VDur(cost(len)), self.cfg.workers);
                 if let Some(t) = h.recorder() {
-                    t.count_alloc(comm.rank(), fresh, frame_len);
+                    t.count_alloc(comm.rank(), fresh, frame.len());
                     let detail = || format!("{backend} chunk {}/{total}", i + 1);
-                    chunk_span(t, comm.rank(), &slot, "pipe/seal", plain.len(), detail);
+                    chunk_span(t, comm.rank(), &slot, "pipe/seal", len, detail);
                 }
-                frames.push(ChunkFrame {
+                ChunkFrame {
                     data: Bytes::from(frame),
                     ready: slot.end,
-                });
-            }
-        });
-        frames
+                }
+            });
+            timed.collect()
+        })
     }
 
     /// Pipelined open of a received chunked message: each chunk's
@@ -328,7 +340,8 @@ impl Pipeline {
     /// frame's arrival, so opens overlap later arrivals; the rank's
     /// clock advances to the last open's completion. Authentication
     /// failures (tampering, wrong position/geometry/message) and
-    /// protocol violations are returned as errors.
+    /// protocol violations are returned as errors; a failure names the
+    /// lowest failing chunk.
     pub fn open(
         &self,
         comm: &Comm<'_>,
@@ -343,7 +356,8 @@ impl Pipeline {
         // copied once into its final position and decrypted there in
         // place (the buffer handed to the caller), instead of per-chunk
         // plaintext Vecs re-copied into the result.
-        let mut out = Vec::with_capacity(parsed.arrived_len());
+        let arrived = parsed.arrived_len();
+        let mut out = Vec::with_capacity(arrived);
         if let Some(t) = h.recorder() {
             let (me, now) = (comm.rank(), h.now().as_nanos());
             let len = parsed.msg.total_len as usize;
@@ -356,16 +370,27 @@ impl Pipeline {
             t.count_alloc(me, true, len);
             t.span(me, Cat::Alloc, "alloc/fresh", now, 0, len, detail, None);
         }
+        // Each chunk opens into its own range of `out`, the ranges
+        // spread over the world's idle carriers; what touches state
+        // follows the join in chunk order, up to the first failure.
+        let mut places = Vec::with_capacity(parsed.records.len());
+        let mut rest = &mut out.spare_capacity_mut()[..arrived];
+        for (_, record) in &parsed.records {
+            let (place, tail) = rest.split_at_mut(record.len() - TAG_LEN);
+            places.push((place, Ok(())));
+            rest = tail;
+        }
+        h.par_each(&mut places, |i, (place, opened)| {
+            let chunk = parsed.msg.chunk(i as u32);
+            *opened = chunk.open_at(cipher, &parsed.base_nonce, &parsed.records[i].1, place);
+        });
         let mut done = h.now();
-        let mut failure = None;
-        h.with_core_pool(self.cfg.workers, |pool| {
-            for (i, (arrive, record)) in parsed.records.iter().enumerate() {
+        h.with_core_pool(self.cfg.workers, |pool| -> Result<(), PipelineError> {
+            for (i, ((arrive, record), (_, opened))) in
+                parsed.records.iter().zip(places).enumerate()
+            {
                 let index = i as u32;
-                let chunk = parsed.msg.chunk(index);
-                if let Err(e) = chunk.open_into(cipher, &parsed.base_nonce, record, &mut out) {
-                    failure = Some((index, e));
-                    return;
-                }
+                opened.map_err(|source| PipelineError::Chunk { index, source })?;
                 let plain_len = record.len() - TAG_LEN;
                 let slot = pool.schedule_limited(*arrive, VDur(cost(plain_len)), self.cfg.workers);
                 if let Some(t) = h.recorder() {
@@ -374,10 +399,11 @@ impl Pipeline {
                 }
                 done = done.max(slot.end);
             }
-        });
-        if let Some((index, source)) = failure {
-            return Err(PipelineError::Chunk { index, source });
-        }
+            Ok(())
+        })?;
+        // SAFETY: every chunk opened, and each wrote the whole of its
+        // range (`FrameHeader::open_at`); the ranges tile `..arrived`.
+        unsafe { out.set_len(arrived) };
         parsed.check_len(&out)?;
         h.advance_to(done);
         Ok(out)

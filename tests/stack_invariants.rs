@@ -932,6 +932,51 @@ fn no_crash_plan_path_aborts_the_world() {
     );
 }
 
+/// One host-thread budget: the carriers are the only threads the
+/// library starts. Outside tests, nothing under `crates/*/src` or `src`
+/// spawns, scopes or builds a thread except the carrier spawn in the
+/// engine's run body, so the carrier count is the whole budget and a
+/// fork-join (`SimHandle::par_each`) borrows carriers rather than
+/// starting threads of its own.
+#[test]
+fn host_threads_are_carriers() {
+    let engine = "crates/netsim/src/engine.rs";
+    let text = std::fs::read_to_string(repo(engine)).unwrap();
+    let run_body: BTreeSet<usize> = item_body(&text, "pub fn try_run_ft<")
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    let mut files = crate_sources();
+    files.extend(rust_files("src"));
+    let (carriers, others): (Vec<_>, Vec<_>) = non_test_lines(&files)
+        .into_iter()
+        .filter(|(_, _, l)| {
+            [
+                "thread::spawn",
+                "thread::scope",
+                "thread::Builder",
+                "spawn_scoped",
+            ]
+            .iter()
+            .any(|k| l.contains(k))
+        })
+        .partition(|(f, n, _)| f == engine && run_body.contains(n));
+    assert!(
+        carriers
+            .iter()
+            .any(|(_, _, l)| l.contains("thread::Builder")),
+        "the guard no longer sees the carrier spawn in `try_run_ft`"
+    );
+    let others: Vec<String> = others
+        .iter()
+        .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
+        .collect();
+    assert!(
+        others.is_empty(),
+        "threads beside the carriers: {others:#?}"
+    );
+}
+
 /// One run queue: the engine declares one `BinaryHeap`.
 #[test]
 fn the_engine_has_one_run_queue() {
