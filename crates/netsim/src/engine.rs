@@ -1227,7 +1227,8 @@ impl SimHandle {
     /// The caller keeps the token throughout, and no clock moves: the
     /// tenure sequence, and with it every virtual result, is the same
     /// as a plain loop's. With no idle carrier (always the case with
-    /// one) it is that loop, on the caller. Otherwise the job is
+    /// one), or when called from inside another `par_each` item, it is
+    /// that loop, on the caller. Otherwise the job is
     /// published to the sleeping carriers, each participant claims
     /// indices from one counter, and the caller returns after every
     /// index has run and every helper has left. A panic in `f`, on any
@@ -1250,8 +1251,8 @@ impl SimHandle {
         let each = |i: usize| f(i, unsafe { &mut *base.at(i) });
         let job = Job::new(&each, items.len());
         let mut s = sh.sched.lock();
-        debug_assert!(s.job.is_none() && s.helpers == 0);
-        if s.idle == 0 {
+        // A job already out means `f` itself called back in: run inline.
+        if s.idle == 0 || s.job.is_some() {
             drop(s);
             return plain(items);
         }
@@ -2106,6 +2107,21 @@ mod shard_tests {
         assert_eq!((items[0].0, items[1].0), (0, 1));
         assert_ne!(items[0].1, items[1].1, "both items ran on one carrier");
         assert_eq!(out.yields, 2, "a fork-join yields nothing");
+    }
+
+    #[test]
+    fn a_fork_join_inside_an_item_runs_inline() {
+        let out = Engine::new(2).shards(2).run(|h| {
+            await_idle_carrier(h);
+            let mut outer = [0u64; 4];
+            h.par_each(&mut outer, |i, x| {
+                let mut inner = [0u64; 3];
+                h.par_each(&mut inner, |j, y| *y = (i * 10 + j) as u64);
+                *x = inner.iter().sum();
+            });
+            outer
+        });
+        assert_eq!(out.results[0], [3, 33, 63, 93]);
     }
 
     #[test]
