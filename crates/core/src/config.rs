@@ -202,8 +202,9 @@ impl SecurityConfig {
     }
 
     /// Deterministic-nonce test mode: nonces come from a PRNG seeded
-    /// with `seed`, so traced wire bytes reproduce run-to-run. Never
-    /// for production — a known seed makes every nonce predictable.
+    /// with `seed` and the rank, so traced wire bytes reproduce
+    /// run-to-run and no two ranks draw the same stream. Never for
+    /// production — a known seed makes every nonce predictable.
     pub fn with_deterministic_nonces(mut self, seed: u64) -> Self {
         self.nonce_policy = NoncePolicy::Seeded { seed };
         self

@@ -73,16 +73,6 @@ pub enum Error {
 }
 
 impl Error {
-    /// The failing chunk's index, when the error pinpoints one chunk of
-    /// a pipelined message (drives per-chunk NACKs; `None` for
-    /// whole-message failures).
-    pub fn chunk_index(&self) -> Option<u32> {
-        match self {
-            Error::Pipeline(e) => e.chunk_index(),
-            _ => None,
-        }
-    }
-
     /// The flight-recorder black box attached to a delivery or timeout
     /// failure, when the run was metered and recorded the failing flow.
     pub fn black_box(&self) -> Option<&BlackBox> {
@@ -209,7 +199,6 @@ mod tests {
         assert!(s.contains("attempt 0: auth failure"), "{s}");
         assert!(s.contains("attempt 1: no repair"), "{s}");
         assert!(std::error::Error::source(&e).is_none());
-        assert_eq!(e.chunk_index(), None);
         assert_eq!(e.clone(), e, "typed errors compare for test assertions");
     }
 
@@ -270,24 +259,23 @@ mod tests {
         assert!(s.contains("key-plane"), "{s}");
         assert!(s.contains("rank 3"), "{s}");
         assert!(std::error::Error::source(&e).is_some());
-        assert_eq!(e.chunk_index(), None);
     }
 
     #[test]
     fn pipeline_conversion_preserves_chunk_index() {
-        let pe = empi_pipeline::PipelineError::Chunk {
+        use empi_pipeline::PipelineError;
+        let e: Error = PipelineError::Chunk {
             index: 7,
             source: empi_aead::Error::AuthFailure,
-        };
-        assert_eq!(pe.chunk_index(), Some(7));
-        let e: Error = pe.into();
-        assert_eq!(e.chunk_index(), Some(7), "From must keep the failing chunk");
+        }
+        .into();
+        assert!(
+            matches!(e, Error::Pipeline(PipelineError::Chunk { index: 7, .. })),
+            "From must keep the failing chunk"
+        );
         assert!(
             std::error::Error::source(&e).is_some(),
             "chains to the pipeline error"
         );
-        // Whole-message pipeline failures carry no chunk.
-        let e: Error = empi_pipeline::PipelineError::Crypto(empi_aead::Error::AuthFailure).into();
-        assert_eq!(e.chunk_index(), None);
     }
 }

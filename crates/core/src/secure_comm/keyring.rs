@@ -8,10 +8,7 @@ use std::rc::Rc;
 
 use empi_aead::gcm::AesGcm;
 use empi_aead::nonce::{NoncePolicy, NonceSource};
-use empi_aead::WIRE_OVERHEAD;
-use empi_keys::{
-    derive_group_key, msg_id_epoch, widen_epoch16, KeyError, KeyPlane, EPOCH_PREFIX_LEN,
-};
+use empi_keys::{derive_group_key, msg_id_epoch, record, widen_epoch16, KeyError, KeyPlane};
 use empi_netsim::VTime;
 use empi_trace::{Cat, Metric};
 
@@ -59,13 +56,22 @@ pub(super) struct KeyRing {
 }
 
 impl KeyRing {
-    pub(super) fn new(cluster: AesGcm, cfg: &SecurityConfig) -> Self {
+    /// `rank`'s ring. Every rank holds the same keys, so a seeded nonce
+    /// stream is split by rank (rank 0 keeps the configured seed): two
+    /// ranks drawing one stream under one key would reuse its nonces.
+    pub(super) fn new(cluster: AesGcm, cfg: &SecurityConfig, rank: usize) -> Self {
+        let nonce_policy = match cfg.nonce_policy {
+            NoncePolicy::Seeded { seed } => NoncePolicy::Seeded {
+                seed: seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            },
+            policy => policy,
+        };
         KeyRing {
             key_len: cfg.key_size.bytes(),
-            nonce_policy: cfg.nonce_policy,
+            nonce_policy,
             cluster: Rc::new(KeyCtx {
                 cipher: cluster,
-                nonces: RefCell::new(NonceSource::new(cfg.nonce_policy)),
+                nonces: RefCell::new(NonceSource::new(nonce_policy)),
             }),
             groups: RefCell::new(HashMap::new()),
             epoch: Cell::new(0),
@@ -86,10 +92,7 @@ impl KeyRing {
     /// Wire bytes added per plain sealed record: the paper's 28, plus
     /// the 8-byte epoch prefix once the key plane is on.
     pub(super) fn overhead(&self) -> usize {
-        match self.plane {
-            Some(_) => WIRE_OVERHEAD + EPOCH_PREFIX_LEN,
-            None => WIRE_OVERHEAD,
-        }
+        record::overhead(self.plane.is_some())
     }
 
     /// The epoch a record sealed at `now` is qualified with: the

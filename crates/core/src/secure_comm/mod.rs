@@ -81,9 +81,10 @@ fn note_sample(comm: &Comm<'_>, key: SampleKey, bytes: usize, t0_ns: u64) {
 
 /// An encrypted communicator wrapping a plain [`Comm`].
 ///
-/// All payloads gain [`empi_aead::WIRE_OVERHEAD`] (28) bytes on the
-/// wire; receivers authenticate before any plaintext is released, and
-/// tampering surfaces as [`Error::Crypto`].
+/// Every plain record gains [`empi_keys::record::overhead`] bytes on
+/// the wire (28, or 36 with the key plane's epoch prefix); receivers
+/// authenticate before any plaintext is released, and tampering
+/// surfaces as [`Error::Crypto`].
 pub struct SecureComm<'a, 'h> {
     comm: &'a Comm<'h>,
     cfg: SecurityConfig,
@@ -108,7 +109,7 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         cfg.library.supports(cfg.key_size)?;
         let cluster = empi_aead::gcm::AesGcm::new(cfg.key_bytes())?;
         let rel = Reliability::new(comm, &cfg);
-        let keys = KeyRing::new(cluster, &cfg);
+        let keys = KeyRing::new(cluster, &cfg, comm.rank());
         let pipe = Pipeline::new(cfg.pipeline, comm.rank());
         let mut sc = SecureComm {
             comm,

@@ -2,17 +2,17 @@
 //! in-place open, the chunked (pipelined) framing over the same keys,
 //! and the single payload funnel every receive path decrypts through.
 //!
-//! Plain record: `[epoch ‖] nonce ‖ ciphertext ‖ tag` — the 8-byte
-//! epoch prefix (also the AAD) only with the key plane on. The callers
-//! differ only in where the bytes live: a sourced wire buffer, the tail
-//! of a collective's send buffer, a stolen receive buffer.
+//! Both wire formats are written and read elsewhere: the plain record
+//! by `empi_keys::record`, the chunk frame by `empi_pipeline::frame`.
+//! This layer resolves keys, runs the gates, charges and counts the
+//! crypto, and decides where the bytes live: a sourced wire buffer, the
+//! tail of a collective's send buffer, a stolen receive buffer.
 
 use std::cell::Cell;
-use std::ops::Range;
 
 use bytes::Bytes;
-use empi_aead::{NONCE_LEN, TAG_LEN, WIRE_OVERHEAD};
-use empi_keys::{epoch_aad, split_epoch};
+use empi_keys::record::{seal_into, Record};
+use empi_keys::KeyError;
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage, RecvPayload};
 use empi_mpi::{Status, Tag};
 use empi_pipeline::{chunk_count, FrameHeader, FRAME_OVERHEAD};
@@ -22,15 +22,12 @@ use super::keyring::RecordKey;
 use super::{note_sample, peer_id, SecureComm};
 use crate::error::{Error, Result};
 
-/// A received plain record located inside its wire buffer: key
-/// resolved (gates passed), nonce and tag detached, ciphertext at
-/// `body`.
+/// A received plain record located inside its wire buffer, its key
+/// resolved (gates passed).
 pub(super) struct RecordView {
     key: RecordKey,
     peer: i32,
-    nonce: [u8; NONCE_LEN],
-    tag: [u8; TAG_LEN],
-    pub(super) body: Range<usize>,
+    pub(super) rec: Record,
 }
 
 /// A failed payload open: the error, plus the chunked frames that did
@@ -49,7 +46,7 @@ impl SecureComm<'_, '_> {
     // ---------------------------------------------------------------
 
     /// The one seal: append the record of `plaintext` under `key` onto
-    /// `out`, assembled once and encrypted in place.
+    /// `out` ([`seal_into`]), charged and counted.
     pub(super) fn seal_record(
         &self,
         key: &RecordKey,
@@ -67,16 +64,9 @@ impl SecureComm<'_, '_> {
                 plaintext.len() + self.keys.overhead(),
             );
         }
-        let prefix = key.epoch.map(epoch_aad);
-        let aad: &[u8] = prefix.as_ref().map_or(&[], |p| &p[..]);
         let sample = Some((Metric::Seal, op, peer_id(peer)));
         self.run_crypto(plaintext.len(), "seal", sample, || {
-            out.extend_from_slice(aad);
-            let body = out.len() + NONCE_LEN;
-            out.extend_from_slice(&nonce);
-            out.extend_from_slice(plaintext);
-            let tag = key.ctx.cipher.seal_detached(&nonce, aad, &mut out[body..]);
-            out.extend_from_slice(&tag);
+            seal_into(&key.ctx.cipher, key.epoch, &nonce, plaintext, out)
         });
     }
 
@@ -91,68 +81,55 @@ impl SecureComm<'_, '_> {
         wire
     }
 
-    /// Locate the record in `wire`: split the epoch prefix (typed
-    /// [`empi_keys::KeyError::Downgrade`] when the key plane is on and
-    /// it is absent), resolve the key through the receive-side gates,
-    /// bound the length.
+    /// Locate the record in `wire` ([`Record::parse`]: epoch-qualified
+    /// exactly when the key plane is on) and resolve its key through
+    /// the receive-side gates. With the key plane on, a record too
+    /// short for the epoch prefix is typed
+    /// [`empi_keys::KeyError::Downgrade`].
     pub(super) fn parse_record(&self, src: Option<usize>, wire: &[u8]) -> Result<RecordView> {
-        let epoch = match self.keys.plane() {
-            Some(_) => Some(split_epoch(wire).map_err(Error::Key)?.0),
-            None => None,
-        };
-        let key = self.open_key(src, epoch)?;
-        let skip = self.keys.overhead() - WIRE_OVERHEAD;
-        if wire.len() < skip + WIRE_OVERHEAD {
-            return Err(Error::Crypto(empi_aead::Error::CiphertextTooShort {
-                got: wire.len(),
-            }));
-        }
-        let body = skip + NONCE_LEN..wire.len() - TAG_LEN;
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(&wire[skip..body.start]);
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&wire[body.end..]);
+        let qualified = self.keys.plane().is_some();
+        let rec = Record::parse(wire, qualified).map_err(|e| match qualified {
+            true => Error::Key(KeyError::Downgrade),
+            false => Error::Crypto(e),
+        })?;
+        let key = self.open_key(src, rec.epoch)?;
         if let Some(t) = self.comm.sim().recorder() {
-            t.count_open(self.rank(), wire.len(), body.len());
+            t.count_open(self.rank(), wire.len(), rec.body.len());
         }
         Ok(RecordView {
             key,
             peer: peer_id(src),
-            nonce,
-            tag,
-            body,
+            rec,
         })
     }
 
-    /// The one open: authenticate `rec`'s ciphertext — wherever the
-    /// caller placed it — then decrypt it in place. On failure `body`
-    /// is left untouched (still ciphertext).
+    /// The one open: authenticate and decrypt `view`'s ciphertext in
+    /// place, wherever the caller placed it
+    /// ([`Record::open_in_place`]), charged and sampled. On failure
+    /// `body` is left untouched (still ciphertext).
     pub(super) fn open_record(
         &self,
-        rec: &RecordView,
+        view: &RecordView,
         op: &'static str,
         body: &mut [u8],
     ) -> Result<()> {
-        let prefix = rec.key.epoch.map(epoch_aad);
-        let aad: &[u8] = prefix.as_ref().map_or(&[], |p| &p[..]);
         // The sample is recorded on failure too: `count_open` already
         // counted the attempt, and conservation tracks attempts, not
         // successes.
-        let sample = Some((Metric::Open, op, rec.peer));
+        let sample = Some((Metric::Open, op, view.peer));
         self.run_crypto(body.len(), "open", sample, || {
-            let cipher = &rec.key.ctx.cipher;
-            cipher
-                .open_detached(&rec.nonce, aad, body, &rec.tag)
+            view.rec
+                .open_in_place(&view.key.ctx.cipher, body)
                 .map_err(Error::Crypto)
         })
     }
 
     /// Open a borrowed record into a fresh plaintext buffer.
     pub(super) fn open_to_vec(&self, src: Option<usize>, wire: &[u8]) -> Result<Vec<u8>> {
-        let rec = self.parse_record(src, wire)?;
-        self.note_alloc(true, rec.body.len(), "open plaintext");
-        let mut plain = wire[rec.body.clone()].to_vec();
-        self.open_record(&rec, "open/plain", &mut plain)?;
+        let view = self.parse_record(src, wire)?;
+        self.note_alloc(true, view.rec.body.len(), "open plaintext");
+        let mut plain = wire[view.rec.body.clone()].to_vec();
+        self.open_record(&view, "open/plain", &mut plain)?;
         Ok(plain)
     }
 
@@ -160,10 +137,10 @@ impl SecureComm<'_, '_> {
     /// directly onto `out` — the gather loops decrypt into their result
     /// buffer. `out` is restored to its prior length on failure.
     pub(super) fn open_append(&self, src: usize, wire: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        let rec = self.parse_record(Some(src), wire)?;
+        let view = self.parse_record(Some(src), wire)?;
         let start = out.len();
-        out.extend_from_slice(&wire[rec.body.clone()]);
-        let r = self.open_record(&rec, "open/coll", &mut out[start..]);
+        out.extend_from_slice(&wire[view.rec.body.clone()]);
+        let r = self.open_record(&view, "open/coll", &mut out[start..]);
         if r.is_err() {
             out.truncate(start);
         }
@@ -179,11 +156,12 @@ impl SecureComm<'_, '_> {
             Ok(v) => v,
             Err(shared) => return self.open_to_vec(Some(src), &shared),
         };
-        let rec = self.parse_record(Some(src), &v)?;
-        self.open_record(&rec, "open/plain", &mut v[rec.body.clone()])?;
+        let view = self.parse_record(Some(src), &v)?;
+        let body = view.rec.body.clone();
+        self.open_record(&view, "open/plain", &mut v[body.clone()])?;
         // Strip the framing in place (one memmove, no allocation).
-        v.truncate(rec.body.end);
-        v.drain(..rec.body.start);
+        v.truncate(body.end);
+        v.drain(..body.start);
         Ok(v)
     }
 

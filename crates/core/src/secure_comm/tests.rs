@@ -2,7 +2,7 @@ use super::*;
 use empi_aead::gcm::AesGcm;
 use empi_aead::profile::CryptoLibrary;
 use empi_aead::{NONCE_LEN, WIRE_OVERHEAD};
-use empi_keys::EPOCH_PREFIX_LEN;
+use empi_keys::record::{self, Record};
 use empi_mpi::chunk::RecvPayload;
 use empi_mpi::coll::{bcast_alg, BcastAlg};
 use empi_mpi::World;
@@ -1539,8 +1539,8 @@ fn key_plane_wire_grows_epoch_prefix_and_differs_per_seed() {
             } else {
                 // Peek below the secure layer.
                 let (st, wire) = c.recv(Src::Is(0), TagSel::Is(3));
-                assert_eq!(st.len, 14 + WIRE_OVERHEAD + EPOCH_PREFIX_LEN);
-                assert_eq!(&wire[..EPOCH_PREFIX_LEN], &0u64.to_be_bytes());
+                assert_eq!(st.len, 14 + record::overhead(true));
+                assert_eq!(Record::parse(&wire, true).unwrap().epoch, Some(0));
                 wire.to_vec()
             }
         });
@@ -1762,18 +1762,13 @@ fn downgrade_and_forged_epochs_are_rejected() {
             // bootstrap cluster key: structurally too short to be
             // epoch-qualified — a downgrade attempt.
             let legacy = AesGcm::new(cfg().key_bytes()).unwrap();
-            let nonce = [7u8; NONCE_LEN];
-            let mut body = b"dg".to_vec();
-            let tag = legacy.seal_detached(&nonce, b"", &mut body);
-            let mut wire = nonce.to_vec();
-            wire.extend_from_slice(&body);
-            wire.extend_from_slice(&tag);
+            let mut wire = Vec::new();
+            record::seal_into(&legacy, None, &[7u8; NONCE_LEN], b"dg", &mut wire);
             c.send(&wire, 1, 6);
 
             // A forged far-future epoch prefix on otherwise valid
             // framing: rejected by the window before any open.
-            let mut forged = vec![0u8; EPOCH_PREFIX_LEN];
-            forged[..8].copy_from_slice(&u64::MAX.to_be_bytes());
+            let mut forged = u64::MAX.to_be_bytes().to_vec();
             forged.extend_from_slice(&[0u8; NONCE_LEN]);
             forged.extend_from_slice(&[0u8; 32]); // ct + tag
             c.send(&forged, 1, 7);

@@ -10,16 +10,24 @@
 //! 2. **Misuse hardening** — at the record layer, nonce reuse across
 //!    epochs, epoch splices, stale-epoch replays, and downgrades to
 //!    the prefix-free cluster-key format all fail authentication or a
-//!    typed gate for ANY generated payload/epoch combination.
+//!    typed gate for ANY generated payload/epoch combination. Records
+//!    are sealed, parsed and opened by the `empi_keys::record`
+//!    functions the secure layer runs.
+//! 3. **Nonce uniqueness** — in a seeded world no two records, on any
+//!    rank, share a nonce under one key.
+
+use std::collections::HashMap;
 
 use empi_aead::profile::CryptoLibrary;
 use empi_aead::{AesGcm, NONCE_LEN};
 use empi_core::{
     Error, FaultRates, KeyError, KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig,
 };
-use empi_keys::{derive_group_key, open_record, seal_record, split_epoch, EpochWindow};
-use empi_mpi::{Src, TagSel, World};
+use empi_keys::record::{overhead, seal_into, Record};
+use empi_keys::{derive_group_key, msg_id_epoch, EpochWindow};
+use empi_mpi::{RecvPayload, Src, TagSel, World};
 use empi_netsim::{NetModel, VDur};
+use empi_pipeline::FrameHeader;
 use proptest::prelude::*;
 
 fn keys_cfg(seed: u64, rotate_us: Option<u64>, drain: u64) -> SecurityConfig {
@@ -56,9 +64,95 @@ fn any_nonce() -> impl Strategy<Value = [u8; NONCE_LEN]> {
     })
 }
 
+/// An epoch-qualified record, sealed as the secure layer seals one.
+fn seal(c: &AesGcm, epoch: u64, nonce: [u8; NONCE_LEN], pt: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    seal_into(c, Some(epoch), &nonce, pt, &mut wire);
+    wire
+}
+
+/// Parse and open `wire` as the secure layer does.
+fn open(c: &AesGcm, wire: &[u8], epoch_qualified: bool) -> Result<Vec<u8>, empi_aead::Error> {
+    let rec = Record::parse(wire, epoch_qualified).expect("a record");
+    let mut body = wire[rec.body.clone()].to_vec();
+    rec.open_in_place(c, &mut body)?;
+    Ok(body)
+}
+
+/// `(key, nonce)` of every record in one received payload. The key is
+/// the record's epoch with the key plane on (`None` = the cluster key):
+/// a plain record's prefix, a chunk frame's message-id bits.
+fn keyed_nonces(payload: RecvPayload, plane: bool) -> Vec<(Option<u64>, [u8; NONCE_LEN])> {
+    match payload {
+        RecvPayload::Plain(_, wire) => {
+            let rec = Record::parse(&wire, plane).expect("a plain record");
+            vec![(rec.epoch, rec.nonce)]
+        }
+        RecvPayload::Chunked(m) => m
+            .frames
+            .iter()
+            .map(|(_, f)| {
+                let (h, body) = FrameHeader::decode(f).expect("a chunk frame");
+                let epoch = plane.then(|| msg_id_epoch(h.msg_id));
+                (epoch, body[..NONCE_LEN].try_into().unwrap())
+            })
+            .collect(),
+    }
+}
+
 proptest! {
     // Each case spins up whole simulated worlds; keep the counts modest.
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn seeded_ranks_never_reuse_a_nonce_under_one_key(
+        nonce_seed in any::<u64>(),
+        ranks in 2usize..5,
+        rotating in any::<bool>(),
+        lens in proptest::collection::vec(1usize..3_000, 2..5),
+    ) {
+        // Every rank holds the same keys (the cluster key, or the
+        // group key of an epoch), so deterministic nonces must differ
+        // per rank. Each round every rank sends every peer one record,
+        // plain or (past one chunk) a frame train, and the receiver
+        // reads the wire below the secure layer.
+        let w = World::flat(NetModel::ethernet_10g(), ranks);
+        let out = w.run(move |c| {
+            let mut cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
+                .with_deterministic_nonces(nonce_seed)
+                .with_pipeline(PipelineConfig::enabled().with_chunk_size(1024).with_workers(2));
+            if rotating {
+                cfg = cfg.with_key_plane(
+                    KeyPlaneConfig::new(nonce_seed).with_rotation(VDur::from_micros(2)),
+                );
+            }
+            let sc = SecureComm::new(c, cfg).unwrap();
+            let (r, n) = (c.rank(), c.size());
+            let mut seen = Vec::new();
+            for (round, &len) in lens.iter().enumerate() {
+                for d in 1..n {
+                    let tag = (round * n + d) as u32;
+                    let req = sc.isend(&payload(tag.into(), len), (r + d) % n, tag);
+                    let got = c.recv_maybe_chunked(Src::Is((r + n - d) % n), TagSel::Is(tag));
+                    seen.extend(keyed_nonces(got, rotating));
+                    sc.wait(req).unwrap();
+                }
+            }
+            seen
+        });
+        let mut first = HashMap::new();
+        for (rank, seen) in out.results.iter().enumerate() {
+            for (i, key_nonce) in seen.iter().enumerate() {
+                if let Some(was) = first.insert(key_nonce, (rank, i)) {
+                    prop_assert!(
+                        false,
+                        "nonce {:02x?} under key {:?} seen by rank {} (record {}) and rank {} (record {})",
+                        key_nonce.1, key_nonce.0, was.0, was.1, rank, i
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn rotation_is_bit_exact_for_any_seed(
@@ -185,12 +279,13 @@ proptest! {
         let e2 = e1 + delta;
         let c1 = AesGcm::new(&derive_group_key(&master, e1)).unwrap();
         let c2 = AesGcm::new(&derive_group_key(&master, e2)).unwrap();
-        let w1 = seal_record(&c1, e1, nonce, &pt);
-        let w2 = seal_record(&c2, e2, nonce, &pt);
-        prop_assert_ne!(&w1[8 + NONCE_LEN..], &w2[8 + NONCE_LEN..]);
-        prop_assert!(open_record(&c2, &w1).is_err());
-        prop_assert!(open_record(&c1, &w2).is_err());
-        prop_assert_eq!(open_record(&c1, &w1).unwrap(), pt);
+        let w1 = seal(&c1, e1, nonce, &pt);
+        let w2 = seal(&c2, e2, nonce, &pt);
+        let body = Record::parse(&w1, true).unwrap().body;
+        prop_assert_ne!(&w1[body.start..], &w2[body.start..]);
+        prop_assert!(open(&c2, &w1, true).is_err());
+        prop_assert!(open(&c1, &w2, true).is_err());
+        prop_assert_eq!(open(&c1, &w1, true).unwrap(), pt);
     }
 
     #[test]
@@ -203,14 +298,15 @@ proptest! {
     ) {
         prop_assume!(epoch != forged);
         let c = AesGcm::new(&derive_group_key(&master, epoch)).unwrap();
-        let mut wire = seal_record(&c, epoch, nonce, &pt);
+        let mut wire = seal(&c, epoch, nonce, &pt);
         wire[..8].copy_from_slice(&forged.to_be_bytes());
+        prop_assert_eq!(Record::parse(&wire, true).unwrap().epoch, Some(forged));
         // The prefix is the AAD: rewriting it breaks the tag even
         // under the correct epoch's key — and under the forged
         // epoch's key the record was never sealed at all.
-        prop_assert!(open_record(&c, &wire).is_err());
+        prop_assert!(open(&c, &wire, true).is_err());
         let cf = AesGcm::new(&derive_group_key(&master, forged)).unwrap();
-        prop_assert!(open_record(&cf, &wire).is_err());
+        prop_assert!(open(&cf, &wire, true).is_err());
     }
 
     #[test]
@@ -238,19 +334,20 @@ proptest! {
         pt in proptest::collection::vec(any::<u8>(), 1..256),
     ) {
         let c = AesGcm::new(&derive_group_key(&master, epoch)).unwrap();
-        let wire = seal_record(&c, epoch, nonce, &pt);
+        let wire = seal(&c, epoch, nonce, &pt);
         // Stripping the epoch prefix yields a structurally legacy
         // record whose tag was bound to the prefix: AAD-free opens
         // fail under the epoch key and under the raw master alike.
         let stripped = &wire[8..];
-        let n: &[u8; NONCE_LEN] = stripped[..NONCE_LEN].try_into().unwrap();
-        prop_assert!(c.open(n, b"", &stripped[NONCE_LEN..]).is_err());
+        prop_assert!(open(&c, stripped, false).is_err());
         let raw = AesGcm::new(&master).unwrap();
-        prop_assert!(raw.open(n, b"", &stripped[NONCE_LEN..]).is_err());
-        // And a runt can't even be split: typed downgrade.
+        prop_assert!(open(&raw, stripped, false).is_err());
+        // And a runt can't even be parsed: a typed refusal, which the
+        // key plane's gate reports as a downgrade.
+        let runt = overhead(true) - 1;
         prop_assert_eq!(
-            split_epoch(&wire[..8 + NONCE_LEN + 16 - 1]).unwrap_err(),
-            KeyError::Downgrade
+            Record::parse(&wire[..runt], true),
+            Err(empi_aead::Error::CiphertextTooShort { got: runt })
         );
     }
 }

@@ -22,11 +22,14 @@
 //!   [`empi_netsim::Schedule`] (no wire synchronization: each rank
 //!   derives the epoch from its own clock, and a drain window absorbs
 //!   the skew), plus revocation that re-keys the surviving group.
-//! * [`record`] — the epoch-qualified wire format: plain records grow
-//!   an authenticated 8-byte epoch prefix; chunked messages carry the
-//!   epoch in the (AAD-bound) top bits of their message id. Epoch
-//!   splices, stale replays, and downgrades to the prefix-free legacy
-//!   format all fail authentication or surface a typed [`KeyError`].
+//! * [`record`] — the plain record, written and read only there: the
+//!   one seal ([`record::seal_into`]), the one total parser
+//!   ([`record::Record::parse`]) and the one open, in place. With the
+//!   key plane on, plain records grow an authenticated 8-byte epoch
+//!   prefix; chunked messages carry the epoch in the (AAD-bound) top
+//!   bits of their message id. Epoch splices, stale replays, and
+//!   downgrades to the prefix-free legacy format all fail
+//!   authentication or surface a typed [`KeyError`].
 
 pub mod epoch;
 pub mod frames;
@@ -40,7 +43,4 @@ pub use epoch::EpochWindow;
 pub use frames::KeyFrame;
 pub use kdf::{derive_group_key, derive_pair_key};
 pub use plane::{KeyError, KeyPlane, KeyPlaneConfig};
-pub use record::{
-    embed_epoch_msg_id, epoch_aad, msg_id_epoch, open_record, seal_record, split_epoch,
-    widen_epoch16, EPOCH_MSG_ID_SHIFT, EPOCH_PREFIX_LEN,
-};
+pub use record::{embed_epoch_msg_id, msg_id_epoch, widen_epoch16, EPOCH_MSG_ID_SHIFT};

@@ -1,29 +1,104 @@
-//! The epoch-qualified wire format.
+//! The plain record: the one wire format of the sequential path, and
+//! the only code that knows its layout.
 //!
-//! Legacy records are `nonce(12) ‖ ct ‖ tag(16)`. Once the key plane
-//! is on, plain records grow an 8-byte big-endian epoch prefix —
-//! `epoch(8) ‖ nonce(12) ‖ ct ‖ tag(16)` — and the prefix doubles as
-//! the record's AAD, so flipping it (epoch splice) or stripping it
-//! (downgrade to the legacy format) fails authentication rather than
-//! decrypting under the wrong key. Chunked messages don't grow at all:
-//! the epoch rides the top 16 bits of the message id, which the chunk
-//! layer already binds into every frame's AAD.
+//! Legacy records are the paper's Algorithm 1, `nonce(12) ‖ ct ‖
+//! tag(16)`. Once the key plane is on, plain records grow an 8-byte
+//! big-endian epoch prefix — `epoch(8) ‖ nonce(12) ‖ ct ‖ tag(16)` —
+//! and the prefix doubles as the record's AAD, so flipping it (epoch
+//! splice) or stripping it (downgrade to the legacy format) fails
+//! authentication rather than decrypting under the wrong key. Chunked
+//! messages don't grow at all: the epoch rides the top 16 bits of the
+//! message id, which the chunk layer already binds into every frame's
+//! AAD.
+//!
+//! [`seal_into`] writes a record, [`Record::parse`] locates one in its
+//! wire bytes and [`Record::open_in_place`] authenticates and decrypts
+//! it wherever the caller put the ciphertext; [`overhead`] is what a
+//! record adds to its plaintext.
 
-use empi_aead::{AesGcm, Error as AeadError, NONCE_LEN, TAG_LEN};
+use std::ops::Range;
 
-use crate::plane::KeyError;
+use empi_aead::{AesGcm, Error as AeadError, NONCE_LEN, TAG_LEN, WIRE_OVERHEAD};
 
 /// Bytes of epoch prefix on an epoch-qualified plain record.
-pub const EPOCH_PREFIX_LEN: usize = 8;
+const EPOCH_PREFIX_LEN: usize = 8;
+
+/// Wire bytes a plain record adds to its plaintext: the paper's 28,
+/// plus the epoch prefix when the record is epoch-qualified.
+pub fn overhead(epoch_qualified: bool) -> usize {
+    WIRE_OVERHEAD + if epoch_qualified { EPOCH_PREFIX_LEN } else { 0 }
+}
+
+/// The AAD of a record: the epoch prefix itself, or nothing.
+fn epoch_aad(prefix: &Option<[u8; EPOCH_PREFIX_LEN]>) -> &[u8] {
+    prefix.as_ref().map_or(&[], |p| &p[..])
+}
+
+/// The one seal: append the record of `plaintext` — `[epoch ‖] nonce ‖
+/// ct ‖ tag`, AAD = the epoch prefix — onto `out`, copying `plaintext`
+/// once into its wire position and encrypting it there. `epoch: None`
+/// writes the legacy prefix-free format.
+pub fn seal_into(
+    cipher: &AesGcm,
+    epoch: Option<u64>,
+    nonce: &[u8; NONCE_LEN],
+    plaintext: &[u8],
+    out: &mut Vec<u8>,
+) {
+    let prefix = epoch.map(u64::to_be_bytes);
+    let aad = epoch_aad(&prefix);
+    out.extend_from_slice(aad);
+    out.extend_from_slice(nonce);
+    let body = out.len();
+    out.extend_from_slice(plaintext);
+    let tag = cipher.seal_detached(nonce, aad, &mut out[body..]);
+    out.extend_from_slice(&tag);
+}
+
+/// A plain record located in its wire bytes: the epoch it is qualified
+/// with (`None` = legacy format), its nonce and tag, and where its
+/// ciphertext lies. Parsing copies no ciphertext and allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    pub epoch: Option<u64>,
+    pub nonce: [u8; NONCE_LEN],
+    pub tag: [u8; TAG_LEN],
+    /// The ciphertext's range in the wire bytes.
+    pub body: Range<usize>,
+}
+
+impl Record {
+    /// Locate the record in `wire`, which must hold the 8-byte epoch
+    /// prefix when `epoch_qualified`; total on any input.
+    pub fn parse(wire: &[u8], epoch_qualified: bool) -> Result<Record, AeadError> {
+        let skip = overhead(epoch_qualified) - WIRE_OVERHEAD;
+        if wire.len() < skip + WIRE_OVERHEAD {
+            return Err(AeadError::CiphertextTooShort { got: wire.len() });
+        }
+        let (prefix, rest) = wire.split_at(skip);
+        let (nonce, rest) = rest.split_first_chunk().expect("length checked");
+        let (_, tag) = rest.split_last_chunk().expect("length checked");
+        Ok(Record {
+            epoch: epoch_qualified.then(|| u64::from_be_bytes(prefix.try_into().unwrap())),
+            nonce: *nonce,
+            tag: *tag,
+            body: skip + NONCE_LEN..wire.len() - TAG_LEN,
+        })
+    }
+
+    /// The one open: authenticate `body` — this record's ciphertext,
+    /// wherever the caller placed it — under `cipher` and the epoch
+    /// prefix as AAD, then decrypt it in place. On failure `body` is
+    /// left untouched (still ciphertext).
+    pub fn open_in_place(&self, cipher: &AesGcm, body: &mut [u8]) -> Result<(), AeadError> {
+        let prefix = self.epoch.map(u64::to_be_bytes);
+        cipher.open_detached(&self.nonce, epoch_aad(&prefix), body, &self.tag)
+    }
+}
 
 /// Bit position of the epoch field inside a chunked message id:
 /// `msg_id = (epoch & 0xFFFF) << 48 | (rank & 0xFFFF) << 32 | seq`.
 pub const EPOCH_MSG_ID_SHIFT: u32 = 48;
-
-/// The AAD of an epoch-qualified record: the epoch prefix itself.
-pub fn epoch_aad(epoch: u64) -> [u8; EPOCH_PREFIX_LEN] {
-    epoch.to_be_bytes()
-}
 
 /// Fold `epoch` into the top 16 bits of a chunked message id. The id's
 /// own layout (`rank << 32 | seq`) leaves those bits zero until a rank
@@ -56,43 +131,6 @@ pub fn widen_epoch16(wire: u64, local: u64) -> u64 {
     .expect("candidate list is never empty")
 }
 
-/// Split an epoch-qualified record into `(epoch, legacy_record)`.
-/// A record too short to even hold the prefix plus a legacy frame is a
-/// downgrade attempt (or corruption), typed as such.
-pub fn split_epoch(wire: &[u8]) -> Result<(u64, &[u8]), KeyError> {
-    if wire.len() < EPOCH_PREFIX_LEN + NONCE_LEN + TAG_LEN {
-        return Err(KeyError::Downgrade);
-    }
-    let epoch = u64::from_be_bytes(wire[..EPOCH_PREFIX_LEN].try_into().unwrap());
-    Ok((epoch, &wire[EPOCH_PREFIX_LEN..]))
-}
-
-/// Seal `plaintext` as an epoch-qualified record under `cipher` with a
-/// caller-supplied nonce: `epoch ‖ nonce ‖ ct ‖ tag`, AAD = epoch.
-pub fn seal_record(cipher: &AesGcm, epoch: u64, nonce: [u8; NONCE_LEN], pt: &[u8]) -> Vec<u8> {
-    let aad = epoch_aad(epoch);
-    let mut out = Vec::with_capacity(EPOCH_PREFIX_LEN + NONCE_LEN + pt.len() + TAG_LEN);
-    out.extend_from_slice(&aad);
-    out.extend_from_slice(&nonce);
-    out.extend_from_slice(pt);
-    let tag = cipher.seal_detached(&nonce, &aad, &mut out[EPOCH_PREFIX_LEN + NONCE_LEN..]);
-    out.extend_from_slice(&tag);
-    out
-}
-
-/// Open an epoch-qualified record sealed by [`seal_record`]. The
-/// caller resolves the epoch to a cipher first (via [`split_epoch`]);
-/// this re-checks framing and authenticates the prefix as AAD.
-pub fn open_record(cipher: &AesGcm, wire: &[u8]) -> Result<Vec<u8>, AeadError> {
-    if wire.len() < EPOCH_PREFIX_LEN + NONCE_LEN + TAG_LEN {
-        return Err(AeadError::CiphertextTooShort { got: wire.len() });
-    }
-    let (aad, rest) = wire.split_at(EPOCH_PREFIX_LEN);
-    let (nonce, ct_and_tag) = rest.split_at(NONCE_LEN);
-    let nonce: &[u8; NONCE_LEN] = nonce.try_into().expect("nonce length");
-    cipher.open(nonce, aad, ct_and_tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,52 +139,72 @@ mod tests {
         AesGcm::new(&[byte; 32]).unwrap()
     }
 
+    fn seal(c: &AesGcm, epoch: Option<u64>, nonce: [u8; NONCE_LEN], pt: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        seal_into(c, epoch, &nonce, pt, &mut wire);
+        wire
+    }
+
+    /// Parse and open `wire` as the record layer does.
+    fn open(c: &AesGcm, wire: &[u8], epoch_qualified: bool) -> Result<Vec<u8>, AeadError> {
+        let rec = Record::parse(wire, epoch_qualified).expect("a record");
+        let mut body = wire[rec.body.clone()].to_vec();
+        rec.open_in_place(c, &mut body)?;
+        Ok(body)
+    }
+
     #[test]
     fn record_round_trips_and_carries_epoch() {
         let c = cipher(1);
-        let wire = seal_record(&c, 42, [9; NONCE_LEN], b"hello");
-        let (epoch, rest) = split_epoch(&wire).unwrap();
-        assert_eq!(epoch, 42);
-        assert_eq!(rest.len(), NONCE_LEN + 5 + TAG_LEN);
-        assert_eq!(open_record(&c, &wire).unwrap(), b"hello");
+        let wire = seal(&c, Some(42), [9; NONCE_LEN], b"hello");
+        assert_eq!(wire.len(), 5 + overhead(true));
+        let rec = Record::parse(&wire, true).unwrap();
+        assert_eq!(rec.epoch, Some(42));
+        assert_eq!(rec.nonce, [9; NONCE_LEN]);
+        assert_eq!(rec.body, EPOCH_PREFIX_LEN + NONCE_LEN..wire.len() - TAG_LEN);
+        assert_eq!(open(&c, &wire, true).unwrap(), b"hello");
+
+        let legacy = seal(&c, None, [9; NONCE_LEN], b"hello");
+        assert_eq!(legacy.len(), 5 + overhead(false));
+        // The two formats differ by the prefix and, through the AAD,
+        // the tag.
+        let untagged = legacy.len() - TAG_LEN;
+        assert_eq!(legacy[..untagged], wire[EPOCH_PREFIX_LEN..][..untagged]);
+        assert_eq!(Record::parse(&legacy, false).unwrap().epoch, None);
+        assert_eq!(open(&c, &legacy, false).unwrap(), b"hello");
     }
 
     #[test]
     fn epoch_splice_fails_authentication() {
         let c = cipher(1);
-        let mut wire = seal_record(&c, 3, [9; NONCE_LEN], b"payload");
+        let mut wire = seal(&c, Some(3), [9; NONCE_LEN], b"payload");
         // Rewrite the epoch prefix without re-sealing: the AAD no
         // longer matches the tag.
         wire[..EPOCH_PREFIX_LEN].copy_from_slice(&7u64.to_be_bytes());
-        assert!(open_record(&c, &wire).is_err(), "spliced epoch must fail");
+        assert!(open(&c, &wire, true).is_err(), "spliced epoch must fail");
     }
 
     #[test]
     fn downgrade_strip_is_typed_or_fails_auth() {
         let c = cipher(1);
-        let wire = seal_record(&c, 3, [9; NONCE_LEN], b"p");
+        let wire = seal(&c, Some(3), [9; NONCE_LEN], b"p");
         // Stripping the prefix yields a structurally-valid legacy
         // record, but one whose tag was computed with AAD — opening it
         // AAD-free under any key must fail; and a runt can't even be
-        // split.
+        // parsed as epoch-qualified.
         let stripped = &wire[EPOCH_PREFIX_LEN..];
-        let nonce: &[u8; NONCE_LEN] = stripped[..NONCE_LEN].try_into().unwrap();
-        assert!(
-            c.open(nonce, b"", &stripped[NONCE_LEN..]).is_err(),
-            "stripped record fails auth"
-        );
-        assert_eq!(
-            split_epoch(&wire[..EPOCH_PREFIX_LEN + NONCE_LEN + TAG_LEN - 1]),
-            Err(KeyError::Downgrade)
-        );
+        assert!(open(&c, stripped, false).is_err(), "stripped record fails auth");
+        let runt = overhead(true) - 1;
+        let too_short = Err(AeadError::CiphertextTooShort { got: runt });
+        assert_eq!(Record::parse(&wire[..runt], true), too_short);
     }
 
     #[test]
     fn wrong_epoch_key_fails() {
         let c3 = cipher(3);
         let c4 = cipher(4);
-        let wire = seal_record(&c3, 5, [0; NONCE_LEN], b"x");
-        assert!(open_record(&c4, &wire).is_err());
+        let wire = seal(&c3, Some(5), [0; NONCE_LEN], b"x");
+        assert!(open(&c4, &wire, true).is_err());
     }
 
     #[test]

@@ -169,16 +169,6 @@ pub enum PipelineError {
     NotChunked,
 }
 
-impl PipelineError {
-    /// Index of the chunk the failure points at, when it names one.
-    pub fn chunk_index(&self) -> Option<u32> {
-        match self {
-            PipelineError::Chunk { index, .. } => Some(*index),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -484,7 +474,6 @@ mod tests {
         t[1][FRAME_HEADER_LEN + NONCE_LEN] ^= 1;
         let err = open_frames(&c, &t).unwrap_err();
         assert!(matches!(err, PipelineError::Chunk { index: 1, .. }));
-        assert_eq!(err.chunk_index(), Some(1));
         assert!(std::error::Error::source(&err).is_some());
         // Reorder: swap the index fields of chunks 0 and 2 (each record
         // now claims the other's position) — AAD binding catches it.

@@ -69,11 +69,6 @@ pub use snapshot::{
     CHECKPOINT_EVERY, MAX_POINTS, SNAPSHOT_VERSION,
 };
 
-/// AES-GCM wire framing overhead per message: 12-byte nonce + 16-byte
-/// tag. Mirrored from the secure layer so conservation checks can be
-/// written against trace data alone.
-pub const WIRE_OVERHEAD: usize = 28;
-
 /// Event category, mapped to the `cat` field of Chrome trace events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cat {

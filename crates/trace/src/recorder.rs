@@ -661,7 +661,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SNAPSHOT_VERSION, WIRE_OVERHEAD};
+    use crate::SNAPSHOT_VERSION;
 
     /// A span-sink-only recorder.
     fn traced(n: usize) -> Recorder {
@@ -697,10 +697,11 @@ mod tests {
             || "boringssl".into(),
             None,
         );
-        t.count_seal(0, 1024, 1024 + WIRE_OVERHEAD);
+        // 28 bytes of nonce and tag per record.
+        t.count_seal(0, 1024, 1024 + 28);
         t.count_nonce_draw(0);
-        t.transfer(0, 1, 1024 + WIRE_OVERHEAD, 50, 950, false);
-        t.delivery(0, 1, 1024 + WIRE_OVERHEAD);
+        t.transfer(0, 1, 1024 + 28, 50, 950, false);
+        t.delivery(0, 1, 1024 + 28);
         t.nic_busy(0, 0, 50, 900);
         t.pop_op(0);
         t.pop_op(0);

@@ -1,12 +1,15 @@
-//! The control-plane and key-plane decoders are total. Fed arbitrary
-//! bytes, or an honest encoding under flips, truncation, extension and
-//! a rewritten count field, each returns `None`, a typed error, or a
-//! value that re-encodes to exactly the bytes it was given: no panic,
-//! and no second spelling of a frame. (The chunk frame's decoders have
-//! their own property, `recovery::tests::frame_decoders_are_total`.)
+//! The control-plane, key-plane and plain-record decoders are total.
+//! Fed arbitrary bytes, or an honest encoding under flips, truncation,
+//! extension and a rewritten count field, each returns `None`, a typed
+//! error, or a value that re-encodes to exactly the bytes it was given:
+//! no panic, and no second spelling of a frame. (The chunk frame's
+//! decoders have their own property,
+//! `recovery::tests::frame_decoders_are_total`.)
 
+use empi_aead::Error::CiphertextTooShort;
 use empi_aead::{AesGcm, NONCE_LEN};
-use empi_keys::{seal_record, split_epoch, KeyError, KeyFrame};
+use empi_keys::record::{overhead, seal_into, Record};
+use empi_keys::KeyFrame;
 use empi_mpi::ctrl::{pack_frames, unpack_frames};
 use empi_mpi::{FtNotice, Nack, RepairHeader, RepairKind};
 use proptest::collection::vec;
@@ -48,12 +51,22 @@ fn check_all(wire: &[u8]) -> Result<(), String> {
             ));
         }
     }
-    match split_epoch(wire) {
-        Ok((epoch, rest)) if [&epoch.to_be_bytes()[..], rest].concat() != wire => {
-            return Err(format!("split_epoch lost bytes of epoch {epoch}"));
+    for epoch_qualified in [false, true] {
+        match Record::parse(wire, epoch_qualified) {
+            Ok(rec) => {
+                let prefix = rec.epoch.map(u64::to_be_bytes);
+                let prefix = prefix.as_ref().map_or(&[][..], |p| &p[..]);
+                let body = wire.get(rec.body.clone()).ok_or("Record::parse: body out of range")?;
+                if rec.epoch.is_some() != epoch_qualified
+                    || [prefix, &rec.nonce, body, &rec.tag].concat() != wire
+                {
+                    return Err(format!("Record::parse accepted a second spelling of {rec:?}"));
+                }
+            }
+            Err(CiphertextTooShort { got })
+                if got == wire.len() && got < overhead(epoch_qualified) => {}
+            Err(e) => return Err(format!("Record::parse: wrong refusal {e:?}")),
         }
-        Ok(_) | Err(KeyError::Downgrade) => {}
-        Err(e) => return Err(format!("split_epoch: untyped refusal {e:?}")),
     }
     Ok(())
 }
@@ -137,10 +150,15 @@ fn honest() -> impl Strategy<Value = (Vec<u8>, Vec<usize>)> {
             };
             (f.encode(), Vec::new())
         });
-    let record = (any::<u64>(), any::<u8>(), vec(any::<u8>(), 0..40)).prop_map(|(epoch, n, pt)| {
-        let cipher = AesGcm::new(&[7u8; 32]).unwrap();
-        (seal_record(&cipher, epoch, [n; NONCE_LEN], &pt), Vec::new())
-    });
+    let record = (any::<bool>(), any::<u64>(), any::<u8>(), vec(any::<u8>(), 0..40)).prop_map(
+        |(qualified, epoch, n, pt)| {
+            let cipher = AesGcm::new(&[7u8; 32]).unwrap();
+            let mut wire = Vec::new();
+            let epoch = qualified.then_some(epoch);
+            seal_into(&cipher, epoch, &[n; NONCE_LEN], &pt, &mut wire);
+            (wire, Vec::new())
+        },
+    );
     prop_oneof![nack, repair, notice, packed, key, record]
 }
 

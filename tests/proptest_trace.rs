@@ -4,11 +4,10 @@
 //! ledgers must balance and the crypto byte counters must obey
 //! `wire = plaintext + 28·messages` exactly.
 
-use empi::aead::CryptoLibrary;
+use empi::aead::{CryptoLibrary, WIRE_OVERHEAD};
 use empi::mpi::{Src, TagSel, World};
 use empi::netsim::NetModel;
 use empi::secure::{SecureComm, SecurityConfig};
-use empi::trace::WIRE_OVERHEAD;
 use proptest::prelude::*;
 
 /// Bytes rank `i` sends rank `j` in the alltoallv case (any fixed

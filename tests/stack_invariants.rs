@@ -800,11 +800,16 @@ fn pub_items_have_callers() {
     }
     let mut named: Vec<(String, usize, String)> = non_test_lines(&calling);
     named.extend(code_lines(&tests));
-    // Which files name each identifier.
+    // Which files name each identifier. A `fn name` line defines
+    // `name` and calls nothing: a same-named method elsewhere is not a
+    // caller.
     let mut namers: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (file, _, line) in &named {
-        for tok in idents(line) {
-            namers.entry(tok).or_default().insert(file);
+        let toks = idents(line);
+        for (i, tok) in toks.iter().enumerate() {
+            if i == 0 || toks[i - 1] != "fn" {
+                namers.entry(tok).or_default().insert(file);
+            }
         }
     }
 
@@ -1132,4 +1137,53 @@ fn the_chunk_frame_is_written_once() {
             .collect();
         assert!(back.is_empty(), "`{name}` is back: {back:?}");
     }
+}
+
+/// One plain record, written once: `empi_keys::record` is the only
+/// code that seals, parses or opens `[epoch ‖] nonce ‖ ct ‖ tag`, as
+/// `crates/pipeline/src/frame.rs` is for the chunk frame. Outside the
+/// AEAD crate and the bench's raw-cipher harnesses no other file calls
+/// the detached seal or open, and the epoch prefix length is known in
+/// one file.
+#[test]
+fn the_plain_record_is_written_once() {
+    const WRITERS: [&str; 2] = ["crates/keys/src/record.rs", "crates/pipeline/src/frame.rs"];
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if name == "aead" || name == "bench" {
+            continue;
+        }
+        for dir in ["src", "tests"] {
+            if repo(&format!("crates/{name}/{dir}")).is_dir() {
+                files.extend(rust_files(&format!("crates/{name}/{dir}")));
+            }
+        }
+    }
+    for dir in ["src", "tests", "examples"] {
+        files.extend(rust_files(dir));
+    }
+    let code = code_lines(&files);
+    for call in [concat!("seal", "_detached("), concat!("open", "_detached(")] {
+        let found = sites(&code, call);
+        for writer in WRITERS {
+            assert!(
+                found.iter().any(|s| s.starts_with(writer)),
+                "`{call}` not found in {writer}: is the scan blind?"
+            );
+        }
+        let stray: Vec<_> = found
+            .iter()
+            .filter(|s| !WRITERS.iter().any(|w| s.starts_with(w)))
+            .collect();
+        assert!(stray.is_empty(), "`{call}` outside the record modules: {stray:?}");
+    }
+    let len = concat!("EPOCH_PREFIX", "_LEN");
+    let prefix = sites(&code, len);
+    assert!(!prefix.is_empty(), "`{len}` is defined nowhere");
+    let stray: Vec<_> = prefix
+        .iter()
+        .filter(|s| !s.starts_with("crates/keys/src/record.rs:"))
+        .collect();
+    assert!(stray.is_empty(), "`{len}` outside the record module: {stray:?}");
 }
