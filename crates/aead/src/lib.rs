@@ -63,7 +63,7 @@ pub mod sha256;
 
 pub use error::{Error, Result};
 pub use gcm::AesGcm;
-pub use profile::{CryptoLibrary, KeySize};
+pub use profile::{CryptoLibrary, EncCurve, KeySize};
 
 /// Number of bytes AES-GCM adds to every message on the wire:
 /// a 12-byte nonce plus a 16-byte authentication tag.

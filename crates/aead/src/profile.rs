@@ -234,12 +234,19 @@ impl CryptoLibrary {
         }
     }
 
+    /// This library's calibrated encryption cost under `build`, with
+    /// the anchors' logs taken once: build it once per configuration
+    /// and price every message with [`EncCurve::time_ns`].
+    pub fn enc_curve(self, build: CompilerBuild) -> EncCurve {
+        EncCurve {
+            anchors: log_anchors(self.encdec_anchors(build)),
+            per_call_ns: self.per_call_overhead_ns(),
+        }
+    }
+
     /// Calibrated virtual-time cost (ns) of encrypting `size` bytes once.
     pub fn enc_time_ns(self, build: CompilerBuild, size: usize) -> u64 {
-        let encdec_mbs = interp_loglog(self.encdec_anchors(build), size.max(1));
-        // enc throughput = 2 × enc-dec throughput.
-        let bytes_per_ns = 2.0 * encdec_mbs * 1e6 / 1e9;
-        (size as f64 / bytes_per_ns) as u64 + self.per_call_overhead_ns()
+        self.enc_curve(build).time_ns(size)
     }
 
     /// Calibrated virtual-time cost (ns) of decrypting `size` bytes once
@@ -249,20 +256,55 @@ impl CryptoLibrary {
     }
 }
 
-/// Piecewise log-log interpolation over `(size, value)` anchors sorted by
-/// size; clamps outside the anchor range.
-fn interp_loglog(anchors: &[(usize, f64)], size: usize) -> f64 {
+/// One library's calibrated encryption cost under one build: its
+/// enc-dec throughput anchors with their logs precomputed, plus the
+/// per-call overhead. Pure: a size always prices the same, bit for bit
+/// what [`CryptoLibrary::enc_time_ns`] returns.
+#[derive(Debug)]
+pub struct EncCurve {
+    anchors: Vec<LogAnchor>,
+    per_call_ns: u64,
+}
+
+impl EncCurve {
+    /// Calibrated virtual-time cost (ns) of encrypting (or decrypting)
+    /// `size` bytes once.
+    pub fn time_ns(&self, size: usize) -> u64 {
+        let encdec_mbs = interp_loglog(&self.anchors, size.max(1));
+        // enc throughput = 2 × enc-dec throughput.
+        let bytes_per_ns = 2.0 * encdec_mbs * 1e6 / 1e9;
+        (size as f64 / bytes_per_ns) as u64 + self.per_call_ns
+    }
+}
+
+/// One `(size, value)` anchor with its logs taken once:
+/// `(size, value, ln size, ln value)`.
+type LogAnchor = (f64, f64, f64, f64);
+
+/// `anchors` with their logs taken.
+fn log_anchors(anchors: &[(usize, f64)]) -> Vec<LogAnchor> {
+    anchors
+        .iter()
+        .map(|&(s, v)| {
+            let s = s as f64;
+            (s, v, s.ln(), v.ln())
+        })
+        .collect()
+}
+
+/// Piecewise log-log interpolation over anchors sorted by size; exact
+/// at every anchor, clamps outside the anchor range.
+fn interp_loglog(anchors: &[LogAnchor], size: usize) -> f64 {
     debug_assert!(!anchors.is_empty());
     let s = size.max(1) as f64;
-    if s <= anchors[0].0 as f64 {
+    if s <= anchors[0].0 {
         return anchors[0].1;
     }
-    if s >= anchors[anchors.len() - 1].0 as f64 {
+    if s >= anchors[anchors.len() - 1].0 {
         return anchors[anchors.len() - 1].1;
     }
     for w in anchors.windows(2) {
-        let (x0, y0) = (w[0].0 as f64, w[0].1);
-        let (x1, y1) = (w[1].0 as f64, w[1].1);
+        let ((x0, y0, lx0, ly0), (x1, y1, lx1, ly1)) = (w[0], w[1]);
         if s == x0 {
             return y0;
         }
@@ -270,8 +312,8 @@ fn interp_loglog(anchors: &[(usize, f64)], size: usize) -> f64 {
             return y1;
         }
         if s <= x1 {
-            let t = (s.ln() - x0.ln()) / (x1.ln() - x0.ln());
-            return (y0.ln() + t * (y1.ln() - y0.ln())).exp();
+            let t = (s.ln() - lx0) / (lx1 - lx0);
+            return (ly0 + t * (ly1 - ly0)).exp();
         }
     }
     unreachable!("anchors not sorted by size");
@@ -280,6 +322,55 @@ fn interp_loglog(anchors: &[(usize, f64)], size: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn interp(anchors: &[(usize, f64)], size: usize) -> f64 {
+        interp_loglog(&log_anchors(anchors), size)
+    }
+
+    /// The interpolation as written before the logs were precomputed:
+    /// four `ln` per lookup.
+    fn interp_unprecomputed(anchors: &[(usize, f64)], size: usize) -> f64 {
+        let s = size.max(1) as f64;
+        if s <= anchors[0].0 as f64 {
+            return anchors[0].1;
+        }
+        if s >= anchors[anchors.len() - 1].0 as f64 {
+            return anchors[anchors.len() - 1].1;
+        }
+        for w in anchors.windows(2) {
+            let (x0, y0) = (w[0].0 as f64, w[0].1);
+            let (x1, y1) = (w[1].0 as f64, w[1].1);
+            if s == x0 {
+                return y0;
+            }
+            if s == x1 {
+                return y1;
+            }
+            if s <= x1 {
+                let t = (s.ln() - x0.ln()) / (x1.ln() - x0.ln());
+                return (y0.ln() + t * (y1.ln() - y0.ln())).exp();
+            }
+        }
+        unreachable!("anchors not sorted by size");
+    }
+
+    #[test]
+    fn precomputed_logs_are_bit_identical() {
+        for lib in ALL_LIBRARIES {
+            for build in [CompilerBuild::Gcc485, CompilerBuild::Mvapich23] {
+                let anchors = lib.encdec_anchors(build);
+                let mut sizes: Vec<usize> = anchors
+                    .iter()
+                    .flat_map(|&(s, _)| [s - 1, s, s + 1])
+                    .collect();
+                sizes.extend((0..2_000).map(|i| i * 4_201 + 3));
+                for s in sizes {
+                    let (new, old) = (interp(anchors, s), interp_unprecomputed(anchors, s));
+                    assert_eq!(new.to_bits(), old.to_bits(), "{} size {s}", lib.name());
+                }
+            }
+        }
+    }
 
     #[test]
     fn libsodium_rejects_128() {
@@ -309,16 +400,16 @@ mod tests {
     fn anchors_hit_papers_quoted_numbers() {
         use CompilerBuild::*;
         let b = CryptoLibrary::BoringSsl;
-        assert_eq!(interp_loglog(b.encdec_anchors(Gcc485), 2 << 20), 1381.0);
-        assert_eq!(interp_loglog(b.encdec_anchors(Gcc485), 16 << 10), 1332.0);
+        assert_eq!(interp(b.encdec_anchors(Gcc485), 2 << 20), 1381.0);
+        assert_eq!(interp(b.encdec_anchors(Gcc485), 16 << 10), 1332.0);
         let l = CryptoLibrary::Libsodium;
-        assert_eq!(interp_loglog(l.encdec_anchors(Gcc485), 256), 409.67);
-        assert_eq!(interp_loglog(l.encdec_anchors(Gcc485), 2 << 20), 583.0);
+        assert_eq!(interp(l.encdec_anchors(Gcc485), 256), 409.67);
+        assert_eq!(interp(l.encdec_anchors(Gcc485), 2 << 20), 583.0);
         let c = CryptoLibrary::CryptoPp;
-        assert_eq!(interp_loglog(c.encdec_anchors(Gcc485), 16 << 10), 568.0);
-        assert_eq!(interp_loglog(c.encdec_anchors(Gcc485), 2 << 20), 273.0);
+        assert_eq!(interp(c.encdec_anchors(Gcc485), 16 << 10), 568.0);
+        assert_eq!(interp(c.encdec_anchors(Gcc485), 2 << 20), 273.0);
         // MVAPICH build closes the large-message CryptoPP gap (Fig. 9).
-        assert!(interp_loglog(c.encdec_anchors(Mvapich23), 2 << 20) > 500.0);
+        assert!(interp(c.encdec_anchors(Mvapich23), 2 << 20) > 500.0);
     }
 
     #[test]
@@ -326,7 +417,7 @@ mod tests {
         let anchors = CryptoLibrary::BoringSsl.encdec_anchors(CompilerBuild::Gcc485);
         let mut prev = 0.0;
         for size in [1usize, 8, 100, 1000, 10_000, 100_000, 1_000_000, 2_000_000] {
-            let v = interp_loglog(anchors, size);
+            let v = interp(anchors, size);
             assert!(v >= prev, "throughput curve should be non-decreasing here");
             prev = v;
         }
@@ -335,16 +426,16 @@ mod tests {
     #[test]
     fn interp_is_continuous_between_anchors() {
         let anchors = CryptoLibrary::Libsodium.encdec_anchors(CompilerBuild::Gcc485);
-        let mid = interp_loglog(anchors, 100_000);
+        let mid = interp(anchors, 100_000);
         assert!(mid > 565.0 && mid < 580.0, "got {mid}");
     }
 
     #[test]
     fn interp_clamps() {
         let a = [(10usize, 5.0), (100, 50.0)];
-        assert_eq!(interp_loglog(&a, 1), 5.0);
-        assert_eq!(interp_loglog(&a, 10_000), 50.0);
-        let mid = interp_loglog(&a, 31); // ~ geometric midpoint
+        assert_eq!(interp(&a, 1), 5.0);
+        assert_eq!(interp(&a, 10_000), 50.0);
+        let mid = interp(&a, 31); // ~ geometric midpoint
         assert!(mid > 14.0 && mid < 18.0, "got {mid}");
     }
 

@@ -56,15 +56,20 @@ pub(super) struct KeyRing {
 }
 
 impl KeyRing {
-    /// `rank`'s ring. Every rank holds the same keys, so a seeded nonce
-    /// stream is split by rank (rank 0 keeps the configured seed): two
-    /// ranks drawing one stream under one key would reuse its nonces.
+    /// `rank`'s ring. Every rank holds the same keys, so a deterministic
+    /// nonce stream is split by rank (rank 0 keeps the configured seed
+    /// or sender id): two ranks drawing one stream under one key would
+    /// reuse its nonces. A counter's sender id is offset by the rank, so
+    /// each rank counts under an id of its own.
     pub(super) fn new(cluster: AesGcm, cfg: &SecurityConfig, rank: usize) -> Self {
         let nonce_policy = match cfg.nonce_policy {
             NoncePolicy::Seeded { seed } => NoncePolicy::Seeded {
                 seed: seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             },
-            policy => policy,
+            NoncePolicy::Counter { sender_id } => NoncePolicy::Counter {
+                sender_id: sender_id.wrapping_add(rank as u32),
+            },
+            NoncePolicy::Random => NoncePolicy::Random,
         };
         KeyRing {
             key_len: cfg.key_size.bytes(),

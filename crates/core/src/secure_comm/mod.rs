@@ -27,10 +27,11 @@ mod reliability;
 #[cfg(test)]
 mod tests;
 
+use empi_aead::EncCurve;
 use empi_keys::suite::cointoss;
 use empi_keys::{handshake, KeyError, KeyFrame, KeyPlane, KeyPlaneConfig};
 use empi_mpi::{Comm, Request, Src, TagSel, KEY_COMMIT_TAG, KEY_REVEAL_TAG};
-use empi_netsim::{BufferPool, VDur};
+use empi_netsim::{BufferPool, SizeMemo, VDur};
 use empi_pipeline::Pipeline;
 use empi_trace::{Cat, Metric, SampleKey};
 
@@ -94,6 +95,11 @@ pub struct SecureComm<'a, 'h> {
     pipe: Pipeline,
     /// Fault plan, retransmit retention, flow counters and stats.
     rel: Reliability<'a, 'h>,
+    /// The configured library's calibrated crypto cost, and its price
+    /// for every record or chunk size seen so far. One memo per rank, so
+    /// small: a rank seals and opens a handful of distinct sizes.
+    crypto_cost: EncCurve,
+    crypto_prices: SizeMemo<u64, 64>,
 }
 
 impl<'a, 'h> SecureComm<'a, 'h> {
@@ -111,12 +117,16 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         let rel = Reliability::new(comm, &cfg);
         let keys = KeyRing::new(cluster, &cfg, comm.rank());
         let pipe = Pipeline::new(cfg.pipeline, comm.rank());
+        let TimingMode::Calibrated(build) = cfg.timing;
+        let crypto_cost = cfg.library.enc_curve(build);
         let mut sc = SecureComm {
             comm,
             cfg,
             keys,
             pipe,
             rel,
+            crypto_cost,
+            crypto_prices: SizeMemo::new(),
         };
         if let Some(kp) = sc.cfg.key_plane {
             // The handshake runs on the legacy wire format (plane not
@@ -297,10 +307,11 @@ impl<'a, 'h> SecureComm<'a, 'h> {
     /// The virtual cost of `bytes` of AES-GCM: the library's calibrated
     /// curve for the configured [`TimingMode`]'s build — also the
     /// pipeline's per-chunk [`empi_pipeline::ChunkCost`]. Encryption
-    /// and decryption cost the same in AES-GCM (§V-A).
+    /// and decryption cost the same in AES-GCM (§V-A). Priced once per
+    /// distinct size; the only crypto pricing above `empi-aead`.
     fn calibrated_ns(&self, bytes: usize) -> u64 {
-        let TimingMode::Calibrated(build) = self.cfg.timing;
-        self.cfg.library.enc_time_ns(build, bytes)
+        self.crypto_prices
+            .get(bytes, |n| self.crypto_cost.time_ns(n))
     }
 
     /// Run a public op whose peer and size are known up front under an

@@ -13,11 +13,13 @@
 //!    typed gate for ANY generated payload/epoch combination. Records
 //!    are sealed, parsed and opened by the `empi_keys::record`
 //!    functions the secure layer runs.
-//! 3. **Nonce uniqueness** — in a seeded world no two records, on any
-//!    rank, share a nonce under one key.
+//! 3. **Nonce uniqueness** — under a deterministic nonce policy, seeded
+//!    or counter, no two records, on any rank, share a nonce under one
+//!    key.
 
 use std::collections::HashMap;
 
+use empi_aead::nonce::NoncePolicy;
 use empi_aead::profile::CryptoLibrary;
 use empi_aead::{AesGcm, NONCE_LEN};
 use empi_core::{
@@ -105,14 +107,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn seeded_ranks_never_reuse_a_nonce_under_one_key(
+    fn ranks_never_reuse_a_nonce_under_one_key(
         nonce_seed in any::<u64>(),
+        counter in any::<bool>(),
         ranks in 2usize..5,
         rotating in any::<bool>(),
         lens in proptest::collection::vec(1usize..3_000, 2..5),
     ) {
         // Every rank holds the same keys (the cluster key, or the
-        // group key of an epoch), so deterministic nonces must differ
+        // group key of an epoch), so deterministic nonces — a seeded
+        // stream, or one configured sender id's counter — must differ
         // per rank. Each round every rank sends every peer one record,
         // plain or (past one chunk) a frame train, and the receiver
         // reads the wire below the secure layer.
@@ -121,6 +125,9 @@ proptest! {
             let mut cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
                 .with_deterministic_nonces(nonce_seed)
                 .with_pipeline(PipelineConfig::enabled().with_chunk_size(1024).with_workers(2));
+            if counter {
+                cfg.nonce_policy = NoncePolicy::Counter { sender_id: nonce_seed as u32 };
+            }
             if rotating {
                 cfg = cfg.with_key_plane(
                     KeyPlaneConfig::new(nonce_seed).with_rotation(VDur::from_micros(2)),

@@ -202,17 +202,18 @@ impl<'h> Comm<'h> {
     }
 
     /// Host-side per-message overhead for this rank when talking to
-    /// `peer` with an `len`-byte payload.
+    /// `peer` with an `len`-byte payload, from the fabric's memoised
+    /// [`Fabric::price`](empi_netsim::Fabric::price).
     pub(crate) fn side_overhead(&self, peer: usize, len: usize, charge: Charge) -> VDur {
         let s = self.shared.lock();
-        let model = s.fabric.model();
         if s.fabric.topology().same_node(self.rank(), peer) {
-            VDur(model.intra_overhead_ns)
-        } else if charge == Charge::Blocking {
-            VDur(model.pp_overhead_ns(len))
-        } else {
-            VDur(model.stream_overhead_ns(len))
+            return VDur(s.fabric.model().intra_overhead_ns);
         }
+        let price = s.fabric.price(len);
+        VDur(match charge {
+            Charge::Blocking => price.pp_side_ns,
+            Charge::Streaming => price.stream_side_ns,
+        })
     }
 
     fn eager_threshold(&self) -> usize {

@@ -1188,14 +1188,20 @@ impl SimHandle {
     /// is released before `f` runs: the tenure goes to the idle carrier,
     /// so tenures with keys below `(now + d, rank)` — exactly the ones
     /// the serial schedule would run before this rank's next tenure —
-    /// proceed there while `f` runs on this one. If no carrier is idle
-    /// (always the case with one), this is `f()` followed by
-    /// `advance(d)`. `f` MUST NOT touch simulation state (no sends,
-    /// notifies, trace emission, or pool allocation; allocate before
-    /// detaching): under that contract the tenure sequence, and with it
-    /// every virtual result, is the same either way.
+    /// proceed there while `f` runs on this one. If no carrier is idle,
+    /// this is `f()` followed by `advance(d)`; a one-carrier world never
+    /// has one, so there it is that without taking the scheduler lock.
+    /// `f` MUST NOT touch simulation state (no sends, notifies, trace
+    /// emission, or pool allocation; allocate before detaching): under
+    /// that contract the tenure sequence, and with it every virtual
+    /// result, is the same either way.
     pub fn charge_overlapped<T>(&self, d: VDur, f: impl FnOnce() -> T) -> T {
         let sh = &*self.shared;
+        if sh.carriers == 1 {
+            let out = f();
+            self.advance(d);
+            return out;
+        }
         let mut s = sh.sched.lock();
         if s.idle == 0 {
             drop(s);

@@ -20,7 +20,7 @@
 
 use empi_trace::Recorder;
 
-use crate::curve::Curve;
+use crate::curve::{Curve, SizeMemo};
 use crate::time::{VDur, VTime};
 use crate::topology::Topology;
 
@@ -254,6 +254,20 @@ pub struct FabricStats {
     pub local_messages: u64,
 }
 
+/// What an inter-node message of one wire size costs (ns): the three
+/// curve-derived terms of the decomposition above.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Price {
+    /// Wire occupancy, [`NetModel::wire_time_ns`].
+    pub wire_ns: u64,
+    /// Per-side host overhead of a blocking transfer,
+    /// [`NetModel::pp_overhead_ns`].
+    pub pp_side_ns: u64,
+    /// Per-message host occupancy in streaming mode,
+    /// [`NetModel::stream_overhead_ns`].
+    pub stream_side_ns: u64,
+}
+
 /// Stateful fabric: model + per-node NIC timelines.
 ///
 /// The MPI layer serializes access (it already holds its own lock and the
@@ -265,6 +279,10 @@ pub struct Fabric {
     rx: Vec<NicPort>,
     stats: FabricStats,
     tracer: Option<Recorder>,
+    /// The price of every wire size seen so far (the model never
+    /// changes, so a price never goes stale). One per world, so roomy:
+    /// a NAS run sends a few dozen distinct sizes.
+    prices: SizeMemo<Price, 256>,
 }
 
 impl Fabric {
@@ -278,6 +296,7 @@ impl Fabric {
             rx: vec![NicPort::default(); n],
             stats: FabricStats::default(),
             tracer: None,
+            prices: SizeMemo::new(),
         }
     }
 
@@ -302,6 +321,18 @@ impl Fabric {
     /// Transport statistics so far.
     pub fn stats(&self) -> FabricStats {
         self.stats
+    }
+
+    /// The price of an inter-node `wire_bytes`-byte message: the
+    /// model's curves, evaluated once per distinct size. The one place
+    /// above the model that prices a message — `transmit` for the wire,
+    /// the MPI layer for the host overheads.
+    pub fn price(&self, wire_bytes: usize) -> Price {
+        self.prices.get(wire_bytes, |s| Price {
+            wire_ns: self.model.wire_time_ns(s),
+            pp_side_ns: self.model.pp_overhead_ns(s),
+            stream_side_ns: self.model.stream_overhead_ns(s),
+        })
     }
 
     /// Inject a `wire_bytes`-byte message from `src_rank` to `dst_rank`
@@ -339,7 +370,7 @@ impl Fabric {
         self.stats.messages += 1;
         self.stats.bytes += wire_bytes as u64;
 
-        let wire = self.model.wire_time_ns(wire_bytes);
+        let wire = self.price(wire_bytes).wire_ns;
         let t = start.as_nanos();
 
         // Sender NIC: serialize departures.

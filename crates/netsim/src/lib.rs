@@ -39,11 +39,11 @@ pub mod time;
 pub mod topology;
 
 pub use cores::{CorePool, CoreSlot};
-pub use curve::Curve;
+pub use curve::{Curve, SizeMemo};
 pub use empi_pool::{BufferPool, PooledBuf};
 pub use empi_trace::{MetricsSnapshot, Recorder, SloConfig, TraceReport};
 pub use engine::{Engine, RankDiag, RunOutcome, SimError, SimHandle};
-pub use fabric::{Fabric, FabricStats, NetModel};
+pub use fabric::{Fabric, FabricStats, NetModel, Price};
 pub use fault::{CrashEvent, CrashKind, CrashPlan, FaultPlan, FaultRates, Verdict};
 pub use time::{Schedule, VDur, VTime};
 pub use topology::Topology;

@@ -1187,3 +1187,46 @@ fn the_plain_record_is_written_once() {
         .collect();
     assert!(stray.is_empty(), "`{len}` outside the record module: {stray:?}");
 }
+
+/// A size is priced once: the calibrated curves are evaluated only by
+/// the two memo owners — `Fabric::price` in `empi-netsim` (the wire and
+/// the MPI layer's host overheads) and `SecureComm::calibrated_ns` (the
+/// crypto, plain records and pipeline chunks alike). Outside tests no
+/// other line under `crates/{mpi,core,pipeline}/src` calls a curve or a
+/// model's pricing function.
+#[test]
+fn a_size_is_priced_once() {
+    const OWNER: &str = "crates/core/src/secure_comm/mod.rs";
+    const PRICERS: [&str; 5] = [
+        "time_ns(",
+        "wire_time_ns(",
+        "pp_overhead_ns(",
+        "stream_overhead_ns(",
+        "enc_time_ns(",
+    ];
+    let mut files = Vec::new();
+    for layer in ["mpi", "core", "pipeline"] {
+        files.extend(rust_files(&format!("crates/{layer}/src")));
+    }
+    let owner = std::fs::read_to_string(repo(OWNER)).unwrap();
+    let body: BTreeSet<usize> = item_body(&owner, "fn calibrated_ns(")
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    let (owned, stray): (Vec<_>, Vec<_>) = non_test_lines(&files)
+        .into_iter()
+        .filter(|(_, _, l)| PRICERS.iter().any(|p| l.contains(p)))
+        .partition(|(f, n, _)| f == OWNER && body.contains(n));
+    assert!(
+        !owned.is_empty(),
+        "`calibrated_ns` prices nothing: is the scan blind?"
+    );
+    let stray: Vec<_> = stray
+        .iter()
+        .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
+        .collect();
+    assert!(
+        stray.is_empty(),
+        "priced outside the memo owners: {stray:#?}"
+    );
+}
