@@ -87,43 +87,82 @@ impl FtParams {
     }
 }
 
-/// In-place radix-2 FFT over `line` (`inverse` conjugates the twiddles;
-/// no normalization — callers normalize after inverse).
-fn fft_line(line: &mut [C64], inverse: bool) {
-    let n = line.len();
-    debug_assert!(n.is_power_of_two());
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
+/// The data-independent half of a radix-2 FFT of one length and
+/// direction: the bit-reversal swaps and every stage's twiddles. The
+/// twiddles come from the per-line recurrence `w ← w·wlen`, so each one
+/// has the bits a line computing its own would give it.
+struct FftPlan {
+    n: usize,
+    inverse: bool,
+    /// `(i, j)` with `i < j`, in the order the bit-reversal loop meets them.
+    swaps: Vec<(usize, usize)>,
+    /// Stage `len`'s `len / 2` twiddles, stages in increasing `len`.
+    twiddles: Vec<C64>,
+}
+
+impl FftPlan {
+    /// Plan a length-`n` transform (`inverse` conjugates the twiddles).
+    fn new(n: usize, inverse: bool) -> Self {
+        debug_assert!(n.is_power_of_two());
+        let mut swaps = Vec::new();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                swaps.push((i, j));
+            }
         }
-        j |= bit;
-        if i < j {
-            line.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = C64 {
-            re: ang.cos(),
-            im: ang.sin(),
-        };
-        let mut i = 0;
-        while i < n {
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = C64 {
+                re: ang.cos(),
+                im: ang.sin(),
+            };
             let mut w = C64 { re: 1.0, im: 0.0 };
-            for k in 0..len / 2 {
-                let u = line[i + k];
-                let v = line[i + k + len / 2].mul(w);
-                line[i + k] = u.add(v);
-                line[i + k + len / 2] = u.sub(v);
+            for _ in 0..len / 2 {
+                twiddles.push(w);
                 w = w.mul(wlen);
             }
-            i += len;
+            len <<= 1;
+        }
+        FftPlan {
+            n,
+            inverse,
+            swaps,
+            twiddles,
+        }
+    }
+}
+
+/// In-place radix-2 FFT over `line` by `plan` (no normalization —
+/// callers normalize after inverse).
+fn fft_line(line: &mut [C64], plan: &FftPlan) {
+    let n = line.len();
+    debug_assert_eq!(n, plan.n);
+    for &(i, j) in &plan.swaps {
+        line.swap(i, j);
+    }
+    let mut twiddles = &plan.twiddles[..];
+    let mut len = 2;
+    while len <= n {
+        let (stage, rest) = twiddles.split_at(len / 2);
+        twiddles = rest;
+        for block in line.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(len / 2);
+            for ((a, b), &w) in lo.iter_mut().zip(hi).zip(stage) {
+                let u = *a;
+                let v = b.mul(w);
+                *a = u.add(v);
+                *b = u.sub(v);
+            }
         }
         len <<= 1;
     }
@@ -160,9 +199,19 @@ struct FtState<'l, L: CommLayer> {
     ny_local: usize,
     model: ComputeModel,
     work_units: u64,
+    /// One plan per line length and direction, built once per run.
+    plans: Vec<FftPlan>,
 }
 
 impl<'l, L: CommLayer> FtState<'l, L> {
+    /// The plan for lines of `n` points in one direction.
+    fn plan(&self, n: usize, inverse: bool) -> &FftPlan {
+        self.plans
+            .iter()
+            .find(|p| p.n == n && p.inverse == inverse)
+            .expect("a plan per grid extent and direction")
+    }
+
     /// z-slab layout index: (z_local, y, x).
     fn zi(&self, z: usize, y: usize, x: usize) -> usize {
         (z * self.p.ny + y) * self.p.nx + x
@@ -185,16 +234,15 @@ impl<'l, L: CommLayer> FtState<'l, L> {
         let (nx, ny, nzl) = (self.p.nx, self.p.ny, self.nz_local);
         let zi = |z: usize, y: usize, x: usize| (z * ny + y) * nx + x;
         let units_x = Self::fft_units(nzl * ny, nx);
+        let plan = self.plan(nx, inverse);
         self.model.charge_with(self.layer, units_x, &mut || {
-            for z in 0..nzl {
-                for y in 0..ny {
-                    let base = zi(z, y, 0);
-                    fft_line(&mut u[base..base + nx], inverse);
-                }
+            for line in u.chunks_exact_mut(nx) {
+                fft_line(line, plan);
             }
         });
         self.work_units += units_x;
         let units_y = Self::fft_units(nzl * nx, ny);
+        let plan = self.plan(ny, inverse);
         self.model.charge_with(self.layer, units_y, &mut || {
             let mut tmp = vec![C64::default(); ny];
             for z in 0..nzl {
@@ -202,7 +250,7 @@ impl<'l, L: CommLayer> FtState<'l, L> {
                     for y in 0..ny {
                         tmp[y] = u[zi(z, y, x)];
                     }
-                    fft_line(&mut tmp, inverse);
+                    fft_line(&mut tmp, plan);
                     for y in 0..ny {
                         u[zi(z, y, x)] = tmp[y];
                     }
@@ -287,6 +335,7 @@ impl<'l, L: CommLayer> FtState<'l, L> {
         let (nx, nz, nyl) = (self.p.nx, self.p.nz, self.ny_local);
         let yi = |y: usize, z: usize, x: usize| (y * nz + z) * nx + x;
         let units = Self::fft_units(nyl * nx, nz);
+        let plan = self.plan(nz, inverse);
         self.model.charge_with(self.layer, units, &mut || {
             let mut tmp = vec![C64::default(); nz];
             for y in 0..nyl {
@@ -294,7 +343,7 @@ impl<'l, L: CommLayer> FtState<'l, L> {
                     for z in 0..nz {
                         tmp[z] = v[yi(y, z, x)];
                     }
-                    fft_line(&mut tmp, inverse);
+                    fft_line(&mut tmp, plan);
                     for z in 0..nz {
                         v[yi(y, z, x)] = tmp[z];
                     }
@@ -312,6 +361,9 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     let rank = layer.rank();
     assert_eq!(p.nz % size, 0, "FT: ranks must divide nz");
     assert_eq!(p.ny % size, 0, "FT: ranks must divide ny");
+    let mut extents = vec![p.nx, p.ny, p.nz];
+    extents.sort_unstable();
+    extents.dedup();
     let mut st = FtState {
         layer,
         p,
@@ -320,6 +372,10 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
         ny_local: p.ny / size,
         model: ComputeModel::calibrated(Kernel::FT),
         work_units: 0,
+        plans: extents
+            .iter()
+            .flat_map(|&n| [FftPlan::new(n, false), FftPlan::new(n, true)])
+            .collect(),
     };
     let n_total = p.nx * p.ny * p.nz;
     let norm = 1.0 / n_total as f64;
@@ -419,6 +475,77 @@ mod tests {
     use crate::layer::PlainLayer;
     use empi_mpi::World;
     use empi_netsim::NetModel;
+    use proptest::prelude::*;
+
+    /// Textbook radix-2 FFT on one line: its own bit reversal, and each
+    /// block's twiddles from `cos`/`sin` and the `w ← w·wlen` recurrence.
+    fn oracle_fft(line: &mut [C64], inverse: bool) {
+        let n = line.len();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                line.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = C64 {
+                re: ang.cos(),
+                im: ang.sin(),
+            };
+            let mut i = 0;
+            while i < n {
+                let mut w = C64 { re: 1.0, im: 0.0 };
+                for k in 0..len / 2 {
+                    let u = line[i + k];
+                    let v = line[i + k + len / 2].mul(w);
+                    line[i + k] = u.add(v);
+                    line[i + k + len / 2] = u.sub(v);
+                    w = w.mul(wlen);
+                }
+                i += len;
+            }
+            len <<= 1;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A planned transform is the per-line recurrence bit for bit, for
+        /// every power of two up to 256, in both directions.
+        #[test]
+        fn fft_plan_is_the_per_line_recurrence_bit_for_bit(
+            log_n in 0u32..=8,
+            inverse in any::<bool>(),
+            parts in proptest::collection::vec(-1e3f64..1e3, 512),
+        ) {
+            let n = 1usize << log_n;
+            let input: Vec<C64> = parts
+                .chunks_exact(2)
+                .take(n)
+                .map(|p| C64 { re: p[0], im: p[1] })
+                .collect();
+            let mut planned = input.clone();
+            fft_line(&mut planned, &FftPlan::new(n, inverse));
+            let mut want = input;
+            oracle_fft(&mut want, inverse);
+            for (k, (a, b)) in planned.iter().zip(&want).enumerate() {
+                prop_assert!(
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                    "n={n} inverse={inverse} k={k}: {a:?} vs {b:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn fft_line_round_trip() {
@@ -429,8 +556,8 @@ mod tests {
             })
             .collect();
         let orig = line.clone();
-        fft_line(&mut line, false);
-        fft_line(&mut line, true);
+        fft_line(&mut line, &FftPlan::new(64, false));
+        fft_line(&mut line, &FftPlan::new(64, true));
         for (a, b) in line.iter().zip(orig.iter()) {
             assert!((a.re / 64.0 - b.re).abs() < 1e-12);
             assert!((a.im / 64.0 - b.im).abs() < 1e-12);
@@ -442,7 +569,7 @@ mod tests {
         let n = 8;
         let input: Vec<C64> = (0..n).map(|i| init_at(i * 7 + 3)).collect();
         let mut fast = input.clone();
-        fft_line(&mut fast, false);
+        fft_line(&mut fast, &FftPlan::new(n, false));
         for k in 0..n {
             let mut acc = C64::default();
             for (j, x) in input.iter().enumerate() {

@@ -38,7 +38,11 @@ fn check(pins: &[(Kernel, usize, u64)], class: Class) {
     let mut wrong = Vec::new();
     for &(kernel, ranks, want) in pins {
         let rep = run(kernel, class, ranks);
-        assert!(rep.verified, "{} at {ranks} ranks failed to verify", kernel.name());
+        assert!(
+            rep.verified,
+            "{} at {ranks} ranks failed to verify",
+            kernel.name()
+        );
         let got = rep.checksum.to_bits();
         if got != want {
             wrong.push(format!(
@@ -47,7 +51,11 @@ fn check(pins: &[(Kernel, usize, u64)], class: Class) {
             ));
         }
     }
-    assert!(wrong.is_empty(), "checksum bits moved:\n{}", wrong.join("\n"));
+    assert!(
+        wrong.is_empty(),
+        "checksum bits moved:\n{}",
+        wrong.join("\n")
+    );
 }
 
 #[test]
