@@ -186,12 +186,6 @@ impl LineSolver {
         transpose(scratch, plane, n);
     }
 
-    /// Solve the y lines of one z-plane in place: its rows already hold
-    /// them side by side.
-    fn sweep_y(&self, plane: &mut [f64]) {
-        self.solve(plane, self.n);
-    }
-
     /// Solve every line of `d` in place. `d` holds `w` lines side by
     /// side: line `j`'s k-th point is `d[k * w + j]`, so each step of the
     /// recurrences is one pass over a contiguous row of `w` independent
@@ -348,7 +342,8 @@ pub fn run(layer: &impl CommLayer, class: Class, kind: AdiKind) -> KernelReport 
             model.charge_with(layer, units, &mut || {
                 for plane in g.u[v].chunks_exact_mut(p.n * p.n) {
                     solver.sweep_x(plane, &mut scratch);
-                    solver.sweep_y(plane);
+                    // The plane's rows hold its y lines side by side.
+                    solver.solve(plane, p.n);
                 }
             });
             work += units;
@@ -437,6 +432,7 @@ fn z_sweep_pipelined(
             Some(pr) => to_f64s(&layer.recv(pr, tag)),
             None => vec![0.0; len * 2],
         };
+        debug_assert_eq!(carry.len(), len * 2);
         for z in 0..nzl {
             let row = &mut u[at(z, lb, len)];
             let cps = &mut cp_store[at(z, lb, len)];
@@ -460,6 +456,7 @@ fn z_sweep_pipelined(
             Some(nx) => to_f64s(&layer.recv(nx, tag + 1)),
             None => vec![0.0; len],
         };
+        debug_assert_eq!(xk1.len(), len);
         for z in (0..nzl).rev() {
             let row = &mut u[at(z, lb, len)];
             for ((x, cp), up) in row.iter_mut().zip(&cp_store[at(z, lb, len)]).zip(&mut xk1) {
@@ -613,7 +610,7 @@ mod tests {
             prop_assert!(same_bits(&rows, &want), "{kind:?} n={n}: x lines");
 
             let mut cols = plane.to_vec();
-            solver.sweep_y(&mut cols);
+            solver.solve(&mut cols, n);
             for x in 0..n {
                 let mut col: Vec<f64> = (0..n).map(|y| plane[y * n + x]).collect();
                 oracle(kind, &mut col);
