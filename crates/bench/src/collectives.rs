@@ -15,7 +15,7 @@ use empi_netsim::Topology;
 
 use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
 use crate::frame::{collective_loop, run_layered, Coll, Run};
-use crate::stats::{measure_until_stable, overhead_percent};
+use crate::stats::overhead_percent;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
@@ -136,26 +136,18 @@ pub fn run_net(net: Net, op: CollOp, opts: &BenchOpts) -> Vec<Table> {
         let times: Vec<f64> = all_sizes
             .iter()
             .map(|&s| {
-                let iters = iters_for(op, s, opts.quick);
-                // ≥1 MB points move gigabytes of real crypto through the
-                // software backends; the calibrated simulation is
-                // deterministic, so one run suffices there.
-                let reps_min = if s >= 1 << 20 { 1 } else { opts.reps_min };
-                measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                    collective_run(
-                        net,
-                        row_config(lib, net),
-                        op.shape(s),
-                        s,
-                        ranks,
-                        nodes,
-                        iters,
-                        false,
-                        opts.shards,
-                    )
-                    .value
-                })
-                .mean
+                collective_run(
+                    net,
+                    row_config(lib, net),
+                    op.shape(s),
+                    s,
+                    ranks,
+                    nodes,
+                    iters_for(op, s, opts.quick),
+                    false,
+                    opts.shards,
+                )
+                .value
             })
             .collect();
         measured.push((lib, times));

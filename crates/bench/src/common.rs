@@ -95,10 +95,6 @@ pub struct BenchOpts {
     pub nets: Vec<Net>,
     /// Output directory for CSV files.
     pub out_dir: PathBuf,
-    /// Minimum repetitions per measurement.
-    pub reps_min: usize,
-    /// Maximum repetitions before the CI criterion takes over.
-    pub reps_max: usize,
     /// Record virtual-time traces and emit decomposition tables plus
     /// Chrome trace JSON (`--trace`).
     pub trace: bool,
@@ -117,8 +113,6 @@ impl Default for BenchOpts {
             quick: false,
             nets: Net::BOTH.to_vec(),
             out_dir: PathBuf::from("results"),
-            reps_min: 2,
-            reps_max: 5,
             trace: false,
             sizes: SizeSel::All,
             shards: 1,
@@ -128,7 +122,25 @@ impl Default for BenchOpts {
 
 /// One line of flag documentation, shared by `--help` and error paths.
 pub const USAGE: &str = "flags: --quick  --net ethernet|infiniband|both  --out DIR  \
-                     --reps MIN,MAX  --trace  --sizes small|large|all  --shards N";
+                     --trace  --sizes small|large|all  --shards N";
+
+/// The shared flags, as [`BenchOpts::try_parse`] spells them.
+const FLAGS: [&str; 6] = [
+    "--quick", "--net", "--out", "--trace", "--sizes", "--shards",
+];
+
+/// Refuse a shared flag in `args` that is not in `reads`: a tool that
+/// reads only `reads` would otherwise ignore it and run something other
+/// than what was asked (`headline --quick` running the full set).
+pub fn reject_unread(args: &[String], reads: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| FLAGS.contains(&a.as_str()) && !reads.contains(&a.as_str()))
+    {
+        Some(flag) => Err(format!("'{flag}' is a shared flag this tool ignores")),
+        None => Ok(()),
+    }
+}
 
 /// Print a parse error plus the usage line to stderr and exit nonzero.
 /// A bad flag is operator error, not a program bug — no backtrace.
@@ -139,8 +151,7 @@ pub fn usage_err(msg: &str) -> ! {
 
 impl BenchOpts {
     /// Parse the common flags: `--quick`, `--net ethernet|infiniband|both`,
-    /// `--out DIR`, `--reps MIN,MAX`, `--trace`, `--sizes small|large|all`,
-    /// `--shards N`.
+    /// `--out DIR`, `--trace`, `--sizes small|large|all`, `--shards N`.
     ///
     /// Unknown flags or values print the usage to stderr and exit with
     /// status 2 instead of panicking (`--help` is the binary's: it
@@ -168,15 +179,6 @@ impl BenchOpts {
                 }
                 "--out" => {
                     opts.out_dir = PathBuf::from(args.next().ok_or("--out needs a value")?);
-                }
-                "--reps" => {
-                    let v = args.next().ok_or("--reps needs MIN,MAX")?;
-                    let (lo, hi) = v.split_once(',').ok_or("--reps needs MIN,MAX")?;
-                    opts.reps_min = lo.parse().map_err(|_| format!("--reps: bad MIN '{lo}'"))?;
-                    opts.reps_max = hi.parse().map_err(|_| format!("--reps: bad MAX '{hi}'"))?;
-                    if opts.reps_min < 1 || opts.reps_max < opts.reps_min {
-                        return Err(format!("--reps: need 1 <= MIN <= MAX, got '{v}'"));
-                    }
                 }
                 "--trace" => opts.trace = true,
                 "--shards" => {
@@ -210,8 +212,7 @@ mod tests {
     fn parse_flags() {
         let o = BenchOpts::try_parse(
             [
-                "--quick", "--net", "ethernet", "--out", "/tmp/r", "--reps", "3,7", "--trace",
-                "--sizes", "large",
+                "--quick", "--net", "ethernet", "--out", "/tmp/r", "--trace", "--sizes", "large",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -220,7 +221,6 @@ mod tests {
         assert!(o.quick);
         assert_eq!(o.nets, vec![Net::Ethernet]);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/r"));
-        assert_eq!((o.reps_min, o.reps_max), (3, 7));
         assert!(o.trace);
         assert_eq!(o.sizes, SizeSel::Large);
     }
@@ -238,19 +238,52 @@ mod tests {
             .unwrap_err()
             .contains("unknown size group"));
         assert!(parse(&["--net"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--reps", "3"]).unwrap_err().contains("MIN,MAX"));
-        assert!(parse(&["--reps", "x,7"]).unwrap_err().contains("bad MIN"));
-        assert!(parse(&["--reps", "0,5"])
+        assert!(parse(&["--reps", "2,5"])
             .unwrap_err()
-            .contains("MIN <= MAX"));
-        assert!(parse(&["--reps", "5,3"])
-            .unwrap_err()
-            .contains("MIN <= MAX"));
+            .contains("unknown flag"));
         assert!(parse(&["--shards"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--shards", "many"])
             .unwrap_err()
             .contains("bad count"));
         assert!(parse(&["--quick"]).is_ok());
+    }
+
+    #[test]
+    fn tools_refuse_shared_flags_they_do_not_read() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let reads = |name: &str| {
+            crate::registry::TOOLS
+                .iter()
+                .find(|t| t.0 == name)
+                .unwrap()
+                .2
+        };
+        let refused = |tool: &str, v: &[&str]| reject_unread(&args(v), reads(tool)).is_err();
+        assert!(refused("headline", &["--quick"]));
+        assert!(refused("headline", &["--nas", "--net", "ethernet"]));
+        assert!(!refused("headline", &["--nas", "--shards", "2"]));
+        assert!(refused("shardscale", &["--trace"]));
+        assert!(refused("shardscale", &["--quick", "--sizes", "small"]));
+        assert!(!refused(
+            "shardscale",
+            &["--quick", "--net", "ethernet", "--out", "/tmp/r", "--shards", "2"]
+        ));
+        assert!(refused("tracecheck", &["--quick"]));
+        assert!(!refused(
+            "tracecheck",
+            &["results/trace-pingpong-ethernet.json"]
+        ));
+        assert!(refused("plot", &["--shards", "2"]));
+        // Every flag a tool may read is a shared flag the parser knows.
+        for (_, _, reads, _) in &crate::registry::TOOLS {
+            for flag in *reads {
+                assert!(FLAGS.contains(flag), "{flag}");
+            }
+        }
+        for flag in FLAGS {
+            let err = BenchOpts::try_parse(args(&[flag]).into_iter()).err();
+            assert!(!err.is_some_and(|e| e.contains("unknown flag")), "{flag}");
+        }
     }
 
     #[test]

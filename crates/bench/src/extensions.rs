@@ -24,7 +24,6 @@ use crate::common::{reported_rows, row_config, row_label, security_config, Bench
 use crate::frame::{echo, run_layered, Coll};
 use crate::nasbench;
 use crate::pingpong::pingpong_run;
-use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 
 /// The BoringSSL configuration of EXT-KEYSIZE under an explicit key size.
@@ -56,12 +55,7 @@ pub fn keysize_table(net: Net, opts: &BenchOpts) -> Table {
         let cfg = Some(keysize_config(net, ks));
         let cells = sizes
             .iter()
-            .map(|&s| {
-                let st = measure_until_stable(opts.reps_min, opts.reps_max, || {
-                    pingpong_run(net, cfg.clone(), s, iters, false, opts.shards).value
-                });
-                fmt_value(st.mean)
-            })
+            .map(|&s| fmt_value(pingpong_run(net, cfg.clone(), s, iters, false, opts.shards).value))
             .collect();
         t.push_row(label, cells);
     }

@@ -35,9 +35,9 @@ impl Claim {
     }
 }
 
-/// The `headline` subcommand: `--nas` adds the NAS aggregates; the
-/// shared harness flags are accepted (and an unknown one rejected) like
-/// everywhere else.
+/// The `headline` subcommand: `--nas` adds the NAS aggregates, and
+/// `--shards` is the one shared flag it reads (the dispatcher refuses
+/// the others, so `--quick` cannot silently run the full set).
 pub fn run(mut args: Vec<String>) -> ExitCode {
     let with_nas = args.iter().any(|a| a == "--nas");
     args.retain(|a| a != "--nas");

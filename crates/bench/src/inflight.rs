@@ -17,7 +17,6 @@ use empi_netsim::VDur;
 
 use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
 use crate::frame::Run;
-use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, Table};
 use crate::tracing::write_trace;
 
@@ -49,7 +48,13 @@ const MAX_RETRIES: u32 = 4;
 /// repair backoff schedule must outlast the burst, and the retained
 /// flow buffer must hold every in-flight message or early flows get
 /// evicted (and aborted) before the receiver's first NACK lands.
-fn config(lib: CryptoLibrary, net: Net, piped: bool, chaos: bool, window: usize) -> SecurityConfig {
+pub(crate) fn config(
+    lib: CryptoLibrary,
+    net: Net,
+    piped: bool,
+    chaos: bool,
+    window: usize,
+) -> SecurityConfig {
     let mut cfg = security_config(lib, net);
     if piped {
         cfg = cfg.with_pipeline(PipelineConfig::enabled().with_workers(4));
@@ -152,7 +157,7 @@ fn pump_secure(sc: &SecureComm, is_sender: bool, peer: usize, window: usize, msg
 /// bytes to rank 1 with at most `window` outstanding; returns aggregate
 /// goodput in MB/s (plus the trace when `traced`). `cfg == None` is the
 /// unencrypted baseline.
-fn inflight_run(
+pub(crate) fn inflight_run(
     net: Net,
     cfg: Option<SecurityConfig>,
     window: usize,
@@ -216,13 +221,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             let cells = windows
                 .iter()
                 .map(|&w| {
-                    // The calibrated simulator is deterministic, so one
-                    // run per cell suffices (stats.rs allows min_runs=1).
-                    let s = measure_until_stable(1, 1, || {
-                        let cfg = lib.map(|l| config(l, net, piped, false, w));
-                        inflight_run(net, cfg, w, msgs, false, opts.shards).value
-                    });
-                    fmt_value(s.mean)
+                    let cfg = lib.map(|l| config(l, net, piped, false, w));
+                    fmt_value(inflight_run(net, cfg, w, msgs, false, opts.shards).value)
                 })
                 .collect();
             clean.push_row(format!("{}{}", row_label(lib), suffix), cells);
@@ -244,11 +244,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         let cells = windows
             .iter()
             .map(|&w| {
-                let s = measure_until_stable(1, 1, || {
-                    let cfg = config(CryptoLibrary::BoringSsl, net, piped, true, w);
-                    inflight_run(net, Some(cfg), w, msgs, false, opts.shards).value
-                });
-                fmt_value(s.mean)
+                let cfg = config(CryptoLibrary::BoringSsl, net, piped, true, w);
+                fmt_value(inflight_run(net, Some(cfg), w, msgs, false, opts.shards).value)
             })
             .collect();
         chaotic.push_row(

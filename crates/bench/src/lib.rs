@@ -30,11 +30,13 @@
 //! the layer is picked once per rank and each blocking traffic shape is
 //! written once against it.
 //!
-//! [`stats`] implements the paper's repeat-until-stable methodology and
-//! Fleming–Wallace overhead aggregation; [`table`] renders paper-style
-//! tables plus CSV/JSON files; [`tracing`] powers the `--trace`
-//! decomposition path shared by every harness (see EXPERIMENTS.md,
-//! "Tracing & decomposition").
+//! Each table cell is one call of its runner: a cell is a virtual-time
+//! result that every run prints bit for bit, so the paper's
+//! repeat-until-σ ≤ 5 % loop would only average copies of one number.
+//! [`stats`] holds the Fleming–Wallace overhead aggregation; [`table`]
+//! renders paper-style tables plus CSV/JSON files; [`tracing`] powers
+//! the `--trace` decomposition path shared by every harness (see
+//! EXPERIMENTS.md, "Tracing & decomposition").
 
 pub mod chaos;
 pub mod collectives;

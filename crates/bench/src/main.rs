@@ -2,7 +2,7 @@
 //!
 //! ```bash
 //! cargo run --release -p empi-bench -- <harness>... [--quick] [--net ethernet|infiniband|both] \
-//!     [--trace] [--out DIR] [--reps MIN,MAX] [--sizes small|large|all] [--shards N]
+//!     [--trace] [--out DIR] [--sizes small|large|all] [--shards N]
 //! cargo run --release -p empi-bench -- all --quick      # every harness
 //! cargo run --release -p empi-bench -- tracecheck       # a tool, with its own arguments
 //! cargo run --release -p empi-bench -- --help           # the registry
@@ -10,7 +10,7 @@
 
 use std::process::ExitCode;
 
-use empi_bench::common::usage_err;
+use empi_bench::common::{reject_unread, usage_err};
 use empi_bench::registry::{self, Harness};
 use empi_bench::BenchOpts;
 
@@ -21,8 +21,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let first = args.first().map_or("", |a| a.as_str());
-    if let Some((_, _, tool)) = registry::TOOLS.iter().find(|t| t.0 == first) {
-        return tool(args.split_off(1));
+    if let Some((_, _, reads, tool)) = registry::TOOLS.iter().find(|t| t.0 == first) {
+        let args = args.split_off(1);
+        if let Err(msg) = reject_unread(&args, reads) {
+            usage_err(&msg);
+        }
+        return tool(args);
     }
     // Leading words name harnesses; the shared flags follow.
     let names = args.iter().take_while(|a| !a.starts_with('-')).count();

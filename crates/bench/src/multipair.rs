@@ -13,7 +13,6 @@ use empi_netsim::Topology;
 
 use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
 use crate::frame::Run;
-use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
@@ -145,14 +144,10 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             let cells: Vec<String> = PAIRS
                 .iter()
                 .map(|&pairs| {
-                    // 2 MB points stream gigabytes; deterministic sim →
-                    // one rep suffices there.
-                    let reps_min = if size >= 1 << 20 { 1 } else { opts.reps_min };
-                    let s = measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
+                    fmt_value(
                         multipair_run(net, cfg.clone(), size, pairs, iters, false, opts.shards)
-                            .value
-                    });
-                    fmt_value(s.mean)
+                            .value,
+                    )
                 })
                 .collect();
             t.push_row(row_label(lib), cells);

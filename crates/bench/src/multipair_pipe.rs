@@ -15,7 +15,6 @@ use empi_mpi::{Src, TagSel, TraceReport, World};
 
 use crate::common::{security_config, BenchOpts, Net};
 use crate::multipair::{multipair_run, PAIRS, SIZES};
-use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::write_trace;
 
@@ -135,12 +134,10 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             let cells: Vec<String> = PAIRS
                 .iter()
                 .map(|&pairs| {
-                    let reps_min = if size >= 1 << 20 { 1 } else { opts.reps_min };
-                    let s = measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
+                    fmt_value(
                         multipair_run(net, cfg.clone(), size, pairs, iters, false, opts.shards)
-                            .value
-                    });
-                    fmt_value(s.mean)
+                            .value,
+                    )
                 })
                 .collect();
             t.push_row(label, cells);

@@ -212,7 +212,9 @@ fn sweep(net: Net, class: Class, ranks: usize, nodes: usize, shards: usize) -> (
 /// long the host takes to compute them. The serial (`--shards 1`)
 /// column is the baseline; the sharded column uses `--shards N`
 /// (default 8). The host core count is printed because the achievable
-/// speedup is bounded by it.
+/// speedup is bounded by it. It reads `--quick`, `--net` and `--out`
+/// too; `--trace` and `--sizes` are refused, as they would change
+/// nothing.
 pub fn shardscale(args: Vec<String>) -> ExitCode {
     let opts = BenchOpts::parse(args.into_iter());
     let shards = if opts.shards > 1 { opts.shards } else { 8 };

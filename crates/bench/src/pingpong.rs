@@ -14,7 +14,6 @@ use crate::common::{
     reported_rows, row_config, row_label, security_config, BenchOpts, Net, SizeSel,
 };
 use crate::frame::{echo, run_layered, Run};
-use crate::stats::measure_until_stable;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
@@ -97,10 +96,9 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             let cells: Vec<String> = sizes
                 .iter()
                 .map(|&s| {
-                    let stats = measure_until_stable(opts.reps_min, opts.reps_max, || {
-                        pingpong_run(net, cfg.clone(), s, iters_for(s), false, opts.shards).value
-                    });
-                    fmt_value(stats.mean)
+                    fmt_value(
+                        pingpong_run(net, cfg.clone(), s, iters_for(s), false, opts.shards).value,
+                    )
                 })
                 .collect();
             t.push_row(row_label(lib), cells);

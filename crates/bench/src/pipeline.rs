@@ -15,7 +15,7 @@ use empi_mpi::TraceReport;
 
 use crate::common::{security_config, BenchOpts, Net};
 use crate::pingpong::pingpong_run;
-use crate::stats::{measure_until_stable, overhead_percent_of_mbs};
+use crate::stats::overhead_percent_of_mbs;
 use crate::table::{size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
@@ -37,13 +37,10 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             base
         }
     };
-    let mean = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
-        measure_until_stable(opts.reps_min, opts.reps_max, || {
-            pingpong_run(net, cfg.clone(), size, iters_for(size), false, opts.shards).value
-        })
-        .mean
+    let mbs = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
+        pingpong_run(net, cfg, size, iters_for(size), false, opts.shards).value
     };
-    let baseline: Vec<f64> = SIZES.iter().map(|&s| mean(None, s)).collect();
+    let baseline: Vec<f64> = SIZES.iter().map(|&s| mbs(None, s)).collect();
     let base_for = |size: usize| -> f64 {
         baseline[SIZES
             .iter()
@@ -54,7 +51,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         let cfg = security_config(lib, net).with_pipeline(pipeline);
         format!(
             "{:.1}",
-            overhead_percent_of_mbs(base_for(size), mean(Some(cfg), size))
+            overhead_percent_of_mbs(base_for(size), mbs(Some(cfg), size))
         )
     };
 

@@ -19,7 +19,7 @@ use empi_mpi::{Src, TagSel, TraceReport, World};
 use crate::collectives::collective_run;
 use crate::common::{security_config, BenchOpts, Net};
 use crate::frame::{Coll, Run};
-use crate::stats::{measure_until_stable, overhead_percent};
+use crate::stats::overhead_percent;
 use crate::table::{size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, write_trace};
 
@@ -42,7 +42,7 @@ pub const COLLS: [Coll; 3] = [Coll::Bcast, Coll::Alltoall, Coll::Alltoallv];
 /// plus, when `traced`, the trace report. `cfg == None` is the
 /// unencrypted baseline; the two arms stay apart for the reason given
 /// at `multipair::run_pairs`.
-fn nb_run(
+pub(crate) fn nb_run(
     net: Net,
     cfg: Option<SecurityConfig>,
     size: usize,
@@ -102,11 +102,8 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     let config = |lib: CryptoLibrary, pipeline: PipelineConfig| {
         Some(security_config(lib, net).with_pipeline(pipeline))
     };
-    let nb_mean = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
-        measure_until_stable(opts.reps_min, opts.reps_max, || {
-            nb_run(net, cfg.clone(), size, nb_iters(size), false, opts.shards).value
-        })
-        .mean
+    let nb_secs = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
+        nb_run(net, cfg, size, nb_iters(size), false, opts.shards).value
     };
 
     // FIG-PIPELINE-NB: isend/irecv/wait exchange overhead vs the
@@ -132,9 +129,9 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         .collect(),
     );
     for &s in &SIZES {
-        let base = nb_mean(None, s);
+        let base = nb_secs(None, s);
         let cell = |lib: CryptoLibrary, p: PipelineConfig| -> String {
-            format!("{:.1}", overhead_percent(base, nb_mean(config(lib, p), s)))
+            format!("{:.1}", overhead_percent(base, nb_secs(config(lib, p), s)))
         };
         fig.push_row(
             size_label(s),
@@ -167,30 +164,23 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
     );
     for op in COLLS {
         for &s in &COLL_SIZES {
-            // The calibrated simulation is deterministic and the ≥1 MB
-            // points move real gigabytes of AES; one rep suffices there.
-            let reps_min = if s >= 1 << 20 { 1 } else { opts.reps_min };
-            let mean = |cfg: Option<SecurityConfig>| -> f64 {
-                measure_until_stable(reps_min, opts.reps_max.max(reps_min), || {
-                    let cfg = cfg.clone();
-                    collective_run(
-                        net,
-                        cfg,
-                        op,
-                        s,
-                        COLL_RANKS,
-                        COLL_RANKS,
-                        coll_iters,
-                        false,
-                        opts.shards,
-                    )
-                    .value
-                })
-                .mean
+            let us = |cfg: Option<SecurityConfig>| -> f64 {
+                collective_run(
+                    net,
+                    cfg,
+                    op,
+                    s,
+                    COLL_RANKS,
+                    COLL_RANKS,
+                    coll_iters,
+                    false,
+                    opts.shards,
+                )
+                .value
             };
-            let base = mean(None);
-            let seq = mean(config(CryptoLibrary::BoringSsl, PipelineConfig::disabled()));
-            let pip = mean(config(CryptoLibrary::BoringSsl, pipelined));
+            let base = us(None);
+            let seq = us(config(CryptoLibrary::BoringSsl, PipelineConfig::disabled()));
+            let pip = us(config(CryptoLibrary::BoringSsl, pipelined));
             tab.push_row(
                 format!("{} {}", op.name(), size_label(s)),
                 vec![

@@ -143,30 +143,40 @@ pub fn resolve(name: &str) -> Option<&'static [Harness]> {
     Some(&HARNESSES[i..=i])
 }
 
-/// A subcommand that is not an experiment: name, description, body
-/// (which gets the arguments after the name).
-pub type Tool = (&'static str, &'static str, fn(Vec<String>) -> ExitCode);
+/// A subcommand that is not an experiment: name, description, the
+/// shared flags it reads (any other one is refused before the body
+/// runs), body (which gets the arguments after the name).
+pub type Tool = (
+    &'static str,
+    &'static str,
+    &'static [&'static str],
+    fn(Vec<String>) -> ExitCode,
+);
 
 /// The tools, dispatched on the first argument.
 pub static TOOLS: [Tool; 4] = [
     (
         "tracecheck",
         "[FILE...]: validate traces and snapshots, each against the contract of its name",
+        &[],
         tracecheck::run,
     ),
     (
         "plot",
         "[CSV...]: render figure CSVs as terminal charts",
+        &[],
         plot::run,
     ),
     (
         "headline",
-        "[--nas]: every number the paper quotes in prose, measured, with a verdict",
+        "[--nas] [--shards N]: every number the paper quotes in prose, measured, with a verdict",
+        &["--shards"],
         headline::run,
     ),
     (
         "shardscale",
-        "TAB-SCALE: wall-clock of the NAS sweep, serial vs --shards N",
+        "[--quick] [--net …] [--out DIR] [--shards N]: TAB-SCALE, NAS-sweep wall-clock, serial vs sharded",
+        &["--quick", "--net", "--out", "--shards"],
         nasbench::shardscale,
     ),
 ];
@@ -183,7 +193,7 @@ pub fn help() -> String {
         "  {:<15} every harness above, in that order\n\ntools:\n",
         "all"
     ));
-    for (name, about, _) in &TOOLS {
+    for (name, about, _, _) in &TOOLS {
         out.push_str(&format!("  {name:<15} {about}\n"));
     }
     out.push_str(&format!("\n{USAGE}\n"));

@@ -601,9 +601,9 @@ fn doc_paths(text: &str) -> Vec<(String, String)> {
 /// Docs name real items: every backticked `Type::item` in README.md,
 /// DESIGN.md and EXPERIMENTS.md whose `Type` is defined in this
 /// workspace names something `crates/*/src` or `src` still defines, and
-/// every `--flag` in a `///`/`//!` comment under `crates/*/src` and
-/// `src` is one the bench still parses. (`benchmark/README.md` belongs
-/// to the benchmark and is not read.)
+/// every `--flag` in those three files or in a `///`/`//!` comment under
+/// `crates/*/src` and `src` is one the bench still parses.
+/// (`benchmark/README.md` belongs to the benchmark and is not read.)
 #[test]
 fn docs_name_real_items() {
     let (types, names) = workspace_items();
@@ -634,9 +634,12 @@ fn docs_name_real_items() {
         "docs name items nothing defines: {stale:#?}"
     );
 
-    // Every `--flag` a `///`/`//!` comment names is one the bench parses
-    // (a `"--…"` literal in its non-test code) or cargo's `--release`.
-    let mut flags: BTreeSet<String> = BTreeSet::from(["--release".to_string()]);
+    // Every `--flag` that a `///`/`//!` comment or README, DESIGN or
+    // EXPERIMENTS names is one the bench parses (a `"--…"` literal in its
+    // non-test code) or cargo's `--release`, `--example` or `--workspace`.
+    let mut flags: BTreeSet<String> = ["--release", "--example", "--workspace"]
+        .map(String::from)
+        .into();
     for (_, _, line) in non_test_lines(&rust_files("crates/bench/src")) {
         for lit in line.split('"').skip(1).step_by(2) {
             if cli_flags(lit) == [lit] {
@@ -651,6 +654,14 @@ fn docs_name_real_items() {
     let mut files = crate_sources();
     files.extend(rust_files("src"));
     let mut unknown = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(repo(doc)).unwrap();
+        for (i, line) in text.lines().enumerate() {
+            for flag in cli_flags(line).into_iter().filter(|f| !flags.contains(*f)) {
+                unknown.push(format!("{doc}:{}: `{flag}`", i + 1));
+            }
+        }
+    }
     for path in files {
         let name = path
             .strip_prefix(repo(""))
@@ -670,7 +681,7 @@ fn docs_name_real_items() {
     }
     assert!(
         unknown.is_empty(),
-        "doc comments name flags nothing parses: {unknown:#?}"
+        "docs name flags nothing parses: {unknown:#?}"
     );
 }
 
