@@ -11,13 +11,21 @@
 //! arithmetic and the rank decomposition decide the value. BT and SP
 //! also run at 16 ranks, one z-plane per rank: the regime the 64-rank
 //! `MiniC` runs are in, where the pipelined z solve is a single step.
+//! MG also runs at 8 ranks, the one Class S geometry whose replicated
+//! coarse solve starts above n = 4 and so runs its residual and
+//! post-smoothing.
+//!
+//! Each run also pins its end time in virtual nanoseconds. On the
+//! instant network that is the charged compute plus 1 ns per message
+//! hop, so a charge that moves, grows or vanishes fails the test even
+//! where the checksum holds.
 
 use empi_mpi::World;
 use empi_nas::adi::{self, AdiKind};
 use empi_nas::{cg, ft, is, lu, mg, Class, Kernel, KernelReport, PlainLayer};
 use empi_netsim::NetModel;
 
-fn run(kernel: Kernel, class: Class, ranks: usize) -> KernelReport {
+fn run(kernel: Kernel, class: Class, ranks: usize) -> (KernelReport, u64) {
     let w = World::flat(NetModel::instant(), ranks);
     let out = w.run(|c| {
         let l = PlainLayer::new(c);
@@ -31,29 +39,34 @@ fn run(kernel: Kernel, class: Class, ranks: usize) -> KernelReport {
             Kernel::IS => is::run(&l, class),
         }
     });
-    out.results.into_iter().next().expect("rank 0 reports")
+    let end_ns = out.end_time.as_nanos();
+    (out.results.into_iter().next().expect("rank 0 reports"), end_ns)
 }
 
-fn check(pins: &[(Kernel, usize, u64)], class: Class) {
+/// One pin: kernel, ranks, checksum bits, end time in virtual ns.
+type Pin = (Kernel, usize, u64, u64);
+
+fn check(pins: &[Pin], class: Class) {
     let mut wrong = Vec::new();
-    for &(kernel, ranks, want) in pins {
-        let rep = run(kernel, class, ranks);
+    for &(kernel, ranks, want, want_ns) in pins {
+        let (rep, end_ns) = run(kernel, class, ranks);
         assert!(
             rep.verified,
             "{} at {ranks} ranks failed to verify",
             kernel.name()
         );
         let got = rep.checksum.to_bits();
-        if got != want {
+        if got != want || end_ns != want_ns {
             wrong.push(format!(
-                "{} at {ranks} ranks: {got:#018x}, pinned {want:#018x}",
+                "{} at {ranks} ranks: {got:#018x} ending at {end_ns} ns, \
+                 pinned {want:#018x} ending at {want_ns} ns",
                 kernel.name()
             ));
         }
     }
     assert!(
         wrong.is_empty(),
-        "checksum bits moved:\n{}",
+        "checksum bits or end times moved:\n{}",
         wrong.join("\n")
     );
 }
@@ -63,29 +76,30 @@ fn class_s_checksum_bits_are_pinned() {
     use Kernel::*;
     check(
         &[
-            (CG, 1, 0x4045308ab0f7ac88),
-            (CG, 2, 0x4045308ab0f7ac89),
-            (CG, 4, 0x4045308ab0f7ac88),
-            (FT, 1, 0xc031867c6b5abf20),
-            (FT, 2, 0xc031867c6b5abf21),
-            (FT, 4, 0xc031867c6b5abf1e),
-            (MG, 1, 0x3fa095b7d49e0418),
-            (MG, 2, 0x3fa095b7d49e03f2),
-            (MG, 4, 0x3fa095b7d49e03f6),
-            (LU, 1, 0x4013175d0a9c36e6),
-            (LU, 2, 0x4013175d0a9c36ed),
-            (LU, 4, 0x4013175d0a9c36ee),
-            (BT, 1, 0x400e9b5a7fdb0233),
-            (BT, 2, 0x400e9b5a7fdb0258),
-            (BT, 4, 0x400e9b5a7fdb0255),
-            (BT, 16, 0x400e9b5a7fdb0249),
-            (SP, 1, 0x403069ff8ccdce34),
-            (SP, 2, 0x403069ff8ccdce2a),
-            (SP, 4, 0x403069ff8ccdce32),
-            (SP, 16, 0x403069ff8ccdce30),
-            (IS, 1, 0x41afd1cafc000000),
-            (IS, 2, 0x41bfb9e340000000),
-            (IS, 4, 0x41cfce136b000000),
+            (CG, 1, 0x4045308ab0f7ac88, 1_103_500),
+            (CG, 2, 0x4045308ab0f7ac89, 552_807),
+            (CG, 4, 0x4045308ab0f7ac88, 277_614),
+            (FT, 1, 0xc031867c6b5abf20, 2_672_640),
+            (FT, 2, 0xc031867c6b5abf21, 1_336_329),
+            (FT, 4, 0xc031867c6b5abf1e, 668_183),
+            (MG, 1, 0x3fa095b7d49e0418, 300_746),
+            (MG, 2, 0x3fa095b7d49e03f2, 150_553),
+            (MG, 4, 0x3fa095b7d49e03f6, 81_054),
+            (MG, 8, 0x3f96491edb524118, 65_197),
+            (LU, 1, 0x4013175d0a9c36e6, 2_101_248),
+            (LU, 2, 0x4013175d0a9c36ed, 1_313_297),
+            (LU, 4, 0x4013175d0a9c36ee, 788_002),
+            (BT, 1, 0x400e9b5a7fdb0233, 47_738_880),
+            (BT, 2, 0x400e9b5a7fdb0258, 23_869_472),
+            (BT, 4, 0x400e9b5a7fdb0255, 11_934_814),
+            (BT, 16, 0x400e9b5a7fdb0249, 2_984_138),
+            (SP, 1, 0x403069ff8ccdce34, 102_850_560),
+            (SP, 2, 0x403069ff8ccdce2a, 51_425_312),
+            (SP, 4, 0x403069ff8ccdce32, 25_712_734),
+            (SP, 16, 0x403069ff8ccdce30, 6_428_618),
+            (IS, 1, 0x41afd1cafc000000, 612_766),
+            (IS, 2, 0x41bfb9e340000000, 393_843),
+            (IS, 4, 0x41cfce136b000000, 283_314),
         ],
         Class::S,
     );
@@ -101,10 +115,10 @@ fn minic_checksum_bits_are_pinned_at_64_ranks() {
     use Kernel::*;
     check(
         &[
-            (BT, 64, 0x40619338bf158fea),
-            (SP, 64, 0x409479edfced60cd),
-            (FT, 64, 0x40349d1ae73edb3b),
-            (LU, 64, 0x40835c069ba7d5f0),
+            (BT, 64, 0x40619338bf158fea, 95_481_552),
+            (SP, 64, 0x409479edfced60cd, 274_273_212),
+            (FT, 64, 0x40349d1ae73edb3b, 7_895_724),
+            (LU, 64, 0x40835c069ba7d5f0, 64_088_606),
         ],
         Class::MiniC,
     );
