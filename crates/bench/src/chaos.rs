@@ -66,8 +66,6 @@ pub struct ChaosPoint {
     pub repair_p50_ns: u64,
     pub repair_p99_ns: u64,
     pub repair_p999_ns: u64,
-    /// Successful repairs the percentiles are over.
-    pub repairs: u64,
 }
 
 impl ChaosPoint {
@@ -159,7 +157,6 @@ fn chaos_run(
             repair_p50_ns: repair.p50(),
             repair_p99_ns: repair.p99(),
             repair_p999_ns: repair.p999(),
-            repairs: repair.count(),
         },
         out.trace,
         snap,

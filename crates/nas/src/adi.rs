@@ -304,7 +304,6 @@ pub fn run(layer: &impl CommLayer, class: Class, kind: AdiKind) -> KernelReport 
     assert_eq!(p.n % size, 0, "ADI: ranks must divide n");
     let nzl = p.n / size;
     let model = ComputeModel::calibrated(kernel);
-    let mut work = 0u64;
 
     let mut g = Grid {
         n: p.n,
@@ -346,13 +345,11 @@ pub fn run(layer: &impl CommLayer, class: Class, kind: AdiKind) -> KernelReport 
                     solver.solve(plane, p.n);
                 }
             });
-            work += units;
 
             // z sweep: pipelined Thomas across the rank chain.
             z_sweep_pipelined(layer, &mut g, v, p.batch, prev, next, iter as u32);
             let units = (nzl * p.n * p.n * 9) as u64;
             model.charge(layer, units);
-            work += units;
         }
 
         if kind == AdiKind::Bt {
@@ -383,7 +380,6 @@ pub fn run(layer: &impl CommLayer, class: Class, kind: AdiKind) -> KernelReport 
                     }
                 }
             });
-            work += units;
         }
 
         let e = total_energy(layer, &g);
@@ -396,7 +392,6 @@ pub fn run(layer: &impl CommLayer, class: Class, kind: AdiKind) -> KernelReport 
     KernelReport {
         verified: monotone && prev_energy.is_finite() && prev_energy > 0.0,
         checksum: prev_energy,
-        work_units: work,
     }
 }
 

@@ -161,7 +161,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     let (lo, hi) = (rank * local_n, (rank + 1) * local_n);
 
     let a = generate(&params, lo, hi);
-    let mut work_units = 0u64;
 
     let b = vec![1.0f64; local_n];
     let mut z = vec![0.0f64; local_n];
@@ -180,7 +179,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
             let mut q = vec![0.0f64; local_n];
             let units = (2 * a.nnz() + 10 * local_n) as u64;
             model.charge_with(layer, units, &mut || a.matvec(&p_full, &mut q));
-            work_units += units;
 
             let pq = layer.allreduce_sum(&[dot(&p, &q)])[0];
             let alpha = rho / pq;
@@ -213,7 +211,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     KernelReport {
         verified: res < 1e-6 * bnorm,
         checksum,
-        work_units,
     }
 }
 

@@ -198,7 +198,6 @@ struct FtState<'l, L: CommLayer> {
     nz_local: usize,
     ny_local: usize,
     model: ComputeModel,
-    work_units: u64,
     /// One plan per line length and direction, built once per run.
     plans: Vec<FftPlan>,
 }
@@ -240,7 +239,6 @@ impl<'l, L: CommLayer> FtState<'l, L> {
                 fft_line(line, plan);
             }
         });
-        self.work_units += units_x;
         let units_y = Self::fft_units(nzl * nx, ny);
         let plan = self.plan(ny, inverse);
         self.model.charge_with(self.layer, units_y, &mut || {
@@ -257,7 +255,6 @@ impl<'l, L: CommLayer> FtState<'l, L> {
                 }
             }
         });
-        self.work_units += units_y;
     }
 
     /// z-slab → y-slab transpose via alltoall.
@@ -350,7 +347,6 @@ impl<'l, L: CommLayer> FtState<'l, L> {
                 }
             }
         });
-        self.work_units += units;
     }
 }
 
@@ -371,7 +367,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
         nz_local: p.nz / size,
         ny_local: p.ny / size,
         model: ComputeModel::calibrated(Kernel::FT),
-        work_units: 0,
         plans: extents
             .iter()
             .flat_map(|&n| [FftPlan::new(n, false), FftPlan::new(n, true)])
@@ -440,7 +435,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
                 }
             }
         });
-        st.work_units += units;
 
         // Inverse transform back to a z-slab field.
         let mut v = spec.clone();
@@ -465,7 +459,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     KernelReport {
         verified: verified && checksum.is_finite(),
         checksum,
-        work_units: st.work_units,
     }
 }
 

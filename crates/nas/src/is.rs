@@ -53,7 +53,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     let size = layer.size();
     let rank = layer.rank();
     let model = ComputeModel::calibrated(Kernel::IS);
-    let mut work = 0u64;
     let max_key = 1u32 << p.log2_max;
 
     let mut verified = true;
@@ -76,7 +75,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
                 hist[(k >> shift) as usize] += 1.0;
             }
         });
-        work += units;
         let global_hist = layer.allreduce_sum(&hist);
         let total_keys: f64 = global_hist.iter().sum();
         // Bucket b owns bins until the cumulative count passes
@@ -133,7 +131,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
                 }
             }
         });
-        work += units;
 
         // 5. Verification.
         // (a) Local sortedness.
@@ -164,7 +161,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     KernelReport {
         verified,
         checksum,
-        work_units: work,
     }
 }
 

@@ -103,8 +103,6 @@ pub struct KernelReport {
     pub verified: bool,
     /// Kernel-specific verification value (same on every rank).
     pub checksum: f64,
-    /// Abstract work units executed (drives the compute model).
-    pub work_units: u64,
 }
 
 /// Calibrated compute-cost model: virtual nanoseconds per abstract work

@@ -77,6 +77,7 @@ fn rank_grid(size: usize, nx: usize, ny: usize) -> (usize, usize) {
 struct Tile {
     nxl: usize,
     nyl: usize,
+    nz: usize,
     /// `u[plane][(i+1)*(nyl+2) + (j+1)]` with ghost rows/cols.
     u: Vec<f64>,
     v: Vec<f64>,
@@ -88,6 +89,14 @@ impl Tile {
         let w = self.nyl + 2;
         z * (self.nxl + 2) * w + ((i + 1) as usize) * w + (j + 1) as usize
     }
+}
+
+/// The tile's neighbours in the rank grid (`None` at the domain edge).
+struct Neighbours {
+    north: Option<usize>,
+    south: Option<usize>,
+    west: Option<usize>,
+    east: Option<usize>,
 }
 
 fn rhs_at(g: usize) -> f64 {
@@ -108,11 +117,11 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     let (nxl, nyl) = (p.nx / pr, p.ny / pc);
     let (i0, j0) = (my_r * nxl, my_c * nyl);
     let model = ComputeModel::calibrated(Kernel::LU);
-    let mut work = 0u64;
 
     let mut t = Tile {
         nxl,
         nyl,
+        nz: p.nz,
         u: vec![0.0; p.nz * (nxl + 2) * (nyl + 2)],
         v: vec![0.0; p.nz * (nxl + 2) * (nyl + 2)],
     };
@@ -126,102 +135,20 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
         }
     }
 
-    let north = (my_r > 0).then(|| me - pc);
-    let south = (my_r + 1 < pr).then(|| me + pc);
-    let west = (my_c > 0).then(|| me - 1);
-    let east = (my_c + 1 < pc).then(|| me + 1);
+    let nbrs = Neighbours {
+        north: (my_r > 0).then(|| me - pc),
+        south: (my_r + 1 < pr).then(|| me + pc),
+        west: (my_c > 0).then(|| me - 1),
+        east: (my_c + 1 < pc).then(|| me + 1),
+    };
 
-    let r0 = residual_norm(layer, &t, &model, &mut work, north, south, west, east, p.nz);
-
+    let r0 = residual_norm(layer, &t, &model, &nbrs);
     for sweep in 0..p.sweeps {
-        let base = TAG + 10 * sweep as u32;
-        // Lower (forward) wavefront: deps on north row and west column.
-        for z in 0..p.nz {
-            let tag = base + z as u32 % 5;
-            if let Some(n) = north {
-                let row = to_f64s(&layer.recv(n, tag));
-                for j in 0..nyl {
-                    let id = t.idx(z, -1, j as isize);
-                    t.u[id] = row[j];
-                }
-            }
-            if let Some(w) = west {
-                let col = to_f64s(&layer.recv(w, tag + 5));
-                for i in 0..nxl {
-                    let id = t.idx(z, i as isize, -1);
-                    t.u[id] = col[i];
-                }
-            }
-            let units = (nxl * nyl * 6) as u64;
-            model.charge_with(layer, units, &mut || {
-                for i in 0..nxl as isize {
-                    for j in 0..nyl as isize {
-                        let nb = t.u[t.idx(z, i - 1, j)]
-                            + t.u[t.idx(z, i, j - 1)]
-                            + t.u[t.idx(z, i + 1, j)]
-                            + t.u[t.idx(z, i, j + 1)];
-                        let id = t.idx(z, i, j);
-                        t.u[id] = (t.v[id] + nb) / 4.0;
-                    }
-                }
-            });
-            work += units;
-            if let Some(s) = south {
-                let row: Vec<f64> = (0..nyl)
-                    .map(|j| t.u[t.idx(z, nxl as isize - 1, j as isize)])
-                    .collect();
-                layer.send(f64s(&row), s, tag);
-            }
-            if let Some(e) = east {
-                let col: Vec<f64> = (0..nxl)
-                    .map(|i| t.u[t.idx(z, i as isize, nyl as isize - 1)])
-                    .collect();
-                layer.send(f64s(&col), e, tag + 5);
-            }
-        }
-        // Upper (backward) wavefront: mirror image.
-        for z in 0..p.nz {
-            let tag = base + 1000 + z as u32 % 5;
-            if let Some(s) = south {
-                let row = to_f64s(&layer.recv(s, tag));
-                for j in 0..nyl {
-                    let id = t.idx(z, nxl as isize, j as isize);
-                    t.u[id] = row[j];
-                }
-            }
-            if let Some(e) = east {
-                let col = to_f64s(&layer.recv(e, tag + 5));
-                for i in 0..nxl {
-                    let id = t.idx(z, i as isize, nyl as isize);
-                    t.u[id] = col[i];
-                }
-            }
-            let units = (nxl * nyl * 6) as u64;
-            model.charge_with(layer, units, &mut || {
-                for i in (0..nxl as isize).rev() {
-                    for j in (0..nyl as isize).rev() {
-                        let nb = t.u[t.idx(z, i - 1, j)]
-                            + t.u[t.idx(z, i, j - 1)]
-                            + t.u[t.idx(z, i + 1, j)]
-                            + t.u[t.idx(z, i, j + 1)];
-                        let id = t.idx(z, i, j);
-                        t.u[id] = (t.v[id] + nb) / 4.0;
-                    }
-                }
-            });
-            work += units;
-            if let Some(n) = north {
-                let row: Vec<f64> = (0..nyl).map(|j| t.u[t.idx(z, 0, j as isize)]).collect();
-                layer.send(f64s(&row), n, tag);
-            }
-            if let Some(w) = west {
-                let col: Vec<f64> = (0..nxl).map(|i| t.u[t.idx(z, i as isize, 0)]).collect();
-                layer.send(f64s(&col), w, tag + 5);
-            }
-        }
+        let tag = TAG + 10 * sweep as u32;
+        wavefront(layer, &mut t, &model, &nbrs, tag, false);
+        wavefront(layer, &mut t, &model, &nbrs, tag + 1000, true);
     }
-
-    let rfin = residual_norm(layer, &t, &model, &mut work, north, south, west, east, p.nz);
+    let rfin = residual_norm(layer, &t, &model, &nbrs);
     let unorm = {
         let mut acc = 0.0;
         for z in 0..p.nz {
@@ -238,23 +165,81 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     KernelReport {
         verified: rfin < 0.5 * r0 && rfin.is_finite(),
         checksum: unorm,
-        work_units: work,
+    }
+}
+
+/// One Gauss–Seidel wavefront over every plane. The lower sweep waits
+/// for its north row and west column, relaxes `i` and `j` ascending and
+/// forwards south and east; the upper sweep (`upper`) is its mirror
+/// image. Either way each point sums its neighbours in the order
+/// `(i−1) + (j−1) + (i+1) + (j+1)`.
+fn wavefront(
+    layer: &impl CommLayer,
+    t: &mut Tile,
+    model: &ComputeModel,
+    nbrs: &Neighbours,
+    base: u32,
+    upper: bool,
+) {
+    let (nxl, nyl) = (t.nxl as isize, t.nyl as isize);
+    // (upstream rank, ghost line it fills, downstream rank, edge line sent)
+    let (row_in, ghost_i, row_out, edge_i) = if upper {
+        (nbrs.south, nxl, nbrs.north, 0)
+    } else {
+        (nbrs.north, -1, nbrs.south, nxl - 1)
+    };
+    let (col_in, ghost_j, col_out, edge_j) = if upper {
+        (nbrs.east, nyl, nbrs.west, 0)
+    } else {
+        (nbrs.west, -1, nbrs.east, nyl - 1)
+    };
+    let w = t.nyl + 2;
+    let plane = (t.nxl + 2) * w;
+    for z in 0..t.nz {
+        let tag = base + z as u32 % 5;
+        if let Some(r) = row_in {
+            let row = to_f64s(&layer.recv(r, tag));
+            for j in 0..nyl {
+                let id = t.idx(z, ghost_i, j);
+                t.u[id] = row[j as usize];
+            }
+        }
+        if let Some(c) = col_in {
+            let col = to_f64s(&layer.recv(c, tag + 5));
+            for i in 0..nxl {
+                let id = t.idx(z, i, ghost_j);
+                t.u[id] = col[i as usize];
+            }
+        }
+        let units = (t.nxl * t.nyl * 6) as u64;
+        let (nx, ny) = (t.nxl, t.nyl);
+        let u = &mut t.u[z * plane..(z + 1) * plane];
+        let v = &t.v[z * plane..(z + 1) * plane];
+        model.charge_with(layer, units, &mut || {
+            for a in 0..nx {
+                let i = if upper { nx - a } else { a + 1 };
+                for b in 0..ny {
+                    let j = if upper { ny - b } else { b + 1 };
+                    let id = i * w + j;
+                    let nb = u[id - w] + u[id - 1] + u[id + w] + u[id + 1];
+                    u[id] = (v[id] + nb) / 4.0;
+                }
+            }
+        });
+        if let Some(r) = row_out {
+            let row: Vec<f64> = (0..nyl).map(|j| t.u[t.idx(z, edge_i, j)]).collect();
+            layer.send(f64s(&row), r, tag);
+        }
+        if let Some(c) = col_out {
+            let col: Vec<f64> = (0..nxl).map(|i| t.u[t.idx(z, i, edge_j)]).collect();
+            layer.send(f64s(&col), c, tag + 5);
+        }
     }
 }
 
 /// ‖v − A u‖ with a full halo exchange (non-wavefront, symmetric).
-#[allow(clippy::too_many_arguments)]
-fn residual_norm(
-    layer: &impl CommLayer,
-    t: &Tile,
-    model: &ComputeModel,
-    work: &mut u64,
-    north: Option<usize>,
-    south: Option<usize>,
-    west: Option<usize>,
-    east: Option<usize>,
-    nz: usize,
-) -> f64 {
+fn residual_norm(layer: &impl CommLayer, t: &Tile, model: &ComputeModel, nbrs: &Neighbours) -> f64 {
+    let nz = t.nz;
     // Exchange all four boundaries symmetrically (sendrecv pairs), then
     // evaluate the residual locally.
     let mut u = t.u.clone();
@@ -265,13 +250,13 @@ fn residual_norm(
         let my_bot: Vec<f64> = (0..t.nyl)
             .map(|j| t.u[t.idx(z, t.nxl as isize - 1, j as isize)])
             .collect();
-        if let Some(n) = north {
+        if let Some(n) = nbrs.north {
             let ghost = to_f64s(&layer.sendrecv(f64s(&my_top), n, n, tag));
             for j in 0..t.nyl {
                 u[t.idx(z, -1, j as isize)] = ghost[j];
             }
         }
-        if let Some(s) = south {
+        if let Some(s) = nbrs.south {
             let ghost = to_f64s(&layer.sendrecv(f64s(&my_bot), s, s, tag));
             for j in 0..t.nyl {
                 u[t.idx(z, t.nxl as isize, j as isize)] = ghost[j];
@@ -282,13 +267,13 @@ fn residual_norm(
         let my_e: Vec<f64> = (0..t.nxl)
             .map(|i| t.u[t.idx(z, i as isize, t.nyl as isize - 1)])
             .collect();
-        if let Some(w) = west {
+        if let Some(w) = nbrs.west {
             let ghost = to_f64s(&layer.sendrecv(f64s(&my_w), w, w, tag + 1));
             for i in 0..t.nxl {
                 u[t.idx(z, i as isize, -1)] = ghost[i];
             }
         }
-        if let Some(e) = east {
+        if let Some(e) = nbrs.east {
             let ghost = to_f64s(&layer.sendrecv(f64s(&my_e), e, e, tag + 1));
             for i in 0..t.nxl {
                 u[t.idx(z, i as isize, t.nyl as isize)] = ghost[i];
@@ -311,7 +296,6 @@ fn residual_norm(
             }
         }
     });
-    *work += units;
     layer.allreduce_sum(&[acc])[0].sqrt()
 }
 

@@ -66,13 +66,7 @@ fn halo(layer: &impl CommLayer, s: &mut Slab) {
     let plane = n * n;
     let p = layer.size();
     if p == 1 {
-        // Periodic wrap within the local slab.
-        let (top, bottom) = (s.nzl, 1);
-        let top_plane = s.u[gi(n, top, 0, 0)..gi(n, top, 0, 0) + plane].to_vec();
-        let bot_plane = s.u[gi(n, bottom, 0, 0)..gi(n, bottom, 0, 0) + plane].to_vec();
-        s.u[0..plane].copy_from_slice(&top_plane);
-        let hi = gi(n, s.nzl + 1, 0, 0);
-        s.u[hi..hi + plane].copy_from_slice(&bot_plane);
+        wrap_ghosts(s);
         return;
     }
     let me = layer.rank();
@@ -89,66 +83,68 @@ fn halo(layer: &impl CommLayer, s: &mut Slab) {
     s.u[hi..hi + plane].copy_from_slice(&to_f64s(&from_up));
 }
 
-/// One damped-Jacobi sweep: `u += ω (v − A u)/6` with `A = −∇²`
-/// (7-point, periodic x/y in-plane, z via ghosts).
-fn smooth(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel, work: &mut u64) {
-    halo(layer, u);
+/// One damped-Jacobi sweep `u += ω (v − A u)/6` with `A = −∇²`
+/// (7-point, periodic x/y in-plane, z via `u`'s ghost planes, which the
+/// caller has filled).
+fn jacobi_sweep(u: &mut Slab, v: &Slab) {
     let n = u.n;
     let mut new = u.u.clone();
-    let units = (u.nzl * n * n * 10) as u64;
-    model.charge_with(layer, units, &mut || {
-        for z in 1..=u.nzl {
-            for y in 0..n {
-                let (yp, ym) = ((y + 1) % n, (y + n - 1) % n);
-                for x in 0..n {
-                    let (xp, xm) = ((x + 1) % n, (x + n - 1) % n);
-                    let nb = u.u[gi(n, z + 1, y, x)]
-                        + u.u[gi(n, z - 1, y, x)]
-                        + u.u[gi(n, z, yp, x)]
-                        + u.u[gi(n, z, ym, x)]
-                        + u.u[gi(n, z, y, xp)]
-                        + u.u[gi(n, z, y, xm)];
-                    let au = 6.0 * u.u[gi(n, z, y, x)] - nb;
-                    let r = v.u[gi(n, z, y, x)] - au;
-                    new[gi(n, z, y, x)] = u.u[gi(n, z, y, x)] + OMEGA * r / 6.0;
-                }
+    for z in 1..=u.nzl {
+        for y in 0..n {
+            let (yp, ym) = ((y + 1) % n, (y + n - 1) % n);
+            for x in 0..n {
+                let (xp, xm) = ((x + 1) % n, (x + n - 1) % n);
+                let nb = u.u[gi(n, z + 1, y, x)]
+                    + u.u[gi(n, z - 1, y, x)]
+                    + u.u[gi(n, z, yp, x)]
+                    + u.u[gi(n, z, ym, x)]
+                    + u.u[gi(n, z, y, xp)]
+                    + u.u[gi(n, z, y, xm)];
+                let au = 6.0 * u.u[gi(n, z, y, x)] - nb;
+                new[gi(n, z, y, x)] =
+                    u.u[gi(n, z, y, x)] + OMEGA * (v.u[gi(n, z, y, x)] - au) / 6.0;
             }
         }
-    });
+    }
     u.u = new;
-    *work += units;
 }
 
-/// Residual `r = v − A u` (interior planes only).
-fn residual(
-    layer: &impl CommLayer,
-    u: &mut Slab,
-    v: &Slab,
-    model: &ComputeModel,
-    work: &mut u64,
-) -> Slab {
-    halo(layer, u);
+/// Residual `r = v − A u` on the interior planes, `u`'s ghost planes
+/// filled.
+fn residual_into(u: &Slab, v: &Slab, r: &mut Slab) {
     let n = u.n;
-    let mut r = Slab::zeros(n, u.nzl);
-    let units = (u.nzl * n * n * 9) as u64;
-    model.charge_with(layer, units, &mut || {
-        for z in 1..=u.nzl {
-            for y in 0..n {
-                let (yp, ym) = ((y + 1) % n, (y + n - 1) % n);
-                for x in 0..n {
-                    let (xp, xm) = ((x + 1) % n, (x + n - 1) % n);
-                    let nb = u.u[gi(n, z + 1, y, x)]
-                        + u.u[gi(n, z - 1, y, x)]
-                        + u.u[gi(n, z, yp, x)]
-                        + u.u[gi(n, z, ym, x)]
-                        + u.u[gi(n, z, y, xp)]
-                        + u.u[gi(n, z, y, xm)];
-                    r.u[gi(n, z, y, x)] = v.u[gi(n, z, y, x)] - (6.0 * u.u[gi(n, z, y, x)] - nb);
-                }
+    for z in 1..=u.nzl {
+        for y in 0..n {
+            let (yp, ym) = ((y + 1) % n, (y + n - 1) % n);
+            for x in 0..n {
+                let (xp, xm) = ((x + 1) % n, (x + n - 1) % n);
+                let nb = u.u[gi(n, z + 1, y, x)]
+                    + u.u[gi(n, z - 1, y, x)]
+                    + u.u[gi(n, z, yp, x)]
+                    + u.u[gi(n, z, ym, x)]
+                    + u.u[gi(n, z, y, xp)]
+                    + u.u[gi(n, z, y, xm)];
+                r.u[gi(n, z, y, x)] = v.u[gi(n, z, y, x)] - (6.0 * u.u[gi(n, z, y, x)] - nb);
             }
         }
-    });
-    *work += units;
+    }
+}
+
+/// One distributed damped-Jacobi sweep: halo exchange, then the charged
+/// [`jacobi_sweep`].
+fn smooth(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel) {
+    halo(layer, u);
+    let units = (u.nzl * u.n * u.n * 10) as u64;
+    model.charge_with(layer, units, &mut || jacobi_sweep(u, v));
+}
+
+/// Distributed residual `v − A u`: halo exchange, then the charged
+/// [`residual_into`].
+fn residual(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel) -> Slab {
+    halo(layer, u);
+    let mut r = Slab::zeros(u.n, u.nzl);
+    let units = (u.nzl * u.n * u.n * 9) as u64;
+    model.charge_with(layer, units, &mut || residual_into(u, v, &mut r));
     r
 }
 
@@ -203,148 +199,78 @@ fn prolong_add(u: &mut Slab, e: &Slab) {
 }
 
 /// Distributed V-cycle. Coarsens while each rank keeps ≥2 planes; below
-/// that, gathers the grid and recurses replicated (p = 1 semantics via
-/// the same code path on a conceptually-serial slab).
-fn vcycle(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel, work: &mut u64) {
+/// that, gathers the grid and solves it replicated ([`serial_vcycle`]).
+fn vcycle(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel) {
     let n = u.n;
     if n <= 4 {
         for _ in 0..10 {
-            smooth(layer, u, v, model, work);
+            smooth(layer, u, v, model);
         }
         return;
     }
     for _ in 0..2 {
-        smooth(layer, u, v, model, work);
+        smooth(layer, u, v, model);
     }
-    let mut r = residual(layer, u, v, model, work);
+    let mut r = residual(layer, u, v, model);
 
     if u.nzl >= 4 || (layer.size() > 1 && u.nzl >= 2) {
         halo(layer, &mut r);
         let rc = restrict(&r);
         let mut e = Slab::zeros(rc.n, rc.nzl);
         if rc.nzl >= 1 && (rc.nzl >= 2 || layer.size() == 1) {
-            vcycle(layer, &mut e, &rc, model, work);
+            vcycle(layer, &mut e, &rc, model);
         } else {
-            // Too thin to keep distributed: gather and solve replicated.
-            let interior: Vec<f64> = (1..=rc.nzl)
-                .flat_map(|z| r_interior_plane(&rc, z))
-                .collect();
-            let all = to_f64s(&layer.allgather(f64s(&interior)));
-            let nzc_total = rc.n; // full cube
-            let mut full_v = Slab::zeros(rc.n, nzc_total);
-            full_v.u[rc.n * rc.n..(nzc_total + 1) * rc.n * rc.n].copy_from_slice(&all);
-            let mut full_e = Slab::zeros(rc.n, nzc_total);
-            serial_vcycle(&mut full_e, &full_v, layer, model, work);
-            // Extract my planes of the correction.
+            // Too thin to keep distributed: gather the interior planes
+            // into the full cube and solve it replicated.
+            let plane = rc.n * rc.n;
+            let mine = plane..(rc.nzl + 1) * plane;
+            let all = to_f64s(&layer.allgather(f64s(&rc.u[mine.clone()])));
+            let mut full_v = Slab::zeros(rc.n, rc.n);
+            full_v.u[plane..(rc.n + 1) * plane].copy_from_slice(&all);
+            let mut full_e = Slab::zeros(rc.n, rc.n);
+            serial_vcycle(&mut full_e, &full_v, layer, model);
+            // Keep my planes of the correction.
             let z0 = layer.rank() * rc.nzl;
-            for z in 1..=rc.nzl {
-                let src = gi(rc.n, z0 + z, 0, 0);
-                let dst = gi(rc.n, z, 0, 0);
-                let plane = rc.n * rc.n;
-                e.u[dst..dst + plane].copy_from_slice(&full_e.u[src..src + plane]);
-            }
+            e.u[mine].copy_from_slice(&full_e.u[(z0 + 1) * plane..(z0 + rc.nzl + 1) * plane]);
         }
         prolong_add(u, &e);
     }
     for _ in 0..2 {
-        smooth(layer, u, v, model, work);
+        smooth(layer, u, v, model);
     }
 }
 
-fn r_interior_plane(s: &Slab, z: usize) -> Vec<f64> {
-    let plane = s.n * s.n;
-    s.u[gi(s.n, z, 0, 0)..gi(s.n, z, 0, 0) + plane].to_vec()
-}
-
-/// Replicated serial V-cycle: identical on every rank, no communication
-/// except the compute charge.
-fn serial_vcycle(
-    u: &mut Slab,
-    v: &Slab,
-    layer: &impl CommLayer,
-    model: &ComputeModel,
-    work: &mut u64,
-) {
-    // A slab with nzl == n behaves as the full cube under p=1 halo
-    // semantics; reuse the distributed code through a tiny shim layer is
-    // not possible (layer.size() > 1), so smooth with explicit periodic
-    // wrap here.
+/// Replicated serial V-cycle over the whole cube (`nzl == n`): identical
+/// on every rank, no communication. Only the pre-smoothing is charged;
+/// the residual and post-smoothing run free (DESIGN.md §3.6).
+fn serial_vcycle(u: &mut Slab, v: &Slab, layer: &impl CommLayer, model: &ComputeModel) {
     let n = u.n;
     let sweeps = if n <= 4 { 10 } else { 4 };
-    for _ in 0..sweeps {
-        wrap_ghosts(u);
-        let mut new = u.u.clone();
-        for z in 1..=u.nzl {
-            for y in 0..n {
-                let (yp, ym) = ((y + 1) % n, (y + n - 1) % n);
-                for x in 0..n {
-                    let (xp, xm) = ((x + 1) % n, (x + n - 1) % n);
-                    let nb = u.u[gi(n, z + 1, y, x)]
-                        + u.u[gi(n, z - 1, y, x)]
-                        + u.u[gi(n, z, yp, x)]
-                        + u.u[gi(n, z, ym, x)]
-                        + u.u[gi(n, z, y, xp)]
-                        + u.u[gi(n, z, y, xm)];
-                    let au = 6.0 * u.u[gi(n, z, y, x)] - nb;
-                    new[gi(n, z, y, x)] =
-                        u.u[gi(n, z, y, x)] + OMEGA * (v.u[gi(n, z, y, x)] - au) / 6.0;
-                }
-            }
-        }
-        u.u = new;
-    }
     let units = (sweeps * u.nzl * n * n * 10) as u64;
-    model.charge(layer, units);
-    *work += units;
+    model.charge_with(layer, units, &mut || {
+        for _ in 0..sweeps {
+            wrap_ghosts(u);
+            jacobi_sweep(u, v);
+        }
+    });
     if n > 4 {
         wrap_ghosts(u);
-        // residual
         let mut r = Slab::zeros(n, u.nzl);
-        for z in 1..=u.nzl {
-            for y in 0..n {
-                let (yp, ym) = ((y + 1) % n, (y + n - 1) % n);
-                for x in 0..n {
-                    let (xp, xm) = ((x + 1) % n, (x + n - 1) % n);
-                    let nb = u.u[gi(n, z + 1, y, x)]
-                        + u.u[gi(n, z - 1, y, x)]
-                        + u.u[gi(n, z, yp, x)]
-                        + u.u[gi(n, z, ym, x)]
-                        + u.u[gi(n, z, y, xp)]
-                        + u.u[gi(n, z, y, xm)];
-                    r.u[gi(n, z, y, x)] = v.u[gi(n, z, y, x)] - (6.0 * u.u[gi(n, z, y, x)] - nb);
-                }
-            }
-        }
+        residual_into(u, v, &mut r);
         wrap_ghosts(&mut r);
         let rc = restrict(&r);
         let mut e = Slab::zeros(rc.n, rc.nzl);
-        serial_vcycle(&mut e, &rc, layer, model, work);
+        serial_vcycle(&mut e, &rc, layer, model);
         prolong_add(u, &e);
         for _ in 0..2 {
             wrap_ghosts(u);
-            let mut new = u.u.clone();
-            for z in 1..=u.nzl {
-                for y in 0..n {
-                    let (yp, ym) = ((y + 1) % n, (y + n - 1) % n);
-                    for x in 0..n {
-                        let (xp, xm) = ((x + 1) % n, (x + n - 1) % n);
-                        let nb = u.u[gi(n, z + 1, y, x)]
-                            + u.u[gi(n, z - 1, y, x)]
-                            + u.u[gi(n, z, yp, x)]
-                            + u.u[gi(n, z, ym, x)]
-                            + u.u[gi(n, z, y, xp)]
-                            + u.u[gi(n, z, y, xm)];
-                        let au = 6.0 * u.u[gi(n, z, y, x)] - nb;
-                        new[gi(n, z, y, x)] =
-                            u.u[gi(n, z, y, x)] + OMEGA * (v.u[gi(n, z, y, x)] - au) / 6.0;
-                    }
-                }
-            }
-            u.u = new;
+            jacobi_sweep(u, v);
         }
     }
 }
 
+/// Fill the ghost planes with the periodic wrap of the slab's own
+/// planes (the whole z extent lives here).
 fn wrap_ghosts(s: &mut Slab) {
     let n = s.n;
     let plane = n * n;
@@ -373,7 +299,6 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     let nzl = p.n / size;
     assert!(nzl >= 1);
     let model = ComputeModel::calibrated(Kernel::MG);
-    let mut work = 0u64;
 
     // RHS with the global mean removed (periodic compatibility).
     let mut v = Slab::zeros(p.n, nzl);
@@ -400,21 +325,20 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
 
     let mut u = Slab::zeros(p.n, nzl);
     let r0 = {
-        let r = residual(layer, &mut u, &v, &model, &mut work);
+        let r = residual(layer, &mut u, &v, &model);
         norm(layer, &r)
     };
     for _ in 0..p.cycles {
-        vcycle(layer, &mut u, &v, &model, &mut work);
+        vcycle(layer, &mut u, &v, &model);
     }
     let rfin = {
-        let r = residual(layer, &mut u, &v, &model, &mut work);
+        let r = residual(layer, &mut u, &v, &model);
         norm(layer, &r)
     };
 
     KernelReport {
         verified: rfin < 0.3 * r0 && rfin.is_finite(),
         checksum: rfin,
-        work_units: work,
     }
 }
 

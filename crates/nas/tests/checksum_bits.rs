@@ -39,8 +39,8 @@ fn run(kernel: Kernel, class: Class, ranks: usize) -> (KernelReport, u64) {
             Kernel::IS => is::run(&l, class),
         }
     });
-    let end_ns = out.end_time.as_nanos();
-    (out.results.into_iter().next().expect("rank 0 reports"), end_ns)
+    let rep = out.results.into_iter().next().expect("rank 0 reports");
+    (rep, out.end_time.as_nanos())
 }
 
 /// One pin: kernel, ranks, checksum bits, end time in virtual ns.

@@ -855,6 +855,81 @@ fn pub_items_have_callers() {
     );
 }
 
+/// Every `pub` field of a `pub struct` in `crates/*/src` is read as
+/// `.field` somewhere: in non-test code of `crates/*/src`, `src`,
+/// `examples` or `benchmark/src`, or in an integration test. A field
+/// that is only ever written (`.field = …` or a struct literal) records
+/// nothing anyone looks at, so it goes with everything that feeds it.
+#[test]
+fn pub_fields_are_read() {
+    let defining = crate_sources();
+    let mut reading = defining.clone();
+    for dir in ["src", "examples", "benchmark/src"] {
+        reading.extend(rust_files(dir));
+    }
+    let mut tests = rust_files("tests");
+    for entry in std::fs::read_dir(repo("crates")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if repo(&format!("crates/{name}/tests")).is_dir() {
+            tests.extend(rust_files(&format!("crates/{name}/tests")));
+        }
+    }
+    let mut lines = non_test_lines(&reading);
+    lines.extend(code_lines(&tests));
+    // `.name` not followed by a plain `=`: a read (a method call of the
+    // same name also counts; the match is textual).
+    let mut read = BTreeSet::new();
+    for (_, _, line) in &lines {
+        for (at, _) in line.match_indices('.') {
+            let rest = &line[at + 1..];
+            let end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let after = rest[end..].trim_start();
+            let assigned = after.starts_with('=') && !after.starts_with("==");
+            if end > 0 && !assigned {
+                read.insert(&rest[..end]);
+            }
+        }
+    }
+
+    let mut fields = 0;
+    let mut unread = Vec::new();
+    let defs = non_test_lines(&defining);
+    let mut body: Option<(&str, String)> = None;
+    for (file, n, line) in &defs {
+        if let Some((name, close)) = &body {
+            if line == close {
+                body = None;
+            } else if let Some(field) = line.trim().strip_prefix("pub ") {
+                let Some((field, _)) = field.split_once(':') else {
+                    continue;
+                };
+                fields += 1;
+                if !read.contains(field) {
+                    unread.push(format!("{file}:{n}: {name}::{field}"));
+                }
+            }
+            continue;
+        }
+        if let Some(head) = line.trim().strip_prefix("pub struct ") {
+            if head.ends_with('{') {
+                let name = idents(head)[0];
+                let indent = &line[..line.len() - line.trim_start().len()];
+                body = Some((name, format!("{indent}}}")));
+            }
+        }
+    }
+    assert!(
+        fields > 250,
+        "only {fields} `pub` fields found: is the scan blind?"
+    );
+    assert!(
+        unread.is_empty(),
+        "`pub` fields nothing reads (delete them and what feeds them): {unread:#?}"
+    );
+}
+
 /// Every line of `files`, comments included, as `(file, line number,
 /// line)`: for names that must not appear even in a doc comment.
 fn all_lines(files: &[PathBuf]) -> Vec<(String, usize, String)> {
