@@ -11,7 +11,10 @@
 //!
 //! The eight-block steps (`keystream8_begin`, `round8`, `finish8_xor`)
 //! are crate-visible so GCM's stitched kernel can issue GHASH multiplies
-//! between the rounds; `ctr_xor` is the same steps back to back.
+//! between the rounds; `ctr_xor` is the same steps back to back. Both
+//! read a source and write a destination, block by block, each block
+//! loaded before it is stored: the destination may be the source, lie
+//! apart from it, or lie below it in the same buffer.
 //!
 //! Round keys come from the portable [`KeySchedule`]; both engines are
 //! verified against the FIPS-197 vectors and against [`super::SoftAes`].
@@ -164,55 +167,68 @@ impl AesNiPipelined {
         }
     }
 
-    /// Last round, then XOR the eight keystream blocks into 128 bytes.
+    /// Last round, then XOR the eight keystream blocks into the 128
+    /// bytes at `src`, storing them at `dst`: each block is loaded
+    /// before it is stored.
     ///
     /// # Safety
-    /// `data` must be valid for reads and writes of 128 bytes (no
-    /// alignment required).
+    /// `src` must be valid for reads and `dst` for writes of 128 bytes
+    /// (no alignment required). `dst` is `src`, lies apart from it, or
+    /// lies below it: a store then only overwrites source bytes already
+    /// loaded.
     #[inline]
     #[target_feature(enable = "aes")]
-    pub(crate) unsafe fn finish8_xor(&self, blocks: [__m128i; LANES], data: *mut u8) {
+    pub(crate) unsafe fn finish8_xor(
+        &self,
+        blocks: [__m128i; LANES],
+        src: *const u8,
+        dst: *mut u8,
+    ) {
         let klast = self.keys.rk[self.keys.nr];
         for (i, b) in blocks.into_iter().enumerate() {
-            let p = data.add(16 * i) as *mut __m128i;
             let ks = _mm_aesenclast_si128(b, klast);
-            _mm_storeu_si128(p, _mm_xor_si128(ks, _mm_loadu_si128(p)));
+            let x = _mm_loadu_si128(src.add(16 * i) as *const __m128i);
+            _mm_storeu_si128(dst.add(16 * i) as *mut __m128i, _mm_xor_si128(ks, x));
         }
     }
 
-    /// XOR `buf` with the keystream starting at `ctr` (byte-reversed, see
-    /// [`counter_lanes`]) and leave `ctr` at the next unused block.
+    /// XOR the `len` bytes at `src` with the keystream starting at `ctr`
+    /// (byte-reversed, see [`counter_lanes`]), store them at `dst`, and
+    /// leave `ctr` at the next unused block.
+    ///
+    /// # Safety
+    /// As [`finish8_xor`](Self::finish8_xor), for `len` bytes.
     #[target_feature(enable = "aes", enable = "ssse3")]
-    pub(crate) fn ctr_xor(&self, ctr: &mut __m128i, buf: &mut [u8]) {
-        let mut groups = buf.chunks_exact_mut(16 * LANES);
-        for g in &mut groups {
+    pub(crate) unsafe fn ctr_xor(
+        &self,
+        ctr: &mut __m128i,
+        src: *const u8,
+        dst: *mut u8,
+        len: usize,
+    ) {
+        let full = len - len % (16 * LANES);
+        for off in (0..full).step_by(16 * LANES) {
             let mut blocks = self.keystream8_begin(ctr);
             for r in 1..self.keys.nr {
                 self.round8(&mut blocks, r);
             }
-            // SAFETY: `g` is exactly 128 bytes long.
-            unsafe { self.finish8_xor(blocks, g.as_mut_ptr()) };
+            self.finish8_xor(blocks, src.add(off), dst.add(off));
         }
         let mut next_block = || {
             let ks = encrypt1(&self.keys, byte_reverse(*ctr));
             *ctr = _mm_add_epi32(*ctr, _mm_set_epi32(0, 0, 0, 1));
             ks
         };
-        let mut whole = groups.into_remainder().chunks_exact_mut(16);
-        for b in &mut whole {
-            let ks = next_block();
-            let p = b.as_mut_ptr() as *mut __m128i;
-            // SAFETY: `b` is exactly 16 bytes long.
-            unsafe { _mm_storeu_si128(p, _mm_xor_si128(ks, _mm_loadu_si128(p))) };
+        let whole = len - len % 16;
+        for off in (full..whole).step_by(16) {
+            let x = _mm_loadu_si128(src.add(off) as *const __m128i);
+            _mm_storeu_si128(dst.add(off) as *mut __m128i, _mm_xor_si128(next_block(), x));
         }
-        let rem = whole.into_remainder();
-        if !rem.is_empty() {
-            let ks = next_block();
+        if whole < len {
             let mut ksb = [0u8; 16];
-            // SAFETY: storing 16 bytes into a 16-byte array.
-            unsafe { _mm_storeu_si128(ksb.as_mut_ptr() as *mut __m128i, ks) };
-            for (dst, k) in rem.iter_mut().zip(ksb.iter()) {
-                *dst ^= k;
+            _mm_storeu_si128(ksb.as_mut_ptr() as *mut __m128i, next_block());
+            for (i, k) in (whole..len).zip(ksb) {
+                *dst.add(i) = *src.add(i) ^ k;
             }
         }
     }
@@ -224,8 +240,10 @@ impl BlockEncrypt for AesNiPipelined {
     }
 
     fn ctr_apply(&self, counter_block: &[u8; 16], buf: &mut [u8]) {
-        // SAFETY: constructor verified the `aes` and `ssse3` features.
-        unsafe { self.ctr_xor(&mut counter_lanes(counter_block), buf) }
+        let p = buf.as_mut_ptr();
+        // SAFETY: constructor verified the `aes` and `ssse3` features;
+        // in place over `buf`.
+        unsafe { self.ctr_xor(&mut counter_lanes(counter_block), p, p, buf.len()) }
     }
 }
 

@@ -10,19 +10,41 @@
 //! | CryptoPP (gcc build) | software T-tables | Shoup 4-bit tables |
 //!
 //! The OpenSSL/BoringSSL pair does not run as two engines but as one
-//! **stitched kernel** (`stitched` below): a single pass over the buffer in
+//! **stitched kernel** (`stitched` below): a single pass over the data in
 //! which, per 128-byte group, the GHASH multiplies of eight ciphertext
 //! blocks issue between the AES rounds of eight counter blocks. Sealing
 //! hashes the group it wrote one step earlier; opening hashes the group
-//! it is about to decrypt, so a forged record is only known to be forged
-//! after it has been decrypted — `open_detached` then re-applies the
-//! keystream and hands the ciphertext back untouched, as the two-pass
-//! path (verify, then decrypt) does by construction. Every other pair
+//! it is about to decrypt.
+//!
+//! Like BoringSSL's `EVP_AEAD_CTX_seal`, the kernel reads a source and
+//! writes a destination, so a record is written where it will travel and
+//! never copied first. One body serves three forms of the same call:
+//!
+//! * in place ([`AesGcm::seal_detached`], [`AesGcm::open_detached`]):
+//!   destination and source are one buffer;
+//! * apart ([`AesGcm::seal_to`], [`AesGcm::open_to`]): the destination
+//!   is another, possibly uninitialised, buffer;
+//! * to the front ([`AesGcm::open_to_front`], opening only): the
+//!   plaintext lands below its ciphertext in the same buffer, which
+//!   strips a record's framing without a second pass.
+//!
+//! Each block is loaded before it is stored and every group is hashed
+//! before it is overwritten, which is what makes the three forms one.
+//! A forged record is only known to be forged after it has been
+//! decrypted, so a failed open undoes what it wrote: in place, it
+//! re-applies the keystream and hands the ciphertext back untouched, as
+//! the two-pass path (verify, then decrypt) does by construction; apart,
+//! it zeroes the destination; to the front, it restores the ciphertext
+//! and zeroes the bytes below it. The source of an open that fails is
+//! always left as it was. Every other engine pair copies first and then
 //! runs the generic two passes: they model the slower libraries and
 //! serve as the differential oracle for the kernel.
 //!
 //! Only 96-bit nonces are supported (the only length the paper — and
 //! every sane protocol — uses); each ciphertext carries a 128-bit tag.
+
+use std::mem::MaybeUninit;
+use std::ptr;
 
 use crate::aes::{inc32, BlockEncrypt, SoftAes};
 use crate::ct::ct_eq;
@@ -118,14 +140,14 @@ enum GhashEngine {
 
 /// GHASH blocks of one record: AAD + data + the final length block.
 #[inline]
-fn ghash_blocks(aad: &[u8], data: &[u8]) -> u64 {
-    (aad.len().div_ceil(16) + data.len().div_ceil(16) + 1) as u64
+fn ghash_blocks(aad_len: usize, data_len: usize) -> u64 {
+    (aad_len.div_ceil(16) + data_len.div_ceil(16) + 1) as u64
 }
 
 impl GhashEngine {
     #[inline]
     fn ghash(&self, aad: &[u8], data: &[u8]) -> [u8; 16] {
-        let blocks = ghash_blocks(aad, data);
+        let blocks = ghash_blocks(aad.len(), data.len());
         match self {
             GhashEngine::Soft(g) => {
                 counters::add_ghash_blocks_soft(blocks);
@@ -242,13 +264,24 @@ impl AesGcm {
 
     /// Encrypt `buf` in place and return the authentication tag.
     pub fn seal_detached(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], buf: &mut [u8]) -> [u8; 16] {
-        let (j0, ctr1) = Self::counter_blocks(nonce);
-        #[cfg(target_arch = "x86_64")]
-        if let Some((aes, ghash)) = self.stitched_pair() {
-            return self.mask(&j0, stitched_counted(aes, ghash, false, &ctr1, aad, buf));
-        }
-        self.aes.ctr_apply(&ctr1, buf);
-        self.mask(&j0, self.ghash.ghash(aad, buf))
+        // SAFETY: one exclusive buffer, read and written in place.
+        unsafe { self.seal_io(nonce, aad, Io::in_place(buf)) }
+    }
+
+    /// Encrypt `src` into `dst` and return the authentication tag.
+    /// Every byte of `dst` is written.
+    ///
+    /// # Panics
+    /// If `dst` is not exactly as long as `src`.
+    pub fn seal_to(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        src: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+    ) -> [u8; 16] {
+        // SAFETY: a shared and an exclusive borrow never overlap.
+        unsafe { self.seal_io(nonce, aad, Io::apart(src, dst)) }
     }
 
     /// Verify `tag` over the ciphertext in `buf` and decrypt in place.
@@ -262,111 +295,285 @@ impl AesGcm {
         buf: &mut [u8],
         tag: &[u8; TAG_LEN],
     ) -> Result<()> {
+        // SAFETY: as in `seal_detached`.
+        unsafe { self.open_io(nonce, aad, Io::in_place(buf), tag) }
+    }
+
+    /// Verify `tag` over the ciphertext `src` and decrypt it into `dst`.
+    /// Every byte of `dst` is written: on failure it is all zeros, and
+    /// [`Error::AuthFailure`] is returned.
+    ///
+    /// # Panics
+    /// If `dst` is not exactly as long as `src`.
+    pub fn open_to(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        src: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<()> {
+        // SAFETY: as in `seal_to`.
+        unsafe { self.open_io(nonce, aad, Io::apart(src, dst), tag) }
+    }
+
+    /// Verify `tag` over the ciphertext `buf[at..]` and decrypt it into
+    /// the front of the buffer, `buf[..buf.len() - at]`. On failure the
+    /// ciphertext is left as it was, what the open wrote below it is
+    /// zeroed, and [`Error::AuthFailure`] is returned.
+    ///
+    /// # Panics
+    /// If `at > buf.len()`.
+    pub fn open_to_front(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut [u8],
+        at: usize,
+        tag: &[u8; TAG_LEN],
+    ) -> Result<()> {
+        // SAFETY: one exclusive buffer, written at or below what is read.
+        unsafe { self.open_io(nonce, aad, Io::to_front(buf, at), tag) }
+    }
+
+    /// The one seal behind the three forms.
+    ///
+    /// # Safety
+    /// `io` upholds [`Io`]'s contract.
+    unsafe fn seal_io(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], io: Io) -> [u8; 16] {
         let (j0, ctr1) = Self::counter_blocks(nonce);
         #[cfg(target_arch = "x86_64")]
         if let Some((aes, ghash)) = self.stitched_pair() {
-            let expect = self.mask(&j0, stitched_counted(aes, ghash, true, &ctr1, aad, buf));
+            return self.mask(&j0, stitched_counted(aes, ghash, false, &ctr1, aad, io));
+        }
+        let buf = io.copied();
+        self.aes.ctr_apply(&ctr1, buf);
+        self.mask(&j0, self.ghash.ghash(aad, buf))
+    }
+
+    /// The one open behind the three forms, with the failed-open
+    /// contract of each ([`Io::undo`], [`Io::clear_spill`]).
+    ///
+    /// # Safety
+    /// As [`Self::seal_io`].
+    unsafe fn open_io(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        io: Io,
+        tag: &[u8; TAG_LEN],
+    ) -> Result<()> {
+        let (j0, ctr1) = Self::counter_blocks(nonce);
+        #[cfg(target_arch = "x86_64")]
+        if let Some((aes, ghash)) = self.stitched_pair() {
+            let expect = self.mask(&j0, stitched_counted(aes, ghash, true, &ctr1, aad, io));
             if ct_eq(&expect, tag) {
                 return Ok(());
             }
             // The kernel decrypted while it hashed. CTR is an involution:
-            // the same keystream turns the buffer back into the ciphertext
-            // the caller passed in. Not counted — the engine counters
-            // report the blocks of the record, as the two-pass path does.
-            aes.ctr_apply(&ctr1, buf);
+            // the same keystream turns the plaintext back into the
+            // ciphertext. Not counted — the engine counters report the
+            // blocks of the record, as the two-pass path does.
+            io.undo(|buf| aes.ctr_apply(&ctr1, buf));
             return Err(Error::AuthFailure);
         }
-        let expect = self.mask(&j0, self.ghash.ghash(aad, buf));
+        let expect = self.mask(&j0, self.ghash.ghash(aad, io.src()));
         if !ct_eq(&expect, tag) {
+            io.clear_spill();
             return Err(Error::AuthFailure);
         }
-        self.aes.ctr_apply(&ctr1, buf);
+        self.aes.ctr_apply(&ctr1, io.copied());
         Ok(())
     }
 
     /// Encrypt `plaintext`, returning `ciphertext ‖ tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        let tag = self.seal_detached(nonce, aad, &mut out);
+        let dst = &mut out.spare_capacity_mut()[..plaintext.len()];
+        let tag = self.seal_to(nonce, aad, plaintext, dst);
+        // SAFETY: `seal_to` wrote every byte of the first `len`.
+        unsafe { out.set_len(plaintext.len()) };
         out.extend_from_slice(&tag);
         out
     }
 
     /// Decrypt `ciphertext ‖ tag`, returning the plaintext.
     pub fn open(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ct_and_tag: &[u8]) -> Result<Vec<u8>> {
-        if ct_and_tag.len() < TAG_LEN {
-            return Err(Error::CiphertextTooShort {
+        let (ct, tag) = ct_and_tag
+            .split_last_chunk()
+            .ok_or(Error::CiphertextTooShort {
                 got: ct_and_tag.len(),
-            });
+            })?;
+        let mut out = Vec::with_capacity(ct.len());
+        self.open_to(nonce, aad, ct, &mut out.spare_capacity_mut()[..ct.len()], tag)?;
+        // SAFETY: the open succeeded and wrote every byte.
+        unsafe { out.set_len(ct.len()) };
+        Ok(out)
+    }
+}
+
+/// Where one seal or open reads and writes: `len` bytes at `src`, stored
+/// to `dst`. `dst` is `src` (in place), lies wholly apart from it, or
+/// lies below it in the same buffer (to the front): each block is
+/// loaded before it is stored, and a store at or below its own load
+/// never overwrites a byte not yet read.
+///
+/// A private view: its constructors take the borrows, and it must not
+/// outlive them.
+#[derive(Clone, Copy)]
+struct Io {
+    src: *const u8,
+    dst: *mut u8,
+    len: usize,
+}
+
+impl Io {
+    fn in_place(buf: &mut [u8]) -> Io {
+        let p = buf.as_mut_ptr();
+        Io { src: p, dst: p, len: buf.len() }
+    }
+
+    fn apart(src: &[u8], dst: &mut [MaybeUninit<u8>]) -> Io {
+        assert_eq!(src.len(), dst.len(), "destination length");
+        Io { src: src.as_ptr(), dst: dst.as_mut_ptr().cast(), len: src.len() }
+    }
+
+    fn to_front(buf: &mut [u8], at: usize) -> Io {
+        let len = buf.len().checked_sub(at).expect("the ciphertext lies inside the buffer");
+        let p = buf.as_mut_ptr();
+        // `p + at` is in bounds: `at <= buf.len()`.
+        Io { src: p.wrapping_add(at), dst: p, len }
+    }
+
+    /// The bytes of `dst` below `src` that are not `src`'s: none in
+    /// place, all of them apart.
+    fn spill(&self) -> usize {
+        let (src, dst) = (self.src as usize, self.dst as usize);
+        if dst <= src {
+            (src - dst).min(self.len)
+        } else {
+            self.len
         }
-        let split = ct_and_tag.len() - TAG_LEN;
-        let mut buf = ct_and_tag[..split].to_vec();
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&ct_and_tag[split..]);
-        self.open_detached(nonce, aad, &mut buf, &tag)?;
-        Ok(buf)
+    }
+
+    /// The source bytes.
+    ///
+    /// # Safety
+    /// The borrows behind `self` are alive and nothing writes `dst`
+    /// while the slice is used.
+    unsafe fn src<'a>(&self) -> &'a [u8] {
+        std::slice::from_raw_parts(self.src, self.len)
+    }
+
+    /// The destination, holding a copy of the source: the first pass of
+    /// the two-pass engine pairs.
+    ///
+    /// # Safety
+    /// As [`Io::src`]; the source is not read through `self` again.
+    unsafe fn copied<'a>(&self) -> &'a mut [u8] {
+        if self.src != self.dst.cast_const() {
+            ptr::copy(self.src, self.dst, self.len);
+        }
+        std::slice::from_raw_parts_mut(self.dst, self.len)
+    }
+
+    /// After a failed open that wrote nothing: zero the destination's
+    /// bytes that are not the source's.
+    ///
+    /// # Safety
+    /// As [`Io::src`].
+    unsafe fn clear_spill(&self) {
+        ptr::write_bytes(self.dst, 0, self.spill())
+    }
+
+    /// After a failed open that wrote plaintext: hand the source back as
+    /// it was — `reencrypt` turns the destination back into ciphertext,
+    /// which moves back over the source where the two overlap — and
+    /// zero the destination's other bytes.
+    ///
+    /// # Safety
+    /// As [`Io::src`].
+    unsafe fn undo(&self, reencrypt: impl FnOnce(&mut [u8])) {
+        if self.spill() < self.len {
+            // Overlapping: in place or to the front, two views of one
+            // exclusive buffer, so the source may be written.
+            reencrypt(std::slice::from_raw_parts_mut(self.dst, self.len));
+            ptr::copy(self.dst, self.src.cast_mut(), self.len);
+        }
+        self.clear_spill();
     }
 }
 
 /// [`stitched`] with the engine block counters of the two passes it
 /// replaces: ⌈len/16⌉ pipelined AES blocks, AAD + data + 1 GHASH blocks.
+///
+/// # Safety
+/// `io` upholds [`Io`]'s contract.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn stitched_counted(
+unsafe fn stitched_counted(
     aes: &AesNiPipelined,
     ghash: &GhashClmul,
     open: bool,
     ctr1: &[u8; 16],
     aad: &[u8],
-    buf: &mut [u8],
+    io: Io,
 ) -> [u8; 16] {
-    counters::add_aes_blocks_pipelined(buf.len().div_ceil(16) as u64);
-    counters::add_ghash_blocks_clmul(ghash_blocks(aad, buf));
+    counters::add_aes_blocks_pipelined(io.len.div_ceil(16) as u64);
+    counters::add_ghash_blocks_clmul(ghash_blocks(aad.len(), io.len));
     // SAFETY: both engines' constructors verified `aes`, `pclmulqdq`
-    // and `ssse3`.
-    unsafe { stitched(aes, ghash, open, ctr1, aad, buf) }
+    // and `ssse3`; the caller vouches for `io`.
+    unsafe { stitched(aes, ghash, open, ctr1, aad, io) }
 }
 
-/// The one-pass AES-GCM kernel: CTR-crypt `buf` in place from counter
-/// block `ctr1` and return GHASH(aad, ciphertext), touching the data once.
+/// The one-pass AES-GCM kernel: CTR-crypt `io`'s source into its
+/// destination from counter block `ctr1` and return GHASH(aad,
+/// ciphertext), touching the data once.
 ///
 /// Full 128-byte groups go through [`stitched_group`]. Opening hashes
-/// each group in the step that decrypts it. Sealing cannot hash a group
-/// before it is written, so it runs one group behind: the first group is
-/// only encrypted, every later step encrypts group *g* while hashing the
-/// ciphertext of group *g − 1* (still in L1), and the last group is
-/// hashed with the tail. The tail (< 128 bytes) and the AAD take the
-/// engines' own block-at-a-time paths.
+/// each source group in the step that decrypts it, before the step's
+/// stores. Sealing cannot hash a group before it is written, so it runs
+/// one group behind: the first group is only encrypted, every later step
+/// encrypts group *g* while hashing the ciphertext of group *g − 1* (in
+/// the destination, still in L1), and the last group is hashed with the
+/// tail. The tail (< 128 bytes) and the AAD take the engines' own
+/// block-at-a-time paths.
+///
+/// # Safety
+/// `io` upholds [`Io`]'s contract.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "aes", enable = "pclmulqdq", enable = "ssse3")]
-fn stitched(
+unsafe fn stitched(
     aes: &AesNiPipelined,
     ghash: &GhashClmul,
     open: bool,
     ctr1: &[u8; 16],
     aad: &[u8],
-    buf: &mut [u8],
+    io: Io,
 ) -> [u8; 16] {
+    let Io { src, dst, len } = io;
     let mut y = ghash.absorb(_mm_setzero_si128(), aad);
     let mut ctr = counter_lanes(ctr1);
-    let full = buf.len() - buf.len() % GROUP_BYTES;
+    let full = len - len % GROUP_BYTES;
     let lag = if open { 0 } else { GROUP_BYTES.min(full) };
-    aes.ctr_xor(&mut ctr, &mut buf[..lag]);
-    let p = buf.as_mut_ptr();
-    for off in (lag..full).step_by(GROUP_BYTES) {
-        // SAFETY: `off + GROUP_BYTES <= full <= buf.len()` and
-        // `lag <= off`, so both 128-byte windows lie inside `buf`.
-        y = unsafe { stitched_group(aes, ghash, &mut ctr, y, p.add(off - lag), p.add(off)) };
+    // SAFETY: every window below lies inside `..len` of `src` and `dst`
+    // (`lag <= off`, `off + GROUP_BYTES <= full <= len`), and each is
+    // read from the source before the same step stores it.
+    unsafe {
+        aes.ctr_xor(&mut ctr, src, dst, lag);
+        for off in (lag..full).step_by(GROUP_BYTES) {
+            let hash = if open { src.add(off) } else { dst.add(off - lag) };
+            y = stitched_group(aes, ghash, &mut ctr, y, hash, src.add(off), dst.add(off));
+        }
+        if open {
+            y = ghash.absorb(y, std::slice::from_raw_parts(src.add(full), len - full));
+            aes.ctr_xor(&mut ctr, src.add(full), dst.add(full), len - full);
+        } else {
+            aes.ctr_xor(&mut ctr, src.add(full), dst.add(full), len - full);
+            y = ghash.absorb(y, std::slice::from_raw_parts(dst.add(full - lag), len - full + lag));
+        }
     }
-    if open {
-        y = ghash.absorb(y, &buf[full..]);
-        aes.ctr_xor(&mut ctr, &mut buf[full..]);
-    } else {
-        aes.ctr_xor(&mut ctr, &mut buf[full..]);
-        y = ghash.absorb(y, &buf[full - lag..]);
-    }
-    ghash.finish(y, aad.len(), buf.len())
+    ghash.finish(y, aad.len(), len)
 }
 
 // One stitched step is one AES pipeline fill and one GHASH group.
@@ -374,16 +581,17 @@ fn stitched(
 const _: () = assert!(crate::aes::LANES == GROUP_BLOCKS);
 
 /// One step of the stitched kernel: XOR the keystream of counters
-/// `ctr`…`ctr+7` into the 128 bytes at `data` and fold the eight blocks
-/// at `hash` into `y` — (y ⊕ X₀)·H⁸ ⊕ X₁·H⁷ ⊕ … ⊕ X₇·H, reduced once.
-/// AES rounds 1–8 each carry one block's carry-less multiplies in their
-/// shadow: `aesenc` and `pclmulqdq` issue on different ports and neither
-/// chain waits on the other.
+/// `ctr`…`ctr+7` into the 128 bytes at `src`, store them at `dst`, and
+/// fold the eight blocks at `hash` into `y` — (y ⊕ X₀)·H⁸ ⊕ X₁·H⁷ ⊕ … ⊕
+/// X₇·H, reduced once. AES rounds 1–8 each carry one block's carry-less
+/// multiplies in their shadow: `aesenc` and `pclmulqdq` issue on
+/// different ports and neither chain waits on the other.
 ///
 /// # Safety
-/// `hash` must be valid for reads of 128 bytes and `data` for reads and
-/// writes of 128 bytes; the windows may coincide (opening) but `hash`
-/// must not lie partly inside `data`. No alignment is required.
+/// `hash` and `src` must be valid for reads of 128 bytes, `dst` for
+/// writes of 128 bytes, with `dst` placed as [`Io`] says; `hash` is
+/// read before `dst` is stored, and must not lie partly inside `dst`.
+/// No alignment is required.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "aes", enable = "pclmulqdq", enable = "ssse3")]
@@ -393,7 +601,8 @@ unsafe fn stitched_group(
     ctr: &mut __m128i,
     y: __m128i,
     hash: *const u8,
-    data: *mut u8,
+    src: *const u8,
+    dst: *mut u8,
 ) -> __m128i {
     let mut blocks = aes.keystream8_begin(ctr);
     let mut acc = Product::of(_mm_xor_si128(y, load_block(hash)), ghash.power(GROUP_BLOCKS));
@@ -406,7 +615,7 @@ unsafe fn stitched_group(
     for r in GROUP_BLOCKS + 1..aes.rounds() {
         aes.round8(&mut blocks, r);
     }
-    aes.finish8_xor(blocks, data);
+    aes.finish8_xor(blocks, src, dst);
     acc.reduce()
 }
 
@@ -719,11 +928,11 @@ mod tests {
 
             let mut buf = pt.clone();
             // SAFETY: hardware_acceleration_available() checked above.
-            let s = unsafe { stitched(&aes, &ghash, false, &ctr, aad, &mut buf) };
+            let s = unsafe { stitched(&aes, &ghash, false, &ctr, aad, Io::in_place(&mut buf)) };
             assert_eq!(buf, expect_ct, "seal, wrap after {blocks_before_wrap} blocks");
             assert_eq!(s, expect_s, "seal hash, wrap after {blocks_before_wrap} blocks");
             // SAFETY: as above.
-            let s = unsafe { stitched(&aes, &ghash, true, &ctr, aad, &mut buf) };
+            let s = unsafe { stitched(&aes, &ghash, true, &ctr, aad, Io::in_place(&mut buf)) };
             assert_eq!(buf, pt, "open, wrap after {blocks_before_wrap} blocks");
             assert_eq!(s, expect_s, "open hash, wrap after {blocks_before_wrap} blocks");
         }

@@ -19,9 +19,11 @@
 //!   128-bit tags, associated data, constant-time tag verification.
 //!   The pipelined-AES × PCLMUL pair (the OpenSSL/BoringSSL profiles and
 //!   `AesGcm::new`) runs as one **stitched kernel**: a single pass over
-//!   the data with the GHASH multiplies issued between the AES rounds.
-//!   Opening decrypts while it hashes and, if the tag then fails,
-//!   re-applies the keystream so the caller gets its ciphertext back.
+//!   the data with the GHASH multiplies issued between the AES rounds,
+//!   from a source to a destination — in place, into a second buffer, or
+//!   (opening) to the front of the ciphertext's own buffer. Opening
+//!   decrypts while it hashes and, if the tag then fails, undoes what it
+//!   wrote so the caller gets its ciphertext back.
 //! * Classical modes — [`ecb`], [`cbc`], [`ctr`] — and a big-key one-time
 //!   pad ([`otp`]) used to *demonstrate* the insecurity of the prior
 //!   encrypted-MPI systems surveyed in §II of the paper. These are

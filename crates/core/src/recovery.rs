@@ -19,8 +19,8 @@
 //! [`SalvageResult::Opaque`] and the receiver falls back to a
 //! whole-message NACK.
 //!
-//! The frame itself — [`FrameHeader`], its decode, the in-place chunk
-//! open and [`undo_chunk_nonce`] — is `empi_pipeline::frame`'s; this
+//! The frame itself — [`FrameHeader`], its decode, the chunk open and
+//! [`undo_chunk_nonce`] — is `empi_pipeline::frame`'s; this
 //! module only adds the lenient policy on top: majority vote, a nonce
 //! re-derived from the voted base, and `MAX_SALVAGE_CHUNKS`.
 

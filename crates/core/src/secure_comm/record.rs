@@ -1,6 +1,7 @@
-//! The record layer: Algorithm 1 as exactly one in-place seal and one
-//! in-place open, the chunked (pipelined) framing over the same keys,
-//! and the single payload funnel every receive path decrypts through.
+//! The record layer: Algorithm 1 as exactly one seal and one open, each
+//! one pass from where the bytes are to where they go, the chunked
+//! (pipelined) framing over the same keys, and the single payload
+//! funnel every receive path decrypts through.
 //!
 //! Both wire formats are written and read elsewhere: the plain record
 //! by `empi_keys::record`, the chunk frame by `empi_pipeline::frame`.
@@ -11,6 +12,7 @@
 use std::cell::Cell;
 
 use bytes::Bytes;
+use empi_aead::AesGcm;
 use empi_keys::record::{seal_into, Record};
 use empi_keys::KeyError;
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage, RecvPayload};
@@ -103,24 +105,22 @@ impl SecureComm<'_, '_> {
         })
     }
 
-    /// The one open: authenticate and decrypt `view`'s ciphertext in
-    /// place, wherever the caller placed it
-    /// ([`Record::open_in_place`]), charged and sampled. On failure
-    /// `body` is left untouched (still ciphertext).
-    pub(super) fn open_record(
+    /// The one open: authenticate and decrypt `view`'s ciphertext with
+    /// `open` — into a caller's place ([`Record::open_into`]) or to the
+    /// front of its own wire buffer ([`Record::open_front`]) —
+    /// charged and sampled.
+    fn open_record(
         &self,
         view: &RecordView,
         op: &'static str,
-        body: &mut [u8],
+        open: impl FnOnce(&Record, &AesGcm) -> empi_aead::Result<()>,
     ) -> Result<()> {
         // The sample is recorded on failure too: `count_open` already
         // counted the attempt, and conservation tracks attempts, not
         // successes.
         let sample = Some((Metric::Open, op, view.peer));
-        self.run_crypto(body.len(), "open", sample, || {
-            view.rec
-                .open_in_place(&view.key.ctx.cipher, body)
-                .map_err(Error::Crypto)
+        self.run_crypto(view.rec.body.len(), "open", sample, || {
+            open(&view.rec, &view.key.ctx.cipher).map_err(Error::Crypto)
         })
     }
 
@@ -128,28 +128,39 @@ impl SecureComm<'_, '_> {
     pub(super) fn open_to_vec(&self, src: Option<usize>, wire: &[u8]) -> Result<Vec<u8>> {
         let view = self.parse_record(src, wire)?;
         self.note_alloc(true, view.rec.body.len(), "open plaintext");
-        let mut plain = wire[view.rec.body.clone()].to_vec();
-        self.open_record(&view, "open/plain", &mut plain)?;
+        let mut plain = Vec::with_capacity(view.rec.body.len());
+        self.open_onto(&view, "open/plain", wire, &mut plain)?;
         Ok(plain)
     }
 
     /// Open one collective block from `src`, appending the plaintext
     /// directly onto `out` — the gather loops decrypt into their result
-    /// buffer. `out` is restored to its prior length on failure.
+    /// buffer. `out` keeps its prior length on failure.
     pub(super) fn open_append(&self, src: usize, wire: &[u8], out: &mut Vec<u8>) -> Result<()> {
         let view = self.parse_record(Some(src), wire)?;
-        let start = out.len();
-        out.extend_from_slice(&wire[view.rec.body.clone()]);
-        let r = self.open_record(&view, "open/coll", &mut out[start..]);
-        if r.is_err() {
-            out.truncate(start);
-        }
-        r
+        self.open_onto(&view, "open/coll", wire, out)
+    }
+
+    /// Open `view`, parsed from `wire`, straight onto the end of `out`.
+    fn open_onto(
+        &self,
+        view: &RecordView,
+        op: &'static str,
+        wire: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let (start, len) = (out.len(), view.rec.body.len());
+        out.reserve(len);
+        let dst = &mut out.spare_capacity_mut()[..len];
+        self.open_record(view, op, |rec, cipher| rec.open_into(cipher, wire, dst))?;
+        // SAFETY: the open succeeded and wrote every byte of `dst`.
+        unsafe { out.set_len(start + len) };
+        Ok(())
     }
 
     /// Open one *owned* p2p wire buffer. When we are the unique owner
-    /// the record is decrypted where it arrived and the wire buffer
-    /// becomes the plaintext `Vec` (zero copies, zero allocations); a
+    /// the record opens to the front of the buffer it arrived in, which
+    /// becomes the plaintext `Vec` (one pass, no allocation); a
     /// still-shared buffer is opened into a fresh one.
     fn open_owned(&self, src: usize, wire: Bytes) -> Result<Vec<u8>> {
         let mut v = match wire.try_into_vec() {
@@ -157,11 +168,8 @@ impl SecureComm<'_, '_> {
             Err(shared) => return self.open_to_vec(Some(src), &shared),
         };
         let view = self.parse_record(Some(src), &v)?;
-        let body = view.rec.body.clone();
-        self.open_record(&view, "open/plain", &mut v[body.clone()])?;
-        // Strip the framing in place (one memmove, no allocation).
-        v.truncate(body.end);
-        v.drain(..body.start);
+        self.open_record(&view, "open/plain", |rec, cipher| rec.open_front(cipher, &mut v))?;
+        v.truncate(view.rec.body.len());
         Ok(v)
     }
 

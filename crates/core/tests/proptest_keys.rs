@@ -73,12 +73,13 @@ fn seal(c: &AesGcm, epoch: u64, nonce: [u8; NONCE_LEN], pt: &[u8]) -> Vec<u8> {
     wire
 }
 
-/// Parse and open `wire` as the secure layer does.
+/// Parse and open an owned `wire` buffer as the secure layer does.
 fn open(c: &AesGcm, wire: &[u8], epoch_qualified: bool) -> Result<Vec<u8>, empi_aead::Error> {
     let rec = Record::parse(wire, epoch_qualified).expect("a record");
-    let mut body = wire[rec.body.clone()].to_vec();
-    rec.open_in_place(c, &mut body)?;
-    Ok(body)
+    let mut buf = wire.to_vec();
+    rec.open_front(c, &mut buf)?;
+    buf.truncate(rec.body.len());
+    Ok(buf)
 }
 
 /// `(key, nonce)` of every record in one received payload. The key is

@@ -24,7 +24,8 @@
 //!   the skew), plus revocation that re-keys the surviving group.
 //! * [`record`] — the plain record, written and read only there: the
 //!   one seal ([`record::seal_into`]), the one total parser
-//!   ([`record::Record::parse`]) and the one open, in place. With the
+//!   ([`record::Record::parse`]) and the one open, into a caller's place
+//!   or to the front of the record's own wire buffer. With the
 //!   key plane on, plain records grow an authenticated 8-byte epoch
 //!   prefix; chunked messages carry the epoch in the (AAD-bound) top
 //!   bits of their message id. Epoch splices, stale replays, and

@@ -12,10 +12,14 @@
 //! AAD.
 //!
 //! [`seal_into`] writes a record, [`Record::parse`] locates one in its
-//! wire bytes and [`Record::open_in_place`] authenticates and decrypts
-//! it wherever the caller put the ciphertext; [`overhead`] is what a
-//! record adds to its plaintext.
+//! wire bytes, and [`Record::open_into`] or [`Record::open_front`]
+//! authenticates and decrypts it; [`overhead`] is what a record adds to
+//! its plaintext. Each is one pass of the AES-GCM kernel from where the
+//! bytes are to where they go: the plaintext is sealed straight into
+//! the record, and the ciphertext opens into the caller's place or to
+//! the front of its own wire buffer, never copied first.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 use empi_aead::{AesGcm, Error as AeadError, NONCE_LEN, TAG_LEN, WIRE_OVERHEAD};
@@ -35,9 +39,9 @@ fn epoch_aad(prefix: &Option<[u8; EPOCH_PREFIX_LEN]>) -> &[u8] {
 }
 
 /// The one seal: append the record of `plaintext` — `[epoch ‖] nonce ‖
-/// ct ‖ tag`, AAD = the epoch prefix — onto `out`, copying `plaintext`
-/// once into its wire position and encrypting it there. `epoch: None`
-/// writes the legacy prefix-free format.
+/// ct ‖ tag`, AAD = the epoch prefix — onto `out`, encrypting
+/// `plaintext` straight into its wire position. `epoch: None` writes the
+/// legacy prefix-free format.
 pub fn seal_into(
     cipher: &AesGcm,
     epoch: Option<u64>,
@@ -49,9 +53,12 @@ pub fn seal_into(
     let aad = epoch_aad(&prefix);
     out.extend_from_slice(aad);
     out.extend_from_slice(nonce);
+    out.reserve(plaintext.len() + TAG_LEN);
     let body = out.len();
-    out.extend_from_slice(plaintext);
-    let tag = cipher.seal_detached(nonce, aad, &mut out[body..]);
+    let ct = &mut out.spare_capacity_mut()[..plaintext.len()];
+    let tag = cipher.seal_to(nonce, aad, plaintext, ct);
+    // SAFETY: `seal_to` wrote every byte of the ciphertext.
+    unsafe { out.set_len(body + plaintext.len()) };
     out.extend_from_slice(&tag);
 }
 
@@ -86,13 +93,29 @@ impl Record {
         })
     }
 
-    /// The one open: authenticate `body` — this record's ciphertext,
-    /// wherever the caller placed it — under `cipher` and the epoch
-    /// prefix as AAD, then decrypt it in place. On failure `body` is
-    /// left untouched (still ciphertext).
-    pub fn open_in_place(&self, cipher: &AesGcm, body: &mut [u8]) -> Result<(), AeadError> {
+    /// The one open, into a place of the caller's: authenticate this
+    /// record's ciphertext in `wire`, the bytes it was parsed from, under
+    /// `cipher` and the epoch prefix as AAD, and decrypt it into `dst`,
+    /// which holds exactly `body.len()` bytes. Every byte of `dst` is
+    /// written; on failure they are zeros.
+    pub fn open_into(
+        &self,
+        cipher: &AesGcm,
+        wire: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+    ) -> Result<(), AeadError> {
         let prefix = self.epoch.map(u64::to_be_bytes);
-        cipher.open_detached(&self.nonce, epoch_aad(&prefix), body, &self.tag)
+        let ct = &wire[self.body.clone()];
+        cipher.open_to(&self.nonce, epoch_aad(&prefix), ct, dst, &self.tag)
+    }
+
+    /// The same open to the front of `wire` itself: the plaintext lands
+    /// in `wire[..body.len()]`, over the framing, so the caller only
+    /// truncates. On failure the ciphertext is left where it was.
+    pub fn open_front(&self, cipher: &AesGcm, wire: &mut [u8]) -> Result<(), AeadError> {
+        let prefix = self.epoch.map(u64::to_be_bytes);
+        let buf = &mut wire[..self.body.end];
+        cipher.open_to_front(&self.nonce, epoch_aad(&prefix), buf, self.body.start, &self.tag)
     }
 }
 
@@ -145,12 +168,20 @@ mod tests {
         wire
     }
 
-    /// Parse and open `wire` as the record layer does.
+    /// Parse and open `wire` as the record layer opens an owned wire
+    /// buffer, checking that the open into a separate place agrees.
     fn open(c: &AesGcm, wire: &[u8], epoch_qualified: bool) -> Result<Vec<u8>, AeadError> {
         let rec = Record::parse(wire, epoch_qualified).expect("a record");
-        let mut body = wire[rec.body.clone()].to_vec();
-        rec.open_in_place(c, &mut body)?;
-        Ok(body)
+        let mut apart = Vec::with_capacity(rec.body.len());
+        let r = rec.open_into(c, wire, &mut apart.spare_capacity_mut()[..rec.body.len()]);
+        let mut front = wire.to_vec();
+        assert_eq!(rec.open_front(c, &mut front), r, "the two opens disagree");
+        r?;
+        front.truncate(rec.body.len());
+        // SAFETY: the open succeeded and wrote every byte.
+        unsafe { apart.set_len(rec.body.len()) };
+        assert_eq!(apart, front, "the two opens disagree");
+        Ok(front)
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!
 //! Real host work (crypto, kernel arithmetic) leaves the token in one
 //! way: [`SimHandle::charge_overlapped`] charges a *known* model cost
-//! `d`, then runs the closure **detached** — the rank's clock moves to
-//! `now + d` and the token is released first, so tenures with smaller
-//! keys proceed on another carrier while the closure runs. Because the
+//! `d`, then, whenever a rank with a smaller key than its next one is
+//! ready, runs the closure **detached** — the rank's clock moves to
+//! `now + d` and the token is released first, so those tenures proceed
+//! on another carrier while the closure runs. Because the
 //! closure performs no simulation-state operations and the rank's next
 //! tenure keeps exactly the key it would have had serially, the tenure
 //! sequence — and therefore every virtual time, wire byte, and trace
@@ -417,15 +418,23 @@ impl Shared {
         s.heap.push(Reverse((c, rank)));
     }
 
-    /// Pop the `Ready` rank with the minimum `(clock, rank)`, dropping
-    /// stale entries on the way.
-    fn pop_ready(&self, s: &mut Sched) -> Option<usize> {
-        while let Some(Reverse((c, r))) = s.heap.pop() {
+    /// The minimum `(clock, rank)` key of a `Ready` rank, dropping
+    /// stale entries off the top of the run queue on the way.
+    fn min_ready(&self, s: &mut Sched) -> Option<(u64, usize)> {
+        while let Some(&Reverse((c, r))) = s.heap.peek() {
             if s.ranks[r].status == Status::Ready && self.clocks[r].load(Ordering::Relaxed) == c {
-                return Some(r);
+                return Some((c, r));
             }
+            s.heap.pop();
         }
         None
+    }
+
+    /// Pop the `Ready` rank with the minimum `(clock, rank)`.
+    fn pop_ready(&self, s: &mut Sched) -> Option<usize> {
+        let (_, r) = self.min_ready(s)?;
+        s.heap.pop();
+        Some(r)
     }
 
     /// Record a fatal condition. The first one wins and lists every
@@ -839,12 +848,13 @@ impl Engine {
         }
     }
 
-    /// Run rank code on `s` host threads (carriers), so that up to
-    /// `s - 1` detached closures ([`SimHandle::charge_overlapped`]) or
-    /// fork-join helpers ([`SimHandle::par_each`]) overlap the token
-    /// holder. Clamped to `[1, n_ranks]`; one carrier is the calling
-    /// thread alone. Virtual results are bit-identical for every `s`:
-    /// the carrier count changes wall-clock only.
+    /// Run rank code on `s` host threads (carriers), so that up to `s`
+    /// detached closures ([`SimHandle::charge_overlapped`]), or the
+    /// token holder and `s - 1` fork-join helpers
+    /// ([`SimHandle::par_each`]), run at once. Clamped to `[1, n_ranks]`;
+    /// one carrier is the calling thread alone. Virtual results are
+    /// bit-identical for every `s`: the carrier count changes wall-clock
+    /// only.
     pub fn shards(mut self, s: usize) -> Self {
         self.shards = s.max(1);
         self
@@ -1184,13 +1194,14 @@ impl SimHandle {
     /// work whose virtual cost is already known (a calibrated crypto
     /// curve, a kernel cost model) — overlapped with other ranks.
     ///
-    /// If a carrier is idle, the clock moves to `now + d` and the token
-    /// is released before `f` runs: the tenure goes to the idle carrier,
-    /// so tenures with keys below `(now + d, rank)` — exactly the ones
-    /// the serial schedule would run before this rank's next tenure —
-    /// proceed there while `f` runs on this one. If no carrier is idle,
-    /// this is `f()` followed by `advance(d)`; a one-carrier world never
-    /// has one, so there it is that without taking the scheduler lock.
+    /// If a `Ready` rank's key lies below `(now + d, rank)` — a tenure
+    /// the serial schedule would run before this rank's next one — the
+    /// clock moves to `now + d` and the token is released before `f`
+    /// runs: the grantee takes it on an idle carrier, or, with none
+    /// idle, on the first carrier whose own closure ends, while `f`
+    /// runs on this one. Otherwise the token would come straight back,
+    /// and this is `f()` followed by `advance(d)`; a one-carrier world
+    /// runs that without taking the scheduler lock.
     /// `f` MUST NOT touch simulation state (no sends, notifies, trace
     /// emission, or pool allocation; allocate before detaching): under
     /// that contract the tenure sequence, and with it every virtual
@@ -1202,19 +1213,21 @@ impl SimHandle {
             self.advance(d);
             return out;
         }
+        let next = self.clamped_target(self.now() + d);
         let mut s = sh.sched.lock();
-        if s.idle == 0 {
+        if sh.min_ready(&mut s).is_none_or(|k| k > (next.0, self.rank)) {
             drop(s);
             let out = f();
             self.advance(d);
             return out;
         }
-        self.set_clock(self.clamped_target(self.now() + d));
+        self.set_clock(next);
         sh.yields.fetch_add(1, Ordering::Relaxed);
         sh.mark_ready(&mut s, self.rank, "compute");
         s.running = None;
-        // The grantee's coroutine, if suspended, goes to an idle
-        // carrier; one that is aboard runs a detached closure of its own.
+        // The grantee's coroutine, if suspended, goes to an idle carrier
+        // or waits in `handed` for a busy one to `pick` it; one that is
+        // aboard runs a detached closure of its own.
         s.handed = sh.grant(&mut s).filter(|&r| !s.ranks[r].aboard);
         let hand = s.handed.is_some();
         drop(s);
@@ -1891,22 +1904,51 @@ mod shard_tests {
     #[test]
     fn charge_overlapped_is_bit_identical_across_shards() {
         let run = |s: usize| {
-            Engine::new(6)
-                .shards(s)
-                .run(|h| {
-                    let mut acc = 0u64;
-                    for i in 0..8 {
-                        acc = h.charge_overlapped(VDur::from_micros(i + 1), || {
-                            acc.wrapping_mul(31).wrapping_add(h.rank() as u64 + i)
-                        });
-                    }
-                    (h.now().as_nanos(), acc)
-                })
-                .results
+            let out = Engine::new(6).shards(s).run(|h| {
+                let mut acc = 0u64;
+                for i in 0..8 {
+                    acc = h.charge_overlapped(VDur::from_micros(i + 1), || {
+                        acc.wrapping_mul(31).wrapping_add(h.rank() as u64 + i)
+                    });
+                }
+                (h.now().as_nanos(), acc)
+            });
+            (out.results, out.yields, out.handoffs)
         };
         let base = run(1);
         assert_eq!(base, run(2));
         assert_eq!(base, run(4));
+    }
+
+    /// A charge detaches whenever a lower-key rank is ready, even with
+    /// every carrier busy: rank 0's closure holds one carrier until rank
+    /// 1's has started on the other, and rank 1's closure returns only
+    /// once rank 2 — whose key lies below rank 1's next one — has run a
+    /// tenure. Charging on the token would keep rank 2 out for good.
+    #[test]
+    fn a_charge_detaches_with_no_idle_carrier() {
+        let (charging, ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        let bounded_wait = |flag: &AtomicBool, what: &str| {
+            let t0 = Instant::now();
+            while !flag.load(Ordering::SeqCst) {
+                assert!(t0.elapsed().as_secs() < 5, "{what}");
+                std::thread::yield_now();
+            }
+        };
+        let out = Engine::new(3).shards(2).run(|h| match h.rank() {
+            0 => {
+                await_idle_carrier(h);
+                h.charge_overlapped(VDur::from_micros(1), || {
+                    bounded_wait(&charging, "rank 1 never charged");
+                });
+            }
+            1 => h.charge_overlapped(VDur::from_micros(1), || {
+                charging.store(true, Ordering::SeqCst);
+                bounded_wait(&ran, "rank 2 never ran while rank 1 charged");
+            }),
+            _ => ran.store(true, Ordering::SeqCst),
+        });
+        assert_eq!(out.end_time, VTime(1_000));
     }
 
     #[test]
@@ -2312,7 +2354,8 @@ mod handoff_tests {
     fn panic_with_parked_ranks_and_full_lanes_unwinds_every_rank() {
         // Both carriers ("lanes") are busy inside a charge_overlapped
         // closure when one of those closures panics: rank 1's runs
-        // detached, rank 2's on the token because no carrier is idle.
+        // detached, rank 2's on the token because, once the parked ranks
+        // have run, no ready rank's key lies below its next one.
         const N: usize = 64;
         struct Live<'a>(&'a AtomicUsize);
         impl Drop for Live<'_> {
@@ -2341,13 +2384,16 @@ mod handoff_tests {
                             }
                         })
                     }
-                    2 => h.charge_overlapped(VDur::from_micros(1), || {
-                        busy.fetch_add(1, Ordering::SeqCst);
-                        while busy.load(Ordering::SeqCst) < 2 {
-                            std::thread::yield_now();
-                        }
-                        panic!("boom with busy carriers");
-                    }),
+                    2 => {
+                        h.advance(VDur(1));
+                        h.charge_overlapped(VDur(1), || {
+                            busy.fetch_add(1, Ordering::SeqCst);
+                            while busy.load(Ordering::SeqCst) < 2 {
+                                std::thread::yield_now();
+                            }
+                            panic!("boom with busy carriers");
+                        })
+                    }
                     _ => h.block_on::<()>("parked", || None),
                 }
             })
@@ -2413,9 +2459,9 @@ mod handoff_tests {
                             std::thread::yield_now();
                         }
                         if holder_detaches {
-                            // Past the waiting ranks' clocks, with a
-                            // carrier idle at three carriers: the grant
-                            // would name rank 5 and hand it there.
+                            // Past the waiting ranks' clocks, so the
+                            // charge detaches: the grant would name
+                            // rank 5 and hand it on.
                             h.charge_overlapped(VDur::from_micros(1), || ());
                         }
                     }

@@ -25,6 +25,11 @@
 //! The retransmit layer's salvager (`empi-core`, `recovery.rs`) keeps
 //! its own lenient policy on top of [`FrameHeader::decode`] and
 //! [`FrameHeader::open_into`].
+//!
+//! Sealing and opening a chunk are each one pass of the AES-GCM kernel
+//! (`AesGcm::seal_to`, `AesGcm::open_to`): the plaintext is sealed from
+//! the caller's buffer straight into the frame, and a chunk's
+//! ciphertext opens straight into its place in the reassembled message.
 
 use std::mem::MaybeUninit;
 
@@ -158,9 +163,9 @@ impl FrameHeader {
     }
 
     /// The one chunk seal: write this chunk's whole frame
-    /// (`header ‖ nonce ‖ ct ‖ tag`) into `buf`, copying `plain` once
-    /// into its wire position and sealing it there in place. `buf` may
-    /// be a pooled or a fresh buffer; the bytes are identical either way.
+    /// (`header ‖ nonce ‖ ct ‖ tag`) into `buf`, sealing `plain` straight
+    /// into its wire position. `buf` may be a pooled or a fresh buffer;
+    /// the bytes are identical either way.
     pub(crate) fn seal_into(
         &self,
         cipher: &AesGcm,
@@ -173,16 +178,16 @@ impl FrameHeader {
         buf.reserve(FRAME_OVERHEAD + plain.len());
         buf.extend_from_slice(&aad);
         buf.extend_from_slice(&nonce);
-        buf.extend_from_slice(plain);
-        let ct = &mut buf[FRAME_HEADER_LEN + NONCE_LEN..];
-        let tag = cipher.seal_detached(&nonce, &aad, ct);
+        let ct = &mut buf.spare_capacity_mut()[..plain.len()];
+        let tag = cipher.seal_to(&nonce, &aad, plain, ct);
+        // SAFETY: `seal_to` wrote every byte of the ciphertext.
+        unsafe { buf.set_len(FRAME_HEADER_LEN + NONCE_LEN + plain.len()) };
         buf.extend_from_slice(&tag);
     }
 
     /// The one chunk open: authenticate `record` (`ct ‖ tag`) under this
-    /// header and `base`, appending its plaintext onto `out` (decrypted
-    /// in place there). On failure `out` is restored to its prior
-    /// length.
+    /// header and `base`, appending its plaintext onto `out`. On failure
+    /// `out` keeps its prior length.
     pub fn open_into(
         &self,
         cipher: &AesGcm,
@@ -190,19 +195,18 @@ impl FrameHeader {
         record: &[u8],
         out: &mut Vec<u8>,
     ) -> empi_aead::Result<()> {
-        let (ct, tag) = split_tag(record)?;
         let start = out.len();
-        out.extend_from_slice(ct);
-        let r = self.decrypt(cipher, base, &mut out[start..], tag);
-        if r.is_err() {
-            out.truncate(start);
-        }
-        r
+        let len = record.len().saturating_sub(TAG_LEN);
+        out.reserve(len);
+        self.open_at(cipher, base, record, &mut out.spare_capacity_mut()[..len])?;
+        // SAFETY: the open succeeded and wrote every byte of the chunk.
+        unsafe { out.set_len(start + len) };
+        Ok(())
     }
 
     /// The same open into a place of its own: `record`'s ciphertext is
-    /// copied into `dst`, which holds exactly that many bytes, and
-    /// decrypted there. Every byte of `dst` is written, opened or not.
+    /// decrypted into `dst`, which holds exactly that many bytes. Every
+    /// byte of `dst` is written: the plaintext, or zeros on failure.
     pub(crate) fn open_at(
         &self,
         cipher: &AesGcm,
@@ -211,18 +215,8 @@ impl FrameHeader {
         dst: &mut [MaybeUninit<u8>],
     ) -> empi_aead::Result<()> {
         let (ct, tag) = split_tag(record)?;
-        self.decrypt(cipher, base, dst.write_copy_of_slice(ct), tag)
-    }
-
-    fn decrypt(
-        &self,
-        cipher: &AesGcm,
-        base: &[u8; NONCE_LEN],
-        ct: &mut [u8],
-        tag: &[u8; TAG_LEN],
-    ) -> empi_aead::Result<()> {
         let nonce = derive_chunk_nonce(base, self.index);
-        cipher.open_detached(&nonce, &self.encode(), ct, tag)
+        cipher.open_to(&nonce, &self.encode(), ct, dst, tag)
     }
 }
 
@@ -569,8 +563,8 @@ mod tests {
         assert_eq!(out, msg);
     }
 
-    /// The in-place chunk seal is the raw cipher under the header as
-    /// AAD, and a bad tag leaves the buffer untouched.
+    /// The chunk seal is the raw cipher under the header as AAD, and a
+    /// bad tag leaves the buffer untouched.
     #[test]
     fn detached_chunk_api_is_bit_identical() {
         let c = cipher();
@@ -581,7 +575,7 @@ mod tests {
             let plain = &msg[chunk_range(msg.len(), 64, i)];
             let raw = c.seal(&derive_chunk_nonce(&BASE, i), &h.encode(), plain);
             assert_eq!(raw, chunks[i as usize], "chunk {i}");
-            // And back, in place.
+            // And back.
             let mut out = vec![0xEE];
             h.open_into(&c, &BASE, &chunks[i as usize], &mut out)
                 .unwrap();

@@ -342,10 +342,10 @@ impl Pipeline {
     ) -> Result<Vec<u8>, PipelineError> {
         let parsed = parse_frames(msg.frames.iter().map(|(at, f)| (*at, f.clone())))?;
         let h = comm.sim();
-        // One output allocation per message: each chunk's ciphertext is
-        // copied once into its final position and decrypted there in
-        // place (the buffer handed to the caller), instead of per-chunk
-        // plaintext Vecs re-copied into the result.
+        // One output allocation per message: each chunk opens from its
+        // frame straight into its final position (the buffer handed to
+        // the caller), instead of per-chunk plaintext Vecs re-copied
+        // into the result.
         let arrived = parsed.arrived_len();
         let mut out = Vec::with_capacity(arrived);
         if let Some(t) = h.recorder() {

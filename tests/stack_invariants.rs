@@ -1076,9 +1076,11 @@ fn the_engine_has_one_run_queue() {
     assert_eq!(heaps.len(), 1, "`BinaryHeap<` in the engine: {heaps:?}");
 }
 
-/// One GHASH reduction routine and one hardware tier: `pclmul.rs` has
-/// one `fn reduce` with one reduction body, and nothing detects a CPU
-/// feature beyond `aes`, `pclmulqdq` and `ssse3`.
+/// One GHASH reduction routine, one kernel body and one hardware tier:
+/// `pclmul.rs` has one `fn reduce` with one reduction body, `empi-aead`
+/// defines `fn stitched` once and steps a stitched group from it alone
+/// (the in-place and out-of-place forms are one body, not twins), and
+/// nothing detects a CPU feature beyond `aes`, `pclmulqdq` and `ssse3`.
 #[test]
 fn the_aead_kernel_has_one_reduction_and_one_tier() {
     let pclmul = code_lines(&[repo("crates/aead/src/ghash/pclmul.rs")]);
@@ -1086,6 +1088,22 @@ fn the_aead_kernel_has_one_reduction_and_one_tier() {
         let found = sites(&pclmul, needle);
         assert_eq!(found.len(), 1, "`{needle}` in pclmul.rs: {found:?}");
     }
+    let aead = code_lines(&rust_files("crates/aead/src"));
+    let kernels = sites(&aead, "fn stitched(");
+    assert_eq!(kernels.len(), 1, "`fn stitched(` in empi-aead: {kernels:?}");
+    // A call names the step itself, not an item that ends in its name.
+    let calls_step = |l: &str| {
+        l.match_indices("stitched_group(").any(|(at, _)| {
+            let before = l[..at].chars().next_back();
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_') && !l[..at].ends_with("fn ")
+        })
+    };
+    let steps: Vec<_> = aead
+        .iter()
+        .filter(|(_, _, l)| calls_step(l))
+        .map(|(f, n, _)| format!("{f}:{n}"))
+        .collect();
+    assert_eq!(steps.len(), 1, "`stitched_group(` call sites: {steps:?}");
     let detected: Vec<String> = code_lines(&rust_files("crates"))
         .into_iter()
         .filter(|(_, _, l)| l.contains("is_x86_feature_detected!"))
@@ -1227,10 +1245,11 @@ fn the_chunk_frame_is_written_once() {
 
 /// One plain record, written once: `empi_keys::record` is the only
 /// code that seals, parses or opens `[epoch ‖] nonce ‖ ct ‖ tag`, as
-/// `crates/pipeline/src/frame.rs` is for the chunk frame. Outside the
-/// AEAD crate and the bench's raw-cipher harnesses no other file calls
-/// the detached seal or open, and the epoch prefix length is known in
-/// one file.
+/// `crates/pipeline/src/frame.rs` is for the chunk frame. Both writers
+/// call the kernel's one-pass entry points, from where the bytes are to
+/// where they go; outside the AEAD crate and the bench's raw-cipher
+/// harnesses no other file calls those or the in-place detached seal
+/// and open, and the epoch prefix length is known in one file.
 #[test]
 fn the_plain_record_is_written_once() {
     const WRITERS: [&str; 2] = ["crates/keys/src/record.rs", "crates/pipeline/src/frame.rs"];
@@ -1250,9 +1269,16 @@ fn the_plain_record_is_written_once() {
         files.extend(rust_files(dir));
     }
     let code = code_lines(&files);
-    for call in [concat!("seal", "_detached("), concat!("open", "_detached(")] {
+    // The one-pass calls each writer must make, and the one only the
+    // plain record makes (its framing is stripped by opening over it).
+    let one_pass: [(&str, &[&str]); 3] = [
+        (concat!("seal", "_to("), &WRITERS),
+        (concat!("open", "_to("), &WRITERS),
+        (concat!("open", "_to_front("), &WRITERS[..1]),
+    ];
+    for (call, callers) in one_pass {
         let found = sites(&code, call);
-        for writer in WRITERS {
+        for writer in callers {
             assert!(
                 found.iter().any(|s| s.starts_with(writer)),
                 "`{call}` not found in {writer}: is the scan blind?"
@@ -1263,6 +1289,10 @@ fn the_plain_record_is_written_once() {
             .filter(|s| !WRITERS.iter().any(|w| s.starts_with(w)))
             .collect();
         assert!(stray.is_empty(), "`{call}` outside the record modules: {stray:?}");
+    }
+    for call in [concat!("seal", "_detached("), concat!("open", "_detached(")] {
+        let found = sites(&code, call);
+        assert!(found.is_empty(), "in-place `{call}` outside empi-aead: {found:?}");
     }
     let len = concat!("EPOCH_PREFIX", "_LEN");
     let prefix = sites(&code, len);
