@@ -257,72 +257,45 @@ impl<'l, L: CommLayer> FtState<'l, L> {
         });
     }
 
-    /// z-slab → y-slab transpose via alltoall.
-    fn transpose_to_y(&mut self, u: &[C64]) -> Vec<C64> {
-        let (nx, nz) = (self.p.nx, self.p.nz);
-        let p = self.size;
-        let block_elems = self.nz_local * self.ny_local * nx;
-        let mut send = vec![C64::default(); block_elems * p];
-        for dst in 0..p {
-            for z in 0..self.nz_local {
-                for yy in 0..self.ny_local {
-                    let y = dst * self.ny_local + yy;
-                    let so = dst * block_elems + (z * self.ny_local + yy) * nx;
-                    let io = self.zi(z, y, 0);
-                    send[so..so + nx].copy_from_slice(&u[io..io + nx]);
-                }
-            }
-        }
-        let recv = self.layer.alltoall(
-            empi_mpi::as_bytes(&send),
-            block_elems * std::mem::size_of::<C64>(),
-        );
-        let recv: Vec<C64> = empi_mpi::vec_from_bytes(&recv);
-        let mut out = vec![C64::default(); self.ny_local * nz * nx];
-        for src in 0..p {
-            for zz in 0..self.nz_local {
-                let z = src * self.nz_local + zz;
-                for yy in 0..self.ny_local {
-                    let so = src * block_elems + (zz * self.ny_local + yy) * nx;
-                    let oo = self.yi(yy, z, 0);
-                    out[oo..oo + nx].copy_from_slice(&recv[so..so + nx]);
-                }
-            }
-        }
-        out
+    /// Where row `(peer, zz, yy)` of a transpose's exchanged blocks sits
+    /// in the z-slab layout: local plane `zz`, the peer's `yy`-th row.
+    fn z_row(&self, peer: usize, zz: usize, yy: usize) -> usize {
+        self.zi(zz, peer * self.ny_local + yy, 0)
+    }
+    /// The same row in the y-slab layout: local row `yy`, the peer's
+    /// `zz`-th plane.
+    fn y_row(&self, peer: usize, zz: usize, yy: usize) -> usize {
+        self.yi(yy, peer * self.nz_local + zz, 0)
     }
 
-    /// y-slab → z-slab transpose (inverse of `transpose_to_y`).
-    fn transpose_to_z(&mut self, v: &[C64]) -> Vec<C64> {
-        let (nx, ny) = (self.p.nx, self.p.ny);
-        let p = self.size;
-        let block_elems = self.nz_local * self.ny_local * nx;
-        let mut send = vec![C64::default(); block_elems * p];
-        for dst in 0..p {
-            for yy in 0..self.ny_local {
-                for zz in 0..self.nz_local {
-                    let z = dst * self.nz_local + zz;
-                    let so = dst * block_elems + (zz * self.ny_local + yy) * nx;
-                    let io = self.yi(yy, z, 0);
-                    send[so..so + nx].copy_from_slice(&v[io..io + nx]);
-                }
-            }
+    /// Slab transpose via alltoall: the block for each peer holds rows
+    /// `(zz, yy)` of `nx` points, each read from `src` at `from` and
+    /// written to the result at `to`. `(z_row, y_row)` goes z-slab →
+    /// y-slab; swapping the maps goes back.
+    fn transpose(
+        &self,
+        src: &[C64],
+        from: fn(&Self, usize, usize, usize) -> usize,
+        to: fn(&Self, usize, usize, usize) -> usize,
+    ) -> Vec<C64> {
+        let (nx, nzl, nyl) = (self.p.nx, self.nz_local, self.ny_local);
+        let rows: Vec<(usize, usize, usize)> = (0..self.size)
+            .flat_map(|peer| (0..nzl).flat_map(move |zz| (0..nyl).map(move |yy| (peer, zz, yy))))
+            .collect();
+        let mut send = vec![C64::default(); rows.len() * nx];
+        for (row, &(peer, zz, yy)) in send.chunks_exact_mut(nx).zip(&rows) {
+            let at = from(self, peer, zz, yy);
+            row.copy_from_slice(&src[at..at + nx]);
         }
         let recv = self.layer.alltoall(
             empi_mpi::as_bytes(&send),
-            block_elems * std::mem::size_of::<C64>(),
+            nzl * nyl * nx * std::mem::size_of::<C64>(),
         );
         let recv: Vec<C64> = empi_mpi::vec_from_bytes(&recv);
-        let mut out = vec![C64::default(); self.nz_local * ny * nx];
-        for src in 0..p {
-            for zz in 0..self.nz_local {
-                for yy in 0..self.ny_local {
-                    let y = src * self.ny_local + yy;
-                    let so = src * block_elems + (zz * self.ny_local + yy) * nx;
-                    let oo = self.zi(zz, y, 0);
-                    out[oo..oo + nx].copy_from_slice(&recv[so..so + nx]);
-                }
-            }
+        let mut out = vec![C64::default(); send.len()];
+        for (row, &(peer, zz, yy)) in recv.chunks_exact(nx).zip(&rows) {
+            let at = to(self, peer, zz, yy);
+            out[at..at + nx].copy_from_slice(row);
         }
         out
     }
@@ -390,13 +363,13 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
     // Forward 3-D FFT.
     let mut work = u0.clone();
     st.fft_xy(&mut work, false);
-    let mut spec = st.transpose_to_y(&work);
+    let mut spec = st.transpose(&work, FtState::z_row, FtState::y_row);
     st.fft_z(&mut spec, false);
 
     // Round-trip verification.
     let mut back = spec.clone();
     st.fft_z(&mut back, true);
-    let mut back_z = st.transpose_to_z(&back);
+    let mut back_z = st.transpose(&back, FtState::y_row, FtState::z_row);
     st.fft_xy(&mut back_z, true);
     let mut err: f64 = 0.0;
     for (a, b) in back_z.iter().zip(u0.iter()) {
@@ -439,7 +412,7 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
         // Inverse transform back to a z-slab field.
         let mut v = spec.clone();
         st.fft_z(&mut v, true);
-        let mut w = st.transpose_to_z(&v);
+        let mut w = st.transpose(&v, FtState::y_row, FtState::z_row);
         st.fft_xy(&mut w, true);
 
         // NAS-style scattered checksum over 1024 global indices.

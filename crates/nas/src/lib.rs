@@ -124,7 +124,7 @@ impl ComputeModel {
         let ns_per_unit = match kernel {
             Kernel::CG => 2.4,
             Kernel::FT => 7.5,
-            Kernel::MG => 0.3,
+            Kernel::MG => 1.1,
             Kernel::LU => 19.0,
             Kernel::BT => 21.0,
             Kernel::SP => 62.0,

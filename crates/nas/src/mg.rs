@@ -1,13 +1,18 @@
 //! MG — multigrid V-cycle on a 3-D periodic Poisson problem (the NAS MG
 //! kernel's structure).
 //!
-//! The fine grid is distributed as z-slabs; every smoothing, residual,
-//! restriction and prolongation step performs a **halo exchange** of
-//! boundary planes with the two z-neighbours (point-to-point, medium
-//! messages — MG's signature traffic). Once a level becomes too coarse
-//! to partition (fewer than two planes per rank), the grid is
-//! **allgathered** and the remaining V-cycle runs replicated, like NAS
-//! MG's coarse-level gathering.
+//! Every level is distributed as z-slabs over the ranks that hold it: a
+//! level of `n` planes lives on every `s`-th rank, `s = max(1, ranks /
+//! n)`. Every smoothing and residual step performs a **halo exchange**
+//! of boundary planes with the holders at `±s` (point-to-point, medium
+//! messages — MG's signature traffic). A holder with two or more planes
+//! restricts and prolongs its own; holders with one plane pair up, and
+//! each restriction moves the upper one's residual plane down in one
+//! message and each prolongation moves the coarse correction back up in
+//! one; a rank that holds no plane of the coarser levels waits for that
+//! correction. Every level runs the same arithmetic on every rank
+//! count, so the answer moves only with the final norm's summation
+//! order, and every step of it is charged.
 
 use crate::layer::bytes::{f64s, to_f64s};
 use crate::{Class, CommLayer, ComputeModel, Kernel, KernelReport};
@@ -58,29 +63,47 @@ impl Slab {
             u: vec![0.0; (nzl + 2) * n * n],
         }
     }
+
+    /// The slab's own planes, without the ghosts.
+    fn interior(&self) -> &[f64] {
+        let plane = self.n * self.n;
+        &self.u[plane..(self.nzl + 1) * plane]
+    }
+
+    fn interior_mut(&mut self) -> &mut [f64] {
+        let plane = self.n * self.n;
+        &mut self.u[plane..(self.nzl + 1) * plane]
+    }
 }
 
-/// Exchange ghost planes with the periodic z-neighbours.
+/// Stride between the ranks that hold a level of `n` planes: every
+/// rank while there are at least as many planes as ranks, then every
+/// `ranks / n`-th rank, one plane each.
+fn stride(ranks: usize, n: usize) -> usize {
+    (ranks / n).max(1)
+}
+
+/// Fill the ghost planes from the periodic z-neighbours among the
+/// ranks that hold this level: the planes at `±stride`, or the slab's
+/// own far planes when one rank holds the whole level.
 fn halo(layer: &impl CommLayer, s: &mut Slab) {
-    let n = s.n;
-    let plane = n * n;
+    let plane = s.n * s.n;
+    let top = s.u[s.nzl * plane..(s.nzl + 1) * plane].to_vec();
+    let bottom = s.u[plane..2 * plane].to_vec();
     let p = layer.size();
-    if p == 1 {
-        wrap_ghosts(s);
-        return;
-    }
-    let me = layer.rank();
-    let up = (me + 1) % p;
-    let down = (me + p - 1) % p;
-    // Send my top plane up, receive my below-ghost from down.
-    let top = s.u[gi(n, s.nzl, 0, 0)..gi(n, s.nzl, 0, 0) + plane].to_vec();
-    let from_down = layer.sendrecv(f64s(&top), up, down, TAG);
-    s.u[0..plane].copy_from_slice(&to_f64s(&from_down));
-    // Send my bottom plane down, receive my above-ghost from up.
-    let bottom = s.u[gi(n, 1, 0, 0)..gi(n, 1, 0, 0) + plane].to_vec();
-    let from_up = layer.sendrecv(f64s(&bottom), down, up, TAG + 1);
-    let hi = gi(n, s.nzl + 1, 0, 0);
-    s.u[hi..hi + plane].copy_from_slice(&to_f64s(&from_up));
+    let step = stride(p, s.n);
+    let (below, above) = if step == p {
+        (top, bottom)
+    } else {
+        let me = layer.rank();
+        let (up, down) = ((me + step) % p, (me + p - step) % p);
+        // My top plane goes up and my bottom plane down.
+        let below = layer.sendrecv(f64s(&top), up, down, TAG);
+        let above = layer.sendrecv(f64s(&bottom), down, up, TAG + 1);
+        (to_f64s(&below), to_f64s(&above))
+    };
+    s.u[..plane].copy_from_slice(&below);
+    s.u[(s.nzl + 1) * plane..].copy_from_slice(&above);
 }
 
 /// One damped-Jacobi sweep `u += ω (v − A u)/6` with `A = −∇²`
@@ -148,14 +171,12 @@ fn residual(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel
     r
 }
 
-/// Box-average restriction to the next-coarser slab (z halves locally
-/// when the fine slab has an even plane count).
-fn restrict(fine: &Slab) -> Slab {
+/// Box-average restriction into the next-coarser slab: every two fine
+/// planes make one coarse plane. Reads interior planes only.
+fn restrict_into(fine: &Slab, coarse: &mut Slab) {
     let nf = fine.n;
-    let nc = nf / 2;
-    let nzl_c = fine.nzl / 2;
-    let mut coarse = Slab::zeros(nc, nzl_c);
-    for zc in 1..=nzl_c {
+    let nc = coarse.n;
+    for zc in 1..=coarse.nzl {
         let zf = 2 * zc - 1; // fine planes zf, zf+1
         for yc in 0..nc {
             for xc in 0..nc {
@@ -174,32 +195,27 @@ fn restrict(fine: &Slab) -> Slab {
             }
         }
     }
-    coarse
 }
 
-/// Piecewise-constant prolongation and correction: `u += P e`.
+/// Piecewise-constant prolongation and correction `u += P e`: fine
+/// plane `z` takes coarse plane `⌈z / 2⌉`, so the one plane of
+/// either rank of a pair takes the pair's coarse plane.
 fn prolong_add(u: &mut Slab, e: &Slab) {
-    let nf = u.n;
-    let nc = e.n;
-    for zc in 1..=e.nzl {
-        let zf = 2 * zc - 1;
-        for yc in 0..nc {
-            for xc in 0..nc {
-                let val = e.u[gi(nc, zc, yc, xc)];
-                for dz in 0..2 {
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            u.u[gi(nf, zf + dz, 2 * yc + dy, 2 * xc + dx)] += val;
-                        }
-                    }
-                }
+    let n = u.n;
+    for z in 1..=u.nzl {
+        for y in 0..n {
+            for x in 0..n {
+                u.u[gi(n, z, y, x)] += e.u[gi(e.n, z.div_ceil(2), y / 2, x / 2)];
             }
         }
     }
 }
 
-/// Distributed V-cycle. Coarsens while each rank keeps ≥2 planes; below
-/// that, gathers the grid and solves it replicated ([`serial_vcycle`]).
+/// One V-cycle on the ranks that hold `u`'s level: 2 pre-sweeps, the
+/// coarse-grid correction, 2 post-sweeps; 10 sweeps at n ≤ 4. A rank
+/// with two or more planes restricts its own; ranks with one plane
+/// pair up, and the upper one sends its residual plane to the lower
+/// one, which solves the coarse level and sends the correction back.
 fn vcycle(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel) {
     let n = u.n;
     if n <= 4 {
@@ -212,73 +228,37 @@ fn vcycle(layer: &impl CommLayer, u: &mut Slab, v: &Slab, model: &ComputeModel) 
         smooth(layer, u, v, model);
     }
     let mut r = residual(layer, u, v, model);
-
-    if u.nzl >= 4 || (layer.size() > 1 && u.nzl >= 2) {
-        halo(layer, &mut r);
-        let rc = restrict(&r);
-        let mut e = Slab::zeros(rc.n, rc.nzl);
-        if rc.nzl >= 1 && (rc.nzl >= 2 || layer.size() == 1) {
-            vcycle(layer, &mut e, &rc, model);
-        } else {
-            // Too thin to keep distributed: gather the interior planes
-            // into the full cube and solve it replicated.
-            let plane = rc.n * rc.n;
-            let mine = plane..(rc.nzl + 1) * plane;
-            let all = to_f64s(&layer.allgather(f64s(&rc.u[mine.clone()])));
-            let mut full_v = Slab::zeros(rc.n, rc.n);
-            full_v.u[plane..(rc.n + 1) * plane].copy_from_slice(&all);
-            let mut full_e = Slab::zeros(rc.n, rc.n);
-            serial_vcycle(&mut full_e, &full_v, layer, model);
-            // Keep my planes of the correction.
-            let z0 = layer.rank() * rc.nzl;
-            e.u[mine].copy_from_slice(&full_e.u[(z0 + 1) * plane..(z0 + rc.nzl + 1) * plane]);
+    let me = layer.rank();
+    let step = stride(layer.size(), n);
+    let e = if u.nzl == 1 && (me / step) % 2 == 1 {
+        layer.send(f64s(r.interior()), me - step, TAG + 2);
+        let mut e = Slab::zeros(n / 2, 1);
+        e.interior_mut()
+            .copy_from_slice(&to_f64s(&layer.recv(me - step, TAG + 3)));
+        e
+    } else {
+        if u.nzl == 1 {
+            let mut pair = Slab::zeros(n, 2);
+            let (mine, above) = pair.interior_mut().split_at_mut(n * n);
+            mine.copy_from_slice(r.interior());
+            above.copy_from_slice(&to_f64s(&layer.recv(me + step, TAG + 2)));
+            r = pair;
         }
-        prolong_add(u, &e);
-    }
+        let mut rc = Slab::zeros(n / 2, r.nzl / 2);
+        let units = (rc.nzl * rc.n * rc.n * 9) as u64;
+        model.charge_with(layer, units, &mut || restrict_into(&r, &mut rc));
+        let mut e = Slab::zeros(rc.n, rc.nzl);
+        vcycle(layer, &mut e, &rc, model);
+        if u.nzl == 1 {
+            layer.send(f64s(e.interior()), me + step, TAG + 3);
+        }
+        e
+    };
+    let units = (u.nzl * n * n) as u64;
+    model.charge_with(layer, units, &mut || prolong_add(u, &e));
     for _ in 0..2 {
         smooth(layer, u, v, model);
     }
-}
-
-/// Replicated serial V-cycle over the whole cube (`nzl == n`): identical
-/// on every rank, no communication. Only the pre-smoothing is charged;
-/// the residual and post-smoothing run free (DESIGN.md §3.6).
-fn serial_vcycle(u: &mut Slab, v: &Slab, layer: &impl CommLayer, model: &ComputeModel) {
-    let n = u.n;
-    let sweeps = if n <= 4 { 10 } else { 4 };
-    let units = (sweeps * u.nzl * n * n * 10) as u64;
-    model.charge_with(layer, units, &mut || {
-        for _ in 0..sweeps {
-            wrap_ghosts(u);
-            jacobi_sweep(u, v);
-        }
-    });
-    if n > 4 {
-        wrap_ghosts(u);
-        let mut r = Slab::zeros(n, u.nzl);
-        residual_into(u, v, &mut r);
-        wrap_ghosts(&mut r);
-        let rc = restrict(&r);
-        let mut e = Slab::zeros(rc.n, rc.nzl);
-        serial_vcycle(&mut e, &rc, layer, model);
-        prolong_add(u, &e);
-        for _ in 0..2 {
-            wrap_ghosts(u);
-            jacobi_sweep(u, v);
-        }
-    }
-}
-
-/// Fill the ghost planes with the periodic wrap of the slab's own
-/// planes (the whole z extent lives here).
-fn wrap_ghosts(s: &mut Slab) {
-    let n = s.n;
-    let plane = n * n;
-    let top = s.u[gi(n, s.nzl, 0, 0)..gi(n, s.nzl, 0, 0) + plane].to_vec();
-    let bottom = s.u[gi(n, 1, 0, 0)..gi(n, 1, 0, 0) + plane].to_vec();
-    s.u[0..plane].copy_from_slice(&top);
-    let hi = gi(n, s.nzl + 1, 0, 0);
-    s.u[hi..hi + plane].copy_from_slice(&bottom);
 }
 
 /// Deterministic zero-mean right-hand side value at a global index.
@@ -384,8 +364,8 @@ mod tests {
         for v in fine.u.iter_mut() {
             *v = 2.0;
         }
-        let coarse = restrict(&fine);
-        assert_eq!(coarse.n, 4);
+        let mut coarse = Slab::zeros(4, 4);
+        restrict_into(&fine, &mut coarse);
         for z in 1..=coarse.nzl {
             for y in 0..4 {
                 for x in 0..4 {

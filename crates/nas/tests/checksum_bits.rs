@@ -11,9 +11,9 @@
 //! arithmetic and the rank decomposition decide the value. BT and SP
 //! also run at 16 ranks, one z-plane per rank: the regime the 64-rank
 //! `MiniC` runs are in, where the pipelined z solve is a single step.
-//! MG also runs at 8 ranks, the one Class S geometry whose replicated
-//! coarse solve starts above n = 4 and so runs its residual and
-//! post-smoothing.
+//! MG also runs at 8 and 16 ranks, where levels have fewer planes than
+//! ranks: at 8 ranks the pair hand-off starts at n = 8, at 16 ranks at
+//! the finest level.
 //!
 //! Each run also pins its end time in virtual nanoseconds. On the
 //! instant network that is the charged compute plus 1 ns per message
@@ -82,10 +82,11 @@ fn class_s_checksum_bits_are_pinned() {
             (FT, 1, 0xc031867c6b5abf20, 2_672_640),
             (FT, 2, 0xc031867c6b5abf21, 1_336_329),
             (FT, 4, 0xc031867c6b5abf1e, 668_183),
-            (MG, 1, 0x3fa095b7d49e0418, 300_746),
-            (MG, 2, 0x3fa095b7d49e03f2, 150_553),
-            (MG, 4, 0x3fa095b7d49e03f6, 81_054),
-            (MG, 8, 0x3f96491edb524118, 65_197),
+            (MG, 1, 0x3fa095b7d49e0418, 1_145_816),
+            (MG, 2, 0x3fa095b7d49e03f2, 573_069),
+            (MG, 4, 0x3fa095b7d49e03f6, 286_616),
+            (MG, 8, 0x3fa095b7d49e03e2, 147_233),
+            (MG, 16, 0x3fa095b7d49e0409, 85_856),
             (LU, 1, 0x4013175d0a9c36e6, 2_101_248),
             (LU, 2, 0x4013175d0a9c36ed, 1_313_297),
             (LU, 4, 0x4013175d0a9c36ee, 788_002),
@@ -105,10 +106,41 @@ fn class_s_checksum_bits_are_pinned() {
     );
 }
 
+/// MG runs every level's arithmetic on every rank count alike, so its
+/// checksum at `ranks` differs from the 1-rank value only by the final
+/// norm's summation order.
+fn mg_matches_one_rank(class: Class, ranks: &[usize]) {
+    let (one, _) = run(Kernel::MG, class, 1);
+    for &r in ranks {
+        let (rep, _) = run(Kernel::MG, class, r);
+        let rel = ((rep.checksum - one.checksum) / one.checksum).abs();
+        assert!(
+            rel <= 1e-12,
+            "MG at {r} ranks: {} against {} at 1 rank",
+            rep.checksum,
+            one.checksum
+        );
+    }
+}
+
+#[test]
+fn mg_class_s_answer_does_not_depend_on_the_rank_count() {
+    mg_matches_one_rank(Class::S, &[2, 4, 8, 16]);
+}
+
+/// MG at MiniC on 8 and 64 ranks against 1 rank: about 3 s optimised,
+/// so, like the pins below, in the optimised test build only.
+#[cfg(not(debug_assertions))]
+#[test]
+fn mg_minic_answer_does_not_depend_on_the_rank_count() {
+    mg_matches_one_rank(Class::MiniC, &[8, 64]);
+}
+
 /// The `nas_c64` kernels at their benchmark geometry (64 ranks, one
-/// z-plane per rank for BT and SP). About 2 s optimised and far longer
-/// unoptimised, so it is compiled into the optimised test build only:
-/// `cargo test --release -p empi-nas`.
+/// z-plane per rank for BT and SP), and MG there, where its levels from
+/// n = 64 down hand residual planes off in pairs. About 3.5 s optimised
+/// and far longer unoptimised, so it is compiled into the optimised
+/// test build only: `cargo test --release -p empi-nas`.
 #[cfg(not(debug_assertions))]
 #[test]
 fn minic_checksum_bits_are_pinned_at_64_ranks() {
@@ -119,6 +151,7 @@ fn minic_checksum_bits_are_pinned_at_64_ranks() {
             (SP, 64, 0x409479edfced60cd, 274_273_212),
             (FT, 64, 0x40349d1ae73edb3b, 7_895_724),
             (LU, 64, 0x40835c069ba7d5f0, 64_088_606),
+            (MG, 64, 0x3fd14c9db8fe725d, 13_592_538),
         ],
         Class::MiniC,
     );
