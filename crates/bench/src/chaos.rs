@@ -14,7 +14,7 @@
 //! virtual time burned in backoff windows.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{FaultRates, PipelineConfig, SecureComm};
+use empi_core::{FaultRates, PipelineConfig, RetransmitConfig, SecureComm};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
 use empi_trace::{CounterBlock, Metric, MetricsSnapshot};
@@ -111,7 +111,7 @@ fn chaos_run(
                     .with_workers(WORKERS),
             )
             .with_faults(seed, FaultRates::uniform(rate))
-            .with_retransmit(MAX_RETRIES, VDur::from_micros(200));
+            .with_retransmit(MAX_RETRIES, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
         let sc = SecureComm::new(c, cfg).unwrap();
         let want: Vec<u8> = (0..MSG_SIZE)
             .map(|i| (i.wrapping_mul(131) ^ (i >> 7)) as u8)

@@ -30,7 +30,9 @@
 //! entry audits.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{Error, FaultRates, KeyPlaneConfig, SecureComm, SecurityConfig};
+use empi_core::{
+    Error, FaultRates, KeyPlaneConfig, RetransmitConfig, SecureComm, SecurityConfig,
+};
 use empi_mpi::{CrashPlan, DetectorConfig, Src, TagSel, TraceReport, World};
 use empi_netsim::{VDur, VTime};
 use empi_trace::MetricsSnapshot;
@@ -167,7 +169,7 @@ fn detect_run(
                 let (st, got) = sc.recv(Src::Is(prev), TagSel::Is(FTOL_TAG)).unwrap();
                 assert_eq!(st.source, prev);
                 assert_eq!(
-                    String::from_utf8(got).unwrap(),
+                    String::from_utf8(got.into()).unwrap(),
                     format!("survivor {prev} epoch {}", sc.sealing_epoch())
                 );
             }
@@ -250,7 +252,7 @@ pub fn collective_run(
                             .ok(),
                         None => c
                             .ft_recv(Src::Is(prev), TagSel::Is(tag))
-                            .map(|(_, d)| d.to_vec())
+                            .map(|(_, d)| d)
                             .ok(),
                     };
                     if let Some(d) = got {
@@ -313,7 +315,7 @@ fn arq_dead_sender_run(net: Net, shards: usize) -> u64 {
                         ..FaultRates::ZERO
                     },
                 )
-                .with_retransmit(5, VDur::from_micros(150));
+                .with_retransmit(5, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             let sc = SecureComm::new(c, cfg).unwrap();
             if c.rank() == 0 {
                 sc.send(b"doomed flow", 1, FTOL_TAG);

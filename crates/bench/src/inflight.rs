@@ -62,8 +62,11 @@ pub(crate) fn config(
     if chaos {
         cfg = cfg
             .with_faults(SEED, FaultRates::uniform(CHAOS_RATE))
-            .with_retransmit(MAX_RETRIES, VDur::from_micros(200 * window.max(1) as u64))
-            .with_retransmit_buffer(2 * window.max(16));
+            .with_retransmit(
+                MAX_RETRIES,
+                VDur::from_micros(200 * window.max(1) as u64),
+                2 * window.max(16),
+            );
     }
     cfg
 }

@@ -77,11 +77,11 @@ mod tests {
             });
         }
         // The multipair and multipair_pipe cells: the baseline, then
-        // BoringSSL serial, piped and piped over the buffer pool.
+        // BoringSSL serial and piped.
         exact("multipair_run baseline", &|| {
             multipair_run(net, None, size, 1, 1, false, 1)
         });
-        for v in [Variant::Serial, Variant::Piped, Variant::PipedPooled] {
+        for v in [Variant::Serial, Variant::Piped] {
             let cfg = Some(v.config(CryptoLibrary::BoringSsl, net));
             exact(&format!("multipair_run {v:?}"), &|| {
                 multipair_run(net, cfg.clone(), size, 1, 1, false, 1)
@@ -104,7 +104,7 @@ mod tests {
         // The carrier count moves wall-clock only: the pipelined
         // multi-pair cell, whose chunk crypto spreads over idle carriers,
         // reads the same bits on one carrier and on two.
-        let cfg = Some(Variant::PipedPooled.config(CryptoLibrary::BoringSsl, net));
+        let cfg = Some(Variant::Piped.config(CryptoLibrary::BoringSsl, net));
         let run = |s| multipair_run(net, cfg.clone(), size, 1, 1, false, s).value;
         assert_eq!(
             run(1).to_bits(),

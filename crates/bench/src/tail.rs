@@ -18,7 +18,7 @@
 //! per trace-ledger seal and open.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
+use empi_core::{FaultRates, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
 use empi_trace::{Metric, MetricsSnapshot, SloConfig};
@@ -79,7 +79,7 @@ fn tail_config(net: Net, lib: CryptoLibrary, chaos: bool) -> SecurityConfig {
     );
     if chaos {
         cfg.with_faults(SEED, FaultRates::uniform(FAULT_RATE))
-            .with_retransmit(MAX_RETRIES, VDur::from_micros(200))
+            .with_retransmit(MAX_RETRIES, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS)
     } else {
         cfg
     }
@@ -432,7 +432,7 @@ mod tests {
                         .with_workers(2),
                 )
                 .with_faults(0xBAD_5EED, FaultRates::uniform(0.25))
-                .with_retransmit(1, VDur::from_micros(50));
+                .with_retransmit(1, VDur::from_micros(50), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             let sc = SecureComm::new(c, cfg).unwrap();
             let msgs = 8;
             let buf = vec![0x3Cu8; 64 << 10];

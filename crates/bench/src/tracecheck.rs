@@ -9,7 +9,7 @@
 //! CI's smoke jobs and by tier-1 (`tests/bench_registry.rs`); exits
 //! non-zero when any file is invalid.
 //!
-//! Allocation markers (`alloc/fresh`, `alloc/pooled`, `alloc/reclaim`),
+//! Allocation markers (`alloc/fresh`, `alloc/pooled`),
 //! `key/*` spans (handshake, rotate, revoke, reject), `waitset` spans
 //! (the set poller's block reason) and `ftol/*` spans (detect, notice,
 //! probe, shrink, rekey, plus the `ftol/recv` / `ftol/send` lease-wait
@@ -119,7 +119,7 @@ pub fn check(text: &str, need: &[&str]) -> Result<String, String> {
         }
         let family = name.split_once('/').map_or("", |(family, _)| family);
         let known = match family {
-            "alloc" => matches!(name, "alloc/fresh" | "alloc/pooled" | "alloc/reclaim"),
+            "alloc" => matches!(name, "alloc/fresh" | "alloc/pooled"),
             "key" => matches!(
                 name,
                 "key/handshake" | "key/rotate" | "key/revoke" | "key/reject"

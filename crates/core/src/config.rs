@@ -99,11 +99,6 @@ pub struct SecurityConfig {
     /// NACK-driven retransmit/recovery layer (off by default; without
     /// it, injected faults surface as typed errors to the caller).
     pub retransmit: Option<RetransmitConfig>,
-    /// Zero-copy hot path: source wire buffers from the engine's
-    /// shared `BufferPool` and reclaim them after delivery. Changes
-    /// only where buffers come from — wire bytes stay bit-identical to
-    /// the unpooled path. Off by default.
-    pub pool: bool,
     /// In-band key lifecycle (`empi_keys`): a seeded group handshake
     /// at startup replaces the hardcoded cluster key with a fresh
     /// session master (the configured key is demoted to a bootstrap
@@ -127,7 +122,6 @@ impl SecurityConfig {
             pipeline: PipelineConfig::disabled(),
             faults: None,
             retransmit: None,
-            pool: false,
             key_plane: None,
         }
     }
@@ -165,30 +159,22 @@ impl SecurityConfig {
     }
 
     /// Enable the NACK-driven retransmit layer with `max_retries`
-    /// repair rounds and a base wait window of `timeout` (virtual
-    /// time); the retained-message buffer gets its default depth.
-    pub fn with_retransmit(mut self, max_retries: u32, timeout: VDur) -> Self {
+    /// repair rounds, a base wait window of `timeout` (virtual time)
+    /// and `buffer_msgs` sent messages retained for repair (at least
+    /// one; [`RetransmitConfig::DEFAULT_BUFFER_MSGS`] unless a window
+    /// needs more).
+    pub fn with_retransmit(mut self, max_retries: u32, timeout: VDur, buffer_msgs: usize) -> Self {
         self.retransmit = Some(RetransmitConfig {
             max_retries,
             timeout,
-            buffer_msgs: RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            buffer_msgs: buffer_msgs.max(1),
         });
         self
     }
 
-    /// Override the retained-message buffer depth of an already-enabled
-    /// retransmit layer (no-op when retransmit is off).
-    pub fn with_retransmit_buffer(mut self, buffer_msgs: usize) -> Self {
-        if let Some(rc) = &mut self.retransmit {
-            rc.buffer_msgs = buffer_msgs.max(1);
-        }
-        self
-    }
-
-    /// Toggle the pooled zero-copy hot path: one switch for the plain
-    /// records and the chunked frames alike.
-    pub fn with_buffer_pool(mut self, pooled: bool) -> Self {
-        self.pool = pooled;
+    /// Does nothing: every wire buffer comes from the world's pool.
+    #[deprecated = "every wire buffer comes from the world's pool; this is a no-op"]
+    pub fn with_buffer_pool(self, _pooled: bool) -> Self {
         self
     }
 
@@ -260,8 +246,7 @@ mod tests {
         assert!(c.faults.is_none() && c.retransmit.is_none(), "chaos off by default");
         let c = c
             .with_faults(77, FaultRates::uniform(0.05))
-            .with_retransmit(4, VDur::from_micros(200))
-            .with_retransmit_buffer(8);
+            .with_retransmit(4, VDur::from_micros(200), 8);
         let f = c.faults.unwrap();
         assert_eq!(f.seed, 77);
         assert_eq!(f.rates.bit_flip, 0.05);
@@ -269,25 +254,29 @@ mod tests {
         assert_eq!(r.max_retries, 4);
         assert_eq!(r.timeout, VDur::from_micros(200));
         assert_eq!(r.buffer_msgs, 8);
-        // Buffer override without retransmit enabled is a no-op.
-        let plain = SecurityConfig::new(CryptoLibrary::BoringSsl).with_retransmit_buffer(3);
-        assert!(plain.retransmit.is_none());
+        // At least one message is retained.
+        let one = SecurityConfig::new(CryptoLibrary::BoringSsl)
+            .with_retransmit(1, VDur::from_micros(1), 0);
+        assert_eq!(one.retransmit.unwrap().buffer_msgs, 1);
     }
 
     #[test]
+    #[allow(deprecated)]
     fn pool_builder_is_independent_of_pipeline_order() {
-        let c = SecurityConfig::new(CryptoLibrary::BoringSsl);
-        assert!(!c.pool, "pool off by default");
-        // Pool first, pipeline second: the toggle must survive.
-        let c = SecurityConfig::new(CryptoLibrary::BoringSsl)
-            .with_buffer_pool(true)
-            .with_pipeline(PipelineConfig::enabled());
-        assert!(c.pool && c.pipeline.enabled);
-        // Pipeline first, pool second.
-        let c = SecurityConfig::new(CryptoLibrary::BoringSsl)
-            .with_pipeline(PipelineConfig::enabled())
-            .with_buffer_pool(true);
-        assert!(c.pool && c.pipeline.enabled);
+        // The pool is always on: the builder leaves the configuration
+        // as it was, before or after the pipeline's.
+        let debug = |c: SecurityConfig| format!("{c:?}");
+        let want = debug(SecurityConfig::new(CryptoLibrary::BoringSsl).with_pipeline(PipelineConfig::enabled()));
+        for pooled in [false, true] {
+            let first = SecurityConfig::new(CryptoLibrary::BoringSsl)
+                .with_buffer_pool(pooled)
+                .with_pipeline(PipelineConfig::enabled());
+            let second = SecurityConfig::new(CryptoLibrary::BoringSsl)
+                .with_pipeline(PipelineConfig::enabled())
+                .with_buffer_pool(pooled);
+            assert_eq!(debug(first), want);
+            assert_eq!(debug(second), want);
+        }
     }
 
     #[test]

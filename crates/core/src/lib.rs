@@ -29,7 +29,7 @@
 //!         String::new()
 //!     } else {
 //!         let (_, data) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-//!         String::from_utf8(data).unwrap()
+//!         String::from_utf8(data.into()).unwrap()
 //!     }
 //! });
 //! assert_eq!(out.results[1], "medical records");

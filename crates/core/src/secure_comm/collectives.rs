@@ -105,7 +105,7 @@ impl SecureComm<'_, '_> {
             };
         }
         let mut wire = if me == root {
-            self.seal_wire(buf, None)
+            self.seal_wire(buf, None).into_vec()
         } else {
             vec![0u8; root_len + self.keys.overhead()]
         };
@@ -165,7 +165,7 @@ impl SecureComm<'_, '_> {
             None => Ok(()), // root: plaintext already in `buf`
             Some(Err(e)) => Err(e),
             Some(Ok(msg)) => check_len(buf.len(), root_len).and_then(|()| {
-                *buf = self.open_chunked(msg, None).map_err(|(e, _)| e)?;
+                *buf = self.open_chunked(msg, None).map_err(|(e, _)| e)?.into();
                 Ok(())
             }),
         };
@@ -283,7 +283,7 @@ impl SecureComm<'_, '_> {
                 .map(|f| (f.ready, f.data))
                 .collect(),
         };
-        *buf = self.open_chunked(msg, None).map_err(|(e, _)| e)?;
+        *buf = self.open_chunked(msg, None).map_err(|(e, _)| e)?.into();
         Ok(())
     }
 
@@ -310,7 +310,7 @@ impl SecureComm<'_, '_> {
         // On an upstream error the sentinel payload stays empty.
         let upstream = match parent {
             Some(p) => self.recv(Src::Is(p), TagSel::Is(tag)).map(|(_, plain)| plain),
-            None => Ok(Vec::new()),
+            None => Ok(Bytes::new()),
         };
         let fwd: &[u8] = match (&upstream, parent) {
             (_, None) => &buf[..],
@@ -330,7 +330,7 @@ impl SecureComm<'_, '_> {
         check_len(buf.len(), root_len)?;
         // An ancestor's sentinel (or a short repair): typed, not silent.
         check_len(root_len, payload.len())?;
-        *buf = payload;
+        *buf = payload.into();
         Ok(())
     }
 
@@ -481,7 +481,7 @@ impl SecureComm<'_, '_> {
             self.open_chunked(msg, Some(me)).map_err(|(e, _)| e)?
         } else {
             let wire = self.seal_wire(seg, Some(me));
-            self.open_to_vec(Some(me), &wire)?
+            Bytes::from(self.open_to_vec(Some(me), &wire)?)
         };
         out[recv_edge[me]..recv_edge[me + 1]].copy_from_slice(&self_plain);
 
@@ -500,7 +500,7 @@ impl SecureComm<'_, '_> {
                 Ok(plain) => plain,
                 Err(e) => {
                     first_err.get_or_insert(e);
-                    vec![0; recv_counts[r.from]]
+                    Bytes::from(vec![0; recv_counts[r.from]])
                 }
             })
         };

@@ -31,7 +31,7 @@ use empi_aead::EncCurve;
 use empi_keys::suite::cointoss;
 use empi_keys::{handshake, KeyError, KeyFrame, KeyPlane, KeyPlaneConfig};
 use empi_mpi::{Comm, Request, Src, TagSel, KEY_COMMIT_TAG, KEY_REVEAL_TAG};
-use empi_netsim::{BufferPool, SizeMemo, VDur};
+use empi_netsim::{SizeMemo, VDur};
 use empi_pipeline::Pipeline;
 use empi_trace::{Cat, Metric, SampleKey};
 
@@ -237,26 +237,6 @@ impl<'a, 'h> SecureComm<'a, 'h> {
     /// The active configuration.
     pub fn config(&self) -> &SecurityConfig {
         &self.cfg
-    }
-
-    /// The engine's shared buffer pool when the zero-copy hot path is
-    /// configured — the single place buffer sourcing is decided.
-    fn pool(&self) -> Option<&BufferPool> {
-        self.cfg.pool.then(|| self.comm.sim().buffer_pool())
-    }
-
-    /// An empty buffer with room for `cap` bytes — recycled from the
-    /// pool or fresh from the heap — and whether it was a fresh
-    /// allocation. Wire bytes are identical either way.
-    fn take_buf(&self, cap: usize) -> (Vec<u8>, bool) {
-        match self.pool() {
-            Some(pool) => {
-                let buf = pool.take(cap);
-                let fresh = buf.fresh();
-                (buf.into_vec(), fresh)
-            }
-            None => (Vec::with_capacity(cap), true),
-        }
     }
 
     /// Bookkeeping for one wire-buffer materialization: the per-site

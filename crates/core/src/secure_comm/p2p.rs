@@ -39,10 +39,10 @@ pub struct SecureRequest {
 /// One retired set-completion: `(index at call time, status, plaintext
 /// for receives)` — the element type of [`SecureComm::waitsome`] /
 /// [`SecureComm::testany`] results.
-pub type SetCompletion = (usize, Status, Option<Vec<u8>>);
+pub type SetCompletion = (usize, Status, Option<Bytes>);
 
 /// What a wait hands back: the status, and the plaintext of a receive.
-type Completion = (Status, Option<Vec<u8>>);
+type Completion = (Status, Option<Bytes>);
 
 /// Move a request set into the poller's slots, keeping the hints.
 fn into_slots(reqs: &mut Vec<SecureRequest>) -> (Vec<Option<Request>>, Vec<Option<u64>>) {
@@ -149,7 +149,7 @@ impl SecureComm<'_, '_> {
     /// recovering via ARQ when that fails. `hint` is the flow sequence
     /// drawn at post time (fully-specified receives under chaos);
     /// everything else draws it here, at completion.
-    fn open_or_recover(&self, payload: RecvPayload, hint: Option<u64>) -> Result<(Status, Vec<u8>)> {
+    fn open_or_recover(&self, payload: RecvPayload, hint: Option<u64>) -> Result<(Status, Bytes)> {
         if !self.rel.on() {
             return self.open_payload(payload).map_err(|(e, _)| e);
         }
@@ -193,7 +193,7 @@ impl SecureComm<'_, '_> {
     /// [`Self::note_outcome`] for one wait-shaped completion.
     fn note_completion(&self, op: &'static str, t0: u64, out: &Result<Completion>) {
         let done = out.as_ref().ok();
-        self.note_outcome(op, t0, done.map(|(st, data)| (st, data.as_ref().map_or(0, Vec::len))));
+        self.note_outcome(op, t0, done.map(|(st, data)| (st, data.as_ref().map_or(0, Bytes::len))));
     }
 
     // ---------------------------------------------------------------
@@ -214,7 +214,7 @@ impl SecureComm<'_, '_> {
         } else {
             let mut wire = self.seal_wire(buf, Some(dst));
             self.rel.prepare_wire(&mut wire, dst, tag);
-            SendPayload::Plain(Bytes::from(wire))
+            SendPayload::Plain(wire.freeze())
         }
     }
 
@@ -247,13 +247,13 @@ impl SecureComm<'_, '_> {
     /// worker pool — even when this rank's own pipeline config is
     /// disabled. Mixed sender/receiver configurations therefore always
     /// interoperate.
-    pub fn recv(&self, src: Src, tag: TagSel) -> Result<(Status, Vec<u8>)> {
+    pub fn recv(&self, src: Src, tag: TagSel) -> Result<(Status, Bytes)> {
         self.recv_noted(src, tag, false)
     }
 
     /// A blocking receive under its end-to-end sample (`p2p/ft_recv`
     /// for the lease-armed twin).
-    fn recv_noted(&self, src: Src, tag: TagSel, lease: bool) -> Result<(Status, Vec<u8>)> {
+    fn recv_noted(&self, src: Src, tag: TagSel, lease: bool) -> Result<(Status, Bytes)> {
         let t0 = self.comm.sim().now().as_nanos();
         let out = self.recv_under(src, tag, lease);
         let op = if lease { "p2p/ft_recv" } else { "p2p/recv" };
@@ -265,7 +265,7 @@ impl SecureComm<'_, '_> {
     /// The one blocking-receive body: take the next message on
     /// `(src, tag)` under the watch the configuration (NACK filter)
     /// and the verb (`lease`, the ft twin) ask for, then open it.
-    fn recv_under(&self, src: Src, tag: TagSel, lease: bool) -> Result<(Status, Vec<u8>)> {
+    fn recv_under(&self, src: Src, tag: TagSel, lease: bool) -> Result<(Status, Bytes)> {
         let died = |rf| self.rank_died(rf);
         let payload = match self.nack_filter() {
             None if lease => self.comm.ft_recv_payload(src, tag).map_err(died)?,
@@ -316,7 +316,7 @@ impl SecureComm<'_, '_> {
     /// [`crate::Error::RankFailed`] after the dead rank's key material
     /// is revoked and the survivors re-keyed. The world must be built
     /// with `with_ftol`.
-    pub fn ft_recv(&self, src: Src, tag: TagSel) -> Result<(Status, Vec<u8>)> {
+    pub fn ft_recv(&self, src: Src, tag: TagSel) -> Result<(Status, Bytes)> {
         self.recv_noted(src, tag, true)
     }
 
@@ -380,7 +380,7 @@ impl SecureComm<'_, '_> {
     /// decryption path is chosen by the sender's wire format, so a
     /// pipelined sender's chunked train is opened on the worker pool
     /// even if this rank never enabled pipelining.
-    pub fn wait(&self, req: SecureRequest) -> Result<(Status, Option<Vec<u8>>)> {
+    pub fn wait(&self, req: SecureRequest) -> Result<(Status, Option<Bytes>)> {
         let t0 = self.comm.sim().now().as_nanos();
         let done = self.next_done(&mut [Some(req.inner)]);
         let (_, status, payload) = done.expect("one live request has a next completion");
@@ -398,7 +398,7 @@ impl SecureComm<'_, '_> {
     /// workload actually observes). On a decryption/delivery error the
     /// error is returned and the requests not yet retired are dropped,
     /// like the sequential wait loop it replaces.
-    pub fn waitall(&self, mut reqs: Vec<SecureRequest>) -> Result<Vec<(Status, Option<Vec<u8>>)>> {
+    pub fn waitall(&self, mut reqs: Vec<SecureRequest>) -> Result<Vec<(Status, Option<Bytes>)>> {
         let t0 = self.comm.sim().now().as_nanos();
         let (mut slots, hints) = into_slots(&mut reqs);
         let mut out: Vec<Option<Completion>> = (0..slots.len()).map(|_| None).collect();
@@ -468,7 +468,7 @@ impl SecureComm<'_, '_> {
     pub fn waitany(
         &self,
         reqs: &mut Vec<SecureRequest>,
-    ) -> Result<(usize, Status, Option<Vec<u8>>)> {
+    ) -> Result<(usize, Status, Option<Bytes>)> {
         let t0 = self.comm.sim().now().as_nanos();
         assert!(!reqs.is_empty(), "waitany on an empty request set");
         let (mut slots, hints) = into_slots(reqs);
@@ -488,7 +488,7 @@ impl SecureComm<'_, '_> {
         send_tag: Tag,
         src: Src,
         recv_tag: TagSel,
-    ) -> Result<(Status, Vec<u8>)> {
+    ) -> Result<(Status, Bytes)> {
         self.op_span("p2p/sendrecv", dst as i32, sendbuf.len(), || {
             let sreq = self.isend(sendbuf, dst, send_tag);
             let out = self.recv(src, recv_tag);

@@ -9,16 +9,15 @@
 //! crypto, and decides where the bytes live: a sourced wire buffer, the
 //! tail of a collective's send buffer, a stolen receive buffer.
 
-use std::cell::Cell;
-
 use bytes::Bytes;
 use empi_aead::AesGcm;
 use empi_keys::record::{seal_into, Record};
 use empi_keys::KeyError;
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage, RecvPayload};
 use empi_mpi::{Status, Tag};
+use empi_netsim::PooledBuf;
 use empi_pipeline::{chunk_count, FrameHeader, FRAME_OVERHEAD};
-use empi_trace::{Cat, Metric};
+use empi_trace::Metric;
 
 use super::keyring::RecordKey;
 use super::{note_sample, peer_id, SecureComm};
@@ -37,7 +36,7 @@ pub(super) struct RecordView {
 pub(super) type OpenFailure = (Error, Option<ChunkedMessage>);
 
 /// The status/plaintext pair of one opened message.
-fn opened(source: usize, tag: Tag, plain: Vec<u8>) -> (Status, Vec<u8>) {
+fn opened(source: usize, tag: Tag, plain: Bytes) -> (Status, Bytes) {
     let len = plain.len();
     (Status { source, tag, len }, plain)
 }
@@ -72,13 +71,14 @@ impl SecureComm<'_, '_> {
         });
     }
 
-    /// Seal one message into its own wire buffer. `dst` is the peer its
-    /// seal sample is keyed by (`None` = a collective's record).
-    pub(super) fn seal_wire(&self, plaintext: &[u8], dst: Option<usize>) -> Vec<u8> {
+    /// Seal one message into its own wire buffer, taken from the
+    /// world's pool. `dst` is the peer its seal sample is keyed by
+    /// (`None` = a collective's record).
+    pub(super) fn seal_wire(&self, plaintext: &[u8], dst: Option<usize>) -> PooledBuf {
         let key = self.seal_key();
         let len = plaintext.len() + self.keys.overhead();
-        let (mut wire, fresh) = self.take_buf(len);
-        self.note_alloc(fresh, len, "seal wire");
+        let mut wire = self.comm.sim().buffer_pool().take(len);
+        self.note_alloc(wire.fresh(), len, "seal wire");
         self.seal_record(&key, "seal/plain", dst, plaintext, &mut wire);
         wire
     }
@@ -160,17 +160,20 @@ impl SecureComm<'_, '_> {
 
     /// Open one *owned* p2p wire buffer. When we are the unique owner
     /// the record opens to the front of the buffer it arrived in, which
-    /// becomes the plaintext `Vec` (one pass, no allocation); a
-    /// still-shared buffer is opened into a fresh one.
-    fn open_owned(&self, src: usize, wire: Bytes) -> Result<Vec<u8>> {
-        let mut v = match wire.try_into_vec() {
-            Ok(v) => v,
-            Err(shared) => return self.open_to_vec(Some(src), &shared),
-        };
-        let view = self.parse_record(Some(src), &v)?;
-        self.open_record(&view, "open/plain", |rec, cipher| rec.open_front(cipher, &mut v))?;
-        v.truncate(view.rec.body.len());
-        Ok(v)
+    /// becomes the plaintext (one pass, no allocation, and it returns
+    /// to the pool it came from); a still-shared buffer is opened into
+    /// a fresh one.
+    fn open_owned(&self, src: usize, mut wire: Bytes) -> Result<Bytes> {
+        let in_place = wire.try_mut(|v| {
+            let view = self.parse_record(Some(src), v)?;
+            self.open_record(&view, "open/plain", |rec, cipher| rec.open_front(cipher, v))?;
+            v.truncate(view.rec.body.len());
+            Ok(())
+        });
+        match in_place {
+            Some(opened) => opened.map(|()| wire),
+            None => self.open_to_vec(Some(src), &wire).map(Bytes::from),
+        }
     }
 
     // ---------------------------------------------------------------
@@ -195,13 +198,6 @@ impl SecureComm<'_, '_> {
                 buf.len() + total as usize * FRAME_OVERHEAD,
             );
         }
-        let (fresh, hits) = (Cell::new(0u32), Cell::new(0u32));
-        let take = |cap| {
-            let (frame, is_fresh) = self.take_buf(cap);
-            let n = if is_fresh { &fresh } else { &hits };
-            n.set(n.get() + 1);
-            (frame, is_fresh)
-        };
         let t0 = self.comm.sim().now().as_nanos();
         let (cost, backend) = (|n| self.calibrated_ns(n), self.cfg.library.name());
         // Chunked records carry the epoch in the (AAD-bound) top bits
@@ -210,23 +206,9 @@ impl SecureComm<'_, '_> {
         let cipher = &key.ctx.cipher;
         let frames = self
             .pipe
-            .seal_timed(self.comm, cipher, &cost, backend, epoch, base, buf, &take);
+            .seal_timed(self.comm, cipher, &cost, backend, epoch, base, buf);
         let key = (Metric::Seal, "seal/chunked", peer_id(dst));
         note_sample(self.comm, key, buf.len(), t0);
-        // One aggregate alloc/* marker per sourcing outcome per chunked
-        // message (the per-chunk counters carry the exact totals).
-        if self.comm.sim().recorder().is_some() {
-            let wire: usize = frames.iter().map(|f| f.data.len()).sum();
-            for (n, label, how) in [
-                (fresh.get(), "alloc/fresh", "fresh"),
-                (hits.get(), "alloc/pooled", "pooled"),
-            ] {
-                if n > 0 {
-                    let detail = || format!("{n}/{total} frames {how}");
-                    self.note_marker(Cat::Alloc, label, wire, detail);
-                }
-            }
-        }
         frames
     }
 
@@ -235,13 +217,13 @@ impl SecureComm<'_, '_> {
     /// wire format, regardless of the local pipeline config. `peer` is
     /// the peer the open sample is keyed by (`None` = collectives
     /// relaying root-sealed frames). After a successful open the frame
-    /// buffers are dead and go back to the pool; on failure the message
-    /// is handed back.
+    /// handles drop, and each frame goes back to the pool with its last
+    /// handle; on failure the message is handed back.
     pub(super) fn open_chunked(
         &self,
         msg: ChunkedMessage,
         peer: Option<usize>,
-    ) -> std::result::Result<Vec<u8>, (Error, ChunkedMessage)> {
+    ) -> std::result::Result<Bytes, (Error, ChunkedMessage)> {
         let msg_id = msg.frames.iter().find_map(|(_, f)| {
             let header = FrameHeader::decode(f).ok();
             header.map(|(h, _)| h.msg_id)
@@ -263,39 +245,7 @@ impl SecureComm<'_, '_> {
             .open(self.comm, &key.ctx.cipher, &cost, backend, &msg);
         let key = (Metric::Open, "open/chunked", peer_id(peer));
         note_sample(self.comm, key, plain_len, t0);
-        match r {
-            Ok(plain) => {
-                self.reclaim_frames(msg);
-                Ok(plain)
-            }
-            Err(e) => Err((e.into(), msg)),
-        }
-    }
-
-    /// Recycle opened frames into the engine-wide pool — the next
-    /// sourced buffer (usually the sender's) becomes a hit instead of a
-    /// heap allocation. Frames still referenced elsewhere (ARQ
-    /// retention, a relay in flight) are reclaim misses, never aliased.
-    fn reclaim_frames(&self, msg: ChunkedMessage) {
-        let Some(pool) = self.pool() else { return };
-        let sim = self.comm.sim();
-        let (mut recovered, mut bytes) = (0usize, 0usize);
-        for (_, frame) in msg.frames {
-            let n = frame.len();
-            let ok = pool.reclaim(frame);
-            if let Some(t) = sim.recorder() {
-                t.count_reclaim(self.rank(), ok);
-            }
-            if ok {
-                recovered += 1;
-                bytes += n;
-            }
-        }
-        if recovered > 0 {
-            self.note_marker(Cat::Alloc, "alloc/reclaim", bytes, || {
-                format!("{recovered} frames recycled")
-            });
-        }
+        r.map_err(|e| (e.into(), msg))
     }
 
     // ---------------------------------------------------------------
@@ -311,7 +261,7 @@ impl SecureComm<'_, '_> {
     pub(super) fn open_payload(
         &self,
         payload: RecvPayload,
-    ) -> std::result::Result<(Status, Vec<u8>), OpenFailure> {
+    ) -> std::result::Result<(Status, Bytes), OpenFailure> {
         match payload {
             RecvPayload::Plain(status, wire) => self
                 .open_owned(status.source, wire)

@@ -436,7 +436,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         t_enter: u64,
         plain: Vec<u8>,
         how: impl FnOnce() -> String,
-    ) -> (Status, Vec<u8>) {
+    ) -> (Status, Bytes) {
         let (source, tag, _) = flow;
         let len = plain.len();
         if let Some(r) = self.comm.sim().recorder() {
@@ -444,7 +444,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         }
         self.note_flow(flow, "recover/ok", len, how);
         note_sample(self.comm, (Metric::Repair, "arq/repair", source as i32), len, t_enter);
-        (Status { source, tag, len }, plain)
+        (Status { source, tag, len }, Bytes::from(plain))
     }
 
     /// A flow the repair protocol gave up on, with its black box.
@@ -479,7 +479,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         flow: Flow,
         arrived: Option<ChunkedMessage>,
         first_err: Error,
-    ) -> Result<(Status, Vec<u8>)> {
+    ) -> Result<(Status, Bytes)> {
         let (src, tag, seq) = flow;
         let arq = self.arq.as_ref();
         let rc = arq.expect("recover needs the retransmit layer").cfg;

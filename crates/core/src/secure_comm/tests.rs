@@ -3,7 +3,6 @@ use empi_aead::gcm::AesGcm;
 use empi_aead::profile::CryptoLibrary;
 use empi_aead::{NONCE_LEN, WIRE_OVERHEAD};
 use empi_keys::record::{self, Record};
-use empi_mpi::chunk::RecvPayload;
 use empi_mpi::coll::{bcast_alg, BcastAlg};
 use empi_mpi::World;
 use empi_netsim::NetModel;
@@ -847,7 +846,7 @@ fn nonces_never_repeat_across_messages() {
 // Fault injection + retransmit layer
 // -----------------------------------------------------------------
 
-use crate::FaultRates;
+use crate::{FaultRates, RetransmitConfig};
 use empi_netsim::VDur;
 
 #[test]
@@ -888,7 +887,7 @@ fn zero_fault_rate_arq_is_silent() {
     // with zero NACK/repair wire frames and no chaos counter block.
     let w = World::flat(NetModel::ethernet_10g(), 2).with_metrics(true);
     let out = w.run(|c| {
-        let sc = SecureComm::new(c, cfg().with_retransmit(3, VDur::from_micros(100))).unwrap();
+        let sc = SecureComm::new(c, cfg().with_retransmit(3, VDur::from_micros(100), RetransmitConfig::DEFAULT_BUFFER_MSGS)).unwrap();
         let me = c.rank();
         let (st, echo) = sc
             .sendrecv(
@@ -923,7 +922,7 @@ fn duplicated_chunks_salvage_without_wire_traffic() {
     let out = w.run(move |c| {
         let local = cfg()
             .with_pipeline(crate::PipelineConfig::enabled().with_workers(2))
-            .with_retransmit(3, VDur::from_micros(200));
+            .with_retransmit(3, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
         let local = if c.rank() == 0 {
             local.with_faults(
                 5,
@@ -995,7 +994,7 @@ fn arq_recovers_dropped_chunks_via_nack_repair() {
                         .with_chunk_size(1 << 15)
                         .with_workers(2),
                 )
-                .with_retransmit(4, VDur::from_micros(300));
+                .with_retransmit(4, VDur::from_micros(300), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             let local = if c.rank() == 0 {
                 local.with_faults(
                     seed,
@@ -1049,7 +1048,7 @@ fn arq_recovers_flipped_plain_message() {
     for seed in 0..12u64 {
         let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
         let out = w.run(move |c| {
-            let local = cfg().with_retransmit(4, VDur::from_micros(200));
+            let local = cfg().with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             let local = if c.rank() == 0 {
                 local.with_faults(
                     seed,
@@ -1085,7 +1084,7 @@ fn nack_for_evicted_message_gets_an_abort() {
     use empi_mpi::{RepairKind, NACK_TAG, REPAIR_TAG};
     let w = World::flat(NetModel::instant(), 2).traced(true);
     let out = w.run(|c| {
-        let sc = SecureComm::new(c, cfg().with_retransmit(2, VDur::from_micros(50))).unwrap();
+        let sc = SecureComm::new(c, cfg().with_retransmit(2, VDur::from_micros(50), RetransmitConfig::DEFAULT_BUFFER_MSGS)).unwrap();
         if c.rank() == 0 {
             sc.pump(VDur::from_micros(20));
             true
@@ -1133,7 +1132,7 @@ fn silent_sender_times_out_with_typed_error() {
             true
         } else {
             let sc =
-                SecureComm::new(c, cfg().with_retransmit(2, VDur::from_micros(40))).unwrap();
+                SecureComm::new(c, cfg().with_retransmit(2, VDur::from_micros(40), RetransmitConfig::DEFAULT_BUFFER_MSGS)).unwrap();
             match sc.recv(Src::Is(0), TagSel::Is(9)) {
                 Err(Error::Timeout { waited_ns, op, .. }) => op == "recv" && waited_ns > 0,
                 other => panic!("expected timeout, got {other:?}"),
@@ -1197,7 +1196,7 @@ fn arq_bcast_recovers_or_degrades_gracefully() {
                         .with_chunk_size(1 << 15)
                         .with_workers(2),
                 )
-                .with_retransmit(3, VDur::from_micros(300))
+                .with_retransmit(3, VDur::from_micros(300), RetransmitConfig::DEFAULT_BUFFER_MSGS)
                 .with_faults(
                     seed,
                     FaultRates {
@@ -1246,7 +1245,7 @@ fn arq_alltoall_round_trips_under_chunk_drops() {
         let out = w.run(move |c| {
             let local = cfg()
                 .with_pipeline(crate::PipelineConfig::enabled().with_workers(2))
-                .with_retransmit(3, VDur::from_micros(300))
+                .with_retransmit(3, VDur::from_micros(300), RetransmitConfig::DEFAULT_BUFFER_MSGS)
                 .with_faults(
                     seed,
                     FaultRates {
@@ -1288,7 +1287,7 @@ fn arq_alltoall_round_trips_under_chunk_drops() {
 fn fault_and_retry_spans_reach_the_trace() {
     let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
     let out = w.run(|c| {
-        let local = cfg().with_retransmit(4, VDur::from_micros(200));
+        let local = cfg().with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
         let local = if c.rank() == 0 {
             local.with_faults(
                 2,
@@ -1328,60 +1327,6 @@ fn fault_and_retry_spans_reach_the_trace() {
     }
 }
 
-/// Capture the raw wire bytes rank 1 observes for one secure send
-/// of `msg` under `mk_cfg` (plain or chunked format both handled).
-fn raw_wire_for(msg: Vec<u8>, mk_cfg: fn() -> SecurityConfig) -> Vec<u8> {
-    let w = World::flat(NetModel::ethernet_10g(), 2);
-    let out = w.run(move |c| {
-        if c.rank() == 0 {
-            let sc = SecureComm::new(c, mk_cfg()).unwrap();
-            sc.send(&msg, 1, 0);
-            Vec::new()
-        } else {
-            // Peek below the secure layer: concatenate whatever
-            // records actually crossed the wire.
-            match c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)) {
-                RecvPayload::Plain(_, wire) => wire.to_vec(),
-                RecvPayload::Chunked(msg) => msg
-                    .frames
-                    .iter()
-                    .flat_map(|(_, b)| b.iter().copied())
-                    .collect(),
-            }
-        }
-    });
-    out.results.into_iter().nth(1).unwrap()
-}
-
-#[test]
-fn pooled_wire_bytes_are_bit_identical_to_unpooled() {
-    // The pool is a pure allocation strategy: with it on or off the
-    // wire must carry exactly the same bytes, plain and chunked.
-    // Deterministic nonces so the two worlds draw identical nonce
-    // sequences; everything else must then match bit for bit.
-    for len in [48usize, 4096, (1 << 17) + 9] {
-        let msg: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(37)) as u8).collect();
-        let plain = raw_wire_for(msg.clone(), || cfg().with_deterministic_nonces(11));
-        let pooled = raw_wire_for(msg.clone(), || {
-            cfg().with_deterministic_nonces(11).with_buffer_pool(true)
-        });
-        assert_eq!(plain, pooled, "len {len}: plain-format wire bytes differ");
-
-        let pipe_off = raw_wire_for(msg.clone(), || {
-            cfg()
-                .with_deterministic_nonces(11)
-                .with_pipeline(crate::PipelineConfig::enabled().with_workers(4))
-        });
-        let pipe_on = raw_wire_for(msg.clone(), || {
-            cfg()
-                .with_deterministic_nonces(11)
-                .with_pipeline(crate::PipelineConfig::enabled().with_workers(4))
-                .with_buffer_pool(true)
-        });
-        assert_eq!(pipe_off, pipe_on, "len {len}: chunked wire bytes differ");
-    }
-}
-
 #[test]
 fn pooled_pipelined_traffic_recycles_buffers() {
     let len = 1usize << 18; // 4 chunks per message
@@ -1389,9 +1334,7 @@ fn pooled_pipelined_traffic_recycles_buffers() {
     let out = w.run(move |c| {
         let sc = SecureComm::new(
             c,
-            cfg()
-                .with_pipeline(crate::PipelineConfig::enabled().with_workers(4))
-                .with_buffer_pool(true),
+            cfg().with_pipeline(crate::PipelineConfig::enabled().with_workers(4)),
         )
         .unwrap();
         let msg = vec![3u8; len];
@@ -1404,35 +1347,32 @@ fn pooled_pipelined_traffic_recycles_buffers() {
             }
         }
         let s = c.sim().buffer_pool().stats();
-        (s.fresh, s.hits, s.reclaims)
+        (s.fresh, s.hits, s.returns)
     });
-    let (fresh, hits, reclaims) = out.results[1];
-    // Message 1 allocates its frames fresh; the receiver reclaims
-    // them; messages 2..4 must be served from the pool.
-    assert!(reclaims > 0, "receiver must recycle frames ({reclaims})");
+    let (fresh, hits, returns) = out.results[1];
+    // Message 1 takes its frames fresh; they come back once the
+    // receiver has opened them; messages 2..4 must be served from the
+    // pool.
+    assert!(returns > 0, "opened frames must come back ({returns})");
     assert!(hits > 0, "later sends must hit the pool ({hits})");
     assert!(
-        fresh <= 8,
-        "steady-state fresh allocations should stay near one message's worth, got {fresh}"
+        fresh <= 10,
+        "steady-state fresh takes should stay near one message's worth, got {fresh}"
     );
 }
 
 #[test]
 fn traced_pooled_2mb_send_meets_alloc_budget() {
     // The CI allocation-regression guard (DECOMP-ALLOC): the
-    // marginal traced heap-allocation cost of one steady-state
-    // 2 MB pipelined send must stay within a pinned budget with
-    // the pool on, and the pool must cut it by at least 10x
-    // against the unpooled configuration.
+    // marginal traced fresh-take cost of one steady-state 2 MB
+    // pipelined send must stay within a pinned budget.
     let len = 2usize << 20;
-    let run = |pooled: bool, msgs: u32| {
+    let run = |msgs: u32| {
         let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
         let out = w.run(move |c| {
             let sc = SecureComm::new(
                 c,
-                cfg()
-                    .with_pipeline(crate::PipelineConfig::enabled().with_workers(4))
-                    .with_buffer_pool(pooled),
+                cfg().with_pipeline(crate::PipelineConfig::enabled().with_workers(4)),
             )
             .unwrap();
             let msg = vec![5u8; len];
@@ -1443,50 +1383,34 @@ fn traced_pooled_2mb_send_meets_alloc_budget() {
                     sc.recv(Src::Is(0), TagSel::Is(i)).unwrap();
                 }
             }
+            c.sim().buffer_pool().stats().returns
         });
-        out.trace.unwrap()
+        (out.trace.unwrap(), out.results[1])
     };
     // Marginal cost of the third (steady-state) message: the
     // virtual sim is deterministic, so the two-run difference
     // isolates it exactly. The sender runs one message ahead of
-    // the receiver (frames reclaim on arrival, a wire latency
-    // after the send returns), so message 2 still seals fresh;
-    // the pool is warm from message 3 on.
-    let marginal = |pooled: bool| {
-        let one = run(pooled, 2).per_rank[0].allocs_fresh;
-        let two = run(pooled, 3).per_rank[0].allocs_fresh;
-        two - one
-    };
-    let pooled = marginal(true);
-    let unpooled = marginal(false);
+    // the receiver (frames come back once opened, a wire latency
+    // after the send returns), so message 2 still takes fresh
+    // frames; the pool is warm from message 3 on.
+    let one = run(2).0.per_rank[0].allocs_fresh;
+    let (tr, returns) = run(3);
+    let marginal = tr.per_rank[0].allocs_fresh - one;
     // Pinned budget (see .github/workflows/ci.yml): a steady-state
-    // pooled 2 MB send performs at most 8 traced allocations.
+    // 2 MB send performs at most 8 traced fresh takes.
     assert!(
-        pooled <= 8,
-        "pooled 2 MB send allocated {pooled} fresh buffers (budget 8)"
+        marginal <= 8,
+        "2 MB send took {marginal} fresh buffers (budget 8)"
     );
-    assert!(
-        unpooled >= 10 * pooled.max(1),
-        "pool must cut sender allocations >= 10x: pooled {pooled}, unpooled {unpooled}"
-    );
-
     // The alloc lanes carry the markers: alloc/* events sit on rank
-    // lanes (tid = rank), pooled runs record reclaims.
-    let tr = run(true, 2);
+    // lanes (tid = rank), and opened frames come back to the pool.
     assert!(
         tr.events
             .iter()
             .any(|e| e.name.starts_with("alloc/") && e.tid < 2),
         "alloc/* markers must land on rank lanes"
     );
-    assert!(
-        tr.per_rank[1].pool_reclaims > 0,
-        "receiver must reclaim frames into the pool"
-    );
-    assert!(
-        tr.events.iter().any(|e| e.name == "alloc/reclaim"),
-        "alloc/reclaim marker expected"
-    );
+    assert!(returns > 0, "opened frames must come back to the pool");
 }
 
 // -- key plane: handshake, rotation, revocation, misuse ----------
@@ -1591,7 +1515,7 @@ fn rotation_under_pipelined_traffic_is_bit_exact() {
                 } else {
                     let (_, got) = sc.recv(Src::Is(0), TagSel::Is(i)).unwrap();
                     assert_eq!(got, msg, "message {i} corrupted");
-                    delivered.push(got);
+                    delivered.push(got.into());
                 }
             }
             (delivered, sc.sealing_epoch())
@@ -1862,7 +1786,7 @@ fn rotation_survives_chaos_with_arq() {
                         .with_drain(2),
                 )
                 .with_faults(99, empi_netsim::FaultRates::uniform(0.04))
-                .with_retransmit(4, VDur::from_micros(150))
+                .with_retransmit(4, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS)
                 .with_pipeline(
                     crate::PipelineConfig::enabled()
                         .with_chunk_size(1 << 12)

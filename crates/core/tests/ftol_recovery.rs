@@ -3,7 +3,7 @@
 //! and leave the survivors with a working (re-keyed, shrunken) world.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{Error, FaultRates, KeyPlaneConfig, SecureComm, SecurityConfig};
+use empi_core::{Error, FaultRates, KeyPlaneConfig, RetransmitConfig, SecureComm, SecurityConfig};
 use empi_mpi::{CrashPlan, DetectorConfig, Src, TagSel, World};
 use empi_netsim::{FaultPlan, NetModel, VDur, VTime, Verdict};
 
@@ -58,7 +58,7 @@ fn crash_revokes_dead_rank_and_survivors_rekey() {
                 .recv(Src::Is(prev), TagSel::Is(42))
                 .expect("post-rekey recv");
             assert_eq!(st.source, prev);
-            let text = String::from_utf8(got).unwrap();
+            let text = String::from_utf8(got.into()).unwrap();
             assert_eq!(
                 text,
                 format!("survivor {prev} epoch {}", sc.sealing_epoch())
@@ -100,7 +100,7 @@ fn dead_sender_resolves_inflight_arq_to_delivery_failed() {
                         ..FaultRates::ZERO
                     },
                 )
-                .with_retransmit(5, VDur::from_micros(150));
+                .with_retransmit(5, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             let sc = SecureComm::new(c, cfg).unwrap();
             if c.rank() == 0 {
                 sc.send(b"doomed flow", 1, 7);
@@ -180,7 +180,7 @@ fn ft_recv_recovers_and_keeps_the_flow_sequence_aligned() {
         .try_run_ft(move |c| {
             let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
                 .with_faults(SEED, FLIP_HALF)
-                .with_retransmit(4, VDur::from_micros(200));
+                .with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             let sc = SecureComm::new(c, cfg).unwrap();
             let (first, second) = (vec![0x11u8; 3000], vec![0x22u8; 3000]);
             if c.rank() == 0 {
@@ -222,7 +222,7 @@ fn rank_parked_in_ft_recv_answers_a_live_peers_nack() {
     let out = w
         .try_run_ft(move |c| {
             let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
-                .with_retransmit(4, VDur::from_micros(200));
+                .with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             // Only rank 0's link is faulty; rank 1's reply travels clean.
             let cfg = match c.rank() {
                 0 => cfg.with_faults(SEED, FLIP_HALF),

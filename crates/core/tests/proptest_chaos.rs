@@ -8,7 +8,7 @@
 //! contract on one carrier and on several.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{Error, FaultRates, PipelineConfig, SecureComm, SecurityConfig};
+use empi_core::{Error, FaultRates, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, World};
 use empi_netsim::{NetModel, VDur};
 use proptest::prelude::*;
@@ -72,7 +72,7 @@ fn cfg(arq: bool, pipelined: bool, seed: u64, rates: FaultRates) -> SecurityConf
         );
     }
     if arq {
-        c = c.with_retransmit(3, VDur::from_micros(150));
+        c = c.with_retransmit(3, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
     }
     c
 }
@@ -99,7 +99,7 @@ proptest! {
                 sc.pump(sc.recovery_window());
                 Ok(want)
             } else {
-                let res = sc.recv(Src::Is(0), TagSel::Is(5)).map(|(_, d)| d);
+                let res = sc.recv(Src::Is(0), TagSel::Is(5)).map(|(_, d)| d.into());
                 sc.pump(sc.recovery_window());
                 res
             }
@@ -126,7 +126,7 @@ proptest! {
             let want = vec![me as u8 ^ 0x5A; len];
             let sreq = sc.isend(&want, 1 - me, 1);
             let rreq = sc.irecv(Src::Is(1 - me), TagSel::Is(1));
-            let got = sc.wait(rreq).map(|(_, d)| d.expect("receive carries data"));
+            let got = sc.wait(rreq).map(|(_, d)| d.expect("receive carries data").into());
             let send_res = sc.wait(sreq).map(|_| ());
             sc.pump(sc.recovery_window());
             (got, send_res)

@@ -23,7 +23,8 @@ use empi_aead::nonce::NoncePolicy;
 use empi_aead::profile::CryptoLibrary;
 use empi_aead::{AesGcm, NONCE_LEN};
 use empi_core::{
-    Error, FaultRates, KeyError, KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig,
+    Error, FaultRates, KeyError, KeyPlaneConfig, PipelineConfig, RetransmitConfig, SecureComm,
+    SecurityConfig,
 };
 use empi_keys::record::{overhead, seal_into, Record};
 use empi_keys::{derive_group_key, msg_id_epoch, EpochWindow};
@@ -194,7 +195,7 @@ proptest! {
                         got.push(want);
                     } else {
                         let (_, data) = sc.recv(Src::Is(0), TagSel::Is(i)).unwrap();
-                        got.push(data);
+                        got.push(data.into());
                     }
                 }
                 got
@@ -227,7 +228,7 @@ proptest! {
                     PipelineConfig::enabled().with_chunk_size(1 << 13).with_workers(2),
                 );
             if arq {
-                cfg = cfg.with_retransmit(3, VDur::from_micros(150));
+                cfg = cfg.with_retransmit(3, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             }
             let sc = SecureComm::new(c, cfg).unwrap();
             let mut outs = Vec::new();
@@ -237,7 +238,7 @@ proptest! {
                     sc.send(&want, 1, i);
                     outs.push(Ok(want));
                 } else {
-                    outs.push(sc.recv(Src::Is(0), TagSel::Is(i)).map(|(_, d)| d));
+                    outs.push(sc.recv(Src::Is(0), TagSel::Is(i)).map(|(_, d)| d.into()));
                 }
             }
             sc.pump(sc.recovery_window());

@@ -7,7 +7,7 @@
 //! time (DESIGN.md §15).
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
+use empi_core::{FaultRates, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, World};
 use empi_netsim::{CrashKind, CrashPlan, NetModel, VDur, VTime};
 use proptest::prelude::*;
@@ -62,7 +62,7 @@ fn run_once(shards: usize, seed: u64, chaos: bool, crash: bool, piped: bool) -> 
                 let pipe = PipelineConfig::enabled()
                     .with_chunk_size(1024)
                     .with_workers(2);
-                cfg = cfg.with_pipeline(pipe).with_buffer_pool(true);
+                cfg = cfg.with_pipeline(pipe);
             }
             if chaos {
                 cfg = cfg
@@ -79,7 +79,7 @@ fn run_once(shards: usize, seed: u64, chaos: bool, crash: bool, piped: bool) -> 
                             worker_slowdown: 1,
                         },
                     )
-                    .with_retransmit(2, VDur::from_micros(150));
+                    .with_retransmit(2, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
             }
             let me = c.rank();
             if me >= RING {

@@ -285,14 +285,16 @@ impl<'h> Comm<'h> {
     // Sends
     // ---------------------------------------------------------------
 
-    /// Copy a caller slice into an owned transport buffer, counting
-    /// the allocation against this rank's hot-path ledger.
+    /// Copy a caller slice into a transport buffer from the world's
+    /// pool, counting the take against this rank's hot-path ledger.
     /// [`Comm::post`] skips exactly this copy.
     fn copy_in(&self, buf: &[u8]) -> SendPayload {
+        let mut wire = self.h.buffer_pool().take(buf.len());
+        wire.extend_from_slice(buf);
         if let Some(t) = self.h.recorder() {
-            t.count_alloc(self.rank(), true, buf.len());
+            t.count_alloc(self.rank(), wire.fresh(), buf.len());
         }
-        SendPayload::Plain(Bytes::copy_from_slice(buf))
+        SendPayload::Plain(wire.freeze())
     }
 
     /// Hand an owned payload to the transport and return its request —

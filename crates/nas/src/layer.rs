@@ -100,13 +100,13 @@ impl CommLayer for PlainLayer<'_, '_> {
         self.comm.send(buf, dst, tag);
     }
     fn recv(&self, src: usize, tag: Tag) -> Vec<u8> {
-        self.comm.recv(Src::Is(src), TagSel::Is(tag)).1.to_vec()
+        self.comm.recv(Src::Is(src), TagSel::Is(tag)).1.into()
     }
     fn sendrecv(&self, sendbuf: &[u8], dst: usize, src: usize, tag: Tag) -> Vec<u8> {
         self.comm
             .sendrecv(sendbuf, dst, tag, Src::Is(src), TagSel::Is(tag))
             .1
-            .to_vec()
+            .into()
     }
 }
 
@@ -168,12 +168,14 @@ impl CommLayer for SecureLayer<'_, '_> {
             .recv(Src::Is(src), TagSel::Is(tag))
             .expect("encrypted recv")
             .1
+            .into()
     }
     fn sendrecv(&self, sendbuf: &[u8], dst: usize, src: usize, tag: Tag) -> Vec<u8> {
         self.sc
             .sendrecv(sendbuf, dst, tag, Src::Is(src), TagSel::Is(tag))
             .expect("encrypted sendrecv")
             .1
+            .into()
     }
 }
 

@@ -390,10 +390,10 @@ struct Shared {
     /// operations are sequential, so it is uncontended; it only
     /// satisfies `Sync`.
     pools: Vec<Mutex<Option<CorePool>>>,
-    /// Engine-wide reusable wire-buffer pool (see
-    /// [`SimHandle::buffer_pool`]). One pool for all ranks because
-    /// frames cross ranks in-process: the receiver reclaims the very
-    /// allocation the sender drew, closing the recycle loop.
+    /// This world's wire-buffer pool (see [`SimHandle::buffer_pool`]).
+    /// One pool for all ranks because frames cross ranks in-process:
+    /// the receiver's last handle returns the very allocation the
+    /// sender drew, closing the recycle loop.
     buf_pool: BufferPool,
     /// Scheduled process-level faults (empty = nobody dies).
     crash: CrashPlan,
@@ -943,7 +943,6 @@ impl Engine {
         T: Send,
         F: Fn(&SimHandle) -> T + Sync,
     {
-        fiber::settle_heap();
         let n = self.n_ranks;
         let carriers = self.shards.clamp(1, n);
         let shared = Arc::new(Shared {
@@ -1203,9 +1202,9 @@ impl SimHandle {
     /// and this is `f()` followed by `advance(d)`; a one-carrier world
     /// runs that without taking the scheduler lock.
     /// `f` MUST NOT touch simulation state (no sends, notifies, trace
-    /// emission, or pool allocation; allocate before detaching): under
-    /// that contract the tenure sequence, and with it every virtual
-    /// result, is the same either way.
+    /// emission, or pool buffer taken or dropped; allocate before
+    /// detaching): under that contract the tenure sequence, and with it
+    /// every virtual result, is the same either way.
     pub fn charge_overlapped<T>(&self, d: VDur, f: impl FnOnce() -> T) -> T {
         let sh = &*self.shared;
         if sh.carriers == 1 {
@@ -1417,9 +1416,11 @@ impl SimHandle {
         f(pool)
     }
 
-    /// The engine-wide [`BufferPool`] backing the zero-copy hot path.
-    /// Shared by every rank (buffers travel sender → receiver within
-    /// one process); the handle is cheap to clone.
+    /// This world's [`BufferPool`]: every large wire buffer is taken
+    /// from it and comes back when its last handle drops. Shared by
+    /// every rank (buffers travel sender → receiver); its shelves and
+    /// stats are the world's own, its misses draw on the process-wide
+    /// reservoir.
     pub fn buffer_pool(&self) -> &BufferPool {
         &self.shared.buf_pool
     }

@@ -31,7 +31,8 @@
 //! records, so [`Pipeline::seal_timed`] and [`Pipeline::open`] spread
 //! them over the world's idle carriers with
 //! `empi_netsim::SimHandle::par_each` and join before anything touches
-//! simulation state. Buffer draws come before the fork; worker-pool
+//! simulation state. Buffer draws (from the world's pool) come before
+//! the fork, and no buffer is dropped inside it; worker-pool
 //! scheduling, allocation counts and spans follow the join in chunk
 //! order, so the carrier count moves the wall-clock and nothing else.
 
@@ -276,10 +277,9 @@ impl Pipeline {
     /// `epoch` is the key-plane epoch the message is sealed under (0
     /// without the key plane). `base_nonce` must reserve one nonce per
     /// chunk (draw it with `NonceSource::next_nonce_block(chunk_count)`).
-    /// `take(cap)` hands out each frame's buffer — the caller decides
-    /// where buffers come from (heap or pool; the sealed bytes are
-    /// identical either way) — and says whether it was a fresh
-    /// allocation.
+    /// Every frame buffer comes from the world's pool; one `alloc/*`
+    /// marker per sourcing outcome goes on the rank's lane (the
+    /// per-frame counters carry the exact totals).
     #[allow(clippy::too_many_arguments)]
     pub fn seal_timed(
         &self,
@@ -290,7 +290,6 @@ impl Pipeline {
         epoch: u64,
         base_nonce: [u8; NONCE_LEN],
         buf: &[u8],
-        take: &dyn Fn(usize) -> (Vec<u8>, bool),
     ) -> Vec<ChunkFrame> {
         let chunk_size = self.cfg.chunk_size;
         let msg = FrameHeader::message(self.next_msg_id(epoch), buf.len(), chunk_size);
@@ -300,29 +299,45 @@ impl Pipeline {
         let submit = h.now();
         // Every buffer is drawn before the fork; the seals, each writing
         // its own frame, then spread over the world's idle carriers.
+        let pool = h.buffer_pool();
         let mut frames: Vec<_> = (0..total as usize)
-            .map(|i| take(FRAME_OVERHEAD + plain(i).len()))
+            .map(|i| pool.take(FRAME_OVERHEAD + plain(i).len()))
             .collect();
-        h.par_each(&mut frames, |i, (frame, _)| {
+        h.par_each(&mut frames, |i, frame| {
             msg.chunk(i as u32)
                 .seal_into(cipher, &base_nonce, plain(i), frame);
         });
-        h.with_core_pool(self.cfg.workers, |pool| {
-            let timed = frames.into_iter().enumerate().map(|(i, (frame, fresh))| {
+        let fresh = frames.iter().filter(|f| f.fresh()).count();
+        let timed: Vec<ChunkFrame> = h.with_core_pool(self.cfg.workers, |pool| {
+            let timed = frames.into_iter().enumerate().map(|(i, frame)| {
                 let len = plain(i).len();
                 let slot = pool.schedule_limited(submit, VDur(cost(len)), self.cfg.workers);
                 if let Some(t) = h.recorder() {
-                    t.count_alloc(comm.rank(), fresh, frame.len());
+                    t.count_alloc(comm.rank(), frame.fresh(), frame.len());
                     let detail = || format!("{backend} chunk {}/{total}", i + 1);
                     chunk_span(t, comm.rank(), &slot, "pipe/seal", len, detail);
                 }
                 ChunkFrame {
-                    data: Bytes::from(frame),
+                    data: frame.freeze(),
                     ready: slot.end,
                 }
             });
             timed.collect()
-        })
+        });
+        if let Some(t) = h.recorder() {
+            let wire: usize = timed.iter().map(|f| f.data.len()).sum();
+            let (me, now) = (comm.rank(), h.now().as_nanos());
+            for (n, label, how) in [
+                (fresh, "alloc/fresh", "fresh"),
+                (total as usize - fresh, "alloc/pooled", "pooled"),
+            ] {
+                if n > 0 {
+                    let detail = || format!("{n}/{total} frames {how}");
+                    t.span(me, Cat::Alloc, label, now, 0, wire, detail, None);
+                }
+            }
+        }
+        timed
     }
 
     /// Pipelined open of a received chunked message: each chunk's
@@ -339,15 +354,15 @@ impl Pipeline {
         cost: &ChunkCost<'_>,
         backend: &'static str,
         msg: &ChunkedMessage,
-    ) -> Result<Vec<u8>, PipelineError> {
+    ) -> Result<Bytes, PipelineError> {
         let parsed = parse_frames(msg.frames.iter().map(|(at, f)| (*at, f.clone())))?;
         let h = comm.sim();
-        // One output allocation per message: each chunk opens from its
-        // frame straight into its final position (the buffer handed to
-        // the caller), instead of per-chunk plaintext Vecs re-copied
-        // into the result.
+        // One output buffer per message, from the world's pool: each
+        // chunk opens from its frame straight into its final position
+        // (the buffer handed to the caller), instead of per-chunk
+        // plaintext Vecs re-copied into the result.
         let arrived = parsed.arrived_len();
-        let mut out = Vec::with_capacity(arrived);
+        let mut out = h.buffer_pool().take(arrived);
         if let Some(t) = h.recorder() {
             let (me, now) = (comm.rank(), h.now().as_nanos());
             let len = parsed.msg.total_len as usize;
@@ -357,8 +372,9 @@ impl Pipeline {
                     parsed.records.len()
                 )
             };
-            t.count_alloc(me, true, len);
-            t.span(me, Cat::Alloc, "alloc/fresh", now, 0, len, detail, None);
+            let label = if out.fresh() { "alloc/fresh" } else { "alloc/pooled" };
+            t.count_alloc(me, out.fresh(), len);
+            t.span(me, Cat::Alloc, label, now, 0, len, detail, None);
         }
         // Each chunk opens into its own range of `out`, the ranges
         // spread over the world's idle carriers; what touches state
@@ -396,7 +412,7 @@ impl Pipeline {
         unsafe { out.set_len(arrived) };
         parsed.check_len(&out)?;
         h.advance_to(done);
-        Ok(out)
+        Ok(out.freeze())
     }
 }
 
@@ -408,11 +424,6 @@ mod tests {
 
     fn cipher() -> AesGcm {
         AesGcm::new(&[0x42u8; 32]).unwrap()
-    }
-
-    /// Frame buffers straight from the heap.
-    fn heap(cap: usize) -> (Vec<u8>, bool) {
-        (Vec::with_capacity(cap), true)
     }
 
     #[test]
@@ -521,7 +532,7 @@ mod tests {
                         let pipe =
                             Pipeline::new(PipelineConfig::enabled().with_workers(4), c.rank());
                         let frames = pipe
-                            .seal_timed(c, &cipher, &cost_ns, "test", 0, [3u8; 12], &msg, &heap);
+                            .seal_timed(c, &cipher, &cost_ns, "test", 0, [3u8; 12], &msg);
                         c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
                     } else {
                         // Sequential reference: pay the whole seal on the
@@ -579,7 +590,7 @@ mod tests {
                     c.rank(),
                 );
                 let frames =
-                    pipe.seal_timed(c, &cipher, &cost_ns, "test", 0, [1u8; 12], &msg, &heap);
+                    pipe.seal_timed(c, &cipher, &cost_ns, "test", 0, [1u8; 12], &msg);
                 c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
             } else {
                 let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))

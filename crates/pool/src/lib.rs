@@ -1,198 +1,302 @@
-//! Size-classed pool of reusable wire/frame buffers.
+//! The one pool every large wire buffer comes from and goes back to.
 //!
-//! The hot send/recv path allocates one buffer per message (or per
-//! chunk) for the sealed wire image. `BufferPool` keeps those buffers
-//! alive across messages in power-of-two size classes so steady-state
-//! traffic recycles a small working set instead of hitting the heap
-//! per message. `PooledBuf` is the RAII handle: deref to a `Vec<u8>`,
-//! write the frame in place, then either let it drop (returns to the
-//! pool) or `freeze()` it into a [`Bytes`] for the wire and later hand
-//! that back via [`BufferPool::reclaim`].
+//! A world's hot path draws each sealed record, plain copy, chunk
+//! frame and reassembly buffer from its engine's [`BufferPool`] with
+//! [`BufferPool::take`]. [`PooledBuf`] is the handle: deref to a
+//! `Vec<u8>`, write the bytes, then [`PooledBuf::freeze`] it into a
+//! [`Bytes`] for the wire. Whichever handle drops last — the sender's
+//! retention, the receiver's payload, a slice of it — hands the
+//! allocation back to the pool ([`bytes::Owner`]); nobody reclaims by
+//! hand.
 //!
-//! The pool is deliberately dependency-free and does no tracing of its
-//! own; callers observe `take`/`reclaim` outcomes (`PooledBuf::fresh`,
-//! the `reclaim` return value) and feed the alloc counters themselves.
+//! Two levels, so that a world's trace stays a function of that world
+//! alone while its memory outlives it:
 //!
-//! Thread safety: classes are `Mutex`-guarded. Under the conservative
-//! virtual-time engine exactly one rank executes at a time, so the
-//! locks are effectively uncontended; they exist so one engine-wide
-//! pool can be shared across carrier threads (the receiver reclaims into
-//! the same pool the sender drew from, closing the recycle loop).
+//! * **Shelves, one per world.** A take is served by any shelved buffer
+//!   whose capacity is at least the request and at most twice it (the
+//!   smallest such); a miss is a *fresh* take, and the `alloc/fresh` /
+//!   `alloc/pooled` markers callers emit follow these outcomes only.
+//! * **The reservoir, one per process.** A world's misses draw from it
+//!   before the heap, and whatever the shelves do not keep — buffers
+//!   past their bound, the whole shelf set when the world's pool drops
+//!   — goes back to it. It lives as long as the process, so a second
+//!   world of the same traffic makes no heap allocation and faults no
+//!   page in again.
+//!
+//! Buffers below [`HEAP_BELOW`] stay plain heap allocations. Both
+//! levels keep at most as many bytes as were out of them at once:
+//! a returned buffer that would take the retained bytes past that
+//! high-water mark goes on (shelves to the reservoir, the reservoir to
+//! the heap). A buffer detached with [`PooledBuf::into_vec`] or
+//! [`Bytes::try_into_vec`] leaves both ledgers.
+//!
+//! Takes and returns happen inside a rank's tenure, never in compute
+//! that runs detached from it (`charge_overlapped`, `par_each`): there
+//! the order of two ranks' takes and returns, and with it which take
+//! hits, would depend on host timing. Such closures only borrow buffers
+//! drawn before them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
+use bytes::{Bytes, Owner};
 
-/// Smallest size class (bytes). Requests below this are rounded up.
-const MIN_CLASS: usize = 1 << 6; // 64 B
-/// Largest pooled size class. Larger requests get exact fresh
-/// allocations that are not retained on drop.
-const MAX_CLASS: usize = 1 << 22; // 4 MiB
-/// Retained buffers per size class; beyond this, dropped buffers are
-/// simply freed.
-const PER_CLASS_CAP: usize = 64;
+/// Takes below this many bytes are plain heap allocations, never
+/// pooled. glibc serves them from its bins without a page fault, and a
+/// malloc/free pair costs less than a pool round trip: pooling the
+/// 256 B records of a small-message ping-pong ran it 14 % slower. Every
+/// full frame of the pipeline's default 64 KiB chunk, and every buffer
+/// of 2 MB-class traffic, is far above it.
+pub const HEAP_BELOW: usize = 16 << 10;
 
-fn class_index(len: usize) -> Option<usize> {
-    let sz = len.max(MIN_CLASS).next_power_of_two();
-    if sz > MAX_CLASS {
-        return None;
+/// Buffers filed by capacity.
+#[derive(Default)]
+struct Shelves {
+    by_cap: BTreeMap<usize, Vec<Vec<u8>>>,
+    bytes: usize,
+}
+
+impl Shelves {
+    /// The smallest shelved buffer with room for `len` bytes and at
+    /// most twice that.
+    fn pop(&mut self, len: usize) -> Option<Vec<u8>> {
+        let (&cap, list) = self.by_cap.range_mut(len..=len.saturating_mul(2)).next()?;
+        let v = list.pop().expect("no empty list is kept");
+        if list.is_empty() {
+            self.by_cap.remove(&cap);
+        }
+        self.bytes -= cap;
+        Some(v)
     }
-    Some(sz.trailing_zeros() as usize - MIN_CLASS.trailing_zeros() as usize)
+
+    fn push(&mut self, mut v: Vec<u8>) {
+        v.clear();
+        self.bytes += v.capacity();
+        self.by_cap.entry(v.capacity()).or_default().push(v);
+    }
 }
 
-fn class_size(idx: usize) -> usize {
-    MIN_CLASS << idx
+/// One level's books: what it keeps, what is out of it, and the most
+/// that was ever out at once.
+#[derive(Default)]
+struct Ledger {
+    shelves: Shelves,
+    out: usize,
+    peak: usize,
 }
 
-const N_CLASSES: usize =
-    (MAX_CLASS.trailing_zeros() - MIN_CLASS.trailing_zeros()) as usize + 1;
+impl Ledger {
+    const EMPTY: Ledger = Ledger {
+        shelves: Shelves {
+            by_cap: BTreeMap::new(),
+            bytes: 0,
+        },
+        out: 0,
+        peak: 0,
+    };
+
+    /// A shelved buffer for `len` bytes, now out.
+    fn take(&mut self, len: usize) -> Option<Vec<u8>> {
+        let v = self.shelves.pop(len)?;
+        self.lend(v.capacity());
+        Some(v)
+    }
+
+    fn lend(&mut self, cap: usize) {
+        self.out += cap;
+        self.peak = self.peak.max(self.out);
+    }
+
+    /// `cap` bytes are no longer out. Saturating: a buffer grown past
+    /// its take while out comes back larger than it left.
+    fn settle(&mut self, cap: usize) {
+        self.out = self.out.saturating_sub(cap);
+    }
+
+    /// A buffer came back: shelve it while the shelves stay within the
+    /// high-water mark of bytes out, else hand it on.
+    fn restore(&mut self, v: Vec<u8>) -> Option<Vec<u8>> {
+        self.settle(v.capacity());
+        if self.shelves.bytes + v.capacity() > self.peak {
+            return Some(v);
+        }
+        self.shelves.push(v);
+        None
+    }
+}
+
+/// The process-wide level under every world's shelves.
+static RESERVOIR: Mutex<Ledger> = Mutex::new(Ledger::EMPTY);
+
+/// A buffer for `len` bytes from the reservoir, or from the heap.
+fn draw(len: usize) -> Vec<u8> {
+    if let Some(v) = RESERVOIR.lock().unwrap().take(len) {
+        return v;
+    }
+    let v = Vec::with_capacity(len);
+    RESERVOIR.lock().unwrap().lend(v.capacity());
+    v
+}
+
+/// Back to the reservoir; past its bound, back to the heap.
+fn restore(v: Vec<u8>) {
+    let spill = RESERVOIR.lock().unwrap().restore(v);
+    drop(spill);
+}
+
+/// One world's pool activity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Takes no shelved buffer could serve.
+    pub fresh: u64,
+    /// Takes served from the shelves.
+    pub hits: u64,
+    /// Buffers that came back when their last handle dropped.
+    pub returns: u64,
+    /// Bytes on the shelves now.
+    pub retained_bytes: usize,
+    /// The most bytes that were out of the shelves at once.
+    pub peak_out_bytes: usize,
+}
 
 #[derive(Default)]
 struct Inner {
-    classes: Vec<Mutex<Vec<Vec<u8>>>>,
-    fresh: AtomicU64,
-    hits: AtomicU64,
-    reclaims: AtomicU64,
-    reclaim_misses: AtomicU64,
+    ledger: Ledger,
+    fresh: u64,
+    hits: u64,
+    returns: u64,
 }
 
-/// Cumulative pool activity, for tests and diagnostics. The tracer's
-/// `alloc/*` counters are fed by callers, not from here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// `take` calls served by a heap allocation.
-    pub fresh: u64,
-    /// `take` calls served from a recycled buffer.
-    pub hits: u64,
-    /// `reclaim` calls that recovered the backing buffer.
-    pub reclaims: u64,
-    /// `reclaim` calls where the buffer was still shared (e.g. ARQ
-    /// retention) or oversize, so nothing was recycled.
-    pub reclaim_misses: u64,
-}
+/// A world's shelves, shared by its handles and its buffers' owners.
+#[derive(Default)]
+struct Home(Mutex<Inner>);
 
-/// Cheaply cloneable handle to a shared buffer pool.
-#[derive(Clone)]
-pub struct BufferPool {
-    inner: Arc<Inner>,
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        Self::new()
+impl Home {
+    fn take(&self, len: usize) -> (Vec<u8>, bool) {
+        let mut inner = self.0.lock().unwrap();
+        if let Some(v) = inner.ledger.take(len) {
+            inner.hits += 1;
+            return (v, false);
+        }
+        inner.fresh += 1;
+        drop(inner);
+        let v = draw(len);
+        self.0.lock().unwrap().ledger.lend(v.capacity());
+        (v, true)
     }
+}
+
+impl Owner for Home {
+    fn reclaim(&self, buf: Vec<u8>) {
+        let mut inner = self.0.lock().unwrap();
+        inner.returns += 1;
+        let spill = inner.ledger.restore(buf);
+        drop(inner);
+        if let Some(v) = spill {
+            restore(v);
+        }
+    }
+
+    fn release(&self, capacity: usize) {
+        self.0.lock().unwrap().ledger.settle(capacity);
+        RESERVOIR.lock().unwrap().settle(capacity);
+    }
+}
+
+impl Drop for Home {
+    /// The world is over: its shelves go back to the reservoir.
+    fn drop(&mut self) {
+        let shelves = std::mem::take(&mut self.0.get_mut().unwrap().ledger.shelves);
+        for v in shelves.by_cap.into_values().flatten() {
+            restore(v);
+        }
+    }
+}
+
+/// Cheaply cloneable handle to one world's pool.
+#[derive(Clone, Default)]
+pub struct BufferPool {
+    home: Arc<Home>,
 }
 
 impl BufferPool {
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                classes: (0..N_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-                ..Inner::default()
-            }),
-        }
+        Self::default()
     }
 
-    /// Hand out an empty buffer with capacity for at least `len`
-    /// bytes. Recycles a pooled buffer of the matching size class when
-    /// one is available, otherwise allocates fresh.
+    /// An empty buffer with room for at least `len` bytes: a shelved
+    /// one when one fits, else one drawn from the reservoir or the
+    /// heap (a fresh take). A take below [`HEAP_BELOW`] is a plain,
+    /// fresh heap buffer.
     pub fn take(&self, len: usize) -> PooledBuf {
-        if let Some(idx) = class_index(len) {
-            if let Some(mut v) = self.inner.classes[idx].lock().unwrap().pop() {
-                v.clear();
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return PooledBuf {
-                    vec: v,
-                    pool: Some(self.clone()),
-                    fresh: false,
-                };
-            }
-            self.inner.fresh.fetch_add(1, Ordering::Relaxed);
+        if len < HEAP_BELOW {
             return PooledBuf {
-                vec: Vec::with_capacity(class_size(idx)),
-                pool: Some(self.clone()),
+                vec: Vec::with_capacity(len),
+                home: None,
                 fresh: true,
             };
         }
-        // Oversize: exact allocation, never retained.
-        self.inner.fresh.fetch_add(1, Ordering::Relaxed);
+        let (vec, fresh) = self.home.take(len);
         PooledBuf {
-            vec: Vec::with_capacity(len),
-            pool: None,
-            fresh: true,
+            vec,
+            home: Some(self.home.clone()),
+            fresh,
         }
     }
 
-    /// Try to recycle the allocation behind a wire buffer. Succeeds
-    /// only when `b` is the unique, full-range owner (see
-    /// [`Bytes::try_into_vec`]); returns whether a buffer was
-    /// recovered so the caller can count the outcome.
+    /// Drop a wire buffer's handle, and say whether that brought a
+    /// buffer back to this pool. Every handle does this on its own
+    /// when it drops; this only reports it.
     pub fn reclaim(&self, b: Bytes) -> bool {
-        match b.try_into_vec() {
-            Ok(v) if class_index(v.capacity()).is_some() && v.capacity() >= MIN_CLASS => {
-                self.put_back(v);
-                self.inner.reclaims.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            _ => {
-                self.inner.reclaim_misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
-    fn put_back(&self, mut v: Vec<u8>) {
-        // File under the largest class the capacity fully covers, so a
-        // future `take` of that class size cannot under-provision.
-        let cap = v.capacity();
-        if cap < MIN_CLASS || cap.next_power_of_two() > MAX_CLASS {
-            return;
-        }
-        let sz = if cap.is_power_of_two() { cap } else { cap.next_power_of_two() / 2 };
-        let Some(idx) = class_index(sz) else { return };
-        let shelf = &mut *self.inner.classes[idx].lock().unwrap();
-        if shelf.len() < PER_CLASS_CAP {
-            v.clear();
-            shelf.push(v);
-        }
+        let before = self.stats().returns;
+        drop(b);
+        self.stats().returns > before
     }
 
     pub fn stats(&self) -> PoolStats {
+        let inner = self.home.0.lock().unwrap();
         PoolStats {
-            fresh: self.inner.fresh.load(Ordering::Relaxed),
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            reclaims: self.inner.reclaims.load(Ordering::Relaxed),
-            reclaim_misses: self.inner.reclaim_misses.load(Ordering::Relaxed),
+            fresh: inner.fresh,
+            hits: inner.hits,
+            returns: inner.returns,
+            retained_bytes: inner.ledger.shelves.bytes,
+            peak_out_bytes: inner.ledger.peak,
         }
     }
 }
 
 /// RAII handle to a pooled buffer. Deref/DerefMut as `Vec<u8>`; on
-/// drop the buffer returns to its pool (if it came from one).
+/// drop the buffer returns to its pool.
 pub struct PooledBuf {
     vec: Vec<u8>,
-    pool: Option<BufferPool>,
+    home: Option<Arc<Home>>,
     fresh: bool,
 }
 
 impl PooledBuf {
-    /// Whether this take was served by a heap allocation (true) or a
-    /// recycled pool buffer (false).
+    /// Whether this take missed the world's shelves.
     pub fn fresh(&self) -> bool {
         self.fresh
     }
 
-    /// Detach the buffer from the pool without copying. The `Vec` will
-    /// not return to the pool unless later reclaimed as `Bytes`.
+    /// Detach the buffer from the pool without copying: it will not
+    /// come back.
     pub fn into_vec(mut self) -> Vec<u8> {
-        std::mem::take(&mut self.vec)
+        let v = std::mem::take(&mut self.vec);
+        if let Some(home) = self.home.take() {
+            home.release(v.capacity());
+        }
+        v
     }
 
-    /// Convert to an immutable wire buffer without copying. Reclaim it
-    /// into the pool afterwards via [`BufferPool::reclaim`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.into_vec())
+    /// Convert to an immutable wire buffer without copying; it returns
+    /// to the pool when its last handle drops.
+    pub fn freeze(mut self) -> Bytes {
+        let v = std::mem::take(&mut self.vec);
+        match self.home.take() {
+            Some(home) => Bytes::from_owner(v, home),
+            None => Bytes::from(v),
+        }
     }
 }
 
@@ -211,8 +315,8 @@ impl std::ops::DerefMut for PooledBuf {
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.put_back(std::mem::take(&mut self.vec));
+        if let Some(home) = self.home.take() {
+            home.reclaim(std::mem::take(&mut self.vec));
         }
     }
 }
@@ -221,19 +325,23 @@ impl Drop for PooledBuf {
 mod tests {
     use super::*;
 
+    const MIB2: usize = 2 << 20;
+
+    const K: usize = HEAP_BELOW;
+
     #[test]
     fn drop_recycles_and_take_hits() {
         let p = BufferPool::new();
-        let mut b = p.take(1000);
+        let mut b = p.take(K + 1000);
         assert!(b.fresh());
-        b.extend_from_slice(&[7u8; 1000]);
+        b.extend_from_slice(&[7u8; K + 1000]);
         drop(b);
-        let b2 = p.take(900); // same 1 KiB class
+        let b2 = p.take(K + 900);
         assert!(!b2.fresh());
         assert!(b2.is_empty());
-        assert!(b2.capacity() >= 900);
+        assert!(b2.capacity() >= K + 900);
         let s = p.stats();
-        assert_eq!((s.fresh, s.hits), (1, 1));
+        assert_eq!((s.fresh, s.hits, s.returns), (1, 1, 1));
     }
 
     #[test]
@@ -249,28 +357,89 @@ mod tests {
     #[test]
     fn reclaim_of_shared_bytes_is_a_miss() {
         let p = BufferPool::new();
-        let wire = p.take(256).freeze();
-        let retained = wire.clone(); // e.g. ARQ retransmit retention
-        assert!(!p.reclaim(wire));
+        let mut b = p.take(K);
+        b.resize(K, 9);
+        let wire = b.freeze();
+        let retained = wire.slice(10..20); // e.g. ARQ retention
+        assert!(!p.reclaim(wire), "a slice still views it");
+        assert_eq!(p.stats().returns, 0);
+        // The last handle brings it back, whichever it is.
         drop(retained);
-        assert_eq!(p.stats().reclaim_misses, 1);
+        assert_eq!(p.stats().returns, 1);
     }
 
     #[test]
-    fn oversize_requests_are_exact_and_unpooled() {
+    fn a_miss_is_an_exact_take() {
         let p = BufferPool::new();
-        let b = p.take(MAX_CLASS + 1);
-        assert!(b.fresh());
-        drop(b);
-        assert!(p.take(MAX_CLASS + 1).fresh());
+        drop(p.take(K));
+        let b = p.take(5 * K);
+        assert!(b.fresh(), "16 KiB cannot serve 80 KiB");
+        assert_eq!(b.capacity(), 5 * K);
     }
 
     #[test]
     fn class_rounding_never_under_provisions() {
         let p = BufferPool::new();
-        drop(p.take(1 << 12)); // 4 KiB class
-        let b = p.take(1 << 12);
+        drop(p.take(K + 1));
+        assert!(p.take(K + 2).fresh(), "16 KiB + 1 B cannot serve 16 KiB + 2 B");
+        let b = p.take(K + 1);
         assert!(!b.fresh());
-        assert!(b.capacity() >= 1 << 12);
+        assert!(b.capacity() > K);
+    }
+
+    #[test]
+    fn a_2mib_take_is_served_by_a_retained_record_buffer() {
+        let p = BufferPool::new();
+        let record = p.take(MIB2 + 28);
+        let ptr = record.as_ptr();
+        drop(record);
+        let plain = p.take(MIB2);
+        assert!(!plain.fresh());
+        assert_eq!((plain.as_ptr(), plain.capacity()), (ptr, MIB2 + 28));
+    }
+
+    #[test]
+    fn a_take_is_not_served_by_a_buffer_over_twice_its_size() {
+        let p = BufferPool::new();
+        drop(p.take(2 * K + 1));
+        assert!(p.take(K).fresh(), "32 KiB + 1 B is over twice 16 KiB");
+        assert!(!p.take(2 * K + 1).fresh());
+    }
+
+    #[test]
+    fn detached_buffers_leave_the_books() {
+        let p = BufferPool::new();
+        let v = p.take(K).into_vec();
+        let b = p.take(K).freeze();
+        let w = b.try_into_vec().expect("unique");
+        drop((v, w));
+        let s = p.stats();
+        assert_eq!((s.returns, s.retained_bytes), (0, 0));
+        assert_eq!(p.home.0.lock().unwrap().ledger.out, 0);
+    }
+
+    #[test]
+    fn small_takes_are_plain_heap_buffers() {
+        let p = BufferPool::new();
+        for len in [0, 256, K - 1] {
+            let b = p.take(len);
+            assert!(b.fresh() && b.capacity() >= len);
+            assert!(!p.reclaim(b.freeze()));
+        }
+        assert_eq!(p.stats(), PoolStats::default());
+    }
+
+    #[test]
+    fn a_ledger_keeps_at_most_its_peak() {
+        let mut l = Ledger::default();
+        l.lend(1024);
+        assert!(l.restore(vec![0u8; 1024]).is_none());
+        let big = l.take(4096);
+        assert!(big.is_none(), "1 KiB cannot serve 4 KiB");
+        l.lend(4096);
+        assert_eq!(l.peak, 4096);
+        // 1 KiB shelved + 4 KiB back = 5 KiB > the 4 KiB peak: spill.
+        assert_eq!(l.restore(vec![0u8; 4096]).map(|v| v.len()), Some(4096));
+        assert_eq!((l.shelves.bytes, l.out), (1024, 0));
     }
 }

@@ -91,9 +91,9 @@ pub enum Cat {
     /// Recovery-protocol activity (`retry/nack`, `retry/backoff`,
     /// `retry/resend`) on the recovering rank's lane.
     Retry,
-    /// Buffer sourcing on the hot path (`alloc/fresh`, `alloc/pooled`,
-    /// `alloc/reclaim`) on the owning rank's lane — one marker per
-    /// seal/open op, with the per-site counts in [`RankMetrics`].
+    /// Buffer sourcing on the hot path (`alloc/fresh`, `alloc/pooled`)
+    /// on the owning rank's lane — one marker per seal/open op, with
+    /// the per-site counts in [`RankMetrics`].
     Alloc,
     /// SLO watchdog verdicts (`health/p99-budget`, `health/flow-stall`,
     /// `health/verdict`) emitted by [`Recorder::finish`] at end time.
@@ -197,16 +197,14 @@ pub struct RankMetrics {
     pub recoveries: u64,
     /// Virtual ns spent in capped exponential backoff before resends.
     pub backoff_ns: u64,
-    /// Happy-path heap allocations (and their bytes) for wire/frame
-    /// buffers: every `Vec` the stack materializes per message.
+    /// Wire/frame buffer takes (and their bytes) that missed the
+    /// world's pool shelves: every buffer the stack materializes per
+    /// message is one take.
     pub allocs_fresh: u64,
     pub alloc_fresh_bytes: u64,
-    /// Buffer takes served from the engine's `BufferPool` instead of
-    /// the heap.
+    /// Takes served from the world's pool shelves.
     pub allocs_pooled: u64,
     pub alloc_pooled_bytes: u64,
-    /// Wire buffers recovered into the pool after delivery.
-    pub pool_reclaims: u64,
     /// Group handshakes this rank completed (key plane).
     pub handshakes: u64,
     /// Key epochs this rank rolled into, one per epoch even when an

@@ -399,17 +399,6 @@ impl Recorder {
         }
     }
 
-    /// Count a wire buffer recovered into the pool after delivery
-    /// (`recovered` false when ARQ retention still shares it).
-    #[inline]
-    pub fn count_reclaim(&self, rank: usize, recovered: bool) {
-        if recovered {
-            if let Some(mut c) = self.traced_rank(rank) {
-                c.m.pool_reclaims += 1;
-            }
-        }
-    }
-
     /// Enter an operation scope (`bcast/binomial`, `p2p/eager`...).
     #[inline]
     pub fn push_op(&self, rank: usize, label: &'static str) {
@@ -801,9 +790,6 @@ mod tests {
         t.count_alloc(0, true, 4096);
         t.count_alloc(0, true, 64);
         t.count_alloc(0, false, 4096);
-        t.count_reclaim(1, true);
-        // Retained by ARQ — not recovered.
-        t.count_reclaim(1, false);
         // One per-op marker summarizing the seal.
         t.span(
             0,
@@ -820,7 +806,6 @@ mod tests {
         assert_eq!(r.per_rank[0].alloc_fresh_bytes, 4160);
         assert_eq!(r.per_rank[0].allocs_pooled, 1);
         assert_eq!(r.per_rank[0].alloc_pooled_bytes, 4096);
-        assert_eq!(r.per_rank[1].pool_reclaims, 1);
         let marks: Vec<_> = r.events.iter().filter(|e| e.cat == Cat::Alloc).collect();
         assert_eq!(marks.len(), 1);
         // Markers live on the rank lane (tracecheck: worker lanes are

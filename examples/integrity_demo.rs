@@ -90,7 +90,7 @@ fn main() {
             }
             2 => {
                 let (_, got) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-                got == msg
+                got[..] == msg[..]
             }
             _ => true,
         }

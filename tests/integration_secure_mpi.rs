@@ -27,7 +27,7 @@ fn whole_stack_encrypted_halo_exchange() {
                 .sendrecv(&token, right, 5, Src::Is(left), TagSel::Is(5))
                 .unwrap();
             ring_sum += got[0] as u64;
-            token = got;
+            token = got.into();
         }
         ring_sum
     });

@@ -15,7 +15,7 @@
 use empi::aead::profile::CryptoLibrary;
 use empi::mpi::{Src, TagSel, World};
 use empi::netsim::{NetModel, VDur};
-use empi::secure::{Error, FaultRates, PipelineConfig, SecureComm, SecurityConfig};
+use empi::secure::{Error, FaultRates, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig};
 use proptest::prelude::*;
 
 const TAG0: u32 = 40;
@@ -32,7 +32,7 @@ fn cfg(pipelined: bool, chaos: Option<(u64, f64)>) -> SecurityConfig {
     if let Some((seed, rate)) = chaos {
         c = c
             .with_faults(seed, FaultRates::uniform(rate))
-            .with_retransmit(4, VDur::from_micros(150));
+            .with_retransmit(4, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
     }
     c
 }
@@ -102,7 +102,7 @@ fn sequential(sc: &SecureComm, reqs: Vec<empi::secure::SecureRequest>) -> RecvOu
     reqs.into_iter()
         .map(|r| {
             sc.wait(r)
-                .map(|(st, d)| (st.source, st.tag, d.unwrap_or_default()))
+                .map(|(st, d)| (st.source, st.tag, d.unwrap_or_default().into()))
                 .map_err(|e| err_kind(&e))
         })
         .collect()
@@ -113,7 +113,7 @@ fn via_waitall(sc: &SecureComm, reqs: Vec<empi::secure::SecureRequest>) -> RecvO
     match sc.waitall(reqs) {
         Ok(res) => res
             .into_iter()
-            .map(|(st, d)| Ok((st.source, st.tag, d.unwrap_or_default())))
+            .map(|(st, d)| Ok((st.source, st.tag, d.unwrap_or_default().into())))
             .collect(),
         Err(e) => vec![Err(err_kind(&e)); n],
     }
@@ -134,7 +134,7 @@ fn via_waitsome(sc: &SecureComm, reqs: Vec<empi::secure::SecureRequest>) -> Recv
                 // original slots, then compact the survivor map.
                 let retired: Vec<usize> = done.iter().map(|&(i, ..)| i).collect();
                 for (i, st, d) in done {
-                    out[slot_of[i]] = Some(Ok((st.source, st.tag, d.unwrap_or_default())));
+                    out[slot_of[i]] = Some(Ok((st.source, st.tag, d.unwrap_or_default().into())));
                 }
                 let mut kept = Vec::with_capacity(pending.len());
                 for (pos, slot) in slot_of.iter().enumerate() {
@@ -176,7 +176,7 @@ fn via_testany(sc: &SecureComm, reqs: Vec<empi::secure::SecureRequest>) -> RecvO
         };
         match step {
             Ok((i, st, d)) => {
-                out[slot_of.remove(i)] = Some(Ok((st.source, st.tag, d.unwrap_or_default())));
+                out[slot_of.remove(i)] = Some(Ok((st.source, st.tag, d.unwrap_or_default().into())));
             }
             Err(e) => {
                 let kind = err_kind(&e);

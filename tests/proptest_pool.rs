@@ -1,29 +1,33 @@
-//! Property-based tests for the zero-copy pooled hot path: with
-//! deterministic nonces and identical seeds, the pooled and unpooled
-//! configurations must produce bit-identical wire bytes and plaintexts
-//! across p2p, nonblocking p2p, bcast, and alltoall — and pooled frame
-//! handles must survive fault injection plus NACK repair without
-//! aliasing (a recycled buffer must never leak into a retained or
-//! repaired frame).
+//! Property-based tests for the pooled hot path. Every wire buffer
+//! comes from the world's pool and returns when its last handle drops,
+//! and the pool's reservoir outlives the world, so a second world of
+//! the same seeds runs on recycled buffers: it must put the same bytes
+//! on the wire and hand back the same plaintexts across p2p,
+//! nonblocking p2p, bcast and alltoall — and pooled frame handles must
+//! survive fault injection plus NACK repair without aliasing (a
+//! recycled buffer must never leak into a retained or repaired frame).
+//! `golden_wire_bytes_per_format_and_key_source` pins the wire bytes
+//! across commits.
 
 use empi::aead::profile::CryptoLibrary;
 use empi::mpi::{RecvPayload, Src, TagSel, World};
-use empi::netsim::{NetModel, VDur};
+use empi::netsim::{BufferPool, NetModel, VDur};
 use empi::secure::{
-    Error, FaultRates, KeyPlaneConfig, PipelineConfig, SecureComm, SecurityConfig,
+    Error, FaultRates, KeyPlaneConfig, PipelineConfig, RetransmitConfig, SecureComm,
+    SecurityConfig,
 };
 use proptest::prelude::*;
 
-fn cfg(pooled: bool, pipelined: bool, chunk_size: usize, nonce_seed: u64) -> SecurityConfig {
-    let mut c = SecurityConfig::new(CryptoLibrary::BoringSsl).with_deterministic_nonces(nonce_seed);
-    if pipelined {
-        c = c.with_pipeline(
-            PipelineConfig::enabled()
-                .with_chunk_size(chunk_size)
-                .with_workers(2),
-        );
+fn cfg(pipelined: bool, chunk_size: usize, nonce_seed: u64) -> SecurityConfig {
+    let c = SecurityConfig::new(CryptoLibrary::BoringSsl).with_deterministic_nonces(nonce_seed);
+    if !pipelined {
+        return c;
     }
-    c.with_buffer_pool(pooled)
+    c.with_pipeline(
+        PipelineConfig::enabled()
+            .with_chunk_size(chunk_size)
+            .with_workers(2),
+    )
 }
 
 /// The raw wire bytes rank 1 observes for one secure send of `msg`,
@@ -61,32 +65,72 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Golden wire bytes: one fixed message and nonce seed per wire format
-/// and key source, hashed. The constants pin the ciphertext *across
-/// commits* (the proptests above only compare pool on/off within one
-/// build): a refactor of the record layer must reproduce them exactly.
+/// and key source, hashed, plus plain and chunked records at the sizes
+/// around a 4 KB chunk and past 128 KB. The constants pin the
+/// ciphertext *across commits*: a refactor of the record layer or of
+/// where its buffers come from must reproduce them exactly.
 #[test]
 fn golden_wire_bytes_per_format_and_key_source() {
     type KeySource = fn(SecurityConfig) -> SecurityConfig;
     let cluster: KeySource = |c| c;
     let plane: KeySource = |c| c.with_key_plane(KeyPlaneConfig::new(0x5eed));
-    // (label, pipelined, key source, FNV-64 of the wire bytes as
-    // captured at the commit before the record-layer refactor)
-    let table: [(&str, bool, KeySource, u64); 4] = [
-        ("plain/cluster", false, cluster, 0x2a8b_bb68_1f96_f585),
-        ("plain/plane", false, plane, 0x774e_9528_4c1f_ebf6),
-        ("chunked/cluster", true, cluster, 0xde2b_7478_ec1e_4f1e),
-        ("chunked/plane", true, plane, 0x21fd_9f14_a9e3_7239),
+    // (label, message length, pipelined, key source, FNV-64 of the
+    // wire bytes as captured at the commit before the record-layer
+    // refactor; the last five before every buffer came from the pool)
+    let table: [(&str, usize, bool, KeySource, u64); 9] = [
+        ("plain/cluster", 10_000, false, cluster, 0x2a8b_bb68_1f96_f585),
+        ("plain/plane", 10_000, false, plane, 0x774e_9528_4c1f_ebf6),
+        ("chunked/cluster", 10_000, true, cluster, 0xde2b_7478_ec1e_4f1e),
+        ("chunked/plane", 10_000, true, plane, 0x21fd_9f14_a9e3_7239),
+        ("plain/cluster", 48, false, cluster, 0xef3c_68a0_9ea4_b93d),
+        ("plain/cluster", 4096, false, cluster, 0x5bcb_9eab_4d9c_cb1c),
+        ("chunked/cluster", 4097, true, cluster, 0x7d45_0a18_0b72_ec4a),
+        ("plain/cluster", (1 << 17) + 9, false, cluster, 0x4cda_2c66_a700_85e7),
+        ("chunked/cluster", (1 << 17) + 9, true, cluster, 0x002f_24eb_b5bd_9a6d),
     ];
-    let msg: Vec<u8> = (0..10_000usize).map(|i| (i * 31 + 7) as u8).collect();
-    for (label, pipelined, key_source, want) in table {
-        for pooled in [false, true] {
-            let wire = raw_wire(msg.clone(), key_source(cfg(pooled, pipelined, 4096, 0xC0FFEE)));
+    for (label, len, pipelined, key_source, want) in table {
+        let msg: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        // The second world draws every buffer from a warm reservoir.
+        for world in 0..2 {
+            let wire = raw_wire(msg.clone(), key_source(cfg(pipelined, 4096, 0xC0FFEE)));
             assert_eq!(
                 fnv64(&wire),
                 want,
-                "{label} (pool {pooled}): wire bytes changed ({} bytes, got {:#018x})",
+                "{label} at {len} B (world {world}): wire bytes changed ({} bytes, got {:#018x})",
                 wire.len(),
                 fnv64(&wire),
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn retained_bytes_never_exceed_the_most_that_were_out(
+        ops in proptest::collection::vec((any::<bool>(), (16usize << 10)..(512 << 10), any::<usize>()), 1..48),
+    ) {
+        // A random interleaving of takes and drops, some of the drops
+        // through a frozen wire handle: after every step the shelves
+        // hold no more bytes than were ever out of them at once.
+        let pool = BufferPool::new();
+        let mut held = Vec::new();
+        for (take, len, pick) in ops {
+            if take || held.is_empty() {
+                held.push(pool.take(len));
+            } else {
+                let b = held.swap_remove(pick % held.len());
+                if pick % 2 == 0 {
+                    drop(b.freeze());
+                } else {
+                    drop(b);
+                }
+            }
+            let s = pool.stats();
+            prop_assert!(
+                s.retained_bytes <= s.peak_out_bytes,
+                "{} B retained, at most {} B were ever out",
+                s.retained_bytes,
+                s.peak_out_bytes
             );
         }
     }
@@ -97,21 +141,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn pooled_wire_bytes_match_unpooled_bit_for_bit(
+    fn wire_bytes_do_not_depend_on_recycled_buffers(
         len in 1usize..50_000,
         pipelined in any::<bool>(),
         chunk_size in 256usize..8192,
         nonce_seed in any::<u64>(),
         fill in any::<u8>(),
     ) {
-        // Pool on/off is a pure buffer-sourcing decision: same nonce
-        // seed, same message => the exact same bytes on the wire, in
+        // Where a buffer comes from is not a wire decision: the second
+        // world seals into buffers the first one returned (stale bytes
+        // and all), and must put the exact same bytes on the wire, in
         // both the plain and the chunked frame format.
         let msg: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(13) ^ fill).collect();
-        let plain_cfg = |p| cfg(p, pipelined, chunk_size, nonce_seed);
-        let off = raw_wire(msg.clone(), plain_cfg(false));
-        let on = raw_wire(msg, plain_cfg(true));
-        prop_assert_eq!(off, on);
+        let first = raw_wire(msg.clone(), cfg(pipelined, chunk_size, nonce_seed));
+        let second = raw_wire(msg, cfg(pipelined, chunk_size, nonce_seed));
+        prop_assert_eq!(first, second);
     }
 
     #[test]
@@ -126,7 +170,7 @@ proptest! {
         // recycle across messages.
         let w = World::flat(NetModel::ethernet_10g(), 2);
         let out = w.run(move |c| {
-            let sc = SecureComm::new(c, cfg(true, pipelined, chunk_size, nonce_seed)).unwrap();
+            let sc = SecureComm::new(c, cfg(pipelined, chunk_size, nonce_seed)).unwrap();
             let mk = |t: usize| -> Vec<u8> {
                 (0..len).map(|i| (i as u8).wrapping_add(t as u8 * 17)).collect()
             };
@@ -158,12 +202,13 @@ proptest! {
         n in 3usize..6,
         nonce_seed in any::<u64>(),
     ) {
-        // Pipelined tree bcast relays root-sealed frames; the pooled
-        // and unpooled worlds must hand every rank the same plaintext.
-        let run = |pooled: bool| {
+        // Pipelined tree bcast relays root-sealed frames; every rank
+        // gets the root's plaintext, and a second world on recycled
+        // buffers hands out the same.
+        let run = || {
             let w = World::flat(NetModel::ethernet_10g(), n);
             w.run(move |c| {
-                let sc = SecureComm::new(c, cfg(pooled, true, 4096, nonce_seed)).unwrap();
+                let sc = SecureComm::new(c, cfg(true, 4096, nonce_seed)).unwrap();
                 let want: Vec<u8> = (0..len).map(|i| (i * 11 + 5) as u8).collect();
                 let mut buf = if c.rank() == 0 { want } else { vec![0u8; len] };
                 sc.bcast(&mut buf, 0).unwrap();
@@ -171,13 +216,13 @@ proptest! {
             })
             .results
         };
-        let off = run(false);
-        let on = run(true);
+        let first = run();
+        let second = run();
         let want: Vec<u8> = (0..len).map(|i| (i * 11 + 5) as u8).collect();
-        for (rank, got) in on.iter().enumerate() {
+        for (rank, got) in first.iter().enumerate() {
             prop_assert_eq!(got, &want, "pooled bcast corrupted rank {}", rank);
         }
-        prop_assert_eq!(off, on);
+        prop_assert_eq!(first, second);
     }
 
     #[test]
@@ -187,10 +232,10 @@ proptest! {
         pipelined in any::<bool>(),
     ) {
         let n = 3usize;
-        let run = |pooled: bool| {
+        let run = || {
             let w = World::flat(NetModel::ethernet_10g(), n);
             w.run(move |c| {
-                let sc = SecureComm::new(c, cfg(pooled, pipelined, 2048, nonce_seed)).unwrap();
+                let sc = SecureComm::new(c, cfg(pipelined, 2048, nonce_seed)).unwrap();
                 let me = c.rank();
                 let send: Vec<u8> =
                     (0..n).flat_map(|d| vec![(me * n + d) as u8; block]).collect();
@@ -198,13 +243,13 @@ proptest! {
             })
             .results
         };
-        let off = run(false);
-        let on = run(true);
-        for (me, got) in on.iter().enumerate() {
+        let first = run();
+        let second = run();
+        for (me, got) in first.iter().enumerate() {
             let want: Vec<u8> = (0..n).flat_map(|s| vec![(s * n + me) as u8; block]).collect();
             prop_assert_eq!(got, &want, "pooled alltoall corrupted rank {}", me);
         }
-        prop_assert_eq!(off, on);
+        prop_assert_eq!(first, second);
     }
 
     #[test]
@@ -219,9 +264,9 @@ proptest! {
         // for repair while the pool recycles delivered ones. A handle
         // that aliased a recycled buffer would corrupt the repaired
         // plaintext silently — exactly what this forbids: the outcome
-        // must be the bit-identical message or a typed error, and it
-        // must agree with the unpooled world (same seeds, same virtual
-        // schedule).
+        // must be the bit-identical message or a typed error, and a
+        // second world on recycled buffers (same seeds, same virtual
+        // schedule) must reach the same one.
         let rates = FaultRates {
             bit_flip,
             truncate: 0.0,
@@ -232,14 +277,14 @@ proptest! {
             degraded_workers: 0.0,
             worker_slowdown: 1,
         };
-        let run = |pooled: bool| {
+        let run = || {
             let w = World::flat(NetModel::ethernet_10g(), 2);
             w.try_run(move |c| {
                 let sc = SecureComm::new(
                     c,
-                    cfg(pooled, true, 1 << 12, nonce_seed)
+                    cfg(true, 1 << 12, nonce_seed)
                         .with_faults(fault_seed, rates)
-                        .with_retransmit(3, VDur::from_micros(150)),
+                        .with_retransmit(3, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS),
                 )
                 .unwrap();
                 let want: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(29) ^ (i >> 7)) as u8).collect();
@@ -248,7 +293,7 @@ proptest! {
                     sc.pump(sc.recovery_window());
                     Ok(want)
                 } else {
-                    let res = sc.recv(Src::Is(0), TagSel::Is(5)).map(|(_, d)| d);
+                    let res = sc.recv(Src::Is(0), TagSel::Is(5)).map(|(_, d)| d.into());
                     sc.pump(sc.recovery_window());
                     res
                 }
@@ -281,16 +326,16 @@ proptest! {
             }
             Ok(())
         };
-        let off = run(false);
-        let on = run(true);
-        check("unpooled", &off[1])?;
-        check("pooled", &on[1])?;
-        // Pooling changes no virtual-time decision, so the two worlds
+        let first = run();
+        let second = run();
+        check("first world", &first[1])?;
+        check("second world", &second[1])?;
+        // Recycling changes no virtual-time decision, so the two worlds
         // see the same fault plan and must reach the same outcome.
         prop_assert_eq!(
-            off[1].as_ref().ok(),
-            on[1].as_ref().ok(),
-            "pooled/unpooled outcomes diverged under the same fault plan"
+            first[1].as_ref().ok(),
+            second[1].as_ref().ok(),
+            "outcomes diverged on recycled buffers under the same fault plan"
         );
     }
 }

@@ -390,7 +390,35 @@ fn virtual_time_has_one_source() {
         .into_iter()
         .filter(|(_, l)| l.contains("pub fn with_"))
         .count();
-    assert!(builders <= 10, "SecurityConfig has {builders} `with_*` builders");
+    assert!(builders <= 9, "SecurityConfig has {builders} `with_*` builders");
+}
+
+/// The library sets no allocator policy: wire buffers come back through
+/// `empi-pool`, whose reservoir outlives the world, instead of glibc
+/// being told to keep freed pages. No `mallopt` call or declaration and
+/// no malloc parameter name anywhere under `crates/`, comments included.
+#[test]
+fn the_library_sets_no_malloc_policy() {
+    let lines = all_lines(&rust_files("crates"));
+    assert!(
+        lines.iter().any(|(f, _, _)| f.ends_with("fiber.rs")),
+        "the guard sees no engine code"
+    );
+    let found: Vec<String> = lines
+        .iter()
+        .filter(|(_, _, l)| {
+            [
+                concat!("mall", "opt"),
+                concat!("M_MMAP", "_THRESHOLD"),
+                concat!("M_TRIM", "_THRESHOLD"),
+                concat!("M_ARENA", "_MAX"),
+            ]
+            .iter()
+            .any(|k| l.contains(k))
+        })
+        .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
+        .collect();
+    assert!(found.is_empty(), "allocator policy in the library: {found:#?}");
 }
 
 /// Ranks are coroutines that may resume on any carrier thread, so no
