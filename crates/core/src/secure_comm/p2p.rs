@@ -247,6 +247,10 @@ impl SecureComm<'_, '_> {
     /// worker pool — even when this rank's own pipeline config is
     /// disabled. Mixed sender/receiver configurations therefore always
     /// interoperate.
+    ///
+    /// The plaintext returns to the world's buffer pool when its last
+    /// handle drops. Drop it in this rank's own code, never inside an
+    /// [`empi_mpi::Comm::compute_with`] closure (see there).
     pub fn recv(&self, src: Src, tag: TagSel) -> Result<(Status, Bytes)> {
         self.recv_noted(src, tag, false)
     }
@@ -315,7 +319,8 @@ impl SecureComm<'_, '_> {
     /// source (or of any rank, for any-source receives) surfaces as
     /// [`crate::Error::RankFailed`] after the dead rank's key material
     /// is revoked and the survivors re-keyed. The world must be built
-    /// with `with_ftol`.
+    /// with `with_ftol`. The plaintext is pooled like
+    /// [`SecureComm::recv`]'s.
     pub fn ft_recv(&self, src: Src, tag: TagSel) -> Result<(Status, Bytes)> {
         self.recv_noted(src, tag, true)
     }
@@ -379,7 +384,8 @@ impl SecureComm<'_, '_> {
     /// to keep `IRecv` non-blocking). Like [`SecureComm::recv`], the
     /// decryption path is chosen by the sender's wire format, so a
     /// pipelined sender's chunked train is opened on the worker pool
-    /// even if this rank never enabled pipelining.
+    /// even if this rank never enabled pipelining. The plaintext is
+    /// pooled like [`SecureComm::recv`]'s.
     pub fn wait(&self, req: SecureRequest) -> Result<(Status, Option<Bytes>)> {
         let t0 = self.comm.sim().now().as_nanos();
         let done = self.next_done(&mut [Some(req.inner)]);
@@ -397,7 +403,8 @@ impl SecureComm<'_, '_> {
     /// (latency measured from the call, the tail a waitall-heavy
     /// workload actually observes). On a decryption/delivery error the
     /// error is returned and the requests not yet retired are dropped,
-    /// like the sequential wait loop it replaces.
+    /// like the sequential wait loop it replaces. Plaintexts are pooled
+    /// like [`SecureComm::recv`]'s.
     pub fn waitall(&self, mut reqs: Vec<SecureRequest>) -> Result<Vec<(Status, Option<Bytes>)>> {
         let t0 = self.comm.sim().now().as_nanos();
         let (mut slots, hints) = into_slots(&mut reqs);
@@ -419,6 +426,7 @@ impl SecureComm<'_, '_> {
     /// (survivors keep their order); each reported index refers to the
     /// position in `reqs` at call time. An empty `reqs` returns an
     /// empty vector. Records one `p2p/waitsome` sample per completion.
+    /// Plaintexts are pooled like [`SecureComm::recv`]'s.
     pub fn waitsome(&self, reqs: &mut Vec<SecureRequest>) -> Result<Vec<SetCompletion>> {
         let t0 = self.comm.sim().now().as_nanos();
         let (mut slots, hints) = into_slots(reqs);
@@ -444,7 +452,8 @@ impl SecureComm<'_, '_> {
     /// any (Encrypted_Testany). Never advances virtual time; NACKs
     /// that have already arrived are serviced even when nothing
     /// completes. `Ok(None)` means no request has completed at the
-    /// current virtual time (or `reqs` is empty).
+    /// current virtual time (or `reqs` is empty). The plaintext is
+    /// pooled like [`SecureComm::recv`]'s.
     pub fn testany(&self, reqs: &mut Vec<SecureRequest>) -> Result<Option<SetCompletion>> {
         let t0 = self.comm.sim().now().as_nanos();
         let (mut slots, hints) = into_slots(reqs);
@@ -464,7 +473,8 @@ impl SecureComm<'_, '_> {
     /// Wait for *any* one request to complete (Encrypted_Waitany): the
     /// completed request is removed from `reqs` and its index returned;
     /// a completed receive is authenticated and decrypted here, again
-    /// dispatching on the sender's wire format.
+    /// dispatching on the sender's wire format. The plaintext is pooled
+    /// like [`SecureComm::recv`]'s.
     pub fn waitany(
         &self,
         reqs: &mut Vec<SecureRequest>,
@@ -480,7 +490,8 @@ impl SecureComm<'_, '_> {
         opened.map(|(status, plain)| (idx, status, plain))
     }
 
-    /// Encrypted sendrecv.
+    /// Encrypted sendrecv. The plaintext is pooled like
+    /// [`SecureComm::recv`]'s.
     pub fn sendrecv(
         &self,
         sendbuf: &[u8],

@@ -1330,7 +1330,7 @@ fn fault_and_retry_spans_reach_the_trace() {
 #[test]
 fn pooled_pipelined_traffic_recycles_buffers() {
     let len = 1usize << 18; // 4 chunks per message
-    let w = World::flat(NetModel::ethernet_10g(), 2);
+    let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
     let out = w.run(move |c| {
         let sc = SecureComm::new(
             c,
@@ -1350,15 +1350,19 @@ fn pooled_pipelined_traffic_recycles_buffers() {
         (s.fresh, s.hits, s.returns)
     });
     let (fresh, hits, returns) = out.results[1];
-    // Message 1 takes its frames fresh; they come back once the
-    // receiver has opened them; messages 2..4 must be served from the
-    // pool.
-    assert!(returns > 0, "opened frames must come back ({returns})");
-    assert!(hits > 0, "later sends must hit the pool ({hits})");
-    assert!(
-        fresh <= 10,
-        "steady-state fresh takes should stay near one message's worth, got {fresh}"
-    );
+    let tr = out.trace.unwrap();
+    let takes = |r: usize| (tr.per_rank[r].allocs_fresh, tr.per_rank[r].allocs_pooled);
+    // Frames, counted on the sender: it runs one message ahead of the
+    // receiver (frames come back once opened), so messages 1 and 2 take
+    // their 4 frames each fresh and messages 3 and 4 are served from
+    // the pool.
+    assert_eq!(takes(0), (8, 8), "frame takes (fresh, pooled)");
+    // The receiver counts its reassembly buffers: the first is fresh,
+    // the next three reuse it.
+    assert_eq!(takes(1), (1, 3), "reassembly takes (fresh, pooled)");
+    // The world's pool saw exactly those takes, and every buffer of
+    // all four messages came back.
+    assert_eq!((fresh, hits, returns), (9, 11, 20));
 }
 
 #[test]

@@ -185,3 +185,38 @@ fn known_seed_piped_digests_match() {
         assert_eq!(base, run_once(s, 0xC0FFEE, true, true, true), "shards={s}");
     }
 }
+
+/// Received payloads above the pool's heap cut-off are pool buffers.
+/// Reading one inside detached compute, and dropping it after, leaves
+/// the pool's outcomes — and every marker that follows them — the same
+/// at every carrier count.
+#[test]
+fn pooled_payloads_read_in_detached_compute_are_shard_invariant() {
+    let run = |shards: usize| {
+        let out = World::flat(NetModel::ethernet_10g(), 4)
+            .with_metrics(true)
+            .with_shards(shards)
+            .run(|c| {
+                let sc = SecureComm::new(c, SecurityConfig::new(CryptoLibrary::BoringSsl)).unwrap();
+                let (me, peer) = (c.rank(), c.rank() ^ 1);
+                let mut sums = Vec::new();
+                for round in 0..4usize {
+                    let len = (64 << 10) + 4096 * (me + round);
+                    let msg: Vec<u8> = (0..len).map(|i| (i ^ me ^ round) as u8).collect();
+                    let sreq = sc.isend(&msg, peer, round as u32);
+                    let (_, got) = sc.recv(Src::Is(peer), TagSel::Is(round as u32)).unwrap();
+                    sums.push(c.compute_with(VDur::from_micros(20 + me as u64), || fnv(&got)));
+                    drop(got);
+                    sc.wait(sreq).unwrap();
+                }
+                (sums, c.sim().buffer_pool().stats())
+            });
+        (out.results, out.end_time, out.yields, format!("{:?}", out.metrics))
+    };
+    let base = run(1);
+    let stats = base.0[3].1;
+    assert!(stats.hits > 0 && stats.returns > 0, "the payloads are pooled: {stats:?}");
+    for s in [2usize, 4] {
+        assert_eq!(base, run(s), "shards={s}");
+    }
+}

@@ -192,6 +192,13 @@ impl<'h> Comm<'h> {
     /// simulation state. Under a sharded world the closure overlaps
     /// with other ranks on real cores; results stay bit-identical to
     /// the serial schedule (see [`empi_netsim::SimHandle::charge_overlapped`]).
+    ///
+    /// `f` may read a received payload but must not drop one (nor take
+    /// a pool buffer): a detached closure runs in host-timing order, so
+    /// a buffer returned there would make the pool's hits, and the
+    /// `alloc/*` markers that follow them, depend on the carrier count.
+    /// Drop the payload after the call, or detach it with `Vec::from`
+    /// before.
     pub fn compute_with<T>(&self, d: VDur, f: impl FnOnce() -> T) -> T {
         self.h.charge_overlapped(d, f)
     }
@@ -468,6 +475,10 @@ impl<'h> Comm<'h> {
     ///
     /// Format-agnostic like [`Comm::wait`]: a chunked train is
     /// assembled into one contiguous buffer, framing intact.
+    ///
+    /// The payload returns to the world's buffer pool when its last
+    /// handle drops. Drop it in this rank's own code, never inside a
+    /// [`Comm::compute_with`] closure (see there).
     pub fn recv(&self, src: Src, tag: TagSel) -> (Status, Bytes) {
         let (status, payload) = self.recv_matched(src, tag);
         (status, payload.into_bytes())
@@ -503,7 +514,7 @@ impl<'h> Comm<'h> {
     }
 
     /// Combined send + receive (`MPI_Sendrecv`), deadlock-free for
-    /// symmetric exchanges.
+    /// symmetric exchanges. The payload is pooled like [`Comm::recv`]'s.
     pub fn sendrecv(
         &self,
         sendbuf: &[u8],
@@ -577,7 +588,8 @@ impl<'h> Comm<'h> {
     /// one contiguous buffer in transmission order, framing intact —
     /// see [`RecvPayload::into_bytes`]. Callers that need per-frame
     /// arrival times (to overlap decryption with reception) use
-    /// [`Comm::wait_payload`].
+    /// [`Comm::wait_payload`]. The payload is pooled like
+    /// [`Comm::recv`]'s.
     pub fn wait(&self, req: Request) -> (Status, Option<Bytes>) {
         let (status, payload) = self.wait_payload(req);
         (status, payload.map(RecvPayload::into_bytes))
@@ -587,7 +599,7 @@ impl<'h> Comm<'h> {
     /// one blocking set poll per completion, retiring whichever request
     /// finishes next in virtual time, not slot order. Results are
     /// returned in slot order; payload bytes are format-agnostic like
-    /// [`Comm::wait`].
+    /// [`Comm::wait`], and pooled like [`Comm::recv`]'s.
     pub fn waitall(&self, reqs: Vec<Request>) -> Vec<(Status, Option<Bytes>)> {
         let mut slots: Vec<Option<Request>> = reqs.into_iter().map(Some).collect();
         let mut out: Vec<Option<(Status, Option<Bytes>)>> =
@@ -605,8 +617,9 @@ impl<'h> Comm<'h> {
     /// — the shape of `SecureComm::waitsome`. Completed requests leave
     /// `reqs` and the survivors keep their order; each reported index is
     /// the request's position in `reqs` at call time. Payload bytes are
-    /// format-agnostic like [`Comm::wait`]. An empty `reqs` returns an
-    /// empty vector without moving the clock.
+    /// format-agnostic like [`Comm::wait`], and pooled like
+    /// [`Comm::recv`]'s. An empty `reqs` returns an empty vector without
+    /// moving the clock.
     pub fn waitsome(&self, reqs: &mut Vec<Request>) -> Vec<(usize, Status, Option<Bytes>)> {
         let mut slots: Vec<Option<Request>> = reqs.drain(..).map(Some).collect();
         let mut done = Vec::new();

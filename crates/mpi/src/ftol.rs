@@ -445,7 +445,8 @@ impl<'h> Comm<'h> {
     /// Fault-tolerant blocking receive: like [`Comm::recv`], but a
     /// confirmed death of the awaited source (or, for any-source
     /// receives, of *any* rank) surfaces as [`RankFailed`] instead of
-    /// hanging the world. Panics if fault tolerance is off.
+    /// hanging the world. Panics if fault tolerance is off. The payload
+    /// is pooled like [`Comm::recv`]'s.
     pub fn ft_recv(&self, src: Src, tag: TagSel) -> Result<(Status, Bytes), RankFailed> {
         let (status, payload) = self.ft_drive(src, || self.ft_recv_once(src, tag))?;
         Ok((status, payload.into_bytes()))

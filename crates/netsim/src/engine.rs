@@ -943,6 +943,7 @@ impl Engine {
         T: Send,
         F: Fn(&SimHandle) -> T + Sync,
     {
+        fiber::settle_heap();
         let n = self.n_ranks;
         let carriers = self.shards.clamp(1, n);
         let shared = Arc::new(Shared {

@@ -1,11 +1,7 @@
 //! Stackful coroutines for the engine's ranks: a stack mapped with a
-//! guard page below it, and a switch that saves the callee-saved
-//! registers plus `rsp`.
-//!
-//! Every rank of a world allocates from the malloc arena of whichever
-//! carrier runs it. The large message buffers do not churn that heap:
-//! they come from and go back to `empi_pool`, whose reservoir outlives
-//! the world, so the library sets no allocator policy of its own.
+//! guard page below it, a switch that saves the callee-saved registers
+//! plus `rsp`, and the malloc setting a heap shared by every rank needs
+//! ([`settle_heap`]).
 //!
 //! A [`Context`] is where a suspended coroutine's stack pointer lives:
 //! everything else it needs to resume (the callee-saved registers and
@@ -42,7 +38,14 @@ const MAP_ANONYMOUS: i32 = 0x20;
 const MAP_NORESERVE: i32 = 0x4000;
 const MAP_STACK: i32 = 0x2_0000;
 
+const M_TRIM_THRESHOLD: i32 = -1;
+const M_MMAP_THRESHOLD: i32 = -3;
+/// The ceiling glibc's dynamic mmap threshold climbs to on 64-bit
+/// targets (`DEFAULT_MMAP_THRESHOLD_MAX`).
+const MMAP_THRESHOLD_MAX: i32 = 32 << 20;
+
 extern "C" {
+    fn mallopt(param: i32, value: i32) -> i32;
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
     fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
     fn munmap(addr: *mut u8, len: usize) -> i32;
@@ -99,6 +102,30 @@ core::arch::global_asm!(
     ".cfi_endproc",
     ".size empi_netsim_trampoline, .-empi_netsim_trampoline",
 );
+
+/// Fix malloc's thresholds, once per process, where glibc's own dynamic
+/// rule ends up: allocations below 32 MiB come from the heap, and the
+/// heap is trimmed only when 64 MiB at its top are free.
+///
+/// Every rank on a carrier allocates from that carrier's arena. The
+/// wire buffers do not churn it (they come from and go back to
+/// `empi_pool`, whose reservoir outlives the world), but the ranks' own
+/// working buffers do: each NAS FT transpose allocates and frees five
+/// 64 KiB vectors per rank. Under glibc's default rule any free of
+/// 64 KiB or more trims the heap once 128 KiB at its top are free, so 64
+/// ranks doing that faulted their pages in again on every transpose:
+/// five times the minor faults and a tenth more host time on the NAS
+/// workload.
+pub(crate) fn settle_heap() {
+    static SETTLED: std::sync::Once = std::sync::Once::new();
+    SETTLED.call_once(|| {
+        // SAFETY: `mallopt` only updates the allocator's parameters.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX);
+            mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX);
+        }
+    });
+}
 
 /// A saved execution context: the stack pointer of a suspended
 /// coroutine or carrier thread, null while that context runs.
