@@ -9,12 +9,13 @@
 //! held byte-reversed so the big-endian `inc32` is one `_mm_add_epi32`
 //! on lane 0, and one `pshufb` per block puts it back in wire order.
 //!
-//! The eight-block steps (`keystream8_begin`, `round8`, `finish8_xor`)
-//! are crate-visible so GCM's stitched kernel can issue GHASH multiplies
-//! between the rounds; `ctr_xor` is the same steps back to back. Both
-//! read a source and write a destination, block by block, each block
-//! loaded before it is stored: the destination may be the source, lie
-//! apart from it, or lie below it in the same buffer.
+//! The pipelined steps (`keystream_begin`, `round`, `finish_xor`) are
+//! written once over a register of [`Lanes`] and are crate-visible, so
+//! GCM's stitched kernel can issue GHASH multiplies between the rounds
+//! at either of its widths; `ctr_xor` is the same steps back to back on
+//! eight `__m128i`. Both read a source and write a destination, block by
+//! block, each block loaded before it is stored: the destination may be
+//! the source, lie apart from it, or lie below it in the same buffer.
 //!
 //! Round keys come from the portable [`KeySchedule`]; both engines are
 //! verified against the FIPS-197 vectors and against [`super::SoftAes`].
@@ -24,25 +25,27 @@
 use core::arch::x86_64::*;
 
 use super::schedule::KeySchedule;
-use super::BlockEncrypt;
+use super::{kernel_width, BlockEncrypt, KernelWidth};
 use crate::error::{Error, Result};
+use crate::lanes::Lanes;
 
 /// Maximum round keys (AES-256: 15).
 const MAX_RK: usize = 15;
 
 /// Blocks in flight per pipelined step.
-pub(crate) const LANES: usize = 8;
+const LANES: usize = 8;
 
+/// An expanded key, each round key in every lane of a `V`.
 #[derive(Clone)]
-struct RoundKeys {
-    rk: [__m128i; MAX_RK],
-    nr: usize,
+pub(crate) struct RoundKeys<V = __m128i> {
+    pub(crate) rk: [V; MAX_RK],
+    /// Number of rounds (10 or 14): rounds `1..nr` are [`round`] steps,
+    /// the last is [`finish_xor`].
+    pub(crate) nr: usize,
 }
 
 fn load_round_keys(key: &[u8]) -> Result<RoundKeys> {
-    if !std::arch::is_x86_feature_detected!("aes")
-        || !std::arch::is_x86_feature_detected!("ssse3")
-    {
+    if kernel_width() == KernelWidth::None {
         return Err(Error::HardwareUnavailable);
     }
     let ks = KeySchedule::new(key)?;
@@ -98,6 +101,62 @@ fn encrypt_block_ni(keys: &RoundKeys, block: &mut [u8; 16]) {
     }
 }
 
+/// Start `N · V::BLOCKS` keystream blocks: counters `ctr`, `ctr+1`, … in
+/// wire order, block `i` in lane `i % V::BLOCKS` of register
+/// `i / V::BLOCKS`, with round key 0 applied; advances `ctr` by as many
+/// (mod 2³² on the counter lane, per `inc32`).
+///
+/// # Safety
+/// The CPU runs `V`'s instructions (see [`Lanes`]).
+#[inline(always)]
+pub(crate) unsafe fn keystream_begin<V: Lanes, const N: usize>(
+    keys: &RoundKeys<V>,
+    ctr: &mut __m128i,
+) -> [V; N] {
+    let mut c = V::counters(*ctr);
+    let mut blocks = [c; N];
+    for b in blocks.iter_mut() {
+        *b = V::xor(V::byte_reverse(c), keys.rk[0]);
+        c = V::next_counters(c);
+    }
+    *ctr = _mm_add_epi32(*ctr, _mm_set_epi32(0, 0, 0, (N * V::BLOCKS) as i32));
+    blocks
+}
+
+/// One `aesenc` round with key `k` across every block.
+///
+/// # Safety
+/// As [`keystream_begin`].
+#[inline(always)]
+pub(crate) unsafe fn round<V: Lanes, const N: usize>(blocks: &mut [V; N], k: V) {
+    for b in blocks.iter_mut() {
+        *b = V::aesenc(*b, k);
+    }
+}
+
+/// Last round with key `klast`, then XOR the keystream into the
+/// `16 · V::BLOCKS · N` bytes at `src`, storing them at `dst`: each
+/// register is loaded before it is stored.
+///
+/// # Safety
+/// As [`keystream_begin`]; `src` must be valid for reads and `dst` for
+/// writes of those bytes (no alignment required). `dst` is `src`, lies
+/// apart from it, or lies below it: a store then only overwrites source
+/// bytes already loaded.
+#[inline(always)]
+pub(crate) unsafe fn finish_xor<V: Lanes, const N: usize>(
+    blocks: [V; N],
+    klast: V,
+    src: *const u8,
+    dst: *mut u8,
+) {
+    for (i, b) in blocks.into_iter().enumerate() {
+        let ks = V::aesenclast(b, klast);
+        let at = 16 * V::BLOCKS * i;
+        V::store(dst.add(at), V::xor(ks, V::load(src.add(at))));
+    }
+}
+
 /// Single-block AES-NI engine (Libsodium-style).
 pub struct AesNi {
     keys: RoundKeys,
@@ -133,63 +192,10 @@ impl AesNiPipelined {
         })
     }
 
-    /// Number of rounds (10 or 14): rounds `1..rounds()` are
-    /// [`round8`](Self::round8) steps, the last is
-    /// [`finish8_xor`](Self::finish8_xor).
+    /// The expanded key, one round key per `__m128i`.
     #[inline]
-    pub(crate) fn rounds(&self) -> usize {
-        self.keys.nr
-    }
-
-    /// Start eight keystream blocks: counters `ctr`…`ctr+7` in wire order
-    /// with round key 0 applied; advances `ctr` by eight (mod 2³² on the
-    /// counter lane, per `inc32`).
-    #[inline]
-    #[target_feature(enable = "aes", enable = "ssse3")]
-    pub(crate) fn keystream8_begin(&self, ctr: &mut __m128i) -> [__m128i; LANES] {
-        let one = _mm_set_epi32(0, 0, 0, 1);
-        let k0 = self.keys.rk[0];
-        let mut blocks = [_mm_setzero_si128(); LANES];
-        for b in blocks.iter_mut() {
-            *b = _mm_xor_si128(byte_reverse(*ctr), k0);
-            *ctr = _mm_add_epi32(*ctr, one);
-        }
-        blocks
-    }
-
-    /// One `aesenc` round `r` across all eight blocks.
-    #[inline]
-    #[target_feature(enable = "aes")]
-    pub(crate) fn round8(&self, blocks: &mut [__m128i; LANES], r: usize) {
-        let k = self.keys.rk[r];
-        for b in blocks.iter_mut() {
-            *b = _mm_aesenc_si128(*b, k);
-        }
-    }
-
-    /// Last round, then XOR the eight keystream blocks into the 128
-    /// bytes at `src`, storing them at `dst`: each block is loaded
-    /// before it is stored.
-    ///
-    /// # Safety
-    /// `src` must be valid for reads and `dst` for writes of 128 bytes
-    /// (no alignment required). `dst` is `src`, lies apart from it, or
-    /// lies below it: a store then only overwrites source bytes already
-    /// loaded.
-    #[inline]
-    #[target_feature(enable = "aes")]
-    pub(crate) unsafe fn finish8_xor(
-        &self,
-        blocks: [__m128i; LANES],
-        src: *const u8,
-        dst: *mut u8,
-    ) {
-        let klast = self.keys.rk[self.keys.nr];
-        for (i, b) in blocks.into_iter().enumerate() {
-            let ks = _mm_aesenclast_si128(b, klast);
-            let x = _mm_loadu_si128(src.add(16 * i) as *const __m128i);
-            _mm_storeu_si128(dst.add(16 * i) as *mut __m128i, _mm_xor_si128(ks, x));
-        }
+    pub(crate) fn keys(&self) -> &RoundKeys {
+        &self.keys
     }
 
     /// XOR the `len` bytes at `src` with the keystream starting at `ctr`
@@ -197,7 +203,7 @@ impl AesNiPipelined {
     /// leave `ctr` at the next unused block.
     ///
     /// # Safety
-    /// As [`finish8_xor`](Self::finish8_xor), for `len` bytes.
+    /// As [`finish_xor`], for `len` bytes.
     #[target_feature(enable = "aes", enable = "ssse3")]
     pub(crate) unsafe fn ctr_xor(
         &self,
@@ -206,16 +212,17 @@ impl AesNiPipelined {
         dst: *mut u8,
         len: usize,
     ) {
+        let keys = &self.keys;
         let full = len - len % (16 * LANES);
         for off in (0..full).step_by(16 * LANES) {
-            let mut blocks = self.keystream8_begin(ctr);
-            for r in 1..self.keys.nr {
-                self.round8(&mut blocks, r);
+            let mut blocks = keystream_begin::<__m128i, LANES>(keys, ctr);
+            for r in 1..keys.nr {
+                round(&mut blocks, keys.rk[r]);
             }
-            self.finish8_xor(blocks, src.add(off), dst.add(off));
+            finish_xor(blocks, keys.rk[keys.nr], src.add(off), dst.add(off));
         }
         let mut next_block = || {
-            let ks = encrypt1(&self.keys, byte_reverse(*ctr));
+            let ks = encrypt1(keys, byte_reverse(*ctr));
             *ctr = _mm_add_epi32(*ctr, _mm_set_epi32(0, 0, 0, 1));
             ks
         };

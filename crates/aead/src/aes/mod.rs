@@ -23,7 +23,9 @@ pub use soft::SoftAes;
 #[cfg(target_arch = "x86_64")]
 pub use aesni::{AesNi, AesNiPipelined};
 #[cfg(target_arch = "x86_64")]
-pub(crate) use aesni::{byte_reverse, counter_lanes, LANES};
+pub(crate) use aesni::{
+    byte_reverse, counter_lanes, finish_xor, keystream_begin, round, RoundKeys,
+};
 
 /// Forward (encryption) direction of a 128-bit block cipher.
 ///
@@ -75,16 +77,47 @@ pub fn inc32(block: &mut [u8; 16]) {
 
 /// Returns `true` if the CPU supports the AES-NI + PCLMULQDQ fast paths.
 pub fn hardware_acceleration_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("aes")
-            && std::arch::is_x86_feature_detected!("pclmulqdq")
-            && std::arch::is_x86_feature_detected!("ssse3")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    kernel_width() != KernelWidth::None
+}
+
+/// The widest step the stitched AES-GCM kernel can take on this CPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum KernelWidth {
+    /// No AES-NI, PCLMULQDQ and SSSE3: the software engines only.
+    None,
+    /// `aesenc` and `pclmulqdq` on one block per 128-bit register.
+    Bits128,
+    /// `vaesenc` and `vpclmulqdq` on four blocks per 512-bit register
+    /// (VAES, VPCLMULQDQ, AVX-512F and AVX-512BW).
+    Wide,
+}
+
+/// The one CPU probe of this crate, made once per process.
+pub(crate) fn kernel_width() -> KernelWidth {
+    static WIDTH: std::sync::OnceLock<KernelWidth> = std::sync::OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !(std::arch::is_x86_feature_detected!("aes")
+                && std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("ssse3"))
+            {
+                KernelWidth::None
+            } else if std::arch::is_x86_feature_detected!("vaes")
+                && std::arch::is_x86_feature_detected!("vpclmulqdq")
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+            {
+                KernelWidth::Wide
+            } else {
+                KernelWidth::Bits128
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            KernelWidth::None
+        }
+    })
 }
 
 #[cfg(test)]

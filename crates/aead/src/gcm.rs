@@ -11,10 +11,28 @@
 //!
 //! The OpenSSL/BoringSSL pair does not run as two engines but as one
 //! **stitched kernel** (`stitched` below): a single pass over the data in
-//! which, per 128-byte group, the GHASH multiplies of eight ciphertext
-//! blocks issue between the AES rounds of eight counter blocks. Sealing
+//! which, per group, the GHASH multiplies of the group's ciphertext
+//! blocks issue between the AES rounds of its counter blocks. Sealing
 //! hashes the group it wrote one step earlier; opening hashes the group
 //! it is about to decrypt.
+//!
+//! The group step is written once over a register of 128-bit lanes
+//! (`crate::lanes`) and the pair steps at the widest width the CPU has,
+//! probed once per process and chosen when the cipher is built:
+//!
+//! | step | instructions | group | GHASH powers |
+//! |---|---|---|---|
+//! | 128-bit | `aesenc`, `pclmulqdq` on eight `__m128i` | 128 B | H⁸…H¹ |
+//! | wide | `vaesenc`, `vpclmulqdq` on four `__m512i` (VAES, VPCLMULQDQ, AVX-512F/BW) | 256 B | H¹⁶…H¹ |
+//!
+//! Either way each group is reduced once. The wide step's broadcast
+//! round keys and packed H powers are kept with the cipher; a CPU
+//! without the wide features runs the 128-bit step, and so does a record
+//! too short for one wide step (a seal under two wide groups, an open
+//! under one), which the 128-bit step still stitches. The seal lag, the
+//! AAD, the tails, the three I/O forms, the failed-open undo and the
+//! engine block counters (which count by length) are the same code at
+//! both widths, so the bytes, tags and counts are too.
 //!
 //! Like BoringSSL's `EVP_AEAD_CTX_seal`, the kernel reads a source and
 //! writes a destination, so a record is written where it will travel and
@@ -54,11 +72,16 @@ use crate::{NONCE_LEN, TAG_LEN};
 use empi_trace::engine_counters as counters;
 
 #[cfg(target_arch = "x86_64")]
-use crate::aes::{counter_lanes, AesNi, AesNiPipelined};
+use crate::aes::{
+    counter_lanes, finish_xor, kernel_width, keystream_begin, round, AesNi, AesNiPipelined,
+    KernelWidth, RoundKeys,
+};
 #[cfg(target_arch = "x86_64")]
-use crate::ghash::{load_block, GhashClmul, Product, GROUP_BLOCKS, GROUP_BYTES};
+use crate::ghash::{GhashClmul, Product};
 #[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::{__m128i, _mm_setzero_si128, _mm_xor_si128};
+use crate::lanes::{Lanes, Wide, WideKeys, WIDE_GROUP, WIDE_REGS};
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{__m128i, _mm_setzero_si128};
 
 /// Which AES engine to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,14 +191,24 @@ impl GhashEngine {
 pub struct AesGcm {
     aes: AesEngine,
     ghash: GhashEngine,
+    /// The wide step's keys: present when this cipher is the stitched
+    /// pair on a CPU with the wide features. Boxed: inline, their 1.2 KB
+    /// and 64-byte alignment would ride in every cipher of every profile
+    /// (`pp_small`'s peak RSS read 0.85 MB higher that way).
+    #[cfg(target_arch = "x86_64")]
+    wide: Option<Box<WideKeys>>,
     key_bits: usize,
 }
 
 impl std::fmt::Debug for AesGcm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AesGcm")
-            .field("key_bits", &self.key_bits)
-            .finish_non_exhaustive()
+        let mut d = f.debug_struct("AesGcm");
+        d.field("key_bits", &self.key_bits);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(width) = self.step_width() {
+            d.field("stitched_step", &width);
+        }
+        d.finish_non_exhaustive()
     }
 }
 
@@ -224,9 +257,21 @@ impl AesGcm {
             #[cfg(not(target_arch = "x86_64"))]
             GhashEngineKind::Clmul => return Err(Error::HardwareUnavailable),
         };
+        #[cfg(target_arch = "x86_64")]
+        let wide = match (&aes, &ghash) {
+            (AesEngine::NiPipelined(a), GhashEngine::Clmul(g))
+                if kernel_width() == KernelWidth::Wide =>
+            {
+                // SAFETY: the probe found the wide features.
+                Some(Box::new(unsafe { WideKeys::new(a.keys(), g) }))
+            }
+            _ => None,
+        };
         Ok(AesGcm {
             aes,
             ghash,
+            #[cfg(target_arch = "x86_64")]
+            wide,
             key_bits: key.len() * 8,
         })
     }
@@ -260,6 +305,18 @@ impl AesGcm {
             (AesEngine::NiPipelined(a), GhashEngine::Clmul(g)) => Some((a, g)),
             _ => None,
         }
+    }
+
+    /// The register width the stitched kernel steps at, when this cipher
+    /// is that pair.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn step_width(&self) -> Option<KernelWidth> {
+        self.stitched_pair()?;
+        Some(if self.wide.is_some() {
+            KernelWidth::Wide
+        } else {
+            KernelWidth::Bits128
+        })
     }
 
     /// Encrypt `buf` in place and return the authentication tag.
@@ -344,7 +401,8 @@ impl AesGcm {
         let (j0, ctr1) = Self::counter_blocks(nonce);
         #[cfg(target_arch = "x86_64")]
         if let Some((aes, ghash)) = self.stitched_pair() {
-            return self.mask(&j0, stitched_counted(aes, ghash, false, &ctr1, aad, io));
+            let s = stitched_counted(aes, ghash, self.wide.as_deref(), false, &ctr1, aad, io);
+            return self.mask(&j0, s);
         }
         let buf = io.copied();
         self.aes.ctr_apply(&ctr1, buf);
@@ -366,7 +424,8 @@ impl AesGcm {
         let (j0, ctr1) = Self::counter_blocks(nonce);
         #[cfg(target_arch = "x86_64")]
         if let Some((aes, ghash)) = self.stitched_pair() {
-            let expect = self.mask(&j0, stitched_counted(aes, ghash, true, &ctr1, aad, io));
+            let s = stitched_counted(aes, ghash, self.wide.as_deref(), true, &ctr1, aad, io);
+            let expect = self.mask(&j0, s);
             if ct_eq(&expect, tag) {
                 return Ok(());
             }
@@ -504,8 +563,9 @@ impl Io {
     }
 }
 
-/// [`stitched`] with the engine block counters of the two passes it
-/// replaces: ⌈len/16⌉ pipelined AES blocks, AAD + data + 1 GHASH blocks.
+/// The stitched kernel with the engine block counters of the two passes
+/// it replaces: ⌈len/16⌉ pipelined AES blocks, AAD + data + 1 GHASH
+/// blocks, whichever width steps it.
 ///
 /// # Safety
 /// `io` upholds [`Io`]'s contract.
@@ -514,6 +574,7 @@ impl Io {
 unsafe fn stitched_counted(
     aes: &AesNiPipelined,
     ghash: &GhashClmul,
+    wide: Option<&WideKeys>,
     open: bool,
     ctr1: &[u8; 16],
     aad: &[u8],
@@ -521,29 +582,29 @@ unsafe fn stitched_counted(
 ) -> [u8; 16] {
     counters::add_aes_blocks_pipelined(io.len.div_ceil(16) as u64);
     counters::add_ghash_blocks_clmul(ghash_blocks(aad.len(), io.len));
-    // SAFETY: both engines' constructors verified `aes`, `pclmulqdq`
-    // and `ssse3`; the caller vouches for `io`.
-    unsafe { stitched(aes, ghash, open, ctr1, aad, io) }
+    // A record the wide step would not stitch at all — a seal shorter
+    // than two wide groups only encrypts its first — takes the 128-bit
+    // step, which still does.
+    let wide = wide.filter(|_| io.len >= if open { WIDE_GROUP } else { 2 * WIDE_GROUP });
+    // SAFETY: both engines' constructors verified `aes`, `pclmulqdq` and
+    // `ssse3`, and `wide` exists only where the probe found the wide
+    // features; the caller vouches for `io`.
+    unsafe {
+        match wide {
+            Some(w) => stitched_wide(aes, ghash, w, open, ctr1, aad, io),
+            None => stitched_128(aes, ghash, open, ctr1, aad, io),
+        }
+    }
 }
 
-/// The one-pass AES-GCM kernel: CTR-crypt `io`'s source into its
-/// destination from counter block `ctr1` and return GHASH(aad,
-/// ciphertext), touching the data once.
-///
-/// Full 128-byte groups go through [`stitched_group`]. Opening hashes
-/// each source group in the step that decrypts it, before the step's
-/// stores. Sealing cannot hash a group before it is written, so it runs
-/// one group behind: the first group is only encrypted, every later step
-/// encrypts group *g* while hashing the ciphertext of group *g − 1* (in
-/// the destination, still in L1), and the last group is hashed with the
-/// tail. The tail (< 128 bytes) and the AAD take the engines' own
-/// block-at-a-time paths.
+/// The stitched kernel at 128 bits: eight `__m128i` blocks a step
+/// against H⁸…H¹.
 ///
 /// # Safety
-/// `io` upholds [`Io`]'s contract.
+/// As [`stitched`], on a CPU with AES-NI, PCLMULQDQ and SSSE3.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "aes", enable = "pclmulqdq", enable = "ssse3")]
-unsafe fn stitched(
+unsafe fn stitched_128(
     aes: &AesNiPipelined,
     ghash: &GhashClmul,
     open: bool,
@@ -551,19 +612,84 @@ unsafe fn stitched(
     aad: &[u8],
     io: Io,
 ) -> [u8; 16] {
+    let step = Step { keys: aes.keys(), powers: ghash.powers() };
+    stitched(aes, ghash, step, open, ctr1, aad, io)
+}
+
+/// The stitched kernel on the wide registers: sixteen blocks a step, as
+/// four `__m512i`, against H¹⁶…H¹.
+///
+/// # Safety
+/// As [`stitched`], on a CPU with the wide features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "aes,pclmulqdq,ssse3,avx512f,avx512bw,vaes,vpclmulqdq")]
+unsafe fn stitched_wide(
+    aes: &AesNiPipelined,
+    ghash: &GhashClmul,
+    wide: &WideKeys,
+    open: bool,
+    ctr1: &[u8; 16],
+    aad: &[u8],
+    io: Io,
+) -> [u8; 16] {
+    let step = Step::<Wide, WIDE_REGS> { keys: &wide.keys, powers: &wide.powers };
+    stitched(aes, ghash, step, open, ctr1, aad, io)
+}
+
+/// What one width's group step reads: the round keys in every lane, and
+/// for register `j` of a group `powers[N − 1 − j]`, the powers of H its
+/// blocks are multiplied by (H^blocks for block 0 … H¹ for the last).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Step<'a, V, const N: usize> {
+    keys: &'a RoundKeys<V>,
+    powers: &'a [V; N],
+}
+
+/// The one-pass AES-GCM kernel: CTR-crypt `io`'s source into its
+/// destination from counter block `ctr1` and return GHASH(aad,
+/// ciphertext), touching the data once.
+///
+/// Full groups of `N` registers go through [`stitched_group`]. Opening
+/// hashes each source group in the step that decrypts it, before the
+/// step's stores. Sealing cannot hash a group before it is written, so it
+/// runs one group behind: the first group is only encrypted, every later
+/// step encrypts group *g* while hashing the ciphertext of group *g − 1*
+/// (in the destination, still in L1), and the last group is hashed with
+/// the tail. The tail (less than a group) and the AAD take the engines'
+/// own 128-bit paths.
+///
+/// Written once for both widths: it carries no `target_feature` and is
+/// always inlined into [`stitched_128`] or [`stitched_wide`], whose
+/// features the steps inline under.
+///
+/// # Safety
+/// `io` upholds [`Io`]'s contract; the CPU runs `V`'s instructions.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn stitched<V: Lanes, const N: usize>(
+    aes: &AesNiPipelined,
+    ghash: &GhashClmul,
+    step: Step<'_, V, N>,
+    open: bool,
+    ctr1: &[u8; 16],
+    aad: &[u8],
+    io: Io,
+) -> [u8; 16] {
+    let group = 16 * V::BLOCKS * N;
     let Io { src, dst, len } = io;
     let mut y = ghash.absorb(_mm_setzero_si128(), aad);
     let mut ctr = counter_lanes(ctr1);
-    let full = len - len % GROUP_BYTES;
-    let lag = if open { 0 } else { GROUP_BYTES.min(full) };
+    let full = len - len % group;
+    let lag = if open { 0 } else { group.min(full) };
     // SAFETY: every window below lies inside `..len` of `src` and `dst`
-    // (`lag <= off`, `off + GROUP_BYTES <= full <= len`), and each is
-    // read from the source before the same step stores it.
+    // (`lag <= off`, `off + group <= full <= len`), and each is read from
+    // the source before the same step stores it.
     unsafe {
         aes.ctr_xor(&mut ctr, src, dst, lag);
-        for off in (lag..full).step_by(GROUP_BYTES) {
+        for off in (lag..full).step_by(group) {
             let hash = if open { src.add(off) } else { dst.add(off - lag) };
-            y = stitched_group(aes, ghash, &mut ctr, y, hash, src.add(off), dst.add(off));
+            y = stitched_group(step, &mut ctr, y, hash, src.add(off), dst.add(off));
         }
         if open {
             y = ghash.absorb(y, std::slice::from_raw_parts(src.add(full), len - full));
@@ -576,47 +702,45 @@ unsafe fn stitched(
     ghash.finish(y, aad.len(), len)
 }
 
-// One stitched step is one AES pipeline fill and one GHASH group.
-#[cfg(target_arch = "x86_64")]
-const _: () = assert!(crate::aes::LANES == GROUP_BLOCKS);
-
-/// One step of the stitched kernel: XOR the keystream of counters
-/// `ctr`…`ctr+7` into the 128 bytes at `src`, store them at `dst`, and
-/// fold the eight blocks at `hash` into `y` — (y ⊕ X₀)·H⁸ ⊕ X₁·H⁷ ⊕ … ⊕
-/// X₇·H, reduced once. AES rounds 1–8 each carry one block's carry-less
+/// One step of the stitched kernel: XOR the keystream of the group's
+/// `B = N · V::BLOCKS` counters `ctr`…`ctr+B−1` into the `16 · B` bytes
+/// at `src`, store them at `dst`, and fold the `B` blocks at `hash` into
+/// `y` — (y ⊕ X₀)·Hᴮ ⊕ X₁·Hᴮ⁻¹ ⊕ … ⊕ X_{B−1}·H, the lanes folded and
+/// reduced once. AES rounds 1–N each carry one register's carry-less
 /// multiplies in their shadow: `aesenc` and `pclmulqdq` issue on
 /// different ports and neither chain waits on the other.
 ///
 /// # Safety
-/// `hash` and `src` must be valid for reads of 128 bytes, `dst` for
-/// writes of 128 bytes, with `dst` placed as [`Io`] says; `hash` is
-/// read before `dst` is stored, and must not lie partly inside `dst`.
-/// No alignment is required.
+/// `hash` and `src` must be valid for reads of `16 · B` bytes, `dst` for
+/// writes of as many, with `dst` placed as [`Io`] says; `hash` is read
+/// before `dst` is stored, and must not lie partly inside `dst`. No
+/// alignment is required. The CPU runs `V`'s instructions.
 #[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "aes", enable = "pclmulqdq", enable = "ssse3")]
-unsafe fn stitched_group(
-    aes: &AesNiPipelined,
-    ghash: &GhashClmul,
+#[inline(always)]
+unsafe fn stitched_group<V: Lanes, const N: usize>(
+    step: Step<'_, V, N>,
     ctr: &mut __m128i,
     y: __m128i,
     hash: *const u8,
     src: *const u8,
     dst: *mut u8,
 ) -> __m128i {
-    let mut blocks = aes.keystream8_begin(ctr);
-    let mut acc = Product::of(_mm_xor_si128(y, load_block(hash)), ghash.power(GROUP_BLOCKS));
-    aes.round8(&mut blocks, 1);
-    for i in 1..GROUP_BLOCKS {
-        acc = acc.add(load_block(hash.add(16 * i)), ghash.power(GROUP_BLOCKS - i));
-        aes.round8(&mut blocks, i + 1);
+    let Step { keys, powers } = step;
+    let ghash_block = |i: usize| V::byte_reverse(V::load(hash.add(16 * V::BLOCKS * i)));
+    let mut blocks = keystream_begin::<V, N>(keys, ctr);
+    let mut acc = Product::of(V::xor(V::low(y), ghash_block(0)), powers[N - 1]);
+    round(&mut blocks, keys.rk[1]);
+    for i in 1..N {
+        acc = acc.add(ghash_block(i), powers[N - 1 - i]);
+        round(&mut blocks, keys.rk[i + 1]);
     }
-    // AES-128 has one more `aesenc` round before the last, AES-256 five.
-    for r in GROUP_BLOCKS + 1..aes.rounds() {
-        aes.round8(&mut blocks, r);
+    // The rounds no multiply rides on: AES-128 has 9 − N more `aesenc`
+    // rounds before the last, AES-256 13 − N.
+    for r in N + 1..keys.nr {
+        round(&mut blocks, keys.rk[r]);
     }
-    aes.finish8_xor(blocks, src, dst);
-    acc.reduce()
+    finish_xor(blocks, keys.rk[keys.nr], src, dst);
+    acc.fold().reduce()
 }
 
 #[cfg(test)]
@@ -799,8 +923,41 @@ mod tests {
     const MIB: usize = 1 << 20;
     const NONCE: [u8; 12] = [0x4e; 12];
 
-    fn stitched_cipher(key: &[u8]) -> AesGcm {
-        AesGcm::with_engines(AesEngineKind::NiPipelined, GhashEngineKind::Clmul, key).unwrap()
+    /// Every width this CPU's stitched kernel can step at; the ones it
+    /// cannot are named on stderr.
+    fn widths(test: &str) -> Vec<KernelWidth> {
+        let all = [KernelWidth::Bits128, KernelWidth::Wide];
+        let (run, skip): (Vec<_>, Vec<_>) = all.into_iter().partition(|&w| w <= kernel_width());
+        if !skip.is_empty() {
+            eprintln!("{test}: this CPU has no {skip:?} step; skipped it");
+        }
+        run
+    }
+
+    /// The stitched pair, stepping at `width` (at most the CPU's).
+    fn stitched_cipher(key: &[u8], width: KernelWidth) -> AesGcm {
+        let mut cipher =
+            AesGcm::with_engines(AesEngineKind::NiPipelined, GhashEngineKind::Clmul, key).unwrap();
+        if width == KernelWidth::Bits128 {
+            cipher.wide = None;
+        }
+        assert_eq!(cipher.step_width(), Some(width));
+        cipher
+    }
+
+    /// Every engine pair, the stitched one at every width the CPU has.
+    fn every_cipher(key: &[u8], test: &str) -> Vec<(String, AesGcm)> {
+        let mut v = Vec::new();
+        for (ai, gi) in engine_combos() {
+            if (ai, gi) == (AesEngineKind::NiPipelined, GhashEngineKind::Clmul) {
+                for w in widths(test) {
+                    v.push((format!("({ai:?},{gi:?}) {w:?}"), stitched_cipher(key, w)));
+                }
+            } else {
+                v.push((format!("({ai:?},{gi:?})"), AesGcm::with_engines(ai, gi, key).unwrap()));
+            }
+        }
+        v
     }
 
     /// Seal `pt` with `fast` at byte `offset` of a larger allocation and
@@ -814,9 +971,7 @@ mod tests {
         expect_tag: &[u8; 16],
         offset: usize,
     ) {
-        let what = || {
-            format!("key={} aad={} len={} offset={offset}", fast.key_bits, aad.len(), pt.len())
-        };
+        let what = || format!("{fast:?} aad={} len={} offset={offset}", aad.len(), pt.len());
         let mut arena = vec![0xA5u8; GUARD + offset + pt.len() + GUARD];
         let (lo, hi) = (GUARD + offset, GUARD + offset + pt.len());
         arena[lo..hi].copy_from_slice(pt);
@@ -834,22 +989,24 @@ mod tests {
         );
     }
 
-    /// The stitched pair against the independent software engines —
-    /// ciphertext and tag on seal, plaintext on open — at every length
-    /// around the 16-byte block and 128-byte group boundaries, every
-    /// AAD shape, both key sizes and every buffer misalignment.
+    /// The stitched pair at every width against the independent software
+    /// engines — ciphertext and tag on seal, plaintext on open — at every
+    /// length around the 16-byte block and both group boundaries (128 and
+    /// 256 bytes) up to two wide groups and a block, every AAD shape, both
+    /// key sizes and every buffer misalignment.
     #[test]
     fn stitched_matches_soft_at_every_boundary() {
         if !crate::aes::hardware_acceleration_available() {
             return;
         }
-        let small = 0..=272usize;
+        let small = 0..=2 * WIDE_GROUP + 16;
         let large = [4095usize, 4096, 4097, 65535, 65536, 65537];
+        let widths = widths("stitched_matches_soft_at_every_boundary");
         for key_len in [16usize, 32] {
             let key = pattern(key_len, 1);
             let soft =
                 AesGcm::with_engines(AesEngineKind::Soft, GhashEngineKind::Soft, &key).unwrap();
-            let fast = stitched_cipher(&key);
+            let fast: Vec<AesGcm> = widths.iter().map(|&w| stitched_cipher(&key, w)).collect();
             for aad_len in [0usize, 8, 24, 33] {
                 let aad = pattern(aad_len, 2);
                 for len in small.clone().chain(large) {
@@ -864,8 +1021,8 @@ mod tests {
                     // Every misalignment for the small lengths, one
                     // (varying) misalignment for each large one.
                     let offsets = if small.contains(&len) { 0..16 } else { len % 16..len % 16 + 1 };
-                    for offset in offsets {
-                        check_in_arena(&fast, &aad, &pt, &expect_ct, &expect_tag, offset);
+                    for (fast, offset) in fast.iter().flat_map(|f| offsets.clone().map(move |o| (f, o))) {
+                        check_in_arena(fast, &aad, &pt, &expect_ct, &expect_tag, offset);
                     }
                 }
             }
@@ -892,18 +1049,23 @@ mod tests {
         soft_aes.encrypt_block(&mut h);
         soft_aes.encrypt_block(&mut ek_j0);
         let soft_ghash = GhashSoft::new(u128::from_be_bytes(h));
-        let fast = stitched_cipher(&key);
+        let fast: Vec<AesGcm> =
+            widths("stitched_matches_soft_at_2_mib").into_iter().map(|w| stitched_cipher(&key, w)).collect();
         for (len, offset) in [(2 * MIB, 5), (2 * MIB + 1, 11)] {
             let s = soft_ghash.ghash(&aad, &ct[..len]);
             let expect_tag: [u8; 16] = std::array::from_fn(|i| s[i] ^ ek_j0[i]);
-            check_in_arena(&fast, &aad, &pt[..len], &ct[..len], &expect_tag, offset);
+            for fast in &fast {
+                check_in_arena(fast, &aad, &pt[..len], &ct[..len], &expect_tag, offset);
+            }
         }
     }
 
-    /// The 2³² `inc32` wrap landing inside a group: in the first group
-    /// (which sealing only encrypts) and in the second (the first
-    /// stitched step of a seal), against the scalar `inc32` CTR and the
-    /// table GHASH.
+    /// The 2³² `inc32` wrap landing inside a group, at every width: in
+    /// the first group (which sealing only encrypts), in the second (the
+    /// first stitched step of a seal) and, for the wide step, between two
+    /// 128-bit lanes of one register (after block 18 = lane 2 of the
+    /// second group's first register, after block 27 = lane 3 of its
+    /// third), against the scalar `inc32` CTR and the table GHASH.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn counter_wrap_inside_stitched_group() {
@@ -912,52 +1074,76 @@ mod tests {
         }
         let key = [9u8; 32];
         let soft_aes = SoftAes::new(&key).unwrap();
-        let aes = AesNiPipelined::new(&key).unwrap();
         let mut h = [0u8; 16];
         soft_aes.encrypt_block(&mut h);
-        let h = u128::from_be_bytes(h);
-        let (soft_ghash, ghash) = (GhashSoft::new(h), GhashClmul::new(h));
+        let soft_ghash = GhashSoft::new(u128::from_be_bytes(h));
         let aad = b"wrap";
-        for blocks_before_wrap in [3u32, 11] {
-            let mut ctr = [0x77u8; 16];
-            ctr[12..].copy_from_slice(&(u32::MAX - (blocks_before_wrap - 1)).to_be_bytes());
-            let pt = pattern(3 * GROUP_BYTES + 40, 5);
-            let mut expect_ct = pt.clone();
-            soft_aes.ctr_apply(&ctr, &mut expect_ct);
-            let expect_s = soft_ghash.ghash(aad, &expect_ct);
+        for width in widths("counter_wrap_inside_stitched_group") {
+            let cipher = stitched_cipher(&key, width);
+            let (aes, ghash) = cipher.stitched_pair().unwrap();
+            let run = |open: bool, ctr: &[u8; 16], buf: &mut Vec<u8>| {
+                // SAFETY: the cipher's constructor probed its width's
+                // features; one exclusive buffer, in place.
+                unsafe {
+                    stitched_counted(aes, ghash, cipher.wide.as_deref(), open, ctr, aad, Io::in_place(buf))
+                }
+            };
+            for blocks_before_wrap in [3u32, 11, 18, 27] {
+                let what = format!("{width:?}, wrap after {blocks_before_wrap} blocks");
+                let mut ctr = [0x77u8; 16];
+                ctr[12..].copy_from_slice(&(u32::MAX - (blocks_before_wrap - 1)).to_be_bytes());
+                let pt = pattern(3 * WIDE_GROUP + 40, 5);
+                let mut expect_ct = pt.clone();
+                soft_aes.ctr_apply(&ctr, &mut expect_ct);
+                let expect_s = soft_ghash.ghash(aad, &expect_ct);
 
-            let mut buf = pt.clone();
-            // SAFETY: hardware_acceleration_available() checked above.
-            let s = unsafe { stitched(&aes, &ghash, false, &ctr, aad, Io::in_place(&mut buf)) };
-            assert_eq!(buf, expect_ct, "seal, wrap after {blocks_before_wrap} blocks");
-            assert_eq!(s, expect_s, "seal hash, wrap after {blocks_before_wrap} blocks");
-            // SAFETY: as above.
-            let s = unsafe { stitched(&aes, &ghash, true, &ctr, aad, Io::in_place(&mut buf)) };
-            assert_eq!(buf, pt, "open, wrap after {blocks_before_wrap} blocks");
-            assert_eq!(s, expect_s, "open hash, wrap after {blocks_before_wrap} blocks");
+                let mut buf = pt.clone();
+                let s = run(false, &ctr, &mut buf);
+                assert_eq!(buf, expect_ct, "seal, {what}");
+                assert_eq!(s, expect_s, "seal hash, {what}");
+                let s = run(true, &ctr, &mut buf);
+                assert_eq!(buf, pt, "open, {what}");
+                assert_eq!(s, expect_s, "open hash, {what}");
+            }
         }
     }
 
-    /// Decrypt-while-hashing must not leak into the failure contract: a
-    /// forged tag, ciphertext byte or AAD yields `AuthFailure` and the
-    /// buffer comes back byte-identical to the ciphertext passed in.
+    /// Decrypt-while-hashing must not leak into the failure contract, in
+    /// any of the three forms, on any engine pair or width: a forged tag,
+    /// ciphertext byte or AAD yields `AuthFailure`, the source comes back
+    /// byte-identical to the ciphertext passed in, an apart destination
+    /// is all zeros, and a to-front open zeroes what it wrote below the
+    /// ciphertext.
     #[test]
     fn failed_open_hands_back_the_ciphertext() {
         let nonce = [5u8; 12];
         let aad = *b"record header";
-        for (ai, gi) in engine_combos() {
-            let cipher = AesGcm::with_engines(ai, gi, &[0x3cu8; 32]).unwrap();
+        let at = 20;
+        for (name, cipher) in every_cipher(&[0x3cu8; 32], "failed_open_hands_back_the_ciphertext") {
             let rejects = |what: &str, aad: &[u8], ct: &[u8], tag: &[u8; 16]| {
+                let what = format!("{name} len={} forged {what}", ct.len());
                 let mut buf = ct.to_vec();
-                assert_eq!(
-                    cipher.open_detached(&nonce, aad, &mut buf, tag),
-                    Err(Error::AuthFailure),
-                    "({ai:?},{gi:?}) len={} forged {what}",
-                    ct.len()
-                );
-                assert!(buf == ct, "({ai:?},{gi:?}) len={} forged {what}: buffer changed", ct.len());
+                let r = cipher.open_detached(&nonce, aad, &mut buf, tag);
+                assert_eq!(r, Err(Error::AuthFailure), "{what}: in place");
+                assert!(buf == ct, "{what}: in place, buffer changed");
+
+                let mut out = vec![0xA5u8; ct.len()];
+                // SAFETY: `MaybeUninit<u8>` has `u8`'s layout.
+                let dst = unsafe { &mut *(out.as_mut_slice() as *mut [u8] as *mut [MaybeUninit<u8>]) };
+                let r = cipher.open_to(&nonce, aad, ct, dst, tag);
+                assert_eq!(r, Err(Error::AuthFailure), "{what}: apart");
+                assert!(out.iter().all(|&b| b == 0), "{what}: apart, destination not zeroed");
+
+                let mut buf = vec![0xA5u8; at];
+                buf.extend_from_slice(ct);
+                let r = cipher.open_to_front(&nonce, aad, &mut buf, at, tag);
+                assert_eq!(r, Err(Error::AuthFailure), "{what}: to the front");
+                assert!(buf[at..] == *ct, "{what}: to the front, source changed");
+                let (wrote, untouched) = buf[..at].split_at(at.min(ct.len()));
+                assert!(wrote.iter().all(|&b| b == 0), "{what}: to the front, not zeroed");
+                assert!(untouched.iter().all(|&b| b == 0xA5), "{what}: to the front, overran");
             };
-            for len in [1usize, 16, 127, 128, 129, 1000, 65536] {
+            for len in [1usize, 16, 127, 128, 129, 255, 256, 257, 513, 1000, 65536] {
                 let mut ct = pattern(len, 7);
                 let tag = cipher.seal_detached(&nonce, &aad, &mut ct);
                 let (mut bad_tag, mut bad_aad) = (tag, aad);
@@ -971,6 +1157,34 @@ mod tests {
                     ct[pos] ^= 0x10;
                 }
             }
+        }
+    }
+
+    /// A CPU with the wide features steps the stitched pair — built
+    /// directly, through `AesGcm::new`, or as the BoringSSL and OpenSSL
+    /// profiles — on the wide registers, and every other CPU with AES-NI
+    /// on the 128-bit ones: a silent fallback would pass every other test.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_stitched_pair_takes_the_widest_step() {
+        use crate::profile::{CryptoLibrary, KeySize};
+        let width = kernel_width();
+        eprintln!("stitched AES-GCM step on this CPU: {width:?}");
+        if width == KernelWidth::None {
+            return;
+        }
+        let key = [0x61u8; 32];
+        let pair = AesGcm::with_engines(AesEngineKind::NiPipelined, GhashEngineKind::Clmul, &key);
+        assert_eq!(pair.unwrap().step_width(), Some(width), "with_engines");
+        assert_eq!(AesGcm::new(&key).unwrap().step_width(), Some(width), "AesGcm::new");
+        assert_eq!(AesGcm::new(&key[..16]).unwrap().step_width(), Some(width), "AES-128");
+        for lib in [CryptoLibrary::BoringSsl, CryptoLibrary::OpenSsl] {
+            let c = lib.instantiate(KeySize::Aes256, &key).unwrap();
+            assert_eq!(c.step_width(), Some(width), "{lib:?}");
+        }
+        for (ai, gi) in engine_combos().into_iter().filter(|&(a, _)| a != AesEngineKind::NiPipelined) {
+            let c = AesGcm::with_engines(ai, gi, &key).unwrap();
+            assert_eq!(c.step_width(), None, "({ai:?},{gi:?}) is not the stitched pair");
         }
     }
 
@@ -991,13 +1205,10 @@ mod tests {
         let key = [0x5au8; 32];
         let nonce = [0x42u8; 12];
         let msg: Vec<u8> = (0..777).map(|i| (i % 251) as u8).collect();
-        let combos = engine_combos();
-        let reference = AesGcm::with_engines(combos[0].0, combos[0].1, &key)
-            .unwrap()
-            .seal(&nonce, b"aad", &msg);
-        for (ai, gi) in combos {
-            let c = AesGcm::with_engines(ai, gi, &key).unwrap();
-            assert_eq!(c.seal(&nonce, b"aad", &msg), reference, "({ai:?},{gi:?})");
+        let ciphers = every_cipher(&key, "cross_engine_interop");
+        let reference = ciphers[0].1.seal(&nonce, b"aad", &msg);
+        for (name, c) in ciphers {
+            assert_eq!(c.seal(&nonce, b"aad", &msg), reference, "{name}");
             assert_eq!(c.open(&nonce, b"aad", &reference).unwrap(), msg);
         }
     }

@@ -22,7 +22,7 @@ pub use soft::GhashSoft;
 #[cfg(target_arch = "x86_64")]
 pub use pclmul::GhashClmul;
 #[cfg(target_arch = "x86_64")]
-pub(crate) use pclmul::{load_block, Product, GROUP_BLOCKS, GROUP_BYTES};
+pub(crate) use pclmul::Product;
 
 /// The reduction polynomial term: x⁷+x²+x+1 reflected into the top byte.
 pub(crate) const R: u128 = 0xe1u128 << 120;

@@ -6,18 +6,20 @@
 //! behind OpenSSL's and BoringSSL's GHASH speed. Blocks are byte-reflected
 //! in-register with `pshufb`; the data path never leaves `__m128i`.
 //!
-//! `Product` (multiply without reducing) and `Product::reduce` (the one
-//! reduction routine of this file) are what GCM's stitched kernel
-//! interleaves with its AES rounds; `GhashClmul::absorb` is the same
-//! group accumulation over a byte slice, used by the plain two-pass
-//! `ghash` and by the stitched path for AAD and tails.
+//! `Product` (multiply without reducing, lane by lane in a register of
+//! [`Lanes`]) and `Product::reduce` (the one reduction routine of this
+//! file, after a wide product's lanes are folded to one) are what GCM's
+//! stitched kernel interleaves with its AES rounds; `GhashClmul::absorb`
+//! is the same group accumulation over a byte slice, used by the plain
+//! two-pass `ghash` and by the stitched path for AAD and tails.
 
 #![cfg(target_arch = "x86_64")]
 
 use core::arch::x86_64::*;
 
 use super::GhashImpl;
-use crate::aes::byte_reverse;
+use crate::aes::{byte_reverse, kernel_width, KernelWidth};
+use crate::lanes::Lanes;
 
 /// Blocks per aggregated group (one reduction each).
 pub(crate) const GROUP_BLOCKS: usize = 8;
@@ -30,44 +32,60 @@ pub struct GhashClmul {
     powers: [__m128i; GROUP_BLOCKS],
 }
 
-/// An unreduced 256-bit carry-less product, split schoolbook-style:
-/// `lo` and `hi` are the outer 128-bit halves, `mid` straddles them.
-/// XOR of products is the product of the sum, so a whole group is
-/// accumulated here and reduced once.
+/// An unreduced 256-bit carry-less product per lane of `V`, split
+/// schoolbook-style: `lo` and `hi` are the outer 128-bit halves, `mid`
+/// straddles them. XOR of products is the product of the sum, so a whole
+/// group is accumulated here, its lanes folded, and reduced once.
 #[derive(Clone, Copy)]
-pub(crate) struct Product {
-    lo: __m128i,
-    mid: __m128i,
-    hi: __m128i,
+pub(crate) struct Product<V = __m128i> {
+    lo: V,
+    mid: V,
+    hi: V,
 }
 
-impl Product {
-    /// Carry-less `a × b`, unreduced.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    pub(crate) fn of(a: __m128i, b: __m128i) -> Product {
+impl<V: Lanes> Product<V> {
+    /// Carry-less `a × b` in every lane, unreduced.
+    ///
+    /// # Safety
+    /// The CPU runs `V`'s instructions (see [`Lanes`]).
+    #[inline(always)]
+    pub(crate) unsafe fn of(a: V, b: V) -> Product<V> {
         Product {
-            lo: _mm_clmulepi64_si128(a, b, 0x00),
-            mid: _mm_xor_si128(
-                _mm_clmulepi64_si128(a, b, 0x10),
-                _mm_clmulepi64_si128(a, b, 0x01),
-            ),
-            hi: _mm_clmulepi64_si128(a, b, 0x11),
+            lo: V::clmul::<0x00>(a, b),
+            mid: V::xor(V::clmul::<0x10>(a, b), V::clmul::<0x01>(a, b)),
+            hi: V::clmul::<0x11>(a, b),
         }
     }
 
     /// `self ⊕ a × b`.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    pub(crate) fn add(self, a: __m128i, b: __m128i) -> Product {
+    ///
+    /// # Safety
+    /// As [`Product::of`].
+    #[inline(always)]
+    pub(crate) unsafe fn add(self, a: V, b: V) -> Product<V> {
         let p = Product::of(a, b);
         Product {
-            lo: _mm_xor_si128(self.lo, p.lo),
-            mid: _mm_xor_si128(self.mid, p.mid),
-            hi: _mm_xor_si128(self.hi, p.hi),
+            lo: V::xor(self.lo, p.lo),
+            mid: V::xor(self.mid, p.mid),
+            hi: V::xor(self.hi, p.hi),
         }
     }
 
+    /// The sum of the lanes' products, as one 128-bit product.
+    ///
+    /// # Safety
+    /// As [`Product::of`].
+    #[inline(always)]
+    pub(crate) unsafe fn fold(self) -> Product {
+        Product {
+            lo: V::fold(self.lo),
+            mid: V::fold(self.mid),
+            hi: V::fold(self.hi),
+        }
+    }
+}
+
+impl Product {
     /// Intel white-paper reduction ("Figure 5", second half): fold `mid`
     /// in, shift the 256-bit product left by one (bit-reflection fix-up),
     /// then reduce modulo x¹²⁸ + x⁷ + x² + x + 1.
@@ -114,7 +132,8 @@ impl Product {
 #[inline]
 #[target_feature(enable = "pclmulqdq")]
 fn gfmul(a: __m128i, b: __m128i) -> __m128i {
-    Product::of(a, b).reduce()
+    // SAFETY: this function's own feature is the one `__m128i` lanes need.
+    unsafe { Product::of(a, b).reduce() }
 }
 
 /// Load one 16-byte block as a reflected field element.
@@ -142,12 +161,12 @@ fn from_m128(v: __m128i) -> u128 {
 }
 
 impl GhashClmul {
-    /// Precompute H¹…H⁸. Panics if the CPU lacks PCLMULQDQ or SSSE3
-    /// (callers gate on [`crate::aes::hardware_acceleration_available`]).
+    /// Precompute H¹…H⁸. Panics unless the crate's CPU probe found
+    /// AES-NI, PCLMULQDQ and SSSE3 (callers gate on
+    /// [`crate::aes::hardware_acceleration_available`]).
     pub fn new(h: u128) -> Self {
         assert!(
-            std::arch::is_x86_feature_detected!("pclmulqdq")
-                && std::arch::is_x86_feature_detected!("ssse3"),
+            kernel_width() != KernelWidth::None,
             "GhashClmul requires PCLMULQDQ and SSSE3"
         );
         // SAFETY: feature checked above.
@@ -177,6 +196,25 @@ impl GhashClmul {
     #[inline]
     pub(crate) fn power(&self, n: usize) -> __m128i {
         self.powers[n - 1]
+    }
+
+    /// H¹…H⁸: block `i` of a 128-bit group is multiplied by `powers()[7 − i]`.
+    #[inline]
+    pub(crate) fn powers(&self) -> &[__m128i; GROUP_BLOCKS] {
+        &self.powers
+    }
+
+    /// H¹…Hᴹ, the table extended by H⁸ at a time.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(crate) fn powers_to<const M: usize>(&self) -> [__m128i; M] {
+        let mut out = [_mm_setzero_si128(); M];
+        for n in 0..M {
+            out[n] = match n.checked_sub(GROUP_BLOCKS) {
+                None => self.powers[n],
+                Some(lower) => gfmul(out[lower], self.power(GROUP_BLOCKS)),
+            };
+        }
+        out
     }
 
     /// Fold `bytes` into the running hash `y`: full 128-byte groups with
@@ -256,9 +294,11 @@ mod tests {
             1,
         ] {
             let g = GhashClmul::new(h);
+            // SAFETY: the feature was checked above.
+            let powers = unsafe { g.powers_to::<16>() };
             let mut expect = h;
-            for n in 1..=GROUP_BLOCKS {
-                assert_eq!(from_m128(g.power(n)), expect, "H^{n} for h={h:032x}");
+            for (n, &p) in (1..).zip(&powers) {
+                assert_eq!(from_m128(p), expect, "H^{n} for h={h:032x}");
                 expect = gmul_bitwise(expect, h);
             }
         }

@@ -19,8 +19,9 @@
 //!   128-bit tags, associated data, constant-time tag verification.
 //!   The pipelined-AES × PCLMUL pair (the OpenSSL/BoringSSL profiles and
 //!   `AesGcm::new`) runs as one **stitched kernel**: a single pass over
-//!   the data with the GHASH multiplies issued between the AES rounds,
-//!   from a source to a destination — in place, into a second buffer, or
+//!   the data with the GHASH multiplies issued between the AES rounds —
+//!   on 512-bit VAES/VPCLMULQDQ registers where the CPU has them, on
+//!   128-bit AES-NI/PCLMULQDQ ones otherwise — from a source to a destination — in place, into a second buffer, or
 //!   (opening) to the front of the ciphertext's own buffer. Opening
 //!   decrypts while it hashes and, if the tag then fails, undoes what it
 //!   wrote so the caller gets its ciphertext back.
@@ -58,6 +59,7 @@ pub mod ecb;
 pub mod error;
 pub mod gcm;
 pub mod ghash;
+mod lanes;
 pub mod nonce;
 pub mod otp;
 pub mod profile;

@@ -234,45 +234,67 @@ impl<'h> Comm<'h> {
     /// Park this rank until `check` produces the awaited event —
     /// `Some((ready_at, value))`, as for the engine's `block_on` — or
     /// something the caller also watches happens first. Every blocking
-    /// verb of this communicator is a driver of this one park; with
-    /// nothing watched it *is* `block_on(reason, check)`.
+    /// verb of this communicator is a driver of this park or of
+    /// [`Comm::park_watching`]; with nothing watched it *is*
+    /// `block_on(reason, check)`.
     ///
-    /// * `ctrl` — a control-plane filter (ARQ's NACK server): a
-    ///   matching frame ends the park with [`Parked::Ctrl`] under the
-    ///   rule of [`Comm::race`], nothing consumed — so `check` must not
-    ///   consume anything either.
-    /// * `lease` — arm the failure detector over these suspects (one
-    ///   rank, or every live peer): a failure notice or the lease
-    ///   deadline can end the park with [`Parked::Failed`], see
-    ///   [`Comm::park_leased`].
+    /// `lease` arms the failure detector over these suspects (one rank,
+    /// or every live peer): a failure notice or the lease deadline can
+    /// end the park with [`Parked::Failed`], see [`Comm::park_leased`].
     ///
-    /// Inlined so that a driver's constant `None`s select its arm at
+    /// Inlined so that a driver's constant `None` selects its arm at
     /// compile time: an unwatched wait compiles to the bare `block_on`.
     #[inline(always)]
     pub(crate) fn park<T>(
         &self,
         reason: &'static str,
-        ctrl: Option<(Src, TagSel)>,
         lease: Option<Src>,
         mut check: impl FnMut() -> Option<(VTime, T)>,
     ) -> Parked<T> {
-        match (ctrl, lease) {
-            (None, None) => Parked::Got(self.h.block_on(reason, check)),
-            (_, None) => self.h.block_on(reason, || self.race(check(), ctrl)),
-            (_, Some(suspects)) => self.park_leased(reason, suspects, || self.race(check(), ctrl)),
+        match lease {
+            None => Parked::Got(self.h.block_on(reason, check)),
+            Some(suspects) => self.park_leased(reason, suspects, || {
+                check().map(|(at, v)| (at, Parked::Got(v)))
+            }),
         }
     }
 
-    /// The data-vs-control rule, written once: of an awaited event and
-    /// the first frame matching `ctrl`, the control frame wins only if
-    /// it is available strictly earlier — ties go to the data, so a
-    /// request completing at the same instant as a NACK retires first.
+    /// [`Comm::park`] that also watches a control-plane filter (ARQ's
+    /// NACK server): a frame matching `ctrl` ends the park with
+    /// [`Parked::Ctrl`] under the rule of [`Comm::race`], nothing
+    /// consumed — so `check` only reads the shared state, under the one
+    /// guard it shares with the control peek.
+    #[inline(always)]
+    pub(crate) fn park_watching<T>(
+        &self,
+        reason: &'static str,
+        ctrl: (Src, TagSel),
+        lease: Option<Src>,
+        check: impl Fn(&SharedState) -> Option<(VTime, T)>,
+    ) -> Parked<T> {
+        let event = || self.race(&check, Some(ctrl));
+        match lease {
+            None => self.h.block_on(reason, event),
+            Some(suspects) => self.park_leased(reason, suspects, event),
+        }
+    }
+
+    /// The data-vs-control rule, written once: of the event `check`
+    /// reads and the first frame matching `ctrl`, the control frame wins
+    /// only if it is available strictly earlier — ties go to the data,
+    /// so a request completing at the same instant as a NACK retires
+    /// first. Both are read under one lock of the shared state.
     fn race<T>(
         &self,
-        got: Option<(VTime, T)>,
+        check: impl FnOnce(&SharedState) -> Option<(VTime, T)>,
         ctrl: Option<(Src, TagSel)>,
     ) -> Option<(VTime, Parked<T>)> {
-        match (got, ctrl.and_then(|(src, tag)| self.peek_status(src, tag))) {
+        let (got, peeked) = {
+            let s = self.shared.lock();
+            let peeked = ctrl.and_then(|(src, tag)| self.status_in(&s, src, tag));
+            (check(&s), peeked)
+        };
+        match (got, peeked) {
             (Some((d, _)), Some((c, st))) if c < d => Some((c, Parked::Ctrl(st))),
             (Some((d, v)), _) => Some((d, Parked::Got(v))),
             (None, Some((c, st))) => Some((c, Parked::Ctrl(st))),
@@ -283,7 +305,11 @@ impl<'h> Comm<'h> {
     /// Envelope of the first arrival matching `(src, tag)` and when it
     /// becomes available, without receiving it.
     pub(crate) fn peek_status(&self, src: Src, tag: TagSel) -> Option<(VTime, Status)> {
-        let s = self.shared.lock();
+        self.status_in(&self.shared.lock(), src, tag)
+    }
+
+    /// [`Comm::peek_status`] under a lock the caller holds.
+    fn status_in(&self, s: &SharedState, src: Src, tag: TagSel) -> Option<(VTime, Status)> {
         let (source, tag, len, at) = s.peek_incoming(self.rank(), src, tag)?;
         Some((at, Status { source, tag, len }))
     }
@@ -375,9 +401,9 @@ impl<'h> Comm<'h> {
                 // The receiver schedules the transfer while this rank is
                 // parked; the open scope attributes it to this send.
                 let _op = self.op(wire.op_label());
-                self.park("send(rendezvous)", None, None, take).got()
+                self.park("send(rendezvous)", None, take).got()
             }
-            Wire::Chunked => self.park("send(chunked)", None, None, take).got(),
+            Wire::Chunked => self.park("send(chunked)", None, take).got(),
         }
     }
 
@@ -467,7 +493,7 @@ impl<'h> Comm<'h> {
     /// Blocking receive of either wire format, matched in this rank's
     /// own tenure (it never enters the posted list).
     fn recv_matched(&self, src: Src, tag: TagSel) -> (Status, RecvPayload) {
-        let matched = self.park("recv", None, None, || self.try_match(src, tag));
+        let matched = self.park("recv", None, || self.try_match(src, tag));
         self.deliver_matched(matched.got())
     }
 
@@ -557,7 +583,7 @@ impl<'h> Comm<'h> {
     /// receive-side host overhead is charged on the delivered bytes
     /// either way. Sends return `None`.
     pub fn wait_payload(&self, req: Request) -> (Status, Option<RecvPayload>) {
-        self.park("wait", None, None, || self.done_at(&req)).got();
+        self.park("wait", None, || self.done_at(&req)).got();
         self.take_completed(req)
     }
 
@@ -676,7 +702,7 @@ impl<'h> Comm<'h> {
         }
     }
 
-    /// [`Comm::poll_set`] under everything [`Comm::park`] can watch; a
+    /// [`Comm::poll_set`] under everything [`Comm::park_watching`] can watch; a
     /// lease-armed poll can also end on a new failure.
     pub(crate) fn poll_slots(
         &self,
@@ -695,19 +721,20 @@ impl<'h> Comm<'h> {
             return Ok(SetPoll::Empty);
         }
         // The live slot that completes earliest.
-        let first_done = || {
-            let s = self.shared.lock();
+        let first_done = |s: &SharedState| {
             ids.iter()
                 .filter_map(|&(i, id)| s.peek_done(id).map(|at| (at, i)))
                 .min()
         };
-        let polled = if block {
-            self.park(reason, ctrl, lease, first_done)
-        } else {
-            let now = self.h.now();
-            match self.race(first_done(), ctrl) {
-                Some((at, polled)) if at <= now => polled,
-                _ => return Ok(SetPoll::Pending),
+        let polled = match (block, ctrl) {
+            (true, None) => self.park(reason, lease, || first_done(&self.shared.lock())),
+            (true, Some(ctrl)) => self.park_watching(reason, ctrl, lease, first_done),
+            (false, _) => {
+                let now = self.h.now();
+                match self.race(first_done, ctrl) {
+                    Some((at, polled)) if at <= now => polled,
+                    _ => return Ok(SetPoll::Pending),
+                }
             }
         };
         match polled {
@@ -758,7 +785,7 @@ impl<'h> Comm<'h> {
         ctrl: (Src, TagSel),
         lease: Option<Src>,
     ) -> Result<(bool, Status), RankFailed> {
-        match self.park(reason, Some(ctrl), lease, || self.peek_status(src, tag)) {
+        match self.park_watching(reason, ctrl, lease, |s| self.status_in(s, src, tag)) {
             Parked::Got(status) => Ok((false, status)),
             Parked::Ctrl(status) => Ok((true, status)),
             Parked::Failed(rf) => Err(rf),

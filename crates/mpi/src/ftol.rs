@@ -435,7 +435,7 @@ impl<'h> Comm<'h> {
     /// invalidates its round or just re-arms the wait).
     fn ft_recv_once(&self, src: Src, tag: TagSel) -> Result<(Status, RecvPayload), RankFailed> {
         self.fail_fast((src, tag))?;
-        match self.park("ftol/recv", None, Some(src), || self.try_match(src, tag)) {
+        match self.park("ftol/recv", Some(src), || self.try_match(src, tag)) {
             Parked::Got(matched) => Ok(self.deliver_matched(matched)),
             Parked::Failed(rf) => Err(rf),
             Parked::Ctrl(_) => unreachable!("no control filter was set"),

@@ -1116,26 +1116,35 @@ fn the_engine_has_one_run_queue() {
     assert_eq!(heaps.len(), 1, "`BinaryHeap<` in the engine: {heaps:?}");
 }
 
-/// One GHASH reduction routine, one kernel body and one hardware tier:
+/// One GHASH reduction routine, one kernel body and one CPU probe:
 /// `pclmul.rs` has one `fn reduce` with one reduction body, `empi-aead`
-/// defines `fn stitched` once and steps a stitched group from it alone
-/// (the in-place and out-of-place forms are one body, not twins), and
-/// nothing detects a CPU feature beyond `aes`, `pclmulqdq` and `ssse3`.
+/// defines `fn stitched` once (generic over the register width) and steps
+/// a stitched group from it alone (the in-place and out-of-place forms,
+/// and the 128-bit and wide steps, are one body, not twins), and every
+/// CPU feature test in `crates` sits in `kernel_width`, the crate's one
+/// cached probe.
 #[test]
-fn the_aead_kernel_has_one_reduction_and_one_tier() {
+fn the_aead_kernel_has_one_reduction_and_one_probe() {
     let pclmul = code_lines(&[repo("crates/aead/src/ghash/pclmul.rs")]);
     for needle in ["fn reduce", "_mm_slli_epi32(tmp3, 31)"] {
         let found = sites(&pclmul, needle);
         assert_eq!(found.len(), 1, "`{needle}` in pclmul.rs: {found:?}");
     }
     let aead = code_lines(&rust_files("crates/aead/src"));
-    let kernels = sites(&aead, "fn stitched(");
-    assert_eq!(kernels.len(), 1, "`fn stitched(` in empi-aead: {kernels:?}");
+    let kernels: Vec<_> = aead
+        .iter()
+        .filter(|(_, _, l)| l.contains("fn stitched(") || l.contains("fn stitched<"))
+        .map(|(f, n, _)| format!("{f}:{n}"))
+        .collect();
+    assert_eq!(kernels.len(), 1, "`fn stitched` in empi-aead: {kernels:?}");
     // A call names the step itself, not an item that ends in its name.
     let calls_step = |l: &str| {
-        l.match_indices("stitched_group(").any(|(at, _)| {
+        l.match_indices("stitched_group").any(|(at, m)| {
             let before = l[..at].chars().next_back();
-            !before.is_some_and(|c| c.is_alphanumeric() || c == '_') && !l[..at].ends_with("fn ")
+            let after = &l[at + m.len()..];
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                && !l[..at].ends_with("fn ")
+                && (after.starts_with('(') || after.starts_with("::<"))
         })
     };
     let steps: Vec<_> = aead
@@ -1143,18 +1152,24 @@ fn the_aead_kernel_has_one_reduction_and_one_tier() {
         .filter(|(_, _, l)| calls_step(l))
         .map(|(f, n, _)| format!("{f}:{n}"))
         .collect();
-    assert_eq!(steps.len(), 1, "`stitched_group(` call sites: {steps:?}");
-    let detected: Vec<String> = code_lines(&rust_files("crates"))
+    assert_eq!(steps.len(), 1, "`stitched_group` call sites: {steps:?}");
+    let probe_file = "crates/aead/src/aes/mod.rs";
+    let probe: Vec<usize> = item_body(
+        &std::fs::read_to_string(repo(probe_file)).unwrap(),
+        "pub(crate) fn kernel_width(",
+    )
+    .into_iter()
+    .filter(|(_, l)| l.contains("is_x86_feature_detected!"))
+    .map(|(n, _)| n)
+    .collect();
+    assert!(!probe.is_empty(), "`kernel_width` probes nothing: is the scan blind?");
+    let elsewhere: Vec<String> = code_lines(&rust_files("crates"))
         .into_iter()
         .filter(|(_, _, l)| l.contains("is_x86_feature_detected!"))
-        .filter(|(_, _, l)| {
-            !["\"aes\"", "\"pclmulqdq\"", "\"ssse3\""]
-                .iter()
-                .any(|f| l.contains(f))
-        })
+        .filter(|(f, n, _)| !(f.ends_with(probe_file) && probe.contains(n)))
         .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
         .collect();
-    assert!(detected.is_empty(), "a second hardware tier: {detected:#?}");
+    assert!(elsewhere.is_empty(), "a CPU probe outside `kernel_width`: {elsewhere:#?}");
 }
 
 /// One count per event: the recorder counts every ARQ, key-plane and
