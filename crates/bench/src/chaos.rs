@@ -14,12 +14,12 @@
 //! virtual time burned in backoff windows.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{FaultRates, PipelineConfig, RetransmitConfig, SecureComm};
+use empi_core::{FaultRates, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 use empi_netsim::VDur;
 use empi_trace::{CounterBlock, Metric, MetricsSnapshot};
 
-use crate::common::{security_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::table::{size_label, Table};
 use crate::tracing::{write_artifacts, write_trace};
 
@@ -104,7 +104,7 @@ fn chaos_run(
         .traced(traced)
         .with_metrics(true);
     let out = world.run(move |c| {
-        let cfg = security_config(lib, net)
+        let cfg = SecurityConfig::new(lib)
             .with_pipeline(
                 PipelineConfig::enabled()
                     .with_chunk_size(CHUNK)
@@ -301,7 +301,7 @@ mod tests {
     fn plain_secs(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> f64 {
         let world = World::flat(net.model(), 2).with_shards(shards);
         let out = world.run(move |c| {
-            let cfg = security_config(lib, net).with_pipeline(
+            let cfg = SecurityConfig::new(lib).with_pipeline(
                 PipelineConfig::enabled()
                     .with_chunk_size(CHUNK)
                     .with_workers(WORKERS),

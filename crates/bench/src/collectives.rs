@@ -13,7 +13,7 @@ use empi_core::SecurityConfig;
 use empi_mpi::{TraceReport, World};
 use empi_netsim::Topology;
 
-use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_label, BenchOpts, Net};
 use crate::frame::{collective_loop, run_layered, Coll, Run};
 use crate::stats::overhead_percent;
 use crate::table::{fmt_value, size_label, Table};
@@ -138,7 +138,7 @@ pub fn run_net(net: Net, op: CollOp, opts: &BenchOpts) -> Vec<Table> {
             .map(|&s| {
                 collective_run(
                     net,
-                    row_config(lib, net),
+                    lib.map(SecurityConfig::new),
                     op.shape(s),
                     s,
                     ranks,
@@ -227,7 +227,7 @@ pub fn decomposition_net(net: Net, op: CollOp, opts: &BenchOpts) -> Table {
     );
     let mut json_report: Option<TraceReport> = None;
     for &s in &sizes {
-        let cfg = Some(security_config(CryptoLibrary::BoringSsl, net));
+        let cfg = Some(SecurityConfig::new(CryptoLibrary::BoringSsl));
         let run = collective_run(net, cfg, op.shape(s), s, ranks, nodes, 1, true, opts.shards);
         let r = run.report();
         t.push_row(size_label(s), decomp_cells(&r, 1.0));
@@ -259,7 +259,7 @@ mod tests {
         // scale-free: BoringSSL < Libsodium < CryptoPP overhead at 16KB+.
         let size = 16 << 10;
         let us = |lib: Option<CryptoLibrary>| {
-            let cfg = row_config(lib, Net::Ethernet);
+            let cfg = lib.map(SecurityConfig::new);
             collective_run(Net::Ethernet, cfg, Coll::Bcast, size, 16, 4, 3, false, 1).value
         };
         let base = us(None);
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn traced_bcast_labels_rounds_and_balances_ledgers() {
-        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
         let r = collective_run(
             Net::Ethernet,
             Some(cfg),
@@ -303,7 +303,7 @@ mod tests {
         let op = CollOp::Alltoall.shape(128 << 10);
         assert_eq!(op, Coll::AlltoallStreaming);
         let us = |lib: Option<CryptoLibrary>| {
-            let cfg = row_config(lib, Net::Infiniband);
+            let cfg = lib.map(SecurityConfig::new);
             collective_run(Net::Infiniband, cfg, op, 128 << 10, 8, 4, 1, false, 1).value
         };
         let base = us(None);

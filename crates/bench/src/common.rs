@@ -3,7 +3,6 @@
 use std::path::PathBuf;
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{SecurityConfig, TimingMode};
 use empi_netsim::NetModel;
 
 /// The two interconnects of the study.
@@ -72,18 +71,6 @@ pub fn row_label(lib: Option<CryptoLibrary>) -> String {
         None => "Unencrypted".to_string(),
         Some(l) => l.name().to_string(),
     }
-}
-
-/// The paper's security configuration for `lib` on `net` (256-bit key,
-/// random nonces, timing calibrated to the matching compiler build).
-pub fn security_config(lib: CryptoLibrary, net: Net) -> SecurityConfig {
-    SecurityConfig::new(lib).with_timing(TimingMode::calibrated_for(&net.model()))
-}
-
-/// The configuration behind one table row on `net`: `None` for the
-/// unencrypted baseline, the paper's configuration for a library.
-pub fn row_config(lib: Option<CryptoLibrary>, net: Net) -> Option<SecurityConfig> {
-    lib.map(|l| security_config(l, net))
 }
 
 /// Harness options shared by every harness of the `empi-bench` binary.
@@ -306,14 +293,5 @@ mod tests {
     fn rows_match_paper() {
         let rows: Vec<String> = reported_rows().into_iter().map(row_label).collect();
         assert_eq!(rows, ["Unencrypted", "BoringSSL", "Libsodium", "CryptoPP"]);
-    }
-
-    #[test]
-    fn security_config_uses_matching_build() {
-        use empi_aead::profile::CompilerBuild;
-        let eth = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
-        assert_eq!(eth.timing, TimingMode::Calibrated(CompilerBuild::Gcc485));
-        let ib = security_config(CryptoLibrary::BoringSsl, Net::Infiniband);
-        assert_eq!(ib.timing, TimingMode::Calibrated(CompilerBuild::Mvapich23));
     }
 }

@@ -15,25 +15,24 @@
 //!   shard-count-invariant; sharding only buys wall-clock.
 
 use empi_aead::profile::{CryptoLibrary, KeySize};
-use empi_core::{SecurityConfig, TimingMode};
+use empi_core::SecurityConfig;
 use empi_mpi::World;
 use empi_netsim::Topology;
 
 use crate::collectives::collective_run;
-use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_label, BenchOpts, Net};
 use crate::frame::{echo, run_layered, Coll};
 use crate::nasbench;
 use crate::pingpong::pingpong_run;
 use crate::table::{fmt_value, size_label, Table};
 
 /// The BoringSSL configuration of EXT-KEYSIZE under an explicit key size.
-fn keysize_config(net: Net, key_size: KeySize) -> SecurityConfig {
+fn keysize_config(key_size: KeySize) -> SecurityConfig {
     let mut key = [0u8; 32];
     key[..key_size.bytes()].copy_from_slice(&vec![0x42u8; key_size.bytes()]);
-    security_config(CryptoLibrary::BoringSsl, net)
+    SecurityConfig::new(CryptoLibrary::BoringSsl)
         .with_key_size(key_size)
         .with_key(key)
-        .with_timing(TimingMode::calibrated_for(&net.model()))
 }
 
 /// EXT-KEYSIZE table.
@@ -52,7 +51,7 @@ pub fn keysize_table(net: Net, opts: &BenchOpts) -> Table {
         ("AES-128-GCM", KeySize::Aes128),
         ("AES-256-GCM", KeySize::Aes256),
     ] {
-        let cfg = Some(keysize_config(net, ks));
+        let cfg = Some(keysize_config(ks));
         let cells = sizes
             .iter()
             .map(|&s| fmt_value(pingpong_run(net, cfg.clone(), s, iters, false, opts.shards).value))
@@ -84,7 +83,7 @@ fn pingpong_at_scale_us(
 ) -> f64 {
     let nodes = (ranks / 32).max(2);
     let world = World::new(net.model(), Topology::block(ranks, nodes)).with_shards(shards);
-    let out = run_layered(&world, &row_config(lib, net), |c, layer| {
+    let out = run_layered(&world, &lib.map(SecurityConfig::new), |c, layer| {
         echo(c, layer, c.size() - 1, 4 << 10, iters).as_micros_f64()
     });
     out.results[0] / iters as f64
@@ -120,7 +119,7 @@ pub fn rankscale_table(net: Net, opts: &BenchOpts) -> Table {
             .collect();
         cells.extend(a2a_ranks.iter().map(|&r| {
             let nodes = (r / 32).max(2);
-            let cfg = row_config(lib, net);
+            let cfg = lib.map(SecurityConfig::new);
             let run = collective_run(
                 net,
                 cfg,
@@ -151,7 +150,7 @@ mod tests {
         // AES-128 is at least as fast as AES-256 (fewer rounds), and
         // both see the same large-message overhead regime.
         let mbs = |ks| {
-            let cfg = keysize_config(Net::Ethernet, ks);
+            let cfg = keysize_config(ks);
             pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 5, false, 1).value
         };
         let k128 = mbs(KeySize::Aes128);

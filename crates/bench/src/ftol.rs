@@ -9,7 +9,7 @@
 //! agreement-backed communicator shrink, and a verified encrypted
 //! exchange on the shrunken world. Rows sweep the detector lease
 //! period against the world size (plus hang rows at the default lease,
-//! which need `confirm` probe rounds instead of one) and report each
+//! which need `CONFIRM_ROUNDS` probe rounds instead of one) and report each
 //! ladder step in virtual microseconds. The re-key column doubles as
 //! an invariant check: survivor re-keying is deterministic and
 //! wire-free, so it prices at (near) zero.
@@ -38,7 +38,7 @@ use empi_netsim::{VDur, VTime};
 use empi_trace::MetricsSnapshot;
 
 use crate::chaos::LIBS;
-use crate::common::{security_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::table::Table;
 use crate::tracing::write_artifacts;
 
@@ -108,7 +108,6 @@ fn detect_run(
 ) -> DetectRun {
     let cfg = DetectorConfig {
         lease: VDur::from_micros(lease_us),
-        ..DetectorConfig::default()
     };
     let victim = n - 1;
     let fate = if hang {
@@ -136,7 +135,7 @@ fn detect_run(
             // long an ft wait may outlive a silent-but-live peer) stays
             // quiet, and misaligned with the lease grid so the first
             // deadline past the death lands mid-interval: detection
-            // latency ≈ lease/2 + probe_rtt, showing the lease
+            // latency ≈ lease/2 + PROBE_RTT, showing the lease
             // dependence the sweep is after.
             let lease = c.detector_config().expect("ftol is armed").lease;
             let target = us(CRASH_AT_US)
@@ -227,7 +226,7 @@ pub fn collective_run(
     }
     let out = world
         .try_run_ft(move |c| {
-            let sc = lib.map(|l| SecureComm::new(c, security_config(l, net)).unwrap());
+            let sc = lib.map(|l| SecureComm::new(c, SecurityConfig::new(l)).unwrap());
             let payload = vec![0xB7u8; COLL_BYTES];
             let all = (1u64 << n) - 1;
             let mut members: Vec<usize> = (0..n).collect();
@@ -307,7 +306,7 @@ fn arq_dead_sender_run(net: Net, shards: usize) -> u64 {
         .crash_plan(CrashPlan::new().crash_at(0, us(1_000)));
     let out = world
         .try_run_ft(move |c| {
-            let cfg = security_config(CryptoLibrary::BoringSsl, net)
+            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
                 .with_faults(
                     SEED,
                     FaultRates {
@@ -383,7 +382,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         }
     }
     for &n in sizes {
-        // Hangs need `confirm` consecutive missed rounds, not one.
+        // Hangs need CONFIRM_ROUNDS consecutive missed rounds, not one.
         let run = detect_run(net, n, 500, true, false, opts.shards);
         push_ladder_row(&mut tab, &format!("hang / 500 us / n={n}"), &run);
     }
@@ -467,6 +466,7 @@ fn export_artifacts(net: Net, opts: &BenchOpts) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use empi_mpi::{CONFIRM_ROUNDS, PROBE_RTT};
     use empi_trace::export;
 
     #[test]
@@ -492,8 +492,8 @@ mod tests {
             hang.detect_ns,
             crash.detect_ns
         );
-        let confirm = u64::from(DetectorConfig::default().confirm);
-        assert!(hang.detect_ns <= (confirm * (500 + 20) + 500 + 20) * 1_000);
+        let round = 500_000 + PROBE_RTT.as_nanos();
+        assert!(hang.detect_ns <= u64::from(CONFIRM_ROUNDS) * round + round);
     }
 
     #[test]

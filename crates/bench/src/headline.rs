@@ -9,9 +9,10 @@
 use std::process::ExitCode;
 
 use empi_aead::profile::CryptoLibrary;
+use empi_core::SecurityConfig;
 use empi_nas::{Class, Kernel};
 
-use crate::common::{row_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::multipair::multipair_run;
 use crate::nasbench::nas_run;
 use crate::pingpong::pingpong_run;
@@ -42,11 +43,13 @@ pub fn run(mut args: Vec<String>) -> ExitCode {
     let with_nas = args.iter().any(|a| a == "--nas");
     args.retain(|a| a != "--nas");
     let shards = BenchOpts::parse(args.into_iter()).shards;
-    let pingpong_mbs = |net, lib, size, iters| {
-        pingpong_run(net, row_config(lib, net), size, iters, false, shards).value
+    let pingpong_mbs = |net, lib: Option<CryptoLibrary>, size, iters| {
+        let cfg = lib.map(SecurityConfig::new);
+        pingpong_run(net, cfg, size, iters, false, shards).value
     };
-    let multipair_mbs = |net, lib, size, pairs, iters| {
-        multipair_run(net, row_config(lib, net), size, pairs, iters, false, shards).value
+    let multipair_mbs = |net, lib: Option<CryptoLibrary>, size, pairs, iters| {
+        let cfg = lib.map(SecurityConfig::new);
+        multipair_run(net, cfg, size, pairs, iters, false, shards).value
     };
     let mut claims = Vec::new();
     let boring = Some(CryptoLibrary::BoringSsl);
@@ -136,8 +139,8 @@ pub fn run(mut args: Vec<String>) -> ExitCode {
             let mut base = Vec::new();
             let mut enc = Vec::new();
             for k in Kernel::ALL {
-                let secs = |lib| {
-                    let cfg = row_config(lib, net);
+                let secs = |lib: Option<CryptoLibrary>| {
+                    let cfg = lib.map(SecurityConfig::new);
                     nas_run(net, cfg, k, Class::MiniC, 64, 8, false, shards)
                         .value
                         .0

@@ -15,7 +15,7 @@ use empi_core::{FaultRates, PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Comm, Src, TagSel, World};
 use empi_netsim::VDur;
 
-use crate::common::{reported_rows, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_label, BenchOpts, Net};
 use crate::frame::Run;
 use crate::table::{fmt_value, Table};
 use crate::tracing::write_trace;
@@ -50,12 +50,11 @@ const MAX_RETRIES: u32 = 4;
 /// evicted (and aborted) before the receiver's first NACK lands.
 pub(crate) fn config(
     lib: CryptoLibrary,
-    net: Net,
     piped: bool,
     chaos: bool,
     window: usize,
 ) -> SecurityConfig {
-    let mut cfg = security_config(lib, net);
+    let mut cfg = SecurityConfig::new(lib);
     if piped {
         cfg = cfg.with_pipeline(PipelineConfig::enabled().with_workers(4));
     }
@@ -224,7 +223,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             let cells = windows
                 .iter()
                 .map(|&w| {
-                    let cfg = lib.map(|l| config(l, net, piped, false, w));
+                    let cfg = lib.map(|l| config(l, piped, false, w));
                     fmt_value(inflight_run(net, cfg, w, msgs, false, opts.shards).value)
                 })
                 .collect();
@@ -247,7 +246,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         let cells = windows
             .iter()
             .map(|&w| {
-                let cfg = config(CryptoLibrary::BoringSsl, net, piped, true, w);
+                let cfg = config(CryptoLibrary::BoringSsl, piped, true, w);
                 fmt_value(inflight_run(net, Some(cfg), w, msgs, false, opts.shards).value)
             })
             .collect();
@@ -259,7 +258,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 
     if opts.trace {
         let w = *windows.last().unwrap();
-        let cfg = config(CryptoLibrary::BoringSsl, net, true, false, w);
+        let cfg = config(CryptoLibrary::BoringSsl, true, false, w);
         let r = inflight_run(net, Some(cfg), w, msgs.min(64), true, opts.shards).report();
         let stem = format!("trace-inflight-{}", net.name().to_lowercase());
         write_trace(&r, &opts.out_dir, &stem);
@@ -287,7 +286,7 @@ mod tests {
     #[test]
     fn goodput_scales_with_window_when_encrypted() {
         let goodput = |w: usize| {
-            let cfg = config(CryptoLibrary::BoringSsl, Net::Ethernet, false, false, w);
+            let cfg = config(CryptoLibrary::BoringSsl, false, false, w);
             inflight_run(Net::Ethernet, Some(cfg), w, 24, false, 1).value
         };
         let g1 = goodput(1);
@@ -305,7 +304,7 @@ mod tests {
         // Fixed-seed faults + ARQ at the deepest quick window: the
         // receiver-side asserts in pump_secure verify every plaintext
         // arrives intact, window notwithstanding.
-        let cfg = config(CryptoLibrary::BoringSsl, Net::Ethernet, true, true, 16);
+        let cfg = config(CryptoLibrary::BoringSsl, true, true, 16);
         let g = inflight_run(Net::Ethernet, Some(cfg), 16, 16, false, 1).value;
         assert!(g > 0.0);
     }

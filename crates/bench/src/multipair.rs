@@ -11,7 +11,7 @@ use empi_core::{SecureComm, SecurityConfig};
 use empi_mpi::{Comm, Src, TagSel, TraceReport, World};
 use empi_netsim::Topology;
 
-use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_label, BenchOpts, Net};
 use crate::frame::Run;
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, write_trace};
@@ -140,7 +140,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             PAIRS.iter().map(|p| p.to_string()).collect(),
         );
         for lib in reported_rows() {
-            let cfg = row_config(lib, net);
+            let cfg = lib.map(SecurityConfig::new);
             let cells: Vec<String> = PAIRS
                 .iter()
                 .map(|&pairs| {
@@ -179,7 +179,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut json_report: Option<TraceReport> = None;
     for &pairs in &PAIRS {
-        let cfg = security_config(CryptoLibrary::BoringSsl, net);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
         let r = multipair_run(net, Some(cfg), size, pairs, iters, true, opts.shards).report();
         t.push_row(pairs.to_string(), decomp_cells(&r, iters as f64));
         if pairs == 4 {
@@ -204,7 +204,7 @@ mod tests {
         let b1 = multipair_run(Net::Ethernet, None, 2 << 20, 1, 4, false, 1).value;
         let b4 = multipair_run(Net::Ethernet, None, 2 << 20, 4, 4, false, 1).value;
         assert!(b4 > 0.95 * b1, "baseline should not degrade: {b1} -> {b4}");
-        let cfg = row_config(Some(CryptoLibrary::BoringSsl), Net::Ethernet);
+        let cfg = Some(SecurityConfig::new(CryptoLibrary::BoringSsl));
         let e1 = multipair_run(Net::Ethernet, cfg.clone(), 2 << 20, 1, 4, false, 1).value;
         let e4 = multipair_run(Net::Ethernet, cfg, 2 << 20, 4, 4, false, 1).value;
         let gap1 = b1 / e1;
@@ -241,7 +241,7 @@ mod tests {
         // §V-A: "when there are 8 pairs, even CryptoPP can reach the
         // baseline performance, for 16KB messages".
         let b = multipair_run(Net::Ethernet, None, 16 << 10, 8, 10, false, 1).value;
-        let cfg = row_config(Some(CryptoLibrary::CryptoPp), Net::Ethernet);
+        let cfg = Some(SecurityConfig::new(CryptoLibrary::CryptoPp));
         let cpp = multipair_run(Net::Ethernet, cfg, 16 << 10, 8, 10, false, 1).value;
         assert!(cpp > 0.85 * b, "CryptoPP {cpp} vs baseline {b}");
     }

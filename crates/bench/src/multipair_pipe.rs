@@ -13,7 +13,7 @@ use empi_aead::profile::CryptoLibrary;
 use empi_core::{PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 
-use crate::common::{security_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::multipair::{multipair_run, PAIRS, SIZES};
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::write_trace;
@@ -36,9 +36,9 @@ impl Variant {
         }
     }
 
-    /// Security configuration for `lib` on `net` under this variant.
-    pub fn config(self, lib: CryptoLibrary, net: Net) -> SecurityConfig {
-        let base = security_config(lib, net);
+    /// Security configuration for `lib` under this variant.
+    pub fn config(self, lib: CryptoLibrary) -> SecurityConfig {
+        let base = SecurityConfig::new(lib);
         match self {
             Variant::Serial => base,
             Variant::Piped => base.with_pipeline(PipelineConfig::enabled().with_workers(4)),
@@ -54,7 +54,7 @@ impl Variant {
 fn alloc_stream(net: Net, size: usize, msgs: u32, shards: usize) -> TraceReport {
     let world = World::flat(net.model(), 2).with_shards(shards).traced(true);
     let out = world.run(move |c| {
-        let sc = SecureComm::new(c, Variant::Piped.config(CryptoLibrary::BoringSsl, net)).unwrap();
+        let sc = SecureComm::new(c, Variant::Piped.config(CryptoLibrary::BoringSsl)).unwrap();
         let msg = vec![0x5au8; size];
         for i in 0..msgs {
             if c.rank() == 0 {
@@ -111,7 +111,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         for v in [Variant::Serial, Variant::Piped] {
             rows.push((
                 format!("BoringSSL {}", v.label()),
-                Some(v.config(CryptoLibrary::BoringSsl, net)),
+                Some(v.config(CryptoLibrary::BoringSsl)),
             ));
         }
         for (label, cfg) in rows {
@@ -180,7 +180,7 @@ mod tests {
         // overlaps seal with the wire, so it must beat the serial
         // placement.
         let mbs = |v: Variant| {
-            let cfg = v.config(CryptoLibrary::BoringSsl, Net::Ethernet);
+            let cfg = v.config(CryptoLibrary::BoringSsl);
             multipair_run(Net::Ethernet, Some(cfg), 2 << 20, 1, 3, false, 1).value
         };
         let serial = mbs(Variant::Serial);

@@ -15,7 +15,7 @@ use empi_nas::adi::{self, AdiKind};
 use empi_nas::{cg, ft, is, lu, mg, Class, Kernel};
 use empi_netsim::Topology;
 
-use crate::common::{reported_rows, row_config, row_label, security_config, BenchOpts, Net};
+use crate::common::{reported_rows, row_label, BenchOpts, Net};
 use crate::frame::{run_layered, Run};
 use crate::stats::overhead_percent_of_totals;
 use crate::table::{fmt_value, Table};
@@ -87,7 +87,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 
     let mut baseline_times: Vec<f64> = Vec::new();
     for lib in reported_rows() {
-        let cfg = row_config(lib, net);
+        let cfg = lib.map(SecurityConfig::new);
         let mut times = Vec::new();
         for k in Kernel::ALL {
             let (secs, ok) =
@@ -139,7 +139,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut json_report: Option<TraceReport> = None;
     for k in Kernel::ALL {
-        let cfg = security_config(CryptoLibrary::BoringSsl, net);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
         let r = nas_run(net, Some(cfg), k, class, ranks, nodes, true, opts.shards).report();
         if k == Kernel::CG {
             json_report = Some(r.clone());
@@ -175,9 +175,8 @@ pub fn scalability(net: Net, class: Class, shards: usize) -> Table {
                 let total: f64 = Kernel::ALL
                     .iter()
                     .map(|&k| {
-                        nas_run(net, row_config(lib, net), k, class, r, n, false, shards)
-                            .value
-                            .0
+                        let cfg = lib.map(SecurityConfig::new);
+                        nas_run(net, cfg, k, class, r, n, false, shards).value.0
                     })
                     .sum();
                 fmt_value(total)
@@ -196,7 +195,7 @@ fn sweep(net: Net, class: Class, ranks: usize, nodes: usize, shards: usize) -> (
     let virt: Vec<f64> = Kernel::ALL
         .iter()
         .map(|&k| {
-            let cfg = security_config(CryptoLibrary::BoringSsl, net);
+            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
             nas_run(net, Some(cfg), k, class, ranks, nodes, false, shards)
                 .value
                 .0
@@ -267,7 +266,7 @@ mod tests {
     fn all_kernels_verify_small_both_layers() {
         for lib in [None, Some(CryptoLibrary::BoringSsl)] {
             for k in Kernel::ALL {
-                let cfg = row_config(lib, Net::Ethernet);
+                let cfg = lib.map(SecurityConfig::new);
                 let (secs, ok) = nas_run(Net::Ethernet, cfg, k, Class::S, 4, 2, false, 1).value;
                 assert!(ok, "{} under {:?}", k.name(), lib);
                 assert!(secs > 0.0);
@@ -279,7 +278,7 @@ mod tests {
     fn encryption_adds_overhead_to_every_kernel() {
         for k in Kernel::ALL {
             let secs = |lib: Option<CryptoLibrary>| {
-                let cfg = row_config(lib, Net::Infiniband);
+                let cfg = lib.map(SecurityConfig::new);
                 nas_run(Net::Infiniband, cfg, k, Class::S, 4, 2, false, 1)
                     .value
                     .0

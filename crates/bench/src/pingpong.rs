@@ -10,9 +10,7 @@ use empi_aead::profile::CryptoLibrary;
 use empi_core::SecurityConfig;
 use empi_mpi::{TraceReport, World};
 
-use crate::common::{
-    reported_rows, row_config, row_label, security_config, BenchOpts, Net, SizeSel,
-};
+use crate::common::{reported_rows, row_label, BenchOpts, Net, SizeSel};
 use crate::frame::{echo, run_layered, Run};
 use crate::table::{fmt_value, size_label, Table};
 use crate::tracing::{decomp_cells, decomp_columns, write_trace};
@@ -92,7 +90,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             sizes.iter().map(|&s| size_label(s)).collect(),
         );
         for lib in reported_rows() {
-            let cfg = row_config(lib, net);
+            let cfg = lib.map(SecurityConfig::new);
             let cells: Vec<String> = sizes
                 .iter()
                 .map(|&s| {
@@ -141,7 +139,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut last: Option<TraceReport> = None;
     for &s in &sizes {
-        let cfg = security_config(CryptoLibrary::BoringSsl, net);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
         let r = pingpong_run(net, Some(cfg), s, iters, true, opts.shards).report();
         t.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
@@ -181,7 +179,7 @@ mod tests {
         // small overhead @256B Ethernet, large @256B IB.
         let check = |net, size, lo: f64, hi: f64| {
             let base = pingpong_run(net, None, size, 20, false, 1).value;
-            let cfg = security_config(CryptoLibrary::BoringSsl, net);
+            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
             let enc = pingpong_run(net, Some(cfg), size, 20, false, 1).value;
             let overhead = (base / enc - 1.0) * 100.0;
             assert!(
@@ -201,7 +199,7 @@ mod tests {
         // The decomposition's serialized-model overhead estimate must
         // land in the same band as the measured overhead (paper: 78.3 %
         // for BoringSSL at 2 MB on Ethernet).
-        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
         let r = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 4, true, 1).report();
         let d = r.decomposition();
         let est = est_overhead_percent(&d);
@@ -219,7 +217,7 @@ mod tests {
     #[test]
     fn cryptopp_is_far_worse_at_large_sizes() {
         let base = pingpong_run(Net::Ethernet, None, 2 << 20, 10, false, 1).value;
-        let cfg = security_config(CryptoLibrary::CryptoPp, Net::Ethernet);
+        let cfg = SecurityConfig::new(CryptoLibrary::CryptoPp);
         let cpp = pingpong_run(Net::Ethernet, Some(cfg), 2 << 20, 10, false, 1).value;
         let overhead = (base / cpp - 1.0) * 100.0;
         // Paper: ~400 %.

@@ -13,7 +13,7 @@ use empi_aead::profile::CryptoLibrary;
 use empi_core::{PipelineConfig, SecurityConfig};
 use empi_mpi::TraceReport;
 
-use crate::common::{security_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::pingpong::pingpong_run;
 use crate::stats::overhead_percent_of_mbs;
 use crate::table::{size_label, Table};
@@ -48,7 +48,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
             .expect("size not in SIZES")]
     };
     let cell = |lib: CryptoLibrary, pipeline: PipelineConfig, size: usize| -> String {
-        let cfg = security_config(lib, net).with_pipeline(pipeline);
+        let cfg = SecurityConfig::new(lib).with_pipeline(pipeline);
         format!(
             "{:.1}",
             overhead_percent_of_mbs(base_for(size), mbs(Some(cfg), size))
@@ -158,7 +158,7 @@ pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Table {
     );
     let mut last: Option<TraceReport> = None;
     for &s in &SIZES {
-        let cfg = security_config(CryptoLibrary::BoringSsl, net).with_pipeline(pipeline);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl).with_pipeline(pipeline);
         let r = pingpong_run(net, Some(cfg), s, iters, true, opts.shards).report();
         t.push_row(size_label(s), decomp_cells(&r, iters as f64));
         last = Some(r);
@@ -179,7 +179,7 @@ mod tests {
         // Acceptance check: pipelining off must reproduce the sequential
         // path exactly — same virtual end time, hence bit-identical
         // throughput (the simulation is deterministic).
-        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl);
         let off = cfg.clone().with_pipeline(PipelineConfig::disabled());
         let seq = pingpong_run(Net::Ethernet, Some(cfg), 256 << 10, 4, false, 1).value;
         let off = pingpong_run(Net::Ethernet, Some(off), 256 << 10, 4, false, 1).value;
@@ -190,7 +190,7 @@ mod tests {
     fn oversized_chunk_is_bit_identical_to_sequential() {
         // chunk ≥ message: the sender never chunks and the receiver's
         // wire-format dispatch must charge exactly like the plain path.
-        let cfg = security_config(CryptoLibrary::Libsodium, Net::Infiniband);
+        let cfg = SecurityConfig::new(CryptoLibrary::Libsodium);
         let one = cfg.clone().with_pipeline(
             PipelineConfig::enabled()
                 .with_chunk_size(1 << 22)
@@ -209,7 +209,7 @@ mod tests {
         // overhead).
         let size = 2 << 20;
         let base = pingpong_run(Net::Ethernet, None, size, 10, false, 1).value;
-        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet)
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
             .with_pipeline(PipelineConfig::enabled().with_workers(4));
         let enc = pingpong_run(Net::Ethernet, Some(cfg), size, 10, false, 1).value;
         assert!(
@@ -226,7 +226,7 @@ mod tests {
         let size = 2 << 20;
         let base = pingpong_run(Net::Ethernet, None, size, 6, false, 1).value;
         let ov = |p: PipelineConfig| {
-            let cfg = security_config(CryptoLibrary::CryptoPp, Net::Ethernet).with_pipeline(p);
+            let cfg = SecurityConfig::new(CryptoLibrary::CryptoPp).with_pipeline(p);
             overhead_percent_of_mbs(
                 base,
                 pingpong_run(Net::Ethernet, Some(cfg), size, 6, false, 1).value,
@@ -247,7 +247,7 @@ mod tests {
         // crypto is overlapped with the wire, not added to it.
         let size = 2 << 20;
         let iters = 4;
-        let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet)
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
             .with_pipeline(PipelineConfig::enabled().with_workers(4));
         let r = pingpong_run(Net::Ethernet, Some(cfg.clone()), size, iters, true, 1).report();
         let d = r.decomposition();

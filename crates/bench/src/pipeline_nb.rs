@@ -17,7 +17,7 @@ use empi_core::{PipelineConfig, SecureComm, SecurityConfig};
 use empi_mpi::{Src, TagSel, TraceReport, World};
 
 use crate::collectives::collective_run;
-use crate::common::{security_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::frame::{Coll, Run};
 use crate::stats::overhead_percent;
 use crate::table::{size_label, Table};
@@ -100,7 +100,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
         }
     };
     let config = |lib: CryptoLibrary, pipeline: PipelineConfig| {
-        Some(security_config(lib, net).with_pipeline(pipeline))
+        Some(SecurityConfig::new(lib).with_pipeline(pipeline))
     };
     let nb_secs = |cfg: Option<SecurityConfig>, size: usize| -> f64 {
         nb_run(net, cfg, size, nb_iters(size), false, opts.shards).value
@@ -206,7 +206,7 @@ pub fn run_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
 /// `pipe/seal` / `pipe/open` spans sit on the "rank r crypto-core w"
 /// lanes.
 pub fn decomposition_net(net: Net, opts: &BenchOpts) -> Vec<Table> {
-    let pipelined = security_config(CryptoLibrary::BoringSsl, net)
+    let pipelined = SecurityConfig::new(CryptoLibrary::BoringSsl)
         .with_pipeline(PipelineConfig::enabled().with_workers(WORKERS));
     let iters = if opts.quick { 2 } else { 4 };
 
@@ -278,7 +278,7 @@ mod tests {
     use crate::frame::ragged_count;
 
     fn boring(p: PipelineConfig) -> Option<SecurityConfig> {
-        Some(security_config(CryptoLibrary::BoringSsl, Net::Ethernet).with_pipeline(p))
+        Some(SecurityConfig::new(CryptoLibrary::BoringSsl).with_pipeline(p))
     }
 
     #[test]

@@ -26,7 +26,7 @@ use empi_netsim::VDur;
 use empi_trace::{Metric, MetricsSnapshot};
 
 use crate::chaos::LIBS;
-use crate::common::{security_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::table::Table;
 use crate::tracing::write_artifacts;
 
@@ -74,17 +74,12 @@ impl RekeyRun {
 
 /// The security config of the rekey runs: key plane with the fixed
 /// handshake seed, optional rotation, pipelined chunked crypto.
-fn rekey_config(
-    net: Net,
-    lib: CryptoLibrary,
-    key: KeySize,
-    rotate_us: Option<u64>,
-) -> SecurityConfig {
+fn rekey_config(lib: CryptoLibrary, key: KeySize, rotate_us: Option<u64>) -> SecurityConfig {
     let mut kp = KeyPlaneConfig::new(SEED).with_drain(DRAIN);
     if let Some(us) = rotate_us {
         kp = kp.with_rotation(VDur::from_micros(us));
     }
-    security_config(lib, net)
+    SecurityConfig::new(lib)
         .with_key_size(key)
         .with_key_plane(kp)
         .with_pipeline(
@@ -112,7 +107,7 @@ fn stream_run(
         .with_metrics(true)
         .traced(traced);
     let out = world.run(move |c| {
-        let sc = SecureComm::new(c, rekey_config(net, lib, key, rotate_us)).unwrap();
+        let sc = SecureComm::new(c, rekey_config(lib, key, rotate_us)).unwrap();
         if c.rank() == 0 {
             for i in 0..msgs {
                 let buf = vec![(i as u8).wrapping_mul(29) ^ 0xA5; MSG_SIZE];
@@ -158,7 +153,7 @@ fn revoke_run(net: Net, lib: CryptoLibrary, msgs: usize, shards: usize) -> Rekey
         .with_shards(shards)
         .with_metrics(true);
     let out = world.run(move |c| {
-        let sc = SecureComm::new(c, rekey_config(net, lib, KeySize::Aes256, None)).unwrap();
+        let sc = SecureComm::new(c, rekey_config(lib, KeySize::Aes256, None)).unwrap();
         let me = c.rank();
         let (mut delivered, mut failed) = (0usize, 0usize);
         if me == 2 {

@@ -32,7 +32,7 @@ pub fn overhead_percent_of_mbs(base_mbs: f64, enc_mbs: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::collectives::collective_run;
-    use crate::common::{security_config, Net};
+    use crate::common::Net;
     use crate::frame::{Coll, Run};
     use crate::inflight::{config as inflight_config, inflight_run};
     use crate::multipair::multipair_run;
@@ -41,6 +41,7 @@ mod tests {
     use crate::pipeline_nb::nb_run;
     use empi_aead::profile::CryptoLibrary;
     use empi_core::PipelineConfig;
+    use empi_core::SecurityConfig;
 
     #[test]
     fn a_cell_is_one_exact_run() {
@@ -49,7 +50,7 @@ mod tests {
         // it must give the same bits, so nothing host-timed (a clock
         // read, a host-speed-dependent schedule) reaches a cell.
         let net = Net::Ethernet;
-        let boring = security_config(CryptoLibrary::BoringSsl, net);
+        let boring = SecurityConfig::new(CryptoLibrary::BoringSsl);
         let piped = boring
             .clone()
             .with_pipeline(PipelineConfig::enabled().with_workers(4));
@@ -82,19 +83,13 @@ mod tests {
             multipair_run(net, None, size, 1, 1, false, 1)
         });
         for v in [Variant::Serial, Variant::Piped] {
-            let cfg = Some(v.config(CryptoLibrary::BoringSsl, net));
+            let cfg = Some(v.config(CryptoLibrary::BoringSsl));
             exact(&format!("multipair_run {v:?}"), &|| {
                 multipair_run(net, cfg.clone(), size, 1, 1, false, 1)
             });
         }
         for (piped, chaos) in [(false, false), (true, false), (true, true)] {
-            let cfg = Some(inflight_config(
-                CryptoLibrary::BoringSsl,
-                net,
-                piped,
-                chaos,
-                4,
-            ));
+            let cfg = Some(inflight_config(CryptoLibrary::BoringSsl, piped, chaos, 4));
             exact(
                 &format!("inflight_run piped={piped} chaos={chaos}"),
                 &|| inflight_run(net, cfg.clone(), 4, 6, false, 1),
@@ -104,7 +99,7 @@ mod tests {
         // The carrier count moves wall-clock only: the pipelined
         // multi-pair cell, whose chunk crypto spreads over idle carriers,
         // reads the same bits on one carrier and on two.
-        let cfg = Some(Variant::Piped.config(CryptoLibrary::BoringSsl, net));
+        let cfg = Some(Variant::Piped.config(CryptoLibrary::BoringSsl));
         let run = |s| multipair_run(net, cfg.clone(), size, 1, 1, false, s).value;
         assert_eq!(
             run(1).to_bits(),

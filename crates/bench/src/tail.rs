@@ -24,7 +24,7 @@ use empi_netsim::VDur;
 use empi_trace::{Metric, MetricsSnapshot, SloConfig};
 
 use crate::chaos::LIBS;
-use crate::common::{security_config, BenchOpts, Net};
+use crate::common::{BenchOpts, Net};
 use crate::table::Table;
 use crate::tracing::write_artifacts;
 
@@ -71,8 +71,8 @@ pub struct TailRun {
 
 /// The security config of the tail runs: pipelined chunked crypto,
 /// optionally with the seeded fault plan and the retransmit layer.
-fn tail_config(net: Net, lib: CryptoLibrary, chaos: bool) -> SecurityConfig {
-    let cfg = security_config(lib, net).with_pipeline(
+fn tail_config(lib: CryptoLibrary, chaos: bool) -> SecurityConfig {
+    let cfg = SecurityConfig::new(lib).with_pipeline(
         PipelineConfig::enabled()
             .with_chunk_size(CHUNK)
             .with_workers(WORKERS),
@@ -106,7 +106,7 @@ fn p2p_run(
         world = world.with_slo(slo_config());
     }
     let out = world.run(move |c| {
-        let sc = SecureComm::new(c, tail_config(net, lib, chaos)).unwrap();
+        let sc = SecureComm::new(c, tail_config(lib, chaos)).unwrap();
         let t0 = c.now();
         if c.rank() == 0 {
             for i in 0..msgs {
@@ -152,7 +152,7 @@ fn a2a_run(net: Net, lib: CryptoLibrary, chaos: bool, iters: usize, shards: usiz
         .with_shards(shards)
         .with_slo(slo_config());
     let out = world.run(move |c| {
-        let sc = SecureComm::new(c, tail_config(net, lib, chaos)).unwrap();
+        let sc = SecureComm::new(c, tail_config(lib, chaos)).unwrap();
         let (mut delivered, mut failed) = (0usize, 0usize);
         for i in 0..iters {
             let send: Vec<u8> = (0..A2A_BLOCK * A2A_RANKS)
@@ -425,7 +425,7 @@ mod tests {
         // the failing flow and carry recorded events.
         let world = World::flat(Net::Ethernet.model(), 2).with_metrics(true);
         let out = world.run(move |c| {
-            let cfg = security_config(CryptoLibrary::BoringSsl, Net::Ethernet)
+            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
                 .with_pipeline(
                     PipelineConfig::enabled()
                         .with_chunk_size(16 << 10)

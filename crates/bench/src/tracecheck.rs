@@ -203,7 +203,7 @@ fn check_metrics(text: &str, need: &[&str]) -> Result<(String, bool), String> {
         .get("version")
         .and_then(Value::as_f64)
         .ok_or("missing version")?;
-    if version != 1.0 {
+    if version != empi_trace::SNAPSHOT_VERSION as f64 {
         return Err(format!("unsupported snapshot version {version}"));
     }
     let hists = doc
@@ -373,7 +373,8 @@ mod tests {
             )
         };
         format!(
-            r#"{{"version":1,"hists":[{},{},{}],"per_rank":[{{"seal_samples":{ledger},"open_samples":{ledger}}}]{extra}}}"#,
+            r#"{{"version":{},"hists":[{},{},{}],"per_rank":[{{"seal_samples":{ledger},"open_samples":{ledger}}}]{extra}}}"#,
+            empi_trace::SNAPSHOT_VERSION,
             hist("seal"),
             hist("open"),
             hist("e2e")

@@ -1,5 +1,7 @@
-//! Security configuration: which library, key size, nonce policy, and
-//! how crypto time is charged to the virtual clock.
+//! Security configuration: which library, key size, nonce policy,
+//! pipelining, faults, retransmit and key plane. What crypto costs on
+//! the virtual clock is not configured: it follows the world's
+//! interconnect ([`compiler_build`]).
 
 use empi_aead::nonce::NoncePolicy;
 use empi_aead::profile::{CompilerBuild, CryptoLibrary, KeySize};
@@ -7,37 +9,41 @@ use empi_keys::KeyPlaneConfig;
 use empi_netsim::{FaultRates, NetModel, VDur};
 use empi_pipeline::PipelineConfig;
 
-/// How cryptographic work is charged to the simulation clock.
+/// The compiler build whose calibrated curves (digitized from the
+/// paper's Figs. 2/9) price crypto on the interconnect named
+/// `model_name`: the paper pairs gcc 4.8.5 with the Ethernet/MPICH
+/// stack and the MVAPICH2-2.3 toolchain with InfiniBand.
 ///
-/// Real crypto always executes; its virtual cost comes from the model
+/// Real crypto always executes; its virtual cost comes from this model
 /// (DESIGN.md §2, "wall-clock timing" substitution), never from the
 /// host clock, so every run of a configuration reports the same times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingMode {
-    /// Charge the calibrated per-library cost digitized from the paper's
-    /// Figs. 2/9 for this compiler build — pins the crypto-to-network
-    /// speed ratio to the paper's testbed regardless of the host CPU.
-    Calibrated(CompilerBuild),
+pub(crate) fn compiler_build(model_name: &str) -> CompilerBuild {
+    if model_name.contains("MVAPICH") {
+        CompilerBuild::Mvapich23
+    } else {
+        CompilerBuild::Gcc485
+    }
 }
 
+/// Does nothing: a [`crate::SecureComm`] prices its crypto for its
+/// world's interconnect ([`compiler_build`]).
+#[deprecated = "crypto is priced for the world's interconnect; this is a no-op"]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimingMode;
+
+#[allow(deprecated)]
 impl TimingMode {
-    /// The build the paper pairs with each interconnect: gcc 4.8.5 for
-    /// the Ethernet/MPICH stack, the MVAPICH2-2.3 toolchain for
-    /// InfiniBand.
-    pub fn calibrated_for(model: &NetModel) -> TimingMode {
-        if model.name.contains("MVAPICH") {
-            TimingMode::Calibrated(CompilerBuild::Mvapich23)
-        } else {
-            TimingMode::Calibrated(CompilerBuild::Gcc485)
-        }
+    /// Does nothing (see [`TimingMode`]).
+    #[deprecated = "crypto is priced for the world's interconnect; this is a no-op"]
+    pub fn calibrated_for(_model: &NetModel) -> TimingMode {
+        TimingMode
     }
 }
 
 /// Deterministic fault injection: a seed plus per-event rates (see
 /// [`empi_netsim::FaultPlan`]). With a plan installed, every sealed
 /// frame leaving this rank draws a replayable verdict — bit-flip,
-/// truncation, drop, duplication or latency jitter — and a seeded
-/// subset of the crypto workers runs degraded.
+/// truncation, drop, duplication or latency jitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Master seed; `(seed, rates)` fully determines every fault.
@@ -89,8 +95,6 @@ pub struct SecurityConfig {
     pub key: [u8; 32],
     /// Fresh-nonce policy (the paper uses `RAND_bytes(12)` per message).
     pub nonce_policy: NoncePolicy,
-    /// Crypto cost model.
-    pub timing: TimingMode,
     /// Chunked multi-core crypto pipelining (off by default; the
     /// sequential paper path is the reference behavior).
     pub pipeline: PipelineConfig,
@@ -111,14 +115,13 @@ pub struct SecurityConfig {
 
 impl SecurityConfig {
     /// The paper's configuration for `library`: AES-256-GCM, hardcoded
-    /// key, random nonces, calibrated gcc-build timing.
+    /// key, random nonces.
     pub fn new(library: CryptoLibrary) -> Self {
         SecurityConfig {
             library,
             key_size: KeySize::Aes256,
             key: HARDCODED_KEY,
             nonce_policy: NoncePolicy::Random,
-            timing: TimingMode::Calibrated(CompilerBuild::Gcc485),
             pipeline: PipelineConfig::disabled(),
             faults: None,
             retransmit: None,
@@ -126,9 +129,10 @@ impl SecurityConfig {
         }
     }
 
-    /// Select the timing mode.
-    pub fn with_timing(mut self, timing: TimingMode) -> Self {
-        self.timing = timing;
+    /// Does nothing: crypto is priced for the world's interconnect.
+    #[deprecated = "crypto is priced for the world's interconnect; this is a no-op"]
+    #[allow(deprecated)]
+    pub fn with_timing(self, _mode: TimingMode) -> Self {
         self
     }
 
@@ -151,8 +155,7 @@ impl SecurityConfig {
     }
 
     /// Install a seeded fault plan: sealed frames leaving this rank
-    /// draw deterministic corruption/drop/duplication/jitter verdicts,
-    /// and a seeded subset of crypto workers runs degraded.
+    /// draw deterministic corruption/drop/duplication/jitter verdicts.
     pub fn with_faults(mut self, seed: u64, rates: FaultRates) -> Self {
         self.faults = Some(FaultConfig { seed, rates });
         self
@@ -212,19 +215,13 @@ mod tests {
         assert_eq!(c.key_size, KeySize::Aes256);
         assert_eq!(c.key_bytes().len(), 32);
         assert_eq!(c.nonce_policy, NoncePolicy::Random);
-        assert!(matches!(c.timing, TimingMode::Calibrated(CompilerBuild::Gcc485)));
     }
 
     #[test]
     fn calibrated_build_follows_interconnect() {
-        assert_eq!(
-            TimingMode::calibrated_for(&NetModel::ethernet_10g()),
-            TimingMode::Calibrated(CompilerBuild::Gcc485)
-        );
-        assert_eq!(
-            TimingMode::calibrated_for(&NetModel::infiniband_40g()),
-            TimingMode::Calibrated(CompilerBuild::Mvapich23)
-        );
+        assert_eq!(compiler_build(NetModel::ethernet_10g().name), CompilerBuild::Gcc485);
+        assert_eq!(compiler_build(NetModel::infiniband_40g().name), CompilerBuild::Mvapich23);
+        assert_eq!(compiler_build(NetModel::instant().name), CompilerBuild::Gcc485);
     }
 
     #[test]

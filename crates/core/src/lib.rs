@@ -41,6 +41,7 @@ pub mod legacy;
 mod recovery;
 pub mod secure_comm;
 
+#[allow(deprecated)]
 pub use config::{FaultConfig, RetransmitConfig, SecurityConfig, TimingMode, HARDCODED_KEY};
 pub use empi_keys::{KeyError, KeyPlaneConfig};
 pub use empi_netsim::{FaultPlan, FaultRates};

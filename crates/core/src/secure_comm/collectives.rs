@@ -144,14 +144,7 @@ impl SecureComm<'_, '_> {
         // local open share one buffer.
         let frames: Vec<ChunkFrame> = match &incoming {
             None => self.seal_chunked_frames(buf, None),
-            Some(Ok(msg)) => msg
-                .frames
-                .iter()
-                .map(|(at, f)| ChunkFrame {
-                    data: f.clone(),
-                    ready: *at,
-                })
-                .collect(),
+            Some(Ok(msg)) => msg.frames.clone(),
             Some(Err(_)) => vec![runt(self.comm.sim().now())],
         };
 
@@ -216,8 +209,8 @@ impl SecureComm<'_, '_> {
                 // past the group's slot range (excess frames are
                 // corruption, surfaced by the final open).
                 Ok(msg) => {
-                    for (off, (at, data)) in msg.frames.into_iter().enumerate().take(gsize(g)) {
-                        slots[gstart(g) + off] = Some(ChunkFrame { data, ready: at });
+                    for (off, f) in msg.frames.into_iter().enumerate().take(gsize(g)) {
+                        slots[gstart(g) + off] = Some(f);
                     }
                 }
                 Err(e) => {
@@ -280,7 +273,6 @@ impl SecureComm<'_, '_> {
             frames: slots
                 .into_iter()
                 .map(|f| f.unwrap_or_else(|| runt(self.comm.sim().now())))
-                .map(|f| (f.ready, f.data))
                 .collect(),
         };
         *buf = self.open_chunked(msg, None).map_err(|(e, _)| e)?.into();
@@ -472,11 +464,10 @@ impl SecureComm<'_, '_> {
 
         let seg = &send[send_edge[me]..send_edge[me + 1]];
         let self_plain = if self.cfg.pipeline.applies_to(seg.len()) {
-            let frames = self.seal_chunked_frames(seg, Some(me));
             let msg = ChunkedMessage {
                 src: me,
                 tag,
-                frames: frames.into_iter().map(|f| (f.ready, f.data)).collect(),
+                frames: self.seal_chunked_frames(seg, Some(me)),
             };
             self.open_chunked(msg, Some(me)).map_err(|(e, _)| e)?
         } else {

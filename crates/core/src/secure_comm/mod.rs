@@ -35,7 +35,7 @@ use empi_netsim::{SizeMemo, VDur};
 use empi_pipeline::Pipeline;
 use empi_trace::{Cat, Metric, SampleKey};
 
-use crate::config::{SecurityConfig, TimingMode};
+use crate::config::{compiler_build, SecurityConfig};
 use crate::error::{Error, Result};
 use keyring::KeyRing;
 use reliability::Reliability;
@@ -95,15 +95,19 @@ pub struct SecureComm<'a, 'h> {
     pipe: Pipeline,
     /// Fault plan, retransmit retention, flow counters and stats.
     rel: Reliability<'a, 'h>,
-    /// The configured library's calibrated crypto cost, and its price
-    /// for every record or chunk size seen so far. One memo per rank, so
+    /// The configured library's calibrated crypto cost under the build
+    /// the world's interconnect pairs with, and its price for every
+    /// record or chunk size seen so far. One memo per rank, so
     /// small: a rank seals and opens a handful of distinct sizes.
     crypto_cost: EncCurve,
     crypto_prices: SizeMemo<u64, 64>,
 }
 
 impl<'a, 'h> SecureComm<'a, 'h> {
-    /// Wrap `comm` with the given security configuration.
+    /// Wrap `comm` with the given security configuration. Crypto is
+    /// priced on the library's calibrated curve for the compiler build
+    /// the paper pairs with the world's interconnect (gcc 4.8.5 on
+    /// Ethernet, MVAPICH2-2.3 on InfiniBand).
     ///
     /// Engine selection: the charged time comes from the library's
     /// calibrated curve, and every engine computes byte-identical
@@ -117,8 +121,7 @@ impl<'a, 'h> SecureComm<'a, 'h> {
         let rel = Reliability::new(comm, &cfg);
         let keys = KeyRing::new(cluster, &cfg, comm.rank());
         let pipe = Pipeline::new(cfg.pipeline, comm.rank());
-        let TimingMode::Calibrated(build) = cfg.timing;
-        let crypto_cost = cfg.library.enc_curve(build);
+        let crypto_cost = cfg.library.enc_curve(compiler_build(comm.model_name()));
         let mut sc = SecureComm {
             comm,
             cfg,
@@ -285,8 +288,8 @@ impl<'a, 'h> SecureComm<'a, 'h> {
     }
 
     /// The virtual cost of `bytes` of AES-GCM: the library's calibrated
-    /// curve for the configured [`TimingMode`]'s build — also the
-    /// pipeline's per-chunk [`empi_pipeline::ChunkCost`]. Encryption
+    /// curve for the build the world's interconnect pairs with — also
+    /// the pipeline's per-chunk [`empi_pipeline::ChunkCost`]. Encryption
     /// and decryption cost the same in AES-GCM (§V-A). Priced once per
     /// distinct size; the only crypto pricing above `empi-aead`.
     fn calibrated_ns(&self, bytes: usize) -> u64 {

@@ -224,8 +224,8 @@ impl SecureComm<'_, '_> {
         msg: ChunkedMessage,
         peer: Option<usize>,
     ) -> std::result::Result<Bytes, (Error, ChunkedMessage)> {
-        let msg_id = msg.frames.iter().find_map(|(_, f)| {
-            let header = FrameHeader::decode(f).ok();
+        let msg_id = msg.frames.iter().find_map(|f| {
+            let header = FrameHeader::decode(&f.data).ok();
             header.map(|(h, _)| h.msg_id)
         });
         let epoch = self.chunked_epoch(msg_id);

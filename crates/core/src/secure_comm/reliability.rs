@@ -18,7 +18,7 @@ use empi_mpi::{Comm, Nack, RepairHeader, RepairKind, Src, Status, Tag, TagSel, N
 use empi_netsim::{FaultPlan, VDur, VTime, Verdict};
 use empi_trace::{BlackBox, Cat, Metric};
 
-use super::{note_sample, note_span, SecureComm};
+use super::{note_sample, SecureComm};
 use crate::config::{RetransmitConfig, SecurityConfig};
 use crate::error::{Error, Result};
 use crate::recovery::{Salvage, SalvageResult};
@@ -79,7 +79,7 @@ pub(super) struct Reliability<'a, 'h> {
 
 impl<'a, 'h> Reliability<'a, 'h> {
     pub(super) fn new(comm: &'a Comm<'h>, cfg: &SecurityConfig) -> Self {
-        let rel = Reliability {
+        Reliability {
             comm,
             plan: cfg.faults.map(|f| FaultPlan::new(f.seed, f.rates)),
             arq: cfg.retransmit.map(|rc| ArqState {
@@ -88,27 +88,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
             }),
             send_seq: RefCell::default(),
             recv_seq: RefCell::default(),
-        };
-        if let Some(p) = &rel.plan {
-            // Degrade the seeded subset of this rank's crypto workers
-            // once, up front (CorePool::degrade keeps the max factor,
-            // so repeated SecureComm construction is idempotent).
-            let workers = cfg.pipeline.workers.max(1);
-            let degraded = p.degraded_workers(comm.rank(), workers);
-            if !degraded.is_empty() {
-                comm.sim().with_core_pool(workers, |pool| {
-                    for &(w, factor) in &degraded {
-                        pool.degrade(w, factor);
-                    }
-                });
-                let now = comm.sim().now().as_nanos();
-                for &(w, factor) in &degraded {
-                    let detail = || format!("worker {w} slowed {factor}x");
-                    note_span(comm, Cat::Fault, "fault/degrade", now, 0, detail, None);
-                }
-            }
         }
-        rel
     }
 
     /// Is any chaos machinery (faults or retransmit) active?
@@ -491,7 +471,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
         // whole-message NACK (plain wire, or nothing salvageable yet).
         let mut missing: Option<Vec<u32>> = None;
         if let Some(msg) = arrived {
-            salvage.merge(msg.frames.iter().map(|(_, b)| &b[..]));
+            salvage.merge(msg.frames.iter().map(|f| &f.data[..]));
             // Pure duplication/reordering and nonce-field corruption
             // salvage without any wire traffic.
             match self.salvage_pass(sc, &mut salvage) {

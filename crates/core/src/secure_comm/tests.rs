@@ -201,6 +201,38 @@ fn encryption_costs_virtual_time() {
 }
 
 #[test]
+fn crypto_is_priced_for_the_worlds_interconnect() {
+    // A plain `SecurityConfig::new` prices its records on the build the
+    // paper pairs with the interconnect: gcc 4.8.5 under MPICH on
+    // Ethernet (Fig. 2), the MVAPICH2-2.3 toolchain on InfiniBand
+    // (Fig. 9). CryptoPP is the library whose two builds differ.
+    use empi_aead::profile::CompilerBuild::{Gcc485, Mvapich23};
+    let len = 1usize << 16;
+    let price = |build| CryptoLibrary::CryptoPp.enc_time_ns(build, len);
+    assert_ne!(price(Gcc485), price(Mvapich23));
+    for (model, build) in [
+        (NetModel::ethernet_10g(), Gcc485),
+        (NetModel::infiniband_40g(), Mvapich23),
+    ] {
+        let name = model.name;
+        let out = World::flat(model, 2).traced(true).run(|c| {
+            let cfg = SecurityConfig::new(CryptoLibrary::CryptoPp);
+            let sc = SecureComm::new(c, cfg).unwrap();
+            if c.rank() == 0 {
+                sc.send(&vec![0x5Eu8; len], 1, 0);
+            } else {
+                sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
+            }
+        });
+        // One record: rank 0 seals it, rank 1 opens it.
+        for m in &out.trace.unwrap().per_rank {
+            let got = (m.crypto_ns, m.seals + m.opens);
+            assert_eq!(got, (price(build), 1), "{name} must price on {build:?}");
+        }
+    }
+}
+
+#[test]
 fn traced_secure_pingpong_decomposes_crypto() {
     let len = 1usize << 16;
     let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
@@ -960,7 +992,6 @@ fn jitter_only_delays_but_delivers() {
                 11,
                 FaultRates {
                     jitter: 1.0,
-                    jitter_max_ns: 5_000,
                     ..FaultRates::ZERO
                 },
             );
@@ -1140,45 +1171,6 @@ fn silent_sender_times_out_with_typed_error() {
         }
     });
     assert_eq!(out.results, vec![true, true]);
-}
-
-#[test]
-fn degraded_workers_slow_the_pipeline_but_stay_correct() {
-    // Worker degradation must never corrupt data — only stretch the
-    // virtual-time schedule.
-    let len = 1usize << 18;
-    let run = |degrade: bool| {
-        let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
-        let out = w.run(move |c| {
-            let mut local =
-                cfg().with_pipeline(crate::PipelineConfig::enabled().with_workers(4));
-            if degrade {
-                local = local.with_faults(
-                    21,
-                    FaultRates {
-                        degraded_workers: 1.0,
-                        worker_slowdown: 8,
-                        ..FaultRates::ZERO
-                    },
-                );
-            }
-            let sc = SecureComm::new(c, local).unwrap();
-            if c.rank() == 0 {
-                sc.send(&vec![0x11u8; len], 1, 0);
-            } else {
-                let (_, data) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
-                assert_eq!(data, vec![0x11u8; len]);
-            }
-        });
-        assert!(!degrade || out.trace.unwrap().per_rank[0].faults_injected >= 1);
-        out.end_time.as_nanos()
-    };
-    let clean = run(false);
-    let degraded = run(true);
-    assert!(
-        degraded > clean,
-        "8x-degraded workers must stretch the schedule: {degraded} vs {clean}"
-    );
 }
 
 #[test]

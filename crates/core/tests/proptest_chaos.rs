@@ -13,8 +13,8 @@ use empi_mpi::{Src, TagSel, World};
 use empi_netsim::{NetModel, VDur};
 use proptest::prelude::*;
 
-/// A generated fault mix: individual per-event probabilities plus the
-/// worker-degradation knobs, all over their meaningful ranges.
+/// A generated fault mix: individual per-event probabilities, all over
+/// their meaningful ranges.
 fn fault_rates() -> impl Strategy<Value = FaultRates> {
     (
         0.0f64..1.0,
@@ -22,20 +22,14 @@ fn fault_rates() -> impl Strategy<Value = FaultRates> {
         0.0f64..1.0,
         0.0f64..1.0,
         0.0f64..1.0,
-        0.0f64..1.0,
     )
-        .prop_map(
-            |(bit_flip, truncate, drop, duplicate, jitter, degraded_workers)| FaultRates {
-                bit_flip,
-                truncate,
-                drop,
-                duplicate,
-                jitter,
-                jitter_max_ns: 10_000,
-                degraded_workers,
-                worker_slowdown: 6,
-            },
-        )
+        .prop_map(|(bit_flip, truncate, drop, duplicate, jitter)| FaultRates {
+            bit_flip,
+            truncate,
+            drop,
+            duplicate,
+            jitter,
+        })
 }
 
 /// A carrier count for a world: 1, 2 or 4.

@@ -95,8 +95,8 @@ fn keyed_nonces(payload: RecvPayload, plane: bool) -> Vec<(Option<u64>, [u8; NON
         RecvPayload::Chunked(m) => m
             .frames
             .iter()
-            .map(|(_, f)| {
-                let (h, body) = FrameHeader::decode(f).expect("a chunk frame");
+            .map(|f| {
+                let (h, body) = FrameHeader::decode(&f.data).expect("a chunk frame");
                 let epoch = plane.then(|| msg_id_epoch(h.msg_id));
                 (epoch, body[..NONCE_LEN].try_into().unwrap())
             })

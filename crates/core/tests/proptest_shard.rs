@@ -74,9 +74,6 @@ fn run_once(shards: usize, seed: u64, chaos: bool, crash: bool, piped: bool) -> 
                             drop: 0.1,
                             duplicate: 0.1,
                             jitter: 0.2,
-                            jitter_max_ns: 5_000,
-                            degraded_workers: 0.0,
-                            worker_slowdown: 1,
                         },
                     )
                     .with_retransmit(2, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);

@@ -12,9 +12,9 @@ use bytes::Bytes;
 use crate::types::Tag;
 use empi_netsim::VTime;
 
-/// One sealed chunk handed to the transport, with the virtual time its
-/// ciphertext becomes available (its seal's completion on a worker
-/// core) — the wire transfer of this frame cannot start earlier.
+/// One sealed chunk, in either direction, with the virtual time it is
+/// available at this end: sealed (its seal's completion on a worker
+/// core, before which its wire transfer cannot start), or arrived.
 #[derive(Debug, Clone)]
 pub struct ChunkFrame {
     pub data: Bytes,
@@ -41,19 +41,19 @@ impl SendPayload {
     }
 }
 
-/// One received chunked message: per-frame arrival times and raw frame
-/// bytes, in transmission order.
+/// One received chunked message: its raw frames, each with its arrival
+/// time, in transmission order.
 #[derive(Debug)]
 pub struct ChunkedMessage {
     pub src: usize,
     pub tag: Tag,
-    pub frames: Vec<(VTime, Bytes)>,
+    pub frames: Vec<ChunkFrame>,
 }
 
 impl ChunkedMessage {
     /// Total wire bytes across all frames.
     pub fn wire_bytes(&self) -> usize {
-        self.frames.iter().map(|(_, f)| f.len()).sum()
+        self.frames.iter().map(|f| f.data.len()).sum()
     }
 
     /// Concatenate the raw frame bytes, in transmission order, into one
@@ -65,11 +65,11 @@ impl ChunkedMessage {
     /// on a valid peer wire format.
     fn into_contiguous(mut self) -> Bytes {
         if self.frames.len() == 1 {
-            return self.frames.pop().unwrap().1;
+            return self.frames.pop().unwrap().data;
         }
         let mut out = Vec::with_capacity(self.wire_bytes());
-        for (_, f) in &self.frames {
-            out.extend_from_slice(f);
+        for f in &self.frames {
+            out.extend_from_slice(&f.data);
         }
         Bytes::from(out)
     }

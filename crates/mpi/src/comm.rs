@@ -177,6 +177,12 @@ impl<'h> Comm<'h> {
         self.h.n_ranks()
     }
 
+    /// The name of the world's interconnect model
+    /// ([`empi_netsim::NetModel::name`]).
+    pub fn model_name(&self) -> &'static str {
+        self.shared.lock().fabric.model().name
+    }
+
     /// The engine handle (virtual clock access).
     pub fn sim(&self) -> &SimHandle {
         self.h
@@ -469,8 +475,8 @@ impl<'h> Comm<'h> {
                 let msg = ChunkedMessage { src, tag, frames };
                 let status = status(msg.wire_bytes());
                 self.charge_host(self.side_overhead(src, status.len, charge));
-                for (_, f) in &msg.frames {
-                    self.note_delivery(src, f.len());
+                for f in &msg.frames {
+                    self.note_delivery(src, f.data.len());
                 }
                 (status, Some(RecvPayload::Chunked(msg)))
             }

@@ -18,12 +18,11 @@
 //!    fires, and the armed detector costs **zero** virtual time and
 //!    **zero** wire bytes — detection work happens only at the moment
 //!    the world would otherwise deadlock. When a lease does expire the
-//!    rank probes the suspects' node daemons (one
-//!    [`DetectorConfig::probe_rtt`] per round): a *crashed* process is
-//!    confirmed immediately (the OS saw it exit), a *hung* process
-//!    still holds its lease, so [`DetectorConfig::confirm`] missed
-//!    rounds are required. Live ranks always answer, so the detector
-//!    has zero false positives by construction.
+//!    rank probes the suspects' node daemons (one [`PROBE_RTT`] per
+//!    round): a *crashed* process is confirmed immediately (the OS saw
+//!    it exit), a *hung* process still holds its lease, so
+//!    [`CONFIRM_ROUNDS`] missed rounds are required. Live ranks always
+//!    answer, so the detector has zero false positives by construction.
 //! 2. **Failure-notice propagation.** The first rank to confirm a
 //!    death broadcasts an [`crate::ctrl::FtNotice`] on
 //!    [`crate::ctrl::FT_NOTICE_TAG`] to every live peer; ft waits
@@ -63,29 +62,29 @@ use crate::types::{Src, Status, Tag, TagSel};
 /// deadlock — better a clear panic than a silent spin.
 const MAX_IDLE_ROUNDS: u32 = 64;
 
-/// Failure-detector timing knobs, all in virtual time.
+/// Round trip to a suspect's node daemon for one probe round (probes
+/// within a round go out in parallel): 20 µs of virtual time.
+pub const PROBE_RTT: VDur = VDur(20_000);
+
+/// Missed probe rounds before a *hung* rank is confirmed dead. A
+/// crashed rank needs none — its node's OS observed the exit. Crash
+/// detection latency ≤ lease + [`PROBE_RTT`] past the death; hang
+/// detection ≤ `CONFIRM_ROUNDS` × (lease + [`PROBE_RTT`]) + lease.
+pub const CONFIRM_ROUNDS: u32 = 3;
+
+/// The failure detector's one timing value, in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// How long an ft wait parks before suspecting its peers. Larger
     /// leases cost nothing on healthy runs (the timer only fires at
     /// quiescence) but bound detection latency from below.
     pub lease: VDur,
-    /// Round trip to a suspect's node daemon for one probe round
-    /// (probes within a round go out in parallel).
-    pub probe_rtt: VDur,
-    /// Missed probe rounds before a *hung* rank is confirmed dead. A
-    /// crashed rank needs none — its node's OS observed the exit.
-    /// Crash detection latency ≤ lease + probe_rtt past the death;
-    /// hang detection ≤ confirm × (lease + probe_rtt) + lease.
-    pub confirm: u32,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
             lease: VDur::from_micros(500),
-            probe_rtt: VDur::from_micros(20),
-            confirm: 3,
         }
     }
 }
@@ -314,14 +313,14 @@ impl<'h> Comm<'h> {
     /// trip (probes go out in parallel), then consult each suspect's
     /// node daemon. Returns the first confirmed death `(rank,
     /// died_at_ns)`. A crashed suspect confirms immediately; a hung
-    /// one needs [`DetectorConfig::confirm`] consecutive missed
-    /// rounds; a live one always answers and resets its miss count.
+    /// one needs [`CONFIRM_ROUNDS`] consecutive missed rounds; a live
+    /// one always answers and resets its miss count.
     fn probe_round(&self, suspects: &[usize]) -> Option<(usize, u64)> {
         let st = self.det();
         let t0 = self.now().as_nanos();
-        self.h.advance(st.cfg.probe_rtt);
+        self.h.advance(PROBE_RTT);
         if let Some(r) = self.h.recorder() {
-            let (me, rtt) = (self.rank(), st.cfg.probe_rtt.as_nanos());
+            let (me, rtt) = (self.rank(), PROBE_RTT.as_nanos());
             let detail = || format!("suspects {suspects:?}");
             r.span(me, Cat::Ftol, "ftol/probe", t0, rtt, 0, detail, None);
         }
@@ -332,7 +331,7 @@ impl<'h> Comm<'h> {
                     let mut misses = st.misses.borrow_mut();
                     let c = misses.entry(p).or_insert(0);
                     *c += 1;
-                    if *c >= st.cfg.confirm.max(1) {
+                    if *c >= CONFIRM_ROUNDS {
                         return Some((p, died.as_nanos()));
                     }
                 }
@@ -669,7 +668,7 @@ mod tests {
         assert!(out.results[2].is_none(), "dead rank has no result");
     }
 
-    /// A hung rank needs `confirm` missed probe rounds; a crashed one
+    /// A hung rank needs [`CONFIRM_ROUNDS`] missed probe rounds; a crashed one
     /// is confirmed on the first probe. Detection latency is bounded
     /// by the lease arithmetic in both cases.
     #[test]
@@ -701,7 +700,7 @@ mod tests {
         assert_eq!(crash_probes, 1, "crash confirms on the first probe");
         assert_eq!(
             hang_probes,
-            u64::from(cfg.confirm),
+            u64::from(CONFIRM_ROUNDS),
             "hang needs confirm rounds"
         );
         assert!(
@@ -709,7 +708,7 @@ mod tests {
             "hang detection is slower ({hang_t:?} vs {crash_t:?})"
         );
         // Crash: one lease + one probe RTT past the wait start.
-        let bound = us(50).as_nanos() + cfg.lease.as_nanos() + cfg.probe_rtt.as_nanos();
+        let bound = us(50).as_nanos() + cfg.lease.as_nanos() + PROBE_RTT.as_nanos();
         assert!(
             crash_t.as_nanos() <= bound + cfg.lease.as_nanos(),
             "crash detected at {} > bound {}",

@@ -53,7 +53,7 @@ pub use empi_netsim::{
     CrashEvent, CrashKind, CrashPlan, MetricsSnapshot, RankDiag, Recorder, SimError, SloConfig,
     TraceReport,
 };
-pub use ftol::{DetectorConfig, RankFailed, ShrunkComm};
+pub use ftol::{DetectorConfig, RankFailed, ShrunkComm, CONFIRM_ROUNDS, PROBE_RTT};
 pub use types::{
     as_bytes, copy_from_bytes, vec_from_bytes, Pod, Src, Status, Tag, TagSel, RESERVED_TAG_BASE,
 };

@@ -98,7 +98,7 @@ pub(crate) struct Matched {
 pub(crate) enum DonePayload {
     None,
     Plain(Bytes),
-    Chunked(Vec<(VTime, Bytes)>),
+    Chunked(Vec<ChunkFrame>),
 }
 
 /// Request slab entry.
@@ -391,26 +391,26 @@ impl SharedState {
     /// Schedule the wire transfers of a matched chunked send. Each
     /// frame starts no earlier than its seal completed (`f.ready`),
     /// the sender posted, and `earliest` (when the receive side became
-    /// available). Returns per-frame arrivals in transmission order,
-    /// the last arrival, and the sender-done time.
+    /// available). Returns the frames, each now stamped with its
+    /// arrival, in transmission order, the last arrival, and the
+    /// sender-done time.
     fn schedule_chunked(
         &mut self,
         src: usize,
         dst: usize,
-        frames: Vec<ChunkFrame>,
+        mut frames: Vec<ChunkFrame>,
         posted: VTime,
         earliest: VTime,
-    ) -> (Vec<(VTime, Bytes)>, VTime, VTime) {
-        let mut out = Vec::with_capacity(frames.len());
+    ) -> (Vec<ChunkFrame>, VTime, VTime) {
         let mut last_arrive = VTime(0);
         let mut last_sender_done = VTime(0);
-        for f in frames {
+        for f in &mut frames {
             let (done, arrive) =
                 self.schedule_rndv(src, dst, f.data.len(), f.ready.max(posted), earliest);
             last_sender_done = last_sender_done.max(done);
             last_arrive = last_arrive.max(arrive);
-            out.push((arrive, f.data));
+            f.ready = arrive;
         }
-        (out, last_arrive, last_sender_done)
+        (frames, last_arrive, last_sender_done)
     }
 }

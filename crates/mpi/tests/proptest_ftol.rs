@@ -24,7 +24,7 @@
 //! panics the rank, which surfaces as a typed `SimError` and fails the
 //! case through the outcome `expect`s.
 
-use empi_mpi::{Comm, CrashPlan, DetectorConfig, Src, TagSel, World};
+use empi_mpi::{Comm, CrashPlan, DetectorConfig, Src, TagSel, World, CONFIRM_ROUNDS, PROBE_RTT};
 use empi_netsim::{NetModel, VDur, VTime};
 use proptest::prelude::*;
 
@@ -83,7 +83,6 @@ proptest! {
     ) {
         let cfg = DetectorConfig {
             lease: VDur::from_micros(lease_us),
-            ..DetectorConfig::default()
         };
         let armed = World::flat(NetModel::ethernet_10g(), n)
             .with_shards(shards)
@@ -135,7 +134,6 @@ proptest! {
     ) {
         let cfg = DetectorConfig {
             lease: VDur::from_micros(lease_us),
-            ..DetectorConfig::default()
         };
         let victim = n - 1;
         let fate = if hang {
@@ -162,15 +160,15 @@ proptest! {
             })
             .expect("survivors must finish");
         prop_assert!(out.results[victim].is_none(), "the victim must die");
-        // A probe round is lease + probe_rtt; crashes confirm on the
-        // first round past the death, hangs need `confirm` consecutive
+        // A probe round is lease + PROBE_RTT; crashes confirm on the
+        // first round past the death, hangs need CONFIRM_ROUNDS consecutive
         // misses. The clock starts at whichever is later: the death or
         // the survivor parking on the corpse. One extra lease of slack
         // absorbs the park-to-grid misalignment, and notice delivery
         // (for survivors beaten to the confirmation by a peer) is
         // wire-fast, inside the same slack.
-        let round = (lease_us + 20) * 1_000;
-        let rounds = if hang { u64::from(DetectorConfig::default().confirm) } else { 1 };
+        let round = lease_us * 1_000 + PROBE_RTT.as_nanos();
+        let rounds = if hang { u64::from(CONFIRM_ROUNDS) } else { 1 };
         let bound = rounds * round + lease_us * 1_000;
         for (r, res) in out.results.iter().enumerate().take(n - 1) {
             let (parked, detected) = res.expect("survivor finishes");

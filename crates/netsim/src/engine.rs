@@ -1409,7 +1409,7 @@ impl SimHandle {
     /// cores, so their jobs serialize on the shared busy-until
     /// timelines instead of each modeling a phantom private pool. A
     /// communicator configured for `k` workers should schedule with
-    /// [`CorePool::schedule_limited`] and limit `k`.
+    /// [`CorePool::schedule`] with limit `k`.
     pub fn with_core_pool<T>(&self, workers: usize, f: impl FnOnce(&mut CorePool) -> T) -> T {
         let mut guard = self.shared.pools[self.rank].lock();
         let pool = guard.get_or_insert_with(|| CorePool::new(workers.max(1)));

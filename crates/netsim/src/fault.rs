@@ -18,9 +18,8 @@
 //!   a zero-length runt so queue matching stays reliable while the
 //!   content is gone),
 //! * **duplication** (the same sealed frame delivered twice),
-//! * extra latency **jitter** (a delay spike before the NIC), and
-//! * **degraded [`crate::CorePool`] workers** (a deterministic subset
-//!   of a rank's crypto cores runs N× slower).
+//! * extra latency **jitter** (a delay spike before the NIC) of 1 ns
+//!   to 20 µs.
 //!
 //! The attempt number is part of the coordinate on purpose: a
 //! retransmission of the same chunk draws a *fresh* verdict, so a
@@ -53,8 +52,10 @@ fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Per-event injection probabilities (each in `[0, 1]`) plus the
-/// parameters of the non-probabilistic fault shapes.
+/// Upper bound on the latency a [`Verdict::Jitter`] injects (ns).
+const JITTER_MAX_NS: u64 = 20_000;
+
+/// Per-event injection probabilities (each in `[0, 1]`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
     /// Probability a frame has one payload bit flipped.
@@ -67,12 +68,6 @@ pub struct FaultRates {
     pub duplicate: f64,
     /// Probability a frame picks up extra latency before the NIC.
     pub jitter: f64,
-    /// Upper bound on the injected extra latency (ns).
-    pub jitter_max_ns: u64,
-    /// Fraction of each rank's crypto workers that run degraded.
-    pub degraded_workers: f64,
-    /// Slowdown factor applied to a degraded worker (≥ 1).
-    pub worker_slowdown: u32,
 }
 
 impl FaultRates {
@@ -83,13 +78,9 @@ impl FaultRates {
         drop: 0.0,
         duplicate: 0.0,
         jitter: 0.0,
-        jitter_max_ns: 0,
-        degraded_workers: 0.0,
-        worker_slowdown: 1,
     };
 
-    /// The same probability `p` for every payload fault class, default
-    /// jitter bound (20 µs) and no degraded workers — the knob the
+    /// The same probability `p` for every fault class — the knob the
     /// chaos bench sweeps.
     pub fn uniform(p: f64) -> Self {
         FaultRates {
@@ -98,8 +89,6 @@ impl FaultRates {
             drop: p,
             duplicate: p,
             jitter: p,
-            jitter_max_ns: 20_000,
-            ..FaultRates::ZERO
         }
     }
 
@@ -110,7 +99,6 @@ impl FaultRates {
             && self.drop == 0.0
             && self.duplicate == 0.0
             && self.jitter == 0.0
-            && self.degraded_workers == 0.0
     }
 }
 
@@ -241,35 +229,12 @@ impl FaultPlan {
             return Verdict::Duplicate;
         }
         edge += r.jitter;
-        if p < edge && r.jitter_max_ns > 0 {
+        if p < edge {
             return Verdict::Jitter {
-                extra_ns: 1 + splitmix64(&mut s) % r.jitter_max_ns,
+                extra_ns: 1 + splitmix64(&mut s) % JITTER_MAX_NS,
             };
         }
         Verdict::Deliver
-    }
-
-    /// The deterministic set of degraded workers for `rank`'s pool of
-    /// `workers` cores, as `(worker, slowdown)` pairs. The count is
-    /// `round(workers * degraded_workers)`; which workers are chosen
-    /// depends only on `(seed, rank)`.
-    pub fn degraded_workers(&self, rank: usize, workers: usize) -> Vec<(usize, u32)> {
-        let k = (workers as f64 * self.rates.degraded_workers).round() as usize;
-        let k = k.min(workers);
-        if k == 0 || self.rates.worker_slowdown <= 1 {
-            return Vec::new();
-        }
-        // Partial Fisher–Yates over worker indices, keyed by (seed, rank).
-        let mut s = mix(self.seed, &[0x5eed_c0de, rank as u64]);
-        let mut idx: Vec<usize> = (0..workers).collect();
-        let mut out = Vec::with_capacity(k);
-        for i in 0..k {
-            let j = i + (splitmix64(&mut s) as usize) % (workers - i);
-            idx.swap(i, j);
-            out.push((idx[i], self.rates.worker_slowdown));
-        }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -463,37 +428,19 @@ mod tests {
     }
 
     #[test]
-    fn degraded_workers_are_stable_per_rank() {
-        let rates = FaultRates {
-            degraded_workers: 0.5,
-            worker_slowdown: 4,
-            ..FaultRates::ZERO
-        };
-        let plan = FaultPlan::new(99, rates);
-        let a = plan.degraded_workers(0, 4);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a, plan.degraded_workers(0, 4));
-        for &(w, slow) in &a {
-            assert!(w < 4);
-            assert_eq!(slow, 4);
-        }
-        // No degradation requested → empty.
-        let none = FaultPlan::new(99, FaultRates::ZERO);
-        assert!(none.degraded_workers(0, 4).is_empty());
-    }
-
-    #[test]
     fn jitter_is_bounded() {
         let rates = FaultRates {
             jitter: 1.0,
-            jitter_max_ns: 500,
             ..FaultRates::ZERO
         };
         let plan = FaultPlan::new(5, rates);
         for stream in 0..100u64 {
             match plan.verdict(0, 1, stream, 0, 0, 64) {
                 Verdict::Jitter { extra_ns } => {
-                    assert!((1..=500).contains(&extra_ns), "extra_ns={extra_ns}")
+                    assert!(
+                        (1..=JITTER_MAX_NS).contains(&extra_ns),
+                        "extra_ns={extra_ns}"
+                    )
                 }
                 v => panic!("expected jitter, got {v:?}"),
             }

@@ -121,7 +121,7 @@ impl PipelineConfig {
 
 /// The virtual-time cost of one chunk's seal/open: nanoseconds for a
 /// chunk of the given plaintext length, from the library's calibrated
-/// curve (`empi_core::TimingMode`, which this crate cannot depend on).
+/// curve for the world's interconnect (priced by `empi-core`).
 pub type ChunkCost<'a> = dyn Fn(usize) -> u64 + 'a;
 
 /// One chunk's seal/open on the worker core that `slot` names. The
@@ -311,7 +311,7 @@ impl Pipeline {
         let timed: Vec<ChunkFrame> = h.with_core_pool(self.cfg.workers, |pool| {
             let timed = frames.into_iter().enumerate().map(|(i, frame)| {
                 let len = plain(i).len();
-                let slot = pool.schedule_limited(submit, VDur(cost(len)), self.cfg.workers);
+                let slot = pool.schedule(submit, VDur(cost(len)), self.cfg.workers);
                 if let Some(t) = h.recorder() {
                     t.count_alloc(comm.rank(), frame.fresh(), frame.len());
                     let detail = || format!("{backend} chunk {}/{total}", i + 1);
@@ -355,7 +355,7 @@ impl Pipeline {
         backend: &'static str,
         msg: &ChunkedMessage,
     ) -> Result<Bytes, PipelineError> {
-        let parsed = parse_frames(msg.frames.iter().map(|(at, f)| (*at, f.clone())))?;
+        let parsed = parse_frames(msg.frames.iter().map(|f| (f.ready, f.data.clone())))?;
         let h = comm.sim();
         // One output buffer per message, from the world's pool: each
         // chunk opens from its frame straight into its final position
@@ -398,7 +398,7 @@ impl Pipeline {
                 let index = i as u32;
                 opened.map_err(|source| PipelineError::Chunk { index, source })?;
                 let plain_len = record.len() - TAG_LEN;
-                let slot = pool.schedule_limited(*arrive, VDur(cost(plain_len)), self.cfg.workers);
+                let slot = pool.schedule(*arrive, VDur(cost(plain_len)), self.cfg.workers);
                 if let Some(t) = h.recorder() {
                     let detail = || format!("{backend} chunk {}/{}", i + 1, parsed.msg.total);
                     chunk_span(t, comm.rank(), &slot, "pipe/open", plain_len, detail);
@@ -596,7 +596,7 @@ mod tests {
                 let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))
                     .expect("pipelined sender must emit a frame train");
                 assert_eq!(m.frames.len(), 8);
-                let arrivals: Vec<u64> = m.frames.iter().map(|(at, _)| at.as_nanos()).collect();
+                let arrivals: Vec<u64> = m.frames.iter().map(|f| f.ready.as_nanos()).collect();
                 for pair in arrivals.windows(2) {
                     assert!(pair[0] < pair[1], "NIC must serialize frames: {arrivals:?}");
                 }

@@ -12,10 +12,9 @@ use crate::{Key, MetricsSnapshot};
 
 fn key_json(k: &Key) -> String {
     format!(
-        "\"metric\":\"{}\",\"op\":\"{}\",\"comm\":{},\"peer\":{},\"size_class\":{}",
+        "\"metric\":\"{}\",\"op\":\"{}\",\"peer\":{},\"size_class\":{}",
         k.metric.as_str(),
         escape(k.op),
-        k.comm,
         k.peer,
         k.size_class
     )
@@ -194,7 +193,7 @@ pub fn chrome_counters(snap: &MetricsSnapshot) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CounterPoint, Histogram, Metric, RankLedger, RankMetrics};
+    use crate::{CounterPoint, Histogram, Metric, RankLedger, RankMetrics, SNAPSHOT_VERSION};
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut h = Histogram::new();
@@ -204,7 +203,6 @@ mod tests {
         let key = Key {
             metric: Metric::E2e,
             op: "p2p/send",
-            comm: 0,
             peer: 1,
             size_class: 12,
         };
@@ -254,7 +252,8 @@ mod tests {
         let snap = sample_snapshot();
         let doc = snapshot_json(&snap);
         let v = crate::json::parse(&doc).expect("valid JSON");
-        assert_eq!(v.get("version").unwrap().as_f64(), Some(1.0));
+        let version = v.get("version").unwrap().as_f64();
+        assert_eq!(version, Some(SNAPSHOT_VERSION as f64));
         let hists = v.get("hists").unwrap().as_array().unwrap();
         assert_eq!(hists.len(), 1);
         assert_eq!(hists[0].get("count").unwrap().as_f64(), Some(5.0));

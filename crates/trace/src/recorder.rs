@@ -115,7 +115,6 @@ impl RankCell {
         let key = Key {
             metric,
             op,
-            comm: 0,
             peer,
             size_class: size_class(bytes),
         };

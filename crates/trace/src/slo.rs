@@ -139,7 +139,6 @@ mod tests {
             Key {
                 metric: Metric::E2e,
                 op: "p2p/recv",
-                comm: 0,
                 peer: 1,
                 size_class: 18,
             },

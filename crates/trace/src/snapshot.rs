@@ -5,7 +5,7 @@
 use crate::{Histogram, RankMetrics, SloReport};
 
 /// JSON snapshot schema version (`"version"` field).
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Samples between percentile checkpoints on a histogram series.
 pub const CHECKPOINT_EVERY: u64 = 64;
@@ -65,8 +65,6 @@ pub struct Key {
     pub metric: Metric,
     /// Static op name, e.g. `p2p/send`, `coll/alltoall`, `seal/chunked`.
     pub op: &'static str,
-    /// Communicator id (0 = world).
-    pub comm: u32,
     /// Peer rank, or -1 for collectives / not-peer-specific samples.
     pub peer: i32,
     /// `ceil(log2(bytes))` size class (0 for empty payloads).

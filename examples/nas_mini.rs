@@ -10,12 +10,10 @@ use empi::mpi::World;
 use empi::nas::adi::{self, AdiKind};
 use empi::nas::{cg, ft, is, lu, mg, Class, CommLayer, Kernel, PlainLayer, SecureLayer};
 use empi::netsim::{NetModel, Topology};
-use empi::secure::{SecurityConfig, TimingMode};
+use empi::secure::SecurityConfig;
 
 fn run_kernel(kernel: Kernel, lib: Option<CryptoLibrary>) -> (f64, bool) {
-    let model = NetModel::infiniband_40g();
-    let timing = TimingMode::calibrated_for(&model);
-    let world = World::new(model, Topology::block(8, 4));
+    let world = World::new(NetModel::infiniband_40g(), Topology::block(8, 4));
     let out = world.run(|c| {
         let plain;
         let secure;
@@ -25,7 +23,7 @@ fn run_kernel(kernel: Kernel, lib: Option<CryptoLibrary>) -> (f64, bool) {
                 &plain
             }
             Some(l) => {
-                secure = SecureLayer::new(c, SecurityConfig::new(l).with_timing(timing));
+                secure = SecureLayer::new(c, SecurityConfig::new(l));
                 &secure
             }
         };

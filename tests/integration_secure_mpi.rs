@@ -7,7 +7,7 @@ use empi::mpi::{Src, TagSel, World};
 use empi::nas::{cg, Class, CommLayer, PlainLayer, SecureLayer};
 use empi::netsim::{NetModel, Topology};
 use empi_keys::kdf::derive_pair_key;
-use empi::secure::{SecureComm, SecurityConfig, TimingMode};
+use empi::secure::{SecureComm, SecurityConfig};
 
 #[test]
 fn whole_stack_encrypted_halo_exchange() {
@@ -151,11 +151,7 @@ fn nas_cg_runs_on_the_full_stack_with_timing() {
         let w = World::new(NetModel::infiniband_40g(), Topology::block(8, 4));
         let out = w.run(|c| {
             let rep = if secure {
-                let l = SecureLayer::new(
-                    c,
-                    SecurityConfig::new(CryptoLibrary::Libsodium)
-                        .with_timing(TimingMode::calibrated_for(&NetModel::infiniband_40g())),
-                );
+                let l = SecureLayer::new(c, SecurityConfig::new(CryptoLibrary::Libsodium));
                 cg::run(&l, Class::S)
             } else {
                 let l = PlainLayer::new(c);

@@ -50,7 +50,7 @@ fn raw_wire(msg: Vec<u8>, c: SecurityConfig) -> Vec<u8> {
                 RecvPayload::Chunked(m) => m
                     .frames
                     .iter()
-                    .flat_map(|(_, b)| b.iter().copied())
+                    .flat_map(|f| f.data.iter().copied())
                     .collect(),
             }
         }
@@ -273,9 +273,6 @@ proptest! {
             drop,
             duplicate: 0.1,
             jitter: 0.0,
-            jitter_max_ns: 0,
-            degraded_workers: 0.0,
-            worker_slowdown: 1,
         };
         let run = || {
             let w = World::flat(NetModel::ethernet_10g(), 2);

@@ -135,13 +135,10 @@ fn rank_threads_do_real_parallel_work_in_virtual_time() {
 /// without a recorder.
 fn small_encrypted_pingpong(world: World, round_trips: usize) -> empi::mpi::WorldOutcome<bool> {
     use empi::aead::profile::CryptoLibrary;
-    use empi::secure::{SecureComm, SecurityConfig, TimingMode};
+    use empi::secure::{SecureComm, SecurityConfig};
 
-    let timing = TimingMode::calibrated_for(&NetModel::infiniband_40g());
     world.run(move |c| {
-        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
-            .with_timing(timing)
-            .with_deterministic_nonces(11);
+        let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl).with_deterministic_nonces(11);
         let sc = SecureComm::new(c, cfg).expect("secure comm");
         let payload = [0xA5u8; 256];
         for _ in 0..round_trips {
