@@ -13,19 +13,19 @@
 //! All engines implement [`BlockEncrypt`]; the software engine also
 //! implements [`BlockDecrypt`] (needed only by the legacy ECB/CBC modes).
 
-mod schedule;
-mod soft;
 #[cfg(target_arch = "x86_64")]
 mod aesni;
+mod schedule;
+mod soft;
 
-pub use schedule::{KeySchedule, Rounds};
-pub use soft::SoftAes;
-#[cfg(target_arch = "x86_64")]
-pub use aesni::{AesNi, AesNiPipelined};
 #[cfg(target_arch = "x86_64")]
 pub(crate) use aesni::{
     byte_reverse, counter_lanes, finish_xor, keystream_begin, round, RoundKeys,
 };
+#[cfg(target_arch = "x86_64")]
+pub use aesni::{AesNi, AesNiPipelined};
+pub use schedule::{KeySchedule, Rounds};
+pub use soft::SoftAes;
 
 /// Forward (encryption) direction of a 128-bit block cipher.
 ///
@@ -126,26 +126,26 @@ mod tests {
 
     /// FIPS-197 Appendix C.1: AES-128 known-answer test.
     pub const FIPS197_KEY128: [u8; 16] = [
-        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-        0x0e, 0x0f,
+        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e,
+        0x0f,
     ];
     /// FIPS-197 Appendix C.3: AES-256 key.
     pub const FIPS197_KEY256: [u8; 32] = [
-        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-        0x0e, 0x0f, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x1a, 0x1b,
-        0x1c, 0x1d, 0x1e, 0x1f,
+        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e,
+        0x0f, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x1a, 0x1b, 0x1c, 0x1d,
+        0x1e, 0x1f,
     ];
     pub const FIPS197_PT: [u8; 16] = [
-        0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-        0xee, 0xff,
+        0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee,
+        0xff,
     ];
     pub const FIPS197_CT128: [u8; 16] = [
-        0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-        0xc5, 0x5a,
+        0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5,
+        0x5a,
     ];
     pub const FIPS197_CT256: [u8; 16] = [
-        0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
-        0x60, 0x89,
+        0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49, 0x60,
+        0x89,
     ];
 
     #[test]

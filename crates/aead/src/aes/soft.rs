@@ -6,7 +6,7 @@
 //! of software AES the paper's slowest library (CryptoPP under the
 //! "gcc 4.8.5" build) falls back to, with the same cache-sensitivity.
 
-use super::schedule::{INV_SBOX, KeySchedule, SBOX};
+use super::schedule::{KeySchedule, INV_SBOX, SBOX};
 use super::{BlockDecrypt, BlockEncrypt};
 use crate::error::Result;
 

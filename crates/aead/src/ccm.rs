@@ -182,7 +182,11 @@ mod tests {
     #[test]
     fn nist_example_1() {
         let ccm = AesCcm::new(&hex(KEY), 7, 4).unwrap();
-        let out = ccm.seal(&hex("10111213141516"), &hex("0001020304050607"), &hex("20212223"));
+        let out = ccm.seal(
+            &hex("10111213141516"),
+            &hex("0001020304050607"),
+            &hex("20212223"),
+        );
         assert_eq!(out, hex("7162015b4dac255d"));
         let pt = ccm
             .open(&hex("10111213141516"), &hex("0001020304050607"), &out)
@@ -199,10 +203,7 @@ mod tests {
             &hex("000102030405060708090a0b0c0d0e0f"),
             &hex("202122232425262728292a2b2c2d2e2f"),
         );
-        assert_eq!(
-            out,
-            hex("d2a1f0e051ea5f62081a7792073d593d1fc64fbfaccd")
-        );
+        assert_eq!(out, hex("d2a1f0e051ea5f62081a7792073d593d1fc64fbfaccd"));
     }
 
     #[test]
@@ -226,7 +227,11 @@ mod tests {
         let mut ct = ccm.seal(&nonce, b"", b"integrity matters");
         for i in 0..ct.len() {
             ct[i] ^= 0x80;
-            assert_eq!(ccm.open(&nonce, b"", &ct), Err(Error::AuthFailure), "byte {i}");
+            assert_eq!(
+                ccm.open(&nonce, b"", &ct),
+                Err(Error::AuthFailure),
+                "byte {i}"
+            );
             ct[i] ^= 0x80;
         }
         assert!(ccm.open(&nonce, b"", &ct).is_ok());
@@ -240,6 +245,9 @@ mod tests {
         let ccm = AesCcm::new_default(&key).unwrap();
         let gcm = crate::gcm::AesGcm::new(&key).unwrap();
         let nonce = [1u8; 12];
-        assert_ne!(ccm.seal(&nonce, b"", b"hello"), gcm.seal(&nonce, b"", b"hello"));
+        assert_ne!(
+            ccm.seal(&nonce, b"", b"hello"),
+            gcm.seal(&nonce, b"", b"hello")
+        );
     }
 }

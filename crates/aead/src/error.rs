@@ -57,10 +57,16 @@ impl fmt::Display for Error {
             }
             Error::AuthFailure => write!(f, "ciphertext authentication failed"),
             Error::CiphertextTooShort { got } => {
-                write!(f, "ciphertext of {got} bytes is shorter than the 16-byte tag")
+                write!(
+                    f,
+                    "ciphertext of {got} bytes is shorter than the 16-byte tag"
+                )
             }
             Error::NotBlockAligned { got } => {
-                write!(f, "input length {got} is not a multiple of the 16-byte block")
+                write!(
+                    f,
+                    "input length {got} is not a multiple of the 16-byte block"
+                )
             }
             Error::BadPadding => write!(f, "invalid PKCS#7 padding"),
             Error::HardwareUnavailable => {

@@ -464,7 +464,13 @@ impl AesGcm {
                 got: ct_and_tag.len(),
             })?;
         let mut out = Vec::with_capacity(ct.len());
-        self.open_to(nonce, aad, ct, &mut out.spare_capacity_mut()[..ct.len()], tag)?;
+        self.open_to(
+            nonce,
+            aad,
+            ct,
+            &mut out.spare_capacity_mut()[..ct.len()],
+            tag,
+        )?;
         // SAFETY: the open succeeded and wrote every byte.
         unsafe { out.set_len(ct.len()) };
         Ok(out)
@@ -489,19 +495,34 @@ struct Io {
 impl Io {
     fn in_place(buf: &mut [u8]) -> Io {
         let p = buf.as_mut_ptr();
-        Io { src: p, dst: p, len: buf.len() }
+        Io {
+            src: p,
+            dst: p,
+            len: buf.len(),
+        }
     }
 
     fn apart(src: &[u8], dst: &mut [MaybeUninit<u8>]) -> Io {
         assert_eq!(src.len(), dst.len(), "destination length");
-        Io { src: src.as_ptr(), dst: dst.as_mut_ptr().cast(), len: src.len() }
+        Io {
+            src: src.as_ptr(),
+            dst: dst.as_mut_ptr().cast(),
+            len: src.len(),
+        }
     }
 
     fn to_front(buf: &mut [u8], at: usize) -> Io {
-        let len = buf.len().checked_sub(at).expect("the ciphertext lies inside the buffer");
+        let len = buf
+            .len()
+            .checked_sub(at)
+            .expect("the ciphertext lies inside the buffer");
         let p = buf.as_mut_ptr();
         // `p + at` is in bounds: `at <= buf.len()`.
-        Io { src: p.wrapping_add(at), dst: p, len }
+        Io {
+            src: p.wrapping_add(at),
+            dst: p,
+            len,
+        }
     }
 
     /// The bytes of `dst` below `src` that are not `src`'s: none in
@@ -612,7 +633,10 @@ unsafe fn stitched_128(
     aad: &[u8],
     io: Io,
 ) -> [u8; 16] {
-    let step = Step { keys: aes.keys(), powers: ghash.powers() };
+    let step = Step {
+        keys: aes.keys(),
+        powers: ghash.powers(),
+    };
     stitched(aes, ghash, step, open, ctr1, aad, io)
 }
 
@@ -632,7 +656,10 @@ unsafe fn stitched_wide(
     aad: &[u8],
     io: Io,
 ) -> [u8; 16] {
-    let step = Step::<Wide, WIDE_REGS> { keys: &wide.keys, powers: &wide.powers };
+    let step = Step::<Wide, WIDE_REGS> {
+        keys: &wide.keys,
+        powers: &wide.powers,
+    };
     stitched(aes, ghash, step, open, ctr1, aad, io)
 }
 
@@ -688,7 +715,11 @@ unsafe fn stitched<V: Lanes, const N: usize>(
     unsafe {
         aes.ctr_xor(&mut ctr, src, dst, lag);
         for off in (lag..full).step_by(group) {
-            let hash = if open { src.add(off) } else { dst.add(off - lag) };
+            let hash = if open {
+                src.add(off)
+            } else {
+                dst.add(off - lag)
+            };
             y = stitched_group(step, &mut ctr, y, hash, src.add(off), dst.add(off));
         }
         if open {
@@ -696,7 +727,10 @@ unsafe fn stitched<V: Lanes, const N: usize>(
             aes.ctr_xor(&mut ctr, src.add(full), dst.add(full), len - full);
         } else {
             aes.ctr_xor(&mut ctr, src.add(full), dst.add(full), len - full);
-            y = ghash.absorb(y, std::slice::from_raw_parts(dst.add(full - lag), len - full + lag));
+            y = ghash.absorb(
+                y,
+                std::slice::from_raw_parts(dst.add(full - lag), len - full + lag),
+            );
         }
     }
     ghash.finish(y, aad.len(), len)
@@ -845,8 +879,7 @@ mod tests {
     fn nist_vectors_all_engines() {
         for (ai, gi) in engine_combos() {
             for (i, kat) in KATS.iter().enumerate() {
-                let cipher =
-                    AesGcm::with_engines(ai, gi, &hex(kat.key)).unwrap();
+                let cipher = AesGcm::with_engines(ai, gi, &hex(kat.key)).unwrap();
                 let mut nonce = [0u8; 12];
                 nonce.copy_from_slice(&hex(kat.iv));
                 let pt = hex(&kat.pt.replace(char::is_whitespace, ""));
@@ -854,8 +887,16 @@ mod tests {
                 let out = cipher.seal(&nonce, &aad, &pt);
                 let expect_ct = hex(&kat.ct.replace(char::is_whitespace, ""));
                 let expect_tag = hex(kat.tag);
-                assert_eq!(&out[..pt.len()], &expect_ct[..], "KAT {i} ct ({ai:?},{gi:?})");
-                assert_eq!(&out[pt.len()..], &expect_tag[..], "KAT {i} tag ({ai:?},{gi:?})");
+                assert_eq!(
+                    &out[..pt.len()],
+                    &expect_ct[..],
+                    "KAT {i} ct ({ai:?},{gi:?})"
+                );
+                assert_eq!(
+                    &out[pt.len()..],
+                    &expect_tag[..],
+                    "KAT {i} tag ({ai:?},{gi:?})"
+                );
                 let back = cipher.open(&nonce, &aad, &out).unwrap();
                 assert_eq!(back, pt, "KAT {i} roundtrip");
             }
@@ -875,8 +916,16 @@ mod tests {
         // Key setup computes H (1 block); sealing runs 4 CTR blocks plus
         // E(J0), and GHASH folds 4 data blocks plus the length block.
         // Other tests may add more concurrently, so these are floors.
-        assert!(d.aes_blocks_soft >= 6, "aes soft blocks: {}", d.aes_blocks_soft);
-        assert!(d.ghash_blocks_soft >= 5, "ghash soft blocks: {}", d.ghash_blocks_soft);
+        assert!(
+            d.aes_blocks_soft >= 6,
+            "aes soft blocks: {}",
+            d.aes_blocks_soft
+        );
+        assert!(
+            d.ghash_blocks_soft >= 5,
+            "ghash soft blocks: {}",
+            d.ghash_blocks_soft
+        );
     }
 
     #[test]
@@ -896,7 +945,10 @@ mod tests {
             );
         }
         // Wrong AAD.
-        assert_eq!(cipher.open(&nonce, b"headeR", &out), Err(Error::AuthFailure));
+        assert_eq!(
+            cipher.open(&nonce, b"headeR", &out),
+            Err(Error::AuthFailure)
+        );
         // Wrong nonce.
         let nonce2 = [8u8; 12];
         assert_eq!(cipher.open(&nonce2, aad, &out), Err(Error::AuthFailure));
@@ -910,13 +962,17 @@ mod tests {
         let _good = cipher.seal_detached(&nonce, b"", &mut buf);
         let snapshot = buf;
         let bad_tag = [0u8; 16];
-        assert!(cipher.open_detached(&nonce, b"", &mut buf, &bad_tag).is_err());
+        assert!(cipher
+            .open_detached(&nonce, b"", &mut buf, &bad_tag)
+            .is_err());
         assert_eq!(buf, snapshot, "failed open must not decrypt");
     }
 
     /// Deterministic filler bytes.
     fn pattern(len: usize, salt: u8) -> Vec<u8> {
-        (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt) ^ (i >> 8) as u8).collect()
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt) ^ (i >> 8) as u8)
+            .collect()
     }
 
     const GUARD: usize = 16;
@@ -954,7 +1010,10 @@ mod tests {
                     v.push((format!("({ai:?},{gi:?}) {w:?}"), stitched_cipher(key, w)));
                 }
             } else {
-                v.push((format!("({ai:?},{gi:?})"), AesGcm::with_engines(ai, gi, key).unwrap()));
+                v.push((
+                    format!("({ai:?},{gi:?})"),
+                    AesGcm::with_engines(ai, gi, key).unwrap(),
+                ));
             }
         }
         v
@@ -971,7 +1030,13 @@ mod tests {
         expect_tag: &[u8; 16],
         offset: usize,
     ) {
-        let what = || format!("{fast:?} aad={} len={} offset={offset}", aad.len(), pt.len());
+        let what = || {
+            format!(
+                "{fast:?} aad={} len={} offset={offset}",
+                aad.len(),
+                pt.len()
+            )
+        };
         let mut arena = vec![0xA5u8; GUARD + offset + pt.len() + GUARD];
         let (lo, hi) = (GUARD + offset, GUARD + offset + pt.len());
         arena[lo..hi].copy_from_slice(pt);
@@ -1020,8 +1085,15 @@ mod tests {
                     let expect_tag = soft.seal_detached(&NONCE, &aad, &mut expect_ct);
                     // Every misalignment for the small lengths, one
                     // (varying) misalignment for each large one.
-                    let offsets = if small.contains(&len) { 0..16 } else { len % 16..len % 16 + 1 };
-                    for (fast, offset) in fast.iter().flat_map(|f| offsets.clone().map(move |o| (f, o))) {
+                    let offsets = if small.contains(&len) {
+                        0..16
+                    } else {
+                        len % 16..len % 16 + 1
+                    };
+                    for (fast, offset) in fast
+                        .iter()
+                        .flat_map(|f| offsets.clone().map(move |o| (f, o)))
+                    {
                         check_in_arena(fast, &aad, &pt, &expect_ct, &expect_tag, offset);
                     }
                 }
@@ -1049,8 +1121,10 @@ mod tests {
         soft_aes.encrypt_block(&mut h);
         soft_aes.encrypt_block(&mut ek_j0);
         let soft_ghash = GhashSoft::new(u128::from_be_bytes(h));
-        let fast: Vec<AesGcm> =
-            widths("stitched_matches_soft_at_2_mib").into_iter().map(|w| stitched_cipher(&key, w)).collect();
+        let fast: Vec<AesGcm> = widths("stitched_matches_soft_at_2_mib")
+            .into_iter()
+            .map(|w| stitched_cipher(&key, w))
+            .collect();
         for (len, offset) in [(2 * MIB, 5), (2 * MIB + 1, 11)] {
             let s = soft_ghash.ghash(&aad, &ct[..len]);
             let expect_tag: [u8; 16] = std::array::from_fn(|i| s[i] ^ ek_j0[i]);
@@ -1085,7 +1159,15 @@ mod tests {
                 // SAFETY: the cipher's constructor probed its width's
                 // features; one exclusive buffer, in place.
                 unsafe {
-                    stitched_counted(aes, ghash, cipher.wide.as_deref(), open, ctr, aad, Io::in_place(buf))
+                    stitched_counted(
+                        aes,
+                        ghash,
+                        cipher.wide.as_deref(),
+                        open,
+                        ctr,
+                        aad,
+                        Io::in_place(buf),
+                    )
                 }
             };
             for blocks_before_wrap in [3u32, 11, 18, 27] {
@@ -1129,10 +1211,14 @@ mod tests {
 
                 let mut out = vec![0xA5u8; ct.len()];
                 // SAFETY: `MaybeUninit<u8>` has `u8`'s layout.
-                let dst = unsafe { &mut *(out.as_mut_slice() as *mut [u8] as *mut [MaybeUninit<u8>]) };
+                let dst =
+                    unsafe { &mut *(out.as_mut_slice() as *mut [u8] as *mut [MaybeUninit<u8>]) };
                 let r = cipher.open_to(&nonce, aad, ct, dst, tag);
                 assert_eq!(r, Err(Error::AuthFailure), "{what}: apart");
-                assert!(out.iter().all(|&b| b == 0), "{what}: apart, destination not zeroed");
+                assert!(
+                    out.iter().all(|&b| b == 0),
+                    "{what}: apart, destination not zeroed"
+                );
 
                 let mut buf = vec![0xA5u8; at];
                 buf.extend_from_slice(ct);
@@ -1140,8 +1226,14 @@ mod tests {
                 assert_eq!(r, Err(Error::AuthFailure), "{what}: to the front");
                 assert!(buf[at..] == *ct, "{what}: to the front, source changed");
                 let (wrote, untouched) = buf[..at].split_at(at.min(ct.len()));
-                assert!(wrote.iter().all(|&b| b == 0), "{what}: to the front, not zeroed");
-                assert!(untouched.iter().all(|&b| b == 0xA5), "{what}: to the front, overran");
+                assert!(
+                    wrote.iter().all(|&b| b == 0),
+                    "{what}: to the front, not zeroed"
+                );
+                assert!(
+                    untouched.iter().all(|&b| b == 0xA5),
+                    "{what}: to the front, overran"
+                );
             };
             for len in [1usize, 16, 127, 128, 129, 255, 256, 257, 513, 1000, 65536] {
                 let mut ct = pattern(len, 7);
@@ -1176,15 +1268,30 @@ mod tests {
         let key = [0x61u8; 32];
         let pair = AesGcm::with_engines(AesEngineKind::NiPipelined, GhashEngineKind::Clmul, &key);
         assert_eq!(pair.unwrap().step_width(), Some(width), "with_engines");
-        assert_eq!(AesGcm::new(&key).unwrap().step_width(), Some(width), "AesGcm::new");
-        assert_eq!(AesGcm::new(&key[..16]).unwrap().step_width(), Some(width), "AES-128");
+        assert_eq!(
+            AesGcm::new(&key).unwrap().step_width(),
+            Some(width),
+            "AesGcm::new"
+        );
+        assert_eq!(
+            AesGcm::new(&key[..16]).unwrap().step_width(),
+            Some(width),
+            "AES-128"
+        );
         for lib in [CryptoLibrary::BoringSsl, CryptoLibrary::OpenSsl] {
             let c = lib.instantiate(KeySize::Aes256, &key).unwrap();
             assert_eq!(c.step_width(), Some(width), "{lib:?}");
         }
-        for (ai, gi) in engine_combos().into_iter().filter(|&(a, _)| a != AesEngineKind::NiPipelined) {
+        for (ai, gi) in engine_combos()
+            .into_iter()
+            .filter(|&(a, _)| a != AesEngineKind::NiPipelined)
+        {
             let c = AesGcm::with_engines(ai, gi, &key).unwrap();
-            assert_eq!(c.step_width(), None, "({ai:?},{gi:?}) is not the stitched pair");
+            assert_eq!(
+                c.step_width(),
+                None,
+                "({ai:?},{gi:?}) is not the stitched pair"
+            );
         }
     }
 

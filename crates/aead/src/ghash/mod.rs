@@ -14,15 +14,15 @@
 //!   aggregation and one deferred reduction per 128 bytes (what
 //!   OpenSSL/BoringSSL use).
 
-mod soft;
 #[cfg(target_arch = "x86_64")]
 mod pclmul;
+mod soft;
 
-pub use soft::GhashSoft;
 #[cfg(target_arch = "x86_64")]
 pub use pclmul::GhashClmul;
 #[cfg(target_arch = "x86_64")]
 pub(crate) use pclmul::Product;
+pub use soft::GhashSoft;
 
 /// The reduction polynomial term: x⁷+x²+x+1 reflected into the top byte.
 pub(crate) const R: u128 = 0xe1u128 << 120;
@@ -67,8 +67,7 @@ pub trait GhashImpl: Send + Sync {
                 y = self.mult(y ^ u128::from_be_bytes(last));
             }
         }
-        let lens =
-            ((aad.len() as u128 * 8) << 64) | (data.len() as u128 * 8);
+        let lens = ((aad.len() as u128 * 8) << 64) | (data.len() as u128 * 8);
         y = self.mult(y ^ lens);
         y.to_be_bytes()
     }
@@ -154,9 +153,15 @@ mod tests {
         let h = 0xaaaabbbbccccddddeeeeffff00001111u128;
         let soft = GhashSoft::new(h);
         let clmul = GhashClmul::new(h);
-        for (aad_len, data_len) in
-            [(0usize, 0usize), (0, 16), (3, 5), (16, 64), (20, 63), (0, 257), (100, 1000)]
-        {
+        for (aad_len, data_len) in [
+            (0usize, 0usize),
+            (0, 16),
+            (3, 5),
+            (16, 64),
+            (20, 63),
+            (0, 257),
+            (100, 1000),
+        ] {
             let aad: Vec<u8> = (0..aad_len).map(|i| i as u8).collect();
             let data: Vec<u8> = (0..data_len).map(|i| (i * 3 + 1) as u8).collect();
             assert_eq!(

@@ -10,8 +10,8 @@ use super::{GhashImpl, R};
 /// Reduction constants for shifting 4 bits out of the field element:
 /// `LAST4[rem] = rem · (x⁻⁴ mod g)` packed into the top 16 bits.
 const LAST4: [u16; 16] = [
-    0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0, 0xe100, 0xfd20, 0xd940,
-    0xc560, 0x9180, 0x8da0, 0xa9c0, 0xb5e0,
+    0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0, 0xe100, 0xfd20, 0xd940, 0xc560,
+    0x9180, 0x8da0, 0xa9c0, 0xb5e0,
 ];
 
 /// Software GHASH engine keyed with hash subkey `H`.

@@ -447,7 +447,10 @@ mod tests {
         // the calibrated per-call constants reproduce that inversion.)
         let tiny_b = CryptoLibrary::BoringSsl.enc_time_ns(CompilerBuild::Gcc485, 1);
         let tiny_l = CryptoLibrary::Libsodium.enc_time_ns(CompilerBuild::Gcc485, 1);
-        assert!(tiny_l < tiny_b, "Libsodium leads at 1 B: {tiny_l} vs {tiny_b}");
+        assert!(
+            tiny_l < tiny_b,
+            "Libsodium leads at 1 B: {tiny_l} vs {tiny_b}"
+        );
         // (Table V keeps Libsodium ahead even at 256 B — 50.66 vs
         // 45.51 MB/s — with the crossover before 1 KB, which the model
         // reproduces.)

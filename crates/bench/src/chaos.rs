@@ -111,7 +111,11 @@ fn chaos_run(
                     .with_workers(WORKERS),
             )
             .with_faults(seed, FaultRates::uniform(rate))
-            .with_retransmit(MAX_RETRIES, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+            .with_retransmit(
+                MAX_RETRIES,
+                VDur::from_micros(200),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            );
         let sc = SecureComm::new(c, cfg).unwrap();
         let want: Vec<u8> = (0..MSG_SIZE)
             .map(|i| (i.wrapping_mul(131) ^ (i >> 7)) as u8)

@@ -30,9 +30,7 @@
 //! entry audits.
 
 use empi_aead::profile::CryptoLibrary;
-use empi_core::{
-    Error, FaultRates, KeyPlaneConfig, RetransmitConfig, SecureComm, SecurityConfig,
-};
+use empi_core::{Error, FaultRates, KeyPlaneConfig, RetransmitConfig, SecureComm, SecurityConfig};
 use empi_mpi::{CrashPlan, DetectorConfig, Src, TagSel, TraceReport, World};
 use empi_netsim::{VDur, VTime};
 use empi_trace::MetricsSnapshot;
@@ -314,7 +312,11 @@ fn arq_dead_sender_run(net: Net, shards: usize) -> u64 {
                         ..FaultRates::ZERO
                     },
                 )
-                .with_retransmit(5, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+                .with_retransmit(
+                    5,
+                    VDur::from_micros(150),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                );
             let sc = SecureComm::new(c, cfg).unwrap();
             if c.rank() == 0 {
                 sc.send(b"doomed flow", 1, FTOL_TAG);

@@ -465,7 +465,10 @@ mod tests {
         assert!(tables[1].title.starts_with("DECOMP-REKEY-Ethernet"));
         // Each lib: 3 rotation points, plus a storm row per
         // 128-bit-capable lib (all but Libsodium).
-        let aes128_rows = LIBS.iter().filter(|l| l.supports(KeySize::Aes128).is_ok()).count();
+        let aes128_rows = LIBS
+            .iter()
+            .filter(|l| l.supports(KeySize::Aes128).is_ok())
+            .count();
         assert_eq!(tables[0].rows.len(), 3 * LIBS.len() + aes128_rows);
         for (label, cells) in &tables[0].rows {
             assert_ne!(cells[1], "0.0", "p99 must be nonzero: {label}");

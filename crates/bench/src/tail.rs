@@ -79,7 +79,11 @@ fn tail_config(lib: CryptoLibrary, chaos: bool) -> SecurityConfig {
     );
     if chaos {
         cfg.with_faults(SEED, FaultRates::uniform(FAULT_RATE))
-            .with_retransmit(MAX_RETRIES, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS)
+            .with_retransmit(
+                MAX_RETRIES,
+                VDur::from_micros(200),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            )
     } else {
         cfg
     }
@@ -432,7 +436,11 @@ mod tests {
                         .with_workers(2),
                 )
                 .with_faults(0xBAD_5EED, FaultRates::uniform(0.25))
-                .with_retransmit(1, VDur::from_micros(50), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+                .with_retransmit(
+                    1,
+                    VDur::from_micros(50),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                );
             let sc = SecureComm::new(c, cfg).unwrap();
             let msgs = 8;
             let buf = vec![0x3Cu8; 64 << 10];

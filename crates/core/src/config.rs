@@ -79,9 +79,8 @@ impl RetransmitConfig {
 /// The key the paper hardcodes in its prototypes ("the encryption key
 /// was hardcoded in the source code"; key distribution is future work).
 pub const HARDCODED_KEY: [u8; 32] = [
-    0x60, 0x3d, 0xeb, 0x10, 0x15, 0xca, 0x71, 0xbe, 0x2b, 0x73, 0xae, 0xf0, 0x85, 0x7d, 0x77,
-    0x81, 0x1f, 0x35, 0x2c, 0x07, 0x3b, 0x61, 0x08, 0xd7, 0x2d, 0x98, 0x10, 0xa3, 0x09, 0x14,
-    0xdf, 0xf4,
+    0x60, 0x3d, 0xeb, 0x10, 0x15, 0xca, 0x71, 0xbe, 0x2b, 0x73, 0xae, 0xf0, 0x85, 0x7d, 0x77, 0x81,
+    0x1f, 0x35, 0x2c, 0x07, 0x3b, 0x61, 0x08, 0xd7, 0x2d, 0x98, 0x10, 0xa3, 0x09, 0x14, 0xdf, 0xf4,
 ];
 
 /// Full security configuration of a [`crate::SecureComm`].
@@ -219,9 +218,18 @@ mod tests {
 
     #[test]
     fn calibrated_build_follows_interconnect() {
-        assert_eq!(compiler_build(NetModel::ethernet_10g().name), CompilerBuild::Gcc485);
-        assert_eq!(compiler_build(NetModel::infiniband_40g().name), CompilerBuild::Mvapich23);
-        assert_eq!(compiler_build(NetModel::instant().name), CompilerBuild::Gcc485);
+        assert_eq!(
+            compiler_build(NetModel::ethernet_10g().name),
+            CompilerBuild::Gcc485
+        );
+        assert_eq!(
+            compiler_build(NetModel::infiniband_40g().name),
+            CompilerBuild::Mvapich23
+        );
+        assert_eq!(
+            compiler_build(NetModel::instant().name),
+            CompilerBuild::Gcc485
+        );
     }
 
     #[test]
@@ -229,7 +237,11 @@ mod tests {
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl);
         assert!(!c.pipeline.enabled, "pipelining must default off");
         let c = c
-            .with_pipeline(PipelineConfig::enabled().with_chunk_size(1 << 15).with_workers(8))
+            .with_pipeline(
+                PipelineConfig::enabled()
+                    .with_chunk_size(1 << 15)
+                    .with_workers(8),
+            )
             .with_deterministic_nonces(1234);
         assert!(c.pipeline.enabled);
         assert_eq!(c.pipeline.chunk_size, 1 << 15);
@@ -240,7 +252,10 @@ mod tests {
     #[test]
     fn fault_and_retransmit_builders() {
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl);
-        assert!(c.faults.is_none() && c.retransmit.is_none(), "chaos off by default");
+        assert!(
+            c.faults.is_none() && c.retransmit.is_none(),
+            "chaos off by default"
+        );
         let c = c
             .with_faults(77, FaultRates::uniform(0.05))
             .with_retransmit(4, VDur::from_micros(200), 8);
@@ -252,8 +267,11 @@ mod tests {
         assert_eq!(r.timeout, VDur::from_micros(200));
         assert_eq!(r.buffer_msgs, 8);
         // At least one message is retained.
-        let one = SecurityConfig::new(CryptoLibrary::BoringSsl)
-            .with_retransmit(1, VDur::from_micros(1), 0);
+        let one = SecurityConfig::new(CryptoLibrary::BoringSsl).with_retransmit(
+            1,
+            VDur::from_micros(1),
+            0,
+        );
         assert_eq!(one.retransmit.unwrap().buffer_msgs, 1);
     }
 
@@ -263,7 +281,9 @@ mod tests {
         // The pool is always on: the builder leaves the configuration
         // as it was, before or after the pipeline's.
         let debug = |c: SecurityConfig| format!("{c:?}");
-        let want = debug(SecurityConfig::new(CryptoLibrary::BoringSsl).with_pipeline(PipelineConfig::enabled()));
+        let want = debug(
+            SecurityConfig::new(CryptoLibrary::BoringSsl).with_pipeline(PipelineConfig::enabled()),
+        );
         for pooled in [false, true] {
             let first = SecurityConfig::new(CryptoLibrary::BoringSsl)
                 .with_buffer_pool(pooled)
@@ -280,9 +300,7 @@ mod tests {
     fn key_plane_builder() {
         let c = SecurityConfig::new(CryptoLibrary::BoringSsl);
         assert!(c.key_plane.is_none(), "key plane off by default");
-        let c = c.with_key_plane(
-            KeyPlaneConfig::new(42).with_rotation(VDur::from_micros(500)),
-        );
+        let c = c.with_key_plane(KeyPlaneConfig::new(42).with_rotation(VDur::from_micros(500)));
         let kp = c.key_plane.unwrap();
         assert_eq!(kp.handshake_seed, 42);
         assert_eq!(kp.rotate_every, Some(VDur::from_micros(500)));

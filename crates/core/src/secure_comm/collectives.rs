@@ -301,7 +301,9 @@ impl SecureComm<'_, '_> {
         let (parent, _, children) = binomial_tree(self.rank(), root, self.size());
         // On an upstream error the sentinel payload stays empty.
         let upstream = match parent {
-            Some(p) => self.recv(Src::Is(p), TagSel::Is(tag)).map(|(_, plain)| plain),
+            Some(p) => self
+                .recv(Src::Is(p), TagSel::Is(tag))
+                .map(|(_, plain)| plain),
             None => Ok(Bytes::new()),
         };
         let fwd: &[u8] = match (&upstream, parent) {

@@ -120,7 +120,10 @@ impl KeyRing {
         if let Some(ctx) = self.groups.borrow().get(&epoch) {
             return ctx.clone();
         }
-        let plane = self.plane.as_ref().expect("epoch-qualified records need the key plane");
+        let plane = self
+            .plane
+            .as_ref()
+            .expect("epoch-qualified records need the key plane");
         let key = derive_group_key(&plane.master(), epoch);
         let ctx = Rc::new(KeyCtx {
             cipher: AesGcm::new(&key[..self.key_len])
@@ -148,7 +151,9 @@ impl SecureComm<'_, '_> {
 
     /// Ranks revoked so far, in rank order.
     pub fn revoked_ranks(&self) -> Vec<usize> {
-        self.keys.plane().map_or_else(Vec::new, |p| p.revoked_ranks())
+        self.keys
+            .plane()
+            .map_or_else(Vec::new, |p| p.revoked_ranks())
     }
 
     /// Revoke `target`: quarantine its flows (its records are rejected

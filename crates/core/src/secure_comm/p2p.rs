@@ -193,7 +193,11 @@ impl SecureComm<'_, '_> {
     /// [`Self::note_outcome`] for one wait-shaped completion.
     fn note_completion(&self, op: &'static str, t0: u64, out: &Result<Completion>) {
         let done = out.as_ref().ok();
-        self.note_outcome(op, t0, done.map(|(st, data)| (st, data.as_ref().map_or(0, Bytes::len))));
+        self.note_outcome(
+            op,
+            t0,
+            done.map(|(st, data)| (st, data.as_ref().map_or(0, Bytes::len))),
+        );
     }
 
     // ---------------------------------------------------------------
@@ -352,7 +356,12 @@ impl SecureComm<'_, '_> {
 
     /// Chaos-aware relay of an already-sealed frame train (the
     /// pipelined collectives forward root-sealed ciphertext).
-    pub(super) fn isend_frames(&self, mut frames: Vec<ChunkFrame>, dst: usize, tag: Tag) -> Request {
+    pub(super) fn isend_frames(
+        &self,
+        mut frames: Vec<ChunkFrame>,
+        dst: usize,
+        tag: Tag,
+    ) -> Request {
         self.rel.prepare_frames(&mut frames, dst, tag);
         self.comm
             .post(SendPayload::Chunked(frames), dst, tag, Charge::Streaming)
@@ -475,10 +484,7 @@ impl SecureComm<'_, '_> {
     /// a completed receive is authenticated and decrypted here, again
     /// dispatching on the sender's wire format. The plaintext is pooled
     /// like [`SecureComm::recv`]'s.
-    pub fn waitany(
-        &self,
-        reqs: &mut Vec<SecureRequest>,
-    ) -> Result<(usize, Status, Option<Bytes>)> {
+    pub fn waitany(&self, reqs: &mut Vec<SecureRequest>) -> Result<(usize, Status, Option<Bytes>)> {
         let t0 = self.comm.sim().now().as_nanos();
         assert!(!reqs.is_empty(), "waitany on an empty request set");
         let (mut slots, hints) = into_slots(reqs);

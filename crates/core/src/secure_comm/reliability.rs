@@ -14,7 +14,9 @@ use std::collections::{HashMap, VecDeque};
 use bytes::Bytes;
 use empi_mpi::chunk::{ChunkFrame, ChunkedMessage};
 use empi_mpi::ctrl::{pack_frames, unpack_frames};
-use empi_mpi::{Comm, Nack, RepairHeader, RepairKind, Src, Status, Tag, TagSel, NACK_TAG, REPAIR_TAG};
+use empi_mpi::{
+    Comm, Nack, RepairHeader, RepairKind, Src, Status, Tag, TagSel, NACK_TAG, REPAIR_TAG,
+};
 use empi_netsim::{FaultPlan, VDur, VTime, Verdict};
 use empi_trace::{BlackBox, Cat, Metric};
 
@@ -139,7 +141,16 @@ impl<'a, 'h> Reliability<'a, 'h> {
     fn note_fault(&self, v: &Verdict, bytes: usize, dur_ns: u64, detail: String) {
         if let Some(t) = self.comm.sim().recorder() {
             let (me, now) = (self.comm.rank(), self.now_ns());
-            t.span(me, Cat::Fault, v.label(), now, dur_ns, bytes, || detail, None);
+            t.span(
+                me,
+                Cat::Fault,
+                v.label(),
+                now,
+                dur_ns,
+                bytes,
+                || detail,
+                None,
+            );
         }
     }
 
@@ -183,13 +194,7 @@ impl<'a, 'h> Reliability<'a, 'h> {
     /// `Drop` clears the buffer but the (empty) message still crosses
     /// the wire — every transmission delivers *something*, which is
     /// what keeps the receiver's blocking waits live.
-    fn inject_wire(
-        &self,
-        wire: &mut Vec<u8>,
-        (dst, tag, seq): Flow,
-        index: u32,
-        attempt: u32,
-    ) {
+    fn inject_wire(&self, wire: &mut Vec<u8>, (dst, tag, seq): Flow, index: u32, attempt: u32) {
         let Some(plan) = &self.plan else { return };
         let stream = Self::stream_id(tag, seq);
         let v = plan.verdict(self.comm.rank(), dst, stream, index, attempt, wire.len());
@@ -423,7 +428,12 @@ impl<'a, 'h> Reliability<'a, 'h> {
             r.count_recovery(self.comm.rank());
         }
         self.note_flow(flow, "recover/ok", len, how);
-        note_sample(self.comm, (Metric::Repair, "arq/repair", source as i32), len, t_enter);
+        note_sample(
+            self.comm,
+            (Metric::Repair, "arq/repair", source as i32),
+            len,
+            t_enter,
+        );
         (Status { source, tag, len }, Bytes::from(plain))
     }
 
@@ -438,7 +448,12 @@ impl<'a, 'h> Reliability<'a, 'h> {
         why: String,
     ) -> Error {
         self.note_flow(flow, kind, 0, || why);
-        note_sample(self.comm, (Metric::Repair, "arq/fail", flow.0 as i32), 0, t_enter);
+        note_sample(
+            self.comm,
+            (Metric::Repair, "arq/fail", flow.0 as i32),
+            0,
+            t_enter,
+        );
         Error::DeliveryFailed {
             attempts,
             ledger,
@@ -634,7 +649,12 @@ impl<'a, 'h> Reliability<'a, 'h> {
         self.note_flow(flow, "recover/timeout", 0, || {
             format!("no repair within {waited_ns} ns")
         });
-        note_sample(self.comm, (Metric::Repair, "arq/fail", src as i32), 0, t_enter);
+        note_sample(
+            self.comm,
+            (Metric::Repair, "arq/fail", src as i32),
+            0,
+            t_enter,
+        );
         Err(Error::Timeout {
             waited_ns,
             op: "recv",

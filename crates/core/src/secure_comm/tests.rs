@@ -307,8 +307,8 @@ fn pipelined_receiver_accepts_sequential_sender() {
             let sc = SecureComm::new(c, cfg()).unwrap();
             sc.send(&vec![9u8; 100_000], 1, 0);
         } else {
-            let sc = SecureComm::new(c, cfg().with_pipeline(crate::PipelineConfig::enabled()))
-                .unwrap();
+            let sc =
+                SecureComm::new(c, cfg().with_pipeline(crate::PipelineConfig::enabled())).unwrap();
             let (_, data) = sc.recv(Src::Is(0), TagSel::Is(0)).unwrap();
             assert_eq!(data, vec![9u8; 100_000]);
         }
@@ -590,9 +590,7 @@ fn pipelined_bcast_length_mismatch_still_forwards() {
             _ => vec![0u8; len],
         };
         match (c.rank(), sc.bcast(&mut buf, 0)) {
-            (1, Err(Error::LengthMismatch { local, remote })) => {
-                local == len / 2 && remote == len
-            }
+            (1, Err(Error::LengthMismatch { local, remote })) => local == len / 2 && remote == len,
             (1, _) => false,
             (_, Ok(())) => buf == vec![5u8; len],
             _ => false,
@@ -919,7 +917,15 @@ fn zero_fault_rate_arq_is_silent() {
     // with zero NACK/repair wire frames and no chaos counter block.
     let w = World::flat(NetModel::ethernet_10g(), 2).with_metrics(true);
     let out = w.run(|c| {
-        let sc = SecureComm::new(c, cfg().with_retransmit(3, VDur::from_micros(100), RetransmitConfig::DEFAULT_BUFFER_MSGS)).unwrap();
+        let sc = SecureComm::new(
+            c,
+            cfg().with_retransmit(
+                3,
+                VDur::from_micros(100),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            ),
+        )
+        .unwrap();
         let me = c.rank();
         let (st, echo) = sc
             .sendrecv(
@@ -954,7 +960,11 @@ fn duplicated_chunks_salvage_without_wire_traffic() {
     let out = w.run(move |c| {
         let local = cfg()
             .with_pipeline(crate::PipelineConfig::enabled().with_workers(2))
-            .with_retransmit(3, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+            .with_retransmit(
+                3,
+                VDur::from_micros(200),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            );
         let local = if c.rank() == 0 {
             local.with_faults(
                 5,
@@ -1025,7 +1035,11 @@ fn arq_recovers_dropped_chunks_via_nack_repair() {
                         .with_chunk_size(1 << 15)
                         .with_workers(2),
                 )
-                .with_retransmit(4, VDur::from_micros(300), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+                .with_retransmit(
+                    4,
+                    VDur::from_micros(300),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                );
             let local = if c.rank() == 0 {
                 local.with_faults(
                     seed,
@@ -1079,7 +1093,11 @@ fn arq_recovers_flipped_plain_message() {
     for seed in 0..12u64 {
         let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
         let out = w.run(move |c| {
-            let local = cfg().with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+            let local = cfg().with_retransmit(
+                4,
+                VDur::from_micros(200),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            );
             let local = if c.rank() == 0 {
                 local.with_faults(
                     seed,
@@ -1115,7 +1133,15 @@ fn nack_for_evicted_message_gets_an_abort() {
     use empi_mpi::{RepairKind, NACK_TAG, REPAIR_TAG};
     let w = World::flat(NetModel::instant(), 2).traced(true);
     let out = w.run(|c| {
-        let sc = SecureComm::new(c, cfg().with_retransmit(2, VDur::from_micros(50), RetransmitConfig::DEFAULT_BUFFER_MSGS)).unwrap();
+        let sc = SecureComm::new(
+            c,
+            cfg().with_retransmit(
+                2,
+                VDur::from_micros(50),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            ),
+        )
+        .unwrap();
         if c.rank() == 0 {
             sc.pump(VDur::from_micros(20));
             true
@@ -1162,8 +1188,15 @@ fn silent_sender_times_out_with_typed_error() {
             sc.send(b"corrupted and never repaired", 1, 9);
             true
         } else {
-            let sc =
-                SecureComm::new(c, cfg().with_retransmit(2, VDur::from_micros(40), RetransmitConfig::DEFAULT_BUFFER_MSGS)).unwrap();
+            let sc = SecureComm::new(
+                c,
+                cfg().with_retransmit(
+                    2,
+                    VDur::from_micros(40),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                ),
+            )
+            .unwrap();
             match sc.recv(Src::Is(0), TagSel::Is(9)) {
                 Err(Error::Timeout { waited_ns, op, .. }) => op == "recv" && waited_ns > 0,
                 other => panic!("expected timeout, got {other:?}"),
@@ -1188,7 +1221,11 @@ fn arq_bcast_recovers_or_degrades_gracefully() {
                         .with_chunk_size(1 << 15)
                         .with_workers(2),
                 )
-                .with_retransmit(3, VDur::from_micros(300), RetransmitConfig::DEFAULT_BUFFER_MSGS)
+                .with_retransmit(
+                    3,
+                    VDur::from_micros(300),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                )
                 .with_faults(
                     seed,
                     FaultRates {
@@ -1237,7 +1274,11 @@ fn arq_alltoall_round_trips_under_chunk_drops() {
         let out = w.run(move |c| {
             let local = cfg()
                 .with_pipeline(crate::PipelineConfig::enabled().with_workers(2))
-                .with_retransmit(3, VDur::from_micros(300), RetransmitConfig::DEFAULT_BUFFER_MSGS)
+                .with_retransmit(
+                    3,
+                    VDur::from_micros(300),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                )
                 .with_faults(
                     seed,
                     FaultRates {
@@ -1279,7 +1320,11 @@ fn arq_alltoall_round_trips_under_chunk_drops() {
 fn fault_and_retry_spans_reach_the_trace() {
     let w = World::flat(NetModel::ethernet_10g(), 2).traced(true);
     let out = w.run(|c| {
-        let local = cfg().with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+        let local = cfg().with_retransmit(
+            4,
+            VDur::from_micros(200),
+            RetransmitConfig::DEFAULT_BUFFER_MSGS,
+        );
         let local = if c.rank() == 0 {
             local.with_faults(
                 2,
@@ -1589,7 +1634,11 @@ fn revoked_rank_is_quarantined_and_survivors_rekey() {
             sc.revoke(2).unwrap();
             assert_eq!(sc.revoked_ranks(), vec![2]);
             assert_eq!(sc.sealing_epoch(), 1, "revocation bumps the epoch");
-            assert_eq!(sc.sealing_epoch(), before + 1, "by exactly one on every survivor");
+            assert_eq!(
+                sc.sealing_epoch(),
+                before + 1,
+                "by exactly one on every survivor"
+            );
             assert!(matches!(
                 sc.revoke(2),
                 Err(Error::Key(KeyError::RevokedPeer { rank: 2 }))
@@ -1782,7 +1831,11 @@ fn rotation_survives_chaos_with_arq() {
                         .with_drain(2),
                 )
                 .with_faults(99, empi_netsim::FaultRates::uniform(0.04))
-                .with_retransmit(4, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS)
+                .with_retransmit(
+                    4,
+                    VDur::from_micros(150),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                )
                 .with_pipeline(
                     crate::PipelineConfig::enabled()
                         .with_chunk_size(1 << 12)

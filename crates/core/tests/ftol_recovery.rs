@@ -100,7 +100,11 @@ fn dead_sender_resolves_inflight_arq_to_delivery_failed() {
                         ..FaultRates::ZERO
                     },
                 )
-                .with_retransmit(5, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+                .with_retransmit(
+                    5,
+                    VDur::from_micros(150),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                );
             let sc = SecureComm::new(c, cfg).unwrap();
             if c.rank() == 0 {
                 sc.send(b"doomed flow", 1, 7);
@@ -180,7 +184,11 @@ fn ft_recv_recovers_and_keeps_the_flow_sequence_aligned() {
         .try_run_ft(move |c| {
             let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
                 .with_faults(SEED, FLIP_HALF)
-                .with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+                .with_retransmit(
+                    4,
+                    VDur::from_micros(200),
+                    RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                );
             let sc = SecureComm::new(c, cfg).unwrap();
             let (first, second) = (vec![0x11u8; 3000], vec![0x22u8; 3000]);
             if c.rank() == 0 {
@@ -221,8 +229,11 @@ fn rank_parked_in_ft_recv_answers_a_live_peers_nack() {
         .traced(true);
     let out = w
         .try_run_ft(move |c| {
-            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl)
-                .with_retransmit(4, VDur::from_micros(200), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+            let cfg = SecurityConfig::new(CryptoLibrary::BoringSsl).with_retransmit(
+                4,
+                VDur::from_micros(200),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            );
             // Only rank 0's link is faulty; rank 1's reply travels clean.
             let cfg = match c.rank() {
                 0 => cfg.with_faults(SEED, FLIP_HALF),

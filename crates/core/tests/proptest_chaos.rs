@@ -66,7 +66,11 @@ fn cfg(arq: bool, pipelined: bool, seed: u64, rates: FaultRates) -> SecurityConf
         );
     }
     if arq {
-        c = c.with_retransmit(3, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+        c = c.with_retransmit(
+            3,
+            VDur::from_micros(150),
+            RetransmitConfig::DEFAULT_BUFFER_MSGS,
+        );
     }
     c
 }

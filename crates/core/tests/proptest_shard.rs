@@ -76,7 +76,11 @@ fn run_once(shards: usize, seed: u64, chaos: bool, crash: bool, piped: bool) -> 
                             jitter: 0.2,
                         },
                     )
-                    .with_retransmit(2, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+                    .with_retransmit(
+                        2,
+                        VDur::from_micros(150),
+                        RetransmitConfig::DEFAULT_BUFFER_MSGS,
+                    );
             }
             let me = c.rank();
             if me >= RING {
@@ -208,11 +212,19 @@ fn pooled_payloads_read_in_detached_compute_are_shard_invariant() {
                 }
                 (sums, c.sim().buffer_pool().stats())
             });
-        (out.results, out.end_time, out.yields, format!("{:?}", out.metrics))
+        (
+            out.results,
+            out.end_time,
+            out.yields,
+            format!("{:?}", out.metrics),
+        )
     };
     let base = run(1);
     let stats = base.0[3].1;
-    assert!(stats.hits > 0 && stats.returns > 0, "the payloads are pooled: {stats:?}");
+    assert!(
+        stats.hits > 0 && stats.returns > 0,
+        "the payloads are pooled: {stats:?}"
+    );
     for s in [2usize, 4] {
         assert_eq!(base, run(s), "shards={s}");
     }

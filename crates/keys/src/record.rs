@@ -115,7 +115,13 @@ impl Record {
     pub fn open_front(&self, cipher: &AesGcm, wire: &mut [u8]) -> Result<(), AeadError> {
         let prefix = self.epoch.map(u64::to_be_bytes);
         let buf = &mut wire[..self.body.end];
-        cipher.open_to_front(&self.nonce, epoch_aad(&prefix), buf, self.body.start, &self.tag)
+        cipher.open_to_front(
+            &self.nonce,
+            epoch_aad(&prefix),
+            buf,
+            self.body.start,
+            &self.tag,
+        )
     }
 }
 
@@ -224,7 +230,10 @@ mod tests {
         // AAD-free under any key must fail; and a runt can't even be
         // parsed as epoch-qualified.
         let stripped = &wire[EPOCH_PREFIX_LEN..];
-        assert!(open(&c, stripped, false).is_err(), "stripped record fails auth");
+        assert!(
+            open(&c, stripped, false).is_err(),
+            "stripped record fails auth"
+        );
         let runt = overhead(true) - 1;
         let too_short = Err(AeadError::CiphertextTooShort { got: runt });
         assert_eq!(Record::parse(&wire[..runt], true), too_short);

@@ -158,10 +158,7 @@ pub fn run(layer: &impl CommLayer, class: Class) -> KernelReport {
         checksum += stats[1];
     }
 
-    KernelReport {
-        verified,
-        checksum,
-    }
+    KernelReport { verified, checksum }
 }
 
 #[cfg(test)]

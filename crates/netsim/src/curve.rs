@@ -87,7 +87,10 @@ type Slot<V> = Cell<Option<(usize, V)>>;
 
 impl<V: Copy, const SLOTS: usize> SizeMemo<V, SLOTS> {
     const BITS: u32 = {
-        assert!(SLOTS >= 2 && SLOTS.is_power_of_two(), "SLOTS must be a power of two ≥ 2");
+        assert!(
+            SLOTS >= 2 && SLOTS.is_power_of_two(),
+            "SLOTS must be a power of two ≥ 2"
+        );
         SLOTS.trailing_zeros()
     };
 
@@ -221,8 +224,9 @@ mod tests {
         assert_eq!(memo.get(256, price), 768);
         assert_eq!(calls.get(), 3, "the rival evicted 256; it is priced again");
         // Powers of two land in distinct slots.
-        let slots: std::collections::BTreeSet<_> =
-            (0..20).map(|k| SizeMemo::<u64, 256>::slot_of(1 << k)).collect();
+        let slots: std::collections::BTreeSet<_> = (0..20)
+            .map(|k| SizeMemo::<u64, 256>::slot_of(1 << k))
+            .collect();
         assert_eq!(slots.len(), 20);
     }
 

@@ -2486,7 +2486,11 @@ mod handoff_tests {
             ),
             e => panic!("shards={shards}: expected rank 0's panic, got {e}"),
         }
-        assert_eq!(live.load(Ordering::SeqCst), 0, "shards={shards}: a rank body never unwound");
+        assert_eq!(
+            live.load(Ordering::SeqCst),
+            0,
+            "shards={shards}: a rank body never unwound"
+        );
     }
 
     #[test]

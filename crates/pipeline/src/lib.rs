@@ -372,7 +372,11 @@ impl Pipeline {
                     parsed.records.len()
                 )
             };
-            let label = if out.fresh() { "alloc/fresh" } else { "alloc/pooled" };
+            let label = if out.fresh() {
+                "alloc/fresh"
+            } else {
+                "alloc/pooled"
+            };
             t.count_alloc(me, out.fresh(), len);
             t.span(me, Cat::Alloc, label, now, 0, len, detail, None);
         }
@@ -531,8 +535,8 @@ mod tests {
                     if pipelined {
                         let pipe =
                             Pipeline::new(PipelineConfig::enabled().with_workers(4), c.rank());
-                        let frames = pipe
-                            .seal_timed(c, &cipher, &cost_ns, "test", 0, [3u8; 12], &msg);
+                        let frames =
+                            pipe.seal_timed(c, &cipher, &cost_ns, "test", 0, [3u8; 12], &msg);
                         c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
                     } else {
                         // Sequential reference: pay the whole seal on the
@@ -589,8 +593,7 @@ mod tests {
                         .with_chunk_size(64 << 10),
                     c.rank(),
                 );
-                let frames =
-                    pipe.seal_timed(c, &cipher, &cost_ns, "test", 0, [1u8; 12], &msg);
+                let frames = pipe.seal_timed(c, &cipher, &cost_ns, "test", 0, [1u8; 12], &msg);
                 c.wait_sent(c.post(SendPayload::Chunked(frames), 1, 0, Charge::Blocking));
             } else {
                 let m = expect_chunked(c.recv_maybe_chunked(Src::Is(0), TagSel::Is(0)))

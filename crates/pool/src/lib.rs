@@ -69,10 +69,7 @@ impl Shelves {
     /// The smallest shelved buffer with room for `len` bytes and at
     /// most twice that, with its size.
     fn pop(&mut self, len: usize) -> Option<(usize, Vec<u8>)> {
-        let (&size, list) = self
-            .by_size
-            .range_mut(len..=len.saturating_mul(2))
-            .next()?;
+        let (&size, list) = self.by_size.range_mut(len..=len.saturating_mul(2)).next()?;
         let v = list.pop().expect("no empty list is kept");
         if list.is_empty() {
             self.by_size.remove(&size);
@@ -431,7 +428,10 @@ mod tests {
     fn class_rounding_never_under_provisions() {
         let p = BufferPool::new();
         drop(p.take(K + 1));
-        assert!(p.take(K + 2).fresh(), "16 KiB + 1 B cannot serve 16 KiB + 2 B");
+        assert!(
+            p.take(K + 2).fresh(),
+            "16 KiB + 1 B cannot serve 16 KiB + 2 B"
+        );
         let b = p.take(K + 1);
         assert!(!b.fresh());
         assert!(b.capacity() > K);
@@ -490,7 +490,10 @@ mod tests {
         l.lend(4096);
         assert_eq!(l.peak, 4096);
         // 1 KiB shelved + 4 KiB back = 5 KiB > the 4 KiB peak: spill.
-        assert_eq!(l.restore(4096, vec![0u8; 4096]).map(|v| v.len()), Some(4096));
+        assert_eq!(
+            l.restore(4096, vec![0u8; 4096]).map(|v| v.len()),
+            Some(4096)
+        );
         assert_eq!((l.shelves.bytes, l.out), (1024, 0));
     }
 
@@ -506,7 +509,10 @@ mod tests {
         b.reserve_exact(4 * size);
         drop(b);
         assert_eq!(p.stats().retained_bytes, size);
-        assert!(p.take(2 * size + 1).fresh(), "over twice the request it was filed under");
+        assert!(
+            p.take(2 * size + 1).fresh(),
+            "over twice the request it was filed under"
+        );
         assert!(!p.take(size).fresh());
     }
 }

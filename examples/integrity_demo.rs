@@ -48,13 +48,19 @@ fn main() {
     });
     println!("ECB (ES-MPICH2 style):");
     println!("  sent     : {}", String::from_utf8_lossy(msg));
-    println!("  received : {}   <- blocks swapped, decrypts 'fine'!", out.results[2]);
+    println!(
+        "  received : {}   <- blocks swapped, decrypts 'fine'!",
+        out.results[2]
+    );
     assert_ne!(out.results[2].as_bytes(), msg);
 
     // --- Generation 2: AES-GCM (this library) ---------------------------
     let out = world.run(|c| {
-        let sc = SecureComm::new(c, SecurityConfig::new(CryptoLibrary::BoringSsl).with_key(key))
-            .unwrap();
+        let sc = SecureComm::new(
+            c,
+            SecurityConfig::new(CryptoLibrary::BoringSsl).with_key(key),
+        )
+        .unwrap();
         match c.rank() {
             0 => {
                 sc.send(msg, 1, 0);
@@ -81,8 +87,11 @@ fn main() {
 
     // --- And an untampered GCM exchange still works ---------------------
     let out = world.run(|c| {
-        let sc = SecureComm::new(c, SecurityConfig::new(CryptoLibrary::BoringSsl).with_key(key))
-            .unwrap();
+        let sc = SecureComm::new(
+            c,
+            SecurityConfig::new(CryptoLibrary::BoringSsl).with_key(key),
+        )
+        .unwrap();
         match c.rank() {
             0 => {
                 sc.send(msg, 2, 0);

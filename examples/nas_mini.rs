@@ -73,7 +73,12 @@ fn main() {
         CryptoLibrary::CryptoPp,
     ] {
         let (t, ok) = run_kernel(kernel, Some(lib));
-        assert!(ok, "{} verification failed under {}", kernel.name(), lib.name());
+        assert!(
+            ok,
+            "{} verification failed under {}",
+            kernel.name(),
+            lib.name()
+        );
         println!(
             "  {:<12} {:10.1} us  (+{:.1}%)",
             lib.name(),

@@ -57,7 +57,10 @@ fn main() {
     let (pi, micros) = out.results[0];
     println!("ranks           : {ranks} (4 simulated IB nodes)");
     println!("samples         : {}", SAMPLES_PER_RANK * ranks as u64);
-    println!("pi estimate     : {pi:.6} (true: {:.6})", std::f64::consts::PI);
+    println!(
+        "pi estimate     : {pi:.6} (true: {:.6})",
+        std::f64::consts::PI
+    );
     println!("virtual time    : {micros:.1} us");
     println!("inter-node msgs : {}", out.fabric.messages);
     assert!((pi - std::f64::consts::PI).abs() < 0.01);

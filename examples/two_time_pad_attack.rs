@@ -59,7 +59,10 @@ fn main() {
     let start1 = u64::from_be_bytes(w1[..8].try_into().unwrap()) as usize;
     let start2 = u64::from_be_bytes(w2[..8].try_into().unwrap()) as usize;
     let (c1, c2) = (&w1[8..], &w2[8..]);
-    println!("pad offsets: msg1 starts at {start1}, msg2 at {start2}, key is {} bytes", 256);
+    println!(
+        "pad offsets: msg1 starts at {start1}, msg2 at {start2}, key is {} bytes",
+        256
+    );
 
     // Key bytes used: msg1 covers [start1, start1+185), msg2 covers
     // [start2, start2+185) mod 256 — find the overlap.

@@ -16,10 +16,10 @@
 //!   and their exporters.
 
 pub use empi_aead as aead;
-pub use empi_trace as trace;
 pub use empi_bench as bench;
 pub use empi_core as secure;
 pub use empi_mpi as mpi;
 pub use empi_nas as nas;
 pub use empi_netsim as netsim;
 pub use empi_pipeline as pipeline;
+pub use empi_trace as trace;

@@ -6,8 +6,8 @@ use empi::aead::WIRE_OVERHEAD;
 use empi::mpi::{Src, TagSel, World};
 use empi::nas::{cg, Class, CommLayer, PlainLayer, SecureLayer};
 use empi::netsim::{NetModel, Topology};
-use empi_keys::kdf::derive_pair_key;
 use empi::secure::{SecureComm, SecurityConfig};
+use empi_keys::kdf::derive_pair_key;
 
 #[test]
 fn whole_stack_encrypted_halo_exchange() {
@@ -107,10 +107,11 @@ fn algorithm1_wire_format_28_bytes_per_segment() {
         let me = c.rank();
         let send_counts = [0usize, 1, 2];
         let recv_counts = [me; 3].map(|_| me); // rank r receives r bytes from each
-        let send: Vec<u8> = send_counts.iter().flat_map(|&n| vec![me as u8; n]).collect();
-        let out = sc
-            .alltoallv(&send, &send_counts, &recv_counts)
-            .unwrap();
+        let send: Vec<u8> = send_counts
+            .iter()
+            .flat_map(|&n| vec![me as u8; n])
+            .collect();
+        let out = sc.alltoallv(&send, &send_counts, &recv_counts).unwrap();
         assert_eq!(out.len(), 3 * me);
     });
     // Static check of the constant itself.
@@ -120,7 +121,11 @@ fn algorithm1_wire_format_28_bytes_per_segment() {
 #[test]
 fn aes128_vs_aes256_both_work_where_supported() {
     for ks in [KeySize::Aes128, KeySize::Aes256] {
-        for lib in [CryptoLibrary::OpenSsl, CryptoLibrary::BoringSsl, CryptoLibrary::CryptoPp] {
+        for lib in [
+            CryptoLibrary::OpenSsl,
+            CryptoLibrary::BoringSsl,
+            CryptoLibrary::CryptoPp,
+        ] {
             let w = World::flat(NetModel::instant(), 2);
             let out = w.run(|c| {
                 let cfg = SecurityConfig::new(lib).with_key_size(ks);

@@ -55,7 +55,9 @@ fn world(msg: &[u8]) -> Vec<(u32, u64, String, u64)> {
                 piped.send(msg, 1, 9);
                 c.send(msg, 1, 10);
             } else {
-                let window: Vec<_> = (0..4).map(|t| sc.irecv(Src::Is(0), TagSel::Is(t))).collect();
+                let window: Vec<_> = (0..4)
+                    .map(|t| sc.irecv(Src::Is(0), TagSel::Is(t)))
+                    .collect();
                 for (_, got) in sc.waitall(window).unwrap() {
                     assert!(got.unwrap() == msg);
                 }
@@ -81,7 +83,10 @@ fn a_second_world_takes_its_2mib_buffers_from_the_reservoir() {
     assert!(during_first > 0, "the first world allocates its buffers");
     let second = world(&msg);
     let during_second = LARGE.load(Ordering::Relaxed) - before - during_first;
-    assert_eq!(during_second, 0, "the second world's 2 MiB takes hit the heap");
+    assert_eq!(
+        during_second, 0,
+        "the second world's 2 MiB takes hit the heap"
+    );
     assert!(first.iter().any(|m| m.2 == "alloc/fresh"));
     assert_eq!(first, second, "alloc/* markers differ between the worlds");
 }

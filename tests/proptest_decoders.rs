@@ -56,11 +56,15 @@ fn check_all(wire: &[u8]) -> Result<(), String> {
             Ok(rec) => {
                 let prefix = rec.epoch.map(u64::to_be_bytes);
                 let prefix = prefix.as_ref().map_or(&[][..], |p| &p[..]);
-                let body = wire.get(rec.body.clone()).ok_or("Record::parse: body out of range")?;
+                let body = wire
+                    .get(rec.body.clone())
+                    .ok_or("Record::parse: body out of range")?;
                 if rec.epoch.is_some() != epoch_qualified
                     || [prefix, &rec.nonce, body, &rec.tag].concat() != wire
                 {
-                    return Err(format!("Record::parse accepted a second spelling of {rec:?}"));
+                    return Err(format!(
+                        "Record::parse accepted a second spelling of {rec:?}"
+                    ));
                 }
             }
             Err(CiphertextTooShort { got })
@@ -150,15 +154,19 @@ fn honest() -> impl Strategy<Value = (Vec<u8>, Vec<usize>)> {
             };
             (f.encode(), Vec::new())
         });
-    let record = (any::<bool>(), any::<u64>(), any::<u8>(), vec(any::<u8>(), 0..40)).prop_map(
-        |(qualified, epoch, n, pt)| {
+    let record = (
+        any::<bool>(),
+        any::<u64>(),
+        any::<u8>(),
+        vec(any::<u8>(), 0..40),
+    )
+        .prop_map(|(qualified, epoch, n, pt)| {
             let cipher = AesGcm::new(&[7u8; 32]).unwrap();
             let mut wire = Vec::new();
             let epoch = qualified.then_some(epoch);
             seal_into(&cipher, epoch, &[n; NONCE_LEN], &pt, &mut wire);
             (wire, Vec::new())
-        },
-    );
+        });
     prop_oneof![nack, repair, notice, packed, key, record]
 }
 

@@ -15,7 +15,9 @@
 use empi::aead::profile::CryptoLibrary;
 use empi::mpi::{Src, TagSel, World};
 use empi::netsim::{NetModel, VDur};
-use empi::secure::{Error, FaultRates, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig};
+use empi::secure::{
+    Error, FaultRates, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig,
+};
 use proptest::prelude::*;
 
 const TAG0: u32 = 40;
@@ -32,7 +34,11 @@ fn cfg(pipelined: bool, chaos: Option<(u64, f64)>) -> SecurityConfig {
     if let Some((seed, rate)) = chaos {
         c = c
             .with_faults(seed, FaultRates::uniform(rate))
-            .with_retransmit(4, VDur::from_micros(150), RetransmitConfig::DEFAULT_BUFFER_MSGS);
+            .with_retransmit(
+                4,
+                VDur::from_micros(150),
+                RetransmitConfig::DEFAULT_BUFFER_MSGS,
+            );
     }
     c
 }
@@ -176,7 +182,8 @@ fn via_testany(sc: &SecureComm, reqs: Vec<empi::secure::SecureRequest>) -> RecvO
         };
         match step {
             Ok((i, st, d)) => {
-                out[slot_of.remove(i)] = Some(Ok((st.source, st.tag, d.unwrap_or_default().into())));
+                out[slot_of.remove(i)] =
+                    Some(Ok((st.source, st.tag, d.unwrap_or_default().into())));
             }
             Err(e) => {
                 let kind = err_kind(&e);

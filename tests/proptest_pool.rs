@@ -13,8 +13,7 @@ use empi::aead::profile::CryptoLibrary;
 use empi::mpi::{RecvPayload, Src, TagSel, World};
 use empi::netsim::{BufferPool, NetModel, VDur};
 use empi::secure::{
-    Error, FaultRates, KeyPlaneConfig, PipelineConfig, RetransmitConfig, SecureComm,
-    SecurityConfig,
+    Error, FaultRates, KeyPlaneConfig, PipelineConfig, RetransmitConfig, SecureComm, SecurityConfig,
 };
 use proptest::prelude::*;
 
@@ -78,15 +77,45 @@ fn golden_wire_bytes_per_format_and_key_source() {
     // wire bytes as captured at the commit before the record-layer
     // refactor; the last five before every buffer came from the pool)
     let table: [(&str, usize, bool, KeySource, u64); 9] = [
-        ("plain/cluster", 10_000, false, cluster, 0x2a8b_bb68_1f96_f585),
+        (
+            "plain/cluster",
+            10_000,
+            false,
+            cluster,
+            0x2a8b_bb68_1f96_f585,
+        ),
         ("plain/plane", 10_000, false, plane, 0x774e_9528_4c1f_ebf6),
-        ("chunked/cluster", 10_000, true, cluster, 0xde2b_7478_ec1e_4f1e),
+        (
+            "chunked/cluster",
+            10_000,
+            true,
+            cluster,
+            0xde2b_7478_ec1e_4f1e,
+        ),
         ("chunked/plane", 10_000, true, plane, 0x21fd_9f14_a9e3_7239),
         ("plain/cluster", 48, false, cluster, 0xef3c_68a0_9ea4_b93d),
         ("plain/cluster", 4096, false, cluster, 0x5bcb_9eab_4d9c_cb1c),
-        ("chunked/cluster", 4097, true, cluster, 0x7d45_0a18_0b72_ec4a),
-        ("plain/cluster", (1 << 17) + 9, false, cluster, 0x4cda_2c66_a700_85e7),
-        ("chunked/cluster", (1 << 17) + 9, true, cluster, 0x002f_24eb_b5bd_9a6d),
+        (
+            "chunked/cluster",
+            4097,
+            true,
+            cluster,
+            0x7d45_0a18_0b72_ec4a,
+        ),
+        (
+            "plain/cluster",
+            (1 << 17) + 9,
+            false,
+            cluster,
+            0x4cda_2c66_a700_85e7,
+        ),
+        (
+            "chunked/cluster",
+            (1 << 17) + 9,
+            true,
+            cluster,
+            0x002f_24eb_b5bd_9a6d,
+        ),
     ];
     for (label, len, pipelined, key_source, want) in table {
         let msg: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();

@@ -321,7 +321,11 @@ fn non_test_lines(files: &[PathBuf]) -> Vec<(String, usize, String)> {
         let mut keep = vec![true; lines.len()];
         for at in (0..lines.len()).filter(|&i| lines[i].trim() == "#[cfg(test)]") {
             let header = lines[at + 1];
-            if let Some(m) = header.trim().strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+            if let Some(m) = header
+                .trim()
+                .strip_prefix("mod ")
+                .and_then(|m| m.strip_suffix(';'))
+            {
                 let (dir, stem) = (path.parent().unwrap(), path.file_stem().unwrap());
                 let dir = match stem.to_str() {
                     Some("lib" | "main" | "mod") => dir.to_path_buf(),
@@ -331,10 +335,16 @@ fn non_test_lines(files: &[PathBuf]) -> Vec<(String, usize, String)> {
                 continue;
             }
             let close = format!("{}}}", &header[..header.len() - header.trim_start().len()]);
-            let end = (at..lines.len()).find(|&i| lines[i] == close).unwrap_or(lines.len() - 1);
+            let end = (at..lines.len())
+                .find(|&i| lines[i] == close)
+                .unwrap_or(lines.len() - 1);
             keep[at..=end].iter_mut().for_each(|k| *k = false);
         }
-        let name = path.strip_prefix(repo("")).unwrap().to_string_lossy().into_owned();
+        let name = path
+            .strip_prefix(repo(""))
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
         for (i, line) in lines.iter().enumerate() {
             if keep[i] && !line.trim_start().starts_with("//") {
                 out.push((path.clone(), (name.clone(), i + 1, line.to_string())));
@@ -367,7 +377,10 @@ fn virtual_time_has_one_source() {
         .filter(|(_, _, l)| l.contains("Instant") || l.contains(".elapsed()"))
         .map(|(f, n, _)| format!("{f}:{n}"))
         .collect();
-    assert!(clocks.is_empty(), "host clock read in a simulated layer: {clocks:?}");
+    assert!(
+        clocks.is_empty(),
+        "host clock read in a simulated layer: {clocks:?}"
+    );
     assert!(
         lines.iter().any(|(_, _, l)| l.contains("pub fn advance(")),
         "the guard sees no engine code: is `#[cfg(test)]` stripping too much?"
@@ -418,7 +431,11 @@ fn virtual_time_has_one_source() {
         .filter_map(|(_, l)| Some(idents(l.split("pub fn ").nth(1)?)[0].to_string()))
         .filter(|name| name.starts_with("with_") && !shims.contains(name))
         .collect();
-    assert!(builders.len() <= 7, "SecurityConfig has {} `with_*` builders: {builders:?}", builders.len());
+    assert!(
+        builders.len() <= 7,
+        "SecurityConfig has {} `with_*` builders: {builders:?}",
+        builders.len()
+    );
     // A deprecated item exists only so that `benchmark/` keeps building:
     // once nothing there names it, it goes.
     assert!(
@@ -462,7 +479,10 @@ fn malloc_policy_is_set_in_one_place() {
         })
         .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
         .collect();
-    assert!(policy.is_empty(), "allocator policy outside fiber.rs: {policy:#?}");
+    assert!(
+        policy.is_empty(),
+        "allocator policy outside fiber.rs: {policy:#?}"
+    );
     let calls: Vec<String> = lines
         .iter()
         .filter(|(_, _, l)| l.contains(concat!("settle", "_heap(")) && !l.contains("fn "))
@@ -823,7 +843,10 @@ fn run_parameters_are_arguments() {
         concat!("env::", "remove_var("),
     ] {
         let found = sites(&lines, verb);
-        assert!(found.is_empty(), "`{verb}` reads or writes the environment: {found:?}");
+        assert!(
+            found.is_empty(),
+            "`{verb}` reads or writes the environment: {found:?}"
+        );
     }
 
     let bench = non_test_lines(&rust_files("crates/bench/src"));
@@ -853,7 +876,12 @@ fn run_parameters_are_arguments() {
         "a bench world ignores the carrier count it was given: {unsharded:?}"
     );
 
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"] {
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
         let text = std::fs::read_to_string(repo(doc)).unwrap();
         let found: Vec<String> = text
             .lines()
@@ -861,7 +889,10 @@ fn run_parameters_are_arguments() {
             .filter(|(_, l)| l.contains(concat!("EMPI", "_")))
             .map(|(i, _)| format!("{doc}:{}", i + 1))
             .collect();
-        assert!(found.is_empty(), "docs name an environment setting: {found:?}");
+        assert!(
+            found.is_empty(),
+            "docs name an environment setting: {found:?}"
+        );
     }
 }
 
@@ -1203,14 +1234,20 @@ fn the_aead_kernel_has_one_reduction_and_one_probe() {
     .filter(|(_, l)| l.contains("is_x86_feature_detected!"))
     .map(|(n, _)| n)
     .collect();
-    assert!(!probe.is_empty(), "`kernel_width` probes nothing: is the scan blind?");
+    assert!(
+        !probe.is_empty(),
+        "`kernel_width` probes nothing: is the scan blind?"
+    );
     let elsewhere: Vec<String> = code_lines(&rust_files("crates"))
         .into_iter()
         .filter(|(_, _, l)| l.contains("is_x86_feature_detected!"))
         .filter(|(f, n, _)| !(f.ends_with(probe_file) && probe.contains(n)))
         .map(|(f, n, l)| format!("{f}:{n}: {}", l.trim()))
         .collect();
-    assert!(elsewhere.is_empty(), "a CPU probe outside `kernel_width`: {elsewhere:#?}");
+    assert!(
+        elsewhere.is_empty(),
+        "a CPU probe outside `kernel_width`: {elsewhere:#?}"
+    );
 }
 
 /// One count per event: the recorder counts every ARQ, key-plane and
@@ -1384,11 +1421,17 @@ fn the_plain_record_is_written_once() {
             .iter()
             .filter(|s| !WRITERS.iter().any(|w| s.starts_with(w)))
             .collect();
-        assert!(stray.is_empty(), "`{call}` outside the record modules: {stray:?}");
+        assert!(
+            stray.is_empty(),
+            "`{call}` outside the record modules: {stray:?}"
+        );
     }
     for call in [concat!("seal", "_detached("), concat!("open", "_detached(")] {
         let found = sites(&code, call);
-        assert!(found.is_empty(), "in-place `{call}` outside empi-aead: {found:?}");
+        assert!(
+            found.is_empty(),
+            "in-place `{call}` outside empi-aead: {found:?}"
+        );
     }
     let len = concat!("EPOCH_PREFIX", "_LEN");
     let prefix = sites(&code, len);
@@ -1397,7 +1440,10 @@ fn the_plain_record_is_written_once() {
         .iter()
         .filter(|s| !s.starts_with("crates/keys/src/record.rs:"))
         .collect();
-    assert!(stray.is_empty(), "`{len}` outside the record module: {stray:?}");
+    assert!(
+        stray.is_empty(),
+        "`{len}` outside the record module: {stray:?}"
+    );
 }
 
 /// A size is priced once: the calibrated curves are evaluated only by
