@@ -33,7 +33,8 @@
 //!   construction.
 //! * [`profile`] — the paper's four libraries as selectable backends with
 //!   calibrated throughput anchor curves digitized from Figs. 2 and 9,
-//!   used by the simulator's `Calibrated` timing mode.
+//!   which price every seal and open in virtual time
+//!   (`SecureComm::calibrated_ns`).
 //!
 //! The real cryptography always executes; the profiles only decide *which
 //! engine combination* runs and how virtual time is charged.

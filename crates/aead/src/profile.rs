@@ -4,9 +4,10 @@
 //! combination whose *algorithmic* character matches the real library —
 //! see DESIGN.md §2 for the substitution argument — plus a calibrated
 //! throughput anchor curve digitized from Figs. 2 and 9 of the paper.
-//! The curves drive the simulator's `Calibrated` timing mode so that the
-//! crypto-to-network speed ratio on any host matches the paper's
-//! Xeon E5-2620 v4 testbed.
+//! The curves price every seal and open in virtual time
+//! (`SecureComm::calibrated_ns`, on the build the world's interconnect
+//! pairs with), so that the crypto-to-network speed ratio on any host
+//! matches the paper's Xeon E5-2620 v4 testbed.
 //!
 //! All four backends compute byte-identical AES-GCM; a message sealed by
 //! one opens under any other (covered by tests).
@@ -35,7 +36,7 @@ impl KeySize {
     }
 
     /// Key length in bits.
-    pub fn bits(self) -> usize {
+    fn bits(self) -> usize {
         self.bytes() * 8
     }
 }
@@ -106,7 +107,7 @@ impl CryptoLibrary {
     }
 
     /// The engine combination modelling this library.
-    pub fn engines(self) -> (AesEngineKind, GhashEngineKind) {
+    fn engines(self) -> (AesEngineKind, GhashEngineKind) {
         match self {
             CryptoLibrary::OpenSsl | CryptoLibrary::BoringSsl => {
                 (AesEngineKind::NiPipelined, GhashEngineKind::Clmul)

@@ -48,7 +48,7 @@ impl CollOp {
 
     /// The traffic shape `self` runs at `size`: alltoall blocks above
     /// [`STREAM_THRESHOLD`] go through the streaming pairwise exchange.
-    pub fn shape(self, size: usize) -> Coll {
+    fn shape(self, size: usize) -> Coll {
         match self {
             CollOp::Bcast => Coll::Bcast,
             CollOp::Alltoall if size > STREAM_THRESHOLD => Coll::AlltoallStreaming,

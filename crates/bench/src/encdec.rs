@@ -6,7 +6,8 @@
 //! encryption throughput). Two tables are produced per build:
 //!
 //! * the **calibrated** curve — the digitized Fig. 2/9 anchors that the
-//!   simulator's `Calibrated` timing mode charges, and
+//!   simulator charges for every seal and open
+//!   (`SecureComm::calibrated_ns`), and
 //! * the **measured** curve — the real engines of this crate running on
 //!   the build host (single thread, like the paper's benchmark).
 

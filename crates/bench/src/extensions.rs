@@ -3,8 +3,8 @@
 //! * **EXT-KEYSIZE** — AES-128 vs AES-256 ping-pong: the paper states
 //!   "the benchmarks yielded the same trends for both 128-bit and
 //!   256-bit keys" and reports only 256; this table verifies the claim.
-//!   (In `Calibrated` timing mode the charged curves are the paper's
-//!   256-bit ones, so the table demonstrates trend parity; the raw
+//!   (The charged curves are the paper's 256-bit ones, whatever the
+//!   key size, so the table demonstrates trend parity; the raw
 //!   128-vs-256 speed difference of the real engines — 10 vs 14 rounds —
 //!   is measured by the `ABL-CRYPTO` table of the `encdec` harness.)
 //! * **EXT-SCALE** — the paper's four scalability settings (4r/4n,

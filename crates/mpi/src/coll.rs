@@ -99,14 +99,14 @@ fn powers_below(n: usize) -> impl Iterator<Item = usize> {
 /// Dissemination: ⌈log₂ n⌉ rounds, round `k` reaching `2^k` ahead. The
 /// rounds carry no block span — the barrier moves nothing and Bruck
 /// picks its blocks by index bit `k`.
-pub fn dissemination(rank: usize, n: usize) -> impl Iterator<Item = Round> {
+fn dissemination(rank: usize, n: usize) -> impl Iterator<Item = Round> {
     powers_below(n).map(move |d| Round::shift(rank, n, d, 0..0, 0..0))
 }
 
 /// Recursive doubling over a power-of-two `n`: before the round with
 /// `mask`, a rank holds the aligned group of `mask` blocks containing
 /// its own and swaps it for its partner's.
-pub fn recursive_doubling(rank: usize, n: usize) -> impl Iterator<Item = Round> {
+fn recursive_doubling(rank: usize, n: usize) -> impl Iterator<Item = Round> {
     assert!(n.is_power_of_two(), "recursive doubling needs 2^k ranks");
     powers_below(n).map(move |mask| {
         let partner = rank ^ mask;

@@ -15,8 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use empi_netsim::{Recorder, SimHandle, VDur, VTime};
-use parking_lot::Mutex;
+use empi_netsim::{Recorder, SimHandle, TokenCell, VDur, VTime};
 
 use crate::chunk::{ChunkedMessage, RecvPayload, SendPayload};
 use crate::ftol::RankFailed;
@@ -112,7 +111,9 @@ impl<T> Parked<T> {
 /// this handle.
 pub struct Comm<'h> {
     pub(crate) h: &'h SimHandle,
-    pub(crate) shared: Arc<Mutex<SharedState>>,
+    /// The world's matching state. Only the token holder touches it,
+    /// so the scheduler token is its lock ([`Comm::state`]).
+    pub(crate) shared: Arc<TokenCell<SharedState>>,
     pub(crate) coll_seq: Cell<u32>,
     /// Failure-detector state, when the world was built with
     /// [`crate::World::with_ftol`]. `None` = fault tolerance off; the
@@ -180,7 +181,12 @@ impl<'h> Comm<'h> {
     /// The name of the world's interconnect model
     /// ([`empi_netsim::NetModel::name`]).
     pub fn model_name(&self) -> &'static str {
-        self.shared.lock().fabric.model().name
+        self.state(|s| s.fabric.model().name)
+    }
+
+    /// Run `f` on the world's matching state, in this rank's tenure.
+    fn state<R>(&self, f: impl FnOnce(&mut SharedState) -> R) -> R {
+        self.shared.with(self.h, f)
     }
 
     /// The engine handle (virtual clock access).
@@ -218,19 +224,20 @@ impl<'h> Comm<'h> {
     /// `peer` with an `len`-byte payload, from the fabric's memoised
     /// [`Fabric::price`](empi_netsim::Fabric::price).
     pub(crate) fn side_overhead(&self, peer: usize, len: usize, charge: Charge) -> VDur {
-        let s = self.shared.lock();
-        if s.fabric.topology().same_node(self.rank(), peer) {
-            return VDur(s.fabric.model().intra_overhead_ns);
-        }
-        let price = s.fabric.price(len);
-        VDur(match charge {
-            Charge::Blocking => price.pp_side_ns,
-            Charge::Streaming => price.stream_side_ns,
+        self.state(|s| {
+            if s.fabric.topology().same_node(self.rank(), peer) {
+                return VDur(s.fabric.model().intra_overhead_ns);
+            }
+            let price = s.fabric.price(len);
+            VDur(match charge {
+                Charge::Blocking => price.pp_side_ns,
+                Charge::Streaming => price.stream_side_ns,
+            })
         })
     }
 
     fn eager_threshold(&self) -> usize {
-        self.shared.lock().fabric.model().eager_threshold
+        self.state(|s| s.fabric.model().eager_threshold)
     }
 
     // ---------------------------------------------------------------
@@ -289,17 +296,16 @@ impl<'h> Comm<'h> {
     /// reads and the first frame matching `ctrl`, the control frame wins
     /// only if it is available strictly earlier — ties go to the data,
     /// so a request completing at the same instant as a NACK retires
-    /// first. Both are read under one lock of the shared state.
+    /// first. Both are read in one access to the shared state.
     fn race<T>(
         &self,
         check: impl FnOnce(&SharedState) -> Option<(VTime, T)>,
         ctrl: Option<(Src, TagSel)>,
     ) -> Option<(VTime, Parked<T>)> {
-        let (got, peeked) = {
-            let s = self.shared.lock();
-            let peeked = ctrl.and_then(|(src, tag)| self.status_in(&s, src, tag));
-            (check(&s), peeked)
-        };
+        let (got, peeked) = self.state(|s| {
+            let peeked = ctrl.and_then(|(src, tag)| self.status_in(s, src, tag));
+            (check(s), peeked)
+        });
         match (got, peeked) {
             (Some((d, _)), Some((c, st))) if c < d => Some((c, Parked::Ctrl(st))),
             (Some((d, v)), _) => Some((d, Parked::Got(v))),
@@ -311,10 +317,10 @@ impl<'h> Comm<'h> {
     /// Envelope of the first arrival matching `(src, tag)` and when it
     /// becomes available, without receiving it.
     pub(crate) fn peek_status(&self, src: Src, tag: TagSel) -> Option<(VTime, Status)> {
-        self.status_in(&self.shared.lock(), src, tag)
+        self.state(|s| self.status_in(s, src, tag))
     }
 
-    /// [`Comm::peek_status`] under a lock the caller holds.
+    /// [`Comm::peek_status`] on state the caller has in hand.
     fn status_in(&self, s: &SharedState, src: Src, tag: TagSel) -> Option<(VTime, Status)> {
         let (source, tag, len, at) = s.peek_incoming(self.rank(), src, tag)?;
         Some((at, Status { source, tag, len }))
@@ -378,10 +384,8 @@ impl<'h> Comm<'h> {
         );
         let _op = self.op(wire.op_label());
         self.charge_host(self.side_overhead(dst, payload.wire_bytes(), charge));
-        let id =
-            self.shared
-                .lock()
-                .match_send(me, dst, tag, payload, wire == Wire::Eager, self.h.now());
+        let now = self.h.now();
+        let id = self.state(|s| s.match_send(me, dst, tag, payload, wire == Wire::Eager, now));
         if dst != me {
             self.h.notify_rank(dst);
         }
@@ -398,7 +402,7 @@ impl<'h> Comm<'h> {
         let ReqKind::Send(wire) = req.kind else {
             panic!("wait_sent on a receive request");
         };
-        let take = || self.shared.lock().try_take_done(req.id).map(|d| (d.0, ()));
+        let take = || self.state(|s| s.try_take_done(req.id)).map(|d| (d.0, ()));
         match wire {
             Wire::Eager => {
                 take().expect("an eager send completes at post time");
@@ -435,10 +439,8 @@ impl<'h> Comm<'h> {
         src: Src,
         tag: TagSel,
     ) -> Option<(VTime, (usize, Tag, DonePayload))> {
-        let m = self
-            .shared
-            .lock()
-            .match_recv(self.rank(), src, tag, self.h.now())?;
+        let now = self.h.now();
+        let m = self.state(|s| s.match_recv(self.rank(), src, tag, now))?;
         if let Some(owner) = m.notify {
             self.h.notify_rank(owner);
         }
@@ -568,10 +570,8 @@ impl<'h> Comm<'h> {
     /// contiguous or the chunked wire format is only known at match
     /// time and is carried in the completed request.
     pub fn irecv(&self, src: Src, tag: TagSel) -> Request {
-        let (id, notify) = self
-            .shared
-            .lock()
-            .post_recv(self.rank(), src, tag, self.h.now());
+        let now = self.h.now();
+        let (id, notify) = self.state(|s| s.post_recv(self.rank(), src, tag, now));
         if let Some(owner) = notify {
             self.h.notify_rank(owner);
         }
@@ -596,7 +596,7 @@ impl<'h> Comm<'h> {
     /// When `req` completed, if it has — a wait on a request in
     /// [`Comm::park`]'s shape.
     pub(crate) fn done_at(&self, req: &Request) -> Option<(VTime, ())> {
-        Some((self.shared.lock().peek_done(req.id)?, ()))
+        Some((self.state(|s| s.peek_done(req.id))?, ()))
     }
 
     /// Consume an already-completed request through [`Comm::deliver`],
@@ -606,9 +606,7 @@ impl<'h> Comm<'h> {
     /// `peek_done` first.
     pub(crate) fn take_completed(&self, req: Request) -> (Status, Option<RecvPayload>) {
         let (_, src, tag, data) = self
-            .shared
-            .lock()
-            .try_take_done(req.id)
+            .state(|s| s.try_take_done(req.id))
             .expect("take_completed on an incomplete request");
         self.deliver(src, tag, data, Charge::Streaming)
     }
@@ -733,7 +731,7 @@ impl<'h> Comm<'h> {
                 .min()
         };
         let polled = match (block, ctrl) {
-            (true, None) => self.park(reason, lease, || first_done(&self.shared.lock())),
+            (true, None) => self.park(reason, lease, || self.state(|s| first_done(s))),
             (true, Some(ctrl)) => self.park_watching(reason, ctrl, lease, first_done),
             (false, _) => {
                 let now = self.h.now();

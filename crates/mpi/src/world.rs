@@ -5,9 +5,8 @@ use std::sync::Arc;
 
 use empi_netsim::{
     CrashKind, CrashPlan, Engine, Fabric, FabricStats, MetricsSnapshot, NetModel, Recorder,
-    RunOutcome, SimError, SimHandle, SloConfig, Topology, TraceReport, VTime,
+    RunOutcome, SimError, SimHandle, SloConfig, TokenCell, Topology, TraceReport, VTime,
 };
-use parking_lot::Mutex;
 
 use crate::comm::Comm;
 use crate::ftol::{DetectorConfig, FtolState};
@@ -137,7 +136,7 @@ impl World {
     }
 
     /// Build the fabric, shared state, and engine for a run.
-    fn prepare(&self) -> (Arc<Mutex<SharedState>>, Engine) {
+    fn prepare(&self) -> (Arc<TokenCell<SharedState>>, Engine) {
         let n = self.topology.n_ranks();
         let mut fabric = Fabric::new(self.model.clone(), self.topology.clone());
         // One recorder, built from the sinks this world asked for; a
@@ -148,22 +147,23 @@ impl World {
         if let Some(r) = recorder.as_ref().filter(|_| self.traced) {
             fabric.set_tracer(r.clone());
         }
-        let shared = Arc::new(Mutex::new(SharedState::new(fabric)));
+        let shared = Arc::new(TokenCell::new(SharedState::new(fabric)));
         let diag_shared = Arc::clone(&shared);
         let diag_recorder = recorder.clone();
         let mut engine = Engine::new(n)
             .shards(self.shards)
             .crash_plan(self.crash.clone())
             .diagnostics(
-                // Runs inside the scheduler's deadlock panic, where a rank
-                // may still hold the state lock — try_lock, never lock
-                // (flight_tail uses try_lock internally for the same
-                // reason).
+                // Runs inside the scheduler's deadlock report, between
+                // two tenures. The state is only peeked, never borrowed
+                // mutably, and the report says so if a rank yielded
+                // while it had the state in hand (flight_tail uses
+                // try_lock internally for the same reason).
                 move |r| {
-                    let mut line = match diag_shared.try_lock() {
-                        Some(s) => s.queue_report(r),
-                        None => "state locked".to_string(),
-                    };
+                    // SAFETY: the engine runs this callback under its
+                    // scheduler lock with no tenure running.
+                    let report = unsafe { diag_shared.peek(|s| s.queue_report(r)) };
+                    let mut line = report.unwrap_or_else(|| "state borrowed".to_string());
                     if let Some(tail) = diag_recorder.as_ref().and_then(|m| m.flight_tail(r, 4)) {
                         line.push_str("; ");
                         line.push_str(&tail);
@@ -185,7 +185,7 @@ impl World {
         f: impl Fn(&Comm) -> T + Sync,
         run: impl FnOnce(&Engine, &(dyn Fn(&SimHandle) -> T + Sync)) -> Result<RunOutcome<R>, SimError>,
     ) -> Result<WorldOutcome<R>, SimError> {
-        let (shared, engine) = self.prepare();
+        let (mut shared, engine) = self.prepare();
         let out = run(&engine, &|h| {
             f(&Comm {
                 h,
@@ -194,7 +194,14 @@ impl World {
                 ftol: self.ftol.map(FtolState::new),
             })
         })?;
-        let fabric = shared.lock().fabric.stats();
+        // Every carrier has stopped and every rank's `Comm` is gone;
+        // the engine's diagnostics callback holds the last other handle.
+        drop(engine);
+        let fabric = Arc::get_mut(&mut shared)
+            .expect("the run released the shared state")
+            .get_mut()
+            .fabric
+            .stats();
         Ok(WorldOutcome {
             results: out.results,
             deaths: out.deaths,

@@ -54,8 +54,18 @@
 //! budget: the engine starts no other thread. A tenure change names
 //! the next holder under the scheduler lock; after the lock is dropped
 //! the releasing coroutine switches to the named one on the same
-//! carrier — a user-space stack switch, no system call. A rank granted its own token
-//! again switches nothing. A one-carrier world is one thread.
+//! carrier — a user-space stack switch, no system call. A one-carrier
+//! world is one thread.
+//!
+//! A yield that keeps the token does not enter the scheduler at all.
+//! Whoever changes the run queue (always the token holder, under the
+//! lock) publishes its top key; an [`SimHandle::advance_to`] whose new
+//! key lies below it, in a world that is not poisoned, by a rank with
+//! no planned crash, is counted and returns — exactly the yield that
+//! would have pushed the rank, popped it and granted it again. So a
+//! rank that keeps the token pays no lock, and state that only holders
+//! touch ([`TokenCell`](crate::TokenCell), the MPI matching state) needs
+//! none either: the token is its lock.
 //!
 //! Rank code interacts with the engine through [`SimHandle`]:
 //! [`SimHandle::advance`] charges virtual compute time and
@@ -65,6 +75,7 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -359,6 +370,8 @@ struct Shared {
     joined: Condvar,
     /// Each rank's coroutine context, saved while it is suspended.
     ctxs: Vec<Context>,
+    /// The address range of each rank's coroutine stack.
+    stacks: Vec<Range<usize>>,
     /// Each carrier's own context, saved while it runs a coroutine.
     homes: Vec<Context>,
     /// The carrier each rank's coroutine runs on. Only the coroutine
@@ -375,9 +388,25 @@ struct Shared {
     clocks: Vec<AtomicU64>,
     /// Host threads that run rank code ([`Engine::shards`], clamped).
     carriers: usize,
-    /// Total yield operations (scheduler-overhead metric).
+    /// The run queue's top key `(clock, rank)` (`u64::MAX` and
+    /// `usize::MAX` when it is empty), published by whoever changes the
+    /// heap: the token holder, under `sched`. The holder reads it
+    /// without the lock to tell whether a yield would grant it its own
+    /// token again ([`SimHandle::advance_to`]).
+    top_clock: AtomicU64,
+    top_rank: AtomicUsize,
+    /// `Sched::poisoned.is_some()`, for the holder's lock-free check.
+    poisoned: AtomicBool,
+    /// The rank whose own code runs with the token, `usize::MAX` while
+    /// none does (between tenures, or while the holder runs a closure
+    /// that must not touch simulation state). Stored by the holder;
+    /// every [`TokenCell`](crate::TokenCell) access is checked against
+    /// it.
+    holder: AtomicUsize,
+    /// Total yield operations (scheduler-overhead metric). Counted by
+    /// the token holder, its only writer.
     yields: AtomicU64,
-    /// Total notify operations.
+    /// Total notify operations, counted the same way.
     notifies: AtomicU64,
     /// Installed recorder, if any (see [`Engine::recorder`]).
     recorder: Option<Recorder>,
@@ -406,6 +435,12 @@ struct Shared {
     finished: Vec<AtomicBool>,
 }
 
+/// Count one event on a counter only the token holder writes: a load
+/// and a store, no read-modify-write.
+fn count(c: &AtomicU64) {
+    c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
 impl Shared {
     /// Make `rank` grantable: status `Ready` plus a run-queue entry
     /// keyed by its current clock. Every path into `Ready` goes
@@ -416,6 +451,26 @@ impl Shared {
         s.ranks[rank].deadline = None;
         let c = self.clocks[rank].load(Ordering::Relaxed);
         s.heap.push(Reverse((c, rank)));
+        self.publish_top(s);
+    }
+
+    /// Publish the run queue's top key (see [`Shared::top_clock`]).
+    fn publish_top(&self, s: &Sched) {
+        let (c, r) = s.heap.peek().map_or((u64::MAX, usize::MAX), |top| top.0);
+        self.top_clock.store(c, Ordering::Relaxed);
+        self.top_rank.store(r, Ordering::Relaxed);
+    }
+
+    /// Whether `(clock, rank)` lies below the published top key: a
+    /// yield by the holder `rank` at `clock` would pop its own entry
+    /// and grant it the token again. A stale top entry only makes the
+    /// answer `false` too often.
+    fn below_top(&self, clock: u64, rank: usize) -> bool {
+        let top = (
+            self.top_clock.load(Ordering::Relaxed),
+            self.top_rank.load(Ordering::Relaxed),
+        );
+        (clock, rank) < top
     }
 
     /// The minimum `(clock, rank)` key of a `Ready` rank, dropping
@@ -426,6 +481,7 @@ impl Shared {
                 return Some((c, r));
             }
             s.heap.pop();
+            self.publish_top(s);
         }
         None
     }
@@ -434,6 +490,7 @@ impl Shared {
     fn pop_ready(&self, s: &mut Sched) -> Option<usize> {
         let (_, r) = self.min_ready(s)?;
         s.heap.pop();
+        self.publish_top(s);
         Some(r)
     }
 
@@ -447,6 +504,7 @@ impl Shared {
             return;
         }
         s.poisoned = Some(e);
+        self.poisoned.store(true, Ordering::Relaxed);
         s.handed = None;
         s.unwind = (0..s.ranks.len())
             .rev()
@@ -686,6 +744,7 @@ impl Shared {
                 }
                 s.ranks[me].status = Status::Running;
                 s.ranks[me].deadline = None;
+                self.holder.store(me, Ordering::Relaxed);
                 return;
             }
             s = self.suspend(me, s, None);
@@ -698,7 +757,7 @@ impl Shared {
     /// if the world quiesces, the scheduler advances the rank to it and
     /// readies it.
     fn yield_now(&self, me: usize, status: Status, reason: BlockReason, deadline: Option<u64>) {
-        self.yields.fetch_add(1, Ordering::Relaxed);
+        count(&self.yields);
         let mut s = self.sched.lock();
         if status == Status::Ready {
             self.mark_ready(&mut s, me, reason);
@@ -768,7 +827,7 @@ where
     let granted = match out {
         Ok(v) => {
             *slot = Some(v);
-            sh.yields.fetch_add(1, Ordering::Relaxed);
+            count(&sh.yields);
             let st = &mut s.ranks[me];
             (st.status, st.reason, st.deadline) = (Status::Done, "finished", None);
             s.active -= 1;
@@ -946,6 +1005,7 @@ impl Engine {
         fiber::settle_heap();
         let n = self.n_ranks;
         let carriers = self.shards.clamp(1, n);
+        let stacks: Vec<fiber::Stack> = (0..n).map(|_| fiber::Stack::new()).collect();
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
                 ranks: (0..n)
@@ -972,10 +1032,15 @@ impl Engine {
             idle: Condvar::new(),
             joined: Condvar::new(),
             ctxs: (0..n).map(|_| Context::new()).collect(),
+            stacks: stacks.iter().map(fiber::Stack::bounds).collect(),
             homes: (0..carriers).map(|_| Context::new()).collect(),
             on: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             carriers,
+            top_clock: AtomicU64::new(0),
+            top_rank: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            holder: AtomicUsize::new(usize::MAX),
             yields: AtomicU64::new(0),
             notifies: AtomicU64::new(0),
             recorder: self.recorder.clone(),
@@ -1010,9 +1075,9 @@ impl Engine {
             .collect();
         let entry = entry_of(&bodies);
         let first = bodies.as_mut_ptr();
-        let stacks: Vec<fiber::Stack> = (0..n)
-            .map(|r| fiber::coroutine(entry, first.wrapping_add(r).cast(), &shared.ctxs[r]))
-            .collect();
+        for (r, stack) in stacks.iter().enumerate() {
+            fiber::coroutine(stack, entry, first.wrapping_add(r).cast(), &shared.ctxs[r]);
+        }
         std::thread::scope(|scope| {
             for k in 1..carriers {
                 let shared = &*shared;
@@ -1153,6 +1218,13 @@ impl SimHandle {
         self.shared.carriers
     }
 
+    /// The addresses of this rank's coroutine stack (its usable bytes,
+    /// guard page excluded): its code runs between these bounds on
+    /// whichever carrier resumes it.
+    pub fn stack(&self) -> Range<usize> {
+        self.shared.stacks[self.rank].clone()
+    }
+
     /// This rank's current virtual time.
     pub fn now(&self) -> VTime {
         VTime(self.shared.clocks[self.rank].load(Ordering::Relaxed))
@@ -1184,10 +1256,51 @@ impl SimHandle {
 
     /// Move the clock forward to `t` (no-op move if already past) and
     /// yield so lower-clock ranks can run.
+    ///
+    /// A yield that would grant this rank its own token again — its new
+    /// key lies below the run queue's published top, the world is not
+    /// poisoned, and no crash is planned for it — is counted and
+    /// skips the scheduler: it would push this rank, pop it and grant
+    /// it, changing nothing else.
     pub fn advance_to(&self, t: VTime) {
-        self.set_clock(self.clamped_target(t));
-        self.shared
-            .yield_now(self.rank, Status::Ready, "advance", None);
+        let (sh, me) = (&*self.shared, self.rank);
+        let next = self.clamped_target(t);
+        self.set_clock(next);
+        if sh.below_top(next.0, me)
+            && !sh.poisoned.load(Ordering::Relaxed)
+            && sh.crash.fate(me).is_none()
+        {
+            count(&sh.yields);
+            return;
+        }
+        sh.yield_now(me, Status::Ready, "advance", None);
+    }
+
+    /// Whether this rank's own code runs with the token now: not
+    /// between tenures, and not inside a detached closure or fork-join
+    /// item ([`TokenCell`](crate::TokenCell)'s check).
+    pub(crate) fn holds_token(&self) -> bool {
+        self.shared.holder.load(Ordering::Relaxed) == self.rank
+    }
+
+    /// Run `f`, a closure that must not touch simulation state, with
+    /// the holder mark cleared, so that a [`TokenCell`](crate::TokenCell)
+    /// it reaches fails its check. A no-op mark for a caller that
+    /// is not the holder (a fork-join item's nested loop on a helper).
+    fn off_token<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore<'a>(&'a AtomicUsize, usize);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                self.0.store(self.1, Ordering::Relaxed);
+            }
+        }
+        if !self.holds_token() {
+            return f();
+        }
+        let holder = &self.shared.holder;
+        holder.store(usize::MAX, Ordering::Relaxed);
+        let _restore = Restore(holder, self.rank);
+        f()
     }
 
     /// Charge `d` of *modeled* compute time and run `f` — real host
@@ -1200,29 +1313,25 @@ impl SimHandle {
     /// runs: the grantee takes it on an idle carrier, or, with none
     /// idle, on the first carrier whose own closure ends, while `f`
     /// runs on this one. Otherwise the token would come straight back,
-    /// and this is `f()` followed by `advance(d)`; a one-carrier world
-    /// runs that without taking the scheduler lock.
+    /// and this is `f()` followed by `advance(d)`. The test reads the
+    /// run queue's published top key, without the scheduler lock (a
+    /// one-carrier world never detaches).
     /// `f` MUST NOT touch simulation state (no sends, notifies, trace
     /// emission, or pool buffer taken or dropped; allocate before
     /// detaching): under that contract the tenure sequence, and with it
     /// every virtual result, is the same either way.
     pub fn charge_overlapped<T>(&self, d: VDur, f: impl FnOnce() -> T) -> T {
         let sh = &*self.shared;
-        if sh.carriers == 1 {
-            let out = f();
-            self.advance(d);
-            return out;
-        }
         let next = self.clamped_target(self.now() + d);
-        let mut s = sh.sched.lock();
-        if sh.min_ready(&mut s).is_none_or(|k| k > (next.0, self.rank)) {
-            drop(s);
-            let out = f();
+        if sh.carriers == 1 || sh.below_top(next.0, self.rank) {
+            let out = self.off_token(f);
             self.advance(d);
             return out;
         }
+        let mut s = sh.sched.lock();
         self.set_clock(next);
-        sh.yields.fetch_add(1, Ordering::Relaxed);
+        count(&sh.yields);
+        sh.holder.store(usize::MAX, Ordering::Relaxed);
         sh.mark_ready(&mut s, self.rank, "compute");
         s.running = None;
         // The grantee's coroutine, if suspended, goes to an idle carrier
@@ -1262,7 +1371,7 @@ impl SimHandle {
             }
         };
         if sh.carriers == 1 || items.len() < 2 {
-            return plain(items);
+            return self.off_token(|| plain(items));
         }
         let base = ItemsPtr(items.as_mut_ptr());
         // SAFETY: `i < items.len()` and the job hands each index to one
@@ -1273,7 +1382,7 @@ impl SimHandle {
         // A job already out means `f` itself called back in: run inline.
         if s.idle == 0 || s.job.is_some() {
             drop(s);
-            return plain(items);
+            return self.off_token(|| plain(items));
         }
         s.job = Some(JobRef(&job));
         let wake = s.idle.min(items.len() - 1);
@@ -1281,13 +1390,14 @@ impl SimHandle {
         for _ in 0..wake {
             sh.idle.notify_one();
         }
-        job.work();
-        let mut s = sh.sched.lock();
-        s.job = None;
-        while s.helpers > 0 {
-            sh.joined.wait(&mut s);
-        }
-        drop(s);
+        self.off_token(|| {
+            job.work();
+            let mut s = sh.sched.lock();
+            s.job = None;
+            while s.helpers > 0 {
+                sh.joined.wait(&mut s);
+            }
+        });
         if let Some(p) = job.panic.into_inner() {
             resume_unwind(p);
         }
@@ -1429,7 +1539,7 @@ impl SimHandle {
     /// Wake `target` if it is parked in [`block_on`](Self::block_on),
     /// causing it to re-evaluate its condition.
     pub fn notify_rank(&self, target: usize) {
-        self.shared.notifies.fetch_add(1, Ordering::Relaxed);
+        count(&self.shared.notifies);
         let mut s = self.shared.sched.lock();
         if s.ranks[target].status == Status::Blocked {
             self.shared.mark_ready(&mut s, target, "notified");
@@ -2505,6 +2615,78 @@ mod handoff_tests {
         for shards in [2, 3] {
             holder_moves_on_in_a_poisoned_world(shards, true);
         }
+    }
+
+    /// Rank 0 keeps the token for good: rank 1 detached with a larger
+    /// next key, and rank 0's advances never move its clock, so every
+    /// one of them skips the scheduler. Rank 1's closure panics on the
+    /// other carrier meanwhile; the holder must see the poisoned world
+    /// at its next advance and unwind. (Bounded: a holder that missed
+    /// the poison gives up after 20 s and fails the test.)
+    #[test]
+    fn a_poisoned_world_unwinds_a_rank_that_keeps_the_token() {
+        let (looping, missed) = (AtomicBool::new(false), AtomicBool::new(false));
+        let err = Engine::new(2)
+            .shards(2)
+            .try_run(|h| {
+                if h.rank() == 0 {
+                    h.advance(VDur(1));
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed().as_secs() < 20 {
+                        looping.store(true, Ordering::SeqCst);
+                        h.advance(VDur(0));
+                    }
+                    missed.store(true, Ordering::SeqCst);
+                    return;
+                }
+                h.charge_overlapped(VDur(10), || {
+                    let t0 = std::time::Instant::now();
+                    while !looping.load(Ordering::SeqCst) && t0.elapsed().as_secs() < 10 {
+                        std::thread::yield_now();
+                    }
+                    panic!("boom while rank 0 keeps the token");
+                })
+            })
+            .unwrap_err();
+        match err {
+            SimError::RankPanic { rank: 1, message } => assert!(
+                message.contains("boom while rank 0 keeps the token"),
+                "got: {message}"
+            ),
+            e => panic!("expected rank 1's panic, got {e}"),
+        }
+        assert!(
+            looping.load(Ordering::SeqCst),
+            "rank 0 never kept the token"
+        );
+        assert!(
+            !missed.load(Ordering::SeqCst),
+            "the holder missed the poison"
+        );
+    }
+
+    /// A rank with a planned crash keeps the token advance after
+    /// advance (rank 1 waits far ahead) and still dies at its crash
+    /// time, not past it.
+    #[test]
+    fn a_doomed_rank_dies_at_its_crash_time_while_it_keeps_the_token() {
+        let out = Engine::new(2)
+            .crash_plan(CrashPlan::new().crash_at(0, VTime(50)))
+            .try_run_ft(|h| {
+                if h.rank() == 1 {
+                    h.advance(VDur(1_000));
+                } else {
+                    for _ in 0..100 {
+                        h.advance(VDur(7));
+                    }
+                }
+                h.now()
+            })
+            .expect("the survivor finishes");
+        assert_eq!(out.results, vec![None, Some(VTime(1_000))]);
+        assert_eq!(out.deaths[0], Some((VTime(50), CrashKind::Crash)));
+        // Grants: 0 (start-up), 1, 0 (keeps it until it dies), 1.
+        assert_eq!(out.handoffs, 3);
     }
 
     #[test]

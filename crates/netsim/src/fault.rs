@@ -318,11 +318,6 @@ impl CrashPlan {
         self.events.is_empty()
     }
 
-    /// All scheduled events.
-    pub fn events(&self) -> &[CrashEvent] {
-        &self.events
-    }
-
     /// The earliest scheduled fate of `rank`, if any.
     pub fn fate(&self, rank: usize) -> Option<(crate::time::VTime, CrashKind)> {
         self.events

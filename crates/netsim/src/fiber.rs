@@ -18,6 +18,7 @@ compile_error!(
 #[cfg(not(target_os = "linux"))]
 compile_error!("empi-netsim maps rank stacks with Linux mmap flags: this target_os is not linux");
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Usable bytes of one rank's stack: what `std::thread` gives a spawned
@@ -180,7 +181,7 @@ unsafe impl Send for Stack {}
 unsafe impl Sync for Stack {}
 
 impl Stack {
-    fn new() -> Stack {
+    pub(crate) fn new() -> Stack {
         let len = GUARD_BYTES + STACK_BYTES;
         let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
         // SAFETY: an anonymous mapping at an address of the kernel's
@@ -209,6 +210,11 @@ impl Stack {
     fn top(&self) -> *mut u8 {
         self.base.wrapping_add(GUARD_BYTES + STACK_BYTES)
     }
+
+    /// The addresses of the usable bytes, guard page excluded.
+    pub(crate) fn bounds(&self) -> Range<usize> {
+        self.base as usize + GUARD_BYTES..self.top() as usize
+    }
 }
 
 impl Drop for Stack {
@@ -219,16 +225,16 @@ impl Drop for Stack {
     }
 }
 
-/// A new coroutine: map a fresh stack and make `ctx` resume into it by
+/// A new coroutine on a fresh `stack`: make `ctx` resume into it by
 /// calling `entry(arg, data)` with the `arg` of that first switch. The
 /// stack must outlive every switch into `ctx` and every instruction the
 /// coroutine runs.
 pub(crate) fn coroutine(
+    stack: &Stack,
     entry: unsafe extern "C" fn(usize, *mut u8) -> !,
     data: *mut u8,
     ctx: &Context,
-) -> Stack {
-    let stack = Stack::new();
+) {
     // Six registers in the order `empi_netsim_switch` pops them, then
     // its return address: the trampoline. After that `ret`, `rsp` is
     // 16-byte aligned, so the trampoline's `call` enters `entry` with
@@ -247,5 +253,4 @@ pub(crate) fn coroutine(
     // below its top, and is 8-byte aligned.
     unsafe { std::ptr::copy_nonoverlapping(frame.as_ptr(), sp.cast::<usize>(), frame.len()) };
     ctx.0.store(sp, Ordering::Release);
-    stack
 }

@@ -16,6 +16,8 @@
 //!   bandwidth, blocking ping-pong time, and streaming occupancy; per-NIC
 //!   busy timelines for flow sharing; message-rate floors and a
 //!   flow-contention penalty (the InfiniBand 8-pair throttle).
+//! * [`token`] — [`TokenCell`], state that only the token holder
+//!   reaches: the token is its lock.
 //! * [`topology`] — rank-to-node placement (block / round-robin).
 //!
 //! ```
@@ -36,6 +38,7 @@ pub mod fabric;
 pub mod fault;
 mod fiber;
 pub mod time;
+pub mod token;
 pub mod topology;
 
 pub use cores::{CorePool, CoreSlot};
@@ -46,4 +49,5 @@ pub use engine::{Engine, RankDiag, RunOutcome, SimError, SimHandle};
 pub use fabric::{Fabric, FabricStats, NetModel, Price};
 pub use fault::{CrashEvent, CrashKind, CrashPlan, FaultPlan, FaultRates, Verdict};
 pub use time::{Schedule, VDur, VTime};
+pub use token::TokenCell;
 pub use topology::Topology;

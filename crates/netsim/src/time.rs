@@ -95,11 +95,6 @@ impl Schedule {
         }
     }
 
-    /// The tick period.
-    pub fn period(&self) -> VDur {
-        self.period
-    }
-
     /// The interval index containing `t` (interval `i` spans
     /// `[i*period, (i+1)*period)`).
     pub fn index_at(&self, t: VTime) -> u64 {
@@ -176,7 +171,7 @@ mod tests {
             "boundary belongs to the next interval"
         );
         // Degenerate period is clamped, never a divide-by-zero.
-        assert_eq!(Schedule::every(VDur::ZERO).period(), VDur(1));
+        assert_eq!(Schedule::every(VDur::ZERO).period, VDur(1));
     }
 
     #[test]

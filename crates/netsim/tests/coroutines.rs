@@ -27,11 +27,12 @@ fn a_rank_can_capture_a_backtrace() {
 
 #[test]
 fn a_panic_under_a_backtrace_hook_is_a_typed_rank_panic() {
-    let seen: &'static Mutex<Vec<String>> = Box::leak(Box::default());
+    // A static, so the hook can outlive the test without a leak.
+    static SEEN: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
+    std::panic::set_hook(Box::new(|info| {
         let bt = Backtrace::force_capture();
-        seen.lock().unwrap().push(format!("{info}\n{bt}"));
+        SEEN.lock().unwrap().push(format!("{info}\n{bt}"));
     }));
     let err = Engine::new(4)
         .try_run(|h| {
@@ -50,7 +51,7 @@ fn a_panic_under_a_backtrace_hook_is_a_typed_rank_panic() {
         }
         e => panic!("expected a rank panic, got {e}"),
     }
-    let seen = seen.lock().unwrap();
+    let seen = SEEN.lock().unwrap();
     assert!(
         seen.iter().any(|s| s.contains("rank two gives up")),
         "the hook never ran: {seen:?}"
@@ -58,29 +59,45 @@ fn a_panic_under_a_backtrace_hook_is_a_typed_rank_panic() {
 }
 
 /// Recurse `depth` frames of at least 4 KiB each; returns the lowest
-/// stack address reached.
-fn dig(depth: usize) -> usize {
+/// stack pointer and the lowest frame address reached.
+fn dig(depth: usize) -> (usize, usize) {
     let mut frame = [0u8; 4096];
     black_box(&mut frame);
     let here = frame.as_ptr() as usize;
     if depth == 0 {
-        return here;
+        let sp: usize;
+        // SAFETY: reads the stack pointer into a register; nothing else.
+        unsafe { std::arch::asm!("mov {}, rsp", out(reg) sp, options(nomem, nostack)) };
+        return (sp, here);
     }
-    let deepest = dig(depth - 1);
+    let (sp, deepest) = dig(depth - 1);
     black_box(frame[depth % frame.len()]);
-    deepest.min(here)
+    (sp, deepest.min(here))
 }
 
+/// The recursion runs on the rank's own stack, and its 4 KiB frames
+/// reach a mebibyte below that stack's top. ASan's fake stack moves
+/// address-taken frames off the rank stack (`detect_stack_use_after_return`);
+/// there the frames' depth is ASan's, and only the stack pointer is the
+/// rank stack's.
 #[test]
 fn a_rank_recurses_through_a_mebibyte_of_stack() {
     let out = Engine::new(2).run(|h| {
         h.advance(VDur(1));
-        let top = &h as *const _ as usize;
-        let used = top - dig(272);
+        let stack = h.stack();
+        let (sp, deepest) = dig(272);
         h.advance(VDur(1));
-        used
+        (stack, sp, deepest)
     });
-    for used in out.results {
-        assert!(used >= 1 << 20, "only {used} bytes of stack used");
+    for (stack, sp, deepest) in out.results {
+        assert!(stack.len() >= 2 << 20, "a {}-byte rank stack", stack.len());
+        assert!(
+            stack.contains(&sp),
+            "the recursion ran at {sp:#x}, off the rank stack {stack:x?}"
+        );
+        if stack.contains(&deepest) {
+            let used = stack.end - deepest;
+            assert!(used >= 1 << 20, "only {used} bytes of stack used");
+        }
     }
 }

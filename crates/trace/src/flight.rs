@@ -96,10 +96,6 @@ impl FlightRecorder {
         Self::default()
     }
 
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     pub fn dropped(&self) -> u64 {
         self.dropped
     }

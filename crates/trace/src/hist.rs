@@ -108,14 +108,6 @@ impl Histogram {
         self.max
     }
 
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {

@@ -164,7 +164,10 @@ fn collective_rounds_are_written_once() {
     for generator in ["dissemination", "recursive_doubling", "ring", "pairwise"] {
         let defs = coll
             .iter()
-            .filter(|l| l.starts_with(&format!("pub fn {generator}(")))
+            .filter(|l| {
+                let def = l.strip_prefix("pub ").unwrap_or(l);
+                def.starts_with(&format!("fn {generator}("))
+            })
             .count();
         assert_eq!(defs, 1, "`{generator}` generator definitions in coll.rs");
     }
@@ -700,8 +703,9 @@ fn doc_paths(text: &str) -> Vec<(String, String)> {
 }
 
 /// Docs name real items: every backticked `Type::item` in README.md,
-/// DESIGN.md and EXPERIMENTS.md whose `Type` is defined in this
-/// workspace names something `crates/*/src` or `src` still defines, and
+/// DESIGN.md, EXPERIMENTS.md and the `//!` module docs of `crates/*/src`
+/// and `src` whose `Type` is defined in this workspace names something
+/// `crates/*/src` or `src` still defines, and
 /// every `--flag` in those three files or in a `///`/`//!` comment under
 /// `crates/*/src` and `src` is one the bench still parses.
 /// (`benchmark/README.md` belongs to the benchmark and is not read.)
@@ -729,6 +733,33 @@ fn docs_name_real_items() {
     assert!(
         checked > 50,
         "only {checked} doc paths checked: is the parser blind?"
+    );
+    // The `//!` module docs of `crates/*/src` and `src` are held to the
+    // same rule.
+    let mut module_docs = crate_sources();
+    module_docs.extend(rust_files("src"));
+    let mut checked_modules = 0;
+    for path in module_docs {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let docs: String = text
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("//!"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let name = path.strip_prefix(repo("")).unwrap().display().to_string();
+        for (ty, item) in doc_paths(&docs) {
+            if !types.contains(&ty) {
+                continue;
+            }
+            checked_modules += 1;
+            if !names.contains(&item) {
+                stale.push(format!("{name}: `{ty}::{item}`"));
+            }
+        }
+    }
+    assert!(
+        checked_modules > 10,
+        "only {checked_modules} module doc paths checked: is the parser blind?"
     );
     assert!(
         stale.is_empty(),
@@ -896,17 +927,64 @@ fn run_parameters_are_arguments() {
     }
 }
 
+/// The identifiers of a line in call position — `name(`, `.name(`,
+/// `Type::name(`, each also with a turbofish (`name::<T>(`) — or passed
+/// as a path (`Type::name`). A field, a binding or a type that shares a
+/// function's name is not a call.
+fn calls(line: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let bytes = line.as_bytes();
+    let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let mut i = 0;
+    while i < bytes.len() {
+        if !word(bytes[i]) || (i > 0 && word(bytes[i - 1])) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && word(bytes[i]) {
+            i += 1;
+        }
+        let mut rest = &line[i..];
+        if let Some(generic) = rest.strip_prefix("::<") {
+            // Skip the turbofish's balanced angle brackets.
+            let mut depth = 1;
+            let close = generic.char_indices().find(|&(_, c)| {
+                depth += match c {
+                    '<' => 1,
+                    '>' => -1,
+                    _ => 0,
+                };
+                depth == 0
+            });
+            rest = close.map_or("", |(at, _)| &generic[at + 1..]);
+        }
+        if rest.starts_with('(') || line[..start].ends_with("::") {
+            out.push(&line[start..i]);
+        }
+    }
+    out
+}
+
 /// The public surface is what the stack calls: every `pub fn` in
-/// `crates/*/src` and `src` outside `#[cfg(test)]` is named, as an
-/// identifier token, by another file — non-test code in `crates/*/src`,
-/// `src`, `examples` or `benchmark/src`, or an integration test under
-/// `tests/` or `crates/*/tests`. A unit test does not make a caller: a
-/// function only its own tests call is a private helper of those tests.
+/// `crates/*/src` and `src` outside `#[cfg(test)]` is called —
+/// `name(`, `.name(` or `Type::name(` (see [`calls`]), or passed as a
+/// path (`Type::name`) — by another file: non-test code in
+/// `crates/*/src`, `src`, `examples` or `benchmark/src`, or an
+/// integration test under `tests/` or `crates/*/tests`. A unit test
+/// does not make a caller: a function only its own tests call is a
+/// private helper of those tests. A field or a binding of the same name
+/// does not either.
 #[test]
 fn pub_items_have_callers() {
-    // Entry points that nothing in the repository names (each with the
-    // reason it is public anyway). Empty: every `pub fn` has a caller.
-    const ENTRY_POINTS: &[&str] = &[];
+    // Entry points that no non-test code calls (each with the reason it
+    // is public anyway).
+    const ENTRY_POINTS: &[&str] = &[
+        // `TraceReport::pair`: the per-pair ledger lookup that the unit
+        // tests of empi-trace, empi-netsim, empi-mpi and empi-core assert
+        // on; a helper shared across crates' tests has to be public.
+        "pair",
+    ];
 
     let mut defining = crate_sources();
     defining.extend(rust_files("src"));
@@ -923,16 +1001,18 @@ fn pub_items_have_callers() {
     }
     let mut named: Vec<(String, usize, String)> = non_test_lines(&calling);
     named.extend(code_lines(&tests));
-    // Which files name each identifier. A `fn name` line defines
+    // Which files call each identifier. A `fn name(` line defines
     // `name` and calls nothing: a same-named method elsewhere is not a
     // caller.
     let mut namers: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (file, _, line) in &named {
-        let toks = idents(line);
-        for (i, tok) in toks.iter().enumerate() {
-            if i == 0 || toks[i - 1] != "fn" {
-                namers.entry(tok).or_default().insert(file);
-            }
+        let defines: Vec<&str> = idents(line)
+            .windows(2)
+            .filter(|w| w[0] == "fn")
+            .map(|w| w[1])
+            .collect();
+        for name in calls(line).into_iter().filter(|c| !defines.contains(c)) {
+            namers.entry(name).or_default().insert(file);
         }
     }
 
@@ -1186,6 +1266,23 @@ fn the_engine_has_one_run_queue() {
     let engine = code_lines(&[repo("crates/netsim/src/engine.rs")]);
     let heaps = sites(&engine, "BinaryHeap<");
     assert_eq!(heaps.len(), 1, "`BinaryHeap<` in the engine: {heaps:?}");
+}
+
+/// The token is the MPI state's lock: only the token holder touches the
+/// matching state, so `empi-mpi` keeps it in a `TokenCell` and names no
+/// `Mutex` anywhere under `crates/mpi/src`, comments included.
+#[test]
+fn the_mpi_state_takes_no_lock() {
+    let files = rust_files("crates/mpi/src");
+    let lines = all_lines(&files);
+    assert!(
+        lines
+            .iter()
+            .any(|(_, _, l)| l.contains("TokenCell<SharedState>")),
+        "the guard sees no token-guarded state"
+    );
+    let locks = sites(&lines, "Mutex");
+    assert!(locks.is_empty(), "`Mutex` under crates/mpi/src: {locks:?}");
 }
 
 /// One GHASH reduction routine, one kernel body and one CPU probe:
