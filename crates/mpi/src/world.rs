@@ -155,10 +155,10 @@ impl World {
             .crash_plan(self.crash.clone())
             .diagnostics(
                 // Runs inside the scheduler's deadlock report, between
-                // two tenures. The state is only peeked, never borrowed
-                // mutably, and the report says so if a rank yielded
-                // while it had the state in hand (flight_tail uses
-                // try_lock internally for the same reason).
+                // two tenures: peek at the state, never borrow it (a rank
+                // that yielded with the state in hand reads "state
+                // borrowed"; flight_tail uses try_lock internally for the
+                // same reason).
                 move |r| {
                     // SAFETY: the engine runs this callback under its
                     // scheduler lock with no tenure running.

@@ -1279,6 +1279,7 @@ impl SimHandle {
     /// Whether this rank's own code runs with the token now: not
     /// between tenures, and not inside a detached closure or fork-join
     /// item ([`TokenCell`](crate::TokenCell)'s check).
+    #[inline]
     pub(crate) fn holds_token(&self) -> bool {
         self.shared.holder.load(Ordering::Relaxed) == self.rank
     }

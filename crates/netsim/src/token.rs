@@ -33,6 +33,14 @@ pub struct TokenCell<T> {
 // is reached from whichever carrier the holder runs on.
 unsafe impl<T: Send> Sync for TokenCell<T> {}
 
+/// The panic of a [`TokenCell::with`] made without the token, out of
+/// the way of the access itself.
+#[cold]
+#[inline(never)]
+fn refused(rank: usize) -> ! {
+    panic!("rank {rank} reached a token cell without holding the token")
+}
+
 /// Clears [`TokenCell::busy`] when a `with` closure returns or unwinds.
 struct Release<'a>(&'a Cell<bool>);
 
@@ -54,12 +62,11 @@ impl<T> TokenCell<T> {
     /// Run `f` on the value. Panics unless `h`'s rank holds the token,
     /// outside any detached closure or fork-join item, and if called
     /// again from inside `f`.
+    #[inline]
     pub fn with<R>(&self, h: &SimHandle, f: impl FnOnce(&mut T) -> R) -> R {
-        assert!(
-            h.holds_token(),
-            "rank {} reached a token cell without holding the token",
-            h.rank()
-        );
+        if !h.holds_token() {
+            refused(h.rank());
+        }
         assert!(!self.busy.replace(true), "token cell re-entered");
         let _release = Release(&self.busy);
         // SAFETY: the holder is the only thread here (see the `Sync`
