@@ -473,25 +473,18 @@ impl Shared {
         (clock, rank) < top
     }
 
-    /// The minimum `(clock, rank)` key of a `Ready` rank, dropping
+    /// Pop the `Ready` rank with the minimum `(clock, rank)`, dropping
     /// stale entries off the top of the run queue on the way.
-    fn min_ready(&self, s: &mut Sched) -> Option<(u64, usize)> {
-        while let Some(&Reverse((c, r))) = s.heap.peek() {
-            if s.ranks[r].status == Status::Ready && self.clocks[r].load(Ordering::Relaxed) == c {
-                return Some((c, r));
-            }
-            s.heap.pop();
-            self.publish_top(s);
-        }
-        None
-    }
-
-    /// Pop the `Ready` rank with the minimum `(clock, rank)`.
     fn pop_ready(&self, s: &mut Sched) -> Option<usize> {
-        let (_, r) = self.min_ready(s)?;
-        s.heap.pop();
+        let mut next = None;
+        while let Some(Reverse((c, r))) = s.heap.pop() {
+            if s.ranks[r].status == Status::Ready && self.clocks[r].load(Ordering::Relaxed) == c {
+                next = Some(r);
+                break;
+            }
+        }
         self.publish_top(s);
-        Some(r)
+        next
     }
 
     /// Record a fatal condition. The first one wins and lists every
@@ -945,8 +938,10 @@ impl Engine {
 
     /// Install a per-rank diagnostic callback whose output is appended
     /// to the all-blocked deadlock report. The callback runs with the
-    /// scheduler lock held, so it must not yield or block; use
-    /// `try_lock` on any shared state it inspects.
+    /// scheduler lock held, between two tenures, so it must not yield or
+    /// block; use `try_lock` on any shared state it inspects, and
+    /// [`TokenCell::peek`](crate::TokenCell::peek) on token-guarded
+    /// state.
     pub fn diagnostics(mut self, f: impl Fn(usize) -> String + Send + Sync + 'static) -> Self {
         self.diag = Some(Arc::new(f));
         self
